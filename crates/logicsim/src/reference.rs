@@ -10,8 +10,14 @@
 //! * **benchmarking** — the `bench` binary's `BENCH_sim.json` reports the
 //!   CSR/wide-word speedup against this baseline, so the comparison stays
 //!   honest across future refactors.
+//!
+//! [`iddq_first_detection`] builds the IDDQ sweep's scalar oracle on top
+//! of it.
 
-use iddq_netlist::Netlist;
+use iddq_netlist::{Netlist, NodeId};
+
+use crate::faults::IddqFault;
+use crate::iddq::NO_MODULE;
 
 /// The seed's levelized 64-way simulator, kept as a golden reference.
 ///
@@ -139,6 +145,66 @@ impl NaiveSimulator {
         }
         out
     }
+}
+
+/// The IDDQ sweep's scalar oracle: each fault's earliest detecting vector
+/// index, one vector at a time.
+///
+/// With `frames <= 1` every vector is evaluated on its own; with
+/// `frames = F > 1` the vectors are read sequence-major (`vectors[s*F + t]`
+/// is frame `t` of sequence `s`) and each sequence is stepped from the
+/// all-zero reset by [`NaiveSimulator::step_frames`]. A fault is detected
+/// at vector `v` when the fault-free values of `v` activate it
+/// ([`IddqFault::activation`]) and one of its site modules has a sensor
+/// with `leakage < threshold <= leakage + defect current` — the rule
+/// [`iddq::simulate_with_options`](crate::iddq::simulate_with_options)
+/// must reproduce bit for bit.
+///
+/// # Panics
+///
+/// Panics if `module_of.len() != netlist.node_count()`, a gate maps to a
+/// module out of range of `module_leakage_ua`, or a vector's arity
+/// differs from the primary-input count.
+#[must_use]
+pub fn iddq_first_detection(
+    netlist: &Netlist,
+    faults: &[IddqFault],
+    vectors: &[Vec<bool>],
+    module_of: &[u32],
+    module_leakage_ua: &[f64],
+    threshold_ua: f64,
+    frames: usize,
+) -> Vec<Option<usize>> {
+    assert_eq!(module_of.len(), netlist.node_count());
+    let sensor_sees = |site: NodeId, current_ua: f64| {
+        let module = module_of[site.index()];
+        module != NO_MODULE && {
+            let leak = module_leakage_ua[module as usize];
+            leak < threshold_ua && leak + current_ua >= threshold_ua
+        }
+    };
+    let naive = NaiveSimulator::new(netlist);
+    let frames = frames.max(1);
+    let mut first = vec![None; faults.len()];
+    for (s, sequence) in vectors.chunks(frames).enumerate() {
+        let inputs: Vec<Vec<u64>> = sequence
+            .iter()
+            .map(|v| v.iter().map(|&bit| u64::from(bit)).collect())
+            .collect();
+        for (t, values) in naive.step_frames(&inputs).iter().enumerate() {
+            for (slot, fault) in first.iter_mut().zip(faults) {
+                let (a, b) = fault.sites();
+                if slot.is_none()
+                    && fault.activation(netlist, values) & 1 == 1
+                    && (sensor_sees(a, fault.current_ua())
+                        || b.is_some_and(|b| sensor_sees(b, fault.current_ua())))
+                {
+                    *slot = Some(s * frames + t);
+                }
+            }
+        }
+    }
+    first
 }
 
 #[cfg(test)]
