@@ -680,30 +680,28 @@ fn main() {
         .node_ids()
         .map(|id| if nl.is_gate(id) { 0 } else { iddq::NO_MODULE })
         .collect();
-    // Tiny leakage, high threshold: no fault is ever detected, so the
-    // sweep cannot early-exit and the measurement covers the whole set.
-    let t_seq = secs_per_iter(window_ms, || {
-        std::hint::black_box(iddq::simulate_with_threads(
-            nl,
-            &faults,
-            &vectors,
-            &module_of,
-            &[0.01],
-            1e12,
-            1,
-        ));
-    });
-    let t_par = secs_per_iter(window_ms, || {
-        std::hint::black_box(iddq::simulate_with_threads(
-            nl,
-            &faults,
-            &vectors,
-            &module_of,
-            &[0.01],
-            1e12,
+    // One sane module whose sensor sees every defect current: activated
+    // defects drop out, the never-activated rest are checked against
+    // every batch.
+    let sweep_secs = |threads| {
+        let options = iddq::SweepOptions {
             threads,
-        ));
-    });
+            ..iddq::SweepOptions::default()
+        };
+        secs_per_iter(window_ms, || {
+            std::hint::black_box(iddq::simulate_with_options(
+                nl,
+                &faults,
+                &vectors,
+                &module_of,
+                &[0.01],
+                1.0,
+                &options,
+            ));
+        })
+    };
+    let t_seq = sweep_secs(1);
+    let t_par = sweep_secs(threads);
     let seq_vps = num_vectors as f64 / t_seq;
     let par_vps = num_vectors as f64 / t_par;
     println!(

@@ -22,7 +22,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::EngineError;
+use crate::{EngineError, Fnv1a};
 
 /// Abstraction over the filesystem operations the workspace performs on
 /// durable state. Implementations must be shareable across worker threads.
@@ -351,18 +351,6 @@ pub fn write_atomic_in(env: &dyn IoEnv, path: &Path, contents: &str) -> Result<(
     })
 }
 
-/// FNV-1a over `bytes`: the workspace's standard cheap content checksum
-/// (the same construction fingerprints netlists and detection maps).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Version tag of the sealed payload format.
 const SEAL_MAGIC: &str = "iddq-sealed v1";
 
@@ -374,7 +362,7 @@ const SEAL_MAGIC: &str = "iddq-sealed v1";
 pub fn seal(payload: &str) -> String {
     format!(
         "{SEAL_MAGIC} crc:{:016x} len:{}\n{payload}",
-        fnv1a64(payload.as_bytes()),
+        Fnv1a::new().bytes(payload.as_bytes()).finish(),
         payload.len()
     )
 }
@@ -412,7 +400,7 @@ pub fn open_sealed(data: &str) -> Result<&str, String> {
             payload.len()
         ));
     }
-    let got = fnv1a64(payload.as_bytes());
+    let got = Fnv1a::new().bytes(payload.as_bytes()).finish();
     if got != crc {
         return Err(format!(
             "sealed payload checksum mismatch: computed {got:016x}, sealed {crc:016x}"

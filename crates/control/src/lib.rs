@@ -49,13 +49,54 @@
 mod env;
 
 pub use env::{
-    fnv1a64, open_sealed, seal, write_atomic_in, FaultCounts, FaultPlan, FaultyEnv, IoEnv, RealEnv,
+    open_sealed, seal, write_atomic_in, FaultCounts, FaultPlan, FaultyEnv, IoEnv, RealEnv,
 };
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Streaming 64-bit FNV-1a: the workspace's one cheap content hash. It
+/// checksums sealed files, fingerprints netlist structure and sweep
+/// checkpoints, digests detection tables and seeds generated circuits,
+/// so its output is part of on-disk formats and must never change.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV-1a 64-bit offset basis.
+    #[must_use]
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        self
+    }
+
+    /// Feeds a word as its 8 little-endian bytes.
+    pub fn u64(&mut self, x: u64) -> &mut Self {
+        self.bytes(&x.to_le_bytes())
+    }
+
+    /// The hash of everything fed so far.
+    #[must_use]
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// Why an engine call stopped before completing its planned work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -485,6 +526,22 @@ pub fn write_atomic(path: &std::path::Path, contents: &str) -> Result<(), Engine
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Published FNV-1a 64 test vectors, the word form, and the sealed
+    /// header (whose checksum sealed files on disk carry) pinned.
+    #[test]
+    fn fnv1a_golden_values() {
+        let hash = |b: &[u8]| Fnv1a::new().bytes(b).finish();
+        assert_eq!(hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(hash(b"iddq"), 0x9e80_28c5_490d_2387);
+        assert_eq!(Fnv1a::new().u64(7).finish(), hash(&7u64.to_le_bytes()));
+        assert_eq!(
+            seal("{\"a\": 1}"),
+            "iddq-sealed v1 crc:c7f7c344acd8995f len:8\n{\"a\": 1}"
+        );
+    }
 
     #[test]
     fn unlimited_control_never_stops() {

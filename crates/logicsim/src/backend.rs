@@ -1,19 +1,18 @@
 //! Backend selection: one evaluation API over the batch CSR kernel and
 //! the event-driven incremental engine.
 //!
-//! Every consumer of logic values — the IDDQ fault sweep, logic testing,
-//! ATPG — only needs "evaluate this packed batch into a values buffer".
-//! [`SimBackend`] provides exactly that over either engine, so callers
-//! (and the CLI's `--backend` flag) pick the engine by a [`BackendKind`]
-//! value instead of by type:
+//! ATPG and the CLI's `sim` command only need "evaluate this packed
+//! batch into a values buffer". [`SimBackend`] provides exactly that over
+//! either engine, so callers (and the CLI's `--backend` flag) pick the
+//! engine by a [`BackendKind`] value instead of by type; the fault sweep
+//! reads the same value to choose between the fault-patch engine and its
+//! CSR oracle:
 //!
 //! * [`BackendKind::Csr`] — the stateless batch kernel
 //!   ([`Simulator`](crate::Simulator)): fastest for full sweeps over fresh
-//!   pattern batches.
+//!   pattern batches, so the IDDQ sweep uses it directly.
 //! * [`BackendKind::Delta`] — the stateful incremental engine
-//!   ([`DeltaSim`]): same results batch-for-batch, but additionally
-//!   supports [`Patch`](crate::delta::Patch) mutation between sweeps via
-//!   [`SimBackend::as_delta_mut`].
+//!   ([`DeltaSim`]): same results batch-for-batch.
 
 use std::str::FromStr;
 
@@ -157,15 +156,6 @@ impl<W: PackedWord> SimBackend<W> {
             }
         }
     }
-
-    /// Access to the incremental engine's patch API (`None` on the CSR
-    /// arm).
-    pub fn as_delta_mut(&mut self) -> Option<&mut DeltaSim<W>> {
-        match self {
-            SimBackend::Csr(_) => None,
-            SimBackend::Delta(sim) => Some(sim),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -231,14 +221,5 @@ mod tests {
         assert!("fast".parse::<BackendKind>().is_err());
         assert_eq!(BackendKind::default(), BackendKind::Csr);
         assert_eq!(BackendKind::Delta.to_string(), "delta");
-    }
-
-    #[test]
-    fn delta_arm_exposes_patching() {
-        let nl = data::c17();
-        let mut csr = SimBackend::<u64>::new(&nl, BackendKind::Csr);
-        let mut delta = SimBackend::<u64>::new(&nl, BackendKind::Delta);
-        assert!(csr.as_delta_mut().is_none());
-        assert!(delta.as_delta_mut().is_some());
     }
 }

@@ -22,15 +22,14 @@
 //!    which again walks only the dirty cone, restoring the good state for
 //!    the next fault.
 //!
-//! [`sweep`] wraps the per-fault loop in the same two-level
-//! (fault-shard × pattern-batch) task grid as
-//! [`iddq::simulate_with_options`](crate::iddq::simulate_with_options),
-//! with earliest-detection **fault dropping**: once a fault is detected,
-//! later batches skip it, and a shared atomic earliest-detection array
-//! lets grid cells drop faults another cell already caught — results stay
-//! bit-identical for any thread count, shard count and dropping setting,
-//! because a fault is only ever skipped when a strictly earlier detection
-//! (which wins the min-merge) already exists.
+//! [`sweep`] runs the per-fault loop as a detector on the shared
+//! fault-shard × pattern-batch `grid` executor — the one
+//! the IDDQ sweep runs on — with earliest-detection **fault dropping**:
+//! once a fault is detected, later batches skip it, and the grid's shared
+//! earliest-detection array lets cells drop faults another cell already
+//! caught. Results stay bit-identical for any thread count, shard count
+//! and dropping setting, because a fault is only ever skipped when a
+//! strictly earlier detection (which wins the min-merge) already exists.
 //!
 //! # Multi-frame sequences
 //!
@@ -50,8 +49,9 @@
 //! frame wins. `frames = 1` is byte-for-byte the combinational sweep
 //! described above. The CSR oracle arm rebuilds each faulty machine per
 //! frame with a full forced topological sweep (the slow obviously-correct
-//! form), and the differential tests pin the two against each other and
-//! against `NaiveSimulator::step_frames`.
+//! form; with `frames = 1` that is plain per-fault re-simulation), and
+//! the differential tests pin the two against each other and against
+//! `NaiveSimulator::step_frames`.
 //!
 //! # Failure semantics: budgets, cancellation, checkpoint/resume
 //!
@@ -62,10 +62,13 @@
 //! returns [`Outcome::Partial`] — the per-fault earliest detections of
 //! every *completed* (fault-shard × pattern-batch) cell, the fraction of
 //! planned grid work that ran, and the [`StopReason`]. Worker panics are
-//! caught at the task boundary (`catch_unwind`): one poisoned cell fails
-//! its shard (and poisons only that worker's engines, which are rebuilt),
-//! the process survives, and the outcome degrades to `Partial` with
+//! caught at the task boundary: one poisoned cell fails its shard (and
+//! poisons only that worker's engines, which are rebuilt), the process
+//! survives, and the outcome degrades to `Partial` with
 //! [`StopReason::WorkerPanicked`].
+//!
+//! [`StopReason`]: iddq_control::StopReason
+//! [`StopReason::WorkerPanicked`]: iddq_control::StopReason::WorkerPanicked
 //!
 //! Partial results are *resumable*. [`SweepCheckpoint`] serializes the
 //! earliest-detection array, the set of fully-swept pattern batches and a
@@ -84,20 +87,17 @@
 //! use: the worker that reaches the given batch panics, exercising the
 //! worker-boundary isolation path deterministically.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
 
-use iddq_control::{EngineError, IoEnv, Outcome, RunControl, StopReason};
+use iddq_control::{EngineError, Fnv1a, IoEnv, Outcome, RunControl};
 use iddq_netlist::{Netlist, NodeId, PackedWord};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendKind;
 use crate::delta::{DeltaSim, Patch, PatchOp};
+use crate::grid;
 use crate::iddq::{pack_chunk_into, pack_seq_frame_into};
-use crate::logic_test::{
-    bridge_logic_detection_from, eval_forced_with_state, recompute_driver, stuck_at_detection_from,
-    StuckAtFault,
-};
+use crate::logic_test::{eval_forced_with_state, recompute_driver, StuckAtFault};
 use crate::sim::Simulator;
 
 /// One logic (voltage-test) fault.
@@ -210,33 +210,42 @@ impl<W: PackedWord> FaultPatchSim<W> {
                 self.reevaluated += (r.reevaluated + rb.reevaluated) as u64;
                 diff
             }
+            // A net bridged to itself never changes logic.
+            LogicFault::Bridge { a, b } if a == b => W::zeros(),
             LogicFault::Bridge { a, b } => {
-                if a == b {
-                    // A net bridged to itself never changes logic.
-                    return W::zeros();
-                }
-                // Wired-AND fixpoint, mirroring `bridge_logic_detection_from`
-                // iteration for iteration: each round pins both nets to the
-                // current wired word and re-derives it from the corrupted
-                // driver values.
-                let mut wired = self.sim.value(a) & self.sim.value(b);
-                for _ in 0..3 {
-                    let ra = self.sim.force_word(a, wired);
-                    let rb = self.sim.force_word(b, wired);
-                    self.reevaluated += (ra.reevaluated + rb.reevaluated) as u64;
-                    let next = self.recompute_driver(a) & self.recompute_driver(b);
-                    if next == wired {
-                        break;
-                    }
-                    wired = next;
-                }
+                self.force_bridge(a, b);
                 let diff = self.output_diff();
-                let ra = self.sim.unforce_word(a);
-                let rb = self.sim.unforce_word(b);
-                self.reevaluated += (ra.reevaluated + rb.reevaluated) as u64;
+                self.unforce(a);
+                self.unforce(b);
                 diff
             }
         }
+    }
+
+    /// Superimposes a bridge as a wired-AND fixpoint, mirroring
+    /// `bridge_logic_detection_from` iteration for iteration: each round
+    /// pins both nets to the current wired word and re-derives it from
+    /// the corrupted driver values.
+    fn force_bridge(&mut self, a: NodeId, b: NodeId) {
+        let mut wired = self.sim.value(a) & self.sim.value(b);
+        for _ in 0..3 {
+            let ra = self.sim.force_word(a, wired);
+            let rb = self.sim.force_word(b, wired);
+            self.reevaluated += (ra.reevaluated + rb.reevaluated) as u64;
+            let next = self.recompute_driver(a) & self.recompute_driver(b);
+            if next == wired {
+                break;
+            }
+            wired = next;
+        }
+    }
+
+    fn force(&mut self, node: NodeId, word: W) {
+        self.reevaluated += self.sim.force_word(node, word).reevaluated as u64;
+    }
+
+    fn unforce(&mut self, node: NodeId) {
+        self.reevaluated += self.sim.unforce_word(node).reevaluated as u64;
     }
 
     /// Sweeps one batch of `frames`-cycle sequences: lane *k* carries
@@ -290,30 +299,14 @@ impl<W: PackedWord> FaultPatchSim<W> {
                 for (j, &g) in good_state.iter().enumerate() {
                     let w = self.faulty_state[k * s + j];
                     if w != g {
-                        let r = self.sim.force_word(self.state_nodes[j], w);
-                        self.reevaluated += r.reevaluated as u64;
+                        self.force(self.state_nodes[j], w);
                         self.diverged.push(j);
                     }
                 }
                 // Superimpose the fault through the same force layer.
                 match fault {
-                    LogicFault::StuckAt(f) => {
-                        let r = self.sim.force_word(f.node, W::splat(f.stuck_at_one));
-                        self.reevaluated += r.reevaluated as u64;
-                    }
-                    LogicFault::Bridge { a, b } if a != b => {
-                        let mut wired = self.sim.value(a) & self.sim.value(b);
-                        for _ in 0..3 {
-                            let ra = self.sim.force_word(a, wired);
-                            let rb = self.sim.force_word(b, wired);
-                            self.reevaluated += (ra.reevaluated + rb.reevaluated) as u64;
-                            let next = self.recompute_driver(a) & self.recompute_driver(b);
-                            if next == wired {
-                                break;
-                            }
-                            wired = next;
-                        }
-                    }
+                    LogicFault::StuckAt(f) => self.force(f.node, W::splat(f.stuck_at_one)),
+                    LogicFault::Bridge { a, b } if a != b => self.force_bridge(a, b),
                     LogicFault::Bridge { .. } => {}
                 }
                 let diff = self.output_diff().mask_lanes(lanes_t);
@@ -329,21 +322,15 @@ impl<W: PackedWord> FaultPatchSim<W> {
                 }
                 // Rollback: the fault forces, then the state pins.
                 match fault {
-                    LogicFault::StuckAt(f) => {
-                        let r = self.sim.unforce_word(f.node);
-                        self.reevaluated += r.reevaluated as u64;
-                    }
+                    LogicFault::StuckAt(f) => self.unforce(f.node),
                     LogicFault::Bridge { a, b } if a != b => {
-                        let ra = self.sim.unforce_word(a);
-                        let rb = self.sim.unforce_word(b);
-                        self.reevaluated += (ra.reevaluated + rb.reevaluated) as u64;
+                        self.unforce(a);
+                        self.unforce(b);
                     }
                     LogicFault::Bridge { .. } => {}
                 }
                 for i in 0..self.diverged.len() {
-                    let j = self.diverged[i];
-                    let r = self.sim.unforce_word(self.state_nodes[j]);
-                    self.reevaluated += r.reevaluated as u64;
+                    self.unforce(self.state_nodes[self.diverged[i]]);
                 }
             }
         }
@@ -364,27 +351,16 @@ impl<W: PackedWord> FaultPatchSim<W> {
         }
     }
 
-    /// Mean nodes re-evaluated per [`FaultPatchSim::detect`] call
-    /// (apply + rollback walks combined) — the dirty-cone work metric the
-    /// bench reports.
-    #[must_use]
-    pub fn mean_dirty_nodes(&self) -> f64 {
-        if self.detects == 0 {
-            0.0
-        } else {
-            self.reevaluated as f64 / self.detects as f64
-        }
-    }
-
-    /// Total nodes re-evaluated and detect calls so far.
+    /// Total nodes re-evaluated (apply + rollback walks combined) and
+    /// fault applications so far — the dirty-cone work metric.
     #[must_use]
     pub fn dirty_totals(&self) -> (u64, u64) {
         (self.reevaluated, self.detects)
     }
 }
 
-/// Tuning knobs of the fault-patch sweep, mirroring
-/// [`SweepOptions`](crate::iddq::SweepOptions)' two-level task grid.
+/// Tuning knobs of the fault-patch sweep and its grid of fault shards ×
+/// pattern batches.
 #[derive(Debug, Clone)]
 pub struct FaultSweepOptions {
     /// Worker threads; `0` = one per available core (capped by tasks).
@@ -407,7 +383,7 @@ pub struct FaultSweepOptions {
     pub frames: usize,
     /// Chaos injection: the worker that reaches this absolute pattern-batch
     /// index panics right before evaluating it. Exercises the
-    /// worker-boundary `catch_unwind` isolation (one poisoned task fails
+    /// worker-boundary panic isolation (one poisoned task fails
     /// its shard, the sweep degrades to `Partial` instead of aborting the
     /// process). `None` in production.
     pub chaos_panic_batch: Option<usize>,
@@ -426,14 +402,14 @@ impl Default for FaultSweepOptions {
     }
 }
 
-/// The CSR oracle for multi-frame sequences: every fault's machine is
-/// rebuilt per frame by a full forced topological sweep with the faulty
-/// latched state scattered over the DFF outputs, mirroring the patch
-/// engine's force fixpoints iteration for iteration. Slow and obviously
-/// correct — the differential baseline [`FaultPatchSim::sweep_sequences`]
-/// must match bit-for-bit.
+/// The CSR oracle: every fault's machine is rebuilt per frame by a full
+/// forced topological sweep with the faulty latched state scattered over
+/// the DFF outputs, mirroring the patch engine's force fixpoints
+/// iteration for iteration. Slow and obviously correct — the differential
+/// baseline [`FaultPatchSim::detect`] and
+/// [`FaultPatchSim::sweep_sequences`] must match bit-for-bit.
 #[allow(clippy::too_many_arguments)]
-fn seq_csr_cell<W: PackedWord>(
+fn csr_oracle_batch<W: PackedWord>(
     netlist: &Netlist,
     sim: &Simulator,
     vectors: &[Vec<bool>],
@@ -590,34 +566,13 @@ pub struct SweepCheckpoint {
     pub done_batches: Vec<bool>,
 }
 
-/// Incremental FNV-1a hasher for the checkpoint fingerprint.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 fn run_fingerprint<W: PackedWord>(
     netlist: &Netlist,
     faults: &[LogicFault],
     vectors: &[Vec<bool>],
     options: &FaultSweepOptions,
 ) -> String {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     h.u64(u64::from(W::LANES));
     h.u64(options.threads as u64);
     h.u64(options.fault_shards as u64);
@@ -629,7 +584,7 @@ fn run_fingerprint<W: PackedWord>(
         match netlist.node(id).kind().cell_kind() {
             None => h.u64(u64::MAX),
             Some(kind) => h.bytes(kind.mnemonic().as_bytes()),
-        }
+        };
         for f in netlist.node(id).fanin() {
             h.u64(f.index() as u64);
         }
@@ -663,7 +618,7 @@ fn run_fingerprint<W: PackedWord>(
         }
         h.u64(word);
     }
-    format!("{:016x}", h.0)
+    format!("{:016x}", h.finish())
 }
 
 impl SweepCheckpoint {
@@ -713,52 +668,25 @@ impl SweepCheckpoint {
                 self.circuit
             )))
         };
-        if self.lanes != W::LANES {
-            return mismatch(&format!(
-                "lane width {} differs from the run's {}",
-                self.lanes,
-                W::LANES
-            ));
-        }
-        if self.threads != options.threads {
-            return mismatch(&format!(
-                "thread option {} differs from the run's {}",
-                self.threads, options.threads
-            ));
-        }
-        if self.fault_shards != options.fault_shards {
-            return mismatch(&format!(
-                "fault-shard option {} differs from the run's {}",
-                self.fault_shards, options.fault_shards
-            ));
-        }
-        if self.num_vectors != vectors.len() {
-            return mismatch(&format!(
-                "vector count {} differs from the run's {}",
-                self.num_vectors,
-                vectors.len()
-            ));
-        }
         let frames = options.frames.max(1);
-        if self.frames != frames {
-            return mismatch(&format!(
-                "frames-per-sequence {} differs from the run's {frames}",
-                self.frames
-            ));
-        }
-        if self.first_detection.len() != faults.len() {
-            return mismatch(&format!(
-                "fault count {} differs from the run's {}",
-                self.first_detection.len(),
-                faults.len()
-            ));
-        }
-        let num_batches = vectors.len().div_ceil(frames).div_ceil(W::LANES as usize);
-        if self.done_batches.len() != num_batches {
-            return mismatch(&format!(
-                "batch count {} differs from the run's {num_batches}",
-                self.done_batches.len()
-            ));
+        let num_batches = grid::num_batches(vectors.len(), frames, W::LANES as usize);
+        // Checked in this order; the first disagreement is reported.
+        for (what, ours, run) in [
+            ("lane width", self.lanes as usize, W::LANES as usize),
+            ("thread option", self.threads, options.threads),
+            (
+                "fault-shard option",
+                self.fault_shards,
+                options.fault_shards,
+            ),
+            ("vector count", self.num_vectors, vectors.len()),
+            ("frames-per-sequence", self.frames, frames),
+            ("fault count", self.first_detection.len(), faults.len()),
+            ("batch count", self.done_batches.len(), num_batches),
+        ] {
+            if ours != run {
+                return mismatch(&format!("{what} {ours} differs from the run's {run}"));
+            }
         }
         let expected = run_fingerprint::<W>(netlist, faults, vectors, options);
         if self.fingerprint != expected {
@@ -830,54 +758,72 @@ impl SweepCheckpoint {
     }
 }
 
-/// One cell of the two-level task grid: a fault range crossed with a
-/// range of *positions* into the pending-batch list.
-struct GridTask {
-    fault_range: std::ops::Range<usize>,
-    batch_positions: std::ops::Range<usize>,
-}
-
-/// What one completed (or interrupted) grid cell reports back.
-struct CellReport {
-    fault_start: usize,
-    first: Vec<Option<usize>>,
-    /// Prefix of `batch_positions` fully swept (== len when the cell
-    /// finished or dropped all its faults).
-    completed: usize,
-    /// The pending-batch positions that prefix covers.
-    positions: std::ops::Range<usize>,
-    reevaluated: u64,
-    detects: u64,
-}
-
-fn auto_threads(units: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(units)
-        .max(1)
-}
-
-/// Per-worker simulation state, rebuilt from scratch after a caught panic
-/// (a poisoned engine must never leak into the next task).
-struct Engines<W: PackedWord> {
-    patch_sim: Option<FaultPatchSim<W>>,
-    csr: Option<Simulator>,
+/// The fault sweep's per-worker detector: the fault-patch engine, or the
+/// CSR oracle.
+struct LogicDetector<'a, W: PackedWord> {
+    netlist: &'a Netlist,
+    faults: &'a [LogicFault],
+    vectors: &'a [Vec<bool>],
+    frames: usize,
+    engine: Engine<W>,
     words: Vec<W>,
-    good: Vec<W>,
 }
 
-impl<W: PackedWord> Engines<W> {
-    fn new(netlist: &Netlist, backend: BackendKind) -> Self {
-        let (patch_sim, csr) = match backend {
-            BackendKind::Delta => (Some(FaultPatchSim::<W>::new(netlist)), None),
-            BackendKind::Csr => (None, Some(Simulator::new(netlist))),
-        };
-        Engines {
-            patch_sim,
-            csr,
-            words: vec![W::zeros(); netlist.num_inputs()],
-            good: vec![W::zeros(); netlist.node_count()],
+enum Engine<W: PackedWord> {
+    Patch(Box<FaultPatchSim<W>>),
+    Csr(Simulator),
+}
+
+impl<W: PackedWord> grid::Detector for LogicDetector<'_, W> {
+    fn sweep_batch(
+        &mut self,
+        batch: usize,
+        faults: Range<usize>,
+        live: &[bool],
+        hits: &mut [Option<(u32, usize)>],
+    ) {
+        let seq_base = batch * W::LANES as usize;
+        let shard = &self.faults[faults];
+        match &mut self.engine {
+            Engine::Patch(ps) if self.frames == 1 => {
+                let end = self.vectors.len().min(seq_base + W::LANES as usize);
+                let chunk = &self.vectors[seq_base..end];
+                pack_chunk_into(chunk, &mut self.words);
+                ps.load(&self.words);
+                for ((hit, &l), &fault) in hits.iter_mut().zip(live).zip(shard) {
+                    if l {
+                        let mask = ps.detect(fault).mask_lanes(chunk.len() as u32);
+                        *hit = mask.first_set().map(|lane| (lane, 0));
+                    }
+                }
+            }
+            Engine::Patch(ps) => ps.sweep_sequences(
+                self.vectors,
+                seq_base,
+                self.frames,
+                shard,
+                live,
+                hits,
+                &mut self.words,
+            ),
+            Engine::Csr(sim) => csr_oracle_batch(
+                self.netlist,
+                sim,
+                self.vectors,
+                seq_base,
+                self.frames,
+                shard,
+                live,
+                hits,
+                &mut self.words,
+            ),
+        }
+    }
+
+    fn work(&self) -> (u64, u64) {
+        match &self.engine {
+            Engine::Patch(ps) => ps.dirty_totals(),
+            Engine::Csr(_) => (0, 0),
         }
     }
 }
@@ -971,352 +917,51 @@ fn sweep_impl<W: PackedWord>(
     control: &RunControl,
     resume: Option<&SweepCheckpoint>,
 ) -> Outcome<FaultSweepOutcome> {
-    let lanes = W::LANES as usize;
-    let frames = options.frames.max(1);
-    // With frames = F, a "pattern batch" is a batch of *sequences*: lane k
-    // of batch b carries the F consecutive vectors of sequence b*lanes + k.
-    let num_batches = vectors.len().div_ceil(frames).div_ceil(lanes);
-    // The pending-batch list: everything on a fresh run, only the batches
-    // not yet fully swept on a resume.
-    let batch_ids: Vec<usize> = match resume {
-        None => (0..num_batches).collect(),
-        Some(cp) => (0..num_batches).filter(|&b| !cp.done_batches[b]).collect(),
+    let spec = grid::Spec {
+        faults: faults.len(),
+        vectors: vectors.len(),
+        lanes: W::LANES as usize,
+        frames: options.frames,
+        threads: options.threads,
+        fault_shards: options.fault_shards,
+        dropping: options.fault_dropping,
+        chaos_panic_batch: options.chaos_panic_batch,
+        resume: resume.map(|cp| (&cp.first_detection[..], &cp.done_batches[..])),
     };
-    let pending = batch_ids.len();
-    let threads = if options.threads == 0 {
-        auto_threads(pending.max(1) * faults.len().div_ceil(64).max(1))
-    } else {
-        options.threads.max(1)
-    };
-    let shards = match options.fault_shards {
-        0 if pending >= threads => 1,
-        0 => threads
-            .div_ceil(pending.max(1))
-            .min(faults.len().div_ceil(16).max(1)),
-        s => s.min(faults.len().max(1)),
-    };
-    let batch_chunks = threads.div_ceil(shards).min(pending.max(1)).max(1);
-
-    let mut tasks: Vec<GridTask> = Vec::with_capacity(shards * batch_chunks);
-    let per_shard = faults.len().div_ceil(shards).max(1);
-    let per_chunk = pending.div_ceil(batch_chunks).max(1);
-    // How many grid cells cover each pending-batch position (a batch is
-    // "done" only when all of them completed it).
-    let mut covering = vec![0u32; pending];
-    for s in 0..shards {
-        let fault_range = s * per_shard..faults.len().min((s + 1) * per_shard);
-        if fault_range.is_empty() && !faults.is_empty() {
-            continue;
-        }
-        for c in 0..batch_chunks {
-            let batch_positions = c * per_chunk..pending.min((c + 1) * per_chunk);
-            if batch_positions.is_empty() && pending > 0 {
-                continue;
-            }
-            for p in batch_positions.clone() {
-                covering[p] += 1;
-            }
-            tasks.push(GridTask {
-                fault_range: fault_range.clone(),
-                batch_positions,
-            });
-        }
-    }
-    let total_units: usize = tasks.iter().map(|t| t.batch_positions.len()).sum();
-
-    // Cross-cell fault dropping: earliest published detection per fault. A
-    // cell skips a fault only when the published index precedes every
-    // vector it could contribute — such a detection wins the min-merge
-    // regardless, so worker timing cannot change the result. On resume the
-    // checkpointed detections pre-seed the array: they justify skips for
-    // exactly the same reason.
-    let best: Vec<AtomicUsize> = (0..faults.len())
-        .map(|i| {
-            AtomicUsize::new(
-                resume
-                    .and_then(|cp| cp.first_detection[i])
-                    .unwrap_or(usize::MAX),
-            )
-        })
-        .collect();
-
-    // One grid cell, on one worker's engines. Runs under `catch_unwind`:
-    // any panic in here is confined to the cell, and the worker's engines
-    // are rebuilt before the next cell.
-    let run_cell = |task: &GridTask, eng: &mut Engines<W>| -> CellReport {
-        let flen = task.fault_range.len();
-        let mut first: Vec<Option<usize>> = vec![None; flen];
-        let mut live = vec![true; flen];
-        let mut remaining = flen;
-        let mut completed = 0usize;
-        let (mut reeval0, mut detects0) = (0u64, 0u64);
-        if let Some(ps) = eng.patch_sim.as_ref() {
-            (reeval0, detects0) = ps.dirty_totals();
-        }
-        for pos in task.batch_positions.clone() {
-            if options.fault_dropping && remaining == 0 {
-                // Every fault in the shard has a strictly earlier
-                // detection: the remaining batches cannot change the
-                // min-merge, so they count as swept.
-                completed = task.batch_positions.len();
-                break;
-            }
-            if control.check().is_some() {
-                break;
-            }
-            let batch_idx = batch_ids[pos];
-            if options.chaos_panic_batch == Some(batch_idx) {
-                panic!("chaos injection: worker panicked at pattern batch {batch_idx}");
-            }
-            let start_vec = batch_idx * lanes * frames;
-            let covered = vectors.len().min(start_vec + lanes * frames) - start_vec;
-            if frames == 1 {
-                let chunk = &vectors[start_vec..start_vec + covered];
-                pack_chunk_into(chunk, &mut eng.words);
-                if let Some(ps) = eng.patch_sim.as_mut() {
-                    ps.load(&eng.words);
-                } else if let Some(sim) = eng.csr.as_ref() {
-                    sim.eval_into(&eng.words, &mut eng.good);
-                }
-                for k in 0..flen {
-                    if options.fault_dropping && !live[k] {
-                        continue;
-                    }
-                    let fi = task.fault_range.start + k;
-                    if options.fault_dropping && best[fi].load(Ordering::Relaxed) < start_vec {
-                        live[k] = false;
-                        remaining -= 1;
-                        continue;
-                    }
-                    let mask = match (eng.patch_sim.as_mut(), faults[fi]) {
-                        (Some(ps), fault) => ps.detect(fault),
-                        (None, LogicFault::StuckAt(f)) => {
-                            stuck_at_detection_from(netlist, &eng.good, f, &eng.words)
-                        }
-                        (None, LogicFault::Bridge { a, b }) => {
-                            bridge_logic_detection_from(netlist, &eng.good, a, b, &eng.words)
-                        }
-                    }
-                    .mask_lanes(chunk.len() as u32);
-                    if let Some(bit) = mask.first_set() {
-                        let v = start_vec + bit as usize;
-                        first[k] = Some(first[k].map_or(v, |cur| cur.min(v)));
-                        best[fi].fetch_min(v, Ordering::Relaxed);
-                        if options.fault_dropping {
-                            live[k] = false;
-                            remaining -= 1;
-                        }
-                    }
-                }
-            } else {
-                let seq_base = batch_idx * lanes;
-                // Cross-batch dropping: a published detection before this
-                // batch's first vector wins the min-merge over anything
-                // the batch could contribute.
-                if options.fault_dropping {
-                    for (k, l) in live.iter_mut().enumerate() {
-                        if !*l {
-                            continue;
-                        }
-                        let fi = task.fault_range.start + k;
-                        if best[fi].load(Ordering::Relaxed) < start_vec {
-                            *l = false;
-                            remaining -= 1;
-                        }
-                    }
-                }
-                let shard = &faults[task.fault_range.clone()];
-                let mut best_kt: Vec<Option<(u32, usize)>> = vec![None; flen];
-                if let Some(ps) = eng.patch_sim.as_mut() {
-                    ps.sweep_sequences(
-                        vectors,
-                        seq_base,
-                        frames,
-                        shard,
-                        &live,
-                        &mut best_kt,
-                        &mut eng.words,
-                    );
-                } else if let Some(sim) = eng.csr.as_ref() {
-                    seq_csr_cell(
-                        netlist,
-                        sim,
-                        vectors,
-                        seq_base,
-                        frames,
-                        shard,
-                        &live,
-                        &mut best_kt,
-                        &mut eng.words,
-                    );
-                }
-                for (k, kt) in best_kt.iter().enumerate() {
-                    if let Some((lane, t)) = *kt {
-                        let fi = task.fault_range.start + k;
-                        let v = (seq_base + lane as usize) * frames + t;
-                        first[k] = Some(first[k].map_or(v, |cur| cur.min(v)));
-                        best[fi].fetch_min(v, Ordering::Relaxed);
-                        if options.fault_dropping && live[k] {
-                            live[k] = false;
-                            remaining -= 1;
-                        }
-                    }
-                }
-            }
-            completed += 1;
-            control.charge(covered as u64);
-        }
-        let (reevaluated, detects) = match eng.patch_sim.as_ref() {
-            Some(ps) => {
-                let (r, d) = ps.dirty_totals();
-                (r - reeval0, d - detects0)
-            }
-            None => (0, 0),
-        };
-        CellReport {
-            fault_start: task.fault_range.start,
-            first,
-            completed,
-            positions: task.batch_positions.start..task.batch_positions.start + completed,
-            reevaluated,
-            detects,
-        }
-    };
-
-    // One worker: engines built lazily inside the panic boundary and
-    // discarded (possibly mid-patch, hence poisoned) after a caught
-    // panic.
-    let run_tasks = |my_tasks: &[GridTask]| -> (Vec<CellReport>, bool) {
-        let mut engines: Option<Engines<W>> = None;
-        let mut reports = Vec::with_capacity(my_tasks.len());
-        let mut panicked = false;
-        for task in my_tasks {
-            let mut slot = engines.take();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let eng = slot.get_or_insert_with(|| Engines::new(netlist, options.backend));
-                run_cell(task, eng)
-            }));
-            match outcome {
-                Ok(report) => {
-                    engines = slot;
-                    reports.push(report);
-                }
-                Err(_) => {
-                    panicked = true; // poisoned engines stay dropped
-                }
-            }
-        }
-        (reports, panicked)
-    };
-
-    let per_worker: Vec<(Vec<CellReport>, bool)> = if threads <= 1 || tasks.len() <= 1 {
-        vec![run_tasks(&tasks)]
-    } else {
-        let assignments: Vec<Vec<GridTask>> = {
-            let mut a: Vec<Vec<GridTask>> = (0..threads).map(|_| Vec::new()).collect();
-            for (i, t) in tasks.into_iter().enumerate() {
-                a[i % threads].push(t);
-            }
-            a.into_iter().filter(|v| !v.is_empty()).collect()
-        };
-        std::thread::scope(|scope| {
-            let run_tasks = &run_tasks;
-            let handles: Vec<_> = assignments
-                .iter()
-                .map(|mine| scope.spawn(move || run_tasks(mine)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| (Vec::new(), true)))
-                .collect()
-        })
-    };
-
-    // Deterministic merge: earliest detection across the checkpoint (if
-    // any) and all completed grid cells; batch positions completed by all
-    // their covering cells graduate to `done_batches`.
-    let mut first_detection: Vec<Option<usize>> = match resume {
-        Some(cp) => cp.first_detection.clone(),
-        None => vec![None; faults.len()],
-    };
-    let mut done_batches = match resume {
-        Some(cp) => cp.done_batches.clone(),
-        None => vec![false; num_batches],
-    };
-    let mut completed_count = vec![0u32; pending];
-    let mut done_units = 0usize;
-    let mut reevaluated = 0u64;
-    let mut detects = 0u64;
-    let mut panicked = false;
-    for (reports, worker_panicked) in &per_worker {
-        panicked |= *worker_panicked;
-        for report in reports {
-            done_units += report.completed;
-            reevaluated += report.reevaluated;
-            detects += report.detects;
-            for (k, v) in report.first.iter().enumerate() {
-                if let Some(v) = *v {
-                    let slot = &mut first_detection[report.fault_start + k];
-                    *slot = Some(slot.map_or(v, |cur| cur.min(v)));
-                }
-            }
-            for pos in report.positions.clone() {
-                completed_count[pos] += 1;
-            }
-        }
-    }
-    for (i, &b) in batch_ids.iter().enumerate() {
-        if covering[i] > 0 && completed_count[i] == covering[i] {
-            done_batches[b] = true;
-        }
-    }
-
-    let detected: Vec<bool> = first_detection.iter().map(Option::is_some).collect();
-    let coverage = if faults.is_empty() {
-        1.0
-    } else {
-        detected.iter().filter(|&&d| d).count() as f64 / faults.len() as f64
-    };
-    let value = FaultSweepOutcome {
-        detected,
-        first_detection,
-        coverage,
-        vectors_applied: vectors.len(),
-        mean_dirty_nodes: if detects == 0 {
-            0.0
-        } else {
-            reevaluated as f64 / detects as f64
+    grid::run(&spec, control, || LogicDetector::<W> {
+        netlist,
+        faults,
+        vectors,
+        frames: options.frames.max(1),
+        engine: match options.backend {
+            BackendKind::Delta => Engine::Patch(Box::new(FaultPatchSim::new(netlist))),
+            BackendKind::Csr => Engine::Csr(Simulator::new(netlist)),
         },
-        done_batches,
-    };
-    if done_units >= total_units && !panicked {
-        Outcome::Complete(value)
-    } else {
-        let reason = control
-            .check()
-            .or(if panicked {
-                Some(StopReason::WorkerPanicked)
+        words: vec![W::zeros(); netlist.num_inputs()],
+    })
+    .map(|sweep| {
+        let (detected, coverage) = sweep.detected();
+        let (reevaluated, detects) = sweep.work;
+        FaultSweepOutcome {
+            detected,
+            first_detection: sweep.first_detection,
+            coverage,
+            vectors_applied: vectors.len(),
+            mean_dirty_nodes: if detects == 0 {
+                0.0
             } else {
-                None
-            })
-            .unwrap_or(StopReason::WorkerPanicked);
-        Outcome::Partial {
-            value,
-            coverage: if total_units == 0 {
-                1.0
-            } else {
-                done_units as f64 / total_units as f64
+                reevaluated as f64 / detects as f64
             },
-            reason,
+            done_batches: sweep.done_batches,
         }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::logic_test::{bridge_logic_detection, stuck_at_detection};
-    use iddq_control::RunBudget;
+    use iddq_control::{RunBudget, StopReason};
     use iddq_netlist::{data, W256, W512};
 
     fn all_packed_c17() -> Vec<u64> {
@@ -1348,7 +993,7 @@ mod tests {
                 );
             }
         }
-        assert!(ps.mean_dirty_nodes() > 0.0);
+        assert!(ps.dirty_totals().0 > 0);
     }
 
     #[test]
@@ -1511,6 +1156,27 @@ mod tests {
         let v = out.into_value();
         assert_eq!(v.done_batches.len(), 200usize.div_ceil(64));
         assert!(v.done_batches.iter().all(|&d| d));
+    }
+
+    /// Pinned: checkpoints already on disk must keep validating.
+    #[test]
+    fn checkpoint_fingerprint_golden_values() {
+        let nl = data::c17();
+        let mut faults = c17_fault_list(&nl);
+        faults.pop();
+        let vectors = c17_vectors(100);
+        let opts = FaultSweepOptions::default();
+        let out = sweep::<u64>(&nl, &faults, &vectors, &opts);
+        let cp = SweepCheckpoint::capture::<u64>(&nl, &faults, &vectors, &opts, &out);
+        assert_eq!(cp.fingerprint, "3e926af90c6e9cf2");
+        let grid = FaultSweepOptions {
+            threads: 2,
+            fault_shards: 3,
+            frames: 3,
+            ..FaultSweepOptions::default()
+        };
+        let cp = SweepCheckpoint::capture::<W256>(&nl, &faults, &vectors, &grid, &out);
+        assert_eq!(cp.fingerprint, "1eaacb2365736f7e");
     }
 
     #[test]

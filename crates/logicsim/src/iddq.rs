@@ -10,23 +10,20 @@
 //! sensor: `I_DDQ,nd,i < I_DDQ,th` — the discriminability constraint the
 //! partitioner enforces.
 //!
-//! The fault sweep is the system's hottest loop: every partition the
-//! optimizer scores implies re-running it. It is organized for
-//! throughput — vectors are packed 256 at a time into
-//! [`W256`](iddq_netlist::W256) words, evaluated by the CSR-compiled
-//! [`Simulator`] into a reused buffer, and the (embarrassingly parallel)
-//! batches are spread over worker threads. The result is bit-identical for
-//! any thread count: workers only report each fault's earliest activating
-//! vector index inside their own slice, and the merge takes the minimum.
+//! The sweep packs vectors 256 at a time into [`W256`] words, evaluates
+//! the fault-free machine with the CSR-compiled [`Simulator`] (IDDQ
+//! detection needs only fault-free values), and checks each defect's
+//! activation on the fault-shard × pattern-batch grid it shares with the
+//! [`fault_sweep`](crate::fault_sweep), spread over worker threads.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
 
-use iddq_control::{Outcome, RunControl, StopReason};
+use iddq_control::{Outcome, RunControl};
 use iddq_netlist::{Netlist, PackedWord, W256};
 
-use crate::backend::{BackendKind, SimBackend};
 use crate::faults::IddqFault;
+use crate::grid;
+use crate::sim::Simulator;
 
 /// Module assignment marker for nodes outside any module (primary inputs).
 pub const NO_MODULE: u32 = u32::MAX;
@@ -100,33 +97,11 @@ pub fn pack_seq_frame_into<W: PackedWord>(
     valid
 }
 
-/// Streams boolean vectors as packed `W::LANES`-wide batches without
-/// materializing them all up front.
-///
-/// Yields `(words, used)` pairs: one word per primary input, with the last
-/// batch possibly partially filled (`used < W::LANES`).
-///
-/// # Panics
-///
-/// The returned iterator panics on arity mismatches, as
-/// [`pack_chunk_into`] does.
-pub fn pack_batches<W: PackedWord>(
-    vectors: &[Vec<bool>],
-    num_inputs: usize,
-) -> impl Iterator<Item = (Vec<W>, usize)> + '_ {
-    vectors.chunks(W::LANES as usize).map(move |chunk| {
-        let mut words = vec![W::zeros(); num_inputs];
-        pack_chunk_into(chunk, &mut words);
-        (words, chunk.len())
-    })
-}
-
 /// Packs boolean vectors into `W::LANES`-wide batches for
 /// [`Simulator::eval`] (64 per batch for `u64`).
 ///
 /// Returns `(batches, used)` where each batch holds one word per primary
-/// input; the last batch may be partially filled. Streaming callers should
-/// prefer [`pack_batches`], which avoids materializing the whole list.
+/// input; the last batch may be partially filled.
 ///
 /// # Panics
 ///
@@ -136,39 +111,22 @@ pub fn pack_vectors<W: PackedWord>(
     vectors: &[Vec<bool>],
     num_inputs: usize,
 ) -> Vec<(Vec<W>, usize)> {
-    pack_batches(vectors, num_inputs).collect()
+    vectors
+        .chunks(W::LANES as usize)
+        .map(|chunk| {
+            let mut words = vec![W::zeros(); num_inputs];
+            pack_chunk_into(chunk, &mut words);
+            (words, chunk.len())
+        })
+        .collect()
 }
 
-/// Worker threads used for the fault sweep: every core, but never more
-/// than one per unit of work.
-fn sweep_threads(units: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(units)
-        .max(1)
-}
-
-/// Tuning knobs of the fault sweep.
-///
-/// The sweep parallelizes over a two-level task grid: the *fault list* is
-/// split into shards and the *pattern batches* into ranges, and every
-/// `(fault shard, batch range)` cell is an independent task. Batch-level
-/// parallelism is free (each range evaluates its own patterns); fault
-/// sharding re-evaluates the same patterns once per shard, so it only
-/// pays when the universe is so large that activation checks dominate —
-/// the auto policy shards faults only when there are fewer batches than
-/// workers.
+/// Tuning knobs of the IDDQ sweep. Results are identical for every
+/// setting.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Worker threads; `0` = one per available core (capped by the task
-    /// count).
+    /// Worker threads; `0` = one per available core (capped by the work).
     pub threads: usize,
-    /// Fault-list shards; `0` = automatic (shard only when pattern
-    /// batches cannot keep all workers busy).
-    pub fault_shards: usize,
-    /// Simulation engine evaluating the pattern batches.
-    pub backend: BackendKind,
     /// Frames per test sequence. `0` or `1` = the classical one-shot
     /// sweep; `F > 1` reads the vector set as consecutive `F`-cycle
     /// sequences from the all-zero reset, and a defect is detected at
@@ -189,85 +147,14 @@ pub struct SweepOptions {
 /// of its site modules has a sane sensor (`leakage < threshold`) whose
 /// measurement `leakage + defect current` reaches the threshold.
 ///
-/// Parallelises over pattern batches internally; the result is identical
-/// for any machine parallelism.
+/// The result is bit-identical for any [`SweepOptions::threads`]: workers
+/// only report each fault's earliest activating vector inside their own
+/// grid cell, and the merge takes the minimum.
 ///
 /// # Panics
 ///
 /// Panics if `module_of.len() != netlist.node_count()` or a gate maps to a
 /// module index out of range of `module_leakage_ua`.
-#[must_use]
-pub fn simulate(
-    netlist: &Netlist,
-    faults: &[IddqFault],
-    vectors: &[Vec<bool>],
-    module_of: &[u32],
-    module_leakage_ua: &[f64],
-    threshold_ua: f64,
-) -> IddqSimulation {
-    simulate_with_options(
-        netlist,
-        faults,
-        vectors,
-        module_of,
-        module_leakage_ua,
-        threshold_ua,
-        &SweepOptions::default(),
-    )
-}
-
-/// [`simulate`] with an explicit worker-thread count (1 = sequential).
-///
-/// Exposed so tests can assert thread-count invariance and callers can pin
-/// parallelism.
-///
-/// # Panics
-///
-/// As [`simulate`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_with_threads(
-    netlist: &Netlist,
-    faults: &[IddqFault],
-    vectors: &[Vec<bool>],
-    module_of: &[u32],
-    module_leakage_ua: &[f64],
-    threshold_ua: f64,
-    threads: usize,
-) -> IddqSimulation {
-    simulate_with_options(
-        netlist,
-        faults,
-        vectors,
-        module_of,
-        module_leakage_ua,
-        threshold_ua,
-        &SweepOptions {
-            threads,
-            ..SweepOptions::default()
-        },
-    )
-}
-
-/// One cell of the two-level task grid.
-struct SweepTask {
-    fault_range: std::ops::Range<usize>,
-    batch_range: std::ops::Range<usize>,
-}
-
-/// [`simulate`] with explicit [`SweepOptions`] (thread count, fault
-/// sharding, simulation backend).
-///
-/// The task grid, the shared fault-dropping state and the final merge are
-/// all designed so the result is bit-identical for any thread count and
-/// shard count: workers only report each fault's earliest activating
-/// vector index inside their own grid cell, cross-cell dropping only
-/// skips a fault when a *strictly earlier* detection already exists (which
-/// would win the merge anyway), and the merge takes the minimum index.
-///
-/// # Panics
-///
-/// As [`simulate`].
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_with_options(
@@ -299,15 +186,13 @@ pub fn simulate_with_options(
 /// work unit per pattern applied per grid cell. On a stop the function
 /// returns [`Outcome::Partial`] — the detections of every completed cell,
 /// a `coverage` equal to the fraction of planned cell-batch work that ran,
-/// and the [`StopReason`]. Worker panics are caught per grid cell
-/// (`catch_unwind`): the cell's results are discarded, the worker's
-/// backend is rebuilt, and the outcome degrades to `Partial` with
-/// [`StopReason::WorkerPanicked`] instead of aborting the process.
+/// and the [`StopReason`](iddq_control::StopReason); a caught worker panic
+/// ends the same way with `WorkerPanicked`.
 ///
 /// # Panics
 ///
-/// As [`simulate`] (argument-shape violations are caller bugs, not
-/// runtime conditions).
+/// As [`simulate_with_options`] (argument-shape violations are caller
+/// bugs, not runtime conditions).
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_with_control(
@@ -321,319 +206,106 @@ pub fn simulate_with_control(
     control: &RunControl,
 ) -> Outcome<IddqSimulation> {
     assert_eq!(module_of.len(), netlist.node_count());
-
     // Sensor sanity is a property of the partition, not of the vector:
-    // precompute it per fault instead of re-deriving it per batch.
-    let sensor_sees = |module: u32, current_ua: f64| -> bool {
-        if module == NO_MODULE {
-            return false;
+    // decide it once per fault.
+    let sensor_sees = |module: u32, current_ua: f64| {
+        module != NO_MODULE && {
+            let leak = module_leakage_ua[module as usize];
+            leak < threshold_ua && leak + current_ua >= threshold_ua
         }
-        let leak = module_leakage_ua[module as usize];
-        leak < threshold_ua && leak + current_ua >= threshold_ua
     };
     let seen: Vec<bool> = faults
         .iter()
         .map(|fault| {
-            let (site_a, site_b) = fault.sites();
-            sensor_sees(module_of[site_a.index()], fault.current_ua())
-                || site_b
-                    .map(|s| sensor_sees(module_of[s.index()], fault.current_ua()))
-                    .unwrap_or(false)
+            let (a, b) = fault.sites();
+            sensor_sees(module_of[a.index()], fault.current_ua())
+                || b.is_some_and(|b| sensor_sees(module_of[b.index()], fault.current_ua()))
         })
         .collect();
-
-    let lanes = W256::LANES as usize;
-    let frames = options.frames.max(1);
-    // With frames = F, a batch is a batch of F-cycle *sequences*: lane k
-    // of batch b carries the F consecutive vectors of sequence b*lanes+k.
-    let num_batches = vectors.len().div_ceil(frames).div_ceil(lanes);
-    let threads = if options.threads == 0 {
-        sweep_threads(num_batches.max(1) * faults.len().div_ceil(256).max(1))
-    } else {
-        options.threads.max(1)
+    let spec = grid::Spec {
+        faults: faults.len(),
+        vectors: vectors.len(),
+        lanes: W256::LANES as usize,
+        frames: options.frames,
+        threads: options.threads,
+        fault_shards: 0,
+        dropping: true,
+        chaos_panic_batch: None,
+        resume: None,
     };
-    // Fault sharding re-evaluates each pattern batch once per shard, so
-    // the auto policy only shards when batch-level parallelism alone
-    // cannot feed the workers (few batches, huge universe).
-    let shards = match options.fault_shards {
-        0 if num_batches >= threads => 1,
-        0 => threads
-            .div_ceil(num_batches.max(1))
-            .min(faults.len().div_ceil(64).max(1)),
-        s => s.min(faults.len().max(1)),
-    };
-    let batch_chunks = threads.div_ceil(shards).min(num_batches.max(1)).max(1);
+    grid::run(&spec, control, || Activation {
+        netlist,
+        faults,
+        vectors,
+        seen: &seen,
+        frames: options.frames.max(1),
+        sim: Simulator::new(netlist),
+        words: vec![W256::zeros(); netlist.num_inputs()],
+        values: vec![W256::zeros(); netlist.node_count()],
+        state: vec![W256::zeros(); netlist.num_state_elements()],
+    })
+    .map(|sweep| {
+        let (detected, coverage) = sweep.detected();
+        IddqSimulation {
+            detected,
+            first_detection: sweep.first_detection,
+            coverage,
+            vectors_applied: vectors.len(),
+        }
+    })
+}
 
-    let mut tasks: Vec<SweepTask> = Vec::with_capacity(shards * batch_chunks);
-    let per_shard = faults.len().div_ceil(shards).max(1);
-    let per_chunk = num_batches.div_ceil(batch_chunks).max(1);
-    for s in 0..shards {
-        let fault_range = s * per_shard..faults.len().min((s + 1) * per_shard);
-        if fault_range.is_empty() && !faults.is_empty() {
-            continue;
-        }
-        for c in 0..batch_chunks {
-            let batch_range = c * per_chunk..num_batches.min((c + 1) * per_chunk);
-            if batch_range.is_empty() && num_batches > 0 {
-                continue;
-            }
-            tasks.push(SweepTask {
-                fault_range: fault_range.clone(),
-                batch_range,
-            });
-        }
+/// The IDDQ sweep's per-worker detector: steps the fault-free machine
+/// through each frame of a batch of sequences and checks every live
+/// fault's activation (frames = 1 is one plain evaluation).
+struct Activation<'a> {
+    netlist: &'a Netlist,
+    faults: &'a [IddqFault],
+    vectors: &'a [Vec<bool>],
+    /// Per fault: some site module's sensor can see its current.
+    seen: &'a [bool],
+    frames: usize,
+    sim: Simulator,
+    words: Vec<W256>,
+    values: Vec<W256>,
+    state: Vec<W256>,
+}
+
+impl grid::Detector for Activation<'_> {
+    fn detectable(&self, fault: usize) -> bool {
+        self.seen[fault]
     }
 
-    // Cross-cell fault dropping: the earliest detection index published so
-    // far, per fault. A worker skips a fault only when the published index
-    // precedes every vector of its own cell — such a detection wins the
-    // min-merge regardless, so timing cannot change the result.
-    let best: Vec<AtomicUsize> = (0..faults.len())
-        .map(|_| AtomicUsize::new(usize::MAX))
-        .collect();
-
-    let total_units: usize = tasks.iter().map(|t| t.batch_range.len()).sum();
-
-    // One completed (or interrupted) grid cell: fault-range start, its
-    // earliest detections, and how many of its pattern batches ran.
-    type Cell = (usize, Vec<Option<usize>>, usize);
-
-    // One cell on one worker's backend, under a `catch_unwind` boundary;
-    // a live-fault bit set per task keeps fully-dropped 64-fault blocks
-    // at one word test.
-    let run_cell = |task: &SweepTask,
-                    backend: &mut SimBackend<W256>,
-                    words: &mut [W256],
-                    values: &mut [W256],
-                    state: &mut [W256]|
-     -> Cell {
-        let flen = task.fault_range.len();
-        let mut first: Vec<Option<usize>> = vec![None; flen];
-        // Bit k of word w = fault `fault_range.start + 64w + k` still
-        // undetected and worth checking.
-        let mut live: Vec<u64> = vec![!0u64; flen.div_ceil(64)];
-        if !flen.is_multiple_of(64) {
-            if let Some(last) = live.last_mut() {
-                *last &= (1u64 << (flen % 64)) - 1;
-            }
-        }
-        for (k, fi) in task.fault_range.clone().enumerate() {
-            if !seen[fi] {
-                live[k / 64] &= !(1u64 << (k % 64));
-            }
-        }
-        let mut remaining: usize = live.iter().map(|w| w.count_ones() as usize).sum();
-        let mut completed = 0usize;
-        // Per-fault earliest in-batch (lane, frame) candidate of the
-        // sequential path (a lower lane — earlier sequence — outranks any
-        // frame offset, so a candidate may improve across frames).
-        let mut cand: Vec<Option<(u32, usize)>> = vec![None; if frames > 1 { flen } else { 0 }];
-        for batch_idx in task.batch_range.clone() {
-            if remaining == 0 {
-                // Nothing left to detect: the rest of the cell cannot
-                // change the min-merge, so it counts as done.
-                completed = task.batch_range.len();
+    fn sweep_batch(
+        &mut self,
+        batch: usize,
+        faults: Range<usize>,
+        live: &[bool],
+        hits: &mut [Option<(u32, usize)>],
+    ) {
+        let seq_base = batch * W256::LANES as usize;
+        self.state.fill(W256::zeros());
+        for t in 0..self.frames {
+            let lanes =
+                pack_seq_frame_into(self.vectors, seq_base, self.frames, t, &mut self.words);
+            if lanes == 0 {
                 break;
             }
-            if control.check().is_some() {
-                break;
-            }
-            let start_vec = batch_idx * lanes * frames;
-            let covered = vectors.len().min(start_vec + lanes * frames) - start_vec;
-            if frames == 1 {
-                let chunk = &vectors[start_vec..start_vec + covered];
-                pack_chunk_into(chunk, words);
-                backend.eval_into(words, values);
-                for (w, word) in live.iter_mut().enumerate() {
-                    let mut bits = *word;
-                    while bits != 0 {
-                        let k = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let fi = task.fault_range.start + k;
-                        // Drop if an earlier cell already detected it.
-                        if best[fi].load(Ordering::Relaxed) < start_vec {
-                            *word &= !(1u64 << (k % 64));
-                            remaining -= 1;
-                            continue;
-                        }
-                        let act = faults[fi]
-                            .activation(netlist, values)
-                            .mask_lanes(chunk.len() as u32);
-                        if let Some(bit) = act.first_set() {
-                            let v = start_vec + bit as usize;
-                            first[k] = Some(v);
-                            best[fi].fetch_min(v, Ordering::Relaxed);
-                            *word &= !(1u64 << (k % 64));
-                            remaining -= 1;
-                        }
-                    }
+            self.sim
+                .step_frame(&self.words, &mut self.state, &mut self.values);
+            for ((hit, &l), fault) in hits.iter_mut().zip(live).zip(&self.faults[faults.clone()]) {
+                if !l {
+                    continue;
                 }
-            } else {
-                let seq_base = batch_idx * lanes;
-                // Cross-cell dropping at the batch boundary: a published
-                // detection before this batch's first vector wins the
-                // min-merge over anything the batch could contribute.
-                for (w, word) in live.iter_mut().enumerate() {
-                    let mut bits = *word;
-                    while bits != 0 {
-                        let k = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let fi = task.fault_range.start + k;
-                        if best[fi].load(Ordering::Relaxed) < start_vec {
-                            *word &= !(1u64 << (k % 64));
-                            remaining -= 1;
-                        } else {
-                            cand[k] = None;
-                        }
-                    }
-                }
-                state.fill(W256::zeros());
-                for t in 0..frames {
-                    let lanes_t = pack_seq_frame_into(vectors, seq_base, frames, t, words);
-                    if lanes_t == 0 {
-                        break;
-                    }
-                    backend.step_frame(words, state, values);
-                    for (w, &word) in live.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let k = w * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let fi = task.fault_range.start + k;
-                            let act = faults[fi].activation(netlist, values).mask_lanes(lanes_t);
-                            if let Some(bit) = act.first_set() {
-                                if cand[k].is_none_or(|(kb, _)| bit < kb) {
-                                    cand[k] = Some((bit, t));
-                                }
-                            }
-                        }
-                    }
-                }
-                for (w, word) in live.iter_mut().enumerate() {
-                    let mut bits = *word;
-                    while bits != 0 {
-                        let k = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if let Some((lane, t)) = cand[k] {
-                            let fi = task.fault_range.start + k;
-                            let v = (seq_base + lane as usize) * frames + t;
-                            first[k] = Some(v);
-                            best[fi].fetch_min(v, Ordering::Relaxed);
-                            *word &= !(1u64 << (k % 64));
-                            remaining -= 1;
-                        }
+                let act = fault
+                    .activation(self.netlist, &self.values)
+                    .mask_lanes(lanes);
+                if let Some(lane) = act.first_set() {
+                    if hit.is_none_or(|(best, _)| lane < best) {
+                        *hit = Some((lane, t));
                     }
                 }
             }
-            completed += 1;
-            control.charge(covered as u64);
-        }
-        (task.fault_range.start, first, completed)
-    };
-
-    // One worker: backend and buffers built lazily inside the panic
-    // boundary and discarded (possibly poisoned) after a caught panic.
-    // (backend, input words, node values, packed DFF state)
-    type SeqWorker = (SimBackend<W256>, Vec<W256>, Vec<W256>, Vec<W256>);
-    let run_tasks = |my_tasks: &[SweepTask]| -> (Vec<Cell>, bool) {
-        let mut worker: Option<SeqWorker> = None;
-        let mut cells = Vec::with_capacity(my_tasks.len());
-        let mut panicked = false;
-        for task in my_tasks {
-            let mut slot = worker.take();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let (backend, words, values, state) = slot.get_or_insert_with(|| {
-                    let backend = SimBackend::<W256>::new(netlist, options.backend);
-                    let words = vec![W256::zeros(); netlist.num_inputs()];
-                    let values = vec![W256::zeros(); backend.node_count()];
-                    let state = vec![W256::zeros(); backend.num_state_elements()];
-                    (backend, words, values, state)
-                });
-                run_cell(task, backend, words, values, state)
-            }));
-            match outcome {
-                Ok(cell) => {
-                    worker = slot;
-                    cells.push(cell);
-                }
-                Err(_) => panicked = true,
-            }
-        }
-        (cells, panicked)
-    };
-
-    let per_worker: Vec<(Vec<Cell>, bool)> = if threads <= 1 || tasks.len() <= 1 {
-        vec![run_tasks(&tasks)]
-    } else {
-        // Round-robin task assignment over the workers.
-        let assignments: Vec<Vec<SweepTask>> = {
-            let mut a: Vec<Vec<SweepTask>> = (0..threads).map(|_| Vec::new()).collect();
-            for (i, t) in tasks.into_iter().enumerate() {
-                a[i % threads].push(t);
-            }
-            a.into_iter().filter(|v| !v.is_empty()).collect()
-        };
-        std::thread::scope(|scope| {
-            let run_tasks = &run_tasks;
-            let handles: Vec<_> = assignments
-                .iter()
-                .map(|mine| scope.spawn(move || run_tasks(mine)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| (Vec::new(), true)))
-                .collect()
-        })
-    };
-
-    // Deterministic merge: earliest detection across all grid cells.
-    let mut first_detection: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut done_units = 0usize;
-    let mut panicked = false;
-    for (cells, worker_panicked) in per_worker {
-        panicked |= worker_panicked;
-        for (start, partial, completed) in cells {
-            done_units += completed;
-            for (k, v) in partial.into_iter().enumerate() {
-                if let Some(v) = v {
-                    let slot = &mut first_detection[start + k];
-                    *slot = Some(slot.map_or(v, |cur| cur.min(v)));
-                }
-            }
-        }
-    }
-
-    let detected: Vec<bool> = first_detection.iter().map(Option::is_some).collect();
-    let coverage = if faults.is_empty() {
-        1.0
-    } else {
-        detected.iter().filter(|&&d| d).count() as f64 / faults.len() as f64
-    };
-    let value = IddqSimulation {
-        detected,
-        first_detection,
-        coverage,
-        vectors_applied: vectors.len(),
-    };
-    if done_units >= total_units && !panicked {
-        Outcome::Complete(value)
-    } else {
-        let reason = control
-            .check()
-            .or(if panicked {
-                Some(StopReason::WorkerPanicked)
-            } else {
-                None
-            })
-            .unwrap_or(StopReason::WorkerPanicked);
-        Outcome::Partial {
-            value,
-            coverage: if total_units == 0 {
-                1.0
-            } else {
-                done_units as f64 / total_units as f64
-            },
-            reason,
         }
     }
 }
@@ -641,7 +313,20 @@ pub fn simulate_with_control(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iddq_control::StopReason;
     use iddq_netlist::data;
+
+    fn simulate(
+        nl: &Netlist,
+        faults: &[IddqFault],
+        vectors: &[Vec<bool>],
+        module_of: &[u32],
+        leakage: &[f64],
+        threshold: f64,
+    ) -> IddqSimulation {
+        let options = SweepOptions::default();
+        simulate_with_options(nl, faults, vectors, module_of, leakage, threshold, &options)
+    }
 
     fn one_module_assignment(nl: &Netlist) -> Vec<u32> {
         nl.node_ids()
@@ -765,53 +450,20 @@ mod tests {
             })
             .collect();
         let module_of = one_module_assignment(&nl);
-        let base = simulate_with_threads(&nl, &faults, &vectors, &module_of, &[0.1], 1.0, 1);
+        let run = |threads| {
+            let options = SweepOptions {
+                threads,
+                ..SweepOptions::default()
+            };
+            simulate_with_options(&nl, &faults, &vectors, &module_of, &[0.1], 1.0, &options)
+        };
+        let base = run(1);
         for threads in [2, 3, 8] {
-            let par =
-                simulate_with_threads(&nl, &faults, &vectors, &module_of, &[0.1], 1.0, threads);
+            let par = run(threads);
             assert_eq!(base.detected, par.detected, "threads = {threads}");
             assert_eq!(
                 base.first_detection, par.first_detection,
                 "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn fault_shards_and_backend_are_invisible_in_results() {
-        let nl = data::ripple_adder(6);
-        let faults =
-            crate::faults::enumerate(&nl, &crate::faults::FaultUniverseConfig::default(), 13);
-        let vectors: Vec<Vec<bool>> = (0..900)
-            .map(|k| {
-                (0..nl.num_inputs())
-                    .map(|i| (k * 31 + i * 7) % 3 == 0)
-                    .collect()
-            })
-            .collect();
-        let module_of = one_module_assignment(&nl);
-        let base = simulate_with_threads(&nl, &faults, &vectors, &module_of, &[0.1], 1.0, 1);
-        for (shards, threads, backend) in [
-            (1, 4, crate::BackendKind::Csr),
-            (3, 4, crate::BackendKind::Csr),
-            (7, 2, crate::BackendKind::Csr),
-            (faults.len(), 8, crate::BackendKind::Csr),
-            (2, 3, crate::BackendKind::Delta),
-        ] {
-            let opts = SweepOptions {
-                threads,
-                fault_shards: shards,
-                backend,
-                ..SweepOptions::default()
-            };
-            let r = simulate_with_options(&nl, &faults, &vectors, &module_of, &[0.1], 1.0, &opts);
-            assert_eq!(
-                base.detected, r.detected,
-                "shards={shards} threads={threads}"
-            );
-            assert_eq!(
-                base.first_detection, r.first_detection,
-                "shards={shards} threads={threads} backend={backend}"
             );
         }
     }
@@ -842,19 +494,16 @@ mod tests {
             vec![false],
             "one-shot vectors cannot activate y"
         );
-        for backend in [BackendKind::Csr, BackendKind::Delta] {
-            let opts = SweepOptions {
-                frames: 2,
-                backend,
-                ..SweepOptions::default()
-            };
-            let seq = simulate_with_options(&nl, &faults, &vectors, &module_of, &[0.1], 1.0, &opts);
-            assert_eq!(
-                seq.first_detection,
-                vec![Some(1)],
-                "activated at frame 1 of sequence 0 ({backend})"
-            );
-        }
+        let opts = SweepOptions {
+            frames: 2,
+            ..SweepOptions::default()
+        };
+        let seq = simulate_with_options(&nl, &faults, &vectors, &module_of, &[0.1], 1.0, &opts);
+        assert_eq!(
+            seq.first_detection,
+            vec![Some(1)],
+            "activated at frame 1 of sequence 0"
+        );
     }
 
     #[test]
@@ -874,17 +523,12 @@ mod tests {
             .collect();
         let module_of = one_module_assignment(&nl);
         let base = simulate(&nl, &faults, &vectors, &module_of, &[0.1], 1.0);
-        for (frames, threads, shards) in [(2, 1, 1), (3, 4, 1), (5, 2, 3), (7, 3, 2)] {
-            let opts = SweepOptions {
-                threads,
-                fault_shards: shards,
-                frames,
-                ..SweepOptions::default()
-            };
+        for (frames, threads) in [(2, 1), (3, 4), (5, 2), (7, 3)] {
+            let opts = SweepOptions { threads, frames };
             let r = simulate_with_options(&nl, &faults, &vectors, &module_of, &[0.1], 1.0, &opts);
             assert_eq!(
                 base.first_detection, r.first_detection,
-                "frames={frames} threads={threads} shards={shards}"
+                "frames={frames} threads={threads}"
             );
         }
     }

@@ -19,10 +19,11 @@
 //!   [`delta::Patch`]es (gate kind / fan-in edge changes) with atomic
 //!   apply/rollback, and dirty-cone-only re-evaluation,
 //! * [`SimBackend`] — one batch-evaluation API over both engines,
-//!   selected by [`BackendKind`] (`csr` | `delta`), consumed by the fault
-//!   sweep, logic testing and ATPG,
+//!   selected by [`BackendKind`] (`csr` | `delta`), consumed by ATPG; the
+//!   same value picks the fault sweep's engine,
 //! * [`reference`] — the seed's naive evaluator, kept as the golden
-//!   baseline for differential tests and speedup measurements,
+//!   baseline for differential tests and speedup measurements, and the
+//!   IDDQ sweep's scalar oracle built on it,
 //! * [`faults`] — the defect universe: [`faults::IddqFault`] variants with
 //!   activation conditions and defect-current magnitudes,
 //! * [`iddq`] — sensor-level detection: given a partition of the gates
@@ -126,11 +127,13 @@
 //!
 //! # Failure semantics
 //!
-//! The long-running entry points — [`fault_sweep::sweep`] and
-//! [`iddq::simulate`] — come in `*_with_control` variants that take an
-//! [`iddq_control::RunControl`] (a cancellation token plus an optional
-//! wall-clock / work-quota [`iddq_control::RunBudget`]) and return an
-//! [`iddq_control::Outcome`]:
+//! Both sweeps run on one crate-private grid executor (fault shards ×
+//! pattern batches over scoped worker threads, earliest-detection
+//! dropping, a deterministic min-merge). Their control entry points —
+//! [`fault_sweep::sweep_with_control`] and [`iddq::simulate_with_control`]
+//! — take an [`iddq_control::RunControl`] (a cancellation token plus an
+//! optional wall-clock / work-quota [`iddq_control::RunBudget`]) and
+//! return an [`iddq_control::Outcome`]:
 //!
 //! * **Cooperative stops.** The control is polled only at (fault-shard ×
 //!   pattern-batch) grid boundaries, so a stop can never tear a batch:
@@ -138,7 +141,7 @@
 //!   batch that ran to completion, and `coverage` reports the fraction
 //!   of grid units that did. Partial results are *sound under-approx-
 //!   imations* — detections only ever get added by finishing the run.
-//! * **Worker panics.** Each grid cell runs under `catch_unwind`; a
+//! * **Worker panics.** Each grid cell runs inside a panic boundary; a
 //!   panicking cell poisons only its own engine (rebuilt lazily) and is
 //!   reported as [`iddq_control::StopReason::WorkerPanicked`] instead of
 //!   crossing the API boundary. Its batches stay un-done and re-scan on
@@ -180,6 +183,7 @@ pub mod backend;
 pub mod delta;
 pub mod fault_sweep;
 pub mod faults;
+mod grid;
 pub mod iddq;
 pub mod logic_test;
 pub mod reference;

@@ -25,7 +25,6 @@
 
 use iddq_netlist::{Netlist, NodeId, PackedWord};
 
-use crate::backend::{BackendKind, SimBackend};
 use crate::faults::IddqFault;
 use crate::sim::Simulator;
 
@@ -51,58 +50,7 @@ pub fn stuck_at_detection<W: PackedWord>(
     fault: StuckAtFault,
     inputs: &[W],
 ) -> W {
-    let sim = Simulator::new(netlist);
-    stuck_at_detection_with(netlist, &sim, fault, inputs)
-}
-
-/// [`stuck_at_detection`] against a pre-built simulator, so sweeps over
-/// many faults compile the netlist once.
-#[must_use]
-pub fn stuck_at_detection_with<W: PackedWord>(
-    netlist: &Netlist,
-    sim: &Simulator,
-    fault: StuckAtFault,
-    inputs: &[W],
-) -> W {
-    stuck_at_detection_from(netlist, &sim.eval(inputs), fault, inputs)
-}
-
-/// [`stuck_at_detection`] through a caller-chosen [`SimBackend`]: the CSR
-/// arm re-simulates the whole forced circuit (the differential oracle);
-/// the delta arm injects the fault as a stuck-at force patch and
-/// re-evaluates only its dirty cone (the fault-patch engine,
-/// [`crate::fault_sweep`]).
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` differs from the primary-input count.
-#[must_use]
-// A force patch touches no structure, so its validation cannot fail;
-// the expect documents that contract.
-#[allow(clippy::expect_used)]
-pub fn stuck_at_detection_with_backend<W: PackedWord>(
-    netlist: &Netlist,
-    backend: &mut SimBackend<W>,
-    fault: StuckAtFault,
-    inputs: &[W],
-) -> W {
-    if let Some(delta) = backend.as_delta_mut() {
-        delta.set_inputs(inputs);
-        let good_out: Vec<W> = netlist.outputs().iter().map(|&o| delta.value(o)).collect();
-        let patch = crate::delta::Patch::single(crate::delta::PatchOp::SetForce {
-            node: fault.node,
-            force: Some(fault.stuck_at_one),
-        });
-        delta.apply(&patch).expect("force patches are always valid");
-        let mut diff = W::zeros();
-        for (&o, &g) in netlist.outputs().iter().zip(&good_out) {
-            diff = diff | (g ^ delta.value(o));
-        }
-        delta.rollback();
-        return diff;
-    }
-    let mut good = vec![W::zeros(); backend.node_count()];
-    backend.eval_into(inputs, &mut good);
+    let good = Simulator::new(netlist).eval(inputs);
     stuck_at_detection_from(netlist, &good, fault, inputs)
 }
 
@@ -116,9 +64,10 @@ pub fn stuck_at_detection_from<W: PackedWord>(
     fault: StuckAtFault,
     inputs: &[W],
 ) -> W {
-    let bad = eval_forced(
+    let bad = eval_forced_with_state(
         netlist,
         inputs,
+        &[],
         &[(fault.node, W::splat(fault.stuck_at_one))],
     );
     let mut diff = W::zeros();
@@ -128,18 +77,12 @@ pub fn stuck_at_detection_from<W: PackedWord>(
     diff
 }
 
-/// Evaluates the circuit with some nodes forced to fixed packed values.
-/// State elements read the all-zero reset state (the `frames == 1`
-/// convention of the frame engines).
-fn eval_forced<W: PackedWord>(netlist: &Netlist, inputs: &[W], forced: &[(NodeId, W)]) -> Vec<W> {
-    eval_forced_with_state(netlist, inputs, &[], forced)
-}
-
-/// [`eval_forced`] with an explicit latched-state scatter: one word per
-/// state element in [`Netlist::state_elements`] order (empty = all-zero
+/// Evaluates the circuit with some nodes forced to fixed packed values and
+/// the latched state scattered over the DFF outputs: one word per state
+/// element in [`Netlist::state_elements`] order (empty = the all-zero
 /// reset). DFF outputs hold their scattered (or forced) word and are never
 /// recomputed from their D fan-in — the per-frame rebuild oracle the
-/// sequential fault sweep is differentially tested against.
+/// fault sweep is differentially tested against.
 pub(crate) fn eval_forced_with_state<W: PackedWord>(
     netlist: &Netlist,
     inputs: &[W],
@@ -196,20 +139,7 @@ pub fn bridge_logic_detection<W: PackedWord>(
     b: NodeId,
     inputs: &[W],
 ) -> W {
-    let sim = Simulator::new(netlist);
-    bridge_logic_detection_with(netlist, &sim, a, b, inputs)
-}
-
-/// [`bridge_logic_detection`] against a pre-built simulator.
-#[must_use]
-pub fn bridge_logic_detection_with<W: PackedWord>(
-    netlist: &Netlist,
-    sim: &Simulator,
-    a: NodeId,
-    b: NodeId,
-    inputs: &[W],
-) -> W {
-    let good = sim.eval(inputs);
+    let good = Simulator::new(netlist).eval(inputs);
     bridge_logic_detection_from(netlist, &good, a, b, inputs)
 }
 
@@ -231,7 +161,7 @@ pub fn bridge_logic_detection_from<W: PackedWord>(
     let mut wired = good[a.index()] & good[b.index()];
     let mut bad = Vec::new();
     for _ in 0..3 {
-        bad = eval_forced(netlist, inputs, &[(a, wired), (b, wired)]);
+        bad = eval_forced_with_state(netlist, inputs, &[], &[(a, wired), (b, wired)]);
         // Driver outputs recomputed from the corrupted fan-ins:
         let da = recompute_driver(netlist, &bad, a);
         let db = recompute_driver(netlist, &bad, b);
@@ -276,54 +206,9 @@ pub fn logic_observability<W: PackedWord>(
     faults: &[IddqFault],
     vector_batches: &[Vec<W>],
 ) -> Vec<bool> {
-    logic_observability_with_backend(netlist, faults, vector_batches, BackendKind::Csr)
-}
-
-/// [`logic_observability`] on a chosen simulation engine.
-///
-/// On the CSR oracle, one backend instance evaluates each batch's
-/// fault-free values once and bridge corruption is re-propagated from
-/// scratch per fault. On the delta engine, the fault-patch sweep
-/// ([`crate::fault_sweep::FaultPatchSim`]) loads each batch once and
-/// scores every bridge by a dirty-cone force/diff/rollback instead —
-/// identical results, cone-sized work.
-#[must_use]
-pub fn logic_observability_with_backend<W: PackedWord>(
-    netlist: &Netlist,
-    faults: &[IddqFault],
-    vector_batches: &[Vec<W>],
-    kind: BackendKind,
-) -> Vec<bool> {
-    if kind == BackendKind::Delta {
-        let mut ps = crate::fault_sweep::FaultPatchSim::<W>::new(netlist);
-        let mut visible = vec![false; faults.len()];
-        for ins in vector_batches {
-            ps.load(ins);
-            for (v, f) in visible.iter_mut().zip(faults) {
-                if let IddqFault::Bridge { a, b, .. } = *f {
-                    if !*v
-                        && !ps
-                            .detect(crate::fault_sweep::LogicFault::Bridge { a, b })
-                            .is_zero()
-                    {
-                        *v = true;
-                    }
-                }
-            }
-        }
-        return visible;
-    }
-    // One engine instance shared across the whole fault × batch sweep,
-    // and one fault-free evaluation per batch shared across its faults.
-    let mut backend = SimBackend::<W>::new(netlist, kind);
-    let goods: Vec<Vec<W>> = vector_batches
-        .iter()
-        .map(|ins| {
-            let mut good = vec![W::zeros(); backend.node_count()];
-            backend.eval_into(ins, &mut good);
-            good
-        })
-        .collect();
+    // One fault-free evaluation per batch, shared across its faults.
+    let sim = Simulator::new(netlist);
+    let goods: Vec<Vec<W>> = vector_batches.iter().map(|ins| sim.eval(ins)).collect();
     faults
         .iter()
         .map(|f| match *f {
@@ -439,58 +324,16 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_stuck_at_and_observability() {
-        let nl = data::c17();
-        let gs = data::c17_paper_gates(&nl);
-        let mut packed = vec![0u64; 5];
-        for pat in 0u64..32 {
-            for (i, word) in packed.iter_mut().enumerate() {
-                if pat >> i & 1 == 1 {
-                    *word |= 1 << pat;
-                }
-            }
-        }
-        let mut delta = SimBackend::<u64>::new(&nl, BackendKind::Delta);
-        for &g in &gs {
-            for stuck_at_one in [false, true] {
-                let fault = StuckAtFault {
-                    node: g,
-                    stuck_at_one,
-                };
-                assert_eq!(
-                    stuck_at_detection(&nl, fault, &packed),
-                    stuck_at_detection_with_backend(&nl, &mut delta, fault, &packed),
-                    "node {g} sa{}",
-                    u8::from(stuck_at_one)
-                );
-            }
-        }
-        let faults = vec![
-            IddqFault::Bridge {
-                a: gs[0],
-                b: gs[3],
-                current_ua: 1.0,
-            },
-            IddqFault::StuckOn {
-                gate: gs[1],
-                current_ua: 1.0,
-            },
-        ];
-        let batches = vec![packed];
-        assert_eq!(
-            logic_observability(&nl, &faults, &batches),
-            logic_observability_with_backend(&nl, &faults, &batches, BackendKind::Delta)
-        );
-    }
-
-    #[test]
     fn forced_eval_matches_plain_eval_without_forces() {
         let nl = data::ripple_adder(3);
         let sim = Simulator::new(&nl);
         let inputs: Vec<u64> = (0..nl.num_inputs() as u64)
             .map(|i| 0x55aa << (i % 8))
             .collect();
-        assert_eq!(sim.eval(&inputs), eval_forced(&nl, &inputs, &[]));
+        assert_eq!(
+            sim.eval(&inputs),
+            eval_forced_with_state(&nl, &inputs, &[], &[])
+        );
     }
 
     #[test]

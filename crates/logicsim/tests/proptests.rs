@@ -299,12 +299,12 @@ proptest! {
             .node_ids()
             .map(|id| if nl.is_gate(id) { 0 } else { iddq::NO_MODULE })
             .collect();
-        let seq = iddq::simulate_with_threads(
-            &nl, &faults, &vectors, &module_of, &[0.01], 1.0, 1,
-        );
-        let par = iddq::simulate_with_threads(
-            &nl, &faults, &vectors, &module_of, &[0.01], 1.0, threads,
-        );
+        let run = |threads| {
+            let options = iddq::SweepOptions { threads, ..iddq::SweepOptions::default() };
+            iddq::simulate_with_options(&nl, &faults, &vectors, &module_of, &[0.01], 1.0, &options)
+        };
+        let seq = run(1);
+        let par = run(threads);
         prop_assert_eq!(seq.detected, par.detected);
         prop_assert_eq!(seq.first_detection, par.first_detection);
     }
@@ -557,8 +557,12 @@ proptest! {
             .node_ids()
             .map(|id| if nl.is_gate(id) { 0 } else { iddq::NO_MODULE })
             .collect();
-        let few = iddq::simulate(&nl, &faults, &vectors[..small], &module_of, &[0.01], 1.0);
-        let many = iddq::simulate(&nl, &faults, &vectors, &module_of, &[0.01], 1.0);
+        let options = iddq::SweepOptions::default();
+        let few = iddq::simulate_with_options(
+            &nl, &faults, &vectors[..small], &module_of, &[0.01], 1.0, &options,
+        );
+        let many =
+            iddq::simulate_with_options(&nl, &faults, &vectors, &module_of, &[0.01], 1.0, &options);
         prop_assert!(many.coverage >= few.coverage);
         for (a, b) in few.detected.iter().zip(&many.detected) {
             prop_assert!(!a || *b, "a detected fault stays detected");

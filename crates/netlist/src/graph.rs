@@ -1,6 +1,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use iddq_control::Fnv1a;
+
 use crate::kind::CellKind;
 
 /// Index of a node (primary input or gate) inside a [`Netlist`].
@@ -261,33 +263,23 @@ impl Netlist {
     /// simulator and oracle instead of rebuilding them.
     #[must_use]
     pub fn structural_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut put = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        put(self.nodes.len() as u64);
-        put(self.inputs.len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64(self.nodes.len() as u64).u64(self.inputs.len() as u64);
         for n in &self.nodes {
             let kind_tag = match n.kind {
                 NodeKind::Input => u64::MAX,
                 NodeKind::Gate(k) => k as u64,
             };
-            put(kind_tag);
-            put(n.fanin.len() as u64);
+            h.u64(kind_tag).u64(n.fanin.len() as u64);
             for f in &n.fanin {
-                put(u64::from(f.0));
+                h.u64(u64::from(f.0));
             }
         }
-        put(self.outputs.len() as u64);
+        h.u64(self.outputs.len() as u64);
         for o in &self.outputs {
-            put(u64::from(o.0));
+            h.u64(u64::from(o.0));
         }
-        h
+        h.finish()
     }
 
     /// Total node count (primary inputs + gates).
@@ -799,6 +791,12 @@ mod tests {
         b.mark_output(s);
         let fewer = b.build().unwrap();
         assert_ne!(nl.structural_fingerprint(), fewer.structural_fingerprint());
+
+        // Pinned: serve cache and store keys are this value.
+        assert_eq!(
+            crate::data::c17().structural_fingerprint(),
+            0x6f53_e72a_c775_c7a9
+        );
     }
 
     #[test]

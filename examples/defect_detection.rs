@@ -71,13 +71,14 @@ fn main() {
         .node_ids()
         .map(|id| if cut.is_gate(id) { 0 } else { NO_MODULE })
         .collect();
-    let single = iddq_sim::simulate(
+    let single = iddq_sim::simulate_with_options(
         &cut,
         &faults,
         &tests.vectors,
         &single_module,
         &[total_leak_na / 1000.0],
         threshold_ua,
+        &iddq_sim::SweepOptions::default(),
     );
 
     // (b) Partitioned CUT with one BIC sensor per module.
@@ -93,13 +94,14 @@ fn main() {
         .iter()
         .map(|m| m.leakage_na / 1000.0)
         .collect();
-    let partitioned = iddq_sim::simulate(
+    let partitioned = iddq_sim::simulate_with_options(
         &cut,
         &faults,
         &tests.vectors,
         result.partition.assignment(),
         &module_leaks,
         threshold_ua,
+        &iddq_sim::SweepOptions::default(),
     );
 
     println!(

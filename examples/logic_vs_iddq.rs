@@ -59,13 +59,14 @@ fn main() {
         .iter()
         .map(|m| m.leakage_na / 1000.0)
         .collect();
-    let iddq = iddq_sim::simulate(
+    let iddq = iddq_sim::simulate_with_options(
         &cut,
         &faults,
         &tests.vectors,
         result.partition.assignment(),
         &leaks,
         library.technology().iddq_threshold_ua,
+        &iddq_sim::SweepOptions::default(),
     );
 
     let mut table = [[0usize; 2]; 2]; // [logic][iddq]

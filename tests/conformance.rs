@@ -104,6 +104,9 @@ fn iddq_sweep_matches_scalar_oracle() {
             );
             detected += oracle.iter().flatten().count();
             for threads in [1, 2, 4] {
+                // The struct update keeps this test building against
+                // option sets that carry more knobs than these two.
+                #[allow(clippy::needless_update)]
                 let options = SweepOptions {
                     threads,
                     frames,

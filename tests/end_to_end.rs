@@ -87,13 +87,14 @@ fn partitioned_sensors_detect_activated_defects() {
         .iter()
         .map(|m| m.leakage_na / 1000.0)
         .collect();
-    let sim = iddq_sim::simulate(
+    let sim = iddq_sim::simulate_with_options(
         &cut,
         &faults,
         &tests.vectors,
         result.partition.assignment(),
         &module_leaks,
         lib.technology().iddq_threshold_ua,
+        &iddq_sim::SweepOptions::default(),
     );
     // Defect currents (50–500 µA) dwarf the 1 µA threshold, so detection
     // coverage equals activation coverage when all sensors are sane.
