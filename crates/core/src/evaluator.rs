@@ -205,16 +205,25 @@ pub(crate) fn assemble_cost(
     }
 }
 
+/// Latest fan-in arrival of `id` under `arr`. A DFF launches a fresh
+/// path at the frame boundary (its D edge belongs to the previous frame),
+/// exactly as in [`iddq_netlist::levelize::longest_path`].
+fn fanin_arrival(ctx: &EvalContext<'_>, id: NodeId, arr: &[f64]) -> f64 {
+    if ctx.netlist.is_state_element(id) {
+        return 0.0;
+    }
+    ctx.netlist
+        .node(id)
+        .fanin()
+        .iter()
+        .map(|f| arr[f.index()])
+        .fold(0.0f64, f64::max)
+}
+
 /// Full weighted longest-path sweep into `arr` (the batch path).
 fn full_arrival_sweep(ctx: &EvalContext<'_>, weight: &[f64], arr: &mut [f64]) {
     for &id in ctx.netlist.topo_order() {
-        let node = ctx.netlist.node(id);
-        let in_max = node
-            .fanin()
-            .iter()
-            .map(|f| arr[f.index()])
-            .fold(0.0f64, f64::max);
-        arr[id.index()] = in_max + weight[id.index()];
+        arr[id.index()] = fanin_arrival(ctx, id, arr) + weight[id.index()];
     }
 }
 
@@ -584,13 +593,7 @@ impl<'a> Evaluated<'a> {
                 .map(|t| &mut t.ops);
             let mut log_arr = log_arr;
             walker.walk(&ctx.cones, seeds.iter().copied(), |id| {
-                let node = ctx.netlist.node(id);
-                let in_max = node
-                    .fanin()
-                    .iter()
-                    .map(|f| arr[f.index()])
-                    .fold(0.0f64, f64::max);
-                let new = in_max + weight[id.index()];
+                let new = fanin_arrival(ctx, id, arr) + weight[id.index()];
                 let old = arr[id.index()];
                 if new.to_bits() == old.to_bits() {
                     ConeStep::Stop
@@ -872,11 +875,11 @@ impl<'a> Evaluated<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::PartitionConfig;
     use iddq_celllib::Library;
-    use iddq_netlist::data;
+    use iddq_netlist::{data, Netlist};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1228,6 +1231,65 @@ mod tests {
         let one = Evaluated::new(&ctx, Partition::single_module(&nl)).cost();
         assert!(one.c2_delay > 0.0, "sensor must cost some delay");
         assert!(one.dbic_ps > ctx.nominal_delay_ps);
+    }
+    /// ISCAS-89 s27 plus a DFF fed straight by a DFF and a 4-input gate
+    /// reading latched state: small, but every sequential corner of the
+    /// arrival sweeps (a DFF whose D driver comes later in topological
+    /// order, and one whose D driver is itself a path source) and a wide
+    /// gate to decompose.
+    pub(crate) fn seq_circuit() -> Netlist {
+        let text = "\
+INPUT(G0)
+INPUT(G1)
+INPUT(G2)
+INPUT(G3)
+OUTPUT(G17)
+OUTPUT(G19)
+OUTPUT(G20)
+G5 = DFF(G10)
+G6 = DFF(G11)
+G7 = DFF(G13)
+G18 = DFF(G5)
+G14 = NOT(G0)
+G17 = NOT(G11)
+G8 = AND(G14, G6)
+G15 = OR(G12, G8)
+G16 = OR(G3, G8)
+G9 = NAND(G16, G15)
+G10 = NOR(G14, G11)
+G11 = NOR(G5, G9)
+G12 = NOR(G1, G7)
+G13 = NOR(G2, G12)
+G19 = AND(G18, G17)
+G20 = NAND(G18, G9, G13, G0)
+";
+        iddq_netlist::bench::parse("s27x", text).unwrap()
+    }
+
+    /// A DFF launches a fresh path: incremental settles that re-weight
+    /// state elements agree with a from-scratch arrival sweep, and a
+    /// fresh evaluation agrees with the levelized critical path.
+    #[test]
+    fn sequential_arrivals_start_at_state_elements() {
+        let nl = seq_circuit();
+        let lib = Library::generic_1um();
+        let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
+        let eval = Evaluated::new(&ctx, Partition::single_module(&nl));
+        let dbic = iddq_netlist::levelize::critical_path_delay(&nl, &eval.weight);
+        assert_eq!(eval.cost().dbic_ps.to_bits(), dbic.to_bits());
+        let gates: Vec<NodeId> = nl.gate_ids().collect();
+        let (a, b) = gates.split_at(gates.len() / 2);
+        let part = Partition::from_groups(&nl, vec![a.to_vec(), b.to_vec()]).unwrap();
+        let mut eval2 = Evaluated::new(&ctx, part);
+        for &g in nl.state_elements().iter().chain(&gates) {
+            let m = eval2.partition().module_of(g).unwrap();
+            if eval2.partition().module(m).len() > 1 {
+                let _ = eval2.move_gate(g, 1 - m);
+            }
+            eval2.settle();
+            eval2.verify_consistency();
+        }
+        eval.verify_consistency();
     }
 }
 

@@ -880,8 +880,9 @@ impl<'a> ResynthEval<'a> {
         } = *self;
         let times_visited = cones.walker().walk(time_seeds.iter().copied(), |i, fanin| {
             let i = i as usize;
-            if kinds[i].is_none() {
-                // Primary inputs transition at t = 0, always.
+            if is_source(kinds[i]) {
+                // Primary inputs and DFF outputs transition at t = 0,
+                // always.
                 return false;
             }
             let d = tables.grid_delay[i];
@@ -1367,6 +1368,22 @@ impl<'a> ResynthEval<'a> {
         separation_recomputed
     }
 
+    /// Latest fan-in arrival of node `i` in the `arr` scratch. A DFF
+    /// launches a fresh path at the frame boundary (its D edge belongs to
+    /// the previous frame), as in
+    /// [`iddq_netlist::levelize::longest_path`]; reading its D driver
+    /// would pick up that driver's arrival from the previous sweep.
+    fn fanin_arrival(&self, i: usize) -> f64 {
+        if is_source(self.kinds[i]) {
+            return 0.0;
+        }
+        self.cones
+            .fanin(i)
+            .iter()
+            .map(|&f| self.arr[f as usize])
+            .fold(0.0f64, f64::max)
+    }
+
     /// Rebuilds the lazy (level, id)-sorted topological order and the
     /// nominal critical-path delay when stale.
     fn settle_structure(&mut self) {
@@ -1381,13 +1398,7 @@ impl<'a> ResynthEval<'a> {
         if self.nominal_dirty {
             for &i in &self.order {
                 let i = i as usize;
-                let in_max = self
-                    .cones
-                    .fanin(i)
-                    .iter()
-                    .map(|&f| self.arr[f as usize])
-                    .fold(0.0f64, f64::max);
-                self.arr[i] = in_max + self.tables.delay_ps[i];
+                self.arr[i] = self.fanin_arrival(i) + self.tables.delay_ps[i];
             }
             self.nominal_delay_ps = self
                 .outputs
@@ -1460,13 +1471,7 @@ impl<'a> ResynthEval<'a> {
         }
         for &i in &self.order {
             let i = i as usize;
-            let in_max = self
-                .cones
-                .fanin(i)
-                .iter()
-                .map(|&f| self.arr[f as usize])
-                .fold(0.0f64, f64::max);
-            self.arr[i] = in_max + self.weight[i];
+            self.arr[i] = self.fanin_arrival(i) + self.weight[i];
         }
         let dbic_ps = self
             .outputs
@@ -1522,7 +1527,7 @@ impl<'a> ResynthEval<'a> {
         let mut want: Vec<TimeSet> = vec![TimeSet::new(); n];
         for &i in &self.order {
             let i = i as usize;
-            want[i] = if self.kinds[i].is_none() {
+            want[i] = if is_source(self.kinds[i]) {
                 TimeSet::singleton(0)
             } else {
                 let d = self.tables.grid_delay[i];
@@ -1583,6 +1588,13 @@ impl<'a> ResynthEval<'a> {
             }
         }
     }
+}
+
+/// Whether a node of kind `kind` is a path source: a primary input
+/// (`None`) or a state element, whose output is a frame-boundary
+/// pseudo-input.
+fn is_source(kind: Option<CellKind>) -> bool {
+    kind.is_none_or(CellKind::is_state)
 }
 
 /// Looks one partner up in a maintained near row (`ρ` when out of
@@ -1897,6 +1909,56 @@ mod tests {
         assert_eq!(inc.total_cost().to_bits(), full.total_cost().to_bits());
         inc.verify_consistency();
         full.verify_consistency();
+    }
+
+    /// The 4-input gate `G20` of the sequential test circuit split into a
+    /// 2-input chain, the inserted stages numbered from `next`.
+    fn seq_decomposition(nl: &Netlist, next: u32) -> Patch {
+        let gate = nl.find("G20").unwrap();
+        let leaves = nl.node(gate).fanin().to_vec();
+        Patch {
+            ops: vec![
+                PatchOp::AddGate {
+                    gate: NodeId(next),
+                    kind: CellKind::And,
+                    fanin: vec![leaves[0], leaves[1]],
+                },
+                PatchOp::AddGate {
+                    gate: NodeId(next + 1),
+                    kind: CellKind::And,
+                    fanin: vec![NodeId(next), leaves[2]],
+                },
+                PatchOp::SetFanin {
+                    gate,
+                    fanin: vec![NodeId(next + 1), leaves[3]],
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn sequential_costs_match_rebuild_on_every_scoring() {
+        // DFF outputs launch fresh paths: scoring twice (the second
+        // sweep runs over the first one's arrival scratch) and scoring a
+        // patched circuit both match a rebuild.
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        let nl = crate::evaluator::tests::seq_circuit();
+        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+        let mut eval = ResynthEval::new(&ctx);
+        let base = rebuild_cost(&nl, &lib, &cfg);
+        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
+        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
+        eval.verify_consistency();
+        let patch = seq_decomposition(&nl, nl.node_count() as u32);
+        eval.apply(&patch).unwrap();
+        let oracle = rebuild_cost(&materialize(&nl, &patch).unwrap(), &lib, &cfg);
+        assert_eq!(eval.total_cost().to_bits(), oracle.to_bits());
+        assert_eq!(eval.total_cost().to_bits(), oracle.to_bits());
+        eval.verify_consistency();
+        eval.rollback();
+        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
+        eval.verify_consistency();
     }
 
     #[test]

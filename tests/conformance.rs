@@ -9,7 +9,14 @@
 //!   setting;
 //! * a cancelled sweep, checkpointed through its sealed JSON and resumed,
 //!   is bit-identical to an uninterrupted one.
+//!
+//! It also pins the per-gate resynthesis search: its reported cost equals
+//! a rebuild score of the netlist it returns, and the incremental ΔW
+//! evaluation agrees with the full-refresh reference at every probe.
 
+use iddq::celllib::Library;
+use iddq::core::config::PartitionConfig;
+use iddq::core::{AnalysisTier, EvalContext, Evaluated, Partition, ResynthEval};
 use iddq::logicsim::fault_sweep::{
     sweep_resume, sweep_with_control, FaultSweepOptions, FaultSweepOutcome, LogicFault,
     SweepCheckpoint,
@@ -19,16 +26,22 @@ use iddq::logicsim::iddq::{simulate_with_options, SweepOptions, NO_MODULE};
 use iddq::logicsim::logic_test::StuckAtFault;
 use iddq::logicsim::{reference, BackendKind};
 use iddq::netlist::{data, Netlist};
+use iddq::synth::{cost_aware_per_gate_in, decompose_gate_patch, DecompositionStyle};
 use iddq_control::{RunBudget, RunControl, StopReason};
+
+/// A generated ISCAS-85-like circuit at generation seed 5.
+fn iscas(name: &str) -> Netlist {
+    iddq::gen::iscas::generate(iddq::gen::iscas::IscasProfile::by_name(name).unwrap(), 5)
+}
+
+/// A generated ISCAS-89-like (DFF-carrying) circuit at generation seed 5.
+fn seq(name: &str) -> Netlist {
+    iddq::gen::seq::generate(iddq::gen::seq::SeqProfile::by_name(name).unwrap(), 5)
+}
 
 /// c17, a 6-bit ripple adder, generated c432, and generated s27 / s298
 /// (the last two carry DFF state).
 fn corpus() -> Vec<Netlist> {
-    let iscas = |name| {
-        iddq::gen::iscas::generate(iddq::gen::iscas::IscasProfile::by_name(name).unwrap(), 5)
-    };
-    let seq =
-        |name| iddq::gen::seq::generate(iddq::gen::seq::SeqProfile::by_name(name).unwrap(), 5);
     vec![
         data::c17(),
         data::ripple_adder(6),
@@ -262,5 +275,87 @@ fn cancelled_sweep_resumes_bit_identical() {
                 assert_eq!(resumed.done_batches, full.done_batches);
             }
         }
+    }
+}
+
+/// Single-module cost of `nl` scored from scratch: a fresh context (at
+/// the `Separation` tier `Evaluated` reads) and a fresh `Evaluated`.
+fn rebuild_cost(nl: &Netlist, library: &Library, config: &PartitionConfig) -> f64 {
+    let ctx = EvalContext::new(nl, library, config.clone());
+    Evaluated::new(&ctx, Partition::single_module(nl)).total_cost()
+}
+
+#[test]
+fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
+    let library = Library::generic_1um();
+    let config = PartitionConfig::paper_default();
+    for nl in [iscas("c432"), seq("s298")] {
+        let ctx = EvalContext::builder(&nl, &library, config.clone())
+            .tier(AnalysisTier::GateSep)
+            .build();
+        // The shipped search against a rebuild score of its output.
+        let (out, report) = cost_aware_per_gate_in(&ctx);
+        assert_eq!(
+            report.mixed_cost.to_bits(),
+            rebuild_cost(&out, &library, &config).to_bits(),
+            "{}: reported cost vs rebuild of the returned netlist",
+            nl.name()
+        );
+        // The same greedy descent, driven in lock step on the incremental
+        // ΔW evaluation and on the full-refresh reference.
+        let mut inc = ResynthEval::new(&ctx);
+        let mut full = ResynthEval::new_full_refresh(&ctx);
+        let mut current = inc.total_cost();
+        assert_eq!(current.to_bits(), full.total_cost().to_bits());
+        let wide: Vec<_> = nl
+            .topo_order()
+            .iter()
+            .copied()
+            .filter(|&g| nl.node(g).kind().cell_kind().is_some() && nl.node(g).fanin().len() > 2)
+            .collect();
+        assert!(!wide.is_empty(), "{}: no wide gates to probe", nl.name());
+        let mut probes = 0;
+        for gate in wide {
+            let mut best = None;
+            for style in [DecompositionStyle::Balanced, DecompositionStyle::Chain] {
+                let next_id = inc.node_count() as u32;
+                let patch = decompose_gate_patch(&nl, gate, style, 2, next_id)
+                    .unwrap()
+                    .expect("gate is wide");
+                inc.apply(&patch).unwrap();
+                full.apply(&patch).unwrap();
+                let cost = inc.total_cost();
+                assert_eq!(
+                    cost.to_bits(),
+                    full.total_cost().to_bits(),
+                    "{}: probe {probes} ({style:?} on gate {})",
+                    nl.name(),
+                    gate.0
+                );
+                probes += 1;
+                inc.rollback();
+                full.rollback();
+                if cost < current && best.as_ref().is_none_or(|(b, _)| cost < *b) {
+                    best = Some((cost, patch));
+                }
+            }
+            if let Some((cost, patch)) = best {
+                inc.apply(&patch).unwrap();
+                full.apply(&patch).unwrap();
+                inc.commit();
+                full.commit();
+                current = cost;
+            }
+        }
+        assert_eq!(
+            current.to_bits(),
+            report.mixed_cost.to_bits(),
+            "{}",
+            nl.name()
+        );
+        assert_eq!(inc.total_cost().to_bits(), current.to_bits());
+        assert_eq!(full.total_cost().to_bits(), current.to_bits());
+        inc.verify_consistency();
+        full.verify_consistency();
     }
 }
