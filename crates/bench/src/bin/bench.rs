@@ -964,6 +964,9 @@ fn main() {
             },
         ],
     );
+    // The timed loop never flushes a deferred row edit; any edit that
+    // leaked into the rows anyway fails the consistency check here.
+    dw_inc.verify_consistency();
     let dw_speedup = t_dw_full / t_dw_inc;
     let dw_threshold = 2.0;
     println!(

@@ -27,7 +27,8 @@
 //!
 //! Exit codes follow the usual discipline: `0` for success (including a
 //! budget-limited *partial* fault sweep, which reports its coverage),
-//! `2` for usage errors (bad flags, bad bounds, unknown commands), `1`
+//! `2` for usage errors (bad flags, bad bounds, unknown commands, and
+//! flags `synth`, `test`, `sim` and `faults` do not take), `1`
 //! for runtime failures (unreadable files, parse errors, checkpoint
 //! mismatches).
 
@@ -241,6 +242,30 @@ commands:
                           instead of the full 200+ schedule sweep
 ";
 
+/// Rejects every `--flag` of `rest` that `cmd` does not document:
+/// `values` take the argument after them (which is skipped, so a value
+/// that starts with `--` is not misread as a flag), `switches` stand
+/// alone. An unknown flag is a usage error (exit 2) naming it, so a typo
+/// never runs with a silently defaulted setting.
+fn check_flags(
+    cmd: &str,
+    rest: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<(), CliError> {
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        if values.contains(&arg.as_str()) {
+            args.next();
+        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+            return Err(CliError::usage(format!(
+                "unknown flag `{arg}` for `iddq {cmd}` (see `iddq help`)"
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn parse_flag(rest: &[String], flag: &str) -> Option<String> {
     rest.iter()
         .position(|a| a == flag)
@@ -278,6 +303,21 @@ fn load(path: &str) -> Result<Netlist, String> {
 }
 
 fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
+    check_flags(
+        "synth",
+        rest,
+        &[
+            "--seed",
+            "--generations",
+            "--d",
+            "--rstar",
+            "--fanout",
+            "--json",
+            "--dot",
+            "--modules",
+        ],
+        &["--resynth", "--per-gate"],
+    )?;
     let path = rest
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -427,6 +467,7 @@ fn cmd_gen(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_test(rest: &[String]) -> Result<(), CliError> {
+    check_flags("test", rest, &["--seed", "--frames"], &[])?;
     let path = rest
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -576,6 +617,19 @@ fn calibrate_lanes(cut: &Netlist) -> iddq_netlist::LaneWidth {
 fn cmd_sim(rest: &[String]) -> Result<(), CliError> {
     use iddq_logicsim::BackendKind;
     use iddq_netlist::LaneWidth;
+    check_flags(
+        "sim",
+        rest,
+        &[
+            "--patterns",
+            "--seed",
+            "--threads",
+            "--backend",
+            "--lanes",
+            "--frames",
+        ],
+        &[],
+    )?;
     let path = rest
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -720,6 +774,25 @@ fn cmd_faults(rest: &[String]) -> Result<(), CliError> {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    check_flags(
+        "faults",
+        rest,
+        &[
+            "--seed",
+            "--vectors",
+            "--bridges",
+            "--backend",
+            "--lanes",
+            "--threads",
+            "--shards",
+            "--frames",
+            "--budget-ms",
+            "--quota",
+            "--checkpoint",
+            "--resume",
+        ],
+        &["--no-drop"],
+    )?;
     let path = rest
         .first()
         .filter(|a| !a.starts_with("--"))

@@ -35,6 +35,30 @@ fn no_args_fails_with_code_2() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors() {
+    // A typo'd or foreign flag is rejected by name before any work runs
+    // (the netlist path does not even need to exist), instead of the
+    // run silently falling back to the flag's default.
+    let bench_path = tmp("strict-flags.bench");
+    for (cmd, flag) in [
+        ("synth", "--threads"),
+        ("test", "--fames"),
+        ("sim", "--pattern"),
+        ("faults", "--vectrs"),
+    ] {
+        let out = bin()
+            .arg(cmd)
+            .arg(&bench_path)
+            .args([flag, "9"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{cmd}: {err}");
+    }
+}
+
+#[test]
 fn gen_stats_synth_test_pipeline() {
     let bench_path = tmp("c432.bench");
     let json_path = tmp("c432.json");

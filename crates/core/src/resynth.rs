@@ -53,13 +53,24 @@
 //! # Lifecycle
 //!
 //! [`ResynthEval::apply`] validates and applies a patch atomically (a
-//! rejected patch leaves the evaluation untouched), pushes the inverse
-//! onto an undo stack; [`ResynthEval::rollback`] re-applies the inverse
-//! through the same machinery — since every derived quantity is a pure
-//! deterministic function of structure, a rollback restores the
-//! evaluation bit-for-bit without snapshots; [`ResynthEval::commit`]
-//! makes the applied patches permanent. The candidate-search pattern is
-//! apply → score → rollback per candidate, commit for the winner.
+//! rejected patch leaves the evaluation untouched) and pushes an undo
+//! frame: the structural inverse plus logs of the derived state the
+//! apply overwrote. [`ResynthEval::rollback`] re-applies the inverse and
+//! restores the derived state from those logs, bit-for-bit and in
+//! O(changed entries): transition-time sets and neighbour weights from
+//! value snapshots, near rows from an entry log of `(gate, partner,
+//! previous distance)` on the incremental ΔW path, and from whole-row
+//! snapshots on the ball refresh and for removals.
+//!
+//! The ΔW path's near-row edits are *deferred*. An apply updates the
+//! neighbour weights (all the cost reads) at once, but parks its
+//! symmetric row edits in its undo frame. The next apply or
+//! [`ResynthEval::commit`] writes them into the rows (logging each
+//! entry it overwrites); a rollback of a frame that was never flushed
+//! just drops them. A probe that is scored and rolled back therefore
+//! never touches a row. [`ResynthEval::commit`] makes the applied
+//! patches permanent. The candidate-search pattern is apply → score →
+//! rollback per losing candidate, commit for the winner.
 
 use iddq_celllib::NodeTables;
 use iddq_netlist::cone::DynamicCones;
@@ -84,11 +95,22 @@ struct UndoFrame {
     /// `(gate, previous weight)` for every separation weight the apply
     /// changed or popped.
     w_log: Vec<(u32, u64)>,
-    /// `(gate, previous near row)` for every maintained ΔW row the apply
-    /// changed or popped (at most one entry per gate — rows are
-    /// snapshotted on first touch). Empty when the evaluation runs
-    /// without incremental rows.
+    /// `(gate, previous near row)` for every maintained ΔW row the full
+    /// ball refresh rewrote or a removal popped (at most one entry per
+    /// gate: the ball is deduplicated and a popped gate lies outside
+    /// it). Empty on the incremental ΔW path and without maintained rows.
     row_log: Vec<(u32, Vec<(u32, u32)>)>,
+    /// The incremental ΔW path's symmetric pair edits `(g, h, new
+    /// distance)`, not yet written into the near rows. Only the top
+    /// frame ever holds any: the next apply, a commit or a consistency
+    /// check flushes them (see `flush_row_edits`), and a rollback of the
+    /// unflushed frame just drops them.
+    row_edits: Vec<(u32, u32, u32)>,
+    /// `(gate, partner, previous distance)` for every near-row entry the
+    /// flush of `row_edits` overwrote, in write order (`ρ` = absent).
+    /// Each directed entry appears at most once: the pairs of one
+    /// refresh are distinct.
+    entry_log: Vec<(u32, u32, u32)>,
     /// The whole maintained-row table, when this apply was a bulk edit
     /// that evicted it instead of rebuilding per-gate rows it can never
     /// use incrementally (an O(1) move both ways — rollback restores
@@ -144,8 +166,6 @@ struct DeltaScratch {
     /// slot → marker of the endpoint whose partner scan last saw it
     /// (pair dedup without a hash set).
     seen: Vec<u32>,
-    /// slot → row already snapshotted into the undo log this apply.
-    logged: Vec<bool>,
     /// slot → accumulated exact weight delta.
     delta: Vec<i64>,
     /// node → avoid-X BFS epoch in which `bfs_dist` is valid.
@@ -221,7 +241,9 @@ pub struct ResynthEval<'a> {
     /// `(partner gate, bounded distance)` list of its in-bound pairs
     /// (`1 ≤ d ≤ ρ−1`), sorted by partner id — the same shape as a
     /// [`iddq_netlist::separation::GateSeparationTable`] row with the
-    /// weight written as a distance. `None` disables incremental ΔW
+    /// weight written as a distance. The newest apply's ΔW edits may
+    /// still wait in the top undo frame; every read of the rows happens
+    /// after `flush_row_edits`. `None` disables incremental ΔW
     /// maintenance ([`ResynthEval::new_full_refresh`], or after a
     /// committed bulk edit evicted the table — rebuilt lazily by the
     /// next fast-path-eligible apply when `incremental` is set); rows
@@ -244,6 +266,7 @@ pub struct ResynthEval<'a> {
     times_log: Vec<(u32, TimeSet)>,
     w_log: Vec<(u32, u64)>,
     row_log: Vec<(u32, Vec<(u32, u32)>)>,
+    row_edits: Vec<(u32, u32, u32)>,
     /// The row table taken out by a bulk-edit apply in flight, drained
     /// into the [`UndoFrame`] on success and restored on rejection.
     rows_evicted: Option<Vec<Vec<(u32, u32)>>>,
@@ -251,6 +274,8 @@ pub struct ResynthEval<'a> {
     /// current structure, rebuilt lazily.
     order: Vec<u32>,
     order_dirty: bool,
+    /// Counting-sort scratch of the order rebuild (per-level start).
+    level_starts: Vec<u32>,
     /// Nominal critical-path delay of the current structure, recomputed
     /// lazily (patches move both delays and paths).
     nominal_delay_ps: f64,
@@ -348,9 +373,11 @@ impl<'a> ResynthEval<'a> {
             times_log: Vec::new(),
             w_log: Vec::new(),
             row_log: Vec::new(),
+            row_edits: Vec::new(),
             rows_evicted: None,
             order: Vec::new(),
             order_dirty: true,
+            level_starts: Vec::new(),
             nominal_delay_ps: ctx.nominal_delay_ps,
             nominal_dirty: false,
             hist_cur: Vec::new(),
@@ -390,20 +417,47 @@ impl<'a> ResynthEval<'a> {
     /// a non-gate, uses an illegal arity or id, would create a cycle, or
     /// is a [`PatchOp::SetForce`] (no cost semantics).
     pub fn apply(&mut self, patch: &Patch) -> Result<PatchImpact, PatchError> {
+        self.flush_row_edits();
         let sum_w_before = self.sum_w;
         self.times_log.clear();
         self.w_log.clear();
         self.row_log.clear();
+        self.row_edits.clear();
         let (inverse, impact) = self.apply_inner(patch)?;
         self.undo.push(UndoFrame {
             inverse,
             times_log: std::mem::take(&mut self.times_log),
             w_log: std::mem::take(&mut self.w_log),
             row_log: std::mem::take(&mut self.row_log),
+            row_edits: std::mem::take(&mut self.row_edits),
+            entry_log: Vec::new(),
             rows_evicted: self.rows_evicted.take(),
             sum_w_before,
         });
         Ok(impact)
+    }
+
+    /// Writes the top frame's deferred ΔW pair edits into the near rows,
+    /// both directions per pair, logging each overwritten entry into
+    /// that frame so its rollback can restore it. Only survivors pay:
+    /// a probe rolled back before the next apply never writes a row.
+    fn flush_row_edits(&mut self) {
+        let rho = self.ctx.config.rho;
+        let Some(frame) = self.undo.last_mut() else {
+            return;
+        };
+        if frame.row_edits.is_empty() {
+            return;
+        }
+        let Some(rows) = self.rows.as_mut() else {
+            unreachable!("deferred row edits imply maintained rows")
+        };
+        for (g, h, d) in std::mem::take(&mut frame.row_edits) {
+            for (e, p) in [(g, h), (h, g)] {
+                let prev = set_row_entry(&mut rows[e as usize], p, d, rho);
+                frame.entry_log.push((e, p, prev));
+            }
+        }
     }
 
     /// Rolls the most recent uncommitted patch back: the structural
@@ -419,6 +473,7 @@ impl<'a> ResynthEval<'a> {
     // inverse restores the exact prior structure by construction.
     #[allow(clippy::expect_used)]
     pub fn rollback(&mut self) -> PatchImpact {
+        let rho = self.ctx.config.rho;
         let frame = self.undo.pop().expect("no patch to roll back");
         self.times_log.clear();
         self.w_log.clear();
@@ -465,6 +520,15 @@ impl<'a> ResynthEval<'a> {
             self.rows = Some(rows);
         }
         if let Some(rows) = self.rows.as_mut() {
+            // Unflushed `row_edits` never reached the rows and drop with
+            // the frame. Flushed entries replay newest-first; only an
+            // entry whose row *owner* the revert popped is skipped — one
+            // whose partner was popped must still leave the owner's row.
+            for (g, p, d) in frame.entry_log.into_iter().rev() {
+                if (g as usize) < alive {
+                    set_row_entry(&mut rows[g as usize], p, d, rho);
+                }
+            }
             for (g, row) in frame.row_log.into_iter().rev() {
                 if (g as usize) < alive {
                     rows[g as usize] = row;
@@ -477,8 +541,10 @@ impl<'a> ResynthEval<'a> {
         impact
     }
 
-    /// Makes all applied patches permanent by clearing the undo stack.
+    /// Makes all applied patches permanent by clearing the undo stack
+    /// (after writing the deferred row edits of the newest apply).
     pub fn commit(&mut self) {
+        self.flush_row_edits();
         self.undo.clear();
     }
 
@@ -1076,8 +1142,8 @@ impl<'a> ResynthEval<'a> {
     ///   hub endpoints carry most pairs, so the cover stays far smaller
     ///   than the per-row rebuild set it replaces.
     ///
-    /// Returns the number of fallback BFS re-derivations (the resolved
-    /// pairs are O(1) row edits, not re-derivations).
+    /// Returns the number of fallback BFS re-derivations (a resolved
+    /// pair is one deferred row edit, not a re-derivation).
     fn refresh_separation_delta(&mut self, patch: &Patch, old: &[(u32, Vec<(u32, u32)>)]) -> usize {
         let rho = self.ctx.config.rho;
         let bound = rho.saturating_sub(1);
@@ -1106,12 +1172,12 @@ impl<'a> ResynthEval<'a> {
             ref mut near_w,
             ref mut sum_w,
             ref mut w_log,
-            ref mut rows,
-            ref mut row_log,
+            ref rows,
+            ref mut row_edits,
             ref mut delta_scratch,
             ..
         } = *self;
-        let Some(rows) = rows.as_mut() else {
+        let Some(rows) = rows.as_ref() else {
             unreachable!("the ΔW refresh runs only with maintained rows")
         };
         let sc = delta_scratch;
@@ -1155,8 +1221,6 @@ impl<'a> ResynthEval<'a> {
         let n_slots = sc.nodes.len();
         sc.seen.clear();
         sc.seen.resize(n_slots, 0);
-        sc.logged.clear();
-        sc.logged.resize(n_slots, false);
         sc.delta.clear();
         sc.delta.resize(n_slots, 0);
         // Enumerate candidate pairs: (g, h) is one iff some column holds
@@ -1164,7 +1228,16 @@ impl<'a> ResynthEval<'a> {
         // BFS (non-decreasing distance) order, so the in-bound partner
         // window is a prefix; each unordered pair is processed once,
         // from its smaller endpoint, deduplicated by the `seen` marker.
-        let mut resolved: Vec<(u32, u32, u32, u32)> = Vec::new();
+        // A moved pair adds its weight delta to both endpoints at once
+        // and parks its symmetric row edit in `row_edits` — the pairs
+        // are distinct, so no later `d_old` lookup can see the edit.
+        let weight = |d: u32| -> i64 {
+            if d < rho {
+                i64::from(rho - d)
+            } else {
+                0
+            }
+        };
         let mut amb_pairs: Vec<(u32, u32, u32, u32)> = Vec::new();
         for gs in 0..n_slots {
             let g = sc.nodes[gs];
@@ -1222,39 +1295,13 @@ impl<'a> ResynthEval<'a> {
                         continue;
                     };
                     if d_new != d_old {
-                        resolved.push((g, h, d_old, d_new));
+                        let dw = weight(d_new) - weight(d_old);
+                        sc.delta[gs] += dw;
+                        sc.delta[hs] += dw;
+                        row_edits.push((g, h, d_new));
                     }
                 }
             }
-        }
-        // Resolved pairs: symmetric row edits plus per-gate weight
-        // deltas (first touch snapshots the row for the undo frame).
-        let weight = |d: u32| -> i64 {
-            if d < rho {
-                i64::from(rho - d)
-            } else {
-                0
-            }
-        };
-        let touch = |sc: &mut DeltaScratch,
-                     rows: &mut Vec<Vec<(u32, u32)>>,
-                     row_log: &mut Vec<(u32, Vec<(u32, u32)>)>,
-                     e: u32,
-                     p: u32,
-                     d_new: u32,
-                     dw: i64| {
-            let es = sc.slot[e as usize] as usize;
-            if !sc.logged[es] {
-                sc.logged[es] = true;
-                row_log.push((e, rows[e as usize].clone()));
-            }
-            set_row_entry(&mut rows[e as usize], p, d_new, rho);
-            sc.delta[es] += dw;
-        };
-        for &(g, h, d_old, d_new) in &resolved {
-            let dw = weight(d_new) - weight(d_old);
-            touch(sc, rows, row_log, g, h, d_new, dw);
-            touch(sc, rows, row_log, h, g, d_new, dw);
         }
         // Ambiguous pairs resolve by greedy vertex cover: each cover
         // endpoint runs one bounded BFS with the edited nodes
@@ -1346,8 +1393,9 @@ impl<'a> ResynthEval<'a> {
                         continue;
                     }
                     let dw = weight(d_new) - weight(d_old);
-                    touch(sc, rows, row_log, g, h, d_new, dw);
-                    touch(sc, rows, row_log, h, g, d_new, dw);
+                    sc.delta[sc.slot[g as usize] as usize] += dw;
+                    sc.delta[sc.slot[h as usize] as usize] += dw;
+                    row_edits.push((g, h, d_new));
                 }
             }
         }
@@ -1388,11 +1436,31 @@ impl<'a> ResynthEval<'a> {
     /// nominal critical-path delay when stale.
     fn settle_structure(&mut self) {
         if self.order_dirty {
+            // Counting sort by level, ids ascending within a level: the
+            // (level, id) order in O(n + depth).
             let n = self.kinds.len();
-            self.order = (0..n as u32).collect();
             let cones = &self.cones;
-            self.order
-                .sort_unstable_by_key(|&i| (cones.level(i as usize), i));
+            let starts = &mut self.level_starts;
+            starts.clear();
+            for i in 0..n {
+                let l = cones.level(i) as usize;
+                if l >= starts.len() {
+                    starts.resize(l + 1, 0);
+                }
+                starts[l] += 1;
+            }
+            let mut next = 0u32;
+            for s in starts.iter_mut() {
+                let count = *s;
+                *s = next;
+                next += count;
+            }
+            self.order.resize(n, 0);
+            for i in 0..n as u32 {
+                let s = &mut starts[cones.level(i as usize) as usize];
+                self.order[*s as usize] = i;
+                *s += 1;
+            }
             self.order_dirty = false;
         }
         if self.nominal_dirty {
@@ -1509,6 +1577,7 @@ impl<'a> ResynthEval<'a> {
     ///
     /// Panics if any maintained quantity drifted from the ground truth.
     pub fn verify_consistency(&mut self) {
+        self.flush_row_edits();
         self.settle_structure();
         let n = self.kinds.len();
         let rho = self.ctx.config.rho;
@@ -1608,20 +1677,23 @@ fn row_dist(row: &[(u32, u32)], partner: u32, rho: u32) -> u32 {
 
 /// Writes one `(partner, distance)` entry of a maintained near row:
 /// insert or update when `d` is in bound, remove when the pair left the
-/// bound.
-fn set_row_entry(row: &mut Vec<(u32, u32)>, partner: u32, d: u32, rho: u32) {
+/// bound. Returns the entry's previous distance (`ρ` when absent).
+fn set_row_entry(row: &mut Vec<(u32, u32)>, partner: u32, d: u32, rho: u32) -> u32 {
     match row.binary_search_by_key(&partner, |e| e.0) {
         Ok(i) => {
+            let prev = row[i].1;
             if d >= rho {
                 row.remove(i);
             } else {
                 row[i].1 = d;
             }
+            prev
         }
         Err(i) => {
             if d < rho {
                 row.insert(i, (partner, d));
             }
+            rho
         }
     }
 }
@@ -2045,5 +2117,227 @@ mod tests {
             eval.total_cost().to_bits(),
             ResynthEval::new(&ctx).total_cost().to_bits()
         );
+    }
+
+    /// Single-module cost of `nl` with `patches` materialized, scored by
+    /// a fresh evaluation.
+    fn fresh_cost(nl: &Netlist, patches: &[Patch], lib: &Library, cfg: &PartitionConfig) -> f64 {
+        let cut = materialize(nl, &Patch::concat(patches)).unwrap();
+        let ctx = EvalContext::builder(&cut, lib, cfg.clone())
+            .tier(crate::AnalysisTier::GateSep)
+            .build();
+        ResynthEval::new(&ctx).total_cost()
+    }
+
+    /// Checks the maintained state against a from-scratch derivation and
+    /// the score against a fresh evaluation of the materialized netlist.
+    fn assert_fresh(
+        eval: &mut ResynthEval<'_>,
+        nl: &Netlist,
+        patches: &[Patch],
+        lib: &Library,
+        cfg: &PartitionConfig,
+    ) {
+        eval.verify_consistency();
+        assert_eq!(
+            eval.total_cost().to_bits(),
+            fresh_cost(nl, patches, lib, cfg).to_bits(),
+            "{}",
+            nl.name()
+        );
+    }
+
+    /// A region rewrite of the 2-input `gate`: an inverted AND of its
+    /// fan-in inserted at ids `next`, `next + 1` and wired in as the
+    /// gate's first input.
+    fn rewrite(nl: &Netlist, gate: NodeId, next: u32) -> Patch {
+        let leaves = nl.node(gate).fanin().to_vec();
+        Patch {
+            ops: vec![
+                PatchOp::AddGate {
+                    gate: NodeId(next),
+                    kind: CellKind::And,
+                    fanin: leaves.clone(),
+                },
+                PatchOp::AddGate {
+                    gate: NodeId(next + 1),
+                    kind: CellKind::Not,
+                    fanin: vec![NodeId(next)],
+                },
+                PatchOp::SetFanin {
+                    gate,
+                    fanin: vec![NodeId(next + 1), leaves[1]],
+                },
+            ],
+        }
+    }
+
+    /// The deferred-edit fixtures: a combinational and a sequential
+    /// circuit, each with two 2-input combinational gates far apart in
+    /// id order that have a combinational consumer.
+    fn deferred_cases() -> Vec<(Netlist, NodeId, NodeId)> {
+        [
+            data::ripple_adder(6),
+            crate::evaluator::tests::seq_circuit(),
+        ]
+        .into_iter()
+        .map(|nl| {
+            let two: Vec<NodeId> = nl
+                .gate_ids()
+                .filter(|&g| {
+                    nl.node(g).fanin().len() == 2
+                        && !nl.is_state_element(g)
+                        && nl.fanout(g).iter().any(|&c| !nl.is_state_element(c))
+                })
+                .collect();
+            let (a, b) = (two[0], two[two.len() - 1]);
+            (nl, a, b)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn flushed_frames_roll_back_in_order() {
+        // Apply A, apply B (which flushes A's deferred row edits), then
+        // roll back B (its edits never reached the rows) and A (its
+        // flushed entries replay).
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        for (nl, a, b) in deferred_cases() {
+            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+            let mut eval = ResynthEval::new(&ctx);
+            let n = nl.node_count() as u32;
+            let (pa, pb) = (rewrite(&nl, a, n), rewrite(&nl, b, n + 2));
+            eval.apply(&pa).unwrap();
+            eval.apply(&pb).unwrap();
+            assert_eq!(
+                eval.total_cost().to_bits(),
+                fresh_cost(&nl, &[pa.clone(), pb], &lib, &cfg).to_bits()
+            );
+            eval.rollback();
+            assert_fresh(&mut eval, &nl, std::slice::from_ref(&pa), &lib, &cfg);
+            eval.rollback();
+            assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
+        }
+    }
+
+    #[test]
+    fn overlapping_stacked_probes_commit_together() {
+        // B rewrites a consumer of A's gate, so its refresh reads rows A
+        // edited: A must be flushed before B scores, and a commit must
+        // keep both frames' edits.
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        for (nl, a, _) in deferred_cases() {
+            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+            let mut eval = ResynthEval::new(&ctx);
+            let b = *nl
+                .fanout(a)
+                .iter()
+                .find(|&&c| nl.node(c).fanin().len() == 2 && !nl.is_state_element(c))
+                .unwrap();
+            let n = nl.node_count() as u32;
+            let (pa, pb) = (rewrite(&nl, a, n), rewrite(&nl, b, n + 2));
+            eval.apply(&pa).unwrap();
+            eval.apply(&pb).unwrap();
+            let both = [pa, pb];
+            assert_eq!(
+                eval.total_cost().to_bits(),
+                fresh_cost(&nl, &both, &lib, &cfg).to_bits()
+            );
+            eval.commit();
+            assert_fresh(&mut eval, &nl, &both, &lib, &cfg);
+        }
+    }
+
+    #[test]
+    fn pending_frame_survives_a_rejected_patch() {
+        // A rejected (cycle) patch flushes the pending frame below it and
+        // leaves it intact; rolling that frame back restores the start.
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        for (nl, a, b) in deferred_cases() {
+            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+            let mut eval = ResynthEval::new(&ctx);
+            let pa = rewrite(&nl, a, nl.node_count() as u32);
+            eval.apply(&pa).unwrap();
+            let consumer = *nl
+                .fanout(b)
+                .iter()
+                .find(|&&c| !nl.is_state_element(c))
+                .unwrap();
+            let cycle = Patch::single(PatchOp::SetFanin {
+                gate: b,
+                fanin: vec![consumer, nl.node(b).fanin()[1]],
+            });
+            assert!(matches!(eval.apply(&cycle), Err(PatchError::Cycle(_))));
+            assert_eq!(eval.pending_patches(), 1);
+            assert_fresh(&mut eval, &nl, std::slice::from_ref(&pa), &lib, &cfg);
+            eval.rollback();
+            assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
+        }
+    }
+
+    #[test]
+    fn probe_after_a_commit_rolls_back_to_the_commit() {
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        for (nl, a, b) in deferred_cases() {
+            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+            let mut eval = ResynthEval::new(&ctx);
+            let n = nl.node_count() as u32;
+            let pa = rewrite(&nl, a, n);
+            eval.apply(&pa).unwrap();
+            eval.commit();
+            eval.apply(&rewrite(&nl, b, n + 2)).unwrap();
+            eval.rollback();
+            assert_fresh(&mut eval, &nl, std::slice::from_ref(&pa), &lib, &cfg);
+        }
+    }
+
+    #[test]
+    fn rolled_back_insertions_leave_no_stale_partners() {
+        // A probe that inserts gates edits its fan-in gates' rows with
+        // partners the rollback pops again; whether the edits were
+        // flushed (entries replayed) or still pending (dropped), no row
+        // may keep such a partner.
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        for (nl, a, _) in deferred_cases() {
+            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+            let mut eval = ResynthEval::new(&ctx);
+            let probe = rewrite(&nl, a, nl.node_count() as u32);
+            for flush in [true, false] {
+                eval.apply(&probe).unwrap();
+                if flush {
+                    eval.verify_consistency();
+                }
+                eval.rollback();
+                let alive = eval.node_count() as u32;
+                let rows = eval.rows.as_ref().unwrap();
+                assert!(
+                    rows.iter().flatten().all(|&(p, _)| p < alive),
+                    "{} flush={flush}: a popped gate stayed a partner",
+                    nl.name()
+                );
+                assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
+            }
+        }
+        let nl = crate::evaluator::tests::seq_circuit();
+        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+        let mut eval = ResynthEval::new(&ctx);
+        let decomposition = seq_decomposition(&nl, nl.node_count() as u32);
+        eval.apply(&decomposition).unwrap();
+        eval.verify_consistency();
+        eval.rollback();
+        let alive = eval.node_count() as u32;
+        assert!(eval
+            .rows
+            .as_ref()
+            .unwrap()
+            .iter()
+            .flatten()
+            .all(|&(p, _)| p < alive));
+        assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
     }
 }

@@ -702,6 +702,9 @@ fn cost_aware_rebuild_impl(
     (out, report)
 }
 
+/// The shapes [`cost_aware_per_gate`] probes per wide gate, in order.
+const STYLES: [DecompositionStyle; 2] = [DecompositionStyle::Balanced, DecompositionStyle::Chain];
+
 /// Outcome of [`cost_aware_per_gate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerGateReport {
@@ -721,9 +724,11 @@ pub struct PerGateReport {
 /// balanced-or-chain choice, every wide gate is offered both shapes and
 /// keeps whichever (if either) lowers the cost of the *current* mixed
 /// candidate — a greedy descent that patch scoring makes affordable
-/// (two apply→score→rollback probes per wide gate on one persistent
-/// evaluation; the winning probe is re-applied and committed). Runs on a
-/// `GateSep`-tier context, like [`cost_aware`].
+/// (two apply→score probes per wide gate on one persistent evaluation;
+/// a losing probe is rolled back, a winning chain probe — the last one —
+/// is committed in place, and a winning balanced probe is re-applied
+/// and committed). Runs on a `GateSep`-tier context, like
+/// [`cost_aware`].
 #[must_use]
 pub fn cost_aware_per_gate(
     netlist: &Netlist,
@@ -787,22 +792,33 @@ pub fn cost_aware_per_gate_in_with_control(
             break;
         }
         let mut best: Option<(f64, DecompositionStyle, Patch)> = None;
-        for style in [DecompositionStyle::Balanced, DecompositionStyle::Chain] {
+        // Whether the winner is still applied: a winning *last* probe is
+        // committed in place instead of rolled back and re-applied (the
+        // derived state is a pure function of structure, so both give
+        // the same bits).
+        let mut winner_applied = false;
+        for style in STYLES {
             let patch =
                 decompose_gate_patch_inner(netlist, gate, style, 2, eval.node_count() as u32)
                     .expect("gate is wide");
             eval.apply(&patch).expect("per-gate patches are valid");
             let cost = eval.total_cost();
-            eval.rollback();
             control.charge(1);
-            if cost < current && best.as_ref().is_none_or(|(b, _, _)| cost < *b) {
+            let wins = cost < current && best.as_ref().is_none_or(|(b, _, _)| cost < *b);
+            winner_applied = wins && style == STYLES[STYLES.len() - 1];
+            if !winner_applied {
+                eval.rollback();
+            }
+            if wins {
                 best = Some((cost, style, patch));
             }
         }
         gates_probed += 1;
         match best {
             Some((cost, style, patch)) => {
-                eval.apply(&patch).expect("re-applying a probed patch");
+                if !winner_applied {
+                    eval.apply(&patch).expect("re-applying a probed patch");
+                }
                 eval.commit();
                 current = cost;
                 match style {
