@@ -1691,6 +1691,12 @@ fn set_row_entry(row: &mut Vec<(u32, u32)>, partner: u32, d: u32, rho: u32) -> u
         }
         Err(i) => {
             if d < rho {
+                if row.len() == row.capacity() {
+                    // Rows are edited in place and never shrink back, so
+                    // grow them by an eighth rather than doubling: the
+                    // table holds every gate's ρ-ball.
+                    row.reserve_exact(row.len() / 8 + 1);
+                }
                 row.insert(i, (partner, d));
             }
             rho
