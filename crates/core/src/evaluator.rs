@@ -1232,6 +1232,7 @@ pub(crate) mod tests {
         assert!(one.c2_delay > 0.0, "sensor must cost some delay");
         assert!(one.dbic_ps > ctx.nominal_delay_ps);
     }
+
     /// ISCAS-89 s27 plus a DFF fed straight by a DFF and a 4-input gate
     /// reading latched state: small, but every sequential corner of the
     /// arrival sweeps (a DFF whose D driver comes later in topological
