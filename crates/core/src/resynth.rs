@@ -118,6 +118,8 @@ struct UndoFrame {
     rows_evicted: Option<Vec<Vec<(u32, u32)>>>,
     /// `Σ near_w` before the apply.
     sum_w_before: u64,
+    /// The structure id before the apply (see `ResynthEval::structure_id`).
+    structure_before: u64,
 }
 
 /// The separation dirty set of one apply, captured on the *pre-patch*
@@ -176,6 +178,16 @@ struct DeltaScratch {
     bfs_epoch: u64,
     /// Level-ring queue of the avoid-X BFS.
     bfs_queue: Vec<u32>,
+    /// The pre-patch structure id and edited nodes the cached avoid-X
+    /// BFS results were computed under. A patch moves only edges incident
+    /// to its edited nodes, so the two fix the graph minus the edited
+    /// nodes: the sibling probes of one gate, and the re-apply of the
+    /// winner, share it.
+    avoid_key: Option<(u64, Vec<u32>)>,
+    /// `(endpoint, start, end)` of each cached BFS in `avoid_pool`.
+    avoid_index: Vec<(u32, u32, u32)>,
+    /// The cached BFSs' `(node, distance)` visits, concatenated.
+    avoid_pool: Vec<(u32, u32)>,
 }
 
 /// Persistent buffers of the region-sized separation refresh (the
@@ -256,6 +268,12 @@ pub struct ResynthEval<'a> {
     incremental: bool,
     /// `Σ_g near_w[g]` — twice the in-bound pair weight.
     sum_w: u64,
+    /// Identifies the current structure: each successful apply moves to
+    /// a fresh id and its rollback returns to the id before it, so equal
+    /// ids mean equal structures.
+    structure_id: u64,
+    /// The last structure id handed out.
+    last_structure_id: u64,
     gate_count: usize,
     outputs: Vec<u32>,
     /// Undo frames (inverse patch + derived-state snapshots), innermost
@@ -367,6 +385,8 @@ impl<'a> ResynthEval<'a> {
             rows,
             incremental,
             sum_w,
+            structure_id: 0,
+            last_structure_id: 0,
             gate_count: ctx.gates.len(),
             outputs: nl.outputs().iter().map(|o| o.0).collect(),
             undo: Vec::new(),
@@ -433,7 +453,10 @@ impl<'a> ResynthEval<'a> {
             entry_log: Vec::new(),
             rows_evicted: self.rows_evicted.take(),
             sum_w_before,
+            structure_before: self.structure_id,
         });
+        self.last_structure_id += 1;
+        self.structure_id = self.last_structure_id;
         Ok(impact)
     }
 
@@ -536,6 +559,7 @@ impl<'a> ResynthEval<'a> {
             }
         }
         self.sum_w = frame.sum_w_before;
+        self.structure_id = frame.structure_before;
         self.order_dirty = true;
         self.nominal_dirty = true;
         impact
@@ -1140,7 +1164,11 @@ impl<'a> ResynthEval<'a> {
     ///   and post-patch). One avoid-X BFS per endpoint of a greedy
     ///   vertex cover of these ambiguous pairs resolves all of them —
     ///   hub endpoints carry most pairs, so the cover stays far smaller
-    ///   than the per-row rebuild set it replaces.
+    ///   than the per-row rebuild set it replaces. The graph minus the
+    ///   edited nodes is fixed by the pre-patch structure and the
+    ///   pre-patch edited nodes, so a BFS result is cached under those
+    ///   two and reused by later applies that share them: the sibling
+    ///   probes of one gate, and the re-apply of the winner.
     ///
     /// Returns the number of fallback BFS re-derivations (a resolved
     /// pair is one deferred row edit, not a re-derivation).
@@ -1175,6 +1203,7 @@ impl<'a> ResynthEval<'a> {
             ref rows,
             ref mut row_edits,
             ref mut delta_scratch,
+            structure_id,
             ..
         } = *self;
         let Some(rows) = rows.as_ref() else {
@@ -1340,6 +1369,12 @@ impl<'a> ResynthEval<'a> {
             grouped.sort_unstable();
             sc.bfs_stamp.resize(alive, 0);
             sc.bfs_dist.resize(alive, 0);
+            let key = (structure_id, old.iter().map(|&(x, _)| x).collect());
+            if sc.avoid_key.as_ref() != Some(&key) {
+                sc.avoid_key = Some(key);
+                sc.avoid_index.clear();
+                sc.avoid_pool.clear();
+            }
             let mut i = 0usize;
             while i < grouped.len() {
                 let cs = grouped[i].0;
@@ -1350,31 +1385,46 @@ impl<'a> ResynthEval<'a> {
                     sc.bfs_stamp[x as usize] = epoch;
                     sc.bfs_dist[x as usize] = rho;
                 }
-                sc.bfs_queue.clear();
-                if sc.bfs_stamp[e as usize] != epoch {
-                    sc.bfs_stamp[e as usize] = epoch;
-                    sc.bfs_dist[e as usize] = 0;
-                    sc.bfs_queue.push(e);
-                }
-                let (mut head, mut tail) = (0usize, sc.bfs_queue.len());
-                let mut d = 0u32;
-                while d < bound && head < tail {
-                    d += 1;
-                    for qi in head..tail {
-                        let u = sc.bfs_queue[qi] as usize;
-                        for &v in cones.fanin(u).iter().chain(cones.fanout(u)) {
-                            let vi = v as usize;
-                            if sc.bfs_stamp[vi] != epoch {
-                                sc.bfs_stamp[vi] = epoch;
-                                sc.bfs_dist[vi] = d;
-                                sc.bfs_queue.push(v);
+                if let Some(&(_, start, end)) = sc.avoid_index.iter().find(|c| c.0 == e) {
+                    for k in start as usize..end as usize {
+                        let (v, d) = sc.avoid_pool[k];
+                        sc.bfs_stamp[v as usize] = epoch;
+                        sc.bfs_dist[v as usize] = d;
+                    }
+                } else {
+                    sc.bfs_queue.clear();
+                    if sc.bfs_stamp[e as usize] != epoch {
+                        sc.bfs_stamp[e as usize] = epoch;
+                        sc.bfs_dist[e as usize] = 0;
+                        sc.bfs_queue.push(e);
+                    }
+                    let (mut head, mut tail) = (0usize, sc.bfs_queue.len());
+                    let mut d = 0u32;
+                    while d < bound && head < tail {
+                        d += 1;
+                        for qi in head..tail {
+                            let u = sc.bfs_queue[qi] as usize;
+                            for &v in cones.fanin(u).iter().chain(cones.fanout(u)) {
+                                let vi = v as usize;
+                                if sc.bfs_stamp[vi] != epoch {
+                                    sc.bfs_stamp[vi] = epoch;
+                                    sc.bfs_dist[vi] = d;
+                                    sc.bfs_queue.push(v);
+                                }
                             }
                         }
+                        head = tail;
+                        tail = sc.bfs_queue.len();
                     }
-                    head = tail;
-                    tail = sc.bfs_queue.len();
+                    #[allow(clippy::cast_possible_truncation)]
+                    let start = sc.avoid_pool.len() as u32;
+                    for &v in &sc.bfs_queue {
+                        sc.avoid_pool.push((v, sc.bfs_dist[v as usize]));
+                    }
+                    #[allow(clippy::cast_possible_truncation)]
+                    sc.avoid_index.push((e, start, sc.avoid_pool.len() as u32));
+                    separation_recomputed += 1;
                 }
-                separation_recomputed += 1;
                 while i < grouped.len() && grouped[i].0 == cs {
                     let (g, h, d_old, d_new_x) = amb_pairs[grouped[i].1 as usize];
                     i += 1;
@@ -2253,6 +2303,57 @@ mod tests {
             );
             eval.commit();
             assert_fresh(&mut eval, &nl, &both, &lib, &cfg);
+        }
+    }
+
+    #[test]
+    fn avoid_bfs_results_are_not_reused_across_structures() {
+        // Probe gate A, commit a new gate that shortcuts A's fan-in to a
+        // far gate (it only shortens routes, so it runs no avoid-X BFS
+        // of its own), then probe A again: the graph minus A changed, so
+        // the second probe must not reuse the first one's BFS results.
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        for nl in [
+            data::ripple_adder(6),
+            crate::evaluator::tests::seq_circuit(),
+        ] {
+            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+            let far = *nl.topo_order().last().unwrap();
+            let n = nl.node_count() as u32;
+            for a in nl.gate_ids().filter(|&g| nl.node(g).fanin().len() == 2) {
+                let mut inc = ResynthEval::new(&ctx);
+                let mut full = ResynthEval::new_full_refresh(&ctx);
+                let shortcut = Patch::single(PatchOp::AddGate {
+                    gate: NodeId(n),
+                    kind: CellKind::And,
+                    fanin: vec![nl.node(a).fanin()[0], far],
+                });
+                let steps = [
+                    (rewrite(&nl, a, n), false),
+                    (shortcut, true),
+                    (rewrite(&nl, a, n + 1), false),
+                ];
+                for (patch, keep) in &steps {
+                    inc.apply(patch).unwrap();
+                    full.apply(patch).unwrap();
+                    assert_eq!(
+                        inc.total_cost().to_bits(),
+                        full.total_cost().to_bits(),
+                        "{} gate {}",
+                        nl.name(),
+                        a.0
+                    );
+                    if *keep {
+                        inc.commit();
+                        full.commit();
+                    } else {
+                        inc.rollback();
+                        full.rollback();
+                    }
+                }
+                inc.verify_consistency();
+            }
         }
     }
 
