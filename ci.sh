@@ -74,14 +74,12 @@ echo "== serve smoke"
 cargo run --release -q -p iddq-cli --bin iddq -- serve --smoke
 
 echo "== chaos smoke"
-# Deterministic fault injection over the serving path: checkpointed
-# sweeps completed through seeded crash/restart schedules (final digest
-# bit-identical to an uninterrupted run), and the persistent artifact
-# store under injected ENOSPC / torn-write / failed-rename / corrupt-read
-# faults plus deliberate on-disk corruption (served bundles verified
-# bit-identical, corrupt entries quarantined and rebuilt). Fixed seeds,
-# seconds of wall clock; any violated invariant exits nonzero with the
-# offending seed. The full 200+ schedule sweep is `iddq chaos`.
+# Deterministic fault injection over the serving path: 12 checkpointed
+# sweeps completed through seeded crash/restart schedules under injected
+# ENOSPC / torn-write / failed-rename / corrupt-read faults (final digest
+# bit-identical to an uninterrupted run). Fixed seeds, well under a
+# second of wall clock; any violated invariant exits nonzero with the
+# offending seed. The full 216-schedule sweep is `iddq chaos`.
 cargo run --release -q -p iddq-cli --bin iddq -- chaos --smoke
 
 echo "CI OK"

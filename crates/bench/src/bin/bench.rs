@@ -1249,65 +1249,6 @@ fn main() {
     if serve_degraded == 0 {
         serve_errors.push("stats never degraded against the tiny cache".to_owned());
     }
-    // Warm start: a populated --store-dir lets a restarted (killed, not
-    // drained) server answer its first request for a cached circuit from
-    // deserialized artifacts instead of recompiling. Gate: warm
-    // time-to-first-response beats cold.
-    let serve_store =
-        std::env::temp_dir().join(format!("iddq-serve-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&serve_store);
-    let warm_circuit = "c7552";
-    let warm_request = serde_json::json!({
-        "id": 1, "op": "stats", "circuit": warm_circuit, "tier": "gatesep",
-    });
-    let store_config = ServeConfig {
-        state_dir: serve_state.clone(),
-        store_dir: Some(serve_store.clone()),
-        ..ServeConfig::default()
-    };
-    let cold_server = ServeServer::start(store_config.clone()).expect("cold store server");
-    let mut store_client =
-        ServeClient::connect(&cold_server.local_addr().to_string()).expect("cold store client");
-    store_client
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("cold read timeout");
-    let t_cold0 = Instant::now();
-    let cold_resp = store_client.call(&warm_request).expect("cold stats");
-    let t_serve_cold = t_cold0.elapsed().as_secs_f64();
-    if cold_resp["status"] != "ok" || cold_resp["result"]["store_hit"] != false {
-        serve_errors.push(format!("unexpected cold store response: {cold_resp:?}"));
-    }
-    // Abrupt kill: store entries must already be durable without a flush.
-    let _ = cold_server.kill();
-    let warm_server = ServeServer::start(store_config).expect("warm store server");
-    let mut store_client =
-        ServeClient::connect(&warm_server.local_addr().to_string()).expect("warm store client");
-    store_client
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("warm read timeout");
-    let t_warm0 = Instant::now();
-    let warm_resp = store_client.call(&warm_request).expect("warm stats");
-    let t_serve_warm = t_warm0.elapsed().as_secs_f64();
-    if warm_resp["status"] != "ok" || warm_resp["result"]["store_hit"] != true {
-        serve_errors.push(format!("warm start missed the store: {warm_resp:?}"));
-    }
-    if t_serve_warm >= t_serve_cold {
-        serve_errors.push(format!(
-            "warm start ({:.1} ms) not faster than cold compile ({:.1} ms)",
-            t_serve_warm * 1e3,
-            t_serve_cold * 1e3
-        ));
-    }
-    let _ = warm_server.shutdown(Duration::from_secs(10));
-    let _ = std::fs::remove_dir_all(&serve_store);
-    let _ = std::fs::remove_dir_all(&serve_state);
-    println!(
-        "   serve warm start ({warm_circuit}, gatesep): cold {:.1} ms -> warm {:.1} ms \
-         ({:.1}x) via --store-dir",
-        t_serve_cold * 1e3,
-        t_serve_warm * 1e3,
-        t_serve_cold / t_serve_warm.max(1e-9),
-    );
     let serve_pass = serve_errors.is_empty();
     println!(
         "   serve: {serve_clients} clients x {serve_reqs_per_client} reqs: {serve_qps:7.1} req/s \
@@ -1330,16 +1271,7 @@ fn main() {
         "burst_overloaded": serve_burst_shed,
         "burst_lost": serve_burst_lost,
         "metrics": serve_metrics,
-        "warm_start": serde_json::json!({
-            "circuit": warm_circuit,
-            "tier": "gatesep",
-            "cold_first_response_ms": t_serve_cold * 1e3,
-            "warm_first_response_ms": t_serve_warm * 1e3,
-            "speedup": t_serve_cold / t_serve_warm.max(1e-9),
-            "acceptance": "warm < cold (restart served from --store-dir, no recompile)",
-            "pass": t_serve_warm < t_serve_cold,
-        }),
-        "acceptance": "every request answered exactly once; shed >= 1; degraded >= 1; warm start beats cold",
+        "acceptance": "every request answered exactly once; shed >= 1; degraded >= 1",
         "errors": serve_errors.clone(),
         "pass": serve_pass,
     });

@@ -19,17 +19,16 @@
 //! iddq stats  <netlist.bench> [--memory] [--rho N]
 //! iddq scale  [--smoke] [--gates N] [--seed N] [--rho N] [--budget-ms MS]
 //! iddq serve  [--addr A] [--workers N] [--queue N] [--cache-mb N]
-//!             [--state-dir DIR] [--store-dir DIR] [--store-mb N]
-//!             [--rho N] [--budget-ms MS] [--max-secs S]
+//!             [--state-dir DIR] [--rho N] [--budget-ms MS] [--max-secs S]
 //!             [--smoke] [--call JSON --addr A [--retries N] [--retry-seed N]]
 //! iddq chaos  [--smoke]
 //! ```
 //!
 //! Exit codes follow the usual discipline: `0` for success (including a
 //! budget-limited *partial* fault sweep, which reports its coverage),
-//! `2` for usage errors (bad flags, bad bounds, unknown commands, and
-//! flags `synth`, `test`, `sim` and `faults` do not take), `1`
-//! for runtime failures (unreadable files, parse errors, checkpoint
+//! `2` for usage errors (bad flags, bad bounds, unknown commands, flags
+//! a subcommand does not take, and value flags given without a value),
+//! `1` for runtime failures (unreadable files, parse errors, checkpoint
 //! mismatches).
 
 use std::process::ExitCode;
@@ -214,11 +213,6 @@ commands:
       --queue N           admission queue capacity (default 16)
       --cache-mb N        artifact-cache memory ceiling in MiB (default 64)
       --state-dir DIR     checkpoint directory (default .iddq-serve)
-      --store-dir DIR     persistent artifact store: compiled programs and
-                          separation tables survive restarts (warm start
-                          without recompiling; corrupt entries are
-                          quarantined and rebuilt transparently)
-      --store-mb N        store byte ceiling in MiB (default 256, LRU)
       --rho N             separation bound for stats tiers (default 6)
       --budget-ms MS      global budget composed into every request
       --max-secs S        serve for S seconds, then drain and exit
@@ -233,11 +227,10 @@ commands:
       --retry-seed N      seed of the deterministic retry jitter
   chaos                   deterministic fault-injection suite over the
                           serving path: checkpointed sweeps completed
-                          through seeded crash/restart schedules (digest
-                          bit-identical to an uninterrupted run) and the
-                          artifact store under corrupt/torn/failed I/O
-                          (wrong answers never served); any violation
-                          exits 1 with the offending seed
+                          through seeded crash/restart schedules under
+                          ENOSPC / torn-write / failed-rename / corrupt-read
+                          faults (digest bit-identical to an uninterrupted
+                          run); any violation exits 1 with the offending seed
       --smoke             a dozen fixed seeds (seconds, the CI leg)
                           instead of the full 200+ schedule sweep
 ";
@@ -245,8 +238,9 @@ commands:
 /// Rejects every `--flag` of `rest` that `cmd` does not document:
 /// `values` take the argument after them (which is skipped, so a value
 /// that starts with `--` is not misread as a flag), `switches` stand
-/// alone. An unknown flag is a usage error (exit 2) naming it, so a typo
-/// never runs with a silently defaulted setting.
+/// alone. An unknown flag, or a value flag with nothing after it, is a
+/// usage error (exit 2) naming the flag, so a typo never runs with a
+/// silently defaulted setting.
 fn check_flags(
     cmd: &str,
     rest: &[String],
@@ -256,7 +250,11 @@ fn check_flags(
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
         if values.contains(&arg.as_str()) {
-            args.next();
+            if args.next().is_none() {
+                return Err(CliError::usage(format!(
+                    "flag `{arg}` of `iddq {cmd}` expects a value"
+                )));
+            }
         } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
             return Err(CliError::usage(format!(
                 "unknown flag `{arg}` for `iddq {cmd}` (see `iddq help`)"
@@ -441,6 +439,7 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_gen(rest: &[String]) -> Result<(), CliError> {
+    check_flags("gen", rest, &["--seed", "--out"], &[])?;
     let name = rest
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -1012,6 +1011,21 @@ fn cmd_seq(rest: &[String]) -> Result<(), CliError> {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    check_flags(
+        "seq",
+        rest,
+        &[
+            "--circuit",
+            "--seed",
+            "--frames",
+            "--sequences",
+            "--bridges",
+            "--backend",
+            "--threads",
+            "--shards",
+        ],
+        &["--smoke"],
+    )?;
     if rest.iter().any(|a| a == "--smoke") {
         return seq_smoke();
     }
@@ -1261,6 +1275,7 @@ fn seq_smoke() -> Result<(), CliError> {
 }
 
 fn cmd_stats(rest: &[String]) -> Result<(), CliError> {
+    check_flags("stats", rest, &["--rho"], &["--memory"])?;
     let path = rest
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -1380,6 +1395,12 @@ const SCALE_MAX_CSR_BYTES_PER_NODE: f64 = 48.0;
 /// ceilings catch packed-state layout regressions.
 fn cmd_scale(rest: &[String]) -> Result<(), CliError> {
     use iddq_core::{AnalysisTier, EvalContext, ResynthEval};
+    check_flags(
+        "scale",
+        rest,
+        &["--gates", "--seed", "--rho", "--budget-ms"],
+        &["--smoke"],
+    )?;
     let smoke = rest.iter().any(|a| a == "--smoke");
     let gates: usize = parse_num(rest, "--gates", if smoke { 100_000 } else { 1_000_000 })?;
     if gates == 0 {
@@ -1512,6 +1533,24 @@ fn cmd_scale(rest: &[String]) -> Result<(), CliError> {
 fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
     use iddq_serve::{Client, Server, ServerConfig};
 
+    check_flags(
+        "serve",
+        rest,
+        &[
+            "--addr",
+            "--workers",
+            "--queue",
+            "--cache-mb",
+            "--state-dir",
+            "--rho",
+            "--budget-ms",
+            "--max-secs",
+            "--call",
+            "--retries",
+            "--retry-seed",
+        ],
+        &["--smoke"],
+    )?;
     if rest.iter().any(|a| a == "--smoke") {
         let report = iddq_serve::run_smoke()?;
         for check in &report.checks {
@@ -1555,16 +1594,12 @@ fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
     let budget_ms: Option<u64> = parse_opt_num(rest, "--budget-ms")?;
     let max_secs: Option<u64> = parse_opt_num(rest, "--max-secs")?;
     let state_dir = parse_flag(rest, "--state-dir").unwrap_or_else(|| ".iddq-serve".into());
-    let store_dir = parse_flag(rest, "--store-dir");
-    let store_mb: u64 = parse_num(rest, "--store-mb", 256)?;
     let config = ServerConfig {
         addr: addr.unwrap_or_else(|| "127.0.0.1:0".into()),
         workers,
         queue_capacity: queue,
         cache_bytes: cache_mb << 20,
         state_dir: state_dir.into(),
-        store_dir: store_dir.map(std::path::PathBuf::from),
-        store_bytes: store_mb << 20,
         rho,
         global_budget: match budget_ms {
             None => RunBudget::unlimited(),
@@ -1602,16 +1637,14 @@ fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
 fn cmd_chaos(rest: &[String]) -> Result<(), CliError> {
     use iddq_serve::ChaosOptions;
 
+    check_flags("chaos", rest, &[], &["--smoke"])?;
     let options = if rest.iter().any(|a| a == "--smoke") {
         ChaosOptions::smoke()
     } else {
         ChaosOptions::full()
     };
-    let schedules = options.sweep_schedules + options.store_schedules;
-    println!(
-        "chaos: {} sweep crash/restart schedules + {} store fault schedules...",
-        options.sweep_schedules, options.store_schedules
-    );
+    let schedules = options.sweep_schedules;
+    println!("chaos: {schedules} sweep crash/restart schedules...");
     // Any violated invariant surfaces here as a seed-stamped message
     // (exit 1); reaching the report means every schedule held.
     let report = iddq_serve::run_chaos(&options)?;
@@ -1619,10 +1652,6 @@ fn cmd_chaos(rest: &[String]) -> Result<(), CliError> {
         "  {} restarts survived, {} corrupt checkpoints recovered, \
          {} checkpoint saves failed typed",
         report.restarts, report.checkpoint_recoveries, report.save_failures
-    );
-    println!(
-        "  store: {} hits (bit-identical), {} misses rebuilt, {} entries quarantined",
-        report.store_hits, report.store_misses, report.quarantined
     );
     println!(
         "chaos OK: {schedules} schedules, {} faults injected, every digest bit-identical",

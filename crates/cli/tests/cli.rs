@@ -36,25 +36,46 @@ fn no_args_fails_with_code_2() {
 
 #[test]
 fn unknown_flags_are_usage_errors() {
-    // A typo'd or foreign flag is rejected by name before any work runs
-    // (the netlist path does not even need to exist), instead of the
-    // run silently falling back to the flag's default.
+    // A typo'd or foreign flag, or a value flag with nothing after it, is
+    // rejected by name before any work runs (the netlist path does not
+    // even need to exist), instead of the run silently falling back to
+    // the flag's default. The valid flags beside some typos keep the run
+    // short should the typo ever slip through.
     let bench_path = tmp("strict-flags.bench");
-    for (cmd, flag) in [
-        ("synth", "--threads"),
-        ("test", "--fames"),
-        ("sim", "--pattern"),
-        ("faults", "--vectrs"),
-    ] {
-        let out = bin()
-            .arg(cmd)
-            .arg(&bench_path)
-            .args([flag, "9"])
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
+    let bench = bench_path.to_str().expect("utf-8 temp path");
+    // The flags of the deleted on-disk artifact store.
+    let [dir_flag, mb_flag] = ["store-dir", "store-mb"].map(|name| format!("--{name}"));
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["synth", bench, "--threads", "9"], "--threads"),
+        (vec!["test", bench, "--fames", "9"], "--fames"),
+        (vec!["sim", bench, "--pattern", "9"], "--pattern"),
+        (vec!["faults", bench, "--vectrs", "9"], "--vectrs"),
+        (vec!["gen", "c432", "--sede", "9"], "--sede"),
+        (
+            vec!["seq", "--sequences", "4", "--circut", "s27"],
+            "--circut",
+        ),
+        (vec!["stats", bench, "--memroy"], "--memroy"),
+        (vec!["scale", "--gates", "50", "--gatse", "9"], "--gatse"),
+        (
+            vec!["serve", "--max-secs", "1", "--wokers", "2"],
+            "--wokers",
+        ),
+        (vec!["chaos", "--smoke", "--smok"], "--smok"),
+        (
+            vec!["serve", "--max-secs", "1", &dir_flag, bench],
+            &dir_flag,
+        ),
+        (vec!["serve", "--max-secs", "1", &mb_flag, "9"], &mb_flag),
+        // Value flags given without their value.
+        (vec!["faults", bench, "--vectors"], "--vectors"),
+        (vec!["gen", "c432", "--seed"], "--seed"),
+    ];
+    for (args, flag) in cases {
+        let out = bin().args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(flag), "{cmd}: {err}");
+        assert!(err.contains(flag), "{args:?}: {err}");
     }
 }
 

@@ -1,22 +1,22 @@
 //! Deterministic fault-injection environment for disk I/O.
 //!
 //! Every disk touchpoint in the workspace — sweep checkpoints, serve job
-//! checkpoints, the persistent artifact store, bench JSON emission — goes
-//! through the [`IoEnv`] trait instead of calling `std::fs` directly. In
-//! production the passthrough [`RealEnv`] adds zero behaviour; in chaos
-//! tests a seeded [`FaultyEnv`] interposes ENOSPC, short/torn writes,
-//! failed renames, corrupt-on-read bytes and latency by a reproducible
-//! schedule, which makes the recovery paths (atomic replace, checkpoint
-//! CRC validation, store quarantine) testable as ordinary deterministic
-//! properties instead of hand-run process-boundary experiments.
+//! checkpoints, bench JSON emission — goes through the [`IoEnv`] trait
+//! instead of calling `std::fs` directly. In production the passthrough
+//! [`RealEnv`] adds zero behaviour; in chaos tests a seeded [`FaultyEnv`]
+//! interposes ENOSPC, short/torn writes, failed renames, corrupt-on-read
+//! bytes and latency by a reproducible schedule, which makes the recovery
+//! paths (atomic replace, checkpoint CRC validation) testable as ordinary
+//! deterministic properties instead of hand-run process-boundary
+//! experiments.
 //!
 //! The module also owns the **sealed payload** format shared by all
 //! durable state files: a one-line header carrying a version tag, an
 //! FNV-1a checksum and the payload length, followed by the payload bytes.
 //! [`open_sealed`] rejects truncation, bit flips and version drift with a
-//! descriptive message the caller maps onto its own typed error
-//! (checkpoint mismatch for sweep state, quarantine for store entries) —
-//! never a panic, never a silently half-read file.
+//! descriptive message the caller maps onto its own typed error (a
+//! checkpoint mismatch for sweep state) — never a panic, never a silently
+//! half-read file.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,9 +41,6 @@ pub trait IoEnv: Send + Sync {
 
     /// Recursively creates a directory.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-
-    /// Lists the entries of a directory (files only, no ordering promise).
-    fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
 }
 
 /// The production environment: every operation is the `std::fs` call of
@@ -70,17 +67,6 @@ impl IoEnv for RealEnv {
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         std::fs::create_dir_all(path)
-    }
-
-    fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(path)? {
-            let entry = entry?;
-            if entry.file_type()?.is_file() {
-                out.push(entry.path());
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -317,11 +303,6 @@ impl IoEnv for FaultyEnv {
         self.maybe_delay();
         std::fs::create_dir_all(path)
     }
-
-    fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        self.maybe_delay();
-        RealEnv.read_dir(path)
-    }
 }
 
 /// Writes `contents` to `path` atomically through `env`: temp file in the
@@ -429,9 +410,13 @@ mod tests {
         assert_eq!(env.read_to_string(&p).unwrap(), "hello");
         let q = dir.join("b.txt");
         env.rename(&p, &q).unwrap();
-        assert_eq!(env.read_dir(&dir).unwrap(), vec![q.clone()]);
+        let listed: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(listed, vec![q.clone()]);
         env.remove_file(&q).unwrap();
-        assert!(env.read_dir(&dir).unwrap().is_empty());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -538,7 +523,7 @@ mod tests {
         assert!(matches!(err, EngineError::Io { .. }));
         assert_eq!(std::fs::read_to_string(&target).unwrap(), "old");
         // Temp debris cleaned up.
-        assert_eq!(RealEnv.read_dir(&dir).unwrap().len(), 1);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

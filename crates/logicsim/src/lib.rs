@@ -190,4 +190,4 @@ pub mod reference;
 mod sim;
 
 pub use backend::{BackendKind, SimBackend};
-pub use sim::{SimSnapshot, Simulator};
+pub use sim::Simulator;

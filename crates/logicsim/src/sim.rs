@@ -1,8 +1,4 @@
-use std::str::FromStr;
-
-use iddq_control::EngineError;
 use iddq_netlist::{CellKind, Netlist, PackedWord};
-use serde::{Deserialize, Serialize};
 
 /// Levelized wide-word pattern-parallel logic simulator.
 ///
@@ -693,176 +689,6 @@ impl Simulator {
         self.eval_into(packed, values);
         values
     }
-
-    /// Captures the compiled program as a serializable [`SimSnapshot`],
-    /// so a persistent store can save the compilation result instead of
-    /// recompiling the netlist on every process start.
-    #[must_use]
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            node_count: self.node_count,
-            targets: self.targets.clone(),
-            offsets: self.offsets.clone(),
-            pool: self.pool.clone(),
-            run_kinds: self
-                .runs
-                .iter()
-                .map(|r| r.kind.mnemonic().to_owned())
-                .collect(),
-            run_arities: self.runs.iter().map(|r| r.arity).collect(),
-            run_starts: self.runs.iter().map(|r| r.start).collect(),
-            run_ends: self.runs.iter().map(|r| r.end).collect(),
-            level_starts: self.level_starts.clone(),
-            input_indices: self.input_indices.clone(),
-            dff_targets: self.dff_targets.clone(),
-            dff_d: self.dff_d.clone(),
-        }
-    }
-
-    /// Rebuilds a simulator from a snapshot, re-validating every
-    /// structural invariant the evaluation kernels rely on (index bounds,
-    /// offset monotonicity, run coverage and arity agreement, kind
-    /// legality). A corrupted or adversarial snapshot — e.g. a damaged
-    /// store entry — is rejected with a typed error; it can never panic a
-    /// later sweep.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Structure`] naming the first violated invariant.
-    pub fn from_snapshot(snap: &SimSnapshot) -> Result<Self, EngineError> {
-        let bad = |what: &str| {
-            Err(EngineError::Structure(format!(
-                "simulator snapshot: {what}"
-            )))
-        };
-        let steps = snap.targets.len();
-        let nodes = snap.node_count;
-        if snap.offsets.len() != steps + 1 {
-            return bad("offsets length must be steps + 1");
-        }
-        if snap.offsets.first() != Some(&0) {
-            return bad("offsets must start at 0");
-        }
-        if snap.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return bad("offsets must be nondecreasing");
-        }
-        if snap.offsets.last().copied().unwrap_or(0) as usize != snap.pool.len() {
-            return bad("final offset must equal the pool length");
-        }
-        if snap.targets.iter().any(|&t| t as usize >= nodes) {
-            return bad("step target out of node range");
-        }
-        if snap.pool.iter().any(|&f| f as usize >= nodes) {
-            return bad("fan-in index out of node range");
-        }
-        let n_runs = snap.run_kinds.len();
-        if snap.run_arities.len() != n_runs
-            || snap.run_starts.len() != n_runs
-            || snap.run_ends.len() != n_runs
-        {
-            return bad("run arrays must have one entry per run");
-        }
-        let mut runs = Vec::with_capacity(n_runs);
-        let mut next_step = 0u32;
-        for i in 0..n_runs {
-            let Ok(kind) = CellKind::from_str(&snap.run_kinds[i]) else {
-                return bad("unknown gate kind in run schedule");
-            };
-            if kind.is_state() {
-                return bad("state elements cannot appear in the run schedule");
-            }
-            let (arity, start, end) = (snap.run_arities[i], snap.run_starts[i], snap.run_ends[i]);
-            if matches!(kind, CellKind::Buf | CellKind::Not) && arity != 1 {
-                return bad("Buf/Not runs must have arity 1");
-            }
-            if start != next_step || end <= start {
-                return bad("runs must cover the steps contiguously");
-            }
-            for s in start..end {
-                let (lo, hi) = (snap.offsets[s as usize], snap.offsets[s as usize + 1]);
-                if hi - lo != arity {
-                    return bad("step fan-in width disagrees with its run arity");
-                }
-            }
-            next_step = end;
-            runs.push(Run {
-                kind,
-                arity,
-                start,
-                end,
-            });
-        }
-        if next_step as usize != steps {
-            return bad("runs must cover every step");
-        }
-        if snap.level_starts.first() != Some(&0)
-            || snap.level_starts.last().copied().unwrap_or(u32::MAX) as usize != steps
-            || snap.level_starts.windows(2).any(|w| w[0] > w[1])
-        {
-            return bad("level starts must climb from 0 to the step count");
-        }
-        if snap.input_indices.iter().any(|&i| i as usize >= nodes) {
-            return bad("input index out of node range");
-        }
-        if snap.dff_targets.len() != snap.dff_d.len() {
-            return bad("state-element arrays must be aligned");
-        }
-        if snap
-            .dff_targets
-            .iter()
-            .chain(&snap.dff_d)
-            .any(|&i| i as usize >= nodes)
-        {
-            return bad("state-element index out of node range");
-        }
-        Ok(Simulator {
-            targets: snap.targets.clone(),
-            offsets: snap.offsets.clone(),
-            pool: snap.pool.clone(),
-            runs,
-            level_starts: snap.level_starts.clone(),
-            node_count: nodes,
-            input_indices: snap.input_indices.clone(),
-            dff_targets: snap.dff_targets.clone(),
-            dff_d: snap.dff_d.clone(),
-        })
-    }
-}
-
-/// Serializable image of a compiled [`Simulator`] program.
-///
-/// Run metadata is flattened into parallel arrays with gate kinds as
-/// their mnemonic strings, so the snapshot is plain JSON data. Loading
-/// goes through [`Simulator::from_snapshot`], which re-validates every
-/// invariant — a snapshot is untrusted input, exactly like a netlist
-/// file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimSnapshot {
-    /// Total node count of the compiled netlist.
-    pub node_count: usize,
-    /// Evaluated node per step, in dependency-safe order.
-    pub targets: Vec<u32>,
-    /// Per-step fan-in slice bounds into `pool` (steps + 1 entries).
-    pub offsets: Vec<u32>,
-    /// Shared fan-in index pool.
-    pub pool: Vec<u32>,
-    /// Gate kind mnemonic of each run.
-    pub run_kinds: Vec<String>,
-    /// Fan-in count of each run.
-    pub run_arities: Vec<u32>,
-    /// First step of each run.
-    pub run_starts: Vec<u32>,
-    /// One-past-last step of each run.
-    pub run_ends: Vec<u32>,
-    /// Step index where each topological level begins, plus the step
-    /// count.
-    pub level_starts: Vec<u32>,
-    /// Node index of every primary input, in netlist input order.
-    pub input_indices: Vec<u32>,
-    /// Node index of every DFF output, in state-element order.
-    pub dff_targets: Vec<u32>,
-    /// Node index of every DFF's D driver, aligned with `dff_targets`.
-    pub dff_d: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -885,70 +711,6 @@ mod tests {
         let v = sim.eval_bool(&[true; 5]);
         assert!(v[nl.find("22").unwrap().index()]);
         assert!(!v[nl.find("23").unwrap().index()]);
-    }
-
-    #[test]
-    fn snapshot_roundtrips_and_rebuilt_sim_matches() {
-        for nl in [data::c17(), data::ripple_adder(3), toggle()] {
-            let sim = Simulator::new(&nl);
-            let snap = sim.snapshot();
-            // Through JSON, as the store persists it.
-            let json = serde_json::to_string(&snap).unwrap();
-            let back: SimSnapshot = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, snap);
-            let rebuilt = Simulator::from_snapshot(&back).unwrap();
-            // Bit-identical evaluation, including sequential stepping.
-            let inputs: Vec<u64> = (0..sim.num_inputs())
-                .map(|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(i as u32 * 7))
-                .collect();
-            let mut state_a = vec![0u64; sim.num_state_elements()];
-            let mut state_b = state_a.clone();
-            let mut vals_a = vec![0u64; sim.node_count()];
-            let mut vals_b = vals_a.clone();
-            for _ in 0..3 {
-                sim.step_frame(&inputs, &mut state_a, &mut vals_a);
-                rebuilt.step_frame(&inputs, &mut state_b, &mut vals_b);
-                assert_eq!(vals_a, vals_b);
-                assert_eq!(state_a, state_b);
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_snapshots_are_rejected_typed() {
-        let sim = Simulator::new(&data::c17());
-        let good = sim.snapshot();
-        type Corruption = Box<dyn Fn(&mut SimSnapshot)>;
-        let cases: Vec<(&str, Corruption)> = vec![
-            ("target oob", Box::new(|s| s.targets[0] = u32::MAX)),
-            ("pool oob", Box::new(|s| s.pool[0] = u32::MAX)),
-            ("offsets shrink", Box::new(|s| s.offsets[1] = 0)),
-            (
-                "offsets truncated",
-                Box::new(|s| {
-                    s.offsets.pop();
-                }),
-            ),
-            ("bad kind", Box::new(|s| s.run_kinds[0] = "FROB".into())),
-            ("dff kind", Box::new(|s| s.run_kinds[0] = "DFF".into())),
-            ("run gap", Box::new(|s| s.run_starts[0] = 1)),
-            ("arity lies", Box::new(|s| s.run_arities[0] += 1)),
-            (
-                "levels off",
-                Box::new(|s| *s.level_starts.last_mut().unwrap() += 9),
-            ),
-            ("input oob", Box::new(|s| s.input_indices[0] = u32::MAX)),
-            ("dff unaligned", Box::new(|s| s.dff_targets.push(0))),
-        ];
-        for (what, mutate) in cases {
-            let mut snap = good.clone();
-            mutate(&mut snap);
-            let err = Simulator::from_snapshot(&snap).unwrap_err();
-            assert!(
-                matches!(err, EngineError::Structure(_)),
-                "{what}: expected Structure error, got {err}"
-            );
-        }
     }
 
     #[test]

@@ -456,7 +456,10 @@ impl SeparationOracle {
     /// panic-isolated.
     ///
     /// Workers poll the control at every 64-source batch boundary and
-    /// charge one work unit per source row built. On a stop the function
+    /// charge one work unit per source row built. Each worker checks the
+    /// budget independently, so a quota of `q` rows may be overshot by
+    /// up to one batch per worker: at most `q + threads × 64` rows are
+    /// built before the stop. On a stop the function
     /// returns [`Outcome::Partial`]: rows built so far are exact, rows
     /// not yet built are *empty* — [`SeparationOracle::distance`] then
     /// reports the saturated bound `ρ` for their pairs, a sound
@@ -1059,77 +1062,6 @@ impl GateSeparationTable {
         }
         sum
     }
-
-    /// Decomposes the table into plain arrays for serialization: `(rho,
-    /// row offsets, entry node indices, entry weights)` — the entry pairs
-    /// are split into parallel vectors so any flat data format can carry
-    /// them. [`GateSeparationTable::from_raw`] is the validating inverse.
-    #[must_use]
-    pub fn to_raw(&self) -> (u32, Vec<u32>, Vec<u32>, Vec<u32>) {
-        (
-            self.rho(),
-            self.offsets.clone(),
-            self.entries.iter().map(|&(n, _)| n).collect(),
-            self.entries.iter().map(|&(_, w)| w).collect(),
-        )
-    }
-
-    /// Rebuilds a table from [`GateSeparationTable::to_raw`] parts,
-    /// re-validating every invariant the query methods rely on (offset
-    /// monotonicity and coverage, node-index bounds, weight range, sorted
-    /// rows). Raw parts are untrusted input — a corrupted store entry is
-    /// rejected with a typed error, never allowed to panic or underflow a
-    /// later separation query.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Structure`] naming the first violated invariant.
-    pub fn from_raw(
-        rho: u32,
-        offsets: Vec<u32>,
-        entry_nodes: Vec<u32>,
-        entry_weights: Vec<u32>,
-    ) -> Result<Self, iddq_control::EngineError> {
-        let bad = |what: &str| {
-            Err(iddq_control::EngineError::Structure(format!(
-                "separation table: {what}"
-            )))
-        };
-        if rho == 0 {
-            return bad("rho must be positive");
-        }
-        if offsets.first() != Some(&0) {
-            return bad("row offsets must start at 0");
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return bad("row offsets must be nondecreasing");
-        }
-        if entry_nodes.len() != entry_weights.len() {
-            return bad("entry arrays must be aligned");
-        }
-        if offsets.last().copied().unwrap_or(u32::MAX) as usize != entry_nodes.len() {
-            return bad("final offset must equal the entry count");
-        }
-        let nodes = offsets.len() - 1;
-        if entry_nodes.iter().any(|&n| n as usize >= nodes) {
-            return bad("entry node index out of range");
-        }
-        if entry_weights.iter().any(|&w| w == 0 || w > rho) {
-            return bad("entry weight outside 1..=rho");
-        }
-        let entries: Vec<(u32, u32)> = entry_nodes.into_iter().zip(entry_weights).collect();
-        for row in offsets.windows(2) {
-            let row = &entries[row[0] as usize..row[1] as usize];
-            if row.windows(2).any(|p| p[0].0 >= p[1].0) {
-                return bad("row entries must be strictly sorted by node index");
-            }
-        }
-        Ok(GateSeparationTable {
-            rho: u64::from(rho),
-            offsets,
-            entries,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1149,34 +1081,6 @@ mod tests {
         }
         b.mark_output(prev);
         b.build().unwrap()
-    }
-
-    #[test]
-    fn raw_parts_roundtrip_and_reject_corruption() {
-        let nl = data::c17();
-        let table = GateSeparationTable::direct(&nl, 4, 1);
-        let (rho, offsets, nodes, weights) = table.to_raw();
-        let back =
-            GateSeparationTable::from_raw(rho, offsets.clone(), nodes.clone(), weights.clone())
-                .unwrap();
-        assert_eq!(back, table);
-        // Corruptions are rejected typed, never panic later queries.
-        assert!(
-            GateSeparationTable::from_raw(0, offsets.clone(), nodes.clone(), weights.clone())
-                .is_err()
-        );
-        let mut bad = offsets.clone();
-        *bad.last_mut().unwrap() += 1;
-        assert!(GateSeparationTable::from_raw(rho, bad, nodes.clone(), weights.clone()).is_err());
-        let mut bad = nodes.clone();
-        bad[0] = u32::MAX;
-        assert!(GateSeparationTable::from_raw(rho, offsets.clone(), bad, weights.clone()).is_err());
-        let mut bad = weights.clone();
-        bad[0] = rho + 1;
-        assert!(GateSeparationTable::from_raw(rho, offsets.clone(), nodes.clone(), bad).is_err());
-        let mut bad = weights;
-        bad.pop();
-        assert!(GateSeparationTable::from_raw(rho, offsets, nodes, bad).is_err());
     }
 
     #[test]
@@ -1432,26 +1336,58 @@ mod tests {
         use iddq_control::RunBudget;
         let nl = chain(200);
         let full = SeparationOracle::new(&nl, 4);
-        for threads in [1, 4] {
-            let control = RunControl::with_budget(RunBudget::unlimited().with_quota(64));
-            let out = SeparationOracle::new_parallel_with_control(&nl, 4, threads, &control);
-            match out {
-                Outcome::Partial {
-                    value,
-                    coverage,
-                    reason,
-                } => {
-                    assert_eq!(reason, StopReason::QuotaExhausted);
-                    assert!(coverage < 1.0, "threads={threads}");
-                    // Built rows are exact; unbuilt rows saturate to rho.
-                    let g0 = nl.find("g0").unwrap();
-                    let g1 = nl.find("g1").unwrap();
-                    assert_eq!(value.distance(g0, g1), full.distance(g0, g1));
-                    let a = nl.find("g190").unwrap();
-                    let b = nl.find("g191").unwrap();
-                    assert_eq!(value.distance(a, b), 4);
-                }
-                Outcome::Complete(_) => panic!("a 64-row quota cannot build 200+ rows"),
+        let quota = 64;
+        // One worker stops at the first batch boundary past the quota.
+        let control = RunControl::with_budget(RunBudget::unlimited().with_quota(quota));
+        match SeparationOracle::new_parallel_with_control(&nl, 4, 1, &control) {
+            Outcome::Partial {
+                value,
+                coverage,
+                reason,
+            } => {
+                assert_eq!(reason, StopReason::QuotaExhausted);
+                assert!(coverage < 1.0);
+                // Built rows are exact; unbuilt rows saturate to rho.
+                let g0 = nl.find("g0").unwrap();
+                let g1 = nl.find("g1").unwrap();
+                assert_eq!(value.distance(g0, g1), full.distance(g0, g1));
+                let a = nl.find("g190").unwrap();
+                let b = nl.find("g191").unwrap();
+                assert_eq!(value.distance(a, b), 4);
+            }
+            Outcome::Complete(_) => panic!("a 64-row quota cannot build 200+ rows"),
+        }
+        // Several workers each poll the quota at their own 64-source
+        // batch boundaries, so together they may overshoot it by up to
+        // one batch per worker — or, on a small circuit, finish it.
+        let threads = 4;
+        let control = RunControl::with_budget(RunBudget::unlimited().with_quota(quota));
+        let out = SeparationOracle::new_parallel_with_control(&nl, 4, threads, &control);
+        let (value, coverage) = match out {
+            Outcome::Partial {
+                value,
+                coverage,
+                reason,
+            } => {
+                assert_eq!(reason, StopReason::QuotaExhausted);
+                (value, coverage)
+            }
+            Outcome::Complete(value) => (value, 1.0),
+        };
+        let n = nl.node_count();
+        let built = value.offsets.windows(2).filter(|w| w[1] > w[0]).count();
+        assert!(
+            built as u64 <= quota + threads as u64 * 64,
+            "{built} rows built under a {quota}-row quota"
+        );
+        assert_eq!(coverage, built as f64 / n as f64);
+        for a in nl.node_ids() {
+            for b in nl.node_ids() {
+                let d = value.distance(a, b);
+                assert!(
+                    d == full.distance(a, b) || d == 4,
+                    "distance({a:?}, {b:?}) = {d}"
+                );
             }
         }
     }

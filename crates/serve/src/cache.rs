@@ -64,30 +64,6 @@ impl Artifacts {
         }
     }
 
-    /// Assembles a bundle from preloaded parts — the persistent store's
-    /// load path, which deserializes the compiled program and gate table
-    /// instead of rebuilding them. The oracle is never persisted, so the
-    /// tier is capped at [`AnalysisTier::GateSep`].
-    #[must_use]
-    pub fn from_parts(
-        netlist: Netlist,
-        sim: Simulator,
-        gate_table: Option<GateSeparationTable>,
-    ) -> Self {
-        let tier = if gate_table.is_some() {
-            AnalysisTier::GateSep
-        } else {
-            AnalysisTier::Timing
-        };
-        Artifacts {
-            netlist,
-            sim,
-            tier,
-            oracle: None,
-            gate_table,
-        }
-    }
-
     /// The analysis tier this bundle carries.
     #[must_use]
     pub fn tier(&self) -> AnalysisTier {

@@ -1,9 +1,9 @@
 //! Deterministic chaos harness: the serving path's crash-recovery and
 //! corruption invariants, exercised under seeded fault schedules.
 //!
-//! Two scenarios, both fully deterministic per seed (every random choice
-//! — fault injection, crash points, request order — derives from the
-//! seed by splitmix64, so a failing seed replays exactly):
+//! One scenario, fully deterministic per seed (every random choice —
+//! fault injection, crash points — derives from the seed by splitmix64,
+//! so a failing seed replays exactly):
 //!
 //! * [`sweep_scenario`] — a checkpointed fault-sweep job run to
 //!   completion through a crash/restart loop over a
@@ -15,32 +15,22 @@
 //!   detection digest is **bit-identical** to an uninterrupted fault-free
 //!   run, and every disk failure surfaces as a typed error — never a
 //!   panic, never a silently wrong digest.
-//! * [`store_scenario`] — an [`ArtifactStore`](crate::store::ArtifactStore)
-//!   hammered with puts, gets, deliberate file corruption and injected
-//!   read/write faults. The invariant: a `get` either returns a bundle
-//!   whose simulator output is bit-identical to a freshly built one, or
-//!   misses (quarantining provably corrupt entries) — wrong answers
-//!   never escape.
 //!
-//! [`run_chaos`] drives both across a seed range and aggregates; the CLI
+//! [`run_chaos`] drives it across a seed range and aggregates; the CLI
 //! `iddq chaos` subcommand and the `chaos --smoke` CI leg call it. The
 //! full sweep runs ≥200 schedules.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use iddq_control::{
     CancelToken, EngineError, FaultPlan, FaultyEnv, IoEnv, RealEnv, RunBudget, RunControl,
     StopReason,
 };
-use iddq_core::AnalysisTier;
 use iddq_logicsim::fault_sweep::{sweep, sweep_resume, sweep_with_control, SweepCheckpoint};
 use iddq_netlist::data;
 
-use crate::cache::Artifacts;
 use crate::protocol::detection_digest;
 use crate::server::{fault_universe, random_vectors, server_sweep_options};
-use crate::store::ArtifactStore;
 
 /// How many work units a chaos slice may run before its quota stops it —
 /// small enough that every scenario crosses many slice boundaries.
@@ -57,8 +47,6 @@ pub struct ChaosOptions {
     pub seed0: u64,
     /// Seeded sweep crash/restart schedules to run.
     pub sweep_schedules: usize,
-    /// Seeded store fault schedules to run.
-    pub store_schedules: usize,
 }
 
 impl ChaosOptions {
@@ -68,8 +56,7 @@ impl ChaosOptions {
     pub fn smoke() -> Self {
         ChaosOptions {
             seed0: 0xc4a05,
-            sweep_schedules: 6,
-            store_schedules: 6,
+            sweep_schedules: 12,
         }
     }
 
@@ -78,8 +65,7 @@ impl ChaosOptions {
     pub fn full() -> Self {
         ChaosOptions {
             seed0: 0xc4a05,
-            sweep_schedules: 120,
-            store_schedules: 96,
+            sweep_schedules: 216,
         }
     }
 }
@@ -99,12 +85,6 @@ pub struct ChaosReport {
     /// Checkpoint saves that failed typed (the previous checkpoint
     /// stayed intact per the atomic-writer guarantee).
     pub save_failures: u64,
-    /// Store entries quarantined.
-    pub quarantined: u64,
-    /// Store gets that served a (verified bit-identical) bundle.
-    pub store_hits: u64,
-    /// Store gets that missed and fell back to a rebuild.
-    pub store_misses: u64,
     /// Total faults injected by the environments.
     pub faults_injected: u64,
 }
@@ -115,9 +95,6 @@ impl ChaosReport {
         self.restarts += other.restarts;
         self.checkpoint_recoveries += other.checkpoint_recoveries;
         self.save_failures += other.save_failures;
-        self.quarantined += other.quarantined;
-        self.store_hits += other.store_hits;
-        self.store_misses += other.store_misses;
         self.faults_injected += other.faults_injected;
     }
 }
@@ -141,8 +118,8 @@ impl Mix {
     }
 }
 
-fn scratch_dir(tag: &str, seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("iddq-chaos-{tag}-{}-{seed:x}", std::process::id()))
+fn scratch_dir(seed: u64) -> PathBuf {
+    std::env::temp_dir().join(format!("iddq-chaos-sweep-{}-{seed:x}", std::process::id()))
 }
 
 fn slice_control() -> RunControl {
@@ -166,7 +143,7 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
     let want =
         detection_digest(&sweep::<u64>(&netlist, &faults, &vectors, &options).first_detection);
 
-    let dir = scratch_dir("sweep", seed);
+    let dir = scratch_dir(seed);
     let _ = std::fs::remove_dir_all(&dir);
     if let Err(e) = std::fs::create_dir_all(&dir) {
         return fail(format!("scratch dir: {e}"));
@@ -245,88 +222,7 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
     }
 }
 
-/// One seeded fault schedule against the persistent artifact store.
-///
-/// # Errors
-///
-/// A human-readable, seed-stamped description of the violated invariant.
-pub fn store_scenario(seed: u64) -> Result<ChaosReport, String> {
-    let fail = |what: String| Err(format!("store seed {seed:#x}: {what}"));
-    let rho = 4;
-    // Reference bundles, built once from source: the truth a store hit
-    // must reproduce bit-for-bit.
-    let truth: Vec<(u64, Artifacts, Vec<u64>)> = [4usize, 6, 8]
-        .iter()
-        .map(|&n| {
-            let a = Artifacts::build(data::ripple_adder(n), AnalysisTier::GateSep, rho);
-            let inputs: Vec<u64> = (0..a.netlist.num_inputs() as u32)
-                .map(|i| seed.rotate_left(i).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .collect();
-            (a.netlist.structural_fingerprint(), a, inputs)
-        })
-        .collect();
-
-    let dir = scratch_dir("store", seed);
-    let _ = std::fs::remove_dir_all(&dir);
-    let env = Arc::new(FaultyEnv::new(
-        seed,
-        FaultPlan {
-            enospc: 150,
-            torn_write: 150,
-            rename_fail: 150,
-            corrupt_read: 200,
-            latency: 0,
-        },
-    ));
-    let store = match ArtifactStore::open(&dir, u64::MAX, rho, env.clone()) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("open: {e}")),
-    };
-    let mut mix = Mix(seed ^ 0x57072e);
-    let mut report = ChaosReport {
-        schedules: 1,
-        ..ChaosReport::default()
-    };
-    for _ in 0..24 {
-        let (key, artifacts, inputs) = &truth[(mix.next() % truth.len() as u64) as usize];
-        match mix.next() % 3 {
-            0 => store.put(*key, artifacts),
-            1 => {
-                // Deliberate corruption through the *real* filesystem:
-                // flip one byte of the entry if it exists.
-                let path = dir.join(format!("{key:016x}.artifact"));
-                if let Ok(text) = std::fs::read_to_string(&path) {
-                    let mut bytes = text.into_bytes();
-                    if !bytes.is_empty() {
-                        let at = (mix.next() % bytes.len() as u64) as usize;
-                        bytes[at] ^= 1 << (mix.next() % 8);
-                        let _ = std::fs::write(&path, &bytes);
-                    }
-                }
-            }
-            _ => {}
-        }
-        match store.get(*key, AnalysisTier::GateSep) {
-            Some(got) => {
-                report.store_hits += 1;
-                if got.netlist.structural_fingerprint() != *key {
-                    return fail("served bundle with wrong fingerprint".to_string());
-                }
-                if got.sim.eval(inputs) != artifacts.sim.eval(inputs) {
-                    return fail("served simulator diverged from source build".to_string());
-                }
-            }
-            None => report.store_misses += 1,
-        }
-    }
-    let counters = store.counters();
-    report.quarantined = counters.quarantined;
-    report.faults_injected = env.counts().total();
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
-}
-
-/// Runs the configured number of seeded schedules of both scenarios.
+/// Runs the configured number of seeded sweep schedules.
 ///
 /// # Errors
 ///
@@ -335,9 +231,6 @@ pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosReport, String> {
     let mut report = ChaosReport::default();
     for i in 0..options.sweep_schedules {
         report.absorb(&sweep_scenario(options.seed0 + i as u64)?);
-    }
-    for i in 0..options.store_schedules {
-        report.absorb(&store_scenario(options.seed0 ^ (0xb00c << 16) ^ i as u64)?);
     }
     Ok(report)
 }
@@ -361,12 +254,6 @@ mod tests {
         assert_eq!(
             (a.restarts, a.save_failures, a.checkpoint_recoveries),
             (b.restarts, b.save_failures, b.checkpoint_recoveries)
-        );
-        let c = store_scenario(0xfeed).unwrap();
-        let d = store_scenario(0xfeed).unwrap();
-        assert_eq!(
-            (c.store_hits, c.store_misses, c.quarantined),
-            (d.store_hits, d.store_misses, d.quarantined)
         );
     }
 }

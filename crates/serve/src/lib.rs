@@ -30,30 +30,7 @@
 //! `patterns`; `stats` takes `tier` (`timing` | `gatesep` |
 //! `separation`). Netlists come as a named synthetic ISCAS-85 profile
 //! (`circuit`) or inline `.bench` text (`bench`). Work responses
-//! annotate `cache_hit` (served from the in-memory artifact cache) and
-//! `store_hit` (rebuilt-free warm start from the on-disk store).
-//!
-//! # Durable artifact store
-//!
-//! With `--store-dir DIR` (library: [`ServerConfig::store_dir`]) compiled
-//! artifact bundles — reparsed netlist, simulator snapshot, gate-separation
-//! table — are persisted to disk keyed by structural fingerprint, so a
-//! restarted server serves its first request for a known circuit from
-//! disk without recompiling. The store is a *cache, not a ledger*:
-//!
-//! * Entries are written atomically (temp + rename) and CRC-sealed;
-//!   every load re-verifies the seal, the format version, the reparsed
-//!   netlist's fingerprint against the entry's key, and the structural
-//!   validity of the snapshot and table before anything is served.
-//! * A provably corrupt entry is **quarantined** (renamed aside,
-//!   counted in `metrics.store.quarantined`) and the artifact is rebuilt
-//!   transparently; an unreadable entry is just a miss.
-//! * `--store-mb` caps resident bytes with LRU eviction sharing the
-//!   in-memory cache's recency clock; graceful shutdown persists the
-//!   LRU order (entries themselves are durable at write time, so
-//!   `kill -9` loses nothing but recency).
-//! * `separation`-tier oracles are never persisted (too large); the
-//!   store serves up to `gatesep` and higher tiers build on top.
+//! annotate `cache_hit` (served from the in-memory artifact cache).
 //!
 //! # Client retry
 //!
@@ -69,11 +46,9 @@
 //!
 //! [`run_chaos`] (CLI: `iddq chaos`, `--smoke` for the CI leg) replays
 //! hundreds of seeded fault-injection schedules — crash/restart loops
-//! over checkpointed sweeps, and store round-trips under injected
-//! ENOSPC / torn-write / failed-rename / corrupt-read faults plus
-//! deliberate on-disk corruption — asserting every completed run is
-//! bit-identical to an uninterrupted one and every served bundle
-//! evaluates identically to its source. All randomness is seeded:
+//! over checkpointed sweeps under injected ENOSPC / torn-write /
+//! failed-rename / corrupt-read faults — asserting every completed run
+//! is bit-identical to an uninterrupted one. All randomness is seeded:
 //! a reported violation names the seed that reproduces it.
 //!
 //! # Failure semantics
@@ -128,20 +103,12 @@
 //! * **Worker death**: panics are caught per-request; a worker that dies
 //!   anyway is replaced by the supervisor without dropping the queue
 //!   (`worker_restarts` counts replacements).
-//! * **Warm start**: run with `--store-dir DIR`. After a restart the
-//!   first request for a previously compiled circuit is served from the
-//!   on-disk store (`store_hit: true` in the response,
-//!   `metrics.store.hits`) without recompiling; corrupt entries are
-//!   quarantined and rebuilt (`metrics.store.quarantined`).
-//!
 //! # Crate layout
 //!
 //! * [`protocol`] — wire types, request validation, typed errors.
 //! * [`cache`] — netlist-fingerprint-keyed artifact cache (memory-ceiling
 //!   LRU).
 //! * [`server`] — listener, admission queue, workers, handlers.
-//! * [`store`] — durable, crash-safe on-disk artifact store (sealed
-//!   entries, quarantine, LRU byte ceiling).
 //! * [`client`] — minimal blocking client plus bounded-retry policy.
 //! * [`chaos`] — seeded fault-injection schedules over the serving path.
 //! * [`smoke`] — the `--smoke` end-to-end scenario CI runs.
@@ -156,12 +123,10 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 pub mod smoke;
-pub mod store;
 
 pub use cache::{ArtifactCache, Artifacts, CacheStats};
-pub use chaos::{run_chaos, store_scenario, sweep_scenario, ChaosOptions, ChaosReport};
+pub use chaos::{run_chaos, sweep_scenario, ChaosOptions, ChaosReport};
 pub use client::{Client, RetryPolicy};
 pub use protocol::{detection_digest, parse_request, Request, RequestError};
 pub use server::{fault_universe, random_vectors, server_sweep_options, Server, ServerConfig};
 pub use smoke::{run_smoke, SmokeReport};
-pub use store::{ArtifactStore, StoreCounters};

@@ -43,7 +43,6 @@ use serde_json::json;
 
 use crate::cache::{ArtifactCache, Artifacts};
 use crate::protocol::{detection_digest, parse_request, Request, RequestError};
-use crate::store::ArtifactStore;
 
 /// Tunables of one server instance.
 #[derive(Debug, Clone)]
@@ -68,11 +67,6 @@ pub struct ServerConfig {
     pub rho: u32,
     /// Server-wide budget composed (tightest-wins) into every request.
     pub global_budget: RunBudget,
-    /// Directory of the persistent artifact store ([`ArtifactStore`]);
-    /// `None` disables cross-process warm starts.
-    pub store_dir: Option<PathBuf>,
-    /// Byte ceiling of the persistent store (LRU eviction driver).
-    pub store_bytes: u64,
 }
 
 impl Default for ServerConfig {
@@ -87,8 +81,6 @@ impl Default for ServerConfig {
             slice_quota: 2048,
             rho: 6,
             global_budget: RunBudget::unlimited(),
-            store_dir: None,
-            store_bytes: 256 << 20,
         }
     }
 }
@@ -228,9 +220,7 @@ struct Shared {
     config: ServerConfig,
     queue: JobQueue,
     cache: ArtifactCache,
-    /// Durable warm-start store; `None` when `store_dir` is unset.
-    store: Option<ArtifactStore>,
-    /// Every disk touchpoint (checkpoints, store entries) goes through
+    /// Every disk touchpoint (job checkpoints) goes through
     /// this environment, so chaos tests can inject faults on the whole
     /// serving path.
     env: Arc<dyn IoEnv>,
@@ -291,7 +281,7 @@ impl Server {
     }
 
     /// [`Server::start`] with an explicit I/O environment: every disk
-    /// touchpoint of the serving path (job checkpoints, store entries)
+    /// touchpoint of the serving path (job checkpoints)
     /// goes through `env`, which is how the chaos harness injects
     /// ENOSPC, torn writes, failed renames and corrupt reads into a
     /// live server.
@@ -308,15 +298,6 @@ impl Server {
                 path: config.state_dir.display().to_string(),
                 message: e.to_string(),
             })?;
-        let store = match &config.store_dir {
-            Some(dir) => Some(ArtifactStore::open(
-                dir,
-                config.store_bytes,
-                config.rho,
-                Arc::clone(&env),
-            )?),
-            None => None,
-        };
         let listener = TcpListener::bind(&config.addr).map_err(|e| EngineError::Io {
             path: config.addr.clone(),
             message: e.to_string(),
@@ -328,7 +309,6 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_capacity),
             cache: ArtifactCache::new(config.cache_bytes),
-            store,
             env,
             drain: DrainSignal::new(),
             metrics: Metrics::default(),
@@ -425,11 +405,6 @@ impl Server {
             self.shared.drain.kill();
         }
         self.stop_threads();
-        // Entries are durable at put time; flushing persists LRU order
-        // so the next process evicts the genuinely coldest entries.
-        if let Some(store) = &self.shared.store {
-            store.flush();
-        }
         metrics_value(&self.shared)
     }
 
@@ -481,23 +456,6 @@ fn metrics_value(shared: &Shared) -> Value {
         "misses": misses,
         "evictions": evictions,
     });
-    let store = match &shared.store {
-        Some(store) => {
-            let c = store.counters();
-            json!({
-                "entries": store.len(),
-                "resident_bytes": store.resident_bytes(),
-                "ceiling_bytes": store.ceiling_bytes(),
-                "hits": c.hits,
-                "misses": c.misses,
-                "writes": c.writes,
-                "write_errors": c.write_errors,
-                "evictions": c.evictions,
-                "quarantined": c.quarantined,
-            })
-        }
-        None => Value::Null,
-    };
     json!({
         "accepted": m.accepted.load(Ordering::Relaxed),
         "completed": m.completed.load(Ordering::Relaxed),
@@ -511,7 +469,6 @@ fn metrics_value(shared: &Shared) -> Value {
         "queue_depth": shared.queue.depth(),
         "draining": shared.drain.is_draining(),
         "cache": cache,
-        "store": store,
     })
 }
 
@@ -900,47 +857,23 @@ struct Resolved {
     artifacts: Arc<Artifacts>,
     /// Served from the in-memory cache.
     cache_hit: bool,
-    /// Deserialized from the persistent store (no recompilation).
-    store_hit: bool,
 }
 
-/// Cache-through, store-through artifact resolution at (at least)
-/// `tier`: memory cache, then persistent store (validated load, corrupt
-/// entries quarantined and treated as misses), then a fresh build that
-/// populates both layers.
+/// Cache-through artifact resolution at (at least) `tier`: the memory
+/// cache, else a fresh build that populates it.
 fn lookup_or_build(shared: &Shared, netlist: Netlist, tier: AnalysisTier) -> Resolved {
     let key = netlist.structural_fingerprint();
     if let Some(hit) = shared.cache.lookup(key, tier) {
-        // Keep the store's LRU clock in step with the memory cache so
-        // eviction order reflects what is actually warm.
-        if let Some(store) = &shared.store {
-            store.touch(key);
-        }
         return Resolved {
             artifacts: hit,
             cache_hit: true,
-            store_hit: false,
         };
-    }
-    if let Some(store) = &shared.store {
-        if let Some(loaded) = store.get(key, tier) {
-            shared.cache.insert(key, Arc::clone(&loaded));
-            return Resolved {
-                artifacts: loaded,
-                cache_hit: false,
-                store_hit: true,
-            };
-        }
     }
     let built = Arc::new(Artifacts::build(netlist, tier, shared.config.rho));
     shared.cache.insert(key, Arc::clone(&built));
-    if let Some(store) = &shared.store {
-        store.put(key, &built);
-    }
     Resolved {
         artifacts: built,
         cache_hit: false,
-        store_hit: false,
     }
 }
 
@@ -1017,9 +950,10 @@ pub fn server_sweep_options(fault_dropping: bool, frames: usize) -> FaultSweepOp
 
 fn handle_sim(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> {
     let request = &job.request;
-    let resolved = resolve_artifacts(shared, request, job.line, AnalysisTier::Timing)?;
-    let (artifacts, cache_hit, store_hit) =
-        (resolved.artifacts, resolved.cache_hit, resolved.store_hit);
+    let Resolved {
+        artifacts,
+        cache_hit,
+    } = resolve_artifacts(shared, request, job.line, AnalysisTier::Timing)?;
     let patterns = request.patterns.unwrap_or(1 << 14);
     let seed = request.seed.unwrap_or(42);
     let frames = request.frames.unwrap_or(1).max(1);
@@ -1081,7 +1015,6 @@ fn handle_sim(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> {
         "patterns_per_sec": evaluated as f64 / elapsed,
         "checksum": format!("{checksum:#018x}"),
         "cache_hit": cache_hit,
-        "store_hit": store_hit,
     });
     Ok(status_response(
         request.id,
@@ -1095,9 +1028,10 @@ fn handle_sim(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> {
 fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> {
     let request = &job.request;
     let with_id = |e: RequestError| e.with_id(request.id);
-    let resolved = resolve_artifacts(shared, request, job.line, AnalysisTier::Timing)?;
-    let (artifacts, cache_hit, store_hit) =
-        (resolved.artifacts, resolved.cache_hit, resolved.store_hit);
+    let Resolved {
+        artifacts,
+        cache_hit,
+    } = resolve_artifacts(shared, request, job.line, AnalysisTier::Timing)?;
     let netlist = &artifacts.netlist;
     let seed = request.seed.unwrap_or(42);
     let num_vectors = request.vectors.unwrap_or(256);
@@ -1157,7 +1091,6 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
                 "slices": slices,
                 "checkpointed": ckpt_path.is_some(),
                 "cache_hit": cache_hit,
-                "store_hit": store_hit,
             });
             status_response(request.id, "faults", result, stop, grid_coverage)
         };
@@ -1207,9 +1140,10 @@ fn handle_stats(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> 
         shared.metrics.add(&shared.metrics.degraded);
     }
     let key = netlist.structural_fingerprint();
-    let resolved = lookup_or_build(shared, netlist, plan.tier);
-    let (artifacts, cache_hit, store_hit) =
-        (resolved.artifacts, resolved.cache_hit, resolved.store_hit);
+    let Resolved {
+        artifacts,
+        cache_hit,
+    } = lookup_or_build(shared, netlist, plan.tier);
     let netlist = &artifacts.netlist;
     let memory = json!({
         "netlist": netlist.memory_bytes(),
@@ -1230,7 +1164,6 @@ fn handle_stats(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> 
         "degrade_reason": plan.reason,
         "memory": memory,
         "cache_hit": cache_hit,
-        "store_hit": store_hit,
         "fingerprint": format!("{key:016x}"),
     });
     Ok(status_response(request.id, "stats", result, None, 1.0))
