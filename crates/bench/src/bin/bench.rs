@@ -36,11 +36,8 @@
 //! * the evolution loop wall-clock against a **rebuild-per-evaluation**
 //!   baseline: every candidate scored by a fresh from-scratch
 //!   [`iddq_core::Evaluated`] (asserted to reproduce the search's best
-//!   cost bit-exactly) — the historical incremental-vs-batch-delay
-//!   comparison is still recorded, but both of those arms long ago
-//!   converged onto the same fast paths (the batch flag only toggles a
-//!   sub-percent arrival-sweep term), so the gate rides the rebuild
-//!   ratio instead,
+//!   cost bit-exactly), plus a `threads = cores` arm asserted to return
+//!   the serial arm's best partition, cost bits and evaluation count,
 //! * the `scale` section: generated mega-circuits (10^5 gates in smoke,
 //!   plus 10^6 in full mode) swept end-to-end under an asserted
 //!   wall-clock budget — structurally parallel sweeps asserted
@@ -711,21 +708,15 @@ fn main() {
         par_vps / seq_vps,
     );
 
-    // Evolution loop wall-clock, re-baselined. The historical comparison
-    // (incremental delay re-sim vs `incremental_delay_limit = 0.0`) no
-    // longer measures anything: the flag only switches the per-settle
-    // arrival update between an event-driven walk and a full sweep, and
-    // since the flat-context / persistent-cost rework that term is a
-    // sub-percent slice of an evaluation — both arms ride the same fast
-    // paths and the ratio sits at ~1x by construction, not regression.
-    // The ratio the gate now rides is against something real: scoring
-    // every evaluation with a fresh from-scratch `Evaluated` (the
+    // Evolution loop wall-clock. The gate rides the ratio against
+    // scoring every evaluation with a fresh from-scratch `Evaluated` (the
     // reference constructor every incremental path is differentially
     // tested against). Its per-evaluation cost is measured on the
     // search's own best partition and asserted to reproduce the search's
-    // best cost bit-exactly, then scaled by the evaluation count. The
-    // legacy batch-delay arm stays recorded (not gated) so the history
-    // of the converged numbers is visible.
+    // best cost bit-exactly, then scaled by the evaluation count. A
+    // second run at `threads = cores` pins the parallel scoring loop to
+    // the serial result and records its wall-clock (not gated: the
+    // speedup depends on the cores the host has).
     println!("== evolution loop wall-clock ==");
     let evo_circuit = if opts.smoke { "c432" } else { HEADLINE };
     let evo_nl = &netlists[evo_circuit];
@@ -741,17 +732,25 @@ fn main() {
     let evo_out = evolution::optimize(&evo_ctx, &evo_cfg, 42);
     let t_inc = start.elapsed().as_secs_f64();
     let (cost_inc, evals) = (evo_out.best_cost, evo_out.evaluations);
-    // Legacy arm: same search forced onto the batch arrival path.
-    let mut batch_cfg = PartitionConfig::paper_default();
-    batch_cfg.incremental_delay_limit = 0.0;
-    let batch_ctx = EvalContext::new(evo_nl, &library, batch_cfg);
+    let threaded_cfg = EvolutionConfig {
+        threads: cores,
+        ..evo_cfg.clone()
+    };
     let start = Instant::now();
-    let batch_out = evolution::optimize(&batch_ctx, &evo_cfg, 42);
-    let t_batch = start.elapsed().as_secs_f64();
-    assert!(
-        (cost_inc - batch_out.best_cost).abs() <= 1e-9 * cost_inc.abs().max(1.0),
-        "incremental and batch searches must agree ({cost_inc} vs {})",
-        batch_out.best_cost,
+    let threaded_out = evolution::optimize(&evo_ctx, &threaded_cfg, 42);
+    let t_threaded = start.elapsed().as_secs_f64();
+    assert_eq!(
+        threaded_out.best, evo_out.best,
+        "threaded evolution must return the serial best partition"
+    );
+    assert_eq!(
+        threaded_out.best_cost.to_bits(),
+        cost_inc.to_bits(),
+        "threaded evolution must reproduce the serial best cost bit-exactly"
+    );
+    assert_eq!(
+        threaded_out.evaluations, evals,
+        "threaded evolution must score as many descendants as the serial run"
     );
     // Rebuild baseline: a fresh Evaluated per evaluation. Bit-exact
     // against the incremental search's best cost — the two paths score
@@ -771,9 +770,9 @@ fn main() {
     let evo_threshold = 2.0;
     println!(
         "{evo_circuit:>8}: {evals} evaluations: incremental {t_inc:.3} s | rebuild-per-eval \
-         {t_rebuild:.3} s ({evo_rebuild_speedup:.2}x) | legacy batch-delay arm {t_batch:.3} s \
-         ({:.2}x, converged — not gated)",
-        t_batch / t_inc,
+         {t_rebuild:.3} s ({evo_rebuild_speedup:.2}x) | {cores} thread(s) {t_threaded:.3} s \
+         ({:.2}x, identical result; not gated)",
+        t_inc / t_threaded,
     );
 
     // Million-gate scale: generated mega-circuits swept end-to-end. The
@@ -1314,11 +1313,8 @@ fn main() {
         "speedup_vs_rebuild": evo_rebuild_speedup,
         "acceptance_threshold": evo_threshold,
         "pass": evo_rebuild_speedup >= evo_threshold,
-        // Legacy arm, kept for history: the batch flag only toggles the
-        // per-settle arrival update, which both search arms amortize
-        // away — ~1x is convergence, not a regression.
-        "legacy_batch_secs": t_batch,
-        "legacy_batch_speedup": t_batch / t_inc,
+        "threads": cores,
+        "threaded_secs": t_threaded,
     });
     let fault_sweep_speedup = par_vps / seq_vps;
     let fault_sweep = serde_json::json!({

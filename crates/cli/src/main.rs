@@ -4,9 +4,9 @@
 //! ```text
 //! iddq synth  <netlist.bench> [--seed N] [--generations N] [--d N]
 //!             [--rstar MV] [--json PATH] [--dot PATH] [--modules PATH]
-//!             [--resynth [--per-gate]]
+//!             [--resynth [--per-gate]] [--threads N]
 //! iddq gen    <circuit> [--seed N] [--out PATH]
-//! iddq test   <netlist.bench> [--seed N] [--frames N]
+//! iddq test   <netlist.bench> [--seed N] [--frames N] [--threads N]
 //! iddq sim    <netlist.bench> [--patterns N] [--seed N] [--threads N]
 //!             [--backend csr|delta] [--lanes 64|256|512|auto] [--frames N]
 //! iddq faults <netlist.bench> [--seed N] [--vectors N] [--bridges N]
@@ -130,6 +130,9 @@ commands:
       --json PATH         write the full report as JSON
       --dot PATH          write a module-coloured Graphviz graph
       --modules PATH      write `gate module` assignment lines
+      --threads N         worker threads for the analyses and the evolution
+                          (default 0 = all cores; any count gives the same
+                          result)
   gen <circuit>           emit a synthetic benchmark netlist: c* names are
                           ISCAS-85-like combinational circuits, s* names
                           ISCAS-89-like sequential ones (with DFFs)
@@ -139,6 +142,9 @@ commands:
       --seed N            defect/ATPG seed (default 42)
       --frames N          frames per test sequence (default 1; sequential
                           circuits reach state-dependent defects at N > 1)
+      --threads N         worker threads for the analyses, the evolution
+                          and the IDDQ sweep (default 0 = all cores; any
+                          count gives the same result)
   sim <netlist.bench>     measure logic-simulation throughput (wide kernel)
       --patterns N        number of random patterns (default 1048576)
       --seed N            pattern seed (default 42)
@@ -290,6 +296,15 @@ fn parse_opt_num<T: std::str::FromStr>(rest: &[String], flag: &str) -> Result<Op
     }
 }
 
+/// `--threads N` of the evolution commands, resolved once: `0` (the
+/// default) is every core the machine reports.
+fn parse_threads(rest: &[String]) -> Result<usize, CliError> {
+    match parse_num(rest, "--threads", 0usize)? {
+        0 => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)),
+        n => Ok(n),
+    }
+}
+
 fn load(path: &str) -> Result<Netlist, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let name = std::path::Path::new(path)
@@ -313,6 +328,7 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
             "--json",
             "--dot",
             "--modules",
+            "--threads",
         ],
         &["--resynth", "--per-gate"],
     )?;
@@ -320,6 +336,7 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| CliError::usage(USAGE))?;
+    let threads = parse_threads(rest)?;
     let mut cut = load(path)?;
     let seed: u64 = parse_num(rest, "--seed", 42)?;
     let generations: usize = parse_num(rest, "--generations", 250)?;
@@ -341,7 +358,9 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
     if rest.iter().any(|a| a == "--resynth") {
         // The patch-scored searches only need the GateSep analysis tier;
         // the build and the search are timed separately so the report
-        // shows where the wall-clock actually goes.
+        // shows where the wall-clock actually goes. The table is built
+        // serially: stitching a sharded build raised the peak RSS of
+        // s5378 from ~70 to ~87 MB and saved no measurable time.
         let t_analysis = Instant::now();
         let ctx = EvalContext::builder(&cut, &library, config.clone())
             .tier(AnalysisTier::GateSep)
@@ -378,6 +397,7 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
 
     let evo = EvolutionConfig {
         generations,
+        threads,
         ..Default::default()
     };
     let result = flow::synthesize_with(&cut, &library, &config, &evo, seed);
@@ -466,11 +486,12 @@ fn cmd_gen(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_test(rest: &[String]) -> Result<(), CliError> {
-    check_flags("test", rest, &["--seed", "--frames"], &[])?;
+    check_flags("test", rest, &["--seed", "--frames", "--threads"], &[])?;
     let path = rest
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| CliError::usage(USAGE))?;
+    let threads = parse_threads(rest)?;
     let cut = load(path)?;
     let seed: u64 = parse_num(rest, "--seed", 42)?;
     let frames: usize = parse_num(rest, "--frames", 1usize)?;
@@ -483,7 +504,9 @@ fn cmd_test(rest: &[String]) -> Result<(), CliError> {
     // One full-tier analysis context serves both the defect enumeration
     // (its separation oracle covers the bridge-locality filter) and the
     // synthesis flow — the oracle is built once, not twice.
-    let ctx = EvalContext::builder(&cut, &library, config.clone()).build();
+    let ctx = EvalContext::builder(&cut, &library, config.clone())
+        .threads(threads)
+        .build();
     let faults = iddq_logicsim::faults::enumerate_with(
         &cut,
         &iddq_logicsim::faults::FaultUniverseConfig::default(),
@@ -503,6 +526,7 @@ fn cmd_test(rest: &[String]) -> Result<(), CliError> {
     let evo = EvolutionConfig {
         generations: 60,
         stagnation: 25,
+        threads,
         ..Default::default()
     };
     let result = flow::synthesize_in(&ctx, &evo, seed);
@@ -519,10 +543,7 @@ fn cmd_test(rest: &[String]) -> Result<(), CliError> {
         result.partition.assignment(),
         &leaks,
         library.technology().iddq_threshold_ua,
-        &iddq_logicsim::iddq::SweepOptions {
-            frames,
-            ..Default::default()
-        },
+        &iddq_logicsim::iddq::SweepOptions { threads, frames },
     );
     if frames > 1 {
         println!(

@@ -46,7 +46,7 @@ fn unknown_flags_are_usage_errors() {
     // The flags of the deleted on-disk artifact store.
     let [dir_flag, mb_flag] = ["store-dir", "store-mb"].map(|name| format!("--{name}"));
     let cases: Vec<(Vec<&str>, &str)> = vec![
-        (vec!["synth", bench, "--threads", "9"], "--threads"),
+        (vec!["synth", bench, "--generatons", "9"], "--generatons"),
         (vec!["test", bench, "--fames", "9"], "--fames"),
         (vec!["sim", bench, "--pattern", "9"], "--pattern"),
         (vec!["faults", bench, "--vectrs", "9"], "--vectrs"),
@@ -70,6 +70,11 @@ fn unknown_flags_are_usage_errors() {
         // Value flags given without their value.
         (vec!["faults", bench, "--vectors"], "--vectors"),
         (vec!["gen", "c432", "--seed"], "--seed"),
+        (vec!["test", bench, "--threads"], "--threads"),
+        (vec!["synth", bench, "--threads"], "--threads"),
+        // A non-numeric worker count, rejected before the netlist loads.
+        (vec!["test", bench, "--threads", "all"], "--threads"),
+        (vec!["synth", bench, "--threads", "two"], "--threads"),
     ];
     for (args, flag) in cases {
         let out = bin().args(&args).output().expect("binary runs");
@@ -131,6 +136,68 @@ fn gen_stats_synth_test_pipeline() {
 
     let _ = std::fs::remove_file(bench_path);
     let _ = std::fs::remove_file(json_path);
+}
+
+/// Generates `circuit` at seed 5 into a temp file and returns its path.
+fn gen_bench(circuit: &str) -> PathBuf {
+    let path = tmp(&format!("gen5-{circuit}.bench"));
+    let out = bin()
+        .args(["gen", circuit, "--seed", "5", "--out"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    path
+}
+
+#[test]
+fn test_and_synth_output_is_thread_invariant() {
+    // `iddq test` on a combinational circuit: the printed line.
+    let c432 = gen_bench("c432");
+    let test_stdout = |threads: &str| {
+        let out = bin()
+            .arg("test")
+            .arg(&c432)
+            .args(["--seed", "3", "--threads", threads])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_eq!(test_stdout("1"), test_stdout("2"));
+
+    // `iddq synth` on a sequential circuit: the full JSON report.
+    let s298 = gen_bench("s298");
+    let synth_report = |threads: &str| {
+        let json = tmp(&format!("s298-threads{threads}.json"));
+        let out = bin()
+            .arg("synth")
+            .arg(&s298)
+            .args(["--seed", "3", "--threads", threads, "--json"])
+            .arg(&json)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let report = std::fs::read(&json).expect("report written");
+        let _ = std::fs::remove_file(json);
+        report
+    };
+    assert_eq!(synth_report("1"), synth_report("2"));
+
+    let _ = std::fs::remove_file(c432);
+    let _ = std::fs::remove_file(s298);
 }
 
 #[test]

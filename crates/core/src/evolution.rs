@@ -23,17 +23,25 @@
 //! # Scoring through patch + rollback
 //!
 //! Descendants are *scored*, not built: each worker keeps one scratch
-//! [`Evaluated`] per parent and, per descendant, applies the mutation
-//! moves inside a transaction, settles the incremental delay state
-//! (event-driven cone propagation for the small mutation steps, batch
-//! fallback for the module-sized Monte-Carlo steps), reads the cost and
-//! rolls back. Only the descendants that survive selection are
-//! materialized by replaying their recorded moves on a parent clone —
-//! the `μ(λ+χ) − μ` losers per generation never pay for a full
-//! evaluator construction. Rollback is bit-exact, so results are
-//! identical for any thread count.
+//! [`Evaluated`] and, per descendant, applies the mutation moves inside
+//! a transaction, settles the incremental delay state (event-driven cone
+//! propagation for the small mutation steps, batch fallback for the
+//! module-sized Monte-Carlo steps), reads the cost and rolls back. Only
+//! the descendants that survive selection are materialized by replaying
+//! their recorded moves on a parent clone — the `μ(λ+χ) − μ` losers per
+//! generation never pay for a full evaluator construction.
+//!
+//! Scoring and materialization share one loop for any thread count:
+//! `min(threads, tasks)` workers claim the next descendant from a shared
+//! counter, so the cheap mutations and the costly Monte-Carlo steps
+//! balance across cores, and a worker re-clones its scratch only when
+//! the claimed descendant's parent differs from the last one. Results go
+//! back into their task slots, every descendant draws from its own
+//! seeded RNG stream, and rollback is bit-exact, so selection sees the
+//! same candidates in the same order whatever the thread count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -67,9 +75,11 @@ pub struct EvolutionConfig {
     /// Stop early after this many generations without best-cost
     /// improvement.
     pub stagnation: usize,
-    /// Worker threads for descendant scoring (1 = sequential). The
-    /// result is identical for any thread count: every descendant draws
-    /// from its own seeded RNG stream and scratch rollback is bit-exact.
+    /// Worker threads for descendant scoring and survivor
+    /// materialization (0 and 1 both run on the calling thread alone).
+    /// The result is identical for any thread count: every descendant
+    /// draws from its own seeded RNG stream and scratch rollback is
+    /// bit-exact.
     pub threads: usize,
 }
 
@@ -157,10 +167,12 @@ pub fn optimize(ctx: &EvalContext<'_>, config: &EvolutionConfig, seed: u64) -> E
 /// work unit per descendant scored. A budget or cancellation hit stops
 /// the search at the next boundary and returns [`Outcome::Partial`]
 /// carrying the best partition found so far; `coverage` is the fraction
-/// of the configured generations that ran. A panic inside a scoring
-/// chunk is caught at the worker boundary: that chunk's descendants are
-/// lost, the generation finishes with the survivors, and the run stops
-/// with [`StopReason::WorkerPanicked`]. Stagnation-based early exit is a
+/// of the configured generations that ran. A panic while scoring or
+/// materializing a descendant is caught per descendant: exactly the
+/// descendants that panicked are lost (for any thread count, since each
+/// worker claims one at a time and rebuilds its scratch after a panic),
+/// the generation finishes with the rest, and the run stops with
+/// [`StopReason::WorkerPanicked`]. Stagnation-based early exit is a
 /// *normal* termination and still yields [`Outcome::Complete`].
 ///
 /// # Panics
@@ -180,11 +192,9 @@ pub fn optimize_with_control(
 ) -> Outcome<EvolutionOutcome> {
     assert!(config.mu > 0, "need at least one parent");
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xe501);
-    let module_size = start::estimate_module_size(ctx);
     let module_count = start::estimate_module_count(ctx);
     // Chain partitions target a size that yields the estimated count.
     let size_for_count = ctx.gates.len().div_ceil(module_count).max(1);
-    let _ = module_size;
 
     let mut population: Vec<Individual<'_>> = (0..config.mu)
         .map(|i| {
@@ -226,76 +236,39 @@ pub fn optimize_with_control(
             })
             .map(|(pi, mc)| (pi, mc, rng.gen::<u64>()))
             .collect();
-        // One worker: one cone walker, one scratch evaluator reused
-        // across all consecutive descendants of the same parent —
-        // apply → settle → score → rollback, no per-loser clones.
-        let run_chunk = |slice: &[(usize, bool, u64)]| -> Vec<Option<ScoredChild>> {
-            let mut walker = ConeWalker::new(&ctx.cones);
-            let mut scratch: Option<(usize, Evaluated<'_>)> = None;
-            slice
-                .iter()
-                .map(|&(pi, mc, s)| {
-                    let mut child_rng = SmallRng::seed_from_u64(s);
-                    if scratch.as_ref().map(|(owner, _)| *owner) != Some(pi) {
-                        scratch = Some((pi, population[pi].eval.clone()));
-                    }
-                    let (_, eval) = scratch.as_mut().expect("scratch just ensured");
-                    let parent_m = population[pi].m;
-                    let scored = if mc {
-                        monte_carlo(eval, parent_m, config, &mut child_rng, &mut walker)
-                    } else {
-                        mutate(eval, parent_m, config, &mut child_rng, &mut walker)
-                    };
-                    scored.map(|(moves, cost, m)| ScoredChild {
-                        parent: pi,
-                        moves,
-                        cost,
-                        m,
-                    })
-                })
-                .collect()
-        };
-        // Scoring chunks run under a panic boundary: a poisoned chunk
-        // loses its descendants (the scratch evaluators are private
-        // clones, so no shared state is corrupted), the generation
-        // finishes with the survivors, and the run then stops.
-        let mut panicked = false;
-        let scored: Vec<Option<ScoredChild>> = if config.threads > 1 && tasks.len() > 1 {
-            let chunk = tasks.len().div_ceil(config.threads);
-            let per_chunk: Vec<Option<Vec<Option<ScoredChild>>>> = std::thread::scope(|scope| {
-                let run_chunk = &run_chunk;
-                let handles: Vec<_> = tasks
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope
-                            .spawn(move || catch_unwind(AssertUnwindSafe(|| run_chunk(slice))).ok())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().ok().flatten())
-                    .collect()
-            });
-            per_chunk
-                .into_iter()
-                .flat_map(|r| match r {
-                    Some(cells) => cells,
-                    None => {
-                        panicked = true;
-                        Vec::new()
-                    }
-                })
-                .collect()
-        } else {
-            match catch_unwind(AssertUnwindSafe(|| run_chunk(&tasks))) {
-                Ok(cells) => cells,
-                Err(_) => {
-                    panicked = true;
-                    Vec::new()
+        // Workers claim descendants one at a time and keep one cone
+        // walker and one scratch evaluator each, re-cloned only when the
+        // claimed descendant's parent changes: apply → settle → score →
+        // rollback, no per-loser clones. A descendant that panics is lost
+        // on its own (its worker's scratch is rebuilt), the generation
+        // finishes with the rest, and the run then stops.
+        let scored = claim_each(
+            tasks.len(),
+            config.threads,
+            || (ConeWalker::new(&ctx.cones), None::<(usize, Evaluated<'_>)>),
+            |(walker, scratch), ti| {
+                let (pi, mc, s) = tasks[ti];
+                let mut child_rng = SmallRng::seed_from_u64(s);
+                if scratch.as_ref().map(|(owner, _)| *owner) != Some(pi) {
+                    *scratch = Some((pi, population[pi].eval.clone()));
                 }
-            }
-        };
-        let children: Vec<ScoredChild> = scored.into_iter().flatten().collect();
+                let (_, eval) = scratch.as_mut().expect("scratch just ensured");
+                let parent_m = population[pi].m;
+                let scored = if mc {
+                    monte_carlo(eval, parent_m, config, &mut child_rng, walker)
+                } else {
+                    mutate(eval, parent_m, config, &mut child_rng, walker)
+                };
+                scored.map(|(moves, cost, m)| ScoredChild {
+                    parent: pi,
+                    moves,
+                    cost,
+                    m,
+                })
+            },
+        );
+        let mut panicked = scored.iter().any(Option::is_none);
+        let children: Vec<ScoredChild> = scored.into_iter().flatten().flatten().collect();
         evaluations += children.len();
         control.charge(tasks.len() as u64);
 
@@ -323,42 +296,48 @@ pub fn optimize_with_control(
         pool.sort_by(|a, b| a.0.total_cmp(&b.0));
         pool.truncate(config.mu);
 
-        // Materialize the survivors: children replay their recorded
-        // moves on a clone of their parent; parents move over directly.
-        let mut next: Vec<Individual<'_>> = Vec::with_capacity(pool.len());
-        {
-            let mut walker = ConeWalker::new(&ctx.cones);
-            for (_, cand) in &pool {
-                if let Cand::Child(ci) = cand {
-                    let child = &children[*ci];
-                    let mut eval = population[child.parent].eval.clone();
-                    for &(g, t) in &child.moves {
-                        eval.move_gate(g, t);
-                    }
-                    eval.settle_with(&mut walker);
-                    debug_assert_eq!(
-                        eval.total_cost().to_bits(),
-                        child.cost.to_bits(),
-                        "materialized cost must equal scored cost"
-                    );
-                    next.push(Individual {
-                        eval,
-                        cost: child.cost,
-                        m: child.m,
-                        age: 0,
-                    });
+        // Materialize the surviving children through the same claim
+        // loop: each replays its recorded moves on a clone of its parent.
+        // Parents move over directly, in pool order.
+        let survivors: Vec<&ScoredChild> = pool
+            .iter()
+            .filter_map(|(_, cand)| match cand {
+                Cand::Child(ci) => Some(&children[*ci]),
+                Cand::Parent(_) => None,
+            })
+            .collect();
+        let materialized = claim_each(
+            survivors.len(),
+            config.threads,
+            || ConeWalker::new(&ctx.cones),
+            |walker, si| {
+                let child = survivors[si];
+                let mut eval = population[child.parent].eval.clone();
+                for &(g, t) in &child.moves {
+                    eval.move_gate(g, t);
                 }
-            }
-        }
-        // Second pass: move surviving parents in pool order, interleaving
-        // with the materialized children to preserve the sorted order.
+                eval.settle_with(walker);
+                debug_assert_eq!(
+                    eval.total_cost().to_bits(),
+                    child.cost.to_bits(),
+                    "materialized cost must equal scored cost"
+                );
+                Individual {
+                    eval,
+                    cost: child.cost,
+                    m: child.m,
+                    age: 0,
+                }
+            },
+        );
+        panicked |= materialized.iter().any(Option::is_none);
         let mut parents: Vec<Option<Individual<'_>>> = population.into_iter().map(Some).collect();
-        let mut materialized = next.into_iter();
+        let mut materialized = materialized.into_iter();
         population = pool
             .iter()
-            .map(|(_, cand)| match cand {
-                Cand::Parent(i) => parents[*i].take().expect("each parent selected once"),
-                Cand::Child(_) => materialized.next().expect("one materialization per child"),
+            .filter_map(|(_, cand)| match cand {
+                Cand::Parent(i) => Some(parents[*i].take().expect("each parent selected once")),
+                Cand::Child(_) => materialized.next().expect("one slot per surviving child"),
             })
             .collect();
 
@@ -433,6 +412,50 @@ pub fn optimize_with_control(
             reason,
         },
     }
+}
+
+/// Runs `task(state, i)` for every `i` in `0..n` on `min(threads, n)`
+/// workers (at least one). Each worker builds its private `state` with
+/// `init` and claims the next index from a shared counter, so tasks of
+/// uneven cost balance themselves. Results land in their index slots,
+/// so the caller sees the same order for any thread count. A task that
+/// panics leaves `None` in its slot, and its worker rebuilds its state
+/// before the next claim: only the tasks that panicked are lost. The
+/// calling thread is one of the workers, so one worker runs inline.
+fn claim_each<S, T: Send>(
+    n: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    task: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<Option<T>> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            // The counter publishes no data: results travel back through
+            // the join, so `Relaxed` suffices.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            let result = catch_unwind(AssertUnwindSafe(|| task(&mut state, i)));
+            if result.is_err() {
+                state = init();
+            }
+            done.push((i, result.ok()));
+        }
+    };
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(worker)).collect();
+        let mut batches = vec![worker()];
+        batches.extend(helpers.into_iter().filter_map(|h| h.join().ok()));
+        for (i, result) in batches.into_iter().flatten() {
+            slots[i] = result;
+        }
+    });
+    slots
 }
 
 /// Scores one §4.2 mutation on the scratch evaluator: move up to `m`
@@ -616,7 +639,6 @@ mod tests {
         let nl = data::ripple_adder(24);
         let lib = Library::generic_1um();
         let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
-        let size = crate::start::estimate_module_size(&ctx);
         let count = crate::start::estimate_module_count(&ctx);
         let chain = crate::start::chain_partition(&ctx, ctx.gates.len().div_ceil(count).max(1), 42);
         let start_cost = Evaluated::new(&ctx, chain).total_cost();
@@ -626,7 +648,6 @@ mod tests {
             "{} vs {start_cost}",
             out.best_cost
         );
-        let _ = size;
     }
 
     #[test]
@@ -651,6 +672,30 @@ mod tests {
         assert_eq!(seq.best, par.best);
         assert_eq!(seq.best_cost, par.best_cost);
         assert_eq!(seq.evaluations, par.evaluations);
+    }
+
+    #[test]
+    fn claim_each_loses_only_the_panicking_tasks() {
+        // Task 3 poisons its worker's state and panics. The worker must
+        // rebuild the state, or every later task it claims panics too.
+        for threads in [1, 2, 4] {
+            let slots = claim_each(
+                9,
+                threads,
+                || false,
+                |poisoned, i| {
+                    assert!(!*poisoned, "state kept after a panic");
+                    if i == 3 {
+                        *poisoned = true;
+                        panic!("injected panic");
+                    }
+                    i * 10
+                },
+            );
+            let want: Vec<Option<usize>> = (0..9).map(|i| (i != 3).then_some(i * 10)).collect();
+            assert_eq!(slots, want, "threads = {threads}");
+        }
+        assert!(claim_each(0, 4, || (), |(), i| i).is_empty());
     }
 
     #[test]

@@ -49,9 +49,9 @@
 //! control at *generation boundaries* and charges one quota unit per
 //! descendant scored; on a stop it returns the best individual found so
 //! far as [`iddq_control::Outcome::Partial`] with `coverage` =
-//! generations run / generations requested. Scoring chunks run under
-//! `catch_unwind`: a panicking chunk forfeits its descendants for that
-//! generation and stops the search with
+//! generations run / generations requested. Every descendant is scored
+//! under its own `catch_unwind`: a panicking descendant is lost alone
+//! (its worker rebuilds its scratch evaluator), and the search stops with
 //! [`iddq_control::StopReason::WorkerPanicked`] after the survivors are
 //! selected, so a poisoned worker can never corrupt the population. A
 //! partially built separation oracle keeps unbuilt rows empty, which

@@ -12,10 +12,13 @@
 //!
 //! It also pins the per-gate resynthesis search: its reported cost equals
 //! a rebuild score of the netlist it returns, and the incremental ΔW
-//! evaluation agrees with the full-refresh reference at every probe.
+//! evaluation agrees with the full-refresh reference at every probe. And
+//! the evolution search returns the same best partition, cost bits,
+//! evaluation count and generation log for every thread count.
 
 use iddq::celllib::Library;
 use iddq::core::config::PartitionConfig;
+use iddq::core::evolution::{self, EvolutionConfig};
 use iddq::core::{AnalysisTier, EvalContext, Evaluated, Partition, ResynthEval};
 use iddq::logicsim::fault_sweep::{
     sweep_resume, sweep_with_control, FaultSweepOptions, FaultSweepOutcome, LogicFault,
@@ -357,5 +360,39 @@ fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
         assert_eq!(full.total_cost().to_bits(), current.to_bits());
         inc.verify_consistency();
         full.verify_consistency();
+    }
+}
+
+#[test]
+fn evolution_is_thread_invariant() {
+    let library = Library::generic_1um();
+    for nl in [data::c17(), iscas("c432"), seq("s298")] {
+        let ctx = EvalContext::new(&nl, &library, PartitionConfig::paper_default());
+        let run = |threads| {
+            // Past the lifetime of 8, so aged-out parents are covered.
+            let config = EvolutionConfig {
+                generations: 10,
+                stagnation: usize::MAX,
+                threads,
+                ..EvolutionConfig::default()
+            };
+            evolution::optimize(&ctx, &config, 5)
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            let out = run(threads);
+            let name = nl.name();
+            assert_eq!(out.best, serial.best, "{name}: threads = {threads}");
+            assert_eq!(
+                out.best_cost.to_bits(),
+                serial.best_cost.to_bits(),
+                "{name}: threads = {threads}"
+            );
+            assert_eq!(
+                out.evaluations, serial.evaluations,
+                "{name}: threads = {threads}"
+            );
+            assert_eq!(out.log, serial.log, "{name}: threads = {threads}");
+        }
     }
 }
