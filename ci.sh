@@ -1,25 +1,25 @@
 #!/usr/bin/env bash
-# CI entry point: formatting, lints, build, full test suite, and a perf
-# smoke of the simulation engines (which also regenerates BENCH_sim.json).
+# CI entry point: formatting, lints, build, full test suite, a type check
+# of the benchmark's replay against the library APIs, and a perf smoke of
+# the simulation engines (which also regenerates BENCH_sim.json).
 # The smoke fails if, on c7552, the delta-engine single-gate-mutation
 # speedup drops below 3x full CSR re-evaluation, the fault-patch engine
 # drops below 3x vs per-fault full re-simulation, or (on c1908) the
-# patch-scored resynthesis candidates drop below 2x vs rebuild scoring /
-# 3.5x vs the PR 4 rebuild at bit-identical costs, or the flat full-tier
-# context build drops below 1.7x vs the PR 4 hash-map constructor, or
-# the evolution loop drops below 2x vs rebuild-per-evaluation scoring,
-# or the incremental dW separation maintenance drops below 2x vs the
-# full separation pass on the c7552 probe (bit-identical costs
-# asserted), or the mega-circuit sweep misses its wall-clock budget; the
-# full bench run additionally gates the CSR/wide kernel at 3x vs seed,
-# the delta engine and the fault-patch engine at 5x, resynthesis patch
-# scoring at 3x/7.6x on c7552, the c7552 context build at 2.5x, and (on
+# patch-scored resynthesis candidates drop below 2x vs rebuild scoring
+# at bit-identical costs, or the flat full-tier context build drops
+# below 1.7x vs the hash-map reference constructor, or the evolution
+# loop drops below 2x vs rebuild-per-evaluation scoring, or the
+# incremental dW separation maintenance drops below 2x vs the full
+# separation pass on the c7552 probe (bit-identical costs asserted), or
+# the serial mega-circuit sweep misses its wall-clock budget; the full
+# bench run additionally gates the CSR/wide kernel at 3x vs seed, the
+# delta engine and the fault-patch engine at 5x, resynthesis patch
+# scoring at 3x on c7552, the c7552 context build at 2.5x, and (on
 # machines with >= 4 cores, announced explicitly either way) the
-# parallel fault sweep, parallel context build, and structural-parallel
-# sweep at 1.5x. The seq section gates on sequential correctness:
-# multi-frame sweep grids bit-identical and at least one fault
-# first-detected mid-sequence on every s* circuit. The serve section
-# gates on correctness counts (every
+# parallel fault sweep and parallel context build at 1.5x. The seq
+# section gates on sequential correctness: multi-frame sweep grids
+# bit-identical and at least one fault first-detected mid-sequence on
+# every s* circuit. The serve section gates on correctness counts (every
 # request answered exactly once, admission shed >= 1, tier degradation
 # >= 1) in both modes, and the serve smoke leg replays the full service
 # scenario end to end (overload, deadlines, degradation, worker panics,
@@ -43,6 +43,13 @@ cargo build --release
 
 echo "== cargo test (workspace)"
 cargo test --workspace -q
+
+echo "== cargo check (benchmark replay)"
+# perfbench/replay is its own workspace built against the library crates;
+# checking it here catches an API change that would break the benchmark.
+# The shared target directory keeps build output out of perfbench/.
+CARGO_TARGET_DIR=target cargo check --release --offline --locked \
+    --manifest-path perfbench/replay/Cargo.toml
 
 echo "== perf smoke"
 cargo run --release -q -p iddq-bench --bin bench -- --smoke --out BENCH_sim.json

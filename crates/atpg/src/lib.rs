@@ -34,7 +34,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use iddq_logicsim::faults::IddqFault;
-use iddq_logicsim::{BackendKind, SimBackend};
+use iddq_logicsim::Simulator;
 use iddq_netlist::unroll::{unroll, Unrolled};
 use iddq_netlist::{Netlist, NetlistError, PackedWord, W256};
 
@@ -77,7 +77,7 @@ pub struct TestSet {
 /// Deterministic for a fixed `(netlist, faults, config, seed)`.
 ///
 /// The inner loop fault-simulates 256 random patterns at a time (one
-/// [`W256`] sweep of the CSR-compiled simulator, into reused buffers) and
+/// [`W256`] sweep of the CSR-compiled [`Simulator`], into reused buffers) and
 /// keeps, per batch, the patterns that activate at least one
 /// not-yet-covered fault (greedy first-fit compaction, scanning patterns
 /// in index order).
@@ -88,50 +88,16 @@ pub fn generate(
     config: &AtpgConfig,
     seed: u64,
 ) -> TestSet {
-    generate_with_backend(netlist, faults, config, seed, BackendKind::Csr)
-}
-
-/// [`generate`] on a chosen simulation engine ([`BackendKind`]).
-///
-/// Both engines produce bit-identical pattern evaluations, so the
-/// resulting test set is backend-invariant; the parameter exists so the
-/// whole pipeline can be exercised end-to-end on either engine.
-#[must_use]
-pub fn generate_with_backend(
-    netlist: &Netlist,
-    faults: &[IddqFault],
-    config: &AtpgConfig,
-    seed: u64,
-    backend: BackendKind,
-) -> TestSet {
-    generate_packed::<W256>(netlist, faults, config, seed, backend)
-}
-
-/// [`generate_with_backend`] at an explicit pattern-parallel lane width.
-///
-/// The inner loop fault-simulates `W::LANES` random patterns per sweep
-/// through the chosen [`SimBackend`]. The lane width changes how many
-/// random limbs each batch draws, so the generated set is deterministic
-/// per `(W, seed)` pair but differs across widths — lane selection is a
-/// generation parameter, not a pure implementation detail.
-#[must_use]
-pub fn generate_packed<W: PackedWord>(
-    netlist: &Netlist,
-    faults: &[IddqFault],
-    config: &AtpgConfig,
-    seed: u64,
-    backend: BackendKind,
-) -> TestSet {
-    let mut sim = SimBackend::<W>::new(netlist, backend);
+    let sim = Simulator::new(netlist);
     let num_inputs = netlist.num_inputs();
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xa7b6);
     let mut activated = vec![false; faults.len()];
     let mut vectors: Vec<Vec<bool>> = Vec::new();
     let mut remaining = faults.len();
     let mut stagnant = 0usize;
-    let mut words = vec![W::zeros(); num_inputs];
-    let mut values = vec![W::zeros(); sim.node_count()];
-    let mut masks: Vec<(usize, W)> = Vec::new();
+    let mut words = vec![W256::zeros(); num_inputs];
+    let mut values = vec![W256::zeros(); sim.node_count()];
+    let mut masks: Vec<(usize, W256)> = Vec::new();
 
     for _batch in 0..config.max_batches {
         if faults.is_empty()
@@ -141,7 +107,7 @@ pub fn generate_packed<W: PackedWord>(
             break;
         }
         for w in &mut words {
-            *w = W::from_limbs(|_| rng.gen());
+            *w = W256::from_limbs(|_| rng.gen());
         }
         sim.eval_into(&words, &mut values);
         // Activation masks of still-uncovered faults.
@@ -154,7 +120,7 @@ pub fn generate_packed<W: PackedWord>(
                 .map(|(fi, f)| (fi, f.activation(netlist, &values))),
         );
         let mut batch_progress = false;
-        for k in 0..W::LANES {
+        for k in 0..W256::LANES {
             let mut keep = false;
             for &(fi, mask) in &masks {
                 if !activated[fi] && mask.bit(k) {
@@ -232,71 +198,10 @@ pub fn generate_seq(
     seed: u64,
     frames: usize,
 ) -> Result<SeqTestSet, NetlistError> {
-    generate_seq_with_backend(netlist, faults, config, seed, frames, BackendKind::Csr)
-}
-
-/// [`generate_seq`] on a chosen simulation engine ([`BackendKind`]).
-///
-/// Backend-invariant for the same reason [`generate_with_backend`] is:
-/// both engines evaluate the unrolled netlist bit-identically.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from the time-frame expansion.
-pub fn generate_seq_with_backend(
-    netlist: &Netlist,
-    faults: &[IddqFault],
-    config: &AtpgConfig,
-    seed: u64,
-    frames: usize,
-    backend: BackendKind,
-) -> Result<SeqTestSet, NetlistError> {
-    generate_seq_packed::<W256>(netlist, faults, config, seed, frames, backend)
-}
-
-/// Per-frame activation of `fault` on the unrolled good machine.
-///
-/// Sites are mapped through the frame-`t` image. The gate-oxide-short pin
-/// must be resolved through the *original* fan-in list: a DFF's image is
-/// a pseudo-input (frame 0) or an alias of the previous frame's D-driver
-/// image (frame `t > 0`), neither of which preserves the pin ordinal.
-fn seq_activation<W: PackedWord>(
-    fault: &IddqFault,
-    netlist: &Netlist,
-    unrolled: &Unrolled,
-    t: usize,
-    values: &[W],
-) -> W {
-    match *fault {
-        IddqFault::Bridge { a, b, .. } => {
-            values[unrolled.image(t, a).index()] ^ values[unrolled.image(t, b).index()]
-        }
-        IddqFault::GateOxideShort { gate, pin, .. } => {
-            let input = netlist.node(gate).fanin()[pin];
-            values[unrolled.image(t, input).index()] ^ values[unrolled.image(t, gate).index()]
-        }
-        IddqFault::StuckOn { gate, .. } => values[unrolled.image(t, gate).index()],
-    }
-}
-
-/// [`generate_seq_with_backend`] at an explicit lane width (one lane per
-/// candidate sequence, `W::LANES` sequences per batch).
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from the time-frame expansion.
-pub fn generate_seq_packed<W: PackedWord>(
-    netlist: &Netlist,
-    faults: &[IddqFault],
-    config: &AtpgConfig,
-    seed: u64,
-    frames: usize,
-    backend: BackendKind,
-) -> Result<SeqTestSet, NetlistError> {
     let frames = frames.max(1);
     let unrolled = unroll(netlist, frames)?;
     let unl = unrolled.netlist();
-    let mut sim = SimBackend::<W>::new(unl, backend);
+    let sim = Simulator::new(unl);
 
     // Input slot of each unrolled pseudo-input node.
     let mut slot = vec![usize::MAX; unl.node_count()];
@@ -310,9 +215,9 @@ pub fn generate_seq_packed<W: PackedWord>(
     let mut remaining = faults.len();
     let mut stagnant = 0usize;
     // State pseudo-inputs keep their zero words: the reset convention.
-    let mut words = vec![W::zeros(); unl.num_inputs()];
-    let mut values = vec![W::zeros(); sim.node_count()];
-    let mut masks: Vec<(usize, W)> = Vec::new();
+    let mut words = vec![W256::zeros(); unl.num_inputs()];
+    let mut values = vec![W256::zeros(); sim.node_count()];
+    let mut masks: Vec<(usize, W256)> = Vec::new();
 
     for _batch in 0..config.max_batches {
         if faults.is_empty()
@@ -325,7 +230,7 @@ pub fn generate_seq_packed<W: PackedWord>(
         // stream on a combinational netlist matches `generate` exactly.
         for t in 0..frames {
             for &pi in netlist.inputs() {
-                words[slot[unrolled.image(t, pi).index()]] = W::from_limbs(|_| rng.gen());
+                words[slot[unrolled.image(t, pi).index()]] = W256::from_limbs(|_| rng.gen());
             }
         }
         sim.eval_into(&words, &mut values);
@@ -337,7 +242,7 @@ pub fn generate_seq_packed<W: PackedWord>(
                 .enumerate()
                 .filter(|(fi, _)| !activated[*fi])
                 .map(|(fi, f)| {
-                    let mut m = W::zeros();
+                    let mut m = W256::zeros();
                     for t in 0..frames {
                         m = m | seq_activation(f, netlist, &unrolled, t, &values);
                     }
@@ -345,7 +250,7 @@ pub fn generate_seq_packed<W: PackedWord>(
                 }),
         );
         let mut batch_progress = false;
-        for k in 0..W::LANES {
+        for k in 0..W256::LANES {
             let mut keep = false;
             for &(fi, mask) in &masks {
                 if !activated[fi] && mask.bit(k) {
@@ -383,16 +288,29 @@ pub fn generate_seq_packed<W: PackedWord>(
     })
 }
 
-/// Estimates a test-set *size* without keeping the vectors — the
-/// partitioner's `c_4` estimator only needs the count (§3.4).
-#[must_use]
-pub fn estimate_vector_count(
+/// Per-frame activation of `fault` on the unrolled good machine.
+///
+/// Sites are mapped through the frame-`t` image. The gate-oxide-short pin
+/// must be resolved through the *original* fan-in list: a DFF's image is
+/// a pseudo-input (frame 0) or an alias of the previous frame's D-driver
+/// image (frame `t > 0`), neither of which preserves the pin ordinal.
+fn seq_activation<W: PackedWord>(
+    fault: &IddqFault,
     netlist: &Netlist,
-    faults: &[IddqFault],
-    config: &AtpgConfig,
-    seed: u64,
-) -> usize {
-    generate(netlist, faults, config, seed).vectors.len()
+    unrolled: &Unrolled,
+    t: usize,
+    values: &[W],
+) -> W {
+    match *fault {
+        IddqFault::Bridge { a, b, .. } => {
+            values[unrolled.image(t, a).index()] ^ values[unrolled.image(t, b).index()]
+        }
+        IddqFault::GateOxideShort { gate, pin, .. } => {
+            let input = netlist.node(gate).fanin()[pin];
+            values[unrolled.image(t, input).index()] ^ values[unrolled.image(t, gate).index()]
+        }
+        IddqFault::StuckOn { gate, .. } => values[unrolled.image(t, gate).index()],
+    }
 }
 
 #[cfg(test)]
@@ -412,33 +330,6 @@ mod tests {
         let t = generate(&nl, &faults, &AtpgConfig::default(), 3);
         assert!(t.coverage >= 0.95, "coverage {}", t.coverage);
         assert!(!t.vectors.is_empty());
-    }
-
-    #[test]
-    fn backend_invariant() {
-        let nl = data::ripple_adder(4);
-        let faults = universe(&nl, 9);
-        let csr = generate_with_backend(&nl, &faults, &AtpgConfig::default(), 5, BackendKind::Csr);
-        let delta =
-            generate_with_backend(&nl, &faults, &AtpgConfig::default(), 5, BackendKind::Delta);
-        assert_eq!(csr.vectors, delta.vectors);
-        assert_eq!(csr.activated, delta.activated);
-    }
-
-    #[test]
-    fn lanes_deterministic_and_backend_invariant_per_width() {
-        // Within a lane width, backends agree bit-for-bit; across widths
-        // the set may differ (different random stream) but coverage holds.
-        let nl = data::ripple_adder(4);
-        let faults = universe(&nl, 9);
-        let cfg = AtpgConfig::default();
-        let n64c = generate_packed::<u64>(&nl, &faults, &cfg, 5, BackendKind::Csr);
-        let n64d = generate_packed::<u64>(&nl, &faults, &cfg, 5, BackendKind::Delta);
-        assert_eq!(n64c.vectors, n64d.vectors);
-        let w512 = generate_packed::<iddq_netlist::W512>(&nl, &faults, &cfg, 5, BackendKind::Csr);
-        assert!(w512.coverage >= cfg.target_coverage || !w512.vectors.is_empty());
-        let w512b = generate_packed::<iddq_netlist::W512>(&nl, &faults, &cfg, 5, BackendKind::Csr);
-        assert_eq!(w512.vectors, w512b.vectors);
     }
 
     #[test]
@@ -476,15 +367,6 @@ mod tests {
         let t = generate(&nl, &faults, &AtpgConfig::default(), 2);
         let frac = t.activated.iter().filter(|&&a| a).count() as f64 / faults.len() as f64;
         assert!((frac - t.coverage).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vector_count_estimator_matches_generate() {
-        let nl = data::ripple_adder(4);
-        let faults = universe(&nl, 4);
-        let n = estimate_vector_count(&nl, &faults, &AtpgConfig::default(), 4);
-        let t = generate(&nl, &faults, &AtpgConfig::default(), 4);
-        assert_eq!(n, t.vectors.len());
     }
 
     /// `q = DFF(a)`, `y = AND(q, a)`: activating a stuck-on at `y` needs
@@ -540,7 +422,7 @@ mod tests {
 
         // Replay the sequence on the original netlist: the defect must be
         // activated at some frame of the good-machine trajectory.
-        let mut sim = SimBackend::<u64>::new(&nl, BackendKind::Csr);
+        let sim = Simulator::new(&nl);
         let mut state = vec![0u64; sim.num_state_elements()];
         let mut values = vec![0u64; sim.node_count()];
         let mut seen = 0u64;
@@ -553,16 +435,13 @@ mod tests {
     }
 
     #[test]
-    fn seq_deterministic_and_backend_invariant() {
+    fn seq_deterministic() {
         let (nl, faults) = latch_fixture();
         let cfg = AtpgConfig::default();
-        let csr = generate_seq_with_backend(&nl, &faults, &cfg, 7, 3, BackendKind::Csr).unwrap();
-        let delta =
-            generate_seq_with_backend(&nl, &faults, &cfg, 7, 3, BackendKind::Delta).unwrap();
-        assert_eq!(csr.vectors, delta.vectors);
-        assert_eq!(csr.activated, delta.activated);
+        let first = generate_seq(&nl, &faults, &cfg, 7, 3).unwrap();
         let again = generate_seq(&nl, &faults, &cfg, 7, 3).unwrap();
-        assert_eq!(again.vectors, csr.vectors);
+        assert_eq!(again.vectors, first.vectors);
+        assert_eq!(again.activated, first.activated);
         assert_eq!(again.vectors.len() % 3, 0, "sequence-major layout");
     }
 

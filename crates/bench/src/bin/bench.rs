@@ -39,11 +39,10 @@
 //!   cost bit-exactly), plus a `threads = cores` arm asserted to return
 //!   the serial arm's best partition, cost bits and evaluation count,
 //! * the `scale` section: generated mega-circuits (10^5 gates in smoke,
-//!   plus 10^6 in full mode) swept end-to-end under an asserted
-//!   wall-clock budget — structurally parallel sweeps asserted
-//!   bit-identical to serial, measured packed-state memory reported,
-//!   and a row-budgeted streamed separation-oracle build demonstrating
-//!   bounded-memory partial analysis at scale — plus the c7552
+//!   plus 10^6 in full mode) swept end-to-end by the serial CSR kernel
+//!   under an asserted wall-clock budget — measured packed-state memory
+//!   reported, and a row-budgeted streamed separation-oracle build
+//!   demonstrating bounded-memory partial analysis at scale — plus the c7552
 //!   incremental-ΔW probe: one `ResynthEval` apply→rollback separation
 //!   refresh vs the retained full-refresh reference at asserted
 //!   bit-identical costs, gated ≥ 2×,
@@ -187,22 +186,6 @@ fn main() {
         let mut values64 = vec![0u64; sim.node_count()];
         let mut values256 = vec![W256::zeros(); sim.node_count()];
         let mut values512 = vec![W512::zeros(); sim.node_count()];
-
-        // Structural-parallel differential: the threaded sweep must be
-        // bit-identical to the serial kernel on every benched circuit
-        // (here it degenerates to serial — ISCAS levels sit far below
-        // the parallel threshold — but the contract is asserted anyway;
-        // the mega-circuits in the scale section exercise the threaded
-        // partitioning for real).
-        {
-            sim.eval_into(&inputs64, &mut values64);
-            let mut par64 = vec![0u64; sim.node_count()];
-            sim.eval_into_threads(&inputs64, &mut par64, 4);
-            assert_eq!(
-                values64, par64,
-                "{name}: threaded sweep must be bit-identical to serial"
-            );
-        }
 
         let t_naive = secs_per_iter(window_ms, || {
             std::hint::black_box(naive.eval(&inputs64));
@@ -577,43 +560,34 @@ fn main() {
 
     // Resynthesis candidate scoring: the three cost_aware candidates
     // (Original / Balanced / Chain) scored by patch apply->score->rollback
-    // on one persistent GateSep-tier ResynthEval, against two rebuild
-    // arms: the current rebuild path (materialize every candidate, fresh
-    // flat-engine EvalContext + single-module Evaluated each) and the PR
-    // 4-era rebuild (same, with the hash-map oracle constructor) — the
-    // baseline PR 4's recorded headline ratio was measured against, so
-    // the two headlines stay comparable. All three paths must pick the
-    // same candidate at bit-identical costs; both wall-clock ratios are
-    // gated (vs-rebuild >= 2x smoke on c1908 / >= 3x full on c7552;
-    // vs-PR4-rebuild >= 3.5x smoke / >= 7.6x full — at least twice the
-    // 3.8x PR 4 recorded on this container against the same rebuild
-    // baseline).
+    // on one persistent GateSep-tier ResynthEval, against the rebuild
+    // path (materialize every candidate, fresh flat-engine EvalContext +
+    // single-module Evaluated each). Both paths must pick the same
+    // candidate at bit-identical costs; the wall-clock ratio is gated
+    // (>= 2x smoke on c1908 / >= 3x full on c7552).
     println!("== resynthesis scoring: patch vs rebuild ==");
     let rs_name = if opts.smoke { "c1908" } else { HEADLINE };
     let rs_nl = &netlists[rs_name];
     let rs_lib = Library::generic_1um();
     let rs_cfg = PartitionConfig::paper_default();
     let (_, rep_patch) = iddq_synth::cost_aware(rs_nl, &rs_lib, &rs_cfg);
-    let (_, rep_rebuild) = iddq_synth::cost_aware_rebuild(rs_nl, &rs_lib, &rs_cfg);
-    let (_, rep_pr4) = iddq_synth::cost_aware_rebuild_reference(rs_nl, &rs_lib, &rs_cfg);
-    for (path, rep) in [("rebuild", &rep_rebuild), ("pr4 rebuild", &rep_pr4)] {
+    let (_, rebuilt) = iddq_synth::cost_aware_rebuild(rs_nl, &rs_lib, &rs_cfg);
+    assert_eq!(
+        rep_patch.chosen, rebuilt.chosen,
+        "patch and rebuild scoring must choose the same candidate"
+    );
+    for (label, a, b) in [
+        ("original", rep_patch.original_cost, rebuilt.original_cost),
+        ("balanced", rep_patch.balanced_cost, rebuilt.balanced_cost),
+        ("chain", rep_patch.chain_cost, rebuilt.chain_cost),
+    ] {
         assert_eq!(
-            rep_patch.chosen, rep.chosen,
-            "patch and {path} scoring must choose the same candidate"
+            a.to_bits(),
+            b.to_bits(),
+            "{label} cost must be bit-identical across patch and rebuild scoring"
         );
-        for (label, a, b) in [
-            ("original", rep_patch.original_cost, rep.original_cost),
-            ("balanced", rep_patch.balanced_cost, rep.balanced_cost),
-            ("chain", rep_patch.chain_cost, rep.chain_cost),
-        ] {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{label} cost must be bit-identical across patch and {path} scoring"
-            );
-        }
     }
-    let [t_rs_patch, t_rs_rebuild, t_rs_pr4] = secs_per_iter_interleaved(
+    let [t_rs_patch, t_rs_rebuild] = secs_per_iter_interleaved(
         window_ms,
         &mut [
             &mut || {
@@ -622,21 +596,13 @@ fn main() {
             &mut || {
                 std::hint::black_box(iddq_synth::cost_aware_rebuild(rs_nl, &rs_lib, &rs_cfg));
             },
-            &mut || {
-                std::hint::black_box(iddq_synth::cost_aware_rebuild_reference(
-                    rs_nl, &rs_lib, &rs_cfg,
-                ));
-            },
         ],
     );
     let resynth_speedup = t_rs_rebuild / t_rs_patch;
-    let resynth_pr4_speedup = t_rs_pr4 / t_rs_patch;
     let resynth_threshold = if opts.smoke { 2.0 } else { 3.0 };
-    let resynth_pr4_threshold = if opts.smoke { 3.5 } else { 7.6 };
     println!(
         "{rs_name:>8}: 3 candidates: patch {t_rs_patch:8.3} s | rebuild {t_rs_rebuild:8.3} s \
-         ({resynth_speedup:5.2}x) | pr4 rebuild {t_rs_pr4:8.3} s ({resynth_pr4_speedup:5.2}x), \
-         chosen {:?} at identical costs",
+         ({resynth_speedup:5.2}x), chosen {:?} at identical costs",
         rep_patch.chosen,
     );
     let resynth_patch = serde_json::json!({
@@ -644,15 +610,11 @@ fn main() {
         "candidates": 3,
         "patch_secs": t_rs_patch,
         "rebuild_secs": t_rs_rebuild,
-        "pr4_rebuild_secs": t_rs_pr4,
         "speedup_vs_rebuild": resynth_speedup,
-        "speedup_vs_pr4_rebuild": resynth_pr4_speedup,
         "chosen": format!("{:?}", rep_patch.chosen),
         "costs_match_bitwise": true,
         "acceptance_threshold": resynth_threshold,
-        "pr4_acceptance_threshold": resynth_pr4_threshold,
-        "pass": resynth_speedup >= resynth_threshold
-            && resynth_pr4_speedup >= resynth_pr4_threshold,
+        "pass": resynth_speedup >= resynth_threshold,
     });
 
     // Parallel fault-sweep throughput (vectors/second through the full
@@ -775,21 +737,15 @@ fn main() {
         t_inc / t_threaded,
     );
 
-    // Million-gate scale: generated mega-circuits swept end-to-end. The
-    // default `MegaConfig::with_gates` shape mimics ISCAS depth growth
-    // (33 levels at 10^5), which keeps mean level widths *below* the
-    // structural partitioner's serial-fallback threshold — so the scale
-    // bench pins a flat 16-level shape (6_250 nodes/level at 10^5,
-    // 62_500 at 10^6) where the threaded sweep genuinely partitions.
-    // Every threaded sweep is asserted bit-identical to serial; the
-    // wall-clock of one full serial sweep is asserted under an explicit
-    // budget; measured memory (netlist, CSR program, packed values) is
-    // recorded; and a row-budgeted *streamed* separation-oracle build
+    // Million-gate scale: generated mega-circuits swept end-to-end on a
+    // flat 16-level shape (6_250 nodes/level at 10^5, 62_500 at 10^6).
+    // The wall-clock of one full serial sweep is asserted under an
+    // explicit budget; measured memory (netlist, CSR program, packed
+    // values) is recorded; and a row-budgeted *streamed* separation-oracle build
     // shows bounded-memory partial analysis at scale (a complete rho=6
     // oracle at 10^6 gates would need gigabytes — the budget caps rows,
     // the streamed layout caps the transient peak).
     println!("== million-gate scale ==");
-    let scale_threads = cores.max(4);
     let scale_sizes: &[usize] = if opts.smoke {
         &[100_000]
     } else {
@@ -799,7 +755,6 @@ fn main() {
     let scale_rho = 4u32;
     let scale_row_quota: u64 = if opts.smoke { 20_000 } else { 200_000 };
     let mut scale_entries: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-    let mut scale_parallel_speedup = 0.0f64;
     let mut scale_budget_ok = true;
     for &gates in scale_sizes {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -820,7 +775,6 @@ fn main() {
             .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .collect();
         let mut serial = vec![0u64; sim.node_count()];
-        let mut parallel = vec![0u64; sim.node_count()];
         // The acceptance sweep: one full 64-pattern pass, serial, under
         // the wall-clock budget.
         let t0 = Instant::now();
@@ -833,23 +787,9 @@ fn main() {
             );
             scale_budget_ok = false;
         }
-        sim.eval_into_threads(&inputs64, &mut parallel, scale_threads);
-        assert_eq!(
-            serial, parallel,
-            "mega{gates}: threaded sweep must be bit-identical to serial"
-        );
         let t_serial = secs_per_iter(window_ms, || {
             sim.eval_into(std::hint::black_box(&inputs64), &mut serial);
         });
-        let t_par = secs_per_iter(window_ms, || {
-            sim.eval_into_threads(
-                std::hint::black_box(&inputs64),
-                &mut parallel,
-                scale_threads,
-            );
-        });
-        let par_speedup = t_serial / t_par;
-        scale_parallel_speedup = par_speedup; // largest size wins the gate
         let values_bytes = serial.len() * std::mem::size_of::<u64>();
         // Row-budgeted streamed oracle: bounded memory and wall-clock by
         // construction, partial coverage reported instead of an 8 GB
@@ -867,12 +807,10 @@ fn main() {
         let oracle = oracle_outcome.into_value();
         println!(
             "mega{gates:>8}: gen {t_gen:6.2} s | csr build {t_build:6.2} s | sweep \
-             {:8.1} ms (budget {sweep_budget_secs:.0} s) | x{scale_threads} threads \
-             {:8.1} ms ({par_speedup:4.2}x) on {cores} core(s) | netlist {:7.1} MB, \
+             {:8.1} ms (budget {sweep_budget_secs:.0} s) | netlist {:7.1} MB, \
              csr {:6.1} MB, values {:5.1} MB | oracle rho={scale_rho}: {:.0}% of rows, \
              {} entries, {:5.1} MB in {t_oracle:5.2} s",
             t_serial * 1e3,
-            t_par * 1e3,
             nl.memory_bytes() as f64 / 1e6,
             sim.memory_bytes() as f64 / 1e6,
             values_bytes as f64 / 1e6,
@@ -901,9 +839,6 @@ fn main() {
                 "sweep_secs": t_serial,
                 "sweep_once_secs": sweep_once,
                 "sweep_within_budget": sweep_once <= sweep_budget_secs,
-                "parallel_secs": t_par,
-                "parallel_speedup_vs_serial": par_speedup,
-                "parallel_bit_identical": true,
                 "netlist_bytes": nl.memory_bytes(),
                 "csr_bytes": sim.memory_bytes(),
                 "packed_values_bytes": values_bytes,
@@ -1017,7 +952,7 @@ fn main() {
             (
                 "threads",
                 FaultSweepOptions {
-                    threads: scale_threads,
+                    threads,
                     frames: seq_frames,
                     ..FaultSweepOptions::default()
                 },
@@ -1279,10 +1214,6 @@ fn main() {
         "mega": scale_entries,
         "sweep_budget_secs": sweep_budget_secs,
         "sweep_within_budget": scale_budget_ok,
-        "parallel_threads": scale_threads,
-        "parallel_speedup_vs_serial": scale_parallel_speedup,
-        "parallel_gate": if cores >= 4 { "ARMED" } else { "SKIPPED" },
-        "parallel_gate_cores": cores,
         "dw_probe": dw_probe,
     });
 
@@ -1387,14 +1318,6 @@ fn main() {
         // (at the lower 2x threshold).
         failed = true;
     }
-    if resynth_pr4_speedup < resynth_pr4_threshold {
-        eprintln!(
-            "ERROR: {rs_name} resynthesis patch-scoring speedup {resynth_pr4_speedup:.2}x vs the \
-             PR 4 rebuild path is below the {resynth_pr4_threshold}x gate (PR 4 recorded 3.8x on \
-             this baseline; the lighter context must at least double it)"
-        );
-        failed = true;
-    }
     {
         let ctx_name = if opts.smoke { "c1908" } else { HEADLINE };
         if ctx_headline_speedup < ctx_build_threshold {
@@ -1463,28 +1386,6 @@ fn main() {
              propagating state across frame boundaries"
         );
         failed = true;
-    }
-    // Structural-parallel sweep gate: same ARMED/SKIPPED discipline as
-    // the fault-sweep and context-build gates.
-    if cores >= 4 {
-        println!(
-            "structural-parallel sweep gate ARMED ({cores} cores >= 4): measured \
-             {scale_parallel_speedup:.2}x at {scale_threads} threads against the 1.5x gate"
-        );
-        if scale_parallel_speedup < 1.5 {
-            let severity = if opts.smoke { "WARNING" } else { "ERROR" };
-            eprintln!(
-                "{severity}: structural-parallel mega-circuit sweep speedup \
-                 {scale_parallel_speedup:.2}x at {scale_threads} threads is below the 1.5x gate"
-            );
-            failed |= !opts.smoke;
-        }
-    } else {
-        println!(
-            "structural-parallel sweep gate SKIPPED: {cores} core(s) available, gate arms at \
-             >= 4 cores; measured {scale_parallel_speedup:.2}x at {scale_threads} threads is \
-             recorded in BENCH_sim.json, not gated (bit-identity asserted regardless)"
-        );
     }
     // The parallel gate's armed/skipped state is always announced — a
     // 1-core container must say *why* nothing is gated instead of

@@ -16,7 +16,7 @@
 //! * `--converge` — also print the best-cost-per-generation series (X1)
 //! * `--ablate` — also run χ = 0 (no Monte-Carlo descendants) and random
 //!   (non-chain) starts, quantifying both design choices
-//! * `--json PATH` — dump all reports as JSON for EXPERIMENTS.md tooling
+//! * `--json PATH` — dump all reports as JSON for offline comparison
 
 use std::collections::BTreeMap;
 
@@ -188,7 +188,7 @@ fn row(comparisons: &[(String, Comparison)], label: &str, f: impl Fn(&Comparison
 }
 
 fn run_ablations(args: &Args, evo: &EvolutionConfig) {
-    println!("\n== Ablations (design choices of DESIGN.md §7) ==");
+    println!("\n== Ablations (Monte-Carlo descendants, chain starts) ==");
     let lib = experiment_library();
     let cfg = experiment_config();
     // Representative mid-size circuit to keep ablation runtime sane.

@@ -1,8 +1,8 @@
 //! Shared experiment plumbing for the table/figure regeneration binaries
 //! and the `bench` perf binary.
 //!
-//! Experiment index (see `DESIGN.md` §2 and `EXPERIMENTS.md` for
-//! paper-vs-measured records):
+//! Experiment index — each binary regenerates one paper artefact from
+//! generated circuits (`cargo run --release -p iddq-bench --bin <binary>`):
 //!
 //! | id | binary | paper artefact |
 //! |----|--------|----------------|

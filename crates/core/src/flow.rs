@@ -44,7 +44,8 @@ pub struct ModuleReport {
     pub delta_ps: Option<f64>,
 }
 
-/// Complete result record (serializable for EXPERIMENTS.md tooling).
+/// Complete result record, serializable so experiment runs can be stored
+/// and compared as JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SynthesisReport {
     /// Circuit name.

@@ -293,7 +293,7 @@ pub struct ResynthEval<'a> {
     order: Vec<u32>,
     order_dirty: bool,
     /// Counting-sort scratch of the order rebuild (per-level start).
-    level_starts: Vec<u32>,
+    level_slots: Vec<u32>,
     /// Nominal critical-path delay of the current structure, recomputed
     /// lazily (patches move both delays and paths).
     nominal_delay_ps: f64,
@@ -397,7 +397,7 @@ impl<'a> ResynthEval<'a> {
             rows_evicted: None,
             order: Vec::new(),
             order_dirty: true,
-            level_starts: Vec::new(),
+            level_slots: Vec::new(),
             nominal_delay_ps: ctx.nominal_delay_ps,
             nominal_dirty: false,
             hist_cur: Vec::new(),
@@ -1490,7 +1490,7 @@ impl<'a> ResynthEval<'a> {
             // (level, id) order in O(n + depth).
             let n = self.kinds.len();
             let cones = &self.cones;
-            let starts = &mut self.level_starts;
+            let starts = &mut self.level_slots;
             starts.clear();
             for i in 0..n {
                 let l = cones.level(i) as usize;

@@ -23,7 +23,8 @@
 //!   paths.
 //!
 //! Generation is fully deterministic given `(profile, seed)`, so every
-//! table in `EXPERIMENTS.md` regenerates bit-identically.
+//! experiment over generated circuits (e.g. the `table1` binary of
+//! `iddq-bench`) regenerates bit-identically.
 //!
 //! # Example
 //!

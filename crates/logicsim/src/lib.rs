@@ -61,8 +61,7 @@
 //!   next state. Stepping is explicit: the caller owns the packed state
 //!   slice (`num_state_elements()` words, ordered like
 //!   [`iddq_netlist::Netlist::state_elements`]) and passes it to
-//!   [`Simulator::step_frame`], [`Simulator::step_frame_threads`] or
-//!   [`delta::DeltaSim::step_frame`].
+//!   [`Simulator::step_frame`] or [`delta::DeltaSim::step_frame`].
 //! * Multi-frame workloads are *sequences*: `vectors[s * frames + t]` is
 //!   frame `t` of sequence `s`, every sequence starting from the all-zero
 //!   reset state. In packed sweeps lane `k` carries one sequence, so the
@@ -103,23 +102,21 @@
 //!
 //! Both engines are sized for million-gate circuits:
 //!
-//! * The CSR [`Simulator`] compiles the netlist into four flat `u32`
-//!   arrays (targets, fan-in offsets, fan-in pool, level starts) plus a
-//!   run table — about 25 bytes per node, independent of circuit size,
-//!   with zero per-node allocations. Packed values add
-//!   `lanes / 8` bytes per node per live buffer (8 B at `u64`, 64 B at
-//!   [`iddq_netlist::W512`]).
+//! * The CSR [`Simulator`] compiles the netlist into three flat `u32`
+//!   arrays (targets, fan-in offsets, fan-in pool) plus a run table —
+//!   about 4 bytes per fan-in edge plus 8 per gate, with zero per-node
+//!   allocations. Packed values add `lanes / 8` bytes per node per live
+//!   buffer (8 B at `u64`, 64 B at [`iddq_netlist::W512`]).
 //! * [`delta::DeltaSim`] stores its adjacency as pooled
 //!   structure-of-arrays slabs (`offset`/`len`/`capacity` into one
 //!   shared `u32` pool per direction) rather than one `Vec` per node,
 //!   so its persistent state stays near 120 bytes per node at `u64`
 //!   lanes.
-//! * Sweeps over large circuits can run **structurally parallel**:
-//!   [`Simulator::eval_into_threads`] splits each level of the schedule
-//!   into independent node ranges across scoped worker threads and is
-//!   asserted bit-identical to the serial kernel (levels below
-//!   [`Simulator::PARALLEL_LEVEL_MIN_STEPS`] steps stay serial — the
-//!   fan-out/join overhead would dominate).
+//! * One sweep is one serial walk of the schedule. Parallelism runs
+//!   across patterns and faults instead (pattern batches in `iddq sim
+//!   --threads`, fault shards × pattern batches in the sweep grid): a
+//!   level-partitioned sweep lost to the serial kernel at every circuit
+//!   size measured, up to 10^6 gates.
 //!
 //! [`Simulator::memory_bytes`] and [`delta::DeltaSim::memory_bytes`]
 //! report the measured (capacity-accurate) footprints; the CLI's

@@ -200,35 +200,6 @@ proptest! {
         prop_assert_eq!(sim.eval(&inputs), naive.eval(&inputs));
     }
 
-    /// The structurally parallel sweep is bit-identical to the serial CSR
-    /// kernel for every thread count and partition granularity, on random
-    /// netlists and random packed inputs (u64 and W512).
-    #[test]
-    fn structural_parallel_sweep_matches_serial(
-        seed in 0u64..200,
-        salt in any::<u64>(),
-        threads in 2usize..9,
-        min_level_steps in 0usize..12,
-    ) {
-        let nl = random_netlist(seed);
-        let sim = Simulator::new(&nl);
-        let inputs: Vec<u64> = (0..nl.num_inputs() as u64)
-            .map(|i| salt.rotate_left((i % 63) as u32).wrapping_mul(2 * i + 1))
-            .collect();
-        let serial = sim.eval(&inputs);
-        let mut parallel = vec![0u64; sim.node_count()];
-        sim.eval_into_partitioned(&inputs, &mut parallel, threads, min_level_steps);
-        prop_assert_eq!(&parallel, &serial);
-        let wide: Vec<W512> = inputs
-            .iter()
-            .map(|&w| W512::from_limbs(|limb| w.rotate_left(limb as u32)))
-            .collect();
-        let wide_serial = sim.eval(&wide);
-        let mut wide_parallel = vec![W512::zeros(); sim.node_count()];
-        sim.eval_into_partitioned(&wide, &mut wide_parallel, threads, min_level_steps);
-        prop_assert_eq!(wide_parallel, wide_serial);
-    }
-
     /// A 256-wide sweep equals four independent 64-wide sweeps, limb by
     /// limb, on random netlists.
     #[test]
@@ -610,8 +581,8 @@ mod frames {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The packed CSR frame chain, its threaded variant and the
-        /// event-driven `DeltaSim` stepper all match the scalar naive
+        /// The packed CSR frame chain and the event-driven `DeltaSim`
+        /// stepper both match the scalar naive
         /// per-frame-rebuild reference on random DFF netlists, frame by
         /// frame from the all-zero reset.
         #[test]
@@ -629,16 +600,12 @@ mod frames {
                 .collect();
             let want = naive.step_frames(&frame_inputs);
             let mut state = vec![0u64; sim.num_state_elements()];
-            let mut tstate = vec![0u64; sim.num_state_elements()];
             let mut values = vec![0u64; sim.node_count()];
-            let mut tvalues = vec![0u64; sim.node_count()];
             let mut delta = DeltaSim::<u64>::new(&nl);
             let mut dstate = vec![0u64; delta.num_state_elements()];
             for (t, inputs) in frame_inputs.iter().enumerate() {
                 sim.step_frame(inputs, &mut state, &mut values);
                 prop_assert_eq!(&values, &want[t], "csr frame {}", t);
-                sim.step_frame_threads(inputs, &mut tstate, &mut tvalues, 4);
-                prop_assert_eq!(&tvalues, &want[t], "threaded frame {}", t);
                 delta.step_frame(inputs, &mut dstate);
                 prop_assert_eq!(delta.values(), &want[t][..], "delta frame {}", t);
             }

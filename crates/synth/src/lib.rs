@@ -646,44 +646,14 @@ pub fn cost_aware_in_with_control(
 /// bit) and as the honest baseline the `resynth_patch` benchmark gates
 /// against.
 #[must_use]
+#[allow(clippy::expect_used)] // same valid-candidate contract as the patch path
 pub fn cost_aware_rebuild(
     netlist: &Netlist,
     library: &Library,
     config: &PartitionConfig,
 ) -> (Netlist, ResynthesisReport) {
-    cost_aware_rebuild_impl(netlist, library, config, false)
-}
-
-/// [`cost_aware_rebuild`] with every per-candidate context pinned to the
-/// **PR 4-era constructor** (the hash-map separation build,
-/// [`iddq_netlist::separation::SeparationOracle::new_reference`]). The
-/// scores are bit-identical to [`cost_aware_rebuild`]; only the
-/// construction cost differs. The `resynth_patch` benchmark quotes this
-/// arm so the headline ratio stays comparable with the one PR 4 recorded
-/// against the same baseline.
-#[must_use]
-pub fn cost_aware_rebuild_reference(
-    netlist: &Netlist,
-    library: &Library,
-    config: &PartitionConfig,
-) -> (Netlist, ResynthesisReport) {
-    cost_aware_rebuild_impl(netlist, library, config, true)
-}
-
-#[allow(clippy::expect_used)] // same valid-candidate contract as the patch path
-fn cost_aware_rebuild_impl(
-    netlist: &Netlist,
-    library: &Library,
-    config: &PartitionConfig,
-    reference_oracle: bool,
-) -> (Netlist, ResynthesisReport) {
     let score = |nl: &Netlist| {
-        let builder = EvalContext::builder(nl, library, config.clone());
-        let ctx = if reference_oracle {
-            builder.reference_oracle().build()
-        } else {
-            builder.build()
-        };
+        let ctx = EvalContext::builder(nl, library, config.clone()).build();
         Evaluated::new(&ctx, Partition::single_module(nl)).total_cost()
     };
     let balanced_patch = decompose_patch_inner(netlist, DecompositionStyle::Balanced, 2);
