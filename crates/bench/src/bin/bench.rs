@@ -1,59 +1,20 @@
 //! `bench` — machine-readable throughput measurements of the simulation
 //! hot path, emitting `BENCH_sim.json`.
 //!
-//! Measures patterns/second of logic simulation on synthetic c432 / c1908
-//! / c7552 circuits for four kernels:
-//!
-//! * `naive64` — the seed's evaluator (per-gate fan-in `Vec`s, scratch
-//!   gather buffer, fresh value vector per 64-pattern batch), kept in
-//!   `iddq_logicsim::reference` as the comparison baseline;
-//! * `csr64` — the CSR-compiled kernel, 64 patterns/sweep, zero-allocation
-//!   `eval_into`;
-//! * `csr256` / `csr512` — the same kernel over 256-bit [`W256`] /
-//!   512-bit [`W512`] words (the `--lanes` widths of the CLI).
-//!
-//! It also measures:
-//!
-//! * the parallel IDDQ fault sweep (vectors/second, sequential vs ≥ 4
-//!   worker threads; the > 1.5× gate applies only when the machine
-//!   actually has ≥ 4 cores),
-//! * the fault-patch engine (`fault_patch`): stuck-at + bridge sweep on
-//!   the persistent delta state (force patch → dirty-cone diff →
-//!   rollback, fault dropping) against the per-fault full re-simulation
-//!   oracle — detection results are asserted identical, and the speedup
-//!   gate requires ≥ 5× (full) / ≥ 3× (smoke) on the largest benchmark,
-//! * the event-driven incremental engine (`delta`): single-gate-mutation
-//!   re-evaluation throughput (apply or rollback of one structural patch,
-//!   dirty-cone-only propagation) against a full CSR re-simulation of the
-//!   mutated circuit — the acceptance gate requires ≥ 5× (full mode) /
-//!   ≥ 3× (smoke) on the largest benchmark,
-//! * resynthesis candidate scoring (`resynth_patch`): the three
-//!   `cost_aware` candidates scored by patch apply→score→rollback on one
-//!   persistent `ResynthEval` vs materializing each candidate and
-//!   rebuilding a fresh `EvalContext`/`Evaluated` — chosen candidate and
-//!   costs asserted bit-identical, wall-clock gated ≥ 3× (full, c7552) /
-//!   ≥ 2× (smoke, c1908),
-//! * the evolution loop wall-clock against a **rebuild-per-evaluation**
-//!   baseline: every candidate scored by a fresh from-scratch
-//!   [`iddq_core::Evaluated`] (asserted to reproduce the search's best
-//!   cost bit-exactly), plus a `threads = cores` arm asserted to return
-//!   the serial arm's best partition, cost bits and evaluation count,
-//! * the `scale` section: generated mega-circuits (10^5 gates in smoke,
-//!   plus 10^6 in full mode) swept end-to-end by the serial CSR kernel
-//!   under an asserted wall-clock budget — measured packed-state memory
-//!   reported, and a row-budgeted streamed separation-oracle build
-//!   demonstrating bounded-memory partial analysis at scale — plus the c7552
-//!   incremental-ΔW probe: one `ResynthEval` apply→rollback separation
-//!   refresh vs the retained full-refresh reference at asserted
-//!   bit-identical costs, gated ≥ 2×,
-//! * the `seq` section: ISCAS-89-like sequential circuits through the
-//!   multi-frame fault sweep — every grid configuration (threads,
-//!   shards, delta backend) asserted bit-identical to the serial CSR
-//!   sweep, and at least one fault must be first detected mid-sequence,
-//!   i.e. only explicable by latched state crossing a frame boundary.
+//! Each section is one function below that times an engine against its
+//! baseline, asserts that both compute the same result, and returns its
+//! JSON entries and its [`Gate`]s: `kernels` (the seed's evaluator vs
+//! the CSR kernel), `delta` (single-gate-mutation re-evaluation),
+//! `fault_patch`, `context_build`, `resynth_patch`,
+//! `parallel_fault_sweep` (the IDDQ sweep), `evolution_loop` and `scale`
+//! (mega-circuits plus the incremental-ΔW `dw_probe`). Each function's
+//! doc states its gate. `main` writes the JSON, then reports every gate
+//! in one loop and exits 1 if an armed gate fails.
 //!
 //! `--smoke` shrinks the measurement windows for a sub-second CI health
-//! check; `--out PATH` overrides the JSON path.
+//! check; `--out PATH` overrides the JSON path. Any other argument, or
+//! `--out` without its path, is a usage error (exit 2) before anything
+//! is measured.
 //!
 //! ```text
 //! cargo run --release -p iddq-bench --bin bench [-- --smoke] [--out BENCH_sim.json]
@@ -78,33 +39,234 @@ use iddq_logicsim::reference::NaiveSimulator;
 use iddq_logicsim::{iddq, BackendKind, Simulator};
 use iddq_netlist::separation::SeparationOracle;
 use iddq_netlist::{CellKind, Netlist, NodeId, PackedWord, W256, W512};
-use iddq_serve::{Client as ServeClient, Server as ServeServer, ServerConfig as ServeConfig};
+use serde_json::Value;
 
 const CIRCUITS: [&str; 3] = ["c432", "c1908", "c7552"];
 /// Circuit the acceptance criterion is pinned to.
 const HEADLINE: &str = "c7552";
+/// The parallel-speedup gates arm only on machines with this many cores.
+const PARALLEL_GATE_CORES: usize = 4;
 
-struct Options {
+const USAGE: &str = "usage: bench [--smoke] [--out PATH]";
+
+/// The run's settings, shared by every section.
+struct Mode {
     smoke: bool,
-    out: String,
+    /// Measurement window of [`secs_per_iter`] and
+    /// [`secs_per_iter_interleaved`].
+    window_ms: u64,
+    /// Cores the machine reports.
+    cores: usize,
 }
 
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    Options {
-        smoke: args.iter().any(|a| a == "--smoke"),
-        out,
+impl Mode {
+    /// `small` in smoke mode, `large` in full mode.
+    fn pick<T>(&self, small: T, large: T) -> T {
+        if self.smoke {
+            small
+        } else {
+            large
+        }
     }
 }
 
+/// Parses `[--smoke] [--out PATH]`: the smoke flag and the JSON path.
+/// Any other argument, or `--out` without a path, is an error naming it.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(bool, String), String> {
+    let mut smoke = false;
+    let mut out = "BENCH_sim.json".to_owned();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => out = args.next().ok_or("flag `--out` expects a path")?,
+            _ => return Err(format!("unknown argument `{arg}`")),
+        }
+    }
+    Ok((smoke, out))
+}
+
+/// One acceptance gate: a measured ratio that must reach its threshold.
+struct Gate {
+    /// What is measured, as the gate report prints it.
+    name: String,
+    measured: f64,
+    threshold: f64,
+    /// Whether a miss fails a smoke run too; otherwise smoke only warns.
+    fails_in_smoke: bool,
+    /// Whether the gate is evaluated. An unarmed gate is announced
+    /// SKIPPED and its measurement only recorded.
+    armed: bool,
+}
+
+impl Gate {
+    /// An armed gate that fails smoke and full runs alike: a work ratio
+    /// between two deterministic paths, stable even in short windows.
+    fn new(name: impl Into<String>, measured: f64, threshold: f64) -> Self {
+        Gate {
+            name: name.into(),
+            measured,
+            threshold,
+            fails_in_smoke: true,
+            armed: true,
+        }
+    }
+
+    /// A ≥ 1.5× parallel-speedup gate: armed only with
+    /// [`PARALLEL_GATE_CORES`] real cores, and enforced only in full mode,
+    /// whose windows are long enough to trust a scaling figure.
+    fn parallel(name: impl Into<String>, measured: f64, cores: usize) -> Self {
+        Gate {
+            fails_in_smoke: false,
+            armed: cores >= PARALLEL_GATE_CORES,
+            ..Gate::new(name, measured, 1.5)
+        }
+    }
+
+    fn pass(&self) -> bool {
+        self.measured >= self.threshold
+    }
+}
+
+/// What a section hands back to `main`: its top-level `BENCH_sim.json`
+/// entries and its gates.
+struct Section {
+    entries: Vec<(&'static str, Value)>,
+    gates: Vec<Gate>,
+}
+
+impl Section {
+    /// A section with one top-level entry.
+    fn new(key: &'static str, json: Value, gates: Vec<Gate>) -> Self {
+        Section {
+            entries: vec![(key, json)],
+            gates,
+        }
+    }
+}
+
+/// Prints every gate and returns whether any armed one failed. A miss
+/// of a gate that does not fail in smoke is a warning in smoke mode.
+fn run_gates(gates: &[Gate], smoke: bool) -> bool {
+    let mut failed = false;
+    for gate in gates {
+        let line = format!(
+            "{}: measured {:.2}x against the {}x gate",
+            gate.name, gate.measured, gate.threshold
+        );
+        if !gate.armed {
+            println!("gate SKIPPED: {line}; recorded in BENCH_sim.json, not gated");
+        } else if gate.pass() {
+            println!("gate ARMED: {line}: pass");
+        } else if gate.fails_in_smoke || !smoke {
+            eprintln!("ERROR: gate {line}: below the gate");
+            failed = true;
+        } else {
+            eprintln!("WARNING: gate {line}: below the gate (enforced in full mode only)");
+        }
+    }
+    failed
+}
+
+/// The three generated ISCAS-85-like circuits every kernel section runs on.
+fn corpus() -> BTreeMap<&'static str, Netlist> {
+    CIRCUITS
+        .into_iter()
+        .map(|name| {
+            let profile = IscasProfile::by_name(name).expect("known circuit");
+            (name, table1_circuit(profile))
+        })
+        .collect()
+}
+
+/// 256-lane input words derived from one 64-bit word per input.
+fn inputs256(inputs64: &[u64]) -> Vec<W256> {
+    inputs64
+        .iter()
+        .map(|&w| W256::from_limbs(|l| w.rotate_left(l as u32 * 7)))
+        .collect()
+}
+
+/// A deterministic 64-bit input word per primary input.
+fn inputs64(nl: &Netlist) -> Vec<u64> {
+    (0..nl.num_inputs() as u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect()
+}
+
+/// `n` deterministic test vectors.
+fn test_vectors(nl: &Netlist, n: usize) -> Vec<Vec<bool>> {
+    (0..n)
+        .map(|k| {
+            (0..nl.num_inputs())
+                .map(|i| (k * 37 + i * 11) % 3 == 0)
+                .collect()
+        })
+        .collect()
+}
+
+fn main() {
+    let (smoke, out) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let mode = Mode {
+        smoke,
+        window_ms: if smoke { 8 } else { 150 },
+        cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    };
+    let netlists = corpus();
+    let (kernel_section, csr256_rates) = kernels(&mode, &netlists);
+    let sections = [
+        kernel_section,
+        delta(&mode, &netlists, &csr256_rates),
+        fault_patch(&mode, &netlists[HEADLINE]),
+        context_build(&mode, &netlists),
+        resynth_patch(&mode, &netlists),
+        parallel_fault_sweep(&mode, &netlists),
+        evolution_loop(&mode, &netlists),
+        scale(&mode, &netlists[HEADLINE]),
+    ];
+    let mut payload = BTreeMap::from([(
+        "mode".to_owned(),
+        Value::String(mode.pick("smoke", "full").to_owned()),
+    )]);
+    let mut gates = Vec::new();
+    for section in sections {
+        payload.extend(section.entries.into_iter().map(|(k, v)| (k.to_owned(), v)));
+        gates.extend(section.gates);
+    }
+    // Atomic temp-file + rename: a crash mid-write can never leave a
+    // truncated BENCH_sim.json behind for downstream tooling to choke on.
+    iddq_control::write_atomic(
+        std::path::Path::new(&out),
+        &serde_json::to_string_pretty(&payload).expect("serializable"),
+    )
+    .expect("writable output path");
+    println!("wrote {out}");
+    if run_gates(&gates, mode.smoke) {
+        std::process::exit(1);
+    }
+}
+
+/// `f` as a timed arm: the result of every call goes through
+/// [`std::hint::black_box`], so the work cannot be optimized away.
+fn arm<T>(mut f: impl FnMut() -> T) -> impl FnMut() {
+    move || {
+        std::hint::black_box(f());
+    }
+}
+
+/// `f()` and the wall-clock seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let value = f();
+    (value, start.elapsed().as_secs_f64())
+}
+
 /// Mean seconds per call of `f`, measured over a wall-clock window.
-fn secs_per_iter(window_ms: u64, mut f: impl FnMut()) -> f64 {
+fn secs_per_iter<T>(window_ms: u64, f: impl FnMut() -> T) -> f64 {
+    let mut f = arm(f);
     // Warm-up (touches caches, faults in pages).
     f();
     f();
@@ -157,53 +319,48 @@ fn secs_per_iter_interleaved<const K: usize>(
     }
 }
 
-fn main() {
-    let opts = parse_args();
-    let window_ms: u64 = if opts.smoke { 8 } else { 150 };
-    let mode = if opts.smoke { "smoke" } else { "full" };
-    println!("== simulation kernel throughput ({mode}) ==");
+/// Patterns/second of one CSR sweep over `inputs`.
+fn csr_rate<W: PackedWord>(window_ms: u64, sim: &Simulator, inputs: &[W]) -> f64 {
+    let mut values = vec![W::zeros(); sim.node_count()];
+    let t = secs_per_iter(window_ms, || {
+        sim.eval_into(std::hint::black_box(inputs), &mut values)
+    });
+    f64::from(W::LANES) / t
+}
 
-    let mut circuits: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-    let mut headline_speedup = 0.0f64;
-    let mut netlists: BTreeMap<&str, Netlist> = BTreeMap::new();
+/// Patterns/second of four kernels on every circuit: `naive64`, the
+/// seed's evaluator (per-gate fan-in `Vec`s, scratch gather buffer, fresh
+/// value vector per 64-pattern batch) kept in `iddq_logicsim::reference`
+/// as the baseline; `csr64`, the CSR-compiled zero-allocation
+/// `eval_into`; and `csr256` / `csr512`, the same kernel over [`W256`] /
+/// [`W512`] words (the `--lanes` widths of the CLI). Gated on the
+/// headline csr256 speedup over the seed (≥ 3×), in full mode only:
+/// smoke's short windows are too noisy to fail CI over on a loaded
+/// runner. Also returns each circuit's csr256 rate.
+fn kernels(
+    mode: &Mode,
+    netlists: &BTreeMap<&'static str, Netlist>,
+) -> (Section, BTreeMap<&'static str, f64>) {
+    println!(
+        "== simulation kernel throughput ({}) ==",
+        mode.pick("smoke", "full")
+    );
+    let mut circuits: BTreeMap<String, Value> = BTreeMap::new();
     let mut csr256_rates: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut headline_speedup = 0.0f64;
     for name in CIRCUITS {
-        let profile = IscasProfile::by_name(name).expect("known circuit");
-        let nl = table1_circuit(profile);
-        let naive = NaiveSimulator::new(&nl);
-        let sim = Simulator::new(&nl);
-        let inputs64: Vec<u64> = (0..nl.num_inputs() as u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .collect();
-        let inputs256: Vec<W256> = inputs64
-            .iter()
-            .map(|&w| W256::from_limbs(|l| w.rotate_left(l as u32 * 7)))
-            .collect();
+        let nl = &netlists[name];
+        let naive = NaiveSimulator::new(nl);
+        let sim = Simulator::new(nl);
+        let inputs64 = inputs64(nl);
         let inputs512: Vec<W512> = inputs64
             .iter()
             .map(|&w| W512::from_limbs(|l| w.rotate_left(l as u32 * 5)))
             .collect();
-        let mut values64 = vec![0u64; sim.node_count()];
-        let mut values256 = vec![W256::zeros(); sim.node_count()];
-        let mut values512 = vec![W512::zeros(); sim.node_count()];
-
-        let t_naive = secs_per_iter(window_ms, || {
-            std::hint::black_box(naive.eval(&inputs64));
-        });
-        let t_csr64 = secs_per_iter(window_ms, || {
-            sim.eval_into(std::hint::black_box(&inputs64), &mut values64);
-        });
-        let t_csr256 = secs_per_iter(window_ms, || {
-            sim.eval_into(std::hint::black_box(&inputs256), &mut values256);
-        });
-        let t_csr512 = secs_per_iter(window_ms, || {
-            sim.eval_into(std::hint::black_box(&inputs512), &mut values512);
-        });
-
-        let naive_pps = 64.0 / t_naive;
-        let csr64_pps = 64.0 / t_csr64;
-        let csr256_pps = 256.0 / t_csr256;
-        let csr512_pps = 512.0 / t_csr512;
+        let naive_pps = 64.0 / secs_per_iter(mode.window_ms, || naive.eval(&inputs64));
+        let csr64_pps = csr_rate(mode.window_ms, &sim, &inputs64);
+        let csr256_pps = csr_rate(mode.window_ms, &sim, &inputs256(&inputs64));
+        let csr512_pps = csr_rate(mode.window_ms, &sim, &inputs512);
         let speedup = csr256_pps / naive_pps;
         if name == HEADLINE {
             headline_speedup = speedup;
@@ -229,29 +386,51 @@ fn main() {
             }),
         );
         csr256_rates.insert(name, csr256_pps);
-        netlists.insert(name, nl);
     }
+    let gate = Gate {
+        fails_in_smoke: false,
+        ..Gate::new(
+            format!("{HEADLINE} csr256 speedup vs the seed evaluator"),
+            headline_speedup,
+            3.0,
+        )
+    };
+    let headline = serde_json::json!({
+        "circuit": HEADLINE,
+        "csr256_speedup_vs_seed": gate.measured,
+        "acceptance_threshold": gate.threshold,
+        "pass": gate.pass(),
+    });
+    let section = Section {
+        entries: vec![
+            ("headline", headline),
+            ("circuits", serde_json::json!(circuits)),
+        ],
+        gates: vec![gate],
+    };
+    (section, csr256_rates)
+}
 
-    // Event-driven incremental engine: single-gate-mutation re-evaluation.
-    // Each apply (or rollback) of a one-gate patch refreshes the full
-    // 256-pattern state for a new circuit variant by re-simulating only
-    // the dirty cone. Two baselines: what the CSR kernel actually pays
-    // per mutated variant (program recompile + full sweep — its compiled
-    // runs bake in gate kinds, so a mutation invalidates the program),
-    // and the generous sweep-only rate (as if recompilation were free).
-    // The acceptance gate uses the recompile-inclusive baseline; both are
-    // recorded.
+/// Event-driven incremental engine: single-gate-mutation re-evaluation.
+/// Each apply (or rollback) of a one-gate patch refreshes the full
+/// 256-pattern state for a new circuit variant by re-simulating only the
+/// dirty cone. Two baselines: what the CSR kernel actually pays per
+/// mutated variant (program recompile + full sweep — its compiled runs
+/// bake in gate kinds, so a mutation invalidates the program), and the
+/// generous sweep-only rate (as if recompilation were free). The gate
+/// (≥ 3× smoke / ≥ 5× full, a work ratio) uses the recompile-inclusive
+/// baseline; both are recorded.
+fn delta(
+    mode: &Mode,
+    netlists: &BTreeMap<&'static str, Netlist>,
+    csr256_rates: &BTreeMap<&'static str, f64>,
+) -> Section {
     println!("== delta engine: single-gate-mutation re-evaluation ==");
-    let mut delta_entries: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-    let mut delta_headline_speedup = 0.0f64;
+    let mut delta_entries: BTreeMap<String, Value> = BTreeMap::new();
+    let mut headline_speedup = 0.0f64;
     for name in CIRCUITS {
         let nl = &netlists[name];
-        let inputs256: Vec<W256> = (0..nl.num_inputs() as u64)
-            .map(|i| {
-                let w = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                W256::from_limbs(|l| w.rotate_left(l as u32 * 7))
-            })
-            .collect();
+        let inputs256 = inputs256(&inputs64(nl));
         let mut dsim = DeltaSim::<W256>::new(nl);
         dsim.set_inputs(&inputs256);
         // A deterministic pool of single-gate kind-flip patches.
@@ -282,7 +461,7 @@ fn main() {
         let mut pi = 0usize;
         let mut reevaluated = 0u64;
         let mut mutations = 0u64;
-        let t_pair = secs_per_iter(window_ms, || {
+        let t_pair = secs_per_iter(mode.window_ms, || {
             let patch = &pool[pi % pool.len()];
             pi += 1;
             let r = dsim.apply(patch).expect("pool patches are valid");
@@ -291,7 +470,7 @@ fn main() {
             mutations += 2;
         });
         let mut values256 = vec![W256::zeros(); nl.node_count()];
-        let t_rebuild = secs_per_iter(window_ms, || {
+        let t_rebuild = secs_per_iter(mode.window_ms, || {
             let sim = Simulator::new(std::hint::black_box(nl));
             sim.eval_into(&inputs256, &mut values256);
             std::hint::black_box(&values256);
@@ -303,7 +482,7 @@ fn main() {
         let sweep_speedup = inc_pps / sweep_pps;
         let mean_dirty = reevaluated as f64 / mutations as f64;
         if name == HEADLINE {
-            delta_headline_speedup = speedup;
+            headline_speedup = speedup;
         }
         println!(
             "{name:>8}: incremental {inc_pps:10.3e} pat/s | csr rebuild+sweep {rebuild_pps:10.3e} \
@@ -324,31 +503,43 @@ fn main() {
             }),
         );
     }
+    let gate = Gate::new(
+        format!("{HEADLINE} delta single-gate-mutation speedup vs full re-evaluation"),
+        headline_speedup,
+        mode.pick(3.0, 5.0),
+    );
+    let delta = serde_json::json!({
+        "circuits": delta_entries,
+        "headline": serde_json::json!({
+            "circuit": HEADLINE,
+            "speedup_vs_full_reeval": gate.measured,
+            "acceptance_threshold": gate.threshold,
+            "pass": gate.pass(),
+        }),
+    });
+    Section::new("delta", delta, vec![gate])
+}
 
-    // Fault-patch engine: stuck-at + bridge sweep on the persistent delta
-    // state vs the per-fault full re-simulation oracle. Both runs use the
-    // same fault-dropping semantics and are asserted to produce identical
-    // detections, so the wall-clock ratio isolates the dirty-cone win.
+/// Fault-patch engine: stuck-at + bridge sweep on the persistent delta
+/// state vs the per-fault full re-simulation oracle. Both runs use the
+/// same fault-dropping semantics and are asserted to produce identical
+/// detections, so the wall-clock ratio isolates the dirty-cone win
+/// (gated ≥ 3× smoke / ≥ 5× full).
+fn fault_patch(mode: &Mode, fp_nl: &Netlist) -> Section {
     println!("== fault-patch engine: stuck-at/bridge sweep ==");
-    let fp_nl = &netlists[HEADLINE];
     let fp_gates: Vec<NodeId> = fp_nl.gate_ids().collect();
-    let num_sa = if opts.smoke { 40 } else { 192 };
+    let num_sa = mode.pick(40, 192);
     let sa_stride = (fp_gates.len() / num_sa).max(1);
     let mut fp_faults: Vec<LogicFault> = fp_gates
         .iter()
         .step_by(sa_stride)
         .take(num_sa)
-        .flat_map(|&g| {
-            [false, true].map(|stuck_at_one| {
-                LogicFault::StuckAt(StuckAtFault {
-                    node: g,
-                    stuck_at_one,
-                })
-            })
+        .flat_map(|&node| {
+            [false, true]
+                .map(|stuck_at_one| LogicFault::StuckAt(StuckAtFault { node, stuck_at_one }))
         })
         .collect();
     let stuck_at_count = fp_faults.len();
-    let num_bridges = if opts.smoke { 16 } else { 64 };
     fp_faults.extend(
         enumerate(fp_nl, &FaultUniverseConfig::default(), 7)
             .into_iter()
@@ -356,17 +547,11 @@ fn main() {
                 IddqFault::Bridge { a, b, .. } => Some(LogicFault::Bridge { a, b }),
                 _ => None,
             })
-            .take(num_bridges),
+            .take(mode.pick(16, 64)),
     );
     let bridge_count = fp_faults.len() - stuck_at_count;
-    let fp_num_vectors = if opts.smoke { 256 } else { 512 };
-    let fp_vectors: Vec<Vec<bool>> = (0..fp_num_vectors)
-        .map(|k| {
-            (0..fp_nl.num_inputs())
-                .map(|i| (k * 37 + i * 11) % 3 == 0)
-                .collect()
-        })
-        .collect();
+    let fp_num_vectors = mode.pick(256, 512);
+    let fp_vectors = test_vectors(fp_nl, fp_num_vectors);
     let patch_opts = FaultSweepOptions {
         threads: 1,
         backend: BackendKind::Delta,
@@ -377,37 +562,28 @@ fn main() {
         backend: BackendKind::Csr,
         ..FaultSweepOptions::default()
     };
-    let patch_outcome = fault_sweep::sweep::<W256>(fp_nl, &fp_faults, &fp_vectors, &patch_opts);
-    let oracle_outcome = fault_sweep::sweep::<W256>(fp_nl, &fp_faults, &fp_vectors, &oracle_opts);
+    let run = |opts| fault_sweep::sweep::<W256>(fp_nl, &fp_faults, &fp_vectors, opts);
+    let patch_outcome = run(&patch_opts);
     assert_eq!(
-        patch_outcome.first_detection, oracle_outcome.first_detection,
+        patch_outcome.first_detection,
+        run(&oracle_opts).first_detection,
         "fault-patch engine must match the per-fault full re-simulation oracle"
     );
-    let t_patch = secs_per_iter(window_ms, || {
-        std::hint::black_box(fault_sweep::sweep::<W256>(
-            fp_nl,
-            &fp_faults,
-            &fp_vectors,
-            &patch_opts,
-        ));
-    });
-    let t_oracle = secs_per_iter(window_ms, || {
-        std::hint::black_box(fault_sweep::sweep::<W256>(
-            fp_nl,
-            &fp_faults,
-            &fp_vectors,
-            &oracle_opts,
-        ));
-    });
+    let t_patch = secs_per_iter(mode.window_ms, || run(&patch_opts));
+    let t_oracle = secs_per_iter(mode.window_ms, || run(&oracle_opts));
     let fault_patterns = (fp_faults.len() * fp_num_vectors) as f64;
     let patch_fpps = fault_patterns / t_patch;
     let oracle_fpps = fault_patterns / t_oracle;
-    let fault_patch_speedup = t_oracle / t_patch;
-    let fault_patch_threshold = if opts.smoke { 3.0 } else { 5.0 };
+    let gate = Gate::new(
+        format!("{HEADLINE} fault-patch speedup vs per-fault full re-simulation"),
+        t_oracle / t_patch,
+        mode.pick(3.0, 5.0),
+    );
     println!(
         "{HEADLINE:>8}: {stuck_at_count} stuck-at + {bridge_count} bridges x {fp_num_vectors} \
          vectors: patch {patch_fpps:10.3e} fault-pat/s | per-fault resim {oracle_fpps:10.3e} \
-         ({fault_patch_speedup:5.2}x), mean dirty cone {:6.1} of {} nodes, coverage {:.1}%",
+         ({:5.2}x), mean dirty cone {:6.1} of {} nodes, coverage {:.1}%",
+        gate.measured,
         patch_outcome.mean_dirty_nodes,
         fp_nl.node_count(),
         patch_outcome.coverage * 100.0,
@@ -419,102 +595,79 @@ fn main() {
         "vectors": fp_num_vectors,
         "patch_fault_patterns_per_sec": patch_fpps,
         "oracle_fault_patterns_per_sec": oracle_fpps,
-        "speedup_vs_per_fault_resim": fault_patch_speedup,
+        "speedup_vs_per_fault_resim": gate.measured,
         "mean_dirty_nodes": patch_outcome.mean_dirty_nodes,
         "coverage": patch_outcome.coverage,
         "results_match_oracle": true,
-        "acceptance_threshold": fault_patch_threshold,
-        "pass": fault_patch_speedup >= fault_patch_threshold,
+        "acceptance_threshold": gate.threshold,
+        "pass": gate.pass(),
     });
+    Section::new("fault_patch", fault_patch, vec![gate])
+}
 
-    // Analysis-context construction: the flat, tiered, parallel rework of
-    // EvalContext. Four arms per circuit: the full (Separation) tier on
-    // the flat BFS engine, the GateSep tier (gate table direct from the
-    // netlist, no oracle), the PR 4-style constructor (hash-map oracle —
-    // the differential baseline, asserted equal to the flat build), and
-    // the thread-sharded parallel full build (bit-identical by stitching;
-    // its speedup is only gated on machines with >= 4 real cores).
+/// Analysis-context construction: the flat, tiered, parallel rework of
+/// EvalContext. Four arms per circuit: the full (Separation) tier on the
+/// flat BFS engine, the GateSep tier (gate table direct from the netlist,
+/// no oracle), the PR 4-style constructor (hash-map oracle — the
+/// differential baseline, asserted equal to the flat build), and the
+/// thread-sharded parallel full build (bit-identical by stitching). The
+/// flat-vs-PR 4 ratio is a work ratio between two deterministic builds,
+/// gated in smoke too (at the smaller circuit's lower 1.7× threshold —
+/// the oracle is a smaller fraction of the c1908 build; 2.5× on c7552 in
+/// full mode); the parallel speedup has a [`Gate::parallel`] gate.
+fn context_build(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
     println!("== analysis context construction ==");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = mode.cores;
     let ctx_lib = Library::generic_1um();
     let ctx_cfg = PartitionConfig::paper_default();
-    let ctx_circuits: &[&str] = if opts.smoke {
-        &["c1908"]
-    } else {
-        &["c1908", HEADLINE]
-    };
-    let ctx_threads = cores.max(4);
-    let mut context_entries: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-    let mut ctx_headline_speedup = 0.0f64;
-    let mut ctx_parallel_speedup = 0.0f64;
-    for name in ctx_circuits {
+    let gated = mode.pick("c1908", HEADLINE);
+    let ctx_circuits = mode.pick::<&[&str]>(&["c1908"], &["c1908", HEADLINE]);
+    let ctx_threads = cores.max(PARALLEL_GATE_CORES);
+    let mut context_entries: BTreeMap<String, Value> = BTreeMap::new();
+    let mut flat_gated = 0.0f64;
+    let mut parallel_gated = 0.0f64;
+    for &name in ctx_circuits {
         let nl = &netlists[name];
+        let builder = || EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone());
+        let flat = || builder().build();
+        let gatesep = || builder().tier(AnalysisTier::GateSep).build();
+        let pr4 = || builder().reference_oracle().build();
+        let par = || builder().threads(ctx_threads).build();
         // Differential sanity: the flat full build, the PR 4 hash-map
         // build and the direct GateSep table agree entry for entry.
         {
-            let flat = EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone()).build();
-            let pr4 = EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone())
-                .reference_oracle()
-                .build();
+            let full = flat();
             assert_eq!(
-                flat.separation(),
-                pr4.separation(),
+                full.separation(),
+                pr4().separation(),
                 "flat oracle must equal the hash-map reference"
             );
-            let gatesep = EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone())
-                .tier(AnalysisTier::GateSep)
-                .build();
             assert_eq!(
-                gatesep.sep_table(),
-                flat.sep_table(),
+                gatesep().sep_table(),
+                full.sep_table(),
                 "direct gate table must equal the oracle distillation"
             );
-            let par = EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone())
-                .threads(ctx_threads)
-                .build();
             assert_eq!(
-                par.separation(),
-                flat.separation(),
+                par().separation(),
+                full.separation(),
                 "parallel build must be bit-identical to serial"
             );
         }
         let [t_full, t_gatesep, t_pr4, t_par] = secs_per_iter_interleaved(
-            window_ms,
+            mode.window_ms,
             &mut [
-                &mut || {
-                    std::hint::black_box(
-                        EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone()).build(),
-                    );
-                },
-                &mut || {
-                    std::hint::black_box(
-                        EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone())
-                            .tier(AnalysisTier::GateSep)
-                            .build(),
-                    );
-                },
-                &mut || {
-                    std::hint::black_box(
-                        EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone())
-                            .reference_oracle()
-                            .build(),
-                    );
-                },
-                &mut || {
-                    std::hint::black_box(
-                        EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone())
-                            .threads(ctx_threads)
-                            .build(),
-                    );
-                },
+                &mut arm(flat),
+                &mut arm(gatesep),
+                &mut arm(pr4),
+                &mut arm(par),
             ],
         );
         let flat_speedup = t_pr4 / t_full;
         let gatesep_speedup = t_pr4 / t_gatesep;
         let par_speedup = t_full / t_par;
-        if *name == HEADLINE || (opts.smoke && *name == "c1908") {
-            ctx_headline_speedup = flat_speedup;
-            ctx_parallel_speedup = par_speedup;
+        if name == gated {
+            flat_gated = flat_speedup;
+            parallel_gated = par_speedup;
         }
         println!(
             "{name:>8}: full(flat) {:7.1} ms ({flat_speedup:4.2}x vs PR4) | gatesep {:7.1} ms \
@@ -526,7 +679,7 @@ fn main() {
             t_par * 1e3,
         );
         context_entries.insert(
-            (*name).to_string(),
+            name.to_string(),
             serde_json::json!({
                 "gates": nl.gate_count(),
                 "full_flat_secs": t_full,
@@ -540,33 +693,45 @@ fn main() {
             }),
         );
     }
-    // Work ratio between two deterministic builds: stable enough to gate
-    // in smoke mode too (at the smaller circuit's lower threshold — the
-    // oracle is a smaller fraction of the c1908 build).
-    let ctx_build_threshold = if opts.smoke { 1.7 } else { 2.5 };
+    let flat = Gate::new(
+        format!("{gated} full-tier context build speedup vs the PR 4 constructor"),
+        flat_gated,
+        mode.pick(1.7, 2.5),
+    );
+    let parallel = Gate::parallel(
+        format!(
+            "{gated} parallel context build speedup at {ctx_threads} threads \
+             ({cores} core(s); arms at >= {PARALLEL_GATE_CORES})"
+        ),
+        parallel_gated,
+        cores,
+    );
     let context_build = serde_json::json!({
-        "circuit": if opts.smoke { "c1908" } else { HEADLINE },
+        "circuit": gated,
         "circuits": context_entries,
-        "full_flat_speedup_vs_pr4": ctx_headline_speedup,
-        "acceptance_threshold": ctx_build_threshold,
-        "pass": ctx_headline_speedup >= ctx_build_threshold,
-        "parallel_speedup_vs_serial": ctx_parallel_speedup,
-        // Mirrors the fault-sweep gate discipline: the sub-1x number a
-        // 1-core container measures is recorded but explicitly marked
-        // SKIPPED, so downstream tooling never reads it as a regression.
-        "parallel_gate": if cores >= 4 { "ARMED" } else { "SKIPPED" },
+        "full_flat_speedup_vs_pr4": flat.measured,
+        "acceptance_threshold": flat.threshold,
+        "pass": flat.pass(),
+        "parallel_speedup_vs_serial": parallel.measured,
+        // The sub-1x number a 1-core container measures is recorded but
+        // explicitly marked SKIPPED, so downstream tooling never reads it
+        // as a regression.
+        "parallel_gate": if parallel.armed { "ARMED" } else { "SKIPPED" },
         "parallel_gate_cores": cores,
     });
+    Section::new("context_build", context_build, vec![flat, parallel])
+}
 
-    // Resynthesis candidate scoring: the three cost_aware candidates
-    // (Original / Balanced / Chain) scored by patch apply->score->rollback
-    // on one persistent GateSep-tier ResynthEval, against the rebuild
-    // path (materialize every candidate, fresh flat-engine EvalContext +
-    // single-module Evaluated each). Both paths must pick the same
-    // candidate at bit-identical costs; the wall-clock ratio is gated
-    // (>= 2x smoke on c1908 / >= 3x full on c7552).
+/// Resynthesis candidate scoring: the three cost_aware candidates
+/// (Original / Balanced / Chain) scored by patch apply->score->rollback
+/// on one persistent GateSep-tier ResynthEval, against the rebuild path
+/// (materialize every candidate, fresh flat-engine EvalContext +
+/// single-module Evaluated each). Both paths must pick the same candidate
+/// at bit-identical costs; the wall-clock ratio is gated (>= 2x smoke on
+/// c1908 / >= 3x full on c7552).
+fn resynth_patch(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
     println!("== resynthesis scoring: patch vs rebuild ==");
-    let rs_name = if opts.smoke { "c1908" } else { HEADLINE };
+    let rs_name = mode.pick("c1908", HEADLINE);
     let rs_nl = &netlists[rs_name];
     let rs_lib = Library::generic_1um();
     let rs_cfg = PartitionConfig::paper_default();
@@ -588,53 +753,50 @@ fn main() {
         );
     }
     let [t_rs_patch, t_rs_rebuild] = secs_per_iter_interleaved(
-        window_ms,
+        mode.window_ms,
         &mut [
-            &mut || {
-                std::hint::black_box(iddq_synth::cost_aware(rs_nl, &rs_lib, &rs_cfg));
-            },
-            &mut || {
-                std::hint::black_box(iddq_synth::cost_aware_rebuild(rs_nl, &rs_lib, &rs_cfg));
-            },
+            &mut arm(|| iddq_synth::cost_aware(rs_nl, &rs_lib, &rs_cfg)),
+            &mut arm(|| iddq_synth::cost_aware_rebuild(rs_nl, &rs_lib, &rs_cfg)),
         ],
     );
-    let resynth_speedup = t_rs_rebuild / t_rs_patch;
-    let resynth_threshold = if opts.smoke { 2.0 } else { 3.0 };
+    let gate = Gate::new(
+        format!("{rs_name} resynthesis patch-scoring speedup vs rebuild scoring"),
+        t_rs_rebuild / t_rs_patch,
+        mode.pick(2.0, 3.0),
+    );
     println!(
         "{rs_name:>8}: 3 candidates: patch {t_rs_patch:8.3} s | rebuild {t_rs_rebuild:8.3} s \
-         ({resynth_speedup:5.2}x), chosen {:?} at identical costs",
-        rep_patch.chosen,
+         ({:5.2}x), chosen {:?} at identical costs",
+        gate.measured, rep_patch.chosen,
     );
     let resynth_patch = serde_json::json!({
         "circuit": rs_name,
         "candidates": 3,
         "patch_secs": t_rs_patch,
         "rebuild_secs": t_rs_rebuild,
-        "speedup_vs_rebuild": resynth_speedup,
+        "speedup_vs_rebuild": gate.measured,
         "chosen": format!("{:?}", rep_patch.chosen),
         "costs_match_bitwise": true,
-        "acceptance_threshold": resynth_threshold,
-        "pass": resynth_speedup >= resynth_threshold,
+        "acceptance_threshold": gate.threshold,
+        "pass": gate.pass(),
     });
+    Section::new("resynth_patch", resynth_patch, vec![gate])
+}
 
-    // Parallel fault-sweep throughput (vectors/second through the full
-    // activation + detection pipeline). The parallel leg always runs at
-    // >= 4 workers so the recorded speedup is the one the acceptance
-    // criterion talks about; on machines with fewer cores it degenerates
-    // to ~1x and is reported (not gated).
+/// Parallel fault-sweep throughput (vectors/second through the full
+/// activation + detection pipeline). The parallel leg always runs at ≥ 4
+/// workers so the recorded speedup is the one the gate talks about; on
+/// machines with fewer cores it degenerates to ~1x and is recorded, not
+/// gated ([`Gate::parallel`]).
+fn parallel_fault_sweep(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
     println!("== IDDQ fault sweep ==");
-    let threads = cores.max(4);
-    let sweep_circuit = if opts.smoke { "c432" } else { "c1908" };
+    let cores = mode.cores;
+    let threads = cores.max(PARALLEL_GATE_CORES);
+    let sweep_circuit = mode.pick("c432", "c1908");
     let nl = &netlists[sweep_circuit];
     let faults = enumerate(nl, &FaultUniverseConfig::default(), 7);
-    let num_vectors = if opts.smoke { 512 } else { 4096 };
-    let vectors: Vec<Vec<bool>> = (0..num_vectors)
-        .map(|k| {
-            (0..nl.num_inputs())
-                .map(|i| (k * 37 + i * 11) % 3 == 0)
-                .collect()
-        })
-        .collect();
+    let num_vectors = mode.pick(512, 4096);
+    let vectors = test_vectors(nl, num_vectors);
     let module_of: Vec<u32> = nl
         .node_ids()
         .map(|id| if nl.is_gate(id) { 0 } else { iddq::NO_MODULE })
@@ -647,115 +809,120 @@ fn main() {
             threads,
             ..iddq::SweepOptions::default()
         };
-        secs_per_iter(window_ms, || {
-            std::hint::black_box(iddq::simulate_with_options(
-                nl,
-                &faults,
-                &vectors,
-                &module_of,
-                &[0.01],
-                1.0,
-                &options,
-            ));
+        secs_per_iter(mode.window_ms, || {
+            iddq::simulate_with_options(nl, &faults, &vectors, &module_of, &[0.01], 1.0, &options)
         })
     };
     let t_seq = sweep_secs(1);
     let t_par = sweep_secs(threads);
     let seq_vps = num_vectors as f64 / t_seq;
     let par_vps = num_vectors as f64 / t_par;
+    let gate = Gate::parallel(
+        format!(
+            "{sweep_circuit} fault-sweep parallel speedup at {threads} threads \
+             ({cores} core(s); arms at >= {PARALLEL_GATE_CORES})"
+        ),
+        par_vps / seq_vps,
+        cores,
+    );
     println!(
         "{sweep_circuit:>8}: {} faults x {num_vectors} vectors: seq {seq_vps:10.3e} vec/s | \
          {threads} threads {par_vps:10.3e} vec/s ({:4.2}x) on {cores} core(s)",
         faults.len(),
-        par_vps / seq_vps,
+        gate.measured,
     );
+    let fault_sweep = serde_json::json!({
+        "circuit": sweep_circuit,
+        "faults": faults.len(),
+        "vectors": num_vectors,
+        "cores": cores,
+        "threads": threads,
+        "seq_vectors_per_sec": seq_vps,
+        "par_vectors_per_sec": par_vps,
+        "parallel_speedup": gate.measured,
+        "parallel_gate": if gate.armed { "ARMED" } else { "SKIPPED" },
+        "parallel_gate_cores": cores,
+    });
+    Section::new("fault_sweep", fault_sweep, vec![gate])
+}
 
-    // Evolution loop wall-clock. The gate rides the ratio against
-    // scoring every evaluation with a fresh from-scratch `Evaluated` (the
-    // reference constructor every incremental path is differentially
-    // tested against). Its per-evaluation cost is measured on the
-    // search's own best partition and asserted to reproduce the search's
-    // best cost bit-exactly, then scaled by the evaluation count. A
-    // second run at `threads = cores` pins the parallel scoring loop to
-    // the serial result and records its wall-clock (not gated: the
-    // speedup depends on the cores the host has).
+/// Evolution loop wall-clock. The gate (≥ 2×, a work ratio) rides the
+/// ratio against scoring every evaluation with a fresh from-scratch
+/// `Evaluated` (the reference constructor every incremental path is
+/// differentially tested against). Its per-evaluation cost is measured
+/// on the search's own best partition and asserted to reproduce the
+/// search's best cost bit-exactly, then scaled by the evaluation count.
+fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
     println!("== evolution loop wall-clock ==");
-    let evo_circuit = if opts.smoke { "c432" } else { HEADLINE };
-    let evo_nl = &netlists[evo_circuit];
+    let evo_circuit = mode.pick("c432", HEADLINE);
     let library = Library::generic_1um();
     let evo_cfg = EvolutionConfig {
-        generations: if opts.smoke { 4 } else { 25 },
+        generations: mode.pick(4, 25),
         stagnation: usize::MAX,
         threads: 1,
         ..EvolutionConfig::default()
     };
-    let evo_ctx = EvalContext::new(evo_nl, &library, PartitionConfig::paper_default());
-    let start = Instant::now();
-    let evo_out = evolution::optimize(&evo_ctx, &evo_cfg, 42);
-    let t_inc = start.elapsed().as_secs_f64();
-    let (cost_inc, evals) = (evo_out.best_cost, evo_out.evaluations);
-    let threaded_cfg = EvolutionConfig {
-        threads: cores,
-        ..evo_cfg.clone()
-    };
-    let start = Instant::now();
-    let threaded_out = evolution::optimize(&evo_ctx, &threaded_cfg, 42);
-    let t_threaded = start.elapsed().as_secs_f64();
-    assert_eq!(
-        threaded_out.best, evo_out.best,
-        "threaded evolution must return the serial best partition"
+    let evo_ctx = EvalContext::new(
+        &netlists[evo_circuit],
+        &library,
+        PartitionConfig::paper_default(),
     );
-    assert_eq!(
-        threaded_out.best_cost.to_bits(),
-        cost_inc.to_bits(),
-        "threaded evolution must reproduce the serial best cost bit-exactly"
-    );
-    assert_eq!(
-        threaded_out.evaluations, evals,
-        "threaded evolution must score as many descendants as the serial run"
-    );
+    let (evo_out, t_inc) = timed(|| {
+        evolution::optimize(&evo_ctx, &evo_cfg, 42, &RunControl::unlimited()).into_value()
+    });
+    let evals = evo_out.evaluations;
     // Rebuild baseline: a fresh Evaluated per evaluation. Bit-exact
     // against the incremental search's best cost — the two paths score
     // the same partition to the same bits, so the wall-clock ratio is a
     // pure work ratio.
-    let rebuild_cost = Evaluated::new(&evo_ctx, evo_out.best.clone()).total_cost();
+    let rebuild = || Evaluated::new(&evo_ctx, evo_out.best.clone()).total_cost();
     assert_eq!(
-        rebuild_cost.to_bits(),
-        cost_inc.to_bits(),
+        rebuild().to_bits(),
+        evo_out.best_cost.to_bits(),
         "from-scratch Evaluated must reproduce the search's best cost bit-exactly"
     );
-    let t_rebuild_eval = secs_per_iter(window_ms, || {
-        std::hint::black_box(Evaluated::new(&evo_ctx, evo_out.best.clone()).total_cost());
-    });
-    let t_rebuild = t_rebuild_eval * evals as f64;
-    let evo_rebuild_speedup = t_rebuild / t_inc;
-    let evo_threshold = 2.0;
+    let t_rebuild = secs_per_iter(mode.window_ms, rebuild) * evals as f64;
+    let gate = Gate::new(
+        format!("{evo_circuit} evolution speedup vs a fresh Evaluated per evaluation"),
+        t_rebuild / t_inc,
+        2.0,
+    );
     println!(
         "{evo_circuit:>8}: {evals} evaluations: incremental {t_inc:.3} s | rebuild-per-eval \
-         {t_rebuild:.3} s ({evo_rebuild_speedup:.2}x) | {cores} thread(s) {t_threaded:.3} s \
-         ({:.2}x, identical result; not gated)",
-        t_inc / t_threaded,
+         {t_rebuild:.3} s ({:.2}x)",
+        gate.measured,
     );
+    let evolution = serde_json::json!({
+        "circuit": evo_circuit,
+        "generations": evo_cfg.generations,
+        "evaluations": evals,
+        "incremental_secs": t_inc,
+        "rebuild_per_eval_secs": t_rebuild,
+        "rebuild_cost_matches_bitwise": true,
+        "speedup_vs_rebuild": gate.measured,
+        "acceptance_threshold": gate.threshold,
+        "pass": gate.pass(),
+    });
+    Section::new("evolution", evolution, vec![gate])
+}
 
-    // Million-gate scale: generated mega-circuits swept end-to-end on a
-    // flat 16-level shape (6_250 nodes/level at 10^5, 62_500 at 10^6).
-    // The wall-clock of one full serial sweep is asserted under an
-    // explicit budget; measured memory (netlist, CSR program, packed
-    // values) is recorded; and a row-budgeted *streamed* separation-oracle build
-    // shows bounded-memory partial analysis at scale (a complete rho=6
-    // oracle at 10^6 gates would need gigabytes — the budget caps rows,
-    // the streamed layout caps the transient peak).
+/// Million-gate scale: generated mega-circuits swept end-to-end on a flat
+/// 16-level shape (6_250 nodes/level at 10^5, 62_500 at 10^6). One full
+/// serial sweep of each must fit an explicit wall-clock budget (gated as
+/// budget / slowest sweep ≥ 1); measured memory (netlist, CSR program,
+/// packed values) is recorded; and a row-budgeted *streamed*
+/// separation-oracle build shows bounded-memory partial analysis at scale
+/// (a complete rho=6 oracle at 10^6 gates would need gigabytes — the
+/// budget caps rows, the streamed layout caps the transient peak). The
+/// section closes with the c7552 [`dw_probe`].
+fn scale(mode: &Mode, dw_nl: &Netlist) -> Section {
     println!("== million-gate scale ==");
-    let scale_sizes: &[usize] = if opts.smoke {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-    let sweep_budget_secs = if opts.smoke { 30.0 } else { 120.0 };
+    let scale_sizes = mode.pick::<&[usize]>(&[100_000], &[100_000, 1_000_000]);
+    let sweep_budget_secs = mode.pick(30.0, 120.0);
     let scale_rho = 4u32;
-    let scale_row_quota: u64 = if opts.smoke { 20_000 } else { 200_000 };
-    let mut scale_entries: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-    let mut scale_budget_ok = true;
+    let scale_row_quota: u64 = mode.pick(20_000, 200_000);
+    let mut scale_entries: BTreeMap<String, Value> = BTreeMap::new();
+    let mut slowest_sweep = 0.0f64;
     for &gates in scale_sizes {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let inputs = ((gates as f64).sqrt().round() as usize).max(64);
@@ -765,30 +932,16 @@ fn main() {
             depth: 16,
             seed: 0x5ca1e,
         };
-        let t0 = Instant::now();
-        let nl = mega::generate(&mega_cfg);
-        let t_gen = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let sim = Simulator::new(&nl);
-        let t_build = t0.elapsed().as_secs_f64();
-        let inputs64: Vec<u64> = (0..nl.num_inputs() as u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .collect();
+        let (nl, t_gen) = timed(|| mega::generate(&mega_cfg));
+        let (sim, t_build) = timed(|| Simulator::new(&nl));
+        let inputs64 = inputs64(&nl);
         let mut serial = vec![0u64; sim.node_count()];
         // The acceptance sweep: one full 64-pattern pass, serial, under
         // the wall-clock budget.
-        let t0 = Instant::now();
-        sim.eval_into(&inputs64, &mut serial);
-        let sweep_once = t0.elapsed().as_secs_f64();
-        if sweep_once > sweep_budget_secs {
-            eprintln!(
-                "ERROR: mega{gates} end-to-end sweep took {sweep_once:.2} s, over the \
-                 {sweep_budget_secs:.0} s budget"
-            );
-            scale_budget_ok = false;
-        }
-        let t_serial = secs_per_iter(window_ms, || {
-            sim.eval_into(std::hint::black_box(&inputs64), &mut serial);
+        let ((), sweep_once) = timed(|| sim.eval_into(&inputs64, &mut serial));
+        slowest_sweep = slowest_sweep.max(sweep_once);
+        let t_serial = secs_per_iter(mode.window_ms, || {
+            sim.eval_into(std::hint::black_box(&inputs64), &mut serial)
         });
         let values_bytes = serial.len() * std::mem::size_of::<u64>();
         // Row-budgeted streamed oracle: bounded memory and wall-clock by
@@ -799,9 +952,8 @@ fn main() {
                 .with_quota(scale_row_quota)
                 .with_timeout(Duration::from_secs(30)),
         );
-        let t0 = Instant::now();
-        let oracle_outcome = SeparationOracle::new_streamed_with_control(&nl, scale_rho, &control);
-        let t_oracle = t0.elapsed().as_secs_f64();
+        let (oracle_outcome, t_oracle) =
+            timed(|| SeparationOracle::new_streamed_with_control(&nl, scale_rho, &control));
         let oracle_complete = oracle_outcome.is_complete();
         let oracle_coverage = oracle_outcome.coverage();
         let oracle = oracle_outcome.into_value();
@@ -846,17 +998,36 @@ fn main() {
             }),
         );
     }
+    let budget = Gate::new(
+        format!(
+            "mega-circuit sweep budget headroom ({sweep_budget_secs:.0} s budget / {:.1} ms \
+             slowest end-to-end sweep)",
+            slowest_sweep * 1e3
+        ),
+        sweep_budget_secs / slowest_sweep,
+        1.0,
+    );
+    let (dw_json, dw_gate) = dw_probe(mode, dw_nl);
+    let scale = serde_json::json!({
+        "mega": scale_entries,
+        "sweep_budget_secs": sweep_budget_secs,
+        "sweep_within_budget": budget.pass(),
+        "dw_probe": dw_json,
+    });
+    Section::new("scale", scale, vec![budget, dw_gate])
+}
 
-    // Incremental ΔW separation maintenance: the c7552 probe. One
-    // representative resynthesis probe (chain-decomposing the widest
-    // gate) applied and rolled back on a persistent GateSep-tier
-    // ResynthEval — incremental ΔW (`ResynthEval::new`) against the
-    // retained full ball-refresh reference (`new_full_refresh`), scored
-    // costs asserted bit-identical, wall-clock gated >= 2x in both
-    // modes (a work ratio, like the delta/fault-patch gates).
+/// Incremental ΔW separation maintenance: the c7552 probe. One
+/// representative resynthesis probe (chain-decomposing the widest gate)
+/// applied and rolled back on a persistent GateSep-tier ResynthEval —
+/// incremental ΔW (`ResynthEval::new`) against the retained full
+/// ball-refresh reference (`new_full_refresh`), scored costs asserted
+/// bit-identical, wall-clock gated >= 2x in both modes (a work ratio,
+/// like the delta/fault-patch gates).
+fn dw_probe(mode: &Mode, dw_nl: &Netlist) -> (Value, Gate) {
     println!("== incremental dW separation maintenance ==");
-    let dw_nl = &netlists[HEADLINE];
-    let dw_ctx = EvalContext::builder(dw_nl, &ctx_lib, ctx_cfg.clone())
+    let lib = Library::generic_1um();
+    let dw_ctx = EvalContext::builder(dw_nl, &lib, PartitionConfig::paper_default())
         .tier(AnalysisTier::GateSep)
         .build();
     let widest = dw_nl
@@ -877,16 +1048,15 @@ fn main() {
     let mut dw_full = ResynthEval::new_full_refresh(&dw_ctx);
     dw_inc.apply(&probe).expect("probe patch applies");
     dw_full.apply(&probe).expect("probe patch applies");
-    let (c_inc, c_full) = (dw_inc.total_cost(), dw_full.total_cost());
     assert_eq!(
-        c_inc.to_bits(),
-        c_full.to_bits(),
+        dw_inc.total_cost().to_bits(),
+        dw_full.total_cost().to_bits(),
         "incremental-dW and full-refresh scoring must be bit-identical"
     );
     dw_inc.rollback();
     dw_full.rollback();
     let [t_dw_inc, t_dw_full] = secs_per_iter_interleaved(
-        window_ms,
+        mode.window_ms,
         &mut [
             &mut || {
                 dw_inc.apply(&probe).expect("probe patch applies");
@@ -901,518 +1071,26 @@ fn main() {
     // The timed loop never flushes a deferred row edit; any edit that
     // leaked into the rows anyway fails the consistency check here.
     dw_inc.verify_consistency();
-    let dw_speedup = t_dw_full / t_dw_inc;
-    let dw_threshold = 2.0;
+    let gate = Gate::new(
+        format!("{HEADLINE} incremental-dW probe-refresh speedup vs the full separation pass"),
+        t_dw_full / t_dw_inc,
+        2.0,
+    );
     println!(
         "{HEADLINE:>8}: probe refresh (apply+rollback): dW {:8.3} ms | full separation pass \
-         {:8.3} ms ({dw_speedup:5.2}x), costs bit-identical",
+         {:8.3} ms ({:5.2}x), costs bit-identical",
         t_dw_inc * 1e3,
         t_dw_full * 1e3,
+        gate.measured,
     );
     let dw_probe = serde_json::json!({
         "circuit": HEADLINE,
         "incremental_secs": t_dw_inc,
         "full_refresh_secs": t_dw_full,
-        "speedup_vs_full_refresh": dw_speedup,
+        "speedup_vs_full_refresh": gate.measured,
         "costs_match_bitwise": true,
-        "acceptance_threshold": dw_threshold,
-        "pass": dw_speedup >= dw_threshold,
+        "acceptance_threshold": gate.threshold,
+        "pass": gate.pass(),
     });
-    // Sequential circuits: the multi-frame fault sweep on ISCAS-89-like
-    // s* profiles. Every grid configuration (worker threads, fault
-    // shards, the delta-patch backend) is asserted to produce the same
-    // per-fault earliest detection as the serial CSR sweep — the frame
-    // loop must not perturb the bit-identity contract the combinational
-    // sweep has always carried. The pass gate is correctness, not
-    // wall-clock: some fault must be first detected mid-sequence (a
-    // detection the frames=1 reading of the same vectors cannot express),
-    // proving the state actually propagates across frame boundaries.
-    println!("== sequential circuits: multi-frame fault sweep ==");
-    let seq_frames: usize = 3;
-    let seq_names: &[&str] = if opts.smoke {
-        &["s298"]
-    } else {
-        &["s298", "s1423"]
-    };
-    let seq_num_vectors = if opts.smoke { 240 } else { 1200 };
-    let mut seq_entries: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-    let mut seq_pass = true;
-    for name in seq_names {
-        let profile = iddq_gen::seq::SeqProfile::by_name(name).expect("known s* profile");
-        let nl = iddq_gen::seq::generate(profile, 7);
-        let seq_faults = iddq_serve::fault_universe(&nl, 32, 7);
-        let seq_vectors = iddq_serve::random_vectors(&nl, seq_num_vectors, 7);
-        let base_opts = FaultSweepOptions {
-            threads: 1,
-            frames: seq_frames,
-            ..FaultSweepOptions::default()
-        };
-        let base = fault_sweep::sweep::<W256>(&nl, &seq_faults, &seq_vectors, &base_opts);
-        for (label, grid) in [
-            (
-                "threads",
-                FaultSweepOptions {
-                    threads,
-                    frames: seq_frames,
-                    ..FaultSweepOptions::default()
-                },
-            ),
-            (
-                "shards",
-                FaultSweepOptions {
-                    threads: 1,
-                    fault_shards: 3,
-                    frames: seq_frames,
-                    ..FaultSweepOptions::default()
-                },
-            ),
-            (
-                "delta",
-                FaultSweepOptions {
-                    threads: 1,
-                    backend: BackendKind::Delta,
-                    frames: seq_frames,
-                    ..FaultSweepOptions::default()
-                },
-            ),
-        ] {
-            let alt = fault_sweep::sweep::<W256>(&nl, &seq_faults, &seq_vectors, &grid);
-            assert_eq!(
-                base.first_detection, alt.first_detection,
-                "{name}: the {label} grid must detect bit-identically to the serial sweep"
-            );
-        }
-        // The combinational lens: the same vector set read frames=1. Any
-        // fault the multi-frame sweep first detects mid-sequence owes
-        // that detection to latched state.
-        let comb_opts = FaultSweepOptions {
-            threads: 1,
-            frames: 1,
-            ..FaultSweepOptions::default()
-        };
-        let comb = fault_sweep::sweep::<W256>(&nl, &seq_faults, &seq_vectors, &comb_opts);
-        let mid_sequence = base
-            .first_detection
-            .iter()
-            .flatten()
-            .filter(|&&v| v % seq_frames > 0)
-            .count();
-        let detected = base.detected.iter().filter(|&&d| d).count();
-        let t_sweep = secs_per_iter(window_ms, || {
-            std::hint::black_box(fault_sweep::sweep::<W256>(
-                &nl,
-                &seq_faults,
-                &seq_vectors,
-                &base_opts,
-            ));
-        });
-        let seq_vps = seq_num_vectors as f64 / t_sweep;
-        let ok = detected > 0 && mid_sequence > 0;
-        seq_pass &= ok;
-        println!(
-            "{name:>8}: {} dffs, {} faults x {seq_num_vectors} vectors @ {seq_frames} frames: \
-             {detected} detected ({:.1}%), {mid_sequence} first-detected mid-sequence | \
-             frames=1 lens {:.1}% | {seq_vps:10.3e} vec/s | grids bit-identical",
-            nl.num_state_elements(),
-            seq_faults.len(),
-            base.coverage * 100.0,
-            comb.coverage * 100.0,
-        );
-        seq_entries.insert(
-            (*name).to_string(),
-            serde_json::json!({
-                "gates": nl.gate_count(),
-                "dffs": nl.num_state_elements(),
-                "faults": seq_faults.len(),
-                "vectors": seq_num_vectors,
-                "frames": seq_frames,
-                "detected": detected,
-                "coverage": base.coverage,
-                "frames1_coverage": comb.coverage,
-                "mid_sequence_first_detections": mid_sequence,
-                "vectors_per_sec": seq_vps,
-                "grid_bit_identical": true,
-                "pass": ok,
-            }),
-        );
-    }
-    let seq = serde_json::json!({
-        "circuits": seq_entries,
-        "frames": seq_frames,
-        "acceptance": "all grids bit-identical; >= 1 fault first detected mid-sequence",
-        "pass": seq_pass,
-    });
-
-    // `iddq serve` under concurrent clients: an in-process server with a
-    // deliberately small queue and a tiny artifact cache takes a mixed
-    // workload from several client threads. Sustained qps and p50/p99
-    // round-trip latency are measured over the nominal phase; then a
-    // pipelined sleep burst overruns the queue to exercise admission
-    // shed, and a Separation-tier stats request against the tiny cache
-    // exercises graceful degradation. The gates are correctness counts,
-    // not wall-clock (a 1-core shared runner makes latency gates flaky):
-    // every request gets exactly one response, shed >= 1, degraded >= 1.
-    println!("== serve: hardened service under concurrent clients ==");
-    let serve_state = std::env::temp_dir().join(format!("iddq-serve-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&serve_state);
-    let serve_server = ServeServer::start(ServeConfig {
-        workers: 2,
-        queue_capacity: 4,
-        cache_bytes: 4096,
-        state_dir: serve_state.clone(),
-        ..ServeConfig::default()
-    })
-    .expect("serve bench server starts");
-    let serve_addr = serve_server.local_addr().to_string();
-    let serve_clients: u64 = 4;
-    let serve_reqs_per_client: u64 = if opts.smoke { 12 } else { 48 };
-    let mut serve_errors: Vec<String> = Vec::new();
-    let t0 = Instant::now();
-    let mut serve_handles = Vec::new();
-    for c in 0..serve_clients {
-        let addr = serve_addr.clone();
-        let per = serve_reqs_per_client;
-        serve_handles.push(std::thread::spawn(move || -> Result<Vec<f64>, String> {
-            let mut client = ServeClient::connect(&addr).map_err(|e| e.to_string())?;
-            client
-                .set_read_timeout(Some(Duration::from_secs(120)))
-                .map_err(|e| e.to_string())?;
-            let mut latencies = Vec::with_capacity(per as usize);
-            for k in 0..per {
-                let id = c * 10_000 + k;
-                let req = match k % 4 {
-                    0 => serde_json::json!({"id": id, "op": "ping"}),
-                    1 => serde_json::json!({
-                        "id": id, "op": "sim", "circuit": "c432", "patterns": 256,
-                    }),
-                    2 => serde_json::json!({
-                        "id": id, "op": "stats", "circuit": "c432", "tier": "separation",
-                    }),
-                    _ => serde_json::json!({
-                        "id": id, "op": "faults", "circuit": "c432", "vectors": 16,
-                    }),
-                };
-                let start = Instant::now();
-                let resp = client.call(&req).map_err(|e| e.to_string())?;
-                latencies.push(start.elapsed().as_secs_f64());
-                if resp["id"].as_u64() != Some(id) {
-                    return Err(format!("response id mismatch: {resp:?}"));
-                }
-                let status = resp["status"].as_str().unwrap_or("");
-                // Synchronous clients never overrun the queue, so the
-                // nominal phase must not be shed or rejected.
-                if !matches!(status, "ok" | "partial") {
-                    return Err(format!("unexpected status under nominal load: {resp:?}"));
-                }
-            }
-            Ok(latencies)
-        }));
-    }
-    let mut serve_latencies: Vec<f64> = Vec::new();
-    for h in serve_handles {
-        match h.join().expect("serve client thread") {
-            Ok(mut l) => serve_latencies.append(&mut l),
-            Err(e) => serve_errors.push(e),
-        }
-    }
-    let serve_wall = t0.elapsed().as_secs_f64().max(1e-9);
-    let serve_qps = serve_latencies.len() as f64 / serve_wall;
-    serve_latencies.sort_by(f64::total_cmp);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let serve_pct = |q: f64| -> f64 {
-        if serve_latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((serve_latencies.len() - 1) as f64 * q).round() as usize;
-        serve_latencies[idx]
-    };
-    let (serve_p50, serve_p99) = (serve_pct(0.50), serve_pct(0.99));
-    // Overload burst: one client pipelines more slow jobs than workers +
-    // queue can hold; the overflow must come back as typed `overloaded`
-    // responses (with a retry hint), never as dropped lines.
-    let serve_burst: u64 = 12;
-    let mut serve_burst_ok = 0u64;
-    let mut serve_burst_shed = 0u64;
-    let mut serve_burst_lost = 0u64;
-    {
-        let mut client = ServeClient::connect(&serve_addr).expect("burst client connects");
-        client
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .expect("burst read timeout");
-        for i in 0..serve_burst {
-            client
-                .send_value(&serde_json::json!({
-                    "id": i, "op": "sleep", "sleep_ms": 40,
-                }))
-                .expect("burst send");
-        }
-        for _ in 0..serve_burst {
-            match client.recv() {
-                Ok(Some(resp)) => match resp["status"].as_str().unwrap_or("") {
-                    "ok" => serve_burst_ok += 1,
-                    "overloaded" => {
-                        serve_burst_shed += 1;
-                        if resp["retry_after_ms"].as_u64().is_none() {
-                            serve_errors
-                                .push(format!("overloaded without retry_after_ms: {resp:?}"));
-                        }
-                    }
-                    other => serve_errors.push(format!("burst status {other}: {resp:?}")),
-                },
-                _ => serve_burst_lost += 1,
-            }
-        }
-    }
-    let serve_metrics = serve_server.shutdown(Duration::from_secs(10));
-    let _ = std::fs::remove_dir_all(&serve_state);
-    let serve_shed = serve_metrics["shed"].as_u64().unwrap_or(0);
-    let serve_degraded = serve_metrics["degraded"].as_u64().unwrap_or(0);
-    let serve_nominal = serve_clients * serve_reqs_per_client;
-    if serve_latencies.len() as u64 != serve_nominal {
-        serve_errors.push(format!(
-            "nominal phase answered {} of {serve_nominal} requests",
-            serve_latencies.len()
-        ));
-    }
-    if serve_burst_lost > 0 {
-        serve_errors.push(format!("burst lost {serve_burst_lost} responses"));
-    }
-    if serve_shed == 0 {
-        serve_errors.push("admission control never shed under the burst".to_owned());
-    }
-    if serve_degraded == 0 {
-        serve_errors.push("stats never degraded against the tiny cache".to_owned());
-    }
-    let serve_pass = serve_errors.is_empty();
-    println!(
-        "   serve: {serve_clients} clients x {serve_reqs_per_client} reqs: {serve_qps:7.1} req/s \
-         sustained | p50 {:6.2} ms, p99 {:6.2} ms | burst {serve_burst}: {serve_burst_ok} ok, \
-         {serve_burst_shed} shed, {serve_burst_lost} lost | shed {serve_shed}, degraded \
-         {serve_degraded} | pass: {serve_pass}",
-        serve_p50 * 1e3,
-        serve_p99 * 1e3,
-    );
-    let serve = serde_json::json!({
-        "clients": serve_clients,
-        "requests_per_client": serve_reqs_per_client,
-        "nominal_requests": serve_nominal,
-        "nominal_responses": serve_latencies.len(),
-        "sustained_qps": serve_qps,
-        "p50_latency_ms": serve_p50 * 1e3,
-        "p99_latency_ms": serve_p99 * 1e3,
-        "burst_requests": serve_burst,
-        "burst_ok": serve_burst_ok,
-        "burst_overloaded": serve_burst_shed,
-        "burst_lost": serve_burst_lost,
-        "metrics": serve_metrics,
-        "acceptance": "every request answered exactly once; shed >= 1; degraded >= 1",
-        "errors": serve_errors.clone(),
-        "pass": serve_pass,
-    });
-
-    let scale = serde_json::json!({
-        "mega": scale_entries,
-        "sweep_budget_secs": sweep_budget_secs,
-        "sweep_within_budget": scale_budget_ok,
-        "dw_probe": dw_probe,
-    });
-
-    let headline = serde_json::json!({
-        "circuit": HEADLINE,
-        "csr256_speedup_vs_seed": headline_speedup,
-        "acceptance_threshold": 3.0,
-        "pass": headline_speedup >= 3.0,
-    });
-    let delta_threshold = if opts.smoke { 3.0 } else { 5.0 };
-    let delta_headline = serde_json::json!({
-        "circuit": HEADLINE,
-        "speedup_vs_full_reeval": delta_headline_speedup,
-        "acceptance_threshold": delta_threshold,
-        "pass": delta_headline_speedup >= delta_threshold,
-    });
-    let delta = serde_json::json!({
-        "circuits": delta_entries,
-        "headline": delta_headline,
-    });
-    let evolution_entry = serde_json::json!({
-        "circuit": evo_circuit,
-        "generations": evo_cfg.generations,
-        "evaluations": evals,
-        "incremental_secs": t_inc,
-        "rebuild_per_eval_secs": t_rebuild,
-        "rebuild_cost_matches_bitwise": true,
-        "speedup_vs_rebuild": evo_rebuild_speedup,
-        "acceptance_threshold": evo_threshold,
-        "pass": evo_rebuild_speedup >= evo_threshold,
-        "threads": cores,
-        "threaded_secs": t_threaded,
-    });
-    let fault_sweep_speedup = par_vps / seq_vps;
-    let fault_sweep = serde_json::json!({
-        "circuit": sweep_circuit,
-        "faults": faults.len(),
-        "vectors": num_vectors,
-        "cores": cores,
-        "threads": threads,
-        "seq_vectors_per_sec": seq_vps,
-        "par_vectors_per_sec": par_vps,
-        "parallel_speedup": fault_sweep_speedup,
-        "parallel_gate": if cores >= 4 { "ARMED" } else { "SKIPPED" },
-        "parallel_gate_cores": cores,
-    });
-    let payload = serde_json::json!({
-        "mode": mode,
-        "headline": headline,
-        "circuits": circuits,
-        "delta": delta,
-        "evolution": evolution_entry,
-        "fault_sweep": fault_sweep,
-        "fault_patch": fault_patch,
-        "context_build": context_build,
-        "resynth_patch": resynth_patch,
-        "scale": scale,
-        "seq": seq,
-        "serve": serve,
-    });
-    // Atomic temp-file + rename: a crash mid-write can never leave a
-    // truncated BENCH_sim.json behind for downstream tooling to choke on.
-    iddq_control::write_atomic(
-        std::path::Path::new(&opts.out),
-        &serde_json::to_string_pretty(&payload).expect("serializable"),
-    )
-    .expect("writable output path");
-    println!("wrote {}", opts.out);
-    let mut failed = false;
-    if headline_speedup < 3.0 {
-        eprintln!(
-            "WARNING: {HEADLINE} csr256 speedup {headline_speedup:.2}x is below the 3x target"
-        );
-        // Only full mode gates on this ratio: smoke's short windows are
-        // too noisy to fail CI over on a loaded runner.
-        failed |= !opts.smoke;
-    }
-    if delta_headline_speedup < delta_threshold {
-        eprintln!(
-            "ERROR: {HEADLINE} delta single-gate-mutation speedup {delta_headline_speedup:.2}x \
-             is below the {delta_threshold}x gate"
-        );
-        // The dirty-cone/full-sweep ratio is a work ratio, far less
-        // noise-sensitive than absolute rates: smoke gates on it too.
-        failed = true;
-    }
-    if fault_patch_speedup < fault_patch_threshold {
-        eprintln!(
-            "ERROR: {HEADLINE} fault-patch speedup {fault_patch_speedup:.2}x is below the \
-             {fault_patch_threshold}x gate vs per-fault full re-simulation"
-        );
-        // Like the delta gate, this is a work ratio: smoke gates on it too
-        // (at the lower 3x threshold).
-        failed = true;
-    }
-    if resynth_speedup < resynth_threshold {
-        eprintln!(
-            "ERROR: {rs_name} resynthesis patch-scoring speedup {resynth_speedup:.2}x is below \
-             the {resynth_threshold}x gate vs rebuild scoring"
-        );
-        // A work ratio like the delta/fault-patch gates: smoke gates too
-        // (at the lower 2x threshold).
-        failed = true;
-    }
-    {
-        let ctx_name = if opts.smoke { "c1908" } else { HEADLINE };
-        if ctx_headline_speedup < ctx_build_threshold {
-            eprintln!(
-                "ERROR: {ctx_name} full-tier context build speedup {ctx_headline_speedup:.2}x vs \
-                 the PR 4 constructor is below the {ctx_build_threshold}x gate"
-            );
-            failed = true;
-        }
-        // The parallel-build gate mirrors the fault-sweep one: announced
-        // as ARMED/SKIPPED so a 1-core container says why nothing fires.
-        if cores >= 4 {
-            println!(
-                "context-build parallel gate ARMED ({cores} cores >= 4): measured \
-                 {ctx_parallel_speedup:.2}x at {ctx_threads} threads against the 1.5x gate"
-            );
-            if ctx_parallel_speedup < 1.5 {
-                let severity = if opts.smoke { "WARNING" } else { "ERROR" };
-                eprintln!(
-                    "{severity}: {ctx_name} parallel context build speedup \
-                     {ctx_parallel_speedup:.2}x at {ctx_threads} threads is below the 1.5x gate"
-                );
-                failed |= !opts.smoke;
-            }
-        } else {
-            println!(
-                "context-build parallel gate SKIPPED: {cores} core(s) available, gate arms at \
-                 >= 4 cores; measured {ctx_parallel_speedup:.2}x at {ctx_threads} threads is \
-                 recorded in BENCH_sim.json, not gated"
-            );
-        }
-    }
-    if evo_rebuild_speedup < evo_threshold {
-        eprintln!(
-            "ERROR: {evo_circuit} evolution incremental-vs-rebuild speedup \
-             {evo_rebuild_speedup:.2}x is below the {evo_threshold}x gate (rebuild arm = fresh \
-             Evaluated per evaluation, bit-exact against the search's best cost)"
-        );
-        // A work ratio like the delta/fault-patch gates: smoke gates too.
-        failed = true;
-    }
-    if dw_speedup < dw_threshold {
-        eprintln!(
-            "ERROR: {HEADLINE} incremental-dW probe-refresh speedup {dw_speedup:.2}x is below \
-             the {dw_threshold}x gate vs the full separation pass"
-        );
-        // Also a work ratio between two deterministic refresh paths.
-        failed = true;
-    }
-    if !scale_budget_ok {
-        eprintln!("ERROR: a mega-circuit end-to-end sweep exceeded its wall-clock budget");
-        failed = true;
-    }
-    if !serve_pass {
-        // Correctness counts, not wall-clock: these gate in smoke too.
-        for e in &serve_errors {
-            eprintln!("ERROR: serve section: {e}");
-        }
-        failed = true;
-    }
-    if !seq_pass {
-        // Correctness, not wall-clock: the multi-frame sweep must detect
-        // something only latched state can explain. Gates in smoke too.
-        eprintln!(
-            "ERROR: seq section: no mid-sequence first detection — the frame loop is not \
-             propagating state across frame boundaries"
-        );
-        failed = true;
-    }
-    // The parallel gate's armed/skipped state is always announced — a
-    // 1-core container must say *why* nothing is gated instead of
-    // silently arming at >= 4 cores.
-    if cores >= 4 {
-        println!(
-            "fault-sweep parallel gate ARMED ({cores} cores >= 4): measured \
-             {fault_sweep_speedup:.2}x at {threads} threads against the 1.5x gate"
-        );
-        if fault_sweep_speedup < 1.5 {
-            // Parallel scaling is only meaningful with real cores; gate in
-            // full mode where the windows are long enough to trust.
-            let severity = if opts.smoke { "WARNING" } else { "ERROR" };
-            eprintln!(
-                "{severity}: fault-sweep parallel speedup {fault_sweep_speedup:.2}x at {threads} \
-                 threads is below the 1.5x gate ({cores} cores available)"
-            );
-            failed |= !opts.smoke;
-        }
-    } else {
-        println!(
-            "fault-sweep parallel gate SKIPPED: {cores} core(s) available, gate arms at >= 4 \
-             cores; measured {fault_sweep_speedup:.2}x at {threads} threads is recorded in \
-             BENCH_sim.json, not gated"
-        );
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    (dw_probe, gate)
 }

@@ -20,6 +20,7 @@
 //! checks that the free-running evolution strategy reaches it.
 
 use iddq_bench::{experiment_config, experiment_library};
+use iddq_control::RunControl;
 use iddq_core::evolution::{self, EvolutionConfig};
 use iddq_core::{EvalContext, Evaluated, Partition};
 use iddq_netlist::{data, NodeId};
@@ -136,7 +137,9 @@ fn main() {
             ..Default::default()
         },
         7,
-    );
+        &RunControl::unlimited(),
+    )
+    .into_value();
     println!(
         "\nevolution strategy reached cost {:.1} ({} evaluations)",
         out.best_cost, out.evaluations

@@ -7,6 +7,7 @@
 //! Usage: `optimizer_compare [--quick] [--seed N]`
 
 use iddq_bench::{circuit_seed, experiment_config, experiment_library, table1_circuit};
+use iddq_control::RunControl;
 use iddq_core::evolution::{self, EvolutionConfig};
 use iddq_core::optimizers::{greedy_local_search, simulated_annealing, AnnealingConfig};
 use iddq_core::{EvalContext, Evaluated};
@@ -63,7 +64,7 @@ fn main() {
             std::time::Duration,
         )> = Vec::new();
         let t0 = std::time::Instant::now();
-        let es = evolution::optimize(&ctx, &evo, s);
+        let es = evolution::optimize(&ctx, &evo, s, &RunControl::unlimited()).into_value();
         results.push((
             "evolution strategy".into(),
             es.best_cost,

@@ -1,0 +1,32 @@
+//! The `bench` binary takes exactly `--smoke` and `--out PATH`: anything
+//! else is a usage error naming the argument, raised before any
+//! measurement runs or any JSON is written.
+
+use std::process::Command;
+
+#[test]
+fn bad_arguments_are_usage_errors_before_any_measurement() {
+    let dir = std::env::temp_dir().join(format!("iddq-bench-args-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (args, named) in [
+        (vec!["--smok"], "--smok"),
+        (vec!["--smoke", "--out"], "--out"),
+        (vec!["--out"], "--out"),
+        (vec!["--smoke", "extra"], "extra"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bench"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("bench runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} measured something");
+        assert!(
+            !dir.join("BENCH_sim.json").exists(),
+            "{args:?} wrote the default JSON"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}

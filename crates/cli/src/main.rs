@@ -13,7 +13,7 @@
 //!             [--backend csr|delta] [--lanes 64|256|512|auto] [--threads N]
 //!             [--shards N] [--no-drop] [--frames N] [--budget-ms MS]
 //!             [--quota N] [--checkpoint PATH] [--resume PATH]
-//! iddq seq    [--smoke] [--circuit sNNN] [--seed N] [--frames N]
+//! iddq seq    [--circuit sNNN] [--seed N] [--frames N]
 //!             [--sequences N] [--bridges N] [--backend csr|delta]
 //!             [--threads N] [--shards N]
 //! iddq stats  <netlist.bench> [--memory] [--rho N]
@@ -182,9 +182,6 @@ commands:
                           ISCAS-89-like circuit: multi-frame fault sweep
                           from the all-zero reset state, reporting how
                           many faults need latched state to be seen
-      --smoke             run the fixed smoke scenario instead (grid
-                          invariance, checkpoint resume, combinational
-                          frame-invariance, sequential ATPG) and exit
       --circuit sNNN      profile to generate (default s298)
       --seed N            generation/vector seed (default 42)
       --frames N          frames per sequence (default 4)
@@ -984,8 +981,8 @@ fn run_fault_sweep<W: iddq_netlist::PackedWord>(
     Ok(outcome)
 }
 
-/// Stuck-at-everywhere plus sampled bridges: the same fault universe
-/// `cmd_faults` sweeps, shared by the `seq` command and its smoke.
+/// Stuck-at-everywhere plus sampled bridges for the `seq` command: the
+/// same fault universe `cmd_faults` sweeps.
 fn logic_fault_universe(
     cut: &Netlist,
     bridges: usize,
@@ -1045,11 +1042,8 @@ fn cmd_seq(rest: &[String]) -> Result<(), CliError> {
             "--threads",
             "--shards",
         ],
-        &["--smoke"],
+        &[],
     )?;
-    if rest.iter().any(|a| a == "--smoke") {
-        return seq_smoke();
-    }
 
     let name = parse_flag(rest, "--circuit").unwrap_or_else(|| "s298".into());
     let profile = iddq_gen::seq::SeqProfile::by_name(&name).ok_or_else(|| {
@@ -1117,181 +1111,6 @@ fn cmd_seq(rest: &[String]) -> Result<(), CliError> {
             options.threads.to_string()
         },
     );
-    Ok(())
-}
-
-/// The fixed `seq --smoke` scenario: one small sequential circuit, one
-/// combinational control — every check asserted, all under a minute.
-fn seq_smoke() -> Result<(), CliError> {
-    use iddq_logicsim::fault_sweep::{
-        sweep_resume, sweep_with_control, FaultSweepOptions, SweepCheckpoint,
-    };
-    use iddq_logicsim::BackendKind;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut checks: Vec<String> = Vec::new();
-    let seed = 42u64;
-    let frames = 3usize;
-    let profile =
-        iddq_gen::seq::SeqProfile::by_name("s27").ok_or_else(|| "s27 profile exists".to_owned())?;
-    let cut = iddq_gen::seq::generate(profile, seed);
-    let faults = logic_fault_universe(&cut, 8, seed);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xfa17);
-    let vectors: Vec<Vec<bool>> = (0..256 * frames)
-        .map(|_| (0..cut.num_inputs()).map(|_| rng.gen()).collect())
-        .collect();
-
-    // 1. Base multi-frame sweep on the patch engine.
-    let base_options = FaultSweepOptions {
-        frames,
-        backend: BackendKind::Delta,
-        ..FaultSweepOptions::default()
-    };
-    let base = sweep_with_control::<u64>(
-        &cut,
-        &faults,
-        &vectors,
-        &base_options,
-        &RunControl::unlimited(),
-    )
-    .into_value();
-    let detected = base.detected.iter().filter(|&&d| d).count();
-    if detected == 0 {
-        return Err("seq smoke: base sweep detected nothing".to_owned().into());
-    }
-    checks.push(format!(
-        "multi-frame sweep: {detected}/{} faults detected on {} ({} dffs, {frames} frames)",
-        faults.len(),
-        cut.name(),
-        cut.num_state_elements(),
-    ));
-
-    // 2. Detections are invariant under backend, threads and shards.
-    let grid_options = FaultSweepOptions {
-        frames,
-        backend: BackendKind::Csr,
-        threads: 2,
-        fault_shards: 3,
-        ..FaultSweepOptions::default()
-    };
-    let grid = sweep_with_control::<u64>(
-        &cut,
-        &faults,
-        &vectors,
-        &grid_options,
-        &RunControl::unlimited(),
-    )
-    .into_value();
-    if grid.first_detection != base.first_detection {
-        return Err("seq smoke: csr/threads/shards grid changed the detections"
-            .to_owned()
-            .into());
-    }
-    checks.push("grid invariance: csr x 2 threads x 3 shards bit-identical".into());
-
-    // 3. Interrupt on a work quota, checkpoint, resume to completion.
-    let interrupted = sweep_with_control::<u64>(
-        &cut,
-        &faults,
-        &vectors,
-        &base_options,
-        &RunControl::with_budget(RunBudget::unlimited().with_quota(200)),
-    );
-    if interrupted.stop_reason().is_none() {
-        return Err("seq smoke: quota 200 did not interrupt the sweep"
-            .to_owned()
-            .into());
-    }
-    let cp = SweepCheckpoint::capture::<u64>(
-        &cut,
-        &faults,
-        &vectors,
-        &base_options,
-        interrupted.value(),
-    );
-    let resumed = sweep_resume::<u64>(
-        &cut,
-        &faults,
-        &vectors,
-        &base_options,
-        &RunControl::unlimited(),
-        &cp,
-    )?
-    .into_value();
-    if resumed.first_detection != base.first_detection {
-        return Err(
-            "seq smoke: resumed sweep differs from the uninterrupted one"
-                .to_owned()
-                .into(),
-        );
-    }
-    checks.push(format!(
-        "checkpoint resume: interrupted at {:.0}% of the grid, resumed bit-identical",
-        cp.progress() * 100.0
-    ));
-
-    // 4. On a DFF-free circuit, frame grouping is a pure relabelling.
-    let comb = iddq_netlist::data::c17();
-    let comb_faults = logic_fault_universe(&comb, 4, seed);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xc0);
-    let comb_vectors: Vec<Vec<bool>> = (0..192)
-        .map(|_| (0..comb.num_inputs()).map(|_| rng.gen()).collect())
-        .collect();
-    let flat = sweep_with_control::<u64>(
-        &comb,
-        &comb_faults,
-        &comb_vectors,
-        &FaultSweepOptions::default(),
-        &RunControl::unlimited(),
-    )
-    .into_value();
-    let framed = sweep_with_control::<u64>(
-        &comb,
-        &comb_faults,
-        &comb_vectors,
-        &FaultSweepOptions {
-            frames,
-            ..FaultSweepOptions::default()
-        },
-        &RunControl::unlimited(),
-    )
-    .into_value();
-    if flat.first_detection != framed.first_detection {
-        return Err(
-            "seq smoke: frames changed detections on a combinational circuit"
-                .to_owned()
-                .into(),
-        );
-    }
-    checks.push(format!(
-        "combinational invariance: c17 at frames {frames} == frames 1"
-    ));
-
-    // 5. Time-frame-expanded ATPG is deterministic and sequence-major.
-    let iddq_faults = iddq_logicsim::faults::enumerate(&cut, &Default::default(), seed);
-    let cfg = iddq_atpg::AtpgConfig::default();
-    let a = iddq_atpg::generate_seq(&cut, &iddq_faults, &cfg, seed, frames)
-        .map_err(|e| format!("seq smoke: unroll for ATPG: {e}"))?;
-    let b = iddq_atpg::generate_seq(&cut, &iddq_faults, &cfg, seed, frames)
-        .map_err(|e| format!("seq smoke: unroll for ATPG: {e}"))?;
-    if a.vectors != b.vectors || a.vectors.len() % frames != 0 {
-        return Err(
-            "seq smoke: sequential ATPG is not deterministic sequence-major"
-                .to_owned()
-                .into(),
-        );
-    }
-    checks.push(format!(
-        "sequential ATPG: {} sequences, {:.1}% activation coverage, deterministic",
-        a.vectors.len() / frames,
-        a.coverage * 100.0
-    ));
-
-    for check in &checks {
-        println!("smoke ok: {check}");
-    }
-    println!("seq smoke OK: {} checks passed", checks.len());
     Ok(())
 }
 

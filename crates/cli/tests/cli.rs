@@ -67,6 +67,8 @@ fn unknown_flags_are_usage_errors() {
             &dir_flag,
         ),
         (vec!["serve", "--max-secs", "1", &mb_flag, "9"], &mb_flag),
+        // The deleted sequential smoke.
+        (vec!["seq", "--smoke"], "--smoke"),
         // Value flags given without their value.
         (vec!["faults", bench, "--vectors"], "--vectors"),
         (vec!["gen", "c432", "--seed"], "--seed"),

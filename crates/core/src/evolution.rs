@@ -148,20 +148,12 @@ pub struct EvolutionOutcome {
     pub evaluations: usize,
 }
 
-/// Runs the evolution strategy from chain-grown start partitions.
+/// Runs the evolution strategy from chain-grown start partitions under
+/// an [`iddq_control::RunControl`]: cancellable, budget-aware, and
+/// panic-isolated. Pass [`RunControl::unlimited`] for a plain run and
+/// take its value with [`Outcome::into_value`].
 ///
 /// Deterministic for fixed `(ctx, config, seed)`.
-///
-/// # Panics
-///
-/// Panics if `config.mu == 0` or the netlist has no gates.
-#[must_use]
-pub fn optimize(ctx: &EvalContext<'_>, config: &EvolutionConfig, seed: u64) -> EvolutionOutcome {
-    optimize_with_control(ctx, config, seed, &RunControl::unlimited()).into_value()
-}
-
-/// [`optimize`] under an [`iddq_control::RunControl`]: cancellable,
-/// budget-aware, and panic-isolated.
 ///
 /// The control is polled at every generation boundary and charged one
 /// work unit per descendant scored. A budget or cancellation hit stops
@@ -184,7 +176,7 @@ pub fn optimize(ctx: &EvalContext<'_>, config: &EvolutionConfig, seed: u64) -> E
 // parent-materialization accounting of the generation loop — each
 // slot is provably filled exactly once before it is taken.
 #[allow(clippy::expect_used)]
-pub fn optimize_with_control(
+pub fn optimize(
     ctx: &EvalContext<'_>,
     config: &EvolutionConfig,
     seed: u64,
@@ -596,12 +588,17 @@ mod tests {
         }
     }
 
+    /// An unbudgeted run.
+    fn run(ctx: &EvalContext<'_>, config: &EvolutionConfig, seed: u64) -> EvolutionOutcome {
+        optimize(ctx, config, seed, &RunControl::unlimited()).into_value()
+    }
+
     #[test]
     fn optimizes_c17_to_feasible_two_modules_or_fewer() {
         let nl = data::c17();
         let lib = Library::generic_1um();
         let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
-        let out = optimize(&ctx, &quick_config(), 1);
+        let out = run(&ctx, &quick_config(), 1);
         out.best.validate(&nl).unwrap();
         let eval = Evaluated::new(&ctx, out.best.clone());
         assert!(eval.cost().feasible());
@@ -613,7 +610,7 @@ mod tests {
         let nl = data::ripple_adder(12);
         let lib = Library::generic_1um();
         let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
-        let out = optimize(&ctx, &quick_config(), 3);
+        let out = run(&ctx, &quick_config(), 3);
         let mut best = f64::INFINITY;
         for entry in &out.log {
             best = best.min(entry.best_cost);
@@ -628,8 +625,8 @@ mod tests {
         let nl = data::ripple_adder(8);
         let lib = Library::generic_1um();
         let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
-        let a = optimize(&ctx, &quick_config(), 42);
-        let b = optimize(&ctx, &quick_config(), 42);
+        let a = run(&ctx, &quick_config(), 42);
+        let b = run(&ctx, &quick_config(), 42);
         assert_eq!(a.best, b.best);
         assert_eq!(a.best_cost, b.best_cost);
     }
@@ -642,7 +639,7 @@ mod tests {
         let count = crate::start::estimate_module_count(&ctx);
         let chain = crate::start::chain_partition(&ctx, ctx.gates.len().div_ceil(count).max(1), 42);
         let start_cost = Evaluated::new(&ctx, chain).total_cost();
-        let out = optimize(&ctx, &quick_config(), 42);
+        let out = run(&ctx, &quick_config(), 42);
         assert!(
             out.best_cost <= start_cost,
             "{} vs {start_cost}",
@@ -663,12 +660,12 @@ mod tests {
         let nl = data::ripple_adder(10);
         let lib = Library::generic_1um();
         let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
-        let seq = optimize(&ctx, &quick_config(), 11);
+        let seq = run(&ctx, &quick_config(), 11);
         let par_cfg = EvolutionConfig {
             threads: 4,
             ..quick_config()
         };
-        let par = optimize(&ctx, &par_cfg, 11);
+        let par = run(&ctx, &par_cfg, 11);
         assert_eq!(seq.best, par.best);
         assert_eq!(seq.best_cost, par.best_cost);
         assert_eq!(seq.evaluations, par.evaluations);
@@ -708,8 +705,8 @@ mod tests {
         let mut batch_cfg = PartitionConfig::paper_default();
         batch_cfg.incremental_delay_limit = 0.0;
         let ctx_batch = EvalContext::new(&nl, &lib, batch_cfg);
-        let a = optimize(&ctx_inc, &quick_config(), 17);
-        let b = optimize(&ctx_batch, &quick_config(), 17);
+        let a = run(&ctx_inc, &quick_config(), 17);
+        let b = run(&ctx_batch, &quick_config(), 17);
         assert_eq!(a.best, b.best);
         assert_eq!(a.best_cost, b.best_cost);
         assert_eq!(a.evaluations, b.evaluations);
@@ -724,7 +721,7 @@ mod tests {
         // One generation scores mu*(lambda+chi) = 16 descendants; a
         // 40-unit quota allows at most a few generations of 60.
         let control = RunControl::with_budget(RunBudget::unlimited().with_quota(40));
-        let out = optimize_with_control(&ctx, &quick_config(), 7, &control);
+        let out = optimize(&ctx, &quick_config(), 7, &control);
         match out {
             Outcome::Partial {
                 value,
@@ -747,7 +744,7 @@ mod tests {
         let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
         let control = RunControl::unlimited();
         control.token().cancel();
-        let out = optimize_with_control(&ctx, &quick_config(), 1, &control);
+        let out = optimize(&ctx, &quick_config(), 1, &control);
         assert_eq!(out.stop_reason(), Some(StopReason::Cancelled));
         let value = out.into_value();
         assert!(value.best_cost.is_finite());

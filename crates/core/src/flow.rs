@@ -1,6 +1,6 @@
 //! End-to-end synthesis entry points and reporting.
 //!
-//! [`synthesize`] runs the full flow of the paper: build the analysis
+//! [`synthesize_with`] runs the full flow of the paper: build the analysis
 //! context, grow start partitions, optimize with the evolution strategy
 //! and emit a [`SynthesisReport`] with every per-module electrical figure
 //! (sensor size, discriminability, time constants). [`compare_standard`]
@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use iddq_celllib::Library;
+use iddq_control::RunControl;
 use iddq_netlist::Netlist;
 
 use crate::config::PartitionConfig;
@@ -66,7 +67,7 @@ pub struct SynthesisReport {
     pub test_time_ps: f64,
 }
 
-/// Output of [`synthesize`].
+/// Output of [`synthesize_with`].
 #[derive(Debug, Clone)]
 pub struct SynthesisResult {
     /// The optimized partition.
@@ -116,18 +117,6 @@ pub fn report_for(eval: &Evaluated<'_>) -> SynthesisReport {
     }
 }
 
-/// Runs the complete evolution-based synthesis flow with default
-/// optimizer parameters.
-#[must_use]
-pub fn synthesize(
-    netlist: &Netlist,
-    library: &Library,
-    config: &PartitionConfig,
-    seed: u64,
-) -> SynthesisResult {
-    synthesize_with(netlist, library, config, &EvolutionConfig::default(), seed)
-}
-
 /// Runs the flow with explicit optimizer parameters.
 ///
 /// The analysis context is built once at the full tier, with the
@@ -157,7 +146,7 @@ pub fn synthesize_with(
 /// [`AnalysisTier::Separation`](crate::AnalysisTier::Separation).
 #[must_use]
 pub fn synthesize_in(ctx: &EvalContext<'_>, evo: &EvolutionConfig, seed: u64) -> SynthesisResult {
-    let outcome = evolution::optimize(ctx, evo, seed);
+    let outcome = evolution::optimize(ctx, evo, seed, &RunControl::unlimited()).into_value();
     let eval = Evaluated::new(ctx, outcome.best.clone());
     let report = report_for(&eval);
     SynthesisResult {
@@ -220,7 +209,7 @@ mod tests {
         let nl = data::c17();
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
-        let r = synthesize(&nl, &lib, &cfg, 7);
+        let r = synthesize_with(&nl, &lib, &cfg, &EvolutionConfig::default(), 7);
         assert!(r.report.feasible);
         assert_eq!(r.report.gates, 6);
         assert_eq!(r.report.circuit, "c17");
@@ -252,7 +241,7 @@ mod tests {
         let nl = data::c17();
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
-        let r = synthesize(&nl, &lib, &cfg, 1);
+        let r = synthesize_with(&nl, &lib, &cfg, &EvolutionConfig::default(), 1);
         // serde round-trip via the Serialize impl (serde_json lives in the
         // bench crate; here a token check that the derives compile and the
         // data model is self-consistent).

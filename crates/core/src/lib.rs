@@ -42,7 +42,7 @@
 //!
 //! # Failure semantics
 //!
-//! The searches are budget-aware: [`evolution::optimize_with_control`]
+//! The searches are budget-aware: [`evolution::optimize`]
 //! (and the separation-oracle build behind
 //! [`EvalContextBuilder`]) accept an [`iddq_control::RunControl`] and
 //! return an [`iddq_control::Outcome`]. The evolution loop checks its
@@ -61,13 +61,15 @@
 //!
 //! ```rust
 //! use iddq_celllib::Library;
+//! use iddq_core::evolution::EvolutionConfig;
 //! use iddq_core::{config::PartitionConfig, flow};
 //! use iddq_netlist::data;
 //!
 //! let c17 = data::c17();
 //! let lib = Library::generic_1um();
 //! let cfg = PartitionConfig::paper_default();
-//! let result = flow::synthesize(&c17, &lib, &cfg, 42);
+//! let evo = EvolutionConfig::default();
+//! let result = flow::synthesize_with(&c17, &lib, &cfg, &evo, 42);
 //! assert!(result.report.feasible);
 //! assert!(result.report.modules.len() >= 1);
 //! ```

@@ -26,8 +26,9 @@ fn smoke_scenario_passes() {
     );
 }
 
-/// The chaos suite of the acceptance checklist: several clients pipeline
-/// mixed workloads (including injected panics) while others disconnect
+/// The chaos suite of the acceptance checklist: synchronous clients
+/// under nominal load are never shed or rejected; then several clients
+/// pipeline mixed workloads (including injected panics) while others disconnect
 /// mid-request; every surviving client gets exactly one response per
 /// request (no losses, no duplicates, no hangs); then the server is
 /// killed mid-lifecycle and a restart resumes a checkpointed job to a
@@ -46,6 +47,38 @@ fn chaos_clients_panics_kill_and_restart() {
     };
     let server = Server::start(config.clone()).expect("server start");
     let addr = server.local_addr().to_string();
+
+    // Phase 0: each synchronous client has at most one request
+    // outstanding, so 4 of them never overrun 3 workers + 4 queue slots.
+    let nominal: Vec<_> = (0..4u64)
+        .map(|client_idx| {
+            let addr = addr.clone();
+            std::thread::spawn(move || -> Result<(), String> {
+                let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
+                client
+                    .set_read_timeout(Some(Duration::from_secs(60)))
+                    .map_err(|e| e.to_string())?;
+                for k in 0..8u64 {
+                    let id = client_idx * 1000 + k;
+                    let req = match k % 4 {
+                        0 => json!({"id": id, "op": "ping"}),
+                        1 => json!({"id": id, "op": "sim", "circuit": "c432", "patterns": 256}),
+                        2 => json!({"id": id, "op": "stats", "circuit": "c432", "tier": "separation"}),
+                        _ => json!({"id": id, "op": "faults", "circuit": "c432", "vectors": 16}),
+                    };
+                    let resp = client.call(&req).map_err(|e| e.to_string())?;
+                    let status = resp["status"].as_str().unwrap_or("");
+                    if resp["id"].as_u64() != Some(id) || !matches!(status, "ok" | "partial") {
+                        return Err(format!("nominal request {id} answered {resp:?}"));
+                    }
+                }
+                Ok(())
+            })
+        })
+        .collect();
+    for h in nominal {
+        h.join().expect("client thread").expect("nominal client");
+    }
 
     // Phase 1: concurrent well-behaved clients with chaos mixed in.
     let mut handles = Vec::new();

@@ -9,6 +9,7 @@
 //! prints the per-module sensor plan.
 
 use iddq::celllib::Library;
+use iddq::core::evolution::EvolutionConfig;
 use iddq::core::{config::PartitionConfig, flow};
 use iddq::netlist::data;
 
@@ -31,7 +32,8 @@ fn main() {
     let config = PartitionConfig::paper_default();
 
     // 4. Run the evolution-based partitioning flow.
-    let result = flow::synthesize(&cut, &library, &config, 42);
+    let evo = EvolutionConfig::default();
+    let result = flow::synthesize_with(&cut, &library, &config, &evo, 42);
     let report = &result.report;
 
     println!(

@@ -5,8 +5,9 @@
 //!   ([`reference::iddq_first_detection`]) for every thread count and
 //!   frame count;
 //! * the fault-patch sweep equals the per-fault CSR re-simulation oracle
-//!   for every thread count, shard count, frame count and dropping
-//!   setting;
+//!   for every thread count, shard count, frame count, dropping setting
+//!   and lane width, and the oracle's multi-frame detections equal its
+//!   single-frame ones exactly on the DFF-free circuits;
 //! * a cancelled sweep, checkpointed through its sealed JSON and resumed,
 //!   is bit-identical to an uninterrupted one.
 //!
@@ -28,7 +29,7 @@ use iddq::logicsim::faults::{enumerate, FaultUniverseConfig, IddqFault};
 use iddq::logicsim::iddq::{simulate_with_options, SweepOptions, NO_MODULE};
 use iddq::logicsim::logic_test::StuckAtFault;
 use iddq::logicsim::{reference, BackendKind};
-use iddq::netlist::{data, Netlist};
+use iddq::netlist::{data, Netlist, PackedWord, W256};
 use iddq::synth::{cost_aware_per_gate_in, decompose_gate_patch, DecompositionStyle};
 use iddq_control::{RunBudget, RunControl, StopReason};
 
@@ -147,13 +148,13 @@ fn iddq_sweep_matches_scalar_oracle() {
     }
 }
 
-fn sweep(
+fn sweep<W: PackedWord>(
     nl: &Netlist,
     faults: &[LogicFault],
     vectors: &[Vec<bool>],
     options: &FaultSweepOptions,
 ) -> FaultSweepOutcome {
-    sweep_with_control::<u64>(nl, faults, vectors, options, &RunControl::unlimited()).into_value()
+    sweep_with_control::<W>(nl, faults, vectors, options, &RunControl::unlimited()).into_value()
 }
 
 #[test]
@@ -161,8 +162,9 @@ fn fault_patch_sweep_matches_csr_oracle() {
     for nl in corpus() {
         let faults = logic_faults(&nl);
         let vectors = random_vectors(&nl, 300, 0xfa17);
+        let mut oracle_detections = Vec::new();
         for frames in [1, 3] {
-            let oracle = sweep(
+            let oracle = sweep::<u64>(
                 &nl,
                 &faults,
                 &vectors,
@@ -185,7 +187,7 @@ fn fault_patch_sweep_matches_csr_oracle() {
                 (4, 0, false, BackendKind::Delta),
                 (2, 2, true, BackendKind::Csr),
             ] {
-                let r = sweep(
+                let r = sweep::<u64>(
                     &nl,
                     &faults,
                     &vectors,
@@ -207,6 +209,32 @@ fn fault_patch_sweep_matches_csr_oracle() {
                 );
                 assert!(r.done_batches.iter().all(|&d| d));
             }
+            // 256 lanes per sweep detect exactly what 64 lanes do.
+            for backend in [BackendKind::Csr, BackendKind::Delta] {
+                let options = FaultSweepOptions {
+                    threads: 2,
+                    backend,
+                    frames,
+                    ..FaultSweepOptions::default()
+                };
+                let wide = sweep::<W256>(&nl, &faults, &vectors, &options);
+                assert_eq!(
+                    wide.first_detection,
+                    oracle.first_detection,
+                    "{} W256 backend={backend} frames={frames}",
+                    nl.name()
+                );
+            }
+            oracle_detections.push(oracle.first_detection);
+        }
+        // Grouping the vectors into 3-frame sequences is a pure
+        // relabelling without DFFs; with them, latched state crosses the
+        // frame boundaries and changes what is detected when.
+        let (frames1, frames3) = (&oracle_detections[0], &oracle_detections[1]);
+        if nl.num_state_elements() == 0 {
+            assert_eq!(frames1, frames3, "{}: frames changed detections", nl.name());
+        } else {
+            assert_ne!(frames1, frames3, "{}: no state carried", nl.name());
         }
     }
 }
@@ -259,7 +287,7 @@ fn cancelled_sweep_resumes_bit_identical() {
                 frames,
                 ..FaultSweepOptions::default()
             };
-            let full = sweep(&nl, &faults, &vectors, &options);
+            let full = sweep::<u64>(&nl, &faults, &vectors, &options);
             let cancelled = RunControl::unlimited();
             cancelled.token().cancel();
             let quota = RunControl::with_budget(RunBudget::unlimited().with_quota(100));
@@ -376,7 +404,7 @@ fn evolution_is_thread_invariant() {
                 threads,
                 ..EvolutionConfig::default()
             };
-            evolution::optimize(&ctx, &config, 5)
+            evolution::optimize(&ctx, &config, 5, &RunControl::unlimited()).into_value()
         };
         let serial = run(1);
         for threads in [2, 4] {

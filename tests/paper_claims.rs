@@ -6,6 +6,7 @@ use iddq::core::{config::PartitionConfig, flow, EvalContext, Evaluated, Partitio
 use iddq::gen::array;
 use iddq::gen::iscas::{self, IscasProfile};
 use iddq::netlist::data;
+use iddq_control::RunControl;
 
 fn ctx_for<'a>(nl: &'a iddq::netlist::Netlist, lib: &'a Library) -> EvalContext<'a> {
     EvalContext::new(nl, lib, PartitionConfig::paper_default())
@@ -51,7 +52,9 @@ fn evolution_reaches_paper_optimum_cost_on_c17() {
             ..Default::default()
         },
         3,
-    );
+        &RunControl::unlimited(),
+    )
+    .into_value();
     assert!(
         out.best_cost <= pf + 1e-9,
         "ES cost {} must reach the paper optimum {pf}",
