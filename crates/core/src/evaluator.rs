@@ -8,9 +8,14 @@
 //!
 //! * **Module statistics** — per-module activity histograms,
 //!   leakage/capacitance sums and separation totals are maintained under
-//!   [`Evaluated::move_gate`], and per-module sensor figures (sizing,
-//!   area, decay time, violations) are re-derived eagerly for the touched
-//!   modules only.
+//!   one move kernel, [`Evaluated::move_gates`], which moves a gate set
+//!   out of one module into another ([`Evaluated::move_gate`] is its
+//!   one-gate call). Per moved gate it scans the gate's separation row
+//!   once and applies the histogram and sum updates in the same order as
+//!   single moves would, so a batch is bit-identical to its gates moved
+//!   one by one; peaks are rescanned once per batch, and per-module
+//!   sensor figures (sizing, area, decay time, violations) are re-derived
+//!   for the touched modules only.
 //! * **Delay re-simulation** — the degraded longest-path sweep (`D_BIC`,
 //!   the only `O(V + E)` term of the cost) is maintained *incrementally*:
 //!   each gate's degraded delay weight and arrival time persist across
@@ -46,7 +51,7 @@ use iddq_netlist::NodeId;
 
 use crate::context::EvalContext;
 use crate::cost::CostBreakdown;
-use crate::partition::{MoveOutcome, MoveUndo, Partition};
+use crate::partition::{ModuleRemoval, MoveOutcome, MoveUndo, Partition};
 
 /// Cached per-module statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,6 +232,17 @@ fn full_arrival_sweep(ctx: &EvalContext<'_>, weight: &[f64], arr: &mut [f64]) {
     }
 }
 
+/// Follows a swap-remove of module `removal.removed` in a list of module
+/// indices: the removed index drops out, the moved one is renumbered.
+fn renumber(modules: &mut Vec<usize>, removal: ModuleRemoval) {
+    modules.retain(|&m| m != removal.removed);
+    for m in modules {
+        if *m == removal.moved_from {
+            *m = removal.removed;
+        }
+    }
+}
+
 /// One entry of the transactional undo log.
 #[derive(Debug, Clone)]
 enum TxnOp {
@@ -381,82 +397,113 @@ impl<'a> Evaluated<'a> {
         }
     }
 
-    /// Moves one gate to `target`, updating statistics and sensor figures
-    /// incrementally and marking the delay state stale for the touched
-    /// modules (settled lazily by [`Evaluated::settle`] /
-    /// [`Evaluated::cost`]).
+    /// Moves one gate to `target`: [`Evaluated::move_gates`] with a
+    /// one-gate set.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Partition::move_gate`].
     pub fn move_gate(&mut self, gate: NodeId, target: usize) -> MoveOutcome {
-        let source = match self.partition.module_of(gate) {
-            Some(s) => s,
-            None => panic!("cannot move a primary input"),
+        self.move_gates(&[gate], target)
+    }
+
+    /// Moves the gate set `gates` — members of one source module `A` — to
+    /// module `target` (`B`) in order, updating statistics and sensor
+    /// figures incrementally and marking the delay state stale for the
+    /// touched modules (settled lazily by [`Evaluated::settle`] /
+    /// [`Evaluated::cost`]). The result, undo log included, is
+    /// bit-identical to moving the gates one at a time with `target`
+    /// (only the last move can empty `A`, so `target` stays valid until
+    /// then):
+    ///
+    /// * each moved gate's separation row is scanned once against the
+    ///   live assignment, yielding the integer separation it leaves in
+    ///   `A` and finds in `B`;
+    /// * the floating-point histograms and sums see the same per-gate
+    ///   sequence of subtractions (in `A`) and additions (in `B`);
+    /// * peaks are rescanned once per touched module, not once per gate.
+    ///
+    /// The returned outcome reports `A` and, if `gates` emptied it, the
+    /// module removal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gates` is empty or holds a primary input, a gate
+    /// outside the first gate's module or a repeated gate, or if `target`
+    /// is out of range.
+    pub fn move_gates(&mut self, gates: &[NodeId], target: usize) -> MoveOutcome {
+        let source = match gates.first().map(|&g| self.partition.module_of(g)) {
+            Some(Some(s)) => s,
+            Some(None) => panic!("cannot move a primary input"),
+            None => panic!("move_gates needs at least one gate"),
         };
+        assert!(
+            target < self.partition.module_count(),
+            "target module out of range"
+        );
         if source == target {
             return MoveOutcome {
                 source,
                 removed_module: None,
             };
         }
-        // Separation deltas need the membership *before* the move. The
-        // cached gate-table form scans the gate's precomputed gate-only
-        // neighbour weights once per module with direct assignment-vector
-        // tests — module-size independent, which is what keeps Monte-Carlo
-        // (whole-module) move sequences affordable.
-        let gi = gate.index();
-        let assignment = self.partition.assignment();
-        let sep_out = self.ctx.sep_table().separation_to_members(
-            gate,
-            self.partition.module(source).len(),
-            true,
-            assignment,
-            source as u32,
-        );
-        let sep_in = self.ctx.sep_table().separation_to_members(
-            gate,
-            self.partition.module(target).len(),
-            false,
-            assignment,
-            target as u32,
-        );
-
         if self.txn.is_some() {
             self.snapshot_module(source);
             self.snapshot_module(target);
         }
-
-        let (outcome, undo) = self.partition.move_gate_undoable(gate, target);
-        if let Some(log) = self.txn.as_mut() {
-            log.ops.push(TxnOp::Move(undo));
-        }
-
-        // Histogram and sum updates.
-        {
+        let ctx = self.ctx;
+        let rho = u64::from(ctx.sep_table().rho());
+        let (mut sep_out, mut sep_in) = (0u64, 0u64);
+        let mut outcome = MoveOutcome {
+            source,
+            removed_module: None,
+        };
+        for &g in gates {
+            assert_eq!(
+                self.partition.module_of(g),
+                Some(source),
+                "every moved gate must sit in the source module"
+            );
+            // Separation deltas need the membership *before* this gate
+            // moves: one fused scan of its precomputed gate-only row with
+            // direct assignment tests, module-size independent.
+            let [w_out, w_in] = ctx.sep_table().member_weights(
+                g,
+                self.partition.assignment(),
+                [source as u32, target as u32],
+            );
+            sep_out += rho * (self.partition.module(source).len() as u64 - 1) - w_out;
+            sep_in += rho * self.partition.module(target).len() as u64 - w_in;
+            let (moved, undo) = self.partition.move_gate_undoable(g, target);
+            outcome = moved;
+            if let Some(log) = self.txn.as_mut() {
+                log.ops.push(TxnOp::Move(undo));
+            }
+            let gi = g.index();
+            let (peak, times) = (ctx.tables.peak_current_ua[gi], &ctx.times[gi]);
             let s = &mut self.stats[source];
-            for t in self.ctx.times[gi].iter() {
-                s.current_hist[t as usize] -= self.ctx.tables.peak_current_ua[gi];
+            for t in times.iter() {
+                s.current_hist[t as usize] -= peak;
                 s.count_hist[t as usize] -= 1;
             }
-            s.leakage_na -= self.ctx.tables.leakage_na[gi];
-            s.rail_cap_ff -= self.ctx.tables.c_rail_ff[gi];
-            s.cell_area -= self.ctx.tables.area[gi];
-            s.separation -= sep_out;
-            s.rescan_peaks();
-        }
-        {
+            s.leakage_na -= ctx.tables.leakage_na[gi];
+            s.rail_cap_ff -= ctx.tables.c_rail_ff[gi];
+            s.cell_area -= ctx.tables.area[gi];
             let s = &mut self.stats[target];
-            for t in self.ctx.times[gi].iter() {
-                s.current_hist[t as usize] += self.ctx.tables.peak_current_ua[gi];
+            for t in times.iter() {
+                s.current_hist[t as usize] += peak;
                 s.count_hist[t as usize] += 1;
             }
-            s.leakage_na += self.ctx.tables.leakage_na[gi];
-            s.rail_cap_ff += self.ctx.tables.c_rail_ff[gi];
-            s.cell_area += self.ctx.tables.area[gi];
-            s.separation += sep_in;
-            s.rescan_peaks();
+            s.leakage_na += ctx.tables.leakage_na[gi];
+            s.rail_cap_ff += ctx.tables.c_rail_ff[gi];
+            s.cell_area += ctx.tables.area[gi];
         }
+        self.stats[source].separation -= sep_out;
+        self.stats[source].rescan_peaks();
+        self.stats[target].separation += sep_in;
+        self.stats[target].rescan_peaks();
+        self.mark_dirty(source);
+        self.mark_dirty(target);
         if let Some(removal) = outcome.removed_module {
             let removed_stats = self.stats.swap_remove(removal.removed);
             let removed_sensor = self.sensors.swap_remove(removal.removed);
@@ -469,28 +516,9 @@ impl<'a> Evaluated<'a> {
                 });
                 // Snapshot and dirty bookkeeping follow the swap-remove
                 // renumbering.
-                log.snapshotted.retain(|&m| m != removal.removed);
-                for m in &mut log.snapshotted {
-                    if *m == removal.moved_from {
-                        *m = removal.removed;
-                    }
-                }
+                renumber(&mut log.snapshotted, removal);
             }
-            self.dirty.retain(|&m| m != removal.removed);
-            for m in &mut self.dirty {
-                if *m == removal.moved_from {
-                    *m = removal.removed;
-                }
-            }
-            let final_target = if target == removal.moved_from {
-                removal.removed
-            } else {
-                target
-            };
-            self.mark_dirty(final_target);
-        } else {
-            self.mark_dirty(source);
-            self.mark_dirty(target);
+            renumber(&mut self.dirty, removal);
         }
         outcome
     }
@@ -832,6 +860,10 @@ impl<'a> Evaluated<'a> {
             let fresh = Self::stats_for(self.ctx, gates);
             let cached = &self.stats[m];
             assert_eq!(fresh.count_hist, cached.count_hist, "module {m} count hist");
+            let hist = fresh.current_hist.iter().zip(&cached.current_hist);
+            for (t, (f, c)) in hist.enumerate() {
+                assert!((f - c).abs() < 1e-6, "module {m} current hist slot {t}");
+            }
             assert_eq!(fresh.separation, cached.separation, "module {m} separation");
             assert!(
                 (fresh.leakage_na - cached.leakage_na).abs() < 1e-6,
@@ -840,6 +872,10 @@ impl<'a> Evaluated<'a> {
             assert!(
                 (fresh.rail_cap_ff - cached.rail_cap_ff).abs() < 1e-6,
                 "module {m} rail cap"
+            );
+            assert!(
+                (fresh.cell_area - cached.cell_area).abs() < 1e-6,
+                "module {m} cell area"
             );
             assert!(
                 (fresh.peak_current_ua - cached.peak_current_ua).abs() < 1e-6,
@@ -1013,6 +1049,16 @@ pub(crate) mod tests {
                 let g = gates[rng.gen_range(0..gates.len())];
                 let target = rng.gen_range(0..e.partition().module_count());
                 e.move_gate(g, target);
+            }
+            // Odd rounds end with a batched move of a random share (at
+            // times all) of one module.
+            let k = e.partition().module_count();
+            if round % 2 == 1 && k > 1 {
+                let source = rng.gen_range(0..k);
+                let members = e.partition().module(source);
+                let count = rng.gen_range(1..=members.len());
+                let batch = members[members.len() - count..].to_vec();
+                e.move_gates(&batch, (source + 1) % k);
             }
             e.settle();
             let _ = e.total_cost();

@@ -26,19 +26,22 @@
 //! [`Evaluated`] and, per descendant, applies the mutation moves inside
 //! a transaction, settles the incremental delay state (event-driven cone
 //! propagation for the small mutation steps, batch fallback for the
-//! module-sized Monte-Carlo steps), reads the cost and rolls back. Only
-//! the descendants that survive selection are materialized by replaying
-//! their recorded moves on a parent clone — the `μ(λ+χ) − μ` losers per
-//! generation never pay for a full evaluator construction.
+//! module-sized Monte-Carlo steps), reads the cost and rolls back. A
+//! mutation applies its moves gate by gate; a Monte-Carlo descendant is
+//! one [`Evaluated::move_gates`] batch. Only the descendants that survive
+//! selection are materialized by replaying their recorded moves on a
+//! parent clone — the `μ(λ+χ) − μ` losers per generation never pay for a
+//! full evaluator construction.
 //!
-//! Scoring and materialization share one loop for any thread count:
-//! `min(threads, tasks)` workers claim the next descendant from a shared
-//! counter, so the cheap mutations and the costly Monte-Carlo steps
+//! Building the start population, scoring and materialization share one
+//! loop for any thread count: `min(threads, tasks)` workers claim the
+//! next task from a shared counter, so the μ from-scratch start
+//! evaluations, the cheap mutations and the costly Monte-Carlo steps
 //! balance across cores, and a worker re-clones its scratch only when
 //! the claimed descendant's parent differs from the last one. Results go
-//! back into their task slots, every descendant draws from its own
-//! seeded RNG stream, and rollback is bit-exact, so selection sees the
-//! same candidates in the same order whatever the thread count.
+//! back into their task slots, every start individual and descendant
+//! draws from its own seed, and rollback is bit-exact, so selection sees
+//! the same candidates in the same order whatever the thread count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,8 +78,9 @@ pub struct EvolutionConfig {
     /// Stop early after this many generations without best-cost
     /// improvement.
     pub stagnation: usize,
-    /// Worker threads for descendant scoring and survivor
-    /// materialization (0 and 1 both run on the calling thread alone).
+    /// Worker threads for the start population, descendant scoring and
+    /// survivor materialization (0 and 1 both run on the calling thread
+    /// alone).
     /// The result is identical for any thread count: every descendant
     /// draws from its own seeded RNG stream and scratch rollback is
     /// bit-exact.
@@ -108,19 +112,43 @@ struct Individual<'a> {
     age: u32,
 }
 
+/// The exact moves that turn a parent into one of its descendants.
+#[derive(Debug, Clone)]
+enum Moves {
+    /// A §4.2 mutation: single-gate `(gate, target)` moves, in order.
+    Gates(Vec<(NodeId, usize)>),
+    /// A Monte-Carlo descendant: one batched move of part of a module.
+    Batch(Vec<NodeId>, usize),
+}
+
+impl Moves {
+    fn apply(&self, eval: &mut Evaluated<'_>) {
+        match self {
+            Moves::Gates(moves) => {
+                for &(g, t) in moves {
+                    eval.move_gate(g, t);
+                }
+            }
+            Moves::Batch(gates, target) => {
+                eval.move_gates(gates, *target);
+            }
+        }
+    }
+}
+
 /// A scored-but-not-materialized descendant: parent index plus the exact
-/// move list to replay if it survives selection.
+/// moves to replay if it survives selection.
 #[derive(Debug, Clone)]
 struct ScoredChild {
     parent: usize,
-    moves: Vec<(NodeId, usize)>,
+    moves: Moves,
     cost: f64,
     m: f64,
 }
 
-/// What scoring one descendant yields: its recorded `(gate, target)`
-/// moves, its settled cost, and its adapted step width.
-type Scored = (Vec<(NodeId, usize)>, f64, f64);
+/// What scoring one descendant yields: its recorded moves, its settled
+/// cost, and its adapted step width.
+type Scored = (Moves, f64, f64);
 
 /// Progress record per generation (for convergence plots).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,8 +216,15 @@ pub fn optimize(
     // Chain partitions target a size that yields the estimated count.
     let size_for_count = ctx.gates.len().div_ceil(module_count).max(1);
 
-    let mut population: Vec<Individual<'_>> = (0..config.mu)
-        .map(|i| {
+    // The start population is built on the same claim loop as the
+    // descendants (each individual from its own seed, so the order and
+    // the result do not depend on the thread count). A panic here leaves
+    // nothing to search from, so it aborts the run.
+    let mut population: Vec<Individual<'_>> = claim_each(
+        config.mu,
+        config.threads,
+        || (),
+        |(), i| {
             let p = start::chain_partition(ctx, size_for_count, seed.wrapping_add(i as u64));
             let eval = Evaluated::new(ctx, p);
             let cost = eval.total_cost();
@@ -199,8 +234,11 @@ pub fn optimize(
                 m: config.m_init,
                 age: 0,
             }
-        })
-        .collect();
+        },
+    )
+    .into_iter()
+    .map(|slot| slot.expect("building a start individual panicked"))
+    .collect();
     let mut evaluations = population.len();
 
     let mut log = Vec::new();
@@ -305,9 +343,7 @@ pub fn optimize(
             |walker, si| {
                 let child = survivors[si];
                 let mut eval = population[child.parent].eval.clone();
-                for &(g, t) in &child.moves {
-                    eval.move_gate(g, t);
-                }
+                child.moves.apply(&mut eval);
                 eval.settle_with(walker);
                 debug_assert_eq!(
                     eval.total_cost().to_bits(),
@@ -500,16 +536,15 @@ fn mutate(
     scratch.settle_with(walker);
     let cost = scratch.total_cost();
     scratch.rollback_txn();
-    Some((moves, cost, m_step))
+    Some((Moves::Gates(moves), cost, m_step))
 }
 
 /// Scores one Monte-Carlo descendant: a random number of random gates of
 /// a random module moves into a random module ("the random variation of
-/// these descendants is higher compared with mutations"). Module-sized
-/// move sets exceed the incremental dirty-cone budget, so settling takes
-/// the batch full-sweep path.
-// Same scratch-arena accounting as the generation loop above.
-#[allow(clippy::expect_used)]
+/// these descendants is higher compared with mutations"), as one
+/// [`Evaluated::move_gates`] batch. Module-sized move sets exceed the
+/// incremental dirty-cone budget, so settling takes the batch full-sweep
+/// path.
 fn monte_carlo(
     scratch: &mut Evaluated<'_>,
     parent_m: f64,
@@ -537,24 +572,13 @@ fn monte_carlo(
             .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
             .collect()
     };
-    // Module indices shift when `source` empties; track the target by a
-    // representative gate instead.
-    let target_rep = scratch.partition().module(target)[0];
     scratch.begin_txn();
-    let mut moves: Vec<(NodeId, usize)> = Vec::with_capacity(gates.len());
-    for g in gates {
-        let t = scratch
-            .partition()
-            .module_of(target_rep)
-            .expect("representative stays assigned");
-        scratch.move_gate(g, t);
-        moves.push((g, t));
-    }
+    scratch.move_gates(&gates, target);
     let m_step = adapt_step(parent_m, config.epsilon, rng);
     scratch.settle_with(walker);
     let cost = scratch.total_cost();
     scratch.rollback_txn();
-    Some((moves, cost, m_step))
+    Some((Moves::Batch(gates, target), cost, m_step))
 }
 
 /// Redraws the mutation step width from `N(m, ε²)`, floored at 1.

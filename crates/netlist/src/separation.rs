@@ -1033,34 +1033,30 @@ impl GateSeparationTable {
         self.rho as u32
     }
 
-    /// Sum of saturated distances from `gate` to every gate assigned to
-    /// `module` in `assignment` (one entry per node; `gate` itself
-    /// contributes 0).
-    ///
-    /// `member_count` is the module's size and `includes_gate` whether
-    /// `gate` is currently a member.
+    /// Row weights `W(gate, M) = Σ_{n ∈ row ∩ M}(ρ − d)` from `gate` to the
+    /// gates assigned to each of `modules` in `assignment` (one entry per
+    /// node), in one branch-free scan of the row. The separation from
+    /// `gate` to the members of `M` is then
+    /// `ρ·(|M| − [gate ∈ M]) − W(gate, M)`, bit-identical to
+    /// [`SeparationOracle::separation_to_members`]; a gate move needs it
+    /// for its source and its target module at once.
     ///
     /// # Panics
     ///
     /// Panics if `gate` is out of range of the table's netlist.
     #[must_use]
-    pub fn separation_to_members(
-        &self,
-        gate: NodeId,
-        member_count: usize,
-        includes_gate: bool,
-        assignment: &[u32],
-        module: u32,
-    ) -> u64 {
-        let i = gate.index();
-        let row = &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        let mut sum = self.rho * (member_count as u64 - u64::from(includes_gate));
-        for &(n, w) in row {
-            if assignment[n as usize] == module {
-                sum -= u64::from(w);
-            }
+    pub fn member_weights(&self, gate: NodeId, assignment: &[u32], modules: [u32; 2]) -> [u64; 2] {
+        let [a, b] = modules;
+        let (mut wa, mut wb) = (0u64, 0u64);
+        // Masked adds, not `if`s: membership is unpredictable, and a
+        // branch per entry costs more than the row's memory traffic.
+        for &(n, w) in self.row(gate) {
+            let m = assignment[n as usize];
+            let w = u64::from(w);
+            wa += w & 0u64.wrapping_sub(u64::from(m == a));
+            wb += w & 0u64.wrapping_sub(u64::from(m == b));
         }
-        sum
+        [wa, wb]
     }
 }
 
@@ -1209,9 +1205,12 @@ mod tests {
                 let want = sep.separation_to_members(g, members.len(), includes, |n| {
                     assignment[n.index()] == module
                 });
-                let got =
-                    table.separation_to_members(g, members.len(), includes, &assignment, module);
+                let other = (module + 1) % 3;
+                let [w, w_other] = table.member_weights(g, &assignment, [module, other]);
+                let got = u64::from(table.rho()) * (members.len() as u64 - u64::from(includes)) - w;
                 assert_eq!(want, got, "gate {g} module {module}");
+                let [w_swapped, _] = table.member_weights(g, &assignment, [other, module]);
+                assert_eq!(w_other, w_swapped, "gate {g} module {other}");
             }
         }
     }

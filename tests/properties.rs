@@ -13,6 +13,33 @@ fn small_circuit(seed: u64) -> iddq::netlist::Netlist {
     iscas::generate(profile, seed)
 }
 
+/// A generated ISCAS-89-like (DFF-carrying) circuit at generation seed 5.
+fn seq_circuit(name: &str) -> iddq::netlist::Netlist {
+    iddq::gen::seq::generate(iddq::gen::seq::SeqProfile::by_name(name).unwrap(), 5)
+}
+
+/// Every cached module statistic as raw bits, in module order.
+fn stats_bits(eval: &Evaluated<'_>) -> Vec<Vec<u64>> {
+    eval.stats()
+        .iter()
+        .map(|s| {
+            let mut bits: Vec<u64> = s.current_hist.iter().map(|x| x.to_bits()).collect();
+            bits.extend(s.count_hist.iter().map(|&n| u64::from(n)));
+            bits.extend(
+                [s.peak_current_ua, s.leakage_na, s.rail_cap_ff, s.cell_area].map(f64::to_bits),
+            );
+            bits.extend([u64::from(s.peak_activity), s.separation]);
+            bits
+        })
+        .collect()
+}
+
+/// The weighted cost after settling, as raw bits.
+fn settled_cost_bits(eval: &mut Evaluated<'_>) -> u64 {
+    eval.settle();
+    eval.total_cost().to_bits()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -61,6 +88,86 @@ proptest! {
         prop_assert!((a.c4_test_time - b.c4_test_time).abs() < 1e-9);
         prop_assert_eq!(a.c5_modules as usize, b.c5_modules as usize);
         prop_assert_eq!(a.violations, b.violations);
+    }
+
+    /// One batched `move_gates` equals the same gates moved one at a time
+    /// on a clone, bit for bit: module lists, every statistic (each
+    /// `current_hist` slot included) and the settled cost. Batches cover
+    /// whole-module moves (the source module is removed) and moves into
+    /// the last module (which the removal renumbers); inside a
+    /// transaction, rollback restores the partition, statistics and cost.
+    #[test]
+    fn batched_moves_match_sequential(
+        circuit in 0usize..3,
+        k in 2usize..6,
+        batches in prop::collection::vec(
+            (any::<u64>(), 0u8..4, prop::collection::vec(0usize..4096, 1..24)),
+            1..8,
+        ),
+    ) {
+        let nl = match circuit {
+            0 => data::ripple_adder(10),
+            1 => seq_circuit("s27"),
+            _ => seq_circuit("s298"),
+        };
+        let lib = Library::generic_1um();
+        let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
+        let gates: Vec<_> = nl.gate_ids().collect();
+        let sizes = standard::equal_sizes(gates.len(), k.min(gates.len()));
+        let mut eval = Evaluated::new(&ctx, standard::standard_partition(&ctx, &sizes));
+        for (pick, mode, picks) in batches {
+            let modules = eval.partition().module_count();
+            if modules < 2 {
+                break;
+            }
+            let source = (pick % modules as u64) as usize;
+            // Mode bit 0: the last module is the target; bit 1: the whole
+            // source module moves.
+            let last = modules - 1;
+            let target = if mode & 1 == 1 && source != last {
+                last
+            } else {
+                (source + 1 + (pick >> 32) as usize % (modules - 1)) % modules
+            };
+            let members = eval.partition().module(source).to_vec();
+            let mut moved: Vec<_> = Vec::new();
+            if mode & 2 == 2 {
+                let shift = picks[0] % members.len();
+                moved.extend(members[shift..].iter().chain(&members[..shift]));
+            } else {
+                for i in picks {
+                    let g = members[i % members.len()];
+                    if !moved.contains(&g) {
+                        moved.push(g);
+                    }
+                }
+            }
+            let mut one_by_one = eval.clone();
+            for &g in &moved {
+                one_by_one.move_gate(g, target);
+            }
+            let in_txn = pick & 1 == 1;
+            let before = (eval.partition().clone(), stats_bits(&eval), settled_cost_bits(&mut eval));
+            if in_txn {
+                eval.begin_txn();
+            }
+            let outcome = eval.move_gates(&moved, target);
+            prop_assert_eq!(outcome.source, source);
+            prop_assert_eq!(outcome.removed_module.is_some(), moved.len() == members.len());
+            prop_assert_eq!(eval.partition().modules(), one_by_one.partition().modules());
+            prop_assert_eq!(stats_bits(&eval), stats_bits(&one_by_one));
+            let cost = settled_cost_bits(&mut eval);
+            prop_assert_eq!(cost, settled_cost_bits(&mut one_by_one));
+            eval.verify_consistency();
+            if in_txn {
+                eval.rollback_txn();
+                let after = (eval.partition().clone(), stats_bits(&eval), settled_cost_bits(&mut eval));
+                prop_assert_eq!(&after, &before);
+                eval.verify_consistency();
+                // Keep the batch applied for the next round.
+                eval.move_gates(&moved, target);
+            }
+        }
     }
 
     /// The §3.1 peak-current estimator is a true upper bound: for any pair
