@@ -1,44 +1,31 @@
 //! `iddq` — command-line front end for the IDDQ-testability synthesis
 //! flow.
 //!
-//! ```text
-//! iddq synth  <netlist.bench> [--seed N] [--generations N] [--d N]
-//!             [--rstar MV] [--json PATH] [--dot PATH] [--modules PATH]
-//!             [--resynth [--per-gate]] [--threads N]
-//! iddq gen    <circuit> [--seed N] [--out PATH]
-//! iddq test   <netlist.bench> [--seed N] [--frames N] [--threads N]
-//! iddq sim    <netlist.bench> [--patterns N] [--seed N] [--threads N]
-//!             [--backend csr|delta] [--lanes 64|256|512|auto] [--frames N]
-//! iddq faults <netlist.bench> [--seed N] [--vectors N] [--bridges N]
-//!             [--backend csr|delta] [--lanes 64|256|512|auto] [--threads N]
-//!             [--shards N] [--no-drop] [--frames N] [--budget-ms MS]
-//!             [--quota N] [--checkpoint PATH] [--resume PATH]
-//! iddq seq    [--circuit sNNN] [--seed N] [--frames N]
-//!             [--sequences N] [--bridges N] [--backend csr|delta]
-//!             [--threads N] [--shards N]
-//! iddq stats  <netlist.bench> [--memory] [--rho N]
-//! iddq scale  [--smoke] [--gates N] [--seed N] [--rho N] [--budget-ms MS]
-//! iddq serve  [--addr A] [--workers N] [--queue N] [--cache-mb N]
-//!             [--state-dir DIR] [--rho N] [--budget-ms MS] [--max-secs S]
-//!             [--smoke] [--call JSON --addr A [--retries N] [--retry-seed N]]
-//! iddq chaos  [--smoke]
-//! ```
+//! Every subcommand is one row of [`COMMANDS`]: its positional argument
+//! (if any) and a table of its flags, each with a value [`Kind`], a
+//! default and a help line. [`Args::parse`] checks the whole command
+//! line against that table before the command reads any file, and
+//! `iddq help` is generated from the same rows, so the accepted flags and
+//! the usage text cannot drift apart.
 //!
 //! Exit codes follow the usual discipline: `0` for success (including a
 //! budget-limited *partial* fault sweep, which reports its coverage),
-//! `2` for usage errors (bad flags, bad bounds, unknown commands, flags
-//! a subcommand does not take, and value flags given without a value),
-//! `1` for runtime failures (unreadable files, parse errors, checkpoint
-//! mismatches).
+//! `2` for usage errors (unknown commands and flags, missing, ill-typed
+//! or repeated values, stray or missing arguments, a flag without its
+//! required companion, bad bounds), `1` for runtime failures (unreadable
+//! files, parse errors, checkpoint mismatches).
 
+use std::any::TypeId;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use iddq_celllib::Library;
 use iddq_control::{write_atomic, EngineError, RunBudget, RunControl};
 use iddq_core::evolution::EvolutionConfig;
 use iddq_core::{config::PartitionConfig, flow, AnalysisTier, EvalContext};
-use iddq_netlist::{bench, dot, Netlist};
+use iddq_logicsim::BackendKind;
+use iddq_netlist::{bench, dot, LaneWidth, Netlist};
 
 /// A CLI failure: its message and whether it is the *caller's* fault
 /// (a usage error — exit code 2) or the *run's* (exit code 1).
@@ -80,28 +67,20 @@ impl From<EngineError> for CliError {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = argv.split_first() else {
+        eprint!("{}", help());
         return ExitCode::from(2);
     };
-    let result = match cmd.as_str() {
-        "synth" => cmd_synth(rest),
-        "gen" => cmd_gen(rest),
-        "test" => cmd_test(rest),
-        "sim" => cmd_sim(rest),
-        "faults" => cmd_faults(rest),
-        "seq" => cmd_seq(rest),
-        "stats" => cmd_stats(rest),
-        "scale" => cmd_scale(rest),
-        "serve" => cmd_serve(rest),
-        "chaos" => cmd_chaos(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::usage(format!(
-            "unknown command `{other}`\n{USAGE}"
+    let name = match name.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) => Args::parse(cmd, rest).and_then(|args| (cmd.run)(&args)),
+        None => Err(CliError::usage(format!(
+            "unknown command `{name}`\n{}",
+            help()
         ))),
     };
     match result {
@@ -113,193 +92,452 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-iddq — synthesis of IDDQ-testable circuits (Wunderlich et al., DATE 1995)
+/// What a flag's value must parse as. [`Args::parse`] checks every
+/// given value against its kind, and the accessors read it back as the
+/// kind's Rust type.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// No value: giving the flag is the setting.
+    Switch,
+    U32,
+    U64,
+    Usize,
+    F64,
+    /// A `usize` worker count; `0` means every core.
+    Threads,
+    /// A [`LaneWidth`], or `auto` to calibrate on the loaded circuit.
+    Lanes,
+    Backend,
+    /// Free text: a path, an address, a JSON request.
+    Text,
+}
 
-commands:
-  synth <netlist.bench>   partition a circuit and size its BIC sensors
-      --seed N            optimizer seed (default 42)
-      --generations N     evolution generations (default 250)
-      --d N               required discriminability (default 10)
-      --rstar MV          virtual-rail budget in mV (default 200)
-      --fanout N          buffer fan-out above N first (N >= 2)
-      --resynth           run cost-aware resynthesis first (patch-scored
-                          candidates on one persistent evaluation)
-      --per-gate          with --resynth: choose the decomposition shape
-                          gate by gate (greedy patch probes)
-      --json PATH         write the full report as JSON
-      --dot PATH          write a module-coloured Graphviz graph
-      --modules PATH      write `gate module` assignment lines
-      --threads N         worker threads for the analyses and the evolution
-                          (default 0 = all cores; any count gives the same
-                          result)
-  gen <circuit>           emit a synthetic benchmark netlist: c* names are
-                          ISCAS-85-like combinational circuits, s* names
-                          ISCAS-89-like sequential ones (with DFFs)
-      --seed N            generation seed (default 42)
-      --out PATH          output path (default stdout)
-  test <netlist.bench>    run the IDDQ defect-detection experiment
-      --seed N            defect/ATPG seed (default 42)
-      --frames N          frames per test sequence (default 1; sequential
-                          circuits reach state-dependent defects at N > 1)
-      --threads N         worker threads for the analyses, the evolution
-                          and the IDDQ sweep (default 0 = all cores; any
-                          count gives the same result)
-  sim <netlist.bench>     measure logic-simulation throughput (wide kernel)
-      --patterns N        number of random patterns (default 1048576)
-      --seed N            pattern seed (default 42)
-      --threads N         worker threads sharing the pattern stream (default 1)
-      --backend B         simulation engine: csr | delta (default csr)
-      --lanes L           patterns per sweep: 64 | 256 | 512 (default 256),
-                          or `auto` to pick by a quick calibration sweep
-      --frames N          frames per sequence (default 1): each lane then
-                          carries one N-frame sequence from the all-zero
-                          reset state, stepped through the DFF boundary
-  faults <netlist.bench>  run the stuck-at/bridge fault-patch sweep
-      --seed N            vector/bridge seed (default 42)
-      --vectors N         number of random test vectors (default 256)
-      --bridges N         number of sampled bridge faults (default 32)
-      --backend B         delta = fault-patch engine, csr = per-fault full
-                          re-simulation oracle (default delta)
-      --lanes L           patterns per sweep: 64 | 256 | 512 (default 256),
-                          or `auto` to pick by a quick calibration sweep
-      --threads N         worker threads (default 1, 0 = all cores)
-      --shards N          fault-list shards (default auto)
-      --no-drop           disable earliest-detection fault dropping
-      --frames N          frames per sequence (default 1): vectors are
-                          consumed sequence-major (N consecutive vectors
-                          per sequence) and a fault's earliest detection
-                          is the first (sequence, frame) that exposes it
-      --budget-ms MS      wall-clock budget; on expiry the sweep stops at
-                          the next batch boundary and reports a partial
-                          (still exit 0) coverage
-      --quota N           work budget in fault x pattern applications
-      --checkpoint PATH   write a resumable checkpoint (atomic rename)
-      --resume PATH       resume from a checkpoint written by --checkpoint;
-                          a resumed run that completes is bit-identical to
-                          an uninterrupted one
-  seq                     sequential end-to-end check on a generated
-                          ISCAS-89-like circuit: multi-frame fault sweep
-                          from the all-zero reset state, reporting how
-                          many faults need latched state to be seen
-      --circuit sNNN      profile to generate (default s298)
-      --seed N            generation/vector seed (default 42)
-      --frames N          frames per sequence (default 4)
-      --sequences N       number of reset sequences (default 256)
-      --bridges N         number of sampled bridge faults (default 32)
-      --backend B         delta (default) | csr
-      --threads N         worker threads (default 1, 0 = all cores)
-      --shards N          fault-list shards (default auto)
-  stats <netlist.bench>   print structural statistics
-      --memory            also report the memory footprint of every engine
-                          representation (graph, CSR schedule, packed values,
-                          delta state, separation oracle, gate-sep table)
-      --rho N             separation saturation bound for --memory (default 6)
-  scale                   scale regression check on a generated mega-circuit:
-                          build the CSR kernel, run one full sweep, build a
-                          GateSep analysis context, and score one resynthesis
-                          probe (apply + bit-identical rollback), all under one
-                          wall-clock RunBudget, with per-node memory asserted
-                          against fixed byte ceilings
-      --smoke             10^5 gates under a 60 s budget (default: 10^6 gates
-                          under 600 s)
-      --gates N           override the gate count
-      --seed N            generation seed (default 0x5ca1e, as the bench)
-      --rho N             separation saturation bound (default 3)
-      --budget-ms MS      override the wall-clock budget
-  serve                   run the hardened fault-simulation service
-                          (JSON-lines over TCP; see crates/serve docs for
-                          the protocol, failure semantics and runbook)
-      --addr A            bind address (default 127.0.0.1:0; the bound
-                          address is printed as `listening on ADDR`)
-      --workers N         worker threads (default 2)
-      --queue N           admission queue capacity (default 16)
-      --cache-mb N        artifact-cache memory ceiling in MiB (default 64)
-      --state-dir DIR     checkpoint directory (default .iddq-serve)
-      --rho N             separation bound for stats tiers (default 6)
-      --budget-ms MS      global budget composed into every request
-      --max-secs S        serve for S seconds, then drain and exit
-      --smoke             run the end-to-end smoke scenario and exit
-      --call JSON         one-shot client mode: send one request line to
-                          --addr, print the response line, exit (exit 1
-                          when the server answers status=error)
-      --retries N         with --call: retry `overloaded` responses up to
-                          N times with jittered exponential backoff,
-                          honoring the server's retry_after_ms hint
-                          (default 3; 0 = fail fast)
-      --retry-seed N      seed of the deterministic retry jitter
-  chaos                   deterministic fault-injection suite over the
-                          serving path: checkpointed sweeps completed
-                          through seeded crash/restart schedules under
-                          ENOSPC / torn-write / failed-rename / corrupt-read
-                          faults (digest bit-identical to an uninterrupted
-                          run); any violation exits 1 with the offending seed
-      --smoke             a dozen fixed seeds (seconds, the CI leg)
-                          instead of the full 200+ schedule sweep
-";
-
-/// Rejects every `--flag` of `rest` that `cmd` does not document:
-/// `values` take the argument after them (which is skipped, so a value
-/// that starts with `--` is not misread as a flag), `switches` stand
-/// alone. An unknown flag, or a value flag with nothing after it, is a
-/// usage error (exit 2) naming the flag, so a typo never runs with a
-/// silently defaulted setting.
-fn check_flags(
-    cmd: &str,
-    rest: &[String],
-    values: &[&str],
-    switches: &[&str],
-) -> Result<(), CliError> {
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        if values.contains(&arg.as_str()) {
-            if args.next().is_none() {
-                return Err(CliError::usage(format!(
-                    "flag `{arg}` of `iddq {cmd}` expects a value"
-                )));
+impl Kind {
+    /// Checks `value` against this kind; `positive` also rejects zero.
+    fn check(self, value: &str, positive: bool) -> Result<(), String> {
+        fn number<T: FromStr + Default + PartialEq>(
+            value: &str,
+            positive: bool,
+        ) -> Result<(), String> {
+            match value.parse::<T>() {
+                Ok(n) if positive && n == T::default() => {
+                    Err("expected at least 1, got `0`".into())
+                }
+                Ok(_) => Ok(()),
+                Err(_) => Err(format!("expected a number, got `{value}`")),
             }
-        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
-            return Err(CliError::usage(format!(
-                "unknown flag `{arg}` for `iddq {cmd}` (see `iddq help`)"
-            )));
+        }
+        match self {
+            Kind::Switch | Kind::Text => Ok(()),
+            Kind::U32 => number::<u32>(value, positive),
+            Kind::U64 => number::<u64>(value, positive),
+            Kind::Usize | Kind::Threads => number::<usize>(value, positive),
+            Kind::F64 => number::<f64>(value, positive),
+            Kind::Lanes if value == "auto" => Ok(()),
+            Kind::Lanes => value
+                .parse::<LaneWidth>()
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            Kind::Backend => value
+                .parse::<BackendKind>()
+                .map(drop)
+                .map_err(|e| e.to_string()),
         }
     }
+
+    /// The Rust type the accessors must read this kind as.
+    fn value_type(self) -> TypeId {
+        match self {
+            Kind::Switch => TypeId::of::<bool>(),
+            Kind::U32 => TypeId::of::<u32>(),
+            Kind::U64 => TypeId::of::<u64>(),
+            Kind::Usize | Kind::Threads => TypeId::of::<usize>(),
+            Kind::F64 => TypeId::of::<f64>(),
+            Kind::Backend => TypeId::of::<BackendKind>(),
+            Kind::Lanes | Kind::Text => TypeId::of::<String>(),
+        }
+    }
+}
+
+/// One row of a command's flag table.
+#[derive(Debug)]
+struct Flag {
+    /// The flag and its value's placeholder, as `iddq help` shows them:
+    /// `--seed N`, or a bare `--resynth` for a switch.
+    spec: &'static str,
+    kind: Kind,
+    /// The value used when the flag is not given (and shown by `help`);
+    /// empty when the command has no fixed default.
+    default: &'static str,
+    help: &'static str,
+    /// A flag this one is meaningless without; empty when none.
+    needs: &'static str,
+    /// Zero is rejected.
+    positive: bool,
+}
+
+const fn flag(spec: &'static str, kind: Kind, default: &'static str, help: &'static str) -> Flag {
+    Flag {
+        spec,
+        kind,
+        default,
+        help,
+        needs: "",
+        positive: false,
+    }
+}
+
+impl Flag {
+    const fn needs(self, companion: &'static str) -> Flag {
+        Flag {
+            needs: companion,
+            ..self
+        }
+    }
+
+    const fn positive(self) -> Flag {
+        Flag {
+            positive: true,
+            ..self
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.spec.split(' ').next().unwrap_or(self.spec)
+    }
+}
+
+/// One subcommand: its positional argument (empty when it takes none),
+/// what it does, its flags, and the function that runs it.
+struct Command {
+    name: &'static str,
+    arg: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+use Kind::{Backend, Lanes, Switch, Text, Threads, Usize, F64, U32, U64};
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "synth", arg: "<netlist.bench>", run: cmd_synth,
+        about: "partition a circuit and size its BIC sensors",
+        flags: &[
+            flag("--seed N", U64, "42", "optimizer seed"),
+            flag("--generations N", Usize, "250", "evolution generations"),
+            flag("--d N", F64, "10", "required discriminability"),
+            flag("--rstar MV", F64, "200", "virtual-rail budget in mV"),
+            flag("--fanout N", Usize, "", "buffer fan-out above N first (N >= 2)"),
+            flag("--resynth", Switch, "", "run cost-aware resynthesis first (patch-scored \
+                candidates on one persistent evaluation)"),
+            flag("--per-gate", Switch, "", "choose the decomposition shape gate by gate \
+                (greedy patch probes)").needs("--resynth"),
+            flag("--json PATH", Text, "", "write the full report as JSON"),
+            flag("--dot PATH", Text, "", "write a module-coloured Graphviz graph"),
+            flag("--modules PATH", Text, "", "write `gate module` assignment lines"),
+            flag("--threads N", Threads, "0", "worker threads for the analyses and the \
+                evolution; 0 = all cores, and any count gives the same result"),
+        ] },
+    Command { name: "gen", arg: "<circuit>", run: cmd_gen,
+        about: "emit a synthetic benchmark netlist: c* names are ISCAS-85-like \
+            combinational circuits, s* names ISCAS-89-like sequential ones (with DFFs)",
+        flags: &[
+            flag("--seed N", U64, "42", "generation seed"),
+            flag("--out PATH", Text, "", "output path (default stdout)"),
+        ] },
+    Command { name: "test", arg: "<netlist.bench>", run: cmd_test,
+        about: "run the IDDQ defect-detection experiment",
+        flags: &[
+            flag("--seed N", U64, "42", "defect/ATPG seed"),
+            flag("--frames N", Usize, "1", "frames per test sequence; sequential circuits \
+                reach state-dependent defects at N > 1").positive(),
+            flag("--threads N", Threads, "0", "worker threads for the analyses, the evolution \
+                and the IDDQ sweep; 0 = all cores, and any count gives the same result"),
+        ] },
+    Command { name: "sim", arg: "<netlist.bench>", run: cmd_sim,
+        about: "measure logic-simulation throughput (wide CSR kernel)",
+        flags: &[
+            flag("--patterns N", U64, "1048576", "number of random patterns").positive(),
+            flag("--seed N", U64, "42", "pattern seed"),
+            flag("--threads N", Threads, "1", "worker threads sharing the pattern stream; \
+                0 = all cores"),
+            flag("--lanes L", Lanes, "256", "patterns per sweep: 64 | 256 | 512, or `auto` \
+                to pick by a quick calibration sweep"),
+            flag("--frames N", Usize, "1", "frames per sequence: each lane then carries one \
+                N-frame sequence from the all-zero reset state, stepped through the DFF \
+                boundary").positive(),
+        ] },
+    Command { name: "faults", arg: "<netlist.bench>", run: cmd_faults,
+        about: "run the stuck-at/bridge fault-patch sweep",
+        flags: &[
+            flag("--seed N", U64, "42", "vector/bridge seed"),
+            flag("--vectors N", Usize, "256", "number of random test vectors").positive(),
+            flag("--bridges N", Usize, "32", "number of sampled bridge faults"),
+            flag("--backend B", Backend, "delta", "delta = fault-patch engine, csr = per-fault \
+                full re-simulation oracle"),
+            flag("--lanes L", Lanes, "256", "patterns per sweep: 64 | 256 | 512, or `auto` \
+                to pick by a quick calibration sweep"),
+            flag("--threads N", Threads, "1", "worker threads; 0 = all cores"),
+            flag("--shards N", Usize, "0", "fault-list shards; 0 = auto"),
+            flag("--no-drop", Switch, "", "disable earliest-detection fault dropping"),
+            flag("--frames N", Usize, "1", "frames per sequence: vectors are consumed \
+                sequence-major (N consecutive vectors per sequence from the all-zero reset \
+                state), a fault's earliest detection is the first (sequence, frame) that \
+                exposes it, and N > 1 also reports how many faults are detected only \
+                beyond frame 0, i.e. need latched state").positive(),
+            flag("--budget-ms MS", U64, "", "wall-clock budget; on expiry the sweep stops at \
+                the next batch boundary and reports a partial (still exit 0) coverage"),
+            flag("--quota N", U64, "", "work budget in fault x pattern applications"),
+            flag("--checkpoint PATH", Text, "", "write a resumable checkpoint (atomic rename)"),
+            flag("--resume PATH", Text, "", "resume from a checkpoint written by \
+                --checkpoint; a resumed run that completes is bit-identical to an \
+                uninterrupted one"),
+        ] },
+    Command { name: "stats", arg: "<netlist.bench>", run: cmd_stats,
+        about: "print structural statistics",
+        flags: &[
+            flag("--memory", Switch, "", "also report the memory footprint of every engine \
+                representation (graph, CSR schedule, packed values, delta state, separation \
+                oracle, gate-sep table)"),
+            flag("--rho N", U32, "6", "separation saturation bound").needs("--memory").positive(),
+        ] },
+    Command { name: "scale", arg: "", run: cmd_scale,
+        about: "scale regression check on a generated mega-circuit: build the CSR kernel, \
+            run one full sweep, build a GateSep analysis context, and score one \
+            resynthesis probe (apply + bit-identical rollback), all under one wall-clock \
+            RunBudget, with per-node memory asserted against fixed byte ceilings",
+        flags: &[
+            flag("--smoke", Switch, "", "10^5 gates under a 60 s budget (default: 10^6 gates \
+                under 600 s)"),
+            flag("--gates N", Usize, "", "override the gate count").positive(),
+            flag("--seed N", U64, "379422", "generation seed: the bench's 0x5ca1e"),
+            flag("--rho N", U32, "3", "separation saturation bound").positive(),
+            flag("--budget-ms MS", U64, "", "override the wall-clock budget"),
+        ] },
+    Command { name: "serve", arg: "", run: cmd_serve,
+        about: "run the hardened fault-simulation service (JSON-lines over TCP; see \
+            crates/serve docs for the protocol, failure semantics and runbook)",
+        flags: &[
+            flag("--addr A", Text, "127.0.0.1:0", "bind address, printed once bound as \
+                `listening on ADDR`; with --call, the server to call"),
+            flag("--workers N", Usize, "2", "worker threads").positive(),
+            flag("--queue N", Usize, "16", "admission queue capacity").positive(),
+            flag("--cache-mb N", Usize, "64", "artifact-cache memory ceiling in MiB"),
+            flag("--state-dir DIR", Text, ".iddq-serve", "checkpoint directory"),
+            flag("--rho N", U32, "6", "separation bound for stats tiers").positive(),
+            flag("--budget-ms MS", U64, "", "global budget composed into every request"),
+            flag("--max-secs S", U64, "", "serve for S seconds, then drain and exit"),
+            flag("--smoke", Switch, "", "run the end-to-end smoke scenario and exit"),
+            flag("--call JSON", Text, "", "one-shot client mode: send one request line, \
+                print the response line, exit (exit 1 when the server answers \
+                status=error)").needs("--addr"),
+            flag("--retries N", U32, "3", "retry `overloaded` responses up to N times with \
+                jittered exponential backoff, honoring the server's retry_after_ms hint; \
+                0 = fail fast").needs("--call"),
+            flag("--retry-seed N", U64, "7641", "seed of the deterministic retry jitter")
+                .needs("--call"),
+        ] },
+    Command { name: "chaos", arg: "", run: cmd_chaos,
+        about: "deterministic fault-injection suite over the serving path: checkpointed \
+            sweeps completed through seeded crash/restart schedules under ENOSPC / \
+            torn-write / failed-rename / corrupt-read faults (digest bit-identical to an \
+            uninterrupted run); any violation exits 1 with the offending seed",
+        flags: &[
+            flag("--smoke", Switch, "", "a dozen fixed seeds (seconds, the CI leg) instead of \
+                the full 200+ schedule sweep"),
+        ] },
+    Command { name: "help", arg: "", run: cmd_help,
+        about: "print this help", flags: &[] },
+];
+
+/// A command line checked against its command's table: the positional
+/// argument (empty when the command takes none) and every given flag
+/// with its value (empty for a switch).
+struct Args {
+    cmd: &'static Command,
+    arg: String,
+    given: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Checks all of `argv` against `cmd`'s table. Any unknown flag,
+    /// missing or ill-typed value, repeated flag, stray or missing
+    /// positional argument, or flag given without its companion is a
+    /// usage error naming the offending token.
+    fn parse(cmd: &'static Command, argv: &[String]) -> Result<Args, CliError> {
+        let name = cmd.name;
+        let error = |what: String| CliError::usage(format!("{what} (see `iddq help`)"));
+        let mut args = Args {
+            cmd,
+            arg: String::new(),
+            given: Vec::new(),
+        };
+        let mut tokens = argv.iter();
+        while let Some(token) = tokens.next() {
+            if !token.starts_with("--") {
+                if cmd.arg.is_empty() || !args.arg.is_empty() {
+                    return Err(error(format!("stray argument `{token}` for `iddq {name}`")));
+                }
+                args.arg.clone_from(token);
+                continue;
+            }
+            let Some(flag) = cmd.flags.iter().find(|f| f.name() == token) else {
+                return Err(error(format!("unknown flag `{token}` for `iddq {name}`")));
+            };
+            if args.given.iter().any(|(given, _)| given == token) {
+                return Err(error(format!(
+                    "flag `{token}` of `iddq {name}` given twice"
+                )));
+            }
+            let mut value = String::new();
+            if flag.kind != Kind::Switch {
+                let Some(v) = tokens.next() else {
+                    return Err(error(format!(
+                        "flag `{token}` of `iddq {name}` expects a value"
+                    )));
+                };
+                flag.kind
+                    .check(v, flag.positive)
+                    .map_err(|why| error(format!("flag `{token}` of `iddq {name}`: {why}")))?;
+                value.clone_from(v);
+            }
+            args.given.push((flag.name(), value));
+        }
+        if !cmd.arg.is_empty() && args.arg.is_empty() {
+            return Err(error(format!("`iddq {name}` expects {}", cmd.arg)));
+        }
+        for (given, _) in &args.given {
+            let needs = args.flag(given).needs;
+            if !needs.is_empty() && !args.has(needs) {
+                return Err(error(format!(
+                    "flag `{given}` of `iddq {name}` needs `{needs}`"
+                )));
+            }
+        }
+        Ok(args)
+    }
+
+    /// The table row of `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the command's table lacks `name`, so a flag the code
+    /// reads but the table omits fails the first test that reaches it.
+    fn flag(&self, name: &str) -> &'static Flag {
+        let cmd = self.cmd;
+        cmd.flags
+            .iter()
+            .find(|f| f.name() == name)
+            .unwrap_or_else(|| panic!("`iddq {}` has no flag `{name}` in its table", cmd.name))
+    }
+
+    /// Whether `name` was given: a switch's only setting.
+    fn has(&self, name: &str) -> bool {
+        self.flag(name);
+        self.given.iter().any(|(given, _)| *given == name)
+    }
+
+    /// The value of `name` as `T`, or its table default; `None` when it
+    /// was not given and has no default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `T` is not the Rust type of the flag's [`Kind`].
+    fn opt<T: FromStr + 'static>(&self, name: &str) -> Option<T> {
+        let flag = self.flag(name);
+        assert!(
+            flag.kind.value_type() == TypeId::of::<T>(),
+            "`{name}` is read as another type than its {:?} kind",
+            flag.kind
+        );
+        let text = match self.given.iter().find(|(given, _)| *given == name) {
+            Some((_, value)) => value.as_str(),
+            None if flag.default.is_empty() => return None,
+            None => flag.default,
+        };
+        let value = text.parse();
+        Some(value.unwrap_or_else(|_| panic!("`{name}` value `{text}` passed its kind check")))
+    }
+
+    /// The value of `name`, or its table default.
+    ///
+    /// # Panics
+    ///
+    /// As [`Args::opt`], and if the flag has no table default.
+    fn get<T: FromStr + 'static>(&self, name: &str) -> T {
+        self.opt(name)
+            .unwrap_or_else(|| panic!("`{name}` has no table default"))
+    }
+
+    /// `--threads`, with `0` resolved to every core the machine reports.
+    fn threads(&self) -> usize {
+        match self.get("--threads") {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            n => n,
+        }
+    }
+
+    /// `--lanes`, with `auto` resolved by a calibration sweep on `cut`.
+    fn lanes(&self, cut: &Netlist) -> LaneWidth {
+        match self.get::<String>("--lanes").as_str() {
+            "auto" => calibrate_lanes(cut),
+            width => width.parse().expect("checked by the flag table"),
+        }
+    }
+}
+
+/// Column where help text starts, and the width it wraps at.
+const HELP_COLUMN: usize = 26;
+const HELP_WIDTH: usize = 80;
+
+/// `iddq help`, generated from [`COMMANDS`].
+fn help() -> String {
+    let mut out = String::from(
+        "iddq — synthesis of IDDQ-testable circuits (Wunderlich et al., DATE 1995)\n\ncommands:\n",
+    );
+    for cmd in COMMANDS {
+        help_entry(
+            &mut out,
+            format!("  {} {}", cmd.name, cmd.arg).trim_end(),
+            cmd.about,
+        );
+        for flag in cmd.flags {
+            let mut text = flag.help.to_owned();
+            if !flag.needs.is_empty() {
+                text = format!("with {}: {text}", flag.needs);
+            }
+            if !flag.default.is_empty() {
+                text = format!("{text} (default {})", flag.default);
+            }
+            help_entry(&mut out, &format!("      {}", flag.spec), &text);
+        }
+    }
+    out
+}
+
+/// Appends `head` (narrower than [`HELP_COLUMN`]), then `text`
+/// word-wrapped from that column.
+fn help_entry(out: &mut String, head: &str, text: &str) {
+    let mut line = format!("{head:<HELP_COLUMN$}");
+    for word in text.split_whitespace() {
+        if line.len() > HELP_COLUMN && line.len() + 1 + word.len() > HELP_WIDTH {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(HELP_COLUMN);
+        }
+        if line.len() > HELP_COLUMN {
+            line.push(' ');
+        }
+        line.push_str(word);
+    }
+    out.push_str(&line);
+    out.push('\n');
+}
+
+fn cmd_help(_: &Args) -> Result<(), CliError> {
+    print!("{}", help());
     Ok(())
-}
-
-fn parse_flag(rest: &[String], flag: &str) -> Option<String> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .cloned()
-}
-
-fn parse_num<T: std::str::FromStr>(rest: &[String], flag: &str, default: T) -> Result<T, CliError> {
-    match parse_flag(rest, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("{flag} expects a number, got `{v}`"))),
-    }
-}
-
-fn parse_opt_num<T: std::str::FromStr>(rest: &[String], flag: &str) -> Result<Option<T>, CliError> {
-    match parse_flag(rest, flag) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| CliError::usage(format!("{flag} expects a number, got `{v}`"))),
-    }
-}
-
-/// `--threads N` of the evolution commands, resolved once: `0` (the
-/// default) is every core the machine reports.
-fn parse_threads(rest: &[String]) -> Result<usize, CliError> {
-    match parse_num(rest, "--threads", 0usize)? {
-        0 => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)),
-        n => Ok(n),
-    }
 }
 
 fn load(path: &str) -> Result<Netlist, String> {
@@ -312,37 +550,14 @@ fn load(path: &str) -> Result<Netlist, String> {
     bench::parse(name, &text).map_err(|e| format!("parse `{path}`: {e}"))
 }
 
-fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
-    check_flags(
-        "synth",
-        rest,
-        &[
-            "--seed",
-            "--generations",
-            "--d",
-            "--rstar",
-            "--fanout",
-            "--json",
-            "--dot",
-            "--modules",
-            "--threads",
-        ],
-        &["--resynth", "--per-gate"],
-    )?;
-    let path = rest
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::usage(USAGE))?;
-    let threads = parse_threads(rest)?;
-    let mut cut = load(path)?;
-    let seed: u64 = parse_num(rest, "--seed", 42)?;
-    let generations: usize = parse_num(rest, "--generations", 250)?;
+fn cmd_synth(args: &Args) -> Result<(), CliError> {
+    let mut cut = load(&args.arg)?;
     let mut config = PartitionConfig::paper_default();
-    config.d_min = parse_num(rest, "--d", config.d_min)?;
-    config.sizing.r_star_mv = parse_num(rest, "--rstar", config.sizing.r_star_mv)?;
+    config.d_min = args.get("--d");
+    config.sizing.r_star_mv = args.get("--rstar");
     let library = Library::generic_1um();
 
-    if let Some(bound) = parse_opt_num::<usize>(rest, "--fanout")? {
+    if let Some(bound) = args.opt::<usize>("--fanout") {
         // A bound below 2 is the caller's mistake — `fanout_buffer`
         // reports it as a typed InvalidArg, which maps to exit code 2.
         cut = iddq_synth::fanout_buffer(&cut, bound)?;
@@ -352,7 +567,7 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if rest.iter().any(|a| a == "--resynth") {
+    if args.has("--resynth") {
         // The patch-scored searches only need the GateSep analysis tier;
         // the build and the search are timed separately so the report
         // shows where the wall-clock actually goes. The table is built
@@ -364,7 +579,7 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
             .build();
         let analysis_secs = t_analysis.elapsed().as_secs_f64();
         let t_search = Instant::now();
-        if rest.iter().any(|a| a == "--per-gate") {
+        if args.has("--per-gate") {
             let (out, report) = iddq_synth::cost_aware_per_gate_in(&ctx);
             let search_secs = t_search.elapsed().as_secs_f64();
             eprintln!(
@@ -393,11 +608,11 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
     }
 
     let evo = EvolutionConfig {
-        generations,
-        threads,
+        generations: args.get("--generations"),
+        threads: args.threads(),
         ..Default::default()
     };
-    let result = flow::synthesize_with(&cut, &library, &config, &evo, seed);
+    let result = flow::synthesize_with(&cut, &library, &config, &evo, args.get("--seed"));
     let r = &result.report;
     println!(
         "{}: {} gates -> {} modules, feasible: {}, cost {:.1}",
@@ -426,12 +641,12 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if let Some(json) = parse_flag(rest, "--json") {
+    if let Some(json) = args.opt::<String>("--json") {
         let payload = serde_json::to_string_pretty(r).map_err(|e| e.to_string())?;
         write_atomic(std::path::Path::new(&json), &payload)?;
         eprintln!("wrote {json}");
     }
-    if let Some(dot_path) = parse_flag(rest, "--dot") {
+    if let Some(dot_path) = args.opt::<String>("--dot") {
         let part = result.partition.clone();
         let colour = move |id: iddq_netlist::NodeId| part.module_of(id).unwrap_or(0);
         write_atomic(
@@ -440,7 +655,7 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
         )?;
         eprintln!("wrote {dot_path}");
     }
-    if let Some(mods) = parse_flag(rest, "--modules") {
+    if let Some(mods) = args.opt::<String>("--modules") {
         let mut lines = String::new();
         for g in cut.gate_ids() {
             lines.push_str(&format!(
@@ -455,13 +670,9 @@ fn cmd_synth(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_gen(rest: &[String]) -> Result<(), CliError> {
-    check_flags("gen", rest, &["--seed", "--out"], &[])?;
-    let name = rest
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::usage(USAGE))?;
-    let seed: u64 = parse_num(rest, "--seed", 42)?;
+fn cmd_gen(args: &Args) -> Result<(), CliError> {
+    let name = &args.arg;
+    let seed: u64 = args.get("--seed");
     let nl = if let Some(profile) = iddq_gen::iscas::IscasProfile::by_name(name) {
         iddq_gen::iscas::generate(profile, seed)
     } else if let Some(profile) = iddq_gen::seq::SeqProfile::by_name(name) {
@@ -472,7 +683,7 @@ fn cmd_gen(rest: &[String]) -> Result<(), CliError> {
         )));
     };
     let text = bench::to_bench(&nl);
-    match parse_flag(rest, "--out") {
+    match args.opt::<String>("--out") {
         Some(path) => {
             write_atomic(std::path::Path::new(&path), &text)?;
             eprintln!("wrote {path}");
@@ -482,19 +693,11 @@ fn cmd_gen(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_test(rest: &[String]) -> Result<(), CliError> {
-    check_flags("test", rest, &["--seed", "--frames", "--threads"], &[])?;
-    let path = rest
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::usage(USAGE))?;
-    let threads = parse_threads(rest)?;
-    let cut = load(path)?;
-    let seed: u64 = parse_num(rest, "--seed", 42)?;
-    let frames: usize = parse_num(rest, "--frames", 1usize)?;
-    if frames == 0 {
-        return Err(CliError::usage("--frames must be at least 1"));
-    }
+fn cmd_test(args: &Args) -> Result<(), CliError> {
+    let threads = args.threads();
+    let cut = load(&args.arg)?;
+    let seed: u64 = args.get("--seed");
+    let frames: usize = args.get("--frames");
     let library = Library::generic_1um();
     let config = PartitionConfig::paper_default();
 
@@ -564,19 +767,6 @@ fn cmd_test(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses `--lanes`: a fixed width, or `None` for `auto` (calibrate on
-/// the loaded circuit).
-fn parse_lanes(rest: &[String]) -> Result<Option<iddq_netlist::LaneWidth>, CliError> {
-    match parse_flag(rest, "--lanes") {
-        None => Ok(Some(iddq_netlist::LaneWidth::default())),
-        Some(v) if v == "auto" => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|e| CliError::usage(format!("{e}"))),
-    }
-}
-
 /// Measures CSR sweep throughput (patterns/s) at one lane width: one
 /// warm-up sweep off the clock, then timed sweeps until at least ten
 /// milliseconds have elapsed. The pattern stream is deterministic, so
@@ -612,8 +802,7 @@ fn calibrate_width<W: iddq_netlist::PackedWord>(cut: &Netlist) -> f64 {
 /// fastest. Wider lanes amortize schedule-walking overhead but cost more
 /// per value word; which side wins depends on the circuit's size relative
 /// to cache, so a quick measurement beats a static guess.
-fn calibrate_lanes(cut: &Netlist) -> iddq_netlist::LaneWidth {
-    use iddq_netlist::LaneWidth;
+fn calibrate_lanes(cut: &Netlist) -> LaneWidth {
     let rates = [
         (LaneWidth::L64, calibrate_width::<u64>(cut)),
         (LaneWidth::L256, calibrate_width::<iddq_netlist::W256>(cut)),
@@ -631,79 +820,41 @@ fn calibrate_lanes(cut: &Netlist) -> iddq_netlist::LaneWidth {
     best
 }
 
-fn cmd_sim(rest: &[String]) -> Result<(), CliError> {
-    use iddq_logicsim::BackendKind;
-    use iddq_netlist::LaneWidth;
-    check_flags(
-        "sim",
-        rest,
-        &[
-            "--patterns",
-            "--seed",
-            "--threads",
-            "--backend",
-            "--lanes",
-            "--frames",
-        ],
-        &[],
-    )?;
-    let path = rest
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::usage(USAGE))?;
-    let cut = load(path)?;
-    let patterns: u64 = parse_num(rest, "--patterns", 1u64 << 20)?;
-    if patterns == 0 {
-        return Err(CliError::usage("--patterns must be at least 1"));
-    }
-    let seed: u64 = parse_num(rest, "--seed", 42)?;
-    let threads: usize = parse_num(rest, "--threads", 1usize)?;
-    if threads == 0 {
-        return Err(CliError::usage("--threads must be at least 1"));
-    }
-    let backend: BackendKind = match parse_flag(rest, "--backend") {
-        None => BackendKind::Csr,
-        Some(v) => v.parse().map_err(|e| CliError::usage(format!("{e}")))?,
-    };
-    let frames: usize = parse_num(rest, "--frames", 1usize)?;
-    if frames == 0 {
-        return Err(CliError::usage("--frames must be at least 1"));
-    }
-    let lanes = match parse_lanes(rest)? {
-        Some(width) => width,
-        None => calibrate_lanes(&cut),
-    };
+fn cmd_sim(args: &Args) -> Result<(), CliError> {
+    let cut = load(&args.arg)?;
+    let patterns: u64 = args.get("--patterns");
+    let seed: u64 = args.get("--seed");
+    let threads = args.threads();
+    let frames: usize = args.get("--frames");
+    let lanes = args.lanes(&cut);
     match lanes {
-        LaneWidth::L64 => run_sim::<u64>(&cut, patterns, seed, threads, backend, lanes, frames),
+        LaneWidth::L64 => run_sim::<u64>(&cut, patterns, seed, threads, lanes, frames),
         LaneWidth::L256 => {
-            run_sim::<iddq_netlist::W256>(&cut, patterns, seed, threads, backend, lanes, frames)
+            run_sim::<iddq_netlist::W256>(&cut, patterns, seed, threads, lanes, frames)
         }
         LaneWidth::L512 => {
-            run_sim::<iddq_netlist::W512>(&cut, patterns, seed, threads, backend, lanes, frames)
+            run_sim::<iddq_netlist::W512>(&cut, patterns, seed, threads, lanes, frames)
         }
     }
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_sim<W: iddq_netlist::PackedWord>(
     cut: &Netlist,
     patterns: u64,
     seed: u64,
     threads: usize,
-    backend: iddq_logicsim::BackendKind,
-    lanes: iddq_netlist::LaneWidth,
+    lanes: LaneWidth,
     frames: usize,
 ) {
-    use iddq_logicsim::SimBackend;
     // One batch is W::LANES lanes; with frames > 1 each lane carries one
     // whole sequence, so a batch covers LANES x frames vectors.
     let batches = patterns.div_ceil(u64::from(W::LANES) * frames as u64);
     let threads = threads.min(batches as usize);
-    // Each worker owns one engine instance and a disjoint slice of the
+    // Each worker owns one kernel instance and a disjoint slice of the
     // seeded pattern stream; the per-worker fingerprints are folded in
     // worker order, so the checksum is deterministic for a fixed
-    // (seed, threads, backend, lanes, frames) tuple.
+    // (seed, threads, lanes, frames) tuple.
     let worker = |t: usize| -> [u64; 4] {
         let mut state = seed ^ (t as u64).wrapping_mul(0xa076_1d64_78bd_642f);
         let mut next = move || {
@@ -713,7 +864,7 @@ fn run_sim<W: iddq_netlist::PackedWord>(
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z ^ (z >> 31)
         };
-        let mut sim = SimBackend::<W>::new(cut, backend);
+        let sim = iddq_logicsim::Simulator::new(cut);
         let mut inputs = vec![W::zeros(); cut.num_inputs()];
         let mut values = vec![W::zeros(); sim.node_count()];
         let mut dff_state = vec![W::zeros(); sim.num_state_elements()];
@@ -774,7 +925,7 @@ fn run_sim<W: iddq_netlist::PackedWord>(
     let evaluated = batches * u64::from(W::LANES) * frames as u64;
     println!(
         "{}: {} gates, {evaluated} patterns in {elapsed:.3} s = {:.3e} patterns/s \
-         ({:.3e} gate-evals/s), backend {backend}, lanes {lanes}, frames {frames}, \
+         ({:.3e} gate-evals/s), lanes {lanes}, frames {frames}, \
          {threads} thread(s), value checksum {checksum:#018x}",
         cut.name(),
         cut.gate_count(),
@@ -783,74 +934,35 @@ fn run_sim<W: iddq_netlist::PackedWord>(
     );
 }
 
-fn cmd_faults(rest: &[String]) -> Result<(), CliError> {
+fn cmd_faults(args: &Args) -> Result<(), CliError> {
     use iddq_logicsim::fault_sweep::{FaultSweepOptions, LogicFault};
     use iddq_logicsim::logic_test::StuckAtFault;
-    use iddq_logicsim::BackendKind;
-    use iddq_netlist::LaneWidth;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    check_flags(
-        "faults",
-        rest,
-        &[
-            "--seed",
-            "--vectors",
-            "--bridges",
-            "--backend",
-            "--lanes",
-            "--threads",
-            "--shards",
-            "--frames",
-            "--budget-ms",
-            "--quota",
-            "--checkpoint",
-            "--resume",
-        ],
-        &["--no-drop"],
-    )?;
-    let path = rest
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::usage(USAGE))?;
-    let cut = load(path)?;
-    let seed: u64 = parse_num(rest, "--seed", 42)?;
-    let num_vectors: usize = parse_num(rest, "--vectors", 256usize)?;
-    if num_vectors == 0 {
-        return Err(CliError::usage("--vectors must be at least 1"));
-    }
-    let bridges: usize = parse_num(rest, "--bridges", 32usize)?;
-    let backend: BackendKind = match parse_flag(rest, "--backend") {
-        None => BackendKind::Delta,
-        Some(v) => v.parse().map_err(|e| CliError::usage(format!("{e}")))?,
-    };
-    let lanes = match parse_lanes(rest)? {
-        Some(width) => width,
-        None => calibrate_lanes(&cut),
-    };
-    let frames: usize = parse_num(rest, "--frames", 1usize)?;
-    if frames == 0 {
-        return Err(CliError::usage("--frames must be at least 1"));
-    }
+    let cut = load(&args.arg)?;
+    let seed: u64 = args.get("--seed");
+    let num_vectors: usize = args.get("--vectors");
+    let bridges: usize = args.get("--bridges");
+    let backend: BackendKind = args.get("--backend");
+    let lanes = args.lanes(&cut);
+    let frames: usize = args.get("--frames");
     let options = FaultSweepOptions {
-        threads: parse_num(rest, "--threads", 1usize)?,
-        fault_shards: parse_num(rest, "--shards", 0usize)?,
-        fault_dropping: !rest.iter().any(|a| a == "--no-drop"),
+        threads: args.get("--threads"),
+        fault_shards: args.get("--shards"),
+        fault_dropping: !args.has("--no-drop"),
         backend,
         frames,
         ..FaultSweepOptions::default()
     };
     let mut budget = RunBudget::unlimited();
-    if let Some(ms) = parse_opt_num::<u64>(rest, "--budget-ms")? {
+    if let Some(ms) = args.opt("--budget-ms") {
         budget = budget.with_timeout(std::time::Duration::from_millis(ms));
     }
-    if let Some(quota) = parse_opt_num::<u64>(rest, "--quota")? {
+    if let Some(quota) = args.opt("--quota") {
         budget = budget.with_quota(quota);
     }
     let control = RunControl::with_budget(budget);
-    let checkpoint_path = parse_flag(rest, "--checkpoint");
-    let resume_path = parse_flag(rest, "--resume");
 
     // Fault universe: both stuck-at polarities on every node, plus bridges
     // sampled with the IDDQ enumerator's locality model.
@@ -889,18 +1001,13 @@ fn cmd_faults(rest: &[String]) -> Result<(), CliError> {
         .collect();
 
     let start = std::time::Instant::now();
-    let run = RunPaths {
-        control: &control,
-        resume: resume_path.as_deref(),
-        checkpoint: checkpoint_path.as_deref(),
-    };
     let outcome = match lanes {
-        LaneWidth::L64 => run_fault_sweep::<u64>(&cut, &faults, &vectors, &options, &run),
+        LaneWidth::L64 => run_fault_sweep::<u64>(&cut, &faults, &vectors, &options, &control, args),
         LaneWidth::L256 => {
-            run_fault_sweep::<iddq_netlist::W256>(&cut, &faults, &vectors, &options, &run)
+            run_fault_sweep::<iddq_netlist::W256>(&cut, &faults, &vectors, &options, &control, args)
         }
         LaneWidth::L512 => {
-            run_fault_sweep::<iddq_netlist::W512>(&cut, &faults, &vectors, &options, &run)
+            run_fault_sweep::<iddq_netlist::W512>(&cut, &faults, &vectors, &options, &control, args)
         }
     }?;
     let elapsed = start.elapsed().as_secs_f64();
@@ -924,6 +1031,17 @@ fn cmd_faults(rest: &[String]) -> Result<(), CliError> {
         outcome.mean_dirty_nodes,
         cut.node_count(),
     );
+    if frames > 1 {
+        // The sequential payoff: a first detection at frame > 0 of its
+        // sequence means the exposing state was *reached*, not applied.
+        let state_needed = outcome
+            .first_detection
+            .iter()
+            .flatten()
+            .filter(|&&v| v % frames > 0)
+            .count();
+        println!("{state_needed} detected only beyond frame 0");
+    }
     if let Some(reason) = stop_reason {
         // A budget-limited sweep is a *successful* partial run (exit 0):
         // every detection it reports comes from fully completed pattern
@@ -931,7 +1049,7 @@ fn cmd_faults(rest: &[String]) -> Result<(), CliError> {
         println!(
             "partial: stopped early ({reason}); {:.1}% of the fault x pattern grid completed{}",
             work_coverage * 100.0,
-            if checkpoint_path.is_some() {
+            if args.has("--checkpoint") {
                 " -- resume with --resume <checkpoint>"
             } else {
                 ""
@@ -939,14 +1057,6 @@ fn cmd_faults(rest: &[String]) -> Result<(), CliError> {
         );
     }
     Ok(())
-}
-
-/// The control/resume/checkpoint context threaded through the
-/// lane-width dispatch of `cmd_faults`.
-struct RunPaths<'a> {
-    control: &'a RunControl,
-    resume: Option<&'a str>,
-    checkpoint: Option<&'a str>,
 }
 
 /// Runs one fault sweep at a fixed lane width: resume from a checkpoint
@@ -958,21 +1068,22 @@ fn run_fault_sweep<W: iddq_netlist::PackedWord>(
     faults: &[iddq_logicsim::fault_sweep::LogicFault],
     vectors: &[Vec<bool>],
     options: &iddq_logicsim::fault_sweep::FaultSweepOptions,
-    run: &RunPaths<'_>,
+    control: &RunControl,
+    args: &Args,
 ) -> Result<iddq_control::Outcome<iddq_logicsim::fault_sweep::FaultSweepOutcome>, CliError> {
     use iddq_logicsim::fault_sweep::{sweep_resume, sweep_with_control, SweepCheckpoint};
-    let outcome = match run.resume {
+    let outcome = match args.opt::<String>("--resume") {
         Some(path) => {
-            let text = std::fs::read_to_string(path)
+            let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
             let cp = SweepCheckpoint::from_json(&text)?;
-            sweep_resume::<W>(cut, faults, vectors, options, run.control, &cp)?
+            sweep_resume::<W>(cut, faults, vectors, options, control, &cp)?
         }
-        None => sweep_with_control::<W>(cut, faults, vectors, options, run.control),
+        None => sweep_with_control::<W>(cut, faults, vectors, options, control),
     };
-    if let Some(path) = run.checkpoint {
+    if let Some(path) = args.opt::<String>("--checkpoint") {
         let cp = SweepCheckpoint::capture::<W>(cut, faults, vectors, options, outcome.value());
-        write_atomic(std::path::Path::new(path), &cp.to_json())?;
+        write_atomic(std::path::Path::new(&path), &cp.to_json())?;
         eprintln!(
             "wrote checkpoint {path} ({:.1}% of the pattern grid done)",
             cp.progress() * 100.0
@@ -981,146 +1092,8 @@ fn run_fault_sweep<W: iddq_netlist::PackedWord>(
     Ok(outcome)
 }
 
-/// Stuck-at-everywhere plus sampled bridges for the `seq` command: the
-/// same fault universe `cmd_faults` sweeps.
-fn logic_fault_universe(
-    cut: &Netlist,
-    bridges: usize,
-    seed: u64,
-) -> Vec<iddq_logicsim::fault_sweep::LogicFault> {
-    use iddq_logicsim::fault_sweep::LogicFault;
-    use iddq_logicsim::logic_test::StuckAtFault;
-    let mut faults: Vec<LogicFault> = cut
-        .node_ids()
-        .flat_map(|node| {
-            [false, true]
-                .map(|stuck_at_one| LogicFault::StuckAt(StuckAtFault { node, stuck_at_one }))
-        })
-        .collect();
-    faults.extend(
-        iddq_logicsim::faults::enumerate(
-            cut,
-            &iddq_logicsim::faults::FaultUniverseConfig {
-                bridges,
-                gos_fraction: 0.0,
-                stuck_on_fraction: 0.0,
-                ..Default::default()
-            },
-            seed,
-        )
-        .into_iter()
-        .filter_map(|f| match f {
-            iddq_logicsim::faults::IddqFault::Bridge { a, b, .. } => {
-                Some(LogicFault::Bridge { a, b })
-            }
-            _ => None,
-        }),
-    );
-    faults
-}
-
-/// The `seq` command: end-to-end sequential check on a generated
-/// ISCAS-89-like circuit — a multi-frame fault sweep where every lane
-/// carries one reset sequence, reporting how many detections needed
-/// latched state (a first detection at frame > 0 of its sequence).
-fn cmd_seq(rest: &[String]) -> Result<(), CliError> {
-    use iddq_logicsim::fault_sweep::{sweep_with_control, FaultSweepOptions};
-    use iddq_logicsim::BackendKind;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    check_flags(
-        "seq",
-        rest,
-        &[
-            "--circuit",
-            "--seed",
-            "--frames",
-            "--sequences",
-            "--bridges",
-            "--backend",
-            "--threads",
-            "--shards",
-        ],
-        &[],
-    )?;
-
-    let name = parse_flag(rest, "--circuit").unwrap_or_else(|| "s298".into());
-    let profile = iddq_gen::seq::SeqProfile::by_name(&name).ok_or_else(|| {
-        CliError::usage(format!("unknown sequential circuit `{name}` (s27..s5378)"))
-    })?;
-    let seed: u64 = parse_num(rest, "--seed", 42)?;
-    let frames: usize = parse_num(rest, "--frames", 4usize)?;
-    if frames == 0 {
-        return Err(CliError::usage("--frames must be at least 1"));
-    }
-    let sequences: usize = parse_num(rest, "--sequences", 256usize)?;
-    if sequences == 0 {
-        return Err(CliError::usage("--sequences must be at least 1"));
-    }
-    let bridges: usize = parse_num(rest, "--bridges", 32usize)?;
-    let backend: BackendKind = match parse_flag(rest, "--backend") {
-        None => BackendKind::Delta,
-        Some(v) => v.parse().map_err(|e| CliError::usage(format!("{e}")))?,
-    };
-    let options = FaultSweepOptions {
-        threads: parse_num(rest, "--threads", 1usize)?,
-        fault_shards: parse_num(rest, "--shards", 0usize)?,
-        backend,
-        frames,
-        ..FaultSweepOptions::default()
-    };
-
-    let cut = iddq_gen::seq::generate(profile, seed);
-    let faults = logic_fault_universe(&cut, bridges, seed);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xfa17);
-    let vectors: Vec<Vec<bool>> = (0..sequences * frames)
-        .map(|_| (0..cut.num_inputs()).map(|_| rng.gen()).collect())
-        .collect();
-
-    let start = Instant::now();
-    let outcome = sweep_with_control::<iddq_netlist::W256>(
-        &cut,
-        &faults,
-        &vectors,
-        &options,
-        &RunControl::unlimited(),
-    )
-    .into_value();
-    let elapsed = start.elapsed().as_secs_f64();
-    let detected = outcome.detected.iter().filter(|&&d| d).count();
-    // The sequential payoff: a first detection at frame > 0 of its
-    // sequence means the exposing state was *reached*, not applied.
-    let state_needed = outcome
-        .first_detection
-        .iter()
-        .flatten()
-        .filter(|&&v| v % frames > 0)
-        .count();
-    println!(
-        "{}: {} dffs, {} faults x {sequences} sequences x {frames} frames: \
-         {detected} detected ({:.1}% coverage), {state_needed} only beyond frame 0, \
-         in {elapsed:.3} s, backend {backend}, {} thread(s)",
-        cut.name(),
-        cut.num_state_elements(),
-        faults.len(),
-        outcome.coverage * 100.0,
-        if options.threads == 0 {
-            "auto".to_owned()
-        } else {
-            options.threads.to_string()
-        },
-    );
-    Ok(())
-}
-
-fn cmd_stats(rest: &[String]) -> Result<(), CliError> {
-    check_flags("stats", rest, &["--rho"], &["--memory"])?;
-    let path = rest
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::usage(USAGE))?;
-    let cut = load(path)?;
+fn cmd_stats(args: &Args) -> Result<(), CliError> {
+    let cut = load(&args.arg)?;
     let depth = iddq_netlist::levelize::depth(&cut);
     println!(
         "{}: {} inputs, {} outputs, {} gates, depth {}",
@@ -1145,8 +1118,8 @@ fn cmd_stats(rest: &[String]) -> Result<(), CliError> {
     for (cell, count) in by_kind {
         println!("  {cell:<8} {count}");
     }
-    if rest.iter().any(|a| a == "--memory") {
-        report_memory(&cut, rest)?;
+    if args.has("--memory") {
+        report_memory(&cut, args.get("--rho"));
     }
     Ok(())
 }
@@ -1172,12 +1145,7 @@ fn human_bytes(bytes: usize) -> String {
 /// the mutable graph is the only per-node-allocating structure; every
 /// engine compiles into flat `u32`-indexed arrays whose per-node cost is
 /// independent of circuit size.
-fn report_memory(cut: &Netlist, rest: &[String]) -> Result<(), CliError> {
-    let default_rho = PartitionConfig::paper_default().rho;
-    let rho: u32 = parse_num(rest, "--rho", default_rho)?;
-    if rho == 0 {
-        return Err(CliError::usage("--rho must be at least 1"));
-    }
+fn report_memory(cut: &Netlist, rho: u32) {
     let nodes = cut.node_count();
     let line = |label: &str, bytes: usize, note: &str| {
         println!(
@@ -1216,7 +1184,6 @@ fn report_memory(cut: &Netlist, rest: &[String]) -> Result<(), CliError> {
         table.memory_bytes(),
         &format!("{} entries", table.entry_count()),
     );
-    Ok(())
 }
 
 /// Per-node byte ceilings the `scale` check asserts. Generous versus the
@@ -1233,25 +1200,17 @@ const SCALE_MAX_CSR_BYTES_PER_NODE: f64 = 48.0;
 /// restore the cost bit-identically) — so a regression that makes any
 /// phase crawl fails fast instead of hanging CI, and the per-node memory
 /// ceilings catch packed-state layout regressions.
-fn cmd_scale(rest: &[String]) -> Result<(), CliError> {
-    use iddq_core::{AnalysisTier, EvalContext, ResynthEval};
-    check_flags(
-        "scale",
-        rest,
-        &["--gates", "--seed", "--rho", "--budget-ms"],
-        &["--smoke"],
-    )?;
-    let smoke = rest.iter().any(|a| a == "--smoke");
-    let gates: usize = parse_num(rest, "--gates", if smoke { 100_000 } else { 1_000_000 })?;
-    if gates == 0 {
-        return Err(CliError::usage("--gates must be at least 1"));
-    }
-    let seed: u64 = parse_num(rest, "--seed", 0x5ca1e)?;
-    let rho: u32 = parse_num(rest, "--rho", 3)?;
-    if rho == 0 {
-        return Err(CliError::usage("--rho must be at least 1"));
-    }
-    let budget_ms: u64 = parse_num(rest, "--budget-ms", if smoke { 60_000 } else { 600_000 })?;
+fn cmd_scale(args: &Args) -> Result<(), CliError> {
+    use iddq_core::ResynthEval;
+    let smoke = args.has("--smoke");
+    let gates: usize = args
+        .opt("--gates")
+        .unwrap_or(if smoke { 100_000 } else { 1_000_000 });
+    let seed: u64 = args.get("--seed");
+    let rho: u32 = args.get("--rho");
+    let budget_ms: u64 = args
+        .opt("--budget-ms")
+        .unwrap_or(if smoke { 60_000 } else { 600_000 });
     let control = RunControl::with_budget(
         RunBudget::unlimited().with_timeout(std::time::Duration::from_millis(budget_ms)),
     );
@@ -1370,28 +1329,10 @@ fn cmd_scale(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
     use iddq_serve::{Client, Server, ServerConfig};
 
-    check_flags(
-        "serve",
-        rest,
-        &[
-            "--addr",
-            "--workers",
-            "--queue",
-            "--cache-mb",
-            "--state-dir",
-            "--rho",
-            "--budget-ms",
-            "--max-secs",
-            "--call",
-            "--retries",
-            "--retry-seed",
-        ],
-        &["--smoke"],
-    )?;
-    if rest.iter().any(|a| a == "--smoke") {
+    if args.has("--smoke") {
         let report = iddq_serve::run_smoke()?;
         for check in &report.checks {
             println!("smoke ok: {check}");
@@ -1400,14 +1341,13 @@ fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let addr = parse_flag(rest, "--addr");
-    if let Some(request) = parse_flag(rest, "--call") {
-        // One-shot client mode.
-        let addr = addr.ok_or_else(|| CliError::usage("--call needs --addr HOST:PORT"))?;
+    let addr: String = args.get("--addr");
+    if let Some(request) = args.opt::<String>("--call") {
+        // One-shot client mode; the table makes --addr explicit here.
         let value: serde_json::Value = serde_json::from_str(&request)
             .map_err(|e| CliError::usage(format!("--call expects a JSON request: {e}")))?;
-        let retries: u32 = parse_num(rest, "--retries", 3)?;
-        let retry_seed: u64 = parse_num(rest, "--retry-seed", 0x1dd9)?;
+        let retries: u32 = args.get("--retries");
+        let retry_seed: u64 = args.get("--retry-seed");
         let mut client = Client::connect(&addr)?;
         let response =
             client.call_with_retry(&value, &iddq_serve::RetryPolicy::new(retries, retry_seed))?;
@@ -1422,26 +1362,16 @@ fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let workers: usize = parse_num(rest, "--workers", 2)?;
-    let queue: usize = parse_num(rest, "--queue", 16)?;
-    let cache_mb: usize = parse_num(rest, "--cache-mb", 64)?;
-    let rho: u32 = parse_num(rest, "--rho", 6)?;
-    if workers == 0 || queue == 0 || rho == 0 {
-        return Err(CliError::usage(
-            "--workers, --queue and --rho must be at least 1",
-        ));
-    }
-    let budget_ms: Option<u64> = parse_opt_num(rest, "--budget-ms")?;
-    let max_secs: Option<u64> = parse_opt_num(rest, "--max-secs")?;
-    let state_dir = parse_flag(rest, "--state-dir").unwrap_or_else(|| ".iddq-serve".into());
+    let max_secs: Option<u64> = args.opt("--max-secs");
+    let cache_mb: usize = args.get("--cache-mb");
     let config = ServerConfig {
-        addr: addr.unwrap_or_else(|| "127.0.0.1:0".into()),
-        workers,
-        queue_capacity: queue,
+        addr,
+        workers: args.get("--workers"),
+        queue_capacity: args.get("--queue"),
         cache_bytes: cache_mb << 20,
-        state_dir: state_dir.into(),
-        rho,
-        global_budget: match budget_ms {
+        state_dir: args.get::<String>("--state-dir").into(),
+        rho: args.get("--rho"),
+        global_budget: match args.opt("--budget-ms") {
             None => RunBudget::unlimited(),
             Some(ms) => RunBudget::unlimited().with_timeout(std::time::Duration::from_millis(ms)),
         },
@@ -1474,11 +1404,10 @@ fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_chaos(rest: &[String]) -> Result<(), CliError> {
+fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     use iddq_serve::ChaosOptions;
 
-    check_flags("chaos", rest, &[], &["--smoke"])?;
-    let options = if rest.iter().any(|a| a == "--smoke") {
+    let options = if args.has("--smoke") {
         ChaosOptions::smoke()
     } else {
         ChaosOptions::full()
@@ -1498,4 +1427,89 @@ fn cmd_chaos(rest: &[String]) -> Result<(), CliError> {
         report.faults_injected
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, argv: &[&str]) -> Args {
+        let cmd = COMMANDS.iter().find(|c| c.name == cmd).expect("a command");
+        let argv: Vec<String> = argv.iter().map(|&a| a.to_owned()).collect();
+        Args::parse(cmd, &argv).expect("a valid command line")
+    }
+
+    /// Every flag of the table is listed in `iddq help` under its own
+    /// command, and its row is consistent: one row per name, a value
+    /// placeholder exactly when it takes a value, a default that passes
+    /// its own check, and a companion its command has.
+    #[test]
+    fn help_lists_every_flag_under_its_command() {
+        let text = help();
+        let starts: Vec<usize> = COMMANDS
+            .iter()
+            .map(|cmd| {
+                text.find(&format!("\n  {} ", cmd.name))
+                    .unwrap_or_else(|| panic!("`{}` missing from help", cmd.name))
+            })
+            .collect();
+        for (i, cmd) in COMMANDS.iter().enumerate() {
+            let end = starts.get(i + 1).copied().unwrap_or(text.len());
+            let section = &text[starts[i]..end];
+            for flag in cmd.flags {
+                let name = flag.name();
+                assert!(
+                    section.contains(&format!("\n      {} ", flag.spec)),
+                    "`{name}` not listed under `{}`",
+                    cmd.name
+                );
+                assert_eq!(
+                    cmd.flags.iter().filter(|f| f.name() == name).count(),
+                    1,
+                    "`{name}` has two rows in `{}`",
+                    cmd.name
+                );
+                assert_eq!(
+                    flag.kind == Kind::Switch,
+                    flag.spec == name,
+                    "{}",
+                    flag.spec
+                );
+                if !flag.default.is_empty() {
+                    assert_eq!(
+                        flag.kind.check(flag.default, flag.positive),
+                        Ok(()),
+                        "{name}"
+                    );
+                }
+                if !flag.needs.is_empty() {
+                    assert!(cmd.flags.iter().any(|f| f.name() == flag.needs), "{name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "has no flag `--sequences`")]
+    fn reading_a_flag_the_table_lacks_panics() {
+        let _: usize = parse("faults", &["c.bench"]).get("--sequences");
+    }
+
+    #[test]
+    #[should_panic(expected = "another type")]
+    fn reading_a_flag_as_another_type_panics() {
+        let _: u32 = parse("faults", &["c.bench"]).get("--seed");
+    }
+
+    #[test]
+    fn values_and_defaults_read_back_typed() {
+        let args = parse("faults", &["c.bench", "--seed", "7", "--no-drop"]);
+        assert_eq!(args.arg, "c.bench");
+        assert_eq!(args.get::<u64>("--seed"), 7);
+        assert_eq!(args.get::<usize>("--vectors"), 256);
+        assert_eq!(args.get::<BackendKind>("--backend"), BackendKind::Delta);
+        assert_eq!(args.opt::<u64>("--quota"), None);
+        assert!(args.has("--no-drop"));
+        assert!(!parse("sim", &["c.bench"]).has("--frames"));
+    }
 }

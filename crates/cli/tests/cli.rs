@@ -1,48 +1,103 @@
 //! End-to-end tests of the `iddq` binary.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_iddq"))
 }
 
-fn tmp(name: &str) -> PathBuf {
+/// A fresh temp path: unique per call, so tests running in parallel never
+/// share a file.
+fn tmp(name: &str) -> String {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut p = std::env::temp_dir();
-    p.push(format!("iddq-cli-test-{}-{name}", std::process::id()));
-    p
+    p.push(format!("iddq-cli-test-{}-{n}-{name}", std::process::id()));
+    p.to_str().expect("utf-8 temp path").to_owned()
+}
+
+fn run(args: &[&str]) -> Output {
+    bin().args(args).output().expect("binary runs")
+}
+
+/// Runs `iddq args`, asserts it succeeded, and returns (stdout, stderr).
+fn ok(args: &[&str]) -> (String, String) {
+    let out = run(args);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{args:?}: {err}");
+    (String::from_utf8_lossy(&out.stdout).into_owned(), err)
+}
+
+/// Runs `iddq args`, asserts it exited with `code`, and returns stderr.
+fn fails(args: &[&str], code: i32) -> String {
+    let out = run(args);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+    err
+}
+
+/// Generates `circuit` at `seed` into a temp file and returns its path.
+fn gen_bench(circuit: &str, seed: u64) -> String {
+    let path = tmp(&format!("{circuit}.bench"));
+    ok(&["gen", circuit, "--seed", &seed.to_string(), "--out", &path]);
+    path
+}
+
+/// Writes `text` into a temp netlist file and returns its path.
+fn write_bench(text: &str) -> String {
+    let path = tmp("hand.bench");
+    std::fs::write(&path, text).expect("writable tmp");
+    path
+}
+
+fn checksum(text: &str) -> String {
+    text.split("checksum ")
+        .nth(1)
+        .expect("checksum printed")
+        .trim()
+        .to_string()
+}
+
+fn coverage(text: &str) -> String {
+    text.split(" detected (")
+        .nth(1)
+        .expect("coverage printed")
+        .split(')')
+        .next()
+        .expect("split yields a first piece")
+        .to_string()
 }
 
 #[test]
 fn help_prints_usage() {
-    let out = bin().arg("help").output().expect("binary runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
+    let (text, _) = ok(&["help"]);
     assert!(text.contains("synth"));
     assert!(text.contains("gen"));
 }
 
 #[test]
 fn unknown_command_is_a_usage_error() {
-    let out = bin().arg("frobnicate").output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    fails(&["frobnicate"], 2);
 }
 
 #[test]
 fn no_args_fails_with_code_2() {
-    let out = bin().output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    fails(&[], 2);
 }
 
 #[test]
 fn unknown_flags_are_usage_errors() {
-    // A typo'd or foreign flag, or a value flag with nothing after it, is
-    // rejected by name before any work runs (the netlist path does not
-    // even need to exist), instead of the run silently falling back to
-    // the flag's default. The valid flags beside some typos keep the run
-    // short should the typo ever slip through.
+    // A typo'd or foreign flag, a value flag with nothing or an ill-typed
+    // value after it, a repeated flag, a stray or missing argument, or a
+    // flag without its companion is rejected by name before any work runs
+    // (the netlist path does not even need to exist), instead of the run
+    // silently falling back to a default or ignoring the input. The valid
+    // flags beside some typos keep the run short should the typo ever
+    // slip through.
     let bench_path = tmp("strict-flags.bench");
-    let bench = bench_path.to_str().expect("utf-8 temp path");
+    let bench = bench_path.as_str();
     // The flags of the deleted on-disk artifact store.
     let [dir_flag, mb_flag] = ["store-dir", "store-mb"].map(|name| format!("--{name}"));
     let cases: Vec<(Vec<&str>, &str)> = vec![
@@ -51,10 +106,6 @@ fn unknown_flags_are_usage_errors() {
         (vec!["sim", bench, "--pattern", "9"], "--pattern"),
         (vec!["faults", bench, "--vectrs", "9"], "--vectrs"),
         (vec!["gen", "c432", "--sede", "9"], "--sede"),
-        (
-            vec!["seq", "--sequences", "4", "--circut", "s27"],
-            "--circut",
-        ),
         (vec!["stats", bench, "--memroy"], "--memroy"),
         (vec!["scale", "--gates", "50", "--gatse", "9"], "--gatse"),
         (
@@ -67,8 +118,11 @@ fn unknown_flags_are_usage_errors() {
             &dir_flag,
         ),
         (vec!["serve", "--max-secs", "1", &mb_flag, "9"], &mb_flag),
-        // The deleted sequential smoke.
-        (vec!["seq", "--smoke"], "--smoke"),
+        // `seq` is gone: `gen` + `faults --frames N` covers it.
+        (vec!["seq"], "unknown command `seq`"),
+        (vec!["seq", "--circuit", "s27"], "unknown command `seq`"),
+        // The deleted second `sim` engine.
+        (vec!["sim", bench, "--backend", "delta"], "--backend"),
         // Value flags given without their value.
         (vec!["faults", bench, "--vectors"], "--vectors"),
         (vec!["gen", "c432", "--seed"], "--seed"),
@@ -77,52 +131,63 @@ fn unknown_flags_are_usage_errors() {
         // A non-numeric worker count, rejected before the netlist loads.
         (vec!["test", bench, "--threads", "all"], "--threads"),
         (vec!["synth", bench, "--threads", "two"], "--threads"),
+        // Ill-typed values, rejected before the (nonexistent) netlist is
+        // read.
+        (
+            vec!["synth", "/nonexistent.bench", "--seed", "abc"],
+            "--seed",
+        ),
+        (vec!["stats", bench, "--rho", "abc"], "--rho"),
+        (vec!["sim", bench, "--frames", "0"], "--frames"),
+        (vec!["faults", bench, "--backend", "warp"], "--backend"),
+        // A repeated flag.
+        (
+            vec!["stats", bench, "--memory", "--rho", "2", "--rho", "0"],
+            "--rho",
+        ),
+        (vec!["gen", "c432", "--seed", "1", "--seed", "2"], "--seed"),
+        // A stray or missing positional argument.
+        (
+            vec!["stats", bench, "/nonexistent.bench"],
+            "/nonexistent.bench",
+        ),
+        (vec!["serve", "x"], "`x`"),
+        (vec!["test"], "<netlist.bench>"),
+        (vec!["stats", "--memory"], "<netlist.bench>"),
+        // A flag without its required companion.
+        (
+            vec!["synth", bench, "--per-gate"],
+            "`--per-gate` of `iddq synth` needs `--resynth`",
+        ),
+        (
+            vec!["stats", bench, "--rho", "4"],
+            "`--rho` of `iddq stats` needs `--memory`",
+        ),
+        (
+            vec!["serve", "--max-secs", "1", "--retries", "2"],
+            "`--retries` of `iddq serve` needs `--call`",
+        ),
+        (
+            vec!["serve", "--max-secs", "1", "--retry-seed", "2"],
+            "`--retry-seed` of `iddq serve` needs `--call`",
+        ),
     ];
     for (args, flag) in cases {
-        let out = bin().args(&args).output().expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
+        let err = fails(&args, 2);
         assert!(err.contains(flag), "{args:?}: {err}");
     }
 }
 
 #[test]
 fn gen_stats_synth_test_pipeline() {
-    let bench_path = tmp("c432.bench");
+    let bench = gen_bench("c432", 7);
     let json_path = tmp("c432.json");
 
-    // gen
-    let out = bin()
-        .args(["gen", "c432", "--seed", "7", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // stats
-    let out = bin().arg("stats").arg(&bench_path).output().expect("runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
+    let (text, _) = ok(&["stats", &bench]);
     assert!(text.contains("160 gates"), "{text}");
 
     // synth with JSON dump
-    let out = bin()
-        .args(["synth"])
-        .arg(&bench_path)
-        .args(["--generations", "20", "--json"])
-        .arg(&json_path)
-        .output()
-        .expect("runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
+    let (text, _) = ok(&["synth", &bench, "--generations", "20", "--json", &json_path]);
     assert!(text.contains("modules"), "{text}");
     let json: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&json_path).expect("json written"))
@@ -131,67 +196,34 @@ fn gen_stats_synth_test_pipeline() {
     assert!(json["feasible"].as_bool().expect("bool"));
 
     // iddq test experiment
-    let out = bin().arg("test").arg(&bench_path).output().expect("runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
+    let (text, _) = ok(&["test", &bench]);
     assert!(text.contains("coverage"), "{text}");
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
     let _ = std::fs::remove_file(json_path);
-}
-
-/// Generates `circuit` at seed 5 into a temp file and returns its path.
-fn gen_bench(circuit: &str) -> PathBuf {
-    let path = tmp(&format!("gen5-{circuit}.bench"));
-    let out = bin()
-        .args(["gen", circuit, "--seed", "5", "--out"])
-        .arg(&path)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    path
 }
 
 #[test]
 fn test_and_synth_output_is_thread_invariant() {
     // `iddq test` on a combinational circuit: the printed line.
-    let c432 = gen_bench("c432");
-    let test_stdout = |threads: &str| {
-        let out = bin()
-            .arg("test")
-            .arg(&c432)
-            .args(["--seed", "3", "--threads", threads])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
+    let c432 = gen_bench("c432", 5);
+    let test_stdout = |threads: &str| ok(&["test", &c432, "--seed", "3", "--threads", threads]).0;
     assert_eq!(test_stdout("1"), test_stdout("2"));
 
     // `iddq synth` on a sequential circuit: the full JSON report.
-    let s298 = gen_bench("s298");
+    let s298 = gen_bench("s298", 5);
     let synth_report = |threads: &str| {
         let json = tmp(&format!("s298-threads{threads}.json"));
-        let out = bin()
-            .arg("synth")
-            .arg(&s298)
-            .args(["--seed", "3", "--threads", threads, "--json"])
-            .arg(&json)
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        ok(&[
+            "synth",
+            &s298,
+            "--seed",
+            "3",
+            "--threads",
+            threads,
+            "--json",
+            &json,
+        ]);
         let report = std::fs::read(&json).expect("report written");
         let _ = std::fs::remove_file(json);
         report
@@ -204,212 +236,97 @@ fn test_and_synth_output_is_thread_invariant() {
 
 #[test]
 fn gen_unknown_circuit_is_a_usage_error() {
-    let out = bin().args(["gen", "c9999"]).output().expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown circuit"));
+    assert!(fails(&["gen", "c9999"], 2).contains("unknown circuit"));
 }
 
 #[test]
 fn synth_missing_file_is_an_error() {
-    let out = bin()
-        .args(["synth", "/nonexistent.bench"])
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
+    assert!(fails(&["synth", "/nonexistent.bench"], 1).contains("cannot read"));
 }
 
 #[test]
 fn resynth_flag_runs() {
-    let bench_path = tmp("resynth.bench");
-    bin()
-        .args(["gen", "c432", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("runs");
-    let out = bin()
-        .args(["synth"])
-        .arg(&bench_path)
-        .args(["--generations", "10", "--resynth"])
-        .output()
-        .expect("runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("resynthesis"));
-    let _ = std::fs::remove_file(bench_path);
+    let bench = gen_bench("c432", 42);
+    let (_, err) = ok(&["synth", &bench, "--generations", "10", "--resynth"]);
+    assert!(err.contains("resynthesis"));
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
-fn sim_backend_and_threads_flags() {
-    let bench_path = tmp("c432-backend.bench");
-    let out = bin()
-        .args(["gen", "c432", "--seed", "5", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-
-    let run = |extra: &[&str]| {
-        let out = bin()
-            .arg("sim")
-            .arg(&bench_path)
-            .args(["--patterns", "2048", "--seed", "7"])
-            .args(extra)
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
+fn sim_threads_flag() {
+    let bench = gen_bench("c432", 5);
+    let run = |threads: &str| {
+        ok(&[
+            "sim",
+            &bench,
+            "--patterns",
+            "2048",
+            "--seed",
+            "7",
+            "--threads",
+            threads,
+        ])
+        .0
     };
-    let checksum = |t: &str| {
-        t.split("checksum ")
-            .nth(1)
-            .expect("checksum printed")
-            .trim()
-            .to_string()
-    };
-
-    // Both engines evaluate the same pattern stream bit-for-bit.
-    let csr = run(&["--backend", "csr"]);
-    let delta = run(&["--backend", "delta"]);
-    assert!(csr.contains("backend csr"), "{csr}");
-    assert!(delta.contains("backend delta"), "{delta}");
-    assert_eq!(checksum(&csr), checksum(&delta));
 
     // Threaded sharding is deterministic for a fixed thread count.
-    let t2a = run(&["--threads", "2"]);
-    let t2b = run(&["--threads", "2", "--backend", "delta"]);
+    let t2a = run("2");
     assert!(t2a.contains("2 thread(s)"), "{t2a}");
-    assert_eq!(checksum(&t2a), checksum(&t2b));
+    assert_eq!(checksum(&t2a), checksum(&run("2")));
 
-    // An unknown backend is a usage error (exit 2).
-    let out = bin()
-        .arg("sim")
-        .arg(&bench_path)
-        .args(["--backend", "warp"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown backend"));
+    // `--threads 0` means all cores, as on `test`, `synth` and `faults`.
+    let all = run("0");
+    assert!(all.contains("thread(s)"), "{all}");
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn sim_lanes_flag_selects_width() {
-    let bench_path = tmp("c432-lanes.bench");
-    let out = bin()
-        .args(["gen", "c432", "--seed", "11", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-
+    let bench = gen_bench("c432", 11);
     for lanes in ["64", "256", "512"] {
-        let out = bin()
-            .arg("sim")
-            .arg(&bench_path)
-            .args(["--patterns", "1024", "--lanes", lanes])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8_lossy(&out.stdout);
+        let (text, _) = ok(&["sim", &bench, "--patterns", "1024", "--lanes", lanes]);
         assert!(text.contains(&format!("lanes {lanes}")), "{text}");
     }
-
-    let out = bin()
-        .arg("sim")
-        .arg(&bench_path)
-        .args(["--lanes", "128"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown lane width"));
-
-    let _ = std::fs::remove_file(bench_path);
+    assert!(fails(&["sim", &bench, "--lanes", "128"], 2).contains("unknown lane width"));
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn sim_and_faults_accept_lanes_auto() {
-    let bench_path = tmp("c432-lanes-auto.bench");
-    let out = bin()
-        .args(["gen", "c432", "--seed", "17", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
+    let bench = gen_bench("c432", 17);
 
     // `--lanes auto` calibrates on the loaded circuit, announces the
     // measured rates on stderr, and runs at the picked width.
-    let out = bin()
-        .arg("sim")
-        .arg(&bench_path)
-        .args(["--patterns", "1024", "--lanes", "auto"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
+    let (text, err) = ok(&["sim", &bench, "--patterns", "1024", "--lanes", "auto"]);
     assert!(err.contains("lanes auto:"), "{err}");
     assert!(err.contains("picked"), "{err}");
-    let text = String::from_utf8_lossy(&out.stdout);
     let picked = ["lanes 64", "lanes 256", "lanes 512"]
         .iter()
         .any(|w| text.contains(w));
     assert!(picked, "{text}");
 
     // The fault sweep accepts the same selector.
-    let out = bin()
-        .arg("faults")
-        .arg(&bench_path)
-        .args(["--vectors", "64", "--bridges", "4", "--lanes", "auto"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("lanes auto:"));
+    let args = [
+        "faults",
+        &bench,
+        "--vectors",
+        "64",
+        "--bridges",
+        "4",
+        "--lanes",
+        "auto",
+    ];
+    assert!(ok(&args).1.contains("lanes auto:"));
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn stats_memory_reports_engine_footprints() {
-    let bench_path = tmp("c432-memstats.bench");
-    let out = bin()
-        .args(["gen", "c432", "--seed", "19", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
+    let bench = gen_bench("c432", 19);
 
-    let out = bin()
-        .arg("stats")
-        .arg(&bench_path)
-        .args(["--memory", "--rho", "4"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
+    let (text, _) = ok(&["stats", &bench, "--memory", "--rho", "4"]);
     for field in [
         "memory at",
         "netlist graph",
@@ -424,50 +341,26 @@ fn stats_memory_reports_engine_footprints() {
     }
 
     // A zero saturation bound is the caller's mistake.
-    let out = bin()
-        .arg("stats")
-        .arg(&bench_path)
-        .args(["--memory", "--rho", "0"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    fails(&["stats", &bench, "--memory", "--rho", "0"], 2);
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn faults_backends_lanes_and_dropping_agree() {
-    let bench_path = tmp("c432-faults.bench");
-    let out = bin()
-        .args(["gen", "c432", "--seed", "13", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-
+    let bench = gen_bench("c432", 13);
     let run = |extra: &[&str]| {
-        let out = bin()
-            .arg("faults")
-            .arg(&bench_path)
-            .args(["--seed", "9", "--vectors", "96", "--bridges", "8"])
-            .args(extra)
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let coverage = |t: &str| {
-        t.split(" detected (")
-            .nth(1)
-            .expect("coverage printed")
-            .split(')')
-            .next()
-            .unwrap()
-            .to_string()
+        let base = [
+            "faults",
+            &bench,
+            "--seed",
+            "9",
+            "--vectors",
+            "96",
+            "--bridges",
+            "8",
+        ];
+        ok(&[&base[..], extra].concat()).0
     };
 
     // The fault-patch engine and the per-fault full re-simulation oracle
@@ -490,75 +383,38 @@ fn faults_backends_lanes_and_dropping_agree() {
 
     // Unknown backend is a usage error (exit 2); a non-numeric flag
     // value likewise.
-    let out = bin()
-        .arg("faults")
-        .arg(&bench_path)
-        .args(["--backend", "warp"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let out = bin()
-        .arg("faults")
-        .arg(&bench_path)
-        .args(["--vectors", "many"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    fails(&["faults", &bench, "--backend", "warp"], 2);
+    fails(&["faults", &bench, "--vectors", "many"], 2);
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn synth_fanout_bound_below_two_is_a_usage_error() {
-    let bench_path = tmp("fanout-bound.bench");
-    std::fs::write(&bench_path, WIDE_BENCH).expect("writable tmp");
+    let bench = write_bench(WIDE_BENCH);
 
     // The typed InvalidArg from `fanout_buffer` maps to exit code 2.
-    let out = bin()
-        .arg("synth")
-        .arg(&bench_path)
-        .args(["--fanout", "1"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
+    let err = fails(&["synth", &bench, "--fanout", "1"], 2);
     assert!(err.contains("cannot host buffer cascades"), "{err}");
 
     // A legal bound runs the full flow.
-    let out = bin()
-        .arg("synth")
-        .arg(&bench_path)
-        .args(["--fanout", "4", "--generations", "5"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("fan-out buffered"));
+    let (_, err) = ok(&["synth", &bench, "--fanout", "4", "--generations", "5"]);
+    assert!(err.contains("fan-out buffered"));
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn faults_quota_checkpoint_resume_roundtrip() {
-    let bench_path = tmp("c432-ckpt.bench");
-    let ckpt_path = tmp("c432-ckpt.json");
-    let out = bin()
-        .args(["gen", "c432", "--seed", "21", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-
+    let bench = gen_bench("c432", 21);
+    let ckpt = tmp("c432-ckpt.json");
     // 512 vectors at 64 lanes = 8 pattern batches, so the quota has
     // real batch boundaries to stop at.
-    let base_args = [
+    let base = [
+        "faults",
+        &bench,
         "--seed",
         "9",
-        "--vectors",
-        "512",
         "--bridges",
         "8",
         "--lanes",
@@ -566,156 +422,83 @@ fn faults_quota_checkpoint_resume_roundtrip() {
     ];
 
     // Uninterrupted baseline.
-    let full = bin()
-        .arg("faults")
-        .arg(&bench_path)
-        .args(base_args)
-        .output()
-        .expect("binary runs");
-    assert!(full.status.success());
-    let full_text = String::from_utf8_lossy(&full.stdout).into_owned();
+    let (full_text, _) = ok(&[&base[..], &["--vectors", "512"]].concat());
 
     // Quota-limited run: still exit 0, reports a partial grid, writes a
     // resumable checkpoint.
-    let partial = bin()
-        .arg("faults")
-        .arg(&bench_path)
-        .args(base_args)
-        .args(["--quota", "150", "--checkpoint"])
-        .arg(&ckpt_path)
-        .output()
-        .expect("binary runs");
-    assert!(
-        partial.status.success(),
-        "{}",
-        String::from_utf8_lossy(&partial.stderr)
-    );
-    let text = String::from_utf8_lossy(&partial.stdout);
+    let quota = ["--vectors", "512", "--quota", "150", "--checkpoint", &ckpt];
+    let (text, _) = ok(&[&base[..], &quota].concat());
     assert!(text.contains("partial: stopped early"), "{text}");
-    assert!(ckpt_path.exists(), "checkpoint written");
+    assert!(PathBuf::from(&ckpt).exists(), "checkpoint written");
 
     // Resumed run completes and reports the exact same coverage line as
     // the uninterrupted baseline.
-    let resumed = bin()
-        .arg("faults")
-        .arg(&bench_path)
-        .args(base_args)
-        .args(["--resume"])
-        .arg(&ckpt_path)
-        .output()
-        .expect("binary runs");
-    assert!(
-        resumed.status.success(),
-        "{}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    let resumed_text = String::from_utf8_lossy(&resumed.stdout);
+    let (resumed_text, _) = ok(&[&base[..], &["--vectors", "512", "--resume", &ckpt]].concat());
     assert!(!resumed_text.contains("partial:"), "{resumed_text}");
-    let coverage = |t: &str| {
-        t.split(" detected (")
-            .nth(1)
-            .expect("coverage printed")
-            .split(')')
-            .next()
-            .unwrap()
-            .to_string()
-    };
     assert_eq!(coverage(&resumed_text), coverage(&full_text));
 
     // Resuming against a different run configuration is a runtime
     // failure (exit 1), not a silent wrong answer.
-    let mismatched = bin()
-        .arg("faults")
-        .arg(&bench_path)
-        .args([
-            "--seed",
-            "9",
-            "--vectors",
-            "256",
-            "--bridges",
-            "8",
-            "--lanes",
-            "64",
-            "--resume",
-        ])
-        .arg(&ckpt_path)
-        .output()
-        .expect("binary runs");
-    assert_eq!(mismatched.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&mismatched.stderr);
+    let err = fails(
+        &[&base[..], &["--vectors", "256", "--resume", &ckpt]].concat(),
+        1,
+    );
     assert!(err.contains("checkpoint"), "{err}");
 
-    let _ = std::fs::remove_file(bench_path);
-    let _ = std::fs::remove_file(ckpt_path);
+    let _ = std::fs::remove_file(bench);
+    let _ = std::fs::remove_file(ckpt);
+}
+
+#[test]
+fn faults_frames_counts_detections_beyond_frame_zero() {
+    // The figures of the deleted `iddq seq` (s298, seed 42, 256 sequences
+    // x 4 frames): the same sweep through `gen` + `faults --frames 4`.
+    let bench = gen_bench("s298", 42);
+    let (text, _) = ok(&[
+        "faults",
+        &bench,
+        "--seed",
+        "42",
+        "--frames",
+        "4",
+        "--vectors",
+        "1024",
+    ]);
+    let mut lines = text.lines();
+    let summary = lines.next().expect("summary line");
+    assert!(summary.contains("(frames 4): 159 detected"), "{text}");
+    assert_eq!(
+        lines.next(),
+        Some("125 detected only beyond frame 0"),
+        "{text}"
+    );
+
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn faults_wall_clock_budget_still_exits_zero() {
-    let bench_path = tmp("c1355-budget.bench");
-    let out = bin()
-        .args(["gen", "c1355", "--seed", "3", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
+    let bench = gen_bench("c1355", 3);
 
     // Whether the budget expires mid-run (partial) or the sweep finishes
     // first, a wall-clock-budgeted run is a success.
-    let out = bin()
-        .arg("faults")
-        .arg(&bench_path)
-        .args(["--vectors", "512", "--budget-ms", "20"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
+    let (text, _) = ok(&["faults", &bench, "--vectors", "512", "--budget-ms", "20"]);
     assert!(text.contains("coverage"), "{text}");
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn sim_reports_throughput_and_checksum() {
-    let bench_path = tmp("c432-sim.bench");
-    let out = bin()
-        .args(["gen", "c432", "--seed", "3", "--out"])
-        .arg(&bench_path)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-
-    let run = |seed: &str| {
-        let out = bin()
-            .arg("sim")
-            .arg(&bench_path)
-            .args(["--patterns", "4096", "--seed", seed])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
+    let bench = gen_bench("c432", 3);
+    let run = |seed: &str| ok(&["sim", &bench, "--patterns", "4096", "--seed", seed]).0;
     let text = run("9");
     assert!(text.contains("patterns/s"), "{text}");
-    let checksum = |t: &str| {
-        t.split("checksum ")
-            .nth(1)
-            .expect("checksum printed")
-            .trim()
-            .to_string()
-    };
     // Same seed → same packed pattern stream → same output checksum.
     assert_eq!(checksum(&run("9")), checksum(&text));
     assert_ne!(checksum(&run("10")), checksum(&text));
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 /// A tiny hand-written circuit with one wide gate, so `--resynth` has a
@@ -736,74 +519,45 @@ z = NOR(w, e)
 
 #[test]
 fn synth_resynth_reports_candidates_and_chosen() {
-    let bench_path = tmp("resynth.bench");
-    std::fs::write(&bench_path, WIDE_BENCH).expect("writable tmp");
-
-    let out = bin()
-        .arg("synth")
-        .arg(&bench_path)
-        .args(["--resynth", "--generations", "5"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let bench = write_bench(WIDE_BENCH);
+    let (text, err) = ok(&["synth", &bench, "--resynth", "--generations", "5"]);
     // The report lands on stderr: all three candidate costs, the winner,
     // and the analysis-build vs candidate-search wall-clock split.
-    let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("resynthesis:"), "{err}");
     for field in ["original", "balanced", "chain", "->", "analyses", "search"] {
         assert!(err.contains(field), "missing `{field}` in: {err}");
     }
     // The flow still reports the synthesized result on stdout.
-    let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("modules"), "{text}");
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn synth_resynth_per_gate_reports_mixed_cost() {
-    let bench_path = tmp("resynth-pg.bench");
-    std::fs::write(&bench_path, WIDE_BENCH).expect("writable tmp");
-
-    let out = bin()
-        .arg("synth")
-        .arg(&bench_path)
-        .args(["--resynth", "--per-gate", "--generations", "5"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
+    let bench = write_bench(WIDE_BENCH);
+    let (_, err) = ok(&[
+        "synth",
+        &bench,
+        "--resynth",
+        "--per-gate",
+        "--generations",
+        "5",
+    ]);
     assert!(err.contains("resynthesis (per-gate):"), "{err}");
     assert!(err.contains("mixed"), "{err}");
     assert!(err.contains("analyses"), "{err}");
     assert!(err.contains("search"), "{err}");
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }
 
 #[test]
 fn synth_resynth_rejects_malformed_bench_with_code_1() {
-    let bench_path = tmp("malformed.bench");
-    std::fs::write(&bench_path, "INPUT(a)\nOUTPUT(y)\ny = FROB(a, what\n").expect("writable tmp");
-
-    let out = bin()
-        .arg("synth")
-        .arg(&bench_path)
-        .arg("--resynth")
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
+    let bench = write_bench("INPUT(a)\nOUTPUT(y)\ny = FROB(a, what\n");
+    let err = fails(&["synth", &bench, "--resynth"], 1);
     assert!(err.contains("error:"), "{err}");
     assert!(err.contains("parse"), "{err}");
 
-    let _ = std::fs::remove_file(bench_path);
+    let _ = std::fs::remove_file(bench);
 }

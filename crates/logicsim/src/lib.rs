@@ -18,9 +18,8 @@
 //!   ([`delta::DeltaSim`]): persistent packed per-node state, structural
 //!   [`delta::Patch`]es (gate kind / fan-in edge changes) with atomic
 //!   apply/rollback, and dirty-cone-only re-evaluation,
-//! * [`SimBackend`] — one batch-evaluation API over both engines,
-//!   selected by [`BackendKind`] (`csr` | `delta`), consumed by ATPG; the
-//!   same value picks the fault sweep's engine,
+//! * [`BackendKind`] (`csr` | `delta`) — picks the fault sweep's engine:
+//!   the fault-patch engine or its per-fault CSR re-simulation oracle,
 //! * [`reference`] — the seed's naive evaluator, kept as the golden
 //!   baseline for differential tests and speedup measurements, and the
 //!   IDDQ sweep's scalar oracle built on it,
@@ -38,12 +37,13 @@
 //!   dropping, two-level parallelism and multi-frame sequential sweeps
 //!   ([`fault_sweep::FaultSweepOptions::frames`]).
 //!
-//! # Choosing a backend
+//! # Which engine does what
 //!
 //! The CSR kernel is stateless and wins whenever every pattern batch is
-//! fresh (full sweeps, the fault sweep, ATPG batch generation). The delta
-//! engine owns its state and wins whenever consecutive evaluations differ
-//! by a small structural change: apply a [`delta::Patch`], read the new
+//! fresh (full sweeps, the IDDQ sweep, ATPG batch generation), so plain
+//! batch evaluation always runs on it and no caller picks an engine for
+//! it. The delta engine owns its state and wins whenever consecutive
+//! evaluations differ by a small structural change: apply a [`delta::Patch`], read the new
 //! values (only the dirty cone was recomputed), then
 //! [`delta::DeltaSim::rollback`] to the previous circuit — the
 //! apply/rollback pair costs two cone walks instead of two full sweeps.
@@ -186,5 +186,5 @@ pub mod logic_test;
 pub mod reference;
 mod sim;
 
-pub use backend::{BackendKind, SimBackend};
+pub use backend::BackendKind;
 pub use sim::Simulator;
