@@ -19,6 +19,8 @@
 # ARMED or SKIPPED either way), the parallel fault sweep and parallel
 # context build at 1.5x. Sequential-circuit correctness (multi-frame
 # sweeps, resume, ATPG determinism) is pinned by the workspace tests.
+# A CLI leg checks that the fault-patch sweep and its per-fault CSR
+# re-simulation oracle detect the same number of faults on c1908.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -48,6 +50,25 @@ CARGO_TARGET_DIR=target cargo check --release --offline --locked \
 
 echo "== perf smoke"
 cargo run --release -q -p iddq-bench --bin bench -- --smoke --out BENCH_sim.json
+
+echo "== fault sweep: delta vs csr"
+# The fault-patch engine (stuck-at probes, bridge forces) and the
+# per-fault full re-simulation oracle, end to end through the CLI on a
+# generated c1908: both must print the same detected count.
+sweep_dir="$(mktemp -d)"
+trap 'rm -rf "$sweep_dir"' EXIT
+target/release/iddq gen c1908 --seed 5 --out "$sweep_dir/c1908.bench" 2>/dev/null
+detected() {
+    target/release/iddq faults "$sweep_dir/c1908.bench" --vectors 1024 "$@" \
+        | grep -o '[0-9]* detected'
+}
+delta_detected="$(detected)"
+csr_detected="$(detected --backend csr)"
+echo "delta: $delta_detected; csr: $csr_detected"
+if [ "$delta_detected" != "$csr_detected" ]; then
+    echo "ERROR: the fault-sweep backends disagree"
+    exit 1
+fi
 
 echo "== scale smoke"
 # A 10^5-gate generated circuit: CSR build + one full sweep + a GateSep

@@ -434,8 +434,7 @@ impl<'a> ResynthEval<'a> {
     /// # Errors
     ///
     /// Returns a [`PatchError`] (evaluation unchanged) when an op targets
-    /// a non-gate, uses an illegal arity or id, would create a cycle, or
-    /// is a [`PatchOp::SetForce`] (no cost semantics).
+    /// a non-gate, uses an illegal arity or id, or would create a cycle.
     pub fn apply(&mut self, patch: &Patch) -> Result<PatchImpact, PatchError> {
         self.flush_row_edits();
         let sum_w_before = self.sum_w;
@@ -755,9 +754,6 @@ impl<'a> ResynthEval<'a> {
         let gate = op.gate();
         let gi = gate.index();
         match op {
-            PatchOp::SetForce { .. } => Err(PatchError::Unsupported(
-                "value forces have no cost semantics",
-            )),
             PatchOp::AddGate { kind, fanin, .. } => {
                 let expected = self.kinds.len() as u32;
                 if gate.0 != expected {
@@ -899,7 +895,6 @@ impl<'a> ResynthEval<'a> {
                     fanin: fanin.into_iter().map(NodeId).collect(),
                 }
             }
-            PatchOp::SetForce { .. } => unreachable!("rejected by validation"),
         }
     }
 
@@ -1885,14 +1880,6 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, PatchError::BadArity { .. }));
-        // Forces are rejected outright.
-        let err = eval
-            .apply(&Patch::single(PatchOp::SetForce {
-                node: g10,
-                force: Some(true),
-            }))
-            .unwrap_err();
-        assert!(matches!(err, PatchError::Unsupported(_)));
         // The tail node 23 is a consumer-free gate, but it is a primary
         // output: popping it would dangle the output list.
         let tail = NodeId(nl.node_count() as u32 - 1);

@@ -66,15 +66,36 @@
 //! # Value forces
 //!
 //! Besides structural edits, a node (gate *or* primary input) can be
-//! *forced*: its packed value is pinned to a constant and it is never
-//! recomputed from its fan-in until the force is lifted. Stuck-at faults
-//! are exactly [`PatchOp::SetForce`] patches (all lanes pinned to the same
-//! bit, full apply/rollback/undo support); bridging faults need per-lane
-//! force words, which [`DeltaSim::force_word`] / [`DeltaSim::unforce_word`]
-//! provide outside the undo stack (the fault-patch engine pairs them
-//! manually). Do not mix the two on one node: the inverse of a `SetForce`
-//! records the previous force as a *bool*, which cannot represent an
-//! arbitrary word force.
+//! *forced*: its packed value is pinned to a per-lane word and it is
+//! never recomputed from its fan-in until the force is lifted.
+//! [`DeltaSim::force_word`] / [`DeltaSim::unforce_word`] set and lift a
+//! pin outside the undo stack — callers pair them themselves. The
+//! fault-patch engine superimposes bridges (wired-AND words) and
+//! multi-frame faulty machines this way.
+//!
+//! # Stuck-at probes
+//!
+//! [`DeltaSim::stuck_at_probe`] answers the single-frame stuck-at
+//! question — in which lanes does pinning a node to 0 or 1 flip some
+//! primary output — without leaving any trace in the persistent state,
+//! and exactly (lane for lane) as a pin, an output diff and a release
+//! would. It works in three steps:
+//!
+//! 1. **excitation** — a stuck word equal to the node's current word
+//!    changes nothing and is answered at once;
+//! 2. **fanout-free region** — the faulty word is carried along the chain
+//!    of single-consumer nodes (not primary outputs, not feeding a DFF D
+//!    pin) to its *stem*. Side inputs keep their current values, and a
+//!    consumer that reads the driver on several pins sees the faulty word
+//!    on each of them. A step whose word stops differing ends the probe;
+//! 3. **stem observability** — the stem is flipped in *all* lanes once,
+//!    by a level-bucket walk that stops when its worklist empties, logs
+//!    every value it changes, XORs only the changed primary-output words
+//!    and restores the logged values instead of re-evaluating them. Lanes
+//!    are independent, so the flipped lanes that reach an output, masked
+//!    by the lanes the fault flips at the stem, are the detection. The
+//!    observability word is cached per stem until the next call that
+//!    changes values, structure or pins.
 //!
 //! # State elements and frames
 //!
@@ -270,6 +291,8 @@ pub struct DeltaSim<W: PackedWord> {
     state_d: Vec<u32>,
     /// Latched packed word per state element (what the DFF output reads).
     state_words: Vec<W>,
+    /// Per node: is it a primary output (appended gates never are).
+    output: Vec<bool>,
     /// Inverse patches, innermost last.
     undo: Vec<Patch>,
     // Worklist / re-levelization scratch (all node-count sized, epoch
@@ -281,6 +304,15 @@ pub struct DeltaSim<W: PackedWord> {
     indeg: Vec<u32>,
     tmp_level: Vec<u32>,
     gather: Vec<W>,
+    /// Bumped by every [`DeltaSim::sweep`] (input load, frame step, pin
+    /// change, patch), so a cached stem observability is valid while its
+    /// stamp still equals it.
+    values_epoch: u64,
+    /// Stem-observability cache of [`DeltaSim::stuck_at_probe`] (`epoch`,
+    /// word) per node; sized on the first probe.
+    stem_obs: Vec<(u64, W)>,
+    /// `(node, previous value)` per change of the current stem walk.
+    change_log: Vec<(u32, W)>,
 }
 
 impl<W: PackedWord> DeltaSim<W> {
@@ -322,6 +354,10 @@ impl<W: PackedWord> DeltaSim<W> {
             .iter()
             .map(|d| netlist.node(*d).fanin()[0].0)
             .collect();
+        let mut output = vec![false; n];
+        for &o in netlist.outputs() {
+            output[o.index()] = true;
+        }
         let mut sim = DeltaSim {
             kinds,
             fanin,
@@ -336,6 +372,7 @@ impl<W: PackedWord> DeltaSim<W> {
             state_nodes: netlist.state_elements().iter().map(|d| d.0).collect(),
             state_d,
             state_words: vec![W::zeros(); netlist.num_state_elements()],
+            output,
             undo: Vec::new(),
             stamp: vec![0; n],
             generation: 0,
@@ -344,6 +381,9 @@ impl<W: PackedWord> DeltaSim<W> {
             indeg: vec![0; n],
             tmp_level: vec![0; n],
             gather: Vec::new(),
+            values_epoch: 0,
+            stem_obs: Vec::new(),
+            change_log: Vec::new(),
         };
         let zeros = vec![W::zeros(); sim.input_words.len()];
         sim.set_inputs(&zeros);
@@ -385,6 +425,9 @@ impl<W: PackedWord> DeltaSim<W> {
             + self.gather.capacity();
         self.fanin.memory_bytes()
             + self.fanout.memory_bytes()
+            + self.output.capacity()
+            + self.stem_obs.capacity() * std::mem::size_of::<(u64, W)>()
+            + self.change_log.capacity() * std::mem::size_of::<(u32, W)>()
             + self.kinds.capacity() * std::mem::size_of::<Option<CellKind>>()
             + self.forced.capacity() * std::mem::size_of::<Option<W>>()
             + u32s * std::mem::size_of::<u32>()
@@ -553,10 +596,8 @@ impl<W: PackedWord> DeltaSim<W> {
     }
 
     /// Pins `node` to a per-lane packed constant and propagates the dirty
-    /// cone. Unlike [`PatchOp::SetForce`] this supports lane-dependent
-    /// values (bridge wired words) but bypasses the undo stack: callers
-    /// pair it with [`DeltaSim::unforce_word`] themselves and must not mix
-    /// it with patch-level forces on the same node.
+    /// cone. Pins bypass the undo stack: callers pair this with
+    /// [`DeltaSim::unforce_word`] themselves.
     ///
     /// # Panics
     ///
@@ -725,23 +766,17 @@ impl<W: PackedWord> DeltaSim<W> {
                 if gi >= self.kinds.len() {
                     return Err(PatchError::UnknownNode(gate));
                 }
-                // Forces apply to any node, including primary inputs.
-                if matches!(op, PatchOp::SetForce { .. }) {
-                    return Ok(());
-                }
                 let Some(kind) = self.kinds[gi] else {
                     return Err(PatchError::NotAGate(gate));
                 };
                 // Structural edits stop at frame boundaries: a DFF can be
-                // forced (fault injection) but never rekinded, rewired or
-                // removed.
+                // pinned (`force_word`, fault injection) but never
+                // rekinded, rewired or removed.
                 if kind.is_state() {
                     return Err(PatchError::StateElement(gate));
                 }
                 match op {
-                    PatchOp::SetForce { .. } | PatchOp::AddGate { .. } => {
-                        unreachable!("handled above")
-                    }
+                    PatchOp::AddGate { .. } => unreachable!("handled above"),
                     PatchOp::SetKind { kind: new_kind, .. } => {
                         if new_kind.is_state() {
                             return Err(PatchError::StateElement(gate));
@@ -826,17 +861,6 @@ impl<W: PackedWord> DeltaSim<W> {
                     fanin: old.into_iter().map(NodeId).collect(),
                 }
             }
-            PatchOp::SetForce { node, force } => {
-                let i = node.index();
-                let old = self.forced[i];
-                self.forced[i] = force.map(W::splat);
-                PatchOp::SetForce {
-                    node: *node,
-                    // Splat forces round-trip exactly; word forces (set via
-                    // `force_word`) are documented as not mixable here.
-                    force: old.map(|w| w == W::ones()),
-                }
-            }
             PatchOp::AddGate { gate, kind, fanin } => {
                 let list: Vec<u32> = fanin.iter().map(|f| f.0).collect();
                 self.kinds.push(Some(*kind));
@@ -860,6 +884,7 @@ impl<W: PackedWord> DeltaSim<W> {
                 }
                 self.values.push(W::zeros());
                 self.forced.push(None);
+                self.output.push(false);
                 self.input_pos.push(u32::MAX);
                 self.state_pos.push(u32::MAX);
                 self.stamp.push(0);
@@ -879,6 +904,7 @@ impl<W: PackedWord> DeltaSim<W> {
                 self.level.pop();
                 self.values.pop();
                 self.forced.pop();
+                self.output.pop();
                 self.input_pos.pop();
                 self.state_pos.pop();
                 self.stamp.pop();
@@ -1007,86 +1033,197 @@ impl<W: PackedWord> DeltaSim<W> {
         Ok(())
     }
 
+    /// Single-frame stuck-at probe: the lanes in which pinning `node` to
+    /// `stuck_at_one` flips at least one primary output under the current
+    /// values and pins, plus the number of node evaluations it took (the
+    /// fanout-free-region steps and, unless cached, the stem walk). The
+    /// answer equals `force_word(node, W::splat(stuck_at_one))`, an output
+    /// diff and a release lane for lane; the persistent values are left
+    /// exactly as they were (see the module docs' *Stuck-at probes*).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn stuck_at_probe(&mut self, node: NodeId, stuck_at_one: bool) -> (W, usize) {
+        let mut i = node.index();
+        let mut faulty = W::splat(stuck_at_one);
+        let mut flipped = faulty ^ self.values[i];
+        let mut evaluated = 0usize;
+        loop {
+            if flipped == W::zeros() {
+                return (flipped, evaluated);
+            }
+            if self.output[i] {
+                // Every flipped lane is seen right here; downstream outputs
+                // can only flip in lanes that already differ.
+                return (flipped, evaluated);
+            }
+            let consumers = self.fanout.get(i);
+            let Some(&c) = consumers.first() else {
+                // Dangling: nothing observes the node.
+                return (W::zeros(), evaluated);
+            };
+            if consumers.iter().any(|&o| o != c) {
+                break;
+            }
+            let c = c as usize;
+            if self.state_pos[c] != u32::MAX || self.forced[c].is_some() {
+                // A D pin is a sequential edge and a pinned consumer holds
+                // its pin: the wave stops either way.
+                return (W::zeros(), evaluated);
+            }
+            // Evaluate the single consumer with the faulty word on every
+            // pin that reads `i`, then put the good word back.
+            let good = std::mem::replace(&mut self.values[i], faulty);
+            let next = self.eval_node(c);
+            self.values[i] = good;
+            evaluated += 1;
+            flipped = next ^ self.values[c];
+            faulty = next;
+            i = c;
+        }
+        let (observable, walked) = self.stem_observability(i);
+        (flipped & observable, evaluated + walked)
+    }
+
+    /// The lanes in which flipping stem `i` reaches a primary output
+    /// (cached per stem while the values stay put), and the walk length
+    /// (`0` on a cache hit).
+    fn stem_observability(&mut self, i: usize) -> (W, usize) {
+        let n = self.values.len();
+        if self.stem_obs.len() < n {
+            self.stem_obs.resize(n, (u64::MAX, W::zeros()));
+        }
+        let (epoch, cached) = self.stem_obs[i];
+        if epoch == self.values_epoch {
+            return (cached, 0);
+        }
+        // Pin the stem to its complement for the length of one walk; the
+        // stem itself lands first in the change log.
+        let pin = self.forced[i].replace(!self.values[i]);
+        let mut log = std::mem::take(&mut self.change_log);
+        log.clear();
+        let report = self.walk(&[i as u32], false, Some(&mut log));
+        self.forced[i] = pin;
+        let mut observable = W::zeros();
+        for &(k, old) in &log {
+            let k = k as usize;
+            if self.output[k] {
+                observable = observable | (old ^ self.values[k]);
+            }
+            self.values[k] = old;
+        }
+        self.change_log = log;
+        self.stem_obs[i] = (self.values_epoch, observable);
+        (observable, report.reevaluated)
+    }
+
+    /// The value node `i` takes from its current pin, latched word, input
+    /// word or fan-in values.
+    #[inline]
+    fn eval_node(&mut self, i: usize) -> W {
+        if let Some(pin) = self.forced[i] {
+            // A forced node holds its pin regardless of structure.
+            return pin;
+        }
+        if self.state_pos[i] != u32::MAX {
+            // A DFF output reads its latched word, never its D fan-in —
+            // latching happens only in `set_state` / `step_frame`, between
+            // frames.
+            return self.state_words[self.state_pos[i] as usize];
+        }
+        let Some(kind) = self.kinds[i] else {
+            // Primary inputs re-read their loaded word.
+            return self.input_words[self.input_pos[i] as usize];
+        };
+        // Direct-op fast paths for the 1/2-input forms that dominate ISCAS
+        // circuits (no fold, no gather); larger gates take the generic
+        // path.
+        match *self.fanin.get(i) {
+            [a] => {
+                let a = self.values[a as usize];
+                match kind {
+                    CellKind::Not => !a,
+                    CellKind::Dff => unreachable!("state elements read their latched word above"),
+                    _ => a,
+                }
+            }
+            [a, b] => {
+                let a = self.values[a as usize];
+                let b = self.values[b as usize];
+                match kind {
+                    CellKind::Nand => !(a & b),
+                    CellKind::Nor => !(a | b),
+                    CellKind::And => a & b,
+                    CellKind::Or => a | b,
+                    CellKind::Xor => a ^ b,
+                    CellKind::Xnor => !(a ^ b),
+                    CellKind::Buf | CellKind::Not | CellKind::Dff => {
+                        unreachable!("arity 1 kinds never take two fan-ins")
+                    }
+                }
+            }
+            _ => {
+                self.gather.clear();
+                for &f in self.fanin.get(i) {
+                    self.gather.push(self.values[f as usize]);
+                }
+                kind.eval_packed(&self.gather)
+            }
+        }
+    }
+
     /// Level-ordered worklist sweep from `seeds`. With `force`, every
     /// reached node is re-evaluated and always propagates (full sweep);
     /// without, propagation stops at nodes whose value did not change.
+    /// Invalidates every cached stem observability.
     fn sweep(&mut self, seeds: &[u32], force: bool) -> PatchReport {
+        self.values_epoch += 1;
+        self.walk(seeds, force, None)
+    }
+
+    /// The worklist walk behind [`DeltaSim::sweep`]; with `log`, every
+    /// changed node is recorded with its previous value. The walk ends
+    /// as soon as the worklist is empty.
+    fn walk(
+        &mut self,
+        seeds: &[u32],
+        force: bool,
+        mut log: Option<&mut Vec<(u32, W)>>,
+    ) -> PatchReport {
         self.generation += 1;
         let generation = self.generation;
         let mut lowest = self.buckets.len();
+        let mut pending = 0usize;
         for &s in seeds {
             if self.stamp[s as usize] != generation {
                 self.stamp[s as usize] = generation;
                 let lv = self.level[s as usize] as usize;
                 self.buckets[lv].push(s);
+                pending += 1;
                 lowest = lowest.min(lv);
             }
         }
         let mut reevaluated = 0usize;
         let mut changed = 0usize;
         for lv in lowest..self.buckets.len() {
+            if pending == 0 {
+                break;
+            }
             let mut k = 0usize;
             while k < self.buckets[lv].len() {
                 let i = self.buckets[lv][k] as usize;
                 k += 1;
+                pending -= 1;
                 reevaluated += 1;
-                let new = if let Some(pin) = self.forced[i] {
-                    // A forced node holds its pin regardless of structure.
-                    pin
-                } else if self.state_pos[i] != u32::MAX {
-                    // A DFF output reads its latched word, never its D
-                    // fan-in — latching happens only in `set_state` /
-                    // `step_frame`, between frames.
-                    self.state_words[self.state_pos[i] as usize]
-                } else {
-                    match self.kinds[i] {
-                        Some(kind) => {
-                            // Direct-op fast paths for the 1/2-input forms
-                            // that dominate ISCAS circuits (no fold, no
-                            // gather); larger gates take the generic path.
-                            match *self.fanin.get(i) {
-                                [a] => {
-                                    let a = self.values[a as usize];
-                                    match kind {
-                                        CellKind::Not => !a,
-                                        CellKind::Dff => unreachable!(
-                                            "state elements read their latched word above"
-                                        ),
-                                        _ => a,
-                                    }
-                                }
-                                [a, b] => {
-                                    let a = self.values[a as usize];
-                                    let b = self.values[b as usize];
-                                    match kind {
-                                        CellKind::Nand => !(a & b),
-                                        CellKind::Nor => !(a | b),
-                                        CellKind::And => a & b,
-                                        CellKind::Or => a | b,
-                                        CellKind::Xor => a ^ b,
-                                        CellKind::Xnor => !(a ^ b),
-                                        CellKind::Buf | CellKind::Not | CellKind::Dff => {
-                                            unreachable!("arity 1 kinds never take two fan-ins")
-                                        }
-                                    }
-                                }
-                                _ => {
-                                    self.gather.clear();
-                                    for &f in self.fanin.get(i) {
-                                        self.gather.push(self.values[f as usize]);
-                                    }
-                                    kind.eval_packed(&self.gather)
-                                }
-                            }
-                        }
-                        // Primary inputs re-read their loaded word.
-                        None => self.input_words[self.input_pos[i] as usize],
-                    }
-                };
+                let new = self.eval_node(i);
                 let old = std::mem::replace(&mut self.values[i], new);
                 let delta = new != old;
                 if delta {
                     changed += 1;
+                    if let Some(log) = log.as_deref_mut() {
+                        log.push((i as u32, old));
+                    }
                 }
                 if delta || force {
                     for &succ in self.fanout.get(i) {
@@ -1102,6 +1239,7 @@ impl<W: PackedWord> DeltaSim<W> {
                         if self.stamp[succ] != generation {
                             self.stamp[succ] = generation;
                             self.buckets[self.level[succ] as usize].push(succ as u32);
+                            pending += 1;
                         }
                     }
                 }
@@ -1373,7 +1511,7 @@ mod tests {
     }
 
     #[test]
-    fn stuck_at_force_patch_propagates_and_rolls_back() {
+    fn stuck_at_force_word_propagates_and_releases() {
         let nl = data::c17();
         let mut delta = DeltaSim::<u64>::new(&nl);
         delta.set_inputs(&[!0u64; 5]);
@@ -1382,17 +1520,12 @@ mod tests {
         // ripples into 22.
         let g10 = nl.find("10").unwrap();
         let g22 = nl.find("22").unwrap();
-        let r = delta
-            .apply(&Patch::single(PatchOp::SetForce {
-                node: g10,
-                force: Some(true),
-            }))
-            .unwrap();
+        let r = delta.force_word(g10, !0);
         assert!(r.changed >= 1);
         assert_eq!(delta.value(g10), !0);
         assert_ne!(delta.value(g22), baseline[g22.index()]);
         assert_eq!(delta.forced_value(g10), Some(!0u64));
-        delta.rollback();
+        delta.unforce_word(g10);
         assert_eq!(delta.values(), &baseline[..]);
         assert_eq!(delta.forced_value(g10), None);
     }
@@ -1404,17 +1537,12 @@ mod tests {
         delta.set_inputs(&[0u64; 5]);
         let pi = nl.inputs()[0];
         let baseline = delta.values().to_vec();
-        delta
-            .apply(&Patch::single(PatchOp::SetForce {
-                node: pi,
-                force: Some(true),
-            }))
-            .unwrap();
+        delta.force_word(pi, !0);
         assert_eq!(delta.value(pi), !0);
         // New inputs while forced: the pin survives the full sweep.
         delta.set_inputs(&[0x55u64; 5]);
         assert_eq!(delta.value(pi), !0);
-        delta.rollback();
+        delta.unforce_word(pi);
         // Released: the PI reads its *current* loaded word, not the one
         // from force time.
         assert_eq!(delta.value(pi), 0x55);
@@ -1431,15 +1559,10 @@ mod tests {
         delta.set_inputs(&[!0u64; 5]);
         let g22 = nl.find("22").unwrap();
         assert_eq!(delta.value(g22), !0);
-        let r = delta
-            .apply(&Patch::single(PatchOp::SetForce {
-                node: g22,
-                force: Some(true),
-            }))
-            .unwrap();
+        let r = delta.force_word(g22, !0);
         assert_eq!(r.reevaluated, 1);
         assert_eq!(r.changed, 0);
-        delta.rollback();
+        delta.unforce_word(g22);
     }
 
     #[test]
@@ -1490,12 +1613,7 @@ mod tests {
         let mut delta = DeltaSim::<u64>::new(&nl);
         delta.set_inputs(&[!0u64; 5]);
         let g10 = nl.find("10").unwrap();
-        delta
-            .apply(&Patch::single(PatchOp::SetForce {
-                node: g10,
-                force: Some(false),
-            }))
-            .unwrap();
+        delta.force_word(g10, 0);
         let forced_state = delta.values().to_vec();
         let r = delta
             .apply(&Patch::single(PatchOp::SetKind {
@@ -1506,7 +1624,7 @@ mod tests {
         assert_eq!(r.changed, 0);
         assert_eq!(delta.values(), &forced_state[..]);
         delta.rollback(); // kind
-        delta.rollback(); // force
+        delta.unforce_word(g10); // force
         assert_eq!(delta.value(g10) & 1, 0); // NAND(1,1) = 0
     }
 
@@ -1600,19 +1718,14 @@ mod tests {
         ));
         // The tail node 23 is consumer-free but forced nodes stay pinned.
         let tail = NodeId(nl.node_count() as u32 - 1);
-        delta
-            .apply(&Patch::single(PatchOp::SetForce {
-                node: tail,
-                force: Some(true),
-            }))
-            .unwrap();
+        delta.force_word(tail, !0);
         assert!(matches!(
             delta
                 .apply(&Patch::single(PatchOp::RemoveGate { gate: tail }))
                 .unwrap_err(),
             PatchError::NotRemovable(_)
         ));
-        delta.rollback();
+        delta.unforce_word(tail);
         // Unforced, it pops — and the inverse re-adds it.
         delta
             .apply(&Patch::single(PatchOp::RemoveGate { gate: tail }))
@@ -1908,5 +2021,76 @@ mod tests {
         delta.rollback();
         // Pristine again: g3 = NOT(i).
         assert_eq!(delta.value(g3), !delta.value(i));
+    }
+
+    /// The probe's answer by its definition: pin, diff the outputs,
+    /// restore the node's previous pin (if any).
+    fn forced_output_diff(delta: &mut DeltaSim<u64>, nl: &Netlist, node: NodeId, one: bool) -> u64 {
+        let good: Vec<u64> = nl.outputs().iter().map(|&o| delta.value(o)).collect();
+        let pin = delta.forced_value(node);
+        delta.force_word(node, u64::splat(one));
+        let diff = nl
+            .outputs()
+            .iter()
+            .zip(&good)
+            .fold(0, |acc, (&o, &g)| acc | (g ^ delta.value(o)));
+        match pin {
+            Some(word) => delta.force_word(node, word),
+            None => delta.unforce_word(node),
+        };
+        diff
+    }
+
+    /// Every node at both polarities: the probe equals its definition,
+    /// twice in a row (the second pass reads cached stems) and without
+    /// moving any value. The reference answers are all taken first, so
+    /// the probes run back to back on one cache.
+    fn assert_probes_match(delta: &mut DeltaSim<u64>, nl: &Netlist) {
+        let faults: Vec<(NodeId, bool)> = nl
+            .node_ids()
+            .flat_map(|node| [(node, false), (node, true)])
+            .collect();
+        let want: Vec<u64> = faults
+            .iter()
+            .map(|&(node, one)| forced_output_diff(delta, nl, node, one))
+            .collect();
+        let before = delta.values().to_vec();
+        for _ in 0..2 {
+            for (&(node, one), &want) in faults.iter().zip(&want) {
+                let (got, _) = delta.stuck_at_probe(node, one);
+                assert_eq!(got, want, "{} node {node} sa{}", nl.name(), u8::from(one));
+                assert_eq!(delta.values(), &before[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn stuck_at_probe_matches_force_and_leaves_values() {
+        for nl in [data::c17(), data::ripple_adder(4), toggle()] {
+            let mut delta = DeltaSim::<u64>::new(&nl);
+            let inputs: Vec<u64> = (0..nl.num_inputs() as u64)
+                .map(|i| (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            delta.set_inputs(&inputs);
+            assert_probes_match(&mut delta, &nl);
+        }
+    }
+
+    #[test]
+    fn stuck_at_probe_cache_follows_pins_and_inputs() {
+        // c17's stems 3, 11 and 16 are cached by the first pass. Pinning
+        // 16 cuts 11's path through 22 (and 16's own observability), and
+        // lifting the pin and loading new inputs changes every stem again:
+        // no cached word may survive either change.
+        let nl = data::c17();
+        let mut delta = DeltaSim::<u64>::new(&nl);
+        delta.set_inputs(&[0x0123_4567_89ab_cdef, !0, 0x55aa, 0xf0f0, 0xff00_ff00]);
+        assert_probes_match(&mut delta, &nl);
+        let g16 = nl.find("16").unwrap();
+        delta.force_word(g16, 0);
+        assert_probes_match(&mut delta, &nl);
+        delta.unforce_word(g16);
+        delta.set_inputs(&[!0, 0x1234, 0, !0, 0x0f0f]);
+        assert_probes_match(&mut delta, &nl);
     }
 }

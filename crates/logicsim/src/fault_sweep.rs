@@ -8,19 +8,33 @@
 //! But a stuck-at fault is exactly a one-node *patch* whose effect is
 //! confined to the node's fanout cone, and a persistent [`DeltaSim`]
 //! already holds the good-machine packed state for the current batch. The
-//! engine therefore runs the PPSFP-style loop (single fault propagation,
-//! pattern-parallel words, fault dropping):
+//! engine therefore runs the PPSFP loop (single fault propagation,
+//! pattern-parallel words, fault dropping — Waicukauski et al., 1985)
+//! with its fanout-free-region / stem step (Antreich & Schulz, 1987):
 //!
 //! 1. **good-state snapshot** — [`FaultPatchSim::load`] runs one full
 //!    sweep per pattern batch and caches the good primary-output words;
-//! 2. **patch** — per fault, a [`PatchOp::SetForce`] patch (stuck-at) or a
-//!    wired-AND [`DeltaSim::force_word`] fixpoint (bridge) is applied to
-//!    the persistent state, re-evaluating only the dirty cone;
-//! 3. **diff** — the outputs are XORed against the cached good words,
-//!    giving the detection mask for all `W::LANES` patterns at once;
-//! 4. **rollback** — the patch is rolled back (or the forces lifted),
-//!    which again walks only the dirty cone, restoring the good state for
-//!    the next fault.
+//! 2. **probe** — a stuck-at fault goes to [`DeltaSim::stuck_at_probe`]:
+//!    a fault whose stuck word equals the good word is not excited and
+//!    stops there; otherwise the faulty word is carried along the
+//!    fault's fanout-free region (single-consumer nodes that are neither
+//!    primary outputs nor DFF D drivers) to its stem, with side inputs at
+//!    their good values;
+//! 3. **stem** — the stem's observability (the lanes in which flipping
+//!    it reaches a primary output) is computed once per stem and batch by
+//!    one all-lanes-flipped level-bucket walk, and the detection mask is
+//!    (lanes flipped at the stem) & (stem observability);
+//! 4. **log restore** — that walk logs every value it changes, XORs only
+//!    the changed output words, and restores the good state from the log
+//!    instead of re-evaluating the cone. A bridge is instead superimposed
+//!    as a wired-AND [`DeltaSim::force_word`] fixpoint, its outputs XORed
+//!    against the cached good words, and its forces lifted.
+//!
+//! The dirty-cone work metric ([`FaultSweepOutcome::mean_dirty_nodes`])
+//! counts node evaluations per fault application: the probe's
+//! fanout-free-region steps plus its stem walks (a cached stem costs
+//! nothing), and for bridges and multi-frame machines the force and
+//! release walks.
 //!
 //! [`sweep`] runs the per-fault loop as a detector on the shared
 //! fault-shard × pattern-batch `grid` executor — the one
@@ -94,7 +108,7 @@ use iddq_netlist::{Netlist, NodeId, PackedWord};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendKind;
-use crate::delta::{DeltaSim, Patch, PatchOp};
+use crate::delta::DeltaSim;
 use crate::grid;
 use crate::iddq::{pack_chunk_into, pack_seq_frame_into};
 use crate::logic_test::{eval_forced_with_state, recompute_driver, StuckAtFault};
@@ -195,20 +209,13 @@ impl<W: PackedWord> FaultPatchSim<W> {
     /// # Panics
     ///
     /// Panics if the fault references nodes outside the netlist.
-    #[allow(clippy::expect_used)] // invariant: force patches on in-range nodes never fail to apply
     pub fn detect(&mut self, fault: LogicFault) -> W {
         self.detects += 1;
         match fault {
             LogicFault::StuckAt(f) => {
-                let patch = Patch::single(PatchOp::SetForce {
-                    node: f.node,
-                    force: Some(f.stuck_at_one),
-                });
-                let r = self.sim.apply(&patch).expect("force patches are valid");
-                let diff = self.output_diff();
-                let rb = self.sim.rollback();
-                self.reevaluated += (r.reevaluated + rb.reevaluated) as u64;
-                diff
+                let (mask, evaluated) = self.sim.stuck_at_probe(f.node, f.stuck_at_one);
+                self.reevaluated += evaluated as u64;
+                mask
             }
             // A net bridged to itself never changes logic.
             LogicFault::Bridge { a, b } if a == b => W::zeros(),
@@ -351,8 +358,8 @@ impl<W: PackedWord> FaultPatchSim<W> {
         }
     }
 
-    /// Total nodes re-evaluated (apply + rollback walks combined) and
-    /// fault applications so far — the dirty-cone work metric.
+    /// Total node evaluations (probe steps, stem walks, force and release
+    /// walks) and fault applications so far — the dirty-cone work metric.
     #[must_use]
     pub fn dirty_totals(&self) -> (u64, u64) {
         (self.reevaluated, self.detects)
@@ -508,8 +515,10 @@ pub struct FaultSweepOutcome {
     pub coverage: f64,
     /// Number of vectors applied.
     pub vectors_applied: usize,
-    /// Mean nodes re-evaluated per fault application (0 on the CSR
-    /// oracle, which has no dirty-cone notion).
+    /// Mean node evaluations per fault application — probe steps plus
+    /// stem walks for stuck-at faults, force and release walks for bridges
+    /// and multi-frame machines (0 on the CSR oracle, which has no
+    /// dirty-cone notion).
     pub mean_dirty_nodes: f64,
     /// Per pattern batch: was it fully swept against every fault shard
     /// (complete runs: all `true`). This is the resume frontier a

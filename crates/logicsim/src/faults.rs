@@ -17,7 +17,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use iddq_netlist::separation::SeparationOracle;
+use iddq_netlist::separation::{BoundedBfs, SeparationOracle};
 use iddq_netlist::{Netlist, NodeId};
 
 /// One modelled IDDQ defect.
@@ -134,9 +134,10 @@ impl Default for FaultUniverseConfig {
 /// layout-locality of real shorts. Gate-oxide shorts and stuck-on defects
 /// are sampled per gate.
 ///
-/// Builds its own [`SeparationOracle`] for the locality filter; callers
-/// already holding one (e.g. from an `iddq_core` analysis context) should
-/// use [`enumerate_with`] to share it.
+/// The locality filter runs a truncated BFS only from the gates the
+/// sampler actually draws; callers already holding a
+/// [`SeparationOracle`] (e.g. from an `iddq_core` analysis context) may
+/// pass it to [`enumerate_with`] instead — the universe is the same.
 #[must_use]
 pub fn enumerate(netlist: &Netlist, config: &FaultUniverseConfig, seed: u64) -> Vec<IddqFault> {
     enumerate_with(netlist, config, seed, None)
@@ -144,14 +145,14 @@ pub fn enumerate(netlist: &Netlist, config: &FaultUniverseConfig, seed: u64) -> 
 
 /// [`enumerate`] with an optionally borrowed [`SeparationOracle`].
 ///
-/// The borrowed oracle is used when its bound covers the locality filter
-/// (`ρ ≥ bridge_locality + 1`): every bridge candidate sits at distance
-/// `≤ bridge_locality`, and a wider oracle reports exactly the same
-/// (sorted) candidate set below its bound, so the enumeration is
-/// **identical** to building a dedicated `ρ = bridge_locality + 1`
-/// oracle. When no oracle is supplied — or its bound is too small to
-/// decide the filter — a dedicated one is built, exactly as
-/// [`enumerate`] does.
+/// Each bridge candidate sits at distance `≤ bridge_locality`, so a
+/// gate's candidates are its `ρ = bridge_locality + 1` ball. A borrowed
+/// oracle whose bound covers the filter (`ρ ≥ bridge_locality + 1`)
+/// reports exactly the same (sorted) candidates below its bound, and its
+/// rows are read. Otherwise — no oracle, or one whose bound is too small
+/// to decide the filter — each drawn gate's ball is computed on demand by
+/// a [`BoundedBfs`], which yields the same rows. Either way the
+/// enumeration is **identical**.
 #[must_use]
 pub fn enumerate_with(
     netlist: &Netlist,
@@ -168,38 +169,35 @@ pub fn enumerate_with(
     let current =
         |rng: &mut SmallRng| rng.gen_range(config.current_range_ua.0..=config.current_range_ua.1);
 
-    // Bridges between nearby drivers. One truncated-BFS pass (inside the
-    // oracle) precomputes each gate's neighbourhood; per-gate candidate
-    // lists are then read off directly instead of re-filtering all gates
-    // per sampling attempt, which was O(G²) per bridge on large circuits.
+    // Bridges between nearby drivers. A gate's candidate list is built
+    // the first time the sampler draws it, so only drawn gates pay for a
+    // neighbourhood.
     if config.bridges > 0 {
-        let own;
-        let sep = match oracle {
-            Some(sep) if sep.rho() > config.bridge_locality => sep,
-            _ => {
-                own = SeparationOracle::new(netlist, config.bridge_locality + 1);
-                &own
-            }
+        let mut balls = match oracle {
+            Some(sep) if sep.rho() > config.bridge_locality => Balls::Oracle(sep),
+            _ => Balls::Bfs(
+                BoundedBfs::new(netlist, config.bridge_locality + 1),
+                Vec::new(),
+            ),
         };
-        let nearby_gates: Vec<Vec<NodeId>> = gates
-            .iter()
-            .map(|&a| {
-                sep.neighbors_within(a)
-                    .into_iter()
-                    .filter(|&(g, d)| g != a && d <= config.bridge_locality && netlist.is_gate(g))
-                    .map(|(g, _)| g)
-                    .collect()
-            })
-            .collect();
+        let mut nearby_gates: Vec<Option<Vec<NodeId>>> = vec![None; gates.len()];
         let mut attempts = 0;
         while faults.len() < config.bridges && attempts < config.bridges * 20 {
             attempts += 1;
             let ai = rng.gen_range(0..gates.len());
-            let nearby = &nearby_gates[ai];
+            let a = gates[ai];
+            let nearby = nearby_gates[ai].get_or_insert_with(|| {
+                balls
+                    .row(a)
+                    .iter()
+                    .map(|&(g, d)| (NodeId(g), d))
+                    .filter(|&(g, d)| d <= config.bridge_locality && netlist.is_gate(g))
+                    .map(|(g, _)| g)
+                    .collect()
+            });
             if nearby.is_empty() {
                 continue;
             }
-            let a = gates[ai];
             let b = nearby[rng.gen_range(0..nearby.len())];
             let current_ua = current(&mut rng);
             faults.push(IddqFault::Bridge { a, b, current_ua });
@@ -231,6 +229,27 @@ pub fn enumerate_with(
         }
     }
     faults
+}
+
+/// Where [`enumerate_with`] reads a gate's `ρ = bridge_locality + 1`
+/// ball from: a borrowed oracle wide enough, or one truncated BFS per
+/// drawn gate.
+enum Balls<'a> {
+    Oracle(&'a SeparationOracle),
+    Bfs(BoundedBfs, Vec<(u32, u32)>),
+}
+
+impl Balls<'_> {
+    fn row(&mut self, a: NodeId) -> &[(u32, u32)] {
+        match self {
+            Balls::Oracle(sep) => sep.near_slice(a),
+            Balls::Bfs(bfs, row) => {
+                row.clear();
+                bfs.row_into(a, row);
+                row
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -327,8 +346,8 @@ mod tests {
                 "borrowed rho {rho}"
             );
         }
-        // A too-narrow oracle cannot decide the filter; the fallback
-        // build keeps the result identical anyway.
+        // A too-narrow oracle cannot decide the filter; the on-demand
+        // BFS keeps the result identical anyway.
         let narrow = SeparationOracle::new(&nl, cfg.bridge_locality);
         assert_eq!(enumerate_with(&nl, &cfg, 42, Some(&narrow)), owned);
     }

@@ -84,19 +84,23 @@
 //! 1. **good-state snapshot** — one full sweep per pattern batch loads the
 //!    fault-free packed values into the persistent [`delta::DeltaSim`] and
 //!    caches the good primary-output words;
-//! 2. **patch** — the fault is injected as a one-node change: stuck-at as
-//!    a [`delta::PatchOp::SetForce`] patch, a bridge as a wired-AND
+//! 2. **probe** — a stuck-at fault goes to
+//!    [`delta::DeltaSim::stuck_at_probe`], which skips it when it is not
+//!    excited and otherwise carries the faulty word through its
+//!    fanout-free region to the stem; a bridge is injected as a wired-AND
 //!    [`delta::DeltaSim::force_word`] fixpoint;
-//! 3. **dirty-cone diff** — only the fault's dirty cone re-evaluates, and
-//!    XORing the outputs against the cached good words yields the
-//!    detection mask for all packed patterns at once;
-//! 4. **rollback** — the inverse patch (or force release) walks the same
-//!    cone back, restoring the good state for the next fault.
+//! 3. **stem / diff** — a stem is flipped in all lanes once per batch and
+//!    its observability cached, so a stuck-at detection mask is (lanes
+//!    flipped at the stem) & (stem observability); a bridge XORs the
+//!    outputs against the cached good words;
+//! 4. **restore** — the stem walk restores the values it changed from its
+//!    change log, and a bridge's forces are lifted, leaving the good state
+//!    for the next fault.
 //!
 //! Fault *dropping* composes with this: a fault whose earliest detection
 //! is already known is skipped entirely, which never changes results (the
-//! recorded index is the minimum over all detections) but skips both cone
-//! walks.
+//! recorded index is the minimum over all detections) but skips its work
+//! entirely.
 //!
 //! # Memory layout & scale
 //!

@@ -69,9 +69,6 @@ impl Model {
                     self.fanins.pop();
                     self.names.pop();
                 }
-                PatchOp::SetForce { .. } => {
-                    unreachable!("structural mutation sequences never draw forces")
-                }
             }
         }
     }

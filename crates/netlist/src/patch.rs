@@ -65,17 +65,6 @@ pub enum PatchOp {
         /// Its new ordered driver list.
         fanin: Vec<NodeId>,
     },
-    /// Pin `node` (gate or primary input) to a constant across all lanes
-    /// (`Some(bit)`), or lift the pin (`None`). A forced node is never
-    /// recomputed from its fan-in, and propagation stops at it — the
-    /// stuck-at fault model as a one-node patch. Only meaningful to logic
-    /// engines; cost evaluation rejects it.
-    SetForce {
-        /// The node to pin.
-        node: NodeId,
-        /// `Some(stuck_at_value)` to pin, `None` to release.
-        force: Option<bool>,
-    },
     /// Append a new gate at the tail of the id space. `gate` must equal
     /// the current node count; the fan-in must reference existing nodes
     /// (so insertion can never close a cycle).
@@ -104,7 +93,6 @@ impl PatchOp {
             | PatchOp::SetFanin { gate, .. }
             | PatchOp::AddGate { gate, .. }
             | PatchOp::RemoveGate { gate } => gate,
-            PatchOp::SetForce { node, .. } => node,
         }
     }
 
@@ -174,9 +162,6 @@ pub enum PatchError {
     /// carries a value force, or (in engines that track them) is a
     /// primary output.
     NotRemovable(NodeId),
-    /// The consuming engine does not support this op (e.g. value forces in
-    /// cost evaluation).
-    Unsupported(&'static str),
     /// The op targets (or would create) a DFF state element: the
     /// structural patch vocabulary is combinational-only — state elements
     /// are frame boundaries, edited by rebuilding the netlist.
@@ -198,7 +183,6 @@ impl fmt::Display for PatchError {
             PatchError::NotRemovable(g) => {
                 write!(f, "node {g} is not the consumer-free last node")
             }
-            PatchError::Unsupported(what) => write!(f, "unsupported patch op: {what}"),
             PatchError::StateElement(g) => {
                 write!(
                     f,
@@ -216,9 +200,7 @@ impl std::error::Error for PatchError {}
 /// returned netlist from scratch must agree with the incremental engines
 /// applying the same patch.
 ///
-/// Nodes appended by [`PatchOp::AddGate`] are named `__p{id}`.
-/// [`PatchOp::SetForce`] is rejected (forces are simulation state, not
-/// structure). DFF state elements are frame boundaries, not rewrite
+/// Nodes appended by [`PatchOp::AddGate`] are named `__p{id}`. DFF state elements are frame boundaries, not rewrite
 /// material: an op that mutates, adds or removes one is a programming
 /// error of the patch generator (patches edit the combinational logic
 /// *between* frame boundaries).
@@ -231,8 +213,8 @@ impl std::error::Error for PatchError {}
 /// # Panics
 ///
 /// Panics if the patch violates the structural stack discipline
-/// (non-append `AddGate`, non-tail or consumed `RemoveGate`, a target out
-/// of range, or a `SetForce` op) — these are programming errors of the
+/// (non-append `AddGate`, non-tail or consumed `RemoveGate`, or a target
+/// out of range) — these are programming errors of the
 /// patch generator, not data errors of the circuit.
 pub fn materialize(netlist: &Netlist, patch: &Patch) -> Result<Netlist, NetlistError> {
     let mut kinds: Vec<Option<CellKind>> = netlist
@@ -283,7 +265,6 @@ pub fn materialize(netlist: &Netlist, patch: &Patch) -> Result<Netlist, NetlistE
                 }
                 fanins[gate.index()] = fanin.clone();
             }
-            PatchOp::SetForce { .. } => panic!("SetForce is not a structural op"),
             PatchOp::AddGate { gate, kind, fanin } => {
                 assert_eq!(
                     gate.index(),

@@ -215,6 +215,59 @@ impl BfsScratch {
     }
 }
 
+/// One source's ρ-bounded neighbourhood at a time, for callers that need
+/// only a few rows: the flat undirected adjacency is copied once, and each
+/// [`BoundedBfs::row_into`] runs a single truncated BFS. A row equals the
+/// same source's [`SeparationOracle::near_slice`] entry for entry (sorted
+/// by node id, the source itself excluded), without building the table.
+///
+/// ```rust
+/// use iddq_netlist::data;
+/// use iddq_netlist::separation::{BoundedBfs, SeparationOracle};
+///
+/// let c17 = data::c17();
+/// let g10 = c17.find("10").unwrap();
+/// let mut row = Vec::new();
+/// BoundedBfs::new(&c17, 4).row_into(g10, &mut row);
+/// assert_eq!(row, SeparationOracle::new(&c17, 4).near_slice(g10));
+/// ```
+pub struct BoundedBfs {
+    rho: u32,
+    adj_offsets: Vec<u32>,
+    adj_pool: Vec<u32>,
+    scratch: BfsScratch,
+}
+
+impl BoundedBfs {
+    /// Prepares per-source BFS on `netlist` with saturation bound `rho`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rho == 0`.
+    #[must_use]
+    pub fn new(netlist: &Netlist, rho: u32) -> Self {
+        assert!(rho > 0, "separation bound rho must be positive");
+        let (adj_offsets, adj_pool) = undirected_csr(netlist);
+        BoundedBfs {
+            rho,
+            adj_offsets,
+            adj_pool,
+            scratch: BfsScratch::new(netlist.node_count()),
+        }
+    }
+
+    /// Appends every `(node index, distance)` with distance `1..rho` from
+    /// `src` to `out`, in ascending node order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn row_into(&mut self, src: NodeId, out: &mut Vec<(u32, u32)>) {
+        self.scratch
+            .row_into(src.0, self.rho, &self.adj_offsets, &self.adj_pool, out);
+    }
+}
+
 /// 64-source **bit-parallel** batched BFS: column `i` of every `u64`
 /// tracks source `i` of the current batch, so one masked sweep over the
 /// edge list advances 64 BFS frontiers at once.
@@ -689,15 +742,14 @@ impl SeparationOracle {
         if n == 0 || rho == 0 {
             return 0;
         }
-        let (adj_offsets, adj_pool) = undirected_csr(netlist);
         let samples = n.min(32);
         let stride = n / samples;
-        let mut scratch = BfsScratch::new(n);
+        let mut bfs = BoundedBfs::new(netlist, rho);
         let mut flat: Vec<(u32, u32)> = Vec::new();
         let mut sampled_entries = 0usize;
         for k in 0..samples {
             flat.clear();
-            scratch.row_into((k * stride) as u32, rho, &adj_offsets, &adj_pool, &mut flat);
+            bfs.row_into(NodeId((k * stride) as u32), &mut flat);
             sampled_entries += flat.len();
         }
         let mean_row = sampled_entries as f64 / samples as f64;

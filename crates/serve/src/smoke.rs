@@ -177,9 +177,11 @@ fn scenario(
         "packed sim steps a sequential circuit through frames",
     )?;
 
-    // 5. Deadline mid-sweep: partial outcome with grid coverage.
+    // 5. Deadline mid-sweep: partial outcome with grid coverage. The
+    // sweep is sized to outlast its deadline many times over, so a faster
+    // engine still gets interrupted.
     let partial = client.call(&json!({
-        "id": 7, "op": "faults", "circuit": "c880", "vectors": 4096, "deadline_ms": 1,
+        "id": 7, "op": "faults", "circuit": "c880", "vectors": 16384, "deadline_ms": 1,
     }))?;
     report.check(
         partial["status"] == "partial"
@@ -263,9 +265,10 @@ fn scenario(
     report.check(pong["status"] == "ok", "the pool serves after the restart")?;
 
     // 10. Checkpoint + resume: interrupt a keyed job, resubmit it, and
-    // the finished digest matches an uninterrupted baseline.
+    // the finished digest matches an uninterrupted baseline. The job runs
+    // tens of deadlines long, so it is interrupted at any engine speed.
     let first = client.call(&json!({
-        "id": 12, "op": "faults", "circuit": "c432", "vectors": 512, "seed": 7,
+        "id": 12, "op": "faults", "circuit": "c7552", "vectors": 1024, "seed": 7,
         "job": "smoke-ckpt", "deadline_ms": 2,
     }))?;
     report.check(
@@ -273,15 +276,15 @@ fn scenario(
         "a keyed job interrupted by its deadline leaves a checkpoint",
     )?;
     let resumed = client.call(&json!({
-        "id": 13, "op": "faults", "circuit": "c432", "vectors": 512, "seed": 7,
+        "id": 13, "op": "faults", "circuit": "c7552", "vectors": 1024, "seed": 7,
         "job": "smoke-ckpt",
     }))?;
     let resume_baseline = {
-        let profile = iddq_gen::iscas::IscasProfile::by_name("c432")
-            .ok_or_else(|| EngineError::InvalidArg("smoke: missing c432 profile".into()))?;
+        let profile = iddq_gen::iscas::IscasProfile::by_name("c7552")
+            .ok_or_else(|| EngineError::InvalidArg("smoke: missing c7552 profile".into()))?;
         let netlist = iddq_gen::iscas::generate(profile, 7);
         let universe = fault_universe(&netlist, 16, 7);
-        let vectors = random_vectors(&netlist, 512, 7);
+        let vectors = random_vectors(&netlist, 1024, 7);
         let outcome = iddq_logicsim::fault_sweep::sweep::<u64>(
             &netlist,
             &universe,

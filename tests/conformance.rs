@@ -8,8 +8,14 @@
 //!   for every thread count, shard count, frame count, dropping setting
 //!   and lane width, and the oracle's multi-frame detections equal its
 //!   single-frame ones exactly on the DFF-free circuits;
+//! * the stuck-at probe (fanout-free region plus stem observability)
+//!   equals the oracle on circuit shapes the random corpus may miss, at
+//!   every lane width;
 //! * a cancelled sweep, checkpointed through its sealed JSON and resumed,
-//!   is bit-identical to an uninterrupted one.
+//!   is bit-identical to an uninterrupted one;
+//! * the bridge sampler's on-demand neighbourhoods equal the separation
+//!   oracle's rows, so the defect universe does not depend on whether an
+//!   oracle is supplied.
 //!
 //! It also pins the per-gate resynthesis search: its reported cost equals
 //! a rebuild score of the netlist it returns, and the incremental ΔW
@@ -25,11 +31,12 @@ use iddq::logicsim::fault_sweep::{
     sweep_resume, sweep_with_control, FaultSweepOptions, FaultSweepOutcome, LogicFault,
     SweepCheckpoint,
 };
-use iddq::logicsim::faults::{enumerate, FaultUniverseConfig, IddqFault};
+use iddq::logicsim::faults::{enumerate, enumerate_with, FaultUniverseConfig, IddqFault};
 use iddq::logicsim::iddq::{simulate_with_options, SweepOptions, NO_MODULE};
 use iddq::logicsim::logic_test::StuckAtFault;
 use iddq::logicsim::{reference, BackendKind};
-use iddq::netlist::{data, Netlist, PackedWord, W256};
+use iddq::netlist::separation::{BoundedBfs, SeparationOracle};
+use iddq::netlist::{data, CellKind, Netlist, NetlistBuilder, NodeId, PackedWord, W256, W512};
 use iddq::synth::{cost_aware_per_gate_in, decompose_gate_patch, DecompositionStyle};
 use iddq_control::{RunBudget, RunControl, StopReason};
 
@@ -239,6 +246,75 @@ fn fault_patch_sweep_matches_csr_oracle() {
     }
 }
 
+/// Fanout-free-region corner cases in one circuit: a NOT/BUF chain into a
+/// gate that reads one driver on both pins, a primary output that also
+/// fans out, a three-input gate, a self-cancelling XNOR, a dangling gate,
+/// a gate whose only consumer is a DFF D pin, and a primary input that is
+/// also an output.
+fn probe_shapes() -> Netlist {
+    let mut b = NetlistBuilder::new("probe_shapes");
+    let [a, bi, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| b.add_input(n));
+    let gate = |b: &mut NetlistBuilder, name: &str, kind, fanin: Vec<NodeId>| {
+        b.add_gate(name, kind, fanin).unwrap()
+    };
+    let n1 = gate(&mut b, "n1", CellKind::Not, vec![a]);
+    let n2 = gate(&mut b, "n2", CellKind::Buf, vec![n1]);
+    let n3 = gate(&mut b, "n3", CellKind::Not, vec![n2]);
+    let dup = gate(&mut b, "dup", CellKind::Nand, vec![n3, n3]);
+    let po_mid = gate(&mut b, "po_mid", CellKind::And, vec![dup, bi]);
+    let g1 = gate(&mut b, "g1", CellKind::Or, vec![po_mid, c]);
+    let g2 = gate(&mut b, "g2", CellKind::Nor, vec![po_mid, d]);
+    let g3 = gate(&mut b, "g3", CellKind::And, vec![g1, g2, e]);
+    let same = gate(&mut b, "same", CellKind::Xnor, vec![c, c]);
+    gate(&mut b, "dangling", CellKind::And, vec![a, e]);
+    let q = b.add_dff("q").unwrap();
+    let only_d = gate(&mut b, "only_d", CellKind::Xor, vec![c, d]);
+    b.set_dff_input(q, only_d);
+    let y = gate(&mut b, "y", CellKind::Or, vec![q, same]);
+    let z = gate(&mut b, "z", CellKind::Xor, vec![y, n3]);
+    for o in [g3, po_mid, z, e] {
+        b.mark_output(o);
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn stuck_at_probe_matches_csr_oracle_on_edge_shapes() {
+    for nl in [probe_shapes(), seq("s27"), seq("s298")] {
+        let faults: Vec<LogicFault> = nl
+            .node_ids()
+            .flat_map(|node| {
+                [false, true]
+                    .map(|stuck_at_one| LogicFault::StuckAt(StuckAtFault { node, stuck_at_one }))
+            })
+            .collect();
+        // More than 512 vectors: every lane width sweeps several batches.
+        let vectors = random_vectors(&nl, 700, 0x5eed);
+        let options = |backend| FaultSweepOptions {
+            threads: 1,
+            fault_dropping: false,
+            backend,
+            ..FaultSweepOptions::default()
+        };
+        let oracle = sweep::<u64>(&nl, &faults, &vectors, &options(BackendKind::Csr));
+        assert!(oracle.detected.iter().any(|&d| d), "{}", nl.name());
+        assert!(oracle.detected.iter().any(|&d| !d), "{}", nl.name());
+        let delta = options(BackendKind::Delta);
+        for (lanes, r) in [
+            (64, sweep::<u64>(&nl, &faults, &vectors, &delta)),
+            (256, sweep::<W256>(&nl, &faults, &vectors, &delta)),
+            (512, sweep::<W512>(&nl, &faults, &vectors, &delta)),
+        ] {
+            assert_eq!(
+                r.first_detection,
+                oracle.first_detection,
+                "{} lanes {lanes}",
+                nl.name()
+            );
+        }
+    }
+}
+
 /// Runs a sweep under `control`, then checkpoints and resumes (through the
 /// sealed JSON form) with a doubling quota until it completes.
 fn resume_to_completion(
@@ -422,5 +498,39 @@ fn evolution_is_thread_invariant() {
             );
             assert_eq!(out.log, serial.log, "{name}: threads = {threads}");
         }
+    }
+}
+
+#[test]
+fn lazy_bridge_universe_matches_oracle_rows() {
+    let config = FaultUniverseConfig::default();
+    for nl in [iscas("c432"), iscas("c7552"), seq("s298")] {
+        let wide = SeparationOracle::new(&nl, 6);
+        for seed in [5, 13] {
+            let universe = enumerate(&nl, &config, seed);
+            assert!(
+                universe
+                    .iter()
+                    .any(|f| matches!(f, IddqFault::Bridge { .. })),
+                "{}",
+                nl.name()
+            );
+            assert_eq!(
+                universe,
+                enumerate_with(&nl, &config, seed, Some(&wide)),
+                "{} seed {seed}",
+                nl.name()
+            );
+        }
+    }
+    let nl = iscas("c432");
+    let oracle = SeparationOracle::new(&nl, 5);
+    let mut bfs = BoundedBfs::new(&nl, 5);
+    let mut row = Vec::new();
+    for gate in nl.gate_ids() {
+        row.clear();
+        bfs.row_into(gate, &mut row);
+        let lazy: Vec<(NodeId, u32)> = row.iter().map(|&(n, d)| (NodeId(n), d)).collect();
+        assert_eq!(lazy, oracle.neighbors_within(gate), "gate {gate}");
     }
 }
