@@ -20,7 +20,8 @@
 # context build at 1.5x. Sequential-circuit correctness (multi-frame
 # sweeps, resume, ATPG determinism) is pinned by the workspace tests.
 # A CLI leg checks that the fault-patch sweep and its per-fault CSR
-# re-simulation oracle detect the same number of faults on c1908.
+# re-simulation oracle detect the same number of faults on c1908, and
+# another that the per-gate resynthesis search prunes probes there.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -67,6 +68,19 @@ csr_detected="$(detected --backend csr)"
 echo "delta: $delta_detected; csr: $csr_detected"
 if [ "$delta_detected" != "$csr_detected" ]; then
     echo "ERROR: the fault-sweep backends disagree"
+    exit 1
+fi
+
+echo "== per-gate resynthesis: bound pruning"
+# The per-gate search prunes the probes whose lower bound (the cost at
+# the pre-patch separation) already loses; on a generated c1908 the
+# stderr line must report a nonzero pruned count.
+target/release/iddq synth "$sweep_dir/c1908.bench" --resynth --per-gate --seed 3 \
+    --generations 5 >/dev/null 2>"$sweep_dir/resynth.err"
+pruned_line="$(grep -o '[0-9]* of [0-9]* probes pruned' "$sweep_dir/resynth.err")"
+echo "per-gate search: $pruned_line"
+if [ "${pruned_line%% *}" -eq 0 ]; then
+    echo "ERROR: the per-gate search pruned no probe"
     exit 1
 fi
 

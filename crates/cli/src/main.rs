@@ -172,6 +172,9 @@ struct Flag {
     help: &'static str,
     /// A flag this one is meaningless without; empty when none.
     needs: &'static str,
+    /// Flags selecting a mode this one is meaningless in; empty when
+    /// none.
+    excludes: &'static [&'static str],
     /// Zero is rejected.
     positive: bool,
 }
@@ -183,6 +186,7 @@ const fn flag(spec: &'static str, kind: Kind, default: &'static str, help: &'sta
         default,
         help,
         needs: "",
+        excludes: &[],
         positive: false,
     }
 }
@@ -191,6 +195,13 @@ impl Flag {
     const fn needs(self, companion: &'static str) -> Flag {
         Flag {
             needs: companion,
+            ..self
+        }
+    }
+
+    const fn excludes(self, modes: &'static [&'static str]) -> Flag {
+        Flag {
+            excludes: modes,
             ..self
         }
     }
@@ -218,6 +229,10 @@ struct Command {
 }
 
 use Kind::{Backend, Lanes, Switch, Text, Threads, Usize, F64, U32, U64};
+
+/// The `serve` modes that run no daemon, so the daemon's flags are
+/// rejected under them.
+const CLIENT_MODES: &[&str] = &["--call", "--smoke"];
 
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
@@ -321,13 +336,20 @@ const COMMANDS: &[Command] = &[
         flags: &[
             flag("--addr A", Text, "127.0.0.1:0", "bind address, printed once bound as \
                 `listening on ADDR`; with --call, the server to call"),
-            flag("--workers N", Usize, "2", "worker threads").positive(),
-            flag("--queue N", Usize, "16", "admission queue capacity").positive(),
-            flag("--cache-mb N", Usize, "64", "artifact-cache memory ceiling in MiB"),
-            flag("--state-dir DIR", Text, ".iddq-serve", "checkpoint directory"),
-            flag("--rho N", U32, "6", "separation bound for stats tiers").positive(),
-            flag("--budget-ms MS", U64, "", "global budget composed into every request"),
-            flag("--max-secs S", U64, "", "serve for S seconds, then drain and exit"),
+            flag("--workers N", Usize, "2", "worker threads").positive()
+                .excludes(CLIENT_MODES),
+            flag("--queue N", Usize, "16", "admission queue capacity").positive()
+                .excludes(CLIENT_MODES),
+            flag("--cache-mb N", Usize, "64", "artifact-cache memory ceiling in MiB")
+                .excludes(CLIENT_MODES),
+            flag("--state-dir DIR", Text, ".iddq-serve", "checkpoint directory")
+                .excludes(CLIENT_MODES),
+            flag("--rho N", U32, "6", "separation bound for stats tiers").positive()
+                .excludes(CLIENT_MODES),
+            flag("--budget-ms MS", U64, "", "global budget composed into every request")
+                .excludes(CLIENT_MODES),
+            flag("--max-secs S", U64, "", "serve for S seconds, then drain and exit")
+                .excludes(CLIENT_MODES),
             flag("--smoke", Switch, "", "run the end-to-end smoke scenario and exit"),
             flag("--call JSON", Text, "", "one-shot client mode: send one request line, \
                 print the response line, exit (exit 1 when the server answers \
@@ -408,10 +430,16 @@ impl Args {
             return Err(error(format!("`iddq {name}` expects {}", cmd.arg)));
         }
         for (given, _) in &args.given {
-            let needs = args.flag(given).needs;
-            if !needs.is_empty() && !args.has(needs) {
+            let flag = args.flag(given);
+            if !flag.needs.is_empty() && !args.has(flag.needs) {
                 return Err(error(format!(
-                    "flag `{given}` of `iddq {name}` needs `{needs}`"
+                    "flag `{given}` of `iddq {name}` needs `{}`",
+                    flag.needs
+                )));
+            }
+            if let Some(mode) = flag.excludes.iter().find(|mode| args.has(mode)) {
+                return Err(error(format!(
+                    "flag `{given}` of `iddq {name}` does nothing with `{mode}`"
                 )));
             }
         }
@@ -507,6 +535,9 @@ fn help() -> String {
             if !flag.needs.is_empty() {
                 text = format!("with {}: {text}", flag.needs);
             }
+            if !flag.excludes.is_empty() {
+                text = format!("not with {}: {text}", flag.excludes.join(" or "));
+            }
             if !flag.default.is_empty() {
                 text = format!("{text} (default {})", flag.default);
             }
@@ -550,8 +581,18 @@ fn load(path: &str) -> Result<Netlist, String> {
     bench::parse(name, &text).map_err(|e| format!("parse `{path}`: {e}"))
 }
 
+/// [`load`] for the commands that partition the gates: a netlist without
+/// any is rejected before an engine runs.
+fn load_gates(path: &str) -> Result<Netlist, CliError> {
+    let cut = load(path)?;
+    if cut.gate_count() == 0 {
+        return Err(EngineError::Structure(format!("`{path}` has no gates to partition")).into());
+    }
+    Ok(cut)
+}
+
 fn cmd_synth(args: &Args) -> Result<(), CliError> {
-    let mut cut = load(&args.arg)?;
+    let mut cut = load_gates(&args.arg)?;
     let mut config = PartitionConfig::paper_default();
     config.d_min = args.get("--d");
     config.sizing.r_star_mv = args.get("--rstar");
@@ -584,13 +625,15 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
             let search_secs = t_search.elapsed().as_secs_f64();
             eprintln!(
                 "resynthesis (per-gate): original {:.1} -> mixed {:.1} \
-                 ({} balanced, {} chain, {} kept); \
+                 ({} balanced, {} chain, {} kept; {} of {} probes pruned); \
                  analyses {analysis_secs:.3} s + search {search_secs:.3} s",
                 report.original_cost,
                 report.mixed_cost,
                 report.balanced_gates,
                 report.chain_gates,
-                report.kept_gates
+                report.kept_gates,
+                report.pruned_probes,
+                report.probes
             );
             drop(ctx);
             cut = out;
@@ -695,7 +738,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 
 fn cmd_test(args: &Args) -> Result<(), CliError> {
     let threads = args.threads();
-    let cut = load(&args.arg)?;
+    let cut = load_gates(&args.arg)?;
     let seed: u64 = args.get("--seed");
     let frames: usize = args.get("--frames");
     let library = Library::generic_1um();

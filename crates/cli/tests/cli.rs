@@ -548,6 +548,30 @@ fn synth_resynth_per_gate_reports_mixed_cost() {
     assert!(err.contains("mixed"), "{err}");
     assert!(err.contains("analyses"), "{err}");
     assert!(err.contains("search"), "{err}");
+    // One wide gate, two probes; the bound may prune either.
+    let pruned = err
+        .split(" of 2 probes pruned")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .and_then(|n| n.parse::<usize>().ok());
+    assert!(pruned.is_some_and(|p| p <= 2), "{err}");
+
+    let _ = std::fs::remove_file(bench);
+}
+
+#[test]
+fn test_and_synth_reject_a_gateless_netlist_with_code_1() {
+    let bench = write_bench("INPUT(a)\nOUTPUT(a)\n");
+    for args in [
+        vec!["test", bench.as_str()],
+        vec!["synth", bench.as_str()],
+        vec!["synth", bench.as_str(), "--resynth", "--per-gate"],
+    ] {
+        let err = fails(&args, 1);
+        assert!(err.contains("has no gates"), "{args:?}: {err}");
+        assert!(err.contains(bench.as_str()), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 
     let _ = std::fs::remove_file(bench);
 }

@@ -49,6 +49,53 @@ fn serve_call_rejects_malformed_json_as_usage() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// The daemon's flags, each with a valid value.
+const DAEMON_FLAGS: [(&str, &str); 7] = [
+    ("--workers", "3"),
+    ("--queue", "4"),
+    ("--cache-mb", "8"),
+    ("--state-dir", "unused-state"),
+    ("--rho", "4"),
+    ("--budget-ms", "100"),
+    ("--max-secs", "1"),
+];
+
+/// Runs `iddq serve <mode> <flag> <value>` for every daemon flag and
+/// checks each exits 2 naming the flag and the mode, before the mode runs.
+fn assert_daemon_flags_rejected(mode: &[&str], mode_flag: &str) {
+    for (flag, value) in DAEMON_FLAGS {
+        let out = bin()
+            .arg("serve")
+            .args(mode)
+            .args([flag, value])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(
+            err.contains(&format!(
+                "`{flag}` of `iddq serve` does nothing with `{mode_flag}`"
+            )),
+            "{flag}: {err}"
+        );
+    }
+}
+
+#[test]
+fn serve_call_rejects_daemon_flags() {
+    // Port 1 refuses connections: a flag that slipped through would fail
+    // with exit 1 instead of 2.
+    assert_daemon_flags_rejected(
+        &["--call", r#"{"op":"stats"}"#, "--addr", "127.0.0.1:1"],
+        "--call",
+    );
+}
+
+#[test]
+fn serve_smoke_rejects_daemon_flags() {
+    assert_daemon_flags_rejected(&["--smoke"], "--smoke");
+}
+
 #[test]
 fn serve_daemon_answers_calls_and_drains() {
     let state_dir = tmp("daemon-state");

@@ -200,7 +200,7 @@ pub(crate) fn assemble_cost(
     CostBreakdown {
         c1_area: sensor_area.max(1.0).ln(),
         c2_delay: (dbic_ps - nominal_delay_ps) / d,
-        c3_interconnect: (1.0 + total_separation as f64).ln(),
+        c3_interconnect: interconnect_term(total_separation),
         c4_test_time: (vector_time_ps - nominal_delay_ps) / d,
         c5_modules: modules as f64,
         violations,
@@ -208,6 +208,11 @@ pub(crate) fn assemble_cost(
         dbic_ps,
         vector_time_ps,
     }
+}
+
+/// The separation term `c₃ = ln(1 + S)` (§3.3).
+pub(crate) fn interconnect_term(total_separation: u64) -> f64 {
+    (1.0 + total_separation as f64).ln()
 }
 
 /// Latest fan-in arrival of `id` under `arr`. A DFF launches a fresh

@@ -71,6 +71,42 @@
 //! never touches a row. [`ResynthEval::commit`] makes the applied
 //! patches permanent. The candidate-search pattern is apply → score →
 //! rollback per losing candidate, commit for the winner.
+//!
+//! # Probes
+//!
+//! A search that only needs to know whether a candidate beats a cost
+//! `beat` can skip the separation refresh of most candidates.
+//! [`ResynthEval::probe`] splits an apply in two: first the structural
+//! edit, the re-levelization and the transition-time walk; then, only
+//! if the candidate can still win, the separation refresh. Between the
+//! two it scores the cost with the *pre-patch* separation. If that bound
+//! is `>= beat` the probe rolls itself back and returns `None`, having
+//! never touched the neighbour weights, the near rows or the avoid-X
+//! cache. Otherwise it runs the refresh (keyed, as in `apply`, by the
+//! pre-patch structure id) and returns the exact cost.
+//!
+//! The bound is exact for the patches it is used on:
+//!
+//! * **S cannot fall.** A wide-gate decomposition only subdivides the
+//!   edges from a gate to its fan-ins. Contracting each inserted node
+//!   into the gate it serves maps every post-patch path onto a pre-patch
+//!   walk that is no longer, so no distance between existing nodes
+//!   shrinks, and each new pair adds at least 1 to
+//!   `S = Σ_pairs min(d, ρ)`. `probe` checks this shape on the pre-patch
+//!   structure (every inserted node claimed by one existing gate, every
+//!   written fan-in edge contracting onto an old fan-in edge of it) and
+//!   scores any other patch exactly.
+//! * **c₃ cannot fall.** `c₃ = ln(1 + S)`. The conversion to f64, the
+//!   `+ 1` and `ln` are monotone; `ln` needs only be faithfully rounded,
+//!   since `ln` of neighbouring integers below 2⁴⁶ differs by more than
+//!   two ulps (`probe` prunes only while the pre-patch `S` is below it).
+//! * **The total cannot fall.** The separation enters the weighted sum
+//!   only through `α₃·c₃`, and every other term is computed from the
+//!   post-patch structure either way. IEEE multiplication by `α₃ ≥ 0`
+//!   and each addition of the fixed-order sum are monotone in each
+//!   operand (rounding to nearest never reverses an order), so the
+//!   bound is `<=` the exact cost bit for bit. With `α₃ < 0` (or NaN)
+//!   the inequality flips, so `probe` prunes only when `α₃ >= 0`.
 
 use iddq_celllib::NodeTables;
 use iddq_netlist::cone::DynamicCones;
@@ -79,7 +115,9 @@ use iddq_netlist::{CellKind, NodeId, TimeSet};
 
 use crate::context::EvalContext;
 use crate::cost::CostBreakdown;
-use crate::evaluator::{assemble_cost, degraded_weight, sensor_figures, ModuleStats};
+use crate::evaluator::{
+    assemble_cost, degraded_weight, interconnect_term, sensor_figures, ModuleStats,
+};
 
 /// One entry of the undo stack: the structural inverse plus snapshots of
 /// the derived state the apply overwrote, so a rollback restores instead
@@ -436,13 +474,108 @@ impl<'a> ResynthEval<'a> {
     /// Returns a [`PatchError`] (evaluation unchanged) when an op targets
     /// a non-gate, uses an illegal arity or id, or would create a cycle.
     pub fn apply(&mut self, patch: &Patch) -> Result<PatchImpact, PatchError> {
-        self.flush_row_edits();
         let sum_w_before = self.sum_w;
-        self.times_log.clear();
-        self.w_log.clear();
-        self.row_log.clear();
-        self.row_edits.clear();
-        let (inverse, impact) = self.apply_inner(patch)?;
+        let (inverse, dirty, times_visited) = self.apply_inner(patch)?;
+        let separation_recomputed = self.refresh_separation(patch, &dirty);
+        self.push_frame(inverse, sum_w_before);
+        Ok(PatchImpact {
+            times_visited,
+            separation_recomputed,
+        })
+    }
+
+    /// Applies `patch` and scores it, unless a lower bound shows it
+    /// cannot score below `beat` (see the [module docs](self#probes)).
+    ///
+    /// Returns `Ok(None)` when the bound prunes the probe: the patch is
+    /// rolled back again and the separation state was never touched.
+    /// Otherwise the patch stays applied, exactly as after
+    /// [`ResynthEval::apply`], and the result is its exact
+    /// [`ResynthEval::total_cost`]. Pruning needs `α₃ ≥ 0` and a patch
+    /// that only subdivides fan-in edges; any other probe is scored
+    /// exactly.
+    ///
+    /// # Errors
+    ///
+    /// As [`ResynthEval::apply`] (evaluation unchanged).
+    pub fn probe(&mut self, patch: &Patch, beat: f64) -> Result<Option<f64>, PatchError> {
+        let config = &self.ctx.config;
+        let (weights, penalty) = (&config.weights, config.violation_penalty);
+        let sum_w_before = self.sum_w;
+        let separation_before = self.separation();
+        let prunable =
+            weights.interconnect >= 0.0 && separation_before < 1 << 46 && self.subdivides(patch);
+        let (inverse, dirty, _) = self.apply_inner(patch)?;
+        let mut bounded = None;
+        if prunable {
+            let bound = self.cost_at(separation_before);
+            if bound.total(weights, penalty) >= beat {
+                self.push_frame(inverse, sum_w_before);
+                self.rollback();
+                return Ok(None);
+            }
+            bounded = Some(bound);
+        }
+        self.refresh_separation(patch, &dirty);
+        self.push_frame(inverse, sum_w_before);
+        // Only c₃ reads the separation, so the bound's breakdown becomes
+        // the exact one by swapping that term.
+        let exact = match bounded {
+            Some(mut cost) => {
+                cost.c3_interconnect = interconnect_term(self.separation());
+                cost
+            }
+            None => self.cost(),
+        };
+        Ok(Some(exact.total(weights, penalty)))
+    }
+
+    /// Whether `patch` only subdivides fan-in edges of existing gates, so
+    /// that no bounded distance between existing nodes can shrink. Each
+    /// inserted node must be claimed by exactly one existing gate (the
+    /// gate it contracts into); every fan-in edge the patch writes must
+    /// then contract onto a pre-patch fan-in edge of that gate, or onto
+    /// the gate itself. Checked on the pre-patch structure; conservative
+    /// (a `false` only costs the bound).
+    fn subdivides(&self, patch: &Patch) -> bool {
+        let n = self.kinds.len();
+        let mut owner: Vec<Option<u32>> = Vec::new();
+        // Walk backwards: a node's consumers come after its insertion.
+        for op in patch.ops.iter().rev() {
+            let (o, fanin) = match op {
+                PatchOp::SetKind { .. } => continue,
+                PatchOp::RemoveGate { .. } => return false,
+                PatchOp::SetFanin { gate, fanin } if gate.index() < n => (gate.0, fanin),
+                PatchOp::SetFanin { .. } => return false,
+                PatchOp::AddGate { gate, fanin, .. } => {
+                    match gate.index().checked_sub(n).and_then(|i| owner.get(i)) {
+                        Some(&Some(o)) => (o, fanin),
+                        _ => return false,
+                    }
+                }
+            };
+            for f in fanin {
+                match f.index().checked_sub(n) {
+                    Some(i) => {
+                        if i >= owner.len() {
+                            owner.resize(i + 1, None);
+                        }
+                        if owner[i].is_some_and(|prev| prev != o) {
+                            return false;
+                        }
+                        owner[i] = Some(o);
+                    }
+                    None if self.cones.fanin(o as usize).contains(&f.0) => {}
+                    None => return false,
+                }
+            }
+        }
+        true
+    }
+
+    /// Pushes the undo frame of an apply whose structural part returned
+    /// `inverse` and moves to a fresh structure id.
+    fn push_frame(&mut self, inverse: Patch, sum_w_before: u64) {
         self.undo.push(UndoFrame {
             inverse,
             times_log: std::mem::take(&mut self.times_log),
@@ -456,7 +589,6 @@ impl<'a> ResynthEval<'a> {
         });
         self.last_structure_id += 1;
         self.structure_id = self.last_structure_id;
-        Ok(impact)
     }
 
     /// Writes the top frame's deferred ΔW pair edits into the near rows,
@@ -571,7 +703,18 @@ impl<'a> ResynthEval<'a> {
         self.undo.clear();
     }
 
-    fn apply_inner(&mut self, patch: &Patch) -> Result<(Patch, PatchImpact), PatchError> {
+    /// The structural part of an apply: flushes the previous frame's row
+    /// edits, captures the separation dirty set, applies the ops,
+    /// re-levelizes and walks the transition times. Returns the inverse,
+    /// the dirty set for [`ResynthEval::refresh_separation`] and the
+    /// number of nodes the time walk visited. On a rejected patch the
+    /// evaluation is left as it was.
+    fn apply_inner(&mut self, patch: &Patch) -> Result<(Patch, SepDirty, usize), PatchError> {
+        self.flush_row_edits();
+        self.times_log.clear();
+        self.w_log.clear();
+        self.row_log.clear();
+        self.row_edits.clear();
         let rho = self.ctx.config.rho;
         // Separation dirty set over the *pre-patch* graph: every pair
         // whose bounded distance the patch can move has a shortest route
@@ -678,8 +821,8 @@ impl<'a> ResynthEval<'a> {
                 return Err(PatchError::Cycle(NodeId(on)));
             }
         }
-        let impact = self.refresh(patch, &dirty);
-        Ok((inverse, impact))
+        let times_visited = self.refresh_times(patch);
+        Ok((inverse, dirty, times_visited))
     }
 
     /// Rebuilds the maintained ΔW row table from the current structure:
@@ -942,13 +1085,28 @@ impl<'a> ResynthEval<'a> {
     }
 
     /// Refreshes the structure-derived state the (applied or reverted)
-    /// ops may have dirtied: transition-time sets through a dirty-cone
-    /// walk, separation state through the captured [`SepDirty`] (the
+    /// ops may have dirtied: the transition times and the separation
+    /// state (see [`ResynthEval::refresh_times`] and
+    /// [`ResynthEval::refresh_separation`]).
+    fn refresh(&mut self, patch: &Patch, sep: &SepDirty) {
+        self.refresh_times(patch);
+        self.refresh_separation(patch, sep);
+    }
+
+    /// Separation state through the captured [`SepDirty`]: the
     /// incremental ΔW pair rescoring, or the full ρ-ball bounded-BFS
-    /// re-derivation), and the lazy order/nominal-delay flags.
-    fn refresh(&mut self, patch: &Patch, sep: &SepDirty) -> PatchImpact {
+    /// re-derivation. Returns the number of gates re-derived.
+    fn refresh_separation(&mut self, patch: &Patch, sep: &SepDirty) -> usize {
+        match sep {
+            SepDirty::Ball(old_ball) => self.refresh_separation_full(patch, old_ball),
+            SepDirty::Dists(old) => self.refresh_separation_delta(patch, old),
+        }
+    }
+
+    /// Transition-time sets through a dirty-cone walk, and the lazy
+    /// order/nominal-delay flags. Returns the number of nodes visited.
+    fn refresh_times(&mut self, patch: &Patch) -> usize {
         let alive = self.kinds.len();
-        // --- transition times -------------------------------------------
         let time_seeds: Vec<u32> = patch
             .ops
             .iter()
@@ -982,17 +1140,9 @@ impl<'a> ResynthEval<'a> {
                 true
             }
         });
-        // --- separation -------------------------------------------------
-        let separation_recomputed = match sep {
-            SepDirty::Ball(old_ball) => self.refresh_separation_full(patch, old_ball),
-            SepDirty::Dists(old) => self.refresh_separation_delta(patch, old),
-        };
         self.order_dirty = true;
         self.nominal_dirty = true;
-        PatchImpact {
-            times_visited,
-            separation_recomputed,
-        }
+        times_visited
     }
 
     /// The full separation refresh: every gate in the union of the pre-
@@ -1526,6 +1676,22 @@ impl<'a> ResynthEval<'a> {
     /// module — bit-exact with `Evaluated::new(&EvalContext::new(
     /// materialized, …), single module).cost()`.
     pub fn cost(&mut self) -> CostBreakdown {
+        let separation = self.separation();
+        self.cost_at(separation)
+    }
+
+    /// The single-module separation `S = ρ·pairs − Σ_g W(g)/2` of the
+    /// current neighbour weights.
+    fn separation(&self) -> u64 {
+        let gates = self.gate_count as u64;
+        let pairs = gates * gates.saturating_sub(1) / 2;
+        debug_assert_eq!(self.sum_w % 2, 0, "neighbour weights are symmetric");
+        u64::from(self.ctx.config.rho) * pairs - self.sum_w / 2
+    }
+
+    /// [`ResynthEval::cost`] with `separation` in place of the current
+    /// one: every other term is read from the current structure.
+    fn cost_at(&mut self, separation: u64) -> CostBreakdown {
         self.settle_structure();
         let n = self.kinds.len();
         // Histogram horizon: one past the largest transition time.
@@ -1554,9 +1720,6 @@ impl<'a> ResynthEval<'a> {
             rail_cap_ff += self.tables.c_rail_ff[i];
             cell_area += self.tables.area[i];
         }
-        let pairs = (self.gate_count as u64) * (self.gate_count as u64 - 1) / 2;
-        debug_assert_eq!(self.sum_w % 2, 0, "neighbour weights are symmetric");
-        let separation = u64::from(self.ctx.config.rho) * pairs - self.sum_w / 2;
         let stats = ModuleStats {
             current_hist: Vec::new(),
             count_hist: Vec::new(),
@@ -2188,6 +2351,54 @@ mod tests {
             "{}",
             nl.name()
         );
+    }
+
+    #[test]
+    fn probes_prune_only_subdivisions_and_leave_no_trace() {
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        let nl = crate::evaluator::tests::seq_circuit();
+        let n = nl.node_count() as u32;
+        let split = seq_decomposition(&nl, n);
+        // The same shape, but the inserted node also reads a primary
+        // input the gate never read: a new edge, not a subdivision.
+        let mut widen = split.clone();
+        let leaves = nl.node(nl.find("G20").unwrap()).fanin().to_vec();
+        let stranger = nl.inputs().iter().copied().find(|i| !leaves.contains(i));
+        let PatchOp::AddGate { fanin, .. } = &mut widen.ops[0] else {
+            unreachable!("the decomposition starts with an insertion")
+        };
+        fanin.push(stranger.unwrap());
+        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+        let mut eval = ResynthEval::new(&ctx);
+        let exact = |eval: &mut ResynthEval<'_>, patch: &Patch| {
+            eval.apply(patch).unwrap();
+            let cost = eval.total_cost();
+            eval.rollback();
+            cost.to_bits()
+        };
+        let (split_cost, widen_cost) = (exact(&mut eval, &split), exact(&mut eval, &widen));
+        // Every bound beats -inf: the subdivision is pruned and rolled
+        // back without a trace.
+        assert_eq!(eval.probe(&split, f64::NEG_INFINITY).unwrap(), None);
+        assert_eq!(eval.pending_patches(), 0);
+        assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
+        // A probe that can win stays applied with its exact cost.
+        let scored = eval.probe(&split, f64::INFINITY).unwrap();
+        assert_eq!(scored.map(f64::to_bits), Some(split_cost));
+        assert_eq!(eval.pending_patches(), 1);
+        assert_fresh(&mut eval, &nl, std::slice::from_ref(&split), &lib, &cfg);
+        eval.rollback();
+        // A new edge can shorten distances: no bound, exact score.
+        let scored = eval.probe(&widen, f64::NEG_INFINITY).unwrap();
+        assert_eq!(scored.map(f64::to_bits), Some(widen_cost));
+        eval.rollback();
+        // With α₃ < 0 the bound is no bound.
+        let mut negative = cfg.clone();
+        negative.weights.interconnect = -1.0;
+        let ctx = EvalContext::new(&nl, &lib, negative);
+        let mut eval = ResynthEval::new(&ctx);
+        assert!(eval.probe(&split, f64::NEG_INFINITY).unwrap().is_some());
     }
 
     /// A region rewrite of the 2-input `gate`: an inverted AND of its

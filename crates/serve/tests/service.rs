@@ -309,6 +309,39 @@ fn drain_finishes_accepted_work() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// A netlist without gates (which `iddq test` / `iddq synth` reject) is
+/// a valid input to every serve op: none of them partitions the gates,
+/// so each answers it without a worker panic.
+#[test]
+fn gateless_inline_netlist_is_answered_by_every_op() {
+    let state_dir = temp_state_dir("gateless");
+    let server = Server::start(ServerConfig {
+        state_dir: state_dir.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let bench = "INPUT(a)\nOUTPUT(a)\n";
+    let requests = [
+        json!({"op": "sim", "bench": bench, "patterns": 256}),
+        json!({"op": "faults", "bench": bench, "vectors": 64}),
+        json!({"op": "stats", "bench": bench, "tier": "timing"}),
+        json!({"op": "stats", "bench": bench, "tier": "gatesep"}),
+        json!({"op": "stats", "bench": bench, "tier": "separation"}),
+    ];
+    for request in requests {
+        let resp = client.call(&request).expect("answered");
+        assert_eq!(resp["status"], "ok", "{request:?}: {resp:?}");
+        assert_eq!(resp["result"]["circuit"], "inline", "{request:?}: {resp:?}");
+    }
+    let metrics = server.shutdown(Duration::from_secs(10));
+    assert_eq!(metrics["panics_caught"].as_u64(), Some(0), "{metrics:?}");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 /// `call_with_retry` against a deliberately tiny queue: retries turn
 /// `overloaded` sheds into eventual answers, and `retries: 0` keeps
 /// today's fail-fast behaviour.

@@ -688,16 +688,28 @@ pub struct PerGateReport {
     pub chain_gates: usize,
     /// Wide gates left flat.
     pub kept_gates: usize,
+    /// Candidate patches probed (two per wide gate reached).
+    pub probes: usize,
+    /// Probes whose lower bound already lost, so their separation was
+    /// never refreshed (see [`ResynthEval::probe`]).
+    pub pruned_probes: usize,
 }
 
 /// Per-gate cost-steered resynthesis: instead of one global
 /// balanced-or-chain choice, every wide gate is offered both shapes and
 /// keeps whichever (if either) lowers the cost of the *current* mixed
-/// candidate — a greedy descent that patch scoring makes affordable
-/// (two apply→score probes per wide gate on one persistent evaluation;
-/// a losing probe is rolled back, a winning chain probe — the last one —
-/// is committed in place, and a winning balanced probe is re-applied
-/// and committed). Runs on a `GateSep`-tier context, like
+/// candidate — a greedy descent that patch scoring makes affordable.
+///
+/// Each wide gate gets two [`ResynthEval::probe`]s on one persistent
+/// evaluation, each against `min(current, best so far)`. A probe whose
+/// lower bound (its cost at the pre-patch separation, which a
+/// decomposition cannot lower) already loses is pruned before the
+/// separation refresh; the rest are scored exactly. A losing probe is
+/// rolled back, a winning chain probe — the last one — is committed in
+/// place, and a winning balanced probe is re-applied and committed. The
+/// committed patches, and so the returned netlist and `mixed_cost`, are
+/// those of scoring every probe exactly; [`PerGateReport`] counts the
+/// probes and the pruned ones. Runs on a `GateSep`-tier context, like
 /// [`cost_aware`].
 #[must_use]
 pub fn cost_aware_per_gate(
@@ -744,6 +756,8 @@ pub fn cost_aware_per_gate_in_with_control(
         balanced_gates: 0,
         chain_gates: 0,
         kept_gates: 0,
+        probes: 0,
+        pruned_probes: 0,
     };
     let wide: Vec<_> = netlist
         .topo_order()
@@ -771,10 +785,19 @@ pub fn cost_aware_per_gate_in_with_control(
             let patch =
                 decompose_gate_patch_inner(netlist, gate, style, 2, eval.node_count() as u32)
                     .expect("gate is wide");
-            eval.apply(&patch).expect("per-gate patches are valid");
-            let cost = eval.total_cost();
+            let beat = best.as_ref().map_or(current, |(b, _, _)| current.min(*b));
+            let probed = eval
+                .probe(&patch, beat)
+                .expect("per-gate patches are valid");
             control.charge(1);
-            let wins = cost < current && best.as_ref().is_none_or(|(b, _, _)| cost < *b);
+            report.probes += 1;
+            let Some(cost) = probed else {
+                // Pruned: it could not win and is rolled back already.
+                report.pruned_probes += 1;
+                winner_applied = false;
+                continue;
+            };
+            let wins = cost < beat;
             winner_applied = wins && style == STYLES[STYLES.len() - 1];
             if !winner_applied {
                 eval.rollback();

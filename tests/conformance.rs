@@ -18,8 +18,10 @@
 //!   oracle is supplied.
 //!
 //! It also pins the per-gate resynthesis search: its reported cost equals
-//! a rebuild score of the netlist it returns, and the incremental ΔW
-//! evaluation agrees with the full-refresh reference at every probe. And
+//! a rebuild score of the netlist it returns, the incremental ΔW
+//! evaluation agrees with the full-refresh reference at every probe, and
+//! the bound-pruned probes prune only probes that lose and return the
+//! same netlist and cost as scoring every probe exactly. And
 //! the evolution search returns the same best partition, cost bits,
 //! evaluation count and generation log for every thread count.
 
@@ -35,6 +37,8 @@ use iddq::logicsim::faults::{enumerate, enumerate_with, FaultUniverseConfig, Idd
 use iddq::logicsim::iddq::{simulate_with_options, SweepOptions, NO_MODULE};
 use iddq::logicsim::logic_test::StuckAtFault;
 use iddq::logicsim::{reference, BackendKind};
+use iddq::netlist::bench::to_bench;
+use iddq::netlist::patch::{materialize, Patch};
 use iddq::netlist::separation::{BoundedBfs, SeparationOracle};
 use iddq::netlist::{data, CellKind, Netlist, NetlistBuilder, NodeId, PackedWord, W256, W512};
 use iddq::synth::{cost_aware_per_gate_in, decompose_gate_patch, DecompositionStyle};
@@ -395,24 +399,40 @@ fn rebuild_cost(nl: &Netlist, library: &Library, config: &PartitionConfig) -> f6
 #[test]
 fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
     let library = Library::generic_1um();
-    let config = PartitionConfig::paper_default();
-    for nl in [iscas("c432"), seq("s298")] {
+    let paper = PartitionConfig::paper_default();
+    // A negative separation weight turns the bound off: that search must
+    // prune nothing and still match its own unpruned descent.
+    let mut negative = paper.clone();
+    negative.weights.interconnect = -1.0;
+    let cases = [
+        (iscas("c432"), &paper),
+        (seq("s298"), &paper),
+        (iscas("c880"), &paper),
+        (iscas("c432"), &negative),
+    ];
+    for (nl, config) in cases {
+        let (weights, penalty) = (&config.weights, config.violation_penalty);
+        let prunes = weights.interconnect >= 0.0;
+        let name = format!("{} (alpha3 {})", nl.name(), weights.interconnect);
         let ctx = EvalContext::builder(&nl, &library, config.clone())
             .tier(AnalysisTier::GateSep)
             .build();
-        // The shipped search against a rebuild score of its output.
+        // The shipped (pruned) search against a rebuild score of its
+        // output.
         let (out, report) = cost_aware_per_gate_in(&ctx);
         assert_eq!(
             report.mixed_cost.to_bits(),
-            rebuild_cost(&out, &library, &config).to_bits(),
-            "{}: reported cost vs rebuild of the returned netlist",
-            nl.name()
+            rebuild_cost(&out, &library, config).to_bits(),
+            "{name}: reported cost vs rebuild of the returned netlist"
         );
-        // The same greedy descent, driven in lock step on the incremental
-        // ΔW evaluation and on the full-refresh reference.
+        // The same greedy descent, driven in lock step: unpruned on the
+        // incremental ΔW evaluation (`inc`) and on the full-refresh
+        // reference (`full`), and through the pruned probe (`pruned`).
         let mut inc = ResynthEval::new(&ctx);
         let mut full = ResynthEval::new_full_refresh(&ctx);
+        let mut pruned = ResynthEval::new(&ctx);
         let mut current = inc.total_cost();
+        let mut current_c3 = inc.cost().c3_interconnect;
         assert_eq!(current.to_bits(), full.total_cost().to_bits());
         let wide: Vec<_> = nl
             .topo_order()
@@ -420,50 +440,77 @@ fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
             .copied()
             .filter(|&g| nl.node(g).kind().cell_kind().is_some() && nl.node(g).fanin().len() > 2)
             .collect();
-        assert!(!wide.is_empty(), "{}: no wide gates to probe", nl.name());
-        let mut probes = 0;
+        assert!(!wide.is_empty(), "{name}: no wide gates to probe");
+        let (mut probes, mut pruned_probes) = (0, 0);
+        let mut committed = Vec::new();
         for gate in wide {
-            let mut best = None;
+            let mut best: Option<(f64, _)> = None;
             for style in [DecompositionStyle::Balanced, DecompositionStyle::Chain] {
                 let next_id = inc.node_count() as u32;
                 let patch = decompose_gate_patch(&nl, gate, style, 2, next_id)
                     .unwrap()
                     .expect("gate is wide");
+                let what = format!("{name}: probe {probes} ({style:?} on gate {})", gate.0);
+                let beat = best.as_ref().map_or(current, |(b, _)| current.min(*b));
                 inc.apply(&patch).unwrap();
                 full.apply(&patch).unwrap();
-                let cost = inc.total_cost();
-                assert_eq!(
-                    cost.to_bits(),
-                    full.total_cost().to_bits(),
-                    "{}: probe {probes} ({style:?} on gate {})",
-                    nl.name(),
-                    gate.0
-                );
+                let mut breakdown = inc.cost();
+                let cost = breakdown.total(weights, penalty);
+                assert_eq!(cost.to_bits(), full.total_cost().to_bits(), "{what}");
+                // The bound: the post-patch cost at the pre-patch c₃.
+                breakdown.c3_interconnect = current_c3;
+                let bound = breakdown.total(weights, penalty);
+                if prunes {
+                    assert!(bound <= cost, "{what}: bound {bound} above exact {cost}");
+                }
+                match pruned.probe(&patch, beat).unwrap() {
+                    None => {
+                        assert!(prunes, "{what}: pruned with alpha3 < 0");
+                        assert!(cost >= beat && cost >= bound, "{what}: pruned a winner");
+                        pruned_probes += 1;
+                    }
+                    Some(scored) => {
+                        assert_eq!(scored.to_bits(), cost.to_bits(), "{what}");
+                        pruned.rollback();
+                    }
+                }
                 probes += 1;
                 inc.rollback();
                 full.rollback();
-                if cost < current && best.as_ref().is_none_or(|(b, _)| cost < *b) {
+                if cost < beat {
                     best = Some((cost, patch));
                 }
             }
             if let Some((cost, patch)) = best {
-                inc.apply(&patch).unwrap();
-                full.apply(&patch).unwrap();
-                inc.commit();
-                full.commit();
+                for eval in [&mut inc, &mut full, &mut pruned] {
+                    eval.apply(&patch).unwrap();
+                    eval.commit();
+                    assert_eq!(eval.total_cost().to_bits(), cost.to_bits(), "{name}");
+                }
+                pruned.verify_consistency();
                 current = cost;
+                current_c3 = inc.cost().c3_interconnect;
+                committed.push(patch);
             }
         }
-        assert_eq!(
-            current.to_bits(),
-            report.mixed_cost.to_bits(),
-            "{}",
-            nl.name()
-        );
-        assert_eq!(inc.total_cost().to_bits(), current.to_bits());
-        assert_eq!(full.total_cost().to_bits(), current.to_bits());
+        assert_eq!(current.to_bits(), report.mixed_cost.to_bits(), "{name}");
         inc.verify_consistency();
         full.verify_consistency();
+        let unpruned = materialize(&nl, &Patch::concat(&committed)).unwrap();
+        assert_eq!(
+            to_bench(&out),
+            to_bench(&unpruned),
+            "{name}: returned netlist"
+        );
+        assert_eq!(
+            (report.probes, report.pruned_probes),
+            (probes, pruned_probes)
+        );
+        if prunes {
+            assert!(pruned_probes > 0, "{name}: the bound pruned nothing");
+        } else {
+            assert_eq!(pruned_probes, 0, "{name}");
+        }
     }
 }
 
