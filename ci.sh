@@ -21,7 +21,8 @@
 # sweeps, resume, ATPG determinism) is pinned by the workspace tests.
 # A CLI leg checks that the fault-patch sweep and its per-fault CSR
 # re-simulation oracle detect the same number of faults on c1908, and
-# another that the per-gate resynthesis search prunes probes there.
+# another that the per-gate resynthesis search prunes probes there and
+# on a sequential s1423.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -73,16 +74,20 @@ fi
 
 echo "== per-gate resynthesis: bound pruning"
 # The per-gate search prunes the probes whose lower bound (the cost at
-# the pre-patch separation) already loses; on a generated c1908 the
-# stderr line must report a nonzero pruned count.
-target/release/iddq synth "$sweep_dir/c1908.bench" --resynth --per-gate --seed 3 \
-    --generations 5 >/dev/null 2>"$sweep_dir/resynth.err"
-pruned_line="$(grep -o '[0-9]* of [0-9]* probes pruned' "$sweep_dir/resynth.err")"
-echo "per-gate search: $pruned_line"
-if [ "${pruned_line%% *}" -eq 0 ]; then
-    echo "ERROR: the per-gate search pruned no probe"
-    exit 1
-fi
+# the pre-patch separation) already loses; on a generated combinational
+# c1908 and a generated sequential s1423 (whose DFFs sit in the current
+# histogram at t = 0) the stderr line must report a nonzero pruned count.
+target/release/iddq gen s1423 --seed 5 --out "$sweep_dir/s1423.bench" 2>/dev/null
+for circuit in c1908 s1423; do
+    target/release/iddq synth "$sweep_dir/$circuit.bench" --resynth --per-gate --seed 3 \
+        --generations 5 >/dev/null 2>"$sweep_dir/resynth.err"
+    pruned_line="$(grep -o '[0-9]* of [0-9]* probes pruned' "$sweep_dir/resynth.err")"
+    echo "per-gate search on $circuit: $pruned_line"
+    if [ "${pruned_line%% *}" -eq 0 ]; then
+        echo "ERROR: the per-gate search pruned no probe on $circuit"
+        exit 1
+    fi
+done
 
 echo "== scale smoke"
 # A 10^5-gate generated circuit: CSR build + one full sweep + a GateSep

@@ -36,8 +36,28 @@
 //!   full ρ-ball re-derivation is retained behind
 //!   [`ResynthEval::new_full_refresh`] as the differential reference,
 //!   and the two are pinned bit-identical by proptests;
+//! * **current histogram** — the §3.1 peak-current estimate sums, per
+//!   transition time, the `î_DD,max` of every gate that can switch then.
+//!   The per-slot sums and gate counts are updated wherever a gate's
+//!   (time set, peak current) pair changes — the time walk, a kind or
+//!   arity edit, a removal and a rollback's time restore — so scoring
+//!   reads the peak with one max over the slots instead of walking every
+//!   gate's time set. This is exact, not merely close: when every library
+//!   cell's peak current is a non-negative integer of at most 2²⁰ µA
+//!   (the generic 1 µm cells carry `c_out·5 + 60·n` = 200 + 105·n µA),
+//!   a slot sums at most 2³² gates, so every partial sum, in any order
+//!   and under any mix of adds and subtracts, is an integer of at most
+//!   2⁵² and exact in f64 — bit-identical to the rebuild's in-order sum. A
+//!   library that breaks the precondition (checked once, on
+//!   construction) is scored by rebuilding the histogram on every
+//!   scoring, and that scan is also the oracle of
+//!   [`ResynthEval::verify_consistency`]. State elements cannot be
+//!   patched (as in `DeltaSim`), so a source's time set `{0}` never
+//!   changes;
 //! * **levels** — batched re-levelization with atomic cycle rejection,
-//!   exactly like the logic-side `DeltaSim`.
+//!   exactly like the logic-side `DeltaSim`; a patch that only
+//!   subdivides fan-in edges (see *Probes*) cannot close a cycle, so its
+//!   levels move in a wave that stops wherever a level holds.
 //!
 //! [`ResynthEval::total_cost`] then assembles the paper's single-module
 //! cost (the partition-independent objective `iddq-synth` steers by)
@@ -57,8 +77,8 @@
 //! frame: the structural inverse plus logs of the derived state the
 //! apply overwrote. [`ResynthEval::rollback`] re-applies the inverse and
 //! restores the derived state from those logs, bit-for-bit and in
-//! O(changed entries): transition-time sets and neighbour weights from
-//! value snapshots, near rows from an entry log of `(gate, partner,
+//! O(changed entries): transition-time sets, levels and neighbour
+//! weights from value snapshots, near rows from an entry log of `(gate, partner,
 //! previous distance)` on the incremental ΔW path, and from whole-row
 //! snapshots on the ball refresh and for removals.
 //!
@@ -71,6 +91,16 @@
 //! never touches a row. [`ResynthEval::commit`] makes the applied
 //! patches permanent. The candidate-search pattern is apply → score →
 //! rollback per losing candidate, commit for the winner.
+//!
+//! A winner probed before the last candidate has been rolled back by
+//! the time it is chosen. The rollback of an exactly scored
+//! [`ResynthEval::probe`] therefore keeps the probe's forward state —
+//! its new transition-time sets and neighbour weights and its unflushed
+//! row edits — and an [`ResynthEval::apply`] of the same patch on the
+//! same structure (same structure id) replays the structural edit and
+//! copies that state back instead of recomputing it. The kept state is
+//! what a fresh apply would compute: every derived quantity is a pure
+//! function of the structure. A commit drops it.
 //!
 //! # Probes
 //!
@@ -108,7 +138,7 @@
 //!   bound is `<=` the exact cost bit for bit. With `α₃ < 0` (or NaN)
 //!   the inequality flips, so `probe` prunes only when `α₃ >= 0`.
 
-use iddq_celllib::NodeTables;
+use iddq_celllib::{Library, NodeTables};
 use iddq_netlist::cone::DynamicCones;
 use iddq_netlist::patch::{Patch, PatchError, PatchOp};
 use iddq_netlist::{CellKind, NodeId, TimeSet};
@@ -127,12 +157,19 @@ use crate::evaluator::{
 #[derive(Debug)]
 struct UndoFrame {
     inverse: Patch,
+    /// The applied patch, on the frames of exactly scored probes and of
+    /// their replays: their rollback keeps the forward state as a
+    /// [`Redo`].
+    probed: Option<Patch>,
     /// `(node, previous set)` for every transition-time set the apply
     /// changed or popped, in change order.
     times_log: Vec<(u32, TimeSet)>,
     /// `(gate, previous weight)` for every separation weight the apply
     /// changed or popped.
     w_log: Vec<(u32, u64)>,
+    /// `(node, previous level)` for every level the apply's
+    /// re-levelization moved.
+    level_log: Vec<(u32, u32)>,
     /// `(gate, previous near row)` for every maintained ΔW row the full
     /// ball refresh rewrote or a removal popped (at most one entry per
     /// gate: the ball is deduplicated and a popped gate lies outside
@@ -158,6 +195,27 @@ struct UndoFrame {
     sum_w_before: u64,
     /// The structure id before the apply (see `ResynthEval::structure_id`).
     structure_before: u64,
+}
+
+/// The forward derived state of a scored probe that was rolled back, so
+/// that re-applying the same patch on the same structure (the search
+/// re-applying its winner after probing the other style) copies the
+/// state back instead of recomputing it.
+#[derive(Debug)]
+struct Redo {
+    patch: Patch,
+    /// The structure id the patch was applied on.
+    structure_before: u64,
+    /// `(node, set after the apply)` for every logged transition-time set.
+    times: Vec<(u32, TimeSet)>,
+    /// `(gate, weight after the apply)` for every logged neighbour weight.
+    w: Vec<(u32, u64)>,
+    sum_w: u64,
+    /// Whether the ΔW rows were maintained: a state kept without them
+    /// lacks the row edits a replay onto maintained rows would need.
+    rows: bool,
+    /// The apply's deferred ΔW pair edits (never flushed).
+    row_edits: Vec<(u32, u32, u32)>,
 }
 
 /// The separation dirty set of one apply, captured on the *pre-patch*
@@ -241,6 +299,110 @@ struct RefreshScratch {
     queue: Vec<u32>,
 }
 
+/// Largest peak current (µA) of a library cell the maintained current
+/// histogram accepts: with at most 2³² gates (`u32` ids) a slot sum of
+/// integers up to 2²⁰ stays at most 2⁵², so it is exact in f64.
+const EXACT_PEAK_MAX_UA: f64 = (1u64 << 20) as f64;
+
+/// The §3.1 current histogram over transition times: per slot, the
+/// `Σ î_DD,max` of the gates that can switch then and their number.
+/// Maintained incrementally when `exact` (every library peak current an
+/// integer in `[0, EXACT_PEAK_MAX_UA]`, see the [module docs](self));
+/// otherwise the updates are no-ops and scoring rebuilds it with
+/// [`CurrentHist::rescan`]. Slots past the current horizon hold exact
+/// zeros and never move the maxima.
+#[derive(Debug, Default)]
+struct CurrentHist {
+    exact: bool,
+    cur: Vec<f64>,
+    cnt: Vec<u32>,
+}
+
+impl CurrentHist {
+    /// An empty histogram, maintained iff every cell of `library` has an
+    /// integer peak current in `[0, EXACT_PEAK_MAX_UA]`.
+    fn for_library(library: &Library) -> Self {
+        let exact = library.iter().all(|cell| {
+            let p = cell.peak_current_ua;
+            (0.0..=EXACT_PEAK_MAX_UA).contains(&p) && p.fract() == 0.0
+        });
+        CurrentHist {
+            exact,
+            ..CurrentHist::default()
+        }
+    }
+
+    /// Counts a gate switching at every time of `set` with peak `peak`.
+    fn add(&mut self, set: &TimeSet, peak: f64) {
+        if !self.exact {
+            return;
+        }
+        for t in set.iter() {
+            let t = t as usize;
+            if t >= self.cur.len() {
+                self.cur.resize(t + 1, 0.0);
+                self.cnt.resize(t + 1, 0);
+            }
+            self.cur[t] += peak;
+            self.cnt[t] += 1;
+        }
+    }
+
+    /// Takes back an earlier [`CurrentHist::add`] of the same pair.
+    fn remove(&mut self, set: &TimeSet, peak: f64) {
+        if !self.exact {
+            return;
+        }
+        for t in set.iter() {
+            self.cur[t as usize] -= peak;
+            self.cnt[t as usize] -= 1;
+        }
+    }
+
+    /// Moves a gate with time set `set` from peak `old` to peak `new`.
+    fn repeak(&mut self, set: &TimeSet, old: f64, new: f64) {
+        if !self.exact || old.to_bits() == new.to_bits() {
+            return;
+        }
+        for t in set.iter() {
+            self.cur[t as usize] = self.cur[t as usize] - old + new;
+        }
+    }
+
+    /// Rebuilds the histogram from every gate's time set — the scan the
+    /// maintained histogram replaces, kept as the scoring path of an
+    /// inexact library and as the consistency oracle.
+    fn rescan(&mut self, kinds: &[Option<CellKind>], times: &[TimeSet], peak_ua: &[f64]) {
+        // Horizon: one past the largest transition time.
+        let horizon = times
+            .iter()
+            .filter_map(TimeSet::max)
+            .max()
+            .map_or(1, |t| t as usize + 1);
+        self.cur.clear();
+        self.cur.resize(horizon, 0.0);
+        self.cnt.clear();
+        self.cnt.resize(horizon, 0);
+        for (i, set) in times.iter().enumerate() {
+            if kinds[i].is_none() {
+                continue;
+            }
+            for t in set.iter() {
+                self.cur[t as usize] += peak_ua[i];
+                self.cnt[t as usize] += 1;
+            }
+        }
+    }
+
+    /// The peak current and the peak activity over all slots.
+    fn peaks(&self) -> (f64, u32) {
+        (
+            self.cur.iter().copied().fold(0.0, f64::max),
+            self.cnt.iter().copied().max().unwrap_or(0),
+        )
+    }
+}
+
 /// Work accounting of one [`ResynthEval::apply`] / rollback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PatchImpact {
@@ -317,10 +479,14 @@ pub struct ResynthEval<'a> {
     /// Undo frames (inverse patch + derived-state snapshots), innermost
     /// last.
     undo: Vec<UndoFrame>,
+    /// The rolled-back scored probes of the current search step (all
+    /// applied on one structure), newest last.
+    redo: Vec<Redo>,
     /// Per-apply change logs, drained into the [`UndoFrame`] on success
     /// and discarded on rejection (the repair pass recomputes instead).
     times_log: Vec<(u32, TimeSet)>,
     w_log: Vec<(u32, u64)>,
+    level_log: Vec<(u32, u32)>,
     row_log: Vec<(u32, Vec<(u32, u32)>)>,
     row_edits: Vec<(u32, u32, u32)>,
     /// The row table taken out by a bulk-edit apply in flight, drained
@@ -336,9 +502,10 @@ pub struct ResynthEval<'a> {
     /// lazily (patches move both delays and paths).
     nominal_delay_ps: f64,
     nominal_dirty: bool,
+    /// The §3.1 current histogram of `times` and the peak-current rows
+    /// (see [`CurrentHist`]).
+    hist: CurrentHist,
     // Scoring scratch (reused across `cost` calls).
-    hist_cur: Vec<f64>,
-    hist_cnt: Vec<u32>,
     weight: Vec<f64>,
     arr: Vec<f64>,
     /// Region-sized separation-refresh scratch (see [`RefreshScratch`]).
@@ -398,6 +565,12 @@ impl<'a> ResynthEval<'a> {
         let sum_w = near_w.iter().sum();
         let n = nl.node_count();
         let rho = ctx.config.rho;
+        let tables = ctx.tables.clone();
+        let times = ctx.times.clone();
+        let mut hist = CurrentHist::for_library(ctx.library);
+        if hist.exact {
+            hist.rescan(&kinds, &times, &tables.peak_current_ua);
+        }
         let rows = incremental.then(|| {
             let table = ctx.sep_table();
             debug_assert_eq!(table.rho(), rho, "table built at the configured ρ");
@@ -417,8 +590,8 @@ impl<'a> ResynthEval<'a> {
             ctx,
             kinds,
             cones: DynamicCones::new(nl),
-            tables: ctx.tables.clone(),
-            times: ctx.times.clone(),
+            tables,
+            times,
             near_w,
             rows,
             incremental,
@@ -428,8 +601,10 @@ impl<'a> ResynthEval<'a> {
             gate_count: ctx.gates.len(),
             outputs: nl.outputs().iter().map(|o| o.0).collect(),
             undo: Vec::new(),
+            redo: Vec::new(),
             times_log: Vec::new(),
             w_log: Vec::new(),
+            level_log: Vec::new(),
             row_log: Vec::new(),
             row_edits: Vec::new(),
             rows_evicted: None,
@@ -438,8 +613,7 @@ impl<'a> ResynthEval<'a> {
             level_slots: Vec::new(),
             nominal_delay_ps: ctx.nominal_delay_ps,
             nominal_dirty: false,
-            hist_cur: Vec::new(),
-            hist_cnt: Vec::new(),
+            hist,
             weight: vec![0.0; n],
             arr: vec![0.0; n],
             refresh_scratch: RefreshScratch::default(),
@@ -466,18 +640,24 @@ impl<'a> ResynthEval<'a> {
     }
 
     /// Applies a patch: structural edit, batched re-levelization, then a
-    /// refresh of the dirtied derived state. The inverse lands on the
-    /// undo stack.
+    /// refresh of the dirtied derived state — or a copy of the state a
+    /// rolled-back probe of the same patch on this structure kept (see
+    /// the [module docs](self#lifecycle)). The inverse lands on the undo
+    /// stack.
     ///
     /// # Errors
     ///
     /// Returns a [`PatchError`] (evaluation unchanged) when an op targets
-    /// a non-gate, uses an illegal arity or id, or would create a cycle.
+    /// a non-gate, uses an illegal arity or id, would create a cycle, or
+    /// adds, rekinds, rewires or removes a state element.
     pub fn apply(&mut self, patch: &Patch) -> Result<PatchImpact, PatchError> {
+        if let Some(impact) = self.replay(patch) {
+            return Ok(impact);
+        }
         let sum_w_before = self.sum_w;
         let (inverse, dirty, times_visited) = self.apply_inner(patch)?;
         let separation_recomputed = self.refresh_separation(patch, &dirty);
-        self.push_frame(inverse, sum_w_before);
+        self.push_frame(inverse, sum_w_before, None);
         Ok(PatchImpact {
             times_visited,
             separation_recomputed,
@@ -510,14 +690,14 @@ impl<'a> ResynthEval<'a> {
         if prunable {
             let bound = self.cost_at(separation_before);
             if bound.total(weights, penalty) >= beat {
-                self.push_frame(inverse, sum_w_before);
+                self.push_frame(inverse, sum_w_before, None);
                 self.rollback();
                 return Ok(None);
             }
             bounded = Some(bound);
         }
         self.refresh_separation(patch, &dirty);
-        self.push_frame(inverse, sum_w_before);
+        self.push_frame(inverse, sum_w_before, Some(patch.clone()));
         // Only c₃ reads the separation, so the bound's breakdown becomes
         // the exact one by swapping that term.
         let exact = match bounded {
@@ -536,7 +716,7 @@ impl<'a> ResynthEval<'a> {
     /// gate it contracts into); every fan-in edge the patch writes must
     /// then contract onto a pre-patch fan-in edge of that gate, or onto
     /// the gate itself. Checked on the pre-patch structure; conservative
-    /// (a `false` only costs the bound).
+    /// (a `false` only costs the bound and the early-stopping relevel).
     fn subdivides(&self, patch: &Patch) -> bool {
         let n = self.kinds.len();
         let mut owner: Vec<Option<u32>> = Vec::new();
@@ -573,13 +753,95 @@ impl<'a> ResynthEval<'a> {
         true
     }
 
+    /// Re-applies `patch` from a [`Redo`] kept for it on the current
+    /// structure: the structural edit and the re-levelization run again
+    /// (they succeeded on this structure before), and the transition
+    /// times, neighbour weights and deferred row edits are copied back —
+    /// the values a fresh apply would recompute, since every derived
+    /// quantity is a function of the structure. `None` (nothing done)
+    /// when no probe of `patch` was rolled back on this structure.
+    // Documented invariant: the kept patch was accepted on this very
+    // structure, so neither step can fail.
+    #[allow(clippy::expect_used)]
+    fn replay(&mut self, patch: &Patch) -> Option<PatchImpact> {
+        let k = self.redo.iter().position(|r| {
+            r.structure_before == self.structure_id
+                && r.patch == *patch
+                && r.rows == self.rows.is_some()
+        })?;
+        let redo = self.redo.swap_remove(k);
+        self.flush_row_edits();
+        self.times_log.clear();
+        self.w_log.clear();
+        self.level_log.clear();
+        self.row_log.clear();
+        let sum_w_before = self.sum_w;
+        let subdivision = self.subdivides(patch);
+        let inverse = self
+            .apply_structure(patch)
+            .unwrap_or_else(|_| panic!("a kept probe applies on its own structure"));
+        self.relevel(patch, subdivision)
+            .unwrap_or_else(|_| panic!("a kept probe re-levels on its own structure"));
+        let times_visited = redo.times.len();
+        for (i, set) in redo.times {
+            let i = i as usize;
+            let peak = self.tables.peak_current_ua[i];
+            self.hist.remove(&self.times[i], peak);
+            self.hist.add(&set, peak);
+            let old = std::mem::replace(&mut self.times[i], set);
+            self.times_log.push((i as u32, old));
+        }
+        for (g, w) in redo.w {
+            let old = std::mem::replace(&mut self.near_w[g as usize], w);
+            self.w_log.push((g, old));
+        }
+        self.sum_w = redo.sum_w;
+        self.row_edits = redo.row_edits;
+        self.order_dirty = true;
+        self.nominal_dirty = true;
+        self.push_frame(inverse, sum_w_before, Some(redo.patch));
+        Some(PatchImpact {
+            times_visited,
+            separation_recomputed: 0,
+        })
+    }
+
+    /// Batched re-levelization after the structural edit of `patch`,
+    /// seeded by the rewired gates whose local level moved, logging the
+    /// moves for the rollback. A `subdivision` (as [`Self::subdivides`]
+    /// reported before the edit) cannot close a cycle — contracting each
+    /// inserted node into its gate maps a new cycle onto an old one — so
+    /// its levels move in a wave that stops where they hold; any other
+    /// patch walks the whole fanout cone with the atomic cycle check.
+    fn relevel(&mut self, patch: &Patch, subdivision: bool) -> Result<(), u32> {
+        let seeds: Vec<u32> = patch
+            .ops
+            .iter()
+            .filter(|op| matches!(op, PatchOp::SetFanin { .. }))
+            .map(|op| op.gate().0)
+            .filter(|&g| (g as usize) < self.kinds.len())
+            .filter(|&g| self.cones.local_level(g as usize) != self.cones.level(g as usize))
+            .collect();
+        if seeds.is_empty() {
+            Ok(())
+        } else if subdivision {
+            self.cones.relevel_acyclic(&seeds, &mut self.level_log);
+            Ok(())
+        } else {
+            self.cones.relevel(&seeds, &mut self.level_log)
+        }
+    }
+
     /// Pushes the undo frame of an apply whose structural part returned
-    /// `inverse` and moves to a fresh structure id.
-    fn push_frame(&mut self, inverse: Patch, sum_w_before: u64) {
+    /// `inverse` and moves to a fresh structure id. `probed` is the patch
+    /// of an exactly scored probe (see [`Redo`]).
+    fn push_frame(&mut self, inverse: Patch, sum_w_before: u64, probed: Option<Patch>) {
         self.undo.push(UndoFrame {
             inverse,
+            probed,
             times_log: std::mem::take(&mut self.times_log),
             w_log: std::mem::take(&mut self.w_log),
+            level_log: std::mem::take(&mut self.level_log),
             row_log: std::mem::take(&mut self.row_log),
             row_edits: std::mem::take(&mut self.row_edits),
             entry_log: Vec::new(),
@@ -618,7 +880,8 @@ impl<'a> ResynthEval<'a> {
     /// inverse is re-applied and the derived state is *restored* from the
     /// frame's snapshots (bit-identical to the state before the matching
     /// apply, and O(changed entries) instead of a dirty-region
-    /// recomputation).
+    /// recomputation). Rolling back an exactly scored probe keeps its
+    /// forward state for a re-apply.
     ///
     /// # Panics
     ///
@@ -628,26 +891,44 @@ impl<'a> ResynthEval<'a> {
     #[allow(clippy::expect_used)]
     pub fn rollback(&mut self) -> PatchImpact {
         let rho = self.ctx.config.rho;
-        let frame = self.undo.pop().expect("no patch to roll back");
+        let mut frame = self.undo.pop().expect("no patch to roll back");
+        // A scored probe keeps its forward state for a re-apply, unless
+        // its row edits already reached the rows or it rebuilt them
+        // wholesale.
+        if let Some(patch) = frame.probed.take() {
+            if frame.entry_log.is_empty()
+                && frame.row_log.is_empty()
+                && frame.rows_evicted.is_none()
+            {
+                let alive = self.kinds.len();
+                let redo = Redo {
+                    patch,
+                    structure_before: frame.structure_before,
+                    times: (frame.times_log.iter())
+                        .filter(|&&(i, _)| (i as usize) < alive)
+                        .map(|&(i, _)| (i, self.times[i as usize].clone()))
+                        .collect(),
+                    w: (frame.w_log.iter())
+                        .filter(|&&(g, _)| (g as usize) < alive)
+                        .map(|&(g, _)| (g, self.near_w[g as usize]))
+                        .collect(),
+                    sum_w: self.sum_w,
+                    rows: self.rows.is_some(),
+                    row_edits: std::mem::take(&mut frame.row_edits),
+                };
+                self.redo
+                    .retain(|r| r.structure_before == redo.structure_before);
+                self.redo.push(redo);
+            }
+        }
         self.times_log.clear();
         self.w_log.clear();
         self.row_log.clear();
+        // Levels first: a node the revert re-inserts takes its level from
+        // its fan-in's restored levels.
+        self.cones.restore_levels(&frame.level_log);
         self.apply_structure(&frame.inverse)
             .unwrap_or_else(|_| panic!("inverse of an accepted patch is always valid"));
-        let relevel_seeds: Vec<u32> = frame
-            .inverse
-            .ops
-            .iter()
-            .filter(|op| matches!(op, PatchOp::SetFanin { .. }))
-            .map(|op| op.gate().0)
-            .filter(|&g| (g as usize) < self.kinds.len())
-            .filter(|&g| self.cones.local_level(g as usize) != self.cones.level(g as usize))
-            .collect();
-        if !relevel_seeds.is_empty() {
-            self.cones
-                .relevel(&relevel_seeds)
-                .expect("restoring the original levels cannot fail");
-        }
         // Restore snapshots newest-first; entries for nodes the structural
         // revert popped again (insertions of the rolled-back patch) are
         // skipped.
@@ -657,8 +938,12 @@ impl<'a> ResynthEval<'a> {
         let alive = self.kinds.len();
         let mut impact = PatchImpact::default();
         for (i, ts) in frame.times_log.into_iter().rev() {
-            if (i as usize) < alive {
-                self.times[i as usize] = ts;
+            let i = i as usize;
+            if i < alive {
+                let peak = self.tables.peak_current_ua[i];
+                self.hist.remove(&self.times[i], peak);
+                self.hist.add(&ts, peak);
+                self.times[i] = ts;
                 impact.times_visited += 1;
             }
         }
@@ -701,6 +986,7 @@ impl<'a> ResynthEval<'a> {
     pub fn commit(&mut self) {
         self.flush_row_edits();
         self.undo.clear();
+        self.redo.clear();
     }
 
     /// The structural part of an apply: flushes the previous frame's row
@@ -713,6 +999,7 @@ impl<'a> ResynthEval<'a> {
         self.flush_row_edits();
         self.times_log.clear();
         self.w_log.clear();
+        self.level_log.clear();
         self.row_log.clear();
         self.row_edits.clear();
         let rho = self.ctx.config.rho;
@@ -779,6 +1066,7 @@ impl<'a> ResynthEval<'a> {
             SepDirty::Ball(ball)
         };
 
+        let subdivision = self.subdivides(patch);
         let inverse = match self.apply_structure(patch) {
             Ok(inverse) => inverse,
             Err((e, _reverted_prefix)) => {
@@ -797,29 +1085,17 @@ impl<'a> ResynthEval<'a> {
                 return Err(e);
             }
         };
-        // Batched re-levelization, seeded by the rewired gates whose local
-        // level moved (the airtight cycle prune, as in `DeltaSim`).
-        let relevel_seeds: Vec<u32> = patch
-            .ops
-            .iter()
-            .filter(|op| matches!(op, PatchOp::SetFanin { .. }))
-            .map(|op| op.gate().0)
-            .filter(|&g| (g as usize) < self.kinds.len())
-            .filter(|&g| self.cones.local_level(g as usize) != self.cones.level(g as usize))
-            .collect();
-        if !relevel_seeds.is_empty() {
-            if let Err(on) = self.cones.relevel(&relevel_seeds) {
-                // Cycle: levels untouched (atomic relevel); revert the
-                // structural edit and repair derived state (the evicted
-                // row table, if any, is still exact — see above).
-                self.apply_structure(&inverse)
-                    .unwrap_or_else(|_| panic!("re-applying an inverse cannot fail"));
-                self.refresh(patch, &dirty);
-                if let Some(rows) = self.rows_evicted.take() {
-                    self.rows = Some(rows);
-                }
-                return Err(PatchError::Cycle(NodeId(on)));
+        if let Err(on) = self.relevel(patch, subdivision) {
+            // Cycle: levels untouched (atomic relevel); revert the
+            // structural edit and repair derived state (the evicted row
+            // table, if any, is still exact — see above).
+            self.apply_structure(&inverse)
+                .unwrap_or_else(|_| panic!("re-applying an inverse cannot fail"));
+            self.refresh(patch, &dirty);
+            if let Some(rows) = self.rows_evicted.take() {
+                self.rows = Some(rows);
             }
+            return Err(PatchError::Cycle(NodeId(on)));
         }
         let times_visited = self.refresh_times(patch);
         Ok((inverse, dirty, times_visited))
@@ -902,6 +1178,9 @@ impl<'a> ResynthEval<'a> {
                 if gate.0 != expected {
                     return Err(PatchError::NotAppend { gate, expected });
                 }
+                if kind.is_state() {
+                    return Err(PatchError::StateElement(gate));
+                }
                 if !kind.accepts_fanin(fanin.len()) {
                     return Err(PatchError::BadArity {
                         gate,
@@ -917,7 +1196,9 @@ impl<'a> ResynthEval<'a> {
                 Ok(())
             }
             PatchOp::SetKind { kind, .. } => {
-                self.gate_kind(gate)?;
+                if self.gate_kind(gate)?.is_state() || kind.is_state() {
+                    return Err(PatchError::StateElement(gate));
+                }
                 let arity = self.cones.fanin(gi).len();
                 if !kind.accepts_fanin(arity) {
                     return Err(PatchError::BadArity {
@@ -930,6 +1211,9 @@ impl<'a> ResynthEval<'a> {
             }
             PatchOp::SetFanin { fanin, .. } => {
                 let kind = self.gate_kind(gate)?;
+                if kind.is_state() {
+                    return Err(PatchError::StateElement(gate));
+                }
                 if !kind.accepts_fanin(fanin.len()) {
                     return Err(PatchError::BadArity {
                         gate,
@@ -945,7 +1229,9 @@ impl<'a> ResynthEval<'a> {
                 Ok(())
             }
             PatchOp::RemoveGate { .. } => {
-                let _ = self.gate_kind(gate)?;
+                if self.gate_kind(gate)?.is_state() {
+                    return Err(PatchError::StateElement(gate));
+                }
                 // A primary output is load-bearing even with no gate
                 // consumers: removal would leave a dangling output id.
                 if gi + 1 != self.kinds.len()
@@ -1001,9 +1287,10 @@ impl<'a> ResynthEval<'a> {
                 let list: Vec<u32> = fanin.iter().map(|f| f.0).collect();
                 self.kinds.push(Some(*kind));
                 self.cones.push_node(&list);
+                // The empty time set first: the row below counts it.
+                self.times.push(TimeSet::new());
                 self.push_table_row();
                 self.set_table_row(gate.index());
-                self.times.push(TimeSet::new());
                 self.near_w.push(0);
                 if let Some(rows) = self.rows.as_mut() {
                     rows.push(Vec::new());
@@ -1016,8 +1303,10 @@ impl<'a> ResynthEval<'a> {
             PatchOp::RemoveGate { gate } => {
                 let kind = self.kinds.pop().flatten().expect("validated gate");
                 let fanin = self.cones.pop_node();
-                self.pop_table_row();
                 let popped_times = self.times.pop().expect("aligned");
+                self.hist
+                    .remove(&popped_times, self.tables.peak_current_ua[gate.index()]);
+                self.pop_table_row();
                 self.times_log.push((gate.0, popped_times));
                 // Partner weights in the ball are re-derived by `refresh`;
                 // the popped gate's own weight leaves the sum here (and
@@ -1043,7 +1332,8 @@ impl<'a> ResynthEval<'a> {
 
     /// Re-derives the electrical row of gate `i` from the library — the
     /// same lookup [`NodeTables::new`] performs, so rows stay bit-exact
-    /// with a rebuilt context.
+    /// with a rebuilt context — and moves the gate's current-histogram
+    /// entries to the new peak.
     // Only called for validated gate indices.
     #[allow(clippy::expect_used)]
     fn set_table_row(&mut self, i: usize) {
@@ -1052,6 +1342,8 @@ impl<'a> ResynthEval<'a> {
         let t = &mut self.tables;
         t.delay_ps[i] = cell.delay_ps;
         t.grid_delay[i] = self.ctx.technology.to_grid(cell.delay_ps);
+        self.hist
+            .repeak(&self.times[i], t.peak_current_ua[i], cell.peak_current_ua);
         t.peak_current_ua[i] = cell.peak_current_ua;
         t.r_on_kohm[i] = cell.r_on_kohm;
         t.c_out_ff[i] = cell.c_out_ff;
@@ -1117,6 +1409,7 @@ impl<'a> ResynthEval<'a> {
             ref mut cones,
             ref mut times,
             ref mut times_log,
+            ref mut hist,
             ref tables,
             ref kinds,
             ..
@@ -1136,6 +1429,9 @@ impl<'a> ResynthEval<'a> {
             if acc == times[i] {
                 false
             } else {
+                let peak = tables.peak_current_ua[i];
+                hist.remove(&times[i], peak);
+                hist.add(&acc, peak);
                 times_log.push((i as u32, std::mem::replace(&mut times[i], acc)));
                 true
             }
@@ -1694,27 +1990,17 @@ impl<'a> ResynthEval<'a> {
     fn cost_at(&mut self, separation: u64) -> CostBreakdown {
         self.settle_structure();
         let n = self.kinds.len();
-        // Histogram horizon: one past the largest transition time.
-        let horizon = self
-            .times
-            .iter()
-            .filter_map(TimeSet::max)
-            .max()
-            .map_or(1, |t| t as usize + 1);
-        self.hist_cur.clear();
-        self.hist_cur.resize(horizon, 0.0);
-        self.hist_cnt.clear();
-        self.hist_cnt.resize(horizon, 0);
+        if !self.hist.exact {
+            self.hist
+                .rescan(&self.kinds, &self.times, &self.tables.peak_current_ua);
+        }
+        let (peak_current_ua, peak_activity) = self.hist.peaks();
         let mut leakage_na = 0.0f64;
         let mut rail_cap_ff = 0.0f64;
         let mut cell_area = 0.0f64;
         for i in 0..n {
             if self.kinds[i].is_none() {
                 continue;
-            }
-            for t in self.times[i].iter() {
-                self.hist_cur[t as usize] += self.tables.peak_current_ua[i];
-                self.hist_cnt[t as usize] += 1;
             }
             leakage_na += self.tables.leakage_na[i];
             rail_cap_ff += self.tables.c_rail_ff[i];
@@ -1723,8 +2009,8 @@ impl<'a> ResynthEval<'a> {
         let stats = ModuleStats {
             current_hist: Vec::new(),
             count_hist: Vec::new(),
-            peak_current_ua: self.hist_cur.iter().copied().fold(0.0, f64::max),
-            peak_activity: self.hist_cnt.iter().copied().max().unwrap_or(0),
+            peak_current_ua,
+            peak_activity,
             leakage_na,
             rail_cap_ff,
             cell_area,
@@ -1815,6 +2101,20 @@ impl<'a> ResynthEval<'a> {
                 acc
             };
             assert_eq!(want[i], self.times[i], "transition times of node {i}");
+        }
+        // The maintained current histogram against the scan, slot by
+        // slot (bits for the currents; slots past the scan's horizon
+        // must be exact zeros).
+        if self.hist.exact {
+            let mut truth = CurrentHist::default();
+            truth.rescan(&self.kinds, &self.times, &self.tables.peak_current_ua);
+            let slots = truth.cur.len().max(self.hist.cur.len());
+            for t in 0..slots {
+                let cur = |h: &CurrentHist| h.cur.get(t).copied().unwrap_or(0.0).to_bits();
+                let cnt = |h: &CurrentHist| h.cnt.get(t).copied().unwrap_or(0);
+                assert_eq!(cur(&truth), cur(&self.hist), "histogram current at t = {t}");
+                assert_eq!(cnt(&truth), cnt(&self.hist), "histogram count at t = {t}");
+            }
         }
         // Separation neighbour weights.
         let mut sum = 0u64;
@@ -1942,24 +2242,35 @@ mod tests {
 
     #[test]
     fn kind_flip_matches_rebuild_and_rolls_back() {
-        let lib = Library::generic_1um();
+        // The generic cells' peak currents are integers, so the current
+        // histogram is maintained; one fractional cell turns that off and
+        // every scoring rescans it.
+        let generic = Library::generic_1um();
+        let mut inexact = generic.clone();
+        let mut nand2 = generic.cell(CellKind::Nand, 2).clone();
+        nand2.peak_current_ua = 100.3;
+        inexact.override_cell(nand2);
         let cfg = PartitionConfig::paper_default();
         let nl = data::c17();
-        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-        let mut eval = ResynthEval::new(&ctx);
-        let base = eval.total_cost();
-        let patch = Patch::single(PatchOp::SetKind {
-            gate: nl.find("22").unwrap(),
-            kind: CellKind::And,
-        });
-        eval.apply(&patch).unwrap();
-        eval.verify_consistency();
-        let patched = eval.total_cost();
-        let oracle = rebuild_cost(&materialize(&nl, &patch).unwrap(), &lib, &cfg);
-        assert_eq!(patched.to_bits(), oracle.to_bits());
-        eval.rollback();
-        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
-        eval.verify_consistency();
+        for (lib, maintained) in [(&generic, true), (&inexact, false)] {
+            let ctx = EvalContext::new(&nl, lib, cfg.clone());
+            let mut eval = ResynthEval::new(&ctx);
+            assert_eq!(eval.hist.exact, maintained);
+            let base = eval.total_cost();
+            assert_eq!(base.to_bits(), rebuild_cost(&nl, lib, &cfg).to_bits());
+            let patch = Patch::single(PatchOp::SetKind {
+                gate: nl.find("22").unwrap(),
+                kind: CellKind::And,
+            });
+            eval.apply(&patch).unwrap();
+            eval.verify_consistency();
+            let patched = eval.total_cost();
+            let oracle = rebuild_cost(&materialize(&nl, &patch).unwrap(), lib, &cfg);
+            assert_eq!(patched.to_bits(), oracle.to_bits());
+            eval.rollback();
+            assert_eq!(eval.total_cost().to_bits(), base.to_bits());
+            eval.verify_consistency();
+        }
     }
 
     #[test]
@@ -2055,6 +2366,49 @@ mod tests {
         assert_eq!(eval.pending_patches(), 0);
         eval.verify_consistency();
         assert_eq!(eval.total_cost().to_bits(), base.to_bits());
+
+        // State elements are frame boundaries: no op may add, rekind,
+        // rewire or remove a DFF (a patched one would keep a stale
+        // transition-time set).
+        let nl = iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s27").unwrap(), 5);
+        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+        let mut eval = ResynthEval::new(&ctx);
+        let base = eval.total_cost();
+        let is = |id: NodeId, state: bool| {
+            nl.node(id)
+                .kind()
+                .cell_kind()
+                .is_some_and(|k| k.is_state() == state)
+        };
+        let dff = nl.node_ids().find(|&id| is(id, true)).unwrap();
+        let gate = nl.node_ids().find(|&id| is(id, false)).unwrap();
+        let ops = [
+            PatchOp::AddGate {
+                gate: NodeId(nl.node_count() as u32),
+                kind: CellKind::Dff,
+                fanin: vec![gate],
+            },
+            PatchOp::SetKind {
+                gate,
+                kind: CellKind::Dff,
+            },
+            PatchOp::SetKind {
+                gate: dff,
+                kind: CellKind::Not,
+            },
+            PatchOp::SetFanin {
+                gate: dff,
+                fanin: vec![gate],
+            },
+            PatchOp::RemoveGate { gate: dff },
+        ];
+        for op in ops {
+            let err = eval.apply(&Patch::single(op.clone())).unwrap_err();
+            assert!(matches!(err, PatchError::StateElement(_)), "{op:?}: {err}");
+            assert_eq!(eval.pending_patches(), 0);
+            assert_eq!(eval.total_cost().to_bits(), base.to_bits(), "{op:?}");
+            eval.verify_consistency();
+        }
     }
 
     #[test]
@@ -2290,6 +2644,19 @@ mod tests {
             eval.rows.is_none(),
             "commit makes the eviction permanent until the next small apply"
         );
+        // A bulk probe scored while the table is gone keeps its state
+        // without rows: once the table is back it must not be replayed.
+        let bulk = Patch {
+            ops: (0..9)
+                .map(|k| PatchOp::AddGate {
+                    gate: NodeId(tail.0 + k),
+                    kind: CellKind::Not,
+                    fanin: vec![some_gate],
+                })
+                .collect(),
+        };
+        assert!(eval.probe(&bulk, f64::INFINITY).unwrap().is_some());
+        eval.rollback();
         // Structure is back to the original c17, so original-netlist
         // oracles apply. The next small edit rebuilds the table lazily.
         let patch = Patch::single(PatchOp::SetKind {
@@ -2306,6 +2673,9 @@ mod tests {
         assert_eq!(eval.total_cost().to_bits(), oracle.to_bits());
         eval.rollback();
         eval.verify_consistency();
+        eval.apply(&bulk).unwrap();
+        eval.verify_consistency();
+        eval.rollback();
         let base = rebuild_cost(&nl, &lib, &cfg);
         assert_eq!(eval.total_cost().to_bits(), base.to_bits());
         // The full-refresh reference opts out of rows entirely: no lazy
@@ -2399,6 +2769,48 @@ mod tests {
         let ctx = EvalContext::new(&nl, &lib, negative);
         let mut eval = ResynthEval::new(&ctx);
         assert!(eval.probe(&split, f64::NEG_INFINITY).unwrap().is_some());
+    }
+
+    #[test]
+    fn rolled_back_probes_re_apply_from_their_kept_state() {
+        // The search's winner pattern: probe two candidates on one
+        // structure, roll both back, re-apply the first. The re-apply
+        // copies the probe's state back instead of rescoring the
+        // separation, on the ΔW path and on the full-refresh reference.
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        let nl = crate::evaluator::tests::seq_circuit();
+        let split = seq_decomposition(&nl, nl.node_count() as u32);
+        let rekind = Patch::single(PatchOp::SetKind {
+            gate: nl.find("G20").unwrap(),
+            kind: CellKind::And,
+        });
+        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+        let patched = fresh_cost(&nl, std::slice::from_ref(&split), &lib, &cfg).to_bits();
+        for mut eval in [ResynthEval::new(&ctx), ResynthEval::new_full_refresh(&ctx)] {
+            let base = eval.total_cost().to_bits();
+            // A pruned probe keeps nothing: the apply after it rescores.
+            assert_eq!(eval.probe(&split, f64::NEG_INFINITY).unwrap(), None);
+            assert!(eval.apply(&split).unwrap().separation_recomputed > 0);
+            eval.rollback();
+            assert!(eval.probe(&split, f64::INFINITY).unwrap().is_some());
+            eval.rollback();
+            assert!(eval.probe(&rekind, f64::INFINITY).unwrap().is_some());
+            eval.rollback();
+            // Replayed, rolled back and replayed again from the frame.
+            for _ in 0..2 {
+                assert_eq!(eval.apply(&split).unwrap().separation_recomputed, 0);
+                assert_eq!(eval.total_cost().to_bits(), patched);
+                eval.rollback();
+                assert_eq!(eval.total_cost().to_bits(), base);
+            }
+            assert_eq!(eval.apply(&rekind).unwrap().separation_recomputed, 0);
+            eval.rollback();
+            eval.verify_consistency();
+            assert_eq!(eval.apply(&split).unwrap().separation_recomputed, 0);
+            eval.commit();
+            assert_fresh(&mut eval, &nl, std::slice::from_ref(&split), &lib, &cfg);
+        }
     }
 
     /// A region rewrite of the 2-input `gate`: an inverted AND of its

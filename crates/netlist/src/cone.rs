@@ -37,6 +37,9 @@
 //! });
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::graph::{Netlist, NodeId};
 use crate::levelize;
 
@@ -453,7 +456,11 @@ impl DynamicCones {
 
     /// Recomputes levels over the transitive fanout of `seeds`, detecting
     /// cycles. On `Err(node)` no level has been modified — the caller can
-    /// revert its edge edits and the index is consistent again.
+    /// revert its edge edits and the index is consistent again. On `Ok`,
+    /// `(node, previous level)` is appended to `moved` for every level
+    /// that changed, so a caller that reverts the edge edits later can
+    /// put the levels back with [`DynamicCones::restore_levels`] instead
+    /// of walking the cone again.
     ///
     /// # Errors
     ///
@@ -462,7 +469,7 @@ impl DynamicCones {
     // (processed count vs. positive in-degree) is itself inconsistent —
     // a bug in this function, not an input condition.
     #[allow(clippy::expect_used)]
-    pub fn relevel(&mut self, seeds: &[u32]) -> Result<(), u32> {
+    pub fn relevel(&mut self, seeds: &[u32], moved: &mut Vec<(u32, u32)>) -> Result<(), u32> {
         self.generation += 1;
         let generation = self.generation;
         self.affected.clear();
@@ -552,13 +559,67 @@ impl DynamicCones {
             return Err(on);
         }
         for (i, lv) in new_level {
-            self.level[i as usize] = lv;
+            let old = std::mem::replace(&mut self.level[i as usize], lv);
+            if old != lv {
+                moved.push((i, old));
+            }
         }
         let max_level = self.level.iter().copied().max().unwrap_or(0) as usize;
         if self.buckets.len() <= max_level {
             self.buckets.resize_with(max_level + 1, Vec::new);
         }
         Ok(())
+    }
+
+    /// [`DynamicCones::relevel`] for edge edits that cannot close a
+    /// cycle: a wave from `seeds`, lowest level first, recomputes each
+    /// node it reaches and goes on only past the levels that moved,
+    /// instead of walking the whole transitive fanout for the cycle
+    /// check. Every move is logged into `moved` as there; a node may
+    /// move more than once, and [`DynamicCones::restore_levels`] undoes
+    /// the moves newest first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edits did close a cycle (a level would pass the
+    /// node count).
+    pub fn relevel_acyclic(&mut self, seeds: &[u32], moved: &mut Vec<(u32, u32)>) {
+        let bound = self.level.len() as u32;
+        let mut wave: BinaryHeap<Reverse<(u32, u32)>> = seeds
+            .iter()
+            .map(|&s| Reverse((self.level[s as usize], s)))
+            .collect();
+        while let Some(Reverse((_, i))) = wave.pop() {
+            let lv = self.local_level(i as usize);
+            let old = std::mem::replace(&mut self.level[i as usize], lv);
+            if lv == old {
+                continue;
+            }
+            assert!(lv <= bound, "the edits closed a cycle through node {i}");
+            moved.push((i, old));
+            if self.buckets.len() <= lv as usize {
+                self.buckets.resize_with(lv as usize + 1, Vec::new);
+            }
+            for &succ in &self.fanout[i as usize] {
+                // Levels never cross a sequential edge (see `relevel`).
+                if !self.is_input[succ as usize] {
+                    wave.push(Reverse((self.level[succ as usize], succ)));
+                }
+            }
+        }
+    }
+
+    /// Undoes the level moves a [`DynamicCones::relevel`] or
+    /// [`DynamicCones::relevel_acyclic`] logged into `moved`, newest
+    /// first, skipping nodes popped since. Only valid once the edge edits
+    /// that relevel followed are reverted and no other level moved in
+    /// between.
+    pub fn restore_levels(&mut self, moved: &[(u32, u32)]) {
+        for &(i, lv) in moved.iter().rev() {
+            if let Some(level) = self.level.get_mut(i as usize) {
+                *level = lv;
+            }
+        }
     }
 
     /// Splits out a level-ordered event-driven walker over the *current*
@@ -867,7 +928,7 @@ mod tests {
         let levels_before: Vec<u32> = (0..d.node_count()).map(|i| d.level(i)).collect();
         // 10 feeds 16 feeds 22; feeding 22 back into 10 closes a cycle.
         let old = d.set_fanin(g10, &[g22, nl.find("3").unwrap().0]);
-        assert!(d.relevel(&[g10 as u32]).is_err());
+        assert!(d.relevel(&[g10 as u32], &mut Vec::new()).is_err());
         d.set_fanin(g10, &old);
         for (i, &lv) in levels_before.iter().enumerate() {
             assert_eq!(d.level(i), lv, "levels untouched after rejected relevel");
@@ -888,10 +949,66 @@ mod tests {
         b.mark_output(g3);
         let nl = b.build().unwrap();
         let mut d = DynamicCones::new(&nl);
-        d.set_fanin(g3.index(), &[g2.0]);
+        let old = d.set_fanin(g3.index(), &[g2.0]);
         assert_eq!(d.local_level(g3.index()), 4);
-        d.relevel(&[g3.0]).unwrap();
+        let mut moved = Vec::new();
+        d.relevel(&[g3.0], &mut moved).unwrap();
         assert_eq!(d.level(g3.index()), 4);
+        assert_eq!(moved, vec![(g3.0, 1)]);
+        // Reverting the edge and the logged moves restores the levels.
+        d.set_fanin(g3.index(), &old);
+        d.restore_levels(&moved);
+        assert_eq!(d.level(g3.index()), 1);
+        assert_eq!(d.local_level(g3.index()), 1);
+    }
+
+    #[test]
+    fn acyclic_relevel_matches_the_checked_relevel() {
+        // A chain g0..g3 off `a`, x = AND(b, g3) at level 5 feeding y;
+        // z = AND(a, b) at level 1 feeding w; v = AND(w, y) joins both.
+        // One batch deepens z onto g3 and lowers x onto the inputs: the
+        // early-stopping wave must land on the checked relevel's levels
+        // (v's level falls through y and rises through w), and its log
+        // must restore the original ones.
+        let mut b = NetlistBuilder::new("wave");
+        let a = b.add_input("a");
+        let bi = b.add_input("b");
+        let mut prev = a;
+        for k in 0..4 {
+            prev = b
+                .add_gate(format!("g{k}"), CellKind::Not, vec![prev])
+                .unwrap();
+        }
+        let x = b.add_gate("x", CellKind::And, vec![bi, prev]).unwrap();
+        let y = b.add_gate("y", CellKind::Not, vec![x]).unwrap();
+        let z = b.add_gate("z", CellKind::And, vec![a, bi]).unwrap();
+        let w = b.add_gate("w", CellKind::Not, vec![z]).unwrap();
+        let v = b.add_gate("v", CellKind::And, vec![w, y]).unwrap();
+        b.mark_output(v);
+        let nl = b.build().unwrap();
+        let mut checked = DynamicCones::new(&nl);
+        let before: Vec<u32> = (0..checked.node_count())
+            .map(|i| checked.level(i))
+            .collect();
+        let old_z = checked.set_fanin(z.index(), &[prev.0, bi.0]);
+        let old_x = checked.set_fanin(x.index(), &[a.0, bi.0]);
+        let mut wave = checked.clone();
+        let seeds = [z.0, x.0];
+        checked.relevel(&seeds, &mut Vec::new()).unwrap();
+        let mut moved = Vec::new();
+        wave.relevel_acyclic(&seeds, &mut moved);
+        assert_eq!(wave.level(z.index()), 5);
+        assert_eq!(wave.level(x.index()), 1);
+        assert_eq!(wave.level(v.index()), 7);
+        for i in 0..wave.node_count() {
+            assert_eq!(wave.level(i), checked.level(i), "level of node {i}");
+        }
+        wave.set_fanin(x.index(), &old_x);
+        wave.set_fanin(z.index(), &old_z);
+        wave.restore_levels(&moved);
+        for (i, &lv) in before.iter().enumerate() {
+            assert_eq!(wave.level(i), lv, "restored level of node {i}");
+        }
     }
 
     #[test]
@@ -959,7 +1076,7 @@ mod tests {
         let ball = d.undirected_ball(&[n.0], 1);
         assert!(ball.contains(&q.0));
         // Releveling a region containing the DFF loop is not a cycle.
-        d.relevel(&[n.0, q.0]).unwrap();
+        d.relevel(&[n.0, q.0], &mut Vec::new()).unwrap();
         assert_eq!(d.level(q.index()), 0);
         assert_eq!(d.level(n.index()), 1);
     }
