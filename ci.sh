@@ -22,7 +22,8 @@
 # A CLI leg checks that the fault-patch sweep and its per-fault CSR
 # re-simulation oracle detect the same number of faults on c1908, and
 # another that the per-gate resynthesis search prunes probes there and
-# on a sequential s1423.
+# on a sequential s1423, and a third that `iddq test` (c1908) and `iddq
+# synth` (s1423) print the same bytes at 1 and 2 threads.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -87,6 +88,25 @@ for circuit in c1908 s1423; do
         echo "ERROR: the per-gate search pruned no probe on $circuit"
         exit 1
     fi
+done
+
+echo "== evolution: thread invariance through the CLI"
+# The evolution prunes Monte-Carlo descendants whose cost lower bound
+# loses to the surviving parents; what it selects must not depend on the
+# thread count. `iddq test` on the generated c1908 and `iddq synth` on the
+# generated sequential s1423 must print the same bytes at 1 and 2 threads.
+for leg in "test c1908" "synth s1423"; do
+    read -r sub circuit <<<"$leg"
+    for threads in 1 2; do
+        target/release/iddq "$sub" "$sweep_dir/$circuit.bench" --seed 3 --threads "$threads" \
+            >"$sweep_dir/evo.$threads.out" 2>/dev/null
+    done
+    if ! cmp -s "$sweep_dir/evo.1.out" "$sweep_dir/evo.2.out"; then
+        echo "ERROR: iddq $sub on $circuit prints different output at 1 and 2 threads"
+        diff "$sweep_dir/evo.1.out" "$sweep_dir/evo.2.out" || true
+        exit 1
+    fi
+    echo "iddq $sub on $circuit: identical at 1 and 2 threads"
 done
 
 echo "== scale smoke"

@@ -32,6 +32,24 @@
 //! statistics in `O(K)` plus an `O(outputs)` max over the settled arrival
 //! state.
 //!
+//! # Cost lower bound
+//!
+//! The evolution rejects most Monte-Carlo descendants on a lower bound
+//! of their cost (`Evaluated::cost_lower_bound`), which needs neither
+//! the batch's separation row scans nor a settle. The batch kernel runs
+//! without the scans (`Evaluated::move_gates_unscanned`) and keeps a
+//! floor on the new total separation instead: moving `X` out of `A` into
+//! `B`, with `R = A ∖ X` staying behind, changes the total by exactly
+//! `ρ·|X|·(|B| − |R|) − Σ_x W(x, B) + Σ_x W(x, R)`, so
+//! `S′ ≥ S + ρ·|X|·(|B| − |R|) − Σ_x W(x)` with `W(x)` the O(1) row total.
+//! Before a settle `D_BIC` is bounded by the nominal delay `D`: every
+//! degraded weight is `delay_ps · δ` with `δ ≥ 1`, and both delays run the
+//! same max/+ recurrence over the same graph, which is monotone in the
+//! weights, so `D_BIC ≥ D` ([`Evaluated::verify_consistency`] asserts
+//! it). Area, module count, violations and the sensors' decay times are
+//! exact. With non-negative weights every term, and so the total, is a
+//! monotone function of these figures, in floating point too.
+//!
 //! # Transactions
 //!
 //! [`Evaluated::begin_txn`] arms an undo log: every subsequent move and
@@ -230,6 +248,15 @@ fn fanin_arrival(ctx: &EvalContext<'_>, id: NodeId, arr: &[f64]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
+/// Latest arrival over the primary outputs (`D_BIC` under `arr`).
+fn output_max(ctx: &EvalContext<'_>, arr: &[f64]) -> f64 {
+    ctx.netlist
+        .outputs()
+        .iter()
+        .map(|o| arr[o.index()])
+        .fold(0.0f64, f64::max)
+}
+
 /// Full weighted longest-path sweep into `arr` (the batch path).
 fn full_arrival_sweep(ctx: &EvalContext<'_>, weight: &[f64], arr: &mut [f64]) {
     for &id in ctx.netlist.topo_order() {
@@ -325,6 +352,10 @@ pub struct Evaluated<'a> {
     /// Modules whose gate weights are stale (deduplicated).
     dirty: Vec<usize>,
     txn: Option<TxnLog>,
+    /// Set by [`Evaluated::move_gates_unscanned`]: the per-module
+    /// separation totals are stale, and this is a lower bound on the
+    /// true total. Cleared by [`Evaluated::rollback_txn`].
+    sep_floor: Option<u64>,
 }
 
 impl<'a> Evaluated<'a> {
@@ -355,6 +386,7 @@ impl<'a> Evaluated<'a> {
             arr,
             dirty: Vec::new(),
             txn: None,
+            sep_floor: None,
         }
     }
 
@@ -437,6 +469,41 @@ impl<'a> Evaluated<'a> {
     /// outside the first gate's module or a repeated gate, or if `target`
     /// is out of range.
     pub fn move_gates(&mut self, gates: &[NodeId], target: usize) -> MoveOutcome {
+        self.move_batch(gates, target, true)
+    }
+
+    /// [`Evaluated::move_gates`] without the separation row scans — the
+    /// statistics half of the batch kernel, for a candidate that is only
+    /// bounded. The histograms, sums, partition and dirty set change
+    /// exactly as under `move_gates`, but the two touched modules keep
+    /// their old separation totals; the evaluator keeps the floor
+    /// `S + ρ·|X|·(|B| − |R|) − Σ_x W(x)` on the new total instead (see
+    /// the module docs), with `W(x)` from
+    /// [`GateSeparationTable::near_weight`](iddq_netlist::separation::GateSeparationTable::near_weight).
+    /// [`Evaluated::cost_lower_bound`] reads it; [`Evaluated::cost`] and
+    /// every further move refuse to run until [`Evaluated::rollback_txn`]
+    /// restores the exact totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a transaction, after an earlier unscanned batch
+    /// that was not rolled back, and under the conditions of
+    /// [`Evaluated::move_gates`].
+    pub(crate) fn move_gates_unscanned(&mut self, gates: &[NodeId], target: usize) -> MoveOutcome {
+        assert!(
+            self.txn.is_some(),
+            "an unscanned batch must be rolled back, so it needs a transaction"
+        );
+        self.move_batch(gates, target, false)
+    }
+
+    /// The batch move kernel behind [`Evaluated::move_gates`] (`scan`) and
+    /// [`Evaluated::move_gates_unscanned`] (no row scans).
+    fn move_batch(&mut self, gates: &[NodeId], target: usize, scan: bool) -> MoveOutcome {
+        assert!(
+            self.sep_floor.is_none(),
+            "an unscanned batch must be rolled back before the next move"
+        );
         let source = match gates.first().map(|&g| self.partition.module_of(g)) {
             Some(Some(s)) => s,
             Some(None) => panic!("cannot move a primary input"),
@@ -459,6 +526,9 @@ impl<'a> Evaluated<'a> {
         let ctx = self.ctx;
         let rho = u64::from(ctx.sep_table().rho());
         let (mut sep_out, mut sep_in) = (0u64, 0u64);
+        // Unscanned: Σ W(x) over the moved gates, and |A|, |B| before.
+        let mut near_total = 0u64;
+        let sizes = [source, target].map(|m| self.partition.module(m).len() as u64);
         let mut outcome = MoveOutcome {
             source,
             removed_module: None,
@@ -469,43 +539,60 @@ impl<'a> Evaluated<'a> {
                 Some(source),
                 "every moved gate must sit in the source module"
             );
-            // Separation deltas need the membership *before* this gate
-            // moves: one fused scan of its precomputed gate-only row with
-            // direct assignment tests, module-size independent.
-            let [w_out, w_in] = ctx.sep_table().member_weights(
-                g,
-                self.partition.assignment(),
-                [source as u32, target as u32],
-            );
-            sep_out += rho * (self.partition.module(source).len() as u64 - 1) - w_out;
-            sep_in += rho * self.partition.module(target).len() as u64 - w_in;
+            if scan {
+                // Separation deltas need the membership *before* this
+                // gate moves: one fused scan of its precomputed gate-only
+                // row with direct assignment tests, module-size
+                // independent.
+                let [w_out, w_in] = ctx.sep_table().member_weights(
+                    g,
+                    self.partition.assignment(),
+                    [source as u32, target as u32],
+                );
+                sep_out += rho * (self.partition.module(source).len() as u64 - 1) - w_out;
+                sep_in += rho * self.partition.module(target).len() as u64 - w_in;
+            } else {
+                near_total += ctx.sep_table().near_weight(g);
+            }
             let (moved, undo) = self.partition.move_gate_undoable(g, target);
             outcome = moved;
             if let Some(log) = self.txn.as_mut() {
                 log.ops.push(TxnOp::Move(undo));
             }
             let gi = g.index();
-            let (peak, times) = (ctx.tables.peak_current_ua[gi], &ctx.times[gi]);
-            let s = &mut self.stats[source];
-            for t in times.iter() {
-                s.current_hist[t as usize] -= peak;
-                s.count_hist[t as usize] -= 1;
+            let Ok([src, dst]) = self.stats.get_disjoint_mut([source, target]) else {
+                unreachable!("source and target modules differ");
+            };
+            // One walk of the transition times updates both histograms;
+            // each slot still sees the per-gate sequence of subtractions
+            // (in `A`) and additions (in `B`).
+            let peak = ctx.tables.peak_current_ua[gi];
+            for t in ctx.times[gi].iter() {
+                let t = t as usize;
+                src.current_hist[t] -= peak;
+                src.count_hist[t] -= 1;
+                dst.current_hist[t] += peak;
+                dst.count_hist[t] += 1;
             }
-            s.leakage_na -= ctx.tables.leakage_na[gi];
-            s.rail_cap_ff -= ctx.tables.c_rail_ff[gi];
-            s.cell_area -= ctx.tables.area[gi];
-            let s = &mut self.stats[target];
-            for t in times.iter() {
-                s.current_hist[t as usize] += peak;
-                s.count_hist[t as usize] += 1;
-            }
-            s.leakage_na += ctx.tables.leakage_na[gi];
-            s.rail_cap_ff += ctx.tables.c_rail_ff[gi];
-            s.cell_area += ctx.tables.area[gi];
+            src.leakage_na -= ctx.tables.leakage_na[gi];
+            src.rail_cap_ff -= ctx.tables.c_rail_ff[gi];
+            src.cell_area -= ctx.tables.area[gi];
+            dst.leakage_na += ctx.tables.leakage_na[gi];
+            dst.rail_cap_ff += ctx.tables.c_rail_ff[gi];
+            dst.cell_area += ctx.tables.area[gi];
         }
-        self.stats[source].separation -= sep_out;
+        if scan {
+            self.stats[source].separation -= sep_out;
+            self.stats[target].separation += sep_in;
+        } else {
+            let [a, b] = sizes.map(i128::from);
+            let x = gates.len() as i128;
+            let floor = i128::from(self.total_separation()) + i128::from(rho) * x * (b - (a - x))
+                - i128::from(near_total);
+            // The floor never exceeds the true total, a `u64`.
+            self.sep_floor = Some(u64::try_from(floor.max(0)).unwrap_or(u64::MAX));
+        }
         self.stats[source].rescan_peaks();
-        self.stats[target].separation += sep_in;
         self.stats[target].rescan_peaks();
         self.mark_dirty(source);
         self.mark_dirty(target);
@@ -711,6 +798,8 @@ impl<'a> Evaluated<'a> {
             full_arrival_sweep(self.ctx, &self.weight, &mut self.arr);
         }
         self.dirty = log.dirty_at_begin;
+        // The restored snapshots carry exact separation totals.
+        self.sep_floor = None;
     }
 
     /// Keeps all changes made during the transaction and drops the undo
@@ -720,6 +809,10 @@ impl<'a> Evaluated<'a> {
     ///
     /// Panics if no transaction is active.
     pub fn commit_txn(&mut self) {
+        assert!(
+            self.sep_floor.is_none(),
+            "an unscanned batch cannot be committed"
+        );
         assert!(self.txn.take().is_some(), "no active transaction");
     }
 
@@ -780,43 +873,23 @@ impl<'a> Evaluated<'a> {
     /// settled arrival state. If moves are pending (see
     /// [`Evaluated::needs_settle`]), a temporary full sweep runs instead
     /// — call [`Evaluated::settle`] first on hot paths.
+    ///
+    /// # Panics
+    ///
+    /// Panics after [`Evaluated::move_gates_unscanned`] until the
+    /// transaction is rolled back (the separation totals are stale).
     #[must_use]
     pub fn cost(&self) -> CostBreakdown {
+        assert!(
+            self.sep_floor.is_none(),
+            "an unscanned batch has no exact cost"
+        );
         let ctx = self.ctx;
-        let k = self.stats.len();
-        // Sensor figures of modules touched since the last settle are
-        // stale; re-derive them into a (small) side list.
-        let fresh: Vec<(usize, ModuleSensor)> = self
-            .dirty
-            .iter()
-            .map(|&m| (m, sensor_figures(ctx, &self.stats[m])))
-            .collect();
-        let sensor_at = |m: usize| -> ModuleSensor {
-            fresh
-                .iter()
-                .find(|(i, _)| *i == m)
-                .map_or(self.sensors[m], |(_, s)| *s)
-        };
-        let mut violations = 0usize;
-        let mut sensor_area = 0.0f64;
-        let mut total_separation = 0u64;
-        let mut max_delta_ps = 0.0f64;
-        for (m, s) in self.stats.iter().enumerate() {
-            let sens = sensor_at(m);
-            total_separation += s.separation;
-            violations += sens.violations;
-            sensor_area += sens.area;
-            max_delta_ps = max_delta_ps.max(sens.delta_ps);
-        }
-
+        let fresh = self.fresh_sensors();
         // Degraded longest path D_BIC from the persistent arrival state —
         // or a temporary sweep when moves have not been settled.
         let dbic_ps = if self.dirty.is_empty() {
-            ctx.netlist
-                .outputs()
-                .iter()
-                .map(|o| self.arr[o.index()])
-                .fold(0.0f64, f64::max)
+            output_max(self.ctx, &self.arr)
         } else {
             let mut arr = vec![0.0f64; ctx.netlist.node_count()];
             let mut weight = self.weight.clone();
@@ -826,22 +899,9 @@ impl<'a> Evaluated<'a> {
                 }
             }
             full_arrival_sweep(ctx, &weight, &mut arr);
-            ctx.netlist
-                .outputs()
-                .iter()
-                .map(|o| arr[o.index()])
-                .fold(0.0f64, f64::max)
+            output_max(ctx, &arr)
         };
-
-        assemble_cost(
-            k,
-            violations,
-            sensor_area,
-            total_separation,
-            max_delta_ps,
-            dbic_ps,
-            ctx.nominal_delay_ps,
-        )
+        self.assemble(&fresh, self.total_separation(), dbic_ps)
     }
 
     /// Weighted scalar cost (the optimizer's objective).
@@ -849,6 +909,79 @@ impl<'a> Evaluated<'a> {
     pub fn total_cost(&self) -> f64 {
         self.cost()
             .total(&self.ctx.config.weights, self.ctx.config.violation_penalty)
+    }
+
+    /// A lower bound on [`Evaluated::total_cost`] that needs neither a
+    /// settle nor the row scans of [`Evaluated::move_gates_unscanned`],
+    /// valid whenever every cost weight and the violation penalty is
+    /// non-negative (the weighted total is then monotone in each term):
+    ///
+    /// * `c₁`, `c₅` and the violations are exact, from the fresh sensor
+    ///   figures of the touched modules, and so is `max Δ(τ)` in `c₄`;
+    /// * `c₃` is `ln(1 + S′_lb)` with the separation floor of an unscanned
+    ///   batch (the exact total otherwise);
+    /// * before a settle, `D_BIC` sits at its floor, the nominal delay
+    ///   `D` (`c₂ = 0`); after a settle it is exact.
+    ///
+    /// Every term is a monotone floating-point function of its inputs
+    /// (subtraction, division by `D > 0`, `ln`), so the bound holds in
+    /// floating point, not only in exact arithmetic. It equals
+    /// `total_cost()` bit for bit when the state is settled and scanned.
+    #[must_use]
+    pub(crate) fn cost_lower_bound(&self) -> f64 {
+        let dbic_ps = if self.dirty.is_empty() {
+            output_max(self.ctx, &self.arr)
+        } else {
+            self.ctx.nominal_delay_ps
+        };
+        let separation = self.sep_floor.unwrap_or_else(|| self.total_separation());
+        self.assemble(&self.fresh_sensors(), separation, dbic_ps)
+            .total(&self.ctx.config.weights, self.ctx.config.violation_penalty)
+    }
+
+    /// Sensor figures of the modules touched since the last settle (the
+    /// cached ones are stale), re-derived into a small side list.
+    fn fresh_sensors(&self) -> Vec<(usize, ModuleSensor)> {
+        self.dirty
+            .iter()
+            .map(|&m| (m, sensor_figures(self.ctx, &self.stats[m])))
+            .collect()
+    }
+
+    /// Sum of the cached per-module separation totals.
+    fn total_separation(&self) -> u64 {
+        self.stats.iter().map(|s| s.separation).sum()
+    }
+
+    /// The cost terms from the module figures (`fresh` overriding the
+    /// cached sensors), a total separation and a `D_BIC`.
+    fn assemble(
+        &self,
+        fresh: &[(usize, ModuleSensor)],
+        total_separation: u64,
+        dbic_ps: f64,
+    ) -> CostBreakdown {
+        let mut violations = 0usize;
+        let mut sensor_area = 0.0f64;
+        let mut max_delta_ps = 0.0f64;
+        for (m, cached) in self.sensors.iter().enumerate() {
+            let sens = fresh
+                .iter()
+                .find(|(i, _)| *i == m)
+                .map_or(*cached, |(_, s)| *s);
+            violations += sens.violations;
+            sensor_area += sens.area;
+            max_delta_ps = max_delta_ps.max(sens.delta_ps);
+        }
+        assemble_cost(
+            self.stats.len(),
+            violations,
+            sensor_area,
+            total_separation,
+            max_delta_ps,
+            dbic_ps,
+            self.ctx.nominal_delay_ps,
+        )
     }
 
     /// Recomputes all statistics from scratch and asserts they match the
@@ -861,6 +994,7 @@ impl<'a> Evaluated<'a> {
     ///
     /// Panics if any cached statistic drifted from the ground truth.
     pub fn verify_consistency(&self) {
+        let mut fresh_separation = 0u64;
         for (m, gates) in self.partition.modules().iter().enumerate() {
             let fresh = Self::stats_for(self.ctx, gates);
             let cached = &self.stats[m];
@@ -869,7 +1003,12 @@ impl<'a> Evaluated<'a> {
             for (t, (f, c)) in hist.enumerate() {
                 assert!((f - c).abs() < 1e-6, "module {m} current hist slot {t}");
             }
-            assert_eq!(fresh.separation, cached.separation, "module {m} separation");
+            fresh_separation += fresh.separation;
+            // After an unscanned batch the touched totals are stale by
+            // design; only the floor on their sum is checked.
+            if self.sep_floor.is_none() {
+                assert_eq!(fresh.separation, cached.separation, "module {m} separation");
+            }
             assert!(
                 (fresh.leakage_na - cached.leakage_na).abs() < 1e-6,
                 "module {m} leakage"
@@ -911,6 +1050,24 @@ impl<'a> Evaluated<'a> {
                     "node {id} arrival"
                 );
             }
+            // The delay floor of `cost_lower_bound`: no weight below its
+            // nominal delay, hence D_BIC ≥ D.
+            for g in self.ctx.netlist.gate_ids() {
+                assert!(
+                    self.weight[g.index()] >= self.ctx.tables.delay_ps[g.index()],
+                    "gate {g} weight below its nominal delay"
+                );
+            }
+            assert!(
+                output_max(self.ctx, &self.arr) >= self.ctx.nominal_delay_ps,
+                "D_BIC below the nominal delay D"
+            );
+        }
+        if let Some(floor) = self.sep_floor {
+            assert!(
+                floor <= fresh_separation,
+                "separation floor {floor} above the true total {fresh_separation}"
+            );
         }
     }
 }
@@ -1282,6 +1439,106 @@ pub(crate) mod tests {
         let one = Evaluated::new(&ctx, Partition::single_module(&nl)).cost();
         assert!(one.c2_delay > 0.0, "sensor must cost some delay");
         assert!(one.dbic_ps > ctx.nominal_delay_ps);
+    }
+
+    /// The cost bounds of a Monte-Carlo batch are sound: on random
+    /// partitions of a generated c880 and a generated s1423 (with DFFs),
+    /// the bound before the settle ≤ the bound after it ≤ the exact cost
+    /// of the same batch moved with its row scans, and the separation
+    /// floor ≤ the true total. The first batch of every partition empties
+    /// its source module.
+    #[test]
+    fn batch_cost_bounds_are_sound() {
+        let lib = Library::generic_1um();
+        let c880 =
+            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c880").unwrap(), 5);
+        let s1423 =
+            iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5);
+        let mut strict = 0;
+        for nl in [&c880, &s1423] {
+            let ctx = EvalContext::new(nl, &lib, PartitionConfig::paper_default());
+            let gates: Vec<NodeId> = nl.gate_ids().collect();
+            let mut rng = SmallRng::seed_from_u64(29);
+            for round in 0..6 {
+                // Chain-grown partitions (what the search starts from) and
+                // uniformly random ones, which violate constraints.
+                let partition = if round % 2 == 0 {
+                    crate::start::chain_partition(&ctx, 60 + 30 * round, round as u64)
+                } else {
+                    let k = rng.gen_range(2..=6);
+                    let mut groups = vec![Vec::new(); k];
+                    for &g in &gates {
+                        groups[rng.gen_range(0..k)].push(g);
+                    }
+                    groups.retain(|g| !g.is_empty());
+                    Partition::from_groups(nl, groups).unwrap()
+                };
+                let mut e = Evaluated::new(&ctx, partition);
+                for batch in 0..4 {
+                    let k = e.partition().module_count();
+                    if k < 2 {
+                        break;
+                    }
+                    let source = rng.gen_range(0..k);
+                    let target = (source + rng.gen_range(1..k)) % k;
+                    let mut pool = e.partition().module(source).to_vec();
+                    let count = if batch == 0 {
+                        pool.len()
+                    } else {
+                        rng.gen_range(1..=pool.len())
+                    };
+                    let moved: Vec<NodeId> = (0..count)
+                        .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
+                        .collect();
+                    let label = format!("{} round {round} batch {batch}", nl.name());
+
+                    e.begin_txn();
+                    e.move_gates_unscanned(&moved, target);
+                    let floor_bound = e.cost_lower_bound();
+                    let sep_floor = e.sep_floor.unwrap();
+                    e.settle();
+                    let settled_bound = e.cost_lower_bound();
+                    // Checks the separation floor and D_BIC ≥ D.
+                    e.verify_consistency();
+                    e.rollback_txn();
+
+                    e.begin_txn();
+                    e.move_gates(&moved, target);
+                    e.settle();
+                    let exact = e.total_cost();
+                    let separation = e.total_separation();
+                    // Settled and scanned, the bound is the cost itself.
+                    assert_eq!(e.cost_lower_bound().to_bits(), exact.to_bits(), "{label}");
+                    e.rollback_txn();
+
+                    assert!(floor_bound <= settled_bound, "{label}");
+                    assert!(settled_bound <= exact, "{label}");
+                    assert!(sep_floor <= separation, "{label}");
+                    strict += usize::from(floor_bound < exact);
+                    // Move on from a different partition next batch.
+                    if batch % 2 == 1 {
+                        e.move_gates(&moved, target);
+                        e.settle();
+                    }
+                }
+            }
+        }
+        assert!(strict > 0, "every bound was tight: nothing was bounded");
+    }
+
+    #[test]
+    #[should_panic(expected = "an unscanned batch has no exact cost")]
+    fn unscanned_batch_has_no_exact_cost() {
+        let lib = Library::generic_1um();
+        let nl = data::ripple_adder(4);
+        let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
+        let gates: Vec<_> = nl.gate_ids().collect();
+        let p =
+            Partition::from_groups(&nl, vec![gates[..4].to_vec(), gates[4..].to_vec()]).unwrap();
+        let mut e = Evaluated::new(&ctx, p);
+        e.begin_txn();
+        e.move_gates_unscanned(&gates[..2], 1);
+        let _ = e.cost();
     }
 
     /// ISCAS-89 s27 plus a DFF fed straight by a DFF and a 4-input gate

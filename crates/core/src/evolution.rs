@@ -33,6 +33,30 @@
 //! parent clone — the `μ(λ+χ) − μ` losers per generation never pay for a
 //! full evaluator construction.
 //!
+//! Most Monte-Carlo descendants do not even pay for their exact cost.
+//! Each generation has a **bar**: the μ-th best cost among the parents
+//! that survive aging into its selection pool. Those μ parents come
+//! before any candidate that costs more, so a descendant whose cost
+//! *lower bound* is strictly above the bar can never be selected. A
+//! Monte-Carlo batch first moves without the separation row scans, one
+//! per moved gate and the bulk of its cost, and is bounded twice (see
+//! `Evaluated::cost_lower_bound`):
+//!
+//! 1. before the settle, with exact area, module-count and violation
+//!    terms, a separation floor from O(1) row totals, and `D_BIC` at its
+//!    floor `D` — an over-current module's violation penalty alone
+//!    usually decides it here;
+//! 2. after the settle, with the exact delay terms.
+//!
+//! A descendant that loses either check keeps its bound as its pool cost
+//! and is rolled back; one that passes both is rolled back and re-applied
+//! with [`Evaluated::move_gates`] for its exact cost. Selection, the
+//! generation log, `evaluations` (which counts pruned descendants too)
+//! and every output are bit-identical to scoring all of them exactly.
+//! There is no bar when fewer than μ parents survive aging, or when a
+//! cost weight or the violation penalty is negative; mutations always
+//! take the exact path (a bound would prune few of them).
+//!
 //! Building the start population, scoring and materialization share one
 //! loop for any thread count: `min(threads, tasks)` workers claim the
 //! next task from a shared counter, so the μ from-scratch start
@@ -142,13 +166,17 @@ impl Moves {
 struct ScoredChild {
     parent: usize,
     moves: Moves,
+    /// The settled cost, or for a pruned descendant the lower bound that
+    /// lost to the generation's bar.
     cost: f64,
     m: f64,
+    pruned: bool,
 }
 
-/// What scoring one descendant yields: its recorded moves, its settled
-/// cost, and its adapted step width.
-type Scored = (Moves, f64, f64);
+/// What scoring one descendant yields: its recorded moves, its cost (a
+/// lower bound when pruned), its adapted step width, and whether a bound
+/// pruned it.
+type Scored = (Moves, f64, f64, bool);
 
 /// Progress record per generation (for convergence plots).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,8 +200,13 @@ pub struct EvolutionOutcome {
     pub best_cost: f64,
     /// Convergence trace.
     pub log: Vec<GenerationLog>,
-    /// Total partitions evaluated.
+    /// Total partitions evaluated: the start population, every
+    /// descendant decided (scored exactly or pruned by a bound) and every
+    /// restart.
     pub evaluations: usize,
+    /// Monte-Carlo descendants rejected by a cost lower bound without
+    /// their exact cost (counted in `evaluations` too).
+    pub pruned: usize,
 }
 
 /// Runs the evolution strategy from chain-grown start partitions under
@@ -240,6 +273,7 @@ pub fn optimize(
     .map(|slot| slot.expect("building a start individual panicked"))
     .collect();
     let mut evaluations = population.len();
+    let mut pruned = 0usize;
 
     let mut log = Vec::new();
     let mut best_cost = f64::INFINITY;
@@ -266,6 +300,7 @@ pub fn optimize(
             })
             .map(|(pi, mc)| (pi, mc, rng.gen::<u64>()))
             .collect();
+        let bar = pruning_bar(ctx, &population, config);
         // Workers claim descendants one at a time and keep one cone
         // walker and one scratch evaluator each, re-cloned only when the
         // claimed descendant's parent changes: apply → settle → score →
@@ -285,21 +320,23 @@ pub fn optimize(
                 let (_, eval) = scratch.as_mut().expect("scratch just ensured");
                 let parent_m = population[pi].m;
                 let scored = if mc {
-                    monte_carlo(eval, parent_m, config, &mut child_rng, walker)
+                    monte_carlo(eval, parent_m, config, &mut child_rng, walker, bar)
                 } else {
                     mutate(eval, parent_m, config, &mut child_rng, walker)
                 };
-                scored.map(|(moves, cost, m)| ScoredChild {
+                scored.map(|(moves, cost, m, pruned)| ScoredChild {
                     parent: pi,
                     moves,
                     cost,
                     m,
+                    pruned,
                 })
             },
         );
         let mut panicked = scored.iter().any(Option::is_none);
         let children: Vec<ScoredChild> = scored.into_iter().flatten().flatten().collect();
         evaluations += children.len();
+        pruned += children.iter().filter(|c| c.pruned).count();
         control.charge(tasks.len() as u64);
 
         // Selection pool: aged parents + all descendants, in that order
@@ -342,6 +379,7 @@ pub fn optimize(
             || ConeWalker::new(&ctx.cones),
             |walker, si| {
                 let child = survivors[si];
+                debug_assert!(!child.pruned, "a pruned descendant cannot survive");
                 let mut eval = population[child.parent].eval.clone();
                 child.moves.apply(&mut eval);
                 eval.settle_with(walker);
@@ -427,6 +465,7 @@ pub fn optimize(
         best_cost,
         log,
         evaluations,
+        pruned,
     };
     match stopped {
         None => Outcome::Complete(value),
@@ -440,6 +479,41 @@ pub fn optimize(
             reason,
         },
     }
+}
+
+/// The pruning bar of one generation: the μ-th best cost among the
+/// parents that survive aging into its selection pool (`age + 1 ≤ o`).
+/// Those μ parents come before any candidate that costs more, so a
+/// descendant whose cost lower bound is strictly above the bar is never
+/// selected. `None` when fewer than μ parents survive, or when a cost
+/// weight or the violation penalty is negative (the total is then not
+/// monotone in its terms, and a term-wise bound proves nothing).
+fn pruning_bar(
+    ctx: &EvalContext<'_>,
+    population: &[Individual<'_>],
+    config: &EvolutionConfig,
+) -> Option<f64> {
+    let w = &ctx.config.weights;
+    let monotone = [
+        w.area,
+        w.delay,
+        w.interconnect,
+        w.test_time,
+        w.module_count,
+        ctx.config.violation_penalty,
+    ]
+    .iter()
+    .all(|&x| x >= 0.0);
+    let mut costs: Vec<f64> = population
+        .iter()
+        .filter(|p| p.age < config.max_lifetime)
+        .map(|p| p.cost)
+        .collect();
+    if !monotone || costs.len() < config.mu {
+        return None;
+    }
+    costs.sort_by(f64::total_cmp);
+    Some(costs[config.mu - 1])
 }
 
 /// Runs `task(state, i)` for every `i` in `0..n` on `min(threads, n)`
@@ -536,7 +610,7 @@ fn mutate(
     scratch.settle_with(walker);
     let cost = scratch.total_cost();
     scratch.rollback_txn();
-    Some((Moves::Gates(moves), cost, m_step))
+    Some((Moves::Gates(moves), cost, m_step, false))
 }
 
 /// Scores one Monte-Carlo descendant: a random number of random gates of
@@ -545,12 +619,20 @@ fn mutate(
 /// [`Evaluated::move_gates`] batch. Module-sized move sets exceed the
 /// incremental dirty-cone budget, so settling takes the batch full-sweep
 /// path.
+///
+/// With a `bar`, the batch first moves without its separation row scans
+/// and is bounded twice: before the settle (`D_BIC` at its floor `D`) and
+/// after it (exact delay terms). A bound strictly above the bar is
+/// returned as the pruned descendant's cost. Only a descendant that
+/// passes both checks is rolled back and re-applied with the scans for
+/// its exact cost.
 fn monte_carlo(
     scratch: &mut Evaluated<'_>,
     parent_m: f64,
     config: &EvolutionConfig,
     rng: &mut SmallRng,
     walker: &mut ConeWalker,
+    bar: Option<f64>,
 ) -> Option<Scored> {
     let k = scratch.partition().module_count();
     if k < 2 {
@@ -572,13 +654,26 @@ fn monte_carlo(
             .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
             .collect()
     };
+    let m_step = adapt_step(parent_m, config.epsilon, rng);
+    if let Some(bar) = bar {
+        scratch.begin_txn();
+        scratch.move_gates_unscanned(&gates, target);
+        let mut bound = scratch.cost_lower_bound();
+        if bound <= bar {
+            scratch.settle_with(walker);
+            bound = scratch.cost_lower_bound();
+        }
+        scratch.rollback_txn();
+        if bound > bar {
+            return Some((Moves::Batch(gates, target), bound, m_step, true));
+        }
+    }
     scratch.begin_txn();
     scratch.move_gates(&gates, target);
-    let m_step = adapt_step(parent_m, config.epsilon, rng);
     scratch.settle_with(walker);
     let cost = scratch.total_cost();
     scratch.rollback_txn();
-    Some((Moves::Batch(gates, target), cost, m_step))
+    Some((Moves::Batch(gates, target), cost, m_step, false))
 }
 
 /// Redraws the mutation step width from `N(m, ε²)`, floored at 1.
@@ -679,20 +774,94 @@ mod tests {
         }
     }
 
+    /// A generated c880 and a generated s1423 (with DFFs).
+    fn generated() -> [iddq_netlist::Netlist; 2] {
+        [
+            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c880").unwrap(), 5),
+            iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5),
+        ]
+    }
+
     #[test]
     fn thread_count_does_not_change_the_result() {
-        let nl = data::ripple_adder(10);
+        let adder = data::ripple_adder(10);
+        let [c880, _] = generated();
         let lib = Library::generic_1um();
-        let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
-        let seq = run(&ctx, &quick_config(), 11);
-        let par_cfg = EvolutionConfig {
-            threads: 4,
-            ..quick_config()
+        // The adder under the quick config, and c880 under the default
+        // one, where the bound prunes Monte-Carlo descendants.
+        let c880_cfg = EvolutionConfig {
+            generations: 12,
+            ..EvolutionConfig::default()
         };
-        let par = run(&ctx, &par_cfg, 11);
-        assert_eq!(seq.best, par.best);
-        assert_eq!(seq.best_cost, par.best_cost);
-        assert_eq!(seq.evaluations, par.evaluations);
+        for (nl, cfg, pruned) in [(&adder, quick_config(), None), (&c880, c880_cfg, Some(115))] {
+            let ctx = EvalContext::new(nl, &lib, PartitionConfig::paper_default());
+            let seq = run(&ctx, &cfg, 11);
+            let par_cfg = EvolutionConfig { threads: 4, ..cfg };
+            let par = run(&ctx, &par_cfg, 11);
+            assert_eq!(seq.best, par.best);
+            assert_eq!(seq.best_cost.to_bits(), par.best_cost.to_bits());
+            assert_eq!(seq.evaluations, par.evaluations);
+            assert_eq!(seq.pruned, par.pruned);
+            assert_eq!(seq.log, par.log);
+            if let Some(pruned) = pruned {
+                assert_eq!(seq.pruned, pruned, "{}", nl.name());
+            }
+        }
+    }
+
+    /// Pins the search's result on generated circuits, recorded before
+    /// Monte-Carlo descendants were bound-pruned: pruning must not change
+    /// the best cost (to the bit), the best partition (by a digest of its
+    /// assignment) or the evaluation count.
+    #[test]
+    fn pruned_search_matches_the_unpruned_golden_results() {
+        let lib = Library::generic_1um();
+        let golden: [(&str, u64, u64, u64); 4] = [
+            ("c880", 3, 0x40ca_b166_e801_0839, 0x2942_d8bc_8c09_6ed3),
+            ("c880", 11, 0x40cb_2ae1_1372_671c, 0x806b_46e2_39ea_1904),
+            ("s1423", 3, 0x40cd_041e_be52_4833, 0x8411_c51a_eebc_312a),
+            ("s1423", 11, 0x40cd_68b4_50f0_14e9, 0xdf50_7d5d_a065_c9f3),
+        ];
+        let config = EvolutionConfig {
+            generations: 25,
+            ..EvolutionConfig::default()
+        };
+        for nl in generated() {
+            let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
+            for &(name, seed, cost_bits, digest) in golden.iter().filter(|g| g.0 == nl.name()) {
+                let out = run(&ctx, &config, seed);
+                // FNV-1a over the assignment vector.
+                let got = out
+                    .best
+                    .assignment()
+                    .iter()
+                    .fold(0xcbf2_9ce4_8422_2325u64, |h, &m| {
+                        (h ^ u64::from(m)).wrapping_mul(0x0100_0000_01b3)
+                    });
+                assert_eq!(out.best_cost.to_bits(), cost_bits, "{name} seed {seed}");
+                assert_eq!(got, digest, "{name} seed {seed}");
+                assert_eq!(out.evaluations, 906, "{name} seed {seed}");
+                assert!(out.pruned > 0, "{name} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn negative_weight_prunes_nothing() {
+        let [c880, _] = generated();
+        let lib = Library::generic_1um();
+        let config = EvolutionConfig {
+            generations: 8,
+            ..EvolutionConfig::default()
+        };
+        let default = EvalContext::new(&c880, &lib, PartitionConfig::paper_default());
+        assert!(run(&default, &config, 3).pruned > 0);
+        let mut negative = PartitionConfig::paper_default();
+        negative.weights.module_count = -10.0;
+        let ctx = EvalContext::new(&c880, &lib, negative);
+        let out = run(&ctx, &config, 3);
+        assert_eq!(out.pruned, 0);
+        assert!(out.evaluations > config.mu);
     }
 
     #[test]
@@ -785,6 +954,8 @@ mod tests {
         let mut walker = ConeWalker::new(&ctx.cones);
         let mut rng = SmallRng::seed_from_u64(0);
         assert!(mutate(&mut eval, 2.0, &quick_config(), &mut rng, &mut walker).is_none());
-        assert!(monte_carlo(&mut eval, 2.0, &quick_config(), &mut rng, &mut walker).is_none());
+        assert!(
+            monte_carlo(&mut eval, 2.0, &quick_config(), &mut rng, &mut walker, None).is_none()
+        );
     }
 }

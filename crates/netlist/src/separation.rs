@@ -909,11 +909,7 @@ impl SeparationOracle {
             }
             offsets.push(entries.len() as u32);
         }
-        GateSeparationTable {
-            rho: u64::from(self.rho),
-            offsets,
-            entries,
-        }
+        GateSeparationTable::from_rows(u64::from(self.rho), offsets, entries)
     }
 
     /// [`SeparationOracle::separation_to_module`] by membership test
@@ -965,6 +961,8 @@ pub struct GateSeparationTable {
     offsets: Vec<u32>,
     /// `(gate node index, rho - distance)` per in-bound gate neighbour.
     entries: Vec<(u32, u32)>,
+    /// Per node, the sum of its row's weights ([`Self::near_weight`]).
+    totals: Vec<u64>,
 }
 
 impl GateSeparationTable {
@@ -1023,19 +1021,36 @@ impl GateSeparationTable {
                 }
             }
         });
+        GateSeparationTable::from_rows(u64::from(rho), offsets, entries)
+    }
+
+    /// Wraps built rows, storing each row's weight total for the O(1)
+    /// [`GateSeparationTable::near_weight`].
+    fn from_rows(rho: u64, offsets: Vec<u32>, entries: Vec<(u32, u32)>) -> Self {
+        let totals = offsets
+            .windows(2)
+            .map(|w| {
+                entries[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .map(|&(_, d)| u64::from(d))
+                    .sum()
+            })
+            .collect();
         GateSeparationTable {
-            rho: u64::from(rho),
+            rho,
             offsets,
             entries,
+            totals,
         }
     }
 
     /// Heap footprint of the table in bytes: 8 bytes per `(gate, weight)`
-    /// entry plus 4 per row offset.
+    /// entry plus 4 per row offset and 8 per row total.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.totals.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Number of `(gate, weight)` entries across all rows.
@@ -1049,18 +1064,17 @@ impl GateSeparationTable {
     ///
     /// For a module containing *all* gates, `S(M) = ρ·|pairs| − Σ_g W(g)/2`
     /// — the identity the patch-scored resynthesis evaluation maintains
-    /// incrementally instead of re-running the O(G²) pair sum.
+    /// incrementally instead of re-running the O(G²) pair sum. `W(g)` also
+    /// caps the weight `g` has to any one module, which is what the
+    /// evolution's bound on a batch move's separation needs. O(1): the
+    /// totals are stored when the table is built.
     ///
     /// # Panics
     ///
     /// Panics if `gate` is out of range of the table's netlist.
     #[must_use]
     pub fn near_weight(&self, gate: NodeId) -> u64 {
-        let i = gate.index();
-        self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-            .iter()
-            .map(|&(_, w)| u64::from(w))
-            .sum()
+        self.totals[gate.index()]
     }
 
     /// One gate's full near row: `(gate node index, ρ − d)` entries
@@ -1321,6 +1335,20 @@ mod tests {
     }
 
     #[test]
+    fn near_weight_is_the_row_sum() {
+        let nl = data::ripple_adder(8);
+        for table in [
+            GateSeparationTable::direct(&nl, 6, 2),
+            SeparationOracle::new(&nl, 6).gate_table(&nl),
+        ] {
+            for id in nl.node_ids() {
+                let sum: u64 = table.row(id).iter().map(|&(_, w)| u64::from(w)).sum();
+                assert_eq!(table.near_weight(id), sum, "node {id}");
+            }
+        }
+    }
+
+    #[test]
     fn near_slice_matches_neighbors_within() {
         let nl = data::c17();
         let sep = SeparationOracle::new(&nl, 5);
@@ -1491,7 +1519,7 @@ mod tests {
         let sep = SeparationOracle::new(&nl, 6);
         assert!(sep.memory_bytes() >= 8 * sep.entry_count() + 4 * (nl.node_count() + 1));
         let table = GateSeparationTable::direct(&nl, 6, 1);
-        assert!(table.memory_bytes() >= 8 * table.entry_count());
+        assert!(table.memory_bytes() >= 8 * table.entry_count() + 8 * nl.node_count());
         // The gate-only table is never larger than the full oracle.
         assert!(table.entry_count() <= sep.entry_count());
     }

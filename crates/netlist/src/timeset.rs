@@ -141,15 +141,20 @@ impl TimeSet {
         out
     }
 
-    /// Iterates the member time steps in increasing order.
+    /// Iterates the member time steps in increasing order, visiting only
+    /// the set bits of each word.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64u32).filter_map(move |b| {
-                if w & (1u64 << b) != 0 {
-                    Some(wi as u32 * 64 + b)
-                } else {
-                    None
+            let base = wi as u32 * 64;
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
                 }
+                let b = rest.trailing_zeros();
+                // Clear the lowest set bit.
+                rest &= rest - 1;
+                Some(base + b)
             })
         })
     }
@@ -241,6 +246,33 @@ mod tests {
         assert_eq!(format!("{s:?}"), "{7}");
         let empty = TimeSet::new();
         assert_eq!(format!("{empty:?}"), "{}");
+    }
+
+    /// The bit-walking iterator against a per-bit reference scan.
+    #[test]
+    fn iter_matches_per_bit_reference() {
+        let reference = |s: &TimeSet| -> Vec<u32> {
+            (0..s.words.len() as u32 * 64)
+                .filter(|&t| s.contains(t))
+                .collect()
+        };
+        let sets: Vec<TimeSet> = vec![
+            TimeSet::new(),
+            [0u32].into_iter().collect(),
+            [63u32].into_iter().collect(),
+            [64u32].into_iter().collect(),
+            [0u32, 63, 64].into_iter().collect(),
+            // Three words, with the word boundaries and a dense run.
+            [0u32, 1, 2, 62, 63, 64, 65, 100, 127, 128, 190, 191]
+                .into_iter()
+                .collect(),
+            (0..192u32).collect(),
+            (0..192u32).filter(|t| t % 3 == 1).collect(),
+        ];
+        for s in &sets {
+            assert_eq!(s.iter().collect::<Vec<_>>(), reference(s), "{s:?}");
+        }
+        assert_eq!(sets[6].words.len(), 3);
     }
 
     #[test]

@@ -552,7 +552,8 @@ fn evolution_is_thread_invariant() {
                 "{name}: threads = {threads}"
             );
             assert_eq!(
-                out.evaluations, serial.evaluations,
+                (out.evaluations, out.pruned),
+                (serial.evaluations, serial.pruned),
                 "{name}: threads = {threads}"
             );
             assert_eq!(out.log, serial.log, "{name}: threads = {threads}");
