@@ -22,8 +22,9 @@
 # A CLI leg checks that the fault-patch sweep and its per-fault CSR
 # re-simulation oracle detect the same number of faults on c1908, and
 # another that the per-gate resynthesis search prunes probes there and
-# on a sequential s1423, and a third that `iddq test` (c1908) and `iddq
-# synth` (s1423) print the same bytes at 1 and 2 threads.
+# on a sequential s1423, a third that `iddq test` (c1908) and `iddq
+# synth` (s1423) print the same bytes at 1 and 2 threads, and a fourth
+# that three flow outputs still hash to their pinned digests.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -108,6 +109,29 @@ for leg in "test c1908" "synth s1423"; do
     fi
     echo "iddq $sub on $circuit: identical at 1 and 2 threads"
 done
+
+echo "== evolution: pinned outputs"
+# Scoring is exact, so a faster evaluator must not move what the flow
+# prints: on the generated circuits, `iddq test` (c1908; s1423 at 2
+# frames) and `iddq synth` on s1423 (stdout and the --json report) must
+# hash to the digests below. A change that alters these outputs on purpose
+# re-records the digests and says why in CHANGES.md.
+target/release/iddq test "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.test_c1908" 2>/dev/null
+target/release/iddq test "$sweep_dir/s1423.bench" --seed 3 --frames 2 \
+    >"$sweep_dir/pin.test_s1423" 2>/dev/null
+target/release/iddq synth "$sweep_dir/s1423.bench" --seed 3 --json "$sweep_dir/pin.synth_s1423.json" \
+    >"$sweep_dir/pin.synth_s1423" 2>/dev/null
+if ! (cd "$sweep_dir" && sha256sum --check --quiet) <<'DIGESTS'
+3690e525dff748985d44d4fa1503b70eedff28d5b1c0e174e58b5144d25363f1  pin.test_c1908
+a184811580e8903cb73f61046c06eca42743ba64d71139f1b3e713e7c9a7e95e  pin.test_s1423
+14b0e622303a24838a9d51978d0089590170f4d97b3054394f19914b110bfbd3  pin.synth_s1423
+049d9689826953c1be89b3821d03cbcf0fc70ff71b730cc8e3ef0f3686ba0986  pin.synth_s1423.json
+DIGESTS
+then
+    echo "ERROR: a pinned flow output changed"
+    exit 1
+fi
+echo "iddq test c1908, test s1423 --frames 2, synth s1423 (+ --json): digests match"
 
 echo "== scale smoke"
 # A 10^5-gate generated circuit: CSR build + one full sweep + a GateSep

@@ -73,7 +73,9 @@ pub struct PartitionConfig {
     /// modules, so coarse partitions (few, large modules) settle by batch
     /// while fine partitions ride the cone walk; the Monte-Carlo
     /// descendants of the evolution strategy (whole-module moves) always
-    /// cross the budget. The default 0.1 sits at the measured crossover,
+    /// cross the budget, and on the large circuits so do its one-gate
+    /// mutations. A settle over the budget also logs whole-vector undo
+    /// snapshots instead of per-gate entries. The default 0.1 sits at the measured crossover,
     /// where a cone walk's per-node overhead (~3–4× a sweep node) breaks
     /// even against the full sweep.
     pub incremental_delay_limit: f64,

@@ -21,12 +21,22 @@
 //!   each gate's degraded delay weight and arrival time persist across
 //!   moves, and [`Evaluated::settle`] re-propagates arrivals only through
 //!   the fanout cones of the gates whose weight actually changed, in
-//!   level order via the netlist's [`ConeIndex`]. When a batch of moves
+//!   level order via the netlist's
+//!   [`ConeIndex`](iddq_netlist::cone::ConeIndex). When a batch of moves
 //!   re-weights more gates than
 //!   [`incremental_delay_limit`](crate::config::PartitionConfig::incremental_delay_limit)
-//!   allows, settling falls back to one full batch sweep — the
-//!   Monte-Carlo descendants, which move whole modules, routinely take
-//!   that path.
+//!   allows, settling falls back to one full sweep over the index's flat
+//!   fan-in lists
+//!   ([`ConeIndex::longest_path_into`](iddq_netlist::cone::ConeIndex::longest_path_into)).
+//!   In the evolution on c7552 and s5378 practically every settle takes
+//!   that path, mutations included: a gate's degraded weight depends on
+//!   its module's rail capacitance, peak activity and sized bypass, and
+//!   any move changes the rail capacitance of both touched modules, so
+//!   *every* member of both modules is re-weighted — and two modules of
+//!   those partitions already hold more gates than the budget.
+//!   "Recomputed just for the modified modules" thus holds for the
+//!   statistics, while the delay term costs one weight pass over two
+//!   modules plus one full sweep.
 //!
 //! [`Evaluated::cost`] assembles the five cost terms from the cached
 //! statistics in `O(K)` plus an `O(outputs)` max over the settled arrival
@@ -56,10 +66,22 @@
 //! settle records exact inverse information, and
 //! [`Evaluated::rollback_txn`] restores the evaluator — partition, module
 //! statistics, sensor figures, weights, arrivals, dirty set —
-//! *bit-for-bit* to the state at `begin_txn`. The evolution strategy
-//! scores every descendant on a per-worker scratch evaluator through
-//! apply → settle → score → rollback, and only materializes the
-//! descendants that survive selection.
+//! *bit-for-bit* to the state at `begin_txn` by replaying the log in
+//! reverse. The evolution strategy scores every descendant on a
+//! per-worker scratch evaluator through apply → settle → score →
+//! rollback, and only materializes the descendants that survive
+//! selection.
+//!
+//! A settle whose touched modules hold no more gates than the incremental
+//! budget logs one entry per overwritten weight and arrival. A larger one
+//! logs the whole weight vector as one snapshot entry, and before a full
+//! sweep the whole arrival vector too; each snapshot is taken at most once
+//! per transaction, since restoring it also undoes every later write.
+//! Rollback moves the snapshots back in instead of re-running the sweep,
+//! so scoring a descendant costs one weight pass and one sweep, not two
+//! sweeps. The snapshots sit in the same ordered log as the per-entry
+//! records, so a transaction that mixes a cone-walk settle and a full
+//! settle unwinds correctly.
 
 use iddq_analog::network::delay_degradation;
 use iddq_bic::sizing::{size_sensor, SizingError};
@@ -233,21 +255,6 @@ pub(crate) fn interconnect_term(total_separation: u64) -> f64 {
     (1.0 + total_separation as f64).ln()
 }
 
-/// Latest fan-in arrival of `id` under `arr`. A DFF launches a fresh
-/// path at the frame boundary (its D edge belongs to the previous frame),
-/// exactly as in [`iddq_netlist::levelize::longest_path`].
-fn fanin_arrival(ctx: &EvalContext<'_>, id: NodeId, arr: &[f64]) -> f64 {
-    if ctx.netlist.is_state_element(id) {
-        return 0.0;
-    }
-    ctx.netlist
-        .node(id)
-        .fanin()
-        .iter()
-        .map(|f| arr[f.index()])
-        .fold(0.0f64, f64::max)
-}
-
 /// Latest arrival over the primary outputs (`D_BIC` under `arr`).
 fn output_max(ctx: &EvalContext<'_>, arr: &[f64]) -> f64 {
     ctx.netlist
@@ -255,13 +262,6 @@ fn output_max(ctx: &EvalContext<'_>, arr: &[f64]) -> f64 {
         .iter()
         .map(|o| arr[o.index()])
         .fold(0.0f64, f64::max)
-}
-
-/// Full weighted longest-path sweep into `arr` (the batch path).
-fn full_arrival_sweep(ctx: &EvalContext<'_>, weight: &[f64], arr: &mut [f64]) {
-    for &id in ctx.netlist.topo_order() {
-        arr[id.index()] = fanin_arrival(ctx, id, arr) + weight[id.index()];
-    }
 }
 
 /// Follows a swap-remove of module `removal.removed` in a list of module
@@ -302,6 +302,11 @@ enum TxnOp {
     Weight { node: u32, old: f64 },
     /// One overwritten arrival time.
     Arr { node: u32, old: f64 },
+    /// The whole weight vector before a settle that re-weights more gates
+    /// than the incremental budget.
+    Weights(Vec<f64>),
+    /// The whole arrival vector before a full sweep.
+    Arrivals(Vec<f64>),
 }
 
 #[derive(Debug, Clone, Default)]
@@ -314,10 +319,13 @@ struct TxnLog {
     /// each touched module pays one snapshot per transaction, not one
     /// per move.
     snapshotted: Vec<usize>,
-    /// A settle fell back to the full batch sweep: rollback recomputes
-    /// the arrival state from the restored weights instead of replaying
-    /// per-node entries.
-    arr_rewritten: bool,
+    /// The log holds a [`TxnOp::Weights`] snapshot. Rollback restores it
+    /// before the entries logged ahead of it, so later weight writes of
+    /// the transaction need no entries of their own.
+    weights_saved: bool,
+    /// The log holds a [`TxnOp::Arrivals`] snapshot: later arrival writes
+    /// (full sweeps and cone walks alike) go unlogged, as for weights.
+    arr_saved: bool,
 }
 
 /// A partition plus its incrementally maintained statistics, bound to an
@@ -376,7 +384,7 @@ impl<'a> Evaluated<'a> {
             }
         }
         let mut arr = vec![0.0f64; n];
-        full_arrival_sweep(ctx, &weight, &mut arr);
+        ctx.cones.longest_path_into(&weight, &mut arr);
         Evaluated {
             ctx,
             partition,
@@ -662,58 +670,74 @@ impl<'a> Evaluated<'a> {
     /// order, stopping wherever the recomputed arrival is bit-identical.
     /// If more gates changed weight than the configured
     /// `incremental_delay_limit` fraction of the circuit, one full batch
-    /// sweep runs instead.
+    /// sweep runs instead. Inside a transaction, a settle whose touched
+    /// modules hold more gates than that budget logs the whole weight
+    /// vector as one entry, and a full sweep the whole arrival vector.
     pub fn settle_with(&mut self, walker: &mut ConeWalker) {
         if self.dirty.is_empty() {
             return;
         }
         let ctx = self.ctx;
         let dirty = std::mem::take(&mut self.dirty);
+        let limit = (ctx.config.incremental_delay_limit * ctx.netlist.node_count() as f64) as usize;
+        let Evaluated {
+            ref partition,
+            ref stats,
+            ref mut sensors,
+            ref mut weight,
+            ref mut arr,
+            ref mut txn,
+            ..
+        } = *self;
+        if let Some(log) = txn.as_mut().filter(|log| !log.weights_saved) {
+            let touched: usize = dirty.iter().map(|&m| partition.module(m).len()).sum();
+            if touched > limit {
+                log.weights_saved = true;
+                log.ops.push(TxnOp::Weights(weight.clone()));
+            }
+        }
         let mut seeds: Vec<NodeId> = Vec::new();
         for &m in &dirty {
             // Sensor figures re-derive once per touched module per
             // settle, not once per move.
-            let sensor = sensor_figures(ctx, &self.stats[m]);
-            let old_sensor = std::mem::replace(&mut self.sensors[m], sensor);
-            if let Some(log) = self.txn.as_mut() {
+            let sensor = sensor_figures(ctx, &stats[m]);
+            let old_sensor = std::mem::replace(&mut sensors[m], sensor);
+            let mut log_weight = None;
+            if let Some(log) = txn.as_mut() {
                 log.ops.push(TxnOp::Sensor {
                     index: m,
                     old: old_sensor,
                 });
+                if !log.weights_saved {
+                    log_weight = Some(&mut log.ops);
+                }
             }
-            for &g in self.partition.module(m) {
-                let w = gate_weight(ctx, g, &self.stats[m], &self.sensors[m]);
-                let old = self.weight[g.index()];
+            for &g in partition.module(m) {
+                let w = gate_weight(ctx, g, &stats[m], &sensor);
+                let old = weight[g.index()];
                 if w.to_bits() != old.to_bits() {
-                    if let Some(log) = self.txn.as_mut() {
-                        log.ops.push(TxnOp::Weight { node: g.0, old });
+                    if let Some(ops) = log_weight.as_deref_mut() {
+                        ops.push(TxnOp::Weight { node: g.0, old });
                     }
-                    self.weight[g.index()] = w;
+                    weight[g.index()] = w;
                     seeds.push(g);
                 }
             }
         }
-        let limit = (ctx.config.incremental_delay_limit * ctx.netlist.node_count() as f64) as usize;
         if seeds.len() > limit {
             // Batch fallback: one full sweep, logged wholesale.
-            if let Some(log) = self.txn.as_mut() {
-                log.arr_rewritten = true;
+            if let Some(log) = txn.as_mut().filter(|log| !log.arr_saved) {
+                log.arr_saved = true;
+                log.ops.push(TxnOp::Arrivals(arr.clone()));
             }
-            full_arrival_sweep(ctx, &self.weight, &mut self.arr);
+            ctx.cones.longest_path_into(weight, arr);
         } else {
-            let Evaluated {
-                ref weight,
-                ref mut arr,
-                ref mut txn,
-                ..
-            } = *self;
-            let log_arr = txn
+            let mut log_arr = txn
                 .as_mut()
-                .filter(|t| !t.arr_rewritten)
-                .map(|t| &mut t.ops);
-            let mut log_arr = log_arr;
+                .filter(|log| !log.arr_saved)
+                .map(|log| &mut log.ops);
             walker.walk(&ctx.cones, seeds.iter().copied(), |id| {
-                let new = fanin_arrival(ctx, id, arr) + weight[id.index()];
+                let new = ctx.cones.fanin_arrival(id, arr) + weight[id.index()];
                 let old = arr[id.index()];
                 if new.to_bits() == old.to_bits() {
                     ConeStep::Stop
@@ -742,7 +766,8 @@ impl<'a> Evaluated<'a> {
             ops: Vec::new(),
             dirty_at_begin: self.dirty.clone(),
             snapshotted: Vec::new(),
-            arr_rewritten: false,
+            weights_saved: false,
+            arr_saved: false,
         });
     }
 
@@ -789,13 +814,9 @@ impl<'a> Evaluated<'a> {
                 TxnOp::Sensor { index, old } => self.sensors[index] = old,
                 TxnOp::Weight { node, old } => self.weight[node as usize] = old,
                 TxnOp::Arr { node, old } => self.arr[node as usize] = old,
+                TxnOp::Weights(saved) => self.weight = saved,
+                TxnOp::Arrivals(saved) => self.arr = saved,
             }
-        }
-        if log.arr_rewritten {
-            // The arrival state is a pure function of the (now restored)
-            // weights: one sweep reproduces the pre-transaction values
-            // bit-for-bit.
-            full_arrival_sweep(self.ctx, &self.weight, &mut self.arr);
         }
         self.dirty = log.dirty_at_begin;
         // The restored snapshots carry exact separation totals.
@@ -898,7 +919,7 @@ impl<'a> Evaluated<'a> {
                     weight[g.index()] = gate_weight(ctx, g, &self.stats[m], &sens);
                 }
             }
-            full_arrival_sweep(ctx, &weight, &mut arr);
+            ctx.cones.longest_path_into(&weight, &mut arr);
             output_max(ctx, &arr)
         };
         self.assemble(&fresh, self.total_separation(), dbic_ps)
@@ -986,9 +1007,12 @@ impl<'a> Evaluated<'a> {
 
     /// Recomputes all statistics from scratch and asserts they match the
     /// incremental state — the correctness oracle for the incremental
-    /// updates (used by tests and debug assertions). With a settled delay
-    /// state, also cross-checks sensor figures, gate weights and arrival
-    /// times against a fresh batch computation.
+    /// updates (used by tests and debug assertions). Also checks the
+    /// partition's position index. With a settled delay state, also
+    /// cross-checks sensor figures and gate weights against a fresh batch
+    /// computation, and arrival times bit for bit against
+    /// [`iddq_netlist::levelize::longest_path`], the netlist-walking
+    /// recurrence (not the flat sweep this evaluator runs).
     ///
     /// # Panics
     ///
@@ -996,6 +1020,10 @@ impl<'a> Evaluated<'a> {
     pub fn verify_consistency(&self) {
         let mut fresh_separation = 0u64;
         for (m, gates) in self.partition.modules().iter().enumerate() {
+            for (k, &g) in gates.iter().enumerate() {
+                assert_eq!(self.partition.module_of(g), Some(m), "gate {g} module");
+                assert_eq!(self.partition.position_of(g), Some(k), "gate {g} position");
+            }
             let fresh = Self::stats_for(self.ctx, gates);
             let cached = &self.stats[m];
             assert_eq!(fresh.count_hist, cached.count_hist, "module {m} count hist");
@@ -1042,11 +1070,11 @@ impl<'a> Evaluated<'a> {
                     assert!((w - self.weight[g.index()]).abs() < 1e-9, "gate {g} weight");
                 }
             }
-            let mut arr = vec![0.0f64; self.ctx.netlist.node_count()];
-            full_arrival_sweep(self.ctx, &self.weight, &mut arr);
+            let arr = iddq_netlist::levelize::longest_path(self.ctx.netlist, &self.weight);
             for id in self.ctx.netlist.node_ids() {
-                assert!(
-                    (arr[id.index()] - self.arr[id.index()]).abs() < 1e-9,
+                assert_eq!(
+                    arr[id.index()].to_bits(),
+                    self.arr[id.index()].to_bits(),
                     "node {id} arrival"
                 );
             }
@@ -1250,29 +1278,150 @@ pub(crate) mod tests {
     #[test]
     fn txn_rollback_through_batch_fallback() {
         // Force the full-sweep path (limit 0) and check rollback still
-        // restores the arrival state bit-for-bit.
+        // restores the arrival state bit-for-bit, on a combinational adder
+        // and on a generated s1423 (DFFs launch fresh paths).
         let lib = Library::generic_1um();
-        let nl = data::ripple_adder(8);
-        let mut cfg = PartitionConfig::paper_default();
-        cfg.incremental_delay_limit = 0.0;
-        let ctx = EvalContext::new(&nl, &lib, cfg);
-        let gates: Vec<_> = nl.gate_ids().collect();
-        let half = gates.len() / 2;
-        let p = Partition::from_groups(&nl, vec![gates[..half].to_vec(), gates[half..].to_vec()])
-            .unwrap();
-        let mut e = Evaluated::new(&ctx, p);
-        let snap_arr = e.arr.clone();
-        let snap_cost = e.total_cost();
-        e.begin_txn();
-        e.move_gate(gates[0], 1);
-        e.settle();
-        let _ = e.total_cost();
-        e.rollback_txn();
-        assert_eq!(
-            e.arr.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-            snap_arr.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-        );
-        assert_eq!(e.total_cost().to_bits(), snap_cost.to_bits());
+        let s1423 =
+            iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5);
+        for nl in [data::ripple_adder(8), s1423] {
+            let mut cfg = PartitionConfig::paper_default();
+            cfg.incremental_delay_limit = 0.0;
+            let ctx = EvalContext::new(&nl, &lib, cfg);
+            let gates: Vec<_> = nl.gate_ids().collect();
+            let half = gates.len() / 2;
+            let p =
+                Partition::from_groups(&nl, vec![gates[..half].to_vec(), gates[half..].to_vec()])
+                    .unwrap();
+            let mut e = Evaluated::new(&ctx, p);
+            let snap_arr = e.arr.clone();
+            let snap_cost = e.total_cost();
+            e.begin_txn();
+            e.move_gate(gates[0], 1);
+            e.settle();
+            assert!(
+                e.txn.as_ref().unwrap().arr_saved,
+                "{}: full sweep",
+                nl.name()
+            );
+            let _ = e.total_cost();
+            e.rollback_txn();
+            assert_eq!(
+                e.arr.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                snap_arr.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                "{}",
+                nl.name()
+            );
+            assert_eq!(
+                e.total_cost().to_bits(),
+                snap_cost.to_bits(),
+                "{}",
+                nl.name()
+            );
+            e.verify_consistency();
+        }
+    }
+
+    /// Bit patterns of everything a rollback must restore: the module
+    /// lists in order, the assignment and positions, statistics, sensor
+    /// figures, weights, arrivals and the dirty set.
+    fn state_bits(e: &Evaluated<'_>) -> Vec<u64> {
+        let p = &e.partition;
+        let mut out: Vec<u64> = Vec::new();
+        for gates in p.modules() {
+            out.push(gates.len() as u64);
+            for &g in gates {
+                out.extend([u64::from(g.0), p.position_of(g).unwrap() as u64]);
+            }
+        }
+        out.extend(p.assignment().iter().map(|&m| u64::from(m)));
+        for (s, sens) in e.stats.iter().zip(&e.sensors) {
+            out.extend(s.current_hist.iter().map(|v| v.to_bits()));
+            out.extend(s.count_hist.iter().map(|&c| u64::from(c)));
+            out.extend(
+                [s.peak_current_ua, s.leakage_na, s.rail_cap_ff, s.cell_area].map(f64::to_bits),
+            );
+            out.extend([u64::from(s.peak_activity), s.separation]);
+            out.extend([sens.rs_ohm, sens.area, sens.delta_ps].map(f64::to_bits));
+            out.push(sens.violations as u64);
+        }
+        out.extend(e.weight.iter().map(|w| w.to_bits()));
+        out.extend(e.arr.iter().map(|a| a.to_bits()));
+        out.extend(e.dirty.iter().map(|&m| m as u64));
+        out
+    }
+
+    /// One transaction mixes both settle paths: a one-gate move settled by
+    /// the cone walk (per-gate weight and arrival entries), then a
+    /// module-sized batch settled by the full sweep (whole-vector
+    /// snapshots). Rolling back restores the state of a clone taken at
+    /// `begin_txn` bit for bit, on a generated c880 and a generated s1423.
+    #[test]
+    fn txn_rollback_through_cone_walk_then_full_sweep() {
+        let lib = Library::generic_1um();
+        let c880 =
+            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c880").unwrap(), 5);
+        let s1423 =
+            iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5);
+        for nl in [&c880, &s1423] {
+            let ctx = EvalContext::new(nl, &lib, PartitionConfig::paper_default());
+            let limit = (ctx.config.incremental_delay_limit * nl.node_count() as f64) as usize;
+            let gates: Vec<NodeId> = nl.gate_ids().collect();
+            // One module holding most gates, the rest in small chunks: a
+            // move between two chunks stays under the incremental budget,
+            // one touching the big module crosses it.
+            let big = gates.len() - 8 * (limit / 4);
+            let mut groups = vec![gates[..big].to_vec()];
+            groups.extend(gates[big..].chunks(limit / 4).map(<[NodeId]>::to_vec));
+            let mut e = Evaluated::new(&ctx, Partition::from_groups(nl, groups).unwrap());
+            let mut rng = SmallRng::seed_from_u64(31);
+            for round in 0..12 {
+                let label = format!("{} round {round}", nl.name());
+                let k = e.partition().module_count();
+                let before = e.clone();
+                let before_cost = e.total_cost();
+                e.begin_txn();
+                // A one-gate move between two small modules.
+                let a = rng.gen_range(1..k);
+                let b = 1 + (a - 1 + rng.gen_range(1..k - 1)) % (k - 1);
+                let g = e.partition().module(a)[0];
+                e.move_gate(g, b);
+                e.settle();
+                let log = e.txn.as_ref().unwrap();
+                assert!(!log.weights_saved && !log.arr_saved, "{label}: cone walk");
+                let _ = e.total_cost();
+                // A batch between the big module and a small one (the small
+                // one drained whole on even rounds): the full sweep.
+                let small = 1 + rng.gen_range(0..e.partition().module_count() - 1);
+                let (source, target) = if round % 2 == 0 {
+                    (small, 0)
+                } else {
+                    (0, small)
+                };
+                let members = e.partition().module(source);
+                let count = if round % 2 == 0 {
+                    members.len()
+                } else {
+                    members.len() / 3
+                };
+                let batch = members[..count].to_vec();
+                e.move_gates(&batch, target);
+                e.settle();
+                let log = e.txn.as_ref().unwrap();
+                assert!(log.weights_saved && log.arr_saved, "{label}: full sweep");
+                e.verify_consistency();
+                e.rollback_txn();
+                assert_eq!(state_bits(&e), state_bits(&before), "{label}");
+                assert_eq!(e.partition(), before.partition(), "{label}");
+                assert_eq!(e.total_cost().to_bits(), before_cost.to_bits(), "{label}");
+                e.verify_consistency();
+                // Walk on to a different partition for the next round.
+                if round % 3 == 2 {
+                    let g = e.partition().module(0)[0];
+                    e.move_gate(g, 1);
+                    e.settle();
+                }
+            }
+        }
     }
 
     #[test]

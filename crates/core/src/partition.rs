@@ -15,6 +15,7 @@ pub const NO_MODULE: u32 = u32::MAX;
 /// * every gate belongs to exactly one module,
 /// * primary inputs belong to none,
 /// * `module_of` and `modules` agree,
+/// * every gate's recorded position indexes it in its module's list,
 /// * no module is empty (empty modules are dropped, as in the paper's
 ///   Monte-Carlo step: "if all gates of `M` are moved, this module is
 ///   deleted").
@@ -39,6 +40,9 @@ pub const NO_MODULE: u32 = u32::MAX;
 pub struct Partition {
     module_of: Vec<u32>,
     modules: Vec<Vec<NodeId>>,
+    /// Per-node position inside its module's gate list (`0` for primary
+    /// inputs), so a move finds its gate in O(1).
+    pos: Vec<u32>,
 }
 
 /// Errors from partition construction.
@@ -79,11 +83,12 @@ impl Partition {
         groups: Vec<Vec<NodeId>>,
     ) -> Result<Self, PartitionError> {
         let mut module_of = vec![NO_MODULE; netlist.node_count()];
+        let mut pos = vec![0u32; netlist.node_count()];
         for (mi, group) in groups.iter().enumerate() {
             if group.is_empty() {
                 return Err(PartitionError::EmptyGroup);
             }
-            for &g in group {
+            for (k, &g) in group.iter().enumerate() {
                 if !netlist.is_gate(g) {
                     return Err(PartitionError::InputInGroup(g));
                 }
@@ -91,6 +96,7 @@ impl Partition {
                     return Err(PartitionError::Duplicated(g));
                 }
                 module_of[g.index()] = mi as u32;
+                pos[g.index()] = k as u32;
             }
         }
         for g in netlist.gate_ids() {
@@ -101,6 +107,7 @@ impl Partition {
         Ok(Partition {
             module_of,
             modules: groups,
+            pos,
         })
     }
 
@@ -150,6 +157,14 @@ impl Partition {
         }
     }
 
+    /// Position of a gate inside its module's gate list, so
+    /// `modules()[m][p] == gate` for `Some(m) = module_of(gate)` and
+    /// `Some(p) = position_of(gate)` (`None` for primary inputs).
+    #[must_use]
+    pub fn position_of(&self, id: NodeId) -> Option<usize> {
+        self.module_of(id).map(|_| self.pos[id.index()] as usize)
+    }
+
     /// Dense assignment vector (one entry per node, [`NO_MODULE`] for
     /// primary inputs) — the representation `iddq-logicsim` consumes.
     #[must_use]
@@ -174,12 +189,11 @@ impl Partition {
     /// [`Partition::move_gate`] that additionally returns an exact undo
     /// record for [`Partition::undo_move`].
     ///
+    /// The gate is found through the position index, in O(1).
+    ///
     /// # Panics
     ///
     /// As [`Partition::move_gate`].
-    // The module lists mirror `module_of` on every mutation; a
-    // missing entry is a bug in this struct.
-    #[allow(clippy::expect_used)]
     pub fn move_gate_undoable(&mut self, gate: NodeId, target: usize) -> (MoveOutcome, MoveUndo) {
         let source = self.module_of[gate.index()];
         assert!(source != NO_MODULE, "cannot move a primary input");
@@ -202,11 +216,18 @@ impl Partition {
                 },
             );
         }
-        let pos = self.modules[source]
-            .iter()
-            .position(|&g| g == gate)
-            .expect("module lists consistent with assignment");
-        self.modules[source].swap_remove(pos);
+        let pos = self.pos[gate.index()] as usize;
+        debug_assert_eq!(
+            self.modules[source][pos], gate,
+            "position index consistent with the module lists"
+        );
+        let src = &mut self.modules[source];
+        src.swap_remove(pos);
+        if let Some(&filled) = src.get(pos) {
+            // The old last gate now fills the hole.
+            self.pos[filled.index()] = pos as u32;
+        }
+        self.pos[gate.index()] = self.modules[target].len() as u32;
         self.modules[target].push(gate);
         self.module_of[gate.index()] = target as u32;
 
@@ -275,6 +296,9 @@ impl Partition {
         src.push(undo.gate);
         let last = src.len() - 1;
         src.swap(undo.source_pos, last);
+        let displaced = src[last];
+        self.pos[displaced.index()] = last as u32;
+        self.pos[undo.gate.index()] = undo.source_pos as u32;
         self.module_of[undo.gate.index()] = undo.source as u32;
     }
 
@@ -524,6 +548,69 @@ mod tests {
             }
             assert_eq!(p, before);
             p.validate(&nl).unwrap();
+        }
+    }
+
+    /// The position index against the module lists, both ways.
+    fn assert_positions(p: &Partition, label: &str) {
+        for (m, gates) in p.modules().iter().enumerate() {
+            for (k, &g) in gates.iter().enumerate() {
+                assert_eq!(p.module_of(g), Some(m), "{label}: module of {g}");
+                assert_eq!(p.position_of(g), Some(k), "{label}: position of {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn position_index_survives_random_moves_and_undo() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let nl = data::ripple_adder(8);
+        let gates: Vec<NodeId> = nl.gate_ids().collect();
+        // Small modules, so draining one (swap-remove renumbering) is common.
+        let groups: Vec<Vec<NodeId>> = gates.chunks(3).map(<[NodeId]>::to_vec).collect();
+        let mut p = Partition::from_groups(&nl, groups).unwrap();
+        assert_positions(&p, "start");
+        let mut rng = SmallRng::seed_from_u64(41);
+        let mut removals = 0;
+        for round in 0..40 {
+            let before = p.clone();
+            let mut undos = Vec::new();
+            for step in 0..rng.gen_range(1..12) {
+                let label = format!("round {round} step {step}");
+                let k = p.module_count();
+                if k > 1 && rng.gen_bool(0.3) {
+                    // Drain a whole module into another one.
+                    let source = rng.gen_range(0..k);
+                    let target = (source + rng.gen_range(1..k)) % k;
+                    let members = p.module(source).to_vec();
+                    for (i, &g) in members.iter().enumerate() {
+                        let (out, undo) = p.move_gate_undoable(g, target);
+                        assert_eq!(out.removed_module.is_some(), i + 1 == members.len());
+                        undos.push(undo);
+                        assert_positions(&p, &label);
+                    }
+                    removals += 1;
+                } else {
+                    let g = gates[rng.gen_range(0..gates.len())];
+                    undos.push(p.move_gate_undoable(g, rng.gen_range(0..k)).1);
+                    assert_positions(&p, &label);
+                }
+                p.validate(&nl).unwrap();
+            }
+            for (i, u) in undos.iter().enumerate().rev() {
+                p.undo_move(u);
+                assert_positions(&p, &format!("round {round} undo {i}"));
+            }
+            assert_eq!(p.modules(), before.modules(), "round {round}");
+            assert_eq!(p.assignment(), before.assignment(), "round {round}");
+            assert_eq!(p, before, "round {round}");
+        }
+        assert!(removals > 0, "no module was emptied");
+        // Keep moving from the restored state: the index stays live.
+        for &g in &gates {
+            p.move_gate(g, 0);
+            assert_positions(&p, "final sweep");
         }
     }
 

@@ -5,10 +5,12 @@
 //! timing) all answer the same structural question: *given that these
 //! nodes changed, which nodes downstream can be affected, in an order that
 //! evaluates every driver before its consumers?* [`ConeIndex`] answers it
-//! once per netlist — topological levels plus a flat CSR copy of the
-//! fanout lists — and [`ConeWalker`] walks dirty cones over that index
-//! with a level-bucketed worklist, visiting each reached node exactly once
-//! in non-decreasing level order.
+//! once per netlist — topological levels plus flat CSR copies of the
+//! fanout and fan-in lists — and [`ConeWalker`] walks dirty cones over
+//! that index with a level-bucketed worklist, visiting each reached node
+//! exactly once in non-decreasing level order. The same fan-in lists and
+//! the index's topological order drive the flat full weighted sweep,
+//! [`ConeIndex::longest_path_into`].
 //!
 //! The walk is *event-driven*: the visitor decides per node whether the
 //! change actually propagated ([`ConeStep::Propagate`]) or died out
@@ -45,27 +47,38 @@ use crate::levelize;
 
 /// Per-netlist structural index for fanout-cone traversals.
 ///
-/// Holds the topological level of every node and a flat (CSR) copy of the
-/// fanout adjacency, so repeated cone walks are cache-friendly and never
-/// touch the netlist's per-node `Vec`s.
+/// Holds the topological level of every node, a topological order and
+/// flat (CSR) copies of the fanout and fan-in adjacency, so repeated cone
+/// walks and full sweeps are cache-friendly and never touch the netlist's
+/// per-node `Vec`s.
 ///
 /// The index covers the **combinational** view of the circuit: an edge
 /// into a DFF is a sequential edge (the frame boundary), so it is omitted
-/// from [`ConeIndex::fanout`] — a change cannot propagate into latched
-/// state within a frame, and the level-bucketed walk relies on fanout
-/// edges strictly increasing the level, which a high-level → level-0
-/// sequential edge would violate. DFF outputs themselves sit at level 0
-/// and can be used as walk seeds (state changed at a frame boundary).
+/// from [`ConeIndex::fanout`] and [`ConeIndex::fanin`] — a change cannot
+/// propagate into latched state within a frame, and the level-bucketed
+/// walk relies on fanout edges strictly increasing the level, which a
+/// high-level → level-0 sequential edge would violate. DFF outputs
+/// themselves sit at level 0, list no fan-in, and can be used as walk
+/// seeds (state changed at a frame boundary).
 #[derive(Debug, Clone)]
 pub struct ConeIndex {
     level: Vec<u32>,
     offsets: Vec<u32>,
     pool: Vec<u32>,
+    /// Topological order over combinational edges (the netlist's).
+    topo: Vec<u32>,
+    /// Per-node position in `topo`.
+    topo_pos: Vec<u32>,
+    /// Fan-in lists laid out in topological order (CSR over `topo`
+    /// positions), so a full sweep reads them front to back.
+    fanin_offsets: Vec<u32>,
+    fanin_pool: Vec<u32>,
     max_level: u32,
 }
 
 impl ConeIndex {
-    /// Builds the index (one levelization pass + one adjacency copy).
+    /// Builds the index (one levelization pass + one copy of each
+    /// adjacency direction).
     #[must_use]
     pub fn new(netlist: &Netlist) -> Self {
         let level = levelize::levels(netlist);
@@ -84,10 +97,27 @@ impl ConeIndex {
             );
             offsets.push(pool.len() as u32);
         }
+        let topo: Vec<u32> = netlist.topo_order().iter().map(|id| id.0).collect();
+        let mut topo_pos = vec![0u32; n];
+        let mut fanin_offsets = Vec::with_capacity(n + 1);
+        let mut fanin_pool = Vec::new();
+        fanin_offsets.push(0u32);
+        for (k, &i) in topo.iter().enumerate() {
+            let id = NodeId(i);
+            topo_pos[id.index()] = k as u32;
+            if !netlist.is_state_element(id) {
+                fanin_pool.extend(netlist.node(id).fanin().iter().map(|f| f.0));
+            }
+            fanin_offsets.push(fanin_pool.len() as u32);
+        }
         ConeIndex {
             level,
             offsets,
             pool,
+            topo,
+            topo_pos,
+            fanin_offsets,
+            fanin_pool,
             max_level,
         }
     }
@@ -127,6 +157,47 @@ impl ConeIndex {
         &self.pool[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Direct *combinational* fan-in of a node, in pin order, as raw
+    /// indices. A DFF lists none: its D edge belongs to the previous frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    #[must_use]
+    pub fn fanin(&self, id: NodeId) -> &[u32] {
+        self.fanin_at(self.topo_pos[id.index()] as usize)
+    }
+
+    /// Fan-in list of the node at position `k` of the topological order.
+    fn fanin_at(&self, k: usize) -> &[u32] {
+        &self.fanin_pool[self.fanin_offsets[k] as usize..self.fanin_offsets[k + 1] as usize]
+    }
+
+    /// Latest arrival over the combinational fan-in of `id` under `arr`
+    /// (`0` for primary inputs and DFFs, which launch fresh paths) — the
+    /// inner step of [`levelize::longest_path`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` or a fan-in is out of range of `arr`.
+    #[must_use]
+    pub fn fanin_arrival(&self, id: NodeId, arr: &[f64]) -> f64 {
+        latest(self.fanin(id), arr)
+    }
+
+    /// Weighted longest-path arrival times into `arr`: one pass over the
+    /// flat fan-in lists in topological order, bit-identical to
+    /// [`levelize::longest_path`] (same recurrence, same pin order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` or `arr` is shorter than the node count.
+    pub fn longest_path_into(&self, weight: &[f64], arr: &mut [f64]) {
+        for (k, &i) in self.topo.iter().enumerate() {
+            arr[i as usize] = latest(self.fanin_at(k), arr) + weight[i as usize];
+        }
+    }
+
     /// The full transitive fanout cone of `seed` (including the seed), in
     /// level order. Allocates; hot paths should reuse a [`ConeWalker`].
     #[must_use]
@@ -158,6 +229,23 @@ impl ConeIndex {
             })
             .collect()
     }
+}
+
+/// The largest of `arr` over `fanin`, and `0` for an empty list: the
+/// `fold(0.0, f64::max)` of [`levelize::longest_path`] as a plain compare
+/// chain, without `f64::max`'s NaN selects. Both keep the accumulator on
+/// a NaN and pick the same bits otherwise: an arrival is never `-0.0` (it
+/// is a sum whose fan-in side is `+0.0` or more), so equal values have
+/// equal bits.
+fn latest(fanin: &[u32], arr: &[f64]) -> f64 {
+    let mut max = 0.0f64;
+    for &f in fanin {
+        let a = arr[f as usize];
+        if a > max {
+            max = a;
+        }
+    }
+    max
 }
 
 /// Visitor verdict for one node of a cone walk.
