@@ -24,7 +24,7 @@
 # another that the per-gate resynthesis search prunes probes there and
 # on a sequential s1423, a third that `iddq test` (c1908) and `iddq
 # synth` (s1423) print the same bytes at 1 and 2 threads, and a fourth
-# that three flow outputs still hash to their pinned digests.
+# that five flow outputs still hash to their pinned digests.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -41,6 +41,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release
+# The CLI legs below run target/release/iddq, which the root build (the
+# facade package only) does not produce.
+cargo build --release -p iddq-cli
 
 echo "== cargo test (workspace)"
 cargo test --workspace -q
@@ -113,25 +116,34 @@ done
 echo "== evolution: pinned outputs"
 # Scoring is exact, so a faster evaluator must not move what the flow
 # prints: on the generated circuits, `iddq test` (c1908; s1423 at 2
-# frames) and `iddq synth` on s1423 (stdout and the --json report) must
-# hash to the digests below. A change that alters these outputs on purpose
-# re-records the digests and says why in CHANGES.md.
+# frames), `iddq synth` on s1423 (stdout and the --json report) and on
+# c1908, and the per-gate resynthesis of s1423 followed by its evolution
+# (stdout and the --json report) must hash to the digests below. A change
+# that alters these outputs on purpose re-records the digests and says
+# why in CHANGES.md.
 target/release/iddq test "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.test_c1908" 2>/dev/null
 target/release/iddq test "$sweep_dir/s1423.bench" --seed 3 --frames 2 \
     >"$sweep_dir/pin.test_s1423" 2>/dev/null
 target/release/iddq synth "$sweep_dir/s1423.bench" --seed 3 --json "$sweep_dir/pin.synth_s1423.json" \
     >"$sweep_dir/pin.synth_s1423" 2>/dev/null
+target/release/iddq synth "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.synth_c1908" 2>/dev/null
+target/release/iddq synth "$sweep_dir/s1423.bench" --resynth --per-gate --seed 3 \
+    --json "$sweep_dir/pin.resynth_s1423.json" >"$sweep_dir/pin.resynth_s1423" 2>/dev/null
 if ! (cd "$sweep_dir" && sha256sum --check --quiet) <<'DIGESTS'
 3690e525dff748985d44d4fa1503b70eedff28d5b1c0e174e58b5144d25363f1  pin.test_c1908
 a184811580e8903cb73f61046c06eca42743ba64d71139f1b3e713e7c9a7e95e  pin.test_s1423
 14b0e622303a24838a9d51978d0089590170f4d97b3054394f19914b110bfbd3  pin.synth_s1423
 049d9689826953c1be89b3821d03cbcf0fc70ff71b730cc8e3ef0f3686ba0986  pin.synth_s1423.json
+0ce3cc1a275eeb65f9593bb9efac01ea98db52743bc47dd818fd43c66a06c882  pin.synth_c1908
+ea7201d6646f8f5443ceb3c7f898b2880912c320eaf6153f3981828a595a4554  pin.resynth_s1423
+dc670a185cf7cad033368df3f7cb677bdcec5a4daf5bef744b6946a0f4e3e275  pin.resynth_s1423.json
 DIGESTS
 then
     echo "ERROR: a pinned flow output changed"
     exit 1
 fi
-echo "iddq test c1908, test s1423 --frames 2, synth s1423 (+ --json): digests match"
+echo "iddq test c1908, test s1423 --frames 2, synth s1423 (+ --json), synth c1908," \
+    "synth s1423 --resynth --per-gate (+ --json): digests match"
 
 echo "== scale smoke"
 # A 10^5-gate generated circuit: CSR build + one full sweep + a GateSep

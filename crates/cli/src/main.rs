@@ -608,6 +608,9 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
         );
     }
 
+    // The gate table the per-gate search ends holding: the evolution's
+    // context is built around it instead of building it again.
+    let mut handed_table = None;
     if args.has("--resynth") {
         // The patch-scored searches only need the GateSep analysis tier;
         // the build and the search are timed separately so the report
@@ -621,7 +624,9 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
         let analysis_secs = t_analysis.elapsed().as_secs_f64();
         let t_search = Instant::now();
         if args.has("--per-gate") {
-            let (out, report) = iddq_synth::cost_aware_per_gate_in(&ctx);
+            let (out, report, table) =
+                iddq_synth::cost_aware_per_gate_in_with_control(&ctx, &RunControl::unlimited())
+                    .into_value();
             let search_secs = t_search.elapsed().as_secs_f64();
             eprintln!(
                 "resynthesis (per-gate): original {:.1} -> mixed {:.1} \
@@ -637,6 +642,7 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
             );
             drop(ctx);
             cut = out;
+            handed_table = table;
         } else {
             let (out, report) = iddq_synth::cost_aware_in(&ctx);
             let search_secs = t_search.elapsed().as_secs_f64();
@@ -655,7 +661,16 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
         threads: args.threads(),
         ..Default::default()
     };
-    let result = flow::synthesize_with(&cut, &library, &config, &evo, args.get("--seed"));
+    let seed = args.get("--seed");
+    let result = match handed_table {
+        Some(table) => {
+            let ctx = EvalContext::builder(&cut, &library, config.clone())
+                .sep_table(table)
+                .build();
+            flow::synthesize_in(&ctx, &evo, seed)
+        }
+        None => flow::synthesize_with(&cut, &library, &config, &evo, seed),
+    };
     let r = &result.report;
     println!(
         "{}: {} gates -> {} modules, feasible: {}, cost {:.1}",
@@ -744,17 +759,18 @@ fn cmd_test(args: &Args) -> Result<(), CliError> {
     let library = Library::generic_1um();
     let config = PartitionConfig::paper_default();
 
-    // One full-tier analysis context serves both the defect enumeration
-    // (its separation oracle covers the bridge-locality filter) and the
-    // synthesis flow — the oracle is built once, not twice.
+    // The synthesis flow reads gate-to-gate distances only, so its
+    // context stops at the gate table; the defect enumeration samples
+    // its bridges from lazy per-gate BFS balls (the same universe an
+    // oracle would give).
     let ctx = EvalContext::builder(&cut, &library, config.clone())
+        .tier(AnalysisTier::GateSep)
         .threads(threads)
         .build();
-    let faults = iddq_logicsim::faults::enumerate_with(
+    let faults = iddq_logicsim::faults::enumerate(
         &cut,
         &iddq_logicsim::faults::FaultUniverseConfig::default(),
         seed,
-        ctx.try_separation(),
     );
     // `generate_seq` at frames = 1 reproduces the combinational
     // generator bit-for-bit, so one call covers both regimes.

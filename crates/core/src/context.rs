@@ -11,14 +11,17 @@
 //! | tier ([`AnalysisTier`]) | contains | needed by |
 //! |---|---|---|
 //! | `Timing` | cell tables, §3.1 transition-time sets, fanout-cone index, nominal critical path, topo gate list | everything below builds on it |
-//! | `GateSep` | `Timing` + the gate-only `ρ − d` neighbour-weight table ([`GateSeparationTable`]), built *directly* from the netlist | [`crate::resynth::ResynthEval`] and the patch-scored resynthesis searches (`iddq-synth::cost_aware[_per_gate]`) |
-//! | `Separation` | `Timing` + the full ρ-bounded [`SeparationOracle`] (+ the table distilled from it) | [`crate::Evaluated`], [`crate::standard`], [`crate::evolution`], [`crate::flow`] — anything that queries node-to-node distances |
+//! | `GateSep` | `Timing` + the gate-only `ρ − d` neighbour-weight table ([`GateSeparationTable`]), built *directly* from the netlist or handed over ([`EvalContextBuilder::sep_table`]) | [`crate::Evaluated`], [`crate::standard`], [`crate::evolution`], [`crate::flow`], [`crate::resynth::ResynthEval`] and the patch-scored resynthesis searches (`iddq-synth::cost_aware[_per_gate]`) — every flow, since §3.3 only needs gate-to-gate distances |
+//! | `Separation` | `Timing` + the full ρ-bounded [`SeparationOracle`] (+ the table distilled from it) | node-to-node distances that involve primary inputs: the serve `stats` artifacts, the bridge sampler's oracle path (`iddq-logicsim::faults::enumerate_with`) and the `context_build` benchmark section |
 //!
 //! `Timing ⊂ GateSep ⊂ Separation`: each tier strictly extends the one
-//! below. The resynthesis flows deliberately stop at `GateSep` — the full
-//! oracle also carries every primary-input row they never read, and on
-//! c7552 skipping it removes most of the construction cost that used to
-//! floor every candidate search.
+//! below. The CLI flows (`iddq test`, `iddq synth`) stop at `GateSep` —
+//! the full oracle also carries every primary-input row they never read,
+//! and skipping it removes most of the construction cost and a third of
+//! the peak memory of `iddq test` on c7552. `iddq synth --resynth
+//! --per-gate` builds one table per run: the search ends holding the
+//! rows of the netlist it returns, and the evolution's context is built
+//! around them.
 //!
 //! # Parallelism
 //!
@@ -291,6 +294,7 @@ pub struct EvalContextBuilder<'a> {
     tier: AnalysisTier,
     threads: usize,
     reference_oracle: bool,
+    table: Option<GateSeparationTable>,
 }
 
 impl<'a> EvalContextBuilder<'a> {
@@ -304,6 +308,7 @@ impl<'a> EvalContextBuilder<'a> {
             tier: AnalysisTier::Separation,
             threads: 1,
             reference_oracle: false,
+            table: None,
         }
     }
 
@@ -334,6 +339,22 @@ impl<'a> EvalContextBuilder<'a> {
         self
     }
 
+    /// Builds a [`AnalysisTier::GateSep`] context around `table` instead
+    /// of building one: the table must be the netlist's at the
+    /// configured ρ (as [`GateSeparationTable::direct`] would build it),
+    /// e.g. the rows a per-gate resynthesis search ends with. Overrides
+    /// [`EvalContextBuilder::tier`] and [`EvalContextBuilder::threads`].
+    ///
+    /// # Panics
+    ///
+    /// [`EvalContextBuilder::build`] panics if the table's ρ or node
+    /// count differs from the configuration's and the netlist's.
+    #[must_use]
+    pub fn sep_table(mut self, table: GateSeparationTable) -> Self {
+        self.table = Some(table);
+        self
+    }
+
     /// `V·ρ` threshold above which the `Separation` tier switches from
     /// the sharded parallel oracle build to the memory-lean streamed
     /// build ([`SeparationOracle::new_streamed_with_control`]): beyond
@@ -349,9 +370,10 @@ impl<'a> EvalContextBuilder<'a> {
             netlist,
             library,
             config,
-            tier,
+            mut tier,
             threads,
             reference_oracle,
+            table,
         } = self;
         let tables = NodeTables::new(netlist, library);
         let times = levelize::transition_times(netlist, &tables.grid_delay);
@@ -369,35 +391,51 @@ impl<'a> EvalContextBuilder<'a> {
             .copied()
             .filter(|&id| netlist.is_gate(id))
             .collect();
-        let (separation, sep_table) = match tier {
-            AnalysisTier::Timing => (None, None),
-            AnalysisTier::GateSep => (
-                None,
-                Some(GateSeparationTable::direct(netlist, config.rho, threads)),
-            ),
-            AnalysisTier::Separation => {
-                let oracle = if reference_oracle {
-                    SeparationOracle::new_reference(netlist, config.rho)
-                } else if netlist.node_count() * config.rho as usize
-                    >= EvalContextBuilder::STREAMED_ORACLE_MIN_WORK
-                {
-                    // Large V·ρ: the memory-lean streamed build keeps the
-                    // peak at one table + one scratch instead of the
-                    // sharded build's stitched-copy peak (bit-identical
-                    // result either way).
-                    SeparationOracle::new_streamed_with_control(
-                        netlist,
-                        config.rho,
-                        &iddq_control::RunControl::unlimited(),
-                    )
-                    .into_value()
-                } else {
-                    SeparationOracle::new_parallel(netlist, config.rho, threads)
-                };
-                let table = oracle.gate_table(netlist);
-                (Some(oracle), Some(table))
-            }
-        };
+        if let Some(table) = &table {
+            assert_eq!(
+                table.rho(),
+                config.rho,
+                "handed-over table built at another ρ"
+            );
+            assert_eq!(
+                table.node_count(),
+                netlist.node_count(),
+                "handed-over table of another netlist"
+            );
+            tier = AnalysisTier::GateSep;
+        }
+        let (separation, sep_table) =
+            match tier {
+                AnalysisTier::Timing => (None, None),
+                AnalysisTier::GateSep => (
+                    None,
+                    Some(table.unwrap_or_else(|| {
+                        GateSeparationTable::direct(netlist, config.rho, threads)
+                    })),
+                ),
+                AnalysisTier::Separation => {
+                    let oracle = if reference_oracle {
+                        SeparationOracle::new_reference(netlist, config.rho)
+                    } else if netlist.node_count() * config.rho as usize
+                        >= EvalContextBuilder::STREAMED_ORACLE_MIN_WORK
+                    {
+                        // Large V·ρ: the memory-lean streamed build keeps the
+                        // peak at one table + one scratch instead of the
+                        // sharded build's stitched-copy peak (bit-identical
+                        // result either way).
+                        SeparationOracle::new_streamed_with_control(
+                            netlist,
+                            config.rho,
+                            &iddq_control::RunControl::unlimited(),
+                        )
+                        .into_value()
+                    } else {
+                        SeparationOracle::new_parallel(netlist, config.rho, threads)
+                    };
+                    let table = oracle.gate_table(netlist);
+                    (Some(oracle), Some(table))
+                }
+            };
         EvalContext {
             netlist,
             library,

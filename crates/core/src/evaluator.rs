@@ -412,7 +412,7 @@ impl<'a> Evaluated<'a> {
             s.rail_cap_ff += ctx.tables.c_rail_ff[gi];
             s.cell_area += ctx.tables.area[gi];
         }
-        s.separation = ctx.separation().module_separation(gates);
+        s.separation = ctx.sep_table().module_separation(gates);
         s.rescan_peaks();
         s
     }

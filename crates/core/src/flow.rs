@@ -15,7 +15,7 @@ use iddq_netlist::Netlist;
 
 use crate::config::PartitionConfig;
 use crate::constraints;
-use crate::context::EvalContext;
+use crate::context::{AnalysisTier, EvalContext};
 use crate::cost::CostBreakdown;
 use crate::evaluator::Evaluated;
 use crate::evolution::{self, EvolutionConfig, GenerationLog};
@@ -119,9 +119,11 @@ pub fn report_for(eval: &Evaluated<'_>) -> SynthesisReport {
 
 /// Runs the flow with explicit optimizer parameters.
 ///
-/// The analysis context is built once at the full tier, with the
-/// separation BFS sharded across `evo.threads` workers (bit-identical to
-/// a serial build).
+/// The analysis context is built once at the
+/// [`GateSep`](crate::AnalysisTier::GateSep) tier, with the gate table's
+/// BFS sharded across `evo.threads` workers (bit-identical to a serial
+/// build): the flow reads gate-to-gate distances only, so it never
+/// builds the all-node oracle.
 #[must_use]
 pub fn synthesize_with(
     netlist: &Netlist,
@@ -130,20 +132,33 @@ pub fn synthesize_with(
     evo: &EvolutionConfig,
     seed: u64,
 ) -> SynthesisResult {
-    let ctx = EvalContext::builder(netlist, library, config.clone())
-        .threads(evo.threads)
-        .build();
+    let ctx = gate_sep_context(netlist, library, config, evo);
     synthesize_in(&ctx, evo, seed)
 }
 
-/// Runs the flow on a caller-supplied (full-tier) context, so callers
-/// that already hold the analyses — e.g. to share the separation oracle
-/// with defect enumeration — do not pay for a second build.
+/// The flow's context: the `GateSep` tier, sharded across `evo.threads`.
+fn gate_sep_context<'a>(
+    netlist: &'a Netlist,
+    library: &'a Library,
+    config: &PartitionConfig,
+    evo: &EvolutionConfig,
+) -> EvalContext<'a> {
+    EvalContext::builder(netlist, library, config.clone())
+        .tier(AnalysisTier::GateSep)
+        .threads(evo.threads)
+        .build()
+}
+
+/// Runs the flow on a caller-supplied context, so callers that already
+/// hold the analyses — e.g. the gate table a per-gate resynthesis search
+/// ends with (see [`EvalContextBuilder::sep_table`]) — do not pay for a
+/// second build.
 ///
 /// # Panics
 ///
-/// Panics if `ctx` was built below
-/// [`AnalysisTier::Separation`](crate::AnalysisTier::Separation).
+/// Panics if `ctx` was built below [`AnalysisTier::GateSep`].
+///
+/// [`EvalContextBuilder::sep_table`]: crate::context::EvalContextBuilder::sep_table
 #[must_use]
 pub fn synthesize_in(ctx: &EvalContext<'_>, evo: &EvolutionConfig, seed: u64) -> SynthesisResult {
     let outcome = evolution::optimize(ctx, evo, seed, &RunControl::unlimited()).into_value();
@@ -179,9 +194,7 @@ pub fn compare_standard(
     evo: &EvolutionConfig,
     seed: u64,
 ) -> Comparison {
-    let ctx = EvalContext::builder(netlist, library, config.clone())
-        .threads(evo.threads)
-        .build();
+    let ctx = gate_sep_context(netlist, library, config, evo);
     let evolution = synthesize_in(&ctx, evo, seed);
 
     // Same module *count* as the evolution result, balanced sizes — the

@@ -28,11 +28,12 @@
 //!   For edited nodes `X`, through-`X` distances decompose exactly —
 //!   `d_X(g, h) = min_{x∈X} d(g, x) + d(x, h)` (shortest walks
 //!   concatenate) — and paths avoiding `X` are identical before and
-//!   after the edit, so one bounded BFS *per edited node* (instead of
-//!   per ball gate) resolves every pair except the genuinely
-//!   decremental ones (`d_old = d_oldX` and `d_newX > d_oldX`: the old
-//!   shortest route crossed an edit and the detour got worse), whose
-//!   endpoints fall back to one exact bounded BFS each. The original
+//!   after the edit, so one distance list per edited node and side
+//!   (the pre-patch one read from the node's near row, the post-patch
+//!   one by bounded BFS; see *Probes*) resolves every pair except the
+//!   genuinely decremental ones (`d_old = d_oldX` and `d_newX > d_oldX`:
+//!   the old shortest route crossed an edit and the detour got worse),
+//!   whose endpoints fall back to one exact bounded BFS each. The original
 //!   full ρ-ball re-derivation is retained behind
 //!   [`ResynthEval::new_full_refresh`] as the differential reference,
 //!   and the two are pinned bit-identical by proptests;
@@ -115,6 +116,22 @@
 //! cache. Otherwise it runs the refresh (keyed, as in `apply`, by the
 //! pre-patch structure id) and returns the exact cost.
 //!
+//! The structural part captures, for each edited node, its pre-patch
+//! distance list, and it does so without a BFS: the node's near row,
+//! flushed at the start of the apply, already holds every gate within
+//! the bound. The list is the node itself at distance 0 followed by
+//! the row bucketed by distance, the non-decreasing order the pair
+//! enumeration needs. Only the refresh that survives the bound pays a
+//! bounded BFS, for the post-patch side. Scoring, bound or exact, is
+//! one level-ordered sweep that reads each fan-in list once for the
+//! degraded weight, the degraded arrival and (when the structure
+//! moved) the nominal arrival.
+//!
+//! When a search is done, [`ResynthEval::into_sep_table`] turns the
+//! maintained rows into the [`GateSeparationTable`] of the netlist the
+//! search returns, so the partitioning that follows builds no second
+//! table.
+//!
 //! The bound is exact for the patches it is used on:
 //!
 //! * **S cannot fall.** A wide-gate decomposition only subdivides the
@@ -141,6 +158,7 @@
 use iddq_celllib::{Library, NodeTables};
 use iddq_netlist::cone::DynamicCones;
 use iddq_netlist::patch::{Patch, PatchError, PatchOp};
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{CellKind, NodeId, TimeSet};
 
 use crate::context::EvalContext;
@@ -505,9 +523,10 @@ pub struct ResynthEval<'a> {
     /// The §3.1 current histogram of `times` and the peak-current rows
     /// (see [`CurrentHist`]).
     hist: CurrentHist,
-    // Scoring scratch (reused across `cost` calls).
-    weight: Vec<f64>,
+    // Scoring scratch (reused across `cost` calls): degraded and
+    // nominal arrivals of the fused sweep.
     arr: Vec<f64>,
+    arr_nom: Vec<f64>,
     /// Region-sized separation-refresh scratch (see [`RefreshScratch`]).
     refresh_scratch: RefreshScratch,
     /// Incremental ΔW refresh scratch (see [`DeltaScratch`]).
@@ -614,8 +633,8 @@ impl<'a> ResynthEval<'a> {
             nominal_delay_ps: ctx.nominal_delay_ps,
             nominal_dirty: false,
             hist,
-            weight: vec![0.0; n],
             arr: vec![0.0; n],
+            arr_nom: vec![0.0; n],
             refresh_scratch: RefreshScratch::default(),
             delta_scratch: DeltaScratch::default(),
         }
@@ -1045,7 +1064,7 @@ impl<'a> ResynthEval<'a> {
             SepDirty::Dists(
                 old_seeds
                     .iter()
-                    .map(|&x| (x, self.gate_dist_list(x)))
+                    .map(|&x| (x, self.pre_patch_dist_list(x)))
                     .collect(),
             )
         } else {
@@ -1127,6 +1146,39 @@ impl<'a> ResynthEval<'a> {
             row.sort_unstable();
         }
         self.rows = Some(rows);
+    }
+
+    /// [`ResynthEval::gate_dist_list`] of a pre-patch edited node, read
+    /// from its flushed near row instead of a BFS: `x` itself at
+    /// distance 0, then the row bucketed by distance (partners ascending
+    /// within a bucket), so the list keeps the non-decreasing distance
+    /// order the pair enumeration relies on. The same `(gate, distance)`
+    /// set as the BFS, since the maintained rows are exact. A non-gate
+    /// `x` (an op the validation will reject) has no row and takes the
+    /// BFS, whose list the rejected patch's repair recomputes.
+    fn pre_patch_dist_list(&mut self, x: u32) -> Vec<(u32, u32)> {
+        let (Some(rows), Some(_)) = (self.rows.as_ref(), self.kinds[x as usize]) else {
+            return self.gate_dist_list(x);
+        };
+        let row = &rows[x as usize];
+        // Counting sort on the distances `1..ρ`: `next[d]` is the slot of
+        // the next partner at distance `d`, after `x` at slot 0.
+        let mut next = vec![0usize; self.ctx.config.rho as usize];
+        for &(_, d) in row {
+            next[d as usize] += 1;
+        }
+        let mut slot = 1;
+        for n in &mut next {
+            let count = *n;
+            *n = slot;
+            slot += count;
+        }
+        let mut list = vec![(x, 0u32); row.len() + 1];
+        for &(p, d) in row {
+            list[next[d as usize]] = (p, d);
+            next[d as usize] += 1;
+        }
+        list
     }
 
     /// The `(gate, bounded distance)` list of `x`'s ρ−1-ball over the
@@ -1296,8 +1348,8 @@ impl<'a> ResynthEval<'a> {
                     rows.push(Vec::new());
                 }
                 self.gate_count += 1;
-                self.weight.push(0.0);
                 self.arr.push(0.0);
+                self.arr_nom.push(0.0);
                 PatchOp::RemoveGate { gate: *gate }
             }
             PatchOp::RemoveGate { gate } => {
@@ -1319,8 +1371,8 @@ impl<'a> ResynthEval<'a> {
                     self.row_log.push((gate.0, popped_row));
                 }
                 self.gate_count -= 1;
-                self.weight.pop();
                 self.arr.pop();
+                self.arr_nom.pop();
                 PatchOp::AddGate {
                     gate: *gate,
                     kind,
@@ -1907,25 +1959,8 @@ impl<'a> ResynthEval<'a> {
         separation_recomputed
     }
 
-    /// Latest fan-in arrival of node `i` in the `arr` scratch. A DFF
-    /// launches a fresh path at the frame boundary (its D edge belongs to
-    /// the previous frame), as in
-    /// [`iddq_netlist::levelize::longest_path`]; reading its D driver
-    /// would pick up that driver's arrival from the previous sweep.
-    fn fanin_arrival(&self, i: usize) -> f64 {
-        if is_source(self.kinds[i]) {
-            return 0.0;
-        }
-        self.cones
-            .fanin(i)
-            .iter()
-            .map(|&f| self.arr[f as usize])
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Rebuilds the lazy (level, id)-sorted topological order and the
-    /// nominal critical-path delay when stale.
-    fn settle_structure(&mut self) {
+    /// Rebuilds the lazy (level, id)-sorted topological order when stale.
+    fn settle_order(&mut self) {
         if self.order_dirty {
             // Counting sort by level, ids ascending within a level: the
             // (level, id) order in O(n + depth).
@@ -1954,18 +1989,6 @@ impl<'a> ResynthEval<'a> {
             }
             self.order_dirty = false;
         }
-        if self.nominal_dirty {
-            for &i in &self.order {
-                let i = i as usize;
-                self.arr[i] = self.fanin_arrival(i) + self.tables.delay_ps[i];
-            }
-            self.nominal_delay_ps = self
-                .outputs
-                .iter()
-                .map(|&o| self.arr[o as usize])
-                .fold(0.0f64, f64::max);
-            self.nominal_dirty = false;
-        }
     }
 
     /// Full cost breakdown of the current (patched) structure as one
@@ -1988,7 +2011,7 @@ impl<'a> ResynthEval<'a> {
     /// [`ResynthEval::cost`] with `separation` in place of the current
     /// one: every other term is read from the current structure.
     fn cost_at(&mut self, separation: u64) -> CostBreakdown {
-        self.settle_structure();
+        self.settle_order();
         let n = self.kinds.len();
         if !self.hist.exact {
             self.hist
@@ -2017,33 +2040,59 @@ impl<'a> ResynthEval<'a> {
             separation,
         };
         let sens = sensor_figures(self.ctx, &stats);
-        // Degraded longest path over the current structure: one weight
-        // pass plus one level-ordered arrival sweep.
-        for i in 0..n {
-            self.weight[i] = match self.kinds[i] {
+        // One level-ordered sweep over the current structure: each node's
+        // degraded weight and arrival, and (when a patch moved it) its
+        // nominal arrival, from one read of its fan-in list. A DFF
+        // launches a fresh path at the frame boundary (its D edge belongs
+        // to the previous frame), as in
+        // [`iddq_netlist::levelize::longest_path`].
+        let nominal = self.nominal_dirty;
+        let ResynthEval {
+            ref order,
+            ref cones,
+            ref kinds,
+            ref tables,
+            ref mut arr,
+            ref mut arr_nom,
+            ..
+        } = *self;
+        for &i in order {
+            let i = i as usize;
+            let (mut deg_in, mut nom_in) = (0.0f64, 0.0f64);
+            if !is_source(kinds[i]) {
+                for &f in cones.fanin(i) {
+                    deg_in = f64::max(deg_in, arr[f as usize]);
+                    if nominal {
+                        nom_in = f64::max(nom_in, arr_nom[f as usize]);
+                    }
+                }
+            }
+            let weight = match kinds[i] {
                 Some(_) => degraded_weight(
-                    self.tables.delay_ps[i],
-                    self.tables.r_on_kohm[i],
-                    self.tables.c_out_ff[i],
+                    tables.delay_ps[i],
+                    tables.r_on_kohm[i],
+                    tables.c_out_ff[i],
                     &stats,
                     &sens,
                 ),
                 None => 0.0,
             };
+            arr[i] = deg_in + weight;
+            if nominal {
+                arr_nom[i] = nom_in + tables.delay_ps[i];
+            }
         }
-        for &i in &self.order {
-            let i = i as usize;
-            self.arr[i] = self.fanin_arrival(i) + self.weight[i];
+        let output_max = |arr: &[f64]| {
+            self.outputs
+                .iter()
+                .map(|&o| arr[o as usize])
+                .fold(0.0f64, f64::max)
+        };
+        let dbic_ps = output_max(&self.arr);
+        if nominal {
+            self.nominal_delay_ps = output_max(&self.arr_nom);
+            self.nominal_dirty = false;
         }
-        let dbic_ps = self
-            .outputs
-            .iter()
-            .map(|&o| self.arr[o as usize])
-            .fold(0.0f64, f64::max);
-        // The `arr` scratch now holds degraded arrivals; the nominal sweep
-        // in `settle_structure` rewrites it next time, keyed by
-        // `nominal_dirty`.
-        self.nominal_dirty = true;
         assemble_cost(
             1,
             sens.violations,
@@ -2063,6 +2112,24 @@ impl<'a> ResynthEval<'a> {
             .total(&self.ctx.config.weights, self.ctx.config.violation_penalty)
     }
 
+    /// The gate separation table of the current structure (pending
+    /// patches included), converted from the maintained near rows:
+    /// equal to [`GateSeparationTable::direct`] of the netlist
+    /// [`iddq_netlist::patch::materialize`] builds from the applied
+    /// patches, which keeps every node id. A search hands its rows to
+    /// the next analysis this way instead of building the table again.
+    /// `None` without maintained rows ([`ResynthEval::new_full_refresh`],
+    /// or after a committed bulk edit evicted them).
+    #[must_use]
+    pub fn into_sep_table(mut self) -> Option<GateSeparationTable> {
+        self.flush_row_edits();
+        let rows = self.rows.take()?;
+        let rho = self.ctx.config.rho;
+        // Free the rest of the evaluation before the copy.
+        drop(self);
+        Some(GateSeparationTable::from_distance_rows(rho, rows))
+    }
+
     /// Recomputes every derived quantity from scratch and asserts it
     /// matches the incrementally maintained state — the correctness
     /// oracle for tests.
@@ -2072,7 +2139,7 @@ impl<'a> ResynthEval<'a> {
     /// Panics if any maintained quantity drifted from the ground truth.
     pub fn verify_consistency(&mut self) {
         self.flush_row_edits();
-        self.settle_structure();
+        self.settle_order();
         let n = self.kinds.len();
         let rho = self.ctx.config.rho;
         // Electrical rows.
@@ -2354,6 +2421,14 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, PatchError::BadArity { .. }));
+        // A rewired primary input: it has no near row to read its
+        // pre-patch distance list from.
+        assert!(eval
+            .apply(&Patch::single(PatchOp::SetFanin {
+                gate: nl.inputs()[0],
+                fanin: vec![g10],
+            }))
+            .is_err());
         // The tail node 23 is a consumer-free gate, but it is a primary
         // output: popping it would dangle the output list.
         let tail = NodeId(nl.node_count() as u32 - 1);
@@ -2913,6 +2988,58 @@ mod tests {
             );
             eval.commit();
             assert_fresh(&mut eval, &nl, &both, &lib, &cfg);
+        }
+    }
+
+    /// Every gate's pre-patch list read from the flushed rows is its BFS
+    /// list as a `(gate, distance)` set: `x` first at 0, then
+    /// non-decreasing distances.
+    fn assert_row_lists_match_bfs(eval: &mut ResynthEval<'_>) {
+        eval.flush_row_edits();
+        for x in 0..eval.node_count() as u32 {
+            if eval.kinds[x as usize].is_none() {
+                continue;
+            }
+            let mut from_rows = eval.pre_patch_dist_list(x);
+            assert_eq!(from_rows[0], (x, 0), "gate {x} leads its list");
+            assert!(
+                from_rows.windows(2).all(|w| w[0].1 <= w[1].1),
+                "list of gate {x} out of distance order"
+            );
+            let mut bfs = eval.gate_dist_list(x);
+            from_rows.sort_unstable();
+            bfs.sort_unstable();
+            assert_eq!(from_rows, bfs, "list of gate {x}");
+        }
+    }
+
+    #[test]
+    fn row_derived_lists_match_bfs_across_probes_rollbacks_and_commits() {
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        for (nl, a, b) in deferred_cases() {
+            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+            let mut eval = ResynthEval::new(&ctx);
+            let n = nl.node_count() as u32;
+            let (pa, pb) = (rewrite(&nl, a, n), rewrite(&nl, b, n + 2));
+            assert_row_lists_match_bfs(&mut eval);
+            // A scored probe, and a second one stacked on it.
+            assert!(eval.probe(&pa, f64::INFINITY).unwrap().is_some());
+            assert_row_lists_match_bfs(&mut eval);
+            assert!(eval.probe(&pb, f64::INFINITY).unwrap().is_some());
+            assert_row_lists_match_bfs(&mut eval);
+            // Rolled back to A, committed, and a pruned probe on top.
+            eval.rollback();
+            assert_row_lists_match_bfs(&mut eval);
+            eval.commit();
+            assert_row_lists_match_bfs(&mut eval);
+            let pb = rewrite(&nl, b, n + 2);
+            eval.probe(&pb, f64::NEG_INFINITY).unwrap();
+            assert_row_lists_match_bfs(&mut eval);
+            eval.apply(&pb).unwrap();
+            eval.commit();
+            assert_row_lists_match_bfs(&mut eval);
+            assert_fresh(&mut eval, &nl, &[pa, pb], &lib, &cfg);
         }
     }
 

@@ -13,6 +13,7 @@
 //! obtained by the evolution based algorithm" so that both methods produce
 //! the same number of modules and the comparison isolates module *shape*.
 
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{levelize, NodeId};
 
 use crate::context::EvalContext;
@@ -21,7 +22,9 @@ use crate::partition::Partition;
 /// Builds the standard partition with the given module sizes.
 ///
 /// Path lengths are the ρ-saturated separation distances of §3.3 (the
-/// same metric the cost function uses).
+/// same metric the cost function uses), read from the context's gate
+/// table, so a [`GateSep`](crate::AnalysisTier::GateSep) context
+/// suffices.
 ///
 /// # Panics
 ///
@@ -47,23 +50,16 @@ pub fn standard_partition(ctx: &EvalContext<'_>, module_sizes: &[usize]) -> Part
     );
 
     let levels = levelize::levels(netlist);
-    let sep = ctx.separation();
+    let sep = ctx.sep_table();
     let rho = u64::from(sep.rho());
 
     // Sum of saturated distances from each gate to *all* gates: most pairs
-    // saturate at ρ, so start from ρ·(n−1) and subtract the near-map
-    // corrections.
+    // saturate at ρ, so start from ρ·(n−1) and subtract the row's
+    // `ρ − d` weights, whose sum the table stores.
     let gates: Vec<NodeId> = netlist.gate_ids().collect();
     let mut total_sum: Vec<u64> = vec![0; netlist.node_count()];
     for &g in &gates {
-        let mut sum = rho * (n_gates as u64 - 1);
-        for &h in &gates {
-            if h != g {
-                let d = u64::from(sep.distance(g, h));
-                sum -= rho - d;
-            }
-        }
-        total_sum[g.index()] = sum;
+        total_sum[g.index()] = rho * (n_gates as u64 - 1) - sep.near_weight(g);
     }
 
     let mut free: Vec<bool> = netlist.node_ids().map(|id| netlist.is_gate(id)).collect();
@@ -115,16 +111,24 @@ pub fn standard_partition(ctx: &EvalContext<'_>, module_sizes: &[usize]) -> Part
     Partition::from_groups(netlist, groups).expect("greedy clustering covers all gates once")
 }
 
+/// Adds each free gate's distance to `joined`: `ρ`, less the `ρ − d`
+/// weight of the free gates in `joined`'s row (distances are symmetric).
 fn update_sums(
     gates: &[NodeId],
     free: &[bool],
     sum_clustered: &mut [u64],
-    sep: &iddq_netlist::separation::SeparationOracle,
+    sep: &GateSeparationTable,
     joined: NodeId,
 ) {
+    let rho = u64::from(sep.rho());
     for &g in gates {
         if free[g.index()] {
-            sum_clustered[g.index()] += u64::from(sep.distance(g, joined));
+            sum_clustered[g.index()] += rho;
+        }
+    }
+    for &(h, w) in sep.row(joined) {
+        if free[h as usize] {
+            sum_clustered[h as usize] -= u64::from(w);
         }
     }
 }

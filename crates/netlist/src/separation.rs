@@ -1024,6 +1024,35 @@ impl GateSeparationTable {
         GateSeparationTable::from_rows(u64::from(rho), offsets, entries)
     }
 
+    /// The table of maintained distance rows: `rows[i]` holds node `i`'s
+    /// in-bound gate partners as `(partner, d)` with `1 ≤ d < ρ`, sorted
+    /// by partner id (empty for primary inputs), the shape the
+    /// patch-scored resynthesis evaluation keeps up to date. A search
+    /// that ends holding exact rows hands them over this way instead of
+    /// a second build: equal to [`GateSeparationTable::direct`] of the
+    /// same structure entry for entry. Each row is dropped once copied,
+    /// so the peak stays near one copy of the entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rho == 0`, or (in debug builds) if a distance is out
+    /// of `1..ρ`.
+    #[must_use]
+    pub fn from_distance_rows(rho: u32, rows: Vec<Vec<(u32, u32)>>) -> Self {
+        assert!(rho > 0, "separation bound rho must be positive");
+        let mut entries = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        offsets.push(0u32);
+        for row in rows {
+            entries.extend(row.into_iter().map(|(p, d)| {
+                debug_assert!((1..rho).contains(&d), "distance {d} out of 1..{rho}");
+                (p, rho - d)
+            }));
+            offsets.push(entries.len() as u32);
+        }
+        GateSeparationTable::from_rows(u64::from(rho), offsets, entries)
+    }
+
     /// Wraps built rows, storing each row's weight total for the O(1)
     /// [`GateSeparationTable::near_weight`].
     fn from_rows(rho: u64, offsets: Vec<u32>, entries: Vec<(u32, u32)>) -> Self {
@@ -1057,6 +1086,46 @@ impl GateSeparationTable {
     #[must_use]
     pub fn entry_count(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Number of nodes (rows) of the table's netlist.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.totals.len()
+    }
+
+    /// Saturated distance between two gates: `0` for `a == b`, `ρ − w`
+    /// for a partner in `a`'s row, otherwise `ρ`.
+    fn distance(&self, a: NodeId, b: NodeId) -> u32 {
+        if a == b {
+            return 0;
+        }
+        let row = self.row(a);
+        match row.binary_search_by_key(&b.0, |&(node, _)| node) {
+            Ok(k) => self.rho() - row[k].1,
+            Err(_) => self.rho(),
+        }
+    }
+
+    /// Module separation `S(M)` of a gate set: the sum over its
+    /// unordered pairs of the saturated distance, `ρ − w` for a pair in
+    /// the row and `ρ` for one outside it — bit-identical to
+    /// [`SeparationOracle::module_separation`], and as quadratic in
+    /// `|module|`. Each lookup is one binary search of a gate-only row,
+    /// shorter than the oracle's rows, which also carry primary inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is out of range of the table's netlist.
+    #[must_use]
+    pub fn module_separation(&self, module: &[NodeId]) -> u64 {
+        let mut sum = 0u64;
+        for (i, &a) in module.iter().enumerate() {
+            for &b in &module[i + 1..] {
+                sum += u64::from(self.distance(a, b));
+            }
+        }
+        sum
     }
 
     /// Total neighbour weight `W(g) = Σ_{g' gate, d(g,g') < ρ} (ρ − d)` of

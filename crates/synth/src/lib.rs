@@ -47,6 +47,7 @@ use iddq_core::{
     config::PartitionConfig, AnalysisTier, EvalContext, Evaluated, Partition, ResynthEval,
 };
 use iddq_netlist::patch::{self, Patch, PatchOp};
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{CellKind, Netlist, NetlistBuilder, NodeId};
 
 /// Topology used when a wide gate is decomposed into 2-input stages.
@@ -727,16 +728,24 @@ pub fn cost_aware_per_gate(
 /// or above).
 #[must_use]
 pub fn cost_aware_per_gate_in(ctx: &EvalContext<'_>) -> (Netlist, PerGateReport) {
-    cost_aware_per_gate_in_with_control(ctx, &RunControl::unlimited()).into_value()
+    let (out, report, _) =
+        cost_aware_per_gate_in_with_control(ctx, &RunControl::unlimited()).into_value();
+    (out, report)
 }
 
-/// [`cost_aware_per_gate_in`] under cooperative control. The greedy
-/// descent checks the budget at each wide-gate boundary (charging one
-/// quota unit per probe, two probes per gate); on a stop the gates
-/// committed so far are materialized and returned as
+/// [`cost_aware_per_gate_in`] under cooperative control, also handing
+/// out the search's final separation rows as the
+/// [`GateSeparationTable`] of the returned netlist (equal to
+/// [`GateSeparationTable::direct`] of it; `None` only if the evaluation
+/// holds no maintained rows), so the caller's next analysis context can
+/// be built around it
+/// ([`EvalContextBuilder::sep_table`](iddq_core::EvalContextBuilder::sep_table)).
+/// The greedy descent checks the budget at each wide-gate boundary
+/// (charging one quota unit per probe, two probes per gate); on a stop
+/// the gates committed so far are materialized and returned as
 /// [`Outcome::Partial`] — a prefix of the greedy descent, which is
-/// itself a valid (equivalence-preserving) mixed decomposition.
-/// Coverage is the fraction of wide gates whose probes ran.
+/// itself a valid (equivalence-preserving) mixed decomposition, with
+/// its table. Coverage is the fraction of wide gates whose probes ran.
 // Per-gate probes only target gates the wide-gate filter selected, so
 // `decompose_gate_patch_inner` always yields a patch, and committed
 // patches re-validate by construction.
@@ -744,7 +753,7 @@ pub fn cost_aware_per_gate_in(ctx: &EvalContext<'_>) -> (Netlist, PerGateReport)
 pub fn cost_aware_per_gate_in_with_control(
     ctx: &EvalContext<'_>,
     control: &RunControl,
-) -> Outcome<(Netlist, PerGateReport)> {
+) -> Outcome<(Netlist, PerGateReport, Option<GateSeparationTable>)> {
     let netlist = ctx.netlist;
     let mut eval = ResynthEval::new(ctx);
     let original_cost = eval.total_cost();
@@ -824,11 +833,14 @@ pub fn cost_aware_per_gate_in_with_control(
         }
     }
     report.mixed_cost = current;
+    // Every probe is committed or rolled back at a gate boundary, so the
+    // rows are those of the committed patches: of `out`.
+    let table = eval.into_sep_table();
     let out = patch::materialize(netlist, &Patch::concat(&committed)).expect("valid candidate");
     match stopped {
-        None => Outcome::Complete((out, report)),
+        None => Outcome::Complete((out, report, table)),
         Some(reason) => Outcome::Partial {
-            value: (out, report),
+            value: (out, report, table),
             coverage: if total_wide == 0 {
                 1.0
             } else {
@@ -1205,6 +1217,49 @@ mod tests {
     }
 
     #[test]
+    fn handed_over_table_is_the_resynthesized_netlists() {
+        use iddq_control::RunBudget;
+        let library = Library::generic_1um();
+        let config = PartitionConfig::paper_default();
+        let circuits = [
+            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c880").unwrap(), 5),
+            iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5),
+        ];
+        for nl in &circuits {
+            let ctx = EvalContext::builder(nl, &library, config.clone())
+                .tier(AnalysisTier::GateSep)
+                .build();
+            let (out, report, table) =
+                cost_aware_per_gate_in_with_control(&ctx, &RunControl::unlimited()).into_value();
+            assert!(
+                report.balanced_gates + report.chain_gates > 0,
+                "{}",
+                nl.name()
+            );
+            let direct = GateSeparationTable::direct(&out, config.rho, 1);
+            assert_eq!(table.as_ref(), Some(&direct), "{}", nl.name());
+            // The evolution's context around the handed-over table.
+            let handed = EvalContext::builder(&out, &library, config.clone())
+                .sep_table(table.unwrap())
+                .build();
+            assert_eq!(handed.tier(), AnalysisTier::GateSep);
+            assert_eq!(handed.sep_table(), &direct);
+            // A quota-stopped search hands over the table of its prefix.
+            let control = RunControl::with_budget(RunBudget::unlimited().with_quota(8));
+            match cost_aware_per_gate_in_with_control(&ctx, &control) {
+                Outcome::Partial {
+                    value: (out, _, table),
+                    ..
+                } => {
+                    let direct = GateSeparationTable::direct(&out, config.rho, 1);
+                    assert_eq!(table, Some(direct), "{} prefix", nl.name());
+                }
+                other => panic!("expected Partial, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn per_gate_descent_stops_at_gate_boundary_with_valid_prefix() {
         use iddq_control::RunBudget;
         let p = iddq_gen::iscas::IscasProfile::by_name("c432").unwrap();
@@ -1221,7 +1276,7 @@ mod tests {
         let outcome = cost_aware_per_gate_in_with_control(&ctx, &control);
         match outcome {
             Outcome::Partial {
-                value: (out, report),
+                value: (out, report, _),
                 coverage,
                 reason,
             } => {
