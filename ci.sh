@@ -115,13 +115,15 @@ done
 
 echo "== evolution: pinned outputs"
 # Scoring is exact, so a faster evaluator must not move what the flow
-# prints: on the generated circuits, `iddq test` (c1908; s1423 at 2
-# frames), `iddq synth` on s1423 (stdout and the --json report) and on
-# c1908, and the per-gate resynthesis of s1423 followed by its evolution
-# (stdout and the --json report) must hash to the digests below. A change
-# that alters these outputs on purpose re-records the digests and says
-# why in CHANGES.md.
+# prints: on the generated circuits, `iddq test` (c1908; c7552, the
+# benchmarked paper flow; s1423 at 2 frames), `iddq synth` on s1423
+# (stdout and the --json report) and on c1908, and the per-gate
+# resynthesis of s1423 followed by its evolution (stdout and the --json
+# report) must hash to the digests below. A change that alters these
+# outputs on purpose re-records the digests and says why in CHANGES.md.
 target/release/iddq test "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.test_c1908" 2>/dev/null
+target/release/iddq gen c7552 --seed 5 --out "$sweep_dir/c7552.bench" 2>/dev/null
+target/release/iddq test "$sweep_dir/c7552.bench" --seed 3 >"$sweep_dir/pin.test_c7552" 2>/dev/null
 target/release/iddq test "$sweep_dir/s1423.bench" --seed 3 --frames 2 \
     >"$sweep_dir/pin.test_s1423" 2>/dev/null
 target/release/iddq synth "$sweep_dir/s1423.bench" --seed 3 --json "$sweep_dir/pin.synth_s1423.json" \
@@ -131,6 +133,7 @@ target/release/iddq synth "$sweep_dir/s1423.bench" --resynth --per-gate --seed 3
     --json "$sweep_dir/pin.resynth_s1423.json" >"$sweep_dir/pin.resynth_s1423" 2>/dev/null
 if ! (cd "$sweep_dir" && sha256sum --check --quiet) <<'DIGESTS'
 3690e525dff748985d44d4fa1503b70eedff28d5b1c0e174e58b5144d25363f1  pin.test_c1908
+c0897f167e33201c2e4f13d896ff85e5f8a73fdf521f7297d1fd97dc84fca340  pin.test_c7552
 a184811580e8903cb73f61046c06eca42743ba64d71139f1b3e713e7c9a7e95e  pin.test_s1423
 14b0e622303a24838a9d51978d0089590170f4d97b3054394f19914b110bfbd3  pin.synth_s1423
 049d9689826953c1be89b3821d03cbcf0fc70ff71b730cc8e3ef0f3686ba0986  pin.synth_s1423.json
@@ -142,7 +145,7 @@ then
     echo "ERROR: a pinned flow output changed"
     exit 1
 fi
-echo "iddq test c1908, test s1423 --frames 2, synth s1423 (+ --json), synth c1908," \
+echo "iddq test c1908, test c7552, test s1423 --frames 2, synth s1423 (+ --json), synth c1908," \
     "synth s1423 --resynth --per-gate (+ --json): digests match"
 
 echo "== scale smoke"

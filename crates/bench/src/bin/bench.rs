@@ -852,8 +852,9 @@ fn parallel_fault_sweep(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>)
 /// differentially tested against). Its per-evaluation cost is measured
 /// on the search's own best partition and asserted to reproduce the
 /// search's best cost bit-exactly, then scaled by the evaluation count.
-/// `pruned` records how many of those evaluations were Monte-Carlo
-/// descendants decided by a cost lower bound alone.
+/// `pruned` and `pruned_mutations` record how many of those evaluations
+/// were Monte-Carlo descendants and mutations decided by a cost lower
+/// bound alone.
 fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
     println!("== evolution loop wall-clock ==");
     let evo_circuit = mode.pick("c432", HEADLINE);
@@ -873,7 +874,7 @@ fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Se
         evolution::optimize(&evo_ctx, &evo_cfg, 42, &RunControl::unlimited()).into_value()
     });
     let evals = evo_out.evaluations;
-    let pruned = evo_out.pruned;
+    let (pruned, pruned_mutations) = (evo_out.pruned, evo_out.pruned_mutations);
     // Rebuild baseline: a fresh Evaluated per evaluation. Bit-exact
     // against the incremental search's best cost — the two paths score
     // the same partition to the same bits, so the wall-clock ratio is a
@@ -892,7 +893,8 @@ fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Se
         2.0,
     );
     println!(
-        "{evo_circuit:>8}: {evals} evaluations ({pruned} pruned): incremental {t_inc:.3} s | \
+        "{evo_circuit:>8}: {evals} evaluations ({pruned} Monte-Carlo, {pruned_mutations} \
+         mutations pruned): incremental {t_inc:.3} s | \
          rebuild-per-eval {t_rebuild:.3} s ({:.2}x)",
         gate.measured,
     );
@@ -901,6 +903,7 @@ fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Se
         "generations": evo_cfg.generations,
         "evaluations": evals,
         "pruned": pruned,
+        "pruned_mutations": pruned_mutations,
         "incremental_secs": t_inc,
         "rebuild_secs": t_rebuild,
         "rebuild_per_eval_secs": t_rebuild_per_eval,

@@ -671,6 +671,7 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
         }
         None => flow::synthesize_with(&cut, &library, &config, &evo, seed),
     };
+    print_search_counters(&result);
     let r = &result.report;
     println!(
         "{}: {} gates -> {} modules, feasible: {}, cost {:.1}",
@@ -726,6 +727,20 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
         eprintln!("wrote {mods}");
     }
     Ok(())
+}
+
+/// One stderr line of evolution work counters: generations run,
+/// partitions evaluated, and how many of them a cost lower bound decided
+/// (Monte-Carlo descendants and mutations).
+fn print_search_counters(result: &flow::SynthesisResult) {
+    eprintln!(
+        "evolution: {} generations, {} evaluations ({} Monte-Carlo descendants \
+         and {} mutations pruned)",
+        result.log.len(),
+        result.evaluations,
+        result.pruned,
+        result.pruned_mutations
+    );
 }
 
 fn cmd_gen(args: &Args) -> Result<(), CliError> {
@@ -789,6 +804,7 @@ fn cmd_test(args: &Args) -> Result<(), CliError> {
         ..Default::default()
     };
     let result = flow::synthesize_in(&ctx, &evo, seed);
+    print_search_counters(&result);
     let leaks: Vec<f64> = result
         .report
         .modules

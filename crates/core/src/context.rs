@@ -250,6 +250,13 @@ pub struct EvalContext<'a> {
     pub horizon: usize,
     /// Fanout-cone index driving the incremental delay re-simulation.
     pub cones: ConeIndex,
+    /// Gate neighbours of every node in the undirected circuit graph
+    /// (fan-in then fanout, DFF D edges included, primary inputs left
+    /// out), as one flat CSR: `neighbor_pool[neighbor_offsets[i]..
+    /// neighbor_offsets[i + 1]]`. The mutation candidates and targets of
+    /// [`crate::Evaluated`] are read from it.
+    neighbor_offsets: Vec<u32>,
+    neighbor_pool: Vec<u32>,
     /// Nominal (sensor-free) critical path delay `D`, picoseconds.
     pub nominal_delay_ps: f64,
     /// All gate ids, in topological order.
@@ -384,6 +391,18 @@ impl<'a> EvalContextBuilder<'a> {
             .map(|t| t as usize + 1)
             .unwrap_or(1);
         let cones = ConeIndex::new(netlist);
+        let mut neighbor_offsets = Vec::with_capacity(netlist.node_count() + 1);
+        let mut neighbor_pool = Vec::new();
+        neighbor_offsets.push(0);
+        for id in netlist.node_ids() {
+            neighbor_pool.extend(
+                netlist
+                    .undirected_neighbors(id)
+                    .filter(|&n| netlist.is_gate(n))
+                    .map(|n| n.0),
+            );
+            neighbor_offsets.push(neighbor_pool.len() as u32);
+        }
         let nominal_delay_ps = levelize::critical_path_delay(netlist, &tables.delay_ps);
         let gates = netlist
             .topo_order()
@@ -445,6 +464,8 @@ impl<'a> EvalContextBuilder<'a> {
             times,
             horizon,
             cones,
+            neighbor_offsets,
+            neighbor_pool,
             nominal_delay_ps,
             gates,
             tier,
@@ -521,6 +542,20 @@ impl<'a> EvalContext<'a> {
     #[must_use]
     pub fn try_sep_table(&self) -> Option<&GateSeparationTable> {
         self.sep_table.as_ref()
+    }
+
+    /// The gates among `id`'s undirected neighbours (fan-in, then
+    /// fanout), as raw node indices: [`Netlist::undirected_neighbors`]
+    /// without the primary inputs, read from one flat array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    #[must_use]
+    pub fn gate_neighbors(&self, id: iddq_netlist::NodeId) -> &[u32] {
+        let i = id.index();
+        &self.neighbor_pool
+            [self.neighbor_offsets[i] as usize..self.neighbor_offsets[i + 1] as usize]
     }
 
     /// Average per-gate leakage in nanoamps — used by the §4.2 module-size

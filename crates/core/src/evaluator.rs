@@ -44,21 +44,44 @@
 //!
 //! # Cost lower bound
 //!
-//! The evolution rejects most Monte-Carlo descendants on a lower bound
-//! of their cost (`Evaluated::cost_lower_bound`), which needs neither
-//! the batch's separation row scans nor a settle. The batch kernel runs
-//! without the scans (`Evaluated::move_gates_unscanned`) and keeps a
-//! floor on the new total separation instead: moving `X` out of `A` into
-//! `B`, with `R = A ∖ X` staying behind, changes the total by exactly
-//! `ρ·|X|·(|B| − |R|) − Σ_x W(x, B) + Σ_x W(x, R)`, so
+//! The evolution rejects most descendants on a lower bound of their cost
+//! (`Evaluated::cost_lower_bound`), which needs no settle, and for a
+//! Monte-Carlo batch not even the separation row scans. The batch kernel
+//! runs without the scans (`Evaluated::move_gates_unscanned`) and keeps
+//! a floor on the new total separation instead: moving `X` out of `A`
+//! into `B`, with `R = A ∖ X` staying behind, changes the total by
+//! exactly `ρ·|X|·(|B| − |R|) − Σ_x W(x, B) + Σ_x W(x, R)`, so
 //! `S′ ≥ S + ρ·|X|·(|B| − |R|) − Σ_x W(x)` with `W(x)` the O(1) row total.
-//! Before a settle `D_BIC` is bounded by the nominal delay `D`: every
-//! degraded weight is `delay_ps · δ` with `δ ≥ 1`, and both delays run the
-//! same max/+ recurrence over the same graph, which is monotone in the
-//! weights, so `D_BIC ≥ D` ([`Evaluated::verify_consistency`] asserts
-//! it). Area, module count, violations and the sensors' decay times are
+//! Area, module count, violations and the sensors' decay times are
 //! exact. With non-negative weights every term, and so the total, is a
 //! monotone function of these figures, in floating point too.
+//!
+//! Before a settle `D_BIC` is bounded by `max(D, L)`:
+//!
+//! * the nominal delay `D`: every degraded weight is `delay_ps · δ` with
+//!   `δ ≥ 1`, and both delays run the same max/+ recurrence over the same
+//!   graph, which is monotone in the weights, so `D_BIC ≥ D`
+//!   ([`Evaluated::verify_consistency`] asserts it);
+//! * the critical-path floor `L`: trace one path back from the latest
+//!   output through the last settled arrivals, taking the latest fan-in
+//!   at each step, and sum the weights the settle will give its nodes
+//!   (fresh ones for the gates of the touched modules, the cached ones
+//!   elsewhere) source first with the sweep's own `+`. This is sound in
+//!   floating point: the sweep sets `arr(v) = max(fan-in arrivals) +
+//!   w(v)`, `max` is exact and `fl(x + w)` is monotone in `x`, so by
+//!   induction along the path every settled arrival is at least the
+//!   partial sum, and the latest output at least `L`. Any path gives a
+//!   valid floor; the one that was critical before the moves is usually
+//!   still close to critical, which makes it tight.
+//!
+//! A Monte-Carlo batch can be rejected before it moves at all
+//! (`Evaluated::batch_leakage_bound`): its two leakage sums, taken in
+//! the move kernel's order, give the exact discriminability violations
+//! of both touched modules, and the violation penalty plus the module
+//! count already lose to the bar. This pre-check assumes today's
+//! penalty, `violation_penalty × count` with every other term
+//! non-negative; a violation measure that grades infeasible partitions
+//! (Deb's feasibility rules) must re-derive it.
 //!
 //! # Transactions
 //!
@@ -151,11 +174,7 @@ pub(crate) struct ModuleSensor {
 }
 
 pub(crate) fn sensor_figures(ctx: &EvalContext<'_>, s: &ModuleStats) -> ModuleSensor {
-    let mut violations = 0usize;
-    let leak_ua = s.leakage_na / 1000.0;
-    if leak_ua <= 0.0 || ctx.technology.iddq_threshold_ua / leak_ua < ctx.config.d_min {
-        violations += 1;
-    }
+    let violations = usize::from(violates_discriminability(ctx, s.leakage_na));
     match size_sensor(
         s.peak_current_ua,
         s.rail_cap_ff,
@@ -187,6 +206,15 @@ pub(crate) fn sensor_figures(ctx: &EvalContext<'_>, s: &ModuleStats) -> ModuleSe
             violations: violations + 1,
         },
     }
+}
+
+/// The discriminability test of [`sensor_figures`]: whether a module
+/// leaking `leakage_na` misses `d(M) ≥ d_min` (a module without leakage
+/// is charged too). [`Evaluated::batch_leakage_bound`] applies it to a
+/// batch's leakage sums before the batch moves.
+fn violates_discriminability(ctx: &EvalContext<'_>, leakage_na: f64) -> bool {
+    let leak_ua = leakage_na / 1000.0;
+    leak_ua <= 0.0 || ctx.technology.iddq_threshold_ua / leak_ua < ctx.config.d_min
 }
 
 /// Degraded delay weight of one gate under its module's sensor (§3.2),
@@ -370,10 +398,48 @@ impl<'a> Evaluated<'a> {
     /// Evaluates `partition` from scratch.
     #[must_use]
     pub fn new(ctx: &'a EvalContext<'a>, partition: Partition) -> Self {
+        let separations = partition
+            .modules()
+            .iter()
+            .map(|gates| ctx.sep_table().module_separation(gates))
+            .collect();
+        Self::with_separations(ctx, partition, separations)
+    }
+
+    /// The evaluation of `self`'s partition that [`Evaluated::new`] would
+    /// build, without its `O(|M|²)` pair sums: every floating-point
+    /// statistic, sensor figure, weight and arrival is recomputed from
+    /// scratch in member order, and the per-module separation totals,
+    /// exact integers under every move, are kept. The result equals
+    /// `Evaluated::new(ctx, self.partition().clone())` bit for bit,
+    /// since both run [`Evaluated::with_separations`]; the incrementally
+    /// maintained sums it replaces may differ from them in the last bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics inside a transaction.
+    #[must_use]
+    pub(crate) fn rebased(&self) -> Self {
+        assert!(self.txn.is_none(), "cannot rebase inside a transaction");
+        let separations = self.stats.iter().map(|s| s.separation).collect();
+        Self::with_separations(self.ctx, self.partition.clone(), separations)
+    }
+
+    /// The from-scratch evaluation behind [`Evaluated::new`] and
+    /// [`Evaluated::rebased`], given each module's separation total.
+    fn with_separations(
+        ctx: &'a EvalContext<'a>,
+        partition: Partition,
+        separations: Vec<u64>,
+    ) -> Self {
         let stats: Vec<ModuleStats> = partition
             .modules()
             .iter()
-            .map(|gates| Self::stats_for(ctx, gates))
+            .zip(separations)
+            .map(|(gates, separation)| ModuleStats {
+                separation,
+                ..Self::member_stats(ctx, gates)
+            })
             .collect();
         let sensors: Vec<ModuleSensor> = stats.iter().map(|s| sensor_figures(ctx, s)).collect();
         let n = ctx.netlist.node_count();
@@ -401,6 +467,15 @@ impl<'a> Evaluated<'a> {
     /// Full (non-incremental) statistics of one gate set.
     #[must_use]
     pub fn stats_for(ctx: &EvalContext<'_>, gates: &[NodeId]) -> ModuleStats {
+        ModuleStats {
+            separation: ctx.sep_table().module_separation(gates),
+            ..Self::member_stats(ctx, gates)
+        }
+    }
+
+    /// [`Evaluated::stats_for`] without the separation total (left at 0):
+    /// the floating-point statistics, summed in member order.
+    fn member_stats(ctx: &EvalContext<'_>, gates: &[NodeId]) -> ModuleStats {
         let mut s = ModuleStats::empty(ctx.horizon);
         for &g in gates {
             let gi = g.index();
@@ -412,7 +487,6 @@ impl<'a> Evaluated<'a> {
             s.rail_cap_ff += ctx.tables.c_rail_ff[gi];
             s.cell_area += ctx.tables.area[gi];
         }
-        s.separation = ctx.sep_table().module_separation(gates);
         s.rescan_peaks();
         s
     }
@@ -854,18 +928,21 @@ impl<'a> Evaluated<'a> {
 
     /// Boundary gates of module `m`: members directly connected (in the
     /// undirected circuit graph) to a gate outside `m` — the mutation
-    /// candidates of §4.2.
+    /// candidates of §4.2, in member order. Each member's gate
+    /// neighbours are tested against the raw assignment.
     #[must_use]
     pub fn boundary_gates(&self, m: usize) -> Vec<NodeId> {
+        let assignment = self.partition.assignment();
+        let own = m as u32;
         self.partition
             .module(m)
             .iter()
             .copied()
             .filter(|&g| {
                 self.ctx
-                    .netlist
-                    .undirected_neighbors(g)
-                    .any(|n| self.ctx.netlist.is_gate(n) && self.partition.module_of(n) != Some(m))
+                    .gate_neighbors(g)
+                    .iter()
+                    .any(|&n| assignment[n as usize] != own)
             })
             .collect()
     }
@@ -875,13 +952,15 @@ impl<'a> Evaluated<'a> {
     /// module they are connected with", §4.2).
     #[must_use]
     pub fn connected_modules(&self, gate: NodeId) -> Vec<usize> {
-        let own = self.partition.module_of(gate);
+        let assignment = self.partition.assignment();
+        let own = assignment[gate.index()];
         let mut out: Vec<usize> = self
             .ctx
-            .netlist
-            .undirected_neighbors(gate)
-            .filter_map(|n| self.partition.module_of(n))
-            .filter(|&m| Some(m) != own)
+            .gate_neighbors(gate)
+            .iter()
+            .map(|&n| assignment[n as usize])
+            .filter(|&m| m != own)
+            .map(|m| m as usize)
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -941,8 +1020,9 @@ impl<'a> Evaluated<'a> {
     ///   figures of the touched modules, and so is `max Δ(τ)` in `c₄`;
     /// * `c₃` is `ln(1 + S′_lb)` with the separation floor of an unscanned
     ///   batch (the exact total otherwise);
-    /// * before a settle, `D_BIC` sits at its floor, the nominal delay
-    ///   `D` (`c₂ = 0`); after a settle it is exact.
+    /// * before a settle, `D_BIC` sits at its floor `max(D, L)`: the
+    ///   nominal delay `D` and the critical-path floor `L` (see the
+    ///   module docs); after a settle it is exact.
     ///
     /// Every term is a monotone floating-point function of its inputs
     /// (subtraction, division by `D > 0`, `ln`), so the bound holds in
@@ -950,14 +1030,109 @@ impl<'a> Evaluated<'a> {
     /// `total_cost()` bit for bit when the state is settled and scanned.
     #[must_use]
     pub(crate) fn cost_lower_bound(&self) -> f64 {
+        let fresh = self.fresh_sensors();
         let dbic_ps = if self.dirty.is_empty() {
             output_max(self.ctx, &self.arr)
         } else {
-            self.ctx.nominal_delay_ps
+            self.ctx.nominal_delay_ps.max(self.path_floor(&fresh))
         };
         let separation = self.sep_floor.unwrap_or_else(|| self.total_separation());
-        self.assemble(&self.fresh_sensors(), separation, dbic_ps)
+        self.assemble(&fresh, separation, dbic_ps)
             .total(&self.ctx.config.weights, self.ctx.config.violation_penalty)
+    }
+
+    /// The critical-path floor `L` on the `D_BIC` the next settle will
+    /// reach: one path, traced back from the latest output through the
+    /// last settled arrivals (the latest fan-in at each step, over the
+    /// sweep's own fan-in lists), and its weights after the settle summed
+    /// source first with the sweep's `+`. The gates of the modules in
+    /// `fresh` (the dirty ones) take their fresh degraded weight, every
+    /// other node its cached one, which the settle keeps.
+    fn path_floor(&self, fresh: &[(usize, ModuleSensor)]) -> f64 {
+        let (ctx, arr) = (self.ctx, &self.arr);
+        let latest = |a: &NodeId, b: &NodeId| arr[a.index()].total_cmp(&arr[b.index()]);
+        let mut path: Vec<NodeId> = ctx
+            .netlist
+            .outputs()
+            .iter()
+            .copied()
+            .max_by(latest)
+            .into_iter()
+            .collect();
+        while let Some(next) = path
+            .last()
+            .and_then(|&v| ctx.cones.fanin(v).iter().map(|&u| NodeId(u)).max_by(latest))
+        {
+            path.push(next);
+        }
+        path.iter().rev().fold(0.0f64, |sum, &v| {
+            let fresh_weight = self.partition.module_of(v).and_then(|m| {
+                let (_, sens) = fresh.iter().find(|(i, _)| *i == m)?;
+                Some(gate_weight(ctx, v, &self.stats[m], sens))
+            });
+            sum + fresh_weight.unwrap_or(self.weight[v.index()])
+        })
+    }
+
+    /// A lower bound on the cost of moving the gate set `gates` (members
+    /// of one source module) to module `target`, decided before any move
+    /// from the two modules' leakage alone: the leakage sums after the
+    /// batch, taken in [`Evaluated::move_gates`]' own order (so their
+    /// bits are the ones the move would produce), give the exact
+    /// discriminability violations of both touched modules; every other
+    /// module keeps its violations; the module count drops by one when
+    /// the batch empties its source. The weighted total of those two
+    /// terms, every other term at 0, bounds the batch's cost whenever the
+    /// weights and the violation penalty are non-negative: every term is
+    /// non-negative (`D_BIC ≥ D`), and so is each violation left out
+    /// (the touched modules' rail perturbation). It never exceeds
+    /// [`Evaluated::cost_lower_bound`] of the moved batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if moves are unsettled, if `gates` is empty or holds a
+    /// primary input, or if `target` is its source module.
+    #[must_use]
+    pub(crate) fn batch_leakage_bound(&self, gates: &[NodeId], target: usize) -> f64 {
+        assert!(
+            self.dirty.is_empty(),
+            "the leakage bound reads settled sensors"
+        );
+        let source = gates
+            .first()
+            .and_then(|&g| self.partition.module_of(g))
+            .unwrap_or_else(|| panic!("a batch needs a first gate inside a module"));
+        assert_ne!(source, target, "a batch moves to another module");
+        let ctx = self.ctx;
+        let (mut out, mut into) = (self.stats[source].leakage_na, self.stats[target].leakage_na);
+        for &g in gates {
+            out -= ctx.tables.leakage_na[g.index()];
+            into += ctx.tables.leakage_na[g.index()];
+        }
+        let empties = gates.len() == self.partition.module(source).len();
+        let untouched: usize = self
+            .sensors
+            .iter()
+            .enumerate()
+            .filter(|&(m, _)| m != source && m != target)
+            .map(|(_, sens)| sens.violations)
+            .sum();
+        let violations = untouched
+            + usize::from(violates_discriminability(ctx, into))
+            + usize::from(!empties && violates_discriminability(ctx, out));
+        let modules = self.stats.len() - usize::from(empties);
+        CostBreakdown {
+            c1_area: 0.0,
+            c2_delay: 0.0,
+            c3_interconnect: 0.0,
+            c4_test_time: 0.0,
+            c5_modules: modules as f64,
+            violations,
+            sensor_area: 0.0,
+            dbic_ps: 0.0,
+            vector_time_ps: 0.0,
+        }
+        .total(&ctx.config.weights, ctx.config.violation_penalty)
     }
 
     /// Sensor figures of the modules touched since the last settle (the
@@ -1592,10 +1767,13 @@ pub(crate) mod tests {
 
     /// The cost bounds of a Monte-Carlo batch are sound: on random
     /// partitions of a generated c880 and a generated s1423 (with DFFs),
-    /// the bound before the settle ≤ the bound after it ≤ the exact cost
-    /// of the same batch moved with its row scans, and the separation
-    /// floor ≤ the true total. The first batch of every partition empties
-    /// its source module.
+    /// the leakage pre-check ≤ the bound before the settle (critical-path
+    /// floor) ≤ the bound after it ≤ the exact cost of the same batch
+    /// moved with its row scans, and the separation floor ≤ the true
+    /// total. The first batch of every partition empties its source
+    /// module. A single-gate scanned move (the mutation shape) bounded
+    /// before its settle stays ≤ its exact cost too, and the path floor
+    /// rises above `D` in some cases.
     #[test]
     fn batch_cost_bounds_are_sound() {
         let lib = Library::generic_1um();
@@ -1603,7 +1781,7 @@ pub(crate) mod tests {
             iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c880").unwrap(), 5);
         let s1423 =
             iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5);
-        let mut strict = 0;
+        let (mut strict, mut floor_above_d) = (0, 0);
         for nl in [&c880, &s1423] {
             let ctx = EvalContext::new(nl, &lib, PartitionConfig::paper_default());
             let gates: Vec<NodeId> = nl.gate_ids().collect();
@@ -1640,10 +1818,13 @@ pub(crate) mod tests {
                         .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
                         .collect();
                     let label = format!("{} round {round} batch {batch}", nl.name());
+                    let leakage_bound = e.batch_leakage_bound(&moved, target);
 
                     e.begin_txn();
                     e.move_gates_unscanned(&moved, target);
                     let floor_bound = e.cost_lower_bound();
+                    floor_above_d +=
+                        usize::from(e.path_floor(&e.fresh_sensors()) > ctx.nominal_delay_ps);
                     let sep_floor = e.sep_floor.unwrap();
                     e.settle();
                     let settled_bound = e.cost_lower_bound();
@@ -1660,10 +1841,30 @@ pub(crate) mod tests {
                     assert_eq!(e.cost_lower_bound().to_bits(), exact.to_bits(), "{label}");
                     e.rollback_txn();
 
+                    assert!(leakage_bound <= floor_bound, "{label}");
                     assert!(floor_bound <= settled_bound, "{label}");
                     assert!(settled_bound <= exact, "{label}");
                     assert!(sep_floor <= separation, "{label}");
                     strict += usize::from(floor_bound < exact);
+
+                    // One boundary gate moved with its scans into a
+                    // connected module, bounded before its settle.
+                    let k = e.partition().module_count();
+                    let m = rng.gen_range(0..k);
+                    let boundary = e.boundary_gates(m);
+                    if let Some(&g) = boundary.get(rng.gen_range(0..boundary.len().max(1))) {
+                        let targets = e.connected_modules(g);
+                        let t = targets[rng.gen_range(0..targets.len())];
+                        e.begin_txn();
+                        e.move_gate(g, t);
+                        let bound = e.cost_lower_bound();
+                        floor_above_d +=
+                            usize::from(e.path_floor(&e.fresh_sensors()) > ctx.nominal_delay_ps);
+                        e.settle();
+                        let exact = e.total_cost();
+                        e.rollback_txn();
+                        assert!(bound <= exact, "{label}: single gate");
+                    }
                     // Move on from a different partition next batch.
                     if batch % 2 == 1 {
                         e.move_gates(&moved, target);
@@ -1673,6 +1874,79 @@ pub(crate) mod tests {
             }
         }
         assert!(strict > 0, "every bound was tight: nothing was bounded");
+        assert!(floor_above_d > 0, "the path floor never rose above D");
+    }
+
+    /// The rebased evaluator equals `Evaluated::new` of its partition bit
+    /// for bit, after random committed moves and rolled-back
+    /// transactions on a generated c880 and a generated s1423.
+    #[test]
+    fn rebase_equals_a_fresh_evaluation() {
+        let lib = Library::generic_1um();
+        let c880 =
+            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c880").unwrap(), 5);
+        let s1423 =
+            iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5);
+        for nl in [&c880, &s1423] {
+            let ctx = EvalContext::new(nl, &lib, PartitionConfig::paper_default());
+            let mut e = Evaluated::new(&ctx, crate::start::chain_partition(&ctx, 40, 3));
+            let mut rng = SmallRng::seed_from_u64(37);
+            for round in 0..8 {
+                for _ in 0..rng.gen_range(1..6) {
+                    let k = e.partition().module_count();
+                    let boundary = e.boundary_gates(rng.gen_range(0..k));
+                    let Some(&g) = boundary.first() else { continue };
+                    let targets = e.connected_modules(g);
+                    e.move_gate(g, targets[rng.gen_range(0..targets.len())]);
+                }
+                e.settle();
+                e.begin_txn();
+                let k = e.partition().module_count();
+                let source = rng.gen_range(0..k);
+                let batch = e.partition().module(source).to_vec();
+                e.move_gates(&batch[..batch.len().div_ceil(2)], (source + 1) % k);
+                e.settle();
+                e.rollback_txn();
+                let label = format!("{} round {round}", nl.name());
+                let fresh = Evaluated::new(&ctx, e.partition().clone());
+                assert_eq!(state_bits(&e.rebased()), state_bits(&fresh), "{label}");
+            }
+        }
+    }
+
+    /// The flat boundary scan lists the same gates, in the same order, as
+    /// a walk of the netlist's undirected neighbours, after random
+    /// committed moves on a generated c880 and a generated s1423.
+    #[test]
+    fn boundary_gates_match_the_netlist_walk() {
+        let lib = Library::generic_1um();
+        let c880 =
+            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c880").unwrap(), 5);
+        let s1423 =
+            iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5);
+        for nl in [&c880, &s1423] {
+            let ctx = EvalContext::new(nl, &lib, PartitionConfig::paper_default());
+            let gates: Vec<NodeId> = nl.gate_ids().collect();
+            let mut e = Evaluated::new(&ctx, crate::start::chain_partition(&ctx, 50, 5));
+            let mut rng = SmallRng::seed_from_u64(41);
+            for round in 0..30 {
+                for m in 0..e.partition().module_count() {
+                    let walked: Vec<NodeId> = e
+                        .partition()
+                        .module(m)
+                        .iter()
+                        .copied()
+                        .filter(|&g| {
+                            nl.undirected_neighbors(g)
+                                .any(|n| nl.is_gate(n) && e.partition().module_of(n) != Some(m))
+                        })
+                        .collect();
+                    assert_eq!(e.boundary_gates(m), walked, "{} round {round}", nl.name());
+                }
+                let g = gates[rng.gen_range(0..gates.len())];
+                e.move_gate(g, rng.gen_range(0..e.partition().module_count()));
+            }
+        }
     }
 
     #[test]

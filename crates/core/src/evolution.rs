@@ -33,29 +33,37 @@
 //! parent clone — the `μ(λ+χ) − μ` losers per generation never pay for a
 //! full evaluator construction.
 //!
-//! Most Monte-Carlo descendants do not even pay for their exact cost.
-//! Each generation has a **bar**: the μ-th best cost among the parents
-//! that survive aging into its selection pool. Those μ parents come
-//! before any candidate that costs more, so a descendant whose cost
-//! *lower bound* is strictly above the bar can never be selected. A
-//! Monte-Carlo batch first moves without the separation row scans, one
-//! per moved gate and the bulk of its cost, and is bounded twice (see
-//! `Evaluated::cost_lower_bound`):
+//! Most descendants do not even pay for their exact cost. Each
+//! generation has a **bar**: the μ-th best cost among the parents that
+//! survive aging into its selection pool. Those μ parents come before
+//! any candidate that costs more, so a descendant whose cost *lower
+//! bound* is strictly above the bar can never be selected. The bounds
+//! (see `Evaluated::cost_lower_bound`) run cheapest first, and each
+//! descendant stops at the first one that loses:
 //!
-//! 1. before the settle, with exact area, module-count and violation
-//!    terms, a separation floor from O(1) row totals, and `D_BIC` at its
-//!    floor `D` — an over-current module's violation penalty alone
-//!    usually decides it here;
-//! 2. after the settle, with the exact delay terms.
+//! 1. **leakage** (Monte-Carlo only, before the batch moves): the two
+//!    touched modules' leakage after the batch gives their exact
+//!    discriminability violations; with the other modules' violations
+//!    and the module count, the penalty alone usually decides it;
+//! 2. **path floor** (before the settle): exact area, module-count and
+//!    violation terms, `D_BIC` at its critical-path floor `max(D, L)`,
+//!    and the separation exact for a mutation's scanned moves, or a floor
+//!    from O(1) row totals for a Monte-Carlo batch moved without its row
+//!    scans;
+//! 3. **settle** (Monte-Carlo only): the same with the exact delay terms;
+//! 4. **exact scan**: a Monte-Carlo batch that passes every bound is
+//!    rolled back and re-applied with [`Evaluated::move_gates`]; a
+//!    mutation that passes the path floor settles for its exact cost.
 //!
-//! A descendant that loses either check keeps its bound as its pool cost
-//! and is rolled back; one that passes both is rolled back and re-applied
-//! with [`Evaluated::move_gates`] for its exact cost. Selection, the
-//! generation log, `evaluations` (which counts pruned descendants too)
-//! and every output are bit-identical to scoring all of them exactly.
-//! There is no bar when fewer than μ parents survive aging, or when a
-//! cost weight or the violation penalty is negative; mutations always
-//! take the exact path (a bound would prune few of them).
+//! On `iddq test c7552 --seed 3` the leakage check decides 468 of the
+//! 720 Monte-Carlo descendants and the path floor 131 more before their
+//! settle; the path floor decides 496 of the 1,440 mutations (3,281 of
+//! 6,000 in the s5378 `synth --resynth --per-gate` run). A descendant
+//! that loses keeps its bound as its pool cost and is rolled back.
+//! Selection, the generation log, `evaluations` (which counts pruned
+//! descendants too) and every output are bit-identical to scoring all of
+//! them exactly. There is no bar when fewer than μ parents survive
+//! aging, or when a cost weight or the violation penalty is negative.
 //!
 //! Building the start population, scoring and materialization share one
 //! loop for any thread count: `min(threads, tasks)` workers claim the
@@ -207,6 +215,9 @@ pub struct EvolutionOutcome {
     /// Monte-Carlo descendants rejected by a cost lower bound without
     /// their exact cost (counted in `evaluations` too).
     pub pruned: usize,
+    /// Mutations rejected by a cost lower bound before their settle
+    /// (counted in `evaluations` too).
+    pub pruned_mutations: usize,
 }
 
 /// Runs the evolution strategy from chain-grown start partitions under
@@ -233,16 +244,29 @@ pub struct EvolutionOutcome {
 /// Panics if `config.mu == 0` or the netlist has no gates (caller bugs,
 /// not runtime conditions).
 #[must_use]
-// The `expect`s inside assert the scratch-arena and
-// parent-materialization accounting of the generation loop — each
-// slot is provably filled exactly once before it is taken.
-#[allow(clippy::expect_used)]
 pub fn optimize(
     ctx: &EvalContext<'_>,
     config: &EvolutionConfig,
     seed: u64,
     control: &RunControl,
 ) -> Outcome<EvolutionOutcome> {
+    search(ctx, config, seed, control).map(|(outcome, _)| outcome)
+}
+
+/// [`optimize`], also handing back the evaluator of the best individual
+/// (cloned whenever the best improved, or the start population's best
+/// when the run stops before any improvement), so a caller can report
+/// the winner without evaluating it again.
+// The `expect`s inside assert the scratch-arena and
+// parent-materialization accounting of the generation loop — each
+// slot is provably filled exactly once before it is taken.
+#[allow(clippy::expect_used)]
+pub(crate) fn search<'a>(
+    ctx: &'a EvalContext<'a>,
+    config: &EvolutionConfig,
+    seed: u64,
+    control: &RunControl,
+) -> Outcome<(EvolutionOutcome, Evaluated<'a>)> {
     assert!(config.mu > 0, "need at least one parent");
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xe501);
     let module_count = start::estimate_module_count(ctx);
@@ -273,11 +297,11 @@ pub fn optimize(
     .map(|slot| slot.expect("building a start individual panicked"))
     .collect();
     let mut evaluations = population.len();
-    let mut pruned = 0usize;
+    let (mut pruned, mut pruned_mutations) = (0usize, 0usize);
 
     let mut log = Vec::new();
     let mut best_cost = f64::INFINITY;
-    let mut best: Option<Partition> = None;
+    let mut best: Option<Evaluated<'a>> = None;
     let mut stagnant = 0usize;
     let mut stopped: Option<StopReason> = None;
     let mut generations_run = 0usize;
@@ -322,7 +346,7 @@ pub fn optimize(
                 let scored = if mc {
                     monte_carlo(eval, parent_m, config, &mut child_rng, walker, bar)
                 } else {
-                    mutate(eval, parent_m, config, &mut child_rng, walker)
+                    mutate(eval, parent_m, config, &mut child_rng, walker, bar)
                 };
                 scored.map(|(moves, cost, m, pruned)| ScoredChild {
                     parent: pi,
@@ -336,7 +360,12 @@ pub fn optimize(
         let mut panicked = scored.iter().any(Option::is_none);
         let children: Vec<ScoredChild> = scored.into_iter().flatten().flatten().collect();
         evaluations += children.len();
-        pruned += children.iter().filter(|c| c.pruned).count();
+        for child in children.iter().filter(|c| c.pruned) {
+            match child.moves {
+                Moves::Batch(..) => pruned += 1,
+                Moves::Gates(_) => pruned_mutations += 1,
+            }
+        }
         control.charge(tasks.len() as u64);
 
         // Selection pool: aged parents + all descendants, in that order
@@ -432,7 +461,7 @@ pub fn optimize(
         });
         if gen_best.cost + 1e-12 < best_cost {
             best_cost = gen_best.cost;
-            best = Some(gen_best.eval.partition().clone());
+            best = Some(gen_best.eval.clone());
             stagnant = 0;
         } else {
             stagnant += 1;
@@ -450,23 +479,25 @@ pub fn optimize(
 
     // A stop before the first improvement still has the evaluated start
     // population to report: take its best member.
-    let (best, best_cost) = match best {
-        Some(p) => (p, best_cost),
+    let (best_eval, best_cost) = match best {
+        Some(eval) => (eval, best_cost),
         None => {
             let gen_best = population
                 .iter()
                 .min_by(|a, b| a.cost.total_cmp(&b.cost))
                 .unwrap_or(&population[0]);
-            (gen_best.eval.partition().clone(), gen_best.cost)
+            (gen_best.eval.clone(), gen_best.cost)
         }
     };
-    let value = EvolutionOutcome {
-        best,
+    let outcome = EvolutionOutcome {
+        best: best_eval.partition().clone(),
         best_cost,
         log,
         evaluations,
         pruned,
+        pruned_mutations,
     };
+    let value = (outcome, best_eval);
     match stopped {
         None => Outcome::Complete(value),
         Some(reason) => Outcome::Partial {
@@ -565,12 +596,17 @@ fn claim_each<S, T: Send>(
 /// read the cost, roll back. Returns `None` when no move is possible
 /// (single-module partitions have no boundary); the scratch is always
 /// restored to the parent state.
+///
+/// With a `bar`, the moved state is bounded before the settle (exact
+/// separation, `D_BIC` at its critical-path floor); a bound strictly
+/// above the bar is returned as the pruned mutation's cost, unsettled.
 fn mutate(
     scratch: &mut Evaluated<'_>,
     parent_m: f64,
     config: &EvolutionConfig,
     rng: &mut SmallRng,
     walker: &mut ConeWalker,
+    bar: Option<f64>,
 ) -> Option<Scored> {
     let k = scratch.partition().module_count();
     if k < 2 {
@@ -607,6 +643,13 @@ fn mutate(
         scratch.rollback_txn();
         return None;
     }
+    if let Some(bar) = bar {
+        let bound = scratch.cost_lower_bound();
+        if bound > bar {
+            scratch.rollback_txn();
+            return Some((Moves::Gates(moves), bound, m_step, true));
+        }
+    }
     scratch.settle_with(walker);
     let cost = scratch.total_cost();
     scratch.rollback_txn();
@@ -620,12 +663,13 @@ fn mutate(
 /// incremental dirty-cone budget, so settling takes the batch full-sweep
 /// path.
 ///
-/// With a `bar`, the batch first moves without its separation row scans
-/// and is bounded twice: before the settle (`D_BIC` at its floor `D`) and
-/// after it (exact delay terms). A bound strictly above the bar is
-/// returned as the pruned descendant's cost. Only a descendant that
-/// passes both checks is rolled back and re-applied with the scans for
-/// its exact cost.
+/// With a `bar`, the batch is bounded three times before it pays for its
+/// row scans: on the touched modules' leakage before it moves, then moved
+/// without the scans and bounded before the settle (`D_BIC` at its
+/// critical-path floor) and after it (exact delay terms). A bound
+/// strictly above the bar is returned as the pruned descendant's cost.
+/// Only a descendant that passes every check is rolled back and
+/// re-applied with the scans for its exact cost.
 fn monte_carlo(
     scratch: &mut Evaluated<'_>,
     parent_m: f64,
@@ -656,6 +700,10 @@ fn monte_carlo(
     };
     let m_step = adapt_step(parent_m, config.epsilon, rng);
     if let Some(bar) = bar {
+        let bound = scratch.batch_leakage_bound(&gates, target);
+        if bound > bar {
+            return Some((Moves::Batch(gates, target), bound, m_step, true));
+        }
         scratch.begin_txn();
         scratch.move_gates_unscanned(&gates, target);
         let mut bound = scratch.cost_lower_bound();
@@ -953,7 +1001,7 @@ mod tests {
         let mut eval = Evaluated::new(&ctx, Partition::single_module(&nl));
         let mut walker = ConeWalker::new(&ctx.cones);
         let mut rng = SmallRng::seed_from_u64(0);
-        assert!(mutate(&mut eval, 2.0, &quick_config(), &mut rng, &mut walker).is_none());
+        assert!(mutate(&mut eval, 2.0, &quick_config(), &mut rng, &mut walker, None).is_none());
         assert!(
             monte_carlo(&mut eval, 2.0, &quick_config(), &mut rng, &mut walker, None).is_none()
         );

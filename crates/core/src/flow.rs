@@ -3,7 +3,10 @@
 //! [`synthesize_with`] runs the full flow of the paper: build the analysis
 //! context, grow start partitions, optimize with the evolution strategy
 //! and emit a [`SynthesisReport`] with every per-module electrical figure
-//! (sensor size, discriminability, time constants). [`compare_standard`]
+//! (sensor size, discriminability, time constants). The report is read
+//! off the evaluator the search holds for its best individual, rebased
+//! (floating-point figures recomputed, exact separations kept), so the
+//! winner is not evaluated a second time. [`compare_standard`]
 //! additionally builds the §5 baseline at the same module count, the
 //! comparison Table 1 reports.
 
@@ -78,6 +81,12 @@ pub struct SynthesisResult {
     pub log: Vec<GenerationLog>,
     /// Number of partitions evaluated.
     pub evaluations: usize,
+    /// Monte-Carlo descendants rejected by a cost lower bound
+    /// ([`EvolutionOutcome::pruned`](crate::evolution::EvolutionOutcome::pruned)).
+    pub pruned: usize,
+    /// Mutations rejected by a cost lower bound
+    /// ([`EvolutionOutcome::pruned_mutations`](crate::evolution::EvolutionOutcome::pruned_mutations)).
+    pub pruned_mutations: usize,
 }
 
 /// Builds the report for an arbitrary evaluated partition.
@@ -154,6 +163,12 @@ fn gate_sep_context<'a>(
 /// ends with (see [`EvalContextBuilder::sep_table`]) — do not pay for a
 /// second build.
 ///
+/// The report comes from the evaluator the search ends holding for its
+/// best individual, rebased: its floating-point figures are recomputed
+/// from scratch and its exact separation totals kept, so the report is
+/// bit-identical to one built on `Evaluated::new` of the best partition
+/// without that constructor's `O(|M|²)` pair sums.
+///
 /// # Panics
 ///
 /// Panics if `ctx` was built below [`AnalysisTier::GateSep`].
@@ -161,14 +176,14 @@ fn gate_sep_context<'a>(
 /// [`EvalContextBuilder::sep_table`]: crate::context::EvalContextBuilder::sep_table
 #[must_use]
 pub fn synthesize_in(ctx: &EvalContext<'_>, evo: &EvolutionConfig, seed: u64) -> SynthesisResult {
-    let outcome = evolution::optimize(ctx, evo, seed, &RunControl::unlimited()).into_value();
-    let eval = Evaluated::new(ctx, outcome.best.clone());
-    let report = report_for(&eval);
+    let (outcome, best) = evolution::search(ctx, evo, seed, &RunControl::unlimited()).into_value();
     SynthesisResult {
         partition: outcome.best,
-        report,
+        report: report_for(&best.rebased()),
         log: outcome.log,
         evaluations: outcome.evaluations,
+        pruned: outcome.pruned,
+        pruned_mutations: outcome.pruned_mutations,
     }
 }
 
