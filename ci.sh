@@ -5,17 +5,15 @@
 # The perf smoke prints every bench gate and fails if, on c7552, the
 # delta-engine single-gate-mutation speedup drops below 3x full CSR
 # re-evaluation, the fault-patch engine drops below 3x vs per-fault full
-# re-simulation, or (on c1908) the patch-scored resynthesis candidates
-# drop below 2x vs rebuild scoring at bit-identical costs, or the flat
-# full-tier context build drops below 1.7x vs the hash-map reference
-# constructor, or (on c432) the evolution loop drops below 2x vs
-# rebuild-per-evaluation scoring, or the incremental dW separation
-# maintenance drops below 2x vs the full separation pass on the c7552
-# probe (bit-identical costs asserted), or the serial mega-circuit sweep
-# misses its wall-clock budget. The full bench run additionally gates
-# the CSR/wide kernel at 3x vs seed, the delta engine and the fault-patch
-# engine at 5x, resynthesis patch scoring at 3x on c7552, and the c7552
-# context build at 2.5x; and, on machines with >= 4 cores (announced
+# re-simulation, or the flat full-tier context build drops below 1.7x vs
+# the hash-map reference constructor, or (on c432) the evolution loop
+# drops below 2x vs rebuild-per-evaluation scoring, or the incremental dW
+# separation maintenance drops below 2x vs the full separation pass on
+# the c7552 probe (bit-identical costs asserted), or the serial
+# mega-circuit sweep misses its wall-clock budget. The full bench run
+# additionally gates the CSR/wide kernel at 3x vs seed, the delta engine
+# and the fault-patch engine at 5x, and the c7552 context build at 2.5x;
+# and, on machines with >= 4 cores (announced
 # ARMED or SKIPPED either way), the parallel fault sweep and parallel
 # context build at 1.5x. Sequential-circuit correctness (multi-frame
 # sweeps, resume, ATPG determinism) is pinned by the workspace tests.
@@ -24,7 +22,7 @@
 # another that the per-gate resynthesis search prunes probes there and
 # on a sequential s1423, a third that `iddq test` (c1908) and `iddq
 # synth` (s1423) print the same bytes at 1 and 2 threads, and a fourth
-# that five flow outputs still hash to their pinned digests.
+# that the flow outputs still hash to their pinned digests.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -119,8 +117,10 @@ echo "== evolution: pinned outputs"
 # benchmarked paper flow; s1423 at 2 frames), `iddq synth` on s1423
 # (stdout and the --json report) and on c1908, and the per-gate
 # resynthesis of s1423 followed by its evolution (stdout and the --json
-# report) must hash to the digests below. A change that alters these
-# outputs on purpose re-records the digests and says why in CHANGES.md.
+# report) must hash to the digests below, and `--resynth` without
+# `--per-gate` must print and write the same bytes as with it. A change
+# that alters these outputs on purpose re-records the digests and says
+# why in CHANGES.md.
 target/release/iddq test "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.test_c1908" 2>/dev/null
 target/release/iddq gen c7552 --seed 5 --out "$sweep_dir/c7552.bench" 2>/dev/null
 target/release/iddq test "$sweep_dir/c7552.bench" --seed 3 >"$sweep_dir/pin.test_c7552" 2>/dev/null
@@ -131,6 +131,8 @@ target/release/iddq synth "$sweep_dir/s1423.bench" --seed 3 --json "$sweep_dir/p
 target/release/iddq synth "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.synth_c1908" 2>/dev/null
 target/release/iddq synth "$sweep_dir/s1423.bench" --resynth --per-gate --seed 3 \
     --json "$sweep_dir/pin.resynth_s1423.json" >"$sweep_dir/pin.resynth_s1423" 2>/dev/null
+target/release/iddq synth "$sweep_dir/s1423.bench" --resynth --seed 3 \
+    --json "$sweep_dir/resynth_implied.json" >"$sweep_dir/resynth_implied" 2>/dev/null
 if ! (cd "$sweep_dir" && sha256sum --check --quiet) <<'DIGESTS'
 3690e525dff748985d44d4fa1503b70eedff28d5b1c0e174e58b5144d25363f1  pin.test_c1908
 c0897f167e33201c2e4f13d896ff85e5f8a73fdf521f7297d1fd97dc84fca340  pin.test_c7552
@@ -145,8 +147,13 @@ then
     echo "ERROR: a pinned flow output changed"
     exit 1
 fi
+if ! cmp "$sweep_dir/resynth_implied" "$sweep_dir/pin.resynth_s1423" \
+    || ! cmp "$sweep_dir/resynth_implied.json" "$sweep_dir/pin.resynth_s1423.json"; then
+    echo "ERROR: synth --resynth differs from synth --resynth --per-gate"
+    exit 1
+fi
 echo "iddq test c1908, test c7552, test s1423 --frames 2, synth s1423 (+ --json), synth c1908," \
-    "synth s1423 --resynth --per-gate (+ --json): digests match"
+    "synth s1423 --resynth [--per-gate] (+ --json): digests match"
 
 echo "== scale smoke"
 # A 10^5-gate generated circuit: CSR build + one full sweep + a GateSep

@@ -5,11 +5,11 @@
 //! baseline, asserts that both compute the same result, and returns its
 //! JSON entries and its [`Gate`]s: `kernels` (the seed's evaluator vs
 //! the CSR kernel), `delta` (single-gate-mutation re-evaluation),
-//! `fault_patch`, `context_build`, `resynth_patch`,
-//! `parallel_fault_sweep` (the IDDQ sweep), `evolution_loop` and `scale`
-//! (mega-circuits plus the incremental-ΔW `dw_probe`). Each function's
-//! doc states its gate. `main` writes the JSON, then reports every gate
-//! in one loop and exits 1 if an armed gate fails.
+//! `fault_patch`, `context_build`, `parallel_fault_sweep` (the IDDQ
+//! sweep), `evolution_loop` and `scale` (mega-circuits plus `dw_probe`,
+//! the incremental-ΔW refresh of `ResynthEval`). Each function's doc
+//! states its gate. `main` writes the JSON, then reports every gate in
+//! one loop and exits 1 if an armed gate fails.
 //!
 //! `--smoke` shrinks the measurement windows for a sub-second CI health
 //! check; `--out PATH` overrides the JSON path. Any other argument, or
@@ -222,7 +222,6 @@ fn main() {
         delta(&mode, &netlists, &csr256_rates),
         fault_patch(&mode, &netlists[HEADLINE]),
         context_build(&mode, &netlists),
-        resynth_patch(&mode, &netlists),
         parallel_fault_sweep(&mode, &netlists),
         evolution_loop(&mode, &netlists),
         scale(&mode, &netlists[HEADLINE]),
@@ -720,67 +719,6 @@ fn context_build(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Sec
         "parallel_gate_cores": cores,
     });
     Section::new("context_build", context_build, vec![flat, parallel])
-}
-
-/// Resynthesis candidate scoring: the three cost_aware candidates
-/// (Original / Balanced / Chain) scored by patch apply->score->rollback
-/// on one persistent GateSep-tier ResynthEval, against the rebuild path
-/// (materialize every candidate, fresh flat-engine EvalContext +
-/// single-module Evaluated each). Both paths must pick the same candidate
-/// at bit-identical costs; the wall-clock ratio is gated (>= 2x smoke on
-/// c1908 / >= 3x full on c7552).
-fn resynth_patch(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
-    println!("== resynthesis scoring: patch vs rebuild ==");
-    let rs_name = mode.pick("c1908", HEADLINE);
-    let rs_nl = &netlists[rs_name];
-    let rs_lib = Library::generic_1um();
-    let rs_cfg = PartitionConfig::paper_default();
-    let (_, rep_patch) = iddq_synth::cost_aware(rs_nl, &rs_lib, &rs_cfg);
-    let (_, rebuilt) = iddq_synth::cost_aware_rebuild(rs_nl, &rs_lib, &rs_cfg);
-    assert_eq!(
-        rep_patch.chosen, rebuilt.chosen,
-        "patch and rebuild scoring must choose the same candidate"
-    );
-    for (label, a, b) in [
-        ("original", rep_patch.original_cost, rebuilt.original_cost),
-        ("balanced", rep_patch.balanced_cost, rebuilt.balanced_cost),
-        ("chain", rep_patch.chain_cost, rebuilt.chain_cost),
-    ] {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{label} cost must be bit-identical across patch and rebuild scoring"
-        );
-    }
-    let [t_rs_patch, t_rs_rebuild] = secs_per_iter_interleaved(
-        mode.window_ms,
-        &mut [
-            &mut arm(|| iddq_synth::cost_aware(rs_nl, &rs_lib, &rs_cfg)),
-            &mut arm(|| iddq_synth::cost_aware_rebuild(rs_nl, &rs_lib, &rs_cfg)),
-        ],
-    );
-    let gate = Gate::new(
-        format!("{rs_name} resynthesis patch-scoring speedup vs rebuild scoring"),
-        t_rs_rebuild / t_rs_patch,
-        mode.pick(2.0, 3.0),
-    );
-    println!(
-        "{rs_name:>8}: 3 candidates: patch {t_rs_patch:8.3} s | rebuild {t_rs_rebuild:8.3} s \
-         ({:5.2}x), chosen {:?} at identical costs",
-        gate.measured, rep_patch.chosen,
-    );
-    let resynth_patch = serde_json::json!({
-        "circuit": rs_name,
-        "candidates": 3,
-        "patch_secs": t_rs_patch,
-        "rebuild_secs": t_rs_rebuild,
-        "speedup_vs_rebuild": gate.measured,
-        "chosen": format!("{:?}", rep_patch.chosen),
-        "costs_match_bitwise": true,
-        "acceptance_threshold": gate.threshold,
-        "pass": gate.pass(),
-    });
-    Section::new("resynth_patch", resynth_patch, vec![gate])
 }
 
 /// Parallel fault-sweep throughput (vectors/second through the full

@@ -114,6 +114,7 @@ enum Kind {
 
 impl Kind {
     /// Checks `value` against this kind; `positive` also rejects zero.
+    /// A float must be finite and not negative.
     fn check(self, value: &str, positive: bool) -> Result<(), String> {
         fn number<T: FromStr + Default + PartialEq>(
             value: &str,
@@ -132,7 +133,16 @@ impl Kind {
             Kind::U32 => number::<u32>(value, positive),
             Kind::U64 => number::<u64>(value, positive),
             Kind::Usize | Kind::Threads => number::<usize>(value, positive),
-            Kind::F64 => number::<f64>(value, positive),
+            Kind::F64 => match value.parse::<f64>() {
+                Ok(x) if !x.is_finite() || x < 0.0 => Err(format!(
+                    "expected a finite non-negative number, got `{value}`"
+                )),
+                Ok(x) if positive && x == 0.0 => {
+                    Err(format!("expected a number above 0, got `{value}`"))
+                }
+                Ok(_) => Ok(()),
+                Err(_) => Err(format!("expected a number, got `{value}`")),
+            },
             Kind::Lanes if value == "auto" => Ok(()),
             Kind::Lanes => value
                 .parse::<LaneWidth>()
@@ -242,12 +252,13 @@ const COMMANDS: &[Command] = &[
             flag("--seed N", U64, "42", "optimizer seed"),
             flag("--generations N", Usize, "250", "evolution generations"),
             flag("--d N", F64, "10", "required discriminability"),
-            flag("--rstar MV", F64, "200", "virtual-rail budget in mV"),
+            flag("--rstar MV", F64, "200", "virtual-rail budget in mV").positive(),
             flag("--fanout N", Usize, "", "buffer fan-out above N first (N >= 2)"),
-            flag("--resynth", Switch, "", "run cost-aware resynthesis first (patch-scored \
-                candidates on one persistent evaluation)"),
-            flag("--per-gate", Switch, "", "choose the decomposition shape gate by gate \
-                (greedy patch probes)").needs("--resynth"),
+            flag("--resynth", Switch, "", "run cost-aware resynthesis first: each wide gate \
+                keeps the decomposition shape (balanced, chain or none) that lowers the cost, \
+                scored by patch probes on one persistent evaluation"),
+            flag("--per-gate", Switch, "", "redundant, since --resynth implies it (the \
+                per-gate search is the only resynthesis mode)").needs("--resynth"),
             flag("--json PATH", Text, "", "write the full report as JSON"),
             flag("--dot PATH", Text, "", "write a module-coloured Graphviz graph"),
             flag("--modules PATH", Text, "", "write `gate module` assignment lines"),
@@ -612,7 +623,7 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
     // context is built around it instead of building it again.
     let mut handed_table = None;
     if args.has("--resynth") {
-        // The patch-scored searches only need the GateSep analysis tier;
+        // The patch-scored search only needs the GateSep analysis tier;
         // the build and the search are timed separately so the report
         // shows where the wall-clock actually goes. The table is built
         // serially: stitching a sharded build raised the peak RSS of
@@ -623,37 +634,25 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
             .build();
         let analysis_secs = t_analysis.elapsed().as_secs_f64();
         let t_search = Instant::now();
-        if args.has("--per-gate") {
-            let (out, report, table) =
-                iddq_synth::cost_aware_per_gate_in_with_control(&ctx, &RunControl::unlimited())
-                    .into_value();
-            let search_secs = t_search.elapsed().as_secs_f64();
-            eprintln!(
-                "resynthesis (per-gate): original {:.1} -> mixed {:.1} \
-                 ({} balanced, {} chain, {} kept; {} of {} probes pruned); \
-                 analyses {analysis_secs:.3} s + search {search_secs:.3} s",
-                report.original_cost,
-                report.mixed_cost,
-                report.balanced_gates,
-                report.chain_gates,
-                report.kept_gates,
-                report.pruned_probes,
-                report.probes
-            );
-            drop(ctx);
-            cut = out;
-            handed_table = table;
-        } else {
-            let (out, report) = iddq_synth::cost_aware_in(&ctx);
-            let search_secs = t_search.elapsed().as_secs_f64();
-            eprintln!(
-                "resynthesis: original {:.1} / balanced {:.1} / chain {:.1} -> {:?}; \
-                 analyses {analysis_secs:.3} s + search {search_secs:.3} s",
-                report.original_cost, report.balanced_cost, report.chain_cost, report.chosen
-            );
-            drop(ctx);
-            cut = out;
-        }
+        let (out, report, table) =
+            iddq_synth::cost_aware_per_gate_in_with_control(&ctx, &RunControl::unlimited())
+                .into_value();
+        let search_secs = t_search.elapsed().as_secs_f64();
+        eprintln!(
+            "resynthesis (per-gate): original {:.1} -> mixed {:.1} \
+             ({} balanced, {} chain, {} kept; {} of {} probes pruned); \
+             analyses {analysis_secs:.3} s + search {search_secs:.3} s",
+            report.original_cost,
+            report.mixed_cost,
+            report.balanced_gates,
+            report.chain_gates,
+            report.kept_gates,
+            report.pruned_probes,
+            report.probes
+        );
+        drop(ctx);
+        cut = out;
+        handed_table = table;
     }
 
     let evo = EvolutionConfig {

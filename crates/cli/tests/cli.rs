@@ -140,6 +140,16 @@ fn unknown_flags_are_usage_errors() {
         (vec!["stats", bench, "--rho", "abc"], "--rho"),
         (vec!["sim", bench, "--frames", "0"], "--frames"),
         (vec!["faults", bench, "--backend", "warp"], "--backend"),
+        // Floats must be finite and not negative; `--rstar` above 0.
+        (vec!["synth", bench, "--rstar", "nan"], "`--rstar`"),
+        (vec!["synth", bench, "--rstar", "inf"], "`--rstar`"),
+        (vec!["synth", bench, "--rstar", "-5"], "`--rstar`"),
+        (
+            vec!["synth", bench, "--rstar", "0"],
+            "expected a number above 0",
+        ),
+        (vec!["synth", bench, "--d", "-3"], "`--d`"),
+        (vec!["synth", bench, "--d", "NaN"], "finite non-negative"),
         // A repeated flag.
         (
             vec!["stats", bench, "--memory", "--rho", "2", "--rho", "0"],
@@ -517,16 +527,30 @@ y = NAND(w, a)
 z = NOR(w, e)
 ";
 
+/// `stderr` without the wall-clock figures of the resynthesis line.
+fn untimed(stderr: &str) -> String {
+    stderr
+        .lines()
+        .map(|line| line.split("; analyses ").next().unwrap_or(line))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[test]
-fn synth_resynth_reports_candidates_and_chosen() {
+fn synth_resynth_is_the_per_gate_search() {
+    // `--per-gate` is implied: with or without it, `--resynth` runs the
+    // one per-gate search and prints the same bytes.
     let bench = write_bench(WIDE_BENCH);
-    let (text, err) = ok(&["synth", &bench, "--resynth", "--generations", "5"]);
-    // The report lands on stderr: all three candidate costs, the winner,
-    // and the analysis-build vs candidate-search wall-clock split.
-    assert!(err.contains("resynthesis:"), "{err}");
-    for field in ["original", "balanced", "chain", "->", "analyses", "search"] {
-        assert!(err.contains(field), "missing `{field}` in: {err}");
-    }
+    let run = |extra: &[&str]| {
+        let mut args = vec!["synth", bench.as_str(), "--resynth", "--generations", "5"];
+        args.extend_from_slice(extra);
+        ok(&args)
+    };
+    let (text, err) = run(&[]);
+    let (text_per_gate, err_per_gate) = run(&["--per-gate"]);
+    assert!(err.contains("resynthesis (per-gate):"), "{err}");
+    assert_eq!(text, text_per_gate);
+    assert_eq!(untimed(&err), untimed(&err_per_gate));
     // The flow still reports the synthesized result on stdout.
     assert!(text.contains("modules"), "{text}");
 

@@ -11,7 +11,7 @@
 //! | tier ([`AnalysisTier`]) | contains | needed by |
 //! |---|---|---|
 //! | `Timing` | cell tables, §3.1 transition-time sets, fanout-cone index, nominal critical path, topo gate list | everything below builds on it |
-//! | `GateSep` | `Timing` + the gate-only `ρ − d` neighbour-weight table ([`GateSeparationTable`]), built *directly* from the netlist or handed over ([`EvalContextBuilder::sep_table`]) | [`crate::Evaluated`], [`crate::standard`], [`crate::evolution`], [`crate::flow`], [`crate::resynth::ResynthEval`] and the patch-scored resynthesis searches (`iddq-synth::cost_aware[_per_gate]`) — every flow, since §3.3 only needs gate-to-gate distances |
+//! | `GateSep` | `Timing` + the gate-only `ρ − d` neighbour-weight table ([`GateSeparationTable`]), built *directly* from the netlist or handed over ([`EvalContextBuilder::sep_table`]) | [`crate::Evaluated`], [`crate::standard`], [`crate::evolution`], [`crate::flow`], [`crate::resynth::ResynthEval`] and the patch-scored per-gate resynthesis search (`iddq-synth::cost_aware_per_gate_in`) — every flow, since §3.3 only needs gate-to-gate distances |
 //! | `Separation` | `Timing` + the full ρ-bounded [`SeparationOracle`] (+ the table distilled from it) | node-to-node distances that involve primary inputs: the serve `stats` artifacts, the bridge sampler's oracle path (`iddq-logicsim::faults::enumerate_with`) and the `context_build` benchmark section |
 //!
 //! `Timing ⊂ GateSep ⊂ Separation`: each tier strictly extends the one

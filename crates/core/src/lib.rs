@@ -35,8 +35,6 @@
 //! * [`constraints`] — the feasibility function `r(Π)`,
 //! * [`start`] — §4.2 chain-grown start partitions,
 //! * [`evolution`] — §4 the evolution strategy,
-//! * [`optimizers`] — simulated-annealing / greedy baselines for
-//!   ablation (the alternatives §4 lists),
 //! * [`standard`] — §5 the straightforward baseline partitioner,
 //! * [`flow`] — end-to-end synthesis entry points and reporting.
 //!
@@ -85,7 +83,6 @@ pub mod cost;
 pub mod evaluator;
 pub mod evolution;
 pub mod flow;
-pub mod optimizers;
 pub mod partition;
 pub mod resynth;
 pub mod standard;

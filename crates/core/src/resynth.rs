@@ -33,10 +33,13 @@
 //!   one by bounded BFS; see *Probes*) resolves every pair except the
 //!   genuinely decremental ones (`d_old = d_oldX` and `d_newX > d_oldX`:
 //!   the old shortest route crossed an edit and the detour got worse),
-//!   whose endpoints fall back to one exact bounded BFS each. The original
-//!   full ρ-ball re-derivation is retained behind
-//!   [`ResynthEval::new_full_refresh`] as the differential reference,
-//!   and the two are pinned bit-identical by proptests;
+//!   whose endpoints fall back to one exact bounded BFS each. A patch
+//!   that edits more than a few nodes, or removes one, re-derives the
+//!   weight and near row of every gate in the ρ−1-ball of its edits by
+//!   bounded BFS instead (the *ball refresh*).
+//!   [`ResynthEval::new_full_refresh`] takes the ball refresh for every
+//!   patch and keeps no rows: it is the differential reference, and the
+//!   two are pinned bit-identical by proptests;
 //! * **current histogram** — the §3.1 peak-current estimate sums, per
 //!   transition time, the `î_DD,max` of every gate that can switch then.
 //!   The per-slot sums and gate counts are updated wherever a gate's
@@ -68,8 +71,9 @@
 //! [`EvalContext::new`] and scoring `Evaluated::new(…, single module)` —
 //! because every derived quantity is a pure function of the structure and
 //! both paths evaluate it with identical operation order. The proptests in
-//! `iddq-synth` pin this equality down to the last bit, and the
-//! `resynth_patch` bench section gates the speedup it buys.
+//! `iddq-synth` and `tests/conformance.rs` pin this equality down to the
+//! last bit, and the bench's `dw_probe` gate times the ΔW refresh
+//! against the ball refresh.
 //!
 //! # Lifecycle
 //!
@@ -204,11 +208,6 @@ struct UndoFrame {
     /// Each directed entry appears at most once: the pairs of one
     /// refresh are distinct.
     entry_log: Vec<(u32, u32, u32)>,
-    /// The whole maintained-row table, when this apply was a bulk edit
-    /// that evicted it instead of rebuilding per-gate rows it can never
-    /// use incrementally (an O(1) move both ways — rollback restores
-    /// it, commit drops it for good).
-    rows_evicted: Option<Vec<Vec<(u32, u32)>>>,
     /// `Σ near_w` before the apply.
     sum_w_before: u64,
     /// The structure id before the apply (see `ResynthEval::structure_id`).
@@ -229,9 +228,6 @@ struct Redo {
     /// `(gate, weight after the apply)` for every logged neighbour weight.
     w: Vec<(u32, u64)>,
     sum_w: u64,
-    /// Whether the ΔW rows were maintained: a state kept without them
-    /// lacks the row edits a replay onto maintained rows would need.
-    rows: bool,
     /// The apply's deferred ΔW pair edits (never flushed).
     row_edits: Vec<(u32, u32, u32)>,
 }
@@ -302,19 +298,6 @@ struct DeltaScratch {
     avoid_index: Vec<(u32, u32, u32)>,
     /// The cached BFSs' `(node, distance)` visits, concatenated.
     avoid_pool: Vec<(u32, u32)>,
-}
-
-/// Persistent buffers of the region-sized separation refresh (the
-/// flat-CSR adjacency snapshot plus the epoch-stamped BFS scratch) —
-/// kept on the evaluation so repeated whole-circuit probes reuse the
-/// allocations instead of rebuilding them per apply.
-#[derive(Debug, Default)]
-struct RefreshScratch {
-    adj_offsets: Vec<u32>,
-    adj_pool: Vec<u32>,
-    stamp: Vec<u64>,
-    epoch: u64,
-    queue: Vec<u32>,
 }
 
 /// Largest peak current (µA) of a library cell the maintained current
@@ -474,16 +457,9 @@ pub struct ResynthEval<'a> {
     /// weight written as a distance. The newest apply's ΔW edits may
     /// still wait in the top undo frame; every read of the rows happens
     /// after `flush_row_edits`. `None` disables incremental ΔW
-    /// maintenance ([`ResynthEval::new_full_refresh`], or after a
-    /// committed bulk edit evicted the table — rebuilt lazily by the
-    /// next fast-path-eligible apply when `incremental` is set); rows
-    /// for primary inputs are empty.
+    /// maintenance ([`ResynthEval::new_full_refresh`]); rows for primary
+    /// inputs are empty.
     rows: Option<Vec<Vec<(u32, u32)>>>,
-    /// Whether incremental ΔW maintenance is wanted at all
-    /// ([`ResynthEval::new`] vs [`ResynthEval::new_full_refresh`]). When
-    /// set and a committed bulk edit has left `rows` as `None`, the
-    /// table is rebuilt lazily (see `rebuild_rows`).
-    incremental: bool,
     /// `Σ_g near_w[g]` — twice the in-bound pair weight.
     sum_w: u64,
     /// Identifies the current structure: each successful apply moves to
@@ -507,9 +483,6 @@ pub struct ResynthEval<'a> {
     level_log: Vec<(u32, u32)>,
     row_log: Vec<(u32, Vec<(u32, u32)>)>,
     row_edits: Vec<(u32, u32, u32)>,
-    /// The row table taken out by a bulk-edit apply in flight, drained
-    /// into the [`UndoFrame`] on success and restored on rejection.
-    rows_evicted: Option<Vec<Vec<(u32, u32)>>>,
     /// Node ids sorted by (level, id) — a topological order over the
     /// current structure, rebuilt lazily.
     order: Vec<u32>,
@@ -527,8 +500,6 @@ pub struct ResynthEval<'a> {
     // nominal arrivals of the fused sweep.
     arr: Vec<f64>,
     arr_nom: Vec<f64>,
-    /// Region-sized separation-refresh scratch (see [`RefreshScratch`]).
-    refresh_scratch: RefreshScratch,
     /// Incremental ΔW refresh scratch (see [`DeltaScratch`]).
     delta_scratch: DeltaScratch,
 }
@@ -613,7 +584,6 @@ impl<'a> ResynthEval<'a> {
             times,
             near_w,
             rows,
-            incremental,
             sum_w,
             structure_id: 0,
             last_structure_id: 0,
@@ -626,7 +596,6 @@ impl<'a> ResynthEval<'a> {
             level_log: Vec::new(),
             row_log: Vec::new(),
             row_edits: Vec::new(),
-            rows_evicted: None,
             order: Vec::new(),
             order_dirty: true,
             level_slots: Vec::new(),
@@ -635,7 +604,6 @@ impl<'a> ResynthEval<'a> {
             hist,
             arr: vec![0.0; n],
             arr_nom: vec![0.0; n],
-            refresh_scratch: RefreshScratch::default(),
             delta_scratch: DeltaScratch::default(),
         }
     }
@@ -783,11 +751,8 @@ impl<'a> ResynthEval<'a> {
     // structure, so neither step can fail.
     #[allow(clippy::expect_used)]
     fn replay(&mut self, patch: &Patch) -> Option<PatchImpact> {
-        let k = self.redo.iter().position(|r| {
-            r.structure_before == self.structure_id
-                && r.patch == *patch
-                && r.rows == self.rows.is_some()
-        })?;
+        let k = (self.redo.iter())
+            .position(|r| r.structure_before == self.structure_id && r.patch == *patch)?;
         let redo = self.redo.swap_remove(k);
         self.flush_row_edits();
         self.times_log.clear();
@@ -864,7 +829,6 @@ impl<'a> ResynthEval<'a> {
             row_log: std::mem::take(&mut self.row_log),
             row_edits: std::mem::take(&mut self.row_edits),
             entry_log: Vec::new(),
-            rows_evicted: self.rows_evicted.take(),
             sum_w_before,
             structure_before: self.structure_id,
         });
@@ -915,10 +879,7 @@ impl<'a> ResynthEval<'a> {
         // its row edits already reached the rows or it rebuilt them
         // wholesale.
         if let Some(patch) = frame.probed.take() {
-            if frame.entry_log.is_empty()
-                && frame.row_log.is_empty()
-                && frame.rows_evicted.is_none()
-            {
+            if frame.entry_log.is_empty() && frame.row_log.is_empty() {
                 let alive = self.kinds.len();
                 let redo = Redo {
                     patch,
@@ -932,7 +893,6 @@ impl<'a> ResynthEval<'a> {
                         .map(|&(g, _)| (g, self.near_w[g as usize]))
                         .collect(),
                     sum_w: self.sum_w,
-                    rows: self.rows.is_some(),
                     row_edits: std::mem::take(&mut frame.row_edits),
                 };
                 self.redo
@@ -971,11 +931,6 @@ impl<'a> ResynthEval<'a> {
                 self.near_w[g as usize] = w;
                 impact.separation_recomputed += 1;
             }
-        }
-        if let Some(rows) = frame.rows_evicted {
-            // A bulk apply parked the whole table untouched; moving it
-            // back restores every row at once (its `row_log` is empty).
-            self.rows = Some(rows);
         }
         if let Some(rows) = self.rows.as_mut() {
             // Unflushed `row_edits` never reached the rows and drop with
@@ -1048,17 +1003,6 @@ impl<'a> ResynthEval<'a> {
                 .ops
                 .iter()
                 .any(|op| matches!(op, PatchOp::RemoveGate { .. }));
-        // Lazy recovery from a *committed* bulk edit. While bulk
-        // candidates come and go uncommitted, the parked table returns on
-        // rollback for free and rebuilding here would only waste the next
-        // eviction; but once such an edit is committed nothing restores
-        // the table, and without this every later apply pays the full
-        // ball refresh forever. Rebuild from the current structure
-        // exactly when the next fast-path-eligible edit arrives — one
-        // bounded BFS per gate, amortized over every small apply after.
-        if wants_fast && self.incremental && self.rows.is_none() && self.undo.is_empty() {
-            self.rebuild_rows();
-        }
         let fast = self.rows.is_some() && wants_fast;
         let dirty = if fast {
             SepDirty::Dists(
@@ -1068,21 +1012,10 @@ impl<'a> ResynthEval<'a> {
                     .collect(),
             )
         } else {
-            let ball = self
-                .cones
-                .undirected_ball(&old_seeds, rho.saturating_sub(1));
-            // A region-sized edit rebuilds nearly every row only to throw
-            // the table away on the next bulk candidate — evict it
-            // wholesale instead (O(1) move into the undo frame, restored
-            // on rollback) and let the ball refresh skip row maintenance
-            // entirely. After a *commit* of such a patch `rows` stays
-            // `None` until the next fast-path-eligible apply rebuilds it
-            // lazily (see above); a run of committed bulk edits never
-            // pays a rebuild in between.
-            if ball.len() * 8 > self.kinds.len() {
-                self.rows_evicted = self.rows.take();
-            }
-            SepDirty::Ball(ball)
+            SepDirty::Ball(
+                self.cones
+                    .undirected_ball(&old_seeds, rho.saturating_sub(1)),
+            )
         };
 
         let subdivision = self.subdivides(patch);
@@ -1094,58 +1027,21 @@ impl<'a> ResynthEval<'a> {
                 // derived state (deterministic recomputation over the
                 // restored structure reproduces the original values — on
                 // the ΔW path the re-derived distance lists equal the
-                // captured ones, so no pair moves). An evicted row table
-                // moves straight back: the structure is unchanged, so it
-                // is still exact.
+                // captured ones, so no pair moves).
                 self.refresh(patch, &dirty);
-                if let Some(rows) = self.rows_evicted.take() {
-                    self.rows = Some(rows);
-                }
                 return Err(e);
             }
         };
         if let Err(on) = self.relevel(patch, subdivision) {
             // Cycle: levels untouched (atomic relevel); revert the
-            // structural edit and repair derived state (the evicted row
-            // table, if any, is still exact — see above).
+            // structural edit and repair derived state.
             self.apply_structure(&inverse)
                 .unwrap_or_else(|_| panic!("re-applying an inverse cannot fail"));
             self.refresh(patch, &dirty);
-            if let Some(rows) = self.rows_evicted.take() {
-                self.rows = Some(rows);
-            }
             return Err(PatchError::Cycle(NodeId(on)));
         }
         let times_visited = self.refresh_times(patch);
         Ok((inverse, dirty, times_visited))
-    }
-
-    /// Rebuilds the maintained ΔW row table from the current structure:
-    /// one bounded BFS per gate, each row sorted by partner id — the
-    /// exact shape `verify_consistency` pins the maintained rows
-    /// against. Called lazily after a committed bulk edit evicted the
-    /// table (never while speculative bulk candidates are in flight).
-    fn rebuild_rows(&mut self) {
-        let rho = self.ctx.config.rho;
-        let n = self.kinds.len();
-        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        let ResynthEval {
-            ref mut cones,
-            ref kinds,
-            ..
-        } = *self;
-        for (g, row) in rows.iter_mut().enumerate() {
-            if kinds[g].is_none() {
-                continue;
-            }
-            cones.bounded_bfs(g as u32, rho.saturating_sub(1), |p, d| {
-                if kinds[p as usize].is_some() {
-                    row.push((p, d));
-                }
-            });
-            row.sort_unstable();
-        }
-        self.rows = Some(rows);
     }
 
     /// [`ResynthEval::gate_dist_list`] of a pre-patch edited node, read
@@ -1521,14 +1417,25 @@ impl<'a> ResynthEval<'a> {
             ref mut w_log,
             ref mut rows,
             ref mut row_log,
-            ref mut refresh_scratch,
             ..
         } = *self;
-        let mut rows = rows.as_mut();
         let track_rows = rows.is_some();
         let mut row_buf: Vec<(u32, u32)> = Vec::new();
         let mut separation_recomputed = 0usize;
-        let mut store = |g: u32, w: u64| {
+        for &g in &ball {
+            if kinds[g as usize].is_none() {
+                continue;
+            }
+            let mut w = 0u64;
+            row_buf.clear();
+            cones.bounded_bfs(g, rho.saturating_sub(1), |n, d| {
+                if kinds[n as usize].is_some() {
+                    w += u64::from(rho - d);
+                    if track_rows {
+                        row_buf.push((n, d));
+                    }
+                }
+            });
             let old = near_w[g as usize];
             if w != old {
                 w_log.push((g, old));
@@ -1536,100 +1443,16 @@ impl<'a> ResynthEval<'a> {
                 *sum_w -= old;
                 near_w[g as usize] = w;
             }
-        };
-        // Commits the rebuilt row of one ball gate (ball gates are
-        // deduped, so each gets at most one log entry per apply).
-        let mut commit_row =
-            |g: u32, row_buf: &mut Vec<(u32, u32)>, row_log: &mut Vec<(u32, Vec<(u32, u32)>)>| {
-                if let Some(rows) = rows.as_deref_mut() {
-                    row_buf.sort_unstable();
-                    if rows[g as usize] != *row_buf {
-                        let old = std::mem::replace(&mut rows[g as usize], row_buf.clone());
-                        row_log.push((g, old));
-                    }
+            // Ball gates are deduped, so each row gets at most one log
+            // entry per apply.
+            if let Some(rows) = rows.as_mut() {
+                row_buf.sort_unstable();
+                if rows[g as usize] != row_buf {
+                    let old = std::mem::replace(&mut rows[g as usize], row_buf.clone());
+                    row_log.push((g, old));
                 }
-            };
-        if ball.len() * 8 > alive {
-            // Region-sized edit (the whole-circuit candidates of
-            // `cost_aware` re-derive nearly every gate): flatten the
-            // patched adjacency into one CSR snapshot first, so the
-            // per-gate bounded BFS runs over contiguous arrays instead
-            // of chasing one heap allocation per neighbour list. The
-            // weights are plain sums, so this path is bit-identical to
-            // the per-gate walk below. The snapshot content is per-patch
-            // (the structure just changed) but the buffers persist on
-            // the evaluation, so repeated probes don't reallocate.
-            let RefreshScratch {
-                ref mut adj_offsets,
-                ref mut adj_pool,
-                ref mut stamp,
-                ref mut epoch,
-                ref mut queue,
-            } = *refresh_scratch;
-            adj_offsets.clear();
-            adj_offsets.push(0);
-            adj_pool.clear();
-            for i in 0..alive {
-                adj_pool.extend_from_slice(cones.fanin(i));
-                adj_pool.extend_from_slice(cones.fanout(i));
-                adj_offsets.push(adj_pool.len() as u32);
             }
-            stamp.resize(alive, 0);
-            for &g in &ball {
-                if kinds[g as usize].is_none() {
-                    continue;
-                }
-                *epoch += 1;
-                stamp[g as usize] = *epoch;
-                queue.clear();
-                queue.push(g);
-                let (mut head, mut tail) = (0usize, 1usize);
-                let mut d = 0u32;
-                let mut w = 0u64;
-                row_buf.clear();
-                while d + 1 < rho && head < tail {
-                    d += 1;
-                    for k in head..tail {
-                        let u = queue[k] as usize;
-                        for &v in &adj_pool[adj_offsets[u] as usize..adj_offsets[u + 1] as usize] {
-                            if stamp[v as usize] != *epoch {
-                                stamp[v as usize] = *epoch;
-                                queue.push(v);
-                                if kinds[v as usize].is_some() {
-                                    w += u64::from(rho - d);
-                                    if track_rows {
-                                        row_buf.push((v, d));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    head = tail;
-                    tail = queue.len();
-                }
-                store(g, w);
-                commit_row(g, &mut row_buf, row_log);
-                separation_recomputed += 1;
-            }
-        } else {
-            for &g in &ball {
-                if kinds[g as usize].is_none() {
-                    continue;
-                }
-                let mut w = 0u64;
-                row_buf.clear();
-                cones.bounded_bfs(g, rho.saturating_sub(1), |n, d| {
-                    if kinds[n as usize].is_some() {
-                        w += u64::from(rho - d);
-                        if track_rows {
-                            row_buf.push((n, d));
-                        }
-                    }
-                });
-                store(g, w);
-                commit_row(g, &mut row_buf, row_log);
-                separation_recomputed += 1;
-            }
+            separation_recomputed += 1;
         }
         separation_recomputed
     }
@@ -2118,8 +1941,7 @@ impl<'a> ResynthEval<'a> {
     /// [`iddq_netlist::patch::materialize`] builds from the applied
     /// patches, which keeps every node id. A search hands its rows to
     /// the next analysis this way instead of building the table again.
-    /// `None` without maintained rows ([`ResynthEval::new_full_refresh`],
-    /// or after a committed bulk edit evicted them).
+    /// `None` without maintained rows ([`ResynthEval::new_full_refresh`]).
     #[must_use]
     pub fn into_sep_table(mut self) -> Option<GateSeparationTable> {
         self.flush_row_edits();
@@ -2684,90 +2506,6 @@ mod tests {
         eval.commit();
         assert_eq!(eval.pending_patches(), 0);
         assert_eq!(eval.total_cost().to_bits(), patched.to_bits());
-    }
-
-    #[test]
-    fn committed_bulk_edit_rebuilds_rows_lazily() {
-        // A removal always routes through the ball refresh, and on c17
-        // the ball covers most of the circuit, so the maintained ΔW row
-        // table is evicted; once that patch is *committed* nothing
-        // restores the table. The next fast-path-eligible apply must
-        // rebuild it lazily and land back on the incremental path,
-        // bit-identical to a from-scratch rebuild of the same structure.
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        let nl = data::c17();
-        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-        let mut eval = ResynthEval::new(&ctx);
-        let some_gate = nl.gate_ids().next().unwrap();
-        let tail = NodeId(nl.node_count() as u32);
-        eval.apply(&Patch::single(PatchOp::AddGate {
-            gate: tail,
-            kind: CellKind::Not,
-            fanin: vec![some_gate],
-        }))
-        .unwrap();
-        eval.commit();
-        eval.apply(&Patch::single(PatchOp::RemoveGate { gate: tail }))
-            .unwrap();
-        assert!(
-            eval.rows.is_none(),
-            "a region-sized removal evicts the row table"
-        );
-        eval.commit();
-        assert!(
-            eval.rows.is_none(),
-            "commit makes the eviction permanent until the next small apply"
-        );
-        // A bulk probe scored while the table is gone keeps its state
-        // without rows: once the table is back it must not be replayed.
-        let bulk = Patch {
-            ops: (0..9)
-                .map(|k| PatchOp::AddGate {
-                    gate: NodeId(tail.0 + k),
-                    kind: CellKind::Not,
-                    fanin: vec![some_gate],
-                })
-                .collect(),
-        };
-        assert!(eval.probe(&bulk, f64::INFINITY).unwrap().is_some());
-        eval.rollback();
-        // Structure is back to the original c17, so original-netlist
-        // oracles apply. The next small edit rebuilds the table lazily.
-        let patch = Patch::single(PatchOp::SetKind {
-            gate: nl.find("22").unwrap(),
-            kind: CellKind::And,
-        });
-        eval.apply(&patch).unwrap();
-        assert!(
-            eval.rows.is_some(),
-            "a fast-path-eligible apply rebuilds the evicted table"
-        );
-        eval.verify_consistency();
-        let oracle = rebuild_cost(&materialize(&nl, &patch).unwrap(), &lib, &cfg);
-        assert_eq!(eval.total_cost().to_bits(), oracle.to_bits());
-        eval.rollback();
-        eval.verify_consistency();
-        eval.apply(&bulk).unwrap();
-        eval.verify_consistency();
-        eval.rollback();
-        let base = rebuild_cost(&nl, &lib, &cfg);
-        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
-        // The full-refresh reference opts out of rows entirely: no lazy
-        // rebuild may ever sneak the incremental path back in.
-        let mut full = ResynthEval::new_full_refresh(&ctx);
-        full.apply(&patch).unwrap();
-        full.commit();
-        full.apply(&Patch::single(PatchOp::SetKind {
-            gate: nl.find("16").unwrap(),
-            kind: CellKind::Nand,
-        }))
-        .unwrap();
-        assert!(full.rows.is_none(), "full-refresh reference stays rowless");
-        assert_eq!(
-            eval.total_cost().to_bits(),
-            ResynthEval::new(&ctx).total_cost().to_bits()
-        );
     }
 
     /// Single-module cost of `nl` with `patches` materialized, scored by

@@ -20,19 +20,18 @@
 //!   load a single driver discharges at once (buffer fan-ins count
 //!   against the driver, and buffers cascade when one layer cannot carry
 //!   the load within the bound).
-//! * [`cost_aware`] — evaluates the candidates under the *partitioning*
-//!   cost function of `iddq-core` and returns the cheapest, i.e. logic
-//!   synthesis steered by the IDDQ-testability objective.
+//! * [`cost_aware_per_gate_in`] — offers every wide gate both
+//!   decomposition shapes and keeps whichever lowers the *partitioning*
+//!   cost function of `iddq-core`, i.e. logic synthesis steered by the
+//!   IDDQ-testability objective.
 //!
 //! Candidates are scored **by patch** on one persistent
-//! [`iddq_core::resynth::ResynthEval`]: [`decompose_patch`],
-//! [`decompose_gate_patch`] and [`fanout_buffer_patch`] express the
-//! rewrites as [`iddq_netlist::patch::Patch`] lists, applied and rolled
-//! back against a single evaluation instead of rebuilding a netlist and
-//! its analyses per candidate. [`cost_aware_rebuild`] keeps the rebuild
-//! path as the bit-exact differential oracle, and [`cost_aware_per_gate`]
-//! uses the now-cheap probes to pick the decomposition shape gate by
-//! gate.
+//! [`iddq_core::resynth::ResynthEval`]: [`decompose_gate_patch`]
+//! expresses one gate's rewrite as an [`iddq_netlist::patch::Patch`],
+//! applied and rolled back against a single evaluation instead of
+//! rebuilding a netlist and its analyses per candidate.
+//! [`decompose_patch`] and [`fanout_buffer_patch`] give the
+//! whole-netlist transforms in the same form.
 //!
 //! All transforms preserve logic function (property-tested against the
 //! 64-way simulator).
@@ -41,11 +40,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use iddq_celllib::Library;
 use iddq_control::{EngineError, Outcome, RunControl, StopReason};
-use iddq_core::{
-    config::PartitionConfig, AnalysisTier, EvalContext, Evaluated, Partition, ResynthEval,
-};
+use iddq_core::{EvalContext, ResynthEval};
 use iddq_netlist::patch::{self, Patch, PatchOp};
 use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{CellKind, Netlist, NetlistBuilder, NodeId};
@@ -508,175 +504,10 @@ pub fn fanout_buffer_patch(netlist: &Netlist, max_fanout: usize) -> Result<Patch
     Ok(Patch { ops: adds })
 }
 
-/// Outcome of [`cost_aware`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResynthesisReport {
-    /// Single-module partition cost of the original netlist.
-    pub original_cost: f64,
-    /// … of the balanced decomposition.
-    pub balanced_cost: f64,
-    /// … of the chain decomposition.
-    pub chain_cost: f64,
-    /// Which candidate won.
-    pub chosen: Candidate,
-}
-
-/// The candidate netlists [`cost_aware`] arbitrates between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Candidate {
-    /// Keep the original structure.
-    Original,
-    /// Balanced 2-input decomposition.
-    Balanced,
-    /// Chain 2-input decomposition.
-    Chain,
-}
-
-fn report_from(original_cost: f64, balanced_cost: f64, chain_cost: f64) -> ResynthesisReport {
-    let chosen = if chain_cost <= balanced_cost && chain_cost <= original_cost {
-        Candidate::Chain
-    } else if balanced_cost <= original_cost {
-        Candidate::Balanced
-    } else {
-        Candidate::Original
-    };
-    ResynthesisReport {
-        original_cost,
-        balanced_cost,
-        chain_cost,
-        chosen,
-    }
-}
-
-/// Synthesis steered by the IDDQ cost function: decompose both ways,
-/// score every candidate with the paper's cost model (single-module
-/// evaluation — the partition-independent part of the objective) and
-/// return the winner.
-///
-/// Candidates are scored **by patch** on one persistent
-/// [`ResynthEval`]: the decomposition is applied as a structural patch
-/// (apply → settle → score → rollback) instead of rebuilding a netlist
-/// and a fresh [`EvalContext`] per candidate. The context is built at
-/// the lightweight `GateSep` tier — [`ResynthEval`] only reads the
-/// gate-only separation table, so the full (input-polluted) oracle is
-/// never materialized and the analysis build stops being the floor of
-/// the search. Scores are bit-identical to the rebuild path —
-/// [`cost_aware_rebuild`] is that path, kept as the differential oracle
-/// and benchmark baseline.
-#[must_use]
-pub fn cost_aware(
-    netlist: &Netlist,
-    library: &Library,
-    config: &PartitionConfig,
-) -> (Netlist, ResynthesisReport) {
-    let ctx = EvalContext::builder(netlist, library, config.clone())
-        .tier(AnalysisTier::GateSep)
-        .build();
-    cost_aware_in(&ctx)
-}
-
-/// [`cost_aware`] on a caller-supplied context (any tier that satisfies
-/// [`ResynthEval::new`], i.e. `GateSep` or above) — lets callers time or
-/// share the analysis build separately from the candidate search.
-#[must_use]
-pub fn cost_aware_in(ctx: &EvalContext<'_>) -> (Netlist, ResynthesisReport) {
-    cost_aware_in_with_control(ctx, &RunControl::unlimited()).into_value()
-}
-
-/// [`cost_aware_in`] under cooperative control: the budget is checked
-/// between candidate probes (each probe charges one unit of quota), and
-/// a stop yields [`Outcome::Partial`] carrying the best candidate among
-/// the ones actually scored — unscored candidates report
-/// [`f64::INFINITY`] in the [`ResynthesisReport`] so they can never be
-/// chosen. A partial result is therefore still a sound (if possibly
-/// sub-optimal) synthesis: the original netlist always participates.
-// Decomposition patches are built against the same netlist the
-// evaluation wraps, so apply/materialize cannot reject them.
-#[allow(clippy::expect_used)]
-pub fn cost_aware_in_with_control(
-    ctx: &EvalContext<'_>,
-    control: &RunControl,
-) -> Outcome<(Netlist, ResynthesisReport)> {
-    let netlist = ctx.netlist;
-    let mut eval = ResynthEval::new(ctx);
-    let original_cost = eval.total_cost();
-    let balanced = decompose_patch_inner(netlist, DecompositionStyle::Balanced, 2);
-    let chain = decompose_patch_inner(netlist, DecompositionStyle::Chain, 2);
-    let mut score = |patch: &Patch| {
-        eval.apply(patch).expect("decomposition patches are valid");
-        let cost = eval.total_cost();
-        eval.rollback();
-        cost
-    };
-    let mut stopped: Option<StopReason> = None;
-    let mut scored = 0usize;
-    let mut probe = |patch: &Patch, stopped: &mut Option<StopReason>, scored: &mut usize| {
-        if stopped.is_some() {
-            return f64::INFINITY;
-        }
-        if let Some(reason) = control.check() {
-            *stopped = Some(reason);
-            return f64::INFINITY;
-        }
-        control.charge(1);
-        *scored += 1;
-        score(patch)
-    };
-    let balanced_cost = probe(&balanced, &mut stopped, &mut scored);
-    let chain_cost = probe(&chain, &mut stopped, &mut scored);
-    let report = report_from(original_cost, balanced_cost, chain_cost);
-    let out = match report.chosen {
-        Candidate::Original => netlist.clone(),
-        Candidate::Balanced => patch::materialize(netlist, &balanced).expect("valid candidate"),
-        Candidate::Chain => patch::materialize(netlist, &chain).expect("valid candidate"),
-    };
-    match stopped {
-        None => Outcome::Complete((out, report)),
-        Some(reason) => Outcome::Partial {
-            value: (out, report),
-            coverage: scored as f64 / 2.0,
-            reason,
-        },
-    }
-}
-
-/// The pre-patch-engine implementation of [`cost_aware`]: every candidate
-/// is materialized as a fresh netlist and scored through a from-scratch
-/// [`EvalContext`] + [`Evaluated`]. Kept as the differential oracle (the
-/// two paths must agree on the chosen candidate and every cost, bit for
-/// bit) and as the honest baseline the `resynth_patch` benchmark gates
-/// against.
-#[must_use]
-#[allow(clippy::expect_used)] // same valid-candidate contract as the patch path
-pub fn cost_aware_rebuild(
-    netlist: &Netlist,
-    library: &Library,
-    config: &PartitionConfig,
-) -> (Netlist, ResynthesisReport) {
-    let score = |nl: &Netlist| {
-        let ctx = EvalContext::builder(nl, library, config.clone()).build();
-        Evaluated::new(&ctx, Partition::single_module(nl)).total_cost()
-    };
-    let balanced_patch = decompose_patch_inner(netlist, DecompositionStyle::Balanced, 2);
-    let chain_patch = decompose_patch_inner(netlist, DecompositionStyle::Chain, 2);
-    let balanced = patch::materialize(netlist, &balanced_patch).expect("valid candidate");
-    let chain = patch::materialize(netlist, &chain_patch).expect("valid candidate");
-    let original_cost = score(netlist);
-    let balanced_cost = score(&balanced);
-    let chain_cost = score(&chain);
-    let report = report_from(original_cost, balanced_cost, chain_cost);
-    let out = match report.chosen {
-        Candidate::Original => netlist.clone(),
-        Candidate::Balanced => balanced,
-        Candidate::Chain => chain,
-    };
-    (out, report)
-}
-
-/// The shapes [`cost_aware_per_gate`] probes per wide gate, in order.
+/// The shapes [`cost_aware_per_gate_in`] probes per wide gate, in order.
 const STYLES: [DecompositionStyle; 2] = [DecompositionStyle::Balanced, DecompositionStyle::Chain];
 
-/// Outcome of [`cost_aware_per_gate`].
+/// Outcome of [`cost_aware_per_gate_in`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerGateReport {
     /// Single-module cost of the original netlist.
@@ -696,10 +527,10 @@ pub struct PerGateReport {
     pub pruned_probes: usize,
 }
 
-/// Per-gate cost-steered resynthesis: instead of one global
-/// balanced-or-chain choice, every wide gate is offered both shapes and
-/// keeps whichever (if either) lowers the cost of the *current* mixed
-/// candidate — a greedy descent that patch scoring makes affordable.
+/// Per-gate cost-steered resynthesis: every wide gate is offered both
+/// decomposition shapes and keeps whichever (if either) lowers the cost
+/// of the *current* mixed candidate — a greedy descent that patch
+/// scoring makes affordable.
 ///
 /// Each wide gate gets two [`ResynthEval::probe`]s on one persistent
 /// evaluation, each against `min(current, best so far)`. A probe whose
@@ -710,22 +541,8 @@ pub struct PerGateReport {
 /// place, and a winning balanced probe is re-applied and committed. The
 /// committed patches, and so the returned netlist and `mixed_cost`, are
 /// those of scoring every probe exactly; [`PerGateReport`] counts the
-/// probes and the pruned ones. Runs on a `GateSep`-tier context, like
-/// [`cost_aware`].
-#[must_use]
-pub fn cost_aware_per_gate(
-    netlist: &Netlist,
-    library: &Library,
-    config: &PartitionConfig,
-) -> (Netlist, PerGateReport) {
-    let ctx = EvalContext::builder(netlist, library, config.clone())
-        .tier(AnalysisTier::GateSep)
-        .build();
-    cost_aware_per_gate_in(&ctx)
-}
-
-/// [`cost_aware_per_gate`] on a caller-supplied context (`GateSep` tier
-/// or above).
+/// probes and the pruned ones. `ctx` needs the `GateSep` tier or above
+/// (see [`ResynthEval::new`]).
 #[must_use]
 pub fn cost_aware_per_gate_in(ctx: &EvalContext<'_>) -> (Netlist, PerGateReport) {
     let (out, report, _) =
@@ -854,6 +671,8 @@ pub fn cost_aware_per_gate_in_with_control(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iddq_celllib::Library;
+    use iddq_core::{config::PartitionConfig, AnalysisTier, Evaluated, Partition};
     use iddq_logicsim::Simulator;
     use iddq_netlist::data;
 
@@ -1054,41 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_picks_a_candidate_and_preserves_logic() {
-        let p = iddq_gen::iscas::IscasProfile::by_name("c432").unwrap();
-        let nl = iddq_gen::iscas::generate(p, 2);
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        let (out, report) = cost_aware(&nl, &lib, &cfg);
-        let best = report
-            .original_cost
-            .min(report.balanced_cost)
-            .min(report.chain_cost);
-        let chosen_cost = match report.chosen {
-            Candidate::Original => report.original_cost,
-            Candidate::Balanced => report.balanced_cost,
-            Candidate::Chain => report.chain_cost,
-        };
-        assert_eq!(chosen_cost, best);
-        assert_equivalent(&nl, &out);
-    }
-
-    #[test]
-    fn patch_scoring_agrees_with_rebuild_scoring_bitwise() {
-        let p = iddq_gen::iscas::IscasProfile::by_name("c432").unwrap();
-        let nl = iddq_gen::iscas::generate(p, 11);
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        let (out_p, rep_p) = cost_aware(&nl, &lib, &cfg);
-        let (out_r, rep_r) = cost_aware_rebuild(&nl, &lib, &cfg);
-        assert_eq!(rep_p.chosen, rep_r.chosen);
-        assert_eq!(rep_p.original_cost.to_bits(), rep_r.original_cost.to_bits());
-        assert_eq!(rep_p.balanced_cost.to_bits(), rep_r.balanced_cost.to_bits());
-        assert_eq!(rep_p.chain_cost.to_bits(), rep_r.chain_cost.to_bits());
-        assert_equivalent(&out_p, &out_r);
-    }
-
-    #[test]
     fn decompose_patch_candidate_is_equivalent_to_decompose() {
         let nl = wide_gate_circuit();
         for style in [DecompositionStyle::Balanced, DecompositionStyle::Chain] {
@@ -1130,7 +914,10 @@ mod tests {
         let nl = iddq_gen::iscas::generate(p, 3);
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
-        let (out, report) = cost_aware_per_gate(&nl, &lib, &cfg);
+        let ctx = EvalContext::builder(&nl, &lib, cfg.clone())
+            .tier(AnalysisTier::GateSep)
+            .build();
+        let (out, report) = cost_aware_per_gate_in(&ctx);
         assert!(report.mixed_cost <= report.original_cost);
         assert_equivalent(&nl, &out);
         // The mixed candidate's cost is reproduced by rebuild scoring.
@@ -1166,53 +953,6 @@ mod tests {
                 decompose_gate_patch(&nl, nl.topo_order()[0], DecompositionStyle::Chain, bad, 0),
                 Err(EngineError::InvalidArg(_))
             ));
-        }
-    }
-
-    #[test]
-    fn controlled_cost_aware_matches_uncontrolled_when_unlimited() {
-        let p = iddq_gen::iscas::IscasProfile::by_name("c432").unwrap();
-        let nl = iddq_gen::iscas::generate(p, 7);
-        let library = Library::generic_1um();
-        let config = PartitionConfig::paper_default();
-        let ctx = EvalContext::builder(&nl, &library, config.clone())
-            .tier(AnalysisTier::GateSep)
-            .build();
-        let plain = cost_aware_in(&ctx);
-        let controlled = cost_aware_in_with_control(&ctx, &RunControl::unlimited());
-        assert!(controlled.is_complete());
-        let (nl_c, report_c) = controlled.into_value();
-        assert_eq!(plain.1, report_c);
-        assert_eq!(plain.0.gate_count(), nl_c.gate_count());
-    }
-
-    #[test]
-    fn quota_exhausted_cost_aware_is_partial_but_sound() {
-        use iddq_control::RunBudget;
-        let p = iddq_gen::iscas::IscasProfile::by_name("c432").unwrap();
-        let nl = iddq_gen::iscas::generate(p, 7);
-        let library = Library::generic_1um();
-        let config = PartitionConfig::paper_default();
-        let ctx = EvalContext::builder(&nl, &library, config.clone())
-            .tier(AnalysisTier::GateSep)
-            .build();
-        // Quota of 1 lets exactly one of the two probes run.
-        let control = RunControl::with_budget(RunBudget::unlimited().with_quota(1));
-        let outcome = cost_aware_in_with_control(&ctx, &control);
-        match outcome {
-            Outcome::Partial {
-                value: (out, report),
-                coverage,
-                reason,
-            } => {
-                assert_eq!(reason, StopReason::QuotaExhausted);
-                assert!((coverage - 0.5).abs() < 1e-9, "coverage {coverage}");
-                // The unscored candidate must never win.
-                assert!(report.chain_cost.is_infinite());
-                assert_ne!(report.chosen, Candidate::Chain);
-                assert_equivalent(&nl, &out);
-            }
-            other => panic!("expected Partial, got {other:?}"),
         }
     }
 
@@ -1257,6 +997,65 @@ mod tests {
                 other => panic!("expected Partial, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn committed_bulk_decomposition_keeps_rows_exact() {
+        // A whole-netlist decomposition edits more nodes than the ΔW path
+        // takes, so it goes through the ρ-ball refresh, which rewrites the
+        // maintained near rows. The single-gate probes after it, pruned,
+        // rolled back or committed, read and edit those rows on the ΔW
+        // path.
+        let library = Library::generic_1um();
+        let config = PartitionConfig::paper_default();
+        let nl =
+            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c432").unwrap(), 5);
+        let ctx = EvalContext::builder(&nl, &library, config.clone())
+            .tier(AnalysisTier::GateSep)
+            .build();
+        let mut eval = ResynthEval::new(&ctx);
+        let bulk = decompose_patch(&nl, DecompositionStyle::Chain, 3).unwrap();
+        eval.apply(&bulk).unwrap();
+        eval.commit();
+        eval.verify_consistency();
+        let mid = patch::materialize(&nl, &bulk).unwrap();
+        let wide: Vec<NodeId> = mid
+            .gate_ids()
+            .filter(|&g| mid.node(g).fanin().len() > 2)
+            .take(16)
+            .collect();
+        assert!(wide.len() > 4, "the bulk edit leaves 3-input gates");
+        let mut committed = vec![bulk];
+        for (k, &gate) in wide.iter().enumerate() {
+            for style in STYLES {
+                let probe = decompose_gate_patch(&mid, gate, style, 2, eval.node_count() as u32)
+                    .unwrap()
+                    .expect("gate is wide");
+                // Every other gate commits its first probe; the rest are
+                // probed against the current cost and rolled back.
+                let keep = k % 2 == 0;
+                let beat = if keep {
+                    f64::INFINITY
+                } else {
+                    eval.total_cost()
+                };
+                let scored = eval.probe(&probe, beat).unwrap().is_some();
+                if keep {
+                    eval.commit();
+                    committed.push(probe);
+                } else if scored {
+                    eval.rollback();
+                }
+                eval.verify_consistency();
+                if keep {
+                    break;
+                }
+            }
+        }
+        let out = patch::materialize(&nl, &Patch::concat(&committed)).unwrap();
+        assert_equivalent(&nl, &out);
+        let table = eval.into_sep_table().expect("rows are maintained");
+        assert_eq!(table, GateSeparationTable::direct(&out, config.rho, 1));
     }
 
     #[test]

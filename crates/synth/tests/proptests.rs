@@ -273,8 +273,8 @@ proptest! {
     /// A `ResynthEval` on the lightweight GateSep-tier context (direct
     /// gate table, no full oracle) scores **bit-identically** to one on
     /// the full-tier context, through random patch sequences with
-    /// rollbacks and commits — the guarantee that lets `cost_aware` skip
-    /// the oracle build entirely.
+    /// rollbacks and commits — the guarantee that lets the per-gate
+    /// search (`cost_aware_per_gate_in`) skip the oracle build entirely.
     #[test]
     fn gatesep_tier_scoring_matches_full_tier(seed in 0u64..40, salt in any::<u64>()) {
         let nl = random_netlist(seed);
