@@ -115,10 +115,12 @@ echo "== evolution: pinned outputs"
 # Scoring is exact, so a faster evaluator must not move what the flow
 # prints: on the generated circuits, `iddq test` (c1908; c7552, the
 # benchmarked paper flow; s1423 at 2 frames), `iddq synth` on s1423
-# (stdout and the --json report) and on c1908, and the per-gate
-# resynthesis of s1423 followed by its evolution (stdout and the --json
-# report) must hash to the digests below, and `--resynth` without
-# `--per-gate` must print and write the same bytes as with it. A change
+# (stdout and the --json report), on c1908, and at seed 1 on c7552 and
+# s5378 (runs on which the event-driven cone-walk settle, since removed
+# for the full sweep, still fired), and the per-gate resynthesis of s1423
+# followed by its evolution (stdout and the --json report) must hash to
+# the digests below, and `--resynth` without `--per-gate` must print and
+# write the same bytes as with it. A change
 # that alters these outputs on purpose re-records the digests and says
 # why in CHANGES.md.
 target/release/iddq test "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.test_c1908" 2>/dev/null
@@ -129,17 +131,22 @@ target/release/iddq test "$sweep_dir/s1423.bench" --seed 3 --frames 2 \
 target/release/iddq synth "$sweep_dir/s1423.bench" --seed 3 --json "$sweep_dir/pin.synth_s1423.json" \
     >"$sweep_dir/pin.synth_s1423" 2>/dev/null
 target/release/iddq synth "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.synth_c1908" 2>/dev/null
+target/release/iddq synth "$sweep_dir/c7552.bench" --seed 1 >"$sweep_dir/pin.synth_c7552" 2>/dev/null
+target/release/iddq gen s5378 --seed 5 --out "$sweep_dir/s5378.bench" 2>/dev/null
+target/release/iddq synth "$sweep_dir/s5378.bench" --seed 1 >"$sweep_dir/pin.synth_s5378" 2>/dev/null
 target/release/iddq synth "$sweep_dir/s1423.bench" --resynth --per-gate --seed 3 \
     --json "$sweep_dir/pin.resynth_s1423.json" >"$sweep_dir/pin.resynth_s1423" 2>/dev/null
 target/release/iddq synth "$sweep_dir/s1423.bench" --resynth --seed 3 \
     --json "$sweep_dir/resynth_implied.json" >"$sweep_dir/resynth_implied" 2>/dev/null
-if ! (cd "$sweep_dir" && sha256sum --check --quiet) <<'DIGESTS'
+if ! (cd "$sweep_dir" && sha256sum --check --quiet --strict) <<'DIGESTS'
 3690e525dff748985d44d4fa1503b70eedff28d5b1c0e174e58b5144d25363f1  pin.test_c1908
 c0897f167e33201c2e4f13d896ff85e5f8a73fdf521f7297d1fd97dc84fca340  pin.test_c7552
 a184811580e8903cb73f61046c06eca42743ba64d71139f1b3e713e7c9a7e95e  pin.test_s1423
 14b0e622303a24838a9d51978d0089590170f4d97b3054394f19914b110bfbd3  pin.synth_s1423
 049d9689826953c1be89b3821d03cbcf0fc70ff71b730cc8e3ef0f3686ba0986  pin.synth_s1423.json
 0ce3cc1a275eeb65f9593bb9efac01ea98db52743bc47dd818fd43c66a06c882  pin.synth_c1908
+e6e46beb325f526fbaaebdbe2b1937f44c2472be02eaa0f500e73bdad91117ce  pin.synth_c7552
+0fe9ec68f351d3d0aed3ea7fdcd3a2a11f14ac40127fa1a677eea8d709fc0e30  pin.synth_s5378
 ea7201d6646f8f5443ceb3c7f898b2880912c320eaf6153f3981828a595a4554  pin.resynth_s1423
 dc670a185cf7cad033368df3f7cb677bdcec5a4daf5bef744b6946a0f4e3e275  pin.resynth_s1423.json
 DIGESTS
@@ -153,7 +160,7 @@ if ! cmp "$sweep_dir/resynth_implied" "$sweep_dir/pin.resynth_s1423" \
     exit 1
 fi
 echo "iddq test c1908, test c7552, test s1423 --frames 2, synth s1423 (+ --json), synth c1908," \
-    "synth s1423 --resynth [--per-gate] (+ --json): digests match"
+    "synth c7552 and s5378 at seed 1, synth s1423 --resynth [--per-gate] (+ --json): digests match"
 
 echo "== scale smoke"
 # A 10^5-gate generated circuit: CSR build + one full sweep + a GateSep

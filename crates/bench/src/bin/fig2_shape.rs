@@ -18,20 +18,34 @@ use iddq_bench::{experiment_config, experiment_library};
 use iddq_core::{EvalContext, Evaluated, Partition};
 use iddq_gen::array;
 
-fn main() {
-    let mut rows = 6usize;
-    let mut cols = 6usize;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--rows" => rows = it.next().and_then(|s| s.parse().ok()).expect("--rows N"),
-            "--cols" => cols = it.next().and_then(|s| s.parse().ok()).expect("--cols N"),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
+const USAGE: &str = "usage: fig2_shape [--rows N] [--cols N]";
+
+/// Parses the flags of [`USAGE`] into `(rows, cols)`. An unknown argument,
+/// or `--rows` / `--cols` without a positive integer, is an error naming
+/// it.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(usize, usize), String> {
+    let (mut rows, mut cols) = (6usize, 6usize);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let slot = match arg.as_str() {
+            "--rows" => &mut rows,
+            "--cols" => &mut cols,
+            _ => return Err(format!("unknown argument `{arg}`")),
+        };
+        *slot = args
+            .next()
+            .and_then(|s| s.parse().ok())
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("flag `{arg}` expects a positive integer"))?;
     }
+    Ok((rows, cols))
+}
+
+fn main() {
+    let (rows, cols) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let nl = array::cell_array(rows, cols);
     let lib = experiment_library();

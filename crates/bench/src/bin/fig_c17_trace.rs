@@ -18,6 +18,8 @@
 //! every step, exhaustively enumerates *all* 203 partitions of the six
 //! gates to locate the true optimum under our cost model, and finally
 //! checks that the free-running evolution strategy reaches it.
+//!
+//! Usage: `fig_c17_trace` (no arguments).
 
 use iddq_bench::{experiment_config, experiment_library};
 use iddq_control::RunControl;
@@ -57,6 +59,10 @@ fn all_partitions(items: &[NodeId]) -> Vec<Vec<Vec<NodeId>>> {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument `{arg}`\nusage: fig_c17_trace");
+        std::process::exit(2);
+    }
     let nl = data::c17();
     let lib = experiment_library();
     let cfg = experiment_config();

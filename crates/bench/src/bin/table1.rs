@@ -36,38 +36,42 @@ struct Args {
     seed: u64,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+const USAGE: &str = "usage: table1 [--quick] [--converge] [--ablate] [--json PATH] [--seed N]";
+
+/// Parses the flags of [`USAGE`]. An unknown argument, `--json` without a
+/// path or `--seed` without an integer is an error naming it.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
         quick: false,
         converge: false,
         ablate: false,
         json: None,
         seed: 42,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--converge" => args.converge = true,
-            "--ablate" => args.ablate = true,
-            "--json" => args.json = it.next(),
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--converge" => parsed.converge = true,
+            "--ablate" => parsed.ablate = true,
+            "--json" => parsed.json = Some(args.next().ok_or("flag `--json` expects a path")?),
             "--seed" => {
-                args.seed = it
+                parsed.seed = args
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
+                    .ok_or("flag `--seed` expects an integer")?;
             }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            _ => return Err(format!("unknown argument `{arg}`")),
         }
     }
-    args
+    Ok(parsed)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let lib = experiment_library();
     let cfg = experiment_config();
     let evo = if args.quick {

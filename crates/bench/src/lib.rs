@@ -10,6 +10,10 @@
 //! | F2 | `fig2_shape` | Figure 2 — partition shape vs sensor area on a 2-D cell array |
 //! | F3–F5 | `fig_c17_trace` | Figures 3–5 — the C17 mutation trace to the optimum |
 //! | X1 | `table1 --converge` | §5 convergence claim |
+//!
+//! Each binary rejects an unknown flag, or a flag without a valid value,
+//! with exit code 2 before any work. Experiments outside the paper that no
+//! record or gate reads are not kept here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,10 +15,7 @@
 //! * [`sensor::BicSensor`] — the sized sensor: area (`A_0 + A_1/R_s`),
 //!   time constant `τ_s = R_s·C_s`, per-vector settle time `Δ(τ)`,
 //! * [`detect`] — behavioural PASS/FAIL evaluation with measurement
-//!   noise bounds,
-//! * [`device`] — the sensing-device families the paper cites (diode
-//!   drop, proportional resistive, current mirror) as sizing-spec
-//!   presets.
+//!   noise bounds.
 //!
 //! # Example
 //!
@@ -39,7 +36,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod detect;
-pub mod device;
 pub mod sensor;
 pub mod sizing;
 

@@ -65,20 +65,6 @@ pub struct PartitionConfig {
     /// Penalty added to the cost per constraint violation, keeping the
     /// search ordered while strongly repelling infeasible regions.
     pub violation_penalty: f64,
-    /// Dirty-cone budget of the incremental delay re-simulation, as a
-    /// fraction of the node count: when a batch of gate moves re-weights
-    /// more gates than this, [`Evaluated::settle`](crate::Evaluated)
-    /// falls back to one full batch arrival sweep instead of event-driven
-    /// cone propagation. A move dirties the *weights* of both touched
-    /// modules, so coarse partitions (few, large modules) settle by batch
-    /// while fine partitions ride the cone walk; the Monte-Carlo
-    /// descendants of the evolution strategy (whole-module moves) always
-    /// cross the budget, and on the large circuits so do its one-gate
-    /// mutations. A settle over the budget also logs whole-vector undo
-    /// snapshots instead of per-gate entries. The default 0.1 sits at the measured crossover,
-    /// where a cone walk's per-node overhead (~3–4× a sweep node) breaks
-    /// even against the full sweep.
-    pub incremental_delay_limit: f64,
 }
 
 impl PartitionConfig {
@@ -93,7 +79,6 @@ impl PartitionConfig {
             rho: 6,
             num_vectors: 1024,
             violation_penalty: 1e7,
-            incremental_delay_limit: 0.1,
         }
     }
 }

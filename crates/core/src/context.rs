@@ -248,7 +248,8 @@ pub struct EvalContext<'a> {
     /// One past the largest transition time over all nodes (histogram
     /// length for the per-module activity analysis).
     pub horizon: usize,
-    /// Fanout-cone index driving the incremental delay re-simulation.
+    /// Topological order and flat fan-in lists of the arrival sweep that
+    /// settles the degraded delay (`D_BIC`).
     pub cones: ConeIndex,
     /// Gate neighbours of every node in the undirected circuit graph
     /// (fan-in then fanout, DFF D edges included, primary inputs left

@@ -17,25 +17,19 @@
 //!   sensor figures (sizing, area, decay time, violations) are re-derived
 //!   for the touched modules only.
 //! * **Delay re-simulation** — the degraded longest-path sweep (`D_BIC`,
-//!   the only `O(V + E)` term of the cost) is maintained *incrementally*:
-//!   each gate's degraded delay weight and arrival time persist across
-//!   moves, and [`Evaluated::settle`] re-propagates arrivals only through
-//!   the fanout cones of the gates whose weight actually changed, in
-//!   level order via the netlist's
-//!   [`ConeIndex`](iddq_netlist::cone::ConeIndex). When a batch of moves
-//!   re-weights more gates than
-//!   [`incremental_delay_limit`](crate::config::PartitionConfig::incremental_delay_limit)
-//!   allows, settling falls back to one full sweep over the index's flat
-//!   fan-in lists
+//!   the only `O(V + E)` term of the cost) keeps each gate's degraded
+//!   delay weight and arrival time across moves. [`Evaluated::settle`]
+//!   re-weights the gates of the touched modules, then runs one full
+//!   sweep over the netlist's flat fan-in lists
 //!   ([`ConeIndex::longest_path_into`](iddq_netlist::cone::ConeIndex::longest_path_into)).
-//!   In the evolution on c7552 and s5378 practically every settle takes
-//!   that path, mutations included: a gate's degraded weight depends on
-//!   its module's rail capacitance, peak activity and sized bypass, and
-//!   any move changes the rail capacitance of both touched modules, so
-//!   *every* member of both modules is re-weighted — and two modules of
-//!   those partitions already hold more gates than the budget.
-//!   "Recomputed just for the modified modules" thus holds for the
-//!   statistics, while the delay term costs one weight pass over two
+//!   The delay term cannot be made local the way the statistics are: a
+//!   gate's degraded weight depends on its module's rail capacitance, peak
+//!   activity and sized bypass, and any move changes the rail capacitance
+//!   of both touched modules, so *every* member of both is re-weighted.
+//!   Their fanout cones then cover most of the circuit, and a
+//!   level-ordered walk of them costs more than the sweep it would
+//!   replace. "Recomputed just for the modified modules" thus holds for
+//!   the statistics, while the delay term costs one weight pass over two
 //!   modules plus one full sweep.
 //!
 //! [`Evaluated::cost`] assembles the five cost terms from the cached
@@ -95,21 +89,16 @@
 //! rollback, and only materializes the descendants that survive
 //! selection.
 //!
-//! A settle whose touched modules hold no more gates than the incremental
-//! budget logs one entry per overwritten weight and arrival. A larger one
-//! logs the whole weight vector as one snapshot entry, and before a full
-//! sweep the whole arrival vector too; each snapshot is taken at most once
-//! per transaction, since restoring it also undoes every later write.
-//! Rollback moves the snapshots back in instead of re-running the sweep,
-//! so scoring a descendant costs one weight pass and one sweep, not two
-//! sweeps. The snapshots sit in the same ordered log as the per-entry
-//! records, so a transaction that mixes a cone-walk settle and a full
-//! settle unwinds correctly.
+//! The first settle of a transaction logs the weight and arrival vectors
+//! as one snapshot entry; later settles of the same transaction log no
+//! delay state, since restoring the snapshot also undoes every later
+//! write. Rollback moves the snapshot back in instead of re-running the
+//! sweep, so scoring a descendant costs one weight pass and one sweep, not
+//! two sweeps.
 
 use iddq_analog::network::delay_degradation;
 use iddq_bic::sizing::{size_sensor, SizingError};
 use iddq_bic::BicSensor;
-use iddq_netlist::cone::{ConeStep, ConeWalker};
 use iddq_netlist::NodeId;
 
 use crate::context::EvalContext;
@@ -326,15 +315,9 @@ enum TxnOp {
     },
     /// One overwritten per-module sensor figure (written by settles).
     Sensor { index: usize, old: ModuleSensor },
-    /// One overwritten gate weight.
-    Weight { node: u32, old: f64 },
-    /// One overwritten arrival time.
-    Arr { node: u32, old: f64 },
-    /// The whole weight vector before a settle that re-weights more gates
-    /// than the incremental budget.
-    Weights(Vec<f64>),
-    /// The whole arrival vector before a full sweep.
-    Arrivals(Vec<f64>),
+    /// The weight and arrival vectors before the transaction's first
+    /// settle.
+    Delay(Vec<f64>, Vec<f64>),
 }
 
 #[derive(Debug, Clone, Default)]
@@ -347,13 +330,10 @@ struct TxnLog {
     /// each touched module pays one snapshot per transaction, not one
     /// per move.
     snapshotted: Vec<usize>,
-    /// The log holds a [`TxnOp::Weights`] snapshot. Rollback restores it
-    /// before the entries logged ahead of it, so later weight writes of
-    /// the transaction need no entries of their own.
-    weights_saved: bool,
-    /// The log holds a [`TxnOp::Arrivals`] snapshot: later arrival writes
-    /// (full sweeps and cone walks alike) go unlogged, as for weights.
-    arr_saved: bool,
+    /// The log holds a [`TxnOp::Delay`] snapshot. Rollback restores it
+    /// before the entries logged ahead of it, so later settles of the
+    /// transaction log no weights or arrivals of their own.
+    delay_saved: bool,
 }
 
 /// A partition plus its incrementally maintained statistics, bound to an
@@ -723,37 +703,17 @@ impl<'a> Evaluated<'a> {
     }
 
     /// Brings the persistent delay-simulation state (gate weights and
-    /// arrival times) up to date with the current statistics, allocating
-    /// a fresh cone walker. Hot paths should reuse one walker via
-    /// [`Evaluated::settle_with`].
+    /// arrival times) up to date with the current statistics: the sensor
+    /// figures and gate weights of the touched modules are re-derived,
+    /// then one full sweep recomputes every arrival. Inside a
+    /// transaction, the first settle logs the weight and arrival vectors
+    /// as one entry.
     pub fn settle(&mut self) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        let mut walker = ConeWalker::new(&self.ctx.cones);
-        self.settle_with(&mut walker);
-    }
-
-    /// [`Evaluated::settle`] with a caller-owned [`ConeWalker`] (bound to
-    /// this context's [`ConeIndex`](iddq_netlist::cone::ConeIndex)), so
-    /// repeated settles are allocation-free.
-    ///
-    /// Gate weights are recomputed for the gates of the touched modules;
-    /// arrival times are then re-propagated *event-driven* through the
-    /// fanout cones of the gates whose weight actually changed, in level
-    /// order, stopping wherever the recomputed arrival is bit-identical.
-    /// If more gates changed weight than the configured
-    /// `incremental_delay_limit` fraction of the circuit, one full batch
-    /// sweep runs instead. Inside a transaction, a settle whose touched
-    /// modules hold more gates than that budget logs the whole weight
-    /// vector as one entry, and a full sweep the whole arrival vector.
-    pub fn settle_with(&mut self, walker: &mut ConeWalker) {
         if self.dirty.is_empty() {
             return;
         }
         let ctx = self.ctx;
         let dirty = std::mem::take(&mut self.dirty);
-        let limit = (ctx.config.incremental_delay_limit * ctx.netlist.node_count() as f64) as usize;
         let Evaluated {
             ref partition,
             ref stats,
@@ -763,67 +723,23 @@ impl<'a> Evaluated<'a> {
             ref mut txn,
             ..
         } = *self;
-        if let Some(log) = txn.as_mut().filter(|log| !log.weights_saved) {
-            let touched: usize = dirty.iter().map(|&m| partition.module(m).len()).sum();
-            if touched > limit {
-                log.weights_saved = true;
-                log.ops.push(TxnOp::Weights(weight.clone()));
-            }
+        if let Some(log) = txn.as_mut().filter(|log| !log.delay_saved) {
+            log.delay_saved = true;
+            log.ops.push(TxnOp::Delay(weight.clone(), arr.clone()));
         }
-        let mut seeds: Vec<NodeId> = Vec::new();
         for &m in &dirty {
             // Sensor figures re-derive once per touched module per
             // settle, not once per move.
             let sensor = sensor_figures(ctx, &stats[m]);
-            let old_sensor = std::mem::replace(&mut sensors[m], sensor);
-            let mut log_weight = None;
+            let old = std::mem::replace(&mut sensors[m], sensor);
             if let Some(log) = txn.as_mut() {
-                log.ops.push(TxnOp::Sensor {
-                    index: m,
-                    old: old_sensor,
-                });
-                if !log.weights_saved {
-                    log_weight = Some(&mut log.ops);
-                }
+                log.ops.push(TxnOp::Sensor { index: m, old });
             }
             for &g in partition.module(m) {
-                let w = gate_weight(ctx, g, &stats[m], &sensor);
-                let old = weight[g.index()];
-                if w.to_bits() != old.to_bits() {
-                    if let Some(ops) = log_weight.as_deref_mut() {
-                        ops.push(TxnOp::Weight { node: g.0, old });
-                    }
-                    weight[g.index()] = w;
-                    seeds.push(g);
-                }
+                weight[g.index()] = gate_weight(ctx, g, &stats[m], &sensor);
             }
         }
-        if seeds.len() > limit {
-            // Batch fallback: one full sweep, logged wholesale.
-            if let Some(log) = txn.as_mut().filter(|log| !log.arr_saved) {
-                log.arr_saved = true;
-                log.ops.push(TxnOp::Arrivals(arr.clone()));
-            }
-            ctx.cones.longest_path_into(weight, arr);
-        } else {
-            let mut log_arr = txn
-                .as_mut()
-                .filter(|log| !log.arr_saved)
-                .map(|log| &mut log.ops);
-            walker.walk(&ctx.cones, seeds.iter().copied(), |id| {
-                let new = ctx.cones.fanin_arrival(id, arr) + weight[id.index()];
-                let old = arr[id.index()];
-                if new.to_bits() == old.to_bits() {
-                    ConeStep::Stop
-                } else {
-                    if let Some(ops) = log_arr.as_deref_mut() {
-                        ops.push(TxnOp::Arr { node: id.0, old });
-                    }
-                    arr[id.index()] = new;
-                    ConeStep::Propagate
-                }
-            });
-        }
+        ctx.cones.longest_path_into(weight, arr);
     }
 
     /// Arms the transactional undo log. Every subsequent
@@ -840,8 +756,7 @@ impl<'a> Evaluated<'a> {
             ops: Vec::new(),
             dirty_at_begin: self.dirty.clone(),
             snapshotted: Vec::new(),
-            weights_saved: false,
-            arr_saved: false,
+            delay_saved: false,
         });
     }
 
@@ -886,10 +801,10 @@ impl<'a> Evaluated<'a> {
                     }
                 }
                 TxnOp::Sensor { index, old } => self.sensors[index] = old,
-                TxnOp::Weight { node, old } => self.weight[node as usize] = old,
-                TxnOp::Arr { node, old } => self.arr[node as usize] = old,
-                TxnOp::Weights(saved) => self.weight = saved,
-                TxnOp::Arrivals(saved) => self.arr = saved,
+                TxnOp::Delay(weight, arr) => {
+                    self.weight = weight;
+                    self.arr = arr;
+                }
             }
         }
         self.dirty = log.dirty_at_begin;
@@ -1452,16 +1367,14 @@ pub(crate) mod tests {
 
     #[test]
     fn txn_rollback_through_batch_fallback() {
-        // Force the full-sweep path (limit 0) and check rollback still
-        // restores the arrival state bit-for-bit, on a combinational adder
-        // and on a generated s1423 (DFFs launch fresh paths).
+        // A one-gate move settled inside a transaction: rollback restores
+        // the arrival state bit-for-bit, on a combinational adder and on a
+        // generated s1423 (DFFs launch fresh paths).
         let lib = Library::generic_1um();
         let s1423 =
             iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5);
         for nl in [data::ripple_adder(8), s1423] {
-            let mut cfg = PartitionConfig::paper_default();
-            cfg.incremental_delay_limit = 0.0;
-            let ctx = EvalContext::new(&nl, &lib, cfg);
+            let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
             let gates: Vec<_> = nl.gate_ids().collect();
             let half = gates.len() / 2;
             let p =
@@ -1474,8 +1387,8 @@ pub(crate) mod tests {
             e.move_gate(gates[0], 1);
             e.settle();
             assert!(
-                e.txn.as_ref().unwrap().arr_saved,
-                "{}: full sweep",
+                e.txn.as_ref().unwrap().delay_saved,
+                "{}: delay snapshot",
                 nl.name()
             );
             let _ = e.total_cost();
@@ -1525,13 +1438,13 @@ pub(crate) mod tests {
         out
     }
 
-    /// One transaction mixes both settle paths: a one-gate move settled by
-    /// the cone walk (per-gate weight and arrival entries), then a
-    /// module-sized batch settled by the full sweep (whole-vector
-    /// snapshots). Rolling back restores the state of a clone taken at
-    /// `begin_txn` bit for bit, on a generated c880 and a generated s1423.
+    /// A transaction with two settles, a one-gate move and then a batch
+    /// that drains or splits a module, logs the delay state once, as one
+    /// `Delay` snapshot. Rolling back restores the state of a clone taken
+    /// at `begin_txn` bit for bit, on a generated c880 and a generated
+    /// s1423.
     #[test]
-    fn txn_rollback_through_cone_walk_then_full_sweep() {
+    fn txn_rollback_through_two_settles() {
         let lib = Library::generic_1um();
         let c880 =
             iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c880").unwrap(), 5);
@@ -1539,50 +1452,40 @@ pub(crate) mod tests {
             iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s1423").unwrap(), 5);
         for nl in [&c880, &s1423] {
             let ctx = EvalContext::new(nl, &lib, PartitionConfig::paper_default());
-            let limit = (ctx.config.incremental_delay_limit * nl.node_count() as f64) as usize;
-            let gates: Vec<NodeId> = nl.gate_ids().collect();
-            // One module holding most gates, the rest in small chunks: a
-            // move between two chunks stays under the incremental budget,
-            // one touching the big module crosses it.
-            let big = gates.len() - 8 * (limit / 4);
-            let mut groups = vec![gates[..big].to_vec()];
-            groups.extend(gates[big..].chunks(limit / 4).map(<[NodeId]>::to_vec));
-            let mut e = Evaluated::new(&ctx, Partition::from_groups(nl, groups).unwrap());
+            let mut e = Evaluated::new(&ctx, crate::start::chain_partition(&ctx, 60, 3));
             let mut rng = SmallRng::seed_from_u64(31);
             for round in 0..12 {
                 let label = format!("{} round {round}", nl.name());
                 let k = e.partition().module_count();
+                assert!(k > 2, "{label}: too few modules");
                 let before = e.clone();
                 let before_cost = e.total_cost();
                 e.begin_txn();
-                // A one-gate move between two small modules.
-                let a = rng.gen_range(1..k);
-                let b = 1 + (a - 1 + rng.gen_range(1..k - 1)) % (k - 1);
+                // A one-gate move between two modules.
+                let a = rng.gen_range(0..k);
                 let g = e.partition().module(a)[0];
-                e.move_gate(g, b);
+                e.move_gate(g, (a + rng.gen_range(1..k)) % k);
                 e.settle();
-                let log = e.txn.as_ref().unwrap();
-                assert!(!log.weights_saved && !log.arr_saved, "{label}: cone walk");
                 let _ = e.total_cost();
-                // A batch between the big module and a small one (the small
-                // one drained whole on even rounds): the full sweep.
-                let small = 1 + rng.gen_range(0..e.partition().module_count() - 1);
-                let (source, target) = if round % 2 == 0 {
-                    (small, 0)
-                } else {
-                    (0, small)
-                };
+                // A batch out of one module (drained whole on even rounds).
+                let k = e.partition().module_count();
+                let source = rng.gen_range(0..k);
                 let members = e.partition().module(source);
                 let count = if round % 2 == 0 {
                     members.len()
                 } else {
-                    members.len() / 3
+                    members.len().div_ceil(3)
                 };
                 let batch = members[..count].to_vec();
-                e.move_gates(&batch, target);
+                e.move_gates(&batch, (source + 1) % k);
                 e.settle();
                 let log = e.txn.as_ref().unwrap();
-                assert!(log.weights_saved && log.arr_saved, "{label}: full sweep");
+                let snapshots = log
+                    .ops
+                    .iter()
+                    .filter(|op| matches!(op, TxnOp::Delay(..)))
+                    .count();
+                assert_eq!(snapshots, 1, "{label}: one delay snapshot");
                 e.verify_consistency();
                 e.rollback_txn();
                 assert_eq!(state_bits(&e), state_bits(&before), "{label}");

@@ -24,11 +24,9 @@
 //!
 //! Descendants are *scored*, not built: each worker keeps one scratch
 //! [`Evaluated`] and, per descendant, applies the mutation moves inside
-//! a transaction, settles the incremental delay state (event-driven cone
-//! propagation for the small mutation steps, batch fallback for the
-//! module-sized Monte-Carlo steps), reads the cost and rolls back. A
-//! mutation applies its moves gate by gate; a Monte-Carlo descendant is
-//! one [`Evaluated::move_gates`] batch. Only the descendants that survive
+//! a transaction, settles the delay state (one full arrival sweep), reads
+//! the cost and rolls back. A mutation applies its moves gate by gate; a
+//! Monte-Carlo descendant is one [`Evaluated::move_gates`] batch. Only the descendants that survive
 //! selection are materialized by replaying their recorded moves on a
 //! parent clone — the `μ(λ+χ) − μ` losers per generation never pay for a
 //! full evaluator construction.
@@ -82,7 +80,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use iddq_control::{Outcome, RunControl, StopReason};
-use iddq_netlist::cone::ConeWalker;
 use iddq_netlist::NodeId;
 
 use crate::context::EvalContext;
@@ -325,17 +322,17 @@ pub(crate) fn search<'a>(
             .map(|(pi, mc)| (pi, mc, rng.gen::<u64>()))
             .collect();
         let bar = pruning_bar(ctx, &population, config);
-        // Workers claim descendants one at a time and keep one cone
-        // walker and one scratch evaluator each, re-cloned only when the
-        // claimed descendant's parent changes: apply → settle → score →
-        // rollback, no per-loser clones. A descendant that panics is lost
+        // Workers claim descendants one at a time and keep one scratch
+        // evaluator each, re-cloned only when the claimed descendant's
+        // parent changes: apply → settle → score → rollback, no per-loser
+        // clones. A descendant that panics is lost
         // on its own (its worker's scratch is rebuilt), the generation
         // finishes with the rest, and the run then stops.
         let scored = claim_each(
             tasks.len(),
             config.threads,
-            || (ConeWalker::new(&ctx.cones), None::<(usize, Evaluated<'_>)>),
-            |(walker, scratch), ti| {
+            || None::<(usize, Evaluated<'_>)>,
+            |scratch, ti| {
                 let (pi, mc, s) = tasks[ti];
                 let mut child_rng = SmallRng::seed_from_u64(s);
                 if scratch.as_ref().map(|(owner, _)| *owner) != Some(pi) {
@@ -344,9 +341,9 @@ pub(crate) fn search<'a>(
                 let (_, eval) = scratch.as_mut().expect("scratch just ensured");
                 let parent_m = population[pi].m;
                 let scored = if mc {
-                    monte_carlo(eval, parent_m, config, &mut child_rng, walker, bar)
+                    monte_carlo(eval, parent_m, config, &mut child_rng, bar)
                 } else {
-                    mutate(eval, parent_m, config, &mut child_rng, walker, bar)
+                    mutate(eval, parent_m, config, &mut child_rng, bar)
                 };
                 scored.map(|(moves, cost, m, pruned)| ScoredChild {
                     parent: pi,
@@ -405,13 +402,13 @@ pub(crate) fn search<'a>(
         let materialized = claim_each(
             survivors.len(),
             config.threads,
-            || ConeWalker::new(&ctx.cones),
-            |walker, si| {
+            || (),
+            |(), si| {
                 let child = survivors[si];
                 debug_assert!(!child.pruned, "a pruned descendant cannot survive");
                 let mut eval = population[child.parent].eval.clone();
                 child.moves.apply(&mut eval);
-                eval.settle_with(walker);
+                eval.settle();
                 debug_assert_eq!(
                     eval.total_cost().to_bits(),
                     child.cost.to_bits(),
@@ -605,7 +602,6 @@ fn mutate(
     parent_m: f64,
     config: &EvolutionConfig,
     rng: &mut SmallRng,
-    walker: &mut ConeWalker,
     bar: Option<f64>,
 ) -> Option<Scored> {
     let k = scratch.partition().module_count();
@@ -650,7 +646,7 @@ fn mutate(
             return Some((Moves::Gates(moves), bound, m_step, true));
         }
     }
-    scratch.settle_with(walker);
+    scratch.settle();
     let cost = scratch.total_cost();
     scratch.rollback_txn();
     Some((Moves::Gates(moves), cost, m_step, false))
@@ -659,9 +655,7 @@ fn mutate(
 /// Scores one Monte-Carlo descendant: a random number of random gates of
 /// a random module moves into a random module ("the random variation of
 /// these descendants is higher compared with mutations"), as one
-/// [`Evaluated::move_gates`] batch. Module-sized move sets exceed the
-/// incremental dirty-cone budget, so settling takes the batch full-sweep
-/// path.
+/// [`Evaluated::move_gates`] batch.
 ///
 /// With a `bar`, the batch is bounded three times before it pays for its
 /// row scans: on the touched modules' leakage before it moves, then moved
@@ -675,7 +669,6 @@ fn monte_carlo(
     parent_m: f64,
     config: &EvolutionConfig,
     rng: &mut SmallRng,
-    walker: &mut ConeWalker,
     bar: Option<f64>,
 ) -> Option<Scored> {
     let k = scratch.partition().module_count();
@@ -708,7 +701,7 @@ fn monte_carlo(
         scratch.move_gates_unscanned(&gates, target);
         let mut bound = scratch.cost_lower_bound();
         if bound <= bar {
-            scratch.settle_with(walker);
+            scratch.settle();
             bound = scratch.cost_lower_bound();
         }
         scratch.rollback_txn();
@@ -718,7 +711,7 @@ fn monte_carlo(
     }
     scratch.begin_txn();
     scratch.move_gates(&gates, target);
-    scratch.settle_with(walker);
+    scratch.settle();
     let cost = scratch.total_cost();
     scratch.rollback_txn();
     Some((Moves::Batch(gates, target), cost, m_step, false))
@@ -937,23 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_limit_does_not_change_the_search() {
-        // Forcing every settle onto the batch path must reproduce the
-        // incremental run exactly — the two paths are bit-equal.
-        let nl = data::ripple_adder(10);
-        let lib = Library::generic_1um();
-        let ctx_inc = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
-        let mut batch_cfg = PartitionConfig::paper_default();
-        batch_cfg.incremental_delay_limit = 0.0;
-        let ctx_batch = EvalContext::new(&nl, &lib, batch_cfg);
-        let a = run(&ctx_inc, &quick_config(), 17);
-        let b = run(&ctx_batch, &quick_config(), 17);
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.best_cost, b.best_cost);
-        assert_eq!(a.evaluations, b.evaluations);
-    }
-
-    #[test]
     fn quota_budget_stops_early_with_best_so_far() {
         use iddq_control::RunBudget;
         let nl = data::ripple_adder(10);
@@ -999,11 +975,8 @@ mod tests {
         let lib = Library::generic_1um();
         let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
         let mut eval = Evaluated::new(&ctx, Partition::single_module(&nl));
-        let mut walker = ConeWalker::new(&ctx.cones);
         let mut rng = SmallRng::seed_from_u64(0);
-        assert!(mutate(&mut eval, 2.0, &quick_config(), &mut rng, &mut walker, None).is_none());
-        assert!(
-            monte_carlo(&mut eval, 2.0, &quick_config(), &mut rng, &mut walker, None).is_none()
-        );
+        assert!(mutate(&mut eval, 2.0, &quick_config(), &mut rng, None).is_none());
+        assert!(monte_carlo(&mut eval, 2.0, &quick_config(), &mut rng, None).is_none());
     }
 }

@@ -15,9 +15,9 @@
 //!   format,
 //! * [`levelize`] — topological levels, weighted longest paths and the
 //!   *transition-time sets* `t_i^1, …, t_i^{L_i}` of §3.1 of the paper,
-//! * [`cone`] — fanout-cone index with level-ordered, event-driven cone
-//!   walking (the substrate of every incremental engine downstream), plus
-//!   the growable [`cone::DynamicCones`] variant for patched structures,
+//! * [`cone`] — a flat topological fan-in index for the weighted
+//!   longest-path sweep, plus the growable [`cone::DynamicCones`] with
+//!   level-ordered, event-driven cone walks for patched structures,
 //! * [`patch`] — the shared structural-patch vocabulary (gate edits plus
 //!   node insertion/removal) consumed by the incremental logic and cost
 //!   engines, with a rebuild-oracle [`patch::materialize`],
