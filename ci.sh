@@ -5,7 +5,8 @@
 # The perf smoke prints every bench gate and fails if, on c7552, the
 # delta-engine single-gate-mutation speedup drops below 3x full CSR
 # re-evaluation, the fault-patch engine drops below 3x vs per-fault full
-# re-simulation, or the flat full-tier context build drops below 1.7x vs
+# re-simulation (22x vs the per-frame rebuild on s5378 at 4 frames per
+# sequence, recorded under `fault_patch.multi_frame`), or the flat full-tier context build drops below 1.7x vs
 # the hash-map reference constructor, or (on c432) the evolution loop
 # drops below 2x vs rebuild-per-evaluation scoring, or the incremental dW
 # separation maintenance drops below 2x vs the full separation pass on
@@ -18,9 +19,10 @@
 # context build at 1.5x. Sequential-circuit correctness (multi-frame
 # sweeps, resume, ATPG determinism) is pinned by the workspace tests.
 # A CLI leg checks that the fault-patch sweep and its per-fault CSR
-# re-simulation oracle detect the same number of faults on c1908, and
-# another that the per-gate resynthesis search prunes probes there and
-# on a sequential s1423, a third that `iddq test` (c1908) and `iddq
+# re-simulation oracle detect the same number of faults on c1908 and, at
+# 4 frames per sequence, on s5378 (whose checkpoint is pinned by digest),
+# another that the per-gate resynthesis search prunes probes on c1908
+# and on a sequential s1423, a third that `iddq test` (c1908) and `iddq
 # synth` (s1423) print the same bytes at 1 and 2 threads, and a fourth
 # that the flow outputs still hash to their pinned digests.
 set -euo pipefail
@@ -72,6 +74,29 @@ csr_detected="$(detected --backend csr)"
 echo "delta: $delta_detected; csr: $csr_detected"
 if [ "$delta_detected" != "$csr_detected" ]; then
     echo "ERROR: the fault-sweep backends disagree"
+    exit 1
+fi
+# The same pair on a generated s5378 at 4 frames per sequence, where each
+# faulty machine is superimposed with its diverged flops in one logged
+# walk; and the checkpoint of that sweep, which holds every fault's
+# earliest detection, must hash to the digest recorded below.
+target/release/iddq gen s5378 --seed 5 --out "$sweep_dir/s5378.bench" 2>/dev/null
+seq_detected() {
+    target/release/iddq faults "$sweep_dir/s5378.bench" --vectors 256 --frames 4 --lanes 64 \
+        --seed 5 "$@" 2>/dev/null | grep -o '[0-9]* detected'
+}
+delta_detected="$(seq_detected --checkpoint "$sweep_dir/faults_s5378.ckpt")"
+csr_detected="$(seq_detected --backend csr)"
+echo "s5378 at 4 frames: delta: ${delta_detected//$'\n'/, }; csr: ${csr_detected//$'\n'/, }"
+if [ "$delta_detected" != "$csr_detected" ]; then
+    echo "ERROR: the fault-sweep backends disagree at 4 frames"
+    exit 1
+fi
+if ! (cd "$sweep_dir" && sha256sum --check --quiet --strict) <<'DIGESTS'
+6dd5d1aa7478dc44ee12492898731611556c9c2921546e698463c1bae75e428c  faults_s5378.ckpt
+DIGESTS
+then
+    echo "ERROR: the 4-frame s5378 fault sweep's earliest detections changed"
     exit 1
 fi
 

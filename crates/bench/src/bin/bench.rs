@@ -5,7 +5,7 @@
 //! baseline, asserts that both compute the same result, and returns its
 //! JSON entries and its [`Gate`]s: `kernels` (the seed's evaluator vs
 //! the CSR kernel), `delta` (single-gate-mutation re-evaluation),
-//! `fault_patch`, `context_build`, `parallel_fault_sweep` (the IDDQ
+//! `fault_patch` (plus its multi-frame arm), `context_build`, `parallel_fault_sweep` (the IDDQ
 //! sweep), `evolution_loop` and `scale` (mega-circuits plus `dw_probe`,
 //! the incremental-ΔW refresh of `ResynthEval`). Each function's doc
 //! states its gate. `main` writes the JSON, then reports every gate in
@@ -523,7 +523,8 @@ fn delta(
 /// state vs the per-fault full re-simulation oracle. Both runs use the
 /// same fault-dropping semantics and are asserted to produce identical
 /// detections, so the wall-clock ratio isolates the dirty-cone win
-/// (gated ≥ 3× smoke / ≥ 5× full).
+/// (gated ≥ 3× smoke / ≥ 5× full). The section also records and gates
+/// [`fault_patch_multi_frame`] under its `multi_frame` key.
 fn fault_patch(mode: &Mode, fp_nl: &Netlist) -> Section {
     println!("== fault-patch engine: stuck-at/bridge sweep ==");
     let fp_gates: Vec<NodeId> = fp_nl.gate_ids().collect();
@@ -587,6 +588,7 @@ fn fault_patch(mode: &Mode, fp_nl: &Netlist) -> Section {
         fp_nl.node_count(),
         patch_outcome.coverage * 100.0,
     );
+    let (multi_frame, multi_frame_gate) = fault_patch_multi_frame(mode);
     let fault_patch = serde_json::json!({
         "circuit": HEADLINE,
         "stuck_at_faults": stuck_at_count,
@@ -600,8 +602,101 @@ fn fault_patch(mode: &Mode, fp_nl: &Netlist) -> Section {
         "results_match_oracle": true,
         "acceptance_threshold": gate.threshold,
         "pass": gate.pass(),
+        "multi_frame": multi_frame,
     });
-    Section::new("fault_patch", fault_patch, vec![gate])
+    Section::new("fault_patch", fault_patch, vec![gate, multi_frame_gate])
+}
+
+/// Sequence length of the multi-frame fault-patch arm.
+const MULTI_FRAMES: usize = 4;
+
+/// The fault-patch engine's multi-frame arm: a generated s5378 (seed 5)
+/// swept as 64 sequences of [`MULTI_FRAMES`] frames at 64 lanes — the
+/// shape of the serve daemon's `faults` request — on every `k`-th node's
+/// stuck-at faults plus sampled bridges, against the per-frame CSR rebuild
+/// oracle. Detections are asserted identical; the best-of-rounds ratio is
+/// gated ≥ 22× in both modes: superimposing each faulty machine with its
+/// diverged flops in one logged walk reads 30–40× on a 2-core x86 host,
+/// pinning them one force and one release walk at a time read 18–19×.
+fn fault_patch_multi_frame(mode: &Mode) -> (Value, Gate) {
+    let profile = iddq_gen::seq::SeqProfile::by_name("s5378").expect("known s* profile");
+    let nl = iddq_gen::seq::generate(profile, 5);
+    let stride = mode.pick(20, 5);
+    let mut faults: Vec<LogicFault> = nl
+        .node_ids()
+        .step_by(stride)
+        .flat_map(|node| {
+            [false, true]
+                .map(|stuck_at_one| LogicFault::StuckAt(StuckAtFault { node, stuck_at_one }))
+        })
+        .collect();
+    let stuck_at_count = faults.len();
+    faults.extend(
+        enumerate(&nl, &FaultUniverseConfig::default(), 7)
+            .into_iter()
+            .filter_map(|f| match f {
+                IddqFault::Bridge { a, b, .. } => Some(LogicFault::Bridge { a, b }),
+                _ => None,
+            })
+            .take(mode.pick(16, 32)),
+    );
+    let bridge_count = faults.len() - stuck_at_count;
+    let num_vectors = 64 * MULTI_FRAMES;
+    let vectors = test_vectors(&nl, num_vectors);
+    let options = |backend| FaultSweepOptions {
+        threads: 1,
+        backend,
+        frames: MULTI_FRAMES,
+        ..FaultSweepOptions::default()
+    };
+    let (patch_opts, oracle_opts) = (options(BackendKind::Delta), options(BackendKind::Csr));
+    let run = |opts| fault_sweep::sweep::<u64>(&nl, &faults, &vectors, opts);
+    let patch_outcome = run(&patch_opts);
+    assert_eq!(
+        patch_outcome.first_detection,
+        run(&oracle_opts).first_detection,
+        "multi-frame fault-patch sweep must match the per-frame CSR rebuild oracle"
+    );
+    let [t_patch, t_oracle] = secs_per_iter_interleaved(
+        mode.window_ms,
+        &mut [
+            &mut arm(|| run(&patch_opts)),
+            &mut arm(|| run(&oracle_opts)),
+        ],
+    );
+    let gate = Gate::new(
+        format!("s5378 x {MULTI_FRAMES} frames fault-patch speedup vs per-frame CSR rebuild"),
+        t_oracle / t_patch,
+        22.0,
+    );
+    println!(
+        "   s5378: {stuck_at_count} stuck-at + {bridge_count} bridges x {} sequences x \
+         {MULTI_FRAMES} frames: patch {:.1} ms | per-frame rebuild {:.1} ms ({:5.2}x), \
+         mean dirty cone {:6.1} of {} nodes, coverage {:.1}%",
+        num_vectors / MULTI_FRAMES,
+        t_patch * 1e3,
+        t_oracle * 1e3,
+        gate.measured,
+        patch_outcome.mean_dirty_nodes,
+        nl.node_count(),
+        patch_outcome.coverage * 100.0,
+    );
+    let json = serde_json::json!({
+        "circuit": "s5378",
+        "frames": MULTI_FRAMES,
+        "sequences": num_vectors / MULTI_FRAMES,
+        "stuck_at_faults": stuck_at_count,
+        "bridge_faults": bridge_count,
+        "patch_ms": t_patch * 1e3,
+        "oracle_ms": t_oracle * 1e3,
+        "speedup_vs_per_frame_rebuild": gate.measured,
+        "mean_dirty_nodes": patch_outcome.mean_dirty_nodes,
+        "coverage": patch_outcome.coverage,
+        "results_match_oracle": true,
+        "acceptance_threshold": gate.threshold,
+        "pass": gate.pass(),
+    });
+    (json, gate)
 }
 
 /// Analysis-context construction: the flat, tiered, parallel rework of

@@ -1115,6 +1115,20 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
             .filter(|&&v| v % frames > 0)
             .count();
         println!("{state_needed} detected only beyond frame 0");
+        if backend == BackendKind::Delta {
+            // Where the multi-frame work goes: an application is one
+            // faulty machine superimposed for one frame, and the ones
+            // carrying diverged latched state pin that many flops more.
+            let work = outcome.work;
+            eprintln!(
+                "multi-frame work: {} faulty-machine applications, {} with diverged state \
+                 (mean {:.1} flops pinned), {} node evaluations",
+                work.applications,
+                work.diverged_applications,
+                work.diverged_pins as f64 / work.diverged_applications.max(1) as f64,
+                work.evaluations,
+            );
+        }
     }
     if let Some(reason) = stop_reason {
         // A budget-limited sweep is a *successful* partial run (exit 0):

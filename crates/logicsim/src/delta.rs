@@ -69,9 +69,15 @@
 //! *forced*: its packed value is pinned to a per-lane word and it is
 //! never recomputed from its fan-in until the force is lifted.
 //! [`DeltaSim::force_word`] / [`DeltaSim::unforce_word`] set and lift a
-//! pin outside the undo stack — callers pair them themselves. The
-//! fault-patch engine superimposes bridges (wired-AND words) and
-//! multi-frame faulty machines this way.
+//! pin outside the undo stack — callers pair them themselves; the
+//! single-frame fault-patch engine superimposes bridges (wired-AND words)
+//! this way. Within the crate, `superimpose` sets a whole list of pins
+//! and propagates them in one level-ordered walk that logs every value it
+//! changes (several calls may stack onto one log), and `lift_logged`
+//! clears those pins and writes the logged values back, newest first,
+//! without re-evaluating anything. The multi-frame fault engine
+//! superimposes each faulty machine — its diverged DFF words and the
+//! fault site — this way: one walk in, none out.
 //!
 //! # Stuck-at probes
 //!
@@ -628,6 +634,36 @@ impl<W: PackedWord> DeltaSim<W> {
         self.forced[node.index()]
     }
 
+    /// Pins every `(node, word)` of `pins` — a later pin on the same node
+    /// wins — and propagates all of them in one level-ordered walk that
+    /// appends each value it changes, with its previous word, to `log`.
+    /// Returns the walk length. Several calls may share one `log` (each
+    /// walks on top of the previous ones); [`DeltaSim::lift_logged`]
+    /// undoes them all without re-evaluating anything. The pinned nodes
+    /// must carry no pin of their own beforehand: the lift clears them.
+    pub(crate) fn superimpose(&mut self, pins: &[(NodeId, W)], log: &mut Vec<(u32, W)>) -> usize {
+        for &(node, word) in pins {
+            self.forced[node.index()] = Some(word);
+        }
+        self.values_epoch += 1;
+        self.walk(pins.iter().map(|&(node, _)| node.0), false, Some(log))
+            .reevaluated
+    }
+
+    /// Lifts what [`DeltaSim::superimpose`] set: clears the pins of
+    /// `pins` and writes the logged values back, newest first, leaving
+    /// `log` empty. Nothing is re-evaluated — the logged words are the
+    /// values the unpinned circuit already held.
+    pub(crate) fn lift_logged(&mut self, pins: &[(NodeId, W)], log: &mut Vec<(u32, W)>) {
+        for &(node, _) in pins {
+            self.forced[node.index()] = None;
+        }
+        for (k, old) in log.drain(..).rev() {
+            self.values[k as usize] = old;
+        }
+        self.values_epoch += 1;
+    }
+
     /// Applies a patch: structural edit, local re-levelization, dirty-cone
     /// value propagation. The inverse lands on the undo stack.
     ///
@@ -1103,7 +1139,7 @@ impl<W: PackedWord> DeltaSim<W> {
         let pin = self.forced[i].replace(!self.values[i]);
         let mut log = std::mem::take(&mut self.change_log);
         log.clear();
-        let report = self.walk(&[i as u32], false, Some(&mut log));
+        let report = self.walk([i as u32], false, Some(&mut log));
         self.forced[i] = pin;
         let mut observable = W::zeros();
         for &(k, old) in &log {
@@ -1179,7 +1215,7 @@ impl<W: PackedWord> DeltaSim<W> {
     /// Invalidates every cached stem observability.
     fn sweep(&mut self, seeds: &[u32], force: bool) -> PatchReport {
         self.values_epoch += 1;
-        self.walk(seeds, force, None)
+        self.walk(seeds.iter().copied(), force, None)
     }
 
     /// The worklist walk behind [`DeltaSim::sweep`]; with `log`, every
@@ -1187,7 +1223,7 @@ impl<W: PackedWord> DeltaSim<W> {
     /// as soon as the worklist is empty.
     fn walk(
         &mut self,
-        seeds: &[u32],
+        seeds: impl IntoIterator<Item = u32>,
         force: bool,
         mut log: Option<&mut Vec<(u32, W)>>,
     ) -> PatchReport {
@@ -1195,7 +1231,7 @@ impl<W: PackedWord> DeltaSim<W> {
         let generation = self.generation;
         let mut lowest = self.buckets.len();
         let mut pending = 0usize;
-        for &s in seeds {
+        for s in seeds {
             if self.stamp[s as usize] != generation {
                 self.stamp[s as usize] = generation;
                 let lv = self.level[s as usize] as usize;
@@ -2092,5 +2128,82 @@ mod tests {
         delta.unforce_word(g16);
         delta.set_inputs(&[!0, 0x1234, 0, !0, 0x0f0f]);
         assert_probes_match(&mut delta, &nl);
+    }
+
+    #[test]
+    fn superimpose_and_lift_match_the_force_sequence() {
+        // One logged walk over several pins — a DFF output pinned twice
+        // (the later word wins) and a primary input — equals the same
+        // pins forced one walk at a time, node for node; a second walk
+        // onto the same log (a bridge round) stacks on top; the lift
+        // restores every value and leaves no pin behind. Stuck-at probes
+        // see the pins while they stand and answer as before once lifted:
+        // no stem observability cached on one side is read on the other.
+        let profile = iddq_gen::seq::SeqProfile::by_name("s298").unwrap();
+        let nl = iddq_gen::seq::generate(profile, 5);
+        let mut delta = DeltaSim::<u64>::new(&nl);
+        let inputs: Vec<u64> = (0..nl.num_inputs() as u64)
+            .map(|i| (i + 3).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let mut state = vec![0u64; delta.num_state_elements()];
+        for _ in 0..3 {
+            delta.step_frame(&inputs, &mut state);
+        }
+        let (q, q2) = (nl.state_elements()[0], nl.state_elements()[1]);
+        let pi = nl.inputs()[0];
+        let pins = [
+            (q, 0x00ff_00ff_00ff_00ff),
+            (pi, !delta.value(pi)),
+            (q2, !delta.value(q2)),
+            (q, 0x0f0f_f0f0_3c3c_c3c3),
+        ];
+        let probes = |delta: &mut DeltaSim<u64>| -> Vec<u64> {
+            nl.node_ids()
+                .map(|node| delta.stuck_at_probe(node, true).0)
+                .collect()
+        };
+        let before_probes = probes(&mut delta);
+        let before = delta.values().to_vec();
+
+        let mut reference = delta.clone();
+        for &(node, word) in &pins {
+            reference.force_word(node, word);
+        }
+        let mut log = Vec::new();
+        assert!(delta.superimpose(&pins, &mut log) > 0);
+        assert_eq!(delta.forced_value(q), Some(0x0f0f_f0f0_3c3c_c3c3));
+        assert_eq!(delta.values(), reference.values());
+        // The second walk re-pins a gate the first one changed, so that
+        // gate lands in the log twice.
+        let &(gate, _) = log
+            .iter()
+            .rev()
+            .find(|&&(k, _)| delta.kind(NodeId(k)).is_some_and(|kind| !kind.is_state()))
+            .expect("the superposition changes some gate");
+        let round = [(NodeId(gate), !delta.value(NodeId(gate)))];
+        reference.force_word(round[0].0, round[0].1);
+        delta.superimpose(&round, &mut log);
+        assert_eq!(delta.values(), reference.values());
+        // While superimposed, probes see the pins exactly as the forced
+        // reference does: nothing cached before may answer for them.
+        assert_eq!(probes(&mut delta), probes(&mut reference));
+
+        let lifted: Vec<(NodeId, u64)> = pins.iter().chain(&round).copied().collect();
+        delta.lift_logged(&lifted, &mut log);
+        assert!(log.is_empty());
+        assert_eq!(delta.values(), &before[..]);
+        for &(node, _) in &lifted {
+            reference.unforce_word(node);
+        }
+        assert_eq!(delta.values(), reference.values());
+        assert!(nl.node_ids().all(|node| delta.forced_value(node).is_none()));
+        assert_eq!(probes(&mut delta), before_probes);
+        // The good machine steps on from the restored state as if the
+        // superposition had never happened.
+        let mut stepped = state.clone();
+        delta.step_frame(&inputs, &mut stepped);
+        reference.step_frame(&inputs, &mut state);
+        assert_eq!(stepped, state);
+        assert_eq!(delta.values(), reference.values());
     }
 }

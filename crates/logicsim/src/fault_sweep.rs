@@ -33,8 +33,12 @@
 //! The dirty-cone work metric ([`FaultSweepOutcome::mean_dirty_nodes`])
 //! counts node evaluations per fault application: the probe's
 //! fanout-free-region steps plus its stem walks (a cached stem costs
-//! nothing), and for bridges and multi-frame machines the force and
-//! release walks.
+//! nothing), for single-frame bridges the force and release walks, and
+//! for multi-frame machines the one superposition walk (plus a bridge's
+//! fixpoint walks) — their lift re-evaluates nothing, so it adds nothing.
+//! [`FaultSweepOutcome::work`] keeps the raw counters, including how many
+//! multi-frame applications carried diverged state and how many flops
+//! they pinned.
 //!
 //! [`sweep`] runs the per-fault loop as a detector on the shared
 //! fault-shard × pattern-batch `grid` executor — the one
@@ -52,11 +56,18 @@
 //! per-frame stimuli of sequence `s`, every sequence starts from the
 //! all-zero reset state, and lane *k* of a pattern batch carries sequence
 //! `seq_base + k`. The good machine steps frames on the persistent
-//! engine; per fault, a *faulty machine* is superimposed through the
-//! force layer — the fault site itself plus every DFF whose faulty
-//! latched word has diverged from the good state — and the faulty
-//! next-state is captured off the D drivers before the forces are
-//! lifted. Earliest detection is reported as a plain vector index
+//! engine; per fault and frame, a *faulty machine* is simulated only
+//! where it differs from the good one (the PROOFS idea — Niermann, Cheng
+//! & Patel, 1992): every DFF whose faulty latched word has diverged from
+//! the good state is pinned together with the fault site, and all pins
+//! propagate in one logged level-ordered walk (`DeltaSim::superimpose`);
+//! a bridge runs its wired-AND fixpoint on top, each round one more walk
+//! onto the same log. The output diff is read, the faulty next-state is
+//! captured off the D drivers the log shows changed, and the logged
+//! values are written back (`DeltaSim::lift_logged`) — no release walk.
+//! Between frames each fault keeps only its diverged `(flop, word)`
+//! pairs, so a machine that has not diverged costs one walk from its
+//! fault site. Earliest detection is reported as a plain vector index
 //! `seq * F + frame`, so frame resolution survives in the existing
 //! [`FaultSweepOutcome::first_detection`] shape: a lower sequence always
 //! outranks any frame offset, and within a sequence the first detecting
@@ -110,6 +121,7 @@ use serde::{Deserialize, Serialize};
 use crate::backend::BackendKind;
 use crate::delta::DeltaSim;
 use crate::grid;
+pub use crate::grid::SweepWork;
 use crate::iddq::{pack_chunk_into, pack_seq_frame_into};
 use crate::logic_test::{eval_forced_with_state, recompute_driver, StuckAtFault};
 use crate::sim::Simulator;
@@ -138,17 +150,23 @@ pub struct FaultPatchSim<W: PackedWord> {
     good_out: Vec<W>,
     /// DFF output node per state element (`Netlist::state_elements` order).
     state_nodes: Vec<NodeId>,
-    /// D-driver node per state element, aligned with `state_nodes`.
-    state_d: Vec<NodeId>,
-    /// Per-fault faulty latched state, `faults.len() * state_nodes.len()`
-    /// words, reused across the frames of one sequence batch.
-    faulty_state: Vec<W>,
-    /// Indices of the DFFs pinned for the fault currently superimposed.
-    diverged: Vec<usize>,
+    /// Per node `i`, `driven[driven_off[i]..driven_off[i + 1]]` lists the
+    /// state elements whose D pin node `i` drives.
+    driven_off: Vec<u32>,
+    driven: Vec<u32>,
+    /// Per fault, the latched words in which its faulty machine differs
+    /// from the good one at the current frame start, and the same for the
+    /// next frame while it is captured.
+    diverged: Divergence<W>,
+    next_diverged: Divergence<W>,
+    /// Pins of the faulty machine currently superimposed: its diverged
+    /// DFF words, then the fault's own pins.
+    pins: Vec<(NodeId, W)>,
+    /// `(node, previous value)` per change the superposition made.
+    log: Vec<(u32, W)>,
     /// Driver-recompute scratch (keeps the bridge fixpoint allocation-free).
     gather: Vec<W>,
-    reevaluated: u64,
-    detects: u64,
+    work: SweepWork,
 }
 
 impl<W: PackedWord> FaultPatchSim<W> {
@@ -157,21 +175,33 @@ impl<W: PackedWord> FaultPatchSim<W> {
     pub fn new(netlist: &Netlist) -> Self {
         let outputs = netlist.outputs().to_vec();
         let state_nodes = netlist.state_elements().to_vec();
-        let state_d = state_nodes
-            .iter()
-            .map(|&q| netlist.node(q).fanin()[0])
-            .collect();
+        let d_of = |q: NodeId| netlist.node(q).fanin()[0].index();
+        let mut driven_off = vec![0u32; netlist.node_count() + 1];
+        for &q in &state_nodes {
+            driven_off[d_of(q) + 1] += 1;
+        }
+        for i in 1..driven_off.len() {
+            driven_off[i] += driven_off[i - 1];
+        }
+        let mut driven = vec![0u32; state_nodes.len()];
+        let mut fill = driven_off.clone();
+        for (j, &q) in state_nodes.iter().enumerate() {
+            driven[fill[d_of(q)] as usize] = j as u32;
+            fill[d_of(q)] += 1;
+        }
         let mut this = FaultPatchSim {
             sim: DeltaSim::new(netlist),
             good_out: vec![W::zeros(); outputs.len()],
             outputs,
             state_nodes,
-            state_d,
-            faulty_state: Vec::new(),
-            diverged: Vec::new(),
+            driven_off,
+            driven,
+            diverged: Divergence::new(),
+            next_diverged: Divergence::new(),
+            pins: Vec::new(),
+            log: Vec::new(),
             gather: Vec::new(),
-            reevaluated: 0,
-            detects: 0,
+            work: SweepWork::default(),
         };
         this.snapshot_outputs();
         this
@@ -210,20 +240,21 @@ impl<W: PackedWord> FaultPatchSim<W> {
     ///
     /// Panics if the fault references nodes outside the netlist.
     pub fn detect(&mut self, fault: LogicFault) -> W {
-        self.detects += 1;
+        self.work.applications += 1;
         match fault {
             LogicFault::StuckAt(f) => {
                 let (mask, evaluated) = self.sim.stuck_at_probe(f.node, f.stuck_at_one);
-                self.reevaluated += evaluated as u64;
+                self.work.evaluations += evaluated as u64;
                 mask
             }
             // A net bridged to itself never changes logic.
             LogicFault::Bridge { a, b } if a == b => W::zeros(),
             LogicFault::Bridge { a, b } => {
-                self.force_bridge(a, b);
+                self.bridge_fixpoint(a, b, false);
                 let diff = self.output_diff();
-                self.unforce(a);
-                self.unforce(b);
+                for node in [a, b] {
+                    self.work.evaluations += self.sim.unforce_word(node).reevaluated as u64;
+                }
                 diff
             }
         }
@@ -232,27 +263,28 @@ impl<W: PackedWord> FaultPatchSim<W> {
     /// Superimposes a bridge as a wired-AND fixpoint, mirroring
     /// `bridge_logic_detection_from` iteration for iteration: each round
     /// pins both nets to the current wired word and re-derives it from
-    /// the corrupted driver values.
-    fn force_bridge(&mut self, a: NodeId, b: NodeId) {
+    /// the corrupted driver values. With `logged`, a round is one
+    /// `DeltaSim::superimpose` walk onto the engine's log, which the
+    /// caller lifts; otherwise it is two force walks the caller releases.
+    /// Returns the final wired word.
+    fn bridge_fixpoint(&mut self, a: NodeId, b: NodeId, logged: bool) -> W {
         let mut wired = self.sim.value(a) & self.sim.value(b);
         for _ in 0..3 {
-            let ra = self.sim.force_word(a, wired);
-            let rb = self.sim.force_word(b, wired);
-            self.reevaluated += (ra.reevaluated + rb.reevaluated) as u64;
+            let evaluated = if logged {
+                self.sim
+                    .superimpose(&[(a, wired), (b, wired)], &mut self.log)
+            } else {
+                self.sim.force_word(a, wired).reevaluated
+                    + self.sim.force_word(b, wired).reevaluated
+            };
+            self.work.evaluations += evaluated as u64;
             let next = self.recompute_driver(a) & self.recompute_driver(b);
             if next == wired {
                 break;
             }
             wired = next;
         }
-    }
-
-    fn force(&mut self, node: NodeId, word: W) {
-        self.reevaluated += self.sim.force_word(node, word).reevaluated as u64;
-    }
-
-    fn unforce(&mut self, node: NodeId) {
-        self.reevaluated += self.sim.unforce_word(node).reevaluated as u64;
+        wired
     }
 
     /// Sweeps one batch of `frames`-cycle sequences: lane *k* carries
@@ -262,11 +294,13 @@ impl<W: PackedWord> FaultPatchSim<W> {
     /// sequence) always outranks any frame offset, and within a lane the
     /// first detecting frame wins.
     ///
-    /// The good machine steps frames on the persistent engine; each fault
-    /// is superimposed through the force layer (fault site plus any DFF
-    /// whose faulty latched word diverged from the good frame-start
-    /// state), its next-state is captured off the D drivers, and the
-    /// forces are lifted — restoring the good machine for the next fault.
+    /// The good machine steps frames on the persistent engine. Each
+    /// fault's machine is superimposed on it in one logged walk — every
+    /// DFF whose faulty latched word diverged from the good frame-start
+    /// state, plus the fault site (a bridge runs its wired-AND fixpoint
+    /// on top, onto the same log) — its next-state is captured off the D
+    /// drivers, and the log is written back, restoring the good machine
+    /// for the next fault without a release walk.
     ///
     /// # Panics
     ///
@@ -283,64 +317,91 @@ impl<W: PackedWord> FaultPatchSim<W> {
         best_kt: &mut [Option<(u32, usize)>],
         words: &mut [W],
     ) {
-        let s = self.state_nodes.len();
-        self.faulty_state.clear();
-        self.faulty_state.resize(faults.len() * s, W::zeros());
-        let mut good_state = vec![W::zeros(); s];
-        let mut run_state = vec![W::zeros(); s];
+        // Every sequence starts from the reset state: no fault has
+        // diverged yet.
+        self.diverged.clear();
+        self.diverged.ends.resize(faults.len(), 0);
+        let mut good_next = vec![W::zeros(); self.state_nodes.len()];
         for t in 0..frames {
             let lanes_t = pack_seq_frame_into(vectors, seq_base, frames, t, words);
             if lanes_t == 0 {
                 break;
             }
-            good_state.copy_from_slice(&run_state);
-            self.sim.step_frame(words, &mut run_state);
+            self.sim.step_frame(words, &mut good_next);
             self.snapshot_outputs();
+            self.next_diverged.clear();
             for (k, &fault) in faults.iter().enumerate() {
-                if !live[k] {
-                    continue;
+                if live[k] {
+                    self.apply_machine(k, fault, lanes_t, t, &good_next, best_kt);
                 }
-                self.detects += 1;
-                // Pin the faulty machine's diverged state words.
-                self.diverged.clear();
-                for (j, &g) in good_state.iter().enumerate() {
-                    let w = self.faulty_state[k * s + j];
-                    if w != g {
-                        self.force(self.state_nodes[j], w);
-                        self.diverged.push(j);
-                    }
-                }
-                // Superimpose the fault through the same force layer.
-                match fault {
-                    LogicFault::StuckAt(f) => self.force(f.node, W::splat(f.stuck_at_one)),
-                    LogicFault::Bridge { a, b } if a != b => self.force_bridge(a, b),
-                    LogicFault::Bridge { .. } => {}
-                }
-                let diff = self.output_diff().mask_lanes(lanes_t);
-                if let Some(bit) = diff.first_set() {
-                    if best_kt[k].is_none_or(|(kb, _)| bit < kb) {
-                        best_kt[k] = Some((bit, t));
-                    }
-                }
-                // Capture the faulty next-state off the D drivers *before*
-                // lifting the forces.
-                for j in 0..s {
-                    self.faulty_state[k * s + j] = self.sim.values()[self.state_d[j].index()];
-                }
-                // Rollback: the fault forces, then the state pins.
-                match fault {
-                    LogicFault::StuckAt(f) => self.unforce(f.node),
-                    LogicFault::Bridge { a, b } if a != b => {
-                        self.unforce(a);
-                        self.unforce(b);
-                    }
-                    LogicFault::Bridge { .. } => {}
-                }
-                for i in 0..self.diverged.len() {
-                    self.unforce(self.state_nodes[self.diverged[i]]);
+                let end = self.next_diverged.entries.len() as u32;
+                self.next_diverged.ends.push(end);
+            }
+            std::mem::swap(&mut self.diverged, &mut self.next_diverged);
+        }
+    }
+
+    /// Superimposes fault `k`'s machine for frame `t` in one logged walk
+    /// — its diverged DFF words plus the fault site, a bridge's wired-AND
+    /// fixpoint on top — records a detection in `best_kt[k]`, appends the
+    /// state elements whose faulty next word differs from `good_next` to
+    /// `next_diverged`, and lifts the log.
+    fn apply_machine(
+        &mut self,
+        k: usize,
+        fault: LogicFault,
+        lanes_t: u32,
+        t: usize,
+        good_next: &[W],
+        best_kt: &mut [Option<(u32, usize)>],
+    ) {
+        self.pins.clear();
+        for &(j, w) in self.diverged.run(k) {
+            self.pins.push((self.state_nodes[j as usize], w));
+        }
+        self.work.applications += 1;
+        if !self.pins.is_empty() {
+            self.work.diverged_applications += 1;
+            self.work.diverged_pins += self.pins.len() as u64;
+        }
+        match fault {
+            LogicFault::StuckAt(f) => {
+                self.pins.push((f.node, W::splat(f.stuck_at_one)));
+                self.work.evaluations += self.sim.superimpose(&self.pins, &mut self.log) as u64;
+            }
+            LogicFault::Bridge { a, b } => {
+                self.work.evaluations += self.sim.superimpose(&self.pins, &mut self.log) as u64;
+                // A net bridged to itself never changes logic.
+                if a != b {
+                    let wired = self.bridge_fixpoint(a, b, true);
+                    self.pins.extend([(a, wired), (b, wired)]);
                 }
             }
         }
+        let diff = self.output_diff().mask_lanes(lanes_t);
+        if let Some(bit) = diff.first_set() {
+            if best_kt[k].is_none_or(|(kb, _)| bit < kb) {
+                best_kt[k] = Some((bit, t));
+            }
+        }
+        // The faulty next state differs from the good one only at D pins
+        // whose driver the superposition changed, and every change is in
+        // the log. A bridge's rounds may log a node more than once.
+        let relogged = matches!(fault, LogicFault::Bridge { .. });
+        let run = &mut self.next_diverged.entries;
+        let first = run.len();
+        for &(node, _) in &self.log {
+            let i = node as usize;
+            let word = self.sim.values()[i];
+            for &j in &self.driven[self.driven_off[i] as usize..self.driven_off[i + 1] as usize] {
+                if word != good_next[j as usize]
+                    && !(relogged && run[first..].iter().any(|&(seen, _)| seen == j))
+                {
+                    run.push((j, word));
+                }
+            }
+        }
+        self.sim.lift_logged(&self.pins, &mut self.log);
     }
 
     /// What the forced net's driver would output given the current
@@ -358,11 +419,39 @@ impl<W: PackedWord> FaultPatchSim<W> {
         }
     }
 
-    /// Total node evaluations (probe steps, stem walks, force and release
-    /// walks) and fault applications so far — the dirty-cone work metric.
+    /// The work counters so far (see [`SweepWork`]).
     #[must_use]
-    pub fn dirty_totals(&self) -> (u64, u64) {
-        (self.reevaluated, self.detects)
+    pub fn work(&self) -> SweepWork {
+        self.work
+    }
+}
+
+/// Per fault, the `(state element, word)` pairs in which its faulty
+/// machine's latched state differs from the good machine's, as one run
+/// per fault in fault order: fault `k`'s run ends at `ends[k]`.
+#[derive(Debug, Clone)]
+struct Divergence<W> {
+    entries: Vec<(u32, W)>,
+    ends: Vec<u32>,
+}
+
+impl<W> Divergence<W> {
+    fn new() -> Self {
+        Divergence {
+            entries: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.ends.clear();
+    }
+
+    /// Fault `k`'s run.
+    fn run(&self, k: usize) -> &[(u32, W)] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.entries[start as usize..self.ends[k] as usize]
     }
 }
 
@@ -516,10 +605,13 @@ pub struct FaultSweepOutcome {
     /// Number of vectors applied.
     pub vectors_applied: usize,
     /// Mean node evaluations per fault application — probe steps plus
-    /// stem walks for stuck-at faults, force and release walks for bridges
-    /// and multi-frame machines (0 on the CSR oracle, which has no
-    /// dirty-cone notion).
+    /// stem walks for stuck-at faults, force and release walks for
+    /// single-frame bridges, the superposition walk (and a bridge's
+    /// fixpoint walks) for multi-frame machines (0 on the CSR oracle,
+    /// which has no dirty-cone notion).
     pub mean_dirty_nodes: f64,
+    /// The raw work counters behind `mean_dirty_nodes`.
+    pub work: SweepWork,
     /// Per pattern batch: was it fully swept against every fault shard
     /// (complete runs: all `true`). This is the resume frontier a
     /// [`SweepCheckpoint`] persists — a batch left `false` is re-swept on
@@ -829,10 +921,10 @@ impl<W: PackedWord> grid::Detector for LogicDetector<'_, W> {
         }
     }
 
-    fn work(&self) -> (u64, u64) {
+    fn work(&self) -> SweepWork {
         match &self.engine {
-            Engine::Patch(ps) => ps.dirty_totals(),
-            Engine::Csr(_) => (0, 0),
+            Engine::Patch(ps) => ps.work(),
+            Engine::Csr(_) => SweepWork::default(),
         }
     }
 }
@@ -950,17 +1042,18 @@ fn sweep_impl<W: PackedWord>(
     })
     .map(|sweep| {
         let (detected, coverage) = sweep.detected();
-        let (reevaluated, detects) = sweep.work;
+        let work = sweep.work;
         FaultSweepOutcome {
             detected,
             first_detection: sweep.first_detection,
             coverage,
             vectors_applied: vectors.len(),
-            mean_dirty_nodes: if detects == 0 {
+            mean_dirty_nodes: if work.applications == 0 {
                 0.0
             } else {
-                reevaluated as f64 / detects as f64
+                work.evaluations as f64 / work.applications as f64
             },
+            work,
             done_batches: sweep.done_batches,
         }
     })
@@ -1002,7 +1095,7 @@ mod tests {
                 );
             }
         }
-        assert!(ps.dirty_totals().0 > 0);
+        assert!(ps.work().evaluations > 0);
     }
 
     #[test]

@@ -52,9 +52,52 @@ pub(crate) trait Detector {
         hits: &mut [Option<(u32, usize)>],
     );
 
-    /// Work counters so far: (nodes re-evaluated, fault applications).
-    fn work(&self) -> (u64, u64) {
-        (0, 0)
+    /// Work counters so far.
+    fn work(&self) -> SweepWork {
+        SweepWork::default()
+    }
+}
+
+/// Work counters of a fault-patch sweep, summed over its completed grid
+/// cells (all zero on an engine that keeps none, such as the CSR oracle).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepWork {
+    /// Node evaluations: probe steps, stem walks, superposition and force
+    /// walks, and release walks of single-frame bridges.
+    pub evaluations: u64,
+    /// Fault applications: one per live fault per pattern batch, and per
+    /// frame in a multi-frame sweep.
+    pub applications: u64,
+    /// Multi-frame applications whose faulty machine carried diverged
+    /// latched state into the frame.
+    pub diverged_applications: u64,
+    /// DFF words pinned over those diverged applications.
+    pub diverged_pins: u64,
+}
+
+impl std::ops::Add for SweepWork {
+    type Output = SweepWork;
+
+    fn add(self, o: SweepWork) -> SweepWork {
+        SweepWork {
+            evaluations: self.evaluations + o.evaluations,
+            applications: self.applications + o.applications,
+            diverged_applications: self.diverged_applications + o.diverged_applications,
+            diverged_pins: self.diverged_pins + o.diverged_pins,
+        }
+    }
+}
+
+impl std::ops::Sub for SweepWork {
+    type Output = SweepWork;
+
+    fn sub(self, o: SweepWork) -> SweepWork {
+        SweepWork {
+            evaluations: self.evaluations - o.evaluations,
+            applications: self.applications - o.applications,
+            diverged_applications: self.diverged_applications - o.diverged_applications,
+            diverged_pins: self.diverged_pins - o.diverged_pins,
+        }
     }
 }
 
@@ -88,7 +131,7 @@ pub(crate) struct Sweep {
     /// Per pattern batch: swept against every fault shard.
     pub done_batches: Vec<bool>,
     /// Summed [`Detector::work`] of the completed cells.
-    pub work: (u64, u64),
+    pub work: SweepWork,
 }
 
 impl Sweep {
@@ -124,7 +167,7 @@ struct Cell {
     first: Vec<Option<usize>>,
     /// The prefix of the cell's positions that was fully swept.
     done: Range<usize>,
-    work: (u64, u64),
+    work: SweepWork,
 }
 
 /// Runs the grid described by `spec` under `control`, one `engine()` per
@@ -244,12 +287,11 @@ pub(crate) fn run<D: Detector>(
             done += 1;
             control.charge((spec.vectors.min(start + batch_vectors) - start) as u64);
         }
-        let work = eng.work();
         Cell {
             fault_start: range.start,
             first,
             done: task.positions.start..task.positions.start + done,
-            work: (work.0 - work0.0, work.1 - work0.1),
+            work: eng.work() - work0,
         }
     };
 
@@ -307,13 +349,13 @@ pub(crate) fn run<D: Detector>(
     };
     let mut finished = vec![0u32; pending];
     let mut done_units = 0;
-    let mut work = (0, 0);
+    let mut work = SweepWork::default();
     let mut panicked = false;
     for (cells, worker_panicked) in per_worker {
         panicked |= worker_panicked;
         for cell in cells {
             done_units += cell.done.len();
-            work = (work.0 + cell.work.0, work.1 + cell.work.1);
+            work = work + cell.work;
             for (k, v) in cell.first.into_iter().enumerate() {
                 if let Some(v) = v {
                     let slot = &mut first_detection[cell.fault_start + k];

@@ -30,12 +30,14 @@
 //!   `O(V + E)` sweep per level advances all 64 BFS runs at once
 //!   (synchronous two-phase update, so first-arrival levels are exact),
 //!   and first arrivals land in a per-batch `u8` level table;
-//! * each row is then emitted by one ascending scan over the node space —
+//! * a batch's rows are then emitted sixteen columns at a time: one
+//!   ascending scan over the node space deals each reached node into its
+//!   columns' slots of one buffer, sized by arrival counts the BFS keeps —
 //!   rows come out sorted by node id with **no comparison sort** and no
 //!   per-node map allocation of any kind.
 //!
-//! Total work is `O(⌈n/64⌉ · ρ · (V + E))` word operations plus one
-//! `O(V)` emission scan per source — on circuits whose ρ-balls span
+//! Total work is `O(⌈n/64⌉ · ρ · (V + E))` word operations plus four
+//! `O(V)` emission scans per batch — on circuits whose ρ-balls span
 //! hundreds of nodes this is an order of magnitude below even a tight
 //! scalar BFS per node, and far below the historical per-node `HashMap`
 //! build, which is kept as [`SeparationOracle::new_reference`] — the
@@ -287,6 +289,12 @@ struct BatchScratch {
     seen: Vec<u64>,
     acc: Vec<u64>,
     dist: Vec<u8>,
+    /// Per batch column, the nodes that arrived in it (its source
+    /// excluded), tallied by [`BatchScratch::run`].
+    arrivals: [u32; 64],
+    /// The reached nodes of up to [`EMIT_GROUP`] columns, column after
+    /// column, while [`BatchScratch::emit_rows`] deals them.
+    rows: Vec<u32>,
 }
 
 impl BatchScratch {
@@ -295,6 +303,8 @@ impl BatchScratch {
             seen: vec![0; n],
             acc: vec![0; n],
             dist: vec![0; n * 64],
+            arrivals: [0; 64],
+            rows: Vec::new(),
         }
     }
 
@@ -306,6 +316,7 @@ impl BatchScratch {
         for w in self.seen.iter_mut() {
             *w = 0;
         }
+        self.arrivals = [0; 64];
         for (i, &(src, seed)) in sources.iter().enumerate() {
             if seed {
                 self.seen[src as usize] |= 1u64 << i;
@@ -336,32 +347,66 @@ impl BatchScratch {
                     let i = delta.trailing_zeros() as usize;
                     delta &= delta - 1;
                     self.dist[v * 64 + i] = d as u8;
+                    self.arrivals[i] += 1;
                 }
             }
         }
     }
 
-    /// Emits the row of batch column `i` (source node `src`): one
-    /// ascending scan over the node space, so the row comes out sorted
-    /// with no comparison sort. `map` filters/transforms each
-    /// `(node, distance)` pair.
-    fn emit_row(
-        &self,
-        i: usize,
-        src: u32,
+    /// Emits the rows of all batch columns, in column order, onto `out`,
+    /// pushing each row's end (`out.len()`) onto `ends`. Per group of
+    /// [`EMIT_GROUP`] columns, one ascending pass over the node space
+    /// deals every node a column reached into that column's slot of
+    /// `rows` (sized by the arrival tallies), so each row comes out sorted
+    /// with no comparison sort; `map` then filters/transforms each
+    /// `(node, distance)` pair row by row. A source's own node is skipped.
+    fn emit_rows(
+        &mut self,
+        sources: &[(u32, bool)],
         out: &mut Vec<(u32, u32)>,
+        ends: &mut Vec<u32>,
         mut map: impl FnMut(u32, u32) -> Option<(u32, u32)>,
     ) {
-        let bit = 1u64 << i;
-        for (v, &seen) in self.seen.iter().enumerate() {
-            if seen & bit != 0 && v as u32 != src {
-                if let Some(pair) = map(v as u32, u32::from(self.dist[v * 64 + i])) {
-                    out.push(pair);
+        for first in (0..sources.len()).step_by(EMIT_GROUP) {
+            let group = first..(first + EMIT_GROUP).min(sources.len());
+            let mask = (!0u64 >> (64 - group.len())) << first;
+            let mut start = [0u32; EMIT_GROUP + 1];
+            for (k, i) in group.clone().enumerate() {
+                start[k + 1] = start[k] + self.arrivals[i];
+            }
+            let mut cursor = start;
+            self.rows.clear();
+            self.rows.resize(start[group.len()] as usize, 0);
+            for (v, &seen) in self.seen.iter().enumerate() {
+                let mut bits = seen & mask;
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if v as u32 != sources[i].0 {
+                        self.rows[cursor[i - first] as usize] = v as u32;
+                        cursor[i - first] += 1;
+                    }
                 }
+            }
+            for (k, i) in group.enumerate() {
+                // One push per entry grows `out` exactly as the row-by-row
+                // emission did: table capacities are part of what callers
+                // account for.
+                for &v in &self.rows[start[k] as usize..start[k + 1] as usize] {
+                    if let Some(pair) = map(v, u32::from(self.dist[v as usize * 64 + i])) {
+                        out.push(pair);
+                    }
+                }
+                ends.push(out.len() as u32);
             }
         }
     }
 }
+
+/// Batch columns [`BatchScratch::emit_rows`] deals per pass over the node
+/// space: a quarter of a batch keeps its row buffer small (a quarter of
+/// the batch's entries) for four short passes.
+const EMIT_GROUP: usize = 16;
 
 /// One shard's build output: its flat rows plus shard-relative row ends.
 type CsrShard = (Vec<(u32, u32)>, Vec<u32>);
@@ -551,10 +596,7 @@ impl SeparationOracle {
                         .map(|i| (i as u32, true))
                         .collect();
                     scratch.run(&batch, rho, &adj_offsets, &adj_pool);
-                    for (i, &(src, _)) in batch.iter().enumerate() {
-                        scratch.emit_row(i, src, flat, |v, d| Some((v, d)));
-                        ends.push(flat.len() as u32);
-                    }
+                    scratch.emit_rows(&batch, flat, ends, |v, d| Some((v, d)));
                     completed.fetch_add(batch.len(), Ordering::Relaxed);
                     control.charge(batch.len() as u64);
                     start += batch.len();
@@ -647,14 +689,10 @@ impl SeparationOracle {
                     (0..64).map(|k| ((k * stride) as u32, true)).collect();
                 scratch.run(&sample, rho, &adj_offsets, &adj_pool);
                 let mut sampled = 0usize;
-                for (i, &(src, _)) in sample.iter().enumerate() {
-                    let mut count = 0usize;
-                    scratch.emit_row(i, src, &mut Vec::new(), |_, _| {
-                        count += 1;
-                        None
-                    });
-                    sampled += count;
-                }
+                scratch.emit_rows(&sample, &mut Vec::new(), &mut Vec::new(), |_, _| {
+                    sampled += 1;
+                    None
+                });
                 // 9/8 headroom over the sampled mean; shrink_to_fit below
                 // returns any excess.
                 flat.reserve(sampled * n / 64 + sampled * n / 512 + 64);
@@ -669,10 +707,7 @@ impl SeparationOracle {
                     .map(|i| (i as u32, true))
                     .collect();
                 scratch.run(&batch, rho, &adj_offsets, &adj_pool);
-                for (i, &(src, _)) in batch.iter().enumerate() {
-                    scratch.emit_row(i, src, &mut flat, |v, d| Some((v, d)));
-                    offsets.push(flat.len() as u32);
-                }
+                scratch.emit_rows(&batch, &mut flat, &mut offsets, |v, d| Some((v, d)));
                 done += batch.len();
                 control.charge(batch.len() as u64);
                 start += batch.len();
@@ -994,14 +1029,9 @@ impl GateSeparationTable {
                         .map(|i| (i as u32, is_gate[i]))
                         .collect();
                     scratch.run(&batch, rho, &adj_offsets, &adj_pool);
-                    for (i, &(src, seeded)) in batch.iter().enumerate() {
-                        if seeded {
-                            scratch.emit_row(i, src, entries, |v, d| {
-                                is_gate[v as usize].then_some((v, rho - d))
-                            });
-                        }
-                        ends.push(entries.len() as u32);
-                    }
+                    scratch.emit_rows(&batch, entries, ends, |v, d| {
+                        is_gate[v as usize].then_some((v, rho - d))
+                    });
                     start += batch.len();
                 }
             } else {

@@ -250,6 +250,73 @@ fn fault_patch_sweep_matches_csr_oracle() {
     }
 }
 
+#[test]
+fn multi_frame_fault_patch_matches_csr_oracle_on_s5378() {
+    // A generated s5378 carries enough observable state that many faulty
+    // machines diverge in several flops within a few frames, so a frame
+    // superimposes many DFF pins in one walk (and bridges run their
+    // fixpoint on top of them); the generated s1423 detects almost
+    // nothing beyond frame 0. Every fiftieth node's stuck-at faults plus
+    // the sampled bridges, 80 sequences: two 64-lane batches, one
+    // part-filled 256-lane batch.
+    let nl = seq("s5378");
+    let faults: Vec<LogicFault> = logic_faults(&nl)
+        .into_iter()
+        .enumerate()
+        .filter(|&(k, fault)| matches!(fault, LogicFault::Bridge { .. }) || k % 100 < 2)
+        .map(|(_, fault)| fault)
+        .collect();
+    assert!(faults
+        .iter()
+        .any(|fault| matches!(fault, LogicFault::Bridge { .. })));
+    for frames in [3, 7] {
+        let vectors = random_vectors(&nl, 80 * frames, 0x5142);
+        let oracle = sweep::<u64>(
+            &nl,
+            &faults,
+            &vectors,
+            &FaultSweepOptions {
+                threads: 1,
+                fault_shards: 1,
+                fault_dropping: false,
+                backend: BackendKind::Csr,
+                frames,
+                ..FaultSweepOptions::default()
+            },
+        );
+        let beyond_frame0 = oracle
+            .first_detection
+            .iter()
+            .flatten()
+            .filter(|&&v| v % frames > 0)
+            .count();
+        assert!(beyond_frame0 > 0, "frames={frames}: no state carried");
+        for threads in [1, 2] {
+            for dropping in [true, false] {
+                let options = FaultSweepOptions {
+                    threads,
+                    fault_dropping: dropping,
+                    frames,
+                    ..FaultSweepOptions::default()
+                };
+                let narrow = sweep::<u64>(&nl, &faults, &vectors, &options);
+                let wide = sweep::<W256>(&nl, &faults, &vectors, &options);
+                for (lanes, r) in [(64, &narrow), (256, &wide)] {
+                    assert_eq!(
+                        r.first_detection, oracle.first_detection,
+                        "frames={frames} lanes={lanes} threads={threads} dropping={dropping}"
+                    );
+                }
+                assert!(
+                    narrow.work.diverged_applications > 0
+                        && narrow.work.diverged_pins > 2 * narrow.work.diverged_applications,
+                    "frames={frames}: faulty machines must diverge in several flops"
+                );
+            }
+        }
+    }
+}
+
 /// Fanout-free-region corner cases in one circuit: a NOT/BUF chain into a
 /// gate that reads one driver on both pins, a primary output that also
 /// fans out, a three-input gate, a self-cancelling XNOR, a dangling gate,
