@@ -143,9 +143,10 @@ echo "== evolution: pinned outputs"
 # (stdout and the --json report), on c1908, and at seed 1 on c7552 and
 # s5378 (runs on which the event-driven cone-walk settle, since removed
 # for the full sweep, still fired), and the per-gate resynthesis of s1423
-# followed by its evolution (stdout and the --json report) must hash to
-# the digests below, and `--resynth` without `--per-gate` must print and
-# write the same bytes as with it. A change
+# and of s5378 (the benchmarked resynth_seq command) followed by its
+# evolution (stdout and the --json report) must hash to the digests
+# below, and `--resynth` without `--per-gate` must print and write the
+# same bytes as with it. A change
 # that alters these outputs on purpose re-records the digests and says
 # why in CHANGES.md.
 target/release/iddq test "$sweep_dir/c1908.bench" --seed 3 >"$sweep_dir/pin.test_c1908" 2>/dev/null
@@ -163,6 +164,8 @@ target/release/iddq synth "$sweep_dir/s1423.bench" --resynth --per-gate --seed 3
     --json "$sweep_dir/pin.resynth_s1423.json" >"$sweep_dir/pin.resynth_s1423" 2>/dev/null
 target/release/iddq synth "$sweep_dir/s1423.bench" --resynth --seed 3 \
     --json "$sweep_dir/resynth_implied.json" >"$sweep_dir/resynth_implied" 2>/dev/null
+target/release/iddq synth "$sweep_dir/s5378.bench" --resynth --per-gate --seed 3 \
+    --json "$sweep_dir/pin.resynth_s5378.json" >"$sweep_dir/pin.resynth_s5378" 2>/dev/null
 if ! (cd "$sweep_dir" && sha256sum --check --quiet --strict) <<'DIGESTS'
 3690e525dff748985d44d4fa1503b70eedff28d5b1c0e174e58b5144d25363f1  pin.test_c1908
 c0897f167e33201c2e4f13d896ff85e5f8a73fdf521f7297d1fd97dc84fca340  pin.test_c7552
@@ -174,6 +177,8 @@ e6e46beb325f526fbaaebdbe2b1937f44c2472be02eaa0f500e73bdad91117ce  pin.synth_c755
 0fe9ec68f351d3d0aed3ea7fdcd3a2a11f14ac40127fa1a677eea8d709fc0e30  pin.synth_s5378
 ea7201d6646f8f5443ceb3c7f898b2880912c320eaf6153f3981828a595a4554  pin.resynth_s1423
 dc670a185cf7cad033368df3f7cb677bdcec5a4daf5bef744b6946a0f4e3e275  pin.resynth_s1423.json
+c3ded7e0a135aebe15b2876526efd1ed8eb09f1ed1b915476dfcd2e6ccbcf418  pin.resynth_s5378
+cef531bfec66e2fbd66ac5095e04edadee52172279026e737109f5a6eeb308f4  pin.resynth_s5378.json
 DIGESTS
 then
     echo "ERROR: a pinned flow output changed"
@@ -185,7 +190,8 @@ if ! cmp "$sweep_dir/resynth_implied" "$sweep_dir/pin.resynth_s1423" \
     exit 1
 fi
 echo "iddq test c1908, test c7552, test s1423 --frames 2, synth s1423 (+ --json), synth c1908," \
-    "synth c7552 and s5378 at seed 1, synth s1423 --resynth [--per-gate] (+ --json): digests match"
+    "synth c7552 and s5378 at seed 1, synth s1423 --resynth [--per-gate] (+ --json)," \
+    "synth s5378 --resynth --per-gate (+ --json): digests match"
 
 echo "== scale smoke"
 # A 10^5-gate generated circuit: CSR build + one full sweep + a GateSep

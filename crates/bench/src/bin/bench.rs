@@ -880,14 +880,18 @@ fn parallel_fault_sweep(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>)
 }
 
 /// Evolution loop wall-clock. The gate (≥ 2×, a work ratio) rides the
-/// ratio against scoring every evaluation with a fresh from-scratch
-/// `Evaluated` (the reference constructor every incremental path is
-/// differentially tested against). Its per-evaluation cost is measured
-/// on the search's own best partition and asserted to reproduce the
-/// search's best cost bit-exactly, then scaled by the evaluation count.
-/// `pruned` and `pruned_mutations` record how many of those evaluations
-/// were Monte-Carlo descendants and mutations decided by a cost lower
-/// bound alone.
+/// ratio against scoring every evaluation with a fresh
+/// `Evaluated::new_by_pair_sums` (the pair-sum reference constructor
+/// every incremental path is differentially tested against). Its
+/// per-evaluation cost is measured on the search's own best partition
+/// and asserted to reproduce the search's best cost bit-exactly, then
+/// scaled by the evaluation count. Beside it, ungated, the same ratio
+/// against `Evaluated::new`, which sums the separations from the gate
+/// table's rows (`identity_rebuild_per_eval_secs`,
+/// `speedup_vs_identity_rebuild`): how much the incremental scorer wins
+/// over the fastest from-scratch build. `pruned` and `pruned_mutations`
+/// record how many of those evaluations were Monte-Carlo descendants and
+/// mutations decided by a cost lower bound alone.
 fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
     println!("== evolution loop wall-clock ==");
     let evo_circuit = mode.pick("c432", HEADLINE);
@@ -908,18 +912,24 @@ fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Se
     });
     let evals = evo_out.evaluations;
     let (pruned, pruned_mutations) = (evo_out.pruned, evo_out.pruned_mutations);
-    // Rebuild baseline: a fresh Evaluated per evaluation. Bit-exact
-    // against the incremental search's best cost — the two paths score
-    // the same partition to the same bits, so the wall-clock ratio is a
-    // pure work ratio.
-    let rebuild = || Evaluated::new(&evo_ctx, evo_out.best.clone()).total_cost();
-    assert_eq!(
-        rebuild().to_bits(),
-        evo_out.best_cost.to_bits(),
-        "from-scratch Evaluated must reproduce the search's best cost bit-exactly"
-    );
+    // Rebuild baselines: a fresh Evaluated per evaluation, by the
+    // reference pair sums (gated) and by the row identity (recorded).
+    // Both are bit-exact against the incremental search's best cost —
+    // every path scores the same partition to the same bits, so the
+    // wall-clock ratios are pure work ratios.
+    let rebuild = || Evaluated::new_by_pair_sums(&evo_ctx, evo_out.best.clone()).total_cost();
+    let identity_rebuild = || Evaluated::new(&evo_ctx, evo_out.best.clone()).total_cost();
+    for cost in [rebuild(), identity_rebuild()] {
+        assert_eq!(
+            cost.to_bits(),
+            evo_out.best_cost.to_bits(),
+            "from-scratch Evaluated must reproduce the search's best cost bit-exactly"
+        );
+    }
     let t_rebuild_per_eval = secs_per_iter(mode.window_ms, rebuild);
     let t_rebuild = t_rebuild_per_eval * evals as f64;
+    let t_identity_per_eval = secs_per_iter(mode.window_ms, identity_rebuild);
+    let identity_speedup = t_identity_per_eval * evals as f64 / t_inc;
     let gate = Gate::new(
         format!("{evo_circuit} evolution speedup vs a fresh Evaluated per evaluation"),
         t_rebuild / t_inc,
@@ -928,7 +938,8 @@ fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Se
     println!(
         "{evo_circuit:>8}: {evals} evaluations ({pruned} Monte-Carlo, {pruned_mutations} \
          mutations pruned): incremental {t_inc:.3} s | \
-         rebuild-per-eval {t_rebuild:.3} s ({:.2}x)",
+         rebuild-per-eval {t_rebuild:.3} s ({:.2}x) | \
+         identity rebuild-per-eval ({identity_speedup:.2}x, ungated)",
         gate.measured,
     );
     let evolution = serde_json::json!({
@@ -942,6 +953,8 @@ fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Se
         "rebuild_per_eval_secs": t_rebuild_per_eval,
         "rebuild_cost_matches_bitwise": true,
         "speedup_vs_rebuild": gate.measured,
+        "identity_rebuild_per_eval_secs": t_identity_per_eval,
+        "speedup_vs_identity_rebuild": identity_speedup,
         "acceptance_threshold": gate.threshold,
         "pass": gate.pass(),
     });

@@ -375,9 +375,31 @@ pub struct Evaluated<'a> {
 }
 
 impl<'a> Evaluated<'a> {
-    /// Evaluates `partition` from scratch.
+    /// Evaluates `partition` from scratch. The separation totals come
+    /// from the gate table's rows
+    /// ([`GateSeparationTable::partition_separations`], linear in the
+    /// members' row lengths); the result equals
+    /// [`Evaluated::new_by_pair_sums`] bit for bit.
+    ///
+    /// [`GateSeparationTable::partition_separations`]: iddq_netlist::separation::GateSeparationTable::partition_separations
     #[must_use]
     pub fn new(ctx: &'a EvalContext<'a>, partition: Partition) -> Self {
+        let separations = ctx
+            .sep_table()
+            .partition_separations(partition.modules(), partition.assignment());
+        Self::with_separations(ctx, partition, separations)
+    }
+
+    /// The slow reference for [`Evaluated::new`]: every module's
+    /// separation by the `O(|M|²)` pair sum of
+    /// [`GateSeparationTable::module_separation`] (the sum
+    /// [`Evaluated::stats_for`] and so [`Evaluated::verify_consistency`]
+    /// check against). Tests and the bench's evolution gate use it; the
+    /// flow never does.
+    ///
+    /// [`GateSeparationTable::module_separation`]: iddq_netlist::separation::GateSeparationTable::module_separation
+    #[must_use]
+    pub fn new_by_pair_sums(ctx: &'a EvalContext<'a>, partition: Partition) -> Self {
         let separations = partition
             .modules()
             .iter()
@@ -387,7 +409,7 @@ impl<'a> Evaluated<'a> {
     }
 
     /// The evaluation of `self`'s partition that [`Evaluated::new`] would
-    /// build, without its `O(|M|²)` pair sums: every floating-point
+    /// build, without scanning a separation row: every floating-point
     /// statistic, sensor figure, weight and arrival is recomputed from
     /// scratch in member order, and the per-module separation totals,
     /// exact integers under every move, are kept. The result equals
@@ -405,8 +427,9 @@ impl<'a> Evaluated<'a> {
         Self::with_separations(self.ctx, self.partition.clone(), separations)
     }
 
-    /// The from-scratch evaluation behind [`Evaluated::new`] and
-    /// [`Evaluated::rebased`], given each module's separation total.
+    /// The from-scratch evaluation behind [`Evaluated::new`],
+    /// [`Evaluated::new_by_pair_sums`] and [`Evaluated::rebased`], given
+    /// each module's separation total.
     fn with_separations(
         ctx: &'a EvalContext<'a>,
         partition: Partition,
@@ -444,7 +467,8 @@ impl<'a> Evaluated<'a> {
         }
     }
 
-    /// Full (non-incremental) statistics of one gate set.
+    /// Full (non-incremental) statistics of one gate set, its separation
+    /// by the reference pair sum.
     #[must_use]
     pub fn stats_for(ctx: &EvalContext<'_>, gates: &[NodeId]) -> ModuleStats {
         ModuleStats {

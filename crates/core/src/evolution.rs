@@ -969,6 +969,41 @@ mod tests {
         assert!(value.log.is_empty());
     }
 
+    /// When every parent ages out with no descendant, the search restarts
+    /// from one fresh chain. On a one-gate netlist every chain is one
+    /// module, so neither mutation nor Monte-Carlo yields a descendant;
+    /// with `stagnation` above the run length the population ages out at
+    /// generations 2, 5 and 8 (`max_lifetime` 2). Each restart is one
+    /// evaluation, and every generation's best is the single-module cost.
+    #[test]
+    fn aged_out_population_restarts_from_a_chain() {
+        let mut b = iddq_netlist::NetlistBuilder::new("one");
+        let i = b.add_input("i");
+        let g = b
+            .add_gate("g", iddq_netlist::CellKind::Not, vec![i])
+            .unwrap();
+        b.mark_output(g);
+        let nl = b.build().unwrap();
+        let lib = Library::generic_1um();
+        let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
+        let config = EvolutionConfig {
+            generations: 10,
+            max_lifetime: 2,
+            stagnation: 20,
+            ..quick_config()
+        };
+        let out = run(&ctx, &config, 1);
+        assert_eq!(out.log.len(), 10);
+        assert_eq!(out.evaluations, config.mu + 3);
+        assert_eq!(out.best.module_count(), 1);
+        let single = Evaluated::new_by_pair_sums(&ctx, Partition::single_module(&nl)).total_cost();
+        assert_eq!(out.best_cost.to_bits(), single.to_bits());
+        for entry in &out.log {
+            assert_eq!(entry.best_cost.to_bits(), single.to_bits());
+            assert_eq!(entry.best_modules, 1);
+        }
+    }
+
     #[test]
     fn mutation_returns_none_for_single_module() {
         let nl = data::c17();

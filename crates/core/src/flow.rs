@@ -167,7 +167,7 @@ fn gate_sep_context<'a>(
 /// best individual, rebased: its floating-point figures are recomputed
 /// from scratch and its exact separation totals kept, so the report is
 /// bit-identical to one built on `Evaluated::new` of the best partition
-/// without that constructor's `O(|M|²)` pair sums.
+/// without scanning the members' separation rows again.
 ///
 /// # Panics
 ///

@@ -1137,12 +1137,13 @@ impl GateSeparationTable {
         }
     }
 
-    /// Module separation `S(M)` of a gate set: the sum over its
-    /// unordered pairs of the saturated distance, `ρ − w` for a pair in
-    /// the row and `ρ` for one outside it — bit-identical to
+    /// Module separation `S(M)` of a gate set by its pair sum: the sum
+    /// over its unordered pairs of the saturated distance, `ρ − w` for a
+    /// pair in the row and `ρ` for one outside it — bit-identical to
     /// [`SeparationOracle::module_separation`], and as quadratic in
-    /// `|module|`. Each lookup is one binary search of a gate-only row,
-    /// shorter than the oracle's rows, which also carry primary inputs.
+    /// `|module|`. This is the slow reference that
+    /// [`GateSeparationTable::partition_separations`], the linear kernel
+    /// the evaluator scores with, is tested against.
     ///
     /// # Panics
     ///
@@ -1158,15 +1159,58 @@ impl GateSeparationTable {
         sum
     }
 
+    /// Module separation `S(M)` of every module of a partition, from the
+    /// rows in `O(Σ row length of the members)` instead of the pair sum's
+    /// `O(|M|²)` lookups. `assignment` holds each node's module index (one
+    /// entry per node; any value outside `0..modules.len()` for nodes in
+    /// no module), and `modules[m]` lists exactly the gates assigned `m`.
+    ///
+    /// Every pair of members is either in both members' rows, with the
+    /// same weight `ρ − d` (the rows are symmetric), or in neither, at
+    /// distance `ρ`. So with `W_in(M) = Σ_{g ∈ M} Σ_{n ∈ row(g) ∩ M}(ρ − d)`,
+    /// each near pair counted once from each end,
+    ///
+    /// `S(M) = ρ·C(|M|, 2) − W_in(M) / 2`,
+    ///
+    /// the same integer as [`GateSeparationTable::module_separation`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member or a row entry is out of range of `assignment`.
+    #[must_use]
+    pub fn partition_separations(&self, modules: &[Vec<NodeId>], assignment: &[u32]) -> Vec<u64> {
+        modules
+            .iter()
+            .enumerate()
+            .map(|(m, gates)| {
+                let m = m as u32;
+                let mut doubled = 0u64;
+                for &g in gates {
+                    debug_assert_eq!(assignment[g.index()], m, "gate {g} not in module {m}");
+                    // The masked add of `member_weights`: membership is
+                    // unpredictable, so no branch per entry.
+                    for &(n, w) in self.row(g) {
+                        let inside = assignment[n as usize] == m;
+                        doubled += u64::from(w) & 0u64.wrapping_sub(u64::from(inside));
+                    }
+                }
+                debug_assert!(doubled.is_multiple_of(2), "asymmetric rows in module {m}");
+                let size = gates.len() as u64;
+                self.rho * (size * size.saturating_sub(1) / 2) - doubled / 2
+            })
+            .collect()
+    }
+
     /// Total neighbour weight `W(g) = Σ_{g' gate, d(g,g') < ρ} (ρ − d)` of
     /// one gate's row (`0` for primary inputs).
     ///
-    /// For a module containing *all* gates, `S(M) = ρ·|pairs| − Σ_g W(g)/2`
-    /// — the identity the patch-scored resynthesis evaluation maintains
-    /// incrementally instead of re-running the O(G²) pair sum. `W(g)` also
-    /// caps the weight `g` has to any one module, which is what the
-    /// evolution's bound on a batch move's separation needs. O(1): the
-    /// totals are stored when the table is built.
+    /// This is `W_in` of [`GateSeparationTable::partition_separations`]
+    /// for a module that holds every gate: `S(M) = ρ·|pairs| − Σ_g W(g)/2`,
+    /// the identity the patch-scored resynthesis evaluation maintains
+    /// incrementally. `W(g)` also caps the weight `g` has to any one
+    /// module, which is what the evolution's bound on a batch move's
+    /// separation needs. O(1): the totals are stored when the table is
+    /// built.
     ///
     /// # Panics
     ///

@@ -171,6 +171,34 @@ proptest! {
         prop_assert_eq!(&GateSeparationTable::direct(&nl, rho, threads), &table);
     }
 
+    /// The row kernel `partition_separations` equals the pair-sum
+    /// reference `module_separation` on every module of a random gate
+    /// partition of a random netlist, at every saturation bound.
+    #[test]
+    fn partition_separations_match_the_pair_sum(
+        n_in in 1usize..6,
+        specs in dag_spec(),
+        rho in 1u32..8,
+        k in 1usize..6,
+        picks in prop::collection::vec(any::<u8>(), 40),
+    ) {
+        let nl = build_dag(n_in, &specs);
+        let table = GateSeparationTable::direct(&nl, rho, 1);
+        let mut modules: Vec<Vec<NodeId>> = vec![Vec::new(); k];
+        for (i, g) in nl.gate_ids().enumerate() {
+            modules[usize::from(picks[i % picks.len()]) % k].push(g);
+        }
+        modules.retain(|m| !m.is_empty());
+        let mut assignment = vec![u32::MAX; nl.node_count()];
+        for (m, gates) in modules.iter().enumerate() {
+            for g in gates {
+                assignment[g.index()] = m as u32;
+            }
+        }
+        let want: Vec<u64> = modules.iter().map(|m| table.module_separation(m)).collect();
+        prop_assert_eq!(table.partition_separations(&modules, &assignment), want);
+    }
+
     /// Module separation equals the pairwise sum definition for arbitrary
     /// gate subsets of c17.
     #[test]

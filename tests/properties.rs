@@ -1,12 +1,16 @@
 //! Property-based tests on the core invariants, spanning crates.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
 
 use iddq::celllib::Library;
-use iddq::core::{config::PartitionConfig, standard, EvalContext, Evaluated};
+use iddq::core::{
+    config::PartitionConfig, standard, AnalysisTier, EvalContext, Evaluated, Partition,
+};
 use iddq::gen::iscas::{self, IscasProfile};
 use iddq::logicsim::Simulator;
-use iddq::netlist::{bench, data, levelize};
+use iddq::netlist::{bench, data, levelize, Netlist, NodeId};
 
 fn small_circuit(seed: u64) -> iddq::netlist::Netlist {
     let profile = IscasProfile::by_name("c432").unwrap();
@@ -16,6 +20,58 @@ fn small_circuit(seed: u64) -> iddq::netlist::Netlist {
 /// A generated ISCAS-89-like (DFF-carrying) circuit at generation seed 5.
 fn seq_circuit(name: &str) -> iddq::netlist::Netlist {
     iddq::gen::seq::generate(iddq::gen::seq::SeqProfile::by_name(name).unwrap(), 5)
+}
+
+/// Generated c880 and c1908 and the DFF-carrying s1423 (generation
+/// seed 5), built once for every case that draws from them.
+fn separation_corpus() -> &'static [Netlist; 3] {
+    static CORPUS: OnceLock<[Netlist; 3]> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let comb = |name| iscas::generate(IscasProfile::by_name(name).unwrap(), 5);
+        [comb("c880"), comb("c1908"), seq_circuit("s1423")]
+    })
+}
+
+/// A start partition of `nl`'s gates drawn from `seed` by `shape`: 0
+/// random modules (up to 40), 1 every gate alone, 2 one whole-netlist
+/// module, 3 one large module beside a random share of singletons.
+fn drawn_partition(nl: &Netlist, shape: u8, seed: u64) -> Partition {
+    let gates: Vec<NodeId> = nl.gate_ids().collect();
+    let mut state = seed | 1;
+    let mut next = move || {
+        // xorshift64
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let groups: Vec<Vec<NodeId>> = match shape {
+        0 => {
+            let k = (next() % 40 + 1) as usize;
+            let mut groups = vec![Vec::new(); k];
+            for &g in &gates {
+                groups[(next() % k as u64) as usize].push(g);
+            }
+            groups.retain(|m| !m.is_empty());
+            groups
+        }
+        1 => gates.iter().map(|&g| vec![g]).collect(),
+        2 => vec![gates],
+        _ => {
+            let (mut big, mut groups) = (Vec::new(), Vec::new());
+            for &g in &gates {
+                if next() % 4 == 0 {
+                    groups.push(vec![g]);
+                } else {
+                    big.push(g);
+                }
+            }
+            groups.push(big);
+            groups.retain(|m| !m.is_empty());
+            groups
+        }
+    };
+    Partition::from_groups(nl, groups).unwrap()
 }
 
 /// Every cached module statistic as raw bits, in module order.
@@ -167,6 +223,47 @@ proptest! {
                 // Keep the batch applied for the next round.
                 eval.move_gates(&moved, target);
             }
+        }
+    }
+
+    /// `Evaluated::new` sums each module's separation from the gate
+    /// table's rows; every module's total equals the reference pair sum
+    /// exactly, at the start and after random committed moves (which
+    /// reorder members and renumber modules), and the whole evaluation
+    /// equals `Evaluated::new_by_pair_sums` bit for bit.
+    #[test]
+    fn row_separations_equal_the_pair_sums(
+        circuit in 0usize..3,
+        shape in 0u8..4,
+        seed in any::<u64>(),
+        moves in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u16>()), 0..12),
+    ) {
+        let nl = &separation_corpus()[circuit];
+        let lib = Library::generic_1um();
+        let ctx = EvalContext::builder(nl, &lib, PartitionConfig::paper_default())
+            .tier(AnalysisTier::GateSep)
+            .build();
+        let table = ctx.sep_table();
+        let check = |eval: &Evaluated<'_>| {
+            for (m, gates) in eval.partition().modules().iter().enumerate() {
+                let want = table.module_separation(gates);
+                prop_assert_eq!(eval.stats()[m].separation, want, "module {}", m);
+            }
+            let reference = Evaluated::new_by_pair_sums(&ctx, eval.partition().clone());
+            prop_assert_eq!(stats_bits(eval), stats_bits(&reference));
+            prop_assert_eq!(eval.total_cost().to_bits(), reference.total_cost().to_bits());
+        };
+        let mut eval = Evaluated::new(&ctx, drawn_partition(nl, shape, seed));
+        check(&eval);
+        for (source, pick, target) in moves {
+            let modules = eval.partition().module_count();
+            let members = eval.partition().module(usize::from(source) % modules).to_vec();
+            let take = usize::from(pick) % members.len() + 1;
+            eval.begin_txn();
+            eval.move_gates(&members[..take], usize::from(target) % modules);
+            eval.settle();
+            eval.commit_txn();
+            check(&Evaluated::new(&ctx, eval.partition().clone()));
         }
     }
 
