@@ -21,11 +21,11 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use iddq_bench::table1_circuit;
 use iddq_celllib::Library;
-use iddq_control::{RunBudget, RunControl};
+use iddq_control::RunControl;
 use iddq_core::config::PartitionConfig;
 use iddq_core::evolution::{self, EvolutionConfig};
 use iddq_core::{AnalysisTier, EvalContext, Evaluated, ResynthEval};
@@ -37,7 +37,7 @@ use iddq_logicsim::faults::{enumerate, FaultUniverseConfig, IddqFault};
 use iddq_logicsim::logic_test::StuckAtFault;
 use iddq_logicsim::reference::NaiveSimulator;
 use iddq_logicsim::{iddq, BackendKind, Simulator};
-use iddq_netlist::separation::SeparationOracle;
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{CellKind, Netlist, NodeId, PackedWord, W256, W512};
 use serde_json::Value;
 
@@ -699,102 +699,95 @@ fn fault_patch_multi_frame(mode: &Mode) -> (Value, Gate) {
     (json, gate)
 }
 
-/// Analysis-context construction: the flat, tiered, parallel rework of
-/// EvalContext. Four arms per circuit: the full (Separation) tier on the
-/// flat BFS engine, the GateSep tier (gate table direct from the netlist,
-/// no oracle), the PR 4-style constructor (hash-map oracle — the
-/// differential baseline, asserted equal to the flat build), and the
-/// thread-sharded parallel full build (bit-identical by stitching). The
-/// flat-vs-PR 4 ratio is a work ratio between two deterministic builds,
-/// gated in smoke too (at the smaller circuit's lower 1.7× threshold —
-/// the oracle is a smaller fraction of the c1908 build; 2.5× on c7552 in
-/// full mode); the parallel speedup has a [`Gate::parallel`] gate.
+/// Analysis-context construction. Per circuit, the default (GateSep)
+/// context build, whose batched table engine is gated against a context
+/// handed the one-BFS-per-gate reference table
+/// ([`GateSeparationTable::reference`], asserted equal) — a work ratio
+/// between two deterministic builds, gated in smoke on c1908 at 2× and
+/// in full mode on c7552 at 1.2× (the table is a smaller share of the
+/// c7552 context) — and the table build alone, serial against sharded,
+/// which has a [`Gate::parallel`] gate.
 fn context_build(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
     println!("== analysis context construction ==");
     let cores = mode.cores;
     let ctx_lib = Library::generic_1um();
     let ctx_cfg = PartitionConfig::paper_default();
+    let rho = ctx_cfg.rho;
     let gated = mode.pick("c1908", HEADLINE);
     let ctx_circuits = mode.pick::<&[&str]>(&["c1908"], &["c1908", HEADLINE]);
     let ctx_threads = cores.max(PARALLEL_GATE_CORES);
     let mut context_entries: BTreeMap<String, Value> = BTreeMap::new();
-    let mut flat_gated = 0.0f64;
+    let mut reference_gated = 0.0f64;
     let mut parallel_gated = 0.0f64;
     for &name in ctx_circuits {
         let nl = &netlists[name];
         let builder = || EvalContext::builder(nl, &ctx_lib, ctx_cfg.clone());
-        let flat = || builder().build();
-        let gatesep = || builder().tier(AnalysisTier::GateSep).build();
-        let pr4 = || builder().reference_oracle().build();
-        let par = || builder().threads(ctx_threads).build();
-        // Differential sanity: the flat full build, the PR 4 hash-map
-        // build and the direct GateSep table agree entry for entry.
-        {
-            let full = flat();
-            assert_eq!(
-                full.separation(),
-                pr4().separation(),
-                "flat oracle must equal the hash-map reference"
-            );
-            assert_eq!(
-                gatesep().sep_table(),
-                full.sep_table(),
-                "direct gate table must equal the oracle distillation"
-            );
-            assert_eq!(
-                par().separation(),
-                full.separation(),
-                "parallel build must be bit-identical to serial"
-            );
-        }
-        let [t_full, t_gatesep, t_pr4, t_par] = secs_per_iter_interleaved(
+        let gatesep = || builder().build();
+        let reference = || {
+            builder()
+                .sep_table(GateSeparationTable::reference(nl, rho))
+                .build()
+        };
+        let serial = || GateSeparationTable::direct(nl, rho, 1);
+        let par = || GateSeparationTable::direct(nl, rho, ctx_threads);
+        // Differential sanity: the batched table, its reference and the
+        // sharded build agree entry for entry.
+        assert_eq!(
+            gatesep().separation(),
+            reference().separation(),
+            "the batched table must equal the BFS reference"
+        );
+        assert_eq!(
+            par(),
+            serial(),
+            "parallel build must be bit-identical to serial"
+        );
+        let [t_gatesep, t_reference, t_serial, t_par] = secs_per_iter_interleaved(
             mode.window_ms,
             &mut [
-                &mut arm(flat),
                 &mut arm(gatesep),
-                &mut arm(pr4),
+                &mut arm(reference),
+                &mut arm(serial),
                 &mut arm(par),
             ],
         );
-        let flat_speedup = t_pr4 / t_full;
-        let gatesep_speedup = t_pr4 / t_gatesep;
-        let par_speedup = t_full / t_par;
+        let reference_speedup = t_reference / t_gatesep;
+        let par_speedup = t_serial / t_par;
         if name == gated {
-            flat_gated = flat_speedup;
+            reference_gated = reference_speedup;
             parallel_gated = par_speedup;
         }
         println!(
-            "{name:>8}: full(flat) {:7.1} ms ({flat_speedup:4.2}x vs PR4) | gatesep {:7.1} ms \
-             ({gatesep_speedup:4.2}x) | pr4 {:7.1} ms | parallel x{ctx_threads} {:7.1} ms \
-             ({par_speedup:4.2}x vs serial) on {cores} core(s)",
-            t_full * 1e3,
+            "{name:>8}: gatesep {:7.1} ms ({reference_speedup:4.2}x vs reference) | reference \
+             {:7.1} ms | table {:7.1} ms, x{ctx_threads} {:7.1} ms ({par_speedup:4.2}x vs \
+             serial) on {cores} core(s)",
             t_gatesep * 1e3,
-            t_pr4 * 1e3,
+            t_reference * 1e3,
+            t_serial * 1e3,
             t_par * 1e3,
         );
         context_entries.insert(
             name.to_string(),
             serde_json::json!({
                 "gates": nl.gate_count(),
-                "full_flat_secs": t_full,
                 "gatesep_secs": t_gatesep,
-                "pr4_secs": t_pr4,
-                "parallel_secs": t_par,
+                "reference_secs": t_reference,
+                "table_secs": t_serial,
+                "parallel_table_secs": t_par,
                 "parallel_threads": ctx_threads,
-                "full_flat_speedup_vs_pr4": flat_speedup,
-                "gatesep_speedup_vs_pr4": gatesep_speedup,
+                "gatesep_speedup_vs_reference": reference_speedup,
                 "parallel_speedup_vs_serial": par_speedup,
             }),
         );
     }
-    let flat = Gate::new(
-        format!("{gated} full-tier context build speedup vs the PR 4 constructor"),
-        flat_gated,
-        mode.pick(1.7, 2.5),
+    let gate = Gate::new(
+        format!("{gated} GateSep context build speedup vs the BFS reference table"),
+        reference_gated,
+        mode.pick(2.0, 1.2),
     );
     let parallel = Gate::parallel(
         format!(
-            "{gated} parallel context build speedup at {ctx_threads} threads \
+            "{gated} parallel table build speedup at {ctx_threads} threads \
              ({cores} core(s); arms at >= {PARALLEL_GATE_CORES})"
         ),
         parallel_gated,
@@ -803,9 +796,9 @@ fn context_build(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Sec
     let context_build = serde_json::json!({
         "circuit": gated,
         "circuits": context_entries,
-        "full_flat_speedup_vs_pr4": flat.measured,
-        "acceptance_threshold": flat.threshold,
-        "pass": flat.pass(),
+        "gatesep_speedup_vs_reference": gate.measured,
+        "acceptance_threshold": gate.threshold,
+        "pass": gate.pass(),
         "parallel_speedup_vs_serial": parallel.measured,
         // The sub-1x number a 1-core container measures is recorded but
         // explicitly marked SKIPPED, so downstream tooling never reads it
@@ -813,7 +806,7 @@ fn context_build(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Sec
         "parallel_gate": if parallel.armed { "ARMED" } else { "SKIPPED" },
         "parallel_gate_cores": cores,
     });
-    Section::new("context_build", context_build, vec![flat, parallel])
+    Section::new("context_build", context_build, vec![gate, parallel])
 }
 
 /// Parallel fault-sweep throughput (vectors/second through the full
@@ -965,17 +958,12 @@ fn evolution_loop(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Se
 /// 16-level shape (6_250 nodes/level at 10^5, 62_500 at 10^6). One full
 /// serial sweep of each must fit an explicit wall-clock budget (gated as
 /// budget / slowest sweep ≥ 1); measured memory (netlist, CSR program,
-/// packed values) is recorded; and a row-budgeted *streamed*
-/// separation-oracle build shows bounded-memory partial analysis at scale
-/// (a complete rho=6 oracle at 10^6 gates would need gigabytes — the
-/// budget caps rows, the streamed layout caps the transient peak). The
-/// section closes with the c7552 [`dw_probe`].
+/// packed values) is recorded. The section closes with the c7552
+/// [`dw_probe`].
 fn scale(mode: &Mode, dw_nl: &Netlist) -> Section {
     println!("== million-gate scale ==");
     let scale_sizes = mode.pick::<&[usize]>(&[100_000], &[100_000, 1_000_000]);
     let sweep_budget_secs = mode.pick(30.0, 120.0);
-    let scale_rho = 4u32;
-    let scale_row_quota: u64 = mode.pick(20_000, 200_000);
     let mut scale_entries: BTreeMap<String, Value> = BTreeMap::new();
     let mut slowest_sweep = 0.0f64;
     for &gates in scale_sizes {
@@ -999,41 +987,15 @@ fn scale(mode: &Mode, dw_nl: &Netlist) -> Section {
             sim.eval_into(std::hint::black_box(&inputs64), &mut serial)
         });
         let values_bytes = serial.len() * std::mem::size_of::<u64>();
-        // Row-budgeted streamed oracle: bounded memory and wall-clock by
-        // construction, partial coverage reported instead of an 8 GB
-        // surprise.
-        let control = RunControl::with_budget(
-            RunBudget::unlimited()
-                .with_quota(scale_row_quota)
-                .with_timeout(Duration::from_secs(30)),
-        );
-        let (oracle_outcome, t_oracle) =
-            timed(|| SeparationOracle::new_streamed_with_control(&nl, scale_rho, &control));
-        let oracle_complete = oracle_outcome.is_complete();
-        let oracle_coverage = oracle_outcome.coverage();
-        let oracle = oracle_outcome.into_value();
         println!(
             "mega{gates:>8}: gen {t_gen:6.2} s | csr build {t_build:6.2} s | sweep \
              {:8.1} ms (budget {sweep_budget_secs:.0} s) | netlist {:7.1} MB, \
-             csr {:6.1} MB, values {:5.1} MB | oracle rho={scale_rho}: {:.0}% of rows, \
-             {} entries, {:5.1} MB in {t_oracle:5.2} s",
+             csr {:6.1} MB, values {:5.1} MB",
             t_serial * 1e3,
             nl.memory_bytes() as f64 / 1e6,
             sim.memory_bytes() as f64 / 1e6,
             values_bytes as f64 / 1e6,
-            oracle_coverage * 100.0,
-            oracle.entry_count(),
-            oracle.memory_bytes() as f64 / 1e6,
         );
-        let oracle_entry = serde_json::json!({
-            "rho": scale_rho,
-            "row_quota": scale_row_quota,
-            "complete": oracle_complete,
-            "coverage": oracle_coverage,
-            "entries": oracle.entry_count(),
-            "memory_bytes": oracle.memory_bytes(),
-            "build_secs": t_oracle,
-        });
         scale_entries.insert(
             format!("mega{gates}"),
             serde_json::json!({
@@ -1049,7 +1011,6 @@ fn scale(mode: &Mode, dw_nl: &Netlist) -> Section {
                 "netlist_bytes": nl.memory_bytes(),
                 "csr_bytes": sim.memory_bytes(),
                 "packed_values_bytes": values_bytes,
-                "oracle": oracle_entry,
             }),
         );
     }

@@ -23,7 +23,7 @@ use std::time::Instant;
 use iddq_celllib::Library;
 use iddq_control::{write_atomic, EngineError, RunBudget, RunControl};
 use iddq_core::evolution::EvolutionConfig;
-use iddq_core::{config::PartitionConfig, flow, AnalysisTier, EvalContext};
+use iddq_core::{config::PartitionConfig, flow, EvalContext};
 use iddq_logicsim::BackendKind;
 use iddq_netlist::{bench, dot, LaneWidth, Netlist};
 
@@ -324,8 +324,8 @@ const COMMANDS: &[Command] = &[
         about: "print structural statistics",
         flags: &[
             flag("--memory", Switch, "", "also report the memory footprint of every engine \
-                representation (graph, CSR schedule, packed values, delta state, separation \
-                oracle, gate-sep table)"),
+                representation (graph, CSR schedule, packed values, delta state, gate-sep \
+                table)"),
             flag("--rho N", U32, "6", "separation saturation bound").needs("--memory").positive(),
         ] },
     Command { name: "scale", arg: "", run: cmd_scale,
@@ -623,15 +623,12 @@ fn cmd_synth(args: &Args) -> Result<(), CliError> {
     // context is built around it instead of building it again.
     let mut handed_table = None;
     if args.has("--resynth") {
-        // The patch-scored search only needs the GateSep analysis tier;
-        // the build and the search are timed separately so the report
-        // shows where the wall-clock actually goes. The table is built
-        // serially: stitching a sharded build raised the peak RSS of
-        // s5378 from ~70 to ~87 MB and saved no measurable time.
+        // The analysis build and the search are timed separately so the
+        // report shows where the wall-clock actually goes. The table is
+        // built serially: stitching a sharded build raised the peak RSS
+        // of s5378 from ~70 to ~87 MB and saved no measurable time.
         let t_analysis = Instant::now();
-        let ctx = EvalContext::builder(&cut, &library, config.clone())
-            .tier(AnalysisTier::GateSep)
-            .build();
+        let ctx = EvalContext::new(&cut, &library, config.clone());
         let analysis_secs = t_analysis.elapsed().as_secs_f64();
         let t_search = Instant::now();
         let (out, report, table) =
@@ -773,18 +770,16 @@ fn cmd_test(args: &Args) -> Result<(), CliError> {
     let library = Library::generic_1um();
     let config = PartitionConfig::paper_default();
 
-    // The synthesis flow reads gate-to-gate distances only, so its
-    // context stops at the gate table; the defect enumeration samples
-    // its bridges from lazy per-gate BFS balls (the same universe an
-    // oracle would give).
+    // The defect enumeration samples its bridges from the context's gate
+    // table (the same universe lazy per-gate BFS balls would give).
     let ctx = EvalContext::builder(&cut, &library, config.clone())
-        .tier(AnalysisTier::GateSep)
         .threads(threads)
         .build();
-    let faults = iddq_logicsim::faults::enumerate(
+    let faults = iddq_logicsim::faults::enumerate_with(
         &cut,
         &iddq_logicsim::faults::FaultUniverseConfig::default(),
         seed,
+        ctx.try_separation(),
     );
     // `generate_seq` at frames = 1 reproduces the combinational
     // generator bit-for-bit, so one call covers both regimes.
@@ -1257,15 +1252,6 @@ fn report_memory(cut: &Netlist, rho: u32) {
         delta.memory_bytes(),
         "incremental fault-patch state",
     );
-    let control = RunControl::unlimited();
-    let oracle =
-        iddq_netlist::separation::SeparationOracle::new_streamed_with_control(cut, rho, &control)
-            .into_value();
-    line(
-        &format!("separation oracle p{rho}"),
-        oracle.memory_bytes(),
-        &format!("{} entries, streamed build", oracle.entry_count()),
-    );
     let table = iddq_netlist::separation::GateSeparationTable::direct(cut, rho, 1);
     line(
         &format!("gate-sep table p{rho}"),
@@ -1368,9 +1354,7 @@ fn cmd_scale(args: &Args) -> Result<(), CliError> {
     let mut config = PartitionConfig::paper_default();
     config.rho = rho;
     let t0 = Instant::now();
-    let ctx = EvalContext::builder(&nl, &library, config)
-        .tier(AnalysisTier::GateSep)
-        .build();
+    let ctx = EvalContext::new(&nl, &library, config);
     let t_ctx = t0.elapsed().as_secs_f64();
     gate("the analysis context build")?;
 

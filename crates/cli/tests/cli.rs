@@ -343,12 +343,15 @@ fn stats_memory_reports_engine_footprints() {
         "csr schedule",
         "packed values @512",
         "delta engine @64",
-        "separation oracle p4",
         "gate-sep table p4",
         "B/node",
     ] {
         assert!(text.contains(field), "missing `{field}` in: {text}");
     }
+    assert!(
+        !text.contains("oracle"),
+        "the gate table is the one separation line: {text}"
+    );
 
     // A zero saturation bound is the caller's mistake.
     fails(&["stats", &bench, "--memory", "--rho", "0"], 2);

@@ -1,72 +1,53 @@
 //! Tiered, parallel construction of the one-time analysis context shared
 //! by every partition evaluation.
 //!
-//! # The tier lattice
+//! # The tiers
 //!
 //! Not every consumer needs every analysis, and the analyses have very
-//! different costs — on large circuits the §3.3 separation oracle
+//! different costs — on large circuits the §3.3 separation table
 //! dominates the build. [`EvalContextBuilder`] therefore constructs an
-//! [`EvalContext`] at one of three tiers:
+//! [`EvalContext`] at one of two tiers:
 //!
 //! | tier ([`AnalysisTier`]) | contains | needed by |
 //! |---|---|---|
-//! | `Timing` | cell tables, §3.1 transition-time sets, fanout-cone index, nominal critical path, topo gate list | everything below builds on it |
-//! | `GateSep` | `Timing` + the gate-only `ρ − d` neighbour-weight table ([`GateSeparationTable`]), built *directly* from the netlist or handed over ([`EvalContextBuilder::sep_table`]) | [`crate::Evaluated`], [`crate::standard`], [`crate::evolution`], [`crate::flow`], [`crate::resynth::ResynthEval`] and the patch-scored per-gate resynthesis search (`iddq-synth::cost_aware_per_gate_in`) — every flow, since §3.3 only needs gate-to-gate distances |
-//! | `Separation` | `Timing` + the full ρ-bounded [`SeparationOracle`] (+ the table distilled from it) | node-to-node distances that involve primary inputs: the serve `stats` artifacts, the bridge sampler's oracle path (`iddq-logicsim::faults::enumerate_with`) and the `context_build` benchmark section |
+//! | `Timing` | cell tables, §3.1 transition-time sets, fanout-cone index, nominal critical path, topo gate list | the serve `stats` floor under memory or deadline pressure |
+//! | `GateSep` (the default; `Separation` is an alias) | `Timing` + the gate-only `ρ − d` neighbour-weight table ([`GateSeparationTable`]), built *directly* from the netlist or handed over ([`EvalContextBuilder::sep_table`]) | [`crate::Evaluated`], [`crate::standard`], [`crate::evolution`], [`crate::flow`], [`crate::resynth::ResynthEval`], the patch-scored per-gate resynthesis search (`iddq-synth::cost_aware_per_gate_in`) and the bridge sampler (`iddq-logicsim::faults::enumerate_with`) — §3.3 only needs gate-to-gate distances |
 //!
-//! `Timing ⊂ GateSep ⊂ Separation`: each tier strictly extends the one
-//! below. The CLI flows (`iddq test`, `iddq synth`) stop at `GateSep` —
-//! the full oracle also carries every primary-input row they never read,
-//! and skipping it removes most of the construction cost and a third of
-//! the peak memory of `iddq test` on c7552. `iddq synth --resynth
-//! --per-gate` builds one table per run: the search ends holding the
-//! rows of the netlist it returns, and the evolution's context is built
-//! around them.
+//! `Timing ⊂ GateSep`. `iddq synth --resynth --per-gate` builds one table
+//! per run: the search ends holding the rows of the netlist it returns,
+//! and the evolution's context is built around them.
 //!
 //! # Parallelism
 //!
-//! The separation build is one independent bounded BFS per node;
-//! [`EvalContextBuilder::threads`] shards it across workers (the stitched
-//! result is bit-identical to the serial build, so a parallel context is
-//! interchangeable with a serial one everywhere).
-//!
-//! [`EvalContextBuilder::reference_oracle`] pins the build to the
-//! historical hash-map constructor
-//! ([`SeparationOracle::new_reference`]) — the differential baseline the
-//! `context_build` benchmark section gates the flat engine against.
+//! The table build is one independent bounded BFS per gate, 64 sources
+//! per batch; [`EvalContextBuilder::threads`] shards the batches across
+//! workers (the stitched result is bit-identical to the serial build, so
+//! a parallel context is interchangeable with a serial one everywhere).
 
 use iddq_celllib::{Library, NodeTables, Technology};
 use iddq_netlist::cone::ConeIndex;
-use iddq_netlist::separation::{GateSeparationTable, SeparationOracle};
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{levelize, Netlist, TimeSet};
 
 use crate::config::PartitionConfig;
 
 /// How much analysis an [`EvalContext`] carries (see the
-/// [module docs](self) for the lattice).
+/// [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AnalysisTier {
     /// Tables, transition times, cones and nominal delay only.
     Timing,
-    /// `Timing` plus the gate-only separation table (no full oracle).
+    /// `Timing` plus the gate-only separation table — what
+    /// [`EvalContext::new`] builds.
     GateSep,
-    /// `Timing` plus the full separation oracle (and its gate table) —
-    /// what [`EvalContext::new`] builds.
-    Separation,
 }
 
 impl AnalysisTier {
-    /// The next cheaper tier in the lattice, or `None` at the floor:
-    /// `Separation → GateSep → Timing → ∅`. Degradation logic walks this
-    /// chain until the candidate tier fits its budget.
-    #[must_use]
-    pub fn downgrade(self) -> Option<AnalysisTier> {
-        match self {
-            AnalysisTier::Separation => Some(AnalysisTier::GateSep),
-            AnalysisTier::GateSep => Some(AnalysisTier::Timing),
-            AnalysisTier::Timing => None,
-        }
-    }
+    /// The separation tier under its older name: the gate table is the
+    /// one separation analysis, so `Separation` is `GateSep`, and
+    /// `"separation"` parses to it.
+    #[allow(non_upper_case_globals)]
+    pub const Separation: AnalysisTier = AnalysisTier::GateSep;
 
     /// Canonical lower-case name, the wire form of the serving protocol.
     #[must_use]
@@ -74,7 +55,6 @@ impl AnalysisTier {
         match self {
             AnalysisTier::Timing => "timing",
             AnalysisTier::GateSep => "gatesep",
-            AnalysisTier::Separation => "separation",
         }
     }
 }
@@ -91,8 +71,7 @@ impl std::str::FromStr for AnalysisTier {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "timing" => Ok(AnalysisTier::Timing),
-            "gatesep" => Ok(AnalysisTier::GateSep),
-            "separation" => Ok(AnalysisTier::Separation),
+            "gatesep" | "separation" => Ok(AnalysisTier::GateSep),
             other => Err(iddq_control::EngineError::InvalidArg(format!(
                 "unknown analysis tier {other:?} (expected timing | gatesep | separation)"
             ))),
@@ -123,23 +102,23 @@ pub struct TierPlan {
     pub reason: String,
 }
 
-/// Conservative build-rate assumption for the separation analyses,
-/// table entries per millisecond: used by [`plan_tier`] to translate a
+/// Conservative build-rate assumption for the separation table, entries
+/// per millisecond: used by [`plan_tier`] to translate a
 /// remaining-deadline budget into a largest-affordable table. Calibrated
 /// well below the measured flat-BFS engine rate so the planner errs
 /// toward degrading early rather than blowing a deadline mid-build.
 pub const SEPARATION_ENTRIES_PER_MS: u64 = 20_000;
 
 /// Picks the most capable [`AnalysisTier`] at or below `requested` whose
-/// estimated build cost fits `budget`, walking the
-/// [`AnalysisTier::downgrade`] chain: `Separation → GateSep → Timing`.
+/// estimated build cost fits `budget`: a `GateSep` request whose table
+/// would not fit degrades to `Timing`.
 ///
 /// The cost model is deliberately cheap — a sampled
-/// [`SeparationOracle::estimate_bytes`] probe (no table is built) and the
-/// fixed [`SEPARATION_ENTRIES_PER_MS`] rate — because this runs on the
-/// admission path of every `stats` request the server plans. `Timing`
-/// always fits: its analyses are linear passes the request would not be
-/// admitted without.
+/// [`GateSeparationTable::estimate_bytes`] probe (no table is built) and
+/// the fixed [`SEPARATION_ENTRIES_PER_MS`] rate — because this runs on
+/// the admission path of every `stats` request the server plans.
+/// `Timing` always fits: its analyses are linear passes the request
+/// would not be admitted without.
 #[must_use]
 pub fn plan_tier(
     netlist: &Netlist,
@@ -147,59 +126,35 @@ pub fn plan_tier(
     requested: AnalysisTier,
     budget: &TierBudget,
 ) -> TierPlan {
-    let full_bytes = match requested {
-        AnalysisTier::Timing => 0,
-        _ => SeparationOracle::estimate_bytes(netlist, rho),
+    let granted = TierPlan {
+        tier: requested,
+        degraded: false,
+        reason: String::new(),
     };
-    // The gate-only table skips every primary-input row and stores only
-    // gate→gate pairs; scale the full-table estimate by the squared gate
-    // fraction (both the row count and the per-row ball shrink).
-    let gate_fraction = if netlist.node_count() == 0 {
-        0.0
-    } else {
-        netlist.gate_count() as f64 / netlist.node_count() as f64
-    };
-    let mut tier = requested;
-    let mut reason = String::new();
-    loop {
-        let est_bytes = match tier {
-            AnalysisTier::Timing => break,
-            AnalysisTier::GateSep => (full_bytes as f64 * gate_fraction * gate_fraction) as usize,
-            AnalysisTier::Separation => full_bytes,
-        };
-        let over_memory = budget.memory_bytes.is_some_and(|cap| est_bytes > cap);
-        let over_deadline = budget.remaining_ms.is_some_and(|ms| {
-            let entries = est_bytes as u64 / 8;
-            entries.div_ceil(SEPARATION_ENTRIES_PER_MS) > ms
-        });
-        if !over_memory && !over_deadline {
-            break;
-        }
-        if reason.is_empty() {
-            reason = format!(
-                "{} tier needs ~{} bytes{}",
-                tier.as_str(),
-                est_bytes,
-                if over_memory {
-                    " (over memory ceiling)"
-                } else {
-                    " (over deadline budget)"
-                }
-            );
-        }
-        match tier.downgrade() {
-            Some(lower) => tier = lower,
-            None => break,
-        }
+    if requested == AnalysisTier::Timing {
+        return granted;
+    }
+    let est_bytes = GateSeparationTable::estimate_bytes(netlist, rho);
+    let over_memory = budget.memory_bytes.is_some_and(|cap| est_bytes > cap);
+    let over_deadline = budget.remaining_ms.is_some_and(|ms| {
+        let entries = est_bytes as u64 / 8;
+        entries.div_ceil(SEPARATION_ENTRIES_PER_MS) > ms
+    });
+    if !over_memory && !over_deadline {
+        return granted;
     }
     TierPlan {
-        degraded: tier < requested,
-        tier,
-        reason: if tier < requested {
-            reason
-        } else {
-            String::new()
-        },
+        tier: AnalysisTier::Timing,
+        degraded: true,
+        reason: format!(
+            "{} tier needs ~{est_bytes} bytes{}",
+            requested.as_str(),
+            if over_memory {
+                " (over memory ceiling)"
+            } else {
+                " (over deadline budget)"
+            }
+        ),
     }
 }
 
@@ -211,11 +166,10 @@ pub fn plan_tier(
 /// (§3.2) and flattened cell tables — is computed once here; evaluating or
 /// mutating a partition then never touches the netlist text again.
 ///
-/// The separation analyses are tiered (see the [module docs](self)):
-/// [`EvalContext::separation`] and [`EvalContext::sep_table`] panic when
-/// the context was built below the tier that provides them, with
-/// [`EvalContext::try_separation`] / [`EvalContext::try_sep_table`] as the
-/// non-panicking forms.
+/// The separation table is tiered (see the [module docs](self)):
+/// [`EvalContext::separation`] panics when the context was built at
+/// `Timing`, with [`EvalContext::try_separation`] as the non-panicking
+/// form.
 ///
 /// # Example
 ///
@@ -264,16 +218,14 @@ pub struct EvalContext<'a> {
     pub gates: Vec<iddq_netlist::NodeId>,
     /// Which tier was built.
     tier: AnalysisTier,
-    /// Bounded-BFS separation oracle (§3.3); `Separation` tier only.
-    separation: Option<SeparationOracle>,
-    /// Gate-only neighbour-weight table: the per-move separation delta in
-    /// [`crate::evaluator::Evaluated`] is one contiguous scan of this
-    /// table against the dense assignment vector. `GateSep` tier and up.
-    sep_table: Option<GateSeparationTable>,
+    /// Gate-only neighbour-weight table (§3.3): the per-move separation
+    /// delta in [`crate::evaluator::Evaluated`] is one contiguous scan of
+    /// this table against the dense assignment vector. `GateSep` tier.
+    separation: Option<GateSeparationTable>,
 }
 
-/// Staged construction of an [`EvalContext`] — pick a tier, a thread
-/// count, and (for benchmarking) the reference oracle constructor.
+/// Staged construction of an [`EvalContext`] — pick a tier and a thread
+/// count, or hand over a built table.
 ///
 /// # Example
 ///
@@ -285,12 +237,12 @@ pub struct EvalContext<'a> {
 ///
 /// let c17 = data::c17();
 /// let lib = Library::generic_1um();
-/// // A lightweight context for patch-scored resynthesis: no full oracle.
 /// let ctx = EvalContext::builder(&c17, &lib, PartitionConfig::paper_default())
 ///     .tier(AnalysisTier::GateSep)
+///     .threads(2)
 ///     .build();
 /// assert_eq!(ctx.tier(), AnalysisTier::GateSep);
-/// assert!(ctx.try_separation().is_none());
+/// assert_eq!(ctx.separation().rho(), ctx.config.rho);
 /// let mut eval = ResynthEval::new(&ctx);
 /// assert!(eval.total_cost().is_finite());
 /// ```
@@ -301,27 +253,25 @@ pub struct EvalContextBuilder<'a> {
     config: PartitionConfig,
     tier: AnalysisTier,
     threads: usize,
-    reference_oracle: bool,
     table: Option<GateSeparationTable>,
 }
 
 impl<'a> EvalContextBuilder<'a> {
-    /// Starts a builder at the full `Separation` tier, serial build.
+    /// Starts a builder at the `GateSep` tier, serial build.
     #[must_use]
     pub fn new(netlist: &'a Netlist, library: &'a Library, config: PartitionConfig) -> Self {
         EvalContextBuilder {
             netlist,
             library,
             config,
-            tier: AnalysisTier::Separation,
+            tier: AnalysisTier::GateSep,
             threads: 1,
-            reference_oracle: false,
             table: None,
         }
     }
 
     /// Selects how much analysis to build (default:
-    /// [`AnalysisTier::Separation`]).
+    /// [`AnalysisTier::GateSep`]).
     #[must_use]
     pub fn tier(mut self, tier: AnalysisTier) -> Self {
         self.tier = tier;
@@ -334,16 +284,6 @@ impl<'a> EvalContextBuilder<'a> {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Builds the separation oracle with the historical hash-map
-    /// constructor ([`SeparationOracle::new_reference`]) instead of the
-    /// flat engine — the differential/benchmark baseline. Only meaningful
-    /// at the `Separation` tier.
-    #[must_use]
-    pub fn reference_oracle(mut self) -> Self {
-        self.reference_oracle = true;
         self
     }
 
@@ -363,14 +303,6 @@ impl<'a> EvalContextBuilder<'a> {
         self
     }
 
-    /// `V·ρ` threshold above which the `Separation` tier switches from
-    /// the sharded parallel oracle build to the memory-lean streamed
-    /// build ([`SeparationOracle::new_streamed_with_control`]): beyond
-    /// ~400k nodes at ρ = 5 the oracle table dominates RAM and the
-    /// streamed build's single-copy peak wins over sharded build speed.
-    /// Both builds produce bit-identical oracles.
-    pub const STREAMED_ORACLE_MIN_WORK: usize = 2_000_000;
-
     /// Runs the analyses of the selected tier.
     #[must_use]
     pub fn build(self) -> EvalContext<'a> {
@@ -380,7 +312,6 @@ impl<'a> EvalContextBuilder<'a> {
             config,
             mut tier,
             threads,
-            reference_oracle,
             table,
         } = self;
         let tables = NodeTables::new(netlist, library);
@@ -424,38 +355,12 @@ impl<'a> EvalContextBuilder<'a> {
             );
             tier = AnalysisTier::GateSep;
         }
-        let (separation, sep_table) =
-            match tier {
-                AnalysisTier::Timing => (None, None),
-                AnalysisTier::GateSep => (
-                    None,
-                    Some(table.unwrap_or_else(|| {
-                        GateSeparationTable::direct(netlist, config.rho, threads)
-                    })),
-                ),
-                AnalysisTier::Separation => {
-                    let oracle = if reference_oracle {
-                        SeparationOracle::new_reference(netlist, config.rho)
-                    } else if netlist.node_count() * config.rho as usize
-                        >= EvalContextBuilder::STREAMED_ORACLE_MIN_WORK
-                    {
-                        // Large V·ρ: the memory-lean streamed build keeps the
-                        // peak at one table + one scratch instead of the
-                        // sharded build's stitched-copy peak (bit-identical
-                        // result either way).
-                        SeparationOracle::new_streamed_with_control(
-                            netlist,
-                            config.rho,
-                            &iddq_control::RunControl::unlimited(),
-                        )
-                        .into_value()
-                    } else {
-                        SeparationOracle::new_parallel(netlist, config.rho, threads)
-                    };
-                    let table = oracle.gate_table(netlist);
-                    (Some(oracle), Some(table))
-                }
-            };
+        let separation = match tier {
+            AnalysisTier::Timing => None,
+            AnalysisTier::GateSep => Some(
+                table.unwrap_or_else(|| GateSeparationTable::direct(netlist, config.rho, threads)),
+            ),
+        };
         EvalContext {
             netlist,
             library,
@@ -471,15 +376,14 @@ impl<'a> EvalContextBuilder<'a> {
             gates,
             tier,
             separation,
-            sep_table,
         }
     }
 }
 
 impl<'a> EvalContext<'a> {
-    /// Runs the one-time analyses at the full `Separation` tier (serial
-    /// build). Use [`EvalContext::builder`] for lighter tiers or a
-    /// parallel build.
+    /// Runs the one-time analyses at the `GateSep` tier (serial build).
+    /// Use [`EvalContext::builder`] for the `Timing` tier, a parallel
+    /// build or a handed-over table.
     #[must_use]
     pub fn new(netlist: &'a Netlist, library: &'a Library, config: PartitionConfig) -> Self {
         EvalContextBuilder::new(netlist, library, config).build()
@@ -501,48 +405,26 @@ impl<'a> EvalContext<'a> {
         self.tier
     }
 
-    /// The §3.3 separation oracle.
+    /// The §3.3 gate-only `ρ − d` neighbour-weight table.
     ///
     /// # Panics
     ///
-    /// Panics if the context was built below [`AnalysisTier::Separation`].
+    /// Panics if the context was built at [`AnalysisTier::Timing`].
     #[must_use]
-    pub fn separation(&self) -> &SeparationOracle {
+    pub fn separation(&self) -> &GateSeparationTable {
         self.separation.as_ref().unwrap_or_else(|| {
             panic!(
-                "EvalContext tier {:?} carries no separation oracle — build \
-                 with AnalysisTier::Separation",
+                "EvalContext tier {:?} carries no separation table — build \
+                 with AnalysisTier::GateSep",
                 self.tier
             )
         })
     }
 
-    /// The separation oracle, if this tier carries one.
+    /// The separation table, if this tier carries one.
     #[must_use]
-    pub fn try_separation(&self) -> Option<&SeparationOracle> {
+    pub fn try_separation(&self) -> Option<&GateSeparationTable> {
         self.separation.as_ref()
-    }
-
-    /// The gate-only `ρ − d` neighbour-weight table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context was built below [`AnalysisTier::GateSep`].
-    #[must_use]
-    pub fn sep_table(&self) -> &GateSeparationTable {
-        self.sep_table.as_ref().unwrap_or_else(|| {
-            panic!(
-                "EvalContext tier {:?} carries no gate separation table — \
-                 build with AnalysisTier::GateSep or above",
-                self.tier
-            )
-        })
-    }
-
-    /// The gate separation table, if this tier carries one.
-    #[must_use]
-    pub fn try_sep_table(&self) -> Option<&GateSeparationTable> {
-        self.sep_table.as_ref()
     }
 
     /// The gates among `id`'s undirected neighbours (fan-in, then
@@ -627,25 +509,30 @@ mod tests {
     }
 
     #[test]
-    fn default_build_is_full_tier() {
+    fn default_build_is_gatesep_tier() {
         let nl = data::c17();
         let ctx = ctx_for(&nl);
-        assert_eq!(ctx.tier(), AnalysisTier::Separation);
+        assert_eq!(ctx.tier(), AnalysisTier::GateSep);
         assert!(ctx.try_separation().is_some());
-        assert!(ctx.try_sep_table().is_some());
         assert_eq!(ctx.separation().rho(), ctx.config.rho);
     }
 
     #[test]
-    fn gatesep_tier_table_equals_full_tier_table() {
+    fn gatesep_tier_table_equals_the_reference_table() {
         let nl = data::ripple_adder(8);
-        let full = ctx_for(&nl);
-        let light = EvalContext::builder(&nl, test_library(), PartitionConfig::paper_default())
+        let config = PartitionConfig::paper_default();
+        let reference = GateSeparationTable::reference(&nl, config.rho);
+        let light = EvalContext::builder(&nl, test_library(), config.clone())
             .tier(AnalysisTier::GateSep)
             .build();
         assert_eq!(light.tier(), AnalysisTier::GateSep);
-        assert!(light.try_separation().is_none());
-        assert_eq!(light.sep_table(), full.sep_table());
+        assert_eq!(light.separation(), &reference);
+        let handed = EvalContext::builder(&nl, test_library(), config)
+            .tier(AnalysisTier::Timing)
+            .sep_table(reference.clone())
+            .build();
+        assert_eq!(handed.tier(), AnalysisTier::GateSep);
+        assert_eq!(handed.separation(), &reference);
     }
 
     #[test]
@@ -655,82 +542,51 @@ mod tests {
             .tier(AnalysisTier::Timing)
             .build();
         assert!(ctx.try_separation().is_none());
-        assert!(ctx.try_sep_table().is_none());
         assert!(ctx.nominal_delay_ps > 0.0);
         assert_eq!(ctx.gates.len(), 6);
     }
 
     #[test]
-    #[should_panic(expected = "no separation oracle")]
+    #[should_panic(expected = "no separation table")]
     fn separation_accessor_panics_below_tier() {
         let nl = data::c17();
         let ctx = EvalContext::builder(&nl, test_library(), PartitionConfig::paper_default())
-            .tier(AnalysisTier::GateSep)
+            .tier(AnalysisTier::Timing)
             .build();
         let _ = ctx.separation();
     }
 
     #[test]
-    #[should_panic(expected = "no gate separation table")]
-    fn sep_table_accessor_panics_below_tier() {
-        let nl = data::c17();
-        let ctx = EvalContext::builder(&nl, test_library(), PartitionConfig::paper_default())
-            .tier(AnalysisTier::Timing)
-            .build();
-        let _ = ctx.sep_table();
-    }
-
-    #[test]
-    fn parallel_and_reference_builds_match_serial() {
+    fn parallel_build_matches_serial() {
         let nl = data::ripple_adder(10);
         let serial = ctx_for(&nl);
-        for build in [
-            EvalContext::builder(&nl, test_library(), PartitionConfig::paper_default()).threads(4),
-            EvalContext::builder(&nl, test_library(), PartitionConfig::paper_default())
-                .reference_oracle(),
-        ] {
-            let ctx = build.build();
-            assert_eq!(ctx.separation(), serial.separation());
-            assert_eq!(ctx.sep_table(), serial.sep_table());
-        }
+        let ctx = EvalContext::builder(&nl, test_library(), PartitionConfig::paper_default())
+            .threads(4)
+            .build();
+        assert_eq!(ctx.separation(), serial.separation());
     }
 
     #[test]
-    fn tier_ordering_reflects_the_lattice() {
+    fn tier_ordering_and_names() {
         assert!(AnalysisTier::Timing < AnalysisTier::GateSep);
-        assert!(AnalysisTier::GateSep < AnalysisTier::Separation);
-    }
-
-    #[test]
-    fn tier_downgrade_chain_and_names() {
-        assert_eq!(
-            AnalysisTier::Separation.downgrade(),
-            Some(AnalysisTier::GateSep)
-        );
-        assert_eq!(
-            AnalysisTier::GateSep.downgrade(),
-            Some(AnalysisTier::Timing)
-        );
-        assert_eq!(AnalysisTier::Timing.downgrade(), None);
-        for tier in [
-            AnalysisTier::Timing,
-            AnalysisTier::GateSep,
-            AnalysisTier::Separation,
-        ] {
+        assert_eq!(AnalysisTier::Separation, AnalysisTier::GateSep);
+        for tier in [AnalysisTier::Timing, AnalysisTier::GateSep] {
             assert_eq!(tier.as_str().parse::<AnalysisTier>().unwrap(), tier);
         }
-        assert_eq!(
-            "SEPARATION".parse::<AnalysisTier>().unwrap(),
-            AnalysisTier::Separation
-        );
+        for alias in ["separation", "SEPARATION", "GateSep"] {
+            assert_eq!(
+                alias.parse::<AnalysisTier>().unwrap(),
+                AnalysisTier::GateSep
+            );
+        }
         assert!("turbo".parse::<AnalysisTier>().is_err());
     }
 
     #[test]
     fn plan_tier_unconstrained_grants_request() {
         let nl = data::ripple_adder(16);
-        let plan = plan_tier(&nl, 4, AnalysisTier::Separation, &TierBudget::default());
-        assert_eq!(plan.tier, AnalysisTier::Separation);
+        let plan = plan_tier(&nl, 4, AnalysisTier::GateSep, &TierBudget::default());
+        assert_eq!(plan.tier, AnalysisTier::GateSep);
         assert!(!plan.degraded);
         assert!(plan.reason.is_empty());
     }
@@ -738,11 +594,11 @@ mod tests {
     #[test]
     fn plan_tier_degrades_under_memory_pressure() {
         let nl = data::ripple_adder(64);
-        // A ceiling below even the gate-only table forces the floor.
+        // A ceiling below the table forces the floor.
         let starved = plan_tier(
             &nl,
             4,
-            AnalysisTier::Separation,
+            AnalysisTier::GateSep,
             &TierBudget {
                 remaining_ms: None,
                 memory_bytes: Some(16),
@@ -751,17 +607,17 @@ mod tests {
         assert_eq!(starved.tier, AnalysisTier::Timing);
         assert!(starved.degraded);
         assert!(starved.reason.contains("memory"));
-        // A generous ceiling keeps the full tier.
+        // A ceiling just above the estimate keeps the table.
         let roomy = plan_tier(
             &nl,
             4,
-            AnalysisTier::Separation,
+            AnalysisTier::GateSep,
             &TierBudget {
                 remaining_ms: None,
-                memory_bytes: Some(usize::MAX),
+                memory_bytes: Some(GateSeparationTable::estimate_bytes(&nl, 4)),
             },
         );
-        assert_eq!(roomy.tier, AnalysisTier::Separation);
+        assert_eq!(roomy.tier, AnalysisTier::GateSep);
         assert!(!roomy.degraded);
     }
 
@@ -771,13 +627,13 @@ mod tests {
         let rushed = plan_tier(
             &nl,
             4,
-            AnalysisTier::Separation,
+            AnalysisTier::GateSep,
             &TierBudget {
                 remaining_ms: Some(0),
                 memory_bytes: None,
             },
         );
-        assert!(rushed.tier < AnalysisTier::Separation);
+        assert_eq!(rushed.tier, AnalysisTier::Timing);
         assert!(rushed.degraded);
         assert!(rushed.reason.contains("deadline"));
     }

@@ -385,7 +385,7 @@ impl<'a> Evaluated<'a> {
     #[must_use]
     pub fn new(ctx: &'a EvalContext<'a>, partition: Partition) -> Self {
         let separations = ctx
-            .sep_table()
+            .separation()
             .partition_separations(partition.modules(), partition.assignment());
         Self::with_separations(ctx, partition, separations)
     }
@@ -403,7 +403,7 @@ impl<'a> Evaluated<'a> {
         let separations = partition
             .modules()
             .iter()
-            .map(|gates| ctx.sep_table().module_separation(gates))
+            .map(|gates| ctx.separation().module_separation(gates))
             .collect();
         Self::with_separations(ctx, partition, separations)
     }
@@ -472,7 +472,7 @@ impl<'a> Evaluated<'a> {
     #[must_use]
     pub fn stats_for(ctx: &EvalContext<'_>, gates: &[NodeId]) -> ModuleStats {
         ModuleStats {
-            separation: ctx.sep_table().module_separation(gates),
+            separation: ctx.separation().module_separation(gates),
             ..Self::member_stats(ctx, gates)
         }
     }
@@ -610,7 +610,7 @@ impl<'a> Evaluated<'a> {
             self.snapshot_module(target);
         }
         let ctx = self.ctx;
-        let rho = u64::from(ctx.sep_table().rho());
+        let rho = u64::from(ctx.separation().rho());
         let (mut sep_out, mut sep_in) = (0u64, 0u64);
         // Unscanned: Σ W(x) over the moved gates, and |A|, |B| before.
         let mut near_total = 0u64;
@@ -630,7 +630,7 @@ impl<'a> Evaluated<'a> {
                 // gate moves: one fused scan of its precomputed gate-only
                 // row with direct assignment tests, module-size
                 // independent.
-                let [w_out, w_in] = ctx.sep_table().member_weights(
+                let [w_out, w_in] = ctx.separation().member_weights(
                     g,
                     self.partition.assignment(),
                     [source as u32, target as u32],
@@ -638,7 +638,7 @@ impl<'a> Evaluated<'a> {
                 sep_out += rho * (self.partition.module(source).len() as u64 - 1) - w_out;
                 sep_in += rho * self.partition.module(target).len() as u64 - w_in;
             } else {
-                near_total += ctx.sep_table().near_weight(g);
+                near_total += ctx.separation().near_weight(g);
             }
             let (moved, undo) = self.partition.move_gate_undoable(g, target);
             outcome = moved;

@@ -18,7 +18,7 @@ use iddq_netlist::Netlist;
 
 use crate::config::PartitionConfig;
 use crate::constraints;
-use crate::context::{AnalysisTier, EvalContext};
+use crate::context::EvalContext;
 use crate::cost::CostBreakdown;
 use crate::evaluator::Evaluated;
 use crate::evolution::{self, EvolutionConfig, GenerationLog};
@@ -131,8 +131,7 @@ pub fn report_for(eval: &Evaluated<'_>) -> SynthesisReport {
 /// The analysis context is built once at the
 /// [`GateSep`](crate::AnalysisTier::GateSep) tier, with the gate table's
 /// BFS sharded across `evo.threads` workers (bit-identical to a serial
-/// build): the flow reads gate-to-gate distances only, so it never
-/// builds the all-node oracle.
+/// build).
 #[must_use]
 pub fn synthesize_with(
     netlist: &Netlist,
@@ -153,7 +152,6 @@ fn gate_sep_context<'a>(
     evo: &EvolutionConfig,
 ) -> EvalContext<'a> {
     EvalContext::builder(netlist, library, config.clone())
-        .tier(AnalysisTier::GateSep)
         .threads(evo.threads)
         .build()
 }
@@ -171,7 +169,7 @@ fn gate_sep_context<'a>(
 ///
 /// # Panics
 ///
-/// Panics if `ctx` was built below [`AnalysisTier::GateSep`].
+/// Panics if `ctx` was built below [`AnalysisTier::GateSep`](crate::AnalysisTier::GateSep).
 ///
 /// [`EvalContextBuilder::sep_table`]: crate::context::EvalContextBuilder::sep_table
 #[must_use]

@@ -40,10 +40,8 @@
 //!
 //! # Failure semantics
 //!
-//! The searches are budget-aware: [`evolution::optimize`]
-//! (and the separation-oracle build behind
-//! [`EvalContextBuilder`]) accept an [`iddq_control::RunControl`] and
-//! return an [`iddq_control::Outcome`]. The evolution loop checks its
+//! The searches are budget-aware: [`evolution::optimize`] accepts an
+//! [`iddq_control::RunControl`] and returns an [`iddq_control::Outcome`]. The evolution loop checks its
 //! control at *generation boundaries* and charges one quota unit per
 //! descendant scored; on a stop it returns the best individual found so
 //! far as [`iddq_control::Outcome::Partial`] with `coverage` =
@@ -51,9 +49,7 @@
 //! under its own `catch_unwind`: a panicking descendant is lost alone
 //! (its worker rebuilds its scratch evaluator), and the search stops with
 //! [`iddq_control::StopReason::WorkerPanicked`] after the survivors are
-//! selected, so a poisoned worker can never corrupt the population. A
-//! partially built separation oracle keeps unbuilt rows empty, which
-//! saturates their distances at ρ — the sound, pessimistic default.
+//! selected, so a poisoned worker can never corrupt the population.
 //!
 //! # Quickstart
 //!

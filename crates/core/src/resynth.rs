@@ -508,10 +508,8 @@ impl<'a> ResynthEval<'a> {
     /// Mirrors the context's netlist and seeds every derived quantity from
     /// the context's precomputed analyses (no BFS, no sweep).
     ///
-    /// The context needs the gate separation table but **not** the full
-    /// oracle — an [`crate::context::AnalysisTier::GateSep`] build
-    /// suffices and skips most of the analysis-construction cost (the
-    /// costs produced on either tier are bit-identical, property-tested).
+    /// The context needs the gate separation table of an
+    /// [`crate::context::AnalysisTier::GateSep`] build.
     ///
     /// # Panics
     ///
@@ -546,7 +544,7 @@ impl<'a> ResynthEval<'a> {
             .node_ids()
             .map(|id| {
                 if nl.is_gate(id) {
-                    ctx.sep_table().near_weight(id)
+                    ctx.separation().near_weight(id)
                 } else {
                     0
                 }
@@ -562,7 +560,7 @@ impl<'a> ResynthEval<'a> {
             hist.rescan(&kinds, &times, &tables.peak_current_ua);
         }
         let rows = incremental.then(|| {
-            let table = ctx.sep_table();
+            let table = ctx.separation();
             debug_assert_eq!(table.rho(), rho, "table built at the configured ρ");
             nl.node_ids()
                 .map(|id| {

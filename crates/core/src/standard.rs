@@ -50,7 +50,7 @@ pub fn standard_partition(ctx: &EvalContext<'_>, module_sizes: &[usize]) -> Part
     );
 
     let levels = levelize::levels(netlist);
-    let sep = ctx.sep_table();
+    let sep = ctx.separation();
     let rho = u64::from(sep.rho());
 
     // Sum of saturated distances from each gate to *all* gates: most pairs

@@ -4,7 +4,7 @@
 //! The ISCAS-like generator ([`crate::iscas`]) reproduces the *shape* of
 //! the published benchmarks but allocates fan-in by scanning candidate
 //! pools, which is quadratic and tops out around 10^4 gates. Scale work
-//! (structural parallelism, memory budgets, streamed oracle builds) needs
+//! (structural parallelism, memory budgets, separation-table builds) needs
 //! circuits two to three orders of magnitude larger, so this module
 //! builds levelized random logic directly:
 //!

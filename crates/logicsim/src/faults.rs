@@ -17,7 +17,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use iddq_netlist::separation::{BoundedBfs, SeparationOracle};
+use iddq_netlist::separation::{BoundedBfs, GateSeparationTable};
 use iddq_netlist::{Netlist, NodeId};
 
 /// One modelled IDDQ defect.
@@ -136,29 +136,30 @@ impl Default for FaultUniverseConfig {
 ///
 /// The locality filter runs a truncated BFS only from the gates the
 /// sampler actually draws; callers already holding a
-/// [`SeparationOracle`] (e.g. from an `iddq_core` analysis context) may
-/// pass it to [`enumerate_with`] instead — the universe is the same.
+/// [`GateSeparationTable`] (e.g. from an `iddq_core` analysis context)
+/// may pass it to [`enumerate_with`] instead — the universe is the same.
 #[must_use]
 pub fn enumerate(netlist: &Netlist, config: &FaultUniverseConfig, seed: u64) -> Vec<IddqFault> {
     enumerate_with(netlist, config, seed, None)
 }
 
-/// [`enumerate`] with an optionally borrowed [`SeparationOracle`].
+/// [`enumerate`] with an optionally borrowed [`GateSeparationTable`].
 ///
-/// Each bridge candidate sits at distance `≤ bridge_locality`, so a
-/// gate's candidates are its `ρ = bridge_locality + 1` ball. A borrowed
-/// oracle whose bound covers the filter (`ρ ≥ bridge_locality + 1`)
-/// reports exactly the same (sorted) candidates below its bound, and its
-/// rows are read. Otherwise — no oracle, or one whose bound is too small
-/// to decide the filter — each drawn gate's ball is computed on demand by
-/// a [`BoundedBfs`], which yields the same rows. Either way the
-/// enumeration is **identical**.
+/// Each bridge candidate is a gate at distance `≤ bridge_locality`, so a
+/// gate's candidates are the gates of its `ρ = bridge_locality + 1` ball.
+/// A borrowed table whose bound covers the filter
+/// (`ρ ≥ bridge_locality + 1`) holds exactly those gates, in the same
+/// ascending order, as the row entries with `ρ − w ≤ bridge_locality`,
+/// and its rows are read. Otherwise — no table, or one whose bound is
+/// too small to decide the filter — each drawn gate's ball is computed
+/// on demand by a [`BoundedBfs`], which yields the same candidates.
+/// Either way the enumeration is **identical**.
 #[must_use]
 pub fn enumerate_with(
     netlist: &Netlist,
     config: &FaultUniverseConfig,
     seed: u64,
-    oracle: Option<&SeparationOracle>,
+    table: Option<&GateSeparationTable>,
 ) -> Vec<IddqFault> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xfau64 << 32);
     let gates: Vec<NodeId> = netlist.gate_ids().collect();
@@ -173,8 +174,8 @@ pub fn enumerate_with(
     // the first time the sampler draws it, so only drawn gates pay for a
     // neighbourhood.
     if config.bridges > 0 {
-        let mut balls = match oracle {
-            Some(sep) if sep.rho() > config.bridge_locality => Balls::Oracle(sep),
+        let mut balls = match table {
+            Some(table) if table.rho() > config.bridge_locality => Balls::Table(table),
             _ => Balls::Bfs(
                 BoundedBfs::new(netlist, config.bridge_locality + 1),
                 Vec::new(),
@@ -186,15 +187,8 @@ pub fn enumerate_with(
             attempts += 1;
             let ai = rng.gen_range(0..gates.len());
             let a = gates[ai];
-            let nearby = nearby_gates[ai].get_or_insert_with(|| {
-                balls
-                    .row(a)
-                    .iter()
-                    .map(|&(g, d)| (NodeId(g), d))
-                    .filter(|&(g, d)| d <= config.bridge_locality && netlist.is_gate(g))
-                    .map(|(g, _)| g)
-                    .collect()
-            });
+            let nearby = nearby_gates[ai]
+                .get_or_insert_with(|| balls.candidates(netlist, a, config.bridge_locality));
             if nearby.is_empty() {
                 continue;
             }
@@ -232,21 +226,33 @@ pub fn enumerate_with(
 }
 
 /// Where [`enumerate_with`] reads a gate's `ρ = bridge_locality + 1`
-/// ball from: a borrowed oracle wide enough, or one truncated BFS per
+/// ball from: a borrowed table wide enough, or one truncated BFS per
 /// drawn gate.
 enum Balls<'a> {
-    Oracle(&'a SeparationOracle),
+    Table(&'a GateSeparationTable),
     Bfs(BoundedBfs, Vec<(u32, u32)>),
 }
 
 impl Balls<'_> {
-    fn row(&mut self, a: NodeId) -> &[(u32, u32)] {
+    /// The gates within `locality` of gate `a`, in ascending node order.
+    fn candidates(&mut self, netlist: &Netlist, a: NodeId, locality: u32) -> Vec<NodeId> {
         match self {
-            Balls::Oracle(sep) => sep.near_slice(a),
+            Balls::Table(table) => {
+                let rho = table.rho();
+                table
+                    .row(a)
+                    .iter()
+                    .filter(|&&(_, w)| rho - w <= locality)
+                    .map(|&(g, _)| NodeId(g))
+                    .collect()
+            }
             Balls::Bfs(bfs, row) => {
                 row.clear();
                 bfs.row_into(a, row);
-                row
+                row.iter()
+                    .filter(|&&(g, d)| d <= locality && netlist.is_gate(NodeId(g)))
+                    .map(|&(g, _)| NodeId(g))
+                    .collect()
             }
         }
     }
@@ -322,7 +328,7 @@ mod tests {
         let b = enumerate(&nl, &cfg, 42);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        let sep = SeparationOracle::new(&nl, cfg.bridge_locality + 1);
+        let sep = GateSeparationTable::direct(&nl, cfg.bridge_locality + 1, 1);
         for f in &a {
             if let IddqFault::Bridge { a, b, .. } = f {
                 assert!(sep.distance(*a, *b) <= cfg.bridge_locality);
@@ -332,23 +338,23 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_oracle_reproduces_owned_enumeration() {
+    fn borrowed_table_reproduces_owned_enumeration() {
         let nl = data::ripple_adder(8);
         let cfg = FaultUniverseConfig::default();
         let owned = enumerate(&nl, &cfg, 42);
-        // A wider borrowed oracle (ρ = 6 > locality + 1 = 5) yields the
+        // A wider borrowed table (ρ = 6 > locality + 1 = 5) yields the
         // identical universe: the candidate sets below the bound agree.
         for rho in [cfg.bridge_locality + 1, 6, 9] {
-            let sep = SeparationOracle::new(&nl, rho);
+            let table = GateSeparationTable::direct(&nl, rho, 1);
             assert_eq!(
-                enumerate_with(&nl, &cfg, 42, Some(&sep)),
+                enumerate_with(&nl, &cfg, 42, Some(&table)),
                 owned,
                 "borrowed rho {rho}"
             );
         }
-        // A too-narrow oracle cannot decide the filter; the on-demand
+        // A too-narrow table cannot decide the filter; the on-demand
         // BFS keeps the result identical anyway.
-        let narrow = SeparationOracle::new(&nl, cfg.bridge_locality);
+        let narrow = GateSeparationTable::direct(&nl, cfg.bridge_locality, 1);
         assert_eq!(enumerate_with(&nl, &cfg, 42, Some(&narrow)), owned);
     }
 

@@ -802,12 +802,13 @@ mod tests {
     fn dynamic_ball_and_bfs_match_oracle_distances() {
         let nl = data::c17();
         let mut d = DynamicCones::new(&nl);
-        let sep = crate::separation::SeparationOracle::new(&nl, 6);
+        let mut bfs = crate::separation::BoundedBfs::new(&nl, 6);
         for id in nl.node_ids() {
             let mut got: Vec<(u32, u32)> = Vec::new();
             d.bounded_bfs(id.0, 5, |n, dist| got.push((n, dist)));
             got.sort_unstable();
-            let want: Vec<(u32, u32)> = sep.near_slice(id).to_vec();
+            let mut want: Vec<(u32, u32)> = Vec::new();
+            bfs.row_into(id, &mut want);
             assert_eq!(got, want, "node {id}");
             // The ball of a single seed is the BFS closure plus the seed.
             let ball = d.undirected_ball(&[id.0], 5);

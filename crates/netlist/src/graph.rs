@@ -214,7 +214,7 @@ impl Netlist {
     ///
     /// The netlist is the *mutable front door*, not the hot-path layout —
     /// the engines compile it into flat u32 CSR programs
-    /// ([`crate::separation::SeparationOracle`], `iddq_logicsim`'s
+    /// ([`crate::separation::GateSeparationTable`], `iddq_logicsim`'s
     /// simulators) whose footprints are a fraction of this. The dominant
     /// costs here are the two `Vec<NodeId>` per node (24-byte headers
     /// each) and the per-node `String`s; at 10^6 gates with terse

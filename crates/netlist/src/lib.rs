@@ -54,21 +54,18 @@
 //!   structure in the flow — everything downstream compiles the graph
 //!   into flat arrays once and never touches it again on the hot path.
 //! * Engine representations are **structure-of-arrays over `u32`
-//!   indices**: the separation oracle's row storage is one flat
-//!   `(neighbour, distance)` array behind a CSR offset table, and the
-//!   per-gate separation table is the same shape. `u32` everywhere
-//!   halves the index footprint against `usize` on 64-bit targets and
-//!   caps the node count at 4 × 10⁹ — far above the 10⁶–10⁷ range this
-//!   flow targets.
+//!   indices**: the gate separation table's row storage is one flat
+//!   `(gate, ρ − d)` array behind a CSR offset table, built exactly
+//!   sized. `u32` everywhere halves the index footprint against `usize`
+//!   on 64-bit targets and caps the node count at 4 × 10⁹ — far above
+//!   the 10⁶–10⁷ range this flow targets.
 //!
 //! Every representation reports its measured footprint via a
 //! `memory_bytes()` accessor ([`Netlist::memory_bytes`],
-//! [`separation::SeparationOracle::memory_bytes`],
 //! [`separation::GateSeparationTable::memory_bytes`]), surfaced by the
-//! CLI's `stats --memory` report. For oracle builds where `V·ρ` is
-//! large, [`separation::SeparationOracle::new_streamed_with_control`]
-//! appends rows in place (single-copy peak) instead of stitching
-//! per-shard vectors (which doubles the transient peak).
+//! CLI's `stats --memory` report. A sharded table build stitches its
+//! per-shard vectors into one exactly sized copy, so its transient peak
+//! is about twice the table; the serial build grows one vector in place.
 //!
 //! # Example
 //!

@@ -13,14 +13,17 @@
 //!
 //! # Construction
 //!
-//! [`SeparationOracle`] precomputes, once per netlist, the ρ-bounded BFS
-//! neighbourhood of every node, stored as one flat `(flat, offsets)` CSR
-//! table of `(node, distance)` rows sorted by node id —
-//! [`SeparationOracle::distance`] is a binary search over a short
-//! contiguous row, and full-neighbourhood scans
-//! ([`SeparationOracle::near_slice`]) are a pointer bump.
+//! [`GateSeparationTable`] precomputes, once per netlist, the ρ-bounded
+//! BFS neighbourhood of every gate restricted to its *gate* partners,
+//! stored as one flat `(entries, offsets)` CSR table of `(gate, ρ − d)`
+//! rows sorted by node id: a distance is a binary search over a short
+//! contiguous row, and a full-neighbourhood scan
+//! ([`GateSeparationTable::row`]) is a pointer bump. Primary inputs are
+//! crossed by the BFS but have no row and are in no row: §3.3 only needs
+//! gate-to-gate distances.
 //!
-//! The build is **flat, bit-parallel and array-based**:
+//! The build ([`GateSeparationTable::direct`]) is **flat, bit-parallel
+//! and array-based**:
 //!
 //! * the undirected adjacency (fan-in ∪ fanout) is copied once into a CSR
 //!   `(offsets, pool)` pair, so the traversal reads contiguous memory
@@ -38,33 +41,22 @@
 //!
 //! Total work is `O(⌈n/64⌉ · ρ · (V + E))` word operations plus four
 //! `O(V)` emission scans per batch — on circuits whose ρ-balls span
-//! hundreds of nodes this is an order of magnitude below even a tight
-//! scalar BFS per node, and far below the historical per-node `HashMap`
-//! build, which is kept as [`SeparationOracle::new_reference`] — the
-//! differential oracle the property tests compare against bit for bit.
-//! (For the degenerate `ρ > 256` the arrival level no longer fits the
-//! batch table's `u8` and the build falls back to a scalar
-//! epoch-stamped/ball-bitset BFS per source, [`BfsScratch`] — same rows,
-//! also covered by the equality tests.)
+//! hundreds of nodes this is an order of magnitude below a scalar BFS per
+//! gate, which is kept as [`GateSeparationTable::reference`] (one
+//! [`BoundedBfs`] row per gate) — the differential oracle the property
+//! tests compare against entry for entry. (For the degenerate `ρ > 256`
+//! the arrival level no longer fits the batch table's `u8` and the build
+//! falls back to a scalar epoch-stamped/ball-bitset BFS per source,
+//! [`BfsScratch`] — same rows, also covered by the equality tests.)
 //!
-//! Batches are independent, so [`SeparationOracle::new_parallel`] shards
-//! the node range across worker threads (each with its own scratch) and
-//! stitches the per-shard CSR segments back together in node order — the
-//! result is **bit-identical** to the serial build for every thread
-//! count.
-//!
-//! [`GateSeparationTable`] is the gate-only `ρ − d` neighbour-weight
-//! distillation the optimizers scan; [`GateSeparationTable::direct`]
-//! builds it straight from the netlist without materializing the full
-//! (input-polluted) oracle — the `GateSep` analysis tier of
-//! `iddq_core::context`.
+//! Batches are independent, so `threads > 1` shards the node range across
+//! worker threads (each with its own scratch) and stitches the per-shard
+//! CSR segments back together in node order — the result is
+//! **bit-identical** to the serial build for every thread count. Either
+//! way the table ends exactly sized, so
+//! [`GateSeparationTable::memory_bytes`] is its real footprint.
 
-use std::collections::HashMap;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use iddq_control::{Outcome, RunControl, StopReason};
 
 use crate::graph::{Netlist, NodeId};
 
@@ -162,8 +154,8 @@ impl BfsScratch {
         }
     }
 
-    /// One oracle row: every `(node, distance)` of the ball, sorted by
-    /// node id.
+    /// One [`BoundedBfs`] row: every `(node, distance)` of the ball,
+    /// sorted by node id.
     fn row_into(
         &mut self,
         src: u32,
@@ -178,7 +170,7 @@ impl BfsScratch {
 
     /// One [`GateSeparationTable`] row: the ball restricted to *gate*
     /// partners as `(node, rho - distance)` weight pairs, sorted by node
-    /// id — bit-identical to distilling the same row from a full oracle.
+    /// id — the same row as [`BfsScratch::row_into`] filtered to gates.
     fn gate_row_into(
         &mut self,
         src: u32,
@@ -219,19 +211,23 @@ impl BfsScratch {
 
 /// One source's ρ-bounded neighbourhood at a time, for callers that need
 /// only a few rows: the flat undirected adjacency is copied once, and each
-/// [`BoundedBfs::row_into`] runs a single truncated BFS. A row equals the
-/// same source's [`SeparationOracle::near_slice`] entry for entry (sorted
-/// by node id, the source itself excluded), without building the table.
+/// [`BoundedBfs::row_into`] runs a single truncated BFS. A row holds
+/// every node (primary inputs included) at distance `1..ρ` from the
+/// source, sorted by node id; its gate entries are the source's
+/// [`GateSeparationTable`] row, as distances instead of weights.
 ///
 /// ```rust
 /// use iddq_netlist::data;
-/// use iddq_netlist::separation::{BoundedBfs, SeparationOracle};
+/// use iddq_netlist::separation::{BoundedBfs, GateSeparationTable};
 ///
 /// let c17 = data::c17();
 /// let g10 = c17.find("10").unwrap();
 /// let mut row = Vec::new();
 /// BoundedBfs::new(&c17, 4).row_into(g10, &mut row);
-/// assert_eq!(row, SeparationOracle::new(&c17, 4).near_slice(g10));
+/// row.retain(|&(n, _)| c17.is_gate(iddq_netlist::NodeId(n)));
+/// let table = GateSeparationTable::direct(&c17, 4, 1);
+/// let weights: Vec<(u32, u32)> = row.iter().map(|&(n, d)| (n, 4 - d)).collect();
+/// assert_eq!(table.row(g10), &weights[..]);
 /// ```
 pub struct BoundedBfs {
     rho: u32,
@@ -283,7 +279,7 @@ impl BoundedBfs {
 ///
 /// Per level the sweep costs `O(V + E)` word operations *for all 64
 /// sources together* — the per-source per-edge work of a scalar BFS
-/// collapses 64-fold, which is what makes the oracle build cheap on
+/// collapses 64-fold, which is what makes the table build cheap on
 /// circuits whose ρ-balls span hundreds of nodes.
 struct BatchScratch {
     seen: Vec<u64>,
@@ -389,9 +385,6 @@ impl BatchScratch {
                 }
             }
             for (k, i) in group.enumerate() {
-                // One push per entry grows `out` exactly as the row-by-row
-                // emission did: table capacities are part of what callers
-                // account for.
                 for &v in &self.rows[start[k] as usize..start[k + 1] as usize] {
                     if let Some(pair) = map(v, u32::from(self.dist[v as usize * 64 + i])) {
                         out.push(pair);
@@ -470,526 +463,32 @@ where
     (flat, offsets)
 }
 
-/// [`build_csr_rows`] with a worker-boundary panic guard: a shard whose
-/// build panics contributes empty rows (shard-relative end offsets of 0)
-/// instead of tearing the process down, and the flag records that it
-/// happened. Used by the control-aware oracle build, whose `Partial`
-/// contract gives the empty rows a meaning (unfinished = saturated).
-fn build_csr_rows_guarded<F>(
-    n: usize,
-    threads: usize,
-    panicked: &AtomicBool,
-    build: F,
-) -> (Vec<(u32, u32)>, Vec<u32>)
-where
-    F: Fn(Range<usize>, &mut Vec<(u32, u32)>, &mut Vec<u32>) + Sync,
-{
-    build_csr_rows(n, threads, |range, flat, ends| {
-        let rows = range.len();
-        let flat0 = flat.len();
-        let ends0 = ends.len();
-        if catch_unwind(AssertUnwindSafe(|| build(range.clone(), flat, ends))).is_err() {
-            panicked.store(true, Ordering::Relaxed);
-            flat.truncate(flat0);
-            ends.truncate(ends0);
-            let base = flat.len() as u32;
-            ends.extend((0..rows).map(|_| base));
-        }
-    })
-}
-
-/// Precomputed ρ-bounded pairwise distances over the undirected circuit
-/// graph, stored as one flat CSR table of sorted `(node, distance)` rows.
-///
-/// # Example
-///
-/// ```rust
-/// use iddq_netlist::{data, separation::SeparationOracle};
-///
-/// let c17 = data::c17();
-/// let sep = SeparationOracle::new(&c17, 4);
-/// let g10 = c17.find("10").unwrap();
-/// let g22 = c17.find("22").unwrap();
-/// assert_eq!(sep.distance(g10, g22), 1); // directly connected
-/// assert_eq!(sep.distance(g10, g10), 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeparationOracle {
-    rho: u32,
-    /// Per-node neighbourhoods as flat `(node, distance)` pairs, sorted by
-    /// node id (CSR layout). Distance 0 (self) and ≥ ρ (saturated) are
-    /// implicit.
-    flat: Vec<(u32, u32)>,
-    offsets: Vec<u32>,
-}
-
-impl SeparationOracle {
-    /// Builds the oracle for `netlist` with saturation bound `rho` using
-    /// the flat array BFS engine (see the [module docs](self)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho == 0`; a zero bound would make every pair identical.
-    #[must_use]
-    pub fn new(netlist: &Netlist, rho: u32) -> Self {
-        Self::new_parallel(netlist, rho, 1)
-    }
-
-    /// [`SeparationOracle::new`] with the per-node BFS sharded across
-    /// `threads` workers. The shards are stitched deterministically in
-    /// node order, so the result is **bit-identical** to the serial build
-    /// for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho == 0`.
-    #[must_use]
-    pub fn new_parallel(netlist: &Netlist, rho: u32, threads: usize) -> Self {
-        Self::new_parallel_with_control(netlist, rho, threads, &RunControl::unlimited())
-            .into_value()
-    }
-
-    /// [`SeparationOracle::new_parallel`] under an
-    /// [`iddq_control::RunControl`]: cancellable, budget-aware, and
-    /// panic-isolated.
-    ///
-    /// Workers poll the control at every 64-source batch boundary and
-    /// charge one work unit per source row built. Each worker checks the
-    /// budget independently, so a quota of `q` rows may be overshot by
-    /// up to one batch per worker: at most `q + threads × 64` rows are
-    /// built before the stop. On a stop the function
-    /// returns [`Outcome::Partial`]: rows built so far are exact, rows
-    /// not yet built are *empty* — [`SeparationOracle::distance`] then
-    /// reports the saturated bound `ρ` for their pairs, a sound
-    /// (pessimistic) default for the cost model. `coverage` is the
-    /// fraction of node rows completed. A panicking BFS shard likewise
-    /// degrades to `Partial` with [`StopReason::WorkerPanicked`] instead
-    /// of aborting the process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho == 0`.
-    #[must_use]
-    pub fn new_parallel_with_control(
-        netlist: &Netlist,
-        rho: u32,
-        threads: usize,
-        control: &RunControl,
-    ) -> Outcome<Self> {
-        assert!(rho > 0, "separation bound rho must be positive");
-        let n = netlist.node_count();
-        let (adj_offsets, adj_pool) = undirected_csr(netlist);
-        let completed = AtomicUsize::new(0);
-        let panicked = AtomicBool::new(false);
-        let (flat, offsets) = build_csr_rows_guarded(n, threads, &panicked, |range, flat, ends| {
-            if rho <= 256 {
-                let mut scratch = BatchScratch::new(n);
-                let mut start = range.start;
-                while start < range.end {
-                    if control.check().is_some() {
-                        // Pad the unfinished rows empty (= saturated) and
-                        // leave them uncounted.
-                        ends.extend((start..range.end).map(|_| flat.len() as u32));
-                        return;
-                    }
-                    let batch: Vec<(u32, bool)> = (start..(start + 64).min(range.end))
-                        .map(|i| (i as u32, true))
-                        .collect();
-                    scratch.run(&batch, rho, &adj_offsets, &adj_pool);
-                    scratch.emit_rows(&batch, flat, ends, |v, d| Some((v, d)));
-                    completed.fetch_add(batch.len(), Ordering::Relaxed);
-                    control.charge(batch.len() as u64);
-                    start += batch.len();
-                }
-            } else {
-                // Arrival levels no longer fit the batched engine's u8
-                // columns: per-source scalar BFS (same rows, see the
-                // equality tests).
-                let mut scratch = BfsScratch::new(n);
-                for i in range.clone() {
-                    if control.check().is_some() {
-                        ends.extend((i..range.end).map(|_| flat.len() as u32));
-                        return;
-                    }
-                    scratch.row_into(i as u32, rho, &adj_offsets, &adj_pool, flat);
-                    ends.push(flat.len() as u32);
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    control.charge(1);
-                }
-            }
-        });
-        let value = SeparationOracle { rho, flat, offsets };
-        let done = completed.load(Ordering::Relaxed);
-        if done >= n && !panicked.load(Ordering::Relaxed) {
-            Outcome::Complete(value)
-        } else {
-            let reason = control
-                .check()
-                .or(if panicked.load(Ordering::Relaxed) {
-                    Some(StopReason::WorkerPanicked)
-                } else {
-                    None
-                })
-                .unwrap_or(StopReason::WorkerPanicked);
-            Outcome::Partial {
-                value,
-                coverage: if n == 0 { 1.0 } else { done as f64 / n as f64 },
-                reason,
-            }
-        }
-    }
-
-    /// Memory-lean **streamed** build for large `V·ρ` tables: one 64-batch
-    /// loop appends rows directly into the flat table (no per-shard
-    /// vectors, no stitch copy), the flat vector is pre-reserved from a
-    /// sampled row-length estimate (so growth doubling never overshoots
-    /// the final size by 2x), and the scratch footprint stays at one
-    /// `BatchScratch` (`~66·V` bytes) regardless of circuit size.
-    ///
-    /// Peak resident memory is therefore `final table + one scratch`,
-    /// where the sharded parallel build peaks near *twice* the table (all
-    /// shard outputs live while they are stitched) plus one scratch per
-    /// worker. The price is serial row construction — use this when the
-    /// table dominates RAM, the parallel build when CPU time does.
-    /// [`iddq_core`'s context builder](../../iddq_core/context/index.html)
-    /// switches to this build automatically once `V·ρ` crosses its
-    /// streaming threshold.
-    ///
-    /// Same control contract as
-    /// [`SeparationOracle::new_parallel_with_control`]: rows are charged
-    /// to the budget as they are built, a stop pads the remaining rows
-    /// empty (= saturated) and returns [`Outcome::Partial`]. The completed
-    /// result is **bit-identical** to [`SeparationOracle::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho == 0`.
-    #[must_use]
-    pub fn new_streamed_with_control(
-        netlist: &Netlist,
-        rho: u32,
-        control: &RunControl,
-    ) -> Outcome<Self> {
-        assert!(rho > 0, "separation bound rho must be positive");
-        let n = netlist.node_count();
-        let (adj_offsets, adj_pool) = undirected_csr(netlist);
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut flat: Vec<(u32, u32)> = Vec::new();
-        let mut done = 0usize;
-        let mut stopped = false;
-        if rho <= 256 {
-            let mut scratch = BatchScratch::new(n);
-            // Estimate the mean row length from one evenly spaced sample
-            // batch, then reserve the flat table once (a sample batch
-            // costs the same as any other batch — O(ρ·(V+E)) words).
-            if n > 64 {
-                let stride = n / 64;
-                let sample: Vec<(u32, bool)> =
-                    (0..64).map(|k| ((k * stride) as u32, true)).collect();
-                scratch.run(&sample, rho, &adj_offsets, &adj_pool);
-                let mut sampled = 0usize;
-                scratch.emit_rows(&sample, &mut Vec::new(), &mut Vec::new(), |_, _| {
-                    sampled += 1;
-                    None
-                });
-                // 9/8 headroom over the sampled mean; shrink_to_fit below
-                // returns any excess.
-                flat.reserve(sampled * n / 64 + sampled * n / 512 + 64);
-            }
-            let mut start = 0usize;
-            while start < n {
-                if control.check().is_some() {
-                    stopped = true;
-                    break;
-                }
-                let batch: Vec<(u32, bool)> = (start..(start + 64).min(n))
-                    .map(|i| (i as u32, true))
-                    .collect();
-                scratch.run(&batch, rho, &adj_offsets, &adj_pool);
-                scratch.emit_rows(&batch, &mut flat, &mut offsets, |v, d| Some((v, d)));
-                done += batch.len();
-                control.charge(batch.len() as u64);
-                start += batch.len();
-            }
-        } else {
-            let mut scratch = BfsScratch::new(n);
-            for i in 0..n {
-                if control.check().is_some() {
-                    stopped = true;
-                    break;
-                }
-                scratch.row_into(i as u32, rho, &adj_offsets, &adj_pool, &mut flat);
-                offsets.push(flat.len() as u32);
-                done += 1;
-                control.charge(1);
-            }
-        }
-        if stopped {
-            // Unbuilt rows stay empty: distance() saturates them to rho.
-            let end = flat.len() as u32;
-            offsets.extend((done..n).map(|_| end));
-        }
-        flat.shrink_to_fit();
-        let value = SeparationOracle { rho, flat, offsets };
-        if done >= n {
-            Outcome::Complete(value)
-        } else {
-            Outcome::Partial {
-                value,
-                coverage: if n == 0 { 1.0 } else { done as f64 / n as f64 },
-                reason: control.check().unwrap_or(StopReason::Cancelled),
-            }
-        }
-    }
-
-    /// Heap footprint of the table in bytes: 8 bytes per `(node,
-    /// distance)` entry plus 4 per row offset. At 10^6 nodes and ρ = 5
-    /// this is the dominant analysis structure; see the crate docs'
-    /// "memory layout & scale" section for the full per-gate budget.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.flat.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.offsets.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Number of `(node, distance)` entries across all rows.
-    #[must_use]
-    pub fn entry_count(&self) -> usize {
-        self.flat.len()
-    }
-
-    /// Estimates the heap footprint a full `(netlist, rho)` table would
-    /// occupy **without building it**, by running the bounded BFS from a
-    /// small evenly spaced sample of sources (≤ 32) and extrapolating the
-    /// mean ball size to all `V` rows.
-    ///
-    /// The estimate costs `O(V + E)` for the adjacency copy plus 32
-    /// ρ-bounded BFS runs — orders of magnitude below the `O(V · ball)`
-    /// build — and is what the serving layer's admission/degradation
-    /// logic consults before committing to a [`Separation`-tier]
-    /// (crate::separation) context under a memory ceiling. Accuracy is
-    /// within sampling error of the true mean ball size; treat it as a
-    /// planning signal, not an exact quote.
-    #[must_use]
-    pub fn estimate_bytes(netlist: &Netlist, rho: u32) -> usize {
-        let n = netlist.node_count();
-        if n == 0 || rho == 0 {
-            return 0;
-        }
-        let samples = n.min(32);
-        let stride = n / samples;
-        let mut bfs = BoundedBfs::new(netlist, rho);
-        let mut flat: Vec<(u32, u32)> = Vec::new();
-        let mut sampled_entries = 0usize;
-        for k in 0..samples {
-            flat.clear();
-            bfs.row_into(NodeId((k * stride) as u32), &mut flat);
-            sampled_entries += flat.len();
-        }
-        let mean_row = sampled_entries as f64 / samples as f64;
-        let entries = (mean_row * n as f64) as usize;
-        entries * std::mem::size_of::<(u32, u32)>() + (n + 1) * std::mem::size_of::<u32>()
-    }
-
-    /// The historical per-node `HashMap` BFS build (the PR 4 constructor),
-    /// kept as the **differential oracle**: it must produce a table equal
-    /// to [`SeparationOracle::new`] bit for bit (property-tested), and the
-    /// `context_build` benchmark quotes it as the baseline the flat
-    /// engine is gated against.
-    #[must_use]
-    pub fn new_reference(netlist: &Netlist, rho: u32) -> Self {
-        assert!(rho > 0, "separation bound rho must be positive");
-        let n = netlist.node_count();
-        let mut near: Vec<HashMap<NodeId, u32>> = Vec::with_capacity(n);
-        let mut dist = vec![u32::MAX; n];
-        let mut frontier: Vec<NodeId> = Vec::new();
-        let mut next: Vec<NodeId> = Vec::new();
-        let mut touched: Vec<NodeId> = Vec::new();
-
-        for id in netlist.node_ids() {
-            let mut map = HashMap::new();
-            dist[id.index()] = 0;
-            touched.push(id);
-            frontier.clear();
-            frontier.push(id);
-            let mut d = 0u32;
-            while !frontier.is_empty() && d + 1 < rho {
-                d += 1;
-                next.clear();
-                for &u in &frontier {
-                    for v in netlist.undirected_neighbors(u) {
-                        if dist[v.index()] == u32::MAX {
-                            dist[v.index()] = d;
-                            touched.push(v);
-                            next.push(v);
-                            map.insert(v, d);
-                        }
-                    }
-                }
-                std::mem::swap(&mut frontier, &mut next);
-            }
-            for t in touched.drain(..) {
-                dist[t.index()] = u32::MAX;
-            }
-            near.push(map);
-        }
-        let mut flat = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        for map in &near {
-            let start = flat.len();
-            flat.extend(map.iter().map(|(&node, &d)| (node.0, d)));
-            flat[start..].sort_unstable_by_key(|&(node, _)| node);
-            offsets.push(flat.len() as u32);
-        }
-        SeparationOracle { rho, flat, offsets }
-    }
-
-    /// The precomputed neighbourhood of `a` as a flat slice of
-    /// `(node index, distance)` pairs, sorted by node index.
-    #[must_use]
-    pub fn near_slice(&self, a: NodeId) -> &[(u32, u32)] {
-        let i = a.index();
-        &self.flat[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// The saturation bound ρ.
-    #[must_use]
-    pub fn rho(&self) -> u32 {
-        self.rho
-    }
-
-    /// Saturated distance between two nodes: `0` for `a == b`, the BFS
-    /// distance if it is `< ρ`, otherwise `ρ`.
-    ///
-    /// One binary search over the sorted neighbourhood row of `a`.
-    #[must_use]
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let row = self.near_slice(a);
-        match row.binary_search_by_key(&b.0, |&(node, _)| node) {
-            Ok(i) => row[i].1,
-            Err(_) => self.rho,
-        }
-    }
-
-    /// Module separation `S(M)`: the sum of saturated distances over all
-    /// unordered gate pairs of `module`.
-    ///
-    /// Quadratic in `|module|`, as the paper notes; module sizes stay small
-    /// in practice.
-    #[must_use]
-    pub fn module_separation(&self, module: &[NodeId]) -> u64 {
-        let mut sum = 0u64;
-        for (i, &a) in module.iter().enumerate() {
-            for &b in &module[i + 1..] {
-                sum += u64::from(self.distance(a, b));
-            }
-        }
-        sum
-    }
-
-    /// All nodes strictly within the saturation bound of `a` (distance
-    /// `1..rho`), in ascending node-id order with their distances.
-    ///
-    /// This exposes the BFS neighbourhoods the oracle already computed, so
-    /// callers sampling "nearby" nodes (e.g. bridge-defect enumeration) can
-    /// iterate candidates directly instead of testing every node pair.
-    #[must_use]
-    pub fn neighbors_within(&self, a: NodeId) -> Vec<(NodeId, u32)> {
-        self.near_slice(a)
-            .iter()
-            .map(|&(n, d)| (NodeId(n), d))
-            .collect()
-    }
-
-    /// Sum of saturated distances from `gate` to every member of `module`
-    /// (skipping `gate` itself if present).
-    ///
-    /// This is the incremental-update primitive: moving a gate between
-    /// modules changes `S` by exactly `delta_to(module_new) -
-    /// delta_to(module_old)`.
-    #[must_use]
-    pub fn separation_to_module(&self, gate: NodeId, module: &[NodeId]) -> u64 {
-        module
-            .iter()
-            .filter(|&&m| m != gate)
-            .map(|&m| u64::from(self.distance(gate, m)))
-            .sum()
-    }
-
-    /// Distills the oracle into a gate-only neighbour-weight table for the
-    /// optimizer's incremental separation deltas (see
-    /// [`GateSeparationTable`]).
-    ///
-    /// When no full oracle is needed, [`GateSeparationTable::direct`]
-    /// builds an equal table straight from the netlist.
-    #[must_use]
-    pub fn gate_table(&self, netlist: &Netlist) -> GateSeparationTable {
-        let is_gate: Vec<bool> = netlist.node_ids().map(|id| netlist.is_gate(id)).collect();
-        let mut entries = Vec::with_capacity(self.flat.len());
-        let mut offsets = Vec::with_capacity(netlist.node_count() + 1);
-        offsets.push(0u32);
-        for id in netlist.node_ids() {
-            if is_gate[id.index()] {
-                entries.extend(
-                    self.near_slice(id)
-                        .iter()
-                        .filter(|&&(n, _)| n != id.0 && is_gate[n as usize])
-                        .map(|&(n, d)| (n, self.rho - d)),
-                );
-            }
-            offsets.push(entries.len() as u32);
-        }
-        GateSeparationTable::from_rows(u64::from(self.rho), offsets, entries)
-    }
-
-    /// [`SeparationOracle::separation_to_module`] by membership test
-    /// instead of member list: every member outside the gate's bounded
-    /// neighbourhood contributes the saturated ρ, so the sum is
-    /// `ρ·(members − [gate is one]) − Σ_{near ∩ module}(ρ − d)` — one
-    /// cache-friendly scan of the precomputed neighbourhood with O(1)
-    /// membership tests, independent of the module size.
-    ///
-    /// `member_count` is the module's size and `includes_gate` whether
-    /// `gate` itself is currently a member (it contributes 0 either way,
-    /// matching [`SeparationOracle::separation_to_module`]).
-    #[must_use]
-    pub fn separation_to_members(
-        &self,
-        gate: NodeId,
-        member_count: usize,
-        includes_gate: bool,
-        mut is_member: impl FnMut(NodeId) -> bool,
-    ) -> u64 {
-        let mut sum = u64::from(self.rho) * (member_count as u64 - u64::from(includes_gate));
-        for &(n, d) in self.near_slice(gate) {
-            if n != gate.0 && is_member(NodeId(n)) {
-                sum -= u64::from(self.rho - d);
-            }
-        }
-        sum
-    }
-}
-
 /// Flattened gate-to-gate neighbour weights for O(neighbourhood)
 /// separation deltas against a dense module-assignment vector.
 ///
-/// Built either by distilling a [`SeparationOracle`]
-/// ([`SeparationOracle::gate_table`]) or directly from the netlist
-/// ([`GateSeparationTable::direct`] — no oracle materialized); each
-/// gate's row holds only its *gate* neighbours within the bound,
-/// pre-weighted as `ρ − d`, so the incremental primitive
+/// Built from the netlist ([`GateSeparationTable::direct`], see the
+/// [module docs](self)), or from maintained distance rows
+/// ([`GateSeparationTable::from_distance_rows`]); each gate's row holds
+/// only its *gate* neighbours within the bound, pre-weighted as `ρ − d`,
+/// so the incremental primitive
 ///
 /// `S(gate → module) = ρ·(|module| − [gate ∈ module]) − Σ_{near ∩ module}(ρ − d)`
 ///
 /// becomes one contiguous scan with direct `assignment[n] == module` tests
 /// — no hashing, no primary-input entries to skip, no closure dispatch.
-/// Results are bit-identical to
-/// [`SeparationOracle::separation_to_members`].
+///
+/// # Example
+///
+/// ```rust
+/// use iddq_netlist::{data, separation::GateSeparationTable};
+///
+/// let c17 = data::c17();
+/// let table = GateSeparationTable::direct(&c17, 4, 1);
+/// let g10 = c17.find("10").unwrap();
+/// let g22 = c17.find("22").unwrap();
+/// assert_eq!(table.distance(g10, g22), 1); // directly connected
+/// assert_eq!(table.distance(g10, g10), 0);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateSeparationTable {
     rho: u64,
@@ -1002,12 +501,10 @@ pub struct GateSeparationTable {
 
 impl GateSeparationTable {
     /// Builds the table straight from the netlist — one gate-filtered
-    /// bounded BFS per gate over the flat undirected adjacency, without
-    /// materializing the full (input-row-carrying) [`SeparationOracle`].
-    /// Equal to `SeparationOracle::new(netlist, rho).gate_table(netlist)`
-    /// entry for entry (property-tested), at a fraction of the build cost
-    /// and footprint. `threads > 1` shards the per-gate BFS exactly like
-    /// [`SeparationOracle::new_parallel`] (bit-identical result).
+    /// bounded BFS per gate over the flat undirected adjacency, 64
+    /// sources per batch. Equal to [`GateSeparationTable::reference`]
+    /// entry for entry (property-tested). `threads > 1` shards the
+    /// batches across workers (bit-identical result).
     ///
     /// # Panics
     ///
@@ -1054,6 +551,71 @@ impl GateSeparationTable {
         GateSeparationTable::from_rows(u64::from(rho), offsets, entries)
     }
 
+    /// The slow reference of [`GateSeparationTable::direct`]: one
+    /// [`BoundedBfs`] row per gate, one source at a time, restricted to
+    /// its gate partners and weighted by
+    /// [`GateSeparationTable::from_distance_rows`]. The property tests
+    /// compare the batched build against it entry for entry, and the
+    /// `context_build` benchmark section times it as the baseline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rho == 0`.
+    #[must_use]
+    pub fn reference(netlist: &Netlist, rho: u32) -> Self {
+        let mut bfs = BoundedBfs::new(netlist, rho);
+        let rows = netlist
+            .node_ids()
+            .map(|id| {
+                let mut row = Vec::new();
+                if netlist.is_gate(id) {
+                    bfs.row_into(id, &mut row);
+                    row.retain(|&(n, _)| netlist.is_gate(NodeId(n)));
+                }
+                row
+            })
+            .collect();
+        GateSeparationTable::from_distance_rows(rho, rows)
+    }
+
+    /// Estimates the [`GateSeparationTable::memory_bytes`] of the
+    /// `(netlist, rho)` table **without building it**: the gate rows of
+    /// up to 32 evenly spaced gates, each one [`BoundedBfs`] run, give a
+    /// mean row length that is extrapolated to every gate, plus the exact
+    /// offsets and totals.
+    ///
+    /// The estimate costs `O(V + E)` for the adjacency copy plus 32
+    /// ρ-bounded BFS runs — orders of magnitude below the build — and is
+    /// what the serving layer's tier planner consults before committing
+    /// to a table under a memory ceiling. Treat it as a planning signal
+    /// within sampling error, not an exact quote. `0` for an empty
+    /// netlist or `rho == 0`.
+    #[must_use]
+    pub fn estimate_bytes(netlist: &Netlist, rho: u32) -> usize {
+        let n = netlist.node_count();
+        if n == 0 || rho == 0 {
+            return 0;
+        }
+        let gates: Vec<NodeId> = netlist.gate_ids().collect();
+        let samples = gates.len().min(32);
+        let stride = gates.len().checked_div(samples).unwrap_or(0);
+        let mut bfs = BoundedBfs::new(netlist, rho);
+        let mut row = Vec::new();
+        let mut sampled = 0usize;
+        for k in 0..samples {
+            row.clear();
+            bfs.row_into(gates[k * stride], &mut row);
+            sampled += row
+                .iter()
+                .filter(|&&(v, _)| netlist.is_gate(NodeId(v)))
+                .count();
+        }
+        let entries = (sampled * gates.len()).checked_div(samples).unwrap_or(0);
+        entries * std::mem::size_of::<(u32, u32)>()
+            + (n + 1) * std::mem::size_of::<u32>()
+            + n * std::mem::size_of::<u64>()
+    }
+
     /// The table of maintained distance rows: `rows[i]` holds node `i`'s
     /// in-bound gate partners as `(partner, d)` with `1 ≤ d < ρ`, sorted
     /// by partner id (empty for primary inputs), the shape the
@@ -1084,8 +646,11 @@ impl GateSeparationTable {
     }
 
     /// Wraps built rows, storing each row's weight total for the O(1)
-    /// [`GateSeparationTable::near_weight`].
-    fn from_rows(rho: u64, offsets: Vec<u32>, entries: Vec<(u32, u32)>) -> Self {
+    /// [`GateSeparationTable::near_weight`]. The vectors are shrunk to
+    /// their length: a grown entry vector holds up to twice its entries.
+    fn from_rows(rho: u64, mut offsets: Vec<u32>, mut entries: Vec<(u32, u32)>) -> Self {
+        offsets.shrink_to_fit();
+        entries.shrink_to_fit();
         let totals = offsets
             .windows(2)
             .map(|w| {
@@ -1104,7 +669,9 @@ impl GateSeparationTable {
     }
 
     /// Heap footprint of the table in bytes: 8 bytes per `(gate, weight)`
-    /// entry plus 4 per row offset and 8 per row total.
+    /// entry plus 4 per row offset and 8 per row total. At 10^6 nodes
+    /// this is the dominant analysis structure; see the crate docs'
+    /// "memory layout & scale" section.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(u32, u32)>()
@@ -1125,8 +692,15 @@ impl GateSeparationTable {
     }
 
     /// Saturated distance between two gates: `0` for `a == b`, `ρ − w`
-    /// for a partner in `a`'s row, otherwise `ρ`.
-    fn distance(&self, a: NodeId, b: NodeId) -> u32 {
+    /// for a partner in `a`'s row, otherwise `ρ`. One binary search over
+    /// the sorted row of `a`. A primary input has no row and is in none,
+    /// so its distance to any other node reads as `ρ`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is out of range of the table's netlist.
+    #[must_use]
+    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
         if a == b {
             return 0;
         }
@@ -1139,8 +713,7 @@ impl GateSeparationTable {
 
     /// Module separation `S(M)` of a gate set by its pair sum: the sum
     /// over its unordered pairs of the saturated distance, `ρ − w` for a
-    /// pair in the row and `ρ` for one outside it — bit-identical to
-    /// [`SeparationOracle::module_separation`], and as quadratic in
+    /// pair in the row and `ρ` for one outside it, quadratic in
     /// `|module|`. This is the slow reference that
     /// [`GateSeparationTable::partition_separations`], the linear kernel
     /// the evaluator scores with, is tested against.
@@ -1246,9 +819,9 @@ impl GateSeparationTable {
     /// gates assigned to each of `modules` in `assignment` (one entry per
     /// node), in one branch-free scan of the row. The separation from
     /// `gate` to the members of `M` is then
-    /// `ρ·(|M| − [gate ∈ M]) − W(gate, M)`, bit-identical to
-    /// [`SeparationOracle::separation_to_members`]; a gate move needs it
-    /// for its source and its target module at once.
+    /// `ρ·(|M| − [gate ∈ M]) − W(gate, M)`, the pair sum of
+    /// [`GateSeparationTable::distance`] over the members; a gate move
+    /// needs it for its source and its target module at once.
     ///
     /// # Panics
     ///
@@ -1288,27 +861,40 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The batched table and its one-BFS-per-gate reference, asserted
+    /// equal.
+    fn direct_and_reference(nl: &Netlist, rho: u32) -> GateSeparationTable {
+        let table = GateSeparationTable::direct(nl, rho, 1);
+        assert_eq!(
+            table,
+            GateSeparationTable::reference(nl, rho),
+            "rho {rho} on {}",
+            nl.name()
+        );
+        table
+    }
+
     #[test]
     fn chain_distances() {
         let nl = chain(6);
-        let sep = SeparationOracle::new(&nl, 10);
+        let table = direct_and_reference(&nl, 10);
         let g0 = nl.find("g0").unwrap();
         let g3 = nl.find("g3").unwrap();
-        assert_eq!(sep.distance(g0, g3), 3);
-        assert_eq!(sep.distance(g3, g0), 3); // symmetric
+        assert_eq!(table.distance(g0, g3), 3);
+        assert_eq!(table.distance(g3, g0), 3); // symmetric
     }
 
     #[test]
     fn saturation_applies() {
         let nl = chain(10);
-        let sep = SeparationOracle::new(&nl, 3);
+        let table = direct_and_reference(&nl, 3);
         let g0 = nl.find("g0").unwrap();
         let g1 = nl.find("g1").unwrap();
         let g2 = nl.find("g2").unwrap();
         let g9 = nl.find("g9").unwrap();
-        assert_eq!(sep.distance(g0, g1), 1);
-        assert_eq!(sep.distance(g0, g2), 2);
-        assert_eq!(sep.distance(g0, g9), 3); // saturated at rho
+        assert_eq!(table.distance(g0, g1), 1);
+        assert_eq!(table.distance(g0, g2), 2);
+        assert_eq!(table.distance(g0, g9), 3); // saturated at rho
     }
 
     #[test]
@@ -1316,15 +902,15 @@ mod tests {
         // On a regular structure (uniform ball sizes) the sampled
         // estimate should land within a factor of 2 of the real table.
         let nl = data::ripple_adder(64);
-        for rho in [2u32, 4] {
-            let actual = SeparationOracle::new(&nl, rho).memory_bytes();
-            let est = SeparationOracle::estimate_bytes(&nl, rho);
+        for rho in [2u32, 4, 6] {
+            let actual = GateSeparationTable::direct(&nl, rho, 1).memory_bytes();
+            let est = GateSeparationTable::estimate_bytes(&nl, rho);
             assert!(
                 est * 2 >= actual && est <= actual * 2,
                 "rho={rho}: est={est} actual={actual}"
             );
         }
-        assert_eq!(SeparationOracle::estimate_bytes(&nl, 0), 0);
+        assert_eq!(GateSeparationTable::estimate_bytes(&nl, 0), 0);
     }
 
     #[test]
@@ -1337,8 +923,9 @@ mod tests {
         b.mark_output(g1);
         b.mark_output(g2);
         let nl = b.build().unwrap();
-        let sep = SeparationOracle::new(&nl, 5);
-        assert_eq!(sep.distance(g1, g2), 5);
+        let table = direct_and_reference(&nl, 5);
+        assert_eq!(table.distance(g1, g2), 5);
+        assert_eq!(table.module_separation(&[g1, g2]), 5);
     }
 
     #[test]
@@ -1347,7 +934,7 @@ mod tests {
         // direct, 10-16 via 22 or via PI 3/11...). Compare with a spread
         // module.
         let nl = data::c17();
-        let sep = SeparationOracle::new(&nl, 6);
+        let table = direct_and_reference(&nl, 6);
         let m_tight: Vec<NodeId> = ["10", "16", "22"]
             .iter()
             .map(|n| nl.find(n).unwrap())
@@ -1356,47 +943,32 @@ mod tests {
             .iter()
             .map(|n| nl.find(n).unwrap())
             .collect();
-        assert!(sep.module_separation(&m_tight) <= sep.module_separation(&m_spread));
+        assert!(table.module_separation(&m_tight) <= table.module_separation(&m_spread));
     }
 
     #[test]
     fn incremental_primitive_matches_full() {
         let nl = data::c17();
-        let sep = SeparationOracle::new(&nl, 6);
+        let table = direct_and_reference(&nl, 6);
         let all: Vec<NodeId> = nl.gate_ids().collect();
         let (g, rest) = all.split_first().unwrap();
-        let full_with = sep.module_separation(&all);
-        let full_without = sep.module_separation(rest);
-        let delta = sep.separation_to_module(*g, rest);
-        assert_eq!(full_with, full_without + delta);
-    }
-
-    #[test]
-    fn membership_form_matches_member_list_form() {
-        let nl = data::ripple_adder(6);
-        let sep = SeparationOracle::new(&nl, 6);
-        let gates: Vec<NodeId> = nl.gate_ids().collect();
-        let (inside, outside) = gates.split_at(gates.len() / 2);
-        for &g in &gates {
-            let includes = inside.contains(&g);
-            let by_list = sep.separation_to_module(g, inside);
-            let by_membership =
-                sep.separation_to_members(g, inside.len(), includes, |n| inside.contains(&n));
-            assert_eq!(by_list, by_membership, "gate {g} vs inside");
-            let by_list = sep.separation_to_module(g, outside);
-            let by_membership =
-                sep.separation_to_members(g, outside.len(), outside.contains(&g), |n| {
-                    outside.contains(&n)
-                });
-            assert_eq!(by_list, by_membership, "gate {g} vs outside");
+        let mut assignment = vec![u32::MAX; nl.node_count()];
+        for r in rest {
+            assignment[r.index()] = 0;
         }
+        let [w, _] = table.member_weights(*g, &assignment, [0, 1]);
+        let delta = u64::from(table.rho()) * rest.len() as u64 - w;
+        assert_eq!(
+            table.module_separation(&all),
+            table.module_separation(rest) + delta
+        );
     }
 
     #[test]
-    fn gate_table_matches_membership_form() {
+    fn member_weights_match_the_pair_sum() {
         let nl = data::ripple_adder(6);
-        let sep = SeparationOracle::new(&nl, 6);
-        let table = sep.gate_table(&nl);
+        let table = GateSeparationTable::direct(&nl, 6, 1);
+        let reference = GateSeparationTable::reference(&nl, 6);
         let gates: Vec<NodeId> = nl.gate_ids().collect();
         // Assign gates round-robin to three modules; inputs stay u32::MAX.
         let mut assignment = vec![u32::MAX; nl.node_count()];
@@ -1411,9 +983,10 @@ mod tests {
                 .collect();
             for &g in &gates {
                 let includes = assignment[g.index()] == module;
-                let want = sep.separation_to_members(g, members.len(), includes, |n| {
-                    assignment[n.index()] == module
-                });
+                let want: u64 = members
+                    .iter()
+                    .map(|&m| u64::from(reference.distance(g, m)))
+                    .sum();
                 let other = (module + 1) % 3;
                 let [w, w_other] = table.member_weights(g, &assignment, [module, other]);
                 let got = u64::from(table.rho()) * (members.len() as u64 - u64::from(includes)) - w;
@@ -1425,12 +998,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_build_matches_reference_build() {
-        for rho in [1, 2, 3, 6, 9] {
-            for nl in [data::c17(), data::ripple_adder(7), chain(12)] {
-                let flat = SeparationOracle::new(&nl, rho);
-                let reference = SeparationOracle::new_reference(&nl, rho);
-                assert_eq!(flat, reference, "rho {rho} on {}", nl.name());
+    fn direct_build_matches_reference_build() {
+        for rho in [1, 2, 3, 5, 6, 9] {
+            for nl in [data::c17(), data::ripple_adder(8), chain(12)] {
+                direct_and_reference(&nl, rho);
             }
         }
     }
@@ -1440,40 +1011,23 @@ mod tests {
         // rho > 256 exceeds the batched engine's u8 arrival levels and
         // takes the scalar per-source path — rows must be identical.
         let nl = chain(12);
-        let fallback = SeparationOracle::new(&nl, 300);
-        assert_eq!(fallback, SeparationOracle::new_reference(&nl, 300));
+        let fallback = direct_and_reference(&nl, 300);
         let g0 = nl.find("g0").unwrap();
         let g9 = nl.find("g9").unwrap();
         assert_eq!(fallback.distance(g0, g9), 9);
-        assert_eq!(
-            GateSeparationTable::direct(&nl, 300, 2),
-            fallback.gate_table(&nl)
-        );
+        assert_eq!(GateSeparationTable::direct(&nl, 300, 2), fallback);
     }
 
     #[test]
     fn parallel_build_matches_serial_build() {
         let nl = data::ripple_adder(9);
-        let serial = SeparationOracle::new(&nl, 6);
-        for threads in [1, 2, 3, 7, 64] {
+        let serial = GateSeparationTable::direct(&nl, 6, 1);
+        for threads in [2, 3, 7, 64] {
             assert_eq!(
-                SeparationOracle::new_parallel(&nl, 6, threads),
+                GateSeparationTable::direct(&nl, 6, threads),
                 serial,
                 "{threads} threads"
             );
-        }
-    }
-
-    #[test]
-    fn direct_gate_table_matches_oracle_distillation() {
-        for rho in [1, 2, 5, 6] {
-            for nl in [data::c17(), data::ripple_adder(8)] {
-                let want = SeparationOracle::new(&nl, rho).gate_table(&nl);
-                for threads in [1, 3] {
-                    let got = GateSeparationTable::direct(&nl, rho, threads);
-                    assert_eq!(got, want, "rho {rho}, {threads} threads, {}", nl.name());
-                }
-            }
         }
     }
 
@@ -1482,7 +1036,7 @@ mod tests {
         let nl = data::ripple_adder(8);
         for table in [
             GateSeparationTable::direct(&nl, 6, 2),
-            SeparationOracle::new(&nl, 6).gate_table(&nl),
+            GateSeparationTable::reference(&nl, 6),
         ] {
             for id in nl.node_ids() {
                 let sum: u64 = table.row(id).iter().map(|&(_, w)| u64::from(w)).sum();
@@ -1492,33 +1046,12 @@ mod tests {
     }
 
     #[test]
-    fn near_slice_matches_neighbors_within() {
-        let nl = data::c17();
-        let sep = SeparationOracle::new(&nl, 5);
-        for id in nl.node_ids() {
-            let slice: Vec<(NodeId, u32)> = sep
-                .near_slice(id)
-                .iter()
-                .map(|&(n, d)| (NodeId(n), d))
-                .collect();
-            assert_eq!(slice, sep.neighbors_within(id));
-        }
-    }
-
-    #[test]
     fn distance_zero_to_self() {
         let nl = chain(2);
-        let sep = SeparationOracle::new(&nl, 4);
+        let table = direct_and_reference(&nl, 4);
         let g0 = nl.find("g0").unwrap();
-        assert_eq!(sep.distance(g0, g0), 0);
-        assert_eq!(sep.separation_to_module(g0, &[g0]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rho must be positive")]
-    fn zero_rho_panics() {
-        let nl = chain(2);
-        let _ = SeparationOracle::new(&nl, 0);
+        assert_eq!(table.distance(g0, g0), 0);
+        assert_eq!(table.module_separation(&[g0]), 0);
     }
 
     #[test]
@@ -1529,154 +1062,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rho must be positive")]
+    fn zero_rho_panics_in_reference_table() {
+        let nl = chain(2);
+        let _ = GateSeparationTable::reference(&nl, 0);
+    }
+
+    #[test]
     fn rho_one_saturates_everything_but_self() {
         let nl = chain(3);
-        let sep = SeparationOracle::new(&nl, 1);
+        let table = direct_and_reference(&nl, 1);
+        assert_eq!(table.entry_count(), 0);
         let g0 = nl.find("g0").unwrap();
         let g1 = nl.find("g1").unwrap();
-        assert_eq!(sep.distance(g0, g1), 1); // adjacent but saturated to rho=1
-        assert_eq!(sep.distance(g0, g0), 0);
-    }
-
-    #[test]
-    fn controlled_build_complete_matches_plain() {
-        let nl = chain(40);
-        for threads in [1, 3] {
-            let out = SeparationOracle::new_parallel_with_control(
-                &nl,
-                4,
-                threads,
-                &RunControl::unlimited(),
-            );
-            assert!(out.is_complete());
-            assert_eq!(out.into_value(), SeparationOracle::new(&nl, 4));
-        }
-    }
-
-    #[test]
-    fn quota_budget_yields_partial_with_saturated_tail() {
-        use iddq_control::RunBudget;
-        let nl = chain(200);
-        let full = SeparationOracle::new(&nl, 4);
-        let quota = 64;
-        // One worker stops at the first batch boundary past the quota.
-        let control = RunControl::with_budget(RunBudget::unlimited().with_quota(quota));
-        match SeparationOracle::new_parallel_with_control(&nl, 4, 1, &control) {
-            Outcome::Partial {
-                value,
-                coverage,
-                reason,
-            } => {
-                assert_eq!(reason, StopReason::QuotaExhausted);
-                assert!(coverage < 1.0);
-                // Built rows are exact; unbuilt rows saturate to rho.
-                let g0 = nl.find("g0").unwrap();
-                let g1 = nl.find("g1").unwrap();
-                assert_eq!(value.distance(g0, g1), full.distance(g0, g1));
-                let a = nl.find("g190").unwrap();
-                let b = nl.find("g191").unwrap();
-                assert_eq!(value.distance(a, b), 4);
-            }
-            Outcome::Complete(_) => panic!("a 64-row quota cannot build 200+ rows"),
-        }
-        // Several workers each poll the quota at their own 64-source
-        // batch boundaries, so together they may overshoot it by up to
-        // one batch per worker — or, on a small circuit, finish it.
-        let threads = 4;
-        let control = RunControl::with_budget(RunBudget::unlimited().with_quota(quota));
-        let out = SeparationOracle::new_parallel_with_control(&nl, 4, threads, &control);
-        let (value, coverage) = match out {
-            Outcome::Partial {
-                value,
-                coverage,
-                reason,
-            } => {
-                assert_eq!(reason, StopReason::QuotaExhausted);
-                (value, coverage)
-            }
-            Outcome::Complete(value) => (value, 1.0),
-        };
-        let n = nl.node_count();
-        let built = value.offsets.windows(2).filter(|w| w[1] > w[0]).count();
-        assert!(
-            built as u64 <= quota + threads as u64 * 64,
-            "{built} rows built under a {quota}-row quota"
-        );
-        assert_eq!(coverage, built as f64 / n as f64);
-        for a in nl.node_ids() {
-            for b in nl.node_ids() {
-                let d = value.distance(a, b);
-                assert!(
-                    d == full.distance(a, b) || d == 4,
-                    "distance({a:?}, {b:?}) = {d}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_build_matches_plain_build() {
-        for rho in [1, 3, 6, 300] {
-            for nl in [data::c17(), data::ripple_adder(9), chain(80)] {
-                let out =
-                    SeparationOracle::new_streamed_with_control(&nl, rho, &RunControl::unlimited());
-                assert!(out.is_complete());
-                assert_eq!(
-                    out.into_value(),
-                    SeparationOracle::new(&nl, rho),
-                    "rho {rho} on {}",
-                    nl.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_build_respects_quota() {
-        use iddq_control::RunBudget;
-        let nl = chain(200);
-        let control = RunControl::with_budget(RunBudget::unlimited().with_quota(64));
-        let out = SeparationOracle::new_streamed_with_control(&nl, 4, &control);
-        match out {
-            Outcome::Partial {
-                value,
-                coverage,
-                reason,
-            } => {
-                assert_eq!(reason, StopReason::QuotaExhausted);
-                assert!(coverage < 1.0);
-                let g0 = nl.find("g0").unwrap();
-                let g1 = nl.find("g1").unwrap();
-                assert_eq!(value.distance(g0, g1), 1);
-                let a = nl.find("g190").unwrap();
-                let b = nl.find("g191").unwrap();
-                assert_eq!(value.distance(a, b), 4); // unbuilt row = saturated
-            }
-            Outcome::Complete(_) => panic!("a 64-row quota cannot build 200+ rows"),
-        }
+        assert_eq!(table.distance(g0, g1), 1); // adjacent but saturated to rho=1
+        assert_eq!(table.distance(g0, g0), 0);
     }
 
     #[test]
     fn memory_bytes_accounts_entries_and_offsets() {
-        let nl = data::ripple_adder(8);
-        let sep = SeparationOracle::new(&nl, 6);
-        assert!(sep.memory_bytes() >= 8 * sep.entry_count() + 4 * (nl.node_count() + 1));
-        let table = GateSeparationTable::direct(&nl, 6, 1);
-        assert!(table.memory_bytes() >= 8 * table.entry_count() + 8 * nl.node_count());
-        // The gate-only table is never larger than the full oracle.
-        assert!(table.entry_count() <= sep.entry_count());
-    }
-
-    #[test]
-    fn pre_cancelled_build_is_all_saturated() {
-        let nl = chain(20);
-        let control = RunControl::unlimited();
-        control.token().cancel();
-        let out = SeparationOracle::new_parallel_with_control(&nl, 4, 2, &control);
-        assert_eq!(out.stop_reason(), Some(StopReason::Cancelled));
-        let value = out.into_value();
-        let g0 = nl.find("g0").unwrap();
-        let g1 = nl.find("g1").unwrap();
-        assert_eq!(value.distance(g0, g1), 4); // unbuilt row = saturated
+        // Exactly sized, from both the serial and the stitched build.
+        for nl in [data::ripple_adder(8), chain(200)] {
+            let n = nl.node_count();
+            for threads in [1, 3] {
+                let table = GateSeparationTable::direct(&nl, 6, threads);
+                assert_eq!(
+                    table.memory_bytes(),
+                    8 * table.entry_count() + 4 * (n + 1) + 8 * n,
+                    "{} at {threads} threads",
+                    nl.name()
+                );
+            }
+        }
     }
 }

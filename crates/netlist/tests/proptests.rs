@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use iddq_netlist::separation::{GateSeparationTable, SeparationOracle};
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{data, CellKind, Netlist, NetlistBuilder, NodeId, TimeSet};
 
 fn times_strategy() -> impl Strategy<Value = Vec<u32>> {
@@ -92,8 +92,8 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
-    /// The separation oracle is a symmetric, ρ-saturated premetric on any
-    /// generated chain-with-taps circuit.
+    /// The gate separation table is a symmetric, ρ-saturated premetric
+    /// on any generated chain-with-taps circuit.
     #[test]
     fn separation_is_symmetric_and_saturated(n in 3usize..30, rho in 1u32..8) {
         let mut b = NetlistBuilder::new("chain");
@@ -105,7 +105,7 @@ proptest! {
         }
         b.mark_output(prev);
         let nl = b.build().unwrap();
-        let sep = SeparationOracle::new(&nl, rho);
+        let sep = GateSeparationTable::direct(&nl, rho, 1);
         for &a in &gates {
             prop_assert_eq!(sep.distance(a, a), 0);
             for &c in &gates {
@@ -121,38 +121,33 @@ proptest! {
         }
     }
 
-    /// The flat array-BFS oracle build equals the historical hash-map
-    /// build on random netlists across the practical ρ range: the whole
-    /// CSR table (so every `near_slice`), every pairwise `distance`, and
-    /// the distilled gate table — and the direct (oracle-free) gate-table
-    /// build matches the distillation too.
+    /// The batched table build equals its one-BFS-per-gate reference on
+    /// random netlists across the practical ρ range: every row, and
+    /// every pairwise gate `distance`.
     #[test]
-    fn flat_oracle_matches_hashmap_reference(
+    fn direct_table_matches_bfs_reference(
         n_in in 2usize..5,
         specs in dag_spec(),
         rho in 1u32..8,
     ) {
         let nl = build_dag(n_in, &specs);
-        let flat = SeparationOracle::new(&nl, rho);
-        let reference = SeparationOracle::new_reference(&nl, rho);
-        prop_assert_eq!(&flat, &reference, "CSR tables diverge");
-        for a in nl.node_ids() {
-            prop_assert_eq!(flat.near_slice(a), reference.near_slice(a));
-            for b in nl.node_ids() {
+        let table = GateSeparationTable::direct(&nl, rho, 1);
+        let reference = GateSeparationTable::reference(&nl, rho);
+        prop_assert_eq!(&table, &reference, "CSR tables diverge");
+        for a in nl.gate_ids() {
+            prop_assert_eq!(table.row(a), reference.row(a));
+            for b in nl.gate_ids() {
                 prop_assert_eq!(
-                    flat.distance(a, b),
+                    table.distance(a, b),
                     reference.distance(a, b),
                     "distance({a}, {b})"
                 );
             }
         }
-        let table = flat.gate_table(&nl);
-        prop_assert_eq!(&reference.gate_table(&nl), &table);
-        prop_assert_eq!(&GateSeparationTable::direct(&nl, rho, 1), &table);
     }
 
-    /// The sharded parallel builds are bit-identical to the serial ones
-    /// for every thread count (including more threads than nodes).
+    /// The sharded parallel build is bit-identical to the serial one for
+    /// every thread count (including more threads than nodes).
     #[test]
     fn parallel_builds_bit_identical_to_serial(
         n_in in 2usize..5,
@@ -161,14 +156,12 @@ proptest! {
         threads in 2usize..7,
     ) {
         let nl = build_dag(n_in, &specs);
-        let serial = SeparationOracle::new(&nl, rho);
-        prop_assert_eq!(&SeparationOracle::new_parallel(&nl, rho, threads), &serial);
-        prop_assert_eq!(
-            &SeparationOracle::new_parallel(&nl, rho, nl.node_count() + 7),
-            &serial
-        );
         let table = GateSeparationTable::direct(&nl, rho, 1);
         prop_assert_eq!(&GateSeparationTable::direct(&nl, rho, threads), &table);
+        prop_assert_eq!(
+            &GateSeparationTable::direct(&nl, rho, nl.node_count() + 7),
+            &table
+        );
     }
 
     /// The row kernel `partition_separations` equals the pair-sum
@@ -204,7 +197,8 @@ proptest! {
     #[test]
     fn module_separation_matches_pairwise_sum(mask in 1u8..63) {
         let nl = data::c17();
-        let sep = SeparationOracle::new(&nl, 5);
+        let sep = GateSeparationTable::direct(&nl, 5, 1);
+        let reference = GateSeparationTable::reference(&nl, 5);
         let gates: Vec<NodeId> = data::c17_paper_gates(&nl)
             .into_iter()
             .enumerate()
@@ -214,7 +208,7 @@ proptest! {
         let mut want = 0u64;
         for (i, &a) in gates.iter().enumerate() {
             for &b in &gates[i + 1..] {
-                want += u64::from(sep.distance(a, b));
+                want += u64::from(reference.distance(a, b));
             }
         }
         prop_assert_eq!(sep.module_separation(&gates), want);

@@ -1,7 +1,7 @@
 //! Netlist-hash-keyed artifact cache with a memory-ceiling LRU policy.
 //!
 //! Compiling a netlist into its serving artifacts — the CSR simulation
-//! program and, for `stats` requests, the separation analyses — costs far
+//! program and, for `stats` requests, the separation table — costs far
 //! more than any single request; the cache keys those artifacts by
 //! [`Netlist::structural_fingerprint`] so repeated requests against the
 //! same structure (by name *or* as an inline upload) pay the build once.
@@ -18,15 +18,15 @@ use std::sync::{Arc, Mutex};
 
 use iddq_core::AnalysisTier;
 use iddq_logicsim::Simulator;
-use iddq_netlist::separation::{GateSeparationTable, SeparationOracle};
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::Netlist;
 
 /// The owned artifact bundle for one circuit structure.
 ///
 /// [`iddq_core::EvalContext`] borrows its netlist and so cannot live in a
 /// cache; this bundle owns everything, tiered the same way: the compiled
-/// simulator always, the separation analyses only when a `stats` request
-/// at that tier has been served ([`AnalysisTier::Timing`] = neither).
+/// simulator always, the gate separation table only when a `stats`
+/// request at [`AnalysisTier::GateSep`] has been served.
 #[derive(Debug)]
 pub struct Artifacts {
     /// The owned circuit.
@@ -35,9 +35,7 @@ pub struct Artifacts {
     pub sim: Simulator,
     /// Analysis tier materialized so far.
     tier: AnalysisTier,
-    /// Full ρ-bounded oracle (`Separation` tier).
-    oracle: Option<SeparationOracle>,
-    /// Gate-only table (`GateSep` tier and up).
+    /// Gate-only table (`GateSep` tier).
     gate_table: Option<GateSeparationTable>,
 }
 
@@ -46,20 +44,14 @@ impl Artifacts {
     #[must_use]
     pub fn build(netlist: Netlist, tier: AnalysisTier, rho: u32) -> Self {
         let sim = Simulator::new(&netlist);
-        let (oracle, gate_table) = match tier {
-            AnalysisTier::Timing => (None, None),
-            AnalysisTier::GateSep => (None, Some(GateSeparationTable::direct(&netlist, rho, 1))),
-            AnalysisTier::Separation => {
-                let oracle = SeparationOracle::new(&netlist, rho);
-                let table = oracle.gate_table(&netlist);
-                (Some(oracle), Some(table))
-            }
+        let gate_table = match tier {
+            AnalysisTier::Timing => None,
+            AnalysisTier::GateSep => Some(GateSeparationTable::direct(&netlist, rho, 1)),
         };
         Artifacts {
             netlist,
             sim,
             tier,
-            oracle,
             gate_table,
         }
     }
@@ -70,13 +62,7 @@ impl Artifacts {
         self.tier
     }
 
-    /// The separation oracle, when the bundle was built at `Separation`.
-    #[must_use]
-    pub fn oracle(&self) -> Option<&SeparationOracle> {
-        self.oracle.as_ref()
-    }
-
-    /// The gate-only separation table, when built at `GateSep` or above.
+    /// The gate-only separation table, when built at `GateSep`.
     #[must_use]
     pub fn gate_table(&self) -> Option<&GateSeparationTable> {
         self.gate_table.as_ref()
@@ -88,10 +74,6 @@ impl Artifacts {
     pub fn memory_bytes(&self) -> usize {
         self.netlist.memory_bytes()
             + self.sim.memory_bytes()
-            + self
-                .oracle
-                .as_ref()
-                .map_or(0, SeparationOracle::memory_bytes)
             + self
                 .gate_table
                 .as_ref()
@@ -247,11 +229,11 @@ mod tests {
         assert!(cache.lookup(key, AnalysisTier::Timing).is_none());
         cache.insert(key, Arc::clone(&a));
         assert!(cache.lookup(key, AnalysisTier::Timing).is_some());
-        // A Timing bundle cannot serve a Separation request.
-        assert!(cache.lookup(key, AnalysisTier::Separation).is_none());
-        let upgraded = bundle(4, AnalysisTier::Separation);
+        // A Timing bundle cannot serve a GateSep request.
+        assert!(cache.lookup(key, AnalysisTier::GateSep).is_none());
+        let upgraded = bundle(4, AnalysisTier::GateSep);
         cache.insert(key, upgraded);
-        assert!(cache.lookup(key, AnalysisTier::Separation).is_some());
+        assert!(cache.lookup(key, AnalysisTier::GateSep).is_some());
         let (hits, misses, _) = cache.stats().snapshot();
         assert_eq!((hits, misses), (2, 2));
     }
@@ -294,10 +276,10 @@ mod tests {
     #[test]
     fn artifacts_report_tiered_memory() {
         let t = Artifacts::build(data::ripple_adder(8), AnalysisTier::Timing, 4);
-        let s = Artifacts::build(data::ripple_adder(8), AnalysisTier::Separation, 4);
+        let s = Artifacts::build(data::ripple_adder(8), AnalysisTier::GateSep, 4);
         assert!(t.memory_bytes() > 0);
-        assert!(s.memory_bytes() > t.memory_bytes());
-        assert!(s.oracle().is_some() && s.gate_table().is_some());
-        assert!(t.oracle().is_none() && t.gate_table().is_none());
+        let table = s.gate_table().expect("a GateSep bundle carries the table");
+        assert_eq!(s.memory_bytes(), t.memory_bytes() + table.memory_bytes());
+        assert!(t.gate_table().is_none());
     }
 }

@@ -27,9 +27,10 @@
 //!
 //! Common request fields: `id`, `seed`, `deadline_ms`, and for `faults`
 //! a durable `job` key plus `vectors`/`bridges`/`drop`; `sim` takes
-//! `patterns`; `stats` takes `tier` (`timing` | `gatesep` |
-//! `separation`). Netlists come as a named synthetic ISCAS-85 profile
-//! (`circuit`) or inline `.bench` text (`bench`). Work responses
+//! `patterns`; `stats` takes `tier` (`timing` | `gatesep`, the default;
+//! `separation` is an alias of `gatesep`). Netlists come as a named
+//! synthetic ISCAS-85 profile (`circuit`) or inline `.bench` text
+//! (`bench`). Work responses
 //! annotate `cache_hit` (served from the in-memory artifact cache).
 //!
 //! # Client retry
@@ -72,7 +73,7 @@
 //!   of the (fault-shard × pattern-batch) grid that was fully swept.
 //! * **Degraded tier** — under memory or deadline pressure a `stats`
 //!   request is served at a *lower* analysis tier
-//!   (`separation → gatesep → timing`), never refused: the response
+//!   (`gatesep → timing`), never refused: the response
 //!   annotates `tier`, `requested_tier`, `degraded` and
 //!   `degrade_reason`.
 //!

@@ -45,9 +45,9 @@ pub struct Request {
     pub bridges: Option<usize>,
     /// Per-request deadline in milliseconds, measured from receipt.
     pub deadline_ms: Option<u64>,
-    /// Requested analysis tier for `stats`: `timing` | `gatesep` |
-    /// `separation`. The server may *downgrade* (never upgrade) and
-    /// annotates the tier actually served.
+    /// Requested analysis tier for `stats`: `timing` | `gatesep` (the
+    /// default; `separation` is its alias). The server may *downgrade*
+    /// (never upgrade) and annotates the tier actually served.
     pub tier: Option<String>,
     /// Durable job key (`faults` op): progress is checkpointed under this
     /// key in the server's state directory, and a resubmission after a

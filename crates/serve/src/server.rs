@@ -1117,7 +1117,7 @@ fn handle_stats(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> 
     let requested: AnalysisTier = request
         .tier
         .as_deref()
-        .unwrap_or("separation")
+        .unwrap_or("gatesep")
         .parse()
         .map_err(|e: EngineError| RequestError::engine(job.line, &e).with_id(request.id))?;
     let netlist = resolve_netlist(request, job.line)?;
@@ -1148,7 +1148,6 @@ fn handle_stats(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> 
     let memory = json!({
         "netlist": netlist.memory_bytes(),
         "sim": artifacts.sim.memory_bytes(),
-        "oracle": artifacts.oracle().map_or(0, |o| o.memory_bytes()),
         "gate_table": artifacts.gate_table().map_or(0, |t| t.memory_bytes()),
         "total": artifacts.memory_bytes(),
     });

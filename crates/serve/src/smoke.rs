@@ -78,17 +78,17 @@ fn scenario(
     let pong = client.call(&json!({"id": 1, "op": "ping"}))?;
     report.check(pong["status"] == "ok", "ping answers ok")?;
 
-    // 2. Graceful degradation: a separation request cannot fit the tiny
-    // cache ceiling, so the server downgrades and says so.
+    // 2. Graceful degradation: a gatesep request cannot fit the tiny
+    // cache ceiling, so the server downgrades to timing and says so.
     let stats = client.call(&json!({
-        "id": 2, "op": "stats", "circuit": "c432", "tier": "separation",
+        "id": 2, "op": "stats", "circuit": "c432", "tier": "gatesep",
     }))?;
     report.check(stats["status"] == "ok", "stats answers ok")?;
     report.check(
         stats["result"]["degraded"] == true
-            && stats["result"]["tier"] != "separation"
-            && stats["result"]["requested_tier"] == "separation",
-        "stats degrades separation under the memory ceiling and annotates the tier served",
+            && stats["result"]["tier"] == "timing"
+            && stats["result"]["requested_tier"] == "gatesep",
+        "stats degrades gatesep under the memory ceiling and annotates the tier served",
     )?;
     let timing = client.call(&json!({
         "id": 3, "op": "stats", "circuit": "c432", "tier": "timing",

@@ -342,6 +342,45 @@ fn gateless_inline_netlist_is_answered_by_every_op() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// `separation` is the wire alias of `gatesep`: a `separation` request
+/// and a `gatesep` request for the same circuit cost one table build,
+/// the second is a cache hit, and both report the tier they got as
+/// `gatesep`.
+#[test]
+fn separation_and_gatesep_requests_share_one_build() {
+    let state_dir = temp_state_dir("alias");
+    let server = Server::start(ServerConfig {
+        state_dir: state_dir.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut answers = Vec::new();
+    for tier in ["separation", "gatesep"] {
+        let resp = client
+            .call(&json!({"op": "stats", "circuit": "c432", "tier": tier}))
+            .expect("answered");
+        assert_eq!(resp["status"], "ok", "{tier}: {resp:?}");
+        assert_eq!(resp["result"]["tier"], "gatesep", "{tier}: {resp:?}");
+        assert_eq!(
+            resp["result"]["requested_tier"], "gatesep",
+            "{tier}: {resp:?}"
+        );
+        assert_eq!(resp["result"]["degraded"], false, "{tier}: {resp:?}");
+        assert!(resp["result"]["memory"]["gate_table"].as_u64() > Some(0));
+        assert!(resp["result"]["memory"]["oracle"].is_null());
+        answers.push(resp["result"]["cache_hit"].clone());
+    }
+    assert_eq!(answers, [json!(false), json!(true)]);
+    let metrics = server.shutdown(Duration::from_secs(10));
+    assert_eq!(metrics["cache"]["misses"].as_u64(), Some(1), "{metrics:?}");
+    assert_eq!(metrics["cache"]["hits"].as_u64(), Some(1), "{metrics:?}");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 /// `call_with_retry` against a deliberately tiny queue: retries turn
 /// `overloaded` sheds into eventual answers, and `retries: 0` keeps
 /// today's fail-fast behaviour.

@@ -983,7 +983,7 @@ mod tests {
                 .sep_table(table.unwrap())
                 .build();
             assert_eq!(handed.tier(), AnalysisTier::GateSep);
-            assert_eq!(handed.sep_table(), &direct);
+            assert_eq!(handed.separation(), &direct);
             // A quota-stopped search hands over the table of its prefix.
             let control = RunControl::with_budget(RunBudget::unlimited().with_quota(8));
             match cost_aware_per_gate_in_with_control(&ctx, &control) {

@@ -25,6 +25,7 @@ use iddq_core::{
     config::PartitionConfig, AnalysisTier, EvalContext, Evaluated, Partition, ResynthEval,
 };
 use iddq_netlist::patch::{materialize, Patch};
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{Netlist, NodeId};
 use iddq_synth::{
     decompose_gate_patch, decompose_patch, fanout_buffer, fanout_buffer_patch, DecompositionStyle,
@@ -270,17 +271,18 @@ proptest! {
         full.verify_consistency();
     }
 
-    /// A `ResynthEval` on the lightweight GateSep-tier context (direct
-    /// gate table, no full oracle) scores **bit-identically** to one on
-    /// the full-tier context, through random patch sequences with
-    /// rollbacks and commits — the guarantee that lets the per-gate
-    /// search (`cost_aware_per_gate_in`) skip the oracle build entirely.
+    /// A `ResynthEval` on a context around the batched gate table
+    /// scores **bit-identically** to one on a context handed the
+    /// one-BFS-per-gate reference table, through random patch sequences
+    /// with rollbacks and commits.
     #[test]
-    fn gatesep_tier_scoring_matches_full_tier(seed in 0u64..40, salt in any::<u64>()) {
+    fn direct_table_scoring_matches_reference_table(seed in 0u64..40, salt in any::<u64>()) {
         let nl = random_netlist(seed);
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
-        let full_ctx = EvalContext::new(&nl, &lib, cfg.clone());
+        let full_ctx = EvalContext::builder(&nl, &lib, cfg.clone())
+            .sep_table(GateSeparationTable::reference(&nl, cfg.rho))
+            .build();
         let light_ctx = EvalContext::builder(&nl, &lib, cfg.clone())
             .tier(AnalysisTier::GateSep)
             .build();

@@ -39,7 +39,7 @@ use iddq::logicsim::logic_test::StuckAtFault;
 use iddq::logicsim::{reference, BackendKind};
 use iddq::netlist::bench::to_bench;
 use iddq::netlist::patch::{materialize, Patch};
-use iddq::netlist::separation::{BoundedBfs, SeparationOracle};
+use iddq::netlist::separation::{BoundedBfs, GateSeparationTable};
 use iddq::netlist::{data, CellKind, Netlist, NetlistBuilder, NodeId, PackedWord, W256, W512};
 use iddq::synth::{cost_aware_per_gate_in, decompose_gate_patch, DecompositionStyle};
 use iddq_control::{RunBudget, RunControl, StopReason};
@@ -457,7 +457,7 @@ fn cancelled_sweep_resumes_bit_identical() {
 }
 
 /// Single-module cost of `nl` scored from scratch: a fresh context (at
-/// the `Separation` tier `Evaluated` reads) and a fresh `Evaluated`.
+/// the `GateSep` tier `Evaluated` reads) and a fresh `Evaluated`.
 fn rebuild_cost(nl: &Netlist, library: &Library, config: &PartitionConfig) -> f64 {
     let ctx = EvalContext::new(nl, library, config.clone());
     Evaluated::new(&ctx, Partition::single_module(nl)).total_cost()
@@ -632,7 +632,7 @@ fn evolution_is_thread_invariant() {
 fn lazy_bridge_universe_matches_oracle_rows() {
     let config = FaultUniverseConfig::default();
     for nl in [iscas("c432"), iscas("c7552"), seq("s298")] {
-        let wide = SeparationOracle::new(&nl, 6);
+        let wide = GateSeparationTable::direct(&nl, 6, 1);
         for seed in [5, 13] {
             let universe = enumerate(&nl, &config, seed);
             assert!(
@@ -650,14 +650,20 @@ fn lazy_bridge_universe_matches_oracle_rows() {
             );
         }
     }
+    // The lazy BFS row of every gate, restricted to gates, is the
+    // table's row (as distances instead of `ρ − d` weights).
     let nl = iscas("c432");
-    let oracle = SeparationOracle::new(&nl, 5);
+    let table = GateSeparationTable::direct(&nl, 5, 1);
     let mut bfs = BoundedBfs::new(&nl, 5);
     let mut row = Vec::new();
     for gate in nl.gate_ids() {
         row.clear();
         bfs.row_into(gate, &mut row);
-        let lazy: Vec<(NodeId, u32)> = row.iter().map(|&(n, d)| (NodeId(n), d)).collect();
-        assert_eq!(lazy, oracle.neighbors_within(gate), "gate {gate}");
+        let lazy: Vec<(u32, u32)> = row
+            .iter()
+            .filter(|&&(n, _)| nl.is_gate(NodeId(n)))
+            .map(|&(n, d)| (n, 5 - d))
+            .collect();
+        assert_eq!(lazy, table.row(gate), "gate {gate}");
     }
 }

@@ -243,7 +243,7 @@ proptest! {
         let ctx = EvalContext::builder(nl, &lib, PartitionConfig::paper_default())
             .tier(AnalysisTier::GateSep)
             .build();
-        let table = ctx.sep_table();
+        let table = ctx.separation();
         let check = |eval: &Evaluated<'_>| {
             for (m, gates) in eval.partition().modules().iter().enumerate() {
                 let want = table.module_separation(gates);
