@@ -621,6 +621,25 @@ pub struct FaultSweepOutcome {
     pub done_batches: Vec<bool>,
 }
 
+impl FaultSweepOutcome {
+    /// Fraction of pattern batches fully swept — the same figure as
+    /// [`SweepCheckpoint::progress`] of a checkpoint captured from this
+    /// outcome, without capturing one.
+    #[must_use]
+    pub fn progress(&self) -> f64 {
+        batch_progress(&self.done_batches)
+    }
+}
+
+/// Fraction of `done_batches` marked done (`1.0` when there are none).
+fn batch_progress(done_batches: &[bool]) -> f64 {
+    if done_batches.is_empty() {
+        1.0
+    } else {
+        done_batches.iter().filter(|&&d| d).count() as f64 / done_batches.len() as f64
+    }
+}
+
 /// A serializable snapshot of an interrupted fault sweep: everything
 /// needed to resume it to a bit-identical completion.
 ///
@@ -799,11 +818,7 @@ impl SweepCheckpoint {
     /// Fraction of pattern batches fully swept.
     #[must_use]
     pub fn progress(&self) -> f64 {
-        if self.done_batches.is_empty() {
-            1.0
-        } else {
-            self.done_batches.iter().filter(|&&d| d).count() as f64 / self.done_batches.len() as f64
-        }
+        batch_progress(&self.done_batches)
     }
 
     /// Serializes the checkpoint as sealed pretty-printed JSON: the

@@ -6,6 +6,12 @@
 //! [`Netlist::structural_fingerprint`] so repeated requests against the
 //! same structure (by name *or* as an inline upload) pay the build once.
 //!
+//! A request that names a generated circuit also reaches its bundle
+//! through an [`Alias`] — `(circuit name, seed)` → fingerprint — so a
+//! cached named circuit is answered without regenerating it: the netlist
+//! is made (generated or parsed) only on a miss. Every alias names a
+//! resident bundle; eviction drops the aliases of what it evicts.
+//!
 //! Eviction is driven by real bytes, not entry counts: every artifact
 //! bundle reports [`Artifacts::memory_bytes`], and inserts evict
 //! least-recently-used entries until the configured ceiling holds. A
@@ -87,6 +93,7 @@ pub struct CacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    netlists_built: AtomicU64,
 }
 
 impl CacheStats {
@@ -99,6 +106,39 @@ impl CacheStats {
             self.evictions.load(Ordering::Relaxed),
         )
     }
+
+    /// Netlists made to resolve a request (named generations plus inline
+    /// parses); a hit through an alias makes none.
+    #[must_use]
+    pub fn netlists_built(&self) -> u64 {
+        self.netlists_built.load(Ordering::Relaxed)
+    }
+
+    fn add(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A generated circuit as a request names it: profile name and
+/// generation seed. Generation is deterministic, so an alias always
+/// names the same structure; a stale one only costs a miss.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Alias {
+    /// Profile name as the request gave it.
+    pub name: String,
+    /// Generation seed.
+    pub seed: u64,
+}
+
+/// A bundle resolved by [`ArtifactCache::lookup_or_build`].
+#[derive(Debug)]
+pub struct Resolved {
+    /// The bundle, at least at the tier it was resolved for.
+    pub artifacts: Arc<Artifacts>,
+    /// Its structural fingerprint (the cache key).
+    pub key: u64,
+    /// Served from the cache rather than built.
+    pub cache_hit: bool,
 }
 
 struct Entry {
@@ -107,12 +147,33 @@ struct Entry {
     last_used: u64,
 }
 
+/// The state under the cache's lock: the bundles by fingerprint, and the
+/// aliases that name a resident bundle (never any other).
+#[derive(Default)]
+struct Resident {
+    entries: HashMap<u64, Entry>,
+    aliases: HashMap<Alias, u64>,
+}
+
+impl Resident {
+    /// The bundle under `key` if it carries `min_tier`, its recency
+    /// refreshed to `tick`.
+    fn touch(&mut self, key: u64, min_tier: AnalysisTier, tick: u64) -> Option<Arc<Artifacts>> {
+        let entry = self.entries.get_mut(&key)?;
+        if entry.artifacts.tier() < min_tier {
+            return None;
+        }
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.artifacts))
+    }
+}
+
 /// The LRU cache proper. All methods are `&self`; internal locking keeps
-/// workers contention-free outside the brief map updates (builds happen
-/// *outside* the lock).
+/// workers contention-free outside the brief map updates (netlists,
+/// plans and builds happen *outside* the lock).
 pub struct ArtifactCache {
     ceiling: usize,
-    inner: Mutex<HashMap<u64, Entry>>,
+    inner: Mutex<Resident>,
     tick: AtomicU64,
     stats: CacheStats,
 }
@@ -123,7 +184,7 @@ impl ArtifactCache {
     pub fn new(ceiling_bytes: usize) -> Self {
         ArtifactCache {
             ceiling: ceiling_bytes,
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(Resident::default()),
             tick: AtomicU64::new(0),
             stats: CacheStats::default(),
         }
@@ -135,34 +196,101 @@ impl ArtifactCache {
         self.ceiling
     }
 
-    /// Looks `key` up, refreshing its recency on a hit. A hit below
-    /// `min_tier` counts as a miss (the caller rebuilds and re-inserts an
-    /// upgraded bundle).
-    #[must_use]
-    pub fn lookup(&self, key: u64, min_tier: AnalysisTier) -> Option<Arc<Artifacts>> {
-        let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match map.get_mut(&key) {
-            Some(entry) if entry.artifacts.tier() >= min_tier => {
-                entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.artifacts))
-            }
-            _ => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, Resident> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Inserts (or replaces) `key`, then evicts least-recently-used
-    /// entries until the ceiling holds. The entry just inserted is
-    /// exempt: one oversized circuit must still be servable, it simply
-    /// pins the cache at its own footprint until something else arrives.
-    pub fn insert(&self, key: u64, artifacts: Arc<Artifacts>) {
+    fn next_tick(&self) -> u64 {
+        self.tick.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Cache-through resolution of one request at (at least) `tier`,
+    /// counted as exactly one hit or one miss:
+    ///
+    /// 1. a resident bundle that `alias` names answers without a netlist;
+    /// 2. otherwise `make` produces the netlist (counted in
+    ///    [`CacheStats::netlists_built`]), and a resident bundle with its
+    ///    fingerprint at `tier` answers;
+    /// 3. otherwise `plan` picks the tier to build at (at most `tier`), a
+    ///    resident bundle at that tier answers, or one is built there and
+    ///    inserted.
+    ///
+    /// A hit or a build records `alias` against the fingerprint, so the
+    /// next request under the same name and seed takes step 1.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `make` returns; nothing is counted then.
+    pub fn lookup_or_build<E>(
+        &self,
+        alias: Option<Alias>,
+        tier: AnalysisTier,
+        make: impl FnOnce() -> Result<Netlist, E>,
+        plan: impl FnOnce(&Netlist) -> AnalysisTier,
+        rho: u32,
+    ) -> Result<Resolved, E> {
+        if let Some(alias) = &alias {
+            let mut resident = self.lock();
+            if let Some(&key) = resident.aliases.get(alias) {
+                if let Some(artifacts) = resident.touch(key, tier, self.next_tick()) {
+                    CacheStats::add(&self.stats.hits);
+                    return Ok(Resolved {
+                        artifacts,
+                        key,
+                        cache_hit: true,
+                    });
+                }
+            }
+        }
+        let netlist = make()?;
+        CacheStats::add(&self.stats.netlists_built);
+        let key = netlist.structural_fingerprint();
+        // The alias is recorded under the same lock as the hit, so it
+        // never outlives the bundle it names.
+        let lookup = |at| {
+            let mut resident = self.lock();
+            let hit = resident.touch(key, at, self.next_tick());
+            if let (Some(_), Some(alias)) = (&hit, &alias) {
+                resident.aliases.insert(alias.clone(), key);
+            }
+            hit
+        };
+        let mut planned = tier;
+        let mut hit = lookup(tier);
+        if hit.is_none() {
+            planned = plan(&netlist);
+            if planned < tier {
+                hit = lookup(planned);
+            }
+        }
+        if let Some(artifacts) = hit {
+            CacheStats::add(&self.stats.hits);
+            return Ok(Resolved {
+                artifacts,
+                key,
+                cache_hit: true,
+            });
+        }
+        CacheStats::add(&self.stats.misses);
+        let artifacts = Arc::new(Artifacts::build(netlist, planned, rho));
+        self.insert(key, Arc::clone(&artifacts), alias);
+        Ok(Resolved {
+            artifacts,
+            key,
+            cache_hit: false,
+        })
+    }
+
+    /// Inserts (or replaces) `key`, records `alias` for it, then evicts
+    /// least-recently-used entries, and the aliases naming them, until
+    /// the ceiling holds. The entry just inserted is exempt: one
+    /// oversized circuit must still be servable, it simply pins the
+    /// cache at its own footprint until something else arrives.
+    fn insert(&self, key: u64, artifacts: Arc<Artifacts>, alias: Option<Alias>) {
         let bytes = artifacts.memory_bytes();
-        let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        map.insert(
+        let mut resident = self.lock();
+        let tick = self.next_tick();
+        resident.entries.insert(
             key,
             Entry {
                 artifacts,
@@ -170,33 +298,33 @@ impl ArtifactCache {
                 last_used: tick,
             },
         );
-        while map.values().map(|e| e.bytes).sum::<usize>() > self.ceiling && map.len() > 1 {
-            let oldest = map
+        if let Some(alias) = alias {
+            resident.aliases.insert(alias, key);
+        }
+        while resident.entries.values().map(|e| e.bytes).sum::<usize>() > self.ceiling {
+            let oldest = resident
+                .entries
                 .iter()
                 .filter(|(&k, _)| k != key)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&k, _)| k);
-            match oldest {
-                Some(k) => {
-                    map.remove(&k);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
+            let Some(evicted) = oldest else { break };
+            resident.entries.remove(&evicted);
+            resident.aliases.retain(|_, k| *k != evicted);
+            CacheStats::add(&self.stats.evictions);
         }
     }
 
     /// Bytes currently held (sum of resident bundle footprints).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.values().map(|e| e.bytes).sum()
+        self.lock().entries.values().map(|e| e.bytes).sum()
     }
 
     /// Number of resident bundles.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock().entries.len()
     }
 
     /// Whether the cache is empty.
@@ -205,7 +333,13 @@ impl ArtifactCache {
         self.len() == 0
     }
 
-    /// Hit/miss/eviction counters.
+    /// Number of resident aliases; each names a resident bundle.
+    #[must_use]
+    pub fn aliases(&self) -> usize {
+        self.lock().aliases.len()
+    }
+
+    /// Hit/miss/eviction/netlist counters.
     #[must_use]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
@@ -216,61 +350,168 @@ impl ArtifactCache {
 mod tests {
     use super::*;
     use iddq_netlist::data;
+    use std::convert::Infallible;
 
-    fn bundle(n: usize, tier: AnalysisTier) -> Arc<Artifacts> {
-        Arc::new(Artifacts::build(data::ripple_adder(n), tier, 4))
+    /// Resolves `ripple_adder(n)` at `tier`, planning no downgrade.
+    fn resolve(
+        cache: &ArtifactCache,
+        n: usize,
+        alias: Option<&str>,
+        tier: AnalysisTier,
+    ) -> Resolved {
+        let alias = alias.map(|name| Alias {
+            name: name.to_owned(),
+            seed: 1,
+        });
+        cache
+            .lookup_or_build(
+                alias,
+                tier,
+                || Ok::<_, Infallible>(data::ripple_adder(n)),
+                |_| tier,
+                4,
+            )
+            .unwrap()
     }
 
     #[test]
     fn hit_miss_and_tier_refusal() {
         let cache = ArtifactCache::new(usize::MAX);
-        let a = bundle(4, AnalysisTier::Timing);
-        let key = a.netlist.structural_fingerprint();
-        assert!(cache.lookup(key, AnalysisTier::Timing).is_none());
-        cache.insert(key, Arc::clone(&a));
-        assert!(cache.lookup(key, AnalysisTier::Timing).is_some());
-        // A Timing bundle cannot serve a GateSep request.
-        assert!(cache.lookup(key, AnalysisTier::GateSep).is_none());
-        let upgraded = bundle(4, AnalysisTier::GateSep);
-        cache.insert(key, upgraded);
-        assert!(cache.lookup(key, AnalysisTier::GateSep).is_some());
+        assert!(!resolve(&cache, 4, None, AnalysisTier::Timing).cache_hit);
+        assert!(resolve(&cache, 4, None, AnalysisTier::Timing).cache_hit);
+        // A Timing bundle cannot serve a GateSep request: it is rebuilt
+        // at GateSep in place.
+        let upgraded = resolve(&cache, 4, None, AnalysisTier::GateSep);
+        assert!(!upgraded.cache_hit);
+        assert_eq!(upgraded.artifacts.tier(), AnalysisTier::GateSep);
+        assert!(resolve(&cache, 4, None, AnalysisTier::GateSep).cache_hit);
+        assert_eq!(cache.len(), 1);
         let (hits, misses, _) = cache.stats().snapshot();
         assert_eq!((hits, misses), (2, 2));
+        // Without an alias every lookup makes its netlist.
+        assert_eq!(cache.stats().netlists_built(), 4);
+        assert_eq!(cache.aliases(), 0);
+    }
+
+    #[test]
+    fn an_alias_hit_makes_no_netlist() {
+        let cache = ArtifactCache::new(usize::MAX);
+        let first = resolve(&cache, 4, Some("adder"), AnalysisTier::Timing);
+        assert!(!first.cache_hit);
+        for _ in 0..3 {
+            let again = cache
+                .lookup_or_build(
+                    Some(Alias {
+                        name: "adder".into(),
+                        seed: 1,
+                    }),
+                    AnalysisTier::Timing,
+                    || -> Result<Netlist, Infallible> { panic!("an alias hit makes no netlist") },
+                    |_| panic!("an alias hit plans nothing"),
+                    4,
+                )
+                .unwrap();
+            assert!(again.cache_hit);
+            assert_eq!(again.key, first.key);
+            assert!(Arc::ptr_eq(&again.artifacts, &first.artifacts));
+        }
+        assert_eq!(cache.stats().netlists_built(), 1);
+        assert_eq!(cache.stats().snapshot(), (3, 1, 0));
+        assert_eq!(cache.aliases(), 1);
+        // A fingerprint hit under a new name records that name too.
+        assert!(resolve(&cache, 4, Some("adder4"), AnalysisTier::Timing).cache_hit);
+        assert_eq!(cache.aliases(), 2);
+        assert_eq!(cache.stats().netlists_built(), 2);
+    }
+
+    #[test]
+    fn a_hit_at_the_requested_tier_is_never_planned() {
+        let cache = ArtifactCache::new(usize::MAX);
+        resolve(&cache, 4, None, AnalysisTier::GateSep);
+        let hit = cache
+            .lookup_or_build(
+                None,
+                AnalysisTier::GateSep,
+                || Ok::<_, Infallible>(data::ripple_adder(4)),
+                |_| panic!("a hit plans nothing"),
+                4,
+            )
+            .unwrap();
+        assert!(hit.cache_hit);
+        assert_eq!(hit.artifacts.tier(), AnalysisTier::GateSep);
+    }
+
+    #[test]
+    fn a_planned_downgrade_hits_a_resident_lower_tier_once() {
+        let cache = ArtifactCache::new(usize::MAX);
+        resolve(&cache, 4, None, AnalysisTier::Timing);
+        let hit = cache
+            .lookup_or_build(
+                None,
+                AnalysisTier::GateSep,
+                || Ok::<_, Infallible>(data::ripple_adder(4)),
+                |_| AnalysisTier::Timing,
+                4,
+            )
+            .unwrap();
+        assert!(hit.cache_hit);
+        assert_eq!(hit.artifacts.tier(), AnalysisTier::Timing);
+        assert_eq!(cache.stats().snapshot(), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_failed_make_counts_nothing() {
+        let cache = ArtifactCache::new(usize::MAX);
+        let failed = cache.lookup_or_build(
+            Some(Alias {
+                name: "nope".into(),
+                seed: 1,
+            }),
+            AnalysisTier::Timing,
+            || Err("unknown circuit"),
+            |_| AnalysisTier::Timing,
+            4,
+        );
+        assert_eq!(failed.unwrap_err(), "unknown circuit");
+        assert_eq!(cache.stats().snapshot(), (0, 0, 0));
+        assert_eq!(cache.stats().netlists_built(), 0);
+        assert!(cache.is_empty());
+        assert_eq!(cache.aliases(), 0);
     }
 
     #[test]
     fn eviction_is_lru_under_the_ceiling() {
-        let a = bundle(4, AnalysisTier::Timing);
-        let b = bundle(6, AnalysisTier::Timing);
-        let c = bundle(8, AnalysisTier::Timing);
-        let (ka, kb, kc) = (
-            a.netlist.structural_fingerprint(),
-            b.netlist.structural_fingerprint(),
-            c.netlist.structural_fingerprint(),
-        );
-        // Ceiling fits two bundles including the largest (`c`).
-        let cache = ArtifactCache::new(b.memory_bytes() + c.memory_bytes() + 64);
-        cache.insert(ka, Arc::clone(&a));
-        cache.insert(kb, Arc::clone(&b));
-        assert_eq!(cache.len(), 2);
+        let bytes =
+            |n| Artifacts::build(data::ripple_adder(n), AnalysisTier::Timing, 4).memory_bytes();
+        // Ceiling fits two bundles including the largest (8 bits).
+        let cache = ArtifactCache::new(bytes(6) + bytes(8) + 64);
+        resolve(&cache, 4, Some("a"), AnalysisTier::Timing);
+        resolve(&cache, 6, Some("b"), AnalysisTier::Timing);
+        assert_eq!((cache.len(), cache.aliases()), (2, 2));
         // Touch `a` so `b` is the LRU victim when `c` arrives.
-        assert!(cache.lookup(ka, AnalysisTier::Timing).is_some());
-        cache.insert(kc, Arc::clone(&c));
-        assert!(cache.lookup(ka, AnalysisTier::Timing).is_some());
-        assert!(cache.lookup(kb, AnalysisTier::Timing).is_none());
-        assert!(cache.lookup(kc, AnalysisTier::Timing).is_some());
+        assert!(resolve(&cache, 4, Some("a"), AnalysisTier::Timing).cache_hit);
+        resolve(&cache, 8, Some("c"), AnalysisTier::Timing);
         let (.., evictions) = cache.stats().snapshot();
-        assert!(evictions >= 1);
+        assert_eq!(evictions, 1);
+        assert_eq!((cache.len(), cache.aliases()), (2, 2));
+        assert!(resolve(&cache, 4, Some("a"), AnalysisTier::Timing).cache_hit);
+        assert!(resolve(&cache, 8, Some("c"), AnalysisTier::Timing).cache_hit);
+        // `b`'s alias left with its bundle: the next request rebuilds.
+        let built = cache.stats().netlists_built();
+        assert!(!resolve(&cache, 6, Some("b"), AnalysisTier::Timing).cache_hit);
+        assert_eq!(cache.stats().netlists_built(), built + 1);
+        assert!(cache.aliases() <= cache.len());
     }
 
     #[test]
     fn oversized_single_entry_survives() {
-        let a = bundle(8, AnalysisTier::Timing);
-        let key = a.netlist.structural_fingerprint();
         let cache = ArtifactCache::new(1); // ceiling below any bundle
-        cache.insert(key, Arc::clone(&a));
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(key, AnalysisTier::Timing).is_some());
+        resolve(&cache, 8, Some("big"), AnalysisTier::Timing);
+        assert_eq!((cache.len(), cache.aliases()), (1, 1));
+        assert!(resolve(&cache, 8, Some("big"), AnalysisTier::Timing).cache_hit);
+        // The next circuit evicts it, alias and all.
+        resolve(&cache, 4, Some("small"), AnalysisTier::Timing);
+        assert_eq!((cache.len(), cache.aliases()), (1, 1));
     }
 
     #[test]

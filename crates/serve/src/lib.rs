@@ -18,7 +18,7 @@
 //! | op | kind | needs | result highlights |
 //! |----|------|-------|--------------------|
 //! | `ping` | admin | — | liveness |
-//! | `metrics` | admin | — | counters, queue depth, cache stats |
+//! | `metrics` | admin | — | counters, queue depth, cache stats (`cache.aliases`: resident name aliases; `cache.netlists_built`: named generations plus inline parses) |
 //! | `drain` | admin | — | stop admitting, finish accepted work |
 //! | `sim` | work | `circuit` \| `bench` | packed-pattern checksum, throughput |
 //! | `faults` | work | `circuit` \| `bench` | fault coverage, detection digest |
@@ -29,9 +29,20 @@
 //! a durable `job` key plus `vectors`/`bridges`/`drop`; `sim` takes
 //! `patterns`; `stats` takes `tier` (`timing` | `gatesep`, the default;
 //! `separation` is an alias of `gatesep`). Netlists come as a named
-//! synthetic ISCAS-85 profile (`circuit`) or inline `.bench` text
-//! (`bench`). Work responses
-//! annotate `cache_hit` (served from the in-memory artifact cache).
+//! synthetic profile (`circuit`: `c*` names are ISCAS-85-like
+//! combinational circuits, `s*` names ISCAS-89-like sequential ones,
+//! generated at the request's `seed`, default 42) or inline `.bench`
+//! text (`bench`). Work responses annotate `cache_hit` (served from the
+//! in-memory artifact cache).
+//!
+//! # Artifact cache
+//!
+//! Compiled bundles are keyed by structural fingerprint. A named
+//! request's `(circuit, seed)` is also an alias of that fingerprint, so
+//! its hit path is alias → lookup: no generation and no tier plan. A
+//! miss generates (or parses) the netlist, looks it up by fingerprint,
+//! and only then plans the tier and builds. Inline uploads have no
+//! alias and are parsed on every request.
 //!
 //! # Client retry
 //!
@@ -75,7 +86,9 @@
 //!   request is served at a *lower* analysis tier
 //!   (`gatesep → timing`), never refused: the response
 //!   annotates `tier`, `requested_tier`, `degraded` and
-//!   `degrade_reason`.
+//!   `degrade_reason`. Only a cache miss is planned: a bundle already
+//!   resident at (or above) the requested tier is served as it is, with
+//!   `degraded: false`, whatever the deadline.
 //!
 //! # Operations runbook
 //!

@@ -24,7 +24,9 @@ pub struct Request {
     /// Operation: `ping` | `sim` | `faults` | `stats` | `sleep` |
     /// `metrics` | `drain`.
     pub op: Option<String>,
-    /// Named circuit (a synthetic ISCAS-85 profile, e.g. `"c432"`).
+    /// Named circuit: a synthetic ISCAS-85-like combinational profile
+    /// (`c*`, e.g. `"c432"`) or ISCAS-89-like sequential one (`s*`, e.g.
+    /// `"s298"`).
     pub circuit: Option<String>,
     /// Inline `.bench` netlist text (alternative to `circuit`).
     pub bench: Option<String>,
@@ -39,7 +41,8 @@ pub struct Request {
     /// a `job` checkpointed at one depth cannot silently resume at
     /// another.
     pub frames: Option<usize>,
-    /// RNG seed for vectors/patterns and the synthetic generator.
+    /// RNG seed for vectors/patterns and the synthetic generator
+    /// ([`DEFAULT_SEED`] when absent; see [`Request::seed`]).
     pub seed: Option<u64>,
     /// Bridging-fault count in the `faults` universe.
     pub bridges: Option<usize>,
@@ -67,6 +70,9 @@ pub struct Request {
 /// own: 1 MiB comfortably fits the largest inline `.bench` upload the
 /// workspace generates while bounding per-connection buffering.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The seed of a request that gives none.
+pub const DEFAULT_SEED: u64 = 42;
 
 /// The operations a request can name.
 pub const OPS: &[&str] = &[
@@ -174,6 +180,14 @@ pub fn parse_request(line_no: usize, text: &str) -> Result<Request, RequestError
 }
 
 impl Request {
+    /// The request's seed: `seed`, else [`DEFAULT_SEED`]. The one place
+    /// the default is applied, so a request without a seed and one with
+    /// `seed: 42` name the same generated circuit.
+    #[must_use]
+    pub fn seed(&self) -> u64 {
+        self.seed.unwrap_or(DEFAULT_SEED)
+    }
+
     /// Checks the op-level contract: a known `op`, a circuit source where
     /// one is required, and in-range knobs. Violations come back as typed
     /// `invalid` errors carrying the request id.

@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use serde::Value;
 use serde_json::json;
 
-use crate::cache::{ArtifactCache, Artifacts};
+use crate::cache::{Alias, ArtifactCache, Resolved};
 use crate::protocol::{detection_digest, parse_request, Request, RequestError};
 
 /// Tunables of one server instance.
@@ -455,6 +455,8 @@ fn metrics_value(shared: &Shared) -> Value {
         "hits": hits,
         "misses": misses,
         "evictions": evictions,
+        "aliases": shared.cache.aliases(),
+        "netlists_built": shared.cache.stats().netlists_built(),
     });
     json!({
         "accepted": m.accepted.load(Ordering::Relaxed),
@@ -831,12 +833,12 @@ fn status_response(
     }
 }
 
-/// Resolves the request's netlist: a named synthetic profile (`c*` =
+/// Makes the request's netlist: a named synthetic profile (`c*` =
 /// ISCAS-85-like combinational, `s*` = ISCAS-89-like sequential) or an
 /// inline `.bench` upload.
 fn resolve_netlist(request: &Request, line: usize) -> Result<Netlist, RequestError> {
     if let Some(name) = &request.circuit {
-        let seed = request.seed.unwrap_or(42);
+        let seed = request.seed();
         if let Some(profile) = iddq_gen::iscas::IscasProfile::by_name(name) {
             return Ok(iddq_gen::iscas::generate(profile, seed));
         }
@@ -852,40 +854,27 @@ fn resolve_netlist(request: &Request, line: usize) -> Result<Netlist, RequestErr
         .map_err(|e| RequestError::parse(line, format!("inline bench: {e}")).with_id(request.id))
 }
 
-/// How a request's artifacts were obtained, for response attribution.
-struct Resolved {
-    artifacts: Arc<Artifacts>,
-    /// Served from the in-memory cache.
-    cache_hit: bool,
-}
-
-/// Cache-through artifact resolution at (at least) `tier`: the memory
-/// cache, else a fresh build that populates it.
-fn lookup_or_build(shared: &Shared, netlist: Netlist, tier: AnalysisTier) -> Resolved {
-    let key = netlist.structural_fingerprint();
-    if let Some(hit) = shared.cache.lookup(key, tier) {
-        return Resolved {
-            artifacts: hit,
-            cache_hit: true,
-        };
-    }
-    let built = Arc::new(Artifacts::build(netlist, tier, shared.config.rho));
-    shared.cache.insert(key, Arc::clone(&built));
-    Resolved {
-        artifacts: built,
-        cache_hit: false,
-    }
-}
-
-/// [`lookup_or_build`] after resolving the request's netlist.
-fn resolve_artifacts(
+/// The request's artifacts at (at least) `tier`, through the cache: a
+/// named circuit is looked up by its [`Alias`] first and generated only
+/// on a miss, when `plan` picks the tier to build at.
+fn lookup_or_build(
     shared: &Shared,
     request: &Request,
     line: usize,
     tier: AnalysisTier,
+    plan: impl FnOnce(&Netlist) -> AnalysisTier,
 ) -> Result<Resolved, RequestError> {
-    let netlist = resolve_netlist(request, line)?;
-    Ok(lookup_or_build(shared, netlist, tier))
+    let alias = request.circuit.as_ref().map(|name| Alias {
+        name: name.clone(),
+        seed: request.seed(),
+    });
+    shared.cache.lookup_or_build(
+        alias,
+        tier,
+        || resolve_netlist(request, line),
+        plan,
+        shared.config.rho,
+    )
 }
 
 /// The deterministic fault universe of the service: both stuck-at
@@ -953,9 +942,12 @@ fn handle_sim(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> {
     let Resolved {
         artifacts,
         cache_hit,
-    } = resolve_artifacts(shared, request, job.line, AnalysisTier::Timing)?;
+        ..
+    } = lookup_or_build(shared, request, job.line, AnalysisTier::Timing, |_| {
+        AnalysisTier::Timing
+    })?;
     let patterns = request.patterns.unwrap_or(1 << 14);
-    let seed = request.seed.unwrap_or(42);
+    let seed = request.seed();
     let frames = request.frames.unwrap_or(1).max(1);
     let control = job_control(shared, job.deadline, None);
     let netlist = &artifacts.netlist;
@@ -1031,9 +1023,12 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
     let Resolved {
         artifacts,
         cache_hit,
-    } = resolve_artifacts(shared, request, job.line, AnalysisTier::Timing)?;
+        ..
+    } = lookup_or_build(shared, request, job.line, AnalysisTier::Timing, |_| {
+        AnalysisTier::Timing
+    })?;
     let netlist = &artifacts.netlist;
-    let seed = request.seed.unwrap_or(42);
+    let seed = request.seed();
     let num_vectors = request.vectors.unwrap_or(256);
     let bridges = request.bridges.unwrap_or(16);
     let frames = request.frames.unwrap_or(1).max(1);
@@ -1068,13 +1063,25 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
             Some(cp) => sweep_resume::<u64>(netlist, &faults, &vectors, &options, &control, cp)
                 .map_err(|e| with_id(RequestError::engine(job.line, &e)))?,
         };
+        let stop = outcome.stop_reason();
+        // The checkpoint is needed to write under the job key or to run
+        // the next slice; a keyless sweep that finished or hit its
+        // deadline reads its coverage straight off the outcome.
         let cp =
-            SweepCheckpoint::capture::<u64>(netlist, &faults, &vectors, &options, outcome.value());
-        if let Some(path) = &ckpt_path {
+            (ckpt_path.is_some() || matches!(stop, Some(StopReason::QuotaExhausted))).then(|| {
+                SweepCheckpoint::capture::<u64>(
+                    netlist,
+                    &faults,
+                    &vectors,
+                    &options,
+                    outcome.value(),
+                )
+            });
+        if let (Some(path), Some(cp)) = (&ckpt_path, &cp) {
             cp.save_in(shared.env.as_ref(), path)
                 .map_err(|e| with_id(RequestError::engine(job.line, &e)))?;
         }
-        let grid_coverage = cp.progress();
+        let grid_coverage = outcome.value().progress();
         let respond = |stop: Option<StopReason>| {
             let value = outcome.value();
             let detected = value.detected.iter().filter(|&&d| d).count();
@@ -1094,7 +1101,7 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
             });
             status_response(request.id, "faults", result, stop, grid_coverage)
         };
-        match outcome.stop_reason() {
+        match stop {
             None => {
                 // Job finished: its checkpoint is obsolete.
                 if let Some(path) = &ckpt_path {
@@ -1104,8 +1111,8 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
             }
             Some(StopReason::QuotaExhausted) => {
                 // The per-slice quota fired, not the request deadline:
-                // keep sweeping from the checkpoint just written.
-                checkpoint = Some(cp);
+                // keep sweeping from the checkpoint just captured.
+                checkpoint = cp;
             }
             Some(reason) => return Ok(respond(Some(reason))),
         }
@@ -1120,30 +1127,38 @@ fn handle_stats(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> 
         .unwrap_or("gatesep")
         .parse()
         .map_err(|e: EngineError| RequestError::engine(job.line, &e).with_id(request.id))?;
-    let netlist = resolve_netlist(request, job.line)?;
-    // Degradation planning: what still fits the request's remaining
-    // deadline and the cache's memory ceiling?
-    let budget = shared.config.global_budget.tightest(RunBudget {
-        deadline: job.deadline,
-        quota: None,
-    });
-    let plan = plan_tier(
-        &netlist,
-        shared.config.rho,
-        requested,
-        &TierBudget {
-            remaining_ms: budget.remaining_ms(),
-            memory_bytes: Some(shared.config.cache_bytes),
-        },
-    );
-    if plan.degraded {
-        shared.metrics.add(&shared.metrics.degraded);
-    }
-    let key = netlist.structural_fingerprint();
+    // Degradation planning, on a miss only: what still fits the
+    // request's remaining deadline and the cache's memory ceiling? A
+    // bundle already resident at the requested tier costs nothing to
+    // serve, so a hit is never degraded.
+    let mut plan = None;
     let Resolved {
         artifacts,
+        key,
         cache_hit,
-    } = lookup_or_build(shared, netlist, plan.tier);
+    } = lookup_or_build(shared, request, job.line, requested, |netlist| {
+        let budget = shared.config.global_budget.tightest(RunBudget {
+            deadline: job.deadline,
+            quota: None,
+        });
+        let planned = plan_tier(
+            netlist,
+            shared.config.rho,
+            requested,
+            &TierBudget {
+                remaining_ms: budget.remaining_ms(),
+                memory_bytes: Some(shared.config.cache_bytes),
+            },
+        );
+        let tier = planned.tier;
+        plan = Some(planned);
+        tier
+    })?;
+    let (degraded, degrade_reason) =
+        plan.map_or((false, String::new()), |p| (p.degraded, p.reason));
+    if degraded {
+        shared.metrics.add(&shared.metrics.degraded);
+    }
     let netlist = &artifacts.netlist;
     let memory = json!({
         "netlist": netlist.memory_bytes(),
@@ -1159,8 +1174,8 @@ fn handle_stats(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> 
         "depth": iddq_netlist::levelize::depth(netlist),
         "tier": artifacts.tier().as_str(),
         "requested_tier": requested.as_str(),
-        "degraded": plan.degraded,
-        "degrade_reason": plan.reason,
+        "degraded": degraded,
+        "degrade_reason": degrade_reason,
         "memory": memory,
         "cache_hit": cache_hit,
         "fingerprint": format!("{key:016x}"),

@@ -97,6 +97,20 @@ fn scenario(
         timing["result"]["degraded"] == false && timing["result"]["tier"] == "timing",
         "a timing-tier stats request is never degraded",
     )?;
+    let netlists_built = |client: &mut Client| -> Result<Option<u64>, EngineError> {
+        let m = client.call(&json!({"op": "metrics"}))?;
+        Ok(m["result"]["cache"]["netlists_built"].as_u64())
+    };
+    let built = netlists_built(&mut client)?;
+    let repeat = client.call(&json!({
+        "id": 31, "op": "stats", "circuit": "c432", "tier": "timing",
+    }))?;
+    report.check(
+        repeat["result"]["cache_hit"] == true
+            && built.is_some()
+            && netlists_built(&mut client)? == built,
+        "a repeated named stats request hits the cache without regenerating the circuit",
+    )?;
 
     // 3. Packed simulation, then a cache hit on the same structure.
     let sim = client.call(&json!({

@@ -9,6 +9,7 @@ use std::time::Duration;
 use iddq_serve::protocol::detection_digest;
 use iddq_serve::server::{fault_universe, random_vectors, server_sweep_options};
 use iddq_serve::{Client, Server, ServerConfig};
+use serde::Value;
 use serde_json::json;
 
 fn temp_state_dir(tag: &str) -> PathBuf {
@@ -435,5 +436,184 @@ fn overloaded_requests_succeed_under_retry() {
         .expect("retried call");
     assert!(ok["status"] == "ok", "got {ok:?}");
     let _ = server.shutdown(Duration::from_secs(20));
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A started server on its own state directory, and a client of it.
+fn server_and_client(tag: &str, config: ServerConfig) -> (Server, Client, PathBuf) {
+    let state_dir = temp_state_dir(tag);
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let server = Server::start(ServerConfig {
+        state_dir: state_dir.clone(),
+        ..config
+    })
+    .expect("start");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    (server, client, state_dir)
+}
+
+/// The `metrics.cache` object.
+fn cache_metrics(client: &mut Client) -> Value {
+    let m = client.call(&json!({"op": "metrics"})).expect("metrics");
+    m["result"]["cache"].clone()
+}
+
+/// The result of an `ok` response without the fields that may differ
+/// between two correct answers to one request: `cache_hit`, and `sim`'s
+/// wall-clock rate.
+fn comparable(response: &Value) -> Value {
+    assert_eq!(response["status"], "ok", "{response:?}");
+    let mut result = response["result"].clone();
+    if let Value::Object(fields) = &mut result {
+        assert!(fields.remove("cache_hit").is_some(), "{response:?}");
+        fields.remove("patterns_per_sec");
+    }
+    result
+}
+
+/// Repeated named `sim`, `faults` and `stats` requests generate their
+/// circuit once: every later request reaches the cached bundle through
+/// its `(circuit, seed)` alias. Each answer equals a fresh server's
+/// answer to the same request, `cache_hit` aside.
+#[test]
+fn repeated_named_requests_generate_the_circuit_once() {
+    let requests = [
+        json!({"id": 1, "op": "stats", "circuit": "c880", "seed": 3}),
+        json!({"id": 2, "op": "sim", "circuit": "c880", "seed": 3, "patterns": 1024}),
+        json!({"id": 3, "op": "faults", "circuit": "c880", "seed": 3, "vectors": 64}),
+    ];
+    let fresh: Vec<Value> = requests
+        .iter()
+        .enumerate()
+        .map(|(i, request)| {
+            let (server, mut client, state_dir) =
+                server_and_client(&format!("fresh{i}"), ServerConfig::default());
+            let resp = client.call(request).expect("fresh answer");
+            assert_eq!(resp["result"]["cache_hit"], false, "{resp:?}");
+            let _ = server.shutdown(Duration::from_secs(10));
+            let _ = std::fs::remove_dir_all(&state_dir);
+            comparable(&resp)
+        })
+        .collect();
+
+    let (server, mut client, state_dir) = server_and_client("repeat", ServerConfig::default());
+    for round in 0..3 {
+        for (request, fresh) in requests.iter().zip(&fresh) {
+            let resp = client.call(request).expect("answered");
+            let first = round == 0 && request["op"] == "stats";
+            assert_eq!(resp["result"]["cache_hit"], !first, "{resp:?}");
+            assert_eq!(&comparable(&resp), fresh);
+        }
+    }
+    let cache = cache_metrics(&mut client);
+    assert_eq!(cache["netlists_built"].as_u64(), Some(1), "{cache:?}");
+    assert_eq!(cache["aliases"].as_u64(), Some(1), "{cache:?}");
+    assert_eq!(cache["hits"].as_u64(), Some(8), "{cache:?}");
+    assert_eq!(cache["misses"].as_u64(), Some(1), "{cache:?}");
+    let _ = server.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A request without `seed` and one with `seed: 42` name the same
+/// generated circuit and share one alias; another seed is another
+/// circuit.
+#[test]
+fn default_seed_and_seed_42_share_one_alias() {
+    let (server, mut client, state_dir) = server_and_client("seed", ServerConfig::default());
+    let mut answers = Vec::new();
+    for request in [
+        json!({"op": "stats", "circuit": "c432", "tier": "timing"}),
+        json!({"op": "stats", "circuit": "c432", "tier": "timing", "seed": 42}),
+        json!({"op": "stats", "circuit": "c432", "tier": "timing", "seed": 7}),
+    ] {
+        let resp = client.call(&request).expect("answered");
+        assert_eq!(resp["status"], "ok", "{resp:?}");
+        answers.push(resp);
+    }
+    let hits: Vec<_> = answers
+        .iter()
+        .map(|r| r["result"]["cache_hit"].clone())
+        .collect();
+    assert_eq!(hits, [json!(false), json!(true), json!(false)]);
+    assert_eq!(
+        answers[0]["result"]["fingerprint"],
+        answers[1]["result"]["fingerprint"]
+    );
+    assert_ne!(
+        answers[0]["result"]["fingerprint"],
+        answers[2]["result"]["fingerprint"]
+    );
+    let cache = cache_metrics(&mut client);
+    assert_eq!(cache["aliases"].as_u64(), Some(2), "{cache:?}");
+    assert_eq!(cache["netlists_built"].as_u64(), Some(2), "{cache:?}");
+    let _ = server.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// Under a ceiling that holds one bundle at a time, eviction takes the
+/// evicted bundle's alias with it: the next request for that circuit
+/// regenerates it and answers exactly as before.
+#[test]
+fn eviction_drops_the_alias_and_the_next_request_regenerates() {
+    let (server, mut client, state_dir) = server_and_client(
+        "evict",
+        ServerConfig {
+            cache_bytes: 4096,
+            ..ServerConfig::default()
+        },
+    );
+    let c432 = json!({"op": "sim", "circuit": "c432", "patterns": 512});
+    let c880 = json!({"op": "sim", "circuit": "c880", "patterns": 512});
+    let first = client.call(&c432).expect("c432");
+    let cache = cache_metrics(&mut client);
+    assert_eq!(
+        (cache["entries"].as_u64(), cache["aliases"].as_u64()),
+        (Some(1), Some(1))
+    );
+    client.call(&c880).expect("c880");
+    let cache = cache_metrics(&mut client);
+    assert_eq!(cache["evictions"].as_u64(), Some(1), "{cache:?}");
+    assert_eq!(
+        (cache["entries"].as_u64(), cache["aliases"].as_u64()),
+        (Some(1), Some(1))
+    );
+    let again = client.call(&c432).expect("c432 again");
+    assert_eq!(again["result"]["cache_hit"], false, "{again:?}");
+    assert_eq!(comparable(&again), comparable(&first));
+    let cache = cache_metrics(&mut client);
+    assert_eq!(cache["netlists_built"].as_u64(), Some(3), "{cache:?}");
+    assert_eq!(cache["aliases"].as_u64(), Some(1), "{cache:?}");
+    let _ = server.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A `stats` request whose deadline could not afford a `gatesep` build
+/// is degraded on a miss, but a `gatesep` bundle already cached is
+/// served as it is: `tier: gatesep, degraded: false`.
+#[test]
+fn tight_deadline_stats_on_a_cached_gatesep_bundle_is_not_degraded() {
+    let (server, mut client, state_dir) = server_and_client("deadline", ServerConfig::default());
+    let tight = json!({"op": "stats", "circuit": "c1908", "tier": "gatesep", "deadline_ms": 1});
+    let missed = client.call(&tight).expect("tight miss");
+    assert_eq!(missed["status"], "ok", "{missed:?}");
+    assert_eq!(missed["result"]["tier"], "timing", "{missed:?}");
+    assert_eq!(missed["result"]["degraded"], true, "{missed:?}");
+    let built = client
+        .call(&json!({"op": "stats", "circuit": "c1908", "tier": "gatesep"}))
+        .expect("gatesep build");
+    assert_eq!(built["result"]["tier"], "gatesep", "{built:?}");
+    assert_eq!(built["result"]["cache_hit"], false, "{built:?}");
+    let hit = client.call(&tight).expect("tight hit");
+    assert_eq!(hit["status"], "ok", "{hit:?}");
+    assert_eq!(hit["result"]["cache_hit"], true, "{hit:?}");
+    assert_eq!(hit["result"]["tier"], "gatesep", "{hit:?}");
+    assert_eq!(hit["result"]["degraded"], false, "{hit:?}");
+    assert_eq!(hit["result"]["degrade_reason"], "", "{hit:?}");
+    assert_eq!(hit["result"]["memory"], built["result"]["memory"]);
+    let metrics = server.shutdown(Duration::from_secs(10));
+    assert_eq!(metrics["degraded"].as_u64(), Some(1), "{metrics:?}");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
