@@ -3,20 +3,18 @@
 # of the benchmark's replay against the library APIs, and a perf smoke of
 # the simulation engines (which also regenerates BENCH_sim.json).
 # The perf smoke prints every bench gate and fails if, on c7552, the
-# delta-engine single-gate-mutation speedup drops below 3x full CSR
-# re-evaluation, the fault-patch engine drops below 3x vs per-fault full
-# re-simulation (22x vs the per-frame rebuild on s5378 at 4 frames per
-# sequence, recorded under `fault_patch.multi_frame`), or (on c1908) the
-# default GateSep context build drops below 2x vs a context handed the
-# one-BFS-per-gate reference table, or (on c432) the evolution loop
-# drops below 2x vs rebuild-per-evaluation scoring, or the incremental dW
-# separation maintenance drops below 2x vs the full separation pass on
-# the c7552 probe (bit-identical costs asserted), or the serial
-# mega-circuit sweep misses its wall-clock budget. The full bench run
-# additionally gates the CSR/wide kernel at 3x vs seed, the delta engine
-# and the fault-patch engine at 5x, and the c7552 context build at 1.2x;
-# and, on machines with >= 4 cores (announced
-# ARMED or SKIPPED either way), the parallel fault sweep and parallel
+# fault-patch engine drops below 3x vs per-fault full re-simulation (22x
+# vs the per-frame rebuild on s5378 at 4 frames per sequence, recorded
+# under `fault_patch.multi_frame`), or (on c1908) the default GateSep
+# context build drops below 2x vs a context handed the one-BFS-per-gate
+# reference table, or (on c432) the evolution loop drops below 2x vs
+# rebuild-per-evaluation scoring, or the incremental dW separation
+# maintenance drops below 2x vs the full separation pass on the c7552
+# probe (bit-identical costs asserted), or the serial mega-circuit sweep
+# misses its wall-clock budget. The full bench run additionally gates the
+# CSR/wide kernel at 3x vs seed, the fault-patch engine at 5x, and the
+# c7552 context build at 1.2x; and, on machines with >= 4 cores
+# (announced ARMED or SKIPPED either way), the parallel fault sweep and parallel
 # gate-table build at 1.5x. Sequential-circuit correctness (multi-frame
 # sweeps, resume, ATPG determinism) is pinned by the workspace tests.
 # A CLI leg checks that the fault-patch sweep and its per-fault CSR

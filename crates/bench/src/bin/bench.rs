@@ -4,8 +4,8 @@
 //! Each section is one function below that times an engine against its
 //! baseline, asserts that both compute the same result, and returns its
 //! JSON entries and its [`Gate`]s: `kernels` (the seed's evaluator vs
-//! the CSR kernel), `delta` (single-gate-mutation re-evaluation),
-//! `fault_patch` (plus its multi-frame arm), `context_build`, `parallel_fault_sweep` (the IDDQ
+//! the CSR kernel), `fault_patch` (plus its multi-frame arm),
+//! `context_build`, `parallel_fault_sweep` (the IDDQ
 //! sweep), `evolution_loop` and `scale` (mega-circuits plus `dw_probe`,
 //! the incremental-ΔW refresh of `ResynthEval`). Each function's doc
 //! states its gate. `main` writes the JSON, then reports every gate in
@@ -31,14 +31,13 @@ use iddq_core::evolution::{self, EvolutionConfig};
 use iddq_core::{AnalysisTier, EvalContext, Evaluated, ResynthEval};
 use iddq_gen::iscas::IscasProfile;
 use iddq_gen::mega::{self, MegaConfig};
-use iddq_logicsim::delta::{DeltaSim, Patch, PatchOp};
 use iddq_logicsim::fault_sweep::{self, FaultSweepOptions, LogicFault};
 use iddq_logicsim::faults::{enumerate, FaultUniverseConfig, IddqFault};
 use iddq_logicsim::logic_test::StuckAtFault;
 use iddq_logicsim::reference::NaiveSimulator;
 use iddq_logicsim::{iddq, BackendKind, Simulator};
 use iddq_netlist::separation::GateSeparationTable;
-use iddq_netlist::{CellKind, Netlist, NodeId, PackedWord, W256, W512};
+use iddq_netlist::{Netlist, NodeId, PackedWord, W256, W512};
 use serde_json::Value;
 
 const CIRCUITS: [&str; 3] = ["c432", "c1908", "c7552"];
@@ -216,10 +215,8 @@ fn main() {
         cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     };
     let netlists = corpus();
-    let (kernel_section, csr256_rates) = kernels(&mode, &netlists);
     let sections = [
-        kernel_section,
-        delta(&mode, &netlists, &csr256_rates),
+        kernels(&mode, &netlists),
         fault_patch(&mode, &netlists[HEADLINE]),
         context_build(&mode, &netlists),
         parallel_fault_sweep(&mode, &netlists),
@@ -335,17 +332,13 @@ fn csr_rate<W: PackedWord>(window_ms: u64, sim: &Simulator, inputs: &[W]) -> f64
 /// [`W512`] words (the `--lanes` widths of the CLI). Gated on the
 /// headline csr256 speedup over the seed (≥ 3×), in full mode only:
 /// smoke's short windows are too noisy to fail CI over on a loaded
-/// runner. Also returns each circuit's csr256 rate.
-fn kernels(
-    mode: &Mode,
-    netlists: &BTreeMap<&'static str, Netlist>,
-) -> (Section, BTreeMap<&'static str, f64>) {
+/// runner.
+fn kernels(mode: &Mode, netlists: &BTreeMap<&'static str, Netlist>) -> Section {
     println!(
         "== simulation kernel throughput ({}) ==",
         mode.pick("smoke", "full")
     );
     let mut circuits: BTreeMap<String, Value> = BTreeMap::new();
-    let mut csr256_rates: BTreeMap<&str, f64> = BTreeMap::new();
     let mut headline_speedup = 0.0f64;
     for name in CIRCUITS {
         let nl = &netlists[name];
@@ -384,7 +377,6 @@ fn kernels(
                 "csr512_speedup_vs_seed": csr512_pps / naive_pps,
             }),
         );
-        csr256_rates.insert(name, csr256_pps);
     }
     let gate = Gate {
         fails_in_smoke: false,
@@ -400,123 +392,13 @@ fn kernels(
         "acceptance_threshold": gate.threshold,
         "pass": gate.pass(),
     });
-    let section = Section {
+    Section {
         entries: vec![
             ("headline", headline),
             ("circuits", serde_json::json!(circuits)),
         ],
         gates: vec![gate],
-    };
-    (section, csr256_rates)
-}
-
-/// Event-driven incremental engine: single-gate-mutation re-evaluation.
-/// Each apply (or rollback) of a one-gate patch refreshes the full
-/// 256-pattern state for a new circuit variant by re-simulating only the
-/// dirty cone. Two baselines: what the CSR kernel actually pays per
-/// mutated variant (program recompile + full sweep — its compiled runs
-/// bake in gate kinds, so a mutation invalidates the program), and the
-/// generous sweep-only rate (as if recompilation were free). The gate
-/// (≥ 3× smoke / ≥ 5× full, a work ratio) uses the recompile-inclusive
-/// baseline; both are recorded.
-fn delta(
-    mode: &Mode,
-    netlists: &BTreeMap<&'static str, Netlist>,
-    csr256_rates: &BTreeMap<&'static str, f64>,
-) -> Section {
-    println!("== delta engine: single-gate-mutation re-evaluation ==");
-    let mut delta_entries: BTreeMap<String, Value> = BTreeMap::new();
-    let mut headline_speedup = 0.0f64;
-    for name in CIRCUITS {
-        let nl = &netlists[name];
-        let inputs256 = inputs256(&inputs64(nl));
-        let mut dsim = DeltaSim::<W256>::new(nl);
-        dsim.set_inputs(&inputs256);
-        // A deterministic pool of single-gate kind-flip patches.
-        let gates: Vec<NodeId> = nl.gate_ids().collect();
-        let mut state = 0xde17au64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z ^ (z >> 31)
-        };
-        let pool: Vec<Patch> = (0..512)
-            .filter_map(|_| {
-                let gate = gates[next() as usize % gates.len()];
-                let arity = nl.node(gate).fanin().len();
-                let current = nl.node(gate).kind().cell_kind();
-                let options: Vec<CellKind> = CellKind::ALL
-                    .into_iter()
-                    .filter(|k| k.accepts_fanin(arity) && Some(*k) != current)
-                    .collect();
-                if options.is_empty() {
-                    return None;
-                }
-                let kind = options[next() as usize % options.len()];
-                Some(Patch::single(PatchOp::SetKind { gate, kind }))
-            })
-            .collect();
-        let mut pi = 0usize;
-        let mut reevaluated = 0u64;
-        let mut mutations = 0u64;
-        let t_pair = secs_per_iter(mode.window_ms, || {
-            let patch = &pool[pi % pool.len()];
-            pi += 1;
-            let r = dsim.apply(patch).expect("pool patches are valid");
-            let rb = dsim.rollback();
-            reevaluated += (r.reevaluated + rb.reevaluated) as u64;
-            mutations += 2;
-        });
-        let mut values256 = vec![W256::zeros(); nl.node_count()];
-        let t_rebuild = secs_per_iter(mode.window_ms, || {
-            let sim = Simulator::new(std::hint::black_box(nl));
-            sim.eval_into(&inputs256, &mut values256);
-            std::hint::black_box(&values256);
-        });
-        let inc_pps = 2.0 * f64::from(W256::LANES) / t_pair;
-        let sweep_pps = csr256_rates[name];
-        let rebuild_pps = f64::from(W256::LANES) / t_rebuild;
-        let speedup = inc_pps / rebuild_pps;
-        let sweep_speedup = inc_pps / sweep_pps;
-        let mean_dirty = reevaluated as f64 / mutations as f64;
-        if name == HEADLINE {
-            headline_speedup = speedup;
-        }
-        println!(
-            "{name:>8}: incremental {inc_pps:10.3e} pat/s | csr rebuild+sweep {rebuild_pps:10.3e} \
-             ({speedup:5.2}x) | csr sweep-only {sweep_pps:10.3e} ({sweep_speedup:4.2}x), \
-             mean dirty cone {mean_dirty:6.1} of {} nodes",
-            nl.node_count(),
-        );
-        delta_entries.insert(
-            name.to_string(),
-            serde_json::json!({
-                "gates": nl.gate_count(),
-                "incremental_patterns_per_sec": inc_pps,
-                "full_csr_rebuild_patterns_per_sec": rebuild_pps,
-                "full_csr_sweep_patterns_per_sec": sweep_pps,
-                "speedup_vs_full_reeval": speedup,
-                "speedup_vs_sweep_only": sweep_speedup,
-                "mean_dirty_nodes": mean_dirty,
-            }),
-        );
     }
-    let gate = Gate::new(
-        format!("{HEADLINE} delta single-gate-mutation speedup vs full re-evaluation"),
-        headline_speedup,
-        mode.pick(3.0, 5.0),
-    );
-    let delta = serde_json::json!({
-        "circuits": delta_entries,
-        "headline": serde_json::json!({
-            "circuit": HEADLINE,
-            "speedup_vs_full_reeval": gate.measured,
-            "acceptance_threshold": gate.threshold,
-            "pass": gate.pass(),
-        }),
-    });
-    Section::new("delta", delta, vec![gate])
 }
 
 /// Fault-patch engine: stuck-at + bridge sweep on the persistent delta
@@ -1039,7 +921,7 @@ fn scale(mode: &Mode, dw_nl: &Netlist) -> Section {
 /// incremental ΔW (`ResynthEval::new`) against the retained full
 /// ball-refresh reference (`new_full_refresh`), scored costs asserted
 /// bit-identical, wall-clock gated >= 2x in both modes (a work ratio,
-/// like the delta/fault-patch gates).
+/// like the fault-patch gates).
 fn dw_probe(mode: &Mode, dw_nl: &Netlist) -> (Value, Gate) {
     println!("== incremental dW separation maintenance ==");
     let lib = Library::generic_1um();

@@ -1004,10 +1004,9 @@ fn run_sim<W: iddq_netlist::PackedWord>(
 }
 
 fn cmd_faults(args: &Args) -> Result<(), CliError> {
-    use iddq_logicsim::fault_sweep::{FaultSweepOptions, LogicFault};
-    use iddq_logicsim::logic_test::StuckAtFault;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use iddq_logicsim::fault_sweep::{
+        fault_universe, random_vectors, FaultSweepOptions, LogicFault,
+    };
 
     let cut = load(&args.arg)?;
     let seed: u64 = args.get("--seed");
@@ -1033,41 +1032,14 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
     }
     let control = RunControl::with_budget(budget);
 
-    // Fault universe: both stuck-at polarities on every node, plus bridges
-    // sampled with the IDDQ enumerator's locality model.
-    let mut faults: Vec<LogicFault> = cut
-        .node_ids()
-        .flat_map(|node| {
-            [false, true]
-                .map(|stuck_at_one| LogicFault::StuckAt(StuckAtFault { node, stuck_at_one }))
-        })
-        .collect();
-    let stuck_at_count = faults.len();
-    faults.extend(
-        iddq_logicsim::faults::enumerate(
-            &cut,
-            &iddq_logicsim::faults::FaultUniverseConfig {
-                bridges,
-                gos_fraction: 0.0,
-                stuck_on_fraction: 0.0,
-                ..Default::default()
-            },
-            seed,
-        )
-        .into_iter()
-        .filter_map(|f| match f {
-            iddq_logicsim::faults::IddqFault::Bridge { a, b, .. } => {
-                Some(LogicFault::Bridge { a, b })
-            }
-            _ => None,
-        }),
-    );
+    // The same fault universe and vectors as a serve `faults` request.
+    let faults = fault_universe(&cut, bridges, seed);
+    let stuck_at_count = faults
+        .iter()
+        .filter(|f| matches!(f, LogicFault::StuckAt(_)))
+        .count();
     let bridge_count = faults.len() - stuck_at_count;
-
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xfa17);
-    let vectors: Vec<Vec<bool>> = (0..num_vectors)
-        .map(|_| (0..cut.num_inputs()).map(|_| rng.gen()).collect())
-        .collect();
+    let vectors = random_vectors(&cut, num_vectors, seed);
 
     let start = std::time::Instant::now();
     let outcome = match lanes {

@@ -1,9 +1,9 @@
 //! End-to-end tests of `iddq serve`: the daemon process, the one-shot
 //! `--call` client mode, and the `--smoke` scenario leg CI runs.
 
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::io::{BufRead, BufReader, Lines};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn bin() -> Command {
@@ -96,9 +96,24 @@ fn serve_smoke_rejects_daemon_flags() {
     assert_daemon_flags_rejected(&["--smoke"], "--smoke");
 }
 
-#[test]
-fn serve_daemon_answers_calls_and_drains() {
-    let state_dir = tmp("daemon-state");
+/// A daemon process, killed on drop so a failed test leaves none behind.
+/// It holds the daemon's stdout open: a line the daemon prints after its
+/// banner must not hit a closed pipe.
+struct Daemon {
+    child: Child,
+    _stdout: Lines<BufReader<ChildStdout>>,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Starts a two-worker daemon on an OS-picked port and returns it with
+/// the address its banner names.
+fn spawn_daemon(state_dir: &Path) -> (Daemon, String) {
     let mut server = bin()
         .args([
             "serve",
@@ -122,6 +137,29 @@ fn serve_daemon_answers_calls_and_drains() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
         .to_owned();
+    let daemon = Daemon {
+        child: server,
+        _stdout: lines,
+    };
+    (daemon, addr)
+}
+
+/// Drains the daemon remotely and waits for it to exit 0 on its own.
+fn drain(server: &mut Daemon, addr: &str) {
+    let out = bin()
+        .args(["serve", "--call", r#"{"op":"drain"}"#, "--addr", addr])
+        .output()
+        .expect("drain call runs");
+    assert!(out.status.success(), "drain call: {out:?}");
+    let status = wait_with_timeout(&mut server.child, Duration::from_secs(60))
+        .expect("drained server must exit");
+    assert!(status.success(), "server exit: {status:?}");
+}
+
+#[test]
+fn serve_daemon_answers_calls_and_drains() {
+    let state_dir = tmp("daemon-state");
+    let (mut server, addr) = spawn_daemon(&state_dir);
 
     // One-shot client calls against the live daemon.
     let out = bin()
@@ -166,16 +204,111 @@ fn serve_daemon_answers_calls_and_drains() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stdout).contains(r#""status":"error""#));
 
-    // Drain remotely; the daemon finishes and exits 0 on its own.
-    let out = bin()
-        .args(["serve", "--call", r#"{"op":"drain"}"#, "--addr", &addr])
-        .output()
-        .expect("drain call runs");
-    assert!(out.status.success(), "drain call: {out:?}");
-    let status =
-        wait_with_timeout(&mut server, Duration::from_secs(60)).expect("drained server must exit");
-    assert!(status.success(), "server exit: {status:?}");
+    drain(&mut server, &addr);
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// The stdout of a successful CLI run.
+fn cli_stdout(args: &[&str]) -> String {
+    let out = bin().args(args).output().expect("binary runs");
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).expect("utf8 stdout")
+}
+
+/// The word of `text` right before `marker` (the count a CLI line prints
+/// ahead of its label).
+fn word_before(text: &str, marker: &str) -> u64 {
+    let head = &text[..text
+        .find(marker)
+        .unwrap_or_else(|| panic!("{marker:?} in {text}"))];
+    let word = head.rsplit(' ').next().expect("a word");
+    word.parse()
+        .unwrap_or_else(|e| panic!("{word:?} before {marker:?}: {e}"))
+}
+
+/// The `result` of one `--call` request against the daemon at `addr`.
+fn call(addr: &str, request: &serde_json::Value) -> serde_json::Value {
+    let request = serde_json::to_string(request).expect("serializable");
+    let text = cli_stdout(&["serve", "--call", &request, "--addr", addr]);
+    let response: serde_json::Value = serde_json::from_str(text.trim()).expect("JSON response");
+    assert_eq!(response["status"], "ok", "{text}");
+    response["result"].clone()
+}
+
+#[test]
+fn serve_and_cli_agree_on_sim_and_faults() {
+    // The same circuit, uploaded inline as `.bench` text, gets the same
+    // `sim` checksum and pattern count from the daemon as from `iddq sim
+    // --lanes 64 --threads 1`, and the same fault and detection counts
+    // as from `iddq faults --lanes 64`: one combinational circuit, and
+    // one sequential circuit at 1 and 3 frames.
+    let dir = tmp("agree");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (mut server, addr) = spawn_daemon(&dir.join("state"));
+    for (circuit, frame_counts) in [("c432", &[1][..]), ("s298", &[1, 3][..])] {
+        let path = dir.join(format!("{circuit}.bench"));
+        let path = path.to_str().expect("utf8 path");
+        cli_stdout(&["gen", circuit, "--seed", "7", "--out", path]);
+        let bench = std::fs::read_to_string(path).expect("generated bench");
+        for &frames in frame_counts {
+            let f = frames.to_string();
+            let common = ["--seed", "7", "--frames", &f, "--lanes", "64"];
+            let sim = cli_stdout(
+                &[
+                    &["sim", path, "--patterns", "1920", "--threads", "1"][..],
+                    &common,
+                ]
+                .concat(),
+            );
+            let checksum = sim
+                .rsplit("value checksum ")
+                .next()
+                .expect("checksum")
+                .trim();
+            let served = call(
+                &addr,
+                &serde_json::json!({
+                    "op": "sim", "bench": bench, "patterns": 1920, "seed": 7, "frames": frames,
+                }),
+            );
+            assert_eq!(
+                served["checksum"], checksum,
+                "{circuit} frames {frames}: {sim}"
+            );
+            assert_eq!(
+                served["patterns"],
+                word_before(&sim, " patterns in"),
+                "{circuit} frames {frames}: {sim}"
+            );
+
+            let faults = cli_stdout(
+                &[
+                    &["faults", path, "--vectors", "192", "--bridges", "16"][..],
+                    &common,
+                ]
+                .concat(),
+            );
+            let served = call(
+                &addr,
+                &serde_json::json!({
+                    "op": "faults", "bench": bench, "vectors": 192, "bridges": 16, "seed": 7,
+                    "frames": frames,
+                }),
+            );
+            assert_eq!(
+                served["faults"],
+                word_before(&faults, " stuck-at + ") + word_before(&faults, " bridge faults"),
+                "{circuit} frames {frames}: {faults}"
+            );
+            assert_eq!(
+                served["detected"],
+                word_before(&faults, " detected ("),
+                "{circuit} frames {frames}: {faults}"
+            );
+        }
+    }
+    drain(&mut server, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

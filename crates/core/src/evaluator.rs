@@ -791,7 +791,7 @@ impl<'a> Evaluated<'a> {
     ///
     /// Panics if no transaction is active.
     // Documented panic contract: rolling back without `begin_txn`
-    // is a caller bug, mirrored by `delta::DeltaSim::rollback`.
+    // is a caller bug.
     #[allow(clippy::expect_used)]
     pub fn rollback_txn(&mut self) {
         let log = self.txn.take().expect("no active transaction");

@@ -56,10 +56,9 @@
 //!   construction) is scored by rebuilding the histogram on every
 //!   scoring, and that scan is also the oracle of
 //!   [`ResynthEval::verify_consistency`]. State elements cannot be
-//!   patched (as in `DeltaSim`), so a source's time set `{0}` never
-//!   changes;
-//! * **levels** — batched re-levelization with atomic cycle rejection,
-//!   exactly like the logic-side `DeltaSim`; a patch that only
+//!   patched, so a source's time set `{0}` never changes;
+//! * **levels** — batched re-levelization with atomic cycle rejection
+//!   (`DynamicCones::relevel`); a patch that only
 //!   subdivides fan-in edges (see *Probes*) cannot close a cycle, so its
 //!   levels move in a wave that stops wherever a level holds.
 //!

@@ -116,10 +116,13 @@ use std::ops::Range;
 
 use iddq_control::{EngineError, Fnv1a, IoEnv, Outcome, RunControl};
 use iddq_netlist::{Netlist, NodeId, PackedWord};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendKind;
 use crate::delta::DeltaSim;
+use crate::faults::{FaultUniverseConfig, IddqFault};
 use crate::grid;
 pub use crate::grid::SweepWork;
 use crate::iddq::{pack_chunk_into, pack_seq_frame_into};
@@ -138,6 +141,46 @@ pub enum LogicFault {
         /// Second shorted net.
         b: NodeId,
     },
+}
+
+/// The deterministic fault universe of the CLI `faults` command and the
+/// serve `faults` request: both stuck-at polarities on every node, then
+/// `bridges` bridging faults sampled with the IDDQ enumerator's locality
+/// model.
+#[must_use]
+pub fn fault_universe(netlist: &Netlist, bridges: usize, seed: u64) -> Vec<LogicFault> {
+    let mut faults: Vec<LogicFault> = netlist
+        .node_ids()
+        .flat_map(|node| {
+            [false, true]
+                .map(|stuck_at_one| LogicFault::StuckAt(StuckAtFault { node, stuck_at_one }))
+        })
+        .collect();
+    let config = FaultUniverseConfig {
+        bridges,
+        gos_fraction: 0.0,
+        stuck_on_fraction: 0.0,
+        ..Default::default()
+    };
+    faults.extend(
+        crate::faults::enumerate(netlist, &config, seed)
+            .into_iter()
+            .filter_map(|f| match f {
+                IddqFault::Bridge { a, b, .. } => Some(LogicFault::Bridge { a, b }),
+                _ => None,
+            }),
+    );
+    faults
+}
+
+/// The deterministic random test vectors (one `bool` per primary input)
+/// of the same two surfaces.
+#[must_use]
+pub fn random_vectors(netlist: &Netlist, count: usize, seed: u64) -> Vec<Vec<bool>> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xfa17);
+    (0..count)
+        .map(|_| (0..netlist.num_inputs()).map(|_| rng.gen()).collect())
+        .collect()
 }
 
 /// Persistent per-worker state of the fault-patch engine: one [`DeltaSim`]

@@ -15,9 +15,9 @@
 //!   over [`iddq_netlist::W256`]), with [`Simulator::step_frame`] clocking
 //!   sequential (DFF-bearing) netlists one frame at a time,
 //! * [`delta`] — the event-driven incremental engine
-//!   ([`delta::DeltaSim`]): persistent packed per-node state, structural
-//!   [`delta::Patch`]es (gate kind / fan-in edge changes) with atomic
-//!   apply/rollback, and dirty-cone-only re-evaluation,
+//!   ([`delta::DeltaSim`]): persistent packed per-node state over a fixed
+//!   circuit, value forces, stuck-at probes and dirty-cone-only
+//!   re-evaluation,
 //! * [`BackendKind`] (`csr` | `delta`) — picks the fault sweep's engine:
 //!   the fault-patch engine or its per-fault CSR re-simulation oracle,
 //! * [`reference`] — the seed's naive evaluator, kept as the golden
@@ -43,12 +43,14 @@
 //! fresh (full sweeps, the IDDQ sweep, ATPG batch generation), so plain
 //! batch evaluation always runs on it and no caller picks an engine for
 //! it. The delta engine owns its state and wins whenever consecutive
-//! evaluations differ by a small structural change: apply a [`delta::Patch`], read the new
-//! values (only the dirty cone was recomputed), then
-//! [`delta::DeltaSim::rollback`] to the previous circuit — the
-//! apply/rollback pair costs two cone walks instead of two full sweeps.
-//! Both engines are bit-for-bit identical on the same inputs (enforced by
-//! the differential proptests in `tests/proptests.rs`).
+//! evaluations differ by a few pinned values: force a fault site, read
+//! the new values (only the dirty cone was recomputed), then lift the pin
+//! — the pair costs two cone walks (or one, with a logged walk) instead
+//! of two full sweeps. Its circuit structure is fixed; structural edits
+//! belong to resynthesis, which scores them on
+//! `iddq_netlist::cone::DynamicCones`. Both engines are bit-for-bit
+//! identical on the same inputs (enforced by the differential proptests
+//! in `tests/proptests.rs`).
 //!
 //! # Sequential circuits: the frame model
 //!
@@ -111,11 +113,10 @@
 //!   about 4 bytes per fan-in edge plus 8 per gate, with zero per-node
 //!   allocations. Packed values add `lanes / 8` bytes per node per live
 //!   buffer (8 B at `u64`, 64 B at [`iddq_netlist::W512`]).
-//! * [`delta::DeltaSim`] stores its adjacency as pooled
-//!   structure-of-arrays slabs (`offset`/`len`/`capacity` into one
-//!   shared `u32` pool per direction) rather than one `Vec` per node,
-//!   so its persistent state stays near 120 bytes per node at `u64`
-//!   lanes.
+//! * [`delta::DeltaSim`] stores its fan-in and fanout as immutable CSR
+//!   arrays (`offsets[n + 1]` into one `u32` pool per direction) rather
+//!   than one `Vec` per node, so its persistent state stays near 100
+//!   bytes per node at `u64` lanes (96 B on c7552).
 //! * One sweep is one serial walk of the schedule. Parallelism runs
 //!   across patterns and faults instead (pattern batches in `iddq sim
 //!   --threads`, fault shards × pattern batches in the sweep grid): a

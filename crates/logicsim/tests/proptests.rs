@@ -1,201 +1,25 @@
 //! Property-based tests for the simulator and defect machinery, including
 //! the differential suites pinning the CSR/wide-word kernel to the naive
-//! scalar reference evaluator and the event-driven incremental engine to
-//! the batch CSR kernel under random mutation/rollback sequences.
+//! scalar reference evaluator, and the event-driven engine's frame
+//! stepping and fault-patch sweeps to the naive reference and the
+//! per-fault CSR oracle.
 
 use proptest::prelude::*;
 use rand::Rng;
 
-use iddq_logicsim::delta::{DeltaSim, Patch, PatchOp};
+use iddq_logicsim::delta::DeltaSim;
 use iddq_logicsim::fault_sweep::{self, FaultSweepOptions, LogicFault};
 use iddq_logicsim::faults::IddqFault;
 use iddq_logicsim::logic_test::StuckAtFault;
 use iddq_logicsim::reference::NaiveSimulator;
 use iddq_logicsim::{iddq, BackendKind, Simulator};
-use iddq_netlist::{data, CellKind, Netlist, NetlistBuilder, NodeId, PackedWord, W256, W512};
+use iddq_netlist::{data, Netlist, NodeId, PackedWord, W256, W512};
 
 /// A random ISCAS-like netlist, sized to exercise every gate kind, long
 /// same-kind runs and multi-level reordering in the CSR compiler.
 fn random_netlist(seed: u64) -> iddq_netlist::Netlist {
     let profile = iddq_gen::iscas::IscasProfile::by_name("c432").expect("known circuit");
     iddq_gen::iscas::generate(profile, seed)
-}
-
-/// The transitive fanout cone of `seed`, the seed first, in BFS order.
-fn fanout_cone(nl: &Netlist, seed: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; nl.node_count()];
-    seen[seed.index()] = true;
-    let mut cone = vec![seed];
-    let mut head = 0;
-    while head < cone.len() {
-        for &f in nl.fanout(cone[head]) {
-            if !std::mem::replace(&mut seen[f.index()], true) {
-                cone.push(f);
-            }
-        }
-        head += 1;
-    }
-    cone
-}
-
-/// A mutable mirror of a netlist's structure, rebuilt into a fresh
-/// [`Netlist`] after every patch so the batch CSR kernel can act as the
-/// oracle for the incremental engine.
-struct Model {
-    kinds: Vec<Option<CellKind>>,
-    fanins: Vec<Vec<NodeId>>,
-    names: Vec<String>,
-    outputs: Vec<NodeId>,
-}
-
-impl Model {
-    fn of(nl: &Netlist) -> Self {
-        Model {
-            kinds: nl
-                .node_ids()
-                .map(|id| nl.node(id).kind().cell_kind())
-                .collect(),
-            fanins: nl
-                .node_ids()
-                .map(|id| nl.node(id).fanin().to_vec())
-                .collect(),
-            names: nl
-                .node_ids()
-                .map(|id| nl.node_name(id).to_owned())
-                .collect(),
-            outputs: nl.outputs().to_vec(),
-        }
-    }
-
-    fn apply(&mut self, patch: &Patch) {
-        for op in &patch.ops {
-            match op {
-                PatchOp::SetKind { gate, kind } => self.kinds[gate.index()] = Some(*kind),
-                PatchOp::SetFanin { gate, fanin } => {
-                    self.fanins[gate.index()] = fanin.clone();
-                }
-                PatchOp::AddGate { gate, kind, fanin } => {
-                    assert_eq!(gate.index(), self.kinds.len());
-                    self.kinds.push(Some(*kind));
-                    self.fanins.push(fanin.clone());
-                    self.names.push(format!("padd{}", gate.index()));
-                }
-                PatchOp::RemoveGate { gate } => {
-                    assert_eq!(gate.index() + 1, self.kinds.len());
-                    self.kinds.pop();
-                    self.fanins.pop();
-                    self.names.pop();
-                }
-            }
-        }
-    }
-
-    /// Whether the last node can be popped: a gate, not an output, with no
-    /// consumers.
-    fn tail_removable(&self) -> bool {
-        let last = self.kinds.len() - 1;
-        self.kinds[last].is_some()
-            && !self.outputs.contains(&NodeId(last as u32))
-            && !self
-                .fanins
-                .iter()
-                .any(|fanin| fanin.iter().any(|f| f.index() == last))
-    }
-
-    /// Rebuilds a validated netlist. Node ids are preserved because nodes
-    /// are re-added in id order.
-    fn build(&self) -> Netlist {
-        let mut b = NetlistBuilder::new("model");
-        for (i, kind) in self.kinds.iter().enumerate() {
-            match kind {
-                None => {
-                    b.add_input(&self.names[i]);
-                }
-                Some(k) => {
-                    b.add_gate(&self.names[i], *k, self.fanins[i].clone())
-                        .expect("model keeps arities legal");
-                }
-            }
-        }
-        for &o in &self.outputs {
-            b.mark_output(o);
-        }
-        b.build().expect("model keeps the DAG acyclic")
-    }
-
-    /// Topological levels of the current model structure.
-    fn levels(&self) -> Vec<u32> {
-        iddq_netlist::levelize::levels(&self.build())
-    }
-}
-
-/// Draws one structurally valid, acyclicity-preserving patch: a kind
-/// flip, a same-arity rewire onto strictly shallower drivers, a gate
-/// insertion at the tail, or a removal of a consumer-free tail gate.
-fn random_patch(model: &Model, rng: &mut impl Rng) -> Option<Patch> {
-    let gates: Vec<usize> = (0..model.kinds.len())
-        .filter(|&i| model.kinds[i].is_some())
-        .collect();
-    let gi = gates[rng.gen_range(0..gates.len())];
-    let gate = NodeId(gi as u32);
-    let arity = model.fanins[gi].len();
-    match rng.gen_range(0..4u32) {
-        0 => {
-            // Kind flip to a different kind accepting the current arity.
-            let options: Vec<CellKind> = CellKind::ALL
-                .into_iter()
-                .filter(|k| k.accepts_fanin(arity) && Some(*k) != model.kinds[gi])
-                .collect();
-            if options.is_empty() {
-                return None;
-            }
-            let kind = options[rng.gen_range(0..options.len())];
-            Some(Patch::single(PatchOp::SetKind { gate, kind }))
-        }
-        1 => {
-            // Rewire: same arity, drivers drawn from strictly lower levels
-            // (guarantees the DAG stays acyclic).
-            let levels = model.levels();
-            let shallow: Vec<NodeId> = (0..model.kinds.len() as u32)
-                .map(NodeId)
-                .filter(|n| levels[n.index()] < levels[gi])
-                .collect();
-            if shallow.is_empty() {
-                return None;
-            }
-            let fanin: Vec<NodeId> = (0..arity)
-                .map(|_| shallow[rng.gen_range(0..shallow.len())])
-                .collect();
-            Some(Patch::single(PatchOp::SetFanin { gate, fanin }))
-        }
-        2 => {
-            // Insertion at the tail, reading any existing nodes.
-            let kind = CellKind::ALL[rng.gen_range(0..CellKind::ALL.len())];
-            let arity = if kind.accepts_fanin(1) {
-                1
-            } else {
-                rng.gen_range(2..=4)
-            };
-            let fanin: Vec<NodeId> = (0..arity)
-                .map(|_| NodeId(rng.gen_range(0..model.kinds.len() as u32)))
-                .collect();
-            Some(Patch::single(PatchOp::AddGate {
-                gate: NodeId(model.kinds.len() as u32),
-                kind,
-                fanin,
-            }))
-        }
-        _ => {
-            // Removal of the tail, when it is a consumer-free non-output
-            // gate (typically one inserted earlier in the sequence).
-            if !model.tail_removable() {
-                return None;
-            }
-            Some(Patch::single(PatchOp::RemoveGate {
-                gate: NodeId(model.kinds.len() as u32 - 1),
-            }))
-        }
-    }
 }
 
 proptest! {
@@ -292,95 +116,6 @@ proptest! {
         let par = run(threads);
         prop_assert_eq!(seq.detected, par.detected);
         prop_assert_eq!(seq.first_detection, par.first_detection);
-    }
-
-    /// The event-driven incremental engine stays bit-for-bit equal to a
-    /// from-scratch CSR evaluation of the equivalently mutated circuit
-    /// across a random sequence of kind-flip and rewire patches, with
-    /// random immediate apply→rollback round-trips interleaved, and the
-    /// full unwind of the patch stack restores the pristine circuit.
-    #[test]
-    fn delta_engine_matches_csr_under_mutation_sequences(
-        seed in 0u64..200,
-        salt in any::<u64>(),
-        steps in 1usize..8,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let nl = random_netlist(seed);
-        let inputs: Vec<u64> = (0..nl.num_inputs() as u64)
-            .map(|i| salt.rotate_left((i % 61) as u32).wrapping_mul(2 * i + 1))
-            .collect();
-        let mut delta = DeltaSim::<u64>::new(&nl);
-        delta.set_inputs(&inputs);
-        let pristine = delta.values().to_vec();
-        prop_assert_eq!(&pristine[..], &Simulator::new(&nl).eval(&inputs)[..]);
-
-        let mut model = Model::of(&nl);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ salt);
-        let mut applied = 0usize;
-        for _ in 0..steps {
-            let Some(patch) = random_patch(&model, &mut rng) else { continue };
-            if rng.gen_bool(0.3) {
-                // Round-trip: apply + immediate rollback is a no-op.
-                let before = delta.values().to_vec();
-                delta.apply(&patch).expect("patch is structurally valid");
-                delta.rollback();
-                prop_assert_eq!(delta.values(), &before[..]);
-                continue;
-            }
-            delta.apply(&patch).expect("patch is structurally valid");
-            applied += 1;
-            model.apply(&patch);
-            // Oracle: fresh CSR compile + full sweep of the mutated
-            // circuit (node ids preserved by the model rebuild). The node
-            // set may have grown or shrunk, so compare over the model's
-            // current ids — inserted gates included.
-            let oracle = Simulator::new(&model.build()).eval(&inputs);
-            prop_assert_eq!(delta.node_count(), model.kinds.len());
-            for i in 0..model.kinds.len() {
-                let id = NodeId(i as u32);
-                prop_assert_eq!(
-                    delta.value(id), oracle[id.index()],
-                    "node {} after {} patches", id, applied
-                );
-            }
-        }
-        // Unwind the whole stack: back to the pristine circuit.
-        for _ in 0..applied {
-            delta.rollback();
-        }
-        prop_assert_eq!(delta.values(), &pristine[..]);
-    }
-
-    /// A rewire that would close a combinational cycle is rejected and
-    /// the engine state is untouched.
-    #[test]
-    fn delta_engine_rejects_cycles_atomically(seed in 0u64..100, salt in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let nl = random_netlist(seed);
-        let inputs: Vec<u64> = (0..nl.num_inputs() as u64)
-            .map(|i| salt.wrapping_mul(i | 1))
-            .collect();
-        let mut delta = DeltaSim::<u64>::new(&nl);
-        delta.set_inputs(&inputs);
-        let before = delta.values().to_vec();
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xc1c);
-        // Pick a gate with a non-trivial fanout cone and wire one of its
-        // transitive successors back into it.
-        let candidates: Vec<NodeId> = nl.gate_ids().filter(|&g| fanout_cone(&nl, g).len() > 1).collect();
-        // Multi-level circuits always have gates with downstream cones.
-        prop_assert!(!candidates.is_empty());
-        let gate = candidates[rng.gen_range(0..candidates.len())];
-        let cone = fanout_cone(&nl, gate);
-        let succ = cone[rng.gen_range(1..cone.len())];
-        let arity = nl.node(gate).fanin().len();
-        let fanin: Vec<NodeId> = (0..arity).map(|_| succ).collect();
-        let err = delta
-            .apply(&Patch::single(PatchOp::SetFanin { gate, fanin }))
-            .unwrap_err();
-        prop_assert!(matches!(err, iddq_logicsim::delta::PatchError::Cycle(_)));
-        prop_assert_eq!(delta.values(), &before[..]);
-        prop_assert_eq!(delta.pending_patches(), 0);
     }
 
     /// A 512-wide sweep equals eight independent 64-wide sweeps, limb by

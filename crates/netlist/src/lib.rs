@@ -18,9 +18,9 @@
 //! * [`cone`] — a flat topological fan-in index for the weighted
 //!   longest-path sweep, plus the growable [`cone::DynamicCones`] with
 //!   level-ordered, event-driven cone walks for patched structures,
-//! * [`patch`] — the shared structural-patch vocabulary (gate edits plus
-//!   node insertion/removal) consumed by the incremental logic and cost
-//!   engines, with a rebuild-oracle [`patch::materialize`],
+//! * [`patch`] — the structural-patch vocabulary (gate edits plus node
+//!   insertion/removal) of resynthesis, consumed by `ResynthEval` over
+//!   [`cone::DynamicCones`], with a rebuild-oracle [`patch::materialize`],
 //! * [`separation`] — the bounded undirected separation metric `S(g_i, g_j)`
 //!   of §3.3,
 //! * [`stats`] — structural circuit statistics (fan-in/fan-out mixes,

@@ -1,18 +1,15 @@
 //! The shared structural-patch vocabulary.
 //!
 //! A [`Patch`] is an ordered list of gate-level edits applied atomically to
-//! a circuit structure. Two engines consume it:
-//!
-//! * `iddq_logicsim::delta::DeltaSim` — event-driven *logic* re-evaluation
-//!   of the patched circuit (packed values, dirty-cone propagation),
-//! * `iddq_core::resynth::ResynthEval` — incremental *cost* re-evaluation
-//!   of the patched circuit (the paper's partitioning cost function).
-//!
-//! Both implement the same lifecycle: validate-and-apply, push the inverse
-//! patch onto an undo stack, roll back by applying the inverse through the
-//! same machinery. Keeping the op vocabulary here (rather than in either
-//! engine) lets rewrite generators — `iddq-synth`'s decomposition and
-//! buffer-tree builders — target both engines with one patch list.
+//! a circuit structure. Its one consumer is
+//! `iddq_core::resynth::ResynthEval`, the incremental *cost*
+//! re-evaluation of the patched circuit (the paper's partitioning cost
+//! function), whose structure and levels live in
+//! [`crate::cone::DynamicCones`]. The lifecycle is validate-and-apply,
+//! push the inverse patch onto an undo stack, roll back by applying the
+//! inverse through the same machinery. Keeping the op vocabulary here
+//! lets rewrite generators — `iddq-synth`'s decomposition and buffer-tree
+//! builders — emit patches without depending on the cost engine.
 //!
 //! # Structural insertion and removal
 //!

@@ -31,13 +31,14 @@ use std::time::{Duration, Instant};
 
 use iddq_control::{DrainSignal, EngineError, IoEnv, RealEnv, RunBudget, RunControl, StopReason};
 use iddq_core::{plan_tier, AnalysisTier, TierBudget};
+/// The fault universe and test vectors of a `faults` request — the same
+/// recipe as the CLI `faults` command. Re-exported so tests can rebuild
+/// the exact universe a server request swept.
+pub use iddq_logicsim::fault_sweep::{fault_universe, random_vectors};
 use iddq_logicsim::fault_sweep::{
-    sweep_resume, sweep_with_control, FaultSweepOptions, LogicFault, SweepCheckpoint,
+    sweep_resume, sweep_with_control, FaultSweepOptions, SweepCheckpoint,
 };
-use iddq_logicsim::logic_test::StuckAtFault;
 use iddq_netlist::{Netlist, PackedWord};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::Value;
 use serde_json::json;
 
@@ -875,51 +876,6 @@ fn lookup_or_build(
         plan,
         shared.config.rho,
     )
-}
-
-/// The deterministic fault universe of the service: both stuck-at
-/// polarities on every node, plus `bridges` bridging faults sampled with
-/// the IDDQ enumerator's locality model. Exposed so tests can rebuild
-/// the exact universe a server request swept.
-#[must_use]
-pub fn fault_universe(netlist: &Netlist, bridges: usize, seed: u64) -> Vec<LogicFault> {
-    let mut faults: Vec<LogicFault> = netlist
-        .node_ids()
-        .flat_map(|node| {
-            [false, true]
-                .map(|stuck_at_one| LogicFault::StuckAt(StuckAtFault { node, stuck_at_one }))
-        })
-        .collect();
-    faults.extend(
-        iddq_logicsim::faults::enumerate(
-            netlist,
-            &iddq_logicsim::faults::FaultUniverseConfig {
-                bridges,
-                gos_fraction: 0.0,
-                stuck_on_fraction: 0.0,
-                ..Default::default()
-            },
-            seed,
-        )
-        .into_iter()
-        .filter_map(|f| match f {
-            iddq_logicsim::faults::IddqFault::Bridge { a, b, .. } => {
-                Some(LogicFault::Bridge { a, b })
-            }
-            _ => None,
-        }),
-    );
-    faults
-}
-
-/// The deterministic test-vector set of the service (same derivation as
-/// the CLI `faults` command). Exposed for test baselines.
-#[must_use]
-pub fn random_vectors(netlist: &Netlist, count: usize, seed: u64) -> Vec<Vec<bool>> {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xfa17);
-    (0..count)
-        .map(|_| (0..netlist.num_inputs()).map(|_| rng.gen()).collect())
-        .collect()
 }
 
 /// The sweep options every server fault job runs with. Pinned (single
