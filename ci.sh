@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: formatting, lints, build, full test suite, a type check
-# of the benchmark's replay against the library APIs, and a perf smoke of
-# the simulation engines (which also regenerates BENCH_sim.json).
+# CI entry point: formatting, lints, doc links, build, full test suite, a
+# type check of the benchmark's replay against the library APIs, and a
+# perf smoke of the simulation engines (which also regenerates
+# BENCH_sim.json).
 # The perf smoke prints every bench gate and fails if, on c7552, the
 # fault-patch engine drops below 3x vs per-fault full re-simulation (22x
 # vs the per-frame rebuild on s5378 at 4 frames per sequence, recorded
@@ -37,6 +38,12 @@ echo "== cargo clippy (deny warnings)"
 # untrusted input must surface as iddq_control::EngineError, and every
 # surviving expect documents the internal invariant that justifies it.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings)"
+# A broken or private intra-doc link fails here, so deleting an item that
+# the docs still link to fails CI. `--lib` documents the library targets
+# only: the facade's and the CLI's binaries share the output name `iddq`.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --lib --offline
 
 echo "== cargo build --release"
 cargo build --release

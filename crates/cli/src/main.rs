@@ -24,7 +24,7 @@ use iddq_celllib::Library;
 use iddq_control::{write_atomic, EngineError, RunBudget, RunControl};
 use iddq_core::evolution::EvolutionConfig;
 use iddq_core::{config::PartitionConfig, flow, EvalContext};
-use iddq_logicsim::BackendKind;
+use iddq_logicsim::{random_sim, BackendKind};
 use iddq_netlist::{bench, dot, LaneWidth, Netlist};
 
 /// A CLI failure: its message and whether it is the *caller's* fault
@@ -920,55 +920,19 @@ fn run_sim<W: iddq_netlist::PackedWord>(
     // whole sequence, so a batch covers LANES x frames vectors.
     let batches = patterns.div_ceil(u64::from(W::LANES) * frames as u64);
     let threads = threads.min(batches as usize);
-    // Each worker owns one kernel instance and a disjoint slice of the
-    // seeded pattern stream; the per-worker fingerprints are folded in
-    // worker order, so the checksum is deterministic for a fixed
+    // Each worker owns a disjoint slice of the batches and its own seeded
+    // pattern stream; the per-worker accumulators are folded in worker
+    // order, so the checksum is deterministic for a fixed
     // (seed, threads, lanes, frames) tuple.
+    let sim = iddq_logicsim::Simulator::new(cut);
+    let unlimited = RunControl::unlimited();
     let worker = |t: usize| -> [u64; 4] {
-        let mut state = seed ^ (t as u64).wrapping_mul(0xa076_1d64_78bd_642f);
-        let mut next = move || {
-            // SplitMix64-style stream for reproducible pattern words.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z ^ (z >> 31)
-        };
-        let sim = iddq_logicsim::Simulator::new(cut);
-        let mut inputs = vec![W::zeros(); cut.num_inputs()];
-        let mut values = vec![W::zeros(); sim.node_count()];
-        let mut dff_state = vec![W::zeros(); sim.num_state_elements()];
-        // Frame-based evaluation whenever the circuit has state or the
-        // caller asked for multi-frame sequences; the plain one-shot path
-        // otherwise.
-        let stepped = frames > 1 || !dff_state.is_empty();
-        // Fingerprint every node value, not just the primary outputs: the
-        // deep outputs of the synthetic profiles are near-constant under
-        // random stimuli and would make a poor discriminator. Four
-        // independent limb accumulators keep the fold off the measured
-        // loop's critical path.
-        let mut acc = [0u64; 4];
-        let my_batches = batches as usize / threads + usize::from(t < batches as usize % threads);
-        for _ in 0..my_batches {
-            // Every sequence starts from the all-zero reset state.
-            dff_state.fill(W::zeros());
-            for _frame in 0..frames {
-                for w in &mut inputs {
-                    *w = W::from_limbs(|_| next());
-                }
-                if stepped {
-                    sim.step_frame(&inputs, &mut dff_state, &mut values);
-                } else {
-                    sim.eval_into(&inputs, &mut values);
-                }
-                for v in &values {
-                    for i in 0..W::LIMBS {
-                        let a = &mut acc[i % 4];
-                        *a = a.rotate_left(1) ^ v.limb(i);
-                    }
-                }
-            }
-        }
-        acc
+        let seed = seed ^ (t as u64).wrapping_mul(0xa076_1d64_78bd_642f);
+        let my_batches =
+            batches / threads as u64 + u64::from((t as u64) < batches % threads as u64);
+        random_sim::run::<W>(&sim, seed, my_batches, frames, &unlimited)
+            .into_value()
+            .acc
     };
     let start = std::time::Instant::now();
     let accs: Vec<[u64; 4]> = if threads <= 1 {
@@ -985,11 +949,7 @@ fn run_sim<W: iddq_netlist::PackedWord>(
                 .collect()
         })
     };
-    let mut checksum = 0u64;
-    for acc in &accs {
-        let c = acc[0] ^ acc[1].rotate_left(16) ^ acc[2].rotate_left(32) ^ acc[3].rotate_left(48);
-        checksum = checksum.rotate_left(8) ^ c;
-    }
+    let checksum = random_sim::fold_checksum(&accs);
     let elapsed = start.elapsed().as_secs_f64();
     let evaluated = batches * u64::from(W::LANES) * frames as u64;
     println!(

@@ -292,6 +292,78 @@ fn sim_threads_flag() {
 }
 
 #[test]
+fn sim_checksums_stay_pinned() {
+    // `iddq sim` folds every node value of a seeded random run into one
+    // checksum (the recipe serve `sim` shares). These values were printed
+    // before the recipe moved into `iddq_logicsim::random_sim`; a change
+    // that moves one changed the pattern stream, the stepping or the fold.
+    let pins: [(&str, [&str; 12]); 2] = [
+        (
+            "c432",
+            [
+                "0x635437cc476986da",
+                "0x635437cc476986da",
+                "0xea4143583a767ba0",
+                "0x81efec907bb8ac91",
+                "0xd594ee75bd9f9246",
+                "0x9dbeae5e0164481e",
+                "0x66df933c692c33f8",
+                "0xe80163ea5b3e4e56",
+                "0x5094a20009adc8be",
+                "0x50cb1d4ca4f3cf79",
+                "0x9fa85ee561a22a65",
+                "0x1f91814d5ba08544",
+            ],
+        ),
+        (
+            "s298",
+            [
+                "0xdbb138447234dcf0",
+                "0xb22fd77290886759",
+                "0x9594f409e2dcfad1",
+                "0x842887ed21b95fd8",
+                "0x0196d2959b6b4289",
+                "0x22db8267f033a337",
+                "0xc9f011349f2b3e0d",
+                "0x4a6aed0b723b7397",
+                "0xdc1d70490d3eb3fe",
+                "0xa9ad71c2e50263e1",
+                "0x290fdb17cabe3d79",
+                "0xb62396a0ae433d21",
+            ],
+        ),
+    ];
+    for (circuit, want) in pins {
+        let bench = gen_bench(circuit, 7);
+        let mut k = 0;
+        for lanes in ["64", "256", "512"] {
+            for threads in ["1", "2"] {
+                for frames in ["1", "3"] {
+                    let args = [
+                        "sim",
+                        &bench,
+                        "--patterns",
+                        "100000",
+                        "--seed",
+                        "7",
+                        "--lanes",
+                        lanes,
+                        "--threads",
+                        threads,
+                        "--frames",
+                        frames,
+                    ];
+                    let (text, _) = ok(&args);
+                    assert_eq!(checksum(&text), want[k], "{args:?}");
+                    k += 1;
+                }
+            }
+        }
+        let _ = std::fs::remove_file(bench);
+    }
+}
+
+#[test]
 fn sim_lanes_flag_selects_width() {
     let bench = gen_bench("c432", 11);
     for lanes in ["64", "256", "512"] {

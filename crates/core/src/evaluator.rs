@@ -915,7 +915,7 @@ impl<'a> Evaluated<'a> {
     ///
     /// # Panics
     ///
-    /// Panics after [`Evaluated::move_gates_unscanned`] until the
+    /// Panics after `Evaluated::move_gates_unscanned` until the
     /// transaction is rolled back (the separation totals are stale).
     #[must_use]
     pub fn cost(&self) -> CostBreakdown {

@@ -2,17 +2,19 @@
 //! patch instead of netlist rebuild.
 //!
 //! [`crate::Evaluated`] answers *"this partition, but with a gate moved"*
-//! incrementally; [`ResynthEval`] answers *"this circuit, but with a
-//! region rewritten"*. It owns a mutable mirror of the circuit structure
-//! plus every structure-derived quantity the paper's cost function needs —
-//! per-gate electrical rows, §3.1 transition-time sets, the §3.3
-//! separation neighbour weights, topological levels and the nominal
-//! critical path — and a [`Patch`] of gate edits (kind flips, rewires,
-//! node insertion/removal, see [`iddq_netlist::patch`]) refreshes only the
-//! state the edit actually dirtied:
+//! incrementally; [`ResynthEval`] answers *"this circuit, but with one
+//! gate's fan-in edges subdivided"* — the shape of a wide-gate
+//! decomposition, the only rewrite the per-gate search of `iddq-synth`
+//! makes. It owns a mutable mirror of the circuit structure plus every
+//! structure-derived quantity the paper's cost function needs — per-gate
+//! electrical rows, §3.1 transition-time sets, the §3.3 separation
+//! neighbour weights, topological levels and the nominal critical path —
+//! and a [`Patch`] (appended gates plus rewires, see
+//! [`iddq_netlist::patch`]) refreshes only the state the edit actually
+//! dirtied:
 //!
 //! * **electrical rows** — a cell row depends only on `(kind, fan-in
-//!   count)`, so edited and inserted gates re-derive their row from the
+//!   count)`, so rewired and inserted gates re-derive their row from the
 //!   library and nothing else moves;
 //! * **transition times** — recomputed through a level-ordered dirty-cone
 //!   walk that stops wherever the recomputed [`TimeSet`] is identical;
@@ -34,19 +36,19 @@
 //!   genuinely decremental ones (`d_old = d_oldX` and `d_newX > d_oldX`:
 //!   the old shortest route crossed an edit and the detour got worse),
 //!   whose endpoints fall back to one exact bounded BFS each. A patch
-//!   that edits more than a few nodes, or removes one, re-derives the
-//!   weight and near row of every gate in the ρ−1-ball of its edits by
-//!   bounded BFS instead (the *ball refresh*).
-//!   [`ResynthEval::new_full_refresh`] takes the ball refresh for every
-//!   patch and keeps no rows: it is the differential reference, and the
-//!   two are pinned bit-identical by proptests;
+//!   that edits more than a few nodes (the decomposition of a gate of ten
+//!   or more inputs) re-derives the weight and near row of every gate in
+//!   the ρ−1-ball of its edits by bounded BFS instead (the *ball
+//!   refresh*). [`ResynthEval::new_full_refresh`] takes the ball refresh
+//!   for every patch and keeps no rows: it is the differential reference,
+//!   and the two are pinned bit-identical by proptests;
 //! * **current histogram** — the §3.1 peak-current estimate sums, per
 //!   transition time, the `î_DD,max` of every gate that can switch then.
 //!   The per-slot sums and gate counts are updated wherever a gate's
-//!   (time set, peak current) pair changes — the time walk, a kind or
-//!   arity edit, a removal and a rollback's time restore — so scoring
-//!   reads the peak with one max over the slots instead of walking every
-//!   gate's time set. This is exact, not merely close: when every library
+//!   (time set, peak current) pair changes — the time walk, an arity
+//!   edit, an insertion and a rollback's restore — so scoring reads the
+//!   peak with one max over the slots instead of walking every gate's
+//!   time set. This is exact, not merely close: when every library
 //!   cell's peak current is a non-negative integer of at most 2²⁰ µA
 //!   (the generic 1 µm cells carry `c_out·5 + 60·n` = 200 + 105·n µA),
 //!   a slot sums at most 2³² gates, so every partial sum, in any order
@@ -57,10 +59,11 @@
 //!   scoring, and that scan is also the oracle of
 //!   [`ResynthEval::verify_consistency`]. State elements cannot be
 //!   patched, so a source's time set `{0}` never changes;
-//! * **levels** — batched re-levelization with atomic cycle rejection
-//!   (`DynamicCones::relevel`); a patch that only
-//!   subdivides fan-in edges (see *Probes*) cannot close a cycle, so its
-//!   levels move in a wave that stops wherever a level holds.
+//! * **levels** — a subdivision cannot close a cycle (contracting each
+//!   inserted node into the gate it serves maps a new cycle onto an old
+//!   one), so the levels move in a wave from the rewired gates that
+//!   stops wherever a level holds
+//!   ([`DynamicCones::relevel_acyclic`]).
 //!
 //! [`ResynthEval::total_cost`] then assembles the paper's single-module
 //! cost (the partition-independent objective `iddq-synth` steers by)
@@ -76,30 +79,33 @@
 //!
 //! # Lifecycle
 //!
-//! [`ResynthEval::apply`] validates and applies a patch atomically (a
-//! rejected patch leaves the evaluation untouched) and pushes an undo
-//! frame: the structural inverse plus logs of the derived state the
-//! apply overwrote. [`ResynthEval::rollback`] re-applies the inverse and
-//! restores the derived state from those logs, bit-for-bit and in
-//! O(changed entries): transition-time sets, levels and neighbour
-//! weights from value snapshots, near rows from an entry log of `(gate, partner,
-//! previous distance)` on the incremental ΔW path, and from whole-row
-//! snapshots on the ball refresh and for removals.
+//! At most one patch is pending. [`ResynthEval::apply`] (and
+//! [`ResynthEval::probe`]) first check the whole patch on the pre-patch
+//! structure — no patch may be pending, every op must validate, and the
+//! patch must subdivide the fan-in edges of existing gates (see
+//! *Probes*) — and return a typed [`PatchError`] without touching
+//! anything if a check fails. A checked patch cannot fail halfway. The
+//! apply records one undo frame: the fan-in lists it overwrote, the node
+//! count before it, and logs of the derived state it overwrote.
+//! [`ResynthEval::rollback`] puts the fan-in lists back, pops the
+//! inserted nodes and restores the derived state from those logs,
+//! bit-for-bit and in O(changed entries): transition-time sets, levels
+//! and neighbour weights from value snapshots, and near rows from
+//! whole-row snapshots on the ball refresh.
 //!
 //! The ΔW path's near-row edits are *deferred*. An apply updates the
 //! neighbour weights (all the cost reads) at once, but parks its
-//! symmetric row edits in its undo frame. The next apply or
-//! [`ResynthEval::commit`] writes them into the rows (logging each
-//! entry it overwrites); a rollback of a frame that was never flushed
-//! just drops them. A probe that is scored and rolled back therefore
-//! never touches a row. [`ResynthEval::commit`] makes the applied
-//! patches permanent. The candidate-search pattern is apply → score →
+//! symmetric row edits in its undo frame. Only [`ResynthEval::commit`]
+//! writes them into the rows, which makes the patch permanent; a
+//! rollback just drops them. A probe that is scored and rolled back
+//! therefore never touches a row, and the rows are exact whenever no
+//! patch is pending. The candidate-search pattern is apply → score →
 //! rollback per losing candidate, commit for the winner.
 //!
 //! A winner probed before the last candidate has been rolled back by
 //! the time it is chosen. The rollback of an exactly scored
 //! [`ResynthEval::probe`] therefore keeps the probe's forward state —
-//! its new transition-time sets and neighbour weights and its unflushed
+//! its new transition-time sets and neighbour weights and its deferred
 //! row edits — and an [`ResynthEval::apply`] of the same patch on the
 //! same structure (same structure id) replays the structural edit and
 //! copies that state back instead of recomputing it. The kept state is
@@ -121,7 +127,7 @@
 //!
 //! The structural part captures, for each edited node, its pre-patch
 //! distance list, and it does so without a BFS: the node's near row,
-//! flushed at the start of the apply, already holds every gate within
+//! exact because no patch is pending, already holds every gate within
 //! the bound. The list is the node itself at distance 0 followed by
 //! the row bucketed by distance, the non-decreasing order the pair
 //! enumeration needs. Only the refresh that survives the bound pays a
@@ -135,17 +141,18 @@
 //! search returns, so the partitioning that follows builds no second
 //! table.
 //!
-//! The bound is exact for the patches it is used on:
+//! The bound is exact because every accepted patch is a subdivision:
 //!
 //! * **S cannot fall.** A wide-gate decomposition only subdivides the
 //!   edges from a gate to its fan-ins. Contracting each inserted node
 //!   into the gate it serves maps every post-patch path onto a pre-patch
 //!   walk that is no longer, so no distance between existing nodes
 //!   shrinks, and each new pair adds at least 1 to
-//!   `S = Σ_pairs min(d, ρ)`. `probe` checks this shape on the pre-patch
-//!   structure (every inserted node claimed by one existing gate, every
-//!   written fan-in edge contracting onto an old fan-in edge of it) and
-//!   scores any other patch exactly.
+//!   `S = Σ_pairs min(d, ρ)`. The check before the edit accepts exactly
+//!   this shape: every inserted node claimed by one existing gate, every
+//!   written fan-in edge contracting onto an old fan-in edge of it (or
+//!   onto the gate itself); anything else is
+//!   [`PatchError::NotASubdivision`].
 //! * **c₃ cannot fall.** `c₃ = ln(1 + S)`. The conversion to f64, the
 //!   `+ 1` and `ln` are monotone; `ln` needs only be faithfully rounded,
 //!   since `ln` of neighbouring integers below 2⁴⁶ differs by more than
@@ -162,7 +169,7 @@ use iddq_celllib::{Library, NodeTables};
 use iddq_netlist::cone::DynamicCones;
 use iddq_netlist::patch::{Patch, PatchError, PatchOp};
 use iddq_netlist::separation::GateSeparationTable;
-use iddq_netlist::{CellKind, NodeId, TimeSet};
+use iddq_netlist::{CellKind, TimeSet};
 
 use crate::context::EvalContext;
 use crate::cost::CostBreakdown;
@@ -170,45 +177,39 @@ use crate::evaluator::{
     assemble_cost, degraded_weight, interconnect_term, sensor_figures, ModuleStats,
 };
 
-/// One entry of the undo stack: the structural inverse plus snapshots of
-/// the derived state the apply overwrote, so a rollback restores instead
-/// of recomputing (the probe loops of `iddq-synth` roll back one patch
-/// per candidate — making that O(changed) instead of O(dirty-region)
-/// roughly halves the scoring cost).
+/// The undo frame of the pending patch: the fan-in lists it overwrote,
+/// the node count before it, and snapshots of the derived state it
+/// overwrote, so a rollback restores instead of recomputing (the probe
+/// loops of `iddq-synth` roll back one patch per candidate — making that
+/// O(changed) instead of O(dirty-region) roughly halves the scoring
+/// cost).
 #[derive(Debug)]
 struct UndoFrame {
-    inverse: Patch,
     /// The applied patch, on the frames of exactly scored probes and of
     /// their replays: their rollback keeps the forward state as a
     /// [`Redo`].
     probed: Option<Patch>,
+    /// The structural edit: the fan-in lists to put back and the node
+    /// count to pop back to.
+    edit: Edit,
     /// `(node, previous set)` for every transition-time set the apply
-    /// changed or popped, in change order.
+    /// changed, in change order.
     times_log: Vec<(u32, TimeSet)>,
     /// `(gate, previous weight)` for every separation weight the apply
-    /// changed or popped.
+    /// changed.
     w_log: Vec<(u32, u64)>,
     /// `(node, previous level)` for every level the apply's
     /// re-levelization moved.
     level_log: Vec<(u32, u32)>,
-    /// `(gate, previous near row)` for every maintained ΔW row the full
-    /// ball refresh rewrote or a removal popped (at most one entry per
-    /// gate: the ball is deduplicated and a popped gate lies outside
-    /// it). Empty on the incremental ΔW path and without maintained rows.
+    /// `(gate, previous near row)` for every maintained ΔW row the ball
+    /// refresh rewrote (at most one entry per gate: the ball is
+    /// deduplicated). Empty on the incremental ΔW path and without
+    /// maintained rows.
     row_log: Vec<(u32, Vec<(u32, u32)>)>,
     /// The incremental ΔW path's symmetric pair edits `(g, h, new
-    /// distance)`, not yet written into the near rows. Only the top
-    /// frame ever holds any: the next apply, a commit or a consistency
-    /// check flushes them (see `flush_row_edits`), and a rollback of the
-    /// unflushed frame just drops them.
+    /// distance)`, not yet written into the near rows: the commit writes
+    /// them, a rollback drops them.
     row_edits: Vec<(u32, u32, u32)>,
-    /// `(gate, partner, previous distance)` for every near-row entry the
-    /// flush of `row_edits` overwrote, in write order (`ρ` = absent).
-    /// Each directed entry appears at most once: the pairs of one
-    /// refresh are distinct.
-    entry_log: Vec<(u32, u32, u32)>,
-    /// `Σ near_w` before the apply.
-    sum_w_before: u64,
     /// The structure id before the apply (see `ResynthEval::structure_id`).
     structure_before: u64,
 }
@@ -227,8 +228,21 @@ struct Redo {
     /// `(gate, weight after the apply)` for every logged neighbour weight.
     w: Vec<(u32, u64)>,
     sum_w: u64,
-    /// The apply's deferred ΔW pair edits (never flushed).
+    /// The apply's deferred ΔW pair edits.
     row_edits: Vec<(u32, u32, u32)>,
+}
+
+/// The structural half of one apply.
+#[derive(Debug)]
+struct Edit {
+    /// `(gate, previous fan-in)` for every rewire, in op order.
+    fanin_log: Vec<(u32, Vec<u32>)>,
+    /// The node count before the apply.
+    nodes_before: usize,
+    /// `Σ near_w` before the apply.
+    sum_w_before: u64,
+    /// Nodes visited by the transition-time walk.
+    times_visited: usize,
 }
 
 /// The separation dirty set of one apply, captured on the *pre-patch*
@@ -239,8 +253,8 @@ enum SepDirty {
     /// every gate in the union of this and the post-patch ball gets its
     /// neighbour weight re-derived by bounded BFS.
     Ball(Vec<u32>),
-    /// Incremental ΔW path: for each edited node `x` (alive before the
-    /// patch), the pre-patch `(gate, distance)` list of `x`'s ρ−1-ball —
+    /// Incremental ΔW path: for each rewired gate `x`, the pre-patch
+    /// `(gate, distance)` list of `x`'s ρ−1-ball —
     /// gates only, `x` itself at distance 0, sorted by distance. Only
     /// pairs whose shortest bounded path crosses an edited node are
     /// rescored.
@@ -251,10 +265,9 @@ enum SepDirty {
 /// `O(pairs-through-X · |X|)` with the through-distance columns scanned
 /// per pair, while the full ball refresh costs `O(|ball(X, ρ)| · BFS)`
 /// — once a patch edits many nodes the balls overlap and the region
-/// rebuild amortizes far better (a whole-netlist decomposition patch is
-/// the extreme case). Eight keeps every local probe (gate decompose,
-/// small buffer trees, rewires) on the incremental path and routes bulk
-/// rewrites to the ball refresh.
+/// rebuild amortizes far better. A `k`-input decomposition edits `k − 1`
+/// nodes, so eight keeps every gate of up to nine inputs on the
+/// incremental path and routes wider ones to the ball refresh.
 const DELTA_SEP_MAX_EDITS: usize = 8;
 
 /// Persistent buffers of the incremental ΔW refresh. All per-slot
@@ -420,19 +433,28 @@ pub struct PatchImpact {
 /// ```rust
 /// use iddq_celllib::Library;
 /// use iddq_core::{config::PartitionConfig, resynth::ResynthEval, EvalContext};
-/// use iddq_netlist::patch::{Patch, PatchOp};
-/// use iddq_netlist::{data, CellKind};
+/// use iddq_netlist::patch::{Patch, PatchError, PatchOp};
+/// use iddq_netlist::{data, CellKind, NodeId};
 ///
 /// let c17 = data::c17();
 /// let lib = Library::generic_1um();
 /// let ctx = EvalContext::new(&c17, &lib, PartitionConfig::paper_default());
 /// let mut eval = ResynthEval::new(&ctx);
 /// let base = eval.total_cost();
-/// // Score "c17 with gate 22 turned into an AND" without a rebuild.
+/// // Score "c17 with a buffer on gate 22's first input" without a rebuild.
 /// let g22 = c17.find("22").unwrap();
-/// eval.apply(&Patch::single(PatchOp::SetKind { gate: g22, kind: CellKind::And }))
-///     .unwrap();
-/// let _mutated = eval.total_cost();
+/// let fanin = c17.node(g22).fanin().to_vec();
+/// let buf = NodeId(c17.node_count() as u32);
+/// let buffered = Patch {
+///     ops: vec![
+///         PatchOp::AddGate { gate: buf, kind: CellKind::Buf, fanin: vec![fanin[0]] },
+///         PatchOp::SetFanin { gate: g22, fanin: vec![buf, fanin[1]] },
+///     ],
+/// };
+/// eval.apply(&buffered).unwrap();
+/// let _buffered_cost = eval.total_cost();
+/// // One patch at a time: the next waits for a commit or a rollback.
+/// assert_eq!(eval.apply(&buffered), Err(PatchError::Pending));
 /// eval.rollback();
 /// assert_eq!(eval.total_cost().to_bits(), base.to_bits());
 /// ```
@@ -443,7 +465,7 @@ pub struct ResynthEval<'a> {
     kinds: Vec<Option<CellKind>>,
     /// Levels + fan-in/fanout adjacency + walks (the structure mirror).
     cones: DynamicCones,
-    /// Per-node electrical rows, maintained under kind/arity changes.
+    /// Per-node electrical rows, maintained under arity changes.
     tables: NodeTables,
     /// §3.1 transition-time sets, maintained by dirty-cone walks.
     times: Vec<TimeSet>,
@@ -453,9 +475,9 @@ pub struct ResynthEval<'a> {
     /// `(partner gate, bounded distance)` list of its in-bound pairs
     /// (`1 ≤ d ≤ ρ−1`), sorted by partner id — the same shape as a
     /// [`iddq_netlist::separation::GateSeparationTable`] row with the
-    /// weight written as a distance. The newest apply's ΔW edits may
-    /// still wait in the top undo frame; every read of the rows happens
-    /// after `flush_row_edits`. `None` disables incremental ΔW
+    /// weight written as a distance. The pending patch's ΔW edits wait in
+    /// its undo frame until the commit, so the rows are exact whenever no
+    /// patch is pending. `None` disables incremental ΔW
     /// maintenance ([`ResynthEval::new_full_refresh`]); rows for primary
     /// inputs are empty.
     rows: Option<Vec<Vec<(u32, u32)>>>,
@@ -469,14 +491,12 @@ pub struct ResynthEval<'a> {
     last_structure_id: u64,
     gate_count: usize,
     outputs: Vec<u32>,
-    /// Undo frames (inverse patch + derived-state snapshots), innermost
-    /// last.
-    undo: Vec<UndoFrame>,
+    /// The undo frame of the pending patch, if any.
+    undo: Option<UndoFrame>,
     /// The rolled-back scored probes of the current search step (all
     /// applied on one structure), newest last.
     redo: Vec<Redo>,
-    /// Per-apply change logs, drained into the [`UndoFrame`] on success
-    /// and discarded on rejection (the repair pass recomputes instead).
+    /// Per-apply change logs, drained into the [`UndoFrame`].
     times_log: Vec<(u32, TimeSet)>,
     w_log: Vec<(u32, u64)>,
     level_log: Vec<(u32, u32)>,
@@ -586,7 +606,7 @@ impl<'a> ResynthEval<'a> {
             last_structure_id: 0,
             gate_count: ctx.gates.len(),
             outputs: nl.outputs().iter().map(|o| o.0).collect(),
-            undo: Vec::new(),
+            undo: None,
             redo: Vec::new(),
             times_log: Vec::new(),
             w_log: Vec::new(),
@@ -617,31 +637,28 @@ impl<'a> ResynthEval<'a> {
         self.gate_count
     }
 
-    /// Number of applied-but-uncommitted patches on the undo stack.
-    #[must_use]
-    pub fn pending_patches(&self) -> usize {
-        self.undo.len()
-    }
-
-    /// Applies a patch: structural edit, batched re-levelization, then a
-    /// refresh of the dirtied derived state — or a copy of the state a
-    /// rolled-back probe of the same patch on this structure kept (see
-    /// the [module docs](self#lifecycle)). The inverse lands on the undo
-    /// stack.
+    /// Applies a patch: the checks, the structural edit, batched
+    /// re-levelization, then a refresh of the dirtied derived state — or
+    /// a copy of the state a rolled-back probe of the same patch on this
+    /// structure kept (see the [module docs](self#lifecycle)). The patch
+    /// stays pending until [`ResynthEval::commit`] or
+    /// [`ResynthEval::rollback`].
     ///
     /// # Errors
     ///
-    /// Returns a [`PatchError`] (evaluation unchanged) when an op targets
-    /// a non-gate, uses an illegal arity or id, would create a cycle, or
-    /// adds, rekinds, rewires or removes a state element.
+    /// Returns a [`PatchError`] (evaluation unchanged) when a patch is
+    /// pending, when an op targets a non-gate, uses an illegal arity or
+    /// id, or adds or rewires a state element, or when the patch does not
+    /// subdivide the fan-in edges of existing gates.
     pub fn apply(&mut self, patch: &Patch) -> Result<PatchImpact, PatchError> {
+        self.check(patch)?;
         if let Some(impact) = self.replay(patch) {
             return Ok(impact);
         }
-        let sum_w_before = self.sum_w;
-        let (inverse, dirty, times_visited) = self.apply_inner(patch)?;
+        let (edit, dirty) = self.apply_inner(patch);
         let separation_recomputed = self.refresh_separation(patch, &dirty);
-        self.push_frame(inverse, sum_w_before, None);
+        let times_visited = edit.times_visited;
+        self.push_frame(edit, None);
         Ok(PatchImpact {
             times_visited,
             separation_recomputed,
@@ -653,35 +670,33 @@ impl<'a> ResynthEval<'a> {
     ///
     /// Returns `Ok(None)` when the bound prunes the probe: the patch is
     /// rolled back again and the separation state was never touched.
-    /// Otherwise the patch stays applied, exactly as after
+    /// Otherwise the patch stays pending, exactly as after
     /// [`ResynthEval::apply`], and the result is its exact
-    /// [`ResynthEval::total_cost`]. Pruning needs `α₃ ≥ 0` and a patch
-    /// that only subdivides fan-in edges; any other probe is scored
-    /// exactly.
+    /// [`ResynthEval::total_cost`]. Pruning needs `α₃ ≥ 0`; with
+    /// `α₃ < 0` every probe is scored exactly.
     ///
     /// # Errors
     ///
     /// As [`ResynthEval::apply`] (evaluation unchanged).
     pub fn probe(&mut self, patch: &Patch, beat: f64) -> Result<Option<f64>, PatchError> {
+        self.check(patch)?;
         let config = &self.ctx.config;
         let (weights, penalty) = (&config.weights, config.violation_penalty);
-        let sum_w_before = self.sum_w;
         let separation_before = self.separation();
-        let prunable =
-            weights.interconnect >= 0.0 && separation_before < 1 << 46 && self.subdivides(patch);
-        let (inverse, dirty, _) = self.apply_inner(patch)?;
+        let prunable = weights.interconnect >= 0.0 && separation_before < 1 << 46;
+        let (edit, dirty) = self.apply_inner(patch);
         let mut bounded = None;
         if prunable {
             let bound = self.cost_at(separation_before);
             if bound.total(weights, penalty) >= beat {
-                self.push_frame(inverse, sum_w_before, None);
+                self.push_frame(edit, None);
                 self.rollback();
                 return Ok(None);
             }
             bounded = Some(bound);
         }
         self.refresh_separation(patch, &dirty);
-        self.push_frame(inverse, sum_w_before, Some(patch.clone()));
+        self.push_frame(edit, Some(patch.clone()));
         // Only c₃ reads the separation, so the bound's breakdown becomes
         // the exact one by swapping that term.
         let exact = match bounded {
@@ -694,27 +709,78 @@ impl<'a> ResynthEval<'a> {
         Ok(Some(exact.total(weights, penalty)))
     }
 
+    /// Checks `patch` on the pre-patch structure, before any edit: no
+    /// patch may be pending, every op must validate (in order, against
+    /// the nodes the ops before it append), and the patch must be a
+    /// subdivision ([`Self::subdivides`]).
+    fn check(&self, patch: &Patch) -> Result<(), PatchError> {
+        if self.undo.is_some() {
+            return Err(PatchError::Pending);
+        }
+        let n = self.kinds.len();
+        let mut added: Vec<CellKind> = Vec::new();
+        for op in &patch.ops {
+            let len = n + added.len();
+            let (gate, kind, fanin) = match op {
+                PatchOp::AddGate { gate, kind, fanin } => {
+                    if gate.index() != len {
+                        return Err(PatchError::NotAppend {
+                            gate: *gate,
+                            expected: len as u32,
+                        });
+                    }
+                    (*gate, *kind, fanin)
+                }
+                PatchOp::SetFanin { gate, fanin } => {
+                    let kind = match gate.index() {
+                        i if i < n => self.kinds[i].ok_or(PatchError::NotAGate(*gate))?,
+                        i if i < len => added[i - n],
+                        _ => return Err(PatchError::UnknownNode(*gate)),
+                    };
+                    (*gate, kind, fanin)
+                }
+            };
+            if kind.is_state() {
+                return Err(PatchError::StateElement(gate));
+            }
+            if !kind.accepts_fanin(fanin.len()) {
+                return Err(PatchError::BadArity {
+                    gate,
+                    kind,
+                    got: fanin.len(),
+                });
+            }
+            if let Some(&f) = fanin.iter().find(|f| f.index() >= len) {
+                return Err(PatchError::UnknownNode(f));
+            }
+            if matches!(op, PatchOp::AddGate { .. }) {
+                added.push(kind);
+            }
+        }
+        self.subdivides(patch)
+    }
+
     /// Whether `patch` only subdivides fan-in edges of existing gates, so
-    /// that no bounded distance between existing nodes can shrink. Each
-    /// inserted node must be claimed by exactly one existing gate (the
-    /// gate it contracts into); every fan-in edge the patch writes must
-    /// then contract onto a pre-patch fan-in edge of that gate, or onto
-    /// the gate itself. Checked on the pre-patch structure; conservative
-    /// (a `false` only costs the bound and the early-stopping relevel).
-    fn subdivides(&self, patch: &Patch) -> bool {
+    /// that no cycle can close and no bounded distance between existing
+    /// nodes can shrink. Each inserted node must be claimed by exactly
+    /// one existing gate (the gate it contracts into); every fan-in edge
+    /// the patch writes must then contract onto a pre-patch fan-in edge
+    /// of that gate, or onto the gate itself. Checked on the pre-patch
+    /// structure, after the ops validated; the error names the node of
+    /// the first op (walking backwards) that breaks the shape.
+    fn subdivides(&self, patch: &Patch) -> Result<(), PatchError> {
         let n = self.kinds.len();
         let mut owner: Vec<Option<u32>> = Vec::new();
         // Walk backwards: a node's consumers come after its insertion.
         for op in patch.ops.iter().rev() {
+            let rejected = PatchError::NotASubdivision(op.gate());
             let (o, fanin) = match op {
-                PatchOp::SetKind { .. } => continue,
-                PatchOp::RemoveGate { .. } => return false,
                 PatchOp::SetFanin { gate, fanin } if gate.index() < n => (gate.0, fanin),
-                PatchOp::SetFanin { .. } => return false,
+                PatchOp::SetFanin { .. } => return Err(rejected),
                 PatchOp::AddGate { gate, fanin, .. } => {
                     match gate.index().checked_sub(n).and_then(|i| owner.get(i)) {
                         Some(&Some(o)) => (o, fanin),
-                        _ => return false,
+                        _ => return Err(rejected),
                     }
                 }
             };
@@ -725,44 +791,33 @@ impl<'a> ResynthEval<'a> {
                             owner.resize(i + 1, None);
                         }
                         if owner[i].is_some_and(|prev| prev != o) {
-                            return false;
+                            return Err(rejected);
                         }
                         owner[i] = Some(o);
                     }
                     None if self.cones.fanin(o as usize).contains(&f.0) => {}
-                    None => return false,
+                    None => return Err(rejected),
                 }
             }
         }
-        true
+        Ok(())
     }
 
     /// Re-applies `patch` from a [`Redo`] kept for it on the current
-    /// structure: the structural edit and the re-levelization run again
-    /// (they succeeded on this structure before), and the transition
-    /// times, neighbour weights and deferred row edits are copied back —
-    /// the values a fresh apply would recompute, since every derived
-    /// quantity is a function of the structure. `None` (nothing done)
-    /// when no probe of `patch` was rolled back on this structure.
-    // Documented invariant: the kept patch was accepted on this very
-    // structure, so neither step can fail.
-    #[allow(clippy::expect_used)]
+    /// structure: the structural edit and the re-levelization run again,
+    /// and the transition times, neighbour weights and deferred row edits
+    /// are copied back — the values a fresh apply would compute, since
+    /// every derived quantity is a function of the structure. `None`
+    /// (nothing done) when no probe of `patch` was rolled back on this
+    /// structure.
     fn replay(&mut self, patch: &Patch) -> Option<PatchImpact> {
         let k = (self.redo.iter())
             .position(|r| r.structure_before == self.structure_id && r.patch == *patch)?;
         let redo = self.redo.swap_remove(k);
-        self.flush_row_edits();
-        self.times_log.clear();
-        self.w_log.clear();
-        self.level_log.clear();
-        self.row_log.clear();
         let sum_w_before = self.sum_w;
-        let subdivision = self.subdivides(patch);
-        let inverse = self
-            .apply_structure(patch)
-            .unwrap_or_else(|_| panic!("a kept probe applies on its own structure"));
-        self.relevel(patch, subdivision)
-            .unwrap_or_else(|_| panic!("a kept probe re-levels on its own structure"));
+        let nodes_before = self.kinds.len();
+        let fanin_log = self.apply_structure(patch);
+        self.relevel(patch);
         let times_visited = redo.times.len();
         for (i, set) in redo.times {
             let i = i as usize;
@@ -780,7 +835,13 @@ impl<'a> ResynthEval<'a> {
         self.row_edits = redo.row_edits;
         self.order_dirty = true;
         self.nominal_dirty = true;
-        self.push_frame(inverse, sum_w_before, Some(redo.patch));
+        let edit = Edit {
+            fanin_log,
+            nodes_before,
+            sum_w_before,
+            times_visited,
+        };
+        self.push_frame(edit, Some(redo.patch));
         Some(PatchImpact {
             times_visited,
             separation_recomputed: 0,
@@ -788,105 +849,60 @@ impl<'a> ResynthEval<'a> {
     }
 
     /// Batched re-levelization after the structural edit of `patch`,
-    /// seeded by the rewired gates whose local level moved, logging the
-    /// moves for the rollback. A `subdivision` (as [`Self::subdivides`]
-    /// reported before the edit) cannot close a cycle — contracting each
-    /// inserted node into its gate maps a new cycle onto an old one — so
-    /// its levels move in a wave that stops where they hold; any other
-    /// patch walks the whole fanout cone with the atomic cycle check.
-    fn relevel(&mut self, patch: &Patch, subdivision: bool) -> Result<(), u32> {
-        let seeds: Vec<u32> = patch
-            .ops
-            .iter()
+    /// seeded by its rewired gates, logging the moves for the rollback.
+    /// The patch was checked to be a subdivision, which cannot close a
+    /// cycle, so the levels move in a wave that stops where they hold.
+    fn relevel(&mut self, patch: &Patch) {
+        let seeds: Vec<u32> = (patch.ops.iter())
             .filter(|op| matches!(op, PatchOp::SetFanin { .. }))
             .map(|op| op.gate().0)
-            .filter(|&g| (g as usize) < self.kinds.len())
-            .filter(|&g| self.cones.local_level(g as usize) != self.cones.level(g as usize))
             .collect();
-        if seeds.is_empty() {
-            Ok(())
-        } else if subdivision {
-            self.cones.relevel_acyclic(&seeds, &mut self.level_log);
-            Ok(())
-        } else {
-            self.cones.relevel(&seeds, &mut self.level_log)
-        }
+        self.cones.relevel_acyclic(&seeds, &mut self.level_log);
     }
 
-    /// Pushes the undo frame of an apply whose structural part returned
-    /// `inverse` and moves to a fresh structure id. `probed` is the patch
-    /// of an exactly scored probe (see [`Redo`]).
-    fn push_frame(&mut self, inverse: Patch, sum_w_before: u64, probed: Option<Patch>) {
-        self.undo.push(UndoFrame {
-            inverse,
+    /// Records the undo frame of the structural `edit` and moves to a
+    /// fresh structure id. `probed` is the patch of an exactly scored
+    /// probe (see [`Redo`]).
+    fn push_frame(&mut self, edit: Edit, probed: Option<Patch>) {
+        self.undo = Some(UndoFrame {
             probed,
+            edit,
             times_log: std::mem::take(&mut self.times_log),
             w_log: std::mem::take(&mut self.w_log),
             level_log: std::mem::take(&mut self.level_log),
             row_log: std::mem::take(&mut self.row_log),
             row_edits: std::mem::take(&mut self.row_edits),
-            entry_log: Vec::new(),
-            sum_w_before,
             structure_before: self.structure_id,
         });
         self.last_structure_id += 1;
         self.structure_id = self.last_structure_id;
     }
 
-    /// Writes the top frame's deferred ΔW pair edits into the near rows,
-    /// both directions per pair, logging each overwritten entry into
-    /// that frame so its rollback can restore it. Only survivors pay:
-    /// a probe rolled back before the next apply never writes a row.
-    fn flush_row_edits(&mut self) {
-        let rho = self.ctx.config.rho;
-        let Some(frame) = self.undo.last_mut() else {
-            return;
-        };
-        if frame.row_edits.is_empty() {
-            return;
-        }
-        let Some(rows) = self.rows.as_mut() else {
-            unreachable!("deferred row edits imply maintained rows")
-        };
-        for (g, h, d) in std::mem::take(&mut frame.row_edits) {
-            for (e, p) in [(g, h), (h, g)] {
-                let prev = set_row_entry(&mut rows[e as usize], p, d, rho);
-                frame.entry_log.push((e, p, prev));
-            }
-        }
-    }
-
-    /// Rolls the most recent uncommitted patch back: the structural
-    /// inverse is re-applied and the derived state is *restored* from the
-    /// frame's snapshots (bit-identical to the state before the matching
+    /// Rolls the pending patch back: the rewired fan-in lists are put
+    /// back, the inserted nodes popped, and the derived state *restored*
+    /// from the frame's snapshots (bit-identical to the state before the
     /// apply, and O(changed entries) instead of a dirty-region
     /// recomputation). Rolling back an exactly scored probe keeps its
     /// forward state for a re-apply.
     ///
     /// # Panics
     ///
-    /// Panics if there is no patch to roll back.
-    // Documented panic contract (empty undo stack); the recorded
-    // inverse restores the exact prior structure by construction.
+    /// Panics if no patch is pending.
+    // Documented panic contract (nothing pending).
     #[allow(clippy::expect_used)]
     pub fn rollback(&mut self) -> PatchImpact {
-        let rho = self.ctx.config.rho;
-        let mut frame = self.undo.pop().expect("no patch to roll back");
+        let mut frame = self.undo.take().expect("no patch to roll back");
         // A scored probe keeps its forward state for a re-apply, unless
-        // its row edits already reached the rows or it rebuilt them
-        // wholesale.
+        // the ball refresh rebuilt its rows wholesale.
         if let Some(patch) = frame.probed.take() {
-            if frame.entry_log.is_empty() && frame.row_log.is_empty() {
-                let alive = self.kinds.len();
+            if frame.row_log.is_empty() {
                 let redo = Redo {
                     patch,
                     structure_before: frame.structure_before,
                     times: (frame.times_log.iter())
-                        .filter(|&&(i, _)| (i as usize) < alive)
                         .map(|&(i, _)| (i, self.times[i as usize].clone()))
                         .collect(),
                     w: (frame.w_log.iter())
-                        .filter(|&&(g, _)| (g as usize) < alive)
                         .map(|&(g, _)| (g, self.near_w[g as usize]))
                         .collect(),
                     sum_w: self.sum_w,
@@ -897,20 +913,16 @@ impl<'a> ResynthEval<'a> {
                 self.redo.push(redo);
             }
         }
-        self.times_log.clear();
-        self.w_log.clear();
-        self.row_log.clear();
-        // Levels first: a node the revert re-inserts takes its level from
-        // its fan-in's restored levels.
         self.cones.restore_levels(&frame.level_log);
-        self.apply_structure(&frame.inverse)
-            .unwrap_or_else(|_| panic!("inverse of an accepted patch is always valid"));
-        // Restore snapshots newest-first; entries for nodes the structural
-        // revert popped again (insertions of the rolled-back patch) are
-        // skipped.
-        self.times_log.clear();
-        self.w_log.clear();
-        self.row_log.clear();
+        for (g, fanin) in frame.edit.fanin_log.iter().rev() {
+            self.set_fanin(*g as usize, fanin);
+        }
+        while self.kinds.len() > frame.edit.nodes_before {
+            self.pop_gate();
+        }
+        // Restore snapshots newest-first; entries of the popped
+        // insertions are skipped. The deferred row edits never reached
+        // the rows and drop with the frame.
         let alive = self.kinds.len();
         let mut impact = PatchImpact::default();
         for (i, ts) in frame.times_log.into_iter().rev() {
@@ -930,78 +942,54 @@ impl<'a> ResynthEval<'a> {
             }
         }
         if let Some(rows) = self.rows.as_mut() {
-            // Unflushed `row_edits` never reached the rows and drop with
-            // the frame. Flushed entries replay newest-first; only an
-            // entry whose row *owner* the revert popped is skipped — one
-            // whose partner was popped must still leave the owner's row.
-            for (g, p, d) in frame.entry_log.into_iter().rev() {
-                if (g as usize) < alive {
-                    set_row_entry(&mut rows[g as usize], p, d, rho);
-                }
-            }
             for (g, row) in frame.row_log.into_iter().rev() {
                 if (g as usize) < alive {
                     rows[g as usize] = row;
                 }
             }
         }
-        self.sum_w = frame.sum_w_before;
+        self.sum_w = frame.edit.sum_w_before;
         self.structure_id = frame.structure_before;
         self.order_dirty = true;
         self.nominal_dirty = true;
         impact
     }
 
-    /// Makes all applied patches permanent by clearing the undo stack
-    /// (after writing the deferred row edits of the newest apply).
+    /// Makes the pending patch permanent: writes its deferred ΔW row
+    /// edits into the near rows and drops its undo frame and every kept
+    /// probe state.
     pub fn commit(&mut self) {
-        self.flush_row_edits();
-        self.undo.clear();
         self.redo.clear();
+        if let Some(frame) = self.undo.take() {
+            if let Some(rows) = self.rows.as_mut() {
+                write_row_edits(rows, &frame.row_edits, self.ctx.config.rho);
+            }
+        }
     }
 
-    /// The structural part of an apply: flushes the previous frame's row
-    /// edits, captures the separation dirty set, applies the ops,
-    /// re-levelizes and walks the transition times. Returns the inverse,
-    /// the dirty set for [`ResynthEval::refresh_separation`] and the
-    /// number of nodes the time walk visited. On a rejected patch the
-    /// evaluation is left as it was.
-    fn apply_inner(&mut self, patch: &Patch) -> Result<(Patch, SepDirty, usize), PatchError> {
-        self.flush_row_edits();
-        self.times_log.clear();
-        self.w_log.clear();
-        self.level_log.clear();
-        self.row_log.clear();
-        self.row_edits.clear();
+    /// The structural part of an apply: captures the separation dirty
+    /// set, applies the ops, re-levelizes and walks the transition times.
+    /// The patch has passed [`Self::check`], so nothing here can fail.
+    fn apply_inner(&mut self, patch: &Patch) -> (Edit, SepDirty) {
+        let sum_w_before = self.sum_w;
+        let nodes_before = self.kinds.len();
         let rho = self.ctx.config.rho;
         // Separation dirty set over the *pre-patch* graph: every pair
         // whose bounded distance the patch can move has a shortest route
         // through an edited node, so its endpoints sit in the edited
         // nodes' pre- or post-patch ρ−1-balls. The incremental ΔW path
-        // captures per-edited-node distance lists (removals fall back to
-        // the full ball — the popped gate's pairs all vanish at once and
-        // the ball rebuild re-derives its partners' rows wholesale).
-        let mut old_seeds: Vec<u32> = patch
-            .ops
-            .iter()
-            .filter(|op| op.changes_adjacency())
+        // captures one distance list per rewired gate (the inserted
+        // nodes have no pre-patch side).
+        let mut old_seeds: Vec<u32> = (patch.ops.iter())
             .map(|op| op.gate().0)
-            .filter(|&g| (g as usize) < self.kinds.len())
+            .filter(|&g| (g as usize) < nodes_before)
             .collect();
         old_seeds.sort_unstable();
         old_seeds.dedup();
-        let adds = patch
-            .ops
-            .iter()
+        let adds = (patch.ops.iter())
             .filter(|op| matches!(op, PatchOp::AddGate { .. }))
             .count();
-        let wants_fast = old_seeds.len() + adds <= DELTA_SEP_MAX_EDITS
-            && !patch
-                .ops
-                .iter()
-                .any(|op| matches!(op, PatchOp::RemoveGate { .. }));
-        let fast = self.rows.is_some() && wants_fast;
-        let dirty = if fast {
+        let dirty = if self.rows.is_some() && old_seeds.len() + adds <= DELTA_SEP_MAX_EDITS {
             SepDirty::Dists(
                 old_seeds
                     .iter()
@@ -1014,44 +1002,27 @@ impl<'a> ResynthEval<'a> {
                     .undirected_ball(&old_seeds, rho.saturating_sub(1)),
             )
         };
-
-        let subdivision = self.subdivides(patch);
-        let inverse = match self.apply_structure(patch) {
-            Ok(inverse) => inverse,
-            Err((e, _reverted_prefix)) => {
-                // Mid-patch validation failure: the structural prefix was
-                // already reverted by `apply_structure`; repair the
-                // derived state (deterministic recomputation over the
-                // restored structure reproduces the original values — on
-                // the ΔW path the re-derived distance lists equal the
-                // captured ones, so no pair moves).
-                self.refresh(patch, &dirty);
-                return Err(e);
-            }
-        };
-        if let Err(on) = self.relevel(patch, subdivision) {
-            // Cycle: levels untouched (atomic relevel); revert the
-            // structural edit and repair derived state.
-            self.apply_structure(&inverse)
-                .unwrap_or_else(|_| panic!("re-applying an inverse cannot fail"));
-            self.refresh(patch, &dirty);
-            return Err(PatchError::Cycle(NodeId(on)));
-        }
+        let fanin_log = self.apply_structure(patch);
+        self.relevel(patch);
         let times_visited = self.refresh_times(patch);
-        Ok((inverse, dirty, times_visited))
+        let edit = Edit {
+            fanin_log,
+            nodes_before,
+            sum_w_before,
+            times_visited,
+        };
+        (edit, dirty)
     }
 
-    /// [`ResynthEval::gate_dist_list`] of a pre-patch edited node, read
-    /// from its flushed near row instead of a BFS: `x` itself at
-    /// distance 0, then the row bucketed by distance (partners ascending
-    /// within a bucket), so the list keeps the non-decreasing distance
-    /// order the pair enumeration relies on. The same `(gate, distance)`
-    /// set as the BFS, since the maintained rows are exact. A non-gate
-    /// `x` (an op the validation will reject) has no row and takes the
-    /// BFS, whose list the rejected patch's repair recomputes.
-    fn pre_patch_dist_list(&mut self, x: u32) -> Vec<(u32, u32)> {
-        let (Some(rows), Some(_)) = (self.rows.as_ref(), self.kinds[x as usize]) else {
-            return self.gate_dist_list(x);
+    /// [`ResynthEval::gate_dist_list`] of a pre-patch edited gate, read
+    /// from its near row instead of a BFS: `x` itself at distance 0, then
+    /// the row bucketed by distance (partners ascending within a bucket),
+    /// so the list keeps the non-decreasing distance order the pair
+    /// enumeration relies on. The same `(gate, distance)` set as the
+    /// BFS, since the rows are exact while no patch is pending.
+    fn pre_patch_dist_list(&self, x: u32) -> Vec<(u32, u32)> {
+        let Some(rows) = self.rows.as_ref() else {
+            unreachable!("the ΔW path runs only with maintained rows")
         };
         let row = &rows[x as usize];
         // Counting sort on the distances `1..ρ`: `next[d]` is the slot of
@@ -1093,186 +1064,90 @@ impl<'a> ResynthEval<'a> {
         list
     }
 
-    /// Applies the structural ops in order, returning the inverse patch.
-    /// On mid-patch validation failure the already-applied prefix is
-    /// reverted (structure only — the caller repairs derived state) and
-    /// the inverse of that reverted prefix is returned alongside the
-    /// error.
-    #[allow(clippy::result_large_err)]
-    fn apply_structure(&mut self, patch: &Patch) -> Result<Patch, (PatchError, Patch)> {
-        let mut inverse: Vec<PatchOp> = Vec::with_capacity(patch.ops.len());
+    /// Applies the checked ops in order, returning `(gate, previous
+    /// fan-in)` for every rewire.
+    fn apply_structure(&mut self, patch: &Patch) -> Vec<(u32, Vec<u32>)> {
+        let mut fanin_log = Vec::new();
         for op in &patch.ops {
-            if let Err(e) = self.validate_op(op) {
-                for inv in inverse.iter().rev() {
-                    self.apply_op(inv);
+            match op {
+                PatchOp::SetFanin { gate, fanin } => {
+                    let new: Vec<u32> = fanin.iter().map(|f| f.0).collect();
+                    fanin_log.push((gate.0, self.set_fanin(gate.index(), &new)));
                 }
-                return Err((e, Patch { ops: inverse }));
-            }
-            inverse.push(self.apply_op(op));
-        }
-        inverse.reverse();
-        Ok(Patch { ops: inverse })
-    }
-
-    fn validate_op(&self, op: &PatchOp) -> Result<(), PatchError> {
-        let gate = op.gate();
-        let gi = gate.index();
-        match op {
-            PatchOp::AddGate { kind, fanin, .. } => {
-                let expected = self.kinds.len() as u32;
-                if gate.0 != expected {
-                    return Err(PatchError::NotAppend { gate, expected });
+                PatchOp::AddGate { kind, fanin, .. } => {
+                    let list: Vec<u32> = fanin.iter().map(|f| f.0).collect();
+                    self.push_gate(*kind, &list);
                 }
-                if kind.is_state() {
-                    return Err(PatchError::StateElement(gate));
-                }
-                if !kind.accepts_fanin(fanin.len()) {
-                    return Err(PatchError::BadArity {
-                        gate,
-                        kind: *kind,
-                        got: fanin.len(),
-                    });
-                }
-                for &f in fanin {
-                    if f.index() >= self.kinds.len() {
-                        return Err(PatchError::UnknownNode(f));
-                    }
-                }
-                Ok(())
-            }
-            PatchOp::SetKind { kind, .. } => {
-                if self.gate_kind(gate)?.is_state() || kind.is_state() {
-                    return Err(PatchError::StateElement(gate));
-                }
-                let arity = self.cones.fanin(gi).len();
-                if !kind.accepts_fanin(arity) {
-                    return Err(PatchError::BadArity {
-                        gate,
-                        kind: *kind,
-                        got: arity,
-                    });
-                }
-                Ok(())
-            }
-            PatchOp::SetFanin { fanin, .. } => {
-                let kind = self.gate_kind(gate)?;
-                if kind.is_state() {
-                    return Err(PatchError::StateElement(gate));
-                }
-                if !kind.accepts_fanin(fanin.len()) {
-                    return Err(PatchError::BadArity {
-                        gate,
-                        kind,
-                        got: fanin.len(),
-                    });
-                }
-                for &f in fanin {
-                    if f.index() >= self.kinds.len() {
-                        return Err(PatchError::UnknownNode(f));
-                    }
-                }
-                Ok(())
-            }
-            PatchOp::RemoveGate { .. } => {
-                if self.gate_kind(gate)?.is_state() {
-                    return Err(PatchError::StateElement(gate));
-                }
-                // A primary output is load-bearing even with no gate
-                // consumers: removal would leave a dangling output id.
-                if gi + 1 != self.kinds.len()
-                    || !self.cones.fanout(gi).is_empty()
-                    || self.outputs.contains(&gate.0)
-                {
-                    return Err(PatchError::NotRemovable(gate));
-                }
-                Ok(())
             }
         }
+        fanin_log
     }
 
-    fn gate_kind(&self, gate: NodeId) -> Result<CellKind, PatchError> {
-        let gi = gate.index();
-        if gi >= self.kinds.len() {
-            return Err(PatchError::UnknownNode(gate));
+    /// Rewires gate `i`, re-deriving its cell row when the arity moved
+    /// (the row is keyed by `(kind, arity)`); returns the old fan-in.
+    fn set_fanin(&mut self, i: usize, fanin: &[u32]) -> Vec<u32> {
+        let old = self.cones.set_fanin(i, fanin);
+        if old.len() != fanin.len() {
+            self.set_table_row(i);
         }
-        self.kinds[gi].ok_or(PatchError::NotAGate(gate))
+        old
     }
 
-    /// Applies one validated op (structure + electrical row + placeholder
-    /// growth of the derived vectors), returning its inverse.
-    // Ops reach here only after validation, so gate slots are
-    // populated and the parallel arrays stay aligned.
+    /// Appends a gate (structure, electrical row and placeholder growth
+    /// of the derived vectors).
+    fn push_gate(&mut self, kind: CellKind, fanin: &[u32]) {
+        let i = self.kinds.len();
+        self.kinds.push(Some(kind));
+        self.cones.push_node(fanin);
+        // The empty time set first: the row below counts it.
+        self.times.push(TimeSet::new());
+        let t = &mut self.tables;
+        t.delay_ps.push(0.0);
+        t.grid_delay.push(0);
+        t.peak_current_ua.push(0.0);
+        t.r_on_kohm.push(0.0);
+        t.c_out_ff.push(0.0);
+        t.c_rail_ff.push(0.0);
+        t.leakage_na.push(0.0);
+        t.area.push(0.0);
+        self.set_table_row(i);
+        self.near_w.push(0);
+        if let Some(rows) = self.rows.as_mut() {
+            rows.push(Vec::new());
+        }
+        self.gate_count += 1;
+        self.arr.push(0.0);
+        self.arr_nom.push(0.0);
+    }
+
+    /// Pops the last node, an inserted gate whose consumers are gone
+    /// (the inverse of [`Self::push_gate`], with its current-histogram
+    /// entries).
+    // Only called on gates a rollback appended, so the parallel arrays
+    // are aligned and non-empty.
     #[allow(clippy::expect_used)]
-    fn apply_op(&mut self, op: &PatchOp) -> PatchOp {
-        match op {
-            PatchOp::SetKind { gate, kind } => {
-                let gi = gate.index();
-                let old = self.kinds[gi].expect("validated as gate");
-                self.kinds[gi] = Some(*kind);
-                self.set_table_row(gi);
-                PatchOp::SetKind {
-                    gate: *gate,
-                    kind: old,
-                }
-            }
-            PatchOp::SetFanin { gate, fanin } => {
-                let gi = gate.index();
-                let new: Vec<u32> = fanin.iter().map(|f| f.0).collect();
-                let old = self.cones.set_fanin(gi, &new);
-                if old.len() != new.len() {
-                    // The cell row is keyed by (kind, arity).
-                    self.set_table_row(gi);
-                }
-                PatchOp::SetFanin {
-                    gate: *gate,
-                    fanin: old.into_iter().map(NodeId).collect(),
-                }
-            }
-            PatchOp::AddGate { gate, kind, fanin } => {
-                let list: Vec<u32> = fanin.iter().map(|f| f.0).collect();
-                self.kinds.push(Some(*kind));
-                self.cones.push_node(&list);
-                // The empty time set first: the row below counts it.
-                self.times.push(TimeSet::new());
-                self.push_table_row();
-                self.set_table_row(gate.index());
-                self.near_w.push(0);
-                if let Some(rows) = self.rows.as_mut() {
-                    rows.push(Vec::new());
-                }
-                self.gate_count += 1;
-                self.arr.push(0.0);
-                self.arr_nom.push(0.0);
-                PatchOp::RemoveGate { gate: *gate }
-            }
-            PatchOp::RemoveGate { gate } => {
-                let kind = self.kinds.pop().flatten().expect("validated gate");
-                let fanin = self.cones.pop_node();
-                let popped_times = self.times.pop().expect("aligned");
-                self.hist
-                    .remove(&popped_times, self.tables.peak_current_ua[gate.index()]);
-                self.pop_table_row();
-                self.times_log.push((gate.0, popped_times));
-                // Partner weights in the ball are re-derived by `refresh`;
-                // the popped gate's own weight leaves the sum here (and
-                // lands in the log so a rollback can restore it).
-                let popped_w = self.near_w.pop().expect("aligned");
-                self.sum_w -= popped_w;
-                self.w_log.push((gate.0, popped_w));
-                if let Some(rows) = self.rows.as_mut() {
-                    let popped_row = rows.pop().expect("aligned");
-                    self.row_log.push((gate.0, popped_row));
-                }
-                self.gate_count -= 1;
-                self.arr.pop();
-                self.arr_nom.pop();
-                PatchOp::AddGate {
-                    gate: *gate,
-                    kind,
-                    fanin: fanin.into_iter().map(NodeId).collect(),
-                }
-            }
+    fn pop_gate(&mut self) {
+        let i = self.kinds.len() - 1;
+        let set = self.times.pop().expect("aligned");
+        self.hist.remove(&set, self.tables.peak_current_ua[i]);
+        self.kinds.pop();
+        self.cones.pop_node();
+        let t = &mut self.tables;
+        t.delay_ps.pop();
+        t.grid_delay.pop();
+        t.peak_current_ua.pop();
+        t.r_on_kohm.pop();
+        t.c_out_ff.pop();
+        t.c_rail_ff.pop();
+        t.leakage_na.pop();
+        t.area.pop();
+        self.near_w.pop();
+        if let Some(rows) = self.rows.as_mut() {
+            rows.pop();
         }
+        self.gate_count -= 1;
+        self.arr.pop();
+        self.arr_nom.pop();
     }
 
     /// Re-derives the electrical row of gate `i` from the library — the
@@ -1297,39 +1172,6 @@ impl<'a> ResynthEval<'a> {
         t.area[i] = cell.area;
     }
 
-    fn push_table_row(&mut self) {
-        let t = &mut self.tables;
-        t.delay_ps.push(0.0);
-        t.grid_delay.push(0);
-        t.peak_current_ua.push(0.0);
-        t.r_on_kohm.push(0.0);
-        t.c_out_ff.push(0.0);
-        t.c_rail_ff.push(0.0);
-        t.leakage_na.push(0.0);
-        t.area.push(0.0);
-    }
-
-    fn pop_table_row(&mut self) {
-        let t = &mut self.tables;
-        t.delay_ps.pop();
-        t.grid_delay.pop();
-        t.peak_current_ua.pop();
-        t.r_on_kohm.pop();
-        t.c_out_ff.pop();
-        t.c_rail_ff.pop();
-        t.leakage_na.pop();
-        t.area.pop();
-    }
-
-    /// Refreshes the structure-derived state the (applied or reverted)
-    /// ops may have dirtied: the transition times and the separation
-    /// state (see [`ResynthEval::refresh_times`] and
-    /// [`ResynthEval::refresh_separation`]).
-    fn refresh(&mut self, patch: &Patch, sep: &SepDirty) {
-        self.refresh_times(patch);
-        self.refresh_separation(patch, sep);
-    }
-
     /// Separation state through the captured [`SepDirty`]: the
     /// incremental ΔW pair rescoring, or the full ρ-ball bounded-BFS
     /// re-derivation. Returns the number of gates re-derived.
@@ -1343,13 +1185,7 @@ impl<'a> ResynthEval<'a> {
     /// Transition-time sets through a dirty-cone walk, and the lazy
     /// order/nominal-delay flags. Returns the number of nodes visited.
     fn refresh_times(&mut self, patch: &Patch) -> usize {
-        let alive = self.kinds.len();
-        let time_seeds: Vec<u32> = patch
-            .ops
-            .iter()
-            .map(|op| op.gate().0)
-            .filter(|&g| (g as usize) < alive)
-            .collect();
+        let time_seeds: Vec<u32> = patch.ops.iter().map(|op| op.gate().0).collect();
         let ResynthEval {
             ref mut cones,
             ref mut times,
@@ -1392,18 +1228,11 @@ impl<'a> ResynthEval<'a> {
     /// BFS. Returns the number of gates re-derived.
     fn refresh_separation_full(&mut self, patch: &Patch, old_ball: &[u32]) -> usize {
         let rho = self.ctx.config.rho;
-        let alive = self.kinds.len();
-        let new_seeds: Vec<u32> = patch
-            .ops
-            .iter()
-            .filter(|op| op.changes_adjacency())
-            .map(|op| op.gate().0)
-            .filter(|&g| (g as usize) < alive)
-            .collect();
+        let new_seeds: Vec<u32> = patch.ops.iter().map(|op| op.gate().0).collect();
         let mut ball = self
             .cones
             .undirected_ball(&new_seeds, rho.saturating_sub(1));
-        ball.extend(old_ball.iter().copied().filter(|&g| (g as usize) < alive));
+        ball.extend_from_slice(old_ball);
         ball.sort_unstable();
         ball.dedup();
         let ResynthEval {
@@ -1489,15 +1318,8 @@ impl<'a> ResynthEval<'a> {
         let rho = self.ctx.config.rho;
         let bound = rho.saturating_sub(1);
         let alive = self.kinds.len();
-        // Edited nodes alive after the patch (insertions included —
-        // removals never reach this path).
-        let mut xs: Vec<u32> = patch
-            .ops
-            .iter()
-            .filter(|op| op.changes_adjacency())
-            .map(|op| op.gate().0)
-            .filter(|&g| (g as usize) < alive)
-            .collect();
+        // Edited nodes after the patch (insertions included).
+        let mut xs: Vec<u32> = patch.ops.iter().map(|op| op.gate().0).collect();
         xs.sort_unstable();
         xs.dedup();
         let k = xs.len();
@@ -1553,7 +1375,7 @@ impl<'a> ResynthEval<'a> {
             for (x, list) in old {
                 let col = xs
                     .binary_search(x)
-                    .unwrap_or_else(|_| unreachable!("pre-patch edits stay edited (no removals)"));
+                    .unwrap_or_else(|_| unreachable!("a rewired gate stays edited"));
                 fill(sc, col, list);
             }
             for (i, list) in new_lists.iter().enumerate() {
@@ -1932,16 +1754,17 @@ impl<'a> ResynthEval<'a> {
             .total(&self.ctx.config.weights, self.ctx.config.violation_penalty)
     }
 
-    /// The gate separation table of the current structure (pending
-    /// patches included), converted from the maintained near rows:
-    /// equal to [`GateSeparationTable::direct`] of the netlist
-    /// [`iddq_netlist::patch::materialize`] builds from the applied
-    /// patches, which keeps every node id. A search hands its rows to
-    /// the next analysis this way instead of building the table again.
-    /// `None` without maintained rows ([`ResynthEval::new_full_refresh`]).
+    /// The gate separation table of the current structure (a pending
+    /// patch included: it is committed first), converted from the
+    /// maintained near rows: equal to [`GateSeparationTable::direct`] of
+    /// the netlist [`iddq_netlist::patch::materialize`] builds from the
+    /// applied patches, which keeps every node id. A search hands its
+    /// rows to the next analysis this way instead of building the table
+    /// again. `None` without maintained rows
+    /// ([`ResynthEval::new_full_refresh`]).
     #[must_use]
     pub fn into_sep_table(mut self) -> Option<GateSeparationTable> {
-        self.flush_row_edits();
+        self.commit();
         let rows = self.rows.take()?;
         let rho = self.ctx.config.rho;
         // Free the rest of the evaluation before the copy.
@@ -1950,14 +1773,14 @@ impl<'a> ResynthEval<'a> {
     }
 
     /// Recomputes every derived quantity from scratch and asserts it
-    /// matches the incrementally maintained state — the correctness
+    /// matches the incrementally maintained state (with a pending patch's
+    /// deferred row edits laid over the near rows) — the correctness
     /// oracle for tests.
     ///
     /// # Panics
     ///
     /// Panics if any maintained quantity drifted from the ground truth.
     pub fn verify_consistency(&mut self) {
-        self.flush_row_edits();
         self.settle_order();
         let n = self.kinds.len();
         let rho = self.ctx.config.rho;
@@ -2033,9 +1856,14 @@ impl<'a> ResynthEval<'a> {
             ref mut cones,
             ref kinds,
             ref rows,
+            ref undo,
             ..
         } = *self;
         if let Some(rows) = rows.as_ref() {
+            let mut rows = rows.clone();
+            if let Some(frame) = undo {
+                write_row_edits(&mut rows, &frame.row_edits, rho);
+            }
             let mut truth: Vec<(u32, u32)> = Vec::new();
             for g in 0..n as u32 {
                 truth.clear();
@@ -2069,19 +1897,27 @@ fn row_dist(row: &[(u32, u32)], partner: u32, rho: u32) -> u32 {
     }
 }
 
+/// Writes the symmetric ΔW pair edits `(g, h, distance)` into the near
+/// rows, both directions per pair.
+fn write_row_edits(rows: &mut [Vec<(u32, u32)>], edits: &[(u32, u32, u32)], rho: u32) {
+    for &(g, h, d) in edits {
+        for (e, p) in [(g, h), (h, g)] {
+            set_row_entry(&mut rows[e as usize], p, d, rho);
+        }
+    }
+}
+
 /// Writes one `(partner, distance)` entry of a maintained near row:
 /// insert or update when `d` is in bound, remove when the pair left the
-/// bound. Returns the entry's previous distance (`ρ` when absent).
-fn set_row_entry(row: &mut Vec<(u32, u32)>, partner: u32, d: u32, rho: u32) -> u32 {
+/// bound.
+fn set_row_entry(row: &mut Vec<(u32, u32)>, partner: u32, d: u32, rho: u32) {
     match row.binary_search_by_key(&partner, |e| e.0) {
         Ok(i) => {
-            let prev = row[i].1;
             if d >= rho {
                 row.remove(i);
             } else {
                 row[i].1 = d;
             }
-            prev
         }
         Err(i) => {
             if d < rho {
@@ -2093,7 +1929,6 @@ fn set_row_entry(row: &mut Vec<(u32, u32)>, partner: u32, d: u32, rho: u32) -> u
                 }
                 row.insert(i, (partner, d));
             }
-            rho
         }
     }
 }
@@ -2106,7 +1941,7 @@ mod tests {
     use crate::partition::Partition;
     use iddq_celllib::Library;
     use iddq_netlist::patch::materialize;
-    use iddq_netlist::{data, Netlist};
+    use iddq_netlist::{data, Netlist, NetlistBuilder, NodeId};
 
     fn rebuild_cost(nl: &Netlist, lib: &Library, cfg: &PartitionConfig) -> f64 {
         let ctx = EvalContext::new(nl, lib, cfg.clone());
@@ -2127,7 +1962,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_flip_matches_rebuild_and_rolls_back() {
+    fn both_histogram_paths_match_rebuild_and_roll_back() {
         // The generic cells' peak currents are integers, so the current
         // histogram is maintained; one fractional cell turns that off and
         // every scoring rescans it.
@@ -2138,16 +1973,13 @@ mod tests {
         inexact.override_cell(nand2);
         let cfg = PartitionConfig::paper_default();
         let nl = data::c17();
+        let patch = rewrite(&nl, nl.find("22").unwrap(), nl.node_count() as u32);
         for (lib, maintained) in [(&generic, true), (&inexact, false)] {
             let ctx = EvalContext::new(&nl, lib, cfg.clone());
             let mut eval = ResynthEval::new(&ctx);
             assert_eq!(eval.hist.exact, maintained);
             let base = eval.total_cost();
             assert_eq!(base.to_bits(), rebuild_cost(&nl, lib, &cfg).to_bits());
-            let patch = Patch::single(PatchOp::SetKind {
-                gate: nl.find("22").unwrap(),
-                kind: CellKind::And,
-            });
             eval.apply(&patch).unwrap();
             eval.verify_consistency();
             let patched = eval.total_cost();
@@ -2205,65 +2037,134 @@ mod tests {
         assert_eq!(eval.node_count(), nl.node_count());
     }
 
+    /// Asserts that `result` is the rejection `want` and that it left the
+    /// evaluation as it was: the same cost bits, consistent state.
+    fn assert_rejected<T: std::fmt::Debug>(
+        eval: &mut ResynthEval<'_>,
+        result: Result<T, PatchError>,
+        want: fn(&PatchError) -> bool,
+        cost: f64,
+        what: &str,
+    ) {
+        match result {
+            Err(e) => assert!(want(&e), "{what}: rejected with {e}"),
+            Ok(v) => panic!("{what}: accepted ({v:?})"),
+        }
+        assert_eq!(eval.total_cost().to_bits(), cost.to_bits(), "{what}");
+        eval.verify_consistency();
+    }
+
     #[test]
-    fn rejected_patches_leave_the_evaluation_untouched() {
+    fn typed_rejections_leave_the_evaluation_untouched() {
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
-        let nl = data::c17();
-        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-        let mut eval = ResynthEval::new(&ctx);
-        let base = eval.total_cost();
-        let g10 = nl.find("10").unwrap();
-        let g22 = nl.find("22").unwrap();
-        // Cycle.
-        let err = eval
-            .apply(&Patch::single(PatchOp::SetFanin {
-                gate: g10,
-                fanin: vec![g22, nl.find("3").unwrap()],
-            }))
-            .unwrap_err();
-        assert!(matches!(err, PatchError::Cycle(_)));
-        // Mid-patch failure after an insertion.
-        let err = eval
-            .apply(&Patch {
-                ops: vec![
-                    PatchOp::AddGate {
-                        gate: NodeId(nl.node_count() as u32),
-                        kind: CellKind::Not,
-                        fanin: vec![g10],
-                    },
-                    PatchOp::SetKind {
-                        gate: g10,
-                        kind: CellKind::Not,
-                    },
-                ],
-            })
-            .unwrap_err();
-        assert!(matches!(err, PatchError::BadArity { .. }));
-        // A rewired primary input: it has no near row to read its
-        // pre-patch distance list from.
-        assert!(eval
-            .apply(&Patch::single(PatchOp::SetFanin {
-                gate: nl.inputs()[0],
-                fanin: vec![g10],
-            }))
-            .is_err());
-        // The tail node 23 is a consumer-free gate, but it is a primary
-        // output: popping it would dangle the output list.
-        let tail = NodeId(nl.node_count() as u32 - 1);
-        assert!(nl.outputs().contains(&tail));
-        let err = eval
-            .apply(&Patch::single(PatchOp::RemoveGate { gate: tail }))
-            .unwrap_err();
-        assert!(matches!(err, PatchError::NotRemovable(_)));
-        assert_eq!(eval.node_count(), nl.node_count());
-        assert_eq!(eval.pending_patches(), 0);
-        eval.verify_consistency();
-        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
+        let c432 =
+            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c432").unwrap(), 5);
+        for nl in [data::c17(), c432] {
+            let name = nl.name().to_owned();
+            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+            let mut eval = ResynthEval::new(&ctx);
+            let base = eval.total_cost();
+            let n = nl.node_count() as u32;
+            // A gate with a combinational 2-input consumer.
+            let (gate, consumer) =
+                nl.gate_ids()
+                    .filter(|&g| nl.node(g).fanin().len() == 2)
+                    .find_map(|g| {
+                        let c =
+                            nl.fanout(g).iter().copied().find(|&c| {
+                                nl.node(c).fanin().len() == 2 && !nl.is_state_element(c)
+                            })?;
+                        Some((g, c))
+                    })
+                    .unwrap();
+            // Rewiring the gate onto its own consumer would close a
+            // cycle: not a subdivision.
+            let cycle = Patch::single(PatchOp::SetFanin {
+                gate,
+                fanin: vec![consumer, nl.node(gate).fanin()[1]],
+            });
+            for result in [
+                eval.apply(&cycle).map(|_| ()),
+                eval.probe(&cycle, f64::INFINITY).map(|_| ()),
+            ] {
+                assert_rejected(
+                    &mut eval,
+                    result,
+                    |e| matches!(e, PatchError::NotASubdivision(_)),
+                    base,
+                    &format!("{name}: cycle"),
+                );
+            }
+            // An inserted gate nobody reads adds a node, not a
+            // subdivision.
+            let dangling = Patch::single(PatchOp::AddGate {
+                gate: NodeId(n),
+                kind: CellKind::Not,
+                fanin: vec![gate],
+            });
+            let result = eval.apply(&dangling);
+            assert_rejected(
+                &mut eval,
+                result,
+                |e| matches!(e, PatchError::NotASubdivision(_)),
+                base,
+                &format!("{name}: dangling insertion"),
+            );
+            // An op that fails validation partway: the second insertion
+            // is a NOT with two inputs.
+            let mut bad_arity = rewrite(&nl, gate, n);
+            let PatchOp::AddGate { fanin, .. } = &mut bad_arity.ops[1] else {
+                unreachable!("the rewrite inserts two gates first")
+            };
+            fanin.push(NodeId(n));
+            let result = eval.apply(&bad_arity);
+            assert_rejected(
+                &mut eval,
+                result,
+                |e| matches!(e, PatchError::BadArity { .. }),
+                base,
+                &format!("{name}: bad arity"),
+            );
+            // The same, with the second insertion off the append id.
+            let mut gap = rewrite(&nl, gate, n);
+            let PatchOp::AddGate { gate: id, .. } = &mut gap.ops[1] else {
+                unreachable!("the rewrite inserts two gates first")
+            };
+            *id = NodeId(n + 2);
+            let result = eval.probe(&gap, f64::INFINITY);
+            assert_rejected(
+                &mut eval,
+                result,
+                |e| matches!(e, PatchError::NotAppend { .. }),
+                base,
+                &format!("{name}: append gap"),
+            );
+            // While a scored probe is pending, neither an apply nor a
+            // probe goes through; the pending patch stays as it was and
+            // rolls back to the start.
+            let first = rewrite(&nl, gate, n);
+            let probed = eval.probe(&first, f64::INFINITY).unwrap().unwrap();
+            let second = rewrite(&nl, consumer, n + 2);
+            for result in [
+                eval.apply(&second).map(|_| ()),
+                eval.probe(&second, f64::INFINITY).map(|_| ()),
+            ] {
+                assert_rejected(
+                    &mut eval,
+                    result,
+                    |e| *e == PatchError::Pending,
+                    probed,
+                    &format!("{name}: pending"),
+                );
+            }
+            eval.rollback();
+            assert_eq!(eval.total_cost().to_bits(), base.to_bits(), "{name}");
+            eval.verify_consistency();
+        }
 
-        // State elements are frame boundaries: no op may add, rekind,
-        // rewire or remove a DFF (a patched one would keep a stale
-        // transition-time set).
+        // State elements are frame boundaries: no op may add or rewire a
+        // DFF (a patched one would keep a stale transition-time set).
         let nl = iddq_gen::seq::generate(iddq_gen::seq::SeqProfile::by_name("s27").unwrap(), 5);
         let ctx = EvalContext::new(&nl, &lib, cfg.clone());
         let mut eval = ResynthEval::new(&ctx);
@@ -2282,119 +2183,94 @@ mod tests {
                 kind: CellKind::Dff,
                 fanin: vec![gate],
             },
-            PatchOp::SetKind {
-                gate,
-                kind: CellKind::Dff,
-            },
-            PatchOp::SetKind {
-                gate: dff,
-                kind: CellKind::Not,
-            },
             PatchOp::SetFanin {
                 gate: dff,
-                fanin: vec![gate],
+                fanin: nl.node(dff).fanin().to_vec(),
             },
-            PatchOp::RemoveGate { gate: dff },
         ];
         for op in ops {
-            let err = eval.apply(&Patch::single(op.clone())).unwrap_err();
-            assert!(matches!(err, PatchError::StateElement(_)), "{op:?}: {err}");
-            assert_eq!(eval.pending_patches(), 0);
-            assert_eq!(eval.total_cost().to_bits(), base.to_bits(), "{op:?}");
-            eval.verify_consistency();
+            let result = eval.apply(&Patch::single(op.clone()));
+            assert_rejected(
+                &mut eval,
+                result,
+                |e| matches!(e, PatchError::StateElement(_)),
+                base,
+                &format!("{op:?}"),
+            );
         }
     }
 
-    #[test]
-    fn stacked_patches_roll_back_in_order() {
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        let nl = data::ripple_adder(4);
-        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-        let mut eval = ResynthEval::new(&ctx);
-        let base = eval.total_cost();
-        let gates: Vec<NodeId> = nl.gate_ids().collect();
-        eval.apply(&Patch::single(PatchOp::AddGate {
-            gate: NodeId(nl.node_count() as u32),
-            kind: CellKind::Nand,
-            fanin: vec![gates[0], gates[1]],
-        }))
-        .unwrap();
-        let after_first = eval.total_cost();
-        eval.apply(&Patch::single(PatchOp::SetKind {
-            gate: gates[2],
-            kind: CellKind::Nor,
-        }))
-        .unwrap();
-        eval.rollback();
-        assert_eq!(eval.total_cost().to_bits(), after_first.to_bits());
-        eval.rollback();
-        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
-        eval.verify_consistency();
+    /// A circuit with one 10-input AND over fresh inputs feeding a NOT,
+    /// plus a 2-input gate sharing two of its inputs.
+    fn wide_gate_circuit() -> (Netlist, NodeId) {
+        let mut b = NetlistBuilder::new("wide10");
+        let ins: Vec<NodeId> = (0..10).map(|i| b.add_input(format!("i{i}"))).collect();
+        let wide = b.add_gate("w", CellKind::And, ins.clone()).unwrap();
+        let out = b.add_gate("o", CellKind::Not, vec![wide]).unwrap();
+        let side = b
+            .add_gate("s", CellKind::Nor, vec![ins[0], ins[9]])
+            .unwrap();
+        b.mark_output(out);
+        b.mark_output(side);
+        (b.build().unwrap(), wide)
     }
 
-    #[test]
-    fn remove_gate_routes_through_full_refresh_and_keeps_rows() {
-        // A patch containing a removal falls back to the full ρ-ball
-        // refresh, which must keep the maintained ΔW rows in sync (the
-        // popped gate vanishes from every partner row).
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        let nl = data::ripple_adder(4);
-        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-        let mut eval = ResynthEval::new(&ctx);
-        let base = eval.total_cost();
-        let some_gate = nl.gate_ids().next().unwrap();
-        let tail = NodeId(nl.node_count() as u32);
-        eval.apply(&Patch::single(PatchOp::AddGate {
-            gate: tail,
-            kind: CellKind::Not,
-            fanin: vec![some_gate],
-        }))
-        .unwrap();
-        eval.verify_consistency();
-        let grown = eval.total_cost();
-        eval.apply(&Patch::single(PatchOp::RemoveGate { gate: tail }))
-            .unwrap();
-        eval.verify_consistency();
-        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
-        eval.rollback();
-        eval.verify_consistency();
-        assert_eq!(eval.total_cost().to_bits(), grown.to_bits());
-        eval.rollback();
-        eval.verify_consistency();
-        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
-    }
-
-    #[test]
-    fn distance_increasing_rewire_matches_rebuild_bitwise() {
-        // Rewiring a gate away from its neighbourhood lengthens pairs
-        // whose shortest route crossed it — the ambiguous case of the ΔW
-        // classification, resolved by per-endpoint BFS fallbacks.
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        let nl = data::ripple_adder(6);
-        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-        let mut eval = ResynthEval::new(&ctx);
-        let base = eval.total_cost();
-        let inputs = nl.inputs().to_vec();
-        let gate = nl
-            .gate_ids()
-            .filter(|&g| nl.node(g).fanin().len() == 2)
-            .last()
-            .unwrap();
-        let patch = Patch::single(PatchOp::SetFanin {
+    /// The chain decomposition of `gate` into 2-input stages of `kind`,
+    /// the inserted stages numbered from `next`.
+    fn chain(nl: &Netlist, gate: NodeId, kind: CellKind, next: u32) -> Patch {
+        let leaves = nl.node(gate).fanin().to_vec();
+        let mut ops = Vec::new();
+        let mut last = leaves[0];
+        for (k, &leaf) in leaves[1..leaves.len() - 1].iter().enumerate() {
+            let id = NodeId(next + k as u32);
+            ops.push(PatchOp::AddGate {
+                gate: id,
+                kind,
+                fanin: vec![last, leaf],
+            });
+            last = id;
+        }
+        ops.push(PatchOp::SetFanin {
             gate,
-            fanin: vec![inputs[0], inputs[1]],
+            fanin: vec![last, leaves[leaves.len() - 1]],
         });
-        eval.apply(&patch).unwrap();
-        eval.verify_consistency();
-        let patched = eval.total_cost();
+        Patch { ops }
+    }
+
+    #[test]
+    fn wide_decomposition_takes_the_ball_refresh_and_keeps_rows() {
+        // A 10-input decomposition edits nine nodes, past the ΔW path's
+        // ceiling: it takes the ρ-ball refresh, which rewrites the
+        // maintained rows, and must agree with the reference and the
+        // rebuild through a rollback and a commit.
+        let lib = Library::generic_1um();
+        let cfg = PartitionConfig::paper_default();
+        let (nl, wide) = wide_gate_circuit();
+        let patch = chain(&nl, wide, CellKind::And, nl.node_count() as u32);
+        assert_eq!(patch.ops.len(), DELTA_SEP_MAX_EDITS + 1);
+        let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+        let mut inc = ResynthEval::new(&ctx);
+        let mut full = ResynthEval::new_full_refresh(&ctx);
+        let base = inc.total_cost();
         let oracle = rebuild_cost(&materialize(&nl, &patch).unwrap(), &lib, &cfg);
-        assert_eq!(patched.to_bits(), oracle.to_bits());
-        eval.rollback();
-        eval.verify_consistency();
-        assert_eq!(eval.total_cost().to_bits(), base.to_bits());
+        for eval in [&mut inc, &mut full] {
+            assert!(eval.apply(&patch).unwrap().separation_recomputed > 0);
+            assert!(!eval.undo.as_ref().unwrap().row_log.is_empty() || eval.rows.is_none());
+            assert_eq!(eval.total_cost().to_bits(), oracle.to_bits());
+            eval.verify_consistency();
+            eval.rollback();
+            assert_eq!(eval.total_cost().to_bits(), base.to_bits());
+            eval.verify_consistency();
+            eval.apply(&patch).unwrap();
+            eval.commit();
+            assert_eq!(eval.total_cost().to_bits(), oracle.to_bits());
+            eval.verify_consistency();
+        }
+        let table = inc.into_sep_table().unwrap();
+        assert_eq!(
+            table,
+            GateSeparationTable::direct(&materialize(&nl, &patch).unwrap(), cfg.rho, 1)
+        );
     }
 
     #[test]
@@ -2440,6 +2316,11 @@ mod tests {
     /// The 4-input gate `G20` of the sequential test circuit split into a
     /// 2-input chain, the inserted stages numbered from `next`.
     fn seq_decomposition(nl: &Netlist, next: u32) -> Patch {
+        chain(nl, nl.find("G20").unwrap(), CellKind::And, next)
+    }
+
+    /// `G20` split into a balanced pair of 2-input stages.
+    fn seq_balanced(nl: &Netlist, next: u32) -> Patch {
         let gate = nl.find("G20").unwrap();
         let leaves = nl.node(gate).fanin().to_vec();
         Patch {
@@ -2452,11 +2333,11 @@ mod tests {
                 PatchOp::AddGate {
                     gate: NodeId(next + 1),
                     kind: CellKind::And,
-                    fanin: vec![NodeId(next), leaves[2]],
+                    fanin: vec![leaves[2], leaves[3]],
                 },
                 PatchOp::SetFanin {
                     gate,
-                    fanin: vec![NodeId(next + 1), leaves[3]],
+                    fanin: vec![NodeId(next), NodeId(next + 1)],
                 },
             ],
         }
@@ -2494,15 +2375,13 @@ mod tests {
         let nl = data::c17();
         let ctx = EvalContext::new(&nl, &lib, cfg.clone());
         let mut eval = ResynthEval::new(&ctx);
-        let patch = Patch::single(PatchOp::SetKind {
-            gate: nl.find("16").unwrap(),
-            kind: CellKind::And,
-        });
+        let patch = rewrite(&nl, nl.find("16").unwrap(), nl.node_count() as u32);
         eval.apply(&patch).unwrap();
         let patched = eval.total_cost();
         eval.commit();
-        assert_eq!(eval.pending_patches(), 0);
+        assert!(eval.undo.is_none());
         assert_eq!(eval.total_cost().to_bits(), patched.to_bits());
+        assert_fresh(&mut eval, &nl, &[patch], &lib, &cfg);
     }
 
     /// Single-module cost of `nl` with `patches` materialized, scored by
@@ -2551,28 +2430,26 @@ mod tests {
         fanin.push(stranger.unwrap());
         let ctx = EvalContext::new(&nl, &lib, cfg.clone());
         let mut eval = ResynthEval::new(&ctx);
-        let exact = |eval: &mut ResynthEval<'_>, patch: &Patch| {
-            eval.apply(patch).unwrap();
-            let cost = eval.total_cost();
-            eval.rollback();
-            cost.to_bits()
-        };
-        let (split_cost, widen_cost) = (exact(&mut eval, &split), exact(&mut eval, &widen));
+        eval.apply(&split).unwrap();
+        let split_cost = eval.total_cost().to_bits();
+        eval.rollback();
         // Every bound beats -inf: the subdivision is pruned and rolled
         // back without a trace.
         assert_eq!(eval.probe(&split, f64::NEG_INFINITY).unwrap(), None);
-        assert_eq!(eval.pending_patches(), 0);
+        assert!(eval.undo.is_none());
         assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
         // A probe that can win stays applied with its exact cost.
         let scored = eval.probe(&split, f64::INFINITY).unwrap();
         assert_eq!(scored.map(f64::to_bits), Some(split_cost));
-        assert_eq!(eval.pending_patches(), 1);
+        assert!(eval.undo.is_some());
         assert_fresh(&mut eval, &nl, std::slice::from_ref(&split), &lib, &cfg);
         eval.rollback();
-        // A new edge can shorten distances: no bound, exact score.
-        let scored = eval.probe(&widen, f64::NEG_INFINITY).unwrap();
-        assert_eq!(scored.map(f64::to_bits), Some(widen_cost));
-        eval.rollback();
+        // A new edge can shorten distances: the probe is refused.
+        assert!(matches!(
+            eval.probe(&widen, f64::NEG_INFINITY),
+            Err(PatchError::NotASubdivision(_))
+        ));
+        assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
         // With α₃ < 0 the bound is no bound.
         let mut negative = cfg.clone();
         negative.weights.interconnect = -1.0;
@@ -2590,11 +2467,8 @@ mod tests {
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
         let nl = crate::evaluator::tests::seq_circuit();
-        let split = seq_decomposition(&nl, nl.node_count() as u32);
-        let rekind = Patch::single(PatchOp::SetKind {
-            gate: nl.find("G20").unwrap(),
-            kind: CellKind::And,
-        });
+        let n = nl.node_count() as u32;
+        let (split, balanced) = (seq_decomposition(&nl, n), seq_balanced(&nl, n));
         let ctx = EvalContext::new(&nl, &lib, cfg.clone());
         let patched = fresh_cost(&nl, std::slice::from_ref(&split), &lib, &cfg).to_bits();
         for mut eval in [ResynthEval::new(&ctx), ResynthEval::new_full_refresh(&ctx)] {
@@ -2605,7 +2479,7 @@ mod tests {
             eval.rollback();
             assert!(eval.probe(&split, f64::INFINITY).unwrap().is_some());
             eval.rollback();
-            assert!(eval.probe(&rekind, f64::INFINITY).unwrap().is_some());
+            assert!(eval.probe(&balanced, f64::INFINITY).unwrap().is_some());
             eval.rollback();
             // Replayed, rolled back and replayed again from the frame.
             for _ in 0..2 {
@@ -2614,7 +2488,7 @@ mod tests {
                 eval.rollback();
                 assert_eq!(eval.total_cost().to_bits(), base);
             }
-            assert_eq!(eval.apply(&rekind).unwrap().separation_recomputed, 0);
+            assert_eq!(eval.apply(&balanced).unwrap().separation_recomputed, 0);
             eval.rollback();
             eval.verify_consistency();
             assert_eq!(eval.apply(&split).unwrap().separation_recomputed, 0);
@@ -2672,65 +2546,11 @@ mod tests {
         .collect()
     }
 
-    #[test]
-    fn flushed_frames_roll_back_in_order() {
-        // Apply A, apply B (which flushes A's deferred row edits), then
-        // roll back B (its edits never reached the rows) and A (its
-        // flushed entries replay).
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        for (nl, a, b) in deferred_cases() {
-            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-            let mut eval = ResynthEval::new(&ctx);
-            let n = nl.node_count() as u32;
-            let (pa, pb) = (rewrite(&nl, a, n), rewrite(&nl, b, n + 2));
-            eval.apply(&pa).unwrap();
-            eval.apply(&pb).unwrap();
-            assert_eq!(
-                eval.total_cost().to_bits(),
-                fresh_cost(&nl, &[pa.clone(), pb], &lib, &cfg).to_bits()
-            );
-            eval.rollback();
-            assert_fresh(&mut eval, &nl, std::slice::from_ref(&pa), &lib, &cfg);
-            eval.rollback();
-            assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
-        }
-    }
-
-    #[test]
-    fn overlapping_stacked_probes_commit_together() {
-        // B rewrites a consumer of A's gate, so its refresh reads rows A
-        // edited: A must be flushed before B scores, and a commit must
-        // keep both frames' edits.
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        for (nl, a, _) in deferred_cases() {
-            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-            let mut eval = ResynthEval::new(&ctx);
-            let b = *nl
-                .fanout(a)
-                .iter()
-                .find(|&&c| nl.node(c).fanin().len() == 2 && !nl.is_state_element(c))
-                .unwrap();
-            let n = nl.node_count() as u32;
-            let (pa, pb) = (rewrite(&nl, a, n), rewrite(&nl, b, n + 2));
-            eval.apply(&pa).unwrap();
-            eval.apply(&pb).unwrap();
-            let both = [pa, pb];
-            assert_eq!(
-                eval.total_cost().to_bits(),
-                fresh_cost(&nl, &both, &lib, &cfg).to_bits()
-            );
-            eval.commit();
-            assert_fresh(&mut eval, &nl, &both, &lib, &cfg);
-        }
-    }
-
-    /// Every gate's pre-patch list read from the flushed rows is its BFS
-    /// list as a `(gate, distance)` set: `x` first at 0, then
-    /// non-decreasing distances.
+    /// With no patch pending, every gate's pre-patch list read from the
+    /// rows is its BFS list as a `(gate, distance)` set: `x` first at 0,
+    /// then non-decreasing distances.
     fn assert_row_lists_match_bfs(eval: &mut ResynthEval<'_>) {
-        eval.flush_row_edits();
+        assert!(eval.undo.is_none(), "the rows wait for the commit");
         for x in 0..eval.node_count() as u32 {
             if eval.kinds[x as usize].is_none() {
                 continue;
@@ -2758,20 +2578,19 @@ mod tests {
             let n = nl.node_count() as u32;
             let (pa, pb) = (rewrite(&nl, a, n), rewrite(&nl, b, n + 2));
             assert_row_lists_match_bfs(&mut eval);
-            // A scored probe, and a second one stacked on it.
+            // A scored probe rolled back, and a pruned one.
             assert!(eval.probe(&pa, f64::INFINITY).unwrap().is_some());
-            assert_row_lists_match_bfs(&mut eval);
-            assert!(eval.probe(&pb, f64::INFINITY).unwrap().is_some());
-            assert_row_lists_match_bfs(&mut eval);
-            // Rolled back to A, committed, and a pruned probe on top.
             eval.rollback();
             assert_row_lists_match_bfs(&mut eval);
+            assert_eq!(eval.probe(&pa, f64::NEG_INFINITY).unwrap(), None);
+            assert_row_lists_match_bfs(&mut eval);
+            // A scored probe committed, a replay committed.
+            assert!(eval.probe(&pa, f64::INFINITY).unwrap().is_some());
             eval.commit();
             assert_row_lists_match_bfs(&mut eval);
-            let pb = rewrite(&nl, b, n + 2);
-            eval.probe(&pb, f64::NEG_INFINITY).unwrap();
-            assert_row_lists_match_bfs(&mut eval);
-            eval.apply(&pb).unwrap();
+            assert!(eval.probe(&pb, f64::INFINITY).unwrap().is_some());
+            eval.rollback();
+            assert_eq!(eval.apply(&pb).unwrap().separation_recomputed, 0);
             eval.commit();
             assert_row_lists_match_bfs(&mut eval);
             assert_fresh(&mut eval, &nl, &[pa, pb], &lib, &cfg);
@@ -2780,10 +2599,10 @@ mod tests {
 
     #[test]
     fn avoid_bfs_results_are_not_reused_across_structures() {
-        // Probe gate A, commit a new gate that shortcuts A's fan-in to a
-        // far gate (it only shortens routes, so it runs no avoid-X BFS
-        // of its own), then probe A again: the graph minus A changed, so
-        // the second probe must not reuse the first one's BFS results.
+        // Probe gate A, commit a rewrite of a gate B next to it (which
+        // moves distances in A's neighbourhood), then probe A again: the
+        // graph minus A changed, so the second probe must not reuse the
+        // first one's avoid-X BFS results.
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
         for nl in [
@@ -2791,20 +2610,22 @@ mod tests {
             crate::evaluator::tests::seq_circuit(),
         ] {
             let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-            let far = *nl.topo_order().last().unwrap();
             let n = nl.node_count() as u32;
-            for a in nl.gate_ids().filter(|&g| nl.node(g).fanin().len() == 2) {
+            let two = |g: NodeId| nl.node(g).fanin().len() == 2 && !nl.is_state_element(g);
+            for a in nl.gate_ids().filter(|&g| two(g)) {
+                let near = nl.node(a).fanin().iter().chain(nl.fanout(a));
+                let Some(b) = near
+                    .flat_map(|&m| nl.fanout(m).iter().copied().chain([m]))
+                    .find(|&b| b != a && nl.is_gate(b) && two(b))
+                else {
+                    continue;
+                };
                 let mut inc = ResynthEval::new(&ctx);
                 let mut full = ResynthEval::new_full_refresh(&ctx);
-                let shortcut = Patch::single(PatchOp::AddGate {
-                    gate: NodeId(n),
-                    kind: CellKind::And,
-                    fanin: vec![nl.node(a).fanin()[0], far],
-                });
                 let steps = [
                     (rewrite(&nl, a, n), false),
-                    (shortcut, true),
-                    (rewrite(&nl, a, n + 1), false),
+                    (rewrite(&nl, b, n), true),
+                    (rewrite(&nl, a, n + 2), false),
                 ];
                 for (patch, keep) in &steps {
                     inc.apply(patch).unwrap();
@@ -2812,9 +2633,10 @@ mod tests {
                     assert_eq!(
                         inc.total_cost().to_bits(),
                         full.total_cost().to_bits(),
-                        "{} gate {}",
+                        "{} gates {} and {}",
                         nl.name(),
-                        a.0
+                        a.0,
+                        b.0
                     );
                     if *keep {
                         inc.commit();
@@ -2826,34 +2648,6 @@ mod tests {
                 }
                 inc.verify_consistency();
             }
-        }
-    }
-
-    #[test]
-    fn pending_frame_survives_a_rejected_patch() {
-        // A rejected (cycle) patch flushes the pending frame below it and
-        // leaves it intact; rolling that frame back restores the start.
-        let lib = Library::generic_1um();
-        let cfg = PartitionConfig::paper_default();
-        for (nl, a, b) in deferred_cases() {
-            let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-            let mut eval = ResynthEval::new(&ctx);
-            let pa = rewrite(&nl, a, nl.node_count() as u32);
-            eval.apply(&pa).unwrap();
-            let consumer = *nl
-                .fanout(b)
-                .iter()
-                .find(|&&c| !nl.is_state_element(c))
-                .unwrap();
-            let cycle = Patch::single(PatchOp::SetFanin {
-                gate: b,
-                fanin: vec![consumer, nl.node(b).fanin()[1]],
-            });
-            assert!(matches!(eval.apply(&cycle), Err(PatchError::Cycle(_))));
-            assert_eq!(eval.pending_patches(), 1);
-            assert_fresh(&mut eval, &nl, std::slice::from_ref(&pa), &lib, &cfg);
-            eval.rollback();
-            assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
         }
     }
 
@@ -2877,9 +2671,9 @@ mod tests {
     #[test]
     fn rolled_back_insertions_leave_no_stale_partners() {
         // A probe that inserts gates edits its fan-in gates' rows with
-        // partners the rollback pops again; whether the edits were
-        // flushed (entries replayed) or still pending (dropped), no row
-        // may keep such a partner.
+        // partners the rollback pops again; whether the consistency check
+        // read the deferred edits in between or not, no row may keep such
+        // a partner.
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
         let mut probes: Vec<(Netlist, Patch)> = deferred_cases()
@@ -2895,9 +2689,9 @@ mod tests {
         for (nl, probe) in probes {
             let ctx = EvalContext::new(&nl, &lib, cfg.clone());
             let mut eval = ResynthEval::new(&ctx);
-            for flush in [true, false] {
+            for check in [true, false] {
                 eval.apply(&probe).unwrap();
-                if flush {
+                if check {
                     eval.verify_consistency();
                 }
                 eval.rollback();
@@ -2905,7 +2699,7 @@ mod tests {
                 let rows = eval.rows.as_ref().unwrap();
                 assert!(
                     rows.iter().flatten().all(|&(p, _)| p < alive),
-                    "{} flush={flush}: a popped gate stayed a partner",
+                    "{} check={check}: a popped gate stayed a partner",
                     nl.name()
                 );
                 assert_fresh(&mut eval, &nl, &[], &lib, &cfg);

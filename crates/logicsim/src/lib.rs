@@ -20,7 +20,7 @@
 //!   re-evaluation,
 //! * [`BackendKind`] (`csr` | `delta`) — picks the fault sweep's engine:
 //!   the fault-patch engine or its per-fault CSR re-simulation oracle,
-//! * [`reference`] — the seed's naive evaluator, kept as the golden
+//! * [`mod@reference`] — the seed's naive evaluator, kept as the golden
 //!   baseline for differential tests and speedup measurements, and the
 //!   IDDQ sweep's scalar oracle built on it,
 //! * [`faults`] — the defect universe: [`faults::IddqFault`] variants with
@@ -29,6 +29,8 @@
 //!   into BIC-sensed modules, which faults does each vector expose to
 //!   which sensor ([`iddq::IddqSimulation`]), with two-level (fault-shard
 //!   × pattern-batch) parallelism,
+//! * [`random_sim`] — random-pattern simulation with an all-node
+//!   checksum, the one recipe of `iddq sim` and the serve `sim` request,
 //! * [`logic_test`] — the voltage-test view of the same defects
 //!   (stuck-at faults, wired-AND bridges), demonstrating the class that
 //!   escapes logic test,
@@ -188,6 +190,7 @@ pub mod faults;
 mod grid;
 pub mod iddq;
 pub mod logic_test;
+pub mod random_sim;
 pub mod reference;
 mod sim;
 

@@ -133,23 +133,21 @@ fn latest(fanin: &[u32], arr: &[f64]) -> f64 {
 }
 
 /// A *growable* cone index: levels plus both adjacency directions, with
-/// node insertion/removal, edge rewiring, batched re-levelization (atomic
-/// cycle rejection) and a level-ordered event-driven walk
-/// ([`DynamicCones::walker`]).
+/// node insertion/removal, edge rewiring, batched re-levelization and a
+/// level-ordered event-driven walk ([`DynamicCones::walker`]).
 ///
 /// [`ConeIndex`] is immutable and CSR-packed for the full sweep;
 /// `DynamicCones` trades the packing for mutability and is the structural
 /// substrate of engines that patch the circuit while keeping derived state
-/// alive (`iddq_core::resynth::ResynthEval`). Ids follow the stack
-/// discipline of [`crate::patch`]: [`DynamicCones::push_node`] appends,
-/// [`DynamicCones::pop_node`] pops the consumer-free tail, and existing
-/// ids never move.
+/// alive (`iddq_core::resynth::ResynthEval`). Ids only ever grow at the
+/// tail: [`DynamicCones::push_node`] appends, [`DynamicCones::pop_node`]
+/// pops the consumer-free tail (undoing an append), and existing ids
+/// never move.
 ///
-/// Levels are maintained by [`DynamicCones::relevel`], which the caller
-/// invokes once per *batch* of edge edits (seeding the gates whose
-/// [`DynamicCones::local_level`] moved); a failed relevel leaves every
-/// level untouched, so callers can revert the edge edits and be back in a
-/// consistent state.
+/// Levels are maintained by [`DynamicCones::relevel_acyclic`], which the
+/// caller invokes once per *batch* of edge edits that cannot close a
+/// cycle (seeding the rewired gates), and put back by
+/// [`DynamicCones::restore_levels`] from the moves it logged.
 #[derive(Debug, Clone)]
 pub struct DynamicCones {
     level: Vec<u32>,
@@ -157,19 +155,17 @@ pub struct DynamicCones {
     fanout: Vec<Vec<u32>>,
     /// `true` for level-0 *sources*: primary inputs and DFF state elements
     /// (a DFF output is a frame-boundary pseudo-input). Sources cannot be
-    /// rewired or popped, never wait on fan-in during [`DynamicCones::relevel`],
-    /// and walks do not propagate *into* them — but their physical fan-in /
+    /// rewired or popped, keep level 0 through every relevel, and walks
+    /// do not propagate *into* them — but their physical fan-in /
     /// fanout edges stay in the adjacency so undirected proximity queries
     /// ([`DynamicCones::undirected_ball`], [`DynamicCones::bounded_bfs`])
     /// still see the D pin.
     is_input: Vec<bool>,
-    // Walk / relevel scratch, epoch-stamped so walks are allocation-free.
+    // Walk / BFS scratch, epoch-stamped so walks are allocation-free.
     stamp: Vec<u64>,
     generation: u64,
     buckets: Vec<Vec<u32>>,
-    affected: Vec<u32>,
-    indeg: Vec<u32>,
-    tmp_level: Vec<u32>,
+    queue: Vec<u32>,
 }
 
 impl DynamicCones {
@@ -196,9 +192,7 @@ impl DynamicCones {
             stamp: vec![0; n],
             generation: 0,
             buckets: vec![Vec::new(); max_level + 1],
-            affected: Vec::new(),
-            indeg: vec![0; n],
-            tmp_level: vec![0; n],
+            queue: Vec::new(),
         }
     }
 
@@ -261,8 +255,6 @@ impl DynamicCones {
         self.fanout.push(Vec::new());
         self.is_input.push(false);
         self.stamp.push(0);
-        self.indeg.push(0);
-        self.tmp_level.push(0);
         if self.buckets.len() <= lv as usize {
             self.buckets.resize_with(lv as usize + 1, Vec::new);
         }
@@ -295,15 +287,12 @@ impl DynamicCones {
         self.fanout.pop();
         self.is_input.pop();
         self.stamp.pop();
-        self.indeg.pop();
-        self.tmp_level.pop();
         fanin
     }
 
     /// Replaces a gate's fan-in edges, returning the old list. This is an
     /// *edge-only* edit: levels are not touched — after a batch of edits,
-    /// call [`DynamicCones::relevel`] with the gates whose
-    /// [`DynamicCones::local_level`] moved.
+    /// call [`DynamicCones::relevel_acyclic`] with the rewired gates.
     ///
     /// # Panics
     ///
@@ -330,130 +319,13 @@ impl DynamicCones {
         old
     }
 
-    /// Recomputes levels over the transitive fanout of `seeds`, detecting
-    /// cycles. On `Err(node)` no level has been modified — the caller can
-    /// revert its edge edits and the index is consistent again. On `Ok`,
-    /// `(node, previous level)` is appended to `moved` for every level
-    /// that changed, so a caller that reverts the edge edits later can
-    /// put the levels back with [`DynamicCones::restore_levels`] instead
-    /// of walking the cone again.
-    ///
-    /// # Errors
-    ///
-    /// Returns a node on the combinational cycle the current edges close.
-    // The `expect` below fires only if the cycle-detection accounting
-    // (processed count vs. positive in-degree) is itself inconsistent —
-    // a bug in this function, not an input condition.
-    #[allow(clippy::expect_used)]
-    pub fn relevel(&mut self, seeds: &[u32], moved: &mut Vec<(u32, u32)>) -> Result<(), u32> {
-        self.generation += 1;
-        let generation = self.generation;
-        self.affected.clear();
-        for &s in seeds {
-            if self.stamp[s as usize] != generation {
-                self.stamp[s as usize] = generation;
-                self.affected.push(s);
-            }
-        }
-        let mut head = 0usize;
-        while head < self.affected.len() {
-            let i = self.affected[head] as usize;
-            head += 1;
-            for &succ in &self.fanout[i] {
-                // Sequential edges do not carry level changes: a level move
-                // never crosses a frame boundary into a DFF.
-                if !self.is_input[succ as usize] && self.stamp[succ as usize] != generation {
-                    self.stamp[succ as usize] = generation;
-                    self.affected.push(succ);
-                }
-            }
-        }
-        // Kahn inside the region; levels of outside drivers are final.
-        // Writes are deferred to `tmp_level` until the region is proven
-        // acyclic.
-        for &i in &self.affected {
-            self.indeg[i as usize] = 0;
-        }
-        for k in 0..self.affected.len() {
-            let i = self.affected[k] as usize;
-            // Sources (inputs, DFFs) have their level pinned to 0: even a
-            // DFF seeded into the region waits on nothing — its D fan-in
-            // edge belongs to the previous frame.
-            if self.is_input[i] {
-                continue;
-            }
-            for &f in &self.fanin[i] {
-                if self.stamp[f as usize] == generation {
-                    self.indeg[i] += 1;
-                }
-            }
-        }
-        let mut queue: Vec<u32> = self
-            .affected
-            .iter()
-            .copied()
-            .filter(|&i| self.indeg[i as usize] == 0)
-            .collect();
-        let mut new_level: Vec<(u32, u32)> = Vec::with_capacity(self.affected.len());
-        let mut head = 0usize;
-        while head < queue.len() {
-            let i = queue[head] as usize;
-            head += 1;
-            let lv = if self.is_input[i] {
-                0
-            } else {
-                1 + self.fanin[i]
-                    .iter()
-                    .map(|&f| {
-                        if self.stamp[f as usize] == generation {
-                            self.tmp_level[f as usize]
-                        } else {
-                            self.level[f as usize]
-                        }
-                    })
-                    .max()
-                    .unwrap_or(0)
-            };
-            self.tmp_level[i] = lv;
-            new_level.push((i as u32, lv));
-            for &succ in &self.fanout[i] {
-                if !self.is_input[succ as usize] && self.stamp[succ as usize] == generation {
-                    self.indeg[succ as usize] -= 1;
-                    if self.indeg[succ as usize] == 0 {
-                        queue.push(succ);
-                    }
-                }
-            }
-        }
-        if new_level.len() != self.affected.len() {
-            let on = self
-                .affected
-                .iter()
-                .copied()
-                .find(|&i| self.indeg[i as usize] > 0)
-                .expect("unprocessed node has positive in-degree");
-            return Err(on);
-        }
-        for (i, lv) in new_level {
-            let old = std::mem::replace(&mut self.level[i as usize], lv);
-            if old != lv {
-                moved.push((i, old));
-            }
-        }
-        let max_level = self.level.iter().copied().max().unwrap_or(0) as usize;
-        if self.buckets.len() <= max_level {
-            self.buckets.resize_with(max_level + 1, Vec::new);
-        }
-        Ok(())
-    }
-
-    /// [`DynamicCones::relevel`] for edge edits that cannot close a
-    /// cycle: a wave from `seeds`, lowest level first, recomputes each
-    /// node it reaches and goes on only past the levels that moved,
-    /// instead of walking the whole transitive fanout for the cycle
-    /// check. Every move is logged into `moved` as there; a node may
-    /// move more than once, and [`DynamicCones::restore_levels`] undoes
-    /// the moves newest first.
+    /// Recomputes levels after edge edits that cannot close a cycle
+    /// (such as subdivisions of existing edges): a wave from `seeds`,
+    /// lowest level first, recomputes each node it reaches and goes on
+    /// only past the levels that moved, instead of walking the whole
+    /// transitive fanout. Every move is appended to `moved` as `(node,
+    /// previous level)`; a node may move more than once, and
+    /// [`DynamicCones::restore_levels`] undoes the moves newest first.
     ///
     /// # Panics
     ///
@@ -477,7 +349,8 @@ impl DynamicCones {
                 self.buckets.resize_with(lv as usize + 1, Vec::new);
             }
             for &succ in &self.fanout[i as usize] {
-                // Levels never cross a sequential edge (see `relevel`).
+                // Levels never cross a sequential edge: a DFF output is a
+                // frame-boundary source pinned at level 0.
                 if !self.is_input[succ as usize] {
                     wave.push(Reverse((self.level[succ as usize], succ)));
                 }
@@ -485,9 +358,8 @@ impl DynamicCones {
         }
     }
 
-    /// Undoes the level moves a [`DynamicCones::relevel`] or
-    /// [`DynamicCones::relevel_acyclic`] logged into `moved`, newest
-    /// first, skipping nodes popped since. Only valid once the edge edits
+    /// Undoes the level moves [`DynamicCones::relevel_acyclic`] logged
+    /// into `moved`, newest first, skipping nodes popped since. Only valid once the edge edits
     /// that relevel followed are reverted and no other level moved in
     /// between.
     pub fn restore_levels(&mut self, moved: &[(u32, u32)]) {
@@ -561,29 +433,29 @@ impl DynamicCones {
             ref fanin,
             ref fanout,
             ref mut stamp,
-            ref mut affected,
+            ref mut queue,
             ..
         } = *self;
         stamp[from as usize] = generation;
-        affected.clear();
-        affected.push(from);
+        queue.clear();
+        queue.push(from);
         let mut head = 0usize;
         let mut frontier_end = 1usize;
         let mut d = 0u32;
         while d < depth && head < frontier_end {
             d += 1;
             for k in head..frontier_end {
-                let i = affected[k] as usize;
+                let i = queue[k] as usize;
                 for &n in fanin[i].iter().chain(fanout[i].iter()) {
                     if stamp[n as usize] != generation {
                         stamp[n as usize] = generation;
-                        affected.push(n);
+                        queue.push(n);
                         visit(n, d);
                     }
                 }
             }
             head = frontier_end;
-            frontier_end = affected.len();
+            frontier_end = queue.len();
         }
     }
 }
@@ -688,22 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_relevel_rejects_cycle_atomically() {
-        let nl = data::c17();
-        let mut d = DynamicCones::new(&nl);
-        let g10 = nl.find("10").unwrap().0 as usize;
-        let g22 = nl.find("22").unwrap().0;
-        let levels_before: Vec<u32> = (0..d.node_count()).map(|i| d.level(i)).collect();
-        // 10 feeds 16 feeds 22; feeding 22 back into 10 closes a cycle.
-        let old = d.set_fanin(g10, &[g22, nl.find("3").unwrap().0]);
-        assert!(d.relevel(&[g10 as u32], &mut Vec::new()).is_err());
-        d.set_fanin(g10, &old);
-        for (i, &lv) in levels_before.iter().enumerate() {
-            assert_eq!(d.level(i), lv, "levels untouched after rejected relevel");
-        }
-    }
-
-    #[test]
     fn dynamic_relevel_deepens_rewired_chain() {
         // i -> g0 -> g1 -> g2 and a parallel g3(i); rewiring g3 onto g2
         // deepens it from level 1 to level 4.
@@ -720,7 +576,7 @@ mod tests {
         let old = d.set_fanin(g3.index(), &[g2.0]);
         assert_eq!(d.local_level(g3.index()), 4);
         let mut moved = Vec::new();
-        d.relevel(&[g3.0], &mut moved).unwrap();
+        d.relevel_acyclic(&[g3.0], &mut moved);
         assert_eq!(d.level(g3.index()), 4);
         assert_eq!(moved, vec![(g3.0, 1)]);
         // Reverting the edge and the logged moves restores the levels.
@@ -731,13 +587,13 @@ mod tests {
     }
 
     #[test]
-    fn acyclic_relevel_matches_the_checked_relevel() {
+    fn acyclic_relevel_matches_a_fresh_index() {
         // A chain g0..g3 off `a`, x = AND(b, g3) at level 5 feeding y;
         // z = AND(a, b) at level 1 feeding w; v = AND(w, y) joins both.
         // One batch deepens z onto g3 and lowers x onto the inputs: the
-        // early-stopping wave must land on the checked relevel's levels
-        // (v's level falls through y and rises through w), and its log
-        // must restore the original ones.
+        // early-stopping wave must land on the levels of a fresh index of
+        // the rewired netlist (v's level falls through y and rises
+        // through w), and its log must restore the original ones.
         let mut b = NetlistBuilder::new("wave");
         let a = b.add_input("a");
         let bi = b.add_input("b");
@@ -754,22 +610,34 @@ mod tests {
         let v = b.add_gate("v", CellKind::And, vec![w, y]).unwrap();
         b.mark_output(v);
         let nl = b.build().unwrap();
-        let mut checked = DynamicCones::new(&nl);
-        let before: Vec<u32> = (0..checked.node_count())
-            .map(|i| checked.level(i))
-            .collect();
-        let old_z = checked.set_fanin(z.index(), &[prev.0, bi.0]);
-        let old_x = checked.set_fanin(x.index(), &[a.0, bi.0]);
-        let mut wave = checked.clone();
-        let seeds = [z.0, x.0];
-        checked.relevel(&seeds, &mut Vec::new()).unwrap();
+        let rewired = crate::patch::materialize(
+            &nl,
+            &crate::patch::Patch {
+                ops: vec![
+                    crate::patch::PatchOp::SetFanin {
+                        gate: z,
+                        fanin: vec![prev, bi],
+                    },
+                    crate::patch::PatchOp::SetFanin {
+                        gate: x,
+                        fanin: vec![a, bi],
+                    },
+                ],
+            },
+        )
+        .unwrap();
+        let fresh = DynamicCones::new(&rewired);
+        let mut wave = DynamicCones::new(&nl);
+        let before: Vec<u32> = (0..wave.node_count()).map(|i| wave.level(i)).collect();
+        let old_z = wave.set_fanin(z.index(), &[prev.0, bi.0]);
+        let old_x = wave.set_fanin(x.index(), &[a.0, bi.0]);
         let mut moved = Vec::new();
-        wave.relevel_acyclic(&seeds, &mut moved);
+        wave.relevel_acyclic(&[z.0, x.0], &mut moved);
         assert_eq!(wave.level(z.index()), 5);
         assert_eq!(wave.level(x.index()), 1);
         assert_eq!(wave.level(v.index()), 7);
         for i in 0..wave.node_count() {
-            assert_eq!(wave.level(i), checked.level(i), "level of node {i}");
+            assert_eq!(wave.level(i), fresh.level(i), "level of node {i}");
         }
         wave.set_fanin(x.index(), &old_x);
         wave.set_fanin(z.index(), &old_z);
@@ -848,8 +716,8 @@ mod tests {
         // ...but undirected proximity still sees the physical D edge.
         let ball = d.undirected_ball(&[n.0], 1);
         assert!(ball.contains(&q.0));
-        // Releveling a region containing the DFF loop is not a cycle.
-        d.relevel(&[n.0, q.0], &mut Vec::new()).unwrap();
+        // Releveling from inside the DFF loop stops at the D pin.
+        d.relevel_acyclic(&[n.0, q.0], &mut Vec::new());
         assert_eq!(d.level(q.index()), 0);
         assert_eq!(d.level(n.index()), 1);
     }

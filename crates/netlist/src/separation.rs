@@ -28,7 +28,7 @@
 //! * the undirected adjacency (fan-in ∪ fanout) is copied once into a CSR
 //!   `(offsets, pool)` pair, so the traversal reads contiguous memory
 //!   instead of chasing the netlist's per-node `Vec`s;
-//! * sources are processed in **batches of 64** ([`BatchScratch`]): each
+//! * sources are processed in **batches of 64** (`BatchScratch`): each
 //!   `u64` word carries one frontier bit per batch source, one masked
 //!   `O(V + E)` sweep per level advances all 64 BFS runs at once
 //!   (synchronous two-phase update, so first-arrival levels are exact),
@@ -47,7 +47,7 @@
 //! tests compare against entry for entry. (For the degenerate `ρ > 256`
 //! the arrival level no longer fits the batch table's `u8` and the build
 //! falls back to a scalar epoch-stamped/ball-bitset BFS per source,
-//! [`BfsScratch`] — same rows, also covered by the equality tests.)
+//! `BfsScratch` — same rows, also covered by the equality tests.)
 //!
 //! Batches are independent, so `threads > 1` shards the node range across
 //! worker threads (each with its own scratch) and stitches the per-shard

@@ -6,9 +6,8 @@
 //! so a failing seed replays exactly):
 //!
 //! * [`sweep_scenario`] — a checkpointed fault-sweep job run to
-//!   completion through a crash/restart loop over a
-//!   [`FaultyEnv`](iddq_control::FaultyEnv) that injects ENOSPC, torn
-//!   writes, failed renames and corrupt reads. At every simulated
+//!   completion through a crash/restart loop over a [`FaultyEnv`] that
+//!   injects ENOSPC, torn writes, failed renames and corrupt reads. At every simulated
 //!   process restart the job state is reloaded from disk (or restarted
 //!   from scratch when the checkpoint is lost or detected corrupt). The
 //!   invariant: however the schedule interleaves, the completed sweep's

@@ -38,7 +38,8 @@ pub use iddq_logicsim::fault_sweep::{fault_universe, random_vectors};
 use iddq_logicsim::fault_sweep::{
     sweep_resume, sweep_with_control, FaultSweepOptions, SweepCheckpoint,
 };
-use iddq_netlist::{Netlist, PackedWord};
+use iddq_logicsim::random_sim::{self, RandomRun};
+use iddq_netlist::Netlist;
 use serde::Value;
 use serde_json::json;
 
@@ -907,52 +908,14 @@ fn handle_sim(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> {
     let frames = request.frames.unwrap_or(1).max(1);
     let control = job_control(shared, job.deadline, None);
     let netlist = &artifacts.netlist;
-    // One batch = 64 packed sequences of `frames` vectors each.
+    // One batch = 64 packed sequences of `frames` vectors each; the
+    // budget is checked before every batch.
     let batches = patterns.div_ceil(64 * frames as u64);
-
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z ^ (z >> 31)
-    };
-    let mut inputs = vec![0u64; netlist.num_inputs()];
-    let mut values = vec![0u64; netlist.node_count()];
-    let mut dff_state = vec![0u64; netlist.num_state_elements()];
-    // Stepped path only when it can differ from the one-shot kernel:
-    // frames=1 on a DFF-free netlist stays on the combinational fast path.
-    let stepped = frames > 1 || !dff_state.is_empty();
-    let mut checksum = 0u64;
-    let mut done = 0u64;
-    let mut stop = None;
     let started = Instant::now();
-    for _ in 0..batches {
-        if let Some(reason) = control.check() {
-            stop = Some(reason);
-            break;
-        }
-        if stepped {
-            dff_state.fill(0);
-        }
-        for _ in 0..frames {
-            for w in &mut inputs {
-                *w = next();
-            }
-            if stepped {
-                artifacts
-                    .sim
-                    .step_frame(&inputs, &mut dff_state, &mut values);
-            } else {
-                artifacts.sim.eval_into::<u64>(&inputs, &mut values);
-            }
-            for v in &values {
-                checksum = checksum.rotate_left(1) ^ v.limb(0);
-            }
-        }
-        done += 1;
-        control.charge(1);
-    }
+    let outcome = random_sim::run::<u64>(&artifacts.sim, seed, batches, frames, &control);
+    let stop = outcome.stop_reason();
+    let RandomRun { acc, batches: done } = outcome.into_value();
+    let checksum = random_sim::fold_checksum(&[acc]);
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
     let evaluated = done * 64 * frames as u64;
     let result = json!({

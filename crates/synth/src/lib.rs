@@ -7,33 +7,32 @@
 //!
 //! This crate implements that step for two classic structural choices:
 //!
-//! * [`decompose`] — wide gates are decomposed into 2-input trees, either
+//! * [`cost_aware_per_gate_in`] — offers every wide gate two
+//!   decompositions into 2-input stages ([`decompose_gate_patch`]):
 //!   **balanced** (minimum depth — the timing-driven default of ordinary
-//!   synthesis) or **chain** (linear). Which shape the §3.1 peak-current
-//!   estimator prefers is *not* obvious: a chain stage always keeps one
-//!   direct (early-arriving) input, so under the pessimistic
-//!   simultaneity analysis every stage of a flat wide gate is *also*
-//!   reachable at the earliest grid step and chains can pile up instead
-//!   of staggering — exactly the kind of interaction that motivates
-//!   measuring with the real cost function instead of assuming.
+//!   synthesis) or **chain** (linear), and keeps whichever lowers the
+//!   *partitioning* cost function of `iddq-core`, i.e. logic synthesis
+//!   steered by the IDDQ-testability objective. Which shape the §3.1
+//!   peak-current estimator prefers is *not* obvious: a chain stage
+//!   always keeps one direct (early-arriving) input, so under the
+//!   pessimistic simultaneity analysis every stage of a flat wide gate is
+//!   *also* reachable at the earliest grid step and chains can pile up
+//!   instead of staggering — exactly the kind of interaction that
+//!   motivates measuring with the real cost function instead of
+//!   assuming.
 //! * [`fanout_buffer`] — high-fanout nets get buffer trees, bounding the
 //!   load a single driver discharges at once (buffer fan-ins count
 //!   against the driver, and buffers cascade when one layer cannot carry
 //!   the load within the bound).
-//! * [`cost_aware_per_gate_in`] — offers every wide gate both
-//!   decomposition shapes and keeps whichever lowers the *partitioning*
-//!   cost function of `iddq-core`, i.e. logic synthesis steered by the
-//!   IDDQ-testability objective.
 //!
 //! Candidates are scored **by patch** on one persistent
 //! [`iddq_core::resynth::ResynthEval`]: [`decompose_gate_patch`]
-//! expresses one gate's rewrite as an [`iddq_netlist::patch::Patch`],
-//! applied and rolled back against a single evaluation instead of
-//! rebuilding a netlist and its analyses per candidate.
-//! [`decompose_patch`] and [`fanout_buffer_patch`] give the
-//! whole-netlist transforms in the same form.
+//! expresses one gate's rewrite as an [`iddq_netlist::patch::Patch`]
+//! that subdivides the gate's fan-in edges, probed and rolled back (or
+//! committed) against a single evaluation instead of rebuilding a
+//! netlist and its analyses per candidate.
 //!
-//! All transforms preserve logic function (property-tested against the
+//! Both transforms preserve logic function (property-tested against the
 //! 64-way simulator).
 
 #![forbid(unsafe_code)]
@@ -83,143 +82,16 @@ fn check_fanout_bound(max_fanout: usize) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Decomposes every gate with more than `max_fanin` inputs into a tree of
-/// `max_fanin`-input (in practice 2-input) stages of the same logic
-/// family, preserving the overall function.
-///
-/// Inverting kinds (`NAND`, `NOR`, `XNOR`) become a tree of their
-/// non-inverting base function with the inversion folded into the final
-/// stage, so the output polarity is untouched.
-///
-/// # Errors
-///
-/// [`EngineError::InvalidArg`] if `max_fanin < 2` — a caller-supplied
-/// parameter must never abort the process.
-// Rebuilding a valid netlist gate-by-gate in topological order cannot
-// produce duplicate names or dangling drivers; the `expect`s assert
-// that equivalence-preserving contract, not caller input.
-#[allow(clippy::expect_used)]
-pub fn decompose(
-    netlist: &Netlist,
-    style: DecompositionStyle,
-    max_fanin: usize,
-) -> Result<Netlist, EngineError> {
-    check_fanin_bound(max_fanin)?;
-    let mut b = NetlistBuilder::new(format!("{}_{}", netlist.name(), style_tag(style)));
-    let mut map: Vec<Option<NodeId>> = vec![None; netlist.node_count()];
-    let mut fresh = 0usize;
-
-    // Primary inputs keep their declaration order (the simulator and any
-    // vector set index inputs by position).
-    for &i in netlist.inputs() {
-        map[i.index()] = Some(
-            b.try_add_input(netlist.node_name(i))
-                .expect("names unique in source"),
-        );
-    }
-    for &id in netlist.topo_order() {
-        let node = netlist.node(id);
-        let name = netlist.node_name(id);
-        let new_id = match node.kind().cell_kind() {
-            None => continue,
-            Some(kind) => {
-                let fanin: Vec<NodeId> = node
-                    .fanin()
-                    .iter()
-                    .map(|f| map[f.index()].expect("topological order maps drivers first"))
-                    .collect();
-                if fanin.len() <= max_fanin {
-                    b.add_gate(name, kind, fanin).expect("source names unique")
-                } else {
-                    build_tree(&mut b, name, kind, &fanin, style, &mut fresh)
-                }
-            }
-        };
-        map[id.index()] = Some(new_id);
-    }
-    for &o in netlist.outputs() {
-        b.mark_output(map[o.index()].expect("all nodes mapped"));
-    }
-    Ok(b.build()
-        .expect("decomposition preserves structural validity"))
-}
-
-fn style_tag(style: DecompositionStyle) -> &'static str {
-    match style {
-        DecompositionStyle::Balanced => "bal",
-        DecompositionStyle::Chain => "chain",
-    }
-}
-
-/// The non-inverting base function of a kind, plus whether the final
-/// stage must invert.
-fn base_kind(kind: CellKind) -> (CellKind, bool) {
+/// The non-inverting base function of a kind: the decomposition's
+/// intermediate stages compute it, and the final stage (the original
+/// gate) keeps the inversion.
+fn base_kind(kind: CellKind) -> CellKind {
     match kind {
-        CellKind::Nand => (CellKind::And, true),
-        CellKind::Nor => (CellKind::Or, true),
-        CellKind::Xnor => (CellKind::Xor, true),
-        other => (other, false),
+        CellKind::Nand => CellKind::And,
+        CellKind::Nor => CellKind::Or,
+        CellKind::Xnor => CellKind::Xor,
+        other => other,
     }
-}
-
-// Intermediate names are minted fresh from a counter the caller owns.
-#[allow(clippy::expect_used)]
-fn build_tree(
-    b: &mut NetlistBuilder,
-    out_name: &str,
-    kind: CellKind,
-    leaves: &[NodeId],
-    style: DecompositionStyle,
-    fresh: &mut usize,
-) -> NodeId {
-    let (base, invert_last) = base_kind(kind);
-    // Reduce the leaves to exactly two operands with `base`, then emit the
-    // final (possibly inverting) 2-input stage under the original name.
-    let mut frontier: Vec<NodeId> = leaves.to_vec();
-    let intermediate = |b: &mut NetlistBuilder, fanin: Vec<NodeId>, fresh: &mut usize| {
-        *fresh += 1;
-        b.add_gate(format!("{out_name}__d{fresh}"), base, fanin)
-            .expect("generated names unique")
-    };
-    match style {
-        DecompositionStyle::Chain => {
-            // ((a ∘ b) ∘ c) ∘ d …, keeping the last two for the final
-            // stage.
-            while frontier.len() > 2 {
-                let a = frontier.remove(0);
-                let c = frontier.remove(0);
-                let g = intermediate(b, vec![a, c], fresh);
-                frontier.insert(0, g);
-            }
-        }
-        DecompositionStyle::Balanced => {
-            // Pairwise rounds until two operands remain.
-            while frontier.len() > 2 {
-                let mut next = Vec::with_capacity(frontier.len().div_ceil(2));
-                let mut it = frontier.chunks(2);
-                for chunk in &mut it {
-                    if chunk.len() == 2 {
-                        next.push(intermediate(b, vec![chunk[0], chunk[1]], fresh));
-                    } else {
-                        next.push(chunk[0]);
-                    }
-                }
-                frontier = next;
-            }
-        }
-    }
-    let final_kind = if invert_last {
-        match base {
-            CellKind::And => CellKind::Nand,
-            CellKind::Or => CellKind::Nor,
-            CellKind::Xor => CellKind::Xnor,
-            _ => unreachable!("inverting kinds reduce to And/Or/Xor"),
-        }
-    } else {
-        base
-    };
-    b.add_gate(out_name, final_kind, frontier)
-        .expect("source names unique")
 }
 
 /// The tap schedule of one buffered net: every copy of the signal
@@ -294,7 +166,9 @@ impl TapSchedule {
 /// of 1 can never serve more than one consumer — no buffer tree
 /// satisfies it, and a caller-supplied parameter must never abort the
 /// process (the CLI maps this error to exit code 2).
-// Same rebuild-of-a-valid-netlist contract as `decompose`.
+// Rebuilding a valid netlist gate-by-gate in topological order cannot
+// produce duplicate names or dangling drivers; the `expect`s assert that
+// equivalence-preserving contract, not caller input.
 #[allow(clippy::expect_used)]
 pub fn fanout_buffer(netlist: &Netlist, max_fanout: usize) -> Result<Netlist, EngineError> {
     check_fanout_bound(max_fanout)?;
@@ -377,7 +251,7 @@ fn decompose_gate_patch_inner(
     if node.fanin().len() <= max_fanin {
         return None;
     }
-    let (base, _) = base_kind(kind);
+    let base = base_kind(kind);
     let mut ops = Vec::new();
     let mut id = next_id;
     let mut frontier: Vec<NodeId> = node.fanin().to_vec();
@@ -419,89 +293,6 @@ fn decompose_gate_patch_inner(
         fanin: frontier,
     });
     Some(Patch { ops })
-}
-
-/// The whole-netlist decomposition of [`decompose`] as one [`Patch`]
-/// (every wide gate, in topological order, intermediate ids appended
-/// sequentially from the netlist's node count).
-///
-/// # Errors
-///
-/// [`EngineError::InvalidArg`] if `max_fanin < 2`.
-pub fn decompose_patch(
-    netlist: &Netlist,
-    style: DecompositionStyle,
-    max_fanin: usize,
-) -> Result<Patch, EngineError> {
-    check_fanin_bound(max_fanin)?;
-    Ok(decompose_patch_inner(netlist, style, max_fanin))
-}
-
-/// [`decompose_patch`] past validation.
-fn decompose_patch_inner(netlist: &Netlist, style: DecompositionStyle, max_fanin: usize) -> Patch {
-    let mut ops = Vec::new();
-    let mut next_id = netlist.node_count() as u32;
-    for &id in netlist.topo_order() {
-        if let Some(p) = decompose_gate_patch_inner(netlist, id, style, max_fanin, next_id) {
-            next_id += p.ops.len() as u32 - 1; // every op but the SetFanin adds a node
-            ops.extend(p.ops);
-        }
-    }
-    Patch { ops }
-}
-
-/// The buffer-tree insertion of [`fanout_buffer`] as one [`Patch`]:
-/// cascade buffers appended from `netlist.node_count()`, consumers of
-/// over-bound nets rewired onto the tap schedule. The bound accounting is
-/// identical to [`fanout_buffer`] (buffer fan-ins charged to the driver,
-/// cascading when a single layer cannot carry the load).
-///
-/// # Errors
-///
-/// [`EngineError::InvalidArg`] if `max_fanout < 2` (see
-/// [`fanout_buffer`]).
-pub fn fanout_buffer_patch(netlist: &Netlist, max_fanout: usize) -> Result<Patch, EngineError> {
-    check_fanout_bound(max_fanout)?;
-    let mut adds: Vec<PatchOp> = Vec::new();
-    let mut next_id = netlist.node_count() as u32;
-    // Consumers' pending fan-in lists (only over-bound drivers rewrite).
-    let mut pending: Vec<Option<Vec<NodeId>>> = vec![None; netlist.node_count()];
-    for &id in netlist.topo_order() {
-        let consumers = netlist.fanout(id);
-        if consumers.len() <= max_fanout {
-            continue;
-        }
-        let mut schedule = TapSchedule::build(id, consumers.len(), max_fanout, |tap, _| {
-            let gate = NodeId(next_id);
-            next_id += 1;
-            adds.push(PatchOp::AddGate {
-                gate,
-                kind: CellKind::Buf,
-                fanin: vec![tap],
-            });
-            gate
-        });
-        // Rewire every occurrence of `id` in every consumer, drawing one
-        // tap per pin (a consumer may read the same net on several pins).
-        let mut seen: Vec<NodeId> = Vec::new();
-        for &c in consumers {
-            if seen.contains(&c) {
-                continue;
-            }
-            seen.push(c);
-            let fanin = pending[c.index()].get_or_insert_with(|| netlist.node(c).fanin().to_vec());
-            for slot in fanin.iter_mut().filter(|slot| **slot == id) {
-                *slot = schedule.draw();
-            }
-        }
-    }
-    let rewires = pending
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, fanin)| fanin.map(|fanin| (NodeId(i as u32), fanin)))
-        .map(|(gate, fanin)| PatchOp::SetFanin { gate, fanin });
-    adds.extend(rewires);
-    Ok(Patch { ops: adds })
 }
 
 /// The shapes [`cost_aware_per_gate_in`] probes per wide gate, in order.
@@ -677,12 +468,17 @@ mod tests {
     use iddq_netlist::data;
 
     /// Logic equivalence of two netlists over packed pseudo-random
-    /// vectors, matching outputs by name.
+    /// vectors, matching outputs by name: four frames from the all-zero
+    /// state (one-shot evaluations on a combinational netlist).
     fn assert_equivalent(a: &Netlist, b: &Netlist) {
         assert_eq!(a.num_inputs(), b.num_inputs());
         assert_eq!(a.num_outputs(), b.num_outputs());
         let sim_a = Simulator::new(a);
         let sim_b = Simulator::new(b);
+        let mut state_a = vec![0u64; sim_a.num_state_elements()];
+        let mut state_b = vec![0u64; sim_b.num_state_elements()];
+        let mut va = vec![0u64; sim_a.node_count()];
+        let mut vb = vec![0u64; sim_b.node_count()];
         for round in 0u64..4 {
             let inputs: Vec<u64> = (0..a.num_inputs() as u64)
                 .map(|i| {
@@ -691,13 +487,54 @@ mod tests {
                         .rotate_left((i % 63) as u32)
                 })
                 .collect();
-            let va = sim_a.eval(&inputs);
-            let vb = sim_b.eval(&inputs);
+            sim_a.step_frame(&inputs, &mut state_a, &mut va);
+            sim_b.step_frame(&inputs, &mut state_b, &mut vb);
             for &o in a.outputs() {
                 let ob = b.find(a.node_name(o)).expect("outputs share names");
                 assert_eq!(va[o.index()], vb[ob.index()], "output {}", a.node_name(o));
             }
         }
+    }
+
+    /// Every wide gate of `nl` decomposed into 2-input stages of `style`
+    /// by per-gate patches, in topological order, materialized.
+    fn decompose_every_gate(nl: &Netlist, style: DecompositionStyle) -> Netlist {
+        let mut next = nl.node_count() as u32;
+        let mut ops = Vec::new();
+        for &g in nl.topo_order() {
+            if let Some(p) = decompose_gate_patch(nl, g, style, 2, next).unwrap() {
+                // Every op but the final rewire appends a node.
+                next += p.ops.len() as u32 - 1;
+                ops.extend(p.ops);
+            }
+        }
+        patch::materialize(nl, &Patch { ops }).unwrap()
+    }
+
+    /// `nl` with its first multi-input gate that takes any arity widened
+    /// onto `width` inputs by adding primary inputs it did not read —
+    /// wider than the generated profiles' gates, so its decomposition
+    /// edits more nodes than the ΔW path takes.
+    fn with_wide_gate(nl: &Netlist, width: usize) -> (Netlist, NodeId) {
+        let gate = (nl.topo_order().iter().copied())
+            .find(|&g| {
+                nl.node(g).fanin().len() >= 2
+                    && nl
+                        .node(g)
+                        .kind()
+                        .cell_kind()
+                        .is_some_and(|k| k.accepts_fanin(width))
+            })
+            .unwrap();
+        let mut fanin = nl.node(gate).fanin().to_vec();
+        let extra: Vec<NodeId> = (nl.inputs().iter().copied())
+            .filter(|i| !fanin.contains(i))
+            .take(width - fanin.len())
+            .collect();
+        fanin.extend(extra);
+        assert_eq!(fanin.len(), width);
+        let wide = patch::materialize(nl, &Patch::single(PatchOp::SetFanin { gate, fanin }));
+        (wide.unwrap(), gate)
     }
 
     fn wide_gate_circuit() -> Netlist {
@@ -714,28 +551,32 @@ mod tests {
     }
 
     #[test]
-    fn balanced_decomposition_preserves_logic() {
-        let nl = wide_gate_circuit();
-        let dec = decompose(&nl, DecompositionStyle::Balanced, 2).unwrap();
-        assert_equivalent(&nl, &dec);
-        // All gates now 2-input.
-        for g in dec.gate_ids() {
-            assert!(dec.node(g).fanin().len() <= 2);
+    fn per_gate_decompositions_preserve_logic() {
+        let mut circuits = vec![wide_gate_circuit()];
+        for name in ["c432", "c880"] {
+            let p = iddq_gen::iscas::IscasProfile::by_name(name).unwrap();
+            circuits.push(iddq_gen::iscas::generate(p, 5));
         }
-    }
-
-    #[test]
-    fn chain_decomposition_preserves_logic() {
-        let nl = wide_gate_circuit();
-        let dec = decompose(&nl, DecompositionStyle::Chain, 2).unwrap();
-        assert_equivalent(&nl, &dec);
+        let p = iddq_gen::seq::SeqProfile::by_name("s1423").unwrap();
+        circuits.push(iddq_gen::seq::generate(p, 5));
+        for nl in &circuits {
+            assert!(nl.gate_ids().any(|g| nl.node(g).fanin().len() > 2));
+            for style in STYLES {
+                let dec = decompose_every_gate(nl, style);
+                assert_equivalent(nl, &dec);
+                // All gates now 2-input.
+                for g in dec.gate_ids() {
+                    assert!(dec.node(g).fanin().len() <= 2, "{} {style:?}", nl.name());
+                }
+            }
+        }
     }
 
     #[test]
     fn chain_is_deeper_than_balanced() {
         let nl = wide_gate_circuit();
-        let bal = decompose(&nl, DecompositionStyle::Balanced, 2).unwrap();
-        let ch = decompose(&nl, DecompositionStyle::Chain, 2).unwrap();
+        let bal = decompose_every_gate(&nl, DecompositionStyle::Balanced);
+        let ch = decompose_every_gate(&nl, DecompositionStyle::Chain);
         assert!(
             iddq_netlist::levelize::depth(&ch) > iddq_netlist::levelize::depth(&bal),
             "chains trade depth for staggered switching"
@@ -750,18 +591,10 @@ mod tests {
     #[test]
     fn narrow_gates_untouched() {
         let nl = data::c17(); // all NAND2
-        let dec = decompose(&nl, DecompositionStyle::Balanced, 2).unwrap();
-        assert_eq!(dec.gate_count(), nl.gate_count());
-        assert_equivalent(&nl, &dec);
-    }
-
-    #[test]
-    fn generated_circuit_decomposition_equivalence() {
-        let p = iddq_gen::iscas::IscasProfile::by_name("c432").unwrap();
-        let nl = iddq_gen::iscas::generate(p, 5);
-        for style in [DecompositionStyle::Balanced, DecompositionStyle::Chain] {
-            let dec = decompose(&nl, style, 2).unwrap();
-            assert_equivalent(&nl, &dec);
+        for g in nl.node_ids() {
+            for style in STYLES {
+                assert_eq!(decompose_gate_patch(&nl, g, style, 2, 0).unwrap(), None);
+            }
         }
     }
 
@@ -832,10 +665,6 @@ mod tests {
                 }
                 other => panic!("expected InvalidArg, got {other:?}"),
             }
-            assert!(matches!(
-                fanout_buffer_patch(&nl, bad),
-                Err(EngineError::InvalidArg(_))
-            ));
         }
     }
 
@@ -862,49 +691,13 @@ mod tests {
             let gates: Vec<NodeId> = nl.gate_ids().collect();
             Evaluated::stats_for(&ctx, &gates).peak_current_ua
         };
-        let bal = decompose(&nl, DecompositionStyle::Balanced, 2).unwrap();
-        let ch = decompose(&nl, DecompositionStyle::Chain, 2).unwrap();
+        let bal = decompose_every_gate(&nl, DecompositionStyle::Balanced);
+        let ch = decompose_every_gate(&nl, DecompositionStyle::Chain);
         assert!(
             peak(&ch) > peak(&bal),
             "flat-gate chain {} expected to exceed balanced {}",
             peak(&ch),
             peak(&bal)
-        );
-    }
-
-    #[test]
-    fn decompose_patch_candidate_is_equivalent_to_decompose() {
-        let nl = wide_gate_circuit();
-        for style in [DecompositionStyle::Balanced, DecompositionStyle::Chain] {
-            let patched =
-                patch::materialize(&nl, &decompose_patch(&nl, style, 2).unwrap()).unwrap();
-            let rebuilt = decompose(&nl, style, 2).unwrap();
-            assert_equivalent(&nl, &patched);
-            assert_eq!(patched.gate_count(), rebuilt.gate_count());
-            assert_eq!(
-                iddq_netlist::levelize::depth(&patched),
-                iddq_netlist::levelize::depth(&rebuilt),
-                "{style:?} patch and rebuild share the tree shape"
-            );
-        }
-    }
-
-    #[test]
-    fn fanout_buffer_patch_is_equivalent_and_bounded() {
-        let p = iddq_gen::iscas::IscasProfile::by_name("c432").unwrap();
-        let nl = iddq_gen::iscas::generate(p, 8);
-        let patched = patch::materialize(&nl, &fanout_buffer_patch(&nl, 4).unwrap()).unwrap();
-        assert_equivalent(&nl, &patched);
-        for id in patched.node_ids() {
-            assert!(
-                patched.fanout(id).len() <= 4,
-                "net {} over-loaded",
-                patched.node_name(id)
-            );
-        }
-        assert_eq!(
-            patched.gate_count(),
-            fanout_buffer(&nl, 4).unwrap().gate_count()
         );
     }
 
@@ -939,20 +732,12 @@ mod tests {
     fn max_fanin_below_two_is_a_typed_error() {
         let nl = data::c17();
         for bad in [0, 1] {
-            match decompose(&nl, DecompositionStyle::Balanced, bad) {
+            match decompose_gate_patch(&nl, nl.topo_order()[0], DecompositionStyle::Chain, bad, 0) {
                 Err(EngineError::InvalidArg(msg)) => {
                     assert!(msg.contains("at least two inputs"), "{msg}");
                 }
                 other => panic!("expected InvalidArg, got {other:?}"),
             }
-            assert!(matches!(
-                decompose_patch(&nl, DecompositionStyle::Chain, bad),
-                Err(EngineError::InvalidArg(_))
-            ));
-            assert!(matches!(
-                decompose_gate_patch(&nl, nl.topo_order()[0], DecompositionStyle::Chain, bad, 0),
-                Err(EngineError::InvalidArg(_))
-            ));
         }
     }
 
@@ -1001,34 +786,44 @@ mod tests {
 
     #[test]
     fn committed_bulk_decomposition_keeps_rows_exact() {
-        // A whole-netlist decomposition edits more nodes than the ΔW path
-        // takes, so it goes through the ρ-ball refresh, which rewrites the
-        // maintained near rows. The single-gate probes after it, pruned,
-        // rolled back or committed, read and edit those rows on the ΔW
-        // path.
+        // A 10-input gate's decomposition edits more nodes than the ΔW
+        // path takes, so it goes through the ρ-ball refresh, which
+        // rewrites the maintained near rows. The single-gate probes after
+        // it, pruned, rolled back or committed, read and edit those rows
+        // on the ΔW path.
         let library = Library::generic_1um();
         let config = PartitionConfig::paper_default();
-        let nl =
-            iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c432").unwrap(), 5);
+        let (nl, widest) = with_wide_gate(
+            &iddq_gen::iscas::generate(iddq_gen::iscas::IscasProfile::by_name("c432").unwrap(), 5),
+            10,
+        );
         let ctx = EvalContext::builder(&nl, &library, config.clone())
             .tier(AnalysisTier::GateSep)
             .build();
         let mut eval = ResynthEval::new(&ctx);
-        let bulk = decompose_patch(&nl, DecompositionStyle::Chain, 3).unwrap();
-        eval.apply(&bulk).unwrap();
+        let bulk = decompose_gate_patch(
+            &nl,
+            widest,
+            DecompositionStyle::Chain,
+            2,
+            nl.node_count() as u32,
+        )
+        .unwrap()
+        .expect("the widened gate decomposes");
+        assert_eq!(bulk.ops.len(), 9, "a 10-input chain edits nine nodes");
+        assert!(eval.apply(&bulk).unwrap().separation_recomputed > 0);
         eval.commit();
         eval.verify_consistency();
-        let mid = patch::materialize(&nl, &bulk).unwrap();
-        let wide: Vec<NodeId> = mid
+        let wide: Vec<NodeId> = nl
             .gate_ids()
-            .filter(|&g| mid.node(g).fanin().len() > 2)
+            .filter(|&g| g != widest && nl.node(g).fanin().len() > 2)
             .take(16)
             .collect();
-        assert!(wide.len() > 4, "the bulk edit leaves 3-input gates");
+        assert!(wide.len() > 4, "c432 keeps other wide gates");
         let mut committed = vec![bulk];
         for (k, &gate) in wide.iter().enumerate() {
             for style in STYLES {
-                let probe = decompose_gate_patch(&mid, gate, style, 2, eval.node_count() as u32)
+                let probe = decompose_gate_patch(&nl, gate, style, 2, eval.node_count() as u32)
                     .unwrap()
                     .expect("gate is wide");
                 // Every other gate commits its first probe; the rest are

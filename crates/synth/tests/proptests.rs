@@ -4,17 +4,24 @@
 //!   (original drivers and cascade buffers alike) stays within
 //!   `max_fanout`, with buffer fan-ins counted as load, across random
 //!   netlists × random bounds;
-//! * the patch-scoring differential — a resynthesis candidate scored by
-//!   `Patch` apply → score → rollback on one persistent `ResynthEval`
-//!   produces the **bit-exact** `total_cost` of materializing the
-//!   candidate netlist and scoring it through a from-scratch
-//!   `EvalContext`/`Evaluated`, under random netlists and random
-//!   decompose/buffer rewrite sequences, and every rollback round-trip
-//!   restores the original evaluation bit for bit;
+//! * the patch-scoring differential — random per-gate decompositions (a
+//!   random wide gate and style, applied or probed, then rolled back or
+//!   committed: the shape the per-gate search hands `ResynthEval`) score
+//!   the **bit-exact** `total_cost` of materializing the candidate
+//!   netlist and scoring it through a from-scratch
+//!   `EvalContext`/`Evaluated`, and every rollback restores the
+//!   evaluation bit for bit;
 //! * the incremental ΔW separation maintenance against its retained
-//!   full-ball differential reference, bit for bit, across patch shapes
-//!   chosen to hit every classification branch (including the ambiguous
-//!   fallback and the removal-triggered full refresh).
+//!   full-ball differential reference, bit for bit, on the same
+//!   sequences — their random netlists carry one gate of ten or more
+//!   inputs, whose decomposition takes the ball refresh with maintained
+//!   rows, and the subdivided edges lengthen routes, which exercises the
+//!   ambiguous (avoid-X) fallback;
+//! * a context around the batched gate table against one around the
+//!   one-BFS-per-gate reference table.
+//!
+//! Every suite pins both references: the full-refresh evaluation in lock
+//! step, and the rebuild of the committed netlist.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -24,16 +31,37 @@ use iddq_celllib::Library;
 use iddq_core::{
     config::PartitionConfig, AnalysisTier, EvalContext, Evaluated, Partition, ResynthEval,
 };
-use iddq_netlist::patch::{materialize, Patch};
+use iddq_netlist::patch::{materialize, Patch, PatchOp};
 use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{Netlist, NodeId};
-use iddq_synth::{
-    decompose_gate_patch, decompose_patch, fanout_buffer, fanout_buffer_patch, DecompositionStyle,
-};
+use iddq_synth::{decompose_gate_patch, fanout_buffer, DecompositionStyle};
 
-fn random_netlist(seed: u64) -> Netlist {
+fn generated_c432(seed: u64) -> Netlist {
     let profile = iddq_gen::iscas::IscasProfile::by_name("c432").expect("known circuit");
     iddq_gen::iscas::generate(profile, seed)
+}
+
+/// A generated c432 with its first multi-input gate that takes any arity
+/// widened onto 10–12 inputs (primary inputs it did not read): wider than
+/// any generated gate, so its decomposition edits more nodes than the ΔW
+/// path takes and goes through the ρ-ball refresh.
+fn random_netlist(seed: u64) -> Netlist {
+    let nl = generated_c432(seed);
+    let width = 10 + (seed % 3) as usize;
+    let gate = (nl.topo_order().iter().copied())
+        .find(|&g| {
+            nl.node(g).fanin().len() >= 2
+                && (nl.node(g).kind().cell_kind()).is_some_and(|k| k.accepts_fanin(width))
+        })
+        .expect("c432 has multi-input gates");
+    let mut fanin = nl.node(gate).fanin().to_vec();
+    let extra: Vec<NodeId> = (nl.inputs().iter().copied())
+        .filter(|i| !fanin.contains(i))
+        .take(width - fanin.len())
+        .collect();
+    fanin.extend(extra);
+    let widened = materialize(&nl, &Patch::single(PatchOp::SetFanin { gate, fanin }));
+    widened.expect("primary inputs close no cycle")
 }
 
 /// Logic equivalence over a few packed pseudo-random sweeps, matching
@@ -64,6 +92,117 @@ fn rebuild_cost(nl: &Netlist, lib: &Library, cfg: &PartitionConfig) -> f64 {
     Evaluated::new(&ctx, Partition::single_module(nl)).total_cost()
 }
 
+/// A random sequence of per-gate decompositions of `nl`, driven on
+/// several evaluations in lock step.
+struct Walk<'n> {
+    nl: &'n Netlist,
+    rng: SmallRng,
+    /// The wide gates not decomposed yet.
+    open: Vec<NodeId>,
+    /// The widest gate (the ball-refresh route), drawn more often.
+    widest: NodeId,
+    /// The patches committed so far.
+    committed: Vec<Patch>,
+}
+
+impl<'n> Walk<'n> {
+    fn new(nl: &'n Netlist, seed: u64) -> Self {
+        let open: Vec<NodeId> = (nl.gate_ids())
+            .filter(|&g| nl.node(g).fanin().len() > 2)
+            .collect();
+        let widest = *(open.iter())
+            .max_by_key(|&&g| nl.node(g).fanin().len())
+            .expect("the netlist has wide gates");
+        assert!(nl.node(widest).fanin().len() >= 10);
+        Walk {
+            nl,
+            rng: SmallRng::seed_from_u64(seed),
+            open,
+            widest,
+            committed: Vec::new(),
+        }
+    }
+
+    /// One step: a random open gate (the widest one a third of the time
+    /// while it is open) and style, applied (`beat` = `None`) or probed
+    /// against the current cost or `+∞` on every evaluation, which must
+    /// agree bit for bit. Returns the patch and its score, `None` when
+    /// the probe was pruned (nothing is pending then).
+    fn step(&mut self, evals: &mut [&mut ResynthEval<'_>]) -> (Patch, Option<f64>) {
+        let gate = if self.open.contains(&self.widest) && self.rng.gen_range(0..3u32) == 0 {
+            self.widest
+        } else {
+            self.open[self.rng.gen_range(0..self.open.len())]
+        };
+        let style = if self.rng.gen() {
+            DecompositionStyle::Balanced
+        } else {
+            DecompositionStyle::Chain
+        };
+        let next_id = evals[0].node_count() as u32;
+        let patch = decompose_gate_patch(self.nl, gate, style, 2, next_id)
+            .expect("fanin >= 2")
+            .expect("the gate is wide");
+        let beat = match self.rng.gen_range(0..3u32) {
+            0 => None,
+            1 => Some(evals[0].total_cost()),
+            _ => Some(f64::INFINITY),
+        };
+        let scores: Vec<Option<u64>> = (evals.iter_mut())
+            .map(|eval| {
+                let score = match beat {
+                    None => {
+                        eval.apply(&patch)
+                            .expect("a decomposition is a subdivision");
+                        Some(eval.total_cost())
+                    }
+                    Some(beat) => eval.probe(&patch, beat).expect("a decomposition probes"),
+                };
+                score.map(f64::to_bits)
+            })
+            .collect();
+        assert!(
+            scores.windows(2).all(|w| w[0] == w[1]),
+            "gate {} {style:?}: {scores:?}",
+            gate.0
+        );
+        (patch, scores[0].map(f64::from_bits))
+    }
+
+    /// Rolls the pending patch back or commits it, on every evaluation,
+    /// and checks the cost they all land on.
+    fn settle(
+        &mut self,
+        evals: &mut [&mut ResynthEval<'_>],
+        patch: Patch,
+        before: f64,
+        score: f64,
+    ) {
+        let commit = self.rng.gen_bool(0.5);
+        for eval in evals.iter_mut() {
+            if commit {
+                eval.commit();
+            } else {
+                eval.rollback();
+            }
+            let want = if commit { score } else { before };
+            assert_eq!(eval.total_cost().to_bits(), want.to_bits());
+        }
+        if commit {
+            let gate = (patch.ops.last())
+                .expect("a decomposition ends with the rewire")
+                .gate();
+            self.open.retain(|&g| g != gate);
+            self.committed.push(patch);
+        }
+    }
+
+    /// The netlist of the committed patches.
+    fn committed_netlist(&self) -> Netlist {
+        materialize(self.nl, &Patch::concat(&self.committed)).expect("valid candidate")
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -74,7 +213,7 @@ proptest! {
     /// error, covered by a unit test.)
     #[test]
     fn fanout_buffer_bounds_every_net(seed in 0u64..200, bound in 2usize..=6) {
-        let nl = random_netlist(seed);
+        let nl = generated_c432(seed);
         let buffered = fanout_buffer(&nl, bound).expect("bound >= 2");
         for id in buffered.node_ids() {
             prop_assert!(
@@ -86,112 +225,61 @@ proptest! {
             );
         }
         assert_equivalent(&nl, &buffered);
-        // The patch form reaches the same bound on the same circuit.
-        let patched = materialize(&nl, &fanout_buffer_patch(&nl, bound).expect("bound >= 2")).expect("valid patch");
-        for id in patched.node_ids() {
-            prop_assert!(patched.fanout(id).len() <= bound);
-        }
-        assert_equivalent(&nl, &patched);
     }
 
-    /// Patch-scored candidate costs are bit-exact with rebuild scoring,
-    /// and rollbacks restore the evaluation, across random sequences of
-    /// decompose / buffer rewrites (committed cumulatively).
+    /// Patch-scored candidate costs are bit-exact with rebuild scoring
+    /// (and with the full-refresh reference), and rollbacks restore the
+    /// evaluation, across random per-gate decomposition sequences.
     #[test]
     fn patch_scoring_matches_rebuild_bitwise(seed in 0u64..60, salt in any::<u64>()) {
         let nl = random_netlist(seed);
         let lib = Library::generic_1um();
         let cfg = PartitionConfig::paper_default();
         let ctx = EvalContext::new(&nl, &lib, cfg.clone());
-        let mut eval = ResynthEval::new(&ctx);
+        let mut inc = ResynthEval::new(&ctx);
+        let mut full = ResynthEval::new_full_refresh(&ctx);
         // The fresh evaluation already equals the rebuild score.
         prop_assert_eq!(
-            eval.total_cost().to_bits(),
+            inc.total_cost().to_bits(),
             rebuild_cost(&nl, &lib, &cfg).to_bits()
         );
-        let mut rng = SmallRng::seed_from_u64(seed ^ salt);
-        let wide: Vec<NodeId> = nl
-            .gate_ids()
-            .filter(|&g| nl.node(g).fanin().len() > 2)
-            .collect();
-        let mut committed: Vec<Patch> = Vec::new();
+        let mut walk = Walk::new(&nl, seed ^ salt);
         for _ in 0..4 {
-            // Draw one rewrite against the *current* structure. Per-gate
-            // decompositions leave every original gate's fan-in intact,
-            // so patches built against the original netlist compose.
-            let patch = match rng.gen_range(0..3u32) {
-                0 => {
-                    let style = if rng.gen() {
-                        DecompositionStyle::Balanced
-                    } else {
-                        DecompositionStyle::Chain
-                    };
-                    decompose_patch(&nl, style, rng.gen_range(2..=4)).expect("fanin >= 2")
-                }
-                1 => {
-                    if wide.is_empty() {
-                        continue;
-                    }
-                    let gate = wide[rng.gen_range(0..wide.len())];
-                    let style = if rng.gen() {
-                        DecompositionStyle::Balanced
-                    } else {
-                        DecompositionStyle::Chain
-                    };
-                    match decompose_gate_patch(&nl, gate, style, 2, eval.node_count() as u32)
-                        .expect("fanin >= 2")
-                    {
-                        Some(p) => p,
-                        None => continue,
-                    }
-                }
-                _ => fanout_buffer_patch(&nl, rng.gen_range(3..=6)).expect("bound >= 2"),
-            };
-            let base_cost = eval.total_cost();
-            if eval.apply(&patch).is_err() {
-                // Whole-netlist builders append ids from the pristine
-                // node count; once a committed rewrite has grown the
-                // evaluation those ids are taken and the append-only
-                // validation rejects the patch — atomically, which is
-                // itself worth asserting.
-                prop_assert_eq!(eval.total_cost().to_bits(), base_cost.to_bits());
+            let before = inc.total_cost();
+            let (patch, score) = walk.step(&mut [&mut inc, &mut full]);
+            let Some(score) = score else {
+                prop_assert_eq!(inc.total_cost().to_bits(), before.to_bits());
                 continue;
-            }
-            let patched_cost = eval.total_cost();
+            };
             // Oracle: materialize everything committed so far plus this
             // patch, rebuild, score.
-            let mut all = committed.clone();
+            let mut all = walk.committed.clone();
             all.push(patch.clone());
             let candidate = materialize(&nl, &Patch::concat(&all)).expect("valid candidate");
             prop_assert_eq!(
-                patched_cost.to_bits(),
+                score.to_bits(),
                 rebuild_cost(&candidate, &lib, &cfg).to_bits(),
                 "patch-scored vs rebuild-scored candidate"
             );
-            if rng.gen_bool(0.5) {
-                // Round-trip: rollback restores the pre-patch score.
-                eval.rollback();
-                prop_assert_eq!(eval.total_cost().to_bits(), base_cost.to_bits());
-            } else {
-                eval.commit();
-                committed.push(patch);
-            }
+            walk.settle(&mut [&mut inc, &mut full], patch, before, score);
         }
-        // Final state still agrees with its own rebuild.
-        let final_candidate =
-            materialize(&nl, &Patch::concat(&committed)).expect("valid candidate");
+        // The final state still agrees with its own rebuild.
+        let out = walk.committed_netlist();
+        assert_equivalent(&nl, &out);
         prop_assert_eq!(
-            eval.total_cost().to_bits(),
-            rebuild_cost(&final_candidate, &lib, &cfg).to_bits()
+            inc.total_cost().to_bits(),
+            rebuild_cost(&out, &lib, &cfg).to_bits()
         );
+        inc.verify_consistency();
+        full.verify_consistency();
     }
 
     /// The incremental ΔW separation maintenance (`ResynthEval::new`)
     /// scores **bit-identically** to the retained full ρ-ball refresh
-    /// (`ResynthEval::new_full_refresh`) through random patch sequences —
-    /// decompositions, fan-out buffering, distance-stretching rewires and
-    /// gate add/remove pairs — with rollbacks and commits, and both stay
-    /// consistent with their from-scratch ground truth.
+    /// (`ResynthEval::new_full_refresh`) through random per-gate
+    /// decomposition sequences with rollbacks and commits; both stay
+    /// consistent with their from-scratch ground truth and score the
+    /// rebuild of the committed netlist.
     #[test]
     fn incremental_dw_matches_full_refresh_bitwise(seed in 0u64..40, salt in any::<u64>()) {
         let nl = random_netlist(seed);
@@ -201,80 +289,31 @@ proptest! {
         let mut inc = ResynthEval::new(&ctx);
         let mut full = ResynthEval::new_full_refresh(&ctx);
         prop_assert_eq!(inc.total_cost().to_bits(), full.total_cost().to_bits());
-        let mut rng = SmallRng::seed_from_u64(seed ^ salt ^ 0xd17a);
-        let inputs = nl.inputs().to_vec();
-        let two_in: Vec<NodeId> = nl
-            .gate_ids()
-            .filter(|&g| nl.node(g).fanin().len() == 2)
-            .collect();
-        for round in 0..6 {
-            let patch = match rng.gen_range(0..4u32) {
-                0 => decompose_patch(&nl, DecompositionStyle::Chain, rng.gen_range(2..=4))
-                    .expect("fanin >= 2"),
-                1 => fanout_buffer_patch(&nl, rng.gen_range(3..=6)).expect("bound >= 2"),
-                2 => {
-                    // Distance-stretching rewire: a two-input gate moved
-                    // onto random primary inputs — the ambiguous case of
-                    // the ΔW classification (old shortest routes crossed
-                    // the gate, the detour got worse).
-                    if two_in.is_empty() {
-                        continue;
-                    }
-                    let gate = two_in[rng.gen_range(0..two_in.len())];
-                    Patch::single(iddq_netlist::patch::PatchOp::SetFanin {
-                        gate,
-                        fanin: vec![
-                            inputs[rng.gen_range(0..inputs.len())],
-                            inputs[rng.gen_range(0..inputs.len())],
-                        ],
-                    })
-                }
-                _ => {
-                    // Append + drop a throwaway gate: removals route the
-                    // incremental evaluation through the full-ball
-                    // fallback, which must keep its rows in sync.
-                    let tail = NodeId(inc.node_count() as u32);
-                    let feed = two_in[rng.gen_range(0..two_in.len())];
-                    Patch {
-                        ops: vec![
-                            iddq_netlist::patch::PatchOp::AddGate {
-                                gate: tail,
-                                kind: iddq_netlist::CellKind::Not,
-                                fanin: vec![feed],
-                            },
-                            iddq_netlist::patch::PatchOp::RemoveGate { gate: tail },
-                        ],
-                    }
-                }
-            };
-            let a = inc.apply(&patch);
-            let b = full.apply(&patch);
-            prop_assert_eq!(a.is_ok(), b.is_ok(), "apply outcomes diverge");
-            if a.is_err() {
-                continue;
+        let mut walk = Walk::new(&nl, seed ^ salt ^ 0xd17a);
+        for round in 0..8 {
+            let before = inc.total_cost();
+            let (patch, score) = walk.step(&mut [&mut inc, &mut full]);
+            if round % 4 == 3 {
+                inc.verify_consistency();
+                full.verify_consistency();
             }
-            prop_assert_eq!(inc.total_cost().to_bits(), full.total_cost().to_bits());
-            if rng.gen_bool(0.5) {
-                inc.rollback();
-                full.rollback();
-            } else {
-                inc.commit();
-                full.commit();
+            if let Some(score) = score {
+                walk.settle(&mut [&mut inc, &mut full], patch, before, score);
             }
-            prop_assert_eq!(
-                inc.total_cost().to_bits(),
-                full.total_cost().to_bits(),
-                "round {}", round
-            );
         }
         inc.verify_consistency();
         full.verify_consistency();
+        prop_assert_eq!(
+            inc.total_cost().to_bits(),
+            rebuild_cost(&walk.committed_netlist(), &lib, &cfg).to_bits()
+        );
     }
 
     /// A `ResynthEval` on a context around the batched gate table
     /// scores **bit-identically** to one on a context handed the
-    /// one-BFS-per-gate reference table, through random patch sequences
-    /// with rollbacks and commits.
+    /// one-BFS-per-gate reference table (and to the full-refresh
+    /// reference), through random per-gate decomposition sequences with
+    /// rollbacks and commits.
     #[test]
     fn direct_table_scoring_matches_reference_table(seed in 0u64..40, salt in any::<u64>()) {
         let nl = random_netlist(seed);
@@ -288,53 +327,54 @@ proptest! {
             .build();
         let mut full = ResynthEval::new(&full_ctx);
         let mut light = ResynthEval::new(&light_ctx);
+        let mut refresh = ResynthEval::new_full_refresh(&light_ctx);
         prop_assert_eq!(full.total_cost().to_bits(), light.total_cost().to_bits());
-        let mut rng = SmallRng::seed_from_u64(seed ^ salt ^ 0x6a7e);
-        let wide: Vec<NodeId> = nl
-            .gate_ids()
-            .filter(|&g| nl.node(g).fanin().len() > 2)
-            .collect();
+        let mut walk = Walk::new(&nl, seed ^ salt ^ 0x6a7e);
         for _ in 0..5 {
-            let patch = match rng.gen_range(0..3u32) {
-                0 => decompose_patch(&nl, DecompositionStyle::Balanced, rng.gen_range(2..=4))
-                    .expect("fanin >= 2"),
-                1 => {
-                    if wide.is_empty() {
-                        continue;
-                    }
-                    let gate = wide[rng.gen_range(0..wide.len())];
-                    match decompose_gate_patch(
-                        &nl,
-                        gate,
-                        DecompositionStyle::Chain,
-                        2,
-                        full.node_count() as u32,
-                    )
-                    .expect("fanin >= 2")
-                    {
-                        Some(p) => p,
-                        None => continue,
-                    }
-                }
-                _ => fanout_buffer_patch(&nl, rng.gen_range(3..=6)).expect("bound >= 2"),
-            };
-            let a = full.apply(&patch);
-            let b = light.apply(&patch);
-            prop_assert_eq!(a.is_ok(), b.is_ok(), "apply outcomes diverge");
-            if a.is_err() {
-                continue;
+            let before = full.total_cost();
+            let evals = &mut [&mut full, &mut light, &mut refresh];
+            let (patch, score) = walk.step(evals);
+            if let Some(score) = score {
+                walk.settle(evals, patch, before, score);
             }
-            prop_assert_eq!(full.total_cost().to_bits(), light.total_cost().to_bits());
-            if rng.gen_bool(0.5) {
-                full.rollback();
-                light.rollback();
-            } else {
-                full.commit();
-                light.commit();
-            }
-            prop_assert_eq!(full.total_cost().to_bits(), light.total_cost().to_bits());
         }
         full.verify_consistency();
         light.verify_consistency();
+        prop_assert_eq!(
+            light.total_cost().to_bits(),
+            rebuild_cost(&walk.committed_netlist(), &lib, &cfg).to_bits()
+        );
     }
+}
+
+/// Subdividing a gate's fan-in edges lengthens the routes through them,
+/// so the ΔW refresh meets pairs whose old shortest route crossed the
+/// gate and got longer: the ambiguous case, resolved by the avoid-X BFS
+/// fallback (`separation_recomputed` counts its searches). It must fire,
+/// and agree with the full-refresh reference where it does.
+#[test]
+fn avoid_x_fallback_fires_on_per_gate_decompositions() {
+    let nl = random_netlist(5);
+    let lib = Library::generic_1um();
+    let cfg = PartitionConfig::paper_default();
+    let ctx = EvalContext::new(&nl, &lib, cfg.clone());
+    let mut inc = ResynthEval::new(&ctx);
+    let mut full = ResynthEval::new_full_refresh(&ctx);
+    let mut fired = 0;
+    let narrow = (nl.gate_ids()).filter(|&g| (3..10).contains(&nl.node(g).fanin().len()));
+    for gate in narrow {
+        let next_id = nl.node_count() as u32;
+        let patch = decompose_gate_patch(&nl, gate, DecompositionStyle::Chain, 2, next_id)
+            .expect("fanin >= 2")
+            .expect("the gate is wide");
+        if inc.apply(&patch).expect("applies").separation_recomputed > 0 {
+            fired += 1;
+            full.apply(&patch).expect("applies");
+            assert_eq!(inc.total_cost().to_bits(), full.total_cost().to_bits());
+            full.rollback();
+        }
+        inc.rollback();
+    }
+    assert!(fired > 0, "no decomposition needed the avoid-X fallback");
+    inc.verify_consistency();
 }
