@@ -85,21 +85,26 @@ fi
 # The same pair on a generated s5378 at 4 frames per sequence, where each
 # faulty machine is superimposed with its diverged flops in one logged
 # walk; and the checkpoint of that sweep, which holds every fault's
-# earliest detection, must hash to the digest recorded below.
+# earliest detection, must hash to the digest recorded below. With
+# dropping on (the default) each machine runs only on the lanes below its
+# in-batch detection; the `--no-drop` rerun simulates every lane and must
+# write the same checkpoint.
 target/release/iddq gen s5378 --seed 5 --out "$sweep_dir/s5378.bench" 2>/dev/null
 seq_detected() {
     target/release/iddq faults "$sweep_dir/s5378.bench" --vectors 256 --frames 4 --lanes 64 \
         --seed 5 "$@" 2>/dev/null | grep -o '[0-9]* detected'
 }
 delta_detected="$(seq_detected --checkpoint "$sweep_dir/faults_s5378.ckpt")"
+unbounded_detected="$(seq_detected --no-drop --checkpoint "$sweep_dir/faults_s5378_no_drop.ckpt")"
 csr_detected="$(seq_detected --backend csr)"
 echo "s5378 at 4 frames: delta: ${delta_detected//$'\n'/, }; csr: ${csr_detected//$'\n'/, }"
-if [ "$delta_detected" != "$csr_detected" ]; then
+if [ "$delta_detected" != "$csr_detected" ] || [ "$unbounded_detected" != "$csr_detected" ]; then
     echo "ERROR: the fault-sweep backends disagree at 4 frames"
     exit 1
 fi
 if ! (cd "$sweep_dir" && sha256sum --check --quiet --strict) <<'DIGESTS'
 6dd5d1aa7478dc44ee12492898731611556c9c2921546e698463c1bae75e428c  faults_s5378.ckpt
+6dd5d1aa7478dc44ee12492898731611556c9c2921546e698463c1bae75e428c  faults_s5378_no_drop.ckpt
 DIGESTS
 then
     echo "ERROR: the 4-frame s5378 fault sweep's earliest detections changed"

@@ -25,7 +25,7 @@ use iddq_control::{write_atomic, EngineError, RunBudget, RunControl};
 use iddq_core::evolution::EvolutionConfig;
 use iddq_core::{config::PartitionConfig, flow, EvalContext};
 use iddq_logicsim::{random_sim, BackendKind};
-use iddq_netlist::{bench, dot, LaneWidth, Netlist};
+use iddq_netlist::{at_lanes, bench, dot, LaneWidth, Netlist};
 
 /// A CLI failure: its message and whether it is the *caller's* fault
 /// (a usage error — exit code 2) or the *run's* (exit code 1).
@@ -105,7 +105,7 @@ enum Kind {
     F64,
     /// A `usize` worker count; `0` means every core.
     Threads,
-    /// A [`LaneWidth`], or `auto` to calibrate on the loaded circuit.
+    /// A [`LaneWidth`], or `auto` for [`LaneWidth::for_sweep`].
     Lanes,
     Backend,
     /// Free text: a path, an address, a JSON request.
@@ -289,7 +289,7 @@ const COMMANDS: &[Command] = &[
             flag("--threads N", Threads, "1", "worker threads sharing the pattern stream; \
                 0 = all cores"),
             flag("--lanes L", Lanes, "256", "patterns per sweep: 64 | 256 | 512, or `auto` \
-                to pick by a quick calibration sweep"),
+                for the widest that the patterns' sequences fill"),
             flag("--frames N", Usize, "1", "frames per sequence: each lane then carries one \
                 N-frame sequence from the all-zero reset state, stepped through the DFF \
                 boundary").positive(),
@@ -302,8 +302,9 @@ const COMMANDS: &[Command] = &[
             flag("--bridges N", Usize, "32", "number of sampled bridge faults"),
             flag("--backend B", Backend, "delta", "delta = fault-patch engine, csr = per-fault \
                 full re-simulation oracle"),
-            flag("--lanes L", Lanes, "256", "patterns per sweep: 64 | 256 | 512, or `auto` \
-                to pick by a quick calibration sweep"),
+            flag("--lanes L", Lanes, "auto", "sequences per sweep: 64 | 256 | 512, or `auto` \
+                for the widest that the sweep's sequences (vectors / frames) fill, and on \
+                --resume the checkpoint's width"),
             flag("--threads N", Threads, "1", "worker threads; 0 = all cores"),
             flag("--shards N", Usize, "0", "fault-list shards; 0 = auto"),
             flag("--no-drop", Switch, "", "disable earliest-detection fault dropping"),
@@ -517,11 +518,11 @@ impl Args {
         }
     }
 
-    /// `--lanes`, with `auto` resolved by a calibration sweep on `cut`.
-    fn lanes(&self, cut: &Netlist) -> LaneWidth {
+    /// `--lanes`, or `None` for `auto`.
+    fn lanes(&self) -> Option<LaneWidth> {
         match self.get::<String>("--lanes").as_str() {
-            "auto" => calibrate_lanes(cut),
-            width => width.parse().expect("checked by the flag table"),
+            "auto" => None,
+            width => Some(width.parse().expect("checked by the flag table")),
         }
     }
 }
@@ -836,75 +837,18 @@ fn cmd_test(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Measures CSR sweep throughput (patterns/s) at one lane width: one
-/// warm-up sweep off the clock, then timed sweeps until at least ten
-/// milliseconds have elapsed. The pattern stream is deterministic, so
-/// the calibration itself never perturbs downstream seeding.
-fn calibrate_width<W: iddq_netlist::PackedWord>(cut: &Netlist) -> f64 {
-    let sim = iddq_logicsim::Simulator::new(cut);
-    let mut inputs = vec![W::zeros(); cut.num_inputs()];
-    let mut values = vec![W::zeros(); sim.node_count()];
-    let mut state = 0x1dd9_ca11_b0a7_ed00u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z ^ (z >> 31)
-    };
-    sim.eval_into(&inputs, &mut values);
-    let start = Instant::now();
-    let mut patterns = 0u64;
-    loop {
-        for w in &mut inputs {
-            *w = W::from_limbs(|_| next());
-        }
-        sim.eval_into(&inputs, &mut values);
-        patterns += u64::from(W::LANES);
-        if start.elapsed().as_millis() >= 10 {
-            break;
-        }
-    }
-    patterns as f64 / start.elapsed().as_secs_f64()
-}
-
-/// `--lanes auto`: times a short CSR sweep at every width and picks the
-/// fastest. Wider lanes amortize schedule-walking overhead but cost more
-/// per value word; which side wins depends on the circuit's size relative
-/// to cache, so a quick measurement beats a static guess.
-fn calibrate_lanes(cut: &Netlist) -> LaneWidth {
-    let rates = [
-        (LaneWidth::L64, calibrate_width::<u64>(cut)),
-        (LaneWidth::L256, calibrate_width::<iddq_netlist::W256>(cut)),
-        (LaneWidth::L512, calibrate_width::<iddq_netlist::W512>(cut)),
-    ];
-    let best = rates
-        .iter()
-        .copied()
-        .fold(rates[0], |acc, r| if r.1 > acc.1 { r } else { acc })
-        .0;
-    eprintln!(
-        "lanes auto: 64 -> {:.3e}/s, 256 -> {:.3e}/s, 512 -> {:.3e}/s; picked {best}",
-        rates[0].1, rates[1].1, rates[2].1
-    );
-    best
-}
-
 fn cmd_sim(args: &Args) -> Result<(), CliError> {
     let cut = load(&args.arg)?;
     let patterns: u64 = args.get("--patterns");
     let seed: u64 = args.get("--seed");
     let threads = args.threads();
     let frames: usize = args.get("--frames");
-    let lanes = args.lanes(&cut);
-    match lanes {
-        LaneWidth::L64 => run_sim::<u64>(&cut, patterns, seed, threads, lanes, frames),
-        LaneWidth::L256 => {
-            run_sim::<iddq_netlist::W256>(&cut, patterns, seed, threads, lanes, frames)
-        }
-        LaneWidth::L512 => {
-            run_sim::<iddq_netlist::W512>(&cut, patterns, seed, threads, lanes, frames)
-        }
-    }
+    let lanes = args.lanes().unwrap_or_else(|| {
+        LaneWidth::for_sweep(usize::try_from(patterns).unwrap_or(usize::MAX), frames)
+    });
+    at_lanes!(lanes, |W| run_sim::<W>(
+        &cut, patterns, seed, threads, frames
+    ));
     Ok(())
 }
 
@@ -913,7 +857,6 @@ fn run_sim<W: iddq_netlist::PackedWord>(
     patterns: u64,
     seed: u64,
     threads: usize,
-    lanes: LaneWidth,
     frames: usize,
 ) {
     // One batch is W::LANES lanes; with frames > 1 each lane carries one
@@ -954,18 +897,19 @@ fn run_sim<W: iddq_netlist::PackedWord>(
     let evaluated = batches * u64::from(W::LANES) * frames as u64;
     println!(
         "{}: {} gates, {evaluated} patterns in {elapsed:.3} s = {:.3e} patterns/s \
-         ({:.3e} gate-evals/s), lanes {lanes}, frames {frames}, \
+         ({:.3e} gate-evals/s), lanes {}, frames {frames}, \
          {threads} thread(s), value checksum {checksum:#018x}",
         cut.name(),
         cut.gate_count(),
         evaluated as f64 / elapsed,
         evaluated as f64 * cut.gate_count() as f64 / elapsed,
+        W::LANES,
     );
 }
 
 fn cmd_faults(args: &Args) -> Result<(), CliError> {
     use iddq_logicsim::fault_sweep::{
-        fault_universe, random_vectors, FaultSweepOptions, LogicFault,
+        fault_universe, random_vectors, FaultSweepOptions, LogicFault, SweepCheckpoint,
     };
 
     let cut = load(&args.arg)?;
@@ -973,7 +917,6 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
     let num_vectors: usize = args.get("--vectors");
     let bridges: usize = args.get("--bridges");
     let backend: BackendKind = args.get("--backend");
-    let lanes = args.lanes(&cut);
     let frames: usize = args.get("--frames");
     let options = FaultSweepOptions {
         threads: args.get("--threads"),
@@ -1000,17 +943,32 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
         .count();
     let bridge_count = faults.len() - stuck_at_count;
     let vectors = random_vectors(&cut, num_vectors, seed);
+    let resume = match args.opt::<String>("--resume") {
+        Some(path) => {
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
+            Some(SweepCheckpoint::from_json(&text)?)
+        }
+        None => None,
+    };
+    // `auto` resumes at the checkpoint's width; a width the checkpoint
+    // does not name fails its validation below.
+    let lanes = match (args.lanes(), &resume) {
+        (Some(lanes), _) => lanes,
+        (None, Some(cp)) => LaneWidth::from_lanes(cp.lanes).unwrap_or_default(),
+        (None, None) => LaneWidth::for_sweep(num_vectors, frames),
+    };
 
     let start = std::time::Instant::now();
-    let outcome = match lanes {
-        LaneWidth::L64 => run_fault_sweep::<u64>(&cut, &faults, &vectors, &options, &control, args),
-        LaneWidth::L256 => {
-            run_fault_sweep::<iddq_netlist::W256>(&cut, &faults, &vectors, &options, &control, args)
-        }
-        LaneWidth::L512 => {
-            run_fault_sweep::<iddq_netlist::W512>(&cut, &faults, &vectors, &options, &control, args)
-        }
-    }?;
+    let outcome = at_lanes!(lanes, |W| run_fault_sweep::<W>(
+        &cut,
+        &faults,
+        &vectors,
+        &options,
+        &control,
+        resume.as_ref(),
+        args
+    ))?;
     let elapsed = start.elapsed().as_secs_f64();
     let work_coverage = outcome.coverage();
     let stop_reason = outcome.stop_reason();
@@ -1046,14 +1004,20 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
             // Where the multi-frame work goes: an application is one
             // faulty machine superimposed for one frame, and the ones
             // carrying diverged latched state pin that many flops more.
+            // With dropping, the detection bound skips a fault's later
+            // frames once the batch caught it at lane 0, and runs the
+            // others on the lanes below its detection.
             let work = outcome.work;
             eprintln!(
                 "multi-frame work: {} faulty-machine applications, {} with diverged state \
-                 (mean {:.1} flops pinned), {} node evaluations",
+                 (mean {:.1} flops pinned), {} node evaluations; detection bound: {} \
+                 fault-frames skipped, {} applications narrowed",
                 work.applications,
                 work.diverged_applications,
                 work.diverged_pins as f64 / work.diverged_applications.max(1) as f64,
                 work.evaluations,
+                work.skipped_frames,
+                work.narrowed_applications,
             );
         }
     }
@@ -1074,26 +1038,22 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Runs one fault sweep at a fixed lane width: resume from a checkpoint
-/// if asked (validated against this exact run configuration), and write
-/// a checkpoint of whatever completed — atomically, so an interrupted
-/// write can never destroy the previous checkpoint.
+/// Runs one fault sweep at a fixed lane width: resume from `resume` if
+/// given (validated against this exact run configuration), and write a
+/// checkpoint of whatever completed if asked — atomically, so an
+/// interrupted write can never destroy the previous checkpoint.
 fn run_fault_sweep<W: iddq_netlist::PackedWord>(
     cut: &Netlist,
     faults: &[iddq_logicsim::fault_sweep::LogicFault],
     vectors: &[Vec<bool>],
     options: &iddq_logicsim::fault_sweep::FaultSweepOptions,
     control: &RunControl,
+    resume: Option<&iddq_logicsim::fault_sweep::SweepCheckpoint>,
     args: &Args,
 ) -> Result<iddq_control::Outcome<iddq_logicsim::fault_sweep::FaultSweepOutcome>, CliError> {
     use iddq_logicsim::fault_sweep::{sweep_resume, sweep_with_control, SweepCheckpoint};
-    let outcome = match args.opt::<String>("--resume") {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
-            let cp = SweepCheckpoint::from_json(&text)?;
-            sweep_resume::<W>(cut, faults, vectors, options, control, &cp)?
-        }
+    let outcome = match resume {
+        Some(cp) => sweep_resume::<W>(cut, faults, vectors, options, control, cp)?,
         None => sweep_with_control::<W>(cut, faults, vectors, options, control),
     };
     if let Some(path) = args.opt::<String>("--checkpoint") {

@@ -378,28 +378,44 @@ fn sim_lanes_flag_selects_width() {
 fn sim_and_faults_accept_lanes_auto() {
     let bench = gen_bench("c432", 17);
 
-    // `--lanes auto` calibrates on the loaded circuit, announces the
-    // measured rates on stderr, and runs at the picked width.
-    let (text, err) = ok(&["sim", &bench, "--patterns", "1024", "--lanes", "auto"]);
-    assert!(err.contains("lanes auto:"), "{err}");
-    assert!(err.contains("picked"), "{err}");
-    let picked = ["lanes 64", "lanes 256", "lanes 512"]
-        .iter()
-        .any(|w| text.contains(w));
-    assert!(picked, "{text}");
+    // `--lanes auto` runs at the widest width the sweep's sequences
+    // (patterns or vectors, over frames) fill, and 64 below that.
+    for (patterns, frames, lanes) in [
+        ("1024", "1", "lanes 512"),
+        ("1024", "4", "lanes 256"),
+        ("300", "1", "lanes 256"),
+        ("100", "1", "lanes 64"),
+    ] {
+        let sim = [
+            "sim",
+            &bench,
+            "--patterns",
+            patterns,
+            "--frames",
+            frames,
+            "--lanes",
+            "auto",
+        ];
+        let (text, _) = ok(&sim);
+        assert!(text.contains(lanes), "{sim:?}: {text}");
+    }
+    // `sim` keeps 256 lanes by default.
+    let (text, _) = ok(&["sim", &bench, "--patterns", "1024"]);
+    assert!(text.contains("lanes 256"), "{text}");
 
-    // The fault sweep accepts the same selector.
-    let args = [
-        "faults",
-        &bench,
-        "--vectors",
-        "64",
-        "--bridges",
-        "4",
-        "--lanes",
-        "auto",
-    ];
-    assert!(ok(&args).1.contains("lanes auto:"));
+    // It is the fault sweep's default, and `--lanes auto` says so too.
+    for (vectors, lanes) in [
+        ("64", "lanes 64"),
+        ("256", "lanes 256"),
+        ("600", "lanes 512"),
+    ] {
+        let base = ["faults", &bench, "--vectors", vectors, "--bridges", "4"];
+        let (text, _) = ok(&base);
+        assert!(text.contains(lanes), "{vectors} vectors: {text}");
+        let (auto, _) = ok(&[&base[..], &["--lanes", "auto"]].concat());
+        assert_eq!(coverage(&auto), coverage(&text));
+        assert!(auto.contains(lanes), "{vectors} vectors: {auto}");
+    }
 
     let _ = std::fs::remove_file(bench);
 }
@@ -522,6 +538,29 @@ fn faults_quota_checkpoint_resume_roundtrip() {
     assert!(!resumed_text.contains("partial:"), "{resumed_text}");
     assert_eq!(coverage(&resumed_text), coverage(&full_text));
 
+    // Without `--lanes`, a resume runs at the checkpoint's width, not at
+    // the 512 lanes a fresh 512-vector sweep picks; a width the
+    // checkpoint does not name is refused.
+    let auto = [
+        "faults",
+        &bench,
+        "--seed",
+        "9",
+        "--bridges",
+        "8",
+        "--vectors",
+        "512",
+    ];
+    let (auto_text, _) = ok(&[&auto[..], &["--resume", &ckpt]].concat());
+    assert!(auto_text.contains("lanes 64"), "{auto_text}");
+    assert_eq!(coverage(&auto_text), coverage(&full_text));
+    assert!(ok(&auto).0.contains("lanes 512"));
+    let err = fails(
+        &[&auto[..], &["--lanes", "512", "--resume", &ckpt]].concat(),
+        1,
+    );
+    assert!(err.contains("lane width"), "{err}");
+
     // Resuming against a different run configuration is a runtime
     // failure (exit 1), not a silent wrong answer.
     let err = fails(
@@ -557,6 +596,51 @@ fn faults_frames_counts_detections_beyond_frame_zero() {
         Some("125 detected only beyond frame 0"),
         "{text}"
     );
+
+    let _ = std::fs::remove_file(bench);
+}
+
+#[test]
+fn faults_detection_bound_counts_only_with_dropping() {
+    // s5378 x 256 vectors x 4 frames (64 sequences, one 64-lane batch):
+    // with dropping, a fault the batch caught at lane 0 skips its later
+    // frames and one caught at a higher lane runs below it; `--no-drop`
+    // simulates every lane of every frame. Stdout is the same.
+    let bench = gen_bench("s5378", 5);
+    let base = [
+        "faults",
+        &bench,
+        "--vectors",
+        "256",
+        "--frames",
+        "4",
+        "--seed",
+        "5",
+    ];
+    let bound = |err: &str| -> (u64, u64) {
+        let tail = err
+            .split("detection bound: ")
+            .nth(1)
+            .unwrap_or_else(|| panic!("no detection-bound counts in {err}"));
+        let count = |marker: &str| {
+            let head = &tail[..tail.find(marker).expect("count label")];
+            head.rsplit(' ')
+                .next()
+                .expect("a word")
+                .parse()
+                .expect("a count")
+        };
+        (
+            count(" fault-frames skipped"),
+            count(" applications narrowed"),
+        )
+    };
+    let (dropped, err) = ok(&base);
+    let (skipped, narrowed) = bound(&err);
+    assert!(skipped > 0 && narrowed > 0, "{err}");
+    let (kept, err) = ok(&[&base[..], &["--no-drop"]].concat());
+    assert_eq!(bound(&err), (0, 0), "{err}");
+    assert_eq!(coverage(&dropped), coverage(&kept));
 
     let _ = std::fs::remove_file(bench);
 }

@@ -240,8 +240,9 @@ fn serve_and_cli_agree_on_sim_and_faults() {
     // The same circuit, uploaded inline as `.bench` text, gets the same
     // `sim` checksum and pattern count from the daemon as from `iddq sim
     // --lanes 64 --threads 1`, and the same fault and detection counts
-    // as from `iddq faults --lanes 64`: one combinational circuit, and
-    // one sequential circuit at 1 and 3 frames.
+    // as from `iddq faults` at its default lanes (the width the daemon
+    // reports) and at `--lanes 64`: one combinational circuit, and one
+    // sequential circuit at 1 and 3 frames.
     let dir = tmp("agree");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let (mut server, addr) = spawn_daemon(&dir.join("state"));
@@ -281,30 +282,38 @@ fn serve_and_cli_agree_on_sim_and_faults() {
                 "{circuit} frames {frames}: {sim}"
             );
 
-            let faults = cli_stdout(
-                &[
-                    &["faults", path, "--vectors", "192", "--bridges", "16"][..],
-                    &common,
-                ]
-                .concat(),
-            );
-            let served = call(
-                &addr,
-                &serde_json::json!({
-                    "op": "faults", "bench": bench, "vectors": 192, "bridges": 16, "seed": 7,
-                    "frames": frames,
-                }),
-            );
-            assert_eq!(
-                served["faults"],
-                word_before(&faults, " stuck-at + ") + word_before(&faults, " bridge faults"),
-                "{circuit} frames {frames}: {faults}"
-            );
-            assert_eq!(
-                served["detected"],
-                word_before(&faults, " detected ("),
-                "{circuit} frames {frames}: {faults}"
-            );
+            // The daemon picks its lane width by the CLI's `--lanes auto`
+            // rule, the `faults` default; detections agree at any width.
+            for vectors in [192, 768] {
+                let served = call(
+                    &addr,
+                    &serde_json::json!({
+                        "op": "faults", "bench": bench, "vectors": vectors, "bridges": 16,
+                        "seed": 7, "frames": frames,
+                    }),
+                );
+                let v = vectors.to_string();
+                let run = &["faults", path, "--vectors", &v, "--bridges", "16"][..];
+                let auto = cli_stdout(&[run, &["--seed", "7", "--frames", &f]].concat());
+                assert_eq!(
+                    served["lanes"],
+                    word_before(&auto, ", 1 thread(s)"),
+                    "{circuit} frames {frames}: {auto}"
+                );
+                for faults in [auto.clone(), cli_stdout(&[run, &common].concat())] {
+                    assert_eq!(
+                        served["faults"],
+                        word_before(&faults, " stuck-at + ")
+                            + word_before(&faults, " bridge faults"),
+                        "{circuit} frames {frames}: {faults}"
+                    );
+                    assert_eq!(
+                        served["detected"],
+                        word_before(&faults, " detected ("),
+                        "{circuit} frames {frames}: {faults}"
+                    );
+                }
+            }
         }
     }
     drain(&mut server, &addr);

@@ -38,7 +38,8 @@
 //! fixpoint walks) — their lift re-evaluates nothing, so it adds nothing.
 //! [`FaultSweepOutcome::work`] keeps the raw counters, including how many
 //! multi-frame applications carried diverged state and how many flops
-//! they pinned.
+//! they pinned, and what the in-batch detection bound (below) skipped
+//! and narrowed.
 //!
 //! [`sweep`] runs the per-fault loop as a detector on the shared
 //! fault-shard × pattern-batch `grid` executor — the one
@@ -77,6 +78,28 @@
 //! form; with `frames = 1` that is plain per-fault re-simulation), and
 //! the differential tests pin the two against each other and against
 //! `NaiveSimulator::step_frames`.
+//!
+//! **In-batch detection bound.** With fault dropping on, a faulty machine
+//! is simulated only where it can still change the answer. Once the batch
+//! has detected fault *k* at `(lane b, frame t)`, a later frame can only
+//! improve on that at a lane `< b`: a lower lane outranks any frame, and
+//! the same or a higher lane at a later frame loses. And lanes never
+//! interact — every gate, pin and captured next-state word is evaluated
+//! lane by lane, so the lanes `< b` of a machine depend only on the lanes
+//! `< b` of its pins and its diverged state. Later frames therefore cut
+//! the machine to those lanes: each diverged word and the stuck-at pin
+//! become `good ^ (w ^ good).mask_lanes(b)` (a diverged pin left equal to
+//! the good word is dropped), and so do the captured next-state words, so
+//! the other lanes run as the good machine and stop diverging. At `b == 0`
+//! nothing can improve and the fault is skipped for the rest of the batch
+//! ([`SweepWork::skipped_frames`]; the cut applications are
+//! [`SweepWork::narrowed_applications`]). A bridge's fixpoint still runs
+//! on every lane: its stopping test is global, but a lane that has
+//! converged stays put in later rounds and one that has not keeps either
+//! run going, so its lanes `< b` come out the same. The bound
+//! never changes an earliest detection, only work; with dropping off (and
+//! on the CSR oracle) every lane of every frame is simulated, and the
+//! differential tests pin the bounded sweep to both.
 //!
 //! # Failure semantics: budgets, cancellation, checkpoint/resume
 //!
@@ -345,6 +368,11 @@ impl<W: PackedWord> FaultPatchSim<W> {
     /// drivers, and the log is written back, restoring the good machine
     /// for the next fault without a release walk.
     ///
+    /// With `bounded`, a fault the batch has already detected at lane `b`
+    /// is simulated on lanes `< b` only, and skipped for the rest of the
+    /// batch once `b == 0` (see the module's *Multi-frame sequences*
+    /// section); `best_kt` comes out the same either way.
+    ///
     /// # Panics
     ///
     /// Panics on arity mismatches or faults referencing nodes outside the
@@ -359,6 +387,7 @@ impl<W: PackedWord> FaultPatchSim<W> {
         live: &[bool],
         best_kt: &mut [Option<(u32, usize)>],
         words: &mut [W],
+        bounded: bool,
     ) {
         // Every sequence starts from the reset state: no fault has
         // diverged yet.
@@ -374,8 +403,13 @@ impl<W: PackedWord> FaultPatchSim<W> {
             self.snapshot_outputs();
             self.next_diverged.clear();
             for (k, &fault) in faults.iter().enumerate() {
-                if live[k] {
-                    self.apply_machine(k, fault, lanes_t, t, &good_next, best_kt);
+                // Only a lane below the batch's detection can still
+                // improve on it.
+                let below = best_kt[k].filter(|_| bounded).map(|(b, _)| b);
+                match below {
+                    _ if !live[k] => {}
+                    Some(0) => self.work.skipped_frames += 1,
+                    _ => self.apply_machine(k, fault, below, lanes_t, t, &good_next, best_kt),
                 }
                 let end = self.next_diverged.entries.len() as u32;
                 self.next_diverged.ends.push(end);
@@ -388,28 +422,43 @@ impl<W: PackedWord> FaultPatchSim<W> {
     /// — its diverged DFF words plus the fault site, a bridge's wired-AND
     /// fixpoint on top — records a detection in `best_kt[k]`, appends the
     /// state elements whose faulty next word differs from `good_next` to
-    /// `next_diverged`, and lifts the log.
+    /// `next_diverged`, and lifts the log. With `below = Some(b)` the
+    /// diverged words, the stuck-at pin and the captured next-state words
+    /// are cut to lanes `< b`: the other lanes run as the good machine.
+    #[allow(clippy::too_many_arguments)]
     fn apply_machine(
         &mut self,
         k: usize,
         fault: LogicFault,
+        below: Option<u32>,
         lanes_t: u32,
         t: usize,
         good_next: &[W],
         best_kt: &mut [Option<(u32, usize)>],
     ) {
+        // `w` kept on the simulated lanes, `good` on the others.
+        let cut = |w: W, good: W| below.map_or(w, |b| good ^ (w ^ good).mask_lanes(b));
         self.pins.clear();
         for &(j, w) in self.diverged.run(k) {
-            self.pins.push((self.state_nodes[j as usize], w));
+            let q = self.state_nodes[j as usize];
+            let good = self.sim.value(q);
+            let w = cut(w, good);
+            if w != good {
+                self.pins.push((q, w));
+            }
         }
         self.work.applications += 1;
+        if below.is_some_and(|b| b < lanes_t) {
+            self.work.narrowed_applications += 1;
+        }
         if !self.pins.is_empty() {
             self.work.diverged_applications += 1;
             self.work.diverged_pins += self.pins.len() as u64;
         }
         match fault {
             LogicFault::StuckAt(f) => {
-                self.pins.push((f.node, W::splat(f.stuck_at_one)));
+                let stuck = cut(W::splat(f.stuck_at_one), self.sim.value(f.node));
+                self.pins.push((f.node, stuck));
                 self.work.evaluations += self.sim.superimpose(&self.pins, &mut self.log) as u64;
             }
             LogicFault::Bridge { a, b } => {
@@ -437,9 +486,9 @@ impl<W: PackedWord> FaultPatchSim<W> {
             let i = node as usize;
             let word = self.sim.values()[i];
             for &j in &self.driven[self.driven_off[i] as usize..self.driven_off[i + 1] as usize] {
-                if word != good_next[j as usize]
-                    && !(relogged && run[first..].iter().any(|&(seen, _)| seen == j))
-                {
+                let good = good_next[j as usize];
+                let word = cut(word, good);
+                if word != good && !(relogged && run[first..].iter().any(|&(seen, _)| seen == j)) {
                     run.push((j, word));
                 }
             }
@@ -507,8 +556,10 @@ pub struct FaultSweepOptions {
     /// Fault-list shards; `0` = automatic (shard only when pattern batches
     /// cannot keep all workers busy).
     pub fault_shards: usize,
-    /// Skip faults whose earliest detection is already known (never
-    /// changes results, only work).
+    /// Skip faults whose earliest detection is already known, and with
+    /// `frames > 1` run each faulty machine only below its in-batch
+    /// detection (see the module's *Multi-frame sequences* section).
+    /// Never changes results, only work.
     pub fault_dropping: bool,
     /// [`BackendKind::Delta`] = the fault-patch engine;
     /// [`BackendKind::Csr`] = per-fault full re-simulation (the
@@ -924,6 +975,9 @@ struct LogicDetector<'a, W: PackedWord> {
     faults: &'a [LogicFault],
     vectors: &'a [Vec<bool>],
     frames: usize,
+    /// Bound each multi-frame machine by its in-batch detection (on
+    /// with fault dropping).
+    bounded: bool,
     engine: Engine<W>,
     words: Vec<W>,
 }
@@ -964,6 +1018,7 @@ impl<W: PackedWord> grid::Detector for LogicDetector<'_, W> {
                 live,
                 hits,
                 &mut self.words,
+                self.bounded,
             ),
             Engine::Csr(sim) => csr_oracle_batch(
                 self.netlist,
@@ -1092,6 +1147,7 @@ fn sweep_impl<W: PackedWord>(
         faults,
         vectors,
         frames: options.frames.max(1),
+        bounded: options.fault_dropping,
         engine: match options.backend {
             BackendKind::Delta => Engine::Patch(Box::new(FaultPatchSim::new(netlist))),
             BackendKind::Csr => Engine::Csr(Simulator::new(netlist)),

@@ -73,6 +73,13 @@ pub struct SweepWork {
     pub diverged_applications: u64,
     /// DFF words pinned over those diverged applications.
     pub diverged_pins: u64,
+    /// Multi-frame fault-frames skipped because the batch had already
+    /// detected the fault at its lane 0 (an earlier frame of the first
+    /// sequence): nothing later can beat that detection.
+    pub skipped_frames: u64,
+    /// Multi-frame applications run on fewer lanes than the frame holds,
+    /// the lanes below the fault's in-batch detection.
+    pub narrowed_applications: u64,
 }
 
 impl std::ops::Add for SweepWork {
@@ -84,6 +91,8 @@ impl std::ops::Add for SweepWork {
             applications: self.applications + o.applications,
             diverged_applications: self.diverged_applications + o.diverged_applications,
             diverged_pins: self.diverged_pins + o.diverged_pins,
+            skipped_frames: self.skipped_frames + o.skipped_frames,
+            narrowed_applications: self.narrowed_applications + o.narrowed_applications,
         }
     }
 }
@@ -97,6 +106,8 @@ impl std::ops::Sub for SweepWork {
             applications: self.applications - o.applications,
             diverged_applications: self.diverged_applications - o.diverged_applications,
             diverged_pins: self.diverged_pins - o.diverged_pins,
+            skipped_frames: self.skipped_frames - o.skipped_frames,
+            narrowed_applications: self.narrowed_applications - o.narrowed_applications,
         }
     }
 }

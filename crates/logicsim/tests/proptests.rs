@@ -13,7 +13,7 @@ use iddq_logicsim::faults::IddqFault;
 use iddq_logicsim::logic_test::StuckAtFault;
 use iddq_logicsim::reference::NaiveSimulator;
 use iddq_logicsim::{iddq, BackendKind, Simulator};
-use iddq_netlist::{data, Netlist, NodeId, PackedWord, W256, W512};
+use iddq_netlist::{at_lanes, data, LaneWidth, Netlist, NodeId, PackedWord, W256, W512};
 
 /// A random ISCAS-like netlist, sized to exercise every gate kind, long
 /// same-kind runs and multi-level reordering in the CSR compiler.
@@ -424,6 +424,50 @@ mod frames {
             let wide = fault_sweep::sweep::<W256>(&nl, &faults, &vectors, &opts);
             prop_assert_eq!(&narrow.first_detection, &wide.first_detection);
             prop_assert_eq!(&narrow.detected, &wide.detected);
+        }
+
+        /// The in-batch detection bound is exact: at a random frame
+        /// count, lane width and thread count, the bounded sweep
+        /// (dropping on), the unbounded one (dropping off) and the CSR
+        /// oracle report the same earliest detections, and only the
+        /// bounded sweep skips or narrows a machine.
+        #[test]
+        fn detection_bound_matches_unbounded_and_oracle(
+            seed in 0u64..60,
+            salt in any::<u64>(),
+            frames in 2usize..9,
+            sequences in 1usize..700,
+            grid in 0usize..6,
+        ) {
+            let (lanes, threads) = (LaneWidth::ALL[grid % 3], grid / 3 + 1);
+            let nl = random_seq_netlist(seed);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(salt ^ 0xb0d);
+            let faults = random_faults(&nl, &mut rng);
+            // A part-filled last sequence now and then.
+            let vectors: Vec<Vec<bool>> = (0..sequences * frames - (salt % 2) as usize)
+                .map(|_| (0..nl.num_inputs()).map(|_| rng.gen()).collect())
+                .collect();
+            let options = |fault_dropping, backend| FaultSweepOptions {
+                threads,
+                fault_dropping,
+                backend,
+                frames,
+                ..FaultSweepOptions::default()
+            };
+            let oracle = fault_sweep::sweep::<u64>(
+                &nl, &faults, &vectors, &options(false, BackendKind::Csr),
+            );
+            let [bounded, unbounded] = [true, false].map(|dropping| {
+                at_lanes!(lanes, |W| fault_sweep::sweep::<W>(
+                    &nl, &faults, &vectors, &options(dropping, BackendKind::Delta),
+                ))
+            });
+            prop_assert_eq!(&bounded.first_detection, &oracle.first_detection,
+                "bounded lanes={} frames={}", lanes, frames);
+            prop_assert_eq!(&unbounded.first_detection, &oracle.first_detection,
+                "unbounded lanes={} frames={}", lanes, frames);
+            prop_assert_eq!(unbounded.work.skipped_frames, 0);
+            prop_assert_eq!(unbounded.work.narrowed_applications, 0);
         }
 
         /// On DFF-free netlists the earliest detection is frames-

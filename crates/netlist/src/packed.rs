@@ -8,8 +8,9 @@
 //! auto-vectorizes on any target with 128/256/512-bit SIMD. Everything
 //! downstream — fault activation, IDDQ detection, ATPG, logic testing,
 //! the fault-patch sweep — is generic over this trait; [`LaneWidth`] is
-//! the runtime selector the CLI and bench front ends thread through
-//! (`--lanes {64,256,512}`).
+//! the runtime selector the CLI, the server and the bench thread through
+//! (`--lanes {64,256,512}`), and [`at_lanes!`](crate::at_lanes) runs a
+//! generic call at one.
 //!
 //! # Lane-width trade-offs
 //!
@@ -23,6 +24,11 @@
 //! circuits the widest lane can fall out of cache on machines with small
 //! L2. Measure with `bench` (`csr64/csr256/csr512` rates) before pinning
 //! a default.
+//!
+//! A sweep whose lanes carry independent sequences has a second limit:
+//! lanes beyond its sequence count are empty, and every word op still
+//! pays for them. [`LaneWidth::for_sweep`] therefore picks the widest
+//! word the sweep fills.
 
 use std::fmt::Debug;
 use std::ops::{BitAnd, BitOr, BitXor, Not};
@@ -306,6 +312,51 @@ impl LaneWidth {
             LaneWidth::L512 => 512,
         }
     }
+
+    /// The width of `lanes` patterns per sweep, if it is one of 64, 256
+    /// and 512.
+    #[must_use]
+    pub fn from_lanes(lanes: u32) -> Option<LaneWidth> {
+        LaneWidth::ALL.into_iter().find(|w| w.lanes() == lanes)
+    }
+
+    /// The width a sweep of `vectors` vectors read as `frames`-vector
+    /// sequences (one per lane) runs at: the widest of 64, 256 and 512
+    /// that its `⌈vectors / frames⌉` sequences fill, or 64 when there are
+    /// fewer than 64. Deterministic, so the CLI and the server pick the
+    /// same width for the same sweep.
+    #[must_use]
+    pub fn for_sweep(vectors: usize, frames: usize) -> LaneWidth {
+        let sequences = vectors.div_ceil(frames.max(1));
+        LaneWidth::ALL
+            .into_iter()
+            .rev()
+            .find(|w| w.lanes() as usize <= sequences)
+            .unwrap_or(LaneWidth::L64)
+    }
+}
+
+/// Runs an expression generic over [`PackedWord`] at a runtime
+/// [`LaneWidth`]: `at_lanes!(width, |W| f::<W>(..))` evaluates the body
+/// once, with `W` the width's word (`u64`, [`W256`] or [`W512`]).
+#[macro_export]
+macro_rules! at_lanes {
+    ($width:expr, |$w:ident| $body:expr) => {
+        match $width {
+            $crate::LaneWidth::L64 => {
+                type $w = u64;
+                $body
+            }
+            $crate::LaneWidth::L256 => {
+                type $w = $crate::W256;
+                $body
+            }
+            $crate::LaneWidth::L512 => {
+                type $w = $crate::W512;
+                $body
+            }
+        }
+    };
 }
 
 impl std::fmt::Display for LaneWidth {
@@ -420,6 +471,44 @@ mod tests {
         assert_eq!(LaneWidth::L512.to_string(), "512");
         for w in LaneWidth::ALL {
             assert_eq!(w.to_string().parse::<LaneWidth>().unwrap(), w);
+            assert_eq!(LaneWidth::from_lanes(w.lanes()), Some(w));
+        }
+        assert_eq!(LaneWidth::from_lanes(128), None);
+    }
+
+    /// The lane rule on the sweeps it was measured on: the widest word
+    /// the sweep's sequences fill.
+    #[test]
+    fn sweep_width_follows_the_sequence_count() {
+        for (what, vectors, frames, want) in [
+            ("c7552 x 256", 256, 1, LaneWidth::L256),
+            ("c7552 x 4096", 4096, 1, LaneWidth::L512),
+            ("s5378 x 256 x 4 frames", 256, 4, LaneWidth::L64),
+            ("s5378 x 1024 x 4 frames", 1024, 4, LaneWidth::L256),
+            ("fewer than 64 sequences", 63, 1, LaneWidth::L64),
+            ("one vector", 1, 4, LaneWidth::L64),
+            ("no vectors", 0, 1, LaneWidth::L64),
+            ("255 sequences", 255, 1, LaneWidth::L64),
+            ("511 sequences", 511 * 3, 3, LaneWidth::L256),
+            (
+                "a partial last sequence counts",
+                511 * 3 + 1,
+                3,
+                LaneWidth::L512,
+            ),
+            ("frames 0 reads as 1", 512, 0, LaneWidth::L512),
+        ] {
+            assert_eq!(LaneWidth::for_sweep(vectors, frames), want, "{what}");
+        }
+    }
+
+    #[test]
+    fn at_lanes_runs_the_width_word() {
+        fn lanes_of<W: PackedWord>() -> u32 {
+            W::LANES
+        }
+        for w in LaneWidth::ALL {
+            assert_eq!(crate::at_lanes!(w, |W| lanes_of::<W>()), w.lanes());
         }
     }
 }

@@ -6,11 +6,12 @@
 //! [`Netlist::structural_fingerprint`] so repeated requests against the
 //! same structure (by name *or* as an inline upload) pay the build once.
 //!
-//! A request that names a generated circuit also reaches its bundle
-//! through an [`Alias`] — `(circuit name, seed)` → fingerprint — so a
-//! cached named circuit is answered without regenerating it: the netlist
-//! is made (generated or parsed) only on a miss. Every alias names a
-//! resident bundle; eviction drops the aliases of what it evicts.
+//! A request also reaches its bundle through an [`Alias`] — a named
+//! circuit's `(name, seed)`, or an inline upload's whole text — mapped to
+//! the fingerprint, so a cached circuit is answered without regenerating
+//! or re-parsing it: the netlist is made only on a miss. Every alias names
+//! a resident bundle; eviction drops the aliases of what it evicts, and a
+//! bundle keeps the alias of one upload text at most.
 //!
 //! Eviction is driven by real bytes, not entry counts: every artifact
 //! bundle reports [`Artifacts::memory_bytes`], and inserts evict
@@ -119,15 +120,24 @@ impl CacheStats {
     }
 }
 
-/// A generated circuit as a request names it: profile name and
-/// generation seed. Generation is deterministic, so an alias always
-/// names the same structure; a stale one only costs a miss.
+/// A circuit as a request gives it. Generation and parsing are
+/// deterministic, so an alias always names the same structure; a stale
+/// one only costs a miss.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Alias {
-    /// Profile name as the request gave it.
-    pub name: String,
-    /// Generation seed.
-    pub seed: u64,
+pub enum Alias {
+    /// A generated circuit: profile name as the request gave it, and
+    /// generation seed.
+    Named {
+        /// Profile name.
+        name: String,
+        /// Generation seed.
+        seed: u64,
+    },
+    /// An inline `.bench` upload, keyed by its whole text: the lookup
+    /// hashes the text and compares it in full, so two different texts
+    /// never share an alias. A text that fails to parse builds nothing
+    /// and so never gets one.
+    Upload(String),
 }
 
 /// A bundle resolved by [`ArtifactCache::lookup_or_build`].
@@ -156,6 +166,17 @@ struct Resident {
 }
 
 impl Resident {
+    /// Records `alias` for the bundle under `key`. An upload alias
+    /// replaces the bundle's previous one, so the alias map holds at most
+    /// one upload text per resident bundle.
+    fn record(&mut self, alias: Alias, key: u64) {
+        if matches!(alias, Alias::Upload(_)) {
+            self.aliases
+                .retain(|a, k| *k != key || !matches!(a, Alias::Upload(_)));
+        }
+        self.aliases.insert(alias, key);
+    }
+
     /// The bundle under `key` if it carries `min_tier`, its recency
     /// refreshed to `tick`.
     fn touch(&mut self, key: u64, min_tier: AnalysisTier, tick: u64) -> Option<Arc<Artifacts>> {
@@ -251,7 +272,7 @@ impl ArtifactCache {
             let mut resident = self.lock();
             let hit = resident.touch(key, at, self.next_tick());
             if let (Some(_), Some(alias)) = (&hit, &alias) {
-                resident.aliases.insert(alias.clone(), key);
+                resident.record(alias.clone(), key);
             }
             hit
         };
@@ -299,7 +320,7 @@ impl ArtifactCache {
             },
         );
         if let Some(alias) = alias {
-            resident.aliases.insert(alias, key);
+            resident.record(alias, key);
         }
         while resident.entries.values().map(|e| e.bytes).sum::<usize>() > self.ceiling {
             let oldest = resident
@@ -359,7 +380,7 @@ mod tests {
         alias: Option<&str>,
         tier: AnalysisTier,
     ) -> Resolved {
-        let alias = alias.map(|name| Alias {
+        let alias = alias.map(|name| Alias::Named {
             name: name.to_owned(),
             seed: 1,
         });
@@ -401,7 +422,7 @@ mod tests {
         for _ in 0..3 {
             let again = cache
                 .lookup_or_build(
-                    Some(Alias {
+                    Some(Alias::Named {
                         name: "adder".into(),
                         seed: 1,
                     }),
@@ -422,6 +443,42 @@ mod tests {
         assert!(resolve(&cache, 4, Some("adder4"), AnalysisTier::Timing).cache_hit);
         assert_eq!(cache.aliases(), 2);
         assert_eq!(cache.stats().netlists_built(), 2);
+    }
+
+    #[test]
+    fn an_upload_alias_is_its_whole_text() {
+        let cache = ArtifactCache::new(usize::MAX);
+        let text = iddq_netlist::bench::to_bench(&data::ripple_adder(4));
+        let upload = |text: &str| {
+            cache
+                .lookup_or_build(
+                    Some(Alias::Upload(text.to_owned())),
+                    AnalysisTier::Timing,
+                    || iddq_netlist::bench::parse("inline", text),
+                    |_| AnalysisTier::Timing,
+                    4,
+                )
+                .unwrap()
+        };
+        let first = upload(&text);
+        assert!(!first.cache_hit);
+        assert!(upload(&text).cache_hit);
+        assert_eq!(cache.stats().netlists_built(), 1);
+        // The same structure in another text is a fingerprint hit, not an
+        // alias hit, and its alias replaces the first text's.
+        let renamed = format!("# another upload\n{text}");
+        let second = upload(&renamed);
+        assert!(second.cache_hit);
+        assert_eq!(second.key, first.key);
+        assert_eq!(cache.stats().netlists_built(), 2);
+        assert_eq!(cache.aliases(), 1);
+        assert!(upload(&renamed).cache_hit);
+        assert_eq!(cache.stats().netlists_built(), 2);
+        // A different structure never resolves through another's text.
+        let other = upload(&iddq_netlist::bench::to_bench(&data::ripple_adder(5)));
+        assert!(!other.cache_hit);
+        assert_ne!(other.key, first.key);
+        assert_eq!((cache.len(), cache.aliases()), (2, 2));
     }
 
     #[test]
@@ -463,7 +520,7 @@ mod tests {
     fn a_failed_make_counts_nothing() {
         let cache = ArtifactCache::new(usize::MAX);
         let failed = cache.lookup_or_build(
-            Some(Alias {
+            Some(Alias::Named {
                 name: "nope".into(),
                 seed: 1,
             }),

@@ -25,11 +25,11 @@ use iddq_control::{
     CancelToken, EngineError, FaultPlan, FaultyEnv, IoEnv, RealEnv, RunBudget, RunControl,
     StopReason,
 };
-use iddq_logicsim::fault_sweep::{sweep, sweep_resume, sweep_with_control, SweepCheckpoint};
+use iddq_logicsim::fault_sweep::{sweep, SweepCheckpoint};
 use iddq_netlist::data;
 
 use crate::protocol::detection_digest;
-use crate::server::{fault_universe, random_vectors, server_sweep_options};
+use crate::server::{fault_universe, random_vectors, server_sweep_options, SweepJob};
 
 /// How many work units a chaos slice may run before its quota stops it —
 /// small enough that every scenario crosses many slice boundaries.
@@ -38,6 +38,11 @@ const SLICE_QUOTA: u64 = 48;
 /// Upper bound on restart-loop iterations; the in-memory path always
 /// makes progress, so hitting this means a logic bug, not bad luck.
 const MAX_SLICES: usize = 4096;
+
+/// Vector counts the schedules cycle through. A job's lane width follows
+/// its vector count as in a served one: 5 pattern batches at 64 lanes,
+/// 2 at 256 and 5 at 512.
+const VECTOR_COUNTS: [usize; 3] = [320, 448, 2560];
 
 /// Options for [`run_chaos`].
 #[derive(Debug, Clone, Copy)]
@@ -135,10 +140,11 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
     let fail = |what: String| Err(format!("sweep seed {seed:#x}: {what}"));
     let netlist = data::ripple_adder(5 + (seed % 3) as usize);
     let faults = fault_universe(&netlist, 8, seed);
-    let vectors = random_vectors(&netlist, 256, seed);
+    let vectors = random_vectors(&netlist, VECTOR_COUNTS[(seed / 3 % 3) as usize], seed);
     let options = server_sweep_options(true, 1);
 
-    // Ground truth: one uninterrupted, fault-free run.
+    // Ground truth: one uninterrupted, fault-free run, at 64 lanes
+    // whatever width the job runs at.
     let want =
         detection_digest(&sweep::<u64>(&netlist, &faults, &vectors, &options).first_detection);
 
@@ -154,6 +160,11 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
         schedules: 1,
         ..ChaosReport::default()
     };
+    // The job as the server takes it up: at the checkpoint's width when it
+    // resumes one, which must belong to it.
+    let job = |resume: Option<&SweepCheckpoint>| {
+        SweepJob::new(&netlist, &faults, &vectors, &options, resume)
+    };
 
     // The live process's view of the job. A simulated crash drops it and
     // everything must be reconstructable from disk (or from scratch).
@@ -164,18 +175,13 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
             // Simulated kill -9: lose the in-memory state, restart from
             // whatever the disk holds.
             report.restarts += 1;
-            checkpoint = match SweepCheckpoint::load_in(&env, &path) {
-                Ok(cp) => match cp.validate::<u64>(&netlist, &faults, &vectors, &options) {
-                    Ok(()) => Some(cp),
-                    Err(_) => {
-                        // Operator action per the runbook: delete the
-                        // mismatched checkpoint, restart the job fresh.
-                        report.checkpoint_recoveries += 1;
-                        let _ = RealEnv.remove_file(&path);
-                        None
-                    }
-                },
+            let loaded =
+                SweepCheckpoint::load_in(&env, &path).and_then(|cp| job(Some(&cp)).map(|_| cp));
+            checkpoint = match loaded {
+                Ok(cp) => Some(cp),
                 Err(EngineError::CheckpointMismatch(_)) => {
+                    // Corrupt, or not this job's: per the runbook, delete
+                    // it and restart the job fresh.
                     report.checkpoint_recoveries += 1;
                     let _ = RealEnv.remove_file(&path);
                     None
@@ -186,18 +192,15 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
                 Err(e) => return fail(format!("unexpected load error: {e}")),
             };
         }
-        let control = slice_control();
-        let outcome = match &checkpoint {
-            None => sweep_with_control::<u64>(&netlist, &faults, &vectors, &options, &control),
-            Some(cp) => {
-                match sweep_resume::<u64>(&netlist, &faults, &vectors, &options, &control, cp) {
-                    Ok(o) => o,
-                    Err(e) => return fail(format!("resume from validated checkpoint: {e}")),
-                }
-            }
+        let slice = job(checkpoint.as_ref()).and_then(|job| {
+            let outcome = job.slice(&slice_control(), checkpoint.as_ref())?;
+            let cp = job.checkpoint(&outcome);
+            Ok((outcome, cp))
+        });
+        let (outcome, cp) = match slice {
+            Ok(slice) => slice,
+            Err(e) => return fail(format!("resume from validated checkpoint: {e}")),
         };
-        let cp =
-            SweepCheckpoint::capture::<u64>(&netlist, &faults, &vectors, &options, outcome.value());
         if cp.save_in(&env, &path).is_err() {
             // Typed failure; the previous on-disk checkpoint (if any)
             // must still be intact — the restart branch verifies that.

@@ -18,10 +18,10 @@
 //! | op | kind | needs | result highlights |
 //! |----|------|-------|--------------------|
 //! | `ping` | admin | — | liveness |
-//! | `metrics` | admin | — | counters, queue depth, cache stats (`cache.aliases`: resident name aliases; `cache.netlists_built`: named generations plus inline parses) |
+//! | `metrics` | admin | — | counters, queue depth, cache stats (`cache.aliases`: resident name and upload aliases; `cache.netlists_built`: named generations plus inline parses) |
 //! | `drain` | admin | — | stop admitting, finish accepted work |
 //! | `sim` | work | `circuit` \| `bench` | packed-pattern checksum, throughput |
-//! | `faults` | work | `circuit` \| `bench` | fault coverage, detection digest |
+//! | `faults` | work | `circuit` \| `bench` | fault coverage, detection digest, lane width |
 //! | `stats` | work | `circuit` \| `bench` | structure + tiered analysis footprint |
 //! | `sleep` | work | — | diagnostic worker occupancy |
 //!
@@ -38,11 +38,22 @@
 //! # Artifact cache
 //!
 //! Compiled bundles are keyed by structural fingerprint. A named
-//! request's `(circuit, seed)` is also an alias of that fingerprint, so
-//! its hit path is alias → lookup: no generation and no tier plan. A
-//! miss generates (or parses) the netlist, looks it up by fingerprint,
-//! and only then plans the tier and builds. Inline uploads have no
-//! alias and are parsed on every request.
+//! request's `(circuit, seed)`, and an inline upload's whole `bench`
+//! text, are also aliases of that fingerprint, so their hit path is
+//! alias → lookup: no generation, no parse and no tier plan. A miss
+//! generates (or parses) the netlist, looks it up by fingerprint, and
+//! only then plans the tier and builds. A text that fails to parse
+//! builds nothing, so it is parsed (and its error reported) on every
+//! request.
+//!
+//! # Fault sweeps
+//!
+//! A `faults` job runs at the lane width
+//! [`LaneWidth::for_sweep`](iddq_netlist::LaneWidth::for_sweep) picks
+//! from its `vectors` and `frames` — the CLI's `--lanes auto` rule — and
+//! reports it as `lanes`. A keyed job that resumes a checkpoint runs at
+//! the checkpoint's recorded width instead, so a job checkpointed at any
+//! width still finishes bit-identically.
 //!
 //! # Client retry
 //!

@@ -29,6 +29,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use iddq_control::Outcome;
 use iddq_control::{DrainSignal, EngineError, IoEnv, RealEnv, RunBudget, RunControl, StopReason};
 use iddq_core::{plan_tier, AnalysisTier, TierBudget};
 /// The fault universe and test vectors of a `faults` request — the same
@@ -36,10 +37,11 @@ use iddq_core::{plan_tier, AnalysisTier, TierBudget};
 /// the exact universe a server request swept.
 pub use iddq_logicsim::fault_sweep::{fault_universe, random_vectors};
 use iddq_logicsim::fault_sweep::{
-    sweep_resume, sweep_with_control, FaultSweepOptions, SweepCheckpoint,
+    sweep_resume, sweep_with_control, FaultSweepOptions, FaultSweepOutcome, LogicFault,
+    SweepCheckpoint,
 };
 use iddq_logicsim::random_sim::{self, RandomRun};
-use iddq_netlist::Netlist;
+use iddq_netlist::{at_lanes, LaneWidth, Netlist};
 use serde::Value;
 use serde_json::json;
 
@@ -857,8 +859,9 @@ fn resolve_netlist(request: &Request, line: usize) -> Result<Netlist, RequestErr
 }
 
 /// The request's artifacts at (at least) `tier`, through the cache: a
-/// named circuit is looked up by its [`Alias`] first and generated only
-/// on a miss, when `plan` picks the tier to build at.
+/// named circuit or an upload is looked up by its [`Alias`] first and
+/// generated or parsed only on a miss, when `plan` picks the tier to
+/// build at.
 fn lookup_or_build(
     shared: &Shared,
     request: &Request,
@@ -866,10 +869,13 @@ fn lookup_or_build(
     tier: AnalysisTier,
     plan: impl FnOnce(&Netlist) -> AnalysisTier,
 ) -> Result<Resolved, RequestError> {
-    let alias = request.circuit.as_ref().map(|name| Alias {
-        name: name.clone(),
-        seed: request.seed(),
-    });
+    let alias = match &request.circuit {
+        Some(name) => Some(Alias::Named {
+            name: name.clone(),
+            seed: request.seed(),
+        }),
+        None => request.bench.clone().map(Alias::Upload),
+    };
     shared.cache.lookup_or_build(
         alias,
         tier,
@@ -891,6 +897,96 @@ pub fn server_sweep_options(fault_dropping: bool, frames: usize) -> FaultSweepOp
         fault_dropping,
         frames: frames.max(1),
         ..FaultSweepOptions::default()
+    }
+}
+
+/// One checkpointed fault-sweep job at a runtime lane width, swept slice
+/// by slice: the serve `faults` handler and the chaos harness run every
+/// slice through it.
+pub(crate) struct SweepJob<'a> {
+    netlist: &'a Netlist,
+    faults: &'a [LogicFault],
+    vectors: &'a [Vec<bool>],
+    options: &'a FaultSweepOptions,
+    lanes: LaneWidth,
+}
+
+impl<'a> SweepJob<'a> {
+    /// The job over `vectors` at the width it runs at: [`LaneWidth::for_sweep`]
+    /// for a fresh job, and the checkpoint's for one that resumes
+    /// `resume`, so a job checkpointed at any width finishes at that
+    /// width.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::CheckpointMismatch`] when `resume` records a width
+    /// other than 64, 256 or 512, or does not belong to this job at its
+    /// width.
+    pub(crate) fn new(
+        netlist: &'a Netlist,
+        faults: &'a [LogicFault],
+        vectors: &'a [Vec<bool>],
+        options: &'a FaultSweepOptions,
+        resume: Option<&SweepCheckpoint>,
+    ) -> Result<Self, EngineError> {
+        let Some(cp) = resume else {
+            let lanes = LaneWidth::for_sweep(vectors.len(), options.frames);
+            return Ok(SweepJob {
+                netlist,
+                faults,
+                vectors,
+                options,
+                lanes,
+            });
+        };
+        let lanes = LaneWidth::from_lanes(cp.lanes).ok_or_else(|| {
+            EngineError::CheckpointMismatch(format!(
+                "lane width {} is not 64, 256 or 512",
+                cp.lanes
+            ))
+        })?;
+        at_lanes!(lanes, |W| cp
+            .validate::<W>(netlist, faults, vectors, options))?;
+        Ok(SweepJob {
+            netlist,
+            faults,
+            vectors,
+            options,
+            lanes,
+        })
+    }
+
+    /// The width the job runs at.
+    pub(crate) fn lanes(&self) -> LaneWidth {
+        self.lanes
+    }
+
+    /// One slice under `control`: a fresh sweep, or the resume of
+    /// `resume`.
+    pub(crate) fn slice(
+        &self,
+        control: &RunControl,
+        resume: Option<&SweepCheckpoint>,
+    ) -> Result<Outcome<FaultSweepOutcome>, EngineError> {
+        let (nl, faults, vectors, options) =
+            (self.netlist, self.faults, self.vectors, self.options);
+        at_lanes!(self.lanes, |W| Ok(match resume {
+            None => sweep_with_control::<W>(nl, faults, vectors, options, control),
+            Some(cp) => sweep_resume::<W>(nl, faults, vectors, options, control, cp)?,
+        }))
+    }
+
+    /// The checkpoint of what `outcome`, a slice of this job, completed.
+    pub(crate) fn checkpoint(&self, outcome: &Outcome<FaultSweepOutcome>) -> SweepCheckpoint {
+        let (nl, faults, vectors, options) =
+            (self.netlist, self.faults, self.vectors, self.options);
+        at_lanes!(self.lanes, |W| SweepCheckpoint::capture::<W>(
+            nl,
+            faults,
+            vectors,
+            options,
+            outcome.value()
+        ))
     }
 }
 
@@ -959,46 +1055,36 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
         .job
         .as_ref()
         .map(|j| shared.config.state_dir.join(format!("{j}.ckpt.json")));
+    let engine = |e: &EngineError| with_id(RequestError::engine(job.line, e));
     let mut checkpoint: Option<SweepCheckpoint> = None;
-    let mut resumed = false;
     if let Some(path) = &ckpt_path {
         if let Ok(text) = shared.env.read_to_string(path) {
-            let cp = SweepCheckpoint::from_json(&text)
-                .map_err(|e| with_id(RequestError::engine(job.line, &e)))?;
-            cp.validate::<u64>(netlist, &faults, &vectors, &options)
-                .map_err(|e| with_id(RequestError::engine(job.line, &e)))?;
-            resumed = true;
-            shared.metrics.add(&shared.metrics.resumed_jobs);
-            checkpoint = Some(cp);
+            checkpoint = Some(SweepCheckpoint::from_json(&text).map_err(|e| engine(&e))?);
         }
+    }
+    let sweep = SweepJob::new(netlist, &faults, &vectors, &options, checkpoint.as_ref())
+        .map_err(|e| engine(&e))?;
+    let resumed = checkpoint.is_some();
+    if resumed {
+        shared.metrics.add(&shared.metrics.resumed_jobs);
     }
 
     let mut slices = 0u64;
     loop {
         slices += 1;
         let control = job_control(shared, job.deadline, Some(shared.config.slice_quota));
-        let outcome = match &checkpoint {
-            None => sweep_with_control::<u64>(netlist, &faults, &vectors, &options, &control),
-            Some(cp) => sweep_resume::<u64>(netlist, &faults, &vectors, &options, &control, cp)
-                .map_err(|e| with_id(RequestError::engine(job.line, &e)))?,
-        };
+        let outcome = sweep
+            .slice(&control, checkpoint.as_ref())
+            .map_err(|e| engine(&e))?;
         let stop = outcome.stop_reason();
         // The checkpoint is needed to write under the job key or to run
         // the next slice; a keyless sweep that finished or hit its
         // deadline reads its coverage straight off the outcome.
-        let cp =
-            (ckpt_path.is_some() || matches!(stop, Some(StopReason::QuotaExhausted))).then(|| {
-                SweepCheckpoint::capture::<u64>(
-                    netlist,
-                    &faults,
-                    &vectors,
-                    &options,
-                    outcome.value(),
-                )
-            });
+        let cp = (ckpt_path.is_some() || matches!(stop, Some(StopReason::QuotaExhausted)))
+            .then(|| sweep.checkpoint(&outcome));
         if let (Some(path), Some(cp)) = (&ckpt_path, &cp) {
             cp.save_in(shared.env.as_ref(), path)
-                .map_err(|e| with_id(RequestError::engine(job.line, &e)))?;
+                .map_err(|e| engine(&e))?;
         }
         let grid_coverage = outcome.value().progress();
         let respond = |stop: Option<StopReason>| {
@@ -1009,6 +1095,7 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
                 "faults": faults.len(),
                 "vectors": vectors.len(),
                 "frames": frames,
+                "lanes": sweep.lanes().lanes(),
                 "detected": detected,
                 "fault_coverage": value.coverage,
                 "grid_coverage": grid_coverage,

@@ -617,3 +617,87 @@ fn tight_deadline_stats_on_a_cached_gatesep_bundle_is_not_degraded() {
     assert_eq!(metrics["degraded"].as_u64(), Some(1), "{metrics:?}");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
+
+/// A keyed `faults` job checkpointed at 64 lanes (before the lane width
+/// followed the sweep's shape) resumes at 64 lanes and completes
+/// bit-identically, while the same sweep without a checkpoint runs at
+/// the 256 lanes its 256 sequences fill.
+#[test]
+fn a_job_checkpointed_at_64_lanes_resumes_at_64_lanes() {
+    use iddq_control::{Outcome, RunBudget, RunControl};
+    use iddq_logicsim::fault_sweep::{sweep_with_control, SweepCheckpoint};
+
+    let (server, mut client, state_dir) = server_and_client("lanes64", ServerConfig::default());
+    let profile = iddq_gen::iscas::IscasProfile::by_name("c7552").expect("profile");
+    let netlist = iddq_gen::iscas::generate(profile, 3);
+    let universe = fault_universe(&netlist, 16, 3);
+    let vectors = random_vectors(&netlist, 256, 3);
+    let options = server_sweep_options(true, 1);
+    // One 64-lane batch of four, then the quota stops the sweep.
+    let control = RunControl::unlimited().and_budget(RunBudget::unlimited().with_quota(64));
+    let Outcome::Partial { value, .. } =
+        sweep_with_control::<u64>(&netlist, &universe, &vectors, &options, &control)
+    else {
+        panic!("a 64-pattern quota must interrupt four batches");
+    };
+    let cp = SweepCheckpoint::capture::<u64>(&netlist, &universe, &vectors, &options, &value);
+    assert_eq!((cp.lanes, cp.progress()), (64, 0.25));
+    std::fs::create_dir_all(&state_dir).expect("state dir");
+    std::fs::write(state_dir.join("lanes64.ckpt.json"), cp.to_json()).expect("checkpoint");
+
+    let request = json!({"op": "faults", "circuit": "c7552", "vectors": 256, "seed": 3});
+    let fresh = client.call(&request).expect("fresh job");
+    assert_eq!(fresh["status"], "ok", "{fresh:?}");
+    assert_eq!(fresh["result"]["lanes"], 256, "{fresh:?}");
+    let keyed =
+        json!({"op": "faults", "circuit": "c7552", "vectors": 256, "seed": 3, "job": "lanes64"});
+    let resumed = client.call(&keyed).expect("resumed job");
+    assert_eq!(resumed["status"], "ok", "{resumed:?}");
+    assert_eq!(resumed["result"]["resumed"], true, "{resumed:?}");
+    assert_eq!(resumed["result"]["lanes"], 64, "{resumed:?}");
+    let baseline =
+        iddq_logicsim::fault_sweep::sweep::<u64>(&netlist, &universe, &vectors, &options);
+    let digest = detection_digest(&baseline.first_detection);
+    for answer in [&fresh, &resumed] {
+        assert_eq!(answer["result"]["digest"].as_str(), Some(digest.as_str()));
+    }
+    assert!(
+        !state_dir.join("lanes64.ckpt.json").exists(),
+        "a finished job drops its checkpoint"
+    );
+    let _ = server.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A repeated inline upload reaches its bundle through its text: it is
+/// parsed once and answers exactly as the first time. An upload that
+/// fails to parse is parsed, and its error reported, every time.
+#[test]
+fn a_repeated_upload_is_parsed_once() {
+    let (server, mut client, state_dir) = server_and_client("upload", ServerConfig::default());
+    let profile = iddq_gen::iscas::IscasProfile::by_name("c432").expect("profile");
+    let bench = iddq_netlist::bench::to_bench(&iddq_gen::iscas::generate(profile, 3));
+    let request = json!({"op": "sim", "bench": bench, "patterns": 512});
+    let first = client.call(&request).expect("first upload");
+    assert_eq!(first["result"]["cache_hit"], false, "{first:?}");
+    for _ in 0..2 {
+        let again = client.call(&request).expect("repeated upload");
+        assert_eq!(again["result"]["cache_hit"], true, "{again:?}");
+        assert_eq!(comparable(&again), comparable(&first));
+    }
+    let cache = cache_metrics(&mut client);
+    assert_eq!(cache["netlists_built"].as_u64(), Some(1), "{cache:?}");
+    assert_eq!(cache["aliases"].as_u64(), Some(1), "{cache:?}");
+
+    let broken = json!({"op": "sim", "bench": "OUTPUT(y)\ny = AND(a, b)\n"});
+    for _ in 0..2 {
+        let resp = client.call(&broken).expect("broken upload");
+        assert_eq!(resp["status"], "error", "{resp:?}");
+        assert_eq!(resp["error"]["kind"], "parse", "{resp:?}");
+    }
+    let cache = cache_metrics(&mut client);
+    assert_eq!(cache["netlists_built"].as_u64(), Some(1), "{cache:?}");
+    assert_eq!(cache["aliases"].as_u64(), Some(1), "{cache:?}");
+    let _ = server.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_dir_all(&state_dir);
+}

@@ -6,8 +6,10 @@
 //!   frame count;
 //! * the fault-patch sweep equals the per-fault CSR re-simulation oracle
 //!   for every thread count, shard count, frame count, dropping setting
-//!   and lane width, and the oracle's multi-frame detections equal its
-//!   single-frame ones exactly on the DFF-free circuits;
+//!   and lane width — with dropping, each multi-frame machine runs only
+//!   on the lanes below its in-batch detection — and the oracle's
+//!   multi-frame detections equal its single-frame ones exactly on the
+//!   DFF-free circuits;
 //! * the stuck-at probe (fanout-free region plus stem observability)
 //!   equals the oracle on circuit shapes the random corpus may miss, at
 //!   every lane width;
@@ -31,7 +33,7 @@ use iddq::core::evolution::{self, EvolutionConfig};
 use iddq::core::{AnalysisTier, EvalContext, Evaluated, Partition, ResynthEval};
 use iddq::logicsim::fault_sweep::{
     sweep_resume, sweep_with_control, FaultSweepOptions, FaultSweepOutcome, LogicFault,
-    SweepCheckpoint,
+    SweepCheckpoint, SweepWork,
 };
 use iddq::logicsim::faults::{enumerate, enumerate_with, FaultUniverseConfig, IddqFault};
 use iddq::logicsim::iddq::{simulate_with_options, SweepOptions, NO_MODULE};
@@ -40,7 +42,9 @@ use iddq::logicsim::{reference, BackendKind};
 use iddq::netlist::bench::to_bench;
 use iddq::netlist::patch::{materialize, Patch};
 use iddq::netlist::separation::{BoundedBfs, GateSeparationTable};
-use iddq::netlist::{data, CellKind, Netlist, NetlistBuilder, NodeId, PackedWord, W256, W512};
+use iddq::netlist::{
+    at_lanes, data, CellKind, LaneWidth, Netlist, NetlistBuilder, NodeId, PackedWord, W256, W512,
+};
 use iddq::synth::{cost_aware_per_gate_in, decompose_gate_patch, DecompositionStyle};
 use iddq_control::{RunBudget, RunControl, StopReason};
 
@@ -250,30 +254,23 @@ fn fault_patch_sweep_matches_csr_oracle() {
     }
 }
 
-#[test]
-fn multi_frame_fault_patch_matches_csr_oracle_on_s5378() {
-    // A generated s5378 carries enough observable state that many faulty
-    // machines diverge in several flops within a few frames, so a frame
-    // superimposes many DFF pins in one walk (and bridges run their
-    // fixpoint on top of them); the generated s1423 detects almost
-    // nothing beyond frame 0. Every fiftieth node's stuck-at faults plus
-    // the sampled bridges, 80 sequences: two 64-lane batches, one
-    // part-filled 256-lane batch.
-    let nl = seq("s5378");
-    let faults: Vec<LogicFault> = logic_faults(&nl)
-        .into_iter()
-        .enumerate()
-        .filter(|&(k, fault)| matches!(fault, LogicFault::Bridge { .. }) || k % 100 < 2)
-        .map(|(_, fault)| fault)
-        .collect();
-    assert!(faults
-        .iter()
-        .any(|fault| matches!(fault, LogicFault::Bridge { .. })));
-    for frames in [3, 7] {
-        let vectors = random_vectors(&nl, 80 * frames, 0x5142);
+/// Sweeps `sequences` sequences of each frame count in `frame_counts` on
+/// the CSR oracle, then at every lane width and at 1 and 2 threads with
+/// dropping on (each multi-frame machine bounded by its in-batch
+/// detection) and off (unbounded): every sweep must equal the oracle.
+/// Returns the work of the bounded and of the unbounded sweeps, summed.
+fn bound_matches_unbounded_and_oracle(
+    nl: &Netlist,
+    faults: &[LogicFault],
+    sequences: usize,
+    frame_counts: &[usize],
+) -> (SweepWork, SweepWork) {
+    let (mut bounded, mut unbounded) = (SweepWork::default(), SweepWork::default());
+    for &frames in frame_counts {
+        let vectors = random_vectors(nl, sequences * frames, 0x5142);
         let oracle = sweep::<u64>(
-            &nl,
-            &faults,
+            nl,
+            faults,
             &vectors,
             &FaultSweepOptions {
                 threads: 1,
@@ -290,31 +287,89 @@ fn multi_frame_fault_patch_matches_csr_oracle_on_s5378() {
             .flatten()
             .filter(|&&v| v % frames > 0)
             .count();
-        assert!(beyond_frame0 > 0, "frames={frames}: no state carried");
-        for threads in [1, 2] {
-            for dropping in [true, false] {
-                let options = FaultSweepOptions {
-                    threads,
-                    fault_dropping: dropping,
-                    frames,
-                    ..FaultSweepOptions::default()
-                };
-                let narrow = sweep::<u64>(&nl, &faults, &vectors, &options);
-                let wide = sweep::<W256>(&nl, &faults, &vectors, &options);
-                for (lanes, r) in [(64, &narrow), (256, &wide)] {
+        assert!(
+            beyond_frame0 > 0,
+            "{} frames={frames}: no state carried",
+            nl.name()
+        );
+        for lanes in LaneWidth::ALL {
+            for threads in [1, 2] {
+                for dropping in [true, false] {
+                    let options = FaultSweepOptions {
+                        threads,
+                        fault_dropping: dropping,
+                        frames,
+                        ..FaultSweepOptions::default()
+                    };
+                    let r = at_lanes!(lanes, |W| sweep::<W>(nl, faults, &vectors, &options));
                     assert_eq!(
-                        r.first_detection, oracle.first_detection,
-                        "frames={frames} lanes={lanes} threads={threads} dropping={dropping}"
+                        r.first_detection,
+                        oracle.first_detection,
+                        "{} frames={frames} lanes={lanes} threads={threads} dropping={dropping}",
+                        nl.name()
                     );
+                    let sum = if dropping {
+                        &mut bounded
+                    } else {
+                        &mut unbounded
+                    };
+                    *sum = *sum + r.work;
                 }
-                assert!(
-                    narrow.work.diverged_applications > 0
-                        && narrow.work.diverged_pins > 2 * narrow.work.diverged_applications,
-                    "frames={frames}: faulty machines must diverge in several flops"
-                );
             }
         }
     }
+    (bounded, unbounded)
+}
+
+#[test]
+fn multi_frame_fault_patch_matches_csr_oracle_on_s5378() {
+    // A generated s5378 carries enough observable state that many faulty
+    // machines diverge in several flops within a few frames, so a frame
+    // superimposes many DFF pins in one walk (and bridges run their
+    // fixpoint on top of them); the generated s1423 detects almost
+    // nothing beyond frame 0. Every fiftieth node's stuck-at faults plus
+    // the sampled bridges, 80 sequences: two 64-lane batches, one
+    // part-filled 256- or 512-lane batch.
+    let nl = seq("s5378");
+    let faults: Vec<LogicFault> = logic_faults(&nl)
+        .into_iter()
+        .enumerate()
+        .filter(|&(k, fault)| matches!(fault, LogicFault::Bridge { .. }) || k % 100 < 2)
+        .map(|(_, fault)| fault)
+        .collect();
+    assert!(faults
+        .iter()
+        .any(|fault| matches!(fault, LogicFault::Bridge { .. })));
+    let (bounded, unbounded) = bound_matches_unbounded_and_oracle(&nl, &faults, 80, &[3, 4, 7]);
+    for work in [bounded, unbounded] {
+        assert!(
+            work.diverged_applications > 0 && work.diverged_pins > 2 * work.diverged_applications,
+            "faulty machines must diverge in several flops"
+        );
+    }
+    // The bound skips and narrows machines, and only with dropping.
+    assert!(bounded.skipped_frames > 0 && bounded.narrowed_applications > 0);
+    assert!(bounded.applications < unbounded.applications);
+    assert_eq!(
+        (unbounded.skipped_frames, unbounded.narrowed_applications),
+        (0, 0)
+    );
+}
+
+#[test]
+fn detection_bound_matches_the_oracle_on_s298() {
+    // Every fault of a generated s298, 160 sequences: three 64-lane
+    // batches, one part-filled 256- or 512-lane batch.
+    let nl = seq("s298");
+    // At these vectors a fault caught beyond lane 0 is caught in its
+    // sequence's last frame, so here the bound only skips.
+    let (bounded, unbounded) =
+        bound_matches_unbounded_and_oracle(&nl, &logic_faults(&nl), 160, &[3, 4, 7]);
+    assert!(bounded.skipped_frames > 0);
+    assert_eq!(
+        (unbounded.skipped_frames, unbounded.narrowed_applications),
+        (0, 0)
+    );
 }
 
 /// Fanout-free-region corner cases in one circuit: a NOT/BUF chain into a
