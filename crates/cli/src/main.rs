@@ -1382,9 +1382,13 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     // (exit 1); reaching the report means every schedule held.
     let report = iddq_serve::run_chaos(&options)?;
     println!(
-        "  {} restarts survived, {} corrupt checkpoints recovered, \
-         {} checkpoint saves failed typed",
-        report.restarts, report.checkpoint_recoveries, report.save_failures
+        "  {} slices, {} restarts survived ({} resumed a checkpoint), \
+         {} corrupt checkpoints recovered, {} checkpoint saves failed typed",
+        report.slices,
+        report.restarts,
+        report.resumes,
+        report.checkpoint_recoveries,
+        report.save_failures
     );
     println!(
         "chaos OK: {schedules} schedules, {} faults injected, every digest bit-identical",

@@ -30,6 +30,7 @@ use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{levelize, Netlist, TimeSet};
 
 use crate::config::PartitionConfig;
+use crate::cost::Objective;
 
 /// How much analysis an [`EvalContext`] carries (see the
 /// [module docs](self)).
@@ -193,6 +194,8 @@ pub struct EvalContext<'a> {
     pub library: &'a Library,
     /// Configuration (weights, constraints, sizing).
     pub config: PartitionConfig,
+    /// The cost objective of `config`'s weights and penalty.
+    objective: Objective,
     /// Technology snapshot from the library.
     pub technology: Technology,
     /// Flattened per-node electrical tables.
@@ -304,6 +307,13 @@ impl<'a> EvalContextBuilder<'a> {
     }
 
     /// Runs the analyses of the selected tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cost weight or the violation penalty is negative or
+    /// NaN ([`Objective::new`]), and, for a table handed over with
+    /// [`EvalContextBuilder::sep_table`], if its ρ or node count differs
+    /// from the configuration's and the netlist's.
     #[must_use]
     pub fn build(self) -> EvalContext<'a> {
         let EvalContextBuilder {
@@ -314,6 +324,7 @@ impl<'a> EvalContextBuilder<'a> {
             threads,
             table,
         } = self;
+        let objective = Objective::new(&config);
         let tables = NodeTables::new(netlist, library);
         let times = levelize::transition_times(netlist, &tables.grid_delay);
         let horizon = times
@@ -365,6 +376,7 @@ impl<'a> EvalContextBuilder<'a> {
             netlist,
             library,
             config,
+            objective,
             technology: library.technology().clone(),
             tables,
             times,
@@ -397,6 +409,12 @@ impl<'a> EvalContext<'a> {
         config: PartitionConfig,
     ) -> EvalContextBuilder<'a> {
         EvalContextBuilder::new(netlist, library, config)
+    }
+
+    /// The cost objective: the one owner of the total and its floor.
+    #[must_use]
+    pub fn objective(&self) -> &Objective {
+        &self.objective
     }
 
     /// The tier this context was built at.
@@ -468,6 +486,24 @@ mod tests {
 
     fn ctx_for(netlist: &Netlist) -> EvalContext<'_> {
         EvalContext::new(netlist, test_library(), PartitionConfig::paper_default())
+    }
+
+    #[test]
+    fn build_refuses_negative_or_nan_weights() {
+        let edits: [fn(&mut PartitionConfig); 3] = [
+            |c| c.weights.delay = -1.0,
+            |c| c.violation_penalty = -1.0,
+            |c| c.weights.interconnect = f64::NAN,
+        ];
+        for edit in edits {
+            let mut config = PartitionConfig::paper_default();
+            edit(&mut config);
+            let nl = data::c17();
+            let panic = std::panic::catch_unwind(|| EvalContext::new(&nl, test_library(), config))
+                .expect_err("a negative or NaN weight must not build");
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("must be non-negative"), "{message}");
+        }
     }
 
     #[test]

@@ -32,50 +32,43 @@
 //!   the statistics, while the delay term costs one weight pass over two
 //!   modules plus one full sweep.
 //!
-//! [`Evaluated::cost`] assembles the five cost terms from the cached
-//! statistics in `O(K)` plus an `O(outputs)` max over the settled arrival
-//! state.
+//! [`Evaluated::cost`] assembles the five cost terms of a settled state
+//! from the cached statistics in `O(K)` plus an `O(outputs)` max over
+//! the arrival state.
 //!
 //! # Cost lower bound
 //!
 //! The evolution rejects most descendants on a lower bound of their cost
 //! (`Evaluated::cost_lower_bound`), which needs no settle, and for a
-//! Monte-Carlo batch not even the separation row scans. The batch kernel
-//! runs without the scans (`Evaluated::move_gates_unscanned`) and keeps
-//! a floor on the new total separation instead: moving `X` out of `A`
-//! into `B`, with `R = A ∖ X` staying behind, changes the total by
-//! exactly `ρ·|X|·(|B| − |R|) − Σ_x W(x, B) + Σ_x W(x, R)`, so
-//! `S′ ≥ S + ρ·|X|·(|B| − |R|) − Σ_x W(x)` with `W(x)` the O(1) row total.
-//! Area, module count, violations and the sensors' decay times are
-//! exact. With non-negative weights every term, and so the total, is a
-//! monotone function of these figures, in floating point too.
+//! Monte-Carlo batch not even the separation row scans: it hands
+//! [`Objective::floor`](crate::Objective::floor), the one place that
+//! argues why a floor bounds the total, figures that are each exact or a
+//! lower bound. The evaluator owns two of those bounds:
 //!
-//! Before a settle `D_BIC` is bounded by `max(D, L)`:
-//!
-//! * the nominal delay `D`: every degraded weight is `delay_ps · δ` with
-//!   `δ ≥ 1`, and both delays run the same max/+ recurrence over the same
-//!   graph, which is monotone in the weights, so `D_BIC ≥ D`
-//!   ([`Evaluated::verify_consistency`] asserts it);
-//! * the critical-path floor `L`: trace one path back from the latest
-//!   output through the last settled arrivals, taking the latest fan-in
-//!   at each step, and sum the weights the settle will give its nodes
-//!   (fresh ones for the gates of the touched modules, the cached ones
-//!   elsewhere) source first with the sweep's own `+`. This is sound in
-//!   floating point: the sweep sets `arr(v) = max(fan-in arrivals) +
-//!   w(v)`, `max` is exact and `fl(x + w)` is monotone in `x`, so by
-//!   induction along the path every settled arrival is at least the
-//!   partial sum, and the latest output at least `L`. Any path gives a
-//!   valid floor; the one that was critical before the moves is usually
-//!   still close to critical, which makes it tight.
+//! * the separation floor of an unscanned batch
+//!   (`Evaluated::move_gates_unscanned`): moving `X` out of `A` into
+//!   `B`, with `R = A ∖ X` staying behind, changes the total by exactly
+//!   `ρ·|X|·(|B| − |R|) − Σ_x W(x, B) + Σ_x W(x, R)`, so
+//!   `S′ ≥ S + ρ·|X|·(|B| − |R|) − Σ_x W(x)` with `W(x)` the O(1) row
+//!   total;
+//! * before a settle, the critical-path floor `L` on `D_BIC`: trace one
+//!   path back from the latest output through the last settled
+//!   arrivals, taking the latest fan-in at each step, and sum the
+//!   weights the settle will give its nodes (fresh ones for the gates of
+//!   the touched modules, the cached ones elsewhere) source first with
+//!   the sweep's own `+`. This is sound in floating point: the sweep
+//!   sets `arr(v) = max(fan-in arrivals) + w(v)`, `max` is exact and
+//!   `fl(x + w)` is monotone in `x`, so by induction along the path
+//!   every settled arrival is at least the partial sum, and the latest
+//!   output at least `L`. Any path gives a valid floor; the one that was
+//!   critical before the moves is usually still close to critical, which
+//!   makes it tight.
 //!
 //! A Monte-Carlo batch can be rejected before it moves at all
 //! (`Evaluated::batch_leakage_bound`): its two leakage sums, taken in
 //! the move kernel's order, give the exact discriminability violations
-//! of both touched modules, and the violation penalty plus the module
-//! count already lose to the bar. This pre-check assumes today's
-//! penalty, `violation_penalty × count` with every other term
-//! non-negative; a violation measure that grades infeasible partitions
-//! (Deb's feasibility rules) must re-derive it.
+//! of both touched modules, and the floor of those violations and the
+//! module count alone already loses to the bar.
 //!
 //! # Transactions
 //!
@@ -102,7 +95,7 @@ use iddq_bic::BicSensor;
 use iddq_netlist::NodeId;
 
 use crate::context::EvalContext;
-use crate::cost::CostBreakdown;
+use crate::cost::{CostBreakdown, Figures};
 use crate::partition::{ModuleRemoval, MoveOutcome, MoveUndo, Partition};
 
 /// Cached per-module statistics.
@@ -237,39 +230,6 @@ fn gate_weight(ctx: &EvalContext<'_>, gate: NodeId, s: &ModuleStats, sens: &Modu
         s,
         sens,
     )
-}
-
-/// Assembles the five cost terms from module-level aggregates — the tail
-/// of [`Evaluated::cost`], shared with the structure-patching evaluation
-/// (which supplies its *own* nominal delay, since patches move the
-/// critical path).
-pub(crate) fn assemble_cost(
-    modules: usize,
-    violations: usize,
-    sensor_area: f64,
-    total_separation: u64,
-    max_delta_ps: f64,
-    dbic_ps: f64,
-    nominal_delay_ps: f64,
-) -> CostBreakdown {
-    let d = nominal_delay_ps.max(f64::MIN_POSITIVE);
-    let vector_time_ps = dbic_ps + max_delta_ps;
-    CostBreakdown {
-        c1_area: sensor_area.max(1.0).ln(),
-        c2_delay: (dbic_ps - nominal_delay_ps) / d,
-        c3_interconnect: interconnect_term(total_separation),
-        c4_test_time: (vector_time_ps - nominal_delay_ps) / d,
-        c5_modules: modules as f64,
-        violations,
-        sensor_area,
-        dbic_ps,
-        vector_time_ps,
-    }
-}
-
-/// The separation term `c₃ = ln(1 + S)` (§3.3).
-pub(crate) fn interconnect_term(total_separation: u64) -> f64 {
-    (1.0 + total_separation as f64).ln()
 }
 
 /// Latest arrival over the primary outputs (`D_BIC` under `arr`).
@@ -719,13 +679,6 @@ impl<'a> Evaluated<'a> {
         });
     }
 
-    /// Whether the cached delay state is stale (some moves not yet
-    /// settled).
-    #[must_use]
-    pub fn needs_settle(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
     /// Brings the persistent delay-simulation state (gate weights and
     /// arrival times) up to date with the current statistics: the sensor
     /// figures and gate weights of the touched modules are re-derived,
@@ -909,63 +862,46 @@ impl<'a> Evaluated<'a> {
     /// Evaluates the full cost breakdown from the cached statistics.
     ///
     /// Complexity: `O(K)` term assembly plus `O(outputs)` over the
-    /// settled arrival state. If moves are pending (see
-    /// [`Evaluated::needs_settle`]), a temporary full sweep runs instead
-    /// — call [`Evaluated::settle`] first on hot paths.
+    /// settled arrival state.
     ///
     /// # Panics
     ///
-    /// Panics after `Evaluated::move_gates_unscanned` until the
-    /// transaction is rolled back (the separation totals are stale).
+    /// Panics while moves are unsettled (an unsettled state has only a
+    /// lower bound on its cost; call [`Evaluated::settle`] first), and
+    /// after `Evaluated::move_gates_unscanned` until the transaction is
+    /// rolled back (the separation totals are stale).
     #[must_use]
     pub fn cost(&self) -> CostBreakdown {
         assert!(
             self.sep_floor.is_none(),
             "an unscanned batch has no exact cost"
         );
-        let ctx = self.ctx;
-        let fresh = self.fresh_sensors();
-        // Degraded longest path D_BIC from the persistent arrival state —
-        // or a temporary sweep when moves have not been settled.
-        let dbic_ps = if self.dirty.is_empty() {
-            output_max(self.ctx, &self.arr)
-        } else {
-            let mut arr = vec![0.0f64; ctx.netlist.node_count()];
-            let mut weight = self.weight.clone();
-            for &(m, sens) in &fresh {
-                for &g in self.partition.module(m) {
-                    weight[g.index()] = gate_weight(ctx, g, &self.stats[m], &sens);
-                }
-            }
-            ctx.cones.longest_path_into(&weight, &mut arr);
-            output_max(ctx, &arr)
-        };
-        self.assemble(&fresh, self.total_separation(), dbic_ps)
+        assert!(
+            self.dirty.is_empty(),
+            "an unsettled state has no exact cost"
+        );
+        let dbic_ps = output_max(self.ctx, &self.arr);
+        let figures = self.figures(&[], self.total_separation(), dbic_ps);
+        self.ctx.objective().terms(&figures)
     }
 
     /// Weighted scalar cost (the optimizer's objective).
+    ///
+    /// # Panics
+    ///
+    /// As [`Evaluated::cost`].
     #[must_use]
     pub fn total_cost(&self) -> f64 {
-        self.cost()
-            .total(&self.ctx.config.weights, self.ctx.config.violation_penalty)
+        self.ctx.objective().total(&self.cost())
     }
 
     /// A lower bound on [`Evaluated::total_cost`] that needs neither a
-    /// settle nor the row scans of [`Evaluated::move_gates_unscanned`],
-    /// valid whenever every cost weight and the violation penalty is
-    /// non-negative (the weighted total is then monotone in each term):
-    ///
-    /// * `c₁`, `c₅` and the violations are exact, from the fresh sensor
-    ///   figures of the touched modules, and so is `max Δ(τ)` in `c₄`;
-    /// * `c₃` is `ln(1 + S′_lb)` with the separation floor of an unscanned
-    ///   batch (the exact total otherwise);
-    /// * before a settle, `D_BIC` sits at its floor `max(D, L)`: the
-    ///   nominal delay `D` and the critical-path floor `L` (see the
-    ///   module docs); after a settle it is exact.
-    ///
-    /// Every term is a monotone floating-point function of its inputs
-    /// (subtraction, division by `D > 0`, `ln`), so the bound holds in
-    /// floating point, not only in exact arithmetic. It equals
+    /// settle nor the row scans of [`Evaluated::move_gates_unscanned`]:
+    /// the [floor](crate::Objective::floor) of the current figures, with
+    /// the separation floor of an unscanned batch and, before a settle,
+    /// the critical-path floor `L` on `D_BIC` (see the module docs). The
+    /// area, the module count, the violations and `max Δ(τ)` are exact,
+    /// from the fresh sensor figures of the touched modules. It equals
     /// `total_cost()` bit for bit when the state is settled and scanned.
     #[must_use]
     pub(crate) fn cost_lower_bound(&self) -> f64 {
@@ -973,11 +909,12 @@ impl<'a> Evaluated<'a> {
         let dbic_ps = if self.dirty.is_empty() {
             output_max(self.ctx, &self.arr)
         } else {
-            self.ctx.nominal_delay_ps.max(self.path_floor(&fresh))
+            self.path_floor(&fresh)
         };
         let separation = self.sep_floor.unwrap_or_else(|| self.total_separation());
-        self.assemble(&fresh, separation, dbic_ps)
-            .total(&self.ctx.config.weights, self.ctx.config.violation_penalty)
+        self.ctx
+            .objective()
+            .floor(&self.figures(&fresh, separation, dbic_ps))
     }
 
     /// The critical-path floor `L` on the `D_BIC` the next settle will
@@ -1020,11 +957,9 @@ impl<'a> Evaluated<'a> {
     /// bits are the ones the move would produce), give the exact
     /// discriminability violations of both touched modules; every other
     /// module keeps its violations; the module count drops by one when
-    /// the batch empties its source. The weighted total of those two
-    /// terms, every other term at 0, bounds the batch's cost whenever the
-    /// weights and the violation penalty are non-negative: every term is
-    /// non-negative (`D_BIC ≥ D`), and so is each violation left out
-    /// (the touched modules' rail perturbation). It never exceeds
+    /// the batch empties its source. The bound is the
+    /// [floor](crate::Objective::floor) of those two counts alone (the
+    /// touched modules' rail perturbation left out), so it never exceeds
     /// [`Evaluated::cost_lower_bound`] of the moved batch.
     ///
     /// # Panics
@@ -1059,19 +994,12 @@ impl<'a> Evaluated<'a> {
         let violations = untouched
             + usize::from(violates_discriminability(ctx, into))
             + usize::from(!empties && violates_discriminability(ctx, out));
-        let modules = self.stats.len() - usize::from(empties);
-        CostBreakdown {
-            c1_area: 0.0,
-            c2_delay: 0.0,
-            c3_interconnect: 0.0,
-            c4_test_time: 0.0,
-            c5_modules: modules as f64,
+        ctx.objective().floor(&Figures {
+            modules: self.stats.len() - usize::from(empties),
             violations,
-            sensor_area: 0.0,
-            dbic_ps: 0.0,
-            vector_time_ps: 0.0,
-        }
-        .total(&ctx.config.weights, ctx.config.violation_penalty)
+            nominal_delay_ps: ctx.nominal_delay_ps,
+            ..Figures::default()
+        })
     }
 
     /// Sensor figures of the modules touched since the last settle (the
@@ -1088,35 +1016,16 @@ impl<'a> Evaluated<'a> {
         self.stats.iter().map(|s| s.separation).sum()
     }
 
-    /// The cost terms from the module figures (`fresh` overriding the
-    /// cached sensors), a total separation and a `D_BIC`.
-    fn assemble(
-        &self,
-        fresh: &[(usize, ModuleSensor)],
-        total_separation: u64,
-        dbic_ps: f64,
-    ) -> CostBreakdown {
-        let mut violations = 0usize;
-        let mut sensor_area = 0.0f64;
-        let mut max_delta_ps = 0.0f64;
-        for (m, cached) in self.sensors.iter().enumerate() {
-            let sens = fresh
+    /// The figures of the modules (`fresh` overriding the cached
+    /// sensors), a total separation and a `D_BIC`.
+    fn figures(&self, fresh: &[(usize, ModuleSensor)], separation: u64, dbic_ps: f64) -> Figures {
+        let sensors = self.sensors.iter().enumerate().map(|(m, cached)| {
+            fresh
                 .iter()
                 .find(|(i, _)| *i == m)
-                .map_or(*cached, |(_, s)| *s);
-            violations += sens.violations;
-            sensor_area += sens.area;
-            max_delta_ps = max_delta_ps.max(sens.delta_ps);
-        }
-        assemble_cost(
-            self.stats.len(),
-            violations,
-            sensor_area,
-            total_separation,
-            max_delta_ps,
-            dbic_ps,
-            self.ctx.nominal_delay_ps,
-        )
+                .map_or(*cached, |(_, s)| *s)
+        });
+        Figures::of_modules(sensors, separation, dbic_ps, self.ctx.nominal_delay_ps)
     }
 
     /// Recomputes all statistics from scratch and asserts they match the
@@ -1192,7 +1101,7 @@ impl<'a> Evaluated<'a> {
                     "node {id} arrival"
                 );
             }
-            // The delay floor of `cost_lower_bound`: no weight below its
+            // The premise of `Objective::floor`: no weight below its
             // nominal delay, hence D_BIC ≥ D.
             for g in self.ctx.netlist.gate_ids() {
                 assert!(
@@ -1233,7 +1142,7 @@ pub(crate) mod tests {
         assert!(c.feasible());
         assert!(c.sensor_area > 0.0);
         assert!(c.c2_delay >= 0.0);
-        assert!(c.total(&ctx.config.weights, 0.0).is_finite());
+        assert!(ctx.objective().total(&c).is_finite());
     }
 
     #[test]
@@ -1301,25 +1210,32 @@ pub(crate) mod tests {
             let target = rng.gen_range(0..e.partition().module_count());
             e.move_gate(g, target);
         }
-        // Unsettled (temporary-sweep) and settled (persistent-state) cost
-        // must both agree with a from-scratch evaluation.
-        let unsettled = e.cost();
+        // The unsettled state has only a bound, at most the settled cost;
+        // the settled cost agrees with a from-scratch evaluation.
+        let unsettled = e.cost_lower_bound();
         e.settle();
-        let incremental = e.cost();
+        let got = e.cost();
+        assert!(unsettled <= ctx.objective().total(&got));
         let fresh = Evaluated::new(&ctx, e.partition().clone()).cost();
-        for (label, got) in [("unsettled", unsettled), ("settled", incremental)] {
-            assert!((got.c1_area - fresh.c1_area).abs() < 1e-9, "{label}");
-            assert!((got.c2_delay - fresh.c2_delay).abs() < 1e-9, "{label}");
-            assert!(
-                (got.c3_interconnect - fresh.c3_interconnect).abs() < 1e-9,
-                "{label}"
-            );
-            assert!(
-                (got.c4_test_time - fresh.c4_test_time).abs() < 1e-9,
-                "{label}"
-            );
-            assert_eq!(got.c5_modules, fresh.c5_modules, "{label}");
-        }
+        assert!((got.c1_area - fresh.c1_area).abs() < 1e-9);
+        assert!((got.c2_delay - fresh.c2_delay).abs() < 1e-9);
+        assert!((got.c3_interconnect - fresh.c3_interconnect).abs() < 1e-9);
+        assert!((got.c4_test_time - fresh.c4_test_time).abs() < 1e-9);
+        assert_eq!(got.c5_modules, fresh.c5_modules);
+    }
+
+    #[test]
+    #[should_panic(expected = "an unsettled state has no exact cost")]
+    fn unsettled_state_has_no_exact_cost() {
+        let lib = Library::generic_1um();
+        let nl = data::ripple_adder(4);
+        let ctx = EvalContext::new(&nl, &lib, PartitionConfig::paper_default());
+        let gates: Vec<_> = nl.gate_ids().collect();
+        let p =
+            Partition::from_groups(&nl, vec![gates[..4].to_vec(), gates[4..].to_vec()]).unwrap();
+        let mut e = Evaluated::new(&ctx, p);
+        e.move_gate(gates[0], 1);
+        let _ = e.cost();
     }
 
     #[test]
@@ -1654,9 +1570,8 @@ pub(crate) mod tests {
         let e = Evaluated::new(&ctx, Partition::single_module(&nl));
         let c = e.cost();
         assert!(!c.feasible());
-        assert!(c.violations >= 1);
-        let w = ctx.config.weights;
-        assert!(c.total(&w, 1e7) > 1e6);
+        assert_eq!(c.violations, 1, "the rail constraint is independent of d");
+        assert!(ctx.objective().total(&c) > 1e6);
     }
 
     #[test]

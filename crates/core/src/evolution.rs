@@ -44,7 +44,8 @@
 //!    discriminability violations; with the other modules' violations
 //!    and the module count, the penalty alone usually decides it;
 //! 2. **path floor** (before the settle): exact area, module-count and
-//!    violation terms, `D_BIC` at its critical-path floor `max(D, L)`,
+//!    violation terms, `D_BIC` at its critical-path floor `L` (the
+//!    objective's floor reads it as at least `D`),
 //!    and the separation exact for a mutation's scanned moves, or a floor
 //!    from O(1) row totals for a Monte-Carlo batch moved without its row
 //!    scans;
@@ -61,7 +62,7 @@
 //! Selection, the generation log, `evaluations` (which counts pruned
 //! descendants too) and every output are bit-identical to scoring all of
 //! them exactly. There is no bar when fewer than μ parents survive
-//! aging, or when a cost weight or the violation penalty is negative.
+//! aging.
 //!
 //! Building the start population, scoring and materialization share one
 //! loop for any thread count: `min(threads, tasks)` workers claim the
@@ -321,7 +322,7 @@ pub(crate) fn search<'a>(
             })
             .map(|(pi, mc)| (pi, mc, rng.gen::<u64>()))
             .collect();
-        let bar = pruning_bar(ctx, &population, config);
+        let bar = pruning_bar(&population, config);
         // Workers claim descendants one at a time and keep one scratch
         // evaluator each, re-cloned only when the claimed descendant's
         // parent changes: apply → settle → score → rollback, no per-loser
@@ -513,31 +514,14 @@ pub(crate) fn search<'a>(
 /// parents that survive aging into its selection pool (`age + 1 ≤ o`).
 /// Those μ parents come before any candidate that costs more, so a
 /// descendant whose cost lower bound is strictly above the bar is never
-/// selected. `None` when fewer than μ parents survive, or when a cost
-/// weight or the violation penalty is negative (the total is then not
-/// monotone in its terms, and a term-wise bound proves nothing).
-fn pruning_bar(
-    ctx: &EvalContext<'_>,
-    population: &[Individual<'_>],
-    config: &EvolutionConfig,
-) -> Option<f64> {
-    let w = &ctx.config.weights;
-    let monotone = [
-        w.area,
-        w.delay,
-        w.interconnect,
-        w.test_time,
-        w.module_count,
-        ctx.config.violation_penalty,
-    ]
-    .iter()
-    .all(|&x| x >= 0.0);
+/// selected. `None` when fewer than μ parents survive.
+fn pruning_bar(population: &[Individual<'_>], config: &EvolutionConfig) -> Option<f64> {
     let mut costs: Vec<f64> = population
         .iter()
         .filter(|p| p.age < config.max_lifetime)
         .map(|p| p.cost)
         .collect();
-    if !monotone || costs.len() < config.mu {
+    if costs.len() < config.mu {
         return None;
     }
     costs.sort_by(f64::total_cmp);
@@ -885,24 +869,6 @@ mod tests {
                 assert!(out.pruned > 0, "{name} seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn negative_weight_prunes_nothing() {
-        let [c880, _] = generated();
-        let lib = Library::generic_1um();
-        let config = EvolutionConfig {
-            generations: 8,
-            ..EvolutionConfig::default()
-        };
-        let default = EvalContext::new(&c880, &lib, PartitionConfig::paper_default());
-        assert!(run(&default, &config, 3).pruned > 0);
-        let mut negative = PartitionConfig::paper_default();
-        negative.weights.module_count = -10.0;
-        let ctx = EvalContext::new(&c880, &lib, negative);
-        let out = run(&ctx, &config, 3);
-        assert_eq!(out.pruned, 0);
-        assert!(out.evaluations > config.mu);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use iddq_control::RunControl;
 use iddq_netlist::Netlist;
 
 use crate::config::PartitionConfig;
-use crate::constraints;
 use crate::context::EvalContext;
 use crate::cost::CostBreakdown;
 use crate::evaluator::Evaluated;
@@ -36,7 +35,7 @@ pub struct ModuleReport {
     pub peak_current_ua: f64,
     /// Fault-free `I_DDQ,nd,i` in nA.
     pub leakage_na: f64,
-    /// Discriminability `d(M_i)`.
+    /// Discriminability `d(M_i) = I_DDQ,th / I_DDQ,nd,i`.
     pub discriminability: f64,
     /// Sized bypass resistance `R_s,i` in Ω (`None` if infeasible).
     pub rs_ohm: Option<f64>,
@@ -93,7 +92,6 @@ pub struct SynthesisResult {
 #[must_use]
 pub fn report_for(eval: &Evaluated<'_>) -> SynthesisReport {
     let ctx = eval.context();
-    let cons = constraints::evaluate(eval);
     let cost = eval.cost();
     let modules = eval
         .stats()
@@ -101,12 +99,17 @@ pub fn report_for(eval: &Evaluated<'_>) -> SynthesisReport {
         .enumerate()
         .map(|(i, s)| {
             let sensor = eval.sensor(i).ok();
+            let leak_ua = s.leakage_na / 1000.0;
             ModuleReport {
                 index: i,
                 gates: eval.partition().module(i).len(),
                 peak_current_ua: s.peak_current_ua,
                 leakage_na: s.leakage_na,
-                discriminability: cons.modules[i].discriminability,
+                discriminability: if leak_ua > 0.0 {
+                    ctx.technology.iddq_threshold_ua / leak_ua
+                } else {
+                    f64::INFINITY
+                },
                 rs_ohm: sensor.as_ref().map(|x| x.rs_ohm),
                 sensor_area: sensor.as_ref().map(|x| x.area),
                 tau_ps: sensor.as_ref().map(iddq_bic::BicSensor::tau_ps),
@@ -119,8 +122,8 @@ pub fn report_for(eval: &Evaluated<'_>) -> SynthesisReport {
         gates: ctx.netlist.gate_count(),
         modules,
         cost,
-        total_cost: cost.total(&ctx.config.weights, ctx.config.violation_penalty),
-        feasible: cons.feasible,
+        total_cost: ctx.objective().total(&cost),
+        feasible: cost.feasible(),
         nominal_delay_ps: ctx.nominal_delay_ps,
         test_time_ps: cost.vector_time_ps * ctx.config.num_vectors as f64,
     }

@@ -32,7 +32,6 @@
 //! * [`resynth`] — structure-patched cost evaluation ([`ResynthEval`]):
 //!   resynthesis candidates scored by patch apply/rollback on one
 //!   persistent evaluation instead of netlist rebuilds,
-//! * [`constraints`] — the feasibility function `r(Π)`,
 //! * [`start`] — §4.2 chain-grown start partitions,
 //! * [`evolution`] — §4 the evolution strategy,
 //! * [`standard`] — §5 the straightforward baseline partitioner,
@@ -73,7 +72,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod config;
-pub mod constraints;
 pub mod context;
 pub mod cost;
 pub mod evaluator;
@@ -86,7 +84,7 @@ pub mod start;
 
 pub use config::{PartitionConfig, Weights};
 pub use context::{plan_tier, AnalysisTier, EvalContext, EvalContextBuilder, TierBudget, TierPlan};
-pub use cost::CostBreakdown;
+pub use cost::{CostBreakdown, Figures, Objective};
 pub use evaluator::Evaluated;
 pub use partition::Partition;
 pub use resynth::ResynthEval;

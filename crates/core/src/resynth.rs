@@ -153,17 +153,11 @@
 //!   written fan-in edge contracting onto an old fan-in edge of it (or
 //!   onto the gate itself); anything else is
 //!   [`PatchError::NotASubdivision`].
-//! * **c₃ cannot fall.** `c₃ = ln(1 + S)`. The conversion to f64, the
-//!   `+ 1` and `ln` are monotone; `ln` needs only be faithfully rounded,
-//!   since `ln` of neighbouring integers below 2⁴⁶ differs by more than
-//!   two ulps (`probe` prunes only while the pre-patch `S` is below it).
-//! * **The total cannot fall.** The separation enters the weighted sum
-//!   only through `α₃·c₃`, and every other term is computed from the
-//!   post-patch structure either way. IEEE multiplication by `α₃ ≥ 0`
-//!   and each addition of the fixed-order sum are monotone in each
-//!   operand (rounding to nearest never reverses an order), so the
-//!   bound is `<=` the exact cost bit for bit. With `α₃ < 0` (or NaN)
-//!   the inequality flips, so `probe` prunes only when `α₃ >= 0`.
+//! * **The total cannot fall.** Every other figure is the post-patch
+//!   one either way, so the pre-patch `S` is a lower bound on the
+//!   post-patch figures, and their
+//!   [floor](crate::Objective::floor) is `<=` the exact cost bit for
+//!   bit.
 
 use iddq_celllib::{Library, NodeTables};
 use iddq_netlist::cone::DynamicCones;
@@ -172,10 +166,8 @@ use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{CellKind, TimeSet};
 
 use crate::context::EvalContext;
-use crate::cost::CostBreakdown;
-use crate::evaluator::{
-    assemble_cost, degraded_weight, interconnect_term, sensor_figures, ModuleStats,
-};
+use crate::cost::Figures;
+use crate::evaluator::{degraded_weight, sensor_figures, ModuleStats};
 
 /// The undo frame of the pending patch: the fan-in lists it overwrote,
 /// the node count before it, and snapshots of the derived state it
@@ -672,41 +664,27 @@ impl<'a> ResynthEval<'a> {
     /// rolled back again and the separation state was never touched.
     /// Otherwise the patch stays pending, exactly as after
     /// [`ResynthEval::apply`], and the result is its exact
-    /// [`ResynthEval::total_cost`]. Pruning needs `α₃ ≥ 0`; with
-    /// `α₃ < 0` every probe is scored exactly.
+    /// [`ResynthEval::total_cost`].
     ///
     /// # Errors
     ///
     /// As [`ResynthEval::apply`] (evaluation unchanged).
     pub fn probe(&mut self, patch: &Patch, beat: f64) -> Result<Option<f64>, PatchError> {
         self.check(patch)?;
-        let config = &self.ctx.config;
-        let (weights, penalty) = (&config.weights, config.violation_penalty);
+        let objective = self.ctx.objective();
         let separation_before = self.separation();
-        let prunable = weights.interconnect >= 0.0 && separation_before < 1 << 46;
         let (edit, dirty) = self.apply_inner(patch);
-        let mut bounded = None;
-        if prunable {
-            let bound = self.cost_at(separation_before);
-            if bound.total(weights, penalty) >= beat {
-                self.push_frame(edit, None);
-                self.rollback();
-                return Ok(None);
-            }
-            bounded = Some(bound);
+        let mut figures = self.figures_at(separation_before);
+        if objective.floor(&figures) >= beat {
+            self.push_frame(edit, None);
+            self.rollback();
+            return Ok(None);
         }
         self.refresh_separation(patch, &dirty);
         self.push_frame(edit, Some(patch.clone()));
-        // Only c₃ reads the separation, so the bound's breakdown becomes
-        // the exact one by swapping that term.
-        let exact = match bounded {
-            Some(mut cost) => {
-                cost.c3_interconnect = interconnect_term(self.separation());
-                cost
-            }
-            None => self.cost(),
-        };
-        Ok(Some(exact.total(weights, penalty)))
+        // Only the separation moved since the bound's figures.
+        figures.separation = self.separation();
+        Ok(Some(objective.total(&objective.terms(&figures))))
     }
 
     /// Checks `patch` on the pre-patch structure, before any edit: no
@@ -1633,12 +1611,11 @@ impl<'a> ResynthEval<'a> {
         }
     }
 
-    /// Full cost breakdown of the current (patched) structure as one
-    /// module — bit-exact with `Evaluated::new(&EvalContext::new(
-    /// materialized, …), single module).cost()`.
-    pub fn cost(&mut self) -> CostBreakdown {
+    /// The cost figures of the current (patched) structure as one
+    /// module.
+    pub fn figures(&mut self) -> Figures {
         let separation = self.separation();
-        self.cost_at(separation)
+        self.figures_at(separation)
     }
 
     /// The single-module separation `S = ρ·pairs − Σ_g W(g)/2` of the
@@ -1650,9 +1627,9 @@ impl<'a> ResynthEval<'a> {
         u64::from(self.ctx.config.rho) * pairs - self.sum_w / 2
     }
 
-    /// [`ResynthEval::cost`] with `separation` in place of the current
-    /// one: every other term is read from the current structure.
-    fn cost_at(&mut self, separation: u64) -> CostBreakdown {
+    /// [`ResynthEval::figures`] with `separation` in place of the current
+    /// one: every other figure is read from the current structure.
+    fn figures_at(&mut self, separation: u64) -> Figures {
         self.settle_order();
         let n = self.kinds.len();
         if !self.hist.exact {
@@ -1735,23 +1712,16 @@ impl<'a> ResynthEval<'a> {
             self.nominal_delay_ps = output_max(&self.arr_nom);
             self.nominal_dirty = false;
         }
-        assemble_cost(
-            1,
-            sens.violations,
-            0.0 + sens.area,
-            separation,
-            0.0f64.max(sens.delta_ps),
-            dbic_ps,
-            self.nominal_delay_ps,
-        )
+        Figures::of_modules([sens], separation, dbic_ps, self.nominal_delay_ps)
     }
 
     /// Weighted scalar cost of the current structure (the resynthesis
-    /// objective).
+    /// objective) — bit-exact with `Evaluated::new(&EvalContext::new(
+    /// materialized, …), single module).total_cost()`.
     #[must_use]
     pub fn total_cost(&mut self) -> f64 {
-        self.cost()
-            .total(&self.ctx.config.weights, self.ctx.config.violation_penalty)
+        let (figures, objective) = (self.figures(), self.ctx.objective());
+        objective.total(&objective.terms(&figures))
     }
 
     /// The gate separation table of the current structure (a pending
@@ -2450,12 +2420,6 @@ mod tests {
             Err(PatchError::NotASubdivision(_))
         ));
         assert_fresh(&mut eval, &nl, &[], &lib, &cfg);
-        // With α₃ < 0 the bound is no bound.
-        let mut negative = cfg.clone();
-        negative.weights.interconnect = -1.0;
-        let ctx = EvalContext::new(&nl, &lib, negative);
-        let mut eval = ResynthEval::new(&ctx);
-        assert!(eval.probe(&split, f64::NEG_INFINITY).unwrap().is_some());
     }
 
     #[test]

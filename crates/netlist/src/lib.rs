@@ -56,8 +56,7 @@
 //!   into flat arrays once and never touches it again on the hot path.
 //! * Engine representations are **structure-of-arrays over `u32`
 //!   indices**: the gate separation table's row storage is one flat
-//!   `(gate, ρ − d)` array behind a CSR offset table, built exactly
-//!   sized. `u32` everywhere halves the index footprint against `usize`
+//!   `(gate, ρ − d)` array behind a CSR offset table. `u32` everywhere halves the index footprint against `usize`
 //!   on 64-bit targets and caps the node count at 4 × 10⁹ — far above
 //!   the 10⁶–10⁷ range this flow targets.
 //!

@@ -52,9 +52,10 @@
 //! Batches are independent, so `threads > 1` shards the node range across
 //! worker threads (each with its own scratch) and stitches the per-shard
 //! CSR segments back together in node order — the result is
-//! **bit-identical** to the serial build for every thread count. Either
-//! way the table ends exactly sized, so
-//! [`GateSeparationTable::memory_bytes`] is its real footprint.
+//! **bit-identical** to the serial build for every thread count. The
+//! serial build keeps the one vector it grew, whose spare capacity is
+//! never written; [`GateSeparationTable::memory_bytes`] counts the
+//! entries, not that capacity.
 
 use std::ops::Range;
 
@@ -646,11 +647,12 @@ impl GateSeparationTable {
     }
 
     /// Wraps built rows, storing each row's weight total for the O(1)
-    /// [`GateSeparationTable::near_weight`]. The vectors are shrunk to
-    /// their length: a grown entry vector holds up to twice its entries.
-    fn from_rows(rho: u64, mut offsets: Vec<u32>, mut entries: Vec<(u32, u32)>) -> Self {
-        offsets.shrink_to_fit();
-        entries.shrink_to_fit();
+    /// [`GateSeparationTable::near_weight`]. A serially built entry
+    /// vector keeps the spare capacity of its growth, which is never
+    /// written and so takes no memory. Shrinking it would cost more: the
+    /// allocator then maps every later build's entries fresh, and each
+    /// build pays a page fault per 4 KiB of them again.
+    fn from_rows(rho: u64, offsets: Vec<u32>, entries: Vec<(u32, u32)>) -> Self {
         let totals = offsets
             .windows(2)
             .map(|w| {
@@ -668,13 +670,14 @@ impl GateSeparationTable {
         }
     }
 
-    /// Heap footprint of the table in bytes: 8 bytes per `(gate, weight)`
-    /// entry plus 4 per row offset and 8 per row total. At 10^6 nodes
+    /// Memory the table occupies in bytes: 8 bytes per `(gate, weight)`
+    /// entry plus 4 per row offset and 8 per row total (the entry
+    /// vector's unwritten spare capacity left out). At 10^6 nodes
     /// this is the dominant analysis structure; see the crate docs'
     /// "memory layout & scale" section.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(u32, u32)>()
+        self.entries.len() * std::mem::size_of::<(u32, u32)>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.totals.capacity() * std::mem::size_of::<u64>()
     }

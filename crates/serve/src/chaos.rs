@@ -31,8 +31,11 @@ use iddq_netlist::data;
 use crate::protocol::detection_digest;
 use crate::server::{fault_universe, random_vectors, server_sweep_options, SweepJob};
 
-/// How many work units a chaos slice may run before its quota stops it —
-/// small enough that every scenario crosses many slice boundaries.
+/// How many work units (patterns applied per cell) a chaos slice may run
+/// before its quota stops it: less than one pattern batch, so a sweep
+/// without fault dropping crosses a slice boundary at every batch. With
+/// dropping, the small adders' faults all fall in the first batch and
+/// most such schedules finish in one slice.
 const SLICE_QUOTA: u64 = 48;
 
 /// Upper bound on restart-loop iterations; the in-memory path always
@@ -77,12 +80,16 @@ impl ChaosOptions {
 /// Aggregated outcome of a chaos run. Reaching the report at all means
 /// every invariant held on every schedule — violations fail fast with a
 /// seed-stamped message.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Schedules executed.
     pub schedules: u64,
+    /// Sweep slices run across all schedules.
+    pub slices: u64,
     /// Simulated process restarts across all sweep schedules.
     pub restarts: u64,
+    /// Restarts that loaded a valid checkpoint and continued from it.
+    pub resumes: u64,
     /// Checkpoint loads that failed typed (corrupt or unreadable) and
     /// fell back to a fresh start.
     pub checkpoint_recoveries: u64,
@@ -96,7 +103,9 @@ pub struct ChaosReport {
 impl ChaosReport {
     fn absorb(&mut self, other: &ChaosReport) {
         self.schedules += other.schedules;
+        self.slices += other.slices;
         self.restarts += other.restarts;
+        self.resumes += other.resumes;
         self.checkpoint_recoveries += other.checkpoint_recoveries;
         self.save_failures += other.save_failures;
         self.faults_injected += other.faults_injected;
@@ -131,7 +140,10 @@ fn slice_control() -> RunControl {
         .and_budget(RunBudget::unlimited().with_quota(SLICE_QUOTA))
 }
 
-/// One seeded crash/restart schedule of a checkpointed fault sweep.
+/// One seeded crash/restart schedule of a checkpointed fault sweep,
+/// with fault dropping at odd seeds only: without it every pattern
+/// batch runs, so the schedule crosses slice boundaries and resumes
+/// from mid-sweep checkpoints.
 ///
 /// # Errors
 ///
@@ -141,10 +153,10 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
     let netlist = data::ripple_adder(5 + (seed % 3) as usize);
     let faults = fault_universe(&netlist, 8, seed);
     let vectors = random_vectors(&netlist, VECTOR_COUNTS[(seed / 3 % 3) as usize], seed);
-    let options = server_sweep_options(true, 1);
+    let options = server_sweep_options(seed % 2 == 1, 1);
 
-    // Ground truth: one uninterrupted, fault-free run, at 64 lanes
-    // whatever width the job runs at.
+    // Ground truth: one uninterrupted, fault-free run under the same
+    // options, at 64 lanes whatever width the job runs at.
     let want =
         detection_digest(&sweep::<u64>(&netlist, &faults, &vectors, &options).first_detection);
 
@@ -178,7 +190,10 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
             let loaded =
                 SweepCheckpoint::load_in(&env, &path).and_then(|cp| job(Some(&cp)).map(|_| cp));
             checkpoint = match loaded {
-                Ok(cp) => Some(cp),
+                Ok(cp) => {
+                    report.resumes += 1;
+                    Some(cp)
+                }
                 Err(EngineError::CheckpointMismatch(_)) => {
                     // Corrupt, or not this job's: per the runbook, delete
                     // it and restart the job fresh.
@@ -192,6 +207,7 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
                 Err(e) => return fail(format!("unexpected load error: {e}")),
             };
         }
+        report.slices += 1;
         let slice = job(checkpoint.as_ref()).and_then(|job| {
             let outcome = job.slice(&slice_control(), checkpoint.as_ref())?;
             let cp = job.checkpoint(&outcome);
@@ -247,15 +263,15 @@ mod tests {
         assert_eq!(report.schedules, 12);
         assert!(report.faults_injected > 0, "chaos must actually inject");
         assert!(report.restarts > 0, "schedules must actually crash");
+        assert!(report.resumes > 0, "no restart resumed a checkpoint");
+        assert!(
+            report.slices > report.schedules,
+            "no schedule crossed a slice"
+        );
     }
 
     #[test]
     fn scenarios_are_deterministic_per_seed() {
-        let a = sweep_scenario(0xfeed).unwrap();
-        let b = sweep_scenario(0xfeed).unwrap();
-        assert_eq!(
-            (a.restarts, a.save_failures, a.checkpoint_recoveries),
-            (b.restarts, b.save_failures, b.checkpoint_recoveries)
-        );
+        assert_eq!(sweep_scenario(0xfeed), sweep_scenario(0xfeed));
     }
 }

@@ -527,30 +527,20 @@ fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
     let mut nand2 = generic.cell(CellKind::Nand, 2).clone();
     nand2.peak_current_ua = 100.3;
     inexact.override_cell(nand2);
-    let paper = PartitionConfig::paper_default();
-    // A negative separation weight turns the bound off: that search must
-    // prune nothing and still match its own unpruned descent.
-    let mut negative = paper.clone();
-    negative.weights.interconnect = -1.0;
+    let config = &PartitionConfig::paper_default();
     let cases = [
-        (iscas("c432"), &generic, &paper),
-        (seq("s298"), &generic, &paper),
-        (iscas("c880"), &generic, &paper),
-        (iscas("c432"), &generic, &negative),
-        (iscas("c432"), &inexact, &paper),
+        (iscas("c432"), &generic),
+        (seq("s298"), &generic),
+        (iscas("c880"), &generic),
+        (iscas("c432"), &inexact),
     ];
-    for (nl, library, config) in cases {
-        let (weights, penalty) = (&config.weights, config.violation_penalty);
-        let prunes = weights.interconnect >= 0.0;
+    for (nl, library) in cases {
         let nand2_ua = library.cell(CellKind::Nand, 2).peak_current_ua;
-        let name = format!(
-            "{} (alpha3 {}, NAND2 {nand2_ua} uA)",
-            nl.name(),
-            weights.interconnect
-        );
+        let name = format!("{} (NAND2 {nand2_ua} uA)", nl.name());
         let ctx = EvalContext::builder(&nl, library, config.clone())
             .tier(AnalysisTier::GateSep)
             .build();
+        let objective = ctx.objective();
         // The shipped (pruned) search against a rebuild score of its
         // output.
         let (out, report) = cost_aware_per_gate_in(&ctx);
@@ -566,7 +556,7 @@ fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
         let mut full = ResynthEval::new_full_refresh(&ctx);
         let mut pruned = ResynthEval::new(&ctx);
         let mut current = inc.total_cost();
-        let mut current_c3 = inc.cost().c3_interconnect;
+        let mut current_separation = inc.figures().separation;
         assert_eq!(current.to_bits(), full.total_cost().to_bits());
         let wide: Vec<_> = nl
             .topo_order()
@@ -588,18 +578,16 @@ fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
                 let beat = best.as_ref().map_or(current, |(b, _)| current.min(*b));
                 inc.apply(&patch).unwrap();
                 full.apply(&patch).unwrap();
-                let mut breakdown = inc.cost();
-                let cost = breakdown.total(weights, penalty);
+                let mut figures = inc.figures();
+                let cost = objective.total(&objective.terms(&figures));
                 assert_eq!(cost.to_bits(), full.total_cost().to_bits(), "{what}");
-                // The bound: the post-patch cost at the pre-patch c₃.
-                breakdown.c3_interconnect = current_c3;
-                let bound = breakdown.total(weights, penalty);
-                if prunes {
-                    assert!(bound <= cost, "{what}: bound {bound} above exact {cost}");
-                }
+                // The bound: the floor of the post-patch figures at the
+                // pre-patch separation.
+                figures.separation = current_separation;
+                let bound = objective.floor(&figures);
+                assert!(bound <= cost, "{what}: bound {bound} above exact {cost}");
                 match pruned.probe(&patch, beat).unwrap() {
                     None => {
-                        assert!(prunes, "{what}: pruned with alpha3 < 0");
                         assert!(cost >= beat && cost >= bound, "{what}: pruned a winner");
                         pruned_probes += 1;
                     }
@@ -623,7 +611,7 @@ fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
                 }
                 pruned.verify_consistency();
                 current = cost;
-                current_c3 = inc.cost().c3_interconnect;
+                current_separation = inc.figures().separation;
                 committed.push(patch);
             }
         }
@@ -640,11 +628,7 @@ fn per_gate_resynthesis_matches_rebuild_and_full_refresh() {
             (report.probes, report.pruned_probes),
             (probes, pruned_probes)
         );
-        if prunes {
-            assert!(pruned_probes > 0, "{name}: the bound pruned nothing");
-        } else {
-            assert_eq!(pruned_probes, 0, "{name}");
-        }
+        assert!(pruned_probes > 0, "{name}: the bound pruned nothing");
     }
 }
 

@@ -6,7 +6,8 @@ use proptest::prelude::*;
 
 use iddq::celllib::Library;
 use iddq::core::{
-    config::PartitionConfig, standard, AnalysisTier, EvalContext, Evaluated, Partition,
+    config::PartitionConfig, standard, AnalysisTier, EvalContext, Evaluated, Figures, Objective,
+    Partition, Weights,
 };
 use iddq::gen::iscas::{self, IscasProfile};
 use iddq::logicsim::Simulator;
@@ -135,6 +136,7 @@ proptest! {
             eval.move_gate(gate, target);
         }
         eval.verify_consistency();
+        eval.settle();
         let fresh = Evaluated::new(&ctx, eval.partition().clone());
         let a = eval.cost();
         let b = fresh.cost();
@@ -362,5 +364,60 @@ proptest! {
         let b = size_sensor(hi, 100.0, &spec, &tech).unwrap();
         prop_assert!(b.rs_ohm <= a.rs_ohm);
         prop_assert!(b.area >= a.area);
+    }
+
+    /// The objective's floor, under random non-negative weights and
+    /// penalty: relaxing any subset of a partition's figures toward their
+    /// least values never lifts the floor above the exact total, and on
+    /// the exact figures the floor is the total bit for bit.
+    #[test]
+    fn objective_floor_bounds_the_total(
+        weights in (0.0f64..1e3, 0.0f64..1e6, 0.0f64..1e2, 0.0f64..1e2, 0.0f64..1e2),
+        (d, over, penalty) in (1.0f64..1e5, 0.0f64..2.0, 0.0f64..1e8),
+        (area, separation, delta) in (0.0f64..1e8, 0u64..1 << 40, 0.0f64..1e5),
+        (modules, violations) in (1usize..64, 0usize..8),
+        (relax, shrink) in (any::<u64>(), 0.0f64..1.0),
+    ) {
+        let (area_w, delay_w, interconnect_w, test_time_w, module_count_w) = weights;
+        let objective = Objective::new(&PartitionConfig {
+            weights: Weights {
+                area: area_w,
+                delay: delay_w,
+                interconnect: interconnect_w,
+                test_time: test_time_w,
+                module_count: module_count_w,
+            },
+            violation_penalty: penalty,
+            ..PartitionConfig::paper_default()
+        });
+        let exact = Figures {
+            modules,
+            violations,
+            sensor_area: area,
+            separation,
+            max_delta_ps: delta,
+            dbic_ps: d * (1.0 + over),
+            nominal_delay_ps: d,
+        };
+        let total = objective.total(&objective.terms(&exact));
+        prop_assert_eq!(objective.floor(&exact).to_bits(), total.to_bits());
+        // Bits 0-5 pick the relaxed fields; one case in four relaxes them
+        // all the way (D_BIC to 0, which the floor reads as D).
+        let s = if relax >> 6 & 3 == 0 { 0.0 } else { shrink };
+        let relaxed = |bit: u32, x: f64| if relax >> bit & 1 == 1 { x * s } else { x };
+        let lower = Figures {
+            modules: relaxed(0, modules as f64) as usize,
+            violations: relaxed(1, violations as f64) as usize,
+            sensor_area: relaxed(2, area),
+            separation: relaxed(3, separation as f64) as u64,
+            max_delta_ps: relaxed(4, delta),
+            dbic_ps: relaxed(5, exact.dbic_ps),
+            nominal_delay_ps: d,
+        };
+        let floor = objective.floor(&lower);
+        prop_assert!(floor <= total, "floor {floor} above the total {total}");
+        // A D_BIC below D reads as D, the least it can be.
+        let at_d = objective.floor(&Figures { dbic_ps: d, ..lower });
+        prop_assert_eq!(objective.floor(&Figures { dbic_ps: 0.0, ..lower }), at_d);
     }
 }
