@@ -24,7 +24,8 @@
 # another that the per-gate resynthesis search prunes probes on c1908
 # and on a sequential s1423, a third that `iddq test` (c1908) and `iddq
 # synth` (s1423) print the same bytes at 1 and 2 threads, and a fourth
-# that the flow outputs still hash to their pinned digests.
+# that the flow outputs still hash to their pinned digests. The last
+# step prints the tracked Rust line count and gates nothing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -230,5 +231,14 @@ echo "== chaos smoke"
 # second of wall clock; any violated invariant exits nonzero with the
 # offending seed. The full 216-schedule sweep is `iddq chaos`.
 cargo run --release -q -p iddq-cli --bin iddq -- chaos --smoke
+
+echo "== tracked line count"
+# Informational, gates nothing: the non-vendored Rust lines outside
+# perfbench/, the figure ROADMAP.md tracks from change to change.
+if rust_lines="$(git ls-files '*.rs' | grep -v '^vendor/\|^perfbench/' | xargs cat | wc -l)"; then
+    echo "non-vendored Rust lines outside perfbench/: $rust_lines"
+else
+    echo "non-vendored Rust lines outside perfbench/: unknown (not a git checkout)"
+fi
 
 echo "CI OK"

@@ -281,14 +281,20 @@ fn secs_per_iter<T>(window_ms: u64, f: impl FnMut() -> T) -> f64 {
     }
 }
 
+/// Fewest rounds [`secs_per_iter_interleaved`] takes each arm's minimum
+/// over. The smoke window alone covers three rounds of the c1908 context
+/// arms (~20 ms a round), few enough that one host hiccup moves the
+/// gated ratio.
+const MIN_ROUNDS: u64 = 10;
+
 /// Best-of-rounds seconds per call of every arm, measured **interleaved**
 /// (round robin) so slow drift of a shared, noisy machine hits all arms
 /// equally — the right way to measure a work *ratio* that a gate depends
 /// on. Per arm the *minimum* round is reported: noise and preemption only
 /// ever add time, so the minima estimate the true work of each arm and
 /// their ratio is far more stable than a ratio of 2–3-sample means.
-/// Rounds continue until at least three have run and the accumulated
-/// wall-clock covers `window_ms` per arm.
+/// Rounds continue until at least [`MIN_ROUNDS`] have run and the
+/// accumulated wall-clock covers `window_ms` per arm.
 fn secs_per_iter_interleaved<const K: usize>(
     window_ms: u64,
     arms: &mut [&mut dyn FnMut(); K],
@@ -309,7 +315,7 @@ fn secs_per_iter_interleaved<const K: usize>(
             *best = (*best).min(elapsed);
         }
         rounds += 1;
-        if (rounds >= 3 && spent >= budget) || rounds >= 1 << 20 {
+        if (rounds >= MIN_ROUNDS && spent >= budget) || rounds >= 1 << 20 {
             return best.map(|t| t.as_secs_f64());
         }
     }

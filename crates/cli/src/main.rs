@@ -303,8 +303,8 @@ const COMMANDS: &[Command] = &[
             flag("--backend B", Backend, "delta", "delta = fault-patch engine, csr = per-fault \
                 full re-simulation oracle"),
             flag("--lanes L", Lanes, "auto", "sequences per sweep: 64 | 256 | 512, or `auto` \
-                for the widest that the sweep's sequences (vectors / frames) fill, and on \
-                --resume the checkpoint's width"),
+                for the checkpoint's width on --resume, else the widest that the sweep's \
+                sequences (vectors / frames) fill; a resume at another width is refused"),
             flag("--threads N", Threads, "1", "worker threads; 0 = all cores"),
             flag("--shards N", Usize, "0", "fault-list shards; 0 = auto"),
             flag("--no-drop", Switch, "", "disable earliest-detection fault dropping"),
@@ -908,8 +908,9 @@ fn run_sim<W: iddq_netlist::PackedWord>(
 }
 
 fn cmd_faults(args: &Args) -> Result<(), CliError> {
+    use iddq_control::RealEnv;
     use iddq_logicsim::fault_sweep::{
-        fault_universe, random_vectors, FaultSweepOptions, LogicFault, SweepCheckpoint,
+        fault_universe, random_vectors, FaultSweepOptions, LogicFault, SweepCheckpoint, SweepJob,
     };
 
     let cut = load(&args.arg)?;
@@ -944,31 +945,30 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
     let bridge_count = faults.len() - stuck_at_count;
     let vectors = random_vectors(&cut, num_vectors, seed);
     let resume = match args.opt::<String>("--resume") {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
-            Some(SweepCheckpoint::from_json(&text)?)
-        }
+        Some(path) => Some(SweepCheckpoint::load_in(&RealEnv, path.as_ref())?),
         None => None,
     };
-    // `auto` resumes at the checkpoint's width; a width the checkpoint
-    // does not name fails its validation below.
-    let lanes = match (args.lanes(), &resume) {
-        (Some(lanes), _) => lanes,
-        (None, Some(cp)) => LaneWidth::from_lanes(cp.lanes).unwrap_or_default(),
-        (None, None) => LaneWidth::for_sweep(num_vectors, frames),
-    };
-
-    let start = std::time::Instant::now();
-    let outcome = at_lanes!(lanes, |W| run_fault_sweep::<W>(
+    let job = SweepJob::new(
         &cut,
         &faults,
         &vectors,
         &options,
-        &control,
+        args.lanes(),
         resume.as_ref(),
-        args
-    ))?;
+    )?;
+    let lanes = job.lanes();
+
+    let start = std::time::Instant::now();
+    let outcome = job.run(&control, resume.as_ref())?;
+    if let Some(path) = args.opt::<String>("--checkpoint") {
+        // Atomic: an interrupted write never destroys the previous file.
+        let cp = job.checkpoint(&outcome);
+        cp.save_in(&RealEnv, path.as_ref())?;
+        eprintln!(
+            "wrote checkpoint {path} ({:.1}% of the pattern grid done)",
+            cp.progress() * 100.0
+        );
+    }
     let elapsed = start.elapsed().as_secs_f64();
     let work_coverage = outcome.coverage();
     let stop_reason = outcome.stop_reason();
@@ -1036,35 +1036,6 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
         );
     }
     Ok(())
-}
-
-/// Runs one fault sweep at a fixed lane width: resume from `resume` if
-/// given (validated against this exact run configuration), and write a
-/// checkpoint of whatever completed if asked — atomically, so an
-/// interrupted write can never destroy the previous checkpoint.
-fn run_fault_sweep<W: iddq_netlist::PackedWord>(
-    cut: &Netlist,
-    faults: &[iddq_logicsim::fault_sweep::LogicFault],
-    vectors: &[Vec<bool>],
-    options: &iddq_logicsim::fault_sweep::FaultSweepOptions,
-    control: &RunControl,
-    resume: Option<&iddq_logicsim::fault_sweep::SweepCheckpoint>,
-    args: &Args,
-) -> Result<iddq_control::Outcome<iddq_logicsim::fault_sweep::FaultSweepOutcome>, CliError> {
-    use iddq_logicsim::fault_sweep::{sweep_resume, sweep_with_control, SweepCheckpoint};
-    let outcome = match resume {
-        Some(cp) => sweep_resume::<W>(cut, faults, vectors, options, control, cp)?,
-        None => sweep_with_control::<W>(cut, faults, vectors, options, control),
-    };
-    if let Some(path) = args.opt::<String>("--checkpoint") {
-        let cp = SweepCheckpoint::capture::<W>(cut, faults, vectors, options, outcome.value());
-        write_atomic(std::path::Path::new(&path), &cp.to_json())?;
-        eprintln!(
-            "wrote checkpoint {path} ({:.1}% of the pattern grid done)",
-            cp.progress() * 100.0
-        );
-    }
-    Ok(outcome)
 }
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {

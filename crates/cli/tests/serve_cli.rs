@@ -320,6 +320,52 @@ fn serve_and_cli_agree_on_sim_and_faults() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint that `iddq faults --quota --checkpoint` wrote into a
+/// daemon's state directory as `<job>.ckpt.json` is resumed by a keyed
+/// serve `faults` job with the same seed, bridges and vectors: the job
+/// reports `resumed` at the CLI's lane width (64, where a fresh job would
+/// pick 512) and finishes with the detected count and coverage of an
+/// uninterrupted `iddq faults` run.
+#[test]
+fn a_cli_checkpoint_resumes_as_a_keyed_serve_job() {
+    let dir = tmp("handoff");
+    let state_dir = dir.join("state");
+    std::fs::create_dir_all(&state_dir).expect("state dir");
+    let (path, ckpt) = (dir.join("c432.bench"), state_dir.join("handoff.ckpt.json"));
+    let (path, ckpt) = (path.to_str().expect("utf8"), ckpt.to_str().expect("utf8"));
+    cli_stdout(&["gen", "c432", "--seed", "7", "--out", path]);
+    let bench = std::fs::read_to_string(path).expect("generated bench");
+    let run = |extra: &[&str]| {
+        let common = ["--seed", "7", "--bridges", "16", "--vectors", "768"];
+        cli_stdout(&[&["faults", path][..], &common, extra].concat())
+    };
+    let full = run(&[]);
+    let partial = run(&["--lanes", "64", "--quota", "150", "--checkpoint", ckpt]);
+    assert!(partial.contains("partial: stopped early"), "{partial}");
+
+    let (mut server, addr) = spawn_daemon(&state_dir);
+    let served = call(
+        &addr,
+        &serde_json::json!({
+            "op": "faults", "bench": bench, "vectors": 768, "bridges": 16, "seed": 7,
+            "job": "handoff",
+        }),
+    );
+    assert_eq!(served["resumed"], true, "{served:?}");
+    assert_eq!(served["lanes"], word_before(&partial, ", 1 thread(s)"));
+    assert_eq!(served["lanes"], 64, "{served:?}");
+    assert_eq!(served["detected"], word_before(&full, " detected ("));
+    let coverage = served["fault_coverage"].as_f64().expect("coverage");
+    let printed = format!("{:.1}% coverage", coverage * 100.0);
+    assert!(full.contains(&printed), "{printed} in {full}");
+    assert!(
+        !Path::new(ckpt).exists(),
+        "a finished job drops its checkpoint"
+    );
+    drain(&mut server, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_max_secs_exits_by_itself() {
     let state_dir = tmp("maxsecs-state");

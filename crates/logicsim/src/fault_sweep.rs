@@ -121,9 +121,9 @@
 //! Partial results are *resumable*. [`SweepCheckpoint`] serializes the
 //! earliest-detection array, the set of fully-swept pattern batches and a
 //! fingerprint of the run configuration (netlist structure, fault list,
-//! vector set, lane width). [`sweep_resume`] validates the fingerprint and
-//! re-runs only the batches not yet fully swept, min-merging the
-//! checkpointed detections with the new ones. Because each (fault, batch)
+//! vector set, lane width). A [`SweepJob`] that resumes one validates the
+//! fingerprint and re-runs only the batches not yet fully swept,
+//! min-merging the checkpointed detections with the new ones. Because each (fault, batch)
 //! detection mask is a pure function of the circuit and the vectors, and
 //! the earliest-detection merge is an order-independent minimum, a
 //! cancelled-checkpointed-resumed sweep is **bit-identical** to an
@@ -138,7 +138,7 @@
 use std::ops::Range;
 
 use iddq_control::{EngineError, Fnv1a, IoEnv, Outcome, RunControl};
-use iddq_netlist::{Netlist, NodeId, PackedWord};
+use iddq_netlist::{at_lanes, LaneWidth, Netlist, NodeId, PackedWord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -742,7 +742,7 @@ fn batch_progress(done_batches: &[bool]) -> f64 {
 /// * `fingerprint` — 64-bit FNV-1a over the netlist structure, the fault
 ///   list, the vector set, the lane width, and the thread/shard grid
 ///   options, hex-encoded. A resumed run must fingerprint identically or
-///   [`sweep_resume`] rejects it with [`EngineError::CheckpointMismatch`]
+///   [`SweepJob`] rejects it with [`EngineError::CheckpointMismatch`]
 ///   — resuming against a different circuit or vector set would silently
 ///   corrupt the min-merge, and resuming under a different grid
 ///   configuration is rejected *by policy*: the merge itself is
@@ -780,14 +780,15 @@ pub struct SweepCheckpoint {
     pub done_batches: Vec<bool>,
 }
 
-fn run_fingerprint<W: PackedWord>(
+fn run_fingerprint(
+    lanes: LaneWidth,
     netlist: &Netlist,
     faults: &[LogicFault],
     vectors: &[Vec<bool>],
     options: &FaultSweepOptions,
 ) -> String {
     let mut h = Fnv1a::new();
-    h.u64(u64::from(W::LANES));
+    h.u64(u64::from(lanes.lanes()));
     h.u64(options.threads as u64);
     h.u64(options.fault_shards as u64);
     h.u64(options.frames.max(1) as u64);
@@ -836,12 +837,13 @@ fn run_fingerprint<W: PackedWord>(
 }
 
 impl SweepCheckpoint {
-    /// Captures a checkpoint of `outcome` for later [`sweep_resume`].
+    /// Captures a checkpoint of `outcome` for a later resumed [`SweepJob`].
     ///
-    /// `W` must be the lane width and `options` the grid configuration
+    /// `lanes` must be the lane width and `options` the grid configuration
     /// the sweep ran with (both are part of the fingerprint).
     #[must_use]
-    pub fn capture<W: PackedWord>(
+    pub fn capture(
+        lanes: LaneWidth,
         netlist: &Netlist,
         faults: &[LogicFault],
         vectors: &[Vec<bool>],
@@ -850,8 +852,8 @@ impl SweepCheckpoint {
     ) -> Self {
         SweepCheckpoint {
             circuit: netlist.name().to_owned(),
-            fingerprint: run_fingerprint::<W>(netlist, faults, vectors, options),
-            lanes: W::LANES,
+            fingerprint: run_fingerprint(lanes, netlist, faults, vectors, options),
+            lanes: lanes.lanes(),
             threads: options.threads,
             fault_shards: options.fault_shards,
             num_vectors: vectors.len(),
@@ -862,15 +864,16 @@ impl SweepCheckpoint {
     }
 
     /// Checks that this checkpoint belongs to exactly the given run
-    /// configuration.
+    /// configuration at `lanes`.
     ///
     /// # Errors
     ///
-    /// [`EngineError::CheckpointMismatch`] when the fingerprint, the
-    /// fault count, the batch geometry or the thread/shard grid options
-    /// disagree.
-    pub fn validate<W: PackedWord>(
+    /// [`EngineError::CheckpointMismatch`] when the lane width, the
+    /// fingerprint, the fault count, the batch geometry or the
+    /// thread/shard grid options disagree.
+    pub fn validate(
         &self,
+        lanes: LaneWidth,
         netlist: &Netlist,
         faults: &[LogicFault],
         vectors: &[Vec<bool>],
@@ -883,10 +886,10 @@ impl SweepCheckpoint {
             )))
         };
         let frames = options.frames.max(1);
-        let num_batches = grid::num_batches(vectors.len(), frames, W::LANES as usize);
+        let num_batches = grid::num_batches(vectors.len(), frames, lanes.lanes() as usize);
         // Checked in this order; the first disagreement is reported.
         for (what, ours, run) in [
-            ("lane width", self.lanes as usize, W::LANES as usize),
+            ("lane width", self.lanes as usize, lanes.lanes() as usize),
             ("thread option", self.threads, options.threads),
             (
                 "fault-shard option",
@@ -902,7 +905,7 @@ impl SweepCheckpoint {
                 return mismatch(&format!("{what} {ours} differs from the run's {run}"));
             }
         }
-        let expected = run_fingerprint::<W>(netlist, faults, vectors, options);
+        let expected = run_fingerprint(lanes, netlist, faults, vectors, options);
         if self.fingerprint != expected {
             return mismatch("netlist/fault/vector fingerprint differs");
         }
@@ -1091,36 +1094,117 @@ pub fn sweep_with_control<W: PackedWord>(
     sweep_impl::<W>(netlist, faults, vectors, options, control, None)
 }
 
-/// Resumes a checkpointed sweep: validates `checkpoint` against the run
-/// configuration, re-sweeps only the pattern batches not yet marked done,
-/// and min-merges the checkpointed detections with the new ones.
+/// One resumable fault sweep at a runtime lane width, run slice by
+/// slice: the one way the CLI `faults` command, the serve `faults` job and
+/// the chaos harness sweep.
 ///
-/// A resumed run that completes is **bit-identical** to an uninterrupted
+/// The width is decided once, in [`SweepJob::new`]: the width asked for,
+/// else the width of the checkpoint the job resumes, else
+/// [`LaneWidth::for_sweep`] of the job's vectors and frames. A job
+/// checkpointed at any width therefore finishes at that width, and a
+/// resumed job that completes is **bit-identical** to an uninterrupted
 /// [`sweep`] of the same configuration (chaos-proptested across thread
 /// and shard counts).
-///
-/// # Errors
-///
-/// [`EngineError::CheckpointMismatch`] when the checkpoint does not
-/// fingerprint-match the given netlist/faults/vectors/lanes or was taken
-/// under different thread/shard grid options.
-pub fn sweep_resume<W: PackedWord>(
-    netlist: &Netlist,
-    faults: &[LogicFault],
-    vectors: &[Vec<bool>],
-    options: &FaultSweepOptions,
-    control: &RunControl,
-    checkpoint: &SweepCheckpoint,
-) -> Result<Outcome<FaultSweepOutcome>, EngineError> {
-    checkpoint.validate::<W>(netlist, faults, vectors, options)?;
-    Ok(sweep_impl::<W>(
-        netlist,
-        faults,
-        vectors,
-        options,
-        control,
-        Some(checkpoint),
-    ))
+#[derive(Debug)]
+pub struct SweepJob<'a> {
+    netlist: &'a Netlist,
+    faults: &'a [LogicFault],
+    vectors: &'a [Vec<bool>],
+    options: &'a FaultSweepOptions,
+    lanes: LaneWidth,
+}
+
+impl<'a> SweepJob<'a> {
+    /// The job at `lanes`, or (when `None`) at the width of the checkpoint
+    /// it resumes, or at [`LaneWidth::for_sweep`] for a fresh job.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::CheckpointMismatch`] when `resume` records a width
+    /// other than 64, 256 or 512, or does not belong to this job at the
+    /// chosen width (see [`SweepCheckpoint::validate`]).
+    pub fn new(
+        netlist: &'a Netlist,
+        faults: &'a [LogicFault],
+        vectors: &'a [Vec<bool>],
+        options: &'a FaultSweepOptions,
+        lanes: Option<LaneWidth>,
+        resume: Option<&SweepCheckpoint>,
+    ) -> Result<Self, EngineError> {
+        let lanes = match (lanes, resume) {
+            (Some(lanes), _) => lanes,
+            (None, Some(cp)) => LaneWidth::from_lanes(cp.lanes).ok_or_else(|| {
+                EngineError::CheckpointMismatch(format!(
+                    "lane width {} is not 64, 256 or 512",
+                    cp.lanes
+                ))
+            })?,
+            (None, None) => LaneWidth::for_sweep(vectors.len(), options.frames),
+        };
+        let job = SweepJob {
+            netlist,
+            faults,
+            vectors,
+            options,
+            lanes,
+        };
+        if let Some(cp) = resume {
+            job.validate(cp)?;
+        }
+        Ok(job)
+    }
+
+    /// The width the job runs at.
+    #[must_use]
+    pub fn lanes(&self) -> LaneWidth {
+        self.lanes
+    }
+
+    /// One slice under `control`: a fresh sweep, or the resume of
+    /// `resume`, which re-sweeps only the pattern batches not yet marked
+    /// done and min-merges the checkpointed detections with the new ones.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::CheckpointMismatch`] when `resume` does not belong
+    /// to this job.
+    pub fn run(
+        &self,
+        control: &RunControl,
+        resume: Option<&SweepCheckpoint>,
+    ) -> Result<Outcome<FaultSweepOutcome>, EngineError> {
+        if let Some(cp) = resume {
+            self.validate(cp)?;
+        }
+        let (netlist, faults, vectors, options) =
+            (self.netlist, self.faults, self.vectors, self.options);
+        Ok(at_lanes!(self.lanes, |W| sweep_impl::<W>(
+            netlist, faults, vectors, options, control, resume
+        )))
+    }
+
+    /// The checkpoint of what `outcome`, a slice of this job, completed.
+    #[must_use]
+    pub fn checkpoint(&self, outcome: &Outcome<FaultSweepOutcome>) -> SweepCheckpoint {
+        SweepCheckpoint::capture(
+            self.lanes,
+            self.netlist,
+            self.faults,
+            self.vectors,
+            self.options,
+            outcome.value(),
+        )
+    }
+
+    fn validate(&self, checkpoint: &SweepCheckpoint) -> Result<(), EngineError> {
+        checkpoint.validate(
+            self.lanes,
+            self.netlist,
+            self.faults,
+            self.vectors,
+            self.options,
+        )
+    }
 }
 
 fn sweep_impl<W: PackedWord>(
@@ -1179,6 +1263,7 @@ mod tests {
     use crate::logic_test::{bridge_logic_detection, stuck_at_detection};
     use iddq_control::{RunBudget, StopReason};
     use iddq_netlist::{data, W256, W512};
+    use LaneWidth::{L256, L512, L64};
 
     fn all_packed_c17() -> Vec<u64> {
         let mut packed = vec![0u64; 5];
@@ -1270,6 +1355,48 @@ mod tests {
         (0..n)
             .map(|k| (0..5).map(|i| (k >> i) & 1 == 1).collect())
             .collect()
+    }
+
+    /// The job's width rule, row by row over `(lanes, resume)`: an
+    /// explicit width wins, a resumed job takes its checkpoint's width, a
+    /// fresh one takes `for_sweep`, and a checkpoint whose width is not a
+    /// lane width, or differs from the explicit one, is a typed mismatch.
+    #[test]
+    fn job_width_rule() {
+        let nl = data::c17();
+        let faults = c17_fault_list(&nl);
+        let vectors = c17_vectors(320);
+        let opts = FaultSweepOptions::default();
+        let out = sweep::<u64>(&nl, &faults, &vectors, &opts);
+        let at64 = SweepCheckpoint::capture(L64, &nl, &faults, &vectors, &opts, &out);
+        let mut at128 = at64.clone();
+        at128.lanes = 128;
+        for (lanes, resume, want) in [
+            (Some(L512), None, Ok(L512)),
+            (Some(L64), Some(&at64), Ok(L64)),
+            (None, Some(&at64), Ok(L64)),
+            // `for_sweep`: 320 sequences fill 256 lanes.
+            (None, None, Ok(L256)),
+            (
+                None,
+                Some(&at128),
+                Err("lane width 128 is not 64, 256 or 512"),
+            ),
+            (Some(L256), Some(&at64), Err("lane width 64 differs")),
+        ] {
+            let got = SweepJob::new(&nl, &faults, &vectors, &opts, lanes, resume);
+            match (got, want) {
+                (Ok(job), Ok(width)) => {
+                    assert_eq!(job.lanes(), width, "{lanes:?}");
+                    let run = job.run(&RunControl::unlimited(), resume).unwrap();
+                    assert_eq!(run.into_value().first_detection, out.first_detection);
+                }
+                (Err(EngineError::CheckpointMismatch(msg)), Err(text)) => {
+                    assert!(msg.contains(text), "{lanes:?}: {msg}");
+                }
+                (got, want) => panic!("{lanes:?}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1383,7 +1510,7 @@ mod tests {
         let vectors = c17_vectors(100);
         let opts = FaultSweepOptions::default();
         let out = sweep::<u64>(&nl, &faults, &vectors, &opts);
-        let cp = SweepCheckpoint::capture::<u64>(&nl, &faults, &vectors, &opts, &out);
+        let cp = SweepCheckpoint::capture(L64, &nl, &faults, &vectors, &opts, &out);
         assert_eq!(cp.fingerprint, "3e926af90c6e9cf2");
         let grid = FaultSweepOptions {
             threads: 2,
@@ -1391,7 +1518,7 @@ mod tests {
             frames: 3,
             ..FaultSweepOptions::default()
         };
-        let cp = SweepCheckpoint::capture::<W256>(&nl, &faults, &vectors, &grid, &out);
+        let cp = SweepCheckpoint::capture(L256, &nl, &faults, &vectors, &grid, &out);
         assert_eq!(cp.fingerprint, "1eaacb2365736f7e");
     }
 
@@ -1402,23 +1529,23 @@ mod tests {
         let vectors = c17_vectors(130);
         let opts = FaultSweepOptions::default();
         let out = sweep::<u64>(&nl, &faults, &vectors, &opts);
-        let cp = SweepCheckpoint::capture::<u64>(&nl, &faults, &vectors, &opts, &out);
+        let cp = SweepCheckpoint::capture(L64, &nl, &faults, &vectors, &opts, &out);
         let back = SweepCheckpoint::from_json(&cp.to_json()).unwrap();
         assert_eq!(cp, back);
         assert_eq!(cp.progress(), 1.0);
-        assert!(cp.validate::<u64>(&nl, &faults, &vectors, &opts).is_ok());
+        assert!(cp.validate(L64, &nl, &faults, &vectors, &opts).is_ok());
         // Wrong lane width, vector count, fault list: all rejected.
-        assert!(cp.validate::<W256>(&nl, &faults, &vectors, &opts).is_err());
+        assert!(cp.validate(L256, &nl, &faults, &vectors, &opts).is_err());
         assert!(cp
-            .validate::<u64>(&nl, &faults, &vectors[..129], &opts)
+            .validate(L64, &nl, &faults, &vectors[..129], &opts)
             .is_err());
         assert!(cp
-            .validate::<u64>(&nl, &faults[..3], &vectors, &opts)
+            .validate(L64, &nl, &faults[..3], &vectors, &opts)
             .is_err());
         // Same shapes, different vector *content*: fingerprint catches it.
         let mut other = vectors.clone();
         other[7][2] = !other[7][2];
-        assert!(cp.validate::<u64>(&nl, &faults, &other, &opts).is_err());
+        assert!(cp.validate(L64, &nl, &faults, &other, &opts).is_err());
         // Same run, different thread/shard grid options: rejected, with a
         // message naming the offending option.
         let threaded = FaultSweepOptions {
@@ -1426,7 +1553,7 @@ mod tests {
             ..FaultSweepOptions::default()
         };
         let err = cp
-            .validate::<u64>(&nl, &faults, &vectors, &threaded)
+            .validate(L64, &nl, &faults, &vectors, &threaded)
             .unwrap_err();
         assert!(err.to_string().contains("thread option"), "{err}");
         let sharded = FaultSweepOptions {
@@ -1434,7 +1561,7 @@ mod tests {
             ..FaultSweepOptions::default()
         };
         let err = cp
-            .validate::<u64>(&nl, &faults, &vectors, &sharded)
+            .validate(L64, &nl, &faults, &vectors, &sharded)
             .unwrap_err();
         assert!(err.to_string().contains("fault-shard option"), "{err}");
         // Options that never change results are *not* bound: a checkpoint
@@ -1443,7 +1570,7 @@ mod tests {
             fault_dropping: false,
             ..FaultSweepOptions::default()
         };
-        assert!(cp.validate::<u64>(&nl, &faults, &vectors, &no_drop).is_ok());
+        assert!(cp.validate(L64, &nl, &faults, &vectors, &no_drop).is_ok());
         assert!(SweepCheckpoint::from_json("{ not json").is_err());
     }
 
@@ -1457,7 +1584,7 @@ mod tests {
         let vectors = c17_vectors(16);
         let opts = FaultSweepOptions::default();
         let out = sweep::<u64>(&nl, &faults, &vectors, &opts);
-        let cp = SweepCheckpoint::capture::<u64>(&nl, &faults, &vectors, &opts, &out);
+        let cp = SweepCheckpoint::capture(L64, &nl, &faults, &vectors, &opts, &out);
         let sealed = cp.to_json();
         for cut in 0..sealed.len() {
             let err = SweepCheckpoint::from_json(&sealed[..cut]).unwrap_err();
@@ -1501,7 +1628,7 @@ mod tests {
         let vectors = c17_vectors(16);
         let opts = FaultSweepOptions::default();
         let out = sweep::<u64>(&nl, &faults, &vectors, &opts);
-        let cp = SweepCheckpoint::capture::<u64>(&nl, &faults, &vectors, &opts, &out);
+        let cp = SweepCheckpoint::capture(L64, &nl, &faults, &vectors, &opts, &out);
 
         cp.save_in(&RealEnv, &path).unwrap();
         assert_eq!(SweepCheckpoint::load_in(&RealEnv, &path).unwrap(), cp);
@@ -1522,59 +1649,6 @@ mod tests {
             Err(EngineError::Io { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Cancel at a quota, checkpoint, resume: bit-identical to the
-    /// uninterrupted run, across thread/shard counts.
-    #[test]
-    fn budgeted_sweep_resumes_bit_identical() {
-        let nl = data::c17();
-        let faults = c17_fault_list(&nl);
-        let vectors = c17_vectors(320); // 5 batches of 64
-        let full = sweep::<u64>(&nl, &faults, &vectors, &FaultSweepOptions::default());
-        for (threads, shards) in [(1, 1), (2, 2), (3, 1), (1, 3)] {
-            let opts = FaultSweepOptions {
-                threads,
-                fault_shards: shards,
-                ..FaultSweepOptions::default()
-            };
-            for quota in [1u64, 64, 65, 128, 200] {
-                let control =
-                    RunControl::unlimited().and_budget(RunBudget::unlimited().with_quota(quota));
-                let out = sweep_with_control::<u64>(&nl, &faults, &vectors, &opts, &control);
-                let partial = match out {
-                    Outcome::Complete(_) => continue, // quota never hit before the end
-                    Outcome::Partial {
-                        value,
-                        coverage,
-                        reason,
-                    } => {
-                        assert_eq!(reason, StopReason::QuotaExhausted);
-                        assert!((0.0..1.0).contains(&coverage));
-                        value
-                    }
-                };
-                let cp = SweepCheckpoint::capture::<u64>(&nl, &faults, &vectors, &opts, &partial);
-                assert!(cp.progress() < 1.0, "quota={quota} left nothing to resume");
-                let resumed = sweep_resume::<u64>(
-                    &nl,
-                    &faults,
-                    &vectors,
-                    &opts,
-                    &RunControl::unlimited(),
-                    &cp,
-                )
-                .unwrap();
-                assert!(resumed.is_complete());
-                let r = resumed.into_value();
-                assert_eq!(
-                    full.first_detection, r.first_detection,
-                    "threads={threads} shards={shards} quota={quota}"
-                );
-                assert_eq!(full.detected, r.detected);
-                assert!(r.done_batches.iter().all(|&d| d));
-            }
-        }
     }
 
     #[test]
@@ -1599,55 +1673,6 @@ mod tests {
                 assert_eq!(coverage, 0.0);
             }
             Outcome::Complete(_) => panic!("a pre-cancelled sweep cannot complete"),
-        }
-    }
-
-    /// Chaos injection: a worker panic at one batch degrades the run to
-    /// Partial(WorkerPanicked) without aborting the process, and resume
-    /// completes it bit-identically.
-    #[test]
-    fn worker_panic_degrades_to_partial_and_resumes() {
-        let nl = data::c17();
-        let faults = c17_fault_list(&nl);
-        let vectors = c17_vectors(320);
-        let full = sweep::<u64>(&nl, &faults, &vectors, &FaultSweepOptions::default());
-        for (threads, shards) in [(1, 1), (2, 2)] {
-            let chaos = FaultSweepOptions {
-                threads,
-                fault_shards: shards,
-                // Dropping off so the grid genuinely reaches the chaos
-                // batch (c17 detects everything in the first batch).
-                fault_dropping: false,
-                chaos_panic_batch: Some(2),
-                ..FaultSweepOptions::default()
-            };
-            let out =
-                sweep_with_control::<u64>(&nl, &faults, &vectors, &chaos, &RunControl::unlimited());
-            let partial = match out {
-                Outcome::Partial {
-                    value,
-                    coverage,
-                    reason,
-                } => {
-                    assert_eq!(reason, StopReason::WorkerPanicked);
-                    assert!(coverage < 1.0);
-                    value
-                }
-                Outcome::Complete(_) => panic!("chaos batch must poison the run"),
-            };
-            assert!(!partial.done_batches[2], "the chaos batch cannot be done");
-            let cp = SweepCheckpoint::capture::<u64>(&nl, &faults, &vectors, &chaos, &partial);
-            let sane = FaultSweepOptions {
-                threads,
-                fault_shards: shards,
-                ..FaultSweepOptions::default()
-            };
-            let resumed =
-                sweep_resume::<u64>(&nl, &faults, &vectors, &sane, &RunControl::unlimited(), &cp)
-                    .unwrap();
-            assert!(resumed.is_complete());
-            let r = resumed.into_value();
-            assert_eq!(full.first_detection, r.first_detection);
         }
     }
 
@@ -1859,67 +1884,87 @@ mod tests {
         assert_eq!(zero.first_detection, one.first_detection);
     }
 
+    /// A sweep interrupted by a worker panic at batch 2, or by a quota at
+    /// several grid points, is checkpointed and resumed by a restarted
+    /// job at the checkpoint's width: bit-identical to the uninterrupted
+    /// sweep on c17 and, at 3 frames, on the sequential fixture, across
+    /// thread and shard counts. The checkpoint refuses another frame count.
     #[test]
-    fn seq_checkpoint_resume_bit_identical() {
-        let nl = seq_fixture();
-        let faults = seq_fault_list(&nl);
-        let vectors = rand_vectors(3 * 320, nl.num_inputs(), 0xfade);
-        let opts = FaultSweepOptions {
-            threads: 2,
-            fault_shards: 2,
-            fault_dropping: false,
-            frames: 3,
-            ..FaultSweepOptions::default()
-        };
-        let full = sweep::<u64>(&nl, &faults, &vectors, &opts);
-        let control = RunControl::unlimited().and_budget(RunBudget::unlimited().with_quota(200));
-        let out = sweep_with_control::<u64>(&nl, &faults, &vectors, &opts, &control);
-        let partial = match out {
-            Outcome::Partial { value, .. } => value,
-            Outcome::Complete(_) => panic!("a 200-vector quota must interrupt a 1920-unit grid"),
-        };
-        let cp = SweepCheckpoint::capture::<u64>(&nl, &faults, &vectors, &opts, &partial);
-        assert_eq!(cp.frames, 3);
-        let wrong = FaultSweepOptions {
-            frames: 2,
-            ..opts.clone()
-        };
-        let err = cp
-            .validate::<u64>(&nl, &faults, &vectors, &wrong)
-            .unwrap_err();
-        assert!(err.to_string().contains("frames-per-sequence"), "{err}");
-        let resumed =
-            sweep_resume::<u64>(&nl, &faults, &vectors, &opts, &RunControl::unlimited(), &cp)
-                .unwrap();
-        assert!(resumed.is_complete());
-        let r = resumed.into_value();
-        assert_eq!(full.first_detection, r.first_detection);
-        assert!(r.done_batches.iter().all(|&d| d));
-    }
-
-    #[test]
-    fn resume_against_wrong_run_is_rejected() {
-        let nl = data::c17();
-        let faults = c17_fault_list(&nl);
-        let vectors = c17_vectors(128);
-        let out = sweep::<u64>(&nl, &faults, &vectors, &FaultSweepOptions::default());
-        let cp = SweepCheckpoint::capture::<u64>(
-            &nl,
-            &faults,
-            &vectors,
-            &FaultSweepOptions::default(),
-            &out,
-        );
-        let other = c17_vectors(127);
-        let err = sweep_resume::<u64>(
-            &nl,
-            &faults,
-            &other,
-            &FaultSweepOptions::default(),
-            &RunControl::unlimited(),
-            &cp,
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::CheckpointMismatch(_)));
+    fn interrupted_sweeps_resume_bit_identical() {
+        let (c17, seq) = (data::c17(), seq_fixture());
+        let runs = [
+            (&c17, c17_fault_list(&c17), c17_vectors(320), 1),
+            (
+                &seq,
+                seq_fault_list(&seq),
+                rand_vectors(960, seq.num_inputs(), 0xfade),
+                3,
+            ),
+        ];
+        for (nl, faults, vectors, frames) in &runs {
+            let (nl, frames) = (*nl, *frames);
+            let mut resumed_quotas = 0;
+            for (threads, fault_shards) in [(1, 1), (2, 2), (3, 1), (1, 3)] {
+                let opts = FaultSweepOptions {
+                    threads,
+                    fault_shards,
+                    frames,
+                    // Without dropping every batch runs, so the quotas
+                    // land mid-sweep; with it they may not.
+                    fault_dropping: threads > 1,
+                    ..FaultSweepOptions::default()
+                };
+                let full = sweep::<u64>(nl, faults, vectors, &opts);
+                let chaos = FaultSweepOptions {
+                    fault_dropping: false,
+                    chaos_panic_batch: Some(2),
+                    ..opts.clone()
+                };
+                let mut stops = vec![(&chaos, RunBudget::unlimited(), StopReason::WorkerPanicked)];
+                for quota in [1, 64, 65, 128, 200] {
+                    let budget = RunBudget::unlimited().with_quota(quota);
+                    stops.push((&opts, budget, StopReason::QuotaExhausted));
+                }
+                for (options, budget, reason) in stops {
+                    let job = SweepJob::new(nl, faults, vectors, options, Some(L64), None);
+                    let job = job.unwrap();
+                    let partial = job.run(&RunControl::with_budget(budget), None).unwrap();
+                    if partial.is_complete() && reason == StopReason::QuotaExhausted {
+                        continue; // the quota never hit before the end
+                    }
+                    assert_eq!(partial.stop_reason(), Some(reason));
+                    assert!((0.0..1.0).contains(&partial.coverage()));
+                    let cp = job.checkpoint(&partial);
+                    assert!(cp.progress() < 1.0);
+                    assert!(reason == StopReason::QuotaExhausted || !cp.done_batches[2]);
+                    assert_eq!(cp.frames, frames);
+                    let deeper = FaultSweepOptions {
+                        frames: frames + 1,
+                        ..opts.clone()
+                    };
+                    let err = cp.validate(L64, nl, faults, vectors, &deeper);
+                    assert!(err.unwrap_err().to_string().contains("frames-per-sequence"));
+                    let other = SweepJob::new(nl, faults, &vectors[1..], &opts, None, Some(&cp));
+                    assert!(matches!(other, Err(EngineError::CheckpointMismatch(_))));
+                    let restarted = SweepJob::new(nl, faults, vectors, &opts, None, Some(&cp));
+                    let restarted = restarted.unwrap();
+                    assert_eq!(restarted.lanes(), L64);
+                    let r = restarted.run(&RunControl::unlimited(), Some(&cp)).unwrap();
+                    assert!(r.is_complete());
+                    let r = r.into_value();
+                    assert_eq!(
+                        full.first_detection, r.first_detection,
+                        "{threads}x{fault_shards}"
+                    );
+                    assert!(r.done_batches.iter().all(|&d| d));
+                    resumed_quotas += usize::from(reason == StopReason::QuotaExhausted);
+                }
+            }
+            assert!(
+                resumed_quotas > 0,
+                "{}: no quota landed mid-sweep",
+                nl.name()
+            );
+        }
     }
 }

@@ -134,10 +134,13 @@
 //! Both sweeps run on one crate-private grid executor (fault shards ×
 //! pattern batches over scoped worker threads, earliest-detection
 //! dropping, a deterministic min-merge). Their control entry points —
-//! [`fault_sweep::sweep_with_control`] and [`iddq::simulate_with_control`]
-//! — take an [`iddq_control::RunControl`] (a cancellation token plus an
-//! optional wall-clock / work-quota [`iddq_control::RunBudget`]) and
-//! return an [`iddq_control::Outcome`]:
+//! [`fault_sweep::sweep_with_control`] (at a compile-time lane width),
+//! [`fault_sweep::SweepJob::run`] (the resumable fault sweep at a
+//! runtime width, which the CLI, the daemon and the chaos harness run)
+//! and [`iddq::simulate_with_control`] — take an
+//! [`iddq_control::RunControl`] (a cancellation token plus an optional
+//! wall-clock / work-quota [`iddq_control::RunBudget`]) and return an
+//! [`iddq_control::Outcome`]:
 //!
 //! * **Cooperative stops.** The control is polled only at (fault-shard ×
 //!   pattern-batch) grid boundaries, so a stop can never tear a batch:
@@ -153,7 +156,7 @@
 //! * **Checkpoint / resume.** [`fault_sweep::SweepCheckpoint`] persists
 //!   the earliest-detection table plus the done-batch set, fingerprinted
 //!   against the exact (netlist, faults, vectors, lane width, frame
-//!   count) run. A
+//!   count) run, and a [`fault_sweep::SweepJob`] resumes it. A
 //!   resumed sweep that completes is bit-identical to an uninterrupted
 //!   one — the merge is an order-independent, idempotent minimum — which
 //!   the chaos proptests enforce across random interruption points,

@@ -13,7 +13,7 @@ use iddq_logicsim::faults::IddqFault;
 use iddq_logicsim::logic_test::StuckAtFault;
 use iddq_logicsim::reference::NaiveSimulator;
 use iddq_logicsim::{iddq, BackendKind, Simulator};
-use iddq_netlist::{at_lanes, data, LaneWidth, Netlist, NodeId, PackedWord, W256, W512};
+use iddq_netlist::{data, LaneWidth, Netlist, NodeId, PackedWord, W256, W512};
 
 /// A random ISCAS-like netlist, sized to exercise every gate kind, long
 /// same-kind runs and multi-level reordering in the CSR compiler.
@@ -295,7 +295,7 @@ proptest! {
 mod frames {
     use super::*;
     use iddq_control::{RunBudget, RunControl, StopReason};
-    use iddq_logicsim::fault_sweep::SweepCheckpoint;
+    use iddq_logicsim::fault_sweep::{SweepCheckpoint, SweepJob};
     use rand::SeedableRng;
 
     /// A random small sequential netlist (DFF state elements included):
@@ -458,9 +458,11 @@ mod frames {
                 &nl, &faults, &vectors, &options(false, BackendKind::Csr),
             );
             let [bounded, unbounded] = [true, false].map(|dropping| {
-                at_lanes!(lanes, |W| fault_sweep::sweep::<W>(
-                    &nl, &faults, &vectors, &options(dropping, BackendKind::Delta),
-                ))
+                let options = options(dropping, BackendKind::Delta);
+                let job = SweepJob::new(&nl, &faults, &vectors, &options, Some(lanes), None);
+                job.and_then(|job| job.run(&RunControl::unlimited(), None))
+                    .expect("a fresh sweep")
+                    .into_value()
             });
             prop_assert_eq!(&bounded.first_detection, &oracle.first_detection,
                 "bounded lanes={} frames={}", lanes, frames);
@@ -529,8 +531,9 @@ mod frames {
             let full = fault_sweep::sweep::<u64>(&nl, &faults, &vectors, &opts);
 
             let control = RunControl::with_budget(RunBudget::unlimited().with_quota(quota));
-            let mut outcome =
-                fault_sweep::sweep_with_control::<u64>(&nl, &faults, &vectors, &opts, &control);
+            let job = SweepJob::new(&nl, &faults, &vectors, &opts, Some(LaneWidth::L64), None)
+                .expect("a fresh job");
+            let mut outcome = job.run(&control, None).expect("a fresh sweep");
             // The checkpoint frontier is per *batch*: a batch interrupted
             // with only some of its fault shards swept is re-swept whole,
             // so a fixed tiny quota could redo that same first cell every
@@ -540,24 +543,19 @@ mod frames {
             let mut rounds = 0;
             while !outcome.is_complete() {
                 prop_assert_eq!(outcome.stop_reason(), Some(StopReason::QuotaExhausted));
-                let cp = SweepCheckpoint::capture::<u64>(
-                    &nl, &faults, &vectors, &opts, outcome.value(),
-                );
+                let cp = job.checkpoint(&outcome);
                 let cp = SweepCheckpoint::from_json(&cp.to_json()).expect("round-trip");
                 // The fingerprint pins the frame count: the same grid at
                 // a different depth must be rejected, never resumed.
                 let wrong_depth = FaultSweepOptions { frames: frames + 1, ..opts.clone() };
                 prop_assert!(
-                    cp.validate::<u64>(&nl, &faults, &vectors, &wrong_depth).is_err(),
+                    cp.validate(LaneWidth::L64, &nl, &faults, &vectors, &wrong_depth).is_err(),
                     "a checkpoint at {} frames must not resume at {}",
                     frames, frames + 1
                 );
                 round_quota = round_quota.saturating_mul(2);
                 let again = RunControl::with_budget(RunBudget::unlimited().with_quota(round_quota));
-                outcome = fault_sweep::sweep_resume::<u64>(
-                    &nl, &faults, &vectors, &opts, &again, &cp,
-                )
-                .expect("checkpoint matches its own run");
+                outcome = job.run(&again, Some(&cp)).expect("checkpoint matches its own run");
                 rounds += 1;
                 prop_assert!(rounds < 64, "resume chain failed to converge");
             }
@@ -578,7 +576,7 @@ mod frames {
 mod sweep_chaos {
     use super::*;
     use iddq_control::{RunBudget, RunControl, StopReason};
-    use iddq_logicsim::fault_sweep::SweepCheckpoint;
+    use iddq_logicsim::fault_sweep::{SweepCheckpoint, SweepJob};
     use rand::SeedableRng;
 
     fn universe(seed: u64, salt: u64) -> (Netlist, Vec<LogicFault>, Vec<Vec<bool>>) {
@@ -633,23 +631,23 @@ mod sweep_chaos {
             let full = fault_sweep::sweep::<u64>(&nl, &faults, &vectors, &opts);
 
             let control = RunControl::with_budget(RunBudget::unlimited().with_quota(quota));
-            let mut outcome =
-                fault_sweep::sweep_with_control::<u64>(&nl, &faults, &vectors, &opts, &control);
+            let job = SweepJob::new(&nl, &faults, &vectors, &opts, Some(LaneWidth::L64), None)
+                .expect("a fresh job");
+            let mut outcome = job.run(&control, None).expect("a fresh sweep");
             let mut rounds = 0;
             while !outcome.is_complete() {
                 prop_assert_eq!(outcome.stop_reason(), Some(StopReason::QuotaExhausted));
                 // Persist through JSON exactly like the CLI does — the
                 // resume path must survive serialization, not just the
                 // in-memory struct.
-                let cp = SweepCheckpoint::capture::<u64>(
-                    &nl, &faults, &vectors, &opts, outcome.value(),
-                );
+                let cp = job.checkpoint(&outcome);
                 let cp = SweepCheckpoint::from_json(&cp.to_json()).expect("round-trip");
+                // A restarted job resumes at its checkpoint's width.
+                let restarted = SweepJob::new(&nl, &faults, &vectors, &opts, None, Some(&cp))
+                    .expect("checkpoint matches its own run");
+                prop_assert_eq!(restarted.lanes(), LaneWidth::L64);
                 let again = RunControl::with_budget(RunBudget::unlimited().with_quota(quota));
-                outcome = fault_sweep::sweep_resume::<u64>(
-                    &nl, &faults, &vectors, &opts, &again, &cp,
-                )
-                .expect("checkpoint matches its own run");
+                outcome = restarted.run(&again, Some(&cp)).expect("checkpoint matches its own run");
                 rounds += 1;
                 // Every round completes at least one cell x batch unit,
                 // so the chain must converge well before this bound.
@@ -699,15 +697,14 @@ mod sweep_chaos {
                 return;
             }
             prop_assert_eq!(outcome.stop_reason(), Some(StopReason::WorkerPanicked));
-            let cp = SweepCheckpoint::capture::<u64>(
-                &nl, &faults, &vectors, &chaotic, outcome.value(),
+            let cp = SweepCheckpoint::capture(
+                LaneWidth::L64, &nl, &faults, &vectors, &chaotic, outcome.value(),
             );
             let cp = SweepCheckpoint::from_json(&cp.to_json()).expect("round-trip");
-            let resumed = fault_sweep::sweep_resume::<u64>(
-                &nl, &faults, &vectors, &clean, &RunControl::unlimited(), &cp,
-            )
-            .expect("checkpoint matches its own run")
-            .into_value();
+            let resumed = SweepJob::new(&nl, &faults, &vectors, &clean, None, Some(&cp))
+                .and_then(|job| job.run(&RunControl::unlimited(), Some(&cp)))
+                .expect("checkpoint matches its own run")
+                .into_value();
             prop_assert_eq!(&full.first_detection, &resumed.first_detection);
             prop_assert_eq!(&full.detected, &resumed.detected);
         }

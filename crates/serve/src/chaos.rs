@@ -25,11 +25,11 @@ use iddq_control::{
     CancelToken, EngineError, FaultPlan, FaultyEnv, IoEnv, RealEnv, RunBudget, RunControl,
     StopReason,
 };
-use iddq_logicsim::fault_sweep::{sweep, SweepCheckpoint};
+use iddq_logicsim::fault_sweep::{sweep, SweepCheckpoint, SweepJob};
 use iddq_netlist::data;
 
 use crate::protocol::detection_digest;
-use crate::server::{fault_universe, random_vectors, server_sweep_options, SweepJob};
+use crate::server::{fault_universe, random_vectors, server_sweep_options};
 
 /// How many work units (patterns applied per cell) a chaos slice may run
 /// before its quota stops it: less than one pattern batch, so a sweep
@@ -175,7 +175,7 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
     // The job as the server takes it up: at the checkpoint's width when it
     // resumes one, which must belong to it.
     let job = |resume: Option<&SweepCheckpoint>| {
-        SweepJob::new(&netlist, &faults, &vectors, &options, resume)
+        SweepJob::new(&netlist, &faults, &vectors, &options, None, resume)
     };
 
     // The live process's view of the job. A simulated crash drops it and
@@ -209,7 +209,7 @@ pub fn sweep_scenario(seed: u64) -> Result<ChaosReport, String> {
         }
         report.slices += 1;
         let slice = job(checkpoint.as_ref()).and_then(|job| {
-            let outcome = job.slice(&slice_control(), checkpoint.as_ref())?;
+            let outcome = job.run(&slice_control(), checkpoint.as_ref())?;
             let cp = job.checkpoint(&outcome);
             Ok((outcome, cp))
         });

@@ -48,12 +48,16 @@
 //!
 //! # Fault sweeps
 //!
-//! A `faults` job runs at the lane width
+//! A `faults` job is an
+//! [`iddq_logicsim::fault_sweep::SweepJob`] without an explicit width,
+//! the same job `iddq faults --lanes auto` runs, so the rule lives in
+//! `iddq-logicsim` and the CLI shares it: a fresh job runs at the width
 //! [`LaneWidth::for_sweep`](iddq_netlist::LaneWidth::for_sweep) picks
-//! from its `vectors` and `frames` — the CLI's `--lanes auto` rule — and
-//! reports it as `lanes`. A keyed job that resumes a checkpoint runs at
-//! the checkpoint's recorded width instead, so a job checkpointed at any
-//! width still finishes bit-identically.
+//! from its `vectors` and `frames`, and a keyed job that resumes a
+//! checkpoint runs at the checkpoint's recorded width, so a job
+//! checkpointed at any width (by the daemon or by `iddq faults
+//! --checkpoint`) still finishes bit-identically. The response reports
+//! the width as `lanes`.
 //!
 //! # Client retry
 //!

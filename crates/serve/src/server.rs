@@ -29,19 +29,15 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use iddq_control::Outcome;
 use iddq_control::{DrainSignal, EngineError, IoEnv, RealEnv, RunBudget, RunControl, StopReason};
 use iddq_core::{plan_tier, AnalysisTier, TierBudget};
 /// The fault universe and test vectors of a `faults` request — the same
 /// recipe as the CLI `faults` command. Re-exported so tests can rebuild
 /// the exact universe a server request swept.
 pub use iddq_logicsim::fault_sweep::{fault_universe, random_vectors};
-use iddq_logicsim::fault_sweep::{
-    sweep_resume, sweep_with_control, FaultSweepOptions, FaultSweepOutcome, LogicFault,
-    SweepCheckpoint,
-};
+use iddq_logicsim::fault_sweep::{FaultSweepOptions, SweepCheckpoint, SweepJob};
 use iddq_logicsim::random_sim::{self, RandomRun};
-use iddq_netlist::{at_lanes, LaneWidth, Netlist};
+use iddq_netlist::Netlist;
 use serde::Value;
 use serde_json::json;
 
@@ -900,96 +896,6 @@ pub fn server_sweep_options(fault_dropping: bool, frames: usize) -> FaultSweepOp
     }
 }
 
-/// One checkpointed fault-sweep job at a runtime lane width, swept slice
-/// by slice: the serve `faults` handler and the chaos harness run every
-/// slice through it.
-pub(crate) struct SweepJob<'a> {
-    netlist: &'a Netlist,
-    faults: &'a [LogicFault],
-    vectors: &'a [Vec<bool>],
-    options: &'a FaultSweepOptions,
-    lanes: LaneWidth,
-}
-
-impl<'a> SweepJob<'a> {
-    /// The job over `vectors` at the width it runs at: [`LaneWidth::for_sweep`]
-    /// for a fresh job, and the checkpoint's for one that resumes
-    /// `resume`, so a job checkpointed at any width finishes at that
-    /// width.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::CheckpointMismatch`] when `resume` records a width
-    /// other than 64, 256 or 512, or does not belong to this job at its
-    /// width.
-    pub(crate) fn new(
-        netlist: &'a Netlist,
-        faults: &'a [LogicFault],
-        vectors: &'a [Vec<bool>],
-        options: &'a FaultSweepOptions,
-        resume: Option<&SweepCheckpoint>,
-    ) -> Result<Self, EngineError> {
-        let Some(cp) = resume else {
-            let lanes = LaneWidth::for_sweep(vectors.len(), options.frames);
-            return Ok(SweepJob {
-                netlist,
-                faults,
-                vectors,
-                options,
-                lanes,
-            });
-        };
-        let lanes = LaneWidth::from_lanes(cp.lanes).ok_or_else(|| {
-            EngineError::CheckpointMismatch(format!(
-                "lane width {} is not 64, 256 or 512",
-                cp.lanes
-            ))
-        })?;
-        at_lanes!(lanes, |W| cp
-            .validate::<W>(netlist, faults, vectors, options))?;
-        Ok(SweepJob {
-            netlist,
-            faults,
-            vectors,
-            options,
-            lanes,
-        })
-    }
-
-    /// The width the job runs at.
-    pub(crate) fn lanes(&self) -> LaneWidth {
-        self.lanes
-    }
-
-    /// One slice under `control`: a fresh sweep, or the resume of
-    /// `resume`.
-    pub(crate) fn slice(
-        &self,
-        control: &RunControl,
-        resume: Option<&SweepCheckpoint>,
-    ) -> Result<Outcome<FaultSweepOutcome>, EngineError> {
-        let (nl, faults, vectors, options) =
-            (self.netlist, self.faults, self.vectors, self.options);
-        at_lanes!(self.lanes, |W| Ok(match resume {
-            None => sweep_with_control::<W>(nl, faults, vectors, options, control),
-            Some(cp) => sweep_resume::<W>(nl, faults, vectors, options, control, cp)?,
-        }))
-    }
-
-    /// The checkpoint of what `outcome`, a slice of this job, completed.
-    pub(crate) fn checkpoint(&self, outcome: &Outcome<FaultSweepOutcome>) -> SweepCheckpoint {
-        let (nl, faults, vectors, options) =
-            (self.netlist, self.faults, self.vectors, self.options);
-        at_lanes!(self.lanes, |W| SweepCheckpoint::capture::<W>(
-            nl,
-            faults,
-            vectors,
-            options,
-            outcome.value()
-        ))
-    }
-}
-
 fn handle_sim(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError> {
     let request = &job.request;
     let Resolved {
@@ -1062,8 +968,15 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
             checkpoint = Some(SweepCheckpoint::from_json(&text).map_err(|e| engine(&e))?);
         }
     }
-    let sweep = SweepJob::new(netlist, &faults, &vectors, &options, checkpoint.as_ref())
-        .map_err(|e| engine(&e))?;
+    let sweep = SweepJob::new(
+        netlist,
+        &faults,
+        &vectors,
+        &options,
+        None,
+        checkpoint.as_ref(),
+    )
+    .map_err(|e| engine(&e))?;
     let resumed = checkpoint.is_some();
     if resumed {
         shared.metrics.add(&shared.metrics.resumed_jobs);
@@ -1074,7 +987,7 @@ fn handle_faults(shared: &Arc<Shared>, job: &Job) -> Result<Value, RequestError>
         slices += 1;
         let control = job_control(shared, job.deadline, Some(shared.config.slice_quota));
         let outcome = sweep
-            .slice(&control, checkpoint.as_ref())
+            .run(&control, checkpoint.as_ref())
             .map_err(|e| engine(&e))?;
         let stop = outcome.stop_reason();
         // The checkpoint is needed to write under the job key or to run

@@ -626,6 +626,7 @@ fn tight_deadline_stats_on_a_cached_gatesep_bundle_is_not_degraded() {
 fn a_job_checkpointed_at_64_lanes_resumes_at_64_lanes() {
     use iddq_control::{Outcome, RunBudget, RunControl};
     use iddq_logicsim::fault_sweep::{sweep_with_control, SweepCheckpoint};
+    use iddq_netlist::LaneWidth;
 
     let (server, mut client, state_dir) = server_and_client("lanes64", ServerConfig::default());
     let profile = iddq_gen::iscas::IscasProfile::by_name("c7552").expect("profile");
@@ -640,7 +641,14 @@ fn a_job_checkpointed_at_64_lanes_resumes_at_64_lanes() {
     else {
         panic!("a 64-pattern quota must interrupt four batches");
     };
-    let cp = SweepCheckpoint::capture::<u64>(&netlist, &universe, &vectors, &options, &value);
+    let cp = SweepCheckpoint::capture(
+        LaneWidth::L64,
+        &netlist,
+        &universe,
+        &vectors,
+        &options,
+        &value,
+    );
     assert_eq!((cp.lanes, cp.progress()), (64, 0.25));
     std::fs::create_dir_all(&state_dir).expect("state dir");
     std::fs::write(state_dir.join("lanes64.ckpt.json"), cp.to_json()).expect("checkpoint");

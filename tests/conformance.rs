@@ -32,8 +32,7 @@ use iddq::core::config::PartitionConfig;
 use iddq::core::evolution::{self, EvolutionConfig};
 use iddq::core::{AnalysisTier, EvalContext, Evaluated, Partition, ResynthEval};
 use iddq::logicsim::fault_sweep::{
-    sweep_resume, sweep_with_control, FaultSweepOptions, FaultSweepOutcome, LogicFault,
-    SweepCheckpoint, SweepWork,
+    FaultSweepOptions, FaultSweepOutcome, LogicFault, SweepCheckpoint, SweepJob, SweepWork,
 };
 use iddq::logicsim::faults::{enumerate, enumerate_with, FaultUniverseConfig, IddqFault};
 use iddq::logicsim::iddq::{simulate_with_options, SweepOptions, NO_MODULE};
@@ -42,9 +41,8 @@ use iddq::logicsim::{reference, BackendKind};
 use iddq::netlist::bench::to_bench;
 use iddq::netlist::patch::{materialize, Patch};
 use iddq::netlist::separation::{BoundedBfs, GateSeparationTable};
-use iddq::netlist::{
-    at_lanes, data, CellKind, LaneWidth, Netlist, NetlistBuilder, NodeId, PackedWord, W256, W512,
-};
+use iddq::netlist::LaneWidth::{self, L256, L64};
+use iddq::netlist::{data, CellKind, Netlist, NetlistBuilder, NodeId};
 use iddq::synth::{cost_aware_per_gate_in, decompose_gate_patch, DecompositionStyle};
 use iddq_control::{RunBudget, RunControl, StopReason};
 
@@ -163,13 +161,18 @@ fn iddq_sweep_matches_scalar_oracle() {
     }
 }
 
-fn sweep<W: PackedWord>(
+/// A complete sweep at `lanes`, through the job the CLI and the daemon run.
+fn sweep(
+    lanes: LaneWidth,
     nl: &Netlist,
     faults: &[LogicFault],
     vectors: &[Vec<bool>],
     options: &FaultSweepOptions,
 ) -> FaultSweepOutcome {
-    sweep_with_control::<W>(nl, faults, vectors, options, &RunControl::unlimited()).into_value()
+    let job = SweepJob::new(nl, faults, vectors, options, Some(lanes), None).expect("a fresh job");
+    job.run(&RunControl::unlimited(), None)
+        .expect("a fresh sweep")
+        .into_value()
 }
 
 #[test]
@@ -179,7 +182,8 @@ fn fault_patch_sweep_matches_csr_oracle() {
         let vectors = random_vectors(&nl, 300, 0xfa17);
         let mut oracle_detections = Vec::new();
         for frames in [1, 3] {
-            let oracle = sweep::<u64>(
+            let oracle = sweep(
+                L64,
                 &nl,
                 &faults,
                 &vectors,
@@ -202,7 +206,8 @@ fn fault_patch_sweep_matches_csr_oracle() {
                 (4, 0, false, BackendKind::Delta),
                 (2, 2, true, BackendKind::Csr),
             ] {
-                let r = sweep::<u64>(
+                let r = sweep(
+                    L64,
                     &nl,
                     &faults,
                     &vectors,
@@ -232,11 +237,11 @@ fn fault_patch_sweep_matches_csr_oracle() {
                     frames,
                     ..FaultSweepOptions::default()
                 };
-                let wide = sweep::<W256>(&nl, &faults, &vectors, &options);
+                let wide = sweep(L256, &nl, &faults, &vectors, &options);
                 assert_eq!(
                     wide.first_detection,
                     oracle.first_detection,
-                    "{} W256 backend={backend} frames={frames}",
+                    "{} 256 lanes backend={backend} frames={frames}",
                     nl.name()
                 );
             }
@@ -268,7 +273,8 @@ fn bound_matches_unbounded_and_oracle(
     let (mut bounded, mut unbounded) = (SweepWork::default(), SweepWork::default());
     for &frames in frame_counts {
         let vectors = random_vectors(nl, sequences * frames, 0x5142);
-        let oracle = sweep::<u64>(
+        let oracle = sweep(
+            L64,
             nl,
             faults,
             &vectors,
@@ -301,7 +307,7 @@ fn bound_matches_unbounded_and_oracle(
                         frames,
                         ..FaultSweepOptions::default()
                     };
-                    let r = at_lanes!(lanes, |W| sweep::<W>(nl, faults, &vectors, &options));
+                    let r = sweep(lanes, nl, faults, &vectors, &options);
                     assert_eq!(
                         r.first_detection,
                         oracle.first_detection,
@@ -422,15 +428,12 @@ fn stuck_at_probe_matches_csr_oracle_on_edge_shapes() {
             backend,
             ..FaultSweepOptions::default()
         };
-        let oracle = sweep::<u64>(&nl, &faults, &vectors, &options(BackendKind::Csr));
+        let oracle = sweep(L64, &nl, &faults, &vectors, &options(BackendKind::Csr));
         assert!(oracle.detected.iter().any(|&d| d), "{}", nl.name());
         assert!(oracle.detected.iter().any(|&d| !d), "{}", nl.name());
         let delta = options(BackendKind::Delta);
-        for (lanes, r) in [
-            (64, sweep::<u64>(&nl, &faults, &vectors, &delta)),
-            (256, sweep::<W256>(&nl, &faults, &vectors, &delta)),
-            (512, sweep::<W512>(&nl, &faults, &vectors, &delta)),
-        ] {
+        for lanes in LaneWidth::ALL {
+            let r = sweep(lanes, &nl, &faults, &vectors, &delta);
             assert_eq!(
                 r.first_detection,
                 oracle.first_detection,
@@ -451,7 +454,8 @@ fn resume_to_completion(
     control: &RunControl,
     expected: StopReason,
 ) -> FaultSweepOutcome {
-    let mut outcome = sweep_with_control::<u64>(nl, faults, vectors, options, control);
+    let job = SweepJob::new(nl, faults, vectors, options, Some(L64), None).expect("a fresh job");
+    let mut outcome = job.run(control, None).expect("a fresh sweep");
     // Dropping can finish a sweep before a quota bites; a cancelled one
     // never starts.
     if !outcome.is_complete() || expected == StopReason::Cancelled {
@@ -459,11 +463,12 @@ fn resume_to_completion(
     }
     let mut quota = 64;
     while !outcome.is_complete() {
-        let cp = SweepCheckpoint::capture::<u64>(nl, faults, vectors, options, outcome.value());
+        let cp = job.checkpoint(&outcome);
         assert!(cp.progress() < 1.0);
         let cp = SweepCheckpoint::from_json(&cp.to_json()).expect("sealed round trip");
         let again = RunControl::with_budget(RunBudget::unlimited().with_quota(quota));
-        outcome = sweep_resume::<u64>(nl, faults, vectors, options, &again, &cp)
+        outcome = job
+            .run(&again, Some(&cp))
             .expect("a checkpoint resumes its own run");
         quota *= 2;
         assert!(quota < 1 << 30, "resume chain failed to converge");
@@ -489,7 +494,7 @@ fn cancelled_sweep_resumes_bit_identical() {
                 frames,
                 ..FaultSweepOptions::default()
             };
-            let full = sweep::<u64>(&nl, &faults, &vectors, &options);
+            let full = sweep(L64, &nl, &faults, &vectors, &options);
             let cancelled = RunControl::unlimited();
             cancelled.token().cancel();
             let quota = RunControl::with_budget(RunBudget::unlimited().with_quota(100));
