@@ -25,6 +25,7 @@ use iddq_control::{write_atomic, EngineError, RunBudget, RunControl};
 use iddq_core::evolution::EvolutionConfig;
 use iddq_core::{config::PartitionConfig, flow, EvalContext};
 use iddq_logicsim::{random_sim, BackendKind};
+use iddq_netlist::separation::GateSeparationTable;
 use iddq_netlist::{at_lanes, bench, dot, LaneWidth, Netlist};
 
 /// A CLI failure: its message and whether it is the *caller's* fault
@@ -1040,6 +1041,9 @@ fn cmd_faults(args: &Args) -> Result<(), CliError> {
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
     let cut = load(&args.arg)?;
+    if args.has("--memory") {
+        GateSeparationTable::check_capacity(cut.node_count(), args.get("--rho"))?;
+    }
     let depth = iddq_netlist::levelize::depth(&cut);
     println!(
         "{}: {} inputs, {} outputs, {} gates, depth {}",
@@ -1115,7 +1119,7 @@ fn report_memory(cut: &Netlist, rho: u32) {
         delta.memory_bytes(),
         "incremental fault-patch state",
     );
-    let table = iddq_netlist::separation::GateSeparationTable::direct(cut, rho, 1);
+    let table = GateSeparationTable::direct(cut, rho, 1);
     line(
         &format!("gate-sep table p{rho}"),
         table.memory_bytes(),
@@ -1130,13 +1134,20 @@ fn report_memory(cut: &Netlist, rho: u32) {
 const SCALE_MAX_GRAPH_BYTES_PER_NODE: f64 = 256.0;
 const SCALE_MAX_CSR_BYTES_PER_NODE: f64 = 48.0;
 
+/// The gate table's layout the `scale` check asserts: one packed `u32`
+/// per entry, plus per node a `u32` row offset and a `u64` row total,
+/// so wider entries cannot come back unnoticed.
+const SCALE_MAX_TABLE_BYTES_PER_ENTRY: usize = 4;
+const SCALE_TABLE_BYTES_PER_NODE: usize = 12;
+
 /// The `scale` command: a fast scale-regression check on a generated
 /// mega-circuit. One wall-clock [`RunBudget`] spans every phase —
 /// generation, CSR build, one full 64-pattern sweep, a GateSep analysis
 /// context, and one resynthesis probe (apply + rollback, asserted to
 /// restore the cost bit-identically) — so a regression that makes any
-/// phase crawl fails fast instead of hanging CI, and the per-node memory
-/// ceilings catch packed-state layout regressions.
+/// phase crawl fails fast instead of hanging CI, and the per-node and
+/// per-entry memory ceilings catch packed-state layout regressions. A
+/// `--rho` too wide for the circuit's gate table is a usage error.
 fn cmd_scale(args: &Args) -> Result<(), CliError> {
     use iddq_core::ResynthEval;
     let smoke = args.has("--smoke");
@@ -1174,6 +1185,7 @@ fn cmd_scale(args: &Args) -> Result<(), CliError> {
     });
     let t_gen = t0.elapsed().as_secs_f64();
     gate("generation")?;
+    GateSeparationTable::check_capacity(nl.node_count(), rho)?;
 
     let nodes = nl.node_count();
     let t0 = Instant::now();
@@ -1220,6 +1232,23 @@ fn cmd_scale(args: &Args) -> Result<(), CliError> {
     let ctx = EvalContext::new(&nl, &library, config);
     let t_ctx = t0.elapsed().as_secs_f64();
     gate("the analysis context build")?;
+    let table = ctx.separation();
+    let table_ceiling = SCALE_MAX_TABLE_BYTES_PER_ENTRY * table.entry_count()
+        + SCALE_TABLE_BYTES_PER_NODE * (nodes + 1);
+    println!(
+        "  context: rho {rho} in {t_ctx:.2} s; gate table {} ({} entries, {:.2} B/entry)",
+        human_bytes(table.memory_bytes()),
+        table.entry_count(),
+        table.memory_bytes() as f64 / table.entry_count().max(1) as f64,
+    );
+    if table.memory_bytes() > table_ceiling {
+        return Err(format!(
+            "gate table at {} bytes exceeds its {table_ceiling}-byte ceiling \
+             ({SCALE_MAX_TABLE_BYTES_PER_ENTRY} B/entry + {SCALE_TABLE_BYTES_PER_NODE} B/node)",
+            table.memory_bytes()
+        )
+        .into());
+    }
 
     let widest = nl
         .gate_ids()
@@ -1249,7 +1278,7 @@ fn cmd_scale(args: &Args) -> Result<(), CliError> {
         );
     }
     println!(
-        "  probe: context (rho {rho}) {t_ctx:.2} s; decompose gate {} \
+        "  probe: decompose gate {} \
          ({} ops, {} rows rescored) apply+rollback in {:.1} ms, \
          cost restored bit-identically",
         nl.node_name(widest),

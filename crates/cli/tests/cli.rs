@@ -447,6 +447,36 @@ fn stats_memory_reports_engine_footprints() {
     let _ = std::fs::remove_file(bench);
 }
 
+/// A saturation bound whose weights leave the packed gate table no bits
+/// for the circuit's node ids is a usage error that names both limits,
+/// raised before `stats` prints anything.
+#[test]
+fn a_rho_too_wide_for_the_gate_table_is_refused() {
+    let bench = gen_bench("c432", 19);
+    let wide = "4000000000";
+    let stats = run(&["stats", &bench, "--memory", "--rho", wide]);
+    assert_eq!(stats.status.code(), Some(2));
+    assert!(stats.stdout.is_empty());
+    let stats = String::from_utf8_lossy(&stats.stderr).into_owned();
+    let scale = fails(&["scale", "--gates", "50", "--rho", wide], 2);
+    for err in [&stats, &scale] {
+        assert!(
+            err.contains("at rho 4000000000 holds at most 1 nodes")
+                && err.contains("allow rho up to"),
+            "{err}"
+        );
+    }
+    // The widest bound the message names for c432 still builds.
+    let widest = stats.split("allow rho up to ").nth(1).unwrap().trim();
+    let (text, _) = ok(&["stats", &bench, "--memory", "--rho", widest]);
+    assert!(
+        text.contains(&format!("gate-sep table p{widest}")),
+        "{text}"
+    );
+
+    let _ = std::fs::remove_file(bench);
+}
+
 #[test]
 fn faults_backends_lanes_and_dropping_agree() {
     let bench = gen_bench("c432", 13);

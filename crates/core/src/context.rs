@@ -112,12 +112,15 @@ pub const SEPARATION_ENTRIES_PER_MS: u64 = 20_000;
 
 /// Picks the most capable [`AnalysisTier`] at or below `requested` whose
 /// estimated build cost fits `budget`: a `GateSep` request whose table
-/// would not fit degrades to `Timing`.
+/// would not fit degrades to `Timing`, and so does one whose netlist is
+/// too large for a table at `rho` ([`GateSeparationTable::check_capacity`];
+/// the reason quotes its message).
 ///
 /// The cost model is deliberately cheap — a sampled
-/// [`GateSeparationTable::estimate_bytes`] probe (no table is built) and
-/// the fixed [`SEPARATION_ENTRIES_PER_MS`] rate — because this runs on
-/// the admission path of every `stats` request the server plans.
+/// [`GateSeparationTable::estimate`] probe (no table is built) whose
+/// bytes meet the memory ceiling and whose entry count, at the fixed
+/// [`SEPARATION_ENTRIES_PER_MS`] rate, meets the deadline — because this
+/// runs on the admission path of every `stats` request the server plans.
 /// `Timing` always fits: its analyses are linear passes the request
 /// would not be admitted without.
 #[must_use]
@@ -135,28 +138,32 @@ pub fn plan_tier(
     if requested == AnalysisTier::Timing {
         return granted;
     }
-    let est_bytes = GateSeparationTable::estimate_bytes(netlist, rho);
-    let over_memory = budget.memory_bytes.is_some_and(|cap| est_bytes > cap);
-    let over_deadline = budget.remaining_ms.is_some_and(|ms| {
-        let entries = est_bytes as u64 / 8;
-        entries.div_ceil(SEPARATION_ENTRIES_PER_MS) > ms
-    });
+    let degrade = |reason: String| TierPlan {
+        tier: AnalysisTier::Timing,
+        degraded: true,
+        reason,
+    };
+    if let Err(e) = GateSeparationTable::check_capacity(netlist.node_count(), rho) {
+        return degrade(format!("{} tier cannot be built: {e}", requested.as_str()));
+    }
+    let est = GateSeparationTable::estimate(netlist, rho);
+    let over_memory = budget.memory_bytes.is_some_and(|cap| est.bytes > cap);
+    let over_deadline = budget
+        .remaining_ms
+        .is_some_and(|ms| (est.entries as u64).div_ceil(SEPARATION_ENTRIES_PER_MS) > ms);
     if !over_memory && !over_deadline {
         return granted;
     }
-    TierPlan {
-        tier: AnalysisTier::Timing,
-        degraded: true,
-        reason: format!(
-            "{} tier needs ~{est_bytes} bytes{}",
-            requested.as_str(),
-            if over_memory {
-                " (over memory ceiling)"
-            } else {
-                " (over deadline budget)"
-            }
-        ),
-    }
+    degrade(format!(
+        "{} tier needs ~{} bytes{}",
+        requested.as_str(),
+        est.bytes,
+        if over_memory {
+            " (over memory ceiling)"
+        } else {
+            " (over deadline budget)"
+        }
+    ))
 }
 
 /// Precomputed, partition-independent analysis of one `(netlist, library,
@@ -650,7 +657,7 @@ mod tests {
             AnalysisTier::GateSep,
             &TierBudget {
                 remaining_ms: None,
-                memory_bytes: Some(GateSeparationTable::estimate_bytes(&nl, 4)),
+                memory_bytes: Some(GateSeparationTable::estimate(&nl, 4).bytes),
             },
         );
         assert_eq!(roomy.tier, AnalysisTier::GateSep);
@@ -672,6 +679,20 @@ mod tests {
         assert_eq!(rushed.tier, AnalysisTier::Timing);
         assert!(rushed.degraded);
         assert!(rushed.reason.contains("deadline"));
+    }
+
+    #[test]
+    fn plan_tier_degrades_an_unpackable_bound() {
+        // At ρ = u32::MAX the weight takes every bit of an entry.
+        let nl = data::ripple_adder(4);
+        let plan = plan_tier(&nl, u32::MAX, AnalysisTier::GateSep, &TierBudget::default());
+        assert_eq!(plan.tier, AnalysisTier::Timing);
+        assert!(plan.degraded);
+        assert!(
+            plan.reason.contains("holds at most 1 nodes"),
+            "{}",
+            plan.reason
+        );
     }
 
     #[test]

@@ -578,7 +578,7 @@ impl<'a> ResynthEval<'a> {
                     if nl.is_gate(id) {
                         // Table entries carry the weight ρ − d; the
                         // maintained rows carry the distance d.
-                        table.row(id).iter().map(|&(p, w)| (p, rho - w)).collect()
+                        table.row(id).map(|(p, w)| (p, rho - w)).collect()
                     } else {
                         Vec::new()
                     }

@@ -126,7 +126,7 @@ fn update_sums(
             sum_clustered[g.index()] += rho;
         }
     }
-    for &(h, w) in sep.row(joined) {
+    for (h, w) in sep.row(joined) {
         if free[h as usize] {
             sum_clustered[h as usize] -= u64::from(w);
         }

@@ -241,9 +241,8 @@ impl Balls<'_> {
                 let rho = table.rho();
                 table
                     .row(a)
-                    .iter()
-                    .filter(|&&(_, w)| rho - w <= locality)
-                    .map(|&(g, _)| NodeId(g))
+                    .filter(|&(_, w)| rho - w <= locality)
+                    .map(|(g, _)| NodeId(g))
                     .collect()
             }
             Balls::Bfs(bfs, row) => {

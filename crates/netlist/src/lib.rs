@@ -56,16 +56,27 @@
 //!   into flat arrays once and never touches it again on the hot path.
 //! * Engine representations are **structure-of-arrays over `u32`
 //!   indices**: the gate separation table's row storage is one flat
-//!   `(gate, ρ − d)` array behind a CSR offset table. `u32` everywhere halves the index footprint against `usize`
-//!   on 64-bit targets and caps the node count at 4 × 10⁹ — far above
-//!   the 10⁶–10⁷ range this flow targets.
+//!   array of packed `u32` entries behind a `u32` CSR offset table.
+//!   `u32` everywhere halves the index footprint against `usize` on
+//!   64-bit targets and caps the node count at 4 × 10⁹ — far above the
+//!   10⁶–10⁷ range this flow targets.
+//! * A table entry packs `partner << b | (ρ − d)` into one `u32`, `b`
+//!   the bit width of `ρ − 1`: 4 bytes per entry instead of 8 for a
+//!   `(u32, u32)` pair (c7552 at ρ 6: 2.67M entries in 10.2 MiB). The
+//!   node cap of a table therefore depends on ρ: `2^(32 − b)` nodes, so
+//!   2²⁹ at ρ 6 and 2²⁴ at ρ 256.
+//!   [`separation::GateSeparationTable::check_capacity`] refuses a
+//!   larger netlist with a typed error; a build panics on one, and on a
+//!   table of more than `u32::MAX` entries, which its offsets cannot
+//!   address.
 //!
 //! Every representation reports its measured footprint via a
 //! `memory_bytes()` accessor ([`Netlist::memory_bytes`],
 //! [`separation::GateSeparationTable::memory_bytes`]), surfaced by the
-//! CLI's `stats --memory` report. A sharded table build stitches its
-//! per-shard vectors into one exactly sized copy, so its transient peak
-//! is about twice the table; the serial build grows one vector in place.
+//! CLI's `stats --memory` report. A sharded table build grows its first
+//! shard's vector and frees each later shard once copied, so its
+//! transient peak stays below twice the table; the serial build grows
+//! one vector in place.
 //!
 //! # Example
 //!

@@ -22,6 +22,15 @@
 //! crossed by the BFS but have no row and are in no row: §3.3 only needs
 //! gate-to-gate distances.
 //!
+//! Each entry is **one packed `u32`**, `partner << b | (ρ − d)`, where
+//! `b` is the bit width of `ρ − 1` (3 bits at ρ 6, 8 at ρ 256): half the
+//! bytes of a `(u32, u32)` pair. The partner holds the high bits, so a
+//! row sorted by packed value is sorted by partner, and the readers
+//! decode as they scan. The id field leaves `32 − b` bits, so a table
+//! at ρ holds at most `2^(32 − b)` nodes (2²⁹ at ρ 6);
+//! [`GateSeparationTable::check_capacity`] refuses a larger netlist
+//! with a typed error, and a build panics on one.
+//!
 //! The build ([`GateSeparationTable::direct`]) is **flat, bit-parallel
 //! and array-based**:
 //!
@@ -53,13 +62,88 @@
 //! worker threads (each with its own scratch) and stitches the per-shard
 //! CSR segments back together in node order — the result is
 //! **bit-identical** to the serial build for every thread count. The
-//! serial build keeps the one vector it grew, whose spare capacity is
-//! never written; [`GateSeparationTable::memory_bytes`] counts the
-//! entries, not that capacity.
+//! stitch grows the first shard's vector and frees each later shard as
+//! soon as it is copied, so it never holds two full copies of the
+//! entries. The serial build keeps the one vector it grew, whose spare
+//! capacity is never written; [`GateSeparationTable::memory_bytes`]
+//! counts the entries, not that capacity.
 
 use std::ops::Range;
 
+use iddq_control::EngineError;
+
 use crate::graph::{Netlist, NodeId};
+
+/// The bit split of a packed table entry at bound ρ: the weight
+/// `ρ − d` (in `1..ρ`) takes the low `shift` bits, the bit width of
+/// `ρ − 1`, and the partner's node id the `32 − shift` bits above them.
+///
+/// A row's weights therefore sum below 2³²: it holds fewer than
+/// `2^(32 − shift)` partners, each weighing below `2^shift`. The row
+/// kernels accumulate each row in a `u32` on that bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Packing {
+    shift: u32,
+    mask: u32,
+}
+
+impl Packing {
+    fn new(rho: u32) -> Self {
+        let shift = u32::BITS - rho.saturating_sub(1).leading_zeros();
+        Packing {
+            shift,
+            // `shift` reaches 32 for ρ > 2³¹; the mask is then all ones.
+            mask: ((1u64 << shift) - 1) as u32,
+        }
+    }
+
+    /// The largest node count the id field holds: `2^(32 − shift)`.
+    fn max_nodes(self) -> u64 {
+        1u64 << (u32::BITS - self.shift)
+    }
+
+    /// The packing at `rho` of a `node_count`-node table.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`GateSeparationTable::check_capacity`]'s message if
+    /// the node ids do not fit the id field.
+    fn fitting(node_count: usize, rho: u32) -> Self {
+        if let Err(e) = GateSeparationTable::check_capacity(node_count, rho) {
+            panic!("{e}");
+        }
+        Packing::new(rho)
+    }
+
+    fn pack(self, partner: u32, weight: u32) -> u32 {
+        debug_assert!(u64::from(partner) < self.max_nodes() && weight <= self.mask);
+        (partner << self.shift) | weight
+    }
+
+    /// `(partner, weight)` of a packed entry.
+    fn unpack(self, entry: u32) -> (u32, u32) {
+        (entry >> self.shift, entry & self.mask)
+    }
+}
+
+/// Entries a row kernel decodes per block
+/// (`GateSeparationTable::fold_row_owners`): a stack buffer, long enough
+/// to vectorize over.
+const DECODE_BLOCK: usize = 64;
+
+/// A row end as a `u32` CSR offset.
+///
+/// # Panics
+///
+/// Panics if the table holds more than `u32::MAX` entries.
+fn row_end(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| {
+        panic!(
+            "gate separation table over {} entries: its u32 row offsets cannot address them",
+            u32::MAX
+        )
+    })
+}
 
 /// Flat CSR copy of the undirected adjacency (fan-in ∪ fanout), the
 /// traversal substrate of every separation build.
@@ -140,7 +224,7 @@ impl BfsScratch {
 
     /// Drains the ball bitset in ascending node order, pushing
     /// `map(node, dist)` per set bit and clearing the words on the way.
-    fn emit(&mut self, out: &mut Vec<(u32, u32)>, map: impl Fn(u32, u32) -> (u32, u32)) {
+    fn emit<T>(&mut self, out: &mut Vec<T>, map: impl Fn(u32, u32) -> T) {
         for w in 0..self.ball.len() {
             let mut bits = self.ball[w];
             if bits == 0 {
@@ -170,8 +254,10 @@ impl BfsScratch {
     }
 
     /// One [`GateSeparationTable`] row: the ball restricted to *gate*
-    /// partners as `(node, rho - distance)` weight pairs, sorted by node
-    /// id — the same row as [`BfsScratch::row_into`] filtered to gates.
+    /// partners as packed `(node, rho - distance)` entries, sorted by
+    /// node id — the same row as [`BfsScratch::row_into`] filtered to
+    /// gates.
+    #[allow(clippy::too_many_arguments)] // the BFS inputs, plus the packing
     fn gate_row_into(
         &mut self,
         src: u32,
@@ -179,7 +265,8 @@ impl BfsScratch {
         adj_offsets: &[u32],
         adj_pool: &[u32],
         is_gate: &[bool],
-        out: &mut Vec<(u32, u32)>,
+        packing: Packing,
+        out: &mut Vec<u32>,
     ) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -206,7 +293,7 @@ impl BfsScratch {
             head = tail;
             tail = self.touched.len();
         }
-        self.emit(out, |v, d| (v, rho - d));
+        self.emit(out, |v, d| packing.pack(v, rho - d));
     }
 }
 
@@ -228,7 +315,7 @@ impl BfsScratch {
 /// row.retain(|&(n, _)| c17.is_gate(iddq_netlist::NodeId(n)));
 /// let table = GateSeparationTable::direct(&c17, 4, 1);
 /// let weights: Vec<(u32, u32)> = row.iter().map(|&(n, d)| (n, 4 - d)).collect();
-/// assert_eq!(table.row(g10), &weights[..]);
+/// assert!(table.row(g10).eq(weights));
 /// ```
 pub struct BoundedBfs {
     rho: u32,
@@ -355,14 +442,15 @@ impl BatchScratch {
     /// [`EMIT_GROUP`] columns, one ascending pass over the node space
     /// deals every node a column reached into that column's slot of
     /// `rows` (sized by the arrival tallies), so each row comes out sorted
-    /// with no comparison sort; `map` then filters/transforms each
-    /// `(node, distance)` pair row by row. A source's own node is skipped.
+    /// with no comparison sort; `map` then filters each `(node, distance)`
+    /// pair and packs it into an entry, row by row. A source's own node
+    /// is skipped.
     fn emit_rows(
         &mut self,
         sources: &[(u32, bool)],
-        out: &mut Vec<(u32, u32)>,
+        out: &mut Vec<u32>,
         ends: &mut Vec<u32>,
-        mut map: impl FnMut(u32, u32) -> Option<(u32, u32)>,
+        mut map: impl FnMut(u32, u32) -> Option<u32>,
     ) {
         for first in (0..sources.len()).step_by(EMIT_GROUP) {
             let group = first..(first + EMIT_GROUP).min(sources.len());
@@ -387,11 +475,11 @@ impl BatchScratch {
             }
             for (k, i) in group.enumerate() {
                 for &v in &self.rows[start[k] as usize..start[k + 1] as usize] {
-                    if let Some(pair) = map(v, u32::from(self.dist[v as usize * 64 + i])) {
-                        out.push(pair);
+                    if let Some(entry) = map(v, u32::from(self.dist[v as usize * 64 + i])) {
+                        out.push(entry);
                     }
                 }
-                ends.push(out.len() as u32);
+                ends.push(row_end(out.len()));
             }
         }
     }
@@ -402,20 +490,27 @@ impl BatchScratch {
 /// the batch's entries) for four short passes.
 const EMIT_GROUP: usize = 16;
 
-/// One shard's build output: its flat rows plus shard-relative row ends.
-type CsrShard = (Vec<(u32, u32)>, Vec<u32>);
+/// One shard's build output: its flat entries plus shard-relative row
+/// ends.
+type CsrShard = (Vec<u32>, Vec<u32>);
 
 /// Builds a CSR `(flat, offsets)` pair over `n` rows by calling
 /// `build(range, flat_out)` per contiguous shard — serially for
 /// `threads <= 1`, otherwise on scoped worker threads with the shards
 /// stitched back in row order (bit-identical to the serial result, since
-/// each row's content is independent of the sharding).
+/// each row's content is independent of the sharding). The stitch grows
+/// the first shard's vector and drops each later shard once it is
+/// copied, so the entries are never held twice over.
 ///
 /// `build` appends its rows to the output vector and pushes one
 /// *shard-relative* end offset per row.
-fn build_csr_rows<F>(n: usize, threads: usize, build: F) -> (Vec<(u32, u32)>, Vec<u32>)
+///
+/// # Panics
+///
+/// Panics if the rows hold more than `u32::MAX` entries.
+fn build_csr_rows<F>(n: usize, threads: usize, build: F) -> (Vec<u32>, Vec<u32>)
 where
-    F: Fn(Range<usize>, &mut Vec<(u32, u32)>, &mut Vec<u32>) + Sync,
+    F: Fn(Range<usize>, &mut Vec<u32>, &mut Vec<u32>) + Sync,
 {
     let threads = threads.max(1).min(n.max(1));
     if threads <= 1 {
@@ -453,12 +548,18 @@ where
             .collect()
     });
     let total: usize = parts.iter().map(|(flat, _)| flat.len()).sum();
-    let mut flat = Vec::with_capacity(total);
+    let mut parts = parts.into_iter();
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0u32);
+    let mut flat = Vec::new();
+    if let Some((first, ends)) = parts.next() {
+        flat = first;
+        flat.reserve_exact(total - flat.len());
+        offsets.extend(ends);
+    }
     for (part, ends) in parts {
-        let base = flat.len() as u32;
-        offsets.extend(ends.into_iter().map(|e| base + e));
+        let base = flat.len();
+        offsets.extend(ends.into_iter().map(|e| row_end(base + e as usize)));
         flat.extend(part);
     }
     (flat, offsets)
@@ -493,11 +594,23 @@ where
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateSeparationTable {
     rho: u64,
+    packing: Packing,
     offsets: Vec<u32>,
-    /// `(gate node index, rho - distance)` per in-bound gate neighbour.
-    entries: Vec<(u32, u32)>,
+    /// `partner << b | (ρ − d)` per in-bound gate neighbour (see the
+    /// [module docs](self)).
+    entries: Vec<u32>,
     /// Per node, the sum of its row's weights ([`Self::near_weight`]).
     totals: Vec<u64>,
+}
+
+/// The planning figures of a table that is not built yet, from
+/// [`GateSeparationTable::estimate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableEstimate {
+    /// Extrapolated number of `(gate, ρ − d)` entries.
+    pub entries: usize,
+    /// Extrapolated [`GateSeparationTable::memory_bytes`].
+    pub bytes: usize,
 }
 
 impl GateSeparationTable {
@@ -509,11 +622,15 @@ impl GateSeparationTable {
     ///
     /// # Panics
     ///
-    /// Panics if `rho == 0`.
+    /// Panics if `rho == 0`, if the netlist has more nodes than a table
+    /// at `rho` can pack ([`GateSeparationTable::check_capacity`]), or if
+    /// the table would hold more than `u32::MAX` entries (its row offsets
+    /// are `u32`).
     #[must_use]
     pub fn direct(netlist: &Netlist, rho: u32, threads: usize) -> Self {
         assert!(rho > 0, "separation bound rho must be positive");
         let n = netlist.node_count();
+        let packing = Packing::fitting(n, rho);
         let (adj_offsets, adj_pool) = undirected_csr(netlist);
         let is_gate: Vec<bool> = netlist.node_ids().map(|id| netlist.is_gate(id)).collect();
         let (entries, offsets) = build_csr_rows(n, threads, |range, entries, ends| {
@@ -528,7 +645,7 @@ impl GateSeparationTable {
                         .collect();
                     scratch.run(&batch, rho, &adj_offsets, &adj_pool);
                     scratch.emit_rows(&batch, entries, ends, |v, d| {
-                        is_gate[v as usize].then_some((v, rho - d))
+                        is_gate[v as usize].then(|| packing.pack(v, rho - d))
                     });
                     start += batch.len();
                 }
@@ -542,14 +659,15 @@ impl GateSeparationTable {
                             &adj_offsets,
                             &adj_pool,
                             &is_gate,
+                            packing,
                             entries,
                         );
                     }
-                    ends.push(entries.len() as u32);
+                    ends.push(row_end(entries.len()));
                 }
             }
         });
-        GateSeparationTable::from_rows(u64::from(rho), offsets, entries)
+        GateSeparationTable::from_rows(rho, packing, offsets, entries)
     }
 
     /// The slow reference of [`GateSeparationTable::direct`]: one
@@ -561,7 +679,7 @@ impl GateSeparationTable {
     ///
     /// # Panics
     ///
-    /// Panics if `rho == 0`.
+    /// As [`GateSeparationTable::direct`].
     #[must_use]
     pub fn reference(netlist: &Netlist, rho: u32) -> Self {
         let mut bfs = BoundedBfs::new(netlist, rho);
@@ -579,23 +697,59 @@ impl GateSeparationTable {
         GateSeparationTable::from_distance_rows(rho, rows)
     }
 
-    /// Estimates the [`GateSeparationTable::memory_bytes`] of the
-    /// `(netlist, rho)` table **without building it**: the gate rows of
-    /// up to 32 evenly spaced gates, each one [`BoundedBfs`] run, give a
-    /// mean row length that is extrapolated to every gate, plus the exact
-    /// offsets and totals.
+    /// Whether a `node_count`-node netlist's table at `rho` fits the
+    /// packed entry layout: an entry keeps `32 − b` bits for the partner's
+    /// node id, `b` the bit width of `ρ − 1`, so a table at `rho` holds at
+    /// most `2^(32 − b)` nodes (2³¹ at ρ 2, 2²⁹ at ρ 6, 2²⁴ at ρ 256).
+    /// Callers that take ρ from a user check here before they build.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidArg`] naming both limits — the most nodes
+    /// `rho` allows and the largest ρ that `node_count` nodes allow — if
+    /// the netlist does not fit.
+    pub fn check_capacity(node_count: usize, rho: u32) -> Result<(), EngineError> {
+        let max_nodes = Packing::new(rho).max_nodes();
+        if node_count as u64 <= max_nodes {
+            return Ok(());
+        }
+        // `node_count` ids need the bit width of `node_count − 1`; the
+        // weight field may take the rest, so ρ − 1 < 2^(32 − id bits).
+        let id_bits = u64::BITS - (node_count as u64 - 1).leading_zeros();
+        let other = match u32::BITS.checked_sub(id_bits) {
+            Some(free) => format!(
+                "{node_count} nodes allow rho up to {}",
+                (1u64 << free).min(u64::from(u32::MAX))
+            ),
+            None => format!("no rho allows more than {} nodes", 1u64 << u32::BITS),
+        };
+        Err(EngineError::InvalidArg(format!(
+            "a gate separation table at rho {rho} holds at most {max_nodes} nodes, and this \
+             netlist has {node_count}; {other}"
+        )))
+    }
+
+    /// Estimates the entry count and the
+    /// [`GateSeparationTable::memory_bytes`] of the `(netlist, rho)`
+    /// table **without building it**: the gate rows of up to 32 evenly
+    /// spaced gates, each one [`BoundedBfs`] run, give a mean row length
+    /// that is extrapolated to every gate; the bytes count 4 per entry
+    /// plus the exact offsets and totals.
     ///
     /// The estimate costs `O(V + E)` for the adjacency copy plus 32
     /// ρ-bounded BFS runs — orders of magnitude below the build — and is
     /// what the serving layer's tier planner consults before committing
-    /// to a table under a memory ceiling. Treat it as a planning signal
-    /// within sampling error, not an exact quote. `0` for an empty
-    /// netlist or `rho == 0`.
+    /// to a table under a memory ceiling or a deadline. Treat it as a
+    /// planning signal within sampling error, not an exact quote. Zero
+    /// for an empty netlist or `rho == 0`.
     #[must_use]
-    pub fn estimate_bytes(netlist: &Netlist, rho: u32) -> usize {
+    pub fn estimate(netlist: &Netlist, rho: u32) -> TableEstimate {
         let n = netlist.node_count();
         if n == 0 || rho == 0 {
-            return 0;
+            return TableEstimate {
+                entries: 0,
+                bytes: 0,
+            };
         }
         let gates: Vec<NodeId> = netlist.gate_ids().collect();
         let samples = gates.len().min(32);
@@ -612,9 +766,12 @@ impl GateSeparationTable {
                 .count();
         }
         let entries = (sampled * gates.len()).checked_div(samples).unwrap_or(0);
-        entries * std::mem::size_of::<(u32, u32)>()
-            + (n + 1) * std::mem::size_of::<u32>()
-            + n * std::mem::size_of::<u64>()
+        TableEstimate {
+            entries,
+            bytes: entries * std::mem::size_of::<u32>()
+                + (n + 1) * std::mem::size_of::<u32>()
+                + n * std::mem::size_of::<u64>(),
+        }
     }
 
     /// The table of maintained distance rows: `rows[i]` holds node `i`'s
@@ -623,27 +780,32 @@ impl GateSeparationTable {
     /// patch-scored resynthesis evaluation keeps up to date. A search
     /// that ends holding exact rows hands them over this way instead of
     /// a second build: equal to [`GateSeparationTable::direct`] of the
-    /// same structure entry for entry. Each row is dropped once copied,
-    /// so the peak stays near one copy of the entries.
+    /// same structure entry for entry. Each row is packed and dropped as
+    /// it is copied, so the peak stays near one copy of the entries.
     ///
     /// # Panics
     ///
-    /// Panics if `rho == 0`, or (in debug builds) if a distance is out
-    /// of `1..ρ`.
+    /// Panics if `rho == 0`, if `rows` has more nodes than a table at
+    /// `rho` can pack ([`GateSeparationTable::check_capacity`]), if the
+    /// rows hold more than `u32::MAX` entries, or (in debug builds) if a
+    /// distance is out of `1..ρ` or a partner out of range of `rows`.
     #[must_use]
     pub fn from_distance_rows(rho: u32, rows: Vec<Vec<(u32, u32)>>) -> Self {
         assert!(rho > 0, "separation bound rho must be positive");
+        let n = rows.len();
+        let packing = Packing::fitting(n, rho);
         let mut entries = Vec::with_capacity(rows.iter().map(Vec::len).sum());
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         for row in rows {
             entries.extend(row.into_iter().map(|(p, d)| {
                 debug_assert!((1..rho).contains(&d), "distance {d} out of 1..{rho}");
-                (p, rho - d)
+                debug_assert!((p as usize) < n, "partner {p} out of {n} rows");
+                packing.pack(p, rho - d)
             }));
-            offsets.push(entries.len() as u32);
+            offsets.push(row_end(entries.len()));
         }
-        GateSeparationTable::from_rows(u64::from(rho), offsets, entries)
+        GateSeparationTable::from_rows(rho, packing, offsets, entries)
     }
 
     /// Wraps built rows, storing each row's weight total for the O(1)
@@ -652,32 +814,33 @@ impl GateSeparationTable {
     /// written and so takes no memory. Shrinking it would cost more: the
     /// allocator then maps every later build's entries fresh, and each
     /// build pays a page fault per 4 KiB of them again.
-    fn from_rows(rho: u64, offsets: Vec<u32>, entries: Vec<(u32, u32)>) -> Self {
+    fn from_rows(rho: u32, packing: Packing, offsets: Vec<u32>, entries: Vec<u32>) -> Self {
         let totals = offsets
             .windows(2)
             .map(|w| {
                 entries[w[0] as usize..w[1] as usize]
                     .iter()
-                    .map(|&(_, d)| u64::from(d))
+                    .map(|&e| u64::from(packing.unpack(e).1))
                     .sum()
             })
             .collect();
         GateSeparationTable {
-            rho,
+            rho: u64::from(rho),
+            packing,
             offsets,
             entries,
             totals,
         }
     }
 
-    /// Memory the table occupies in bytes: 8 bytes per `(gate, weight)`
-    /// entry plus 4 per row offset and 8 per row total (the entry
-    /// vector's unwritten spare capacity left out). At 10^6 nodes
-    /// this is the dominant analysis structure; see the crate docs'
-    /// "memory layout & scale" section.
+    /// Memory the table occupies in bytes: 4 bytes per packed
+    /// `(gate, ρ − d)` entry plus 4 per row offset and 8 per row total
+    /// (the entry vector's unwritten spare capacity left out). At 10^6
+    /// nodes this is the dominant analysis structure; see the crate
+    /// docs' "memory layout & scale" section.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<(u32, u32)>()
+        self.entries.len() * std::mem::size_of::<u32>()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.totals.capacity() * std::mem::size_of::<u64>()
     }
@@ -707,9 +870,10 @@ impl GateSeparationTable {
         if a == b {
             return 0;
         }
-        let row = self.row(a);
-        match row.binary_search_by_key(&b.0, |&(node, _)| node) {
-            Ok(k) => self.rho() - row[k].1,
+        let row = self.packed_row(a);
+        let packing = self.packing;
+        match row.binary_search_by_key(&b.0, |&e| packing.unpack(e).0) {
+            Ok(k) => self.rho() - packing.unpack(row[k]).1,
             Err(_) => self.rho(),
         }
     }
@@ -755,6 +919,7 @@ impl GateSeparationTable {
     /// Panics if a member or a row entry is out of range of `assignment`.
     #[must_use]
     pub fn partition_separations(&self, modules: &[Vec<NodeId>], assignment: &[u32]) -> Vec<u64> {
+        let mask = self.packing.mask;
         modules
             .iter()
             .enumerate()
@@ -764,11 +929,16 @@ impl GateSeparationTable {
                 for &g in gates {
                     debug_assert_eq!(assignment[g.index()], m, "gate {g} not in module {m}");
                     // The masked add of `member_weights`: membership is
-                    // unpredictable, so no branch per entry.
-                    for &(n, w) in self.row(g) {
-                        let inside = assignment[n as usize] == m;
-                        doubled += u64::from(w) & 0u64.wrapping_sub(u64::from(inside));
-                    }
+                    // unpredictable, so no branch per entry. A row's
+                    // weights sum below 2³² (see `Packing`).
+                    let inside_row =
+                        self.fold_row_owners(g, assignment, 0u32, |mut sum, owners, entries| {
+                            for (&owner, &e) in owners.iter().zip(entries) {
+                                sum += e & mask & 0u32.wrapping_sub(u32::from(owner == m));
+                            }
+                            sum
+                        });
+                    doubled += u64::from(inside_row);
                 }
                 debug_assert!(doubled.is_multiple_of(2), "asymmetric rows in module {m}");
                 let size = gates.len() as u64;
@@ -796,18 +966,57 @@ impl GateSeparationTable {
         self.totals[gate.index()]
     }
 
-    /// One gate's full near row: `(gate node index, ρ − d)` entries
-    /// sorted by node index, excluding the gate itself (empty for
-    /// primary inputs). This is the seed of the incrementally maintained
-    /// ΔW rows in the patch-scored resynthesis evaluation.
+    /// One gate's full near row: its `(gate node index, ρ − d)` entries
+    /// in ascending node index, decoded from the packed row as they are
+    /// read, excluding the gate itself (empty for primary inputs). This
+    /// is the seed of the incrementally maintained ΔW rows in the
+    /// patch-scored resynthesis evaluation.
     ///
     /// # Panics
     ///
     /// Panics if `gate` is out of range of the table's netlist.
-    #[must_use]
-    pub fn row(&self, gate: NodeId) -> &[(u32, u32)] {
+    pub fn row(&self, gate: NodeId) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+        let packing = self.packing;
+        self.packed_row(gate)
+            .iter()
+            .map(move |&e| packing.unpack(e))
+    }
+
+    /// One gate's packed entries.
+    fn packed_row(&self, gate: NodeId) -> &[u32] {
         let i = gate.index();
         &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Folds `gate`'s row in blocks of [`DECODE_BLOCK`] entries:
+    /// `f(acc, owners, entries)` sees each partner's `assignment` value
+    /// beside its packed entry. The partners are decoded in one pass and
+    /// looked up in another, so `f`'s reduction over the two slices has
+    /// no load it cannot vectorize; that keeps the row kernels as fast
+    /// over packed entries as over `(u32, u32)` pairs, where a per-entry
+    /// shift, lookup and masked add was not. The accumulator is passed by
+    /// value so that it stays in registers.
+    fn fold_row_owners<A>(
+        &self,
+        gate: NodeId,
+        assignment: &[u32],
+        init: A,
+        f: impl Fn(A, &[u32], &[u32]) -> A,
+    ) -> A {
+        let shift = self.packing.shift;
+        let mut owners = [0u32; DECODE_BLOCK];
+        let mut acc = init;
+        for entries in self.packed_row(gate).chunks(DECODE_BLOCK) {
+            let owners = &mut owners[..entries.len()];
+            for (owner, &e) in owners.iter_mut().zip(entries) {
+                *owner = e >> shift;
+            }
+            for owner in owners.iter_mut() {
+                *owner = assignment[*owner as usize];
+            }
+            acc = f(acc, owners, entries);
+        }
+        acc
     }
 
     /// Saturation bound ρ the table was built with.
@@ -832,16 +1041,25 @@ impl GateSeparationTable {
     #[must_use]
     pub fn member_weights(&self, gate: NodeId, assignment: &[u32], modules: [u32; 2]) -> [u64; 2] {
         let [a, b] = modules;
-        let (mut wa, mut wb) = (0u64, 0u64);
+        let mask = self.packing.mask;
         // Masked adds, not `if`s: membership is unpredictable, and a
-        // branch per entry costs more than the row's memory traffic.
-        for &(n, w) in self.row(gate) {
-            let m = assignment[n as usize];
-            let w = u64::from(w);
-            wa += w & 0u64.wrapping_sub(u64::from(m == a));
-            wb += w & 0u64.wrapping_sub(u64::from(m == b));
-        }
-        [wa, wb]
+        // branch per entry costs more than the row's memory traffic. A
+        // row's weights sum below 2³² (see `Packing`), so `u32` sums
+        // cannot overflow.
+        let (wa, wb) = self.fold_row_owners(
+            gate,
+            assignment,
+            (0u32, 0u32),
+            |(mut wa, mut wb), owners, entries| {
+                for (&owner, &e) in owners.iter().zip(entries) {
+                    let w = e & mask;
+                    wa += w & 0u32.wrapping_sub(u32::from(owner == a));
+                    wb += w & 0u32.wrapping_sub(u32::from(owner == b));
+                }
+                (wa, wb)
+            },
+        );
+        [u64::from(wa), u64::from(wb)]
     }
 }
 
@@ -901,19 +1119,19 @@ mod tests {
     }
 
     #[test]
-    fn estimate_bytes_tracks_actual_footprint() {
+    fn estimate_tracks_actual_footprint() {
         // On a regular structure (uniform ball sizes) the sampled
         // estimate should land within a factor of 2 of the real table.
         let nl = data::ripple_adder(64);
         for rho in [2u32, 4, 6] {
             let actual = GateSeparationTable::direct(&nl, rho, 1).memory_bytes();
-            let est = GateSeparationTable::estimate_bytes(&nl, rho);
+            let est = GateSeparationTable::estimate(&nl, rho).bytes;
             assert!(
                 est * 2 >= actual && est <= actual * 2,
                 "rho={rho}: est={est} actual={actual}"
             );
         }
-        assert_eq!(GateSeparationTable::estimate_bytes(&nl, 0), 0);
+        assert_eq!(GateSeparationTable::estimate(&nl, 0).bytes, 0);
     }
 
     #[test]
@@ -1042,7 +1260,7 @@ mod tests {
             GateSeparationTable::reference(&nl, 6),
         ] {
             for id in nl.node_ids() {
-                let sum: u64 = table.row(id).iter().map(|&(_, w)| u64::from(w)).sum();
+                let sum: u64 = table.row(id).map(|(_, w)| u64::from(w)).sum();
                 assert_eq!(table.near_weight(id), sum, "node {id}");
             }
         }
@@ -1091,11 +1309,84 @@ mod tests {
                 let table = GateSeparationTable::direct(&nl, 6, threads);
                 assert_eq!(
                     table.memory_bytes(),
-                    8 * table.entry_count() + 4 * (n + 1) + 8 * n,
+                    4 * table.entry_count() + 4 * (n + 1) + 8 * n,
                     "{} at {threads} threads",
                     nl.name()
                 );
             }
         }
+    }
+
+    #[test]
+    fn packed_entries_round_trip_at_the_field_limits() {
+        for (rho, shift) in [(2u32, 1u32), (6, 3), (256, 8), (300, 9)] {
+            let packing = Packing::new(rho);
+            assert_eq!(packing.shift, shift, "rho {rho}");
+            assert_eq!(packing.max_nodes(), 1u64 << (32 - shift), "rho {rho}");
+            let last = u32::try_from(packing.max_nodes() - 1).unwrap();
+            // The partner holds the high bits: packed order is partner
+            // order whatever the weights.
+            assert!(packing.pack(1, rho - 1) < packing.pack(2, 1));
+            // Row 0 reaches node 1 at the largest weight and the largest
+            // id at the smallest; the ids are decoded, not indexed.
+            let entries = vec![packing.pack(1, rho - 1), packing.pack(last, 1)];
+            let table = GateSeparationTable::from_rows(rho, packing, vec![0, 2, 2], entries);
+            let row: Vec<(u32, u32)> = table.row(NodeId(0)).collect();
+            assert_eq!(row, [(1, rho - 1), (last, 1)], "rho {rho}");
+            assert_eq!(table.row(NodeId(0)).len(), 2);
+            assert_eq!(table.distance(NodeId(0), NodeId(1)), 1, "rho {rho}");
+            assert_eq!(table.distance(NodeId(0), NodeId(last)), rho - 1);
+            assert_eq!(table.distance(NodeId(0), NodeId(last - 1)), rho);
+            assert_eq!(table.near_weight(NodeId(0)), u64::from(rho));
+            assert_eq!(table.row(NodeId(1)).len(), 0);
+        }
+    }
+
+    #[test]
+    fn capacity_check_agrees_with_the_field_split() {
+        let bounds = [
+            1u32,
+            2,
+            6,
+            8,
+            9,
+            256,
+            257,
+            300,
+            1 << 30,
+            (1 << 31) + 1,
+            u32::MAX,
+        ];
+        for rho in bounds {
+            let max = Packing::new(rho).max_nodes();
+            let fits = usize::try_from(max).unwrap();
+            assert!(
+                GateSeparationTable::check_capacity(fits, rho).is_ok(),
+                "rho {rho}"
+            );
+            let err = GateSeparationTable::check_capacity(fits + 1, rho).unwrap_err();
+            assert!(err.is_usage(), "rho {rho}: {err}");
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("at rho {rho} holds at most {max} nodes")),
+                "{message}"
+            );
+            // The largest bound it names does fit, and one more does not
+            // (past 2³² nodes no bound fits: the ids are `u32`).
+            match message.split("allow rho up to ").nth(1) {
+                Some(allowed) => {
+                    let allowed: u32 = allowed.parse().unwrap();
+                    assert!(GateSeparationTable::check_capacity(fits + 1, allowed).is_ok());
+                    assert!(GateSeparationTable::check_capacity(fits + 1, allowed + 1).is_err());
+                }
+                None => assert_eq!(rho, 1, "{message}"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds at most 2 nodes, and this netlist has 4")]
+    fn unpackable_netlist_panics_in_direct_table() {
+        let _ = GateSeparationTable::direct(&chain(3), (1 << 30) + 1, 1);
     }
 }

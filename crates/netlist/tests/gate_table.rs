@@ -1,6 +1,6 @@
 //! The gate separation table on generated circuits: against its
 //! one-BFS-per-gate reference, its round trip through distance rows,
-//! and its footprint and footprint estimate.
+//! and its footprint (4 bytes per packed entry) and footprint estimate.
 
 use iddq_gen::iscas::{generate, IscasProfile};
 use iddq_gen::seq::{generate as generate_seq, SeqProfile};
@@ -19,12 +19,13 @@ fn generated() -> [Netlist; 2] {
 /// The batched table equals its reference, and its
 /// `module_separation` is the reference's pair sum on random gate
 /// subsets of a generated c880 and s1423, from the empty and one-gate
-/// sets up to every gate.
+/// sets up to every gate. ρ 6 is the flow's bound; ρ 300 takes the
+/// per-source build path (ρ > 256) and a 9-bit weight field.
 #[test]
 fn table_module_separation_matches_oracle() {
     let mut rng = SmallRng::seed_from_u64(29);
     for nl in &generated() {
-        for rho in [2, 5] {
+        for rho in [2, 5, 6, 300] {
             let oracle = GateSeparationTable::reference(nl, rho);
             let table = GateSeparationTable::direct(nl, rho, 1);
             assert_eq!(table, oracle, "{} at rho {rho}", nl.name());
@@ -58,7 +59,7 @@ fn table_from_distance_rows_round_trips() {
         let table = GateSeparationTable::direct(nl, rho, 1);
         let rows = nl
             .node_ids()
-            .map(|id| table.row(id).iter().map(|&(p, w)| (p, rho - w)).collect())
+            .map(|id| table.row(id).map(|(p, w)| (p, rho - w)).collect())
             .collect();
         let rebuilt = GateSeparationTable::from_distance_rows(rho, rows);
         assert_eq!(rebuilt, table, "{}", nl.name());
@@ -78,7 +79,7 @@ fn generated_tables_are_exactly_sized_and_estimated() {
         let table = GateSeparationTable::direct(nl, rho, 1);
         assert_eq!(
             table.memory_bytes(),
-            8 * table.entry_count() + 4 * (n + 1) + 8 * n,
+            4 * table.entry_count() + 4 * (n + 1) + 8 * n,
             "{}",
             nl.name()
         );
@@ -86,12 +87,18 @@ fn generated_tables_are_exactly_sized_and_estimated() {
             GateSeparationTable::direct(nl, rho, 2).memory_bytes(),
             table.memory_bytes()
         );
-        let est = GateSeparationTable::estimate_bytes(nl, rho);
+        let est = GateSeparationTable::estimate(nl, rho);
         let actual = table.memory_bytes();
         assert!(
-            est * 2 >= actual && est <= actual * 2,
-            "{}: est={est} actual={actual}",
+            est.bytes * 2 >= actual && est.bytes <= actual * 2,
+            "{}: est={est:?} actual={actual}",
             nl.name()
+        );
+        assert!(
+            est.entries * 2 >= table.entry_count() && est.entries <= table.entry_count() * 2,
+            "{}: est={est:?} entries={}",
+            nl.name(),
+            table.entry_count()
         );
     }
 }

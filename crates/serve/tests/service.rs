@@ -618,6 +618,37 @@ fn tight_deadline_stats_on_a_cached_gatesep_bundle_is_not_degraded() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// A daemon `--rho` whose weight field leaves the packed gate table too
+/// few bits for the circuit's node ids degrades a `stats` request to
+/// `timing` instead of building (or panicking on) the table, and the
+/// reason names both limits.
+#[test]
+fn stats_at_a_rho_too_wide_for_the_table_degrades_to_timing() {
+    let (server, mut client, state_dir) = server_and_client(
+        "wide-rho",
+        ServerConfig {
+            rho: u32::MAX,
+            ..ServerConfig::default()
+        },
+    );
+    let resp = client
+        .call(&json!({"op": "stats", "circuit": "c432", "tier": "gatesep"}))
+        .expect("answered");
+    assert_eq!(resp["status"], "ok", "{resp:?}");
+    assert_eq!(resp["result"]["tier"], "timing", "{resp:?}");
+    assert_eq!(resp["result"]["degraded"], true, "{resp:?}");
+    let reason = resp["result"]["degrade_reason"]
+        .as_str()
+        .unwrap_or_default();
+    assert!(
+        reason.contains("holds at most 1 nodes") && reason.contains("allow rho up to"),
+        "{reason}"
+    );
+    assert_eq!(resp["result"]["memory"]["gate_table"].as_u64(), Some(0));
+    server.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 /// A keyed `faults` job checkpointed at 64 lanes (before the lane width
 /// followed the sweep's shape) resumes at 64 lanes and completes
 /// bit-identically, while the same sweep without a checkpoint runs at

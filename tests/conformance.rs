@@ -708,6 +708,6 @@ fn lazy_bridge_universe_matches_oracle_rows() {
             .filter(|&&(n, _)| nl.is_gate(NodeId(n)))
             .map(|&(n, d)| (n, 5 - d))
             .collect();
-        assert_eq!(lazy, table.row(gate), "gate {gate}");
+        assert_eq!(lazy, table.row(gate).collect::<Vec<_>>(), "gate {gate}");
     }
 }
